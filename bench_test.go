@@ -287,8 +287,8 @@ func BenchmarkOnlineNearest(b *testing.B) {
 // partitions that radius across per-zone indexes queried concurrently.
 // All paths produce identical results (asserted by the sim differential
 // tests); the "served" metric is reported so a divergence would also be
-// visible here. `rideshare bench` records the same measurements as the
-// machine-readable BENCH_2.json trajectory.
+// visible here. The numbers of record for this leg are the instant_50k
+// workload of benchmark/.
 func benchmarkDispatchScale(b *testing.B, drivers int, src func() sim.CandidateSource) {
 	if testing.Short() {
 		b.Skip("full-day city-scale dispatch is seconds per op; skipped in -short smoke runs")

@@ -408,8 +408,7 @@ func runExperiments(ctx context.Context, w io.Writer, cfg experiments.Config, fi
 	}
 	if want("regret") {
 		// Three densities (sparse, mid, dense) keep the oracle solves
-		// affordable under -fig all; the bench -oracle suite is the
-		// full-scale version of this study.
+		// affordable under -fig all.
 		rcfg := cfg
 		rcfg.Sweep = []int{cfg.Sweep[0], cfg.Sweep[len(cfg.Sweep)/2], cfg.Sweep[len(cfg.Sweep)-1]}
 		rc := experiments.RegretConfig{Churn: 0.25, Cancel: 0.2, TopK: 8, LP: true, NodeCap: 500_000}

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,10 +134,6 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"experiments -workers 0", func() error { return cmdExperiments([]string{"-workers", "0"}) }},
 		{"experiments -workers -3", func() error { return cmdExperiments([]string{"-workers", "-3"}) }},
 		{"experiments -reps 0", func() error { return cmdExperiments([]string{"-reps", "0"}) }},
-		{"bench -reps 0", func() error { return cmdBench([]string{"-reps", "0"}) }},
-		{"bench -tasks 0", func() error { return cmdBench([]string{"-tasks", "0"}) }},
-		{"bench -shards 0,2", func() error { return cmdBench([]string{"-shards", "0,2"}) }},
-		{"bench -drivers 0", func() error { return cmdBench([]string{"-drivers", "0"}) }},
 		{"simulate -algo batched -batchwindow 0", func() error {
 			return cmdSimulate([]string{"-trace", "x.json", "-algo", "batched", "-batchwindow", "0"})
 		}},
@@ -148,19 +143,6 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"simulate -algo batched -batchalgo simplex", func() error {
 			return cmdSimulate([]string{"-trace", "x.json", "-algo", "batched", "-batchalgo", "simplex"})
 		}},
-		{"bench -batched -batch-window 0", func() error {
-			return cmdBench([]string{"-batched", "-batch-window", "0"})
-		}},
-		{"bench -batch-window -3", func() error { return cmdBench([]string{"-batch-window", "-3"}) }},
-		{"bench -batched -batch-algo simplex", func() error {
-			return cmdBench([]string{"-batched", "-batch-algo", "simplex"})
-		}},
-		{"bench -batched -streaming", func() error { return cmdBench([]string{"-batched", "-streaming"}) }},
-		{"bench -windows -batched", func() error { return cmdBench([]string{"-windows", "-batched"}) }},
-		{"bench -windows -batch-window 0", func() error {
-			return cmdBench([]string{"-windows", "-batch-window", "0"})
-		}},
-		{"bench -match-workers 0", func() error { return cmdBench([]string{"-match-workers", "0"}) }},
 		{"serve -match-workers 0", func() error { return cmdServe([]string{"-match-workers", "0"}) }},
 		{"serve -match-workers without -batch-window", func() error {
 			return cmdServe([]string{"-match-workers", "4"})
@@ -178,13 +160,6 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"loadgen -cancel 2", func() error { return cmdLoadgen([]string{"-cancel", "2"}) }},
 		{"loadgen -rate -5", func() error { return cmdLoadgen([]string{"-rate", "-5"}) }},
 		{"serve -max-pending -1", func() error { return cmdServe([]string{"-max-pending", "-1"}) }},
-		{"bench -maxprocs without a suite", func() error { return cmdBench([]string{"-maxprocs", "1,2"}) }},
-		{"bench -windows -maxprocs -2", func() error {
-			return cmdBench([]string{"-windows", "-maxprocs", "1,-2"})
-		}},
-		{"bench -batched -maxprocs x", func() error {
-			return cmdBench([]string{"-batched", "-maxprocs", "x"})
-		}},
 	}
 	for _, tc := range cases {
 		if err := tc.run(); err == nil {
@@ -196,6 +171,25 @@ func TestCmdFlagValidation(t *testing.T) {
 func TestCmdTightness(t *testing.T) {
 	if err := cmdTightness([]string{"-d", "3", "-eps", "0.05"}); err != nil {
 		t.Fatalf("tightness: %v", err)
+	}
+}
+
+// The tightness command's brute-force call is bounded: a cap that is
+// too small fails with a typed, actionable error instead of hanging,
+// and a non-positive cap is rejected at the flag boundary.
+func TestCmdTightnessMaxPaths(t *testing.T) {
+	if err := cmdTightness([]string{"-max-paths", "0"}); err == nil {
+		t.Error("-max-paths 0 accepted")
+	}
+	err := cmdTightness([]string{"-d", "6", "-max-paths", "1"})
+	if err == nil {
+		t.Fatal("-max-paths 1 solved D=6 — the cap is not reaching the solver")
+	}
+	if !strings.Contains(err.Error(), "-max-paths") {
+		t.Errorf("cap error gives no remediation hint: %v", err)
+	}
+	if err := cmdTightness([]string{"-d", "3", "-max-paths", "100000"}); err != nil {
+		t.Errorf("generous cap failed: %v", err)
 	}
 }
 
@@ -271,291 +265,5 @@ func TestCmdGenChurnAndSimulateSharded(t *testing.T) {
 	// Flag override replaces the embedded events.
 	if err := cmdSimulate([]string{"-trace", out, "-churn", "0.1", "-cancel", "0.1"}); err != nil {
 		t.Fatalf("simulate churn override: %v", err)
-	}
-}
-
-func TestCmdBenchWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench.json")
-	if err := cmdBench([]string{"-drivers", "120", "-shards", "1,2", "-tasks", "50",
-		"-reps", "1", "-out", out}); err != nil {
-		t.Fatalf("bench: %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Schema  string `json:"schema"`
-		Results []struct {
-			Name        string  `json:"name"`
-			Source      string  `json:"source"`
-			Seconds     float64 `json:"seconds"`
-			TasksPerSec float64 `json:"tasks_per_sec"`
-			Served      int     `json:"served"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("bench output is not valid JSON: %v", err)
-	}
-	if report.Schema != "rideshare-bench/v1" {
-		t.Fatalf("schema = %q", report.Schema)
-	}
-	// scan + grid + two shard counts.
-	if len(report.Results) != 4 {
-		t.Fatalf("results = %d, want 4", len(report.Results))
-	}
-	for _, r := range report.Results {
-		if r.Seconds <= 0 || r.TasksPerSec <= 0 {
-			t.Fatalf("%s: non-positive timing %v", r.Name, r)
-		}
-	}
-}
-
-// TestCmdBenchBatchedWritesJSON: the -batched suite records engine and
-// streaming-batched service timings in pairs under the shared schema,
-// with the served counts of each pair agreeing (the batched streaming
-// differential guarantee checked end to end) — for both solvers.
-func TestCmdBenchBatchedWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	for _, algo := range []string{"hungarian", "auction"} {
-		out := filepath.Join(dir, "bench4-"+algo+".json")
-		if err := cmdBench([]string{"-batched", "-drivers", "120", "-shards", "2", "-tasks", "60",
-			"-reps", "1", "-batch-window", "45", "-batch-algo", algo, "-out", out}); err != nil {
-			t.Fatalf("bench -batched (%s): %v", algo, err)
-		}
-		data, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var report struct {
-			Schema  string `json:"schema"`
-			Results []struct {
-				Name    string  `json:"name"`
-				Mode    string  `json:"mode"`
-				Seconds float64 `json:"seconds"`
-				Served  int     `json:"served"`
-			} `json:"results"`
-		}
-		if err := json.Unmarshal(data, &report); err != nil {
-			t.Fatalf("bench -batched output is not valid JSON: %v", err)
-		}
-		if report.Schema != "rideshare-bench/v1" {
-			t.Fatalf("schema = %q", report.Schema)
-		}
-		// scan + one shard count, two modes each.
-		if len(report.Results) != 4 {
-			t.Fatalf("results = %d, want 4", len(report.Results))
-		}
-		for i := 0; i < len(report.Results); i += 2 {
-			engine, stream := report.Results[i], report.Results[i+1]
-			if engine.Mode != "batch" || stream.Mode != "streaming" {
-				t.Fatalf("pair %d modes: %q/%q", i, engine.Mode, stream.Mode)
-			}
-			if engine.Served != stream.Served {
-				t.Fatalf("pair %d served diverged: %d vs %d", i, engine.Served, stream.Served)
-			}
-			if engine.Seconds <= 0 || stream.Seconds <= 0 {
-				t.Fatalf("pair %d non-positive timing", i)
-			}
-		}
-	}
-}
-
-// TestCmdBenchWindowsWritesJSON: the -windows suite records a
-// dense/sparse kernel pair per fleet size with the allocation columns
-// filled, equal served counts across the pair (the kernel equivalence
-// check runs inside the command), and the sparse leg's speedup column
-// populated. A -match-workers above 1 adds a parallel sparse leg.
-func TestCmdBenchWindowsWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench5.json")
-	if err := cmdBench([]string{"-windows", "-drivers", "150", "-shards", "2", "-tasks", "80",
-		"-reps", "1", "-batch-window", "600", "-match-workers", "2", "-out", out}); err != nil {
-		t.Fatalf("bench -windows: %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Schema  string `json:"schema"`
-		Results []struct {
-			Name           string  `json:"name"`
-			Kernel         string  `json:"kernel"`
-			Workers        int     `json:"workers"`
-			Seconds        float64 `json:"seconds"`
-			Served         int     `json:"served"`
-			AllocsPerTask  float64 `json:"allocs_per_task"`
-			BytesPerTask   float64 `json:"bytes_per_task"`
-			SpeedupVsDense float64 `json:"speedup_vs_dense"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("bench -windows output is not valid JSON: %v", err)
-	}
-	if report.Schema != "rideshare-bench/v1" {
-		t.Fatalf("schema = %q", report.Schema)
-	}
-	// One fleet size, three legs: dense, sparse serial, sparse workers=2.
-	if len(report.Results) != 3 {
-		t.Fatalf("results = %d, want 3", len(report.Results))
-	}
-	dense, sparse, parallel := report.Results[0], report.Results[1], report.Results[2]
-	if dense.Kernel != "dense" || sparse.Kernel != "sparse" || parallel.Kernel != "sparse" {
-		t.Fatalf("kernels: %q/%q/%q", dense.Kernel, sparse.Kernel, parallel.Kernel)
-	}
-	if parallel.Workers != 2 {
-		t.Fatalf("parallel leg workers = %d", parallel.Workers)
-	}
-	for i, r := range report.Results {
-		if r.Served != dense.Served {
-			t.Fatalf("leg %d served %d, dense %d", i, r.Served, dense.Served)
-		}
-		if r.Seconds <= 0 || r.AllocsPerTask < 0 || r.BytesPerTask < 0 {
-			t.Fatalf("leg %d has empty measurement columns: %+v", i, r)
-		}
-	}
-	if sparse.SpeedupVsDense <= 0 || parallel.SpeedupVsDense <= 0 {
-		t.Fatalf("sparse legs missing speedup_vs_dense: %+v / %+v", sparse, parallel)
-	}
-	if dense.SpeedupVsDense != 0 {
-		t.Fatalf("dense leg carries speedup_vs_dense %g", dense.SpeedupVsDense)
-	}
-}
-
-// TestCmdBenchMaxprocsWritesJSON: the -maxprocs sweep writes one
-// result per GOMAXPROCS leg with the latency column family populated
-// and ordered, a go_maxprocs column that actually varies (including a
-// leg above 1 even on a single-core host — the parallel branches still
-// execute), and bit-identical books across legs.
-func TestCmdBenchMaxprocsWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench6.json")
-	if err := cmdBench([]string{"-windows", "-maxprocs", "1,2", "-drivers", "150", "-shards", "2",
-		"-tasks", "80", "-reps", "1", "-batch-window", "600", "-out", out}); err != nil {
-		t.Fatalf("bench -windows -maxprocs: %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Schema  string `json:"schema"`
-		NumCPU  int    `json:"num_cpu"`
-		Results []struct {
-			Name       string  `json:"name"`
-			GoMaxProcs int     `json:"go_maxprocs"`
-			Workers    int     `json:"workers"`
-			Served     int     `json:"served"`
-			Revenue    float64 `json:"revenue"`
-			Seconds    float64 `json:"seconds"`
-			Latency    *struct {
-				N     int64   `json:"n"`
-				P50   float64 `json:"p50_ms"`
-				P95   float64 `json:"p95_ms"`
-				P99   float64 `json:"p99_ms"`
-				P999  float64 `json:"p999_ms"`
-				MaxMs float64 `json:"max_ms"`
-			} `json:"latency"`
-			SpeedupVsProcs1 float64 `json:"speedup_vs_procs1"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("bench -maxprocs output is not valid JSON: %v", err)
-	}
-	if report.Schema != "rideshare-bench/v1" || report.NumCPU < 1 {
-		t.Fatalf("schema %q, num_cpu %d", report.Schema, report.NumCPU)
-	}
-	if len(report.Results) != 2 {
-		t.Fatalf("results = %d, want 2 legs", len(report.Results))
-	}
-	base := report.Results[0]
-	sawMulti := false
-	for i, r := range report.Results {
-		if r.GoMaxProcs != i+1 {
-			t.Fatalf("leg %d go_maxprocs = %d, want %d", i, r.GoMaxProcs, i+1)
-		}
-		if r.GoMaxProcs > 1 {
-			sawMulti = true
-		}
-		if r.Workers != r.GoMaxProcs {
-			t.Fatalf("leg %d workers = %d, want to follow go_maxprocs %d", i, r.Workers, r.GoMaxProcs)
-		}
-		if r.Served != base.Served || r.Revenue != base.Revenue {
-			t.Fatalf("leg %d books diverged: served %d/%d revenue %g/%g",
-				i, r.Served, base.Served, r.Revenue, base.Revenue)
-		}
-		if r.Seconds <= 0 {
-			t.Fatalf("leg %d non-positive timing", i)
-		}
-		l := r.Latency
-		if l == nil || l.N == 0 {
-			t.Fatalf("leg %d missing latency columns: %+v", i, r)
-		}
-		if !(l.P50 <= l.P95 && l.P95 <= l.P99 && l.P99 <= l.P999 && l.P999 <= l.MaxMs) {
-			t.Fatalf("leg %d latency percentiles unordered: %+v", i, *l)
-		}
-		if l.P50 <= 0 {
-			t.Fatalf("leg %d latency p50 not populated: %+v", i, *l)
-		}
-	}
-	if !sawMulti {
-		t.Fatal("no leg ran with go_maxprocs > 1")
-	}
-	if base.SpeedupVsProcs1 != 0 {
-		t.Fatalf("first leg carries speedup_vs_procs1 %g", base.SpeedupVsProcs1)
-	}
-	if report.Results[1].SpeedupVsProcs1 <= 0 {
-		t.Fatalf("second leg missing speedup_vs_procs1: %+v", report.Results[1])
-	}
-}
-
-// TestCmdBenchStreamingWritesJSON: the -streaming suite records batch
-// and service timings in pairs with the overhead column filled, under
-// the same schema as the dispatch suite, and the served counts of each
-// pair agree (the end-to-end differential check).
-func TestCmdBenchStreamingWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench3.json")
-	if err := cmdBench([]string{"-streaming", "-drivers", "150", "-shards", "2", "-tasks", "60",
-		"-reps", "1", "-out", out}); err != nil {
-		t.Fatalf("bench -streaming: %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Schema  string `json:"schema"`
-		Results []struct {
-			Name     string  `json:"name"`
-			Mode     string  `json:"mode"`
-			Seconds  float64 `json:"seconds"`
-			Served   int     `json:"served"`
-			Overhead float64 `json:"overhead_vs_batch"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("bench -streaming output is not valid JSON: %v", err)
-	}
-	if report.Schema != "rideshare-bench/v1" {
-		t.Fatalf("schema = %q", report.Schema)
-	}
-	// scan + one shard count, two modes each.
-	if len(report.Results) != 4 {
-		t.Fatalf("results = %d, want 4", len(report.Results))
-	}
-	for i := 0; i < len(report.Results); i += 2 {
-		batch, stream := report.Results[i], report.Results[i+1]
-		if batch.Mode != "batch" || stream.Mode != "streaming" {
-			t.Fatalf("pair %d modes: %q/%q", i, batch.Mode, stream.Mode)
-		}
-		if batch.Served != stream.Served {
-			t.Fatalf("pair %d served diverged: %d vs %d", i, batch.Served, stream.Served)
-		}
-		if batch.Seconds <= 0 || stream.Seconds <= 0 {
-			t.Fatalf("pair %d non-positive timing", i)
-		}
 	}
 }

@@ -8,12 +8,6 @@
 //	             sharded, with driver churn and rider cancellations)
 //	experiments  regenerate the paper's evaluation figures (3–9) and
 //	             the extension studies (welfare, surge, dispatch, churn)
-//	bench        time full-day dispatch across candidate sources and
-//	             shard counts (batch vs streaming replay with -streaming,
-//	             engine vs streaming-batched with -batched, online
-//	             policies vs the offline-optimum oracle with -oracle,
-//	             crow-fly vs street-graph distances with -roadnet),
-//	             writing a machine-readable JSON baseline
 //	serve        run the live dispatch market as an HTTP/JSON service
 //	             over the public dispatch package — instant dispatch, or
 //	             windowed batch matching with -batch-window; durable with
@@ -51,8 +45,6 @@ func main() {
 		err = cmdSimulate(os.Args[2:])
 	case "experiments":
 		err = cmdExperiments(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "router":
@@ -85,7 +77,6 @@ Usage:
   rideshare solve       -trace trace.json [-bound] [-naive]
   rideshare simulate    -trace trace.json [-algo maxmargin|nearest|random|batched|replan] [-batchwindow W -batchalgo hungarian|auction] [-shards N] [-churn R] [-cancel R] [-byvalue] [-realtime]
   rideshare experiments [-fig 3|4|5|6|7|8|9|welfare|surge|dispatch|churn|regret|all] [-scale bench|paper] [-seed S] [-shards N]
-  rideshare bench       [-drivers 10000,50000] [-shards 1,2,4,8] [-out BENCH_2.json] [-streaming | -batched [-batch-window W] [-batch-algo A] | -oracle [-churn R] [-cancel R] [-topk K] | -durable [-snap-intervals 16,256,4096] | -roadnet]
   rideshare serve       [-addr :8080] [-drivers N | -trace trace.json] [-algo maxmargin|nearest|random] [-batch-window W -batch-algo hungarian|auction] [-shards N] [-roadnet] [-realtime] [-seed S] [-wal-dir DIR [-fsync always|interval|off] [-snapshot-every N]]
   rideshare router      [-addr :8080] [-markets a,b,c] [-drivers N] [-algo P | -batch-window W -batch-algo A] [-max-pending N] [-max-inflight N] [-wal-dir DIR [-fsync P] [-snapshot-every N]]
   rideshare loadgen     [-addr http://127.0.0.1:8080] [-market NAME] [-tasks N] [-id-base N] [-workers N] [-cancel R] [-seed S]

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -129,7 +128,7 @@ func cmdRouter(args []string) error {
 		}
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	srv := newHTTPServer(*addr, rt.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -50,6 +50,40 @@ import (
 // multi-market `rideshare router` (router.go). `rideshare loadgen`
 // (loadgen.go) is the matching traffic generator.
 
+// Limits every listener of `serve` and `router` applies to untrusted
+// peers. The largest legitimate request body (one task or driver) is a
+// few hundred bytes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	maxBodyBytes      = 64 << 10
+)
+
+// newHTTPServer is the one place the market listeners are configured:
+// a peer that never finishes its headers is dropped after
+// readHeaderTimeout, a declared body over maxBodyBytes is answered 413
+// before the market handler runs, and an undeclared (chunked) one is cut
+// off at the cap by http.MaxBytesHandler, which the market handler
+// reports as a malformed body. The limits wrap the handler here rather
+// than inside fed.MarketHandler so in-process users of that handler see
+// it unchanged.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	capped := http.MaxBytesHandler(h, maxBodyBytes)
+	return &http.Server{
+		Addr:              addr,
+		ReadHeaderTimeout: readHeaderTimeout,
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.ContentLength > maxBodyBytes {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusRequestEntityTooLarge)
+				fmt.Fprintf(w, "{\"error\":\"request body of %d bytes exceeds the %d-byte limit\"}\n",
+					r.ContentLength, maxBodyBytes)
+				return
+			}
+			capped.ServeHTTP(w, r)
+		}),
+	}
+}
+
 // toDispatchDriver and toDispatchTask convert internal trace types to
 // the public API types, registering the slice index as the public ID.
 // JoinAt stays zero: trace fleets are known upfront.
@@ -232,7 +266,7 @@ func cmdServe(args []string) error {
 	if *pprofAddr != "" {
 		runtime.SetMutexProfileFraction(5)
 		defer runtime.SetMutexProfileFraction(0)
-		pprofSrv = &http.Server{Addr: *pprofAddr, Handler: http.DefaultServeMux}
+		pprofSrv = &http.Server{Addr: *pprofAddr, Handler: http.DefaultServeMux, ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			fmt.Fprintf(os.Stderr, "serve: pprof on http://%s/debug/pprof/\n", pprofSrv.Addr)
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -246,7 +280,7 @@ func cmdServe(args []string) error {
 	// single connected /v1/events client would hold graceful shutdown
 	// to its full timeout.
 	done := make(chan struct{})
-	srv := &http.Server{Addr: *addr, Handler: fed.MarketHandler(svc, done)}
+	srv := newHTTPServer(*addr, fed.MarketHandler(svc, done))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -15,8 +16,9 @@ import (
 	"repro/internal/trace"
 )
 
-// newTestServer starts the HTTP API over a synthetic fleet and returns
-// the server plus the number of drivers.
+// newTestServer starts the HTTP API over a synthetic fleet, behind the
+// same limits `serve` and `router` listen with, and returns the server
+// plus the service behind it.
 func newTestServer(t *testing.T, drivers int, opts ...dispatch.Option) (*httptest.Server, *dispatch.Service) {
 	t.Helper()
 	cfg := trace.NewConfig(17, 1, drivers, trace.Hitchhiking)
@@ -31,7 +33,7 @@ func newTestServer(t *testing.T, drivers int, opts ...dispatch.Option) (*httptes
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(fed.MarketHandler(svc, nil))
+	srv := httptest.NewServer(newHTTPServer("", fed.MarketHandler(svc, nil)).Handler)
 	t.Cleanup(srv.Close)
 	t.Cleanup(func() { svc.Close() })
 	return srv, svc
@@ -427,6 +429,52 @@ func TestServeOverloadSheds(t *testing.T) {
 	}
 	if stats.Served+stats.Rejected+stats.Cancelled+stats.Pending != stats.Tasks {
 		t.Fatalf("books do not balance: %+v", stats)
+	}
+}
+
+// TestServeOversizeBodyRefused: the listeners cap request bodies. A
+// declared body over the cap is answered 413 before the market handler
+// runs — the padded body below leads with a valid task an uncapped
+// decoder would have registered — and a chunked one is cut off at the
+// cap and refused as malformed. Neither moves the books, and the
+// server keeps serving.
+func TestServeOversizeBodyRefused(t *testing.T) {
+	if newHTTPServer("", http.NotFoundHandler()).ReadHeaderTimeout <= 0 {
+		t.Error("listener has no ReadHeaderTimeout")
+	}
+	srv, _ := newTestServer(t, 40, dispatch.WithSeed(2))
+	client := &http.Client{}
+	task, _ := json.Marshal(overloadServeTask(1, 10))
+	pad := strings.Repeat(" ", maxBodyBytes)
+
+	resp, err := client.Post(srv.URL+"/v1/tasks", "application/json", strings.NewReader(string(task)+pad))
+	if err != nil {
+		t.Fatalf("declared oversize body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("declared oversize body: status %d, want 413", resp.StatusCode)
+	}
+
+	// Hiding the reader's type makes the client send it chunked, with
+	// no Content-Length to refuse up front.
+	chunked := struct{ io.Reader }{strings.NewReader(pad + string(task))}
+	resp, err = client.Post(srv.URL+"/v1/tasks", "application/json", chunked)
+	if err != nil {
+		t.Fatalf("chunked oversize body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("chunked oversize body: status %d, want 400", resp.StatusCode)
+	}
+
+	var stats dispatch.Stats
+	if code := getJSON(t, srv.URL+"/v1/stats", &stats); code != 200 || stats.Tasks != 0 {
+		t.Fatalf("refused bodies moved the books: %d %+v", code, stats)
+	}
+	var a dispatch.Assignment
+	if err := postJSON(client, srv.URL+"/v1/tasks", overloadServeTask(1, 10), &a); err != nil {
+		t.Fatalf("in-limit submission after refusals: %v", err)
 	}
 }
 

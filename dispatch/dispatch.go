@@ -47,6 +47,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -430,8 +431,9 @@ func (s *Service) fireBatchTimer(closeAt float64) {
 
 // toModelDriver validates and converts a public driver.
 func toModelDriver(d Driver) (model.Driver, error) {
-	if d.JoinAt < 0 {
-		return model.Driver{}, fmt.Errorf("%w: driver %d: negative join time %g", ErrInvalidDriver, d.ID, d.JoinAt)
+	// Accept-form, so NaN (which fails every comparison) is rejected too.
+	if !(d.JoinAt >= 0) || math.IsInf(d.JoinAt, 1) {
+		return model.Driver{}, fmt.Errorf("%w: driver %d: join time %g not a finite non-negative number", ErrInvalidDriver, d.ID, d.JoinAt)
 	}
 	md := model.Driver{
 		ID:       d.ID,

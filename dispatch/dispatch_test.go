@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -234,6 +235,89 @@ func TestServiceTypedErrors(t *testing.T) {
 	}
 	if stats, err := svc.Close(); err != nil || stats.Tasks != 1 {
 		t.Errorf("second close: %+v, %v", stats, err)
+	}
+}
+
+// TestNonFiniteInputsRejected: NaN fails every comparison, so a
+// validator written as "reject if a >= b" lets it through to the event
+// heap. Every float a caller controls must be refused with the typed
+// sentinel when it is NaN or ±Inf, on the instant and the batched
+// service, and the refusal must leave the books alone.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tasks := []struct {
+		name string
+		mut  func(*Task)
+	}{
+		{"NaN publish", func(k *Task) { k.Publish = nan }},
+		{"-Inf publish", func(k *Task) { k.Publish = -inf }},
+		{"NaN start deadline", func(k *Task) { k.StartBy = nan }},
+		{"NaN end deadline", func(k *Task) { k.EndBy = nan }},
+		{"+Inf end deadline", func(k *Task) { k.EndBy = inf }},
+		{"NaN price", func(k *Task) { k.Price = nan }},
+		{"+Inf price", func(k *Task) { k.Price = inf }},
+		{"NaN WTP", func(k *Task) { k.WTP = nan }},
+		{"+Inf WTP", func(k *Task) { k.WTP = inf }},
+		{"NaN source", func(k *Task) { k.Source.Lat = nan }},
+		{"+Inf dest", func(k *Task) { k.Dest.Lon = inf }},
+	}
+	drivers := []struct {
+		name string
+		mut  func(*Driver)
+	}{
+		{"NaN start", func(d *Driver) { d.Start = nan }},
+		{"-Inf start", func(d *Driver) { d.Start = -inf }},
+		{"NaN end", func(d *Driver) { d.End = nan }},
+		{"+Inf end", func(d *Driver) { d.End = inf }},
+		{"NaN speed", func(d *Driver) { d.SpeedKmh = nan }},
+		{"+Inf speed", func(d *Driver) { d.SpeedKmh = inf }},
+		{"NaN join", func(d *Driver) { d.JoinAt = nan }},
+		{"+Inf join", func(d *Driver) { d.JoinAt = inf }},
+		{"NaN source", func(d *Driver) { d.Source.Lon = nan }},
+	}
+	ctx := context.Background()
+	for _, mode := range []struct {
+		name string
+		opts []Option
+	}{
+		{"instant", nil},
+		{"batched", []Option{WithBatching(60, Hungarian)}},
+	} {
+		svc, err := New(overloadMarket(), mode.opts...)
+		if err != nil {
+			t.Fatalf("%s: New: %v", mode.name, err)
+		}
+		if _, err := svc.SubmitTask(ctx, overloadTask(1, 10)); err != nil {
+			t.Fatalf("%s: valid task: %v", mode.name, err)
+		}
+		before, err := svc.Snapshot(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range tasks {
+			k := overloadTask(2, 20)
+			tc.mut(&k)
+			if _, err := svc.SubmitTask(ctx, k); !errors.Is(err, ErrInvalidTask) {
+				t.Errorf("%s: SubmitTask(%s): err = %v, want ErrInvalidTask", mode.name, tc.name, err)
+			}
+		}
+		for _, tc := range drivers {
+			d := overloadMarket().Drivers[0]
+			d.ID = 900
+			tc.mut(&d)
+			if err := svc.AddDriver(ctx, d); !errors.Is(err, ErrInvalidDriver) {
+				t.Errorf("%s: AddDriver(%s): err = %v, want ErrInvalidDriver", mode.name, tc.name, err)
+			}
+			if _, err := New(Market{Drivers: []Driver{d}}, mode.opts...); !errors.Is(err, ErrInvalidDriver) {
+				t.Errorf("%s: New(%s): err = %v, want ErrInvalidDriver", mode.name, tc.name, err)
+			}
+		}
+		if after, err := svc.Snapshot(ctx); err != nil || after != before {
+			t.Errorf("%s: refused inputs moved the books: %+v -> %+v (%v)", mode.name, before, after, err)
+		}
+		if _, err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -219,13 +219,6 @@ func growBools(s []bool, n int) []bool {
 	return s[:n]
 }
 
-func growFrames(s []dfsFrame, n int) []dfsFrame {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]dfsFrame, n-cap(s))...)
-	}
-	return s[:n]
-}
-
 // Solve computes the hindsight optimum of the compiled instance.
 func (s *SparseSolver) Solve(in *offline.Instance, opt SparseOptions) (SparseSolution, error) {
 	if in == nil {

@@ -249,13 +249,6 @@ func (sc *sparseScratch) greedyComp(in *offline.Instance, cols, rows []int) floa
 	return total
 }
 
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // warmComp validates the online assignment's paths for the component's
 // drivers against the compiled hindsight graph and stores the
 // survivors. Returns their left-associated value, drivers ascending.

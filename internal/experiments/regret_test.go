@@ -52,7 +52,7 @@ func TestRegretOfflineDominatesOnline(t *testing.T) {
 }
 
 // The sweep must be reproducible: same config, same result, including
-// the solver statistics that feed BENCH_7.
+// the solver statistics the regret figure reports.
 func TestRegretSweepDeterministic(t *testing.T) {
 	cfg := Config{Seed: 9, Tasks: 50, Sweep: []int{10}, Workers: 3}
 	rc := RegretConfig{Churn: 0.2, Cancel: 0.1, TopK: 5, LP: true, NodeCap: 50_000}

@@ -12,8 +12,8 @@ import (
 // Dense instances cost the same whatever the sparsity (the virtual
 // square is materialized either way); the sparse kernel's cost tracks
 // the edge count and the component structure, which is the whole point.
-// CI runs these at -benchtime 1x as a bit-rot smoke; real measurements
-// belong to `rideshare bench -windows` (BENCH_5.json).
+// CI runs these at -benchtime 1x as a bit-rot smoke; end-to-end window
+// measurements belong to the batched workloads of benchmark/.
 
 // benchInstance builds a reproducible rows×cols instance at the given
 // edge density, weights continuous positive-biased like window margins.

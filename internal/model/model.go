@@ -11,9 +11,16 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/geo"
 )
+
+// finite reports whether x is neither NaN nor ±Inf. The Validate
+// methods are written as "accept only if finite and ordered": a
+// rejection spelled a >= b lets NaN through, since every comparison
+// with NaN is false.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Driver is a worker in the market (paper notation: driver n with source
 // s_n, destination d_n, working window [t−_n, t+_n]). A driver reveals
@@ -39,10 +46,12 @@ func (d Driver) Validate() error {
 		return fmt.Errorf("driver %d: invalid source %v", d.ID, d.Source)
 	case !d.Dest.Valid():
 		return fmt.Errorf("driver %d: invalid destination %v", d.ID, d.Dest)
-	case d.Start >= d.End:
+	case !finite(d.Start) || !finite(d.End):
+		return fmt.Errorf("driver %d: non-finite working window [%g, %g]", d.ID, d.Start, d.End)
+	case !(d.Start < d.End):
 		return fmt.Errorf("driver %d: start %.1f not before end %.1f", d.ID, d.Start, d.End)
-	case d.SpeedKmh < 0:
-		return fmt.Errorf("driver %d: negative speed %.1f", d.ID, d.SpeedKmh)
+	case !finite(d.SpeedKmh) || !(d.SpeedKmh >= 0):
+		return fmt.Errorf("driver %d: speed %g not a finite non-negative number", d.ID, d.SpeedKmh)
 	}
 	return nil
 }
@@ -81,13 +90,17 @@ func (t Task) Validate() error {
 		return fmt.Errorf("task %d: invalid source %v", t.ID, t.Source)
 	case !t.Dest.Valid():
 		return fmt.Errorf("task %d: invalid destination %v", t.ID, t.Dest)
-	case t.Publish >= t.StartBy:
+	case !finite(t.Publish) || !finite(t.StartBy) || !finite(t.EndBy):
+		return fmt.Errorf("task %d: non-finite time (publish %g, start deadline %g, end deadline %g)", t.ID, t.Publish, t.StartBy, t.EndBy)
+	case !(t.Publish < t.StartBy):
 		return fmt.Errorf("task %d: publish %.1f not before start deadline %.1f", t.ID, t.Publish, t.StartBy)
-	case t.StartBy >= t.EndBy:
+	case !(t.StartBy < t.EndBy):
 		return fmt.Errorf("task %d: start deadline %.1f not before end deadline %.1f", t.ID, t.StartBy, t.EndBy)
-	case t.Price < 0:
+	case !finite(t.Price) || !finite(t.WTP):
+		return fmt.Errorf("task %d: non-finite price %g or willingness-to-pay %g", t.ID, t.Price, t.WTP)
+	case !(t.Price >= 0):
 		return fmt.Errorf("task %d: negative price %.2f", t.ID, t.Price)
-	case t.Price > t.WTP:
+	case !(t.Price <= t.WTP):
 		return fmt.Errorf("task %d: price %.2f exceeds willingness-to-pay %.2f", t.ID, t.Price, t.WTP)
 	}
 	return nil

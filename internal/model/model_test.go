@@ -34,6 +34,14 @@ func TestDriverValidate(t *testing.T) {
 		{"start after end", func(d *Driver) { d.Start = d.End + 1 }},
 		{"start equals end", func(d *Driver) { d.Start = d.End }},
 		{"negative speed", func(d *Driver) { d.SpeedKmh = -5 }},
+		// NaN fails every comparison, so a "reject if a >= b" check
+		// waves it through; ±Inf is ordered but not a time.
+		{"NaN start", func(d *Driver) { d.Start = math.NaN() }},
+		{"NaN end", func(d *Driver) { d.End = math.NaN() }},
+		{"-Inf start", func(d *Driver) { d.Start = math.Inf(-1) }},
+		{"+Inf end", func(d *Driver) { d.End = math.Inf(1) }},
+		{"NaN speed", func(d *Driver) { d.SpeedKmh = math.NaN() }},
+		{"+Inf speed", func(d *Driver) { d.SpeedKmh = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		d := validDriver()
@@ -72,6 +80,15 @@ func TestTaskValidate(t *testing.T) {
 		{"start after end", func(tk *Task) { tk.StartBy = tk.EndBy }},
 		{"negative price", func(tk *Task) { tk.Price = -1; tk.WTP = 0 }},
 		{"price above WTP", func(tk *Task) { tk.Price = tk.WTP + 1 }},
+		{"NaN publish", func(tk *Task) { tk.Publish = math.NaN() }},
+		{"NaN start deadline", func(tk *Task) { tk.StartBy = math.NaN() }},
+		{"NaN end deadline", func(tk *Task) { tk.EndBy = math.NaN() }},
+		{"-Inf publish", func(tk *Task) { tk.Publish = math.Inf(-1) }},
+		{"+Inf end deadline", func(tk *Task) { tk.EndBy = math.Inf(1) }},
+		{"NaN price", func(tk *Task) { tk.Price = math.NaN() }},
+		{"NaN WTP", func(tk *Task) { tk.WTP = math.NaN() }},
+		{"+Inf WTP", func(tk *Task) { tk.WTP = math.Inf(1) }},
+		{"+Inf price and WTP", func(tk *Task) { tk.Price, tk.WTP = math.Inf(1), math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		tk := validTask()

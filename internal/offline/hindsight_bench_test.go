@@ -8,9 +8,8 @@ import (
 )
 
 // BenchmarkCompileHindsight prices the trace→instance compiler at a
-// bench-scale day (the BENCH_7 shape, scaled down ~10x so the CI bench
-// smoke finishes); the city-scale figure is recorded by the -oracle
-// suite's compile_seconds column.
+// bench-scale day (a 12k-order city day scaled down ~10x so the CI
+// bench smoke finishes).
 func BenchmarkCompileHindsight(b *testing.B) {
 	cfg := trace.NewConfig(7, 1200, 5000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)

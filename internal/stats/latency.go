@@ -112,26 +112,6 @@ func (h *LatencyHist) Quantile(q float64) float64 {
 	return h.Max()
 }
 
-// Merge adds every sample recorded in o into h.
-func (h *LatencyHist) Merge(o *LatencyHist) {
-	for slot := 0; slot < latSlots; slot++ {
-		if c := atomic.LoadInt64(&o.counts[slot]); c != 0 {
-			atomic.AddInt64(&h.counts[slot], c)
-		}
-	}
-	atomic.AddInt64(&h.n, atomic.LoadInt64(&o.n))
-	om := o.Max()
-	for {
-		cur := atomic.LoadUint64(&h.maxBits)
-		if math.Float64bits(om) <= cur {
-			return
-		}
-		if atomic.CompareAndSwapUint64(&h.maxBits, cur, math.Float64bits(om)) {
-			return
-		}
-	}
-}
-
 // LatencySummary is the percentile family reported by benches and
 // loadgen, in milliseconds.
 type LatencySummary struct {

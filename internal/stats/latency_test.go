@@ -89,29 +89,6 @@ func TestLatencyHistOutOfRange(t *testing.T) {
 	}
 }
 
-func TestLatencyHistMerge(t *testing.T) {
-	var a, b LatencyHist
-	for i := 0; i < 100; i++ {
-		a.Record(1e-3)
-	}
-	for i := 0; i < 100; i++ {
-		b.Record(100e-3)
-	}
-	a.Merge(&b)
-	if a.Count() != 200 {
-		t.Fatalf("merged Count = %d, want 200", a.Count())
-	}
-	if med := a.Quantile(0.5); med > 2e-3 {
-		t.Fatalf("merged median = %g, want ~1ms", med)
-	}
-	if p99 := a.Quantile(0.99); p99 < 90e-3 {
-		t.Fatalf("merged p99 = %g, want ~100ms", p99)
-	}
-	if a.Max() != b.Max() {
-		t.Fatalf("merged Max = %g, want %g", a.Max(), b.Max())
-	}
-}
-
 func TestLatencyHistConcurrentRecord(t *testing.T) {
 	var h LatencyHist
 	const (
