@@ -272,9 +272,12 @@ func New(m Market, opts ...Option) (*Service, error) {
 			return nil, rerr
 		}
 		mkt.Dist = router.Dist
-		// The router's one-to-many queries are bitwise equal to looped
-		// Dist calls, so the engine may batch candidate scoring through
-		// it without perturbing a single decision.
+		// The router's snapped and one-to-many forms are bitwise equal
+		// to looped Dist calls, so the engine scores candidates through
+		// them — every order and driver resolved to its road node once,
+		// not once per pair — without perturbing a single decision. The
+		// snaps the engine keeps are derived from driver state the
+		// journal already holds: nothing about them is logged.
 		mkt.Batch = router
 	}
 

@@ -72,6 +72,18 @@ func Equirectangular(a, b Point) float64 {
 // DistanceFunc computes the distance in kilometers between two points.
 type DistanceFunc func(a, b Point) float64
 
+// Snap is a point resolved onto a routing graph: the node nearest to it
+// and the straight-line access leg between the two. A metric that
+// routes between graph nodes (internal/roadnet) computes it once per
+// point, so a caller holding a point that does not move can hold its
+// Snap instead of paying the nearest-node search on every distance. A
+// Snap means something only to the router that produced it.
+type Snap struct {
+	P        Point   // the point that was snapped
+	Node     int32   // nearest graph node, -1 on an empty graph
+	AccessKm float64 // straight-line distance from P to Node
+}
+
 // Midpoint returns the arithmetic midpoint of a and b. It is adequate at
 // city scale where the projection distortion is negligible.
 func Midpoint(a, b Point) Point {

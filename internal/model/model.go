@@ -170,14 +170,32 @@ func ValidateEvents(events []MarketEvent, drivers []Driver, tasks []Task) error 
 	return nil
 }
 
-// DistanceBatcher answers many distance queries sharing one endpoint in
-// a single call. Implementations must return element-for-element
-// bitwise the same values the Dist function would: DistManyInto[i] ==
-// Dist(origin, targets[i]) and DistManyToInto[i] == Dist(sources[i],
-// dest). (The two shapes are distinct because float addition is not
+// DistanceBatcher is the fast path of a metric that resolves points onto
+// a routing graph before it measures between them (roadnet.Router is
+// the implementation, over contraction hierarchies). Two things make a
+// candidate query cheap there, and the interface exposes both: a point
+// is resolved once (Snap) and the result reused for as long as the
+// point stands still, and distances sharing one endpoint are taken in
+// one call. Every method must agree bitwise with the market's Dist:
+//
+//	DistSnapped(Snap(a), Snap(b))          == Dist(a, b)
+//	DistManySnappedInto(o, ts, out)[i]     == Dist(o.P, ts[i].P)
+//	DistManyToSnappedInto(ss, d, out)[i]   == Dist(ss[i].P, d.P)
+//
+// (The two batch shapes are distinct because float addition is not
 // associative; a shared computation must sit on the side the pairs
-// share.) roadnet.Router implements it over contraction hierarchies.
+// share.) A Snap is only ever handed back to the batcher that made it.
+//
+// DistManyInto and DistManyToInto are the same batches over unresolved
+// points — out[i] == Dist(origin, targets[i]) and Dist(sources[i],
+// dest). The engine does not call them; wrappers that decorate exactly
+// these two methods (the benchmark's tracer) compile against them.
 type DistanceBatcher interface {
+	Snap(p geo.Point) geo.Snap
+	DistSnapped(a, b geo.Snap) float64
+	DistManySnappedInto(origin geo.Snap, targets []geo.Snap, out []float64)
+	DistManyToSnappedInto(sources []geo.Snap, dest geo.Snap, out []float64)
+
 	DistManyInto(origin geo.Point, targets []geo.Point, out []float64)
 	DistManyToInto(sources []geo.Point, dest geo.Point, out []float64)
 }
@@ -193,9 +211,10 @@ type Market struct {
 
 	// Batch optionally accelerates candidate scoring: when non-nil it
 	// must agree bitwise with Dist (see DistanceBatcher), and the
-	// engine routes shared-endpoint distance batches through it. Nil is
-	// always correct — consumers fall back to per-pair Dist calls — so
-	// arbitrary WithDistanceFunc metrics keep working unchanged.
+	// engine takes every scoring distance from it — order endpoints
+	// snapped once per query, driver positions once per move — instead
+	// of calling Dist per pair. Nil is always correct, so arbitrary
+	// WithDistanceFunc metrics keep working unchanged.
 	Batch DistanceBatcher
 
 	// SpeedKmh is the estimated average driving speed used to convert

@@ -62,7 +62,7 @@ func TestCHBitwiseEqualsDijkstra(t *testing.T) {
 // point-to-point bidirectional search and the exhaustive-plus-probe
 // batch pair — directly against Dijkstra. On graphs over
 // chLabelMaxNodes nodes these ARE the production query paths, but
-// Query/DistMany take the hub-label route on test-sized graphs, so the
+// Query/DistManyInto take the hub-label route on test-sized graphs, so the
 // fallbacks get their own bitwise wall here.
 func TestCHSearchKernelBitwise(t *testing.T) {
 	chTestGraphs(t, func(name string, g *Graph, _ GridConfig) {
@@ -238,16 +238,17 @@ func TestDistManyMatchesLoopedDist(t *testing.T) {
 			Lon: cfg.Box.MinLon + 0.3*(cfg.Box.MaxLon-cfg.Box.MinLon)}
 		pts = append(pts, origin)
 
-		got := r.DistMany(origin, pts)
+		got := make([]float64, len(pts))
+		r.DistManyInto(origin, pts, got)
 		for i, p := range pts {
 			if want := r.Dist(origin, p); got[i] != want {
-				t.Fatalf("%s: DistMany[%d] = %v, Dist = %v", mode, i, got[i], want)
+				t.Fatalf("%s: DistManyInto[%d] = %v, Dist = %v", mode, i, got[i], want)
 			}
 		}
-		gotTo := r.DistManyTo(pts, origin)
+		r.DistManyToInto(pts, origin, got)
 		for i, p := range pts {
-			if want := r.Dist(p, origin); gotTo[i] != want {
-				t.Fatalf("%s: DistManyTo[%d] = %v, Dist = %v", mode, i, gotTo[i], want)
+			if want := r.Dist(p, origin); got[i] != want {
+				t.Fatalf("%s: DistManyToInto[%d] = %v, Dist = %v", mode, i, got[i], want)
 			}
 		}
 	}
@@ -267,14 +268,15 @@ func TestDistManyCacheAccounting(t *testing.T) {
 	origin := pts[0]
 	targets := pts[1:]
 
-	r.DistMany(origin, targets)
+	out := make([]float64, len(targets))
+	r.DistManyInto(origin, targets, out)
 	hits1, misses1, _ := r.CacheStats()
 	if misses1 == 0 {
 		t.Fatal("first batch routed nothing")
 	}
 
 	r.ResetCacheStats()
-	r.DistMany(origin, targets)
+	r.DistManyInto(origin, targets, out)
 	hits2, misses2, _ := r.CacheStats()
 	if misses2 != 0 {
 		t.Fatalf("second identical batch recomputed %d routes", misses2)

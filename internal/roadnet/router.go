@@ -16,7 +16,7 @@ type Algorithm int
 const (
 	// AlgoCH routes over a contraction hierarchy: heavier
 	// preprocessing, much faster queries, and one-to-many batching
-	// (DistMany). The default.
+	// (DistManySnappedInto). The default.
 	AlgoCH Algorithm = iota
 	// AlgoALT routes with landmark-accelerated A*: light
 	// preprocessing, per-pair queries only.
@@ -35,7 +35,12 @@ func (a Algorithm) String() string {
 // contract: Dist(a, b) snaps both points to their nearest intersections,
 // routes between them with the configured kernel (contraction-hierarchy
 // query by default, landmark-accelerated A* for AlgoALT), and adds the
-// straight-line access legs. Route results are memoized in a bounded,
+// straight-line access legs. Snapping is the expensive half on a graph
+// whose routes fit the cache, so every distance also comes in a snapped
+// form (Snap, DistSnapped and the two batch kernels): a caller whose
+// points outlive one query snaps each once and keeps the geo.Snap. The
+// point forms are wrappers that snap and call the snapped ones, so both
+// evaluate one float expression. Route results are memoized in a bounded,
 // sharded cache with per-key inflight de-duplication, so the O(M²)
 // task-map construction and 50k-driver dispatch days pay each route
 // once without growing memory without bound.
@@ -63,7 +68,7 @@ type Router struct {
 	maxPerShard int64
 	shards      [routeCacheShards]routeShard
 
-	hits, misses, evictions atomic.Uint64
+	hits, misses, evictions, snaps atomic.Uint64
 }
 
 const (
@@ -101,9 +106,9 @@ type routeCall struct {
 }
 
 // NewRouter builds a contraction-hierarchy router over the graph,
-// indexing nodes into an s x s snap grid covering box. The route cache
-// holds up to DefaultCacheEntries routes; tune with SetCacheBound
-// before use.
+// indexing nodes into an s x s snap grid covering box; s < 1 sizes the
+// grid from the node count (see snapGridDim). The route cache holds up
+// to DefaultCacheEntries routes; tune with SetCacheBound before use.
 func NewRouter(g *Graph, box geo.BoundingBox, s int) *Router {
 	return NewRouterAlgo(g, box, s, AlgoCH)
 }
@@ -113,7 +118,7 @@ func NewRouter(g *Graph, box geo.BoundingBox, s int) *Router {
 // landmarks. Both yield bitwise-identical distances.
 func NewRouterAlgo(g *Graph, box geo.BoundingBox, s int, algo Algorithm) *Router {
 	if s < 1 {
-		s = 8
+		s = snapGridDim(g.NumNodes())
 	}
 	r := &Router{
 		g:    g,
@@ -136,6 +141,20 @@ func NewRouterAlgo(g *Graph, box geo.BoundingBox, s int, algo Algorithm) *Router
 	return r
 }
 
+// snapGridDim sizes the snap grid for n nodes at about one and a half
+// nodes per cell: NearestNode's cost is the nodes it measures, which is
+// the occupancy of the few cells its rings visit, so the grid has to
+// grow with the graph (a fixed 8x8 puts 67 nodes in a cell of a
+// 4 320-node graph). Much below one node per cell the rings visited
+// grow faster than the buckets shrink.
+func snapGridDim(n int) int {
+	dim := int(math.Ceil(math.Sqrt(float64(n) / 1.5)))
+	if dim < 1 {
+		dim = 1
+	}
+	return dim
+}
+
 // Algo reports which routing kernel the router was built with.
 func (r *Router) Algo() Algorithm { return r.algo }
 
@@ -153,78 +172,88 @@ func (r *Router) SetCacheBound(maxEntries int) {
 func ceilDiv(n, d int64) int64 { return (n + d - 1) / d }
 
 // NearestNode returns the graph node closest to p (-1 on an empty
-// graph). It searches the snap grid in expanding Chebyshev rings around
-// p's cell and stops only when the next ring cannot possibly hold a
-// closer node: any point in a cell r rings away is at least
-// (r-1)·min(cell height, cell width) from p, the same conservative
-// bound internal/spatial uses. A populated-but-farther Moore
-// neighborhood therefore never masks the true nearest node in a later
-// ring.
+// graph; the lowest id among nodes exactly tied, so the answer does not
+// depend on the snap grid's dimension). It searches the snap grid in
+// expanding Chebyshev rings around p's cell and stops only when the
+// next ring cannot possibly hold a closer node: any point in a cell r
+// rings away is at least (r-1)·min(cell height, cell width) from p, the
+// same conservative bound internal/spatial uses. A
+// populated-but-farther Moore neighborhood therefore never masks the
+// true nearest node in a later ring.
 func (r *Router) NearestNode(p geo.Point) int {
+	rows, cols := r.grid.Rows, r.grid.Cols
 	cell := r.grid.CellOf(p)
-	row, col := cell/r.grid.Cols, cell%r.grid.Cols
+	row, col := cell/cols, cell%cols
 	best := int32(-1)
 	bestD := math.Inf(1)
-	consider := func(ids []int32) {
-		for _, id := range ids {
-			if d := geo.Equirectangular(p, r.g.Point(int(id))); d < bestD {
-				best, bestD = id, d
-			}
-		}
-	}
-	maxRing := r.grid.Rows
-	if r.grid.Cols > maxRing {
-		maxRing = r.grid.Cols
-	}
-	for ring := 0; ring <= maxRing; ring++ {
+	for ring := 0; ring <= max(rows, cols); ring++ {
 		if best >= 0 && float64(ring-1)*r.spanKm > bestD {
 			break
 		}
-		r.ringCells(row, col, ring, func(c int) { consider(r.buckets[c]) })
+		// The in-bounds cells at exactly Chebyshev distance ring: every
+		// column of the ring's top and bottom rows, the two end columns
+		// of the rows between.
+		for rr := max(row-ring, 0); rr <= min(row+ring, rows-1); rr++ {
+			step := 1
+			if rr != row-ring && rr != row+ring {
+				step = 2 * ring
+			}
+			for cc := col - ring; cc <= col+ring; cc += step {
+				if cc < 0 || cc >= cols {
+					continue
+				}
+				for _, id := range r.buckets[rr*cols+cc] {
+					d := geo.Equirectangular(p, r.g.Point(int(id)))
+					if d < bestD || d == bestD && id < best {
+						best, bestD = id, d
+					}
+				}
+			}
+		}
 	}
 	return int(best)
 }
 
-// ringCells visits the in-bounds cells at exactly Chebyshev distance
-// ring from (row, col), in deterministic order.
-func (r *Router) ringCells(row, col, ring int, visit func(cell int)) {
-	rows, cols := r.grid.Rows, r.grid.Cols
-	cellAt := func(rr, cc int) {
-		if rr >= 0 && rr < rows && cc >= 0 && cc < cols {
-			visit(rr*cols + cc)
-		}
+// Snap resolves p onto the graph: its nearest node and the straight-line
+// access leg to it. The result stays valid for the router's lifetime.
+func (r *Router) Snap(p geo.Point) geo.Snap {
+	r.snaps.Add(1)
+	u := r.NearestNode(p)
+	if u < 0 {
+		return geo.Snap{P: p, Node: -1}
 	}
-	if ring == 0 {
-		cellAt(row, col)
-		return
-	}
-	for cc := col - ring; cc <= col+ring; cc++ { // top and bottom edges
-		cellAt(row-ring, cc)
-		cellAt(row+ring, cc)
-	}
-	for rr := row - ring + 1; rr <= row+ring-1; rr++ { // side edges, corners excluded
-		cellAt(rr, col-ring)
-		cellAt(rr, col+ring)
-	}
+	return geo.Snap{P: p, Node: int32(u), AccessKm: geo.Equirectangular(p, r.g.Point(u))}
 }
 
 // Dist computes the network distance between a and b in kilometers:
 // straight-line access to the nearest intersections plus the shortest
-// route between them, floored at the straight-line distance so the
-// result is a true metric over-approximation of crow-fly (the
-// equirectangular projection's triangle inequality holds only to ~1e-4
-// at city scale, and pruning correctness must not depend on that). It
-// implements geo.DistanceFunc.
+// route between them, floored at the straight-line distance. It
+// implements geo.DistanceFunc, as DistSnapped over two fresh snaps.
 func (r *Router) Dist(a, b geo.Point) float64 {
-	crow := geo.Equirectangular(a, b)
-	u := r.NearestNode(a)
-	if u < 0 {
+	return r.DistSnapped(r.Snap(a), r.Snap(b))
+}
+
+// DistSnapped is Dist over endpoints already resolved by this router's
+// Snap: bitwise equal to Dist(a.P, b.P).
+func (r *Router) DistSnapped(a, b geo.Snap) float64 {
+	return r.distSnapped(a, b, nil)
+}
+
+// distSnapped is the one distance expression every public form
+// evaluates: the two access legs, plus the cached route between the
+// nodes (computed by compute on a miss, see nodeDistVia), floored at the
+// straight-line distance so the result is a true metric
+// over-approximation of crow-fly (the equirectangular projection's
+// triangle inequality holds only to ~1e-4 at city scale, and pruning
+// correctness must not depend on that).
+func (r *Router) distSnapped(a, b geo.Snap, compute func() float64) float64 {
+	crow := geo.Equirectangular(a.P, b.P)
+	if a.Node < 0 {
 		return crow // empty graph: degrade to crow-fly
 	}
-	v := r.NearestNode(b)
-	d := geo.Equirectangular(a, r.g.Point(u)) + geo.Equirectangular(b, r.g.Point(v))
-	if u != v {
-		d += r.nodeDist(int32(u), int32(v))
+	d := a.AccessKm + b.AccessKm
+	if a.Node != b.Node {
+		d += r.nodeDistVia(a.Node, b.Node, compute)
 	}
 	if crow > d {
 		d = crow
@@ -259,8 +288,9 @@ func (r *Router) routeNodes(u, v int32) float64 {
 // nodeDistVia is nodeDist with a pluggable kernel: when compute is
 // non-nil it replaces routeNodes for this key's (single) computation.
 // The batched one-to-many queries pass a closure that probes a shared
-// half-search, so batch lookups keep the exact cache semantics — and
-// hit/miss accounting — of looped per-pair lookups.
+// half-search (preparing it on the batch's first miss), so batch
+// lookups keep the exact cache semantics — and hit/miss accounting — of
+// looped per-pair lookups.
 func (r *Router) nodeDistVia(u, v int32, compute func() float64) float64 {
 	key := [2]int32{u, v}
 	s := r.shard(key)
@@ -330,6 +360,11 @@ func (r *Router) ResetCacheStats() {
 	r.evictions.Store(0)
 }
 
+// Snaps returns how many points the router has resolved to a node over
+// its lifetime: Snap calls, two per Dist, one per point of a point-form
+// batch. Tests pin the engine's snap-once contract on it.
+func (r *Router) Snaps() uint64 { return r.snaps.Load() }
+
 // CacheStats returns the route cache's lifetime hit, miss, and eviction
 // counters. Hits are lookups served without running a route computation
 // (including waiters coalesced onto another goroutine's in-flight
@@ -339,105 +374,90 @@ func (r *Router) CacheStats() (hits, misses, evictions uint64) {
 	return r.hits.Load(), r.misses.Load(), r.evictions.Load()
 }
 
-// DistMany returns the network distances from origin to every target:
-// element i is bitwise equal to Dist(origin, targets[i]). Under AlgoCH
-// the whole batch shares one forward upward search (origin's side) and
-// pays only a small bucket-probing backward search per target, so it
-// beats looped Dist once a handful of targets share the origin; under
-// AlgoALT it degrades to the loop. Cache semantics are identical to
-// looped Dist: each pair is looked up, coalesced, counted, and stored
-// exactly as a Dist call would.
-func (r *Router) DistMany(origin geo.Point, targets []geo.Point) []float64 {
-	out := make([]float64, len(targets))
-	r.DistManyInto(origin, targets, out)
-	return out
-}
-
-// DistManyInto is DistMany without the allocation; out must have at
-// least len(targets) elements.
-func (r *Router) DistManyInto(origin geo.Point, targets []geo.Point, out []float64) {
+// DistManySnappedInto writes the network distances from origin to every
+// target into out, which must have at least len(targets) elements:
+// out[i] is bitwise equal to DistSnapped(origin, targets[i]). Under
+// AlgoCH the pairs that miss the route cache share one forward upward
+// search (origin's side, run when the first of them misses) and pay
+// only a small bucket-probing backward search each, so a batch beats
+// looped DistSnapped once a handful of misses share the origin; under
+// AlgoALT it is the loop. Cache semantics are identical to looped
+// DistSnapped: each pair is looked up, coalesced, counted, and stored
+// exactly as a single call would.
+func (r *Router) DistManySnappedInto(origin geo.Snap, targets []geo.Snap, out []float64) {
 	if len(out) < len(targets) {
-		panic("roadnet: DistManyInto out buffer too small")
+		panic("roadnet: DistManySnappedInto out buffer too small")
 	}
-	u := r.NearestNode(origin)
-	if u < 0 || r.ch == nil {
-		for i, b := range targets {
-			out[i] = r.Dist(origin, b)
+	if r.ch == nil {
+		for i, t := range targets {
+			out[i] = r.distSnapped(origin, t, nil)
 		}
 		return
 	}
 	var sc *chScratch
-	for i, b := range targets {
-		crow := geo.Equirectangular(origin, b)
-		v := r.NearestNode(b)
-		d := geo.Equirectangular(origin, r.g.Point(u)) + geo.Equirectangular(b, r.g.Point(v))
-		if u != v {
+	for i, t := range targets {
+		out[i] = r.distSnapped(origin, t, func() float64 {
 			if sc == nil {
 				sc = r.ch.scratch()
-				r.ch.prepareForward(sc, int32(u))
+				r.ch.prepareForward(sc, origin.Node)
 			}
-			d += r.nodeDistVia(int32(u), int32(v), func() float64 {
-				return r.ch.probeTarget(sc, int32(v))
-			})
-		}
-		if crow > d {
-			d = crow
-		}
-		out[i] = d
+			return r.ch.probeTarget(sc, t.Node)
+		})
 	}
 	if sc != nil {
 		r.ch.pool.Put(sc)
 	}
 }
 
-// DistManyTo is DistMany's many-to-one mirror: element i is bitwise
-// equal to Dist(sources[i], dest). (The two shapes are distinct because
-// float addition is not associative — Dist is directional down to the
-// last bit, so a shared search must sit on the side the pairs share.)
-func (r *Router) DistManyTo(sources []geo.Point, dest geo.Point) []float64 {
-	out := make([]float64, len(sources))
-	r.DistManyToInto(sources, dest, out)
-	return out
-}
-
-// DistManyToInto is DistManyTo without the allocation; out must have at
-// least len(sources) elements.
-func (r *Router) DistManyToInto(sources []geo.Point, dest geo.Point, out []float64) {
+// DistManyToSnappedInto is DistManySnappedInto's many-to-one mirror:
+// out[i] is bitwise equal to DistSnapped(sources[i], dest). (The two
+// shapes are distinct because float addition is not associative — a
+// distance is directional down to the last bit, so a shared search must
+// sit on the side the pairs share.)
+func (r *Router) DistManyToSnappedInto(sources []geo.Snap, dest geo.Snap, out []float64) {
 	if len(out) < len(sources) {
-		panic("roadnet: DistManyToInto out buffer too small")
+		panic("roadnet: DistManyToSnappedInto out buffer too small")
 	}
-	if len(sources) == 0 {
-		return
-	}
-	v := r.NearestNode(dest)
-	if v < 0 || r.ch == nil {
+	if r.ch == nil {
 		for i, a := range sources {
-			out[i] = r.Dist(a, dest)
+			out[i] = r.distSnapped(a, dest, nil)
 		}
 		return
 	}
 	var sc *chScratch
 	for i, a := range sources {
-		crow := geo.Equirectangular(a, dest)
-		u := r.NearestNode(a)
-		d := geo.Equirectangular(a, r.g.Point(u)) + geo.Equirectangular(dest, r.g.Point(v))
-		if u != v {
+		out[i] = r.distSnapped(a, dest, func() float64 {
 			if sc == nil {
 				sc = r.ch.scratch()
-				r.ch.prepareBackward(sc, int32(v))
+				r.ch.prepareBackward(sc, dest.Node)
 			}
-			d += r.nodeDistVia(int32(u), int32(v), func() float64 {
-				return r.ch.probeSource(sc, int32(u))
-			})
-		}
-		if crow > d {
-			d = crow
-		}
-		out[i] = d
+			return r.ch.probeSource(sc, a.Node)
+		})
 	}
 	if sc != nil {
 		r.ch.pool.Put(sc)
 	}
+}
+
+// DistManyInto is DistManySnappedInto over fresh snaps of its points:
+// out[i] is bitwise equal to Dist(origin, targets[i]).
+func (r *Router) DistManyInto(origin geo.Point, targets []geo.Point, out []float64) {
+	r.DistManySnappedInto(r.Snap(origin), r.snapAll(targets), out)
+}
+
+// DistManyToInto is DistManyToSnappedInto over fresh snaps of its
+// points: out[i] is bitwise equal to Dist(sources[i], dest).
+func (r *Router) DistManyToInto(sources []geo.Point, dest geo.Point, out []float64) {
+	r.DistManyToSnappedInto(r.snapAll(sources), r.Snap(dest), out)
+}
+
+// snapAll snaps a point-form batch's unshared side.
+func (r *Router) snapAll(pts []geo.Point) []geo.Snap {
+	snaps := make([]geo.Snap, len(pts))
+	for i, p := range pts {
+		snaps[i] = r.Snap(p)
+	}
+	return snaps
 }
 
 // Circuity estimates the network's mean circuity (network distance over

@@ -9,7 +9,8 @@ import (
 	"repro/internal/geo"
 )
 
-// bruteNearest is the ground truth for NearestNode: a full scan.
+// bruteNearest is the ground truth for NearestNode: a full scan, the
+// lowest id winning an exact tie.
 func bruteNearest(g *Graph, p geo.Point) (int, float64) {
 	best, bestD := -1, math.Inf(1)
 	for id := 0; id < g.NumNodes(); id++ {
@@ -49,7 +50,9 @@ func TestNearestNodeRegression(t *testing.T) {
 // TestNearestNodeDifferential compares the expanding-ring search
 // against brute force over random graphs: clustered node layouts (which
 // leave most cells empty, the regime the old code got wrong) probed
-// with uniform query points, including points outside the box.
+// with uniform query points, including points outside the box. The
+// answer must be the brute-force node itself, whatever the snap grid's
+// dimension — an explicit one or the one sized from the node count.
 func TestNearestNodeDifferential(t *testing.T) {
 	box := geo.PortoBox
 	for seed := int64(0); seed < 20; seed++ {
@@ -68,15 +71,15 @@ func TestNearestNodeDifferential(t *testing.T) {
 				Lon: c.Lon + (rng.Float64()-0.5)*0.01,
 			}))
 		}
-		r := NewRouter(g, box, 8+rng.Intn(16))
+		routers := []*Router{NewRouter(g, box, 8+rng.Intn(16)), NewRouter(g, box, 0)}
 		for q := 0; q < 200; q++ {
 			p := box.Lerp(rng.Float64()*1.2-0.1, rng.Float64()*1.2-0.1)
-			got := r.NearestNode(p)
-			_, wantD := bruteNearest(g, p)
-			gotD := geo.Equirectangular(p, g.Point(got))
-			if gotD > wantD {
-				t.Fatalf("seed %d query %v: NearestNode returned node %d at %.6f km, brute force found %.6f km",
-					seed, p, got, gotD, wantD)
+			want, wantD := bruteNearest(g, p)
+			for _, r := range routers {
+				if got := r.NearestNode(p); got != want {
+					t.Fatalf("seed %d query %v (%dx%d snap grid): NearestNode returned node %d at %.6f km, brute force found node %d at %.6f km",
+						seed, p, r.grid.Rows, r.grid.Cols, got, geo.Equirectangular(p, g.Point(got)), want, wantD)
+				}
 			}
 		}
 	}

@@ -5,45 +5,133 @@ import (
 	"repro/internal/model"
 )
 
-// This file is the engine side of batched candidate scoring. Scoring a
-// task against k drivers needs three distances per driver, and two of
-// them share a task endpoint across the whole set: location→pickup
-// (shared destination) and dropoff→home (shared origin). When the
-// market installs a model.DistanceBatcher (dispatch wires the road
-// router in), those two become one one-to-many batch each —
-// roadnet.Router answers a batch from a single shared half-search —
-// instead of 2k point-to-point queries. The batcher contract demands
-// bitwise-equal distances, and the scoring stages below are the same
-// pickupArrival/finishCandidate pair the per-pair path runs, so batched
-// and looped scoring are value-identical (the roadnet differential
-// tests replay full traces both ways to prove it).
+// This file is the engine side of scoring under a model.DistanceBatcher
+// (dispatch wires the road router in). Scoring a task against k drivers
+// needs three distances per driver, and under a road metric each costs
+// two nearest-node searches before any routing happens. Two facts
+// remove nearly all of that work:
+//
+//   - Points stand still. An order's endpoints never move, a driver's
+//     home never moves, and her location changes only when she is
+//     assigned, revoked or restored. So the order is resolved once per
+//     query (orderTerms) and each driver once per move (driverSnap):
+//     the engine keeps the geo.Snap, not the point.
+//   - Two of the three distances share a task endpoint across the whole
+//     set: location→pickup (shared destination) and dropoff→home
+//     (shared origin). Each is one batch call, which the router answers
+//     from a single shared half-search over the pairs its cache lacks.
+//
+// The batcher contract demands bitwise-equal distances, and the stages
+// below are the same pickupArrival/finishCandidate pair the per-pair
+// path runs, so scoring with and without a batcher is value-identical
+// (the roadnet differential tests replay full traces both ways to prove
+// it).
 
-// minDistBatch is the smallest candidate set routed through the
-// batcher: below it, the shared half-search cannot amortize and the
-// per-pair loop is at least as fast.
-const minDistBatch = 8
+// driverSnap is the engine's memo of one driver under the market's
+// batcher: her current location and her home resolved to graph nodes,
+// and the distance between the two (the oldHome term of the margin,
+// taken on first need). It is derived state — never captured, never
+// journaled — and validates itself: each Snap carries the point it was
+// taken for, so an entry is used only while that point is still the
+// driver's, and no mutation of driver state has an invalidation to
+// remember. An entry is filled lazily, by whichever goroutine scores
+// the driver; shards hold disjoint drivers, so the fan-out writes
+// disjoint entries.
+type driverSnap struct {
+	loc, home geo.Snap // of states[i].loc and Drivers[i].Dest
+	homeKm    float64  // Dist(loc.P, home.P), valid when hasHomeKm
+	filled    bool     // loc and home have been taken at least once
+	hasHomeKm bool
+}
+
+// resetMemo sizes an empty memo for the current fleet when the market
+// has a batcher, and none otherwise: markets on a plain Dist allocate
+// and touch nothing here.
+func (e *Engine) resetMemo() {
+	e.memo = nil
+	if e.Market.Batch != nil {
+		e.memo = make([]driverSnap, len(e.Drivers))
+	}
+}
+
+// driverSnap returns driver i's memo, resolving whichever of her two
+// points it does not currently describe.
+func (e *Engine) driverSnap(b model.DistanceBatcher, i int) *driverSnap {
+	m := &e.memo[i]
+	loc, home := e.states[i].loc, e.Drivers[i].Dest
+	if !m.filled || m.home.P != home {
+		m.home = b.Snap(home)
+		m.hasHomeKm = false
+	}
+	if !m.filled || m.loc.P != loc {
+		m.loc = b.Snap(loc)
+		m.hasHomeKm = false
+	}
+	m.filled = true
+	return m
+}
+
+// homeKm is the distance from driver i's current location to her own
+// destination: what her plan already costs her before a new task is
+// inserted ahead of it.
+func (e *Engine) homeKm(i int) float64 {
+	b := e.Market.Batch
+	if b == nil {
+		return e.Market.Dist(e.states[i].loc, e.Drivers[i].Dest)
+	}
+	m := e.driverSnap(b, i)
+	if !m.hasHomeKm {
+		m.homeKm = b.DistSnapped(m.loc, m.home)
+		m.hasHomeKm = true
+	}
+	return m.homeKm
+}
+
+// orderTerms are the parts of scoring that depend on the order alone,
+// taken once per candidate query: its service time and cost — one
+// source→destination distance, converted twice — and, under a batcher,
+// its two endpoints resolved for the distance batches.
+type orderTerms struct {
+	service, serviceCost float64
+	src, dst             geo.Snap // zero without a batcher
+}
+
+func (e *Engine) orderTerms(task model.Task) orderTerms {
+	var q orderTerms
+	var km float64
+	if b := e.Market.Batch; b != nil {
+		q.src, q.dst = b.Snap(task.Source), b.Snap(task.Dest)
+		km = b.DistSnapped(q.src, q.dst)
+	} else {
+		km = e.Market.Dist(task.Source, task.Dest)
+	}
+	q.service = e.Market.TravelTimeKm(km, 0)
+	q.serviceCost = e.Market.TravelCostKm(km)
+	return q
+}
 
 // distBatch is one scoring pass's scratch. Each caller that may score
 // concurrently owns one (the engine for the linear scan, each
 // GridSource, each ShardedSource zone).
 type distBatch struct {
-	ids   []int       // surviving driver indices
-	pts   []geo.Point // batch endpoints (locations, then home dests)
-	kms   []float64   // location→pickup distances
-	arr   []float64   // pickup arrival times
-	homes []float64   // dropoff→home distances
+	ids   []int      // surviving driver indices
+	snaps []geo.Snap // batch endpoints (locations, then home dests)
+	kms   []float64  // location→pickup distances
+	arr   []float64  // pickup arrival times
+	homes []float64  // dropoff→home distances
 }
 
 // scoreCandidates runs the exact feasibility checks of Algorithms 3–4
 // over ids (which must be in ascending driver order), appending the
-// feasible candidates to buf in that order. With a market batcher and
-// enough drivers the distances come from shared-endpoint batches;
-// otherwise this is exactly the candidateFor loop.
-func (e *Engine) scoreCandidates(db *distBatch, ids []int, task model.Task, now, service, serviceCost float64, buf []Candidate) []Candidate {
+// feasible candidates to buf in that order. With a market batcher every
+// distance comes from it, in shared-endpoint batches over memoised
+// driver snaps, whatever the size of the set; without one this is
+// exactly the candidateFor loop over Market.Dist.
+func (e *Engine) scoreCandidates(db *distBatch, ids []int, task model.Task, now float64, q orderTerms, buf []Candidate) []Candidate {
 	batcher := e.Market.Batch
-	if batcher == nil || len(ids) < minDistBatch {
+	if batcher == nil {
 		for _, i := range ids {
-			if c, ok := e.candidateFor(i, task, now, service, serviceCost); ok {
+			if c, ok := e.candidateFor(i, task, now, q.service, q.serviceCost); ok {
 				buf = append(buf, c)
 			}
 		}
@@ -53,31 +141,30 @@ func (e *Engine) scoreCandidates(db *distBatch, ids []int, task model.Task, now,
 	// Stage 1: location→pickup for every present driver, one
 	// many-to-one batch (the pickup is the shared destination).
 	db.ids = db.ids[:0]
-	db.pts = db.pts[:0]
+	db.snaps = db.snaps[:0]
 	for _, i := range ids {
 		if !e.present[i] {
 			continue
 		}
 		db.ids = append(db.ids, i)
-		db.pts = append(db.pts, e.states[i].loc)
+		db.snaps = append(db.snaps, e.driverSnap(batcher, i).loc)
 	}
 	db.kms = growFloats(db.kms, len(db.ids))
-	batcher.DistManyToInto(db.pts, task.Source, db.kms)
+	batcher.DistManyToSnappedInto(db.snaps, q.src, db.kms)
 
 	// Stage 2: pickup- and dropoff-deadline clauses, which need no
 	// further distances. Survivors compact in place, keeping order.
 	db.arr = growFloats(db.arr, len(db.ids))
-	db.pts = db.pts[:0]
 	keep := 0
 	for k, i := range db.ids {
 		arrival, ok := e.pickupArrival(i, task, now, db.kms[k])
-		if !ok || arrival+service > task.EndBy {
+		if !ok || arrival+q.service > task.EndBy {
 			continue
 		}
 		db.ids[keep] = i
 		db.kms[keep] = db.kms[k]
 		db.arr[keep] = arrival
-		db.pts = append(db.pts, e.Drivers[i].Dest)
+		db.snaps[keep] = e.memo[i].home
 		keep++
 	}
 	if keep == 0 {
@@ -87,9 +174,9 @@ func (e *Engine) scoreCandidates(db *distBatch, ids []int, task model.Task, now,
 	// Stage 3: dropoff→home for the survivors, one one-to-many batch
 	// (the dropoff is the shared origin), then the remaining clauses.
 	db.homes = growFloats(db.homes, keep)
-	batcher.DistManyInto(task.Dest, db.pts, db.homes)
+	batcher.DistManySnappedInto(q.dst, db.snaps[:keep], db.homes)
 	for k := 0; k < keep; k++ {
-		if c, ok := e.finishCandidate(db.ids[k], task, service, serviceCost, db.arr[k], db.kms[k], db.homes[k]); ok {
+		if c, ok := e.finishCandidate(db.ids[k], task, q.service, q.serviceCost, db.arr[k], db.kms[k], db.homes[k]); ok {
 			buf = append(buf, c)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/roadnet"
 	"repro/internal/trace"
 )
@@ -18,6 +19,14 @@ import (
 // workers, so this doubles as a determinism check on the singleflight
 // path; the batch-hook dimension pins the one-to-many scoring path to
 // the per-pair loop it replaces.
+//
+// Every variant with the hook installed then replays both days through
+// the streaming API, suspended mid-day: captured, and restored both
+// onto the engine that ran the first half (whose snap memo describes a
+// fleet RestoreStream is about to replace) and onto a fresh one. The
+// instant day's cancellations are all revocations — the handleFree
+// path, which puts a driver back where she was — and the snap memo is
+// walked after every operation (checkSnapMemo).
 func TestRoadNetworkMetricDifferential(t *testing.T) {
 	rcfg := roadnet.DefaultGridConfig()
 	rcfg.Rows, rcfg.Cols = 12, 14 // smaller graph, same structure — keeps the sweep fast
@@ -63,7 +72,7 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 		}
 	}
 
-	run := func(v variant, batched bool) Result {
+	engine := func(v variant) *Engine {
 		market := cfg.Market
 		router := chRouter
 		if v.alt {
@@ -79,10 +88,61 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 		}
 		eng.SetCandidateSource(v.src())
 		eng.MatchWorkers = v.workers
+		return eng
+	}
+	run := func(v variant, batched bool) Result {
+		eng := engine(v)
 		if batched {
 			return eng.RunBatchedScenario(tr.Tasks, events, 60, BatchHungarian)
 		}
 		return eng.RunScenario(tr.Tasks, events, diffMaxMargin{})
+	}
+
+	feed, fleet := buildFeed(tr.Tasks, events)
+	var memoChecked, memoStale int
+	suspended := func(v variant, batched, sameEngine bool) Result {
+		eng := engine(v)
+		apply := func(st *Stream, items []feedItem) {
+			for i := range items {
+				applyItems(t, st, tr.Tasks, items[i:i+1])
+				checked, stale := checkSnapMemo(t, eng, chRouter)
+				memoChecked += checked
+				memoStale += stale
+			}
+		}
+		var st *Stream
+		var err error
+		if batched {
+			st, err = eng.NewBatchedStream(60, BatchHungarian, fleet)
+		} else {
+			st, err = eng.NewStream(diffMaxMargin{}, fleet)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := len(feed) / 2
+		apply(st, feed[:cut])
+		state, err := st.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEngine {
+			eng = engine(v)
+		}
+		if batched {
+			st, err = eng.RestoreStream(state, nil, 60, BatchHungarian)
+		} else {
+			st, err = eng.RestoreStream(state, diffMaxMargin{}, 0, 0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply(st, feed[cut:])
+		res, err := st.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 
 	for _, batched := range []bool{false, true} {
@@ -90,16 +150,156 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 		if want.Served == 0 {
 			t.Fatalf("degenerate baseline (batched=%v): nothing served under network metric", batched)
 		}
+		if !batched && want.Cancelled == 0 {
+			t.Fatal("degenerate baseline: the instant day revoked no assignment, handleFree never ran")
+		}
 		for _, v := range variants[1:] {
 			if got := run(v, batched); !reflect.DeepEqual(want, got) {
 				t.Errorf("batched=%v: %s(shards=%d,workers=%d,alt=%v,batch=%v) diverges from scan under network metric: served %d vs %d, revenue %.9f vs %.9f — this is a bug",
 					batched, v.name, v.shards, v.workers, v.alt, v.batch, got.Served, want.Served, got.Revenue, want.Revenue)
 			}
+			if !v.batch {
+				continue
+			}
+			for _, sameEngine := range []bool{true, false} {
+				if got := suspended(v, batched, sameEngine); !reflect.DeepEqual(want, got) {
+					t.Errorf("batched=%v: %s(shards=%d,workers=%d) suspended and restored mid-day (same engine: %v) diverges from scan: served %d vs %d, cancelled %d vs %d, revenue %.9f vs %.9f — this is a bug",
+						batched, v.name, v.shards, v.workers, sameEngine, got.Served, want.Served, got.Cancelled, want.Cancelled, got.Revenue, want.Revenue)
+				}
+			}
 		}
+	}
+	if memoChecked == 0 || memoStale == 0 {
+		t.Errorf("snap memo walk saw %d current and %d outdated entries; it must see both to mean anything", memoChecked, memoStale)
 	}
 
 	if hits, misses, _ := chRouter.CacheStats(); hits == 0 || misses == 0 {
 		t.Errorf("route cache never exercised (hits=%d misses=%d); the network metric was not on the hot path", hits, misses)
+	}
+}
+
+// checkSnapMemo walks the engine's snap memo and holds every entry the
+// scoring path would use as it stands — filled, and taken for the
+// driver's present location and home — equal to a fresh Snap of those
+// points (and its location→home distance to a fresh Dist). An entry
+// taken for a point the driver has since left is outdated, not wrong:
+// the memo validates itself on use, so nothing has to invalidate it
+// when a driver is assigned, revoked, restored or joins. It returns how
+// many entries of each kind it saw.
+func checkSnapMemo(t *testing.T, e *Engine, r *roadnet.Router) (current, outdated int) {
+	t.Helper()
+	if len(e.memo) != len(e.Drivers) {
+		t.Fatalf("snap memo holds %d entries for %d drivers", len(e.memo), len(e.Drivers))
+	}
+	for i := range e.memo {
+		m := &e.memo[i]
+		loc, home := e.states[i].loc, e.Drivers[i].Dest
+		if !m.filled {
+			continue
+		}
+		if m.loc.P != loc || m.home.P != home {
+			outdated++
+			continue
+		}
+		current++
+		if want := r.Snap(loc); m.loc != want {
+			t.Fatalf("driver %d: memoised location snap %+v, fresh %+v", i, m.loc, want)
+		}
+		if want := r.Snap(home); m.home != want {
+			t.Fatalf("driver %d: memoised home snap %+v, fresh %+v", i, m.home, want)
+		}
+		if want := r.Dist(loc, home); m.hasHomeKm && m.homeKm != want {
+			t.Fatalf("driver %d: memoised location→home distance %v, fresh %v", i, m.homeKm, want)
+		}
+	}
+	return current, outdated
+}
+
+// snapCountingSource measures the scoring path from outside: the snaps
+// the router takes inside Candidates calls, the calls themselves, and
+// the moves the engine reports between them.
+type snapCountingSource struct {
+	CandidateSource
+	router         *roadnet.Router
+	queries, moves int
+	snaps          uint64
+}
+
+func (s *snapCountingSource) Candidates(task model.Task, now float64, buf []Candidate) []Candidate {
+	before := s.router.Snaps()
+	buf = s.CandidateSource.Candidates(task, now, buf)
+	s.snaps += s.router.Snaps() - before
+	s.queries++
+	return buf
+}
+
+func (s *snapCountingSource) Moved(i int) {
+	s.moves++
+	s.CandidateSource.Moved(i)
+}
+
+// TestScoringSnapsOncePerMove is the count pin of the snap-once
+// contract, on a churned network day with joins, retirements and
+// revocations: over all candidate queries the router resolves no more
+// points than two per query (the order's endpoints), two per driver
+// (her first location and her home) and one per move (her new
+// location) — however many drivers each query scores and however often
+// a driver is scored between moves. Before the engine kept snaps, every
+// scored pair resolved both its ends again: hundreds of snaps per
+// order. What the day resolves outside scoring is bounded too: assign
+// and settle still measure point to point, two distances each.
+func TestScoringSnapsOncePerMove(t *testing.T) {
+	rcfg := roadnet.DefaultGridConfig()
+	rcfg.Rows, rcfg.Cols = 12, 14
+	g, err := roadnet.GenerateGrid(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trace.NewConfig(59, 140, 110, trace.Hitchhiking)
+	cfg.Market.Dist = roadnet.NewRouter(g, rcfg.Box, 0).Dist
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	events := trace.WithChurn(tr, trace.ChurnConfig{
+		Seed: 11, JoinFraction: 0.2, RetireFraction: 0.15, CancelFraction: 0.2,
+	})
+
+	for _, batched := range []bool{false, true} {
+		router := roadnet.NewRouter(g, rcfg.Box, 0)
+		market := cfg.Market
+		market.Dist, market.Batch = router.Dist, router
+		eng, err := New(market, tr.Drivers, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &snapCountingSource{CandidateSource: NewShardedSource(2), router: router}
+		eng.SetCandidateSource(src)
+
+		dayStart := router.Snaps()
+		var res Result
+		if batched {
+			res = eng.RunBatchedScenario(tr.Tasks, events, 60, BatchHungarian)
+		} else {
+			res = eng.RunScenario(tr.Tasks, events, diffMaxMargin{})
+		}
+		day := router.Snaps() - dayStart
+		if res.Served == 0 || res.Cancelled == 0 || src.moves <= res.Served {
+			t.Fatalf("batched=%v: degenerate day (served %d, cancelled %d, moves %d): the pin needs assignments and revocations",
+				batched, res.Served, res.Cancelled, src.moves)
+		}
+
+		drivers := len(tr.Drivers)
+		bound := uint64(2*src.queries + 2*drivers + src.moves)
+		if src.snaps > bound {
+			t.Errorf("batched=%v: scoring resolved %d points over %d queries, %d drivers and %d moves; snap-once allows %d",
+				batched, src.snaps, src.queries, drivers, src.moves, bound)
+		}
+		if src.snaps < uint64(2*src.queries) {
+			t.Errorf("batched=%v: scoring resolved %d points over %d queries: the counter is not on the scoring path",
+				batched, src.snaps, src.queries)
+		}
+		if outside, allowed := day-src.snaps, uint64(4*src.moves+4*drivers); outside > allowed {
+			t.Errorf("batched=%v: the day resolved %d points outside scoring, assign and settle account for at most %d",
+				batched, outside, allowed)
+		}
 	}
 }
 

@@ -222,8 +222,7 @@ func (s *ShardedSource) Candidates(task model.Task, now float64, buf []Candidate
 		s.active = append(s.active, z)
 	}
 
-	service := e.Market.TravelTime(task.Source, task.Dest, 0)
-	serviceCost := e.Market.ServiceCost(task)
+	terms := e.orderTerms(task)
 
 	// Fan out only when the runtime can actually run shards in
 	// parallel: on a single-P runtime goroutines are pure overhead and
@@ -239,14 +238,14 @@ func (s *ShardedSource) Candidates(task model.Task, now float64, buf []Candidate
 		for _, z := range s.active[1:] {
 			go func(z int) {
 				defer wg.Done()
-				s.queryShard(z, task, now, minRetire, service, serviceCost)
+				s.queryShard(z, task, now, minRetire, terms)
 			}(z)
 		}
-		s.queryShard(s.active[0], task, now, minRetire, service, serviceCost)
+		s.queryShard(s.active[0], task, now, minRetire, terms)
 		wg.Wait()
 	} else {
 		for _, z := range s.active {
-			s.queryShard(z, task, now, minRetire, service, serviceCost)
+			s.queryShard(z, task, now, minRetire, terms)
 		}
 	}
 
@@ -303,14 +302,17 @@ func (s *ShardedSource) mergeInto(buf []Candidate) []Candidate {
 }
 
 // queryShard runs the conservative index query plus the exact
-// feasibility checks for one shard, into that shard's scratch. Engine
-// state is only read here, which is what makes the shard fan-out safe.
-func (s *ShardedSource) queryShard(z int, task model.Task, now, minRetire, service, serviceCost float64) {
+// feasibility checks for one shard, into that shard's scratch. Driver
+// state is only read here, and the one thing written — the snap memo
+// of each driver scored, under a market batcher — is written for this
+// shard's own drivers, which no other shard holds: that is what makes
+// the shard fan-out safe.
+func (s *ShardedSource) queryShard(z int, task model.Task, now, minRetire float64, terms orderTerms) {
 	ids := s.ids[z][:0]
 	s.idx[z].NearReachable(task.Source, s.maxSpeed, task.StartBy, now, minRetire,
 		func(id int) { ids = append(ids, id) })
 	slices.Sort(ids)
-	out := s.e.scoreCandidates(&s.dbs[z], ids, task, now, service, serviceCost, s.out[z][:0])
+	out := s.e.scoreCandidates(&s.dbs[z], ids, task, now, terms, s.out[z][:0])
 	s.ids[z], s.out[z] = ids, out
 }
 

@@ -190,8 +190,9 @@ type Engine struct {
 	pricerMarkup float64
 
 	states     []driverState
-	present    []bool // false: not yet joined, or retired
-	allIDs     []int  // 0..len(Drivers)-1, the linear scan's id list
+	present    []bool       // false: not yet joined, or retired
+	memo       []driverSnap // per-driver snaps under Market.Batch, else nil (distbatch.go)
+	allIDs     []int        // 0..len(Drivers)-1, the linear scan's id list
 	db         distBatch
 	rng        *rand.Rand
 	seed       int64           // the seed rng was constructed from
@@ -309,6 +310,7 @@ func (e *Engine) resetAbsent(absent []int) {
 	for _, i := range absent {
 		e.present[i] = false
 	}
+	e.resetMemo()
 	e.source.Bind(e)
 }
 
@@ -380,27 +382,26 @@ func (e *Engine) settle(res *Result) {
 // candidates computes the feasible driver set for the task when the
 // dispatch decision is made at time now (== task.Publish for instant
 // dispatch; later for batched dispatch), appending into buf. It is the
-// exact linear scan that ScanSource exposes, batching shared-endpoint
-// distances through Market.Batch when one is installed.
+// exact linear scan that ScanSource exposes, taking its distances from
+// Market.Batch when one is installed.
 func (e *Engine) candidates(task model.Task, now float64, buf []Candidate) []Candidate {
-	service := e.Market.TravelTime(task.Source, task.Dest, 0)
-	serviceCost := e.Market.ServiceCost(task)
 	if cap(e.allIDs) < len(e.Drivers) {
 		e.allIDs = make([]int, len(e.Drivers))
 		for i := range e.allIDs {
 			e.allIDs[i] = i
 		}
 	}
-	return e.scoreCandidates(&e.db, e.allIDs[:len(e.Drivers)], task, now, service, serviceCost, buf)
+	return e.scoreCandidates(&e.db, e.allIDs[:len(e.Drivers)], task, now, e.orderTerms(task), buf)
 }
 
 // candidateFor runs the exact feasibility checks of Algorithms 3–4 for
 // one driver; service and serviceCost are the task-only terms hoisted out
 // of the per-driver loop. It is the per-pair composition of
-// pickupArrival and finishCandidate — the batched scoring path
-// (scoreCandidates) runs the same two stages over whole candidate sets
-// with the distances computed in shared-endpoint batches, and must stay
-// value-identical to this function.
+// pickupArrival and finishCandidate over Market.Dist, the path of a
+// market without a batcher — with one, scoreCandidates runs the same
+// two stages over whole candidate sets with the distances computed in
+// shared-endpoint batches, and must stay value-identical to this
+// function.
 func (e *Engine) candidateFor(i int, task model.Task, now, service, serviceCost float64) (Candidate, bool) {
 	if !e.present[i] {
 		return Candidate{}, false // not yet joined, or retired
@@ -450,7 +451,6 @@ func (e *Engine) pickupArrival(i int, task model.Task, now, pickupKm float64) (f
 // location→pickup and dropoff→home distances.
 func (e *Engine) finishCandidate(i int, task model.Task, service, serviceCost, arrival, pickupKm, homeKm float64) (Candidate, bool) {
 	drv := e.Drivers[i]
-	st := &e.states[i]
 
 	finish := arrival + service
 	if finish > task.EndBy {
@@ -472,7 +472,7 @@ func (e *Engine) finishCandidate(i int, task model.Task, service, serviceCost, a
 	// the task after the driver's current plan.
 	deadhead := e.Market.TravelCostKm(pickupKm)
 	newHome := e.Market.TravelCostKm(homeKm)
-	oldHome := e.Market.TravelCost(st.loc, drv.Dest)
+	oldHome := e.Market.TravelCostKm(e.homeKm(i))
 	margin := task.Price - (deadhead + serviceCost + newHome - oldHome)
 
 	return Candidate{Driver: i, Arrival: arrival, Margin: margin}, true

@@ -138,9 +138,7 @@ func (s *GridSource) Candidates(task model.Task, now float64, buf []Candidate) [
 	// ascending driver order the dispatchers' tie-breaking depends on.
 	slices.Sort(s.ids)
 
-	service := e.Market.TravelTime(task.Source, task.Dest, 0)
-	serviceCost := e.Market.ServiceCost(task)
-	return e.scoreCandidates(&s.db, s.ids, task, now, service, serviceCost, buf)
+	return e.scoreCandidates(&s.db, s.ids, task, now, e.orderTerms(task), buf)
 }
 
 // Moved implements CandidateSource.

@@ -214,6 +214,7 @@ func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64, al
 		e.states[i] = ds.state()
 	}
 	e.present = append([]bool(nil), st.Present...)
+	e.resetMemo()
 	e.SeekRNG(st.RNGDraws)
 	e.source.Bind(e)
 

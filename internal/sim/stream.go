@@ -364,6 +364,9 @@ func (s *Stream) AddDriver(d model.Driver, at float64) (int, error) {
 	}
 	e.states = append(e.states, st)
 	e.present = append(e.present, !future)
+	if e.memo != nil {
+		e.memo = append(e.memo, driverSnap{})
+	}
 	r.res.PerDriverRevenue = append(r.res.PerDriverRevenue, 0)
 	r.res.PerDriverProfit = append(r.res.PerDriverProfit, 0)
 	r.res.PerDriverTasks = append(r.res.PerDriverTasks, 0)
