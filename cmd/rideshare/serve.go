@@ -259,8 +259,8 @@ func cmdServe(args []string) error {
 	// default mux, where the net/http/pprof import registered its
 	// handlers, and is shut down with the main listener below — a
 	// leaked debug port must not outlive the market. Mutex profiling is
-	// sampled only while the rail is up: /debug/pprof/mutex is how the
-	// shard fan-out's merge rendezvous shows up under load. See
+	// sampled only while the rail is up: /debug/pprof/mutex is how a
+	// convoy on the service lock shows up under load. See
 	// EXPERIMENTS.md for the loadgen-driven profiling recipe.
 	var pprofSrv *http.Server
 	if *pprofAddr != "" {

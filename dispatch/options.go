@@ -177,7 +177,7 @@ func WithDispatcher(p Policy) Option {
 	}
 }
 
-// WithShards runs candidate generation over n concurrent zone shards.
+// WithShards runs candidate generation over n zone shards.
 // Assignments are bit-identical for every shard count — only throughput
 // changes — so the knob is purely operational. n must be ≥ 1; values
 // above 1 enable the sharded source.

@@ -313,6 +313,54 @@ func (e *Engine) closeBatchDense(r *eventRun, batch []int, decisionAt float64, a
 	}
 }
 
+// ranksBefore is the strict order a window row is pruned under: higher
+// margin first, lower driver index on equal margins. No two candidates
+// of a row share a driver, so the order is total.
+func ranksBefore(a, b Candidate) bool {
+	if a.Margin != b.Margin {
+		return a.Margin > b.Margin
+	}
+	return a.Driver < b.Driver
+}
+
+// selectTop rearranges row so that its first k entries are the k that
+// rank first, in no particular order — a quickselect, linear where a
+// full sort of the row is not. The order is total, so the set kept is
+// the one a sort would keep.
+func selectTop(row []Candidate, k int) {
+	lo, hi := 0, len(row)-1
+	for lo < hi {
+		// Median of three as the pivot, moved to the end.
+		mid := lo + (hi-lo)/2
+		if ranksBefore(row[mid], row[lo]) {
+			row[mid], row[lo] = row[lo], row[mid]
+		}
+		if ranksBefore(row[hi], row[lo]) {
+			row[hi], row[lo] = row[lo], row[hi]
+		}
+		if ranksBefore(row[mid], row[hi]) {
+			row[mid], row[hi] = row[hi], row[mid]
+		}
+		pivot, p := row[hi], lo
+		for i := lo; i < hi; i++ {
+			if ranksBefore(row[i], pivot) {
+				row[i], row[p] = row[p], row[i]
+				p++
+			}
+		}
+		row[p], row[hi] = row[hi], row[p]
+		// row[lo:p] rank before the pivot at p, row[p+1:hi+1] after it.
+		switch {
+		case p == k || p == k-1:
+			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
+}
+
 // windowScratch is the batcher's pooled per-window working set. One
 // instance lives on the engine and is reused across every window of
 // every batched run, so the steady-state hot path — candidate arena,
@@ -343,7 +391,8 @@ type windowScratch struct {
 // goroutines when configured) by internal/matching's sparse kernels.
 //
 // The graph keeps the dense path's two canonical compactions — top
-// len(batch) candidates per row by (margin, driver), columns renumbered
+// len(batch) candidates per row by (margin, driver), selected rather
+// than sorted out of the row (selectTop), columns renumbered
 // over the ascending union of surviving drivers — and adds a third that
 // is equally exact: candidates with non-positive margin are dropped
 // while building the rows, because individual rationality already bars
@@ -378,15 +427,7 @@ func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64, 
 			}
 		}
 		if row := ws.arena[start:]; len(row) > len(batch) {
-			slices.SortFunc(row, func(a, b Candidate) int {
-				if a.Margin != b.Margin {
-					if a.Margin > b.Margin {
-						return -1
-					}
-					return 1
-				}
-				return a.Driver - b.Driver
-			})
+			selectTop(row, len(batch))
 			ws.arena = ws.arena[:start+len(batch)]
 			slices.SortFunc(ws.arena[start:], func(a, b Candidate) int { return a.Driver - b.Driver })
 		}

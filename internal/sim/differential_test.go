@@ -329,9 +329,8 @@ func TestShardedScenarioMatchesScan(t *testing.T) {
 	}
 }
 
-// TestShardedSourceSpeedOverridesAndSerial: per-driver speeds stretch
-// the reachability radius past zone borders (candidate borrowing), and
-// the Serial ablation knob must not change results either.
+// TestShardedSourceSpeedOverrides: per-driver speeds stretch the
+// reachability radius past zone borders (candidate borrowing).
 func TestShardedSourceSpeedOverrides(t *testing.T) {
 	for _, seed := range []int64{61, 62} {
 		cfg := trace.NewConfig(seed, 120, 60, trace.Hitchhiking)
@@ -347,19 +346,16 @@ func TestShardedSourceSpeedOverrides(t *testing.T) {
 		run := func(e *Engine) Result { return e.Run(tr.Tasks, diffMaxMargin{}) }
 		scan := runWithSource(t, cfg.Market, tr.Drivers, seed, false, nil, run)
 		for _, shards := range shardCounts {
-			for _, serial := range []bool{false, true} {
-				src := NewShardedSource(shards)
-				src.Serial = serial
-				sharded := runWithSource(t, cfg.Market, tr.Drivers, seed, false, src, run)
-				diffResults(t, fmt.Sprintf("seed=%d speed-overrides shards=%d serial=%v", seed, shards, serial), scan, sharded)
-			}
+			sharded := runWithSource(t, cfg.Market, tr.Drivers, seed, false, NewShardedSource(shards), run)
+			diffResults(t, fmt.Sprintf("seed=%d speed-overrides shards=%d", seed, shards), scan, sharded)
 		}
 	}
 }
 
 // TestGridSourcePanicsOnFarGrid: a static grid whose latitude band is
 // nowhere near the fleet would silently void the conservative
-// pre-filtering guarantee; Bind must reject it loudly instead.
+// pre-filtering guarantee; Bind — which the first run on the source
+// calls — must reject it loudly instead.
 func TestGridSourcePanicsOnFarGrid(t *testing.T) {
 	cfg := trace.NewConfig(41, 10, 5, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
@@ -374,6 +370,7 @@ func TestGridSourcePanicsOnFarGrid(t *testing.T) {
 		}
 	}()
 	e.SetCandidateSource(NewGridSource(equatorial))
+	e.Run(tr.Tasks, diffMaxMargin{})
 }
 
 // TestSetCandidateSourceNilRestoresScan guards the seam's default.

@@ -27,31 +27,27 @@ import (
 // (the roadnet differential tests replay full traces both ways to prove
 // it).
 
-// driverSnap is the engine's memo of one driver under the market's
-// batcher: her current location and her home resolved to graph nodes,
-// and the distance between the two (the oldHome term of the margin,
-// taken on first need). It is derived state — never captured, never
-// journaled — and validates itself: each Snap carries the point it was
-// taken for, so an entry is used only while that point is still the
-// driver's, and no mutation of driver state has an invalidation to
-// remember. An entry is filled lazily, by whichever goroutine scores
-// the driver; shards hold disjoint drivers, so the fan-out writes
-// disjoint entries.
+// driverSnap is the engine's memo of one driver: the distance from her
+// current location to her home (the oldHome term of the margin, taken
+// on first need) and, under the market's batcher, the two points
+// resolved to graph nodes. It is derived state — never captured, never
+// journaled — and validates itself: loc carries the point it was taken
+// for (loc.P; a plain-Dist market fills in nothing else of it), so an
+// entry is used only while that point is still the driver's, and no
+// mutation of driver state has an invalidation to remember. It stands
+// on Dist being a function of its two points, as replaying a journal
+// already does. An entry is filled lazily, when the driver is first
+// scored.
 type driverSnap struct {
-	loc, home geo.Snap // of states[i].loc and Drivers[i].Dest
-	homeKm    float64  // Dist(loc.P, home.P), valid when hasHomeKm
-	filled    bool     // loc and home have been taken at least once
+	homeKm    float64 // Dist(loc.P, home.P), valid when hasHomeKm
 	hasHomeKm bool
+	filled    bool     // loc and home have been snapped at least once
+	loc, home geo.Snap // of states[i].loc and Drivers[i].Dest
 }
 
-// resetMemo sizes an empty memo for the current fleet when the market
-// has a batcher, and none otherwise: markets on a plain Dist allocate
-// and touch nothing here.
+// resetMemo sizes an empty memo for the current fleet.
 func (e *Engine) resetMemo() {
-	e.memo = nil
-	if e.Market.Batch != nil {
-		e.memo = make([]driverSnap, len(e.Drivers))
-	}
+	e.memo = make([]driverSnap, len(e.Drivers))
 }
 
 // driverSnap returns driver i's memo, resolving whichever of her two
@@ -73,11 +69,18 @@ func (e *Engine) driverSnap(b model.DistanceBatcher, i int) *driverSnap {
 
 // homeKm is the distance from driver i's current location to her own
 // destination: what her plan already costs her before a new task is
-// inserted ahead of it.
+// inserted ahead of it. It changes only when she moves, so every order
+// scored against her in between reads the memo.
 func (e *Engine) homeKm(i int) float64 {
 	b := e.Market.Batch
 	if b == nil {
-		return e.Market.Dist(e.states[i].loc, e.Drivers[i].Dest)
+		m := &e.memo[i]
+		if loc := e.states[i].loc; !m.hasHomeKm || m.loc.P != loc {
+			m.loc.P = loc
+			m.homeKm = e.Market.Dist(loc, e.Drivers[i].Dest)
+			m.hasHomeKm = true
+		}
+		return m.homeKm
 	}
 	m := e.driverSnap(b, i)
 	if !m.hasHomeKm {

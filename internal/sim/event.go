@@ -15,7 +15,7 @@ import (
 // replan-round triggers — onto one priority queue and drains it through
 // per-mode handlers. The queue's merge order is total and documented
 // (key, then kind, then sequence number), which is what makes the
-// sharded concurrent candidate generation reproducible: any two engines
+// sharded candidate generation reproducible: any two engines
 // that drain the same events against the same candidate *sets* produce
 // bit-identical results, whatever the shard count.
 
@@ -126,9 +126,8 @@ type eventRun struct {
 	seq   int // next sequence number for dynamically pushed events
 	cands []Candidate
 
-	timeKeyed bool // false for by-value runs: at is not monotone, no clock
-	started   bool
-	now       float64
+	started bool
+	now     float64
 
 	cancelled []bool
 	inflight  map[int]inflightInfo // task index -> snapshot, while revocable
@@ -167,13 +166,12 @@ func (e *Engine) newEventRun(tasks []model.Task, events []model.MarketEvent, tim
 			hasCancel = true
 		}
 	}
-	e.resetAbsent(absent)
+	e.resetAbsent(absent, timeKeyed)
 	r := &eventRun{
-		e:         e,
-		tasks:     tasks,
-		timeKeyed: timeKeyed,
-		seq:       len(tasks) + len(events),
-		res:       newResult(e),
+		e:     e,
+		tasks: tasks,
+		seq:   len(tasks) + len(events),
+		res:   newResult(e),
 	}
 	if !timeKeyed && len(events) > 0 {
 		panic("sim: churn events require a time-keyed run (not by-value)")
@@ -229,7 +227,7 @@ func (r *eventRun) step() bool {
 // handle advances the simulated clock to the event and dispatches it to
 // its handler.
 func (r *eventRun) handle(ev event) {
-	if r.timeKeyed {
+	if r.e.timeKeyed {
 		if r.started && ev.at > r.now && r.e.Clock != nil {
 			r.e.Clock.Advance(r.now, ev.at)
 		}

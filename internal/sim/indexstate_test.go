@@ -1,0 +1,266 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/geo"
+	"repro/internal/model"
+	"repro/internal/trace"
+)
+
+// The tests in this file aim at the states the time-aware index adds —
+// entries parked until a query's deadline overtakes them, entries
+// expired once the run's clock passes their shift end — on the paths
+// where they could go wrong: a run whose decision times jump around, a
+// restore that builds the index in the middle of the day, a fleet that
+// grows, and the steady-state query that must not allocate.
+
+// indexedSources is every source with an index in it.
+func indexedSources() map[string]func() CandidateSource {
+	srcs := map[string]func() CandidateSource{
+		"grid": func() CandidateSource { return NewGridSource(nil) },
+	}
+	for _, n := range shardCounts {
+		srcs[fmt.Sprintf("sharded-%d", n)] = func() CandidateSource { return NewShardedSource(n) }
+	}
+	return srcs
+}
+
+// TestByValueSourcesMatchScan: RunByValue decides orders in price
+// order, so the decision time and the pickup deadline of successive
+// queries go up and down across the whole day. The index may wake
+// lazily but must never expire, and every source still has to agree
+// with the scan bit for bit.
+func TestByValueSourcesMatchScan(t *testing.T) {
+	seeds := []int64{61, 62, 63}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		cfg := trace.NewConfig(seed, 200, 90, trace.Hitchhiking)
+		tr := trace.NewGenerator(cfg).Generate(nil)
+		for _, realTime := range []bool{false, true} {
+			for _, d := range []Dispatcher{diffMaxMargin{}, diffNearest{}} {
+				run := func(e *Engine) Result {
+					res := e.RunByValue(tr.Tasks, d)
+					if e.timeKeyed {
+						t.Fatal("a by-value run told its sources the clock is monotone")
+					}
+					return res
+				}
+				scan := runWithSource(t, cfg.Market, tr.Drivers, seed, realTime, nil, run)
+				if scan.Served == 0 {
+					t.Fatalf("seed %d: the scan served nothing; the comparison is empty", seed)
+				}
+				for name, mk := range indexedSources() {
+					got := runWithSource(t, cfg.Market, tr.Drivers, seed, realTime, mk(), run)
+					diffResults(t, fmt.Sprintf("by-value seed=%d rt=%v %s %s", seed, realTime, d.Name(), name), scan, got)
+				}
+			}
+		}
+	}
+}
+
+// TestRestoreMidDayMatchesScan: RestoreStream binds the source afresh
+// with the clock far past the horizon a day opens with — most of the
+// fleet has retired, some of it is locked well into the future. The
+// restored run on every indexed source must finish with the books of a
+// scan run that was never interrupted.
+func TestRestoreMidDayMatchesScan(t *testing.T) {
+	cfg := trace.NewConfig(71, 260, 80, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	events := trace.WithChurn(tr, trace.DefaultChurn(5, 0.3, 0.3))
+	feed, fleet := buildFeed(tr.Tasks, events)
+
+	for _, batched := range []bool{false, true} {
+		open := func(src CandidateSource) (*Engine, *Stream) {
+			e, err := New(cfg.Market, tr.Drivers, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.SetCandidateSource(src)
+			var st *Stream
+			if batched {
+				st, err = e.NewBatchedStream(60, BatchHungarian, fleet)
+			} else {
+				st, err = e.NewStream(diffNearest{}, fleet)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e, st
+		}
+		_, base := open(nil)
+		applyItems(t, base, tr.Tasks, feed)
+		want, err := base.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, mk := range indexedSources() {
+			for _, cut := range []int{len(feed) * 6 / 10, len(feed) * 9 / 10} {
+				_, st := open(mk())
+				applyItems(t, st, tr.Tasks, feed[:cut])
+				snap, err := st.CaptureState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				e2, err := New(cfg.Market, tr.Drivers, 9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e2.SetCandidateSource(mk())
+				var restored *Stream
+				if batched {
+					restored, err = e2.RestoreStream(snap, nil, 60, BatchHungarian)
+				} else {
+					restored, err = e2.RestoreStream(snap, diffNearest{}, 0, 0)
+				}
+				if err != nil {
+					t.Fatalf("%s cut %d: RestoreStream: %v", name, cut, err)
+				}
+				applyItems(t, restored, tr.Tasks, feed[cut:])
+				got, err := restored.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("batched=%v %s cut %d: restored books diverge from the uninterrupted scan: served %d/%d revenue %.9f/%.9f",
+						batched, name, cut, want.Served, got.Served, want.Revenue, got.Revenue)
+				}
+			}
+		}
+	}
+}
+
+// TestAddedDriverFasterThanFleet: the indexed sources size their
+// reachability radius by the fastest driver they know. A driver added
+// mid-day who is faster than everyone the source was bound with, and
+// who can make a pickup only because she is, must widen that radius.
+func TestAddedDriverFasterThanFleet(t *testing.T) {
+	mkt := model.DefaultMarket() // 30 km/h
+	base := geo.Point{Lat: 41.15, Lon: -8.61}
+	at := func(dlat, dlon float64) geo.Point { return geo.Point{Lat: base.Lat + dlat, Lon: base.Lon + dlon} }
+	// The bound fleet idles ~11 km north of the demand: 22 minutes away.
+	slow := []model.Driver{
+		{ID: 0, Source: at(0.1, 0), Dest: at(0.1, 0), Start: 0, End: 20000},
+		{ID: 1, Source: at(0.1, 0.01), Dest: at(0.1, 0.01), Start: 0, End: 20000},
+	}
+	// The newcomer waits at the same distance but drives four times as fast.
+	fast := model.Driver{ID: 2, Source: at(0.1, 0.005), Dest: at(0.1, 0.005), Start: 0, End: 20000, SpeedKmh: 120}
+	order := model.Task{ID: 0, Publish: 1000, Source: base, Dest: at(0.01, 0.01),
+		StartBy: 1000 + 8*60, EndBy: 1000 + 3600, Price: 30, WTP: 40}
+
+	srcs := indexedSources()
+	srcs["scan"] = func() CandidateSource { return nil }
+	for name, mk := range srcs {
+		e, err := New(mkt, slow, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetCandidateSource(mk())
+		st, err := e.NewStream(diffMaxMargin{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AdvanceTo(900); err != nil {
+			t.Fatal(err)
+		}
+		idx, err := st.AddDriver(fast, 900)
+		if err != nil {
+			t.Fatalf("%s: AddDriver: %v", name, err)
+		}
+		dec, err := st.SubmitTask(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dec.Assigned || dec.Driver != idx {
+			t.Errorf("%s: the fast newcomer was not found: %+v", name, dec)
+		}
+	}
+}
+
+// TestSelectTopKeepsTheSortedTop: the quickselect must keep exactly the
+// set a full sort under the same order keeps, for every k.
+func TestSelectTopKeepsTheSortedTop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		row := make([]Candidate, 2+rng.Intn(60))
+		for i := range row {
+			// Few distinct margins, so the driver tie-break decides often.
+			row[i] = Candidate{Driver: i, Margin: float64(rng.Intn(6))}
+		}
+		k := 1 + rng.Intn(len(row)-1)
+		want := slices.Clone(row)
+		slices.SortFunc(want, func(a, b Candidate) int {
+			if ranksBefore(a, b) {
+				return -1
+			}
+			return 1
+		})
+		want = want[:k]
+		rng.Shuffle(len(row), func(i, j int) { row[i], row[j] = row[j], row[i] })
+		selectTop(row, k)
+		got := row[:k]
+		byDriver := func(a, b Candidate) int { return a.Driver - b.Driver }
+		slices.SortFunc(got, byDriver)
+		slices.SortFunc(want, byDriver)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d, k=%d of %d: kept %v, a sort keeps %v", trial, k, len(row), got, want)
+		}
+	}
+}
+
+// TestShardedCandidatesZeroAllocSteadyState is the candidate path's
+// counterpart of matching's TestSparseSolverZeroAllocSteadyState: on a
+// fleet whose shifts start and end all day long, a query stream that
+// moves the clock forward — so every query wakes the drivers who came
+// on shift and expires those who left — allocates nothing once the
+// scratch buffers have seen a busy hour.
+func TestShardedCandidatesZeroAllocSteadyState(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n, shift = 3000, 7000.0
+	fleet := make([]model.Driver, n)
+	for i := range fleet {
+		p := geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
+		start := rng.Float64() * 60000
+		fleet[i] = model.Driver{ID: i, Source: p, Dest: p, Start: start, End: start + shift}
+	}
+	e, err := New(model.DefaultMarket(), fleet, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewShardedSource(2)
+	e.SetCandidateSource(src)
+	if _, err := e.NewStream(diffMaxMargin{}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	now := 0.0
+	buf := make([]Candidate, 0, n)
+	query := func() {
+		now += 45
+		p := geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
+		buf = src.Candidates(model.Task{Publish: now, Source: p, Dest: geo.PortoBox.Center(),
+			StartBy: now + 900, EndBy: now + 4000, Price: 20}, now, buf[:0])
+	}
+	for now < 2*shift { // warm-up: the on-shift fleet reaches its steady size
+		query()
+	}
+	allocs := testing.AllocsPerRun(600, query)
+	if allocs != 0 {
+		t.Fatalf("%v allocations per warm Candidates call", allocs)
+	}
+	// The measured stretch really did see the fleet turn over: drivers
+	// whose shift began after the warm-up are candidates by its end.
+	woken := false
+	for _, c := range buf {
+		woken = woken || fleet[c.Driver].Start > 2*shift
+	}
+	if !woken || len(buf) == 0 {
+		t.Fatalf("no driver who started during the measured stretch is among the last %d candidates", len(buf))
+	}
+}

@@ -3,9 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"slices"
-	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/model"
@@ -15,22 +12,23 @@ import (
 // ShardedSource partitions the fleet into per-zone shards — one
 // spatial.Index per cell of a coarse zone grid, each holding exactly
 // the drivers currently located in its zone — and answers candidate
-// queries by fanning the reachability query out across the shards
-// whose zone rectangle intersects the pickup's reachability radius,
-// in parallel when there is more than one.
+// queries by asking, one after the other, the shards whose zone
+// rectangle intersects the pickup's reachability radius.
 //
 // Determinism is the design constraint, not an afterthought. Shards
-// hold disjoint driver sets; each shard reports its feasible
-// candidates in ascending driver order (the exact feasibility checks
-// of Algorithms 3–4 are pure per-driver functions of engine state, so
-// it does not matter which goroutine evaluates them); and the merged
-// slice is restored to the canonical ascending-driver order before the
-// dispatcher sees it. The result is bit-identical to ScanSource and
+// hold disjoint driver sets; each shard's index hands back its
+// reachable drivers already in ascending order — nothing is sorted —
+// and the shard scores them in that order; the per-shard slices are
+// then merged into the canonical ascending-driver order before the
+// dispatcher sees them. The result is bit-identical to ScanSource and
 // GridSource for every shard count — the differential tests sweep
-// shard counts 1, 2, 4 and 8 to prove exactly that. Concurrency here
-// parallelizes candidate *generation* per arrival; commits stay
-// sequential in event order, which is what keeps the simulation
-// reproducible.
+// shard counts 1, 2, 4 and 8 to prove exactly that.
+//
+// A query runs on its caller's goroutine, one shard after the other. A
+// shard's share of a query is tens to a few hundred microseconds — the
+// order of what handing it to another processor costs (a spawn, a wake
+// of a possibly parked thread, a rendezvous), and that cost is the
+// host's to decide, run by run (DESIGN.md, "One query, one goroutine").
 //
 // Drivers migrate between shards as assignments move them (Moved), and
 // enter or leave shards on mid-day joins and retirements (Presence) —
@@ -49,11 +47,6 @@ type ShardedSource struct {
 	// bounding box at Bind time.
 	Zones *geo.Grid
 
-	// Serial disables concurrent shard queries (the zone partition is
-	// still used) — an ablation knob for separating the partition's
-	// effect from the parallelism's.
-	Serial bool
-
 	e        *Engine
 	zones    *geo.Grid
 	idx      []*spatial.Index // zone -> per-zone index over the full id space
@@ -68,9 +61,9 @@ type ShardedSource struct {
 
 	active []int         // query scratch: zones in radius
 	heads  []int         // merge scratch
-	ids    [][]int       // per-zone query scratch
+	ids    []int         // index query scratch
 	out    [][]Candidate // per-zone candidate scratch
-	dbs    []distBatch   // per-zone scoring scratch (shards run concurrently)
+	db     distBatch     // scoring scratch
 }
 
 type rect struct{ minLat, maxLat, minLon, maxLon float64 }
@@ -135,30 +128,34 @@ func (s *ShardedSource) Bind(e *Engine) {
 		math.Abs(math.Cos(zones.Box.MaxLat*math.Pi/180)))
 
 	s.maxSpeed = e.Market.SpeedKmh
-	s.shardOf = make([]int, n)
-	for i, d := range e.Drivers {
-		if d.SpeedKmh > s.maxSpeed {
-			s.maxSpeed = d.SpeedKmh
-		}
-		s.shardOf[i] = -1
-		if e.present[i] {
-			s.insert(i)
-		}
+	s.shardOf = make([]int, 0, n)
+	for i := range e.Drivers {
+		s.register(i)
 	}
 
 	s.active = make([]int, 0, nz)
 	s.heads = make([]int, nz)
-	s.ids = make([][]int, nz)
 	s.out = make([][]Candidate, nz)
-	s.dbs = make([]distBatch, nz)
+}
+
+// register takes note of driver i, the next one the source has not
+// seen, and indexes her if she is present.
+func (s *ShardedSource) register(i int) {
+	s.maxSpeed = max(s.maxSpeed, s.e.Drivers[i].SpeedKmh)
+	s.shardOf = append(s.shardOf, -1)
+	if s.e.present[i] {
+		s.insert(i)
+	}
 }
 
 // insert places driver i into the shard owning her current location.
+// The window goes in first, so the index places her once, in the state
+// it gives her.
 func (s *ShardedSource) insert(i int) {
 	st := &s.e.states[i]
 	z := s.zones.CellOf(st.loc)
-	s.idx[z].Add(i, st.loc)
 	s.idx[z].SetSpan(i, st.freeAt, s.e.Drivers[i].End)
+	s.idx[z].Add(i, st.loc)
 	s.shardOf[i] = z
 }
 
@@ -195,58 +192,45 @@ func (s *ShardedSource) Presence(i int, present bool) {
 	}
 }
 
+// Added implements CandidateSource: every shard's id space grows by
+// one. The zone grid stays the one Bind laid out; a driver outside it
+// is clamped into a border zone, as a pickup is.
+func (s *ShardedSource) Added(i int) {
+	for _, ix := range s.idx {
+		ix.Grow()
+	}
+	s.register(i)
+}
+
 // Candidates implements CandidateSource. The reachability predicate is
 // the same as GridSource's; it is evaluated shard-by-shard, skipping
-// shards whose zone rectangle lies wholly outside the radius, and the
-// surviving shards run concurrently.
+// shards whose zone rectangle lies wholly outside the radius.
 func (s *ShardedSource) Candidates(task model.Task, now float64, buf []Candidate) []Candidate {
 	e := s.e
 	if task.StartBy < now {
 		return buf
 	}
-	minRetire := task.EndBy
-	if e.RealTime {
-		minRetire = now
-	}
+	minRetire := e.minRetire(task, now)
 	radiusKm := s.maxSpeed * (task.StartBy - now) / 3600
+	terms := e.orderTerms(task)
 
 	q := s.zones.Box.Clamp(task.Source)
 	s.active = s.active[:0]
-	for z := range s.idx {
-		if s.idx[z].Members() == 0 {
+	for z, ix := range s.idx {
+		if ix.Members() == 0 {
 			continue
 		}
 		if s.rectDistKm(z, q)*spatial.Safety > radiusKm {
 			continue // no point of this zone can be in range
 		}
 		s.active = append(s.active, z)
-	}
-
-	terms := e.orderTerms(task)
-
-	// Fan out only when the runtime can actually run shards in
-	// parallel: on a single-P runtime goroutines are pure overhead and
-	// the serial path computes the identical result. The caller takes
-	// the first shard itself rather than parking at the rendezvous —
-	// one fewer goroutine spawn per query, and with two active shards
-	// (the common radius) the only spawn overlaps the caller's own
-	// shard work. Shards write disjoint s.out slots, so the split
-	// cannot perturb the merge.
-	if len(s.active) > 1 && !s.Serial && runtime.GOMAXPROCS(0) > 1 {
-		var wg sync.WaitGroup
-		wg.Add(len(s.active) - 1)
-		for _, z := range s.active[1:] {
-			go func(z int) {
-				defer wg.Done()
-				s.queryShard(z, task, now, minRetire, terms)
-			}(z)
+		// The conservative index query, then the exact feasibility
+		// checks, into this shard's scratch.
+		if e.timeKeyed {
+			ix.Expire(now)
 		}
-		s.queryShard(s.active[0], task, now, minRetire, terms)
-		wg.Wait()
-	} else {
-		for _, z := range s.active {
-			s.queryShard(z, task, now, minRetire, terms)
-		}
+		s.ids = ix.AppendReachable(s.ids[:0], task.Source, s.maxSpeed, task.StartBy, now, minRetire)
+		s.out[z] = e.scoreCandidates(&s.db, s.ids, task, now, terms, s.out[z][:0])
 	}
 
 	// Merge: shards are disjoint and each per-shard slice is already in
@@ -299,21 +283,6 @@ func (s *ShardedSource) mergeInto(buf []Candidate) []Candidate {
 		buf = append(buf, s.out[s.active[best]][heads[best]])
 		heads[best]++
 	}
-}
-
-// queryShard runs the conservative index query plus the exact
-// feasibility checks for one shard, into that shard's scratch. Driver
-// state is only read here, and the one thing written — the snap memo
-// of each driver scored, under a market batcher — is written for this
-// shard's own drivers, which no other shard holds: that is what makes
-// the shard fan-out safe.
-func (s *ShardedSource) queryShard(z int, task model.Task, now, minRetire float64, terms orderTerms) {
-	ids := s.ids[z][:0]
-	s.idx[z].NearReachable(task.Source, s.maxSpeed, task.StartBy, now, minRetire,
-		func(id int) { ids = append(ids, id) })
-	slices.Sort(ids)
-	out := s.e.scoreCandidates(&s.dbs[z], ids, task, now, terms, s.out[z][:0])
-	s.ids[z], s.out[z] = ids, out
 }
 
 // rectDistKm lower-bounds the equirectangular distance from q (clamped

@@ -9,8 +9,8 @@
 // Clock, with a total, documented merge order for same-timestamp
 // events. Candidate generation is pluggable too (CandidateSource):
 // the exact linear scan, a grid-indexed pre-filter, and a zone-sharded
-// source that queries per-zone spatial indexes concurrently all yield
-// bit-identical results; only the wall-clock changes.
+// source that queries per-zone spatial indexes all yield bit-identical
+// results; only the wall-clock changes.
 //
 // The engine owns market state (driver positions, availability, earnings)
 // and computes the candidate set for each arriving task exactly as
@@ -59,7 +59,7 @@ type Dispatcher interface {
 // It is the engine's pluggable answer to "who can serve this?": the
 // linear scan evaluates every driver (exact, O(N) per task), the
 // grid-indexed source pre-filters with a spatial index, and the sharded
-// source partitions the fleet into concurrent per-zone indexes — all
+// source partitions the fleet into per-zone indexes — all
 // running the same exact feasibility checks on the survivors, so every
 // source produces identical candidate sets and therefore bit-identical
 // simulation results.
@@ -86,6 +86,11 @@ type CandidateSource interface {
 	// candidates — the engine's exact feasibility check enforces that
 	// regardless, so sources may treat this purely as a pruning hint.
 	Presence(i int, present bool)
+	// Added notifies the source that the fleet grew by one: driver i, the
+	// new last index, is registered with the engine (Stream.AddDriver) and
+	// the source extends its id space to hold her, indexing her if she is
+	// present already. Nothing else is rebuilt.
+	Added(i int)
 }
 
 // Result aggregates a full simulation run. Per-driver slices are indexed
@@ -191,7 +196,8 @@ type Engine struct {
 
 	states     []driverState
 	present    []bool       // false: not yet joined, or retired
-	memo       []driverSnap // per-driver snaps under Market.Batch, else nil (distbatch.go)
+	timeKeyed  bool         // the current run's clock only moves forward (all but RunByValue)
+	memo       []driverSnap // per-driver derived distances and snaps (distbatch.go)
 	allIDs     []int        // 0..len(Drivers)-1, the linear scan's id list
 	db         distBatch
 	rng        *rand.Rand
@@ -220,7 +226,7 @@ func New(m model.Market, drivers []model.Driver, seed int64) (*Engine, error) {
 		rngSrc:  src,
 		source:  &ScanSource{},
 	}
-	e.reset()
+	e.resetAbsent(nil, true)
 	return e, nil
 }
 
@@ -283,24 +289,24 @@ func (e *Engine) SeekRNG(n uint64) {
 }
 
 // SetCandidateSource swaps the engine's candidate generation strategy.
-// Passing nil restores the default linear scan. The source is rebound at
-// the start of every Run*, so it may be set at any time between runs.
+// Passing nil restores the default linear scan. The source is bound —
+// its indexes built, once — at the start of the next Run*, NewStream or
+// RestoreStream, so it may be set at any time between runs.
 func (e *Engine) SetCandidateSource(src CandidateSource) {
 	if src == nil {
 		src = &ScanSource{}
 	}
 	e.source = src
-	e.source.Bind(e)
-}
-
-func (e *Engine) reset() {
-	e.resetAbsent(nil)
 }
 
 // resetAbsent rebuilds driver state for a fresh run, marking the listed
 // drivers absent (they join mid-run via events) before the candidate
-// source rebuilds its indexes from the presence flags.
-func (e *Engine) resetAbsent(absent []int) {
+// source rebuilds its indexes from the presence flags. timeKeyed says
+// whether the run's decision times are monotone (every run but
+// RunByValue), which lets the indexed sources retire what the clock has
+// passed.
+func (e *Engine) resetAbsent(absent []int, timeKeyed bool) {
+	e.timeKeyed = timeKeyed
 	e.states = make([]driverState, len(e.Drivers))
 	e.present = make([]bool, len(e.Drivers))
 	for i, d := range e.Drivers {
@@ -392,6 +398,21 @@ func (e *Engine) candidates(task model.Task, now float64, buf []Candidate) []Can
 		}
 	}
 	return e.scoreCandidates(&e.db, e.allIDs[:len(e.Drivers)], task, now, e.orderTerms(task), buf)
+}
+
+// minRetire is the earliest shift end a driver can have and still take
+// the task: she must outlast it until her release time (the end
+// deadline, or the dispatch instant in real-time mode, plus the
+// non-negative trip home) — any driver retiring earlier is infeasible
+// for the scan too. A query that reaches an index has StartBy >= now,
+// and a valid task ends after it starts, so this never lies before now:
+// that is what lets the sources tell their indexes the time
+// (spatial.Index.Expire).
+func (e *Engine) minRetire(task model.Task, now float64) float64 {
+	if e.RealTime {
+		return now
+	}
+	return task.EndBy
 }
 
 // candidateFor runs the exact feasibility checks of Algorithms 3–4 for

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/model"
@@ -15,9 +14,9 @@ import (
 // GridSource puts a spatial.Index between the task and that loop: only
 // drivers inside the max-speed reachability radius of the pickup are
 // checked exactly. The pre-filter is conservative — it never drops a
-// driver the scan would accept — and survivors are checked in ascending
-// driver order, so the two sources yield bit-identical simulations (the
-// differential tests assert exactly that).
+// driver the scan would accept — and the index hands the survivors over
+// in ascending driver order, so the two sources yield bit-identical
+// simulations (the differential tests assert exactly that).
 
 // ScanSource enumerates candidates with an exact linear scan over all
 // drivers — O(N) per task. The zero value is ready for Engine use.
@@ -44,6 +43,9 @@ func (s *ScanSource) Moved(int) {}
 // Presence implements CandidateSource. The scan has no index to prune;
 // the engine's exact feasibility check skips absent drivers.
 func (s *ScanSource) Presence(int, bool) {}
+
+// Added implements CandidateSource: the scan reads the engine's fleet.
+func (s *ScanSource) Added(int) {}
 
 // GridSource enumerates candidates through a bucketed spatial index over
 // grid cells that tracks every driver's location and availability window
@@ -96,26 +98,22 @@ func (s *GridSource) Bind(e *Engine) {
 		grid = autoGrid(e.Drivers)
 	}
 	checkGridCoversFleet(grid, e.Drivers)
-	locs := make([]geo.Point, len(e.states))
-	for i := range e.states {
-		locs[i] = e.states[i].loc
-	}
-	s.ix = spatial.NewIndex(grid, locs)
+	s.ix = spatial.NewSparseIndex(grid, len(e.Drivers))
 	s.maxSpeed = e.Market.SpeedKmh
-	for i, d := range e.Drivers {
-		if d.SpeedKmh > s.maxSpeed {
-			s.maxSpeed = d.SpeedKmh
-		}
-		// freeAt starts at shift start (the engine resets states that
-		// way); the window narrows as assignments lock the driver.
-		// Drivers that join mid-run start with the empty span and are
-		// restored by Presence when their join event fires.
-		if e.present[i] {
-			s.ix.SetSpan(i, e.states[i].freeAt, d.End)
-		} else {
-			s.ix.SetSpan(i, math.Inf(1), math.Inf(-1))
-		}
+	for i := range e.Drivers {
+		s.index(i)
 	}
+}
+
+// index puts driver i, whom the index has an id for but does not hold,
+// into it. The window goes in first, so she is placed once, in the
+// state it gives her: freeAt starts at shift start (the engine resets
+// states that way) and narrows as assignments lock her; a driver who
+// has yet to join gets the empty span until Presence opens it.
+func (s *GridSource) index(i int) {
+	s.maxSpeed = max(s.maxSpeed, s.e.Drivers[i].SpeedKmh)
+	s.Presence(i, s.e.present[i])
+	s.ix.Add(i, s.e.states[i].loc)
 }
 
 // Candidates implements CandidateSource.
@@ -123,21 +121,14 @@ func (s *GridSource) Candidates(task model.Task, now float64, buf []Candidate) [
 	e := s.e
 	// Who could reach the pickup by its deadline? Every driver departs
 	// at max(freeAt, now), so the index prunes on both the travel-time
-	// budget and the availability window. A driver must also outlast the
-	// task: until her release time (the end deadline, or the dispatch
-	// instant in real-time mode, plus the non-negative trip home) — any
-	// driver retiring earlier is infeasible for the scan too.
-	minRetire := task.EndBy
-	if e.RealTime {
-		minRetire = now
+	// budget and the availability window.
+	minRetire := e.minRetire(task, now)
+	if e.timeKeyed {
+		s.ix.Expire(now)
 	}
-	s.ids = s.ids[:0]
-	s.ix.NearReachable(task.Source, s.maxSpeed, task.StartBy, now, minRetire,
-		func(id int) { s.ids = append(s.ids, id) })
-	// The index visits in ring/bucket order; restore the canonical
-	// ascending driver order the dispatchers' tie-breaking depends on.
-	slices.Sort(s.ids)
-
+	// The index answers in the canonical ascending driver order the
+	// dispatchers' tie-breaking depends on.
+	s.ids = s.ix.AppendReachable(s.ids[:0], task.Source, s.maxSpeed, task.StartBy, now, minRetire)
 	return e.scoreCandidates(&s.db, s.ids, task, now, e.orderTerms(task), buf)
 }
 
@@ -158,6 +149,12 @@ func (s *GridSource) Presence(i int, present bool) {
 	} else {
 		s.ix.SetSpan(i, math.Inf(1), math.Inf(-1))
 	}
+}
+
+// Added implements CandidateSource.
+func (s *GridSource) Added(i int) {
+	s.ix.Grow()
+	s.index(i)
 }
 
 // checkGridCoversFleet verifies the precondition of the index's planar

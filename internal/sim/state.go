@@ -214,13 +214,13 @@ func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64, al
 		e.states[i] = ds.state()
 	}
 	e.present = append([]bool(nil), st.Present...)
+	e.timeKeyed = true
 	e.resetMemo()
 	e.SeekRNG(st.RNGDraws)
 	e.source.Bind(e)
 
 	r := &eventRun{
 		e:         e,
-		timeKeyed: true,
 		started:   st.Started,
 		now:       st.Now,
 		seq:       st.Seq,

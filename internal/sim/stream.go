@@ -87,10 +87,9 @@ func (e *Engine) newStreamRun(fleetEvents []model.MarketEvent) (*eventRun, error
 	if err := model.ValidateEvents(fleetEvents, e.Drivers, nil); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	e.resetAbsent(absent)
+	e.resetAbsent(absent, true)
 	r := &eventRun{
 		e:         e,
-		timeKeyed: true,
 		seq:       len(fleetEvents),
 		res:       newResult(e),
 		cancelled: make([]bool, 0),
@@ -346,8 +345,9 @@ func (s *Stream) RetireDriver(i int, at float64) error {
 // or before the stream's current time means immediately, a future time
 // schedules her announcement as a join event — before it fires she is
 // registered but invisible, exactly like an upfront roster entry with a
-// pending join. The candidate source is rebound over the grown fleet
-// either way. A finished stream reports ErrFinished.
+// pending join. The candidate source grows its id space by the one
+// driver either way (CandidateSource.Added); nothing is rebuilt. A
+// finished stream reports ErrFinished.
 func (s *Stream) AddDriver(d model.Driver, at float64) (int, error) {
 	if err := s.checkOpen(); err != nil {
 		return -1, err
@@ -364,14 +364,12 @@ func (s *Stream) AddDriver(d model.Driver, at float64) (int, error) {
 	}
 	e.states = append(e.states, st)
 	e.present = append(e.present, !future)
-	if e.memo != nil {
-		e.memo = append(e.memo, driverSnap{})
-	}
+	e.memo = append(e.memo, driverSnap{})
 	r.res.PerDriverRevenue = append(r.res.PerDriverRevenue, 0)
 	r.res.PerDriverProfit = append(r.res.PerDriverProfit, 0)
 	r.res.PerDriverTasks = append(r.res.PerDriverTasks, 0)
 	r.res.DriverPaths = append(r.res.DriverPaths, nil)
-	e.source.Bind(e)
+	e.source.Added(i)
 	if future {
 		ev := event{key: at, kind: evJoin, at: at, idx: i, seq: r.seq}
 		r.seq++

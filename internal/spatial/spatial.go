@@ -7,15 +7,27 @@
 // it may return points that turn out to be too far, but it must never
 // drop a point that is within the radius.
 //
-// The index buckets each point into its grid cell and serves queries by
-// expanding square rings of cells around the query point's cell. Ring r
-// is visited only while its distance lower bound (r-1)·minCellSpan —
-// scaled by a safety factor that absorbs projection distortion — does not
-// exceed the query radius, so a query touches O(points within ~R) rather
-// than all N points. Points outside the grid's bounding box are clamped
-// into boundary cells; because clamping is a projection onto a convex
-// box, it never increases pairwise distances, so the pruning bound stays
-// valid for out-of-box points too.
+// The index buckets each point into its grid cell and serves a query by
+// scanning the square of cells around the query point's cell, row by
+// row. The square reaches out to ring r only while that ring's distance
+// lower bound (r-1)·minCellSpan — scaled by a safety factor that absorbs
+// projection distortion — does not exceed the query radius, so a query
+// touches O(points within ~R) rather than all N points. Points outside
+// the grid's bounding box are clamped into boundary cells; because
+// clamping is a projection onto a convex box, it never increases
+// pairwise distances, so the pruning bound stays valid for out-of-box
+// points too.
+//
+// A cell holds packed entries — id, planar coordinates, availability
+// window — so a scan is a plain loop over contiguous memory. The index
+// is also aware of time: an entry whose window cannot matter to any
+// query asked so far (its free time lies beyond every pickup deadline
+// seen: parked) or to any query still to come (it retired before the
+// caller's clock: expired) sits behind the live prefix of its cell,
+// where window queries do not look. The per-entry predicate is
+// unchanged, so the two states only skip entries it would reject; see
+// Index. Accepted ids are collected in a bitmap over the id space and
+// swept in ascending order, so no caller sorts.
 //
 // Distance checks use planar kilometer coordinates under a fixed
 // conservative projection (see project) so the query hot path does no
@@ -32,6 +44,8 @@ package spatial
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/geo"
 )
@@ -48,34 +62,79 @@ const Safety = 0.9
 // NewIndex (every point present) or NewSparseIndex (membership managed
 // with Add and Remove — the shape zone shards need, where each shard
 // indexes only the drivers currently inside its zone). It is not safe
-// for concurrent mutation.
+// for concurrent use, queries included: a query marks its result in the
+// index's bitmap and may wake parked entries.
 //
 // Besides its location, every point carries an availability window
 // [freeAt, retireAt) — for a driver: when she can next depart (shift
 // start, or the lock release of her in-flight task) and when her shift
-// ends. NearReachable combines the window with the distance bound so a
-// city-scale fleet where most drivers are off shift or locked at query
-// time is pruned by a float compare instead of a distance computation.
+// ends. The window queries (NearReachable, AppendReachable) combine the
+// window with the distance bound, and scan only the live entries of a
+// cell. A present point is in exactly one of three states:
+//
+//   - expired: retireAt < watermark, the largest time passed to Expire.
+//     A window query demands retireAt >= minRetire, so it can skip the
+//     expired as long as its minRetire is at or above the watermark; one
+//     that asks below it scans them too.
+//   - parked: not expired, and freeAt > horizon, the largest byTime any
+//     window query has asked for. Every query so far would have rejected
+//     the point (it departs after the deadline); a query that raises the
+//     horizon first wakes the points it overtakes.
+//   - live: neither.
+//
+// Both rules only ever skip entries the per-entry predicate rejects, so
+// the accepted set is that of a scan over every present point, whatever
+// the order of queries, Expire calls and mutations.
 type Index struct {
 	grid *geo.Grid
 
 	loc      []geo.Point // id -> current location
-	px, py   []float64   // id -> planar km coordinates (see project)
 	freeAt   []float64   // id -> earliest departure time
 	retireAt []float64   // id -> end of availability
-	cell     []int       // id -> current cell, or absentCell when removed
-	slot     []int       // id -> position inside bucket[cell[id]]
+	cell     []int32     // id -> current cell, or absentCell when removed
+	slot     []int32     // id -> position inside cells[cell[id]].ents
+	state    []uint8     // id -> live, parked or expired (while present)
+	hpos     []int32     // id -> position in the heap its state puts it in
 
-	bucket  [][]int // cell -> ids (unordered)
-	members int     // number of present points
+	cells   []cell
+	members int // number of present points
+
+	horizon   float64 // largest byTime of any window query
+	watermark float64 // largest time passed to Expire
+	wake      []int32 // parked ids, a min-heap on freeAt
+	exp       []int32 // live ids, a min-heap on retireAt
+
+	marks []uint64 // accepted ids of the query in progress, one bit each
+	ids   []int    // scratch of the callback queries
 
 	minSpanKm float64 // conservative one-cell extent for ring bounds
 	kmPerLon  float64 // km per degree of longitude at the box's widest-cos latitude
 }
 
+// entry is one present point as a scan sees it: everything the
+// predicate reads, in one place.
+type entry struct {
+	px, py           float64 // planar km coordinates (see project)
+	freeAt, retireAt float64
+	id               int32
+}
+
+// cell is one grid cell's points: the live ones first, then the parked
+// and expired ones in no particular order.
+type cell struct {
+	ents []entry
+	live int
+}
+
 // absentCell marks an id that is allocated but not currently indexed
 // (removed, or never added on a sparse index).
 const absentCell = -1
+
+const (
+	stLive uint8 = iota
+	stParked
+	stExpired
+)
 
 // kmPerLat converts degrees of latitude to kilometers.
 const kmPerLat = geo.EarthRadiusKm * math.Pi / 180
@@ -106,8 +165,12 @@ func NewIndex(grid *geo.Grid, locs []geo.Point) *Index {
 // which every id starts absent: queries visit nothing until points are
 // inserted with Add. Zone shards use this shape — each shard allocates
 // the full fleet id space but only ever inserts the drivers currently
-// located in its zone.
+// located in its zone. The wake and expiry queues are reserved for all
+// n ids here, so no query allocates.
 func NewSparseIndex(grid *geo.Grid, n int) *Index {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("spatial: id space %d exceeds int32", n))
+	}
 	h, w := grid.CellSpanKm()
 	// Derive the longitude scale from the same conservative cell width
 	// the ring-pruning bound uses, so the two can never drift apart: one
@@ -116,13 +179,18 @@ func NewSparseIndex(grid *geo.Grid, n int) *Index {
 	ix := &Index{
 		grid:      grid,
 		loc:       make([]geo.Point, n),
-		px:        make([]float64, n),
-		py:        make([]float64, n),
 		freeAt:    make([]float64, n),
 		retireAt:  make([]float64, n),
-		cell:      make([]int, n),
-		slot:      make([]int, n),
-		bucket:    make([][]int, grid.NumCells()),
+		cell:      make([]int32, n),
+		slot:      make([]int32, n),
+		state:     make([]uint8, n),
+		hpos:      make([]int32, n),
+		cells:     make([]cell, grid.NumCells()),
+		horizon:   math.Inf(-1),
+		watermark: math.Inf(-1),
+		wake:      make([]int32, 0, n),
+		exp:       make([]int32, 0, n),
+		marks:     make([]uint64, (n+63)/64),
 		minSpanKm: min(h, w),
 		kmPerLon:  kmPerLon,
 	}
@@ -131,7 +199,41 @@ func NewSparseIndex(grid *geo.Grid, n int) *Index {
 		ix.retireAt[id] = math.Inf(1)
 		ix.cell[id] = absentCell
 	}
+	// Every cell starts with room for a few entries in one shared block,
+	// laid out in cell order like the scan walks it; a cell that outgrows
+	// its share moves to a block of its own.
+	arena := make([]entry, cellReserve*len(ix.cells))
+	for c := range ix.cells {
+		ix.cells[c].ents = arena[c*cellReserve : c*cellReserve : (c+1)*cellReserve]
+	}
 	return ix
+}
+
+// cellReserve is the capacity a cell is built with. The sources size
+// their grids for about two points a cell, so most cells never grow.
+const cellReserve = 4
+
+// Grow extends the id space by one and returns the new id, which starts
+// absent with the window (-Inf, +Inf).
+func (ix *Index) Grow() int {
+	id := len(ix.loc)
+	if id >= math.MaxInt32 {
+		panic("spatial: id space exceeds int32")
+	}
+	ix.loc = append(ix.loc, geo.Point{})
+	ix.freeAt = append(ix.freeAt, math.Inf(-1))
+	ix.retireAt = append(ix.retireAt, math.Inf(1))
+	ix.cell = append(ix.cell, absentCell)
+	ix.slot = append(ix.slot, 0)
+	ix.state = append(ix.state, stLive)
+	ix.hpos = append(ix.hpos, 0)
+	if len(ix.marks)*64 <= id {
+		ix.marks = append(ix.marks, 0)
+	}
+	// Keep both queues able to hold every id without growing mid-query.
+	ix.wake = slices.Grow(ix.wake, id+1-len(ix.wake))
+	ix.exp = slices.Grow(ix.exp, id+1-len(ix.exp))
+	return id
 }
 
 // Len returns the size of the id space (present or not).
@@ -155,21 +257,19 @@ func (ix *Index) checkID(id int) {
 	}
 }
 
-// Add inserts the absent id at location p. The id's availability window
-// is preserved across Remove/Add cycles. It panics if id is already
-// present — membership bugs (a driver indexed by two zone shards at
-// once) must not pass silently.
+// Add inserts the absent id at location p, directly in the state its
+// availability window puts it in: the window is preserved across
+// Remove/Add cycles, and a SetSpan before the first Add costs nothing
+// but the stores. It panics if id is already present — membership bugs
+// (a driver indexed by two zone shards at once) must not pass silently.
 func (ix *Index) Add(id int, p geo.Point) {
 	ix.checkID(id)
 	if ix.cell[id] != absentCell {
 		panic(fmt.Sprintf("spatial: Add of already-present id %d", id))
 	}
 	ix.loc[id] = p
-	ix.px[id], ix.py[id] = ix.project(p)
-	c := ix.grid.CellOf(p)
-	ix.cell[id] = c
-	ix.slot[id] = len(ix.bucket[c])
-	ix.bucket[c] = append(ix.bucket[c], id)
+	ix.attach(int32(id), int32(ix.grid.CellOf(p)))
+	ix.enter(int32(id), ix.classify(int32(id)))
 	ix.members++
 }
 
@@ -179,17 +279,11 @@ func (ix *Index) Add(id int, p geo.Point) {
 // id is absent.
 func (ix *Index) Remove(id int) {
 	ix.checkID(id)
-	old := ix.cell[id]
-	if old == absentCell {
+	if ix.cell[id] == absentCell {
 		panic(fmt.Sprintf("spatial: Remove of absent id %d", id))
 	}
-	// Swap-remove from the bucket.
-	b := ix.bucket[old]
-	s := ix.slot[id]
-	last := len(b) - 1
-	b[s] = b[last]
-	ix.slot[b[s]] = s
-	ix.bucket[old] = b[:last]
+	ix.leave(int32(id))
+	ix.detach(int32(id))
 	ix.cell[id] = absentCell
 	ix.members--
 }
@@ -203,131 +297,324 @@ func (ix *Index) Move(id int, p geo.Point) {
 		panic(fmt.Sprintf("spatial: Move of absent id %d", id))
 	}
 	ix.loc[id] = p
-	ix.px[id], ix.py[id] = ix.project(p)
-	c := ix.grid.CellOf(p)
-	if c == old {
+	if c := int32(ix.grid.CellOf(p)); c != old {
+		st := ix.state[id]
+		ix.leave(int32(id))
+		ix.detach(int32(id))
+		ix.attach(int32(id), c)
+		ix.enter(int32(id), st)
 		return
 	}
-	// Swap-remove from the old bucket.
-	b := ix.bucket[old]
-	s := ix.slot[id]
-	last := len(b) - 1
-	b[s] = b[last]
-	ix.slot[b[s]] = s
-	ix.bucket[old] = b[:last]
-
-	ix.cell[id] = c
-	ix.slot[id] = len(ix.bucket[c])
-	ix.bucket[c] = append(ix.bucket[c], id)
+	e := &ix.cells[old].ents[ix.slot[id]]
+	e.px, e.py = ix.project(p)
 }
 
 // SetSpan sets id's availability window: freeAt is the earliest time the
 // point can start moving, retireAt the time it stops being available.
+// A present point moves to the state the new window puts it in, so one
+// that re-opens a parked or expired id is seen by the next query.
 func (ix *Index) SetSpan(id int, freeAt, retireAt float64) {
 	ix.checkID(id)
 	ix.freeAt[id] = freeAt
 	ix.retireAt[id] = retireAt
+	c := ix.cell[id]
+	if c == absentCell {
+		return
+	}
+	ix.leave(int32(id))
+	e := &ix.cells[c].ents[ix.slot[id]]
+	e.freeAt, e.retireAt = freeAt, retireAt
+	ix.enter(int32(id), ix.classify(int32(id)))
 }
 
-// Near calls visit for every point whose equirectangular distance to p,
-// scaled by Safety, is within radiusKm — a superset of the points truly
-// within radiusKm. Availability windows are ignored. Visit order is
-// unspecified (it follows ring and bucket order, both of which depend on
-// mutation history); callers that need a canonical order must sort the
-// ids they collect.
+// Expire tells the index that the caller's clock has reached now: no
+// later window query will ask for a point retiring before now (its
+// minRetire is at least its own now), so the points that already have
+// leave the scanned prefix of their cells for good — until a SetSpan
+// re-opens one. The promise is about speed, not results: a query whose
+// minRetire does lie below the watermark scans the expired too. Calls
+// with a time at or below the watermark do nothing, so only a caller
+// whose clock is monotone gains from calling it.
+func (ix *Index) Expire(now float64) {
+	if !(now > ix.watermark) {
+		return
+	}
+	ix.watermark = now
+	for len(ix.exp) > 0 && ix.retireAt[ix.exp[0]] < now {
+		id := ix.exp[0]
+		ix.leave(id)
+		ix.enter(id, stExpired)
+	}
+}
+
+// wakeUntil raises the horizon to byTime and makes every parked point
+// whose free time it overtakes live (or expired, if the watermark passed
+// it while it was parked).
+func (ix *Index) wakeUntil(byTime float64) {
+	ix.horizon = byTime
+	for len(ix.wake) > 0 && ix.freeAt[ix.wake[0]] <= byTime {
+		id := ix.wake[0]
+		ix.leave(id)
+		ix.enter(id, ix.classify(id))
+	}
+}
+
+// classify names the state id's window puts it in under the current
+// horizon and watermark.
+func (ix *Index) classify(id int32) uint8 {
+	switch {
+	case ix.retireAt[id] < ix.watermark:
+		return stExpired
+	case ix.freeAt[id] > ix.horizon:
+		return stParked
+	}
+	return stLive
+}
+
+// attach appends id's entry to cell c, behind the live prefix; enter
+// moves it into the prefix if that is where it belongs.
+func (ix *Index) attach(id, c int32) {
+	px, py := ix.project(ix.loc[id])
+	cl := &ix.cells[c]
+	ix.cell[id] = c
+	ix.slot[id] = int32(len(cl.ents))
+	cl.ents = append(cl.ents, entry{px: px, py: py, freeAt: ix.freeAt[id], retireAt: ix.retireAt[id], id: id})
+}
+
+// detach swap-removes id's entry, which must lie behind the live prefix
+// (leave puts it there), from its cell.
+func (ix *Index) detach(id int32) {
+	cl := &ix.cells[ix.cell[id]]
+	last := len(cl.ents) - 1
+	cl.swap(ix, int(ix.slot[id]), last)
+	cl.ents = cl.ents[:last]
+}
+
+// swap exchanges two entries of the cell and records their new slots.
+func (cl *cell) swap(ix *Index, i, j int) {
+	if i == j {
+		return
+	}
+	cl.ents[i], cl.ents[j] = cl.ents[j], cl.ents[i]
+	ix.slot[cl.ents[i].id] = int32(i)
+	ix.slot[cl.ents[j].id] = int32(j)
+}
+
+// enter puts a present id that is in no state (fresh from attach, or
+// after leave) into state st: into the live prefix and the expiry queue,
+// or the wake queue, or neither.
+func (ix *Index) enter(id int32, st uint8) {
+	ix.state[id] = st
+	switch st {
+	case stLive:
+		cl := &ix.cells[ix.cell[id]]
+		cl.swap(ix, int(ix.slot[id]), cl.live)
+		cl.live++
+		ix.push(&ix.exp, ix.retireAt, id)
+	case stParked:
+		ix.push(&ix.wake, ix.freeAt, id)
+	}
+}
+
+// leave undoes enter: id drops out of its queue and, if it was live,
+// out of its cell's live prefix.
+func (ix *Index) leave(id int32) {
+	switch ix.state[id] {
+	case stLive:
+		ix.pop(&ix.exp, ix.retireAt, id)
+		cl := &ix.cells[ix.cell[id]]
+		cl.live--
+		cl.swap(ix, int(ix.slot[id]), cl.live)
+	case stParked:
+		ix.pop(&ix.wake, ix.freeAt, id)
+	}
+}
+
+// push adds id to the min-heap h ordered by key[id]; hpos tracks every
+// member's position so pop can take out any of them. An id is in at
+// most one of the two heaps, so they share hpos.
+func (ix *Index) push(h *[]int32, key []float64, id int32) {
+	*h = append(*h, id)
+	ix.siftUp(*h, key, len(*h)-1)
+}
+
+// pop removes id from h wherever it sits. id's own key is not read, so
+// it may already have changed.
+func (ix *Index) pop(h *[]int32, key []float64, id int32) {
+	heap := *h
+	i, last := int(ix.hpos[id]), len(heap)-1
+	moved := heap[last]
+	*h = heap[:last]
+	if i == last {
+		return
+	}
+	heap[i] = moved
+	ix.hpos[moved] = int32(i)
+	ix.siftUp(heap[:last], key, i)
+	ix.siftDown(heap[:last], key, int(ix.hpos[moved]))
+}
+
+func (ix *Index) siftUp(h []int32, key []float64, i int) {
+	id := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !(key[id] < key[h[parent]]) {
+			break
+		}
+		h[i] = h[parent]
+		ix.hpos[h[i]] = int32(i)
+		i = parent
+	}
+	h[i] = id
+	ix.hpos[id] = int32(i)
+}
+
+func (ix *Index) siftDown(h []int32, key []float64, i int) {
+	id := h[i]
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && key[h[r]] < key[h[child]] {
+			child = r
+		}
+		if !(key[h[child]] < key[id]) {
+			break
+		}
+		h[i] = h[child]
+		ix.hpos[h[i]] = int32(i)
+		i = child
+	}
+	h[i] = id
+	ix.hpos[id] = int32(i)
+}
+
+// Near calls visit, in ascending id order, for every point whose
+// equirectangular distance to p, scaled by Safety, is within radiusKm —
+// a superset of the points truly within radiusKm. Availability windows
+// are ignored: parked and expired points are visited like live ones.
 func (ix *Index) Near(p geo.Point, radiusKm float64, visit func(id int)) {
 	if radiusKm < 0 {
 		return
 	}
-	qx, qy := ix.project(p)
-	limitSq := (radiusKm / Safety) * (radiusKm / Safety)
-	ix.query(p, radiusKm, func(id int) bool {
-		dx, dy := ix.px[id]-qx, ix.py[id]-qy
-		return dx*dx+dy*dy <= limitSq
-	}, visit)
+	limit := radiusKm / Safety
+	ix.ids = ix.collect(ix.ids[:0], p, radiusKm, scan{limitSq: limit * limit})
+	for _, id := range ix.ids {
+		visit(id)
+	}
 }
 
-// NearReachable calls visit for every point that could move from its
-// current location to p by time byTime: it retires no earlier than
-// minRetire, and traveling at speedKmh from the later of its free time
-// and now leaves enough budget to cover the (Safety-scaled
-// equirectangular) distance. The caller supplies speedKmh as an upper
-// bound on any point's true speed, making the visit set a superset of
-// the truly reachable points; exact feasibility stays with the caller.
+// NearReachable calls visit for every point AppendReachable would
+// return, in the same ascending order.
 func (ix *Index) NearReachable(p geo.Point, speedKmh, byTime, now, minRetire float64, visit func(id int)) {
+	ix.ids = ix.AppendReachable(ix.ids[:0], p, speedKmh, byTime, now, minRetire)
+	for _, id := range ix.ids {
+		visit(id)
+	}
+}
+
+// AppendReachable appends to buf, in ascending order, the id of every
+// point that could move from its current location to p by time byTime:
+// it retires no earlier than minRetire, and traveling at speedKmh from
+// the later of its free time and now leaves enough budget to cover the
+// (Safety-scaled equirectangular) distance. The caller supplies
+// speedKmh as an upper bound on any point's true speed, making the
+// result a superset of the truly reachable points; exact feasibility
+// stays with the caller.
+func (ix *Index) AppendReachable(buf []int, p geo.Point, speedKmh, byTime, now, minRetire float64) []int {
 	if speedKmh <= 0 || byTime < now {
-		return
+		return buf
 	}
-	radiusKm := speedKmh * (byTime - now) / 3600
-	qx, qy := ix.project(p)
-	ix.query(p, radiusKm, func(id int) bool {
-		// Availability prunes first: on a day-long market most of the
-		// fleet is off shift or locked, and these are float compares.
-		if ix.retireAt[id] < minRetire {
-			return false
-		}
-		depart := ix.freeAt[id]
-		if depart < now {
-			depart = now
-		}
-		if depart > byTime {
-			return false
-		}
-		// Compare travel time at the fleet-max speed against the point's
-		// own remaining budget, using the Safety-discounted planar
-		// distance lower bound (squared, to avoid the square root).
-		budgetKm := speedKmh * (byTime - depart) / 3600 / Safety
-		dx, dy := ix.px[id]-qx, ix.py[id]-qy
-		return dx*dx+dy*dy <= budgetKm*budgetKm
-	}, visit)
+	if byTime > ix.horizon {
+		ix.wakeUntil(byTime)
+	}
+	return ix.collect(buf, p, speedKmh*(byTime-now)/3600, scan{
+		windows: true, dormant: !(minRetire >= ix.watermark),
+		speedKmh: speedKmh, byTime: byTime, now: now, minRetire: minRetire,
+	})
 }
 
-// query expands cell rings around p out to ringRadiusKm and calls visit
-// for every point accepted by the predicate.
-func (ix *Index) query(p geo.Point, ringRadiusKm float64, accept func(id int) bool, visit func(id int)) {
-	if ringRadiusKm < 0 {
-		return
+// scan is one query's per-entry predicate: the reachability test of
+// AppendReachable when windows is set, else the plain radius test of
+// Near against limitSq. dormant makes a window scan read past the live
+// prefix (see Expire).
+type scan struct {
+	windows, dormant                 bool
+	qx, qy                           float64
+	limitSq                          float64
+	speedKmh, byTime, now, minRetire float64
+}
+
+// within and reachable are the two predicates, each small enough for the
+// compiler to inline into the scan loop.
+func (s *scan) within(e *entry) bool {
+	dx, dy := e.px-s.qx, e.py-s.qy
+	return dx*dx+dy*dy <= s.limitSq
+}
+
+func (s *scan) reachable(e *entry) bool {
+	// Availability prunes first: on a day-long market most of the
+	// fleet is off shift or locked, and these are float compares.
+	if e.retireAt < s.minRetire {
+		return false
 	}
+	depart := e.freeAt
+	if depart < s.now {
+		depart = s.now
+	}
+	if depart > s.byTime {
+		return false
+	}
+	// Compare travel time at the fleet-max speed against the point's
+	// own remaining budget, using the Safety-discounted planar
+	// distance lower bound (squared, to avoid the square root).
+	budgetKm := s.speedKmh * (s.byTime - depart) / 3600 / Safety
+	dx, dy := e.px-s.qx, e.py-s.qy
+	return dx*dx+dy*dy <= budgetKm*budgetKm
+}
+
+// collect is the one scan body: it walks the cells within ringRadiusKm
+// of p, sets the bit of every entry s accepts, and then appends the set
+// bits to buf in ascending id order, clearing them. Every point in a
+// cell r rings out is at least (r-1) cell spans from any point in the
+// center cell, so the square stops at the first ring that bound puts
+// beyond the radius. The order cells and entries are read in does not
+// reach the caller, so the square is walked the way memory lies, one
+// row of cells after the other.
+func (ix *Index) collect(buf []int, p geo.Point, ringRadiusKm float64, s scan) []int {
+	s.qx, s.qy = ix.project(p)
+	rows, cols := ix.grid.Rows, ix.grid.Cols
 	center := ix.grid.CellOf(p)
-	crow, ccol := center/ix.grid.Cols, center%ix.grid.Cols
-	maxRing := ix.grid.Rows
-	if ix.grid.Cols > maxRing {
-		maxRing = ix.grid.Cols
+	crow, ccol := center/cols, center%cols
+	rings := 1
+	for rings < max(rows, cols) && float64(rings)*ix.minSpanKm*Safety <= ringRadiusKm {
+		rings++
 	}
-	for r := 0; r <= maxRing; r++ {
-		// Every point in a ring-r cell is at least (r-1) cell spans from
-		// any point in the center cell; beyond the radius, all farther
-		// rings are out too.
-		if r > 1 && float64(r-1)*ix.minSpanKm*Safety > ringRadiusKm {
-			break
-		}
-		ix.visitRing(crow, ccol, r, accept, visit)
-	}
-}
-
-// visitRing scans the cells at Chebyshev distance r from (crow, ccol).
-func (ix *Index) visitRing(crow, ccol, r int, accept func(id int) bool, visit func(id int)) {
-	if r == 0 {
-		ix.visitCell(crow, ccol, accept, visit)
-		return
-	}
-	for dc := -r; dc <= r; dc++ { // top and bottom edges
-		ix.visitCell(crow-r, ccol+dc, accept, visit)
-		ix.visitCell(crow+r, ccol+dc, accept, visit)
-	}
-	for dr := -r + 1; dr <= r-1; dr++ { // left and right edges, corners done
-		ix.visitCell(crow+dr, ccol-r, accept, visit)
-		ix.visitCell(crow+dr, ccol+r, accept, visit)
-	}
-}
-
-func (ix *Index) visitCell(row, col int, accept func(id int) bool, visit func(id int)) {
-	if row < 0 || row >= ix.grid.Rows || col < 0 || col >= ix.grid.Cols {
-		return
-	}
-	for _, id := range ix.bucket[row*ix.grid.Cols+col] {
-		if accept(id) {
-			visit(id)
+	lo, hi := len(ix.marks), -1 // bitmap words touched
+	for row := max(crow-rings, 0); row <= min(crow+rings, rows-1); row++ {
+		for _, cl := range ix.cells[row*cols+max(ccol-rings, 0) : row*cols+min(ccol+rings, cols-1)+1] {
+			ents := cl.ents
+			if s.windows && !s.dormant {
+				ents = ents[:cl.live]
+			}
+			for i := range ents {
+				e := &ents[i]
+				if accepted := s.windows && s.reachable(e) || !s.windows && s.within(e); !accepted {
+					continue
+				}
+				w := int(e.id >> 6)
+				ix.marks[w] |= 1 << (uint(e.id) & 63)
+				lo, hi = min(lo, w), max(hi, w)
+			}
 		}
 	}
+	for w := lo; w <= hi; w++ {
+		word := ix.marks[w]
+		ix.marks[w] = 0
+		for ; word != 0; word &= word - 1 {
+			buf = append(buf, w<<6|bits.TrailingZeros64(word))
+		}
+	}
+	return buf
 }
