@@ -282,13 +282,11 @@ func BenchmarkOnlineNearest(b *testing.B) {
 
 // benchmarkDispatchScale runs a full online day at city-fleet driver
 // counts under one candidate source. The scan engine pays O(N) per
-// task; the grid-indexed engine only examines drivers inside the
-// pickup's reachability radius; the zone-sharded engine additionally
-// partitions that radius across per-zone indexes queried concurrently.
-// All paths produce identical results (asserted by the sim differential
-// tests); the "served" metric is reported so a divergence would also be
-// visible here. The numbers of record for this leg are the instant_50k
-// workload of benchmark/.
+// task; the indexed engine only examines drivers inside the pickup's
+// reachability radius. Both paths produce identical results (asserted
+// by the sim differential tests); the "served" metric is reported so a
+// divergence would also be visible here. The numbers of record for this
+// leg are the instant_50k workload of benchmark/.
 func benchmarkDispatchScale(b *testing.B, drivers int, src func() sim.CandidateSource) {
 	if testing.Short() {
 		b.Skip("full-day city-scale dispatch is seconds per op; skipped in -short smoke runs")
@@ -312,29 +310,16 @@ func benchmarkDispatchScale(b *testing.B, drivers int, src func() sim.CandidateS
 
 func scanSrc() sim.CandidateSource { return nil }
 func gridSrc() sim.CandidateSource { return sim.NewGridSource(nil) }
-func shardedSrc(n int) func() sim.CandidateSource {
-	return func() sim.CandidateSource { return sim.NewShardedSource(n) }
-}
 
 func BenchmarkOnlineMaxMarginScan10k(b *testing.B) { benchmarkDispatchScale(b, 10_000, scanSrc) }
 func BenchmarkOnlineMaxMarginGrid10k(b *testing.B) { benchmarkDispatchScale(b, 10_000, gridSrc) }
 func BenchmarkOnlineMaxMarginScan50k(b *testing.B) { benchmarkDispatchScale(b, 50_000, scanSrc) }
 func BenchmarkOnlineMaxMarginGrid50k(b *testing.B) { benchmarkDispatchScale(b, 50_000, gridSrc) }
 
-func BenchmarkOnlineMaxMarginSharded1x50k(b *testing.B) {
-	benchmarkDispatchScale(b, 50_000, shardedSrc(1))
-}
-func BenchmarkOnlineMaxMarginSharded4x50k(b *testing.B) {
-	benchmarkDispatchScale(b, 50_000, shardedSrc(4))
-}
-func BenchmarkOnlineMaxMarginSharded8x50k(b *testing.B) {
-	benchmarkDispatchScale(b, 50_000, shardedSrc(8))
-}
-
 // BenchmarkScenarioChurn measures the event-driven engine on the
 // dynamic workload the batch replayer could not express: a 10k-driver
 // day with mid-day joins, early retirements and rider cancellations,
-// dispatched through the sharded source.
+// dispatched through the indexed source.
 func BenchmarkScenarioChurn10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("city-scale scenario day; skipped in -short smoke runs")
@@ -348,7 +333,7 @@ func BenchmarkScenarioChurn10k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng.SetCandidateSource(sim.NewShardedSource(4))
+	eng.SetCandidateSource(sim.NewGridSource(nil))
 	var res sim.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -359,7 +344,7 @@ func BenchmarkScenarioChurn10k(b *testing.B) {
 }
 
 // BenchmarkSpatialIndexNear measures one radius query against a 10k-point
-// index — the per-task cost floor of grid-indexed dispatch.
+// index — the per-task cost floor of indexed dispatch.
 func BenchmarkSpatialIndexNear(b *testing.B) {
 	rng := trace.NewGenerator(trace.NewConfig(29, 10_000, 1, trace.Hitchhiking))
 	tasks := rng.GenerateTasks()

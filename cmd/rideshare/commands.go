@@ -28,7 +28,7 @@ import (
 // negative count would silently misbehave (or panic) deep inside the
 // engine instead of failing at the boundary.
 func checkPositive(cmd string, vals map[string]int) error {
-	for _, name := range []string{"-shards", "-workers", "-match-workers", "-reps", "-tasks", "-drivers"} {
+	for _, name := range []string{"-workers", "-match-workers", "-reps", "-tasks", "-drivers"} {
 		if v, ok := vals[name]; ok && v < 1 {
 			return fmt.Errorf("%s: %s must be ≥ 1, got %d", cmd, name, v)
 		}
@@ -206,14 +206,9 @@ func cmdSimulate(args []string) error {
 	fs.StringVar(batchAlgo, "batch-algo", "hungarian", "alias for -batchalgo")
 	replanPeriod := fs.Float64("replanperiod", 60, "flush period in seconds (replan dispatcher only)")
 	seed := fs.Int64("seed", 1, "random seed for tie-breaking")
-	indexed := fs.Bool("indexed", false, "use the grid-indexed candidate source (identical results, faster on large fleets)")
-	shards := fs.Int("shards", 1, "zone shards for candidate generation; 1 reproduces the sequential engine exactly, higher counts give identical results faster")
 	churn := fs.Float64("churn", 0, "override the trace's events: this fraction of drivers retires early (half also joins mid-day)")
 	cancel := fs.Float64("cancel", 0, "override the trace's events: this fraction of tasks is cancelled before pickup")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := checkPositive("simulate", map[string]int{"-shards": *shards}); err != nil {
 		return err
 	}
 	if err := checkFraction("simulate", map[string]float64{"-churn": *churn, "-cancel": *cancel}); err != nil {
@@ -255,12 +250,9 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 	eng.RealTime = *realTime
-	switch {
-	case *shards > 1:
-		eng.SetCandidateSource(sim.NewShardedSource(*shards))
-	case *indexed:
-		eng.SetCandidateSource(sim.NewGridSource(nil))
-	}
+	// The engine's default scan settles the same books; the index gets
+	// there without visiting every driver per order.
+	eng.SetCandidateSource(sim.NewGridSource(nil))
 
 	var res sim.Result
 	name := ""
@@ -312,11 +304,10 @@ func cmdExperiments(args []string) error {
 	seed := fs.Int64("seed", 1, "trace seed")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent sweep workers")
 	reps := fs.Int("reps", 1, "replications averaged per sweep point (consecutive seeds)")
-	shards := fs.Int("shards", 1, "zone shards for the online simulations (identical series, faster engine)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := checkPositive("experiments", map[string]int{"-shards": *shards, "-workers": *workers, "-reps": *reps}); err != nil {
+	if err := checkPositive("experiments", map[string]int{"-workers": *workers, "-reps": *reps}); err != nil {
 		return err
 	}
 	var cfg experiments.Config
@@ -331,7 +322,6 @@ func cmdExperiments(args []string) error {
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 	cfg.Replications = *reps
-	cfg.Shards = *shards
 	// Sweeps can run for minutes at paper scale; a SIGINT aborts the
 	// worker pool promptly instead of grinding through remaining points.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -116,7 +116,7 @@ func TestCmdErrors(t *testing.T) {
 }
 
 // TestCmdFlagValidation: every command rejects non-positive counts
-// (-shards, -workers, -reps, -tasks, -drivers) and out-of-range rates
+// (-workers, -reps, -tasks, -drivers) and out-of-range rates
 // at the flag boundary with a clear error, instead of misbehaving or
 // panicking deep inside the engine.
 func TestCmdFlagValidation(t *testing.T) {
@@ -128,9 +128,6 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"gen -drivers -1", func() error { return cmdGen([]string{"-drivers", "-1"}) }},
 		{"gen -churn 1.5", func() error { return cmdGen([]string{"-churn", "1.5"}) }},
 		{"gen -cancel -0.1", func() error { return cmdGen([]string{"-cancel", "-0.1"}) }},
-		{"simulate -shards 0", func() error { return cmdSimulate([]string{"-trace", "x.json", "-shards", "0"}) }},
-		{"simulate -shards -2", func() error { return cmdSimulate([]string{"-trace", "x.json", "-shards", "-2"}) }},
-		{"experiments -shards 0", func() error { return cmdExperiments([]string{"-shards", "0"}) }},
 		{"experiments -workers 0", func() error { return cmdExperiments([]string{"-workers", "0"}) }},
 		{"experiments -workers -3", func() error { return cmdExperiments([]string{"-workers", "-3"}) }},
 		{"experiments -reps 0", func() error { return cmdExperiments([]string{"-reps", "0"}) }},
@@ -147,7 +144,6 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"serve -match-workers without -batch-window", func() error {
 			return cmdServe([]string{"-match-workers", "4"})
 		}},
-		{"serve -shards 0", func() error { return cmdServe([]string{"-shards", "0"}) }},
 		{"serve -drivers 0", func() error { return cmdServe([]string{"-drivers", "0"}) }},
 		{"serve -batch-window -1", func() error { return cmdServe([]string{"-batch-window", "-1"}) }},
 		{"serve -algo with -batch-window", func() error {
@@ -231,7 +227,7 @@ func TestRunExperimentsRendersRequestedFigures(t *testing.T) {
 	}
 }
 
-func TestCmdGenChurnAndSimulateSharded(t *testing.T) {
+func TestCmdGenChurnAndSimulate(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "churnday.json")
 	if err := cmdGen([]string{"-tasks", "60", "-drivers", "12", "-seed", "5",
@@ -250,12 +246,10 @@ func TestCmdGenChurnAndSimulateSharded(t *testing.T) {
 	if len(tr.Events) == 0 {
 		t.Fatal("gen -churn/-cancel wrote a trace without events")
 	}
-	// The embedded events replay through every dispatcher and shard count.
+	// The embedded events replay through every dispatcher.
 	for _, algo := range []string{"maxmargin", "batched", "replan"} {
-		for _, shards := range []string{"1", "4"} {
-			if err := cmdSimulate([]string{"-trace", out, "-algo", algo, "-shards", shards}); err != nil {
-				t.Fatalf("simulate %s -shards=%s: %v", algo, shards, err)
-			}
+		if err := cmdSimulate([]string{"-trace", out, "-algo", algo}); err != nil {
+			t.Fatalf("simulate %s: %v", algo, err)
 		}
 	}
 	// By-value runs cannot replay time-ordered events.

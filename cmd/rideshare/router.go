@@ -35,7 +35,6 @@ func cmdRouter(args []string) error {
 	drivers := fs.Int("drivers", 1000, "synthetic fleet size per market")
 	seed := fs.Int64("seed", 1, "base seed; market i uses seed+i for its fleet")
 	algo := fs.String("algo", "maxmargin", "dispatch policy: maxmargin, nearest or random")
-	shards := fs.Int("shards", 1, "zone shards for candidate generation, per market")
 	batchWindow := fs.Float64("batch-window", 0, "batched dispatch window in seconds (0 = instant dispatch)")
 	batchAlgo := fs.String("batch-algo", "hungarian", "batched dispatch solver: hungarian or auction")
 	maxPending := fs.Int("max-pending", 0, "per-market admission bound: shed submissions with 429 at this many pending (0 = unbounded)")
@@ -50,7 +49,7 @@ func cmdRouter(args []string) error {
 	if len(names) == 0 {
 		return fmt.Errorf("router: -markets %q names no markets", *marketsFlag)
 	}
-	if err := checkPositive("router", map[string]int{"-drivers": *drivers, "-shards": *shards}); err != nil {
+	if err := checkPositive("router", map[string]int{"-drivers": *drivers}); err != nil {
 		return err
 	}
 	if err := checkBatchWindow("router", *batchWindow); err != nil {
@@ -89,9 +88,6 @@ func cmdRouter(args []string) error {
 			market.Drivers = append(market.Drivers, toDispatchDriver(j, d))
 		}
 		opts := []dispatch.Option{dispatch.WithDispatcher(policy), dispatch.WithSeed(mseed)}
-		if *shards > 1 {
-			opts = append(opts, dispatch.WithShards(*shards))
-		}
 		if *batchWindow > 0 {
 			opts = append(opts, dispatch.WithBatching(*batchWindow, batchPolicy))
 		}

@@ -108,7 +108,6 @@ func cmdServe(args []string) error {
 	drivers := fs.Int("drivers", 1000, "synthetic fleet size when no -trace is given")
 	seed := fs.Int64("seed", 1, "fleet generation and tie-breaking seed")
 	algo := fs.String("algo", "maxmargin", "dispatch policy: maxmargin, nearest or random")
-	shards := fs.Int("shards", 1, "zone shards for candidate generation (identical assignments, higher throughput)")
 	realTime := fs.Bool("realtime", false, "free drivers at real trip finish times instead of deadlines (and close due batch windows on the wall clock)")
 	batchWindow := fs.Float64("batch-window", 0, "batched dispatch: accumulate orders for this many seconds and clear each window with a maximum-weight matching (0 = instant dispatch)")
 	batchAlgo := fs.String("batch-algo", "hungarian", "batched dispatch solver: hungarian or auction")
@@ -155,7 +154,7 @@ func cmdServe(args []string) error {
 	if *roadnetCache < 0 {
 		return fmt.Errorf("serve: -roadnet-cache %d, want ≥ 0", *roadnetCache)
 	}
-	counts := map[string]int{"-shards": *shards, "-match-workers": *matchWorkers}
+	counts := map[string]int{"-match-workers": *matchWorkers}
 	if *tracePath == "" {
 		counts["-drivers"] = *drivers
 	}
@@ -209,9 +208,6 @@ func cmdServe(args []string) error {
 	}
 
 	opts := []dispatch.Option{dispatch.WithDispatcher(policy), dispatch.WithSeed(*seed)}
-	if *shards > 1 {
-		opts = append(opts, dispatch.WithShards(*shards))
-	}
 	if *realTime {
 		opts = append(opts, dispatch.WithRealTime())
 	}
@@ -299,8 +295,8 @@ func cmdServe(args []string) error {
 		if *useRoadnet {
 			mode += ", street-graph metric"
 		}
-		fmt.Fprintf(os.Stderr, "serve: %d drivers, %s, shards %d, listening on %s\n",
-			len(market.Drivers), mode, *shards, *addr)
+		fmt.Fprintf(os.Stderr, "serve: %d drivers, %s, listening on %s\n",
+			len(market.Drivers), mode, *addr)
 	}
 
 	select {

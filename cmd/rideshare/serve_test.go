@@ -172,7 +172,7 @@ func TestServeSustainsLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test skipped in -short mode")
 	}
-	srv, _ := newTestServer(t, 200, dispatch.WithShards(4), dispatch.WithSeed(3))
+	srv, _ := newTestServer(t, 200, dispatch.WithSeed(3))
 
 	const n = 1200
 	cfg := trace.NewConfig(5, n, 1, trace.Hitchhiking)
@@ -315,7 +315,7 @@ func TestServeBatchedSustainsLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test skipped in -short mode")
 	}
-	srv, _ := newTestServer(t, 200, dispatch.WithShards(4), dispatch.WithSeed(3),
+	srv, _ := newTestServer(t, 200, dispatch.WithSeed(3),
 		dispatch.WithBatching(60, dispatch.Hungarian))
 
 	const n = 1200

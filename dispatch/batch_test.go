@@ -19,10 +19,12 @@ import (
 // the package's differential contract: submitting a generated day —
 // churn and cancellations included — event by event through a Service
 // built WithBatching produces a final result bit-identical to
-// Engine.RunBatchedScenario replaying the same trace in one call, for
-// both solvers, every shard count and every matcher worker count (the
-// engine baseline runs serially, so the sweep also proves the worker
-// pool invisible end to end).
+// Engine.RunBatchedScenario replaying the same trace in one call over
+// the engine's exact scan, for both solvers and every matcher worker
+// count (the engine baseline runs serially, so the sweep also proves
+// the worker pool invisible end to end). The shards=N labels predate
+// the deletion of the zone partition: N goes to the deprecated
+// WithShards, which must change nothing, and goes away with it.
 func TestBatchedServiceReplayBitIdenticalToEngine(t *testing.T) {
 	const seed = 17
 	scenarios := []struct {
@@ -56,9 +58,6 @@ func TestBatchedServiceReplayBitIdenticalToEngine(t *testing.T) {
 						eng, err := sim.New(cfg.Market, tr.Drivers, seed)
 						if err != nil {
 							t.Fatal(err)
-						}
-						if shards > 1 {
-							eng.SetCandidateSource(sim.NewShardedSource(shards))
 						}
 						batch := eng.RunBatchedScenario(tr.Tasks, tr.Events, sc.window, algo.sim)
 
@@ -315,7 +314,7 @@ func TestBatchedServiceRealTimeSoak(t *testing.T) {
 	for i, d := range tr.Drivers {
 		m.Drivers = append(m.Drivers, pubDriver(i, d, 0))
 	}
-	svc, err := New(m, WithBatching(window, Hungarian), WithRealTime(), WithShards(2), WithSeed(9))
+	svc, err := New(m, WithBatching(window, Hungarian), WithRealTime(), WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}

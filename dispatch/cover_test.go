@@ -12,11 +12,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/geo"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -153,6 +157,72 @@ func TestAddDriverJoinEdges(t *testing.T) {
 	}
 }
 
+// TestAddDriverPolewardOfFleet: a service opened over an empty fleet
+// lays its candidate index out over the Porto box, whose longitude
+// scale overstates east-west distances in Helsinki by half. A driver
+// announced there 30 km east of a pickup with a 33 km budget can make
+// it, and must be found — by the service every caller gets, with no
+// option naming a candidate source.
+func TestAddDriverPolewardOfFleet(t *testing.T) {
+	svc, err := New(Market{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	home := Point{Lat: 60.17, Lon: 25.48}
+	if err := svc.AddDriver(ctx, Driver{ID: 1, Source: home, Dest: home, Start: 0, End: 86400}); err != nil {
+		t.Fatalf("AddDriver: %v", err)
+	}
+	pickup := Point{Lat: 60.17, Lon: 24.94}
+	const budget = 33.0 / 30 * 3600 // seconds to cover 33 km at the market's 30 km/h
+	a, err := svc.SubmitTask(ctx, Task{ID: 1, Publish: 10, Source: pickup, Dest: Point{Lat: 60.2, Lon: 24.9},
+		StartBy: 10 + budget, EndBy: 10 + budget + 3600, Price: 500, WTP: 600})
+	if err != nil {
+		t.Fatalf("SubmitTask: %v", err)
+	}
+	if !a.Assigned || a.DriverID != 1 {
+		t.Fatalf("the driver 30 km from a pickup with a 33 km budget was not found: %+v", a)
+	}
+}
+
+// TestNewPrunesCandidatesByDefault: a bare New binds the indexed
+// candidate source — an order is scored against the drivers who could
+// reach it, not against the fleet. Seen from outside through the metric:
+// the distance from a driver a day's drive away is never asked for.
+func TestNewPrunesCandidatesByDefault(t *testing.T) {
+	near := Point{Lat: 41.15, Lon: -8.61}
+	far := Point{Lat: 45.5, Lon: -8.61} // ~480 km north
+	var farCalls, calls atomic.Int64
+	crowFly := func(a, b Point) float64 {
+		calls.Add(1)
+		if a == far || b == far {
+			farCalls.Add(1)
+		}
+		return geo.Equirectangular(geo.Point(a), geo.Point(b))
+	}
+	svc, err := New(Market{Drivers: []Driver{
+		{ID: 1, Source: near, Dest: near, Start: 0, End: 86400},
+		{ID: 2, Source: far, Dest: far, Start: 0, End: 86400},
+	}}, WithDistanceFunc(crowFly))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer svc.Close()
+	a, err := svc.SubmitTask(context.Background(), Task{ID: 1, Publish: 10,
+		Source: Point{Lat: 41.16, Lon: -8.6}, Dest: Point{Lat: 41.18, Lon: -8.58},
+		StartBy: 610, EndBy: 4000, Price: 50, WTP: 60})
+	if err != nil {
+		t.Fatalf("SubmitTask: %v", err)
+	}
+	if !a.Assigned || a.DriverID != 1 || calls.Load() == 0 {
+		t.Fatalf("the near driver did not take the order through the metric: %+v after %d calls", a, calls.Load())
+	}
+	if n := farCalls.Load(); n != 0 {
+		t.Fatalf("%d distances were computed for a driver 480 km from the pickup: the service is scanning its fleet", n)
+	}
+}
+
 func TestSubscribeLifecycleEdges(t *testing.T) {
 	svc, err := New(overloadMarket())
 	if err != nil {
@@ -281,13 +351,19 @@ func mustRecord(t *testing.T, typ byte, v any) []byte {
 	return payload
 }
 
-func mkGenesis(t *testing.T, version int, m Market, fp configFingerprint) []byte {
+// mkGenesis encodes a genesis record. cfg is a configFingerprint, or
+// raw JSON standing for what another build's fingerprint looked like.
+func mkGenesis(t *testing.T, version int, m Market, cfg any) []byte {
 	t.Helper()
-	return mustRecord(t, recInit, initRecord{Version: version, Market: m, Config: fp})
+	return mustRecord(t, recInit, struct {
+		Version int    `json:"version"`
+		Market  Market `json:"market"`
+		Config  any    `json:"config"`
+	}{version, m, cfg})
 }
 
 func TestRestoreRejectsMalformedLogs(t *testing.T) {
-	fp := fingerprint(config{policy: MaxMargin, shards: 1, seed: 1})
+	fp := fingerprint(config{policy: MaxMargin, seed: 1})
 	genesis := mkGenesis(t, durVersion, overloadMarket(), fp)
 	cases := []struct {
 		name     string
@@ -306,7 +382,7 @@ func TestRestoreRejectsMalformedLogs(t *testing.T) {
 		{name: "genesis-version-skew",
 			records: [][]byte{mkGenesis(t, 99, overloadMarket(), fp)}, wantSub: "version 99"},
 		{name: "genesis-bad-policy",
-			records: [][]byte{mkGenesis(t, durVersion, overloadMarket(), configFingerprint{Policy: "bogus", Shards: 1, Seed: 1})},
+			records: [][]byte{mkGenesis(t, durVersion, overloadMarket(), configFingerprint{Policy: "bogus", Seed: 1})},
 			wantIs:  ErrInvalidOption},
 		{name: "genesis-bad-market",
 			records: [][]byte{mkGenesis(t, durVersion, Market{SpeedKmh: -1}, fp)},
@@ -359,7 +435,7 @@ func mustJSON(t *testing.T, v any) []byte {
 // TestRestoreReplaysDriverJoin replays a journaled AddDriver through a
 // crafted log and checks the driver is present in the rebuilt market.
 func TestRestoreReplaysDriverJoin(t *testing.T) {
-	fp := fingerprint(config{policy: MaxMargin, shards: 1, seed: 1})
+	fp := fingerprint(config{policy: MaxMargin, seed: 1})
 	base := Point{Lat: 41.15, Lon: -8.61}
 	join := Driver{ID: 900, Source: base, Dest: Point{Lat: base.Lat + 0.02, Lon: base.Lon + 0.02},
 		Start: 0, End: 7200}
@@ -444,13 +520,13 @@ func TestRestoreRejectsDuplicateSnapshotIDs(t *testing.T) {
 }
 
 func TestFingerprintOptionsRoundTrip(t *testing.T) {
-	fp := configFingerprint{Policy: "nearest", Shards: 4, MatchWorkers: 2, RealTime: true,
+	fp := configFingerprint{Policy: "nearest", MatchWorkers: 2, RealTime: true,
 		Seed: 7, Strict: true, BatchWindow: 30, BatchAlgo: "auction", MaxPending: 9}
 	opts, err := fp.options()
 	if err != nil {
 		t.Fatalf("options(): %v", err)
 	}
-	c := config{policy: MaxMargin, shards: 1, seed: 1}
+	c := config{policy: MaxMargin, seed: 1}
 	for _, o := range opts {
 		if err := o(&c); err != nil {
 			t.Fatalf("applying option: %v", err)
@@ -463,6 +539,51 @@ func TestFingerprintOptionsRoundTrip(t *testing.T) {
 	bad.BatchAlgo = "bogus"
 	if _, err := bad.options(); !errors.Is(err, ErrInvalidOption) {
 		t.Fatalf("options() with bad algo: err = %v, want ErrInvalidOption", err)
+	}
+}
+
+// TestRestoreLegacyShardsKey: the genesis of a log written before the
+// zone partition was deleted carries "shards": N. Nothing reads the key
+// any more — every source settles the same books, which is why
+// durVersion did not move — so such a log must restore, take the rest
+// of its day and settle like a service that never heard of it.
+func TestRestoreLegacyShardsKey(t *testing.T) {
+	cfg := trace.NewConfig(64, 80, 20, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	market, feed := durFeed(tr)
+	half := len(feed) / 2
+
+	ref, err := New(market, WithDispatcher(Nearest), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyFeed(t, ref, tr, feed)
+	want, err := ref.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Served == 0 {
+		t.Fatal("degenerate reference: nothing served")
+	}
+
+	records := [][]byte{mkGenesis(t, durVersion, market,
+		json.RawMessage(`{"policy":"nearest","shards":4,"seed":7}`))}
+	for _, it := range feed[:half] {
+		task := pubTask(it.idx, tr.Tasks[it.idx])
+		records = append(records, mustRecord(t, recSubmit, walRecord{Task: &task}))
+	}
+	restored, err := Restore(mkRawLog(t, records, nil), DurFsync("off"))
+	if err != nil {
+		t.Fatalf("Restore of a log whose genesis names a shard count: %v", err)
+	}
+	applyFeed(t, restored, tr, feed[half:])
+	got, err := restored.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.FeedDrops, want.FeedDrops = 0, 0
+	if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(ref.final, restored.final) {
+		t.Fatalf("books diverged\nwant %+v\ngot  %+v", want, got)
 	}
 }
 

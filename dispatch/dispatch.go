@@ -12,7 +12,6 @@
 //
 //	svc, err := dispatch.New(dispatch.Market{Drivers: fleet},
 //	    dispatch.WithDispatcher(dispatch.MaxMargin),
-//	    dispatch.WithShards(4),
 //	    dispatch.WithSeed(7))
 //
 // then drive it with SubmitTask / AddDriver / RetireDriver /
@@ -32,11 +31,13 @@
 //
 // Determinism is part of the contract: a Service fed a day's tasks and
 // fleet events in timestamp order produces assignments bit-identical to
-// the internal batch simulator replaying the same day in one call,
-// whatever the shard count — the differential tests in this package
-// hold that guarantee. Late submissions (timestamps before the
-// service's current time) are processed at the current time, or
-// rejected when the service is built WithStrictTimes.
+// the internal batch simulator replaying the same day in one call —
+// the differential tests in this package hold that guarantee. Every
+// service finds an order's feasible drivers through one spatial index
+// over the fleet; no option selects it, and the reference it is held to
+// is the simulator's exact scan of every driver. Late submissions
+// (timestamps before the service's current time) are processed at the
+// current time, or rejected when the service is built WithStrictTimes.
 //
 // All times are float64 seconds on one market-wide clock, distances are
 // kilometres, money is in abstract currency units — the conventions of
@@ -242,7 +243,7 @@ type Service struct {
 // present from the start. The returned service accepts traffic until
 // Close.
 func New(m Market, opts ...Option) (*Service, error) {
-	cfg := config{policy: MaxMargin, shards: 1, seed: 1}
+	cfg := config{policy: MaxMargin, seed: 1}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -320,9 +321,7 @@ func New(m Market, opts ...Option) (*Service, error) {
 	if cfg.clock != nil {
 		eng.Clock = cfg.clock
 	}
-	if cfg.shards > 1 {
-		eng.SetCandidateSource(sim.NewShardedSource(cfg.shards))
-	}
+	eng.SetCandidateSource(sim.NewGridSource(nil))
 	eng.MatchWorkers = cfg.matchWorkers
 	var st *sim.Stream
 	if s.batched {

@@ -102,7 +102,11 @@ func replayTrace(t *testing.T, tr model.Trace, opts ...Option) *Service {
 // contract: submitting a generated day — churn and cancellations
 // included — event by event through the public Service produces a final
 // result bit-identical to Engine.RunScenario replaying the same trace
-// in one call, for every policy and shard count.
+// in one call over the engine's exact scan, for every policy. The
+// "default" column is the service as a caller with no opinion gets it —
+// dispatch.New binds the indexed source, selected by no option; the
+// shards=N columns, named from before the zone partition was deleted,
+// pass N to the deprecated WithShards, which must change nothing.
 func TestServiceReplayBitIdenticalToBatch(t *testing.T) {
 	const seed = 11
 	policies := []struct {
@@ -127,20 +131,21 @@ func TestServiceReplayBitIdenticalToBatch(t *testing.T) {
 			tr.Events = trace.WithChurn(tr, trace.DefaultChurn(int64(si), sc.churn, sc.cancel))
 		}
 		for _, pol := range policies {
-			for _, shards := range []int{1, 2, 4} {
-				name := fmt.Sprintf("s%d/%v/shards=%d", si, pol.p, shards)
+			for _, shards := range []int{0, 1, 2, 4} { // 0: no WithShards at all
+				name := fmt.Sprintf("s%d/%v/default", si, pol.p)
+				opts := []Option{WithDispatcher(pol.p), WithSeed(seed), WithStrictTimes()}
+				if shards > 0 {
+					name = fmt.Sprintf("s%d/%v/shards=%d", si, pol.p, shards)
+					opts = append(opts, WithShards(shards))
+				}
 				t.Run(name, func(t *testing.T) {
 					eng, err := sim.New(cfg.Market, tr.Drivers, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if shards > 1 {
-						eng.SetCandidateSource(sim.NewShardedSource(shards))
-					}
 					batch := eng.RunScenario(tr.Tasks, tr.Events, pol.d)
 
-					svc := replayTrace(t, tr,
-						WithDispatcher(pol.p), WithShards(shards), WithSeed(seed), WithStrictTimes())
+					svc := replayTrace(t, tr, opts...)
 					stats, err := svc.Close()
 					if err != nil {
 						t.Fatal(err)
@@ -445,7 +450,7 @@ func TestServiceConcurrentSoak(t *testing.T) {
 	for i, d := range tr.Drivers {
 		m.Drivers = append(m.Drivers, pubDriver(i, d, 0))
 	}
-	svc, err := New(m, WithShards(4), WithSeed(5))
+	svc, err := New(m, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,6 @@ type walRecord struct {
 // inputs then replay bit-identically.
 type configFingerprint struct {
 	Policy       string  `json:"policy"`
-	Shards       int     `json:"shards"`
 	MatchWorkers int     `json:"match_workers,omitempty"`
 	RealTime     bool    `json:"real_time,omitempty"`
 	Seed         int64   `json:"seed"`
@@ -75,7 +74,6 @@ type configFingerprint struct {
 func fingerprint(c config) configFingerprint {
 	fp := configFingerprint{
 		Policy:       c.policy.String(),
-		Shards:       c.shards,
 		MatchWorkers: c.matchWorkers,
 		RealTime:     c.realTime,
 		Seed:         c.seed,
@@ -100,9 +98,6 @@ func (fp configFingerprint) options() ([]Option, error) {
 		return nil, fmt.Errorf("dispatch: restoring config: %w", err)
 	}
 	opts := []Option{WithDispatcher(pol), WithSeed(fp.Seed)}
-	if fp.Shards > 1 {
-		opts = append(opts, WithShards(fp.Shards))
-	}
 	if fp.MatchWorkers > 1 {
 		opts = append(opts, WithMatchWorkers(fp.MatchWorkers))
 	}

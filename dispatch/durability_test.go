@@ -82,8 +82,11 @@ func applyFeed(t *testing.T, svc *Service, tr model.Trace, items []durItem) {
 // abandoned, never flushed gracefully) and rebuilt with Restore, then
 // driven through the remainder of the day, settles books BIT-IDENTICAL
 // to an uninterrupted in-memory run — across churn/cancel traces,
-// instant and batched dispatch, shard counts 1, 2 and 4, with and
-// without snapshots bounding the replay.
+// instant and batched dispatch, with and without snapshots bounding the
+// replay. The shards-N columns predate the deletion of the zone
+// partition: N goes to the deprecated WithShards, which journals
+// nothing and changes nothing, and each column draws its own kill
+// points from the shared generator.
 func TestDurableRestoreDifferential(t *testing.T) {
 	cfg := trace.NewConfig(61, 110, 22, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)

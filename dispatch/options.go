@@ -146,7 +146,6 @@ func (c scaledClock) Advance(from, to float64) {
 
 type config struct {
 	policy       Policy
-	shards       int
 	matchWorkers int
 	realTime     bool
 	clock        Clock
@@ -177,16 +176,16 @@ func WithDispatcher(p Policy) Option {
 	}
 }
 
-// WithShards runs candidate generation over n zone shards.
-// Assignments are bit-identical for every shard count — only throughput
-// changes — so the knob is purely operational. n must be ≥ 1; values
-// above 1 enable the sharded source.
+// WithShards checks that n ≥ 1 and changes nothing.
+//
+// Deprecated: every service generates candidates through one spatial
+// index and no count selects anything; only the frozen benchmark/ still
+// calls this.
 func WithShards(n int) Option {
-	return func(c *config) error {
+	return func(*config) error {
 		if n < 1 {
 			return fmt.Errorf("%w: shards %d, want ≥ 1", ErrInvalidOption, n)
 		}
-		c.shards = n
 		return nil
 	}
 }
@@ -195,9 +194,9 @@ func WithShards(n int) Option {
 // solve each window's independent task–driver components concurrently
 // (a window over a city fleet decomposes into many small components;
 // see WithBatching). Assignments are bit-identical for every worker
-// count — the knob is purely operational, like WithShards. n must be
-// ≥ 1; 1 (the default) solves serially. It has no effect on an
-// instant-dispatch service.
+// count — the knob is purely operational. n must be ≥ 1; 1 (the
+// default) solves serially. It has no effect on an instant-dispatch
+// service.
 func WithMatchWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -217,9 +216,9 @@ func WithMatchWorkers(n int) Option {
 // window closes (followed by an EventBatchClosed entry carrying the
 // window's stats) and is queryable via Decision. The window must be a
 // positive, finite number of seconds; anything else is rejected with
-// ErrInvalidOption. WithBatching composes with WithShards, WithClock,
-// WithSeed, WithStrictTimes and WithRealTime (which additionally closes
-// due windows on the wall clock — see its comment); the WithDispatcher
+// ErrInvalidOption. WithBatching composes with WithClock, WithSeed,
+// WithStrictTimes and WithRealTime (which additionally closes due
+// windows on the wall clock — see its comment); the WithDispatcher
 // policy is not consulted in batched mode.
 func WithBatching(window float64, algo BatchAlgorithm) Option {
 	return func(c *config) error {

@@ -23,8 +23,8 @@ type RoadNetwork struct {
 	// Seed drives the generator's street removal, diagonal avenues and
 	// node jitter.
 	Seed int64 `json:"seed,omitempty"`
-	// CacheEntries bounds the router's route cache (node pairs held
-	// across all shards); must be ≥ 0, where 0 means the default.
+	// CacheEntries bounds the router's route cache (node pairs held in
+	// all); must be ≥ 0, where 0 means the default.
 	CacheEntries int `json:"cache_entries,omitempty"`
 	// Algo selects the routing kernel: "" or "ch" for contraction
 	// hierarchies (the default; enables one-to-many candidate
@@ -117,9 +117,11 @@ func WithRoadNetwork(rn RoadNetwork) Option {
 
 // WithDistanceFunc replaces the market metric with an arbitrary
 // kilometre distance function. The function must be non-negative,
-// finite, safe for concurrent calls, and should
-// dominate crow-fly distance if candidate ring pruning is to stay
-// exact; the service calls it on every feasibility and cost evaluation.
+// finite, safe for concurrent calls, and must never return less than
+// 0.9 × the crow-fly (equirectangular) distance: every service prunes
+// candidates through a spatial index by that bound, and a metric that
+// undercuts it silently loses feasible drivers. The service calls it
+// on every feasibility and cost evaluation.
 // An arbitrary function cannot be journaled, so this option refuses to
 // combine with WithDurability — use WithRoadNetwork for a durable
 // network metric. Mutually exclusive with WithRoadNetwork.

@@ -49,7 +49,9 @@ func TestWithRoadNetworkChangesOutcome(t *testing.T) {
 
 // TestWithRoadNetworkShardWorkerIdentity: under the network metric the
 // operational knobs stay purely operational — batched days are
-// bit-identical across shard and match-worker counts.
+// bit-identical across match-worker counts, and across whatever count
+// the deprecated WithShards is handed (the test and its columns are
+// named from before the zone partition was deleted, and go with it).
 func TestWithRoadNetworkShardWorkerIdentity(t *testing.T) {
 	cfg := trace.NewConfig(73, 110, 60, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
@@ -84,8 +86,8 @@ func TestWithRoadNetworkShardWorkerIdentity(t *testing.T) {
 }
 
 // TestWithRoadNetworkAlgoIdentity: the routing kernel must be invisible
-// in the books. Full trace replays — instant and batched, across shard
-// and match-worker counts, under churn — settle bit-identically whether
+// in the books. Full trace replays — instant and batched, across
+// match-worker counts, under churn — settle bit-identically whether
 // the router runs contraction hierarchies or landmark A*, because both
 // kernels return bitwise-equal distances (and the CH one-to-many batch
 // path is bitwise-equal to looped lookups).
@@ -97,15 +99,11 @@ func TestWithRoadNetworkAlgoIdentity(t *testing.T) {
 	for _, batched := range []bool{false, true} {
 		var want *sim.Result
 		for _, algo := range []string{"ch", "alt"} {
-			for _, sw := range [][2]int{{1, 1}, {2, 2}, {4, 4}} {
-				shards, workers := sw[0], sw[1]
-				name := fmt.Sprintf("batched-%v-%s-shards-%d-workers-%d", batched, algo, shards, workers)
+			for _, workers := range []int{1, 2, 4} {
+				name := fmt.Sprintf("batched-%v-%s-workers-%d", batched, algo, workers)
 				opts := []Option{WithSeed(5), WithRoadNetwork(RoadNetwork{Rows: 12, Cols: 14, Algo: algo})}
 				if batched {
 					opts = append(opts, WithBatching(45, Hungarian))
-				}
-				if shards > 1 {
-					opts = append(opts, WithShards(shards))
 				}
 				if workers > 1 {
 					opts = append(opts, WithMatchWorkers(workers))

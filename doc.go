@@ -3,15 +3,14 @@
 // 2017), grown into a system that serves the paper's online market as
 // live traffic: a generalized two-sided market model, an offline greedy
 // algorithm with a tight 1/(D+1) approximation ratio, online dispatch
-// heuristics over an event-driven zone-sharded engine, and a streaming
-// dispatch service with an HTTP front end.
+// heuristics over an event-driven engine with a spatial candidate
+// index, and a streaming dispatch service with an HTTP front end.
 //
 // Start at the dispatch package — the repository's public API and the
 // intended entry point for consumers:
 //
 //	svc, _ := dispatch.New(dispatch.Market{Drivers: fleet},
-//	    dispatch.WithDispatcher(dispatch.MaxMargin),
-//	    dispatch.WithShards(4))
+//	    dispatch.WithDispatcher(dispatch.MaxMargin))
 //	a, _ := svc.SubmitTask(ctx, order) // instant decision
 //	stats, _ := svc.Close()            // settled books
 //

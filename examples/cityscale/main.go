@@ -1,12 +1,12 @@
 // Cityscale runs one online day at a fleet size the paper's evaluation
 // never reaches (its §VI sweep tops out at 300 drivers): ten thousand
-// drivers against a day of orders, dispatched through every candidate
-// source — the exact linear scan of Algorithms 3–4, the grid-indexed
-// pre-filter, and the zone-sharded engine — to show that indexing and
-// sharding change the wall-clock, never the market outcome. It then
-// replays the same day under driver churn and rider cancellations (the
-// dynamics the paper's static fleet could not express) and finishes
-// with the parallel experiment sweep that regenerates Figs 6–9.
+// drivers against a day of orders, dispatched through both candidate
+// sources — the exact linear scan of Algorithms 3–4 and the spatial
+// index's pre-filter — to show that indexing changes the wall-clock,
+// never the market outcome. It then replays the same day under driver
+// churn and rider cancellations (the dynamics the paper's static fleet
+// could not express) and finishes with the parallel experiment sweep
+// that regenerates Figs 6–9.
 //
 // Run with:
 //
@@ -45,19 +45,11 @@ func main() {
 	}
 
 	scan := run("linear scan", nil)
-	for _, alt := range []struct {
-		label string
-		src   sim.CandidateSource
-	}{
-		{"grid-indexed", sim.NewGridSource(nil)},
-		{"sharded(4)", sim.NewShardedSource(4)},
-	} {
-		res := run(alt.label, alt.src)
-		if scan.Served != res.Served || scan.Revenue != res.Revenue || scan.TotalProfit != res.TotalProfit {
-			log.Fatalf("cityscale: %s run diverged from the scan — this is a bug", alt.label)
-		}
+	indexed := run("indexed", sim.NewGridSource(nil))
+	if scan.Served != indexed.Served || scan.Revenue != indexed.Revenue || scan.TotalProfit != indexed.TotalProfit {
+		log.Fatal("cityscale: indexed run diverged from the scan — this is a bug")
 	}
-	fmt.Println("\nidentical outcomes; indexing and sharding only change who gets examined, not who gets picked")
+	fmt.Println("\nidentical outcomes; the index only changes who gets examined, not who gets picked")
 
 	// The same day as a two-sided market really experiences it: part of
 	// the fleet joins mid-day, part retires early, some riders cancel.
@@ -68,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng.SetCandidateSource(sim.NewShardedSource(4))
+	eng.SetCandidateSource(sim.NewGridSource(nil))
 	churnStart := time.Now()
 	churned := eng.RunScenario(tr.Tasks, events, online.MaxMargin{})
 	fmt.Printf("\nchurned day (%d events): served %d (static day: %d), %d rides cancelled before pickup, in %v\n",

@@ -44,7 +44,6 @@ func main() {
 	}
 	svc, err := dispatch.New(market,
 		dispatch.WithDispatcher(dispatch.MaxMargin),
-		dispatch.WithShards(4),
 		dispatch.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)

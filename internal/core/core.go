@@ -150,12 +150,6 @@ type OnlineSolver struct {
 	Dispatcher sim.Dispatcher
 	Seed       int64
 	ByValue    bool
-
-	// Shards > 1 dispatches through the zone-sharded candidate source.
-	// Results are bit-identical to the default sequential scan (a
-	// differential-test guarantee of the sim package); only throughput
-	// changes.
-	Shards int
 }
 
 var _ Solver = OnlineSolver{}
@@ -174,9 +168,6 @@ func (o OnlineSolver) Solve(p *Problem) (Solution, error) {
 	eng, err := sim.New(p.Market, p.Drivers, o.Seed)
 	if err != nil {
 		return Solution{}, err
-	}
-	if o.Shards > 1 {
-		eng.SetCandidateSource(sim.NewShardedSource(o.Shards))
 	}
 	var res sim.Result
 	if o.ByValue {

@@ -50,12 +50,6 @@ type Config struct {
 	// study over this many consecutive seeds (Seed, Seed+1, …); 0 or 1
 	// reproduces the single-seed sweep.
 	Replications int
-
-	// Shards > 1 runs every online simulation through the zone-sharded
-	// candidate source. Series are bit-identical for any value (the sim
-	// differential tests prove it); the knob exists so large sweeps can
-	// use the faster engine.
-	Shards int
 }
 
 // replications normalizes the Replications field.
@@ -183,7 +177,7 @@ func Fig5PerformanceRatio(ctx context.Context, cfg Config, dm trace.DriverModel)
 		if err != nil {
 			return err
 		}
-		sols, err := solveAll(p, seed, cfg.Shards)
+		sols, err := solveAll(p, seed)
 		if err != nil {
 			return err
 		}
@@ -256,7 +250,7 @@ func RunDensitySweep(ctx context.Context, cfg Config) (DensityMetrics, error) {
 		if err != nil {
 			return err
 		}
-		sols, err := solveAll(p, seed, cfg.Shards)
+		sols, err := solveAll(p, seed)
 		if err != nil {
 			return err
 		}
@@ -321,11 +315,11 @@ func buildProblem(cfg Config, seed int64, drivers int, dm trace.DriverModel) (*c
 
 // solveAll runs the three algorithms of Fig. 5 in the canonical order
 // Greedy, maxMargin, Nearest.
-func solveAll(p *core.Problem, seed int64, shards int) ([]core.Solution, error) {
+func solveAll(p *core.Problem, seed int64) ([]core.Solution, error) {
 	solvers := []core.Solver{
 		core.GreedySolver{},
-		core.OnlineSolver{Dispatcher: online.MaxMargin{}, Seed: seed, Shards: shards},
-		core.OnlineSolver{Dispatcher: online.Nearest{}, Seed: seed, Shards: shards},
+		core.OnlineSolver{Dispatcher: online.MaxMargin{}, Seed: seed},
+		core.OnlineSolver{Dispatcher: online.Nearest{}, Seed: seed},
 	}
 	out := make([]core.Solution, len(solvers))
 	for i, s := range solvers {

@@ -282,7 +282,7 @@ type ChurnRow struct {
 // knobs shrink what the dispatcher can do). Each rate averages over
 // cfg.Replications consecutive seeds and every (rate, seed) point runs
 // concurrently on cfg.Workers workers, simulated with maxMargin
-// dispatch on the event-driven engine (sharded per cfg.Shards).
+// dispatch on the event-driven engine.
 //
 // Rate 0 reproduces the static Figs 6–9 market exactly, which anchors
 // the curves: everything the sweep shows beyond the first point is
@@ -302,9 +302,6 @@ func ChurnSweep(ctx context.Context, cfg Config, drivers int, rates []float64) (
 		eng, err := sim.New(tcfg.Market, tr.Drivers, seed)
 		if err != nil {
 			return err
-		}
-		if cfg.Shards > 1 {
-			eng.SetCandidateSource(sim.NewShardedSource(cfg.Shards))
 		}
 		res := eng.RunScenario(tr.Tasks, events, online.MaxMargin{})
 		pts[k] = point{res.Served, res.Cancelled, res.TotalProfit, res.Revenue}

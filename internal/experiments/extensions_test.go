@@ -129,19 +129,6 @@ func TestChurnSweepShapes(t *testing.T) {
 		}
 	}
 
-	// Sharded engine: identical rows (the sweep is an experiments-layer
-	// restatement of the sim differential guarantee).
-	cfg.Shards = 4
-	sharded, err := ChurnSweep(context.Background(), cfg, 15, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if rows[i] != sharded[i] {
-			t.Errorf("rate %.2f: sharded row %+v != scan row %+v", rates[i], sharded[i], rows[i])
-		}
-	}
-
 	fig := ChurnFigure(rows)
 	if fig.ID != "ext-churn" || len(fig.Series) != 3 {
 		t.Fatal("bad churn figure")

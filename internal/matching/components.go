@@ -1,14 +1,15 @@
 package matching
 
-// ComponentScratch is the exported sibling of SparseSolver's private
-// union-find: it splits a Sparse bipartite instance into connected
-// row–column components and lays both sides out in canonical order, so
-// callers outside the window-matching path (the offline oracle rail
-// solves each hindsight component independently) can reuse the same
-// path-halving machinery and pooling discipline without going through
-// a matching solve. The zero value is ready to use; buffers are grown
-// to the high-water mark and reused across calls, and all returned
-// layout slices alias the scratch — valid until the next Decompose.
+// ComponentScratch is the package's one union-find: it splits a Sparse
+// bipartite instance into connected row–column components and lays
+// both sides out in canonical order. SparseSolver runs its row half
+// (decomposeRows) before every solve; callers outside the
+// window-matching path (the offline oracle rail solves each hindsight
+// component independently) take both sides from Decompose without
+// going through a matching solve. The zero value is ready to use;
+// buffers are grown to the high-water mark and reused across calls, and
+// all returned layout slices alias the scratch — valid until the next
+// Decompose.
 type ComponentScratch struct {
 	parent   []int
 	firstRow []int
@@ -37,11 +38,11 @@ func (cs *ComponentScratch) find(r int) int {
 	return r
 }
 
-// Decompose runs the union-find over sp's edges and fills the scratch
-// layout. It returns the component count. sp is assumed valid (see
-// Sparse.Validate); rows sharing any column are merged, exactly as the
-// sparse window solver does.
-func (cs *ComponentScratch) Decompose(sp Sparse) int {
+// decomposeRows runs the union-find over sp's edges — rows sharing any
+// column are merged — and fills the row half of the layout: CompOfRow,
+// RowPtr and RowsByComp. It returns the component count. sp is assumed
+// valid (see Sparse.Validate).
+func (cs *ComponentScratch) decomposeRows(sp Sparse) int {
 	cs.parent = grownInt(cs.parent, sp.Rows)
 	for r := range cs.parent {
 		cs.parent[r] = r
@@ -78,17 +79,8 @@ func (cs *ComponentScratch) Decompose(sp Sparse) int {
 		}
 		cs.CompOfRow[r] = cs.CompOfRow[root]
 	}
-	// Columns inherit the component of the first row that touched them.
-	cs.CompOfCol = grownInt(cs.CompOfCol, sp.Cols)
-	for c := 0; c < sp.Cols; c++ {
-		if cs.firstRow[c] < 0 {
-			cs.CompOfCol[c] = -1
-		} else {
-			cs.CompOfCol[c] = cs.CompOfRow[cs.firstRow[c]]
-		}
-	}
-	// Counting-sort both sides; scanning ids ascending keeps each
-	// component's member lists ascending.
+	// Counting-sort the rows into their components; scanning ids
+	// ascending keeps each component's member list ascending.
 	cs.RowPtr = grownInt(cs.RowPtr, ncomp+1)
 	for c := 0; c <= ncomp; c++ {
 		cs.RowPtr[c] = 0
@@ -108,6 +100,24 @@ func (cs *ComponentScratch) Decompose(sp Sparse) int {
 		c := cs.CompOfRow[r]
 		cs.RowsByComp[cursors[c]] = r
 		cursors[c]++
+	}
+	return ncomp
+}
+
+// Decompose splits sp into components and fills the whole scratch
+// layout, rows (decomposeRows) and columns. It returns the component
+// count.
+func (cs *ComponentScratch) Decompose(sp Sparse) int {
+	ncomp := cs.decomposeRows(sp)
+	// Columns inherit the component of the first row that touched them,
+	// and are counting-sorted the way the rows were.
+	cs.CompOfCol = grownInt(cs.CompOfCol, sp.Cols)
+	for c := 0; c < sp.Cols; c++ {
+		if cs.firstRow[c] < 0 {
+			cs.CompOfCol[c] = -1
+		} else {
+			cs.CompOfCol[c] = cs.CompOfRow[cs.firstRow[c]]
+		}
 	}
 	cs.ColPtr = grownInt(cs.ColPtr, ncomp+1)
 	for c := 0; c <= ncomp; c++ {

@@ -52,10 +52,48 @@ func TestComponentScratchBasic(t *testing.T) {
 	}
 }
 
+// floodFillRows labels each row with its component — rows are joined by
+// any column they share — numbering components by smallest member row.
+func floodFillRows(nc int, rows [][]int) []int {
+	byCol := make([][]int, nc)
+	for r, cols := range rows {
+		for _, c := range cols {
+			byCol[c] = append(byCol[c], r)
+		}
+	}
+	comp := make([]int, len(rows))
+	for r := range comp {
+		comp[r] = -1
+	}
+	n := 0
+	for r := range rows {
+		if comp[r] >= 0 {
+			continue
+		}
+		comp[r] = n
+		for stack := []int{r}; len(stack) > 0; {
+			at := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, c := range rows[at] {
+				for _, nb := range byCol[c] {
+					if comp[nb] < 0 {
+						comp[nb] = n
+						stack = append(stack, nb)
+					}
+				}
+			}
+		}
+		n++
+	}
+	return comp
+}
+
 // TestComponentScratchMatchesSolver fuzzes random instances and checks
-// the exported decomposition agrees with SparseSolver's private one on
-// row labeling and layout, and that the column layout is consistent
-// with the row labels.
+// that the row half on its own — what SparseSolver runs before a solve,
+// on its own pooled scratch — agrees with the full decomposition on row
+// labeling and layout, that both agree with a flood fill over rows that
+// share a column, and that the column layout is consistent with the row
+// labels.
 func TestComponentScratchMatchesSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var cs ComponentScratch
@@ -88,23 +126,25 @@ func TestComponentScratchMatchesSolver(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := cs.Decompose(sp)
-		nWant := ss.decompose(sp)
+		nWant := ss.comps.decomposeRows(sp)
 		if n != nWant {
 			t.Fatalf("trial %d: ncomp %d, solver %d", trial, n, nWant)
 		}
+		flood := floodFillRows(nc, rows)
 		for r := 0; r < nr; r++ {
-			if cs.CompOfRow[r] != ss.compOf[r] {
-				t.Fatalf("trial %d: CompOfRow[%d] = %d, solver %d", trial, r, cs.CompOfRow[r], ss.compOf[r])
+			if cs.CompOfRow[r] != ss.comps.CompOfRow[r] || cs.CompOfRow[r] != flood[r] {
+				t.Fatalf("trial %d: CompOfRow[%d] = %d, solver %d, flood fill %d",
+					trial, r, cs.CompOfRow[r], ss.comps.CompOfRow[r], flood[r])
 			}
 		}
 		for c := 0; c <= n; c++ {
-			if cs.RowPtr[c] != ss.compPtr[c] {
-				t.Fatalf("trial %d: RowPtr[%d] = %d, solver %d", trial, c, cs.RowPtr[c], ss.compPtr[c])
+			if cs.RowPtr[c] != ss.comps.RowPtr[c] {
+				t.Fatalf("trial %d: RowPtr[%d] = %d, solver %d", trial, c, cs.RowPtr[c], ss.comps.RowPtr[c])
 			}
 		}
 		for i := 0; i < nr; i++ {
-			if cs.RowsByComp[i] != ss.rowsByComp[i] {
-				t.Fatalf("trial %d: RowsByComp[%d] = %d, solver %d", trial, i, cs.RowsByComp[i], ss.rowsByComp[i])
+			if cs.RowsByComp[i] != ss.comps.RowsByComp[i] {
+				t.Fatalf("trial %d: RowsByComp[%d] = %d, solver %d", trial, i, cs.RowsByComp[i], ss.comps.RowsByComp[i])
 			}
 		}
 		// Column side: every edge must stay inside its row's component,

@@ -116,17 +116,11 @@ type SparseSolver struct {
 	// Auction prices over real columns.
 	price []float64
 
-	// Union-find over rows plus the column -> first-row map that
-	// stitches rows sharing a column into one component.
-	parent   []int
-	firstRow []int
-
-	// Component layout: component c owns rows
-	// rowsByComp[compPtr[c]:compPtr[c+1]] in ascending order;
-	// components are numbered by their smallest member row.
-	compOf     []int
-	compPtr    []int
-	rowsByComp []int
+	// The union-find and the component layout it leaves: component c
+	// owns rows comps.RowsByComp[comps.RowPtr[c]:comps.RowPtr[c+1]] in
+	// ascending order; components are numbered by their smallest member
+	// row. Only the row half is filled (decomposeRows).
+	comps ComponentScratch
 
 	// Per-worker scratch: a touched-column list for Hungarian, a bid
 	// queue for Auction. workers[0] serves the serial path.
@@ -159,79 +153,6 @@ func grownBool(s []bool, n int) []bool {
 		s = append(s[:cap(s)], make([]bool, n-cap(s))...)
 	}
 	return s[:n]
-}
-
-func (s *SparseSolver) find(r int) int {
-	for s.parent[r] != r {
-		s.parent[r] = s.parent[s.parent[r]] // path halving
-		r = s.parent[r]
-	}
-	return r
-}
-
-// decompose runs the union-find over the edges and lays the components
-// out canonically: numbered by smallest member row, rows ascending
-// within each. Returns the component count.
-func (s *SparseSolver) decompose(sp Sparse) int {
-	s.parent = grownInt(s.parent, sp.Rows)
-	for r := range s.parent {
-		s.parent[r] = r
-	}
-	s.firstRow = grownInt(s.firstRow, sp.Cols)
-	for c := range s.firstRow {
-		s.firstRow[c] = -1
-	}
-	for r := 0; r < sp.Rows; r++ {
-		for k := sp.RowPtr[r]; k < sp.RowPtr[r+1]; k++ {
-			c := sp.Col[k]
-			if s.firstRow[c] < 0 {
-				s.firstRow[c] = r
-				continue
-			}
-			a, b := s.find(r), s.find(s.firstRow[c])
-			if a != b {
-				s.parent[b] = a
-			}
-		}
-	}
-	// Label members with component ids in order of first appearance, so
-	// ids ascend by smallest member row whatever the union roots are.
-	s.compOf = grownInt(s.compOf, sp.Rows)
-	for r := 0; r < sp.Rows; r++ {
-		s.compOf[r] = -1
-	}
-	ncomp := 0
-	for r := 0; r < sp.Rows; r++ {
-		root := s.find(r)
-		if s.compOf[root] < 0 {
-			s.compOf[root] = ncomp
-			ncomp++
-		}
-		s.compOf[r] = s.compOf[root]
-	}
-	// Counting sort the rows into their components; scanning rows in
-	// ascending order keeps each component's row list ascending.
-	s.compPtr = grownInt(s.compPtr, ncomp+1)
-	for c := 0; c <= ncomp; c++ {
-		s.compPtr[c] = 0
-	}
-	for r := 0; r < sp.Rows; r++ {
-		s.compPtr[s.compOf[r]+1]++
-	}
-	for c := 1; c <= ncomp; c++ {
-		s.compPtr[c] += s.compPtr[c-1]
-	}
-	s.rowsByComp = grownInt(s.rowsByComp, sp.Rows)
-	cursors := s.parent // union-find is settled; reuse as fill cursors
-	for c := 0; c < ncomp; c++ {
-		cursors[c] = s.compPtr[c]
-	}
-	for r := 0; r < sp.Rows; r++ {
-		c := s.compOf[r]
-		s.rowsByComp[cursors[c]] = r
-		cursors[c]++
-	}
-	return ncomp
 }
 
 // ensureWorkers grows the per-worker scratch pool to n entries.
@@ -298,7 +219,7 @@ func (s *SparseSolver) Solve(sp Sparse, kind Kind, eps float64, workers int) (co
 		}
 	}
 
-	ncomp := s.decompose(sp)
+	ncomp := s.comps.decomposeRows(sp)
 	if workers > ncomp {
 		workers = ncomp
 	}
@@ -358,7 +279,7 @@ func (s *SparseSolver) solveParallel(sp Sparse, kind Kind, eps float64, ncomp, w
 
 // solveComponent dispatches one component to the kernel.
 func (s *SparseSolver) solveComponent(sp Sparse, kind Kind, eps float64, comp int, ws *workerScratch) {
-	rows := s.rowsByComp[s.compPtr[comp]:s.compPtr[comp+1]]
+	rows := s.comps.RowsByComp[s.comps.RowPtr[comp]:s.comps.RowPtr[comp+1]]
 	if kind == KindAuction {
 		s.auctionComponent(sp, eps, rows, ws)
 		return

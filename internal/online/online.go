@@ -15,7 +15,7 @@
 // Dispatchers are candidate-source-agnostic: the engine hands them the
 // same candidate slice (ascending driver order — a sim.CandidateSource
 // contract) whether candidates came from the exact linear scan or the
-// grid-indexed pre-filter, so tie-breaking and RNG consumption, and
+// spatial index's pre-filter, so tie-breaking and RNG consumption, and
 // therefore results, are identical under either source.
 package online
 

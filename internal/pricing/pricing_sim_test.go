@@ -15,11 +15,11 @@ import (
 
 // TestSurgePricingThroughFullSimRun closes the gap between the surge
 // pricer's unit tests and the market it actually prices: a full online
-// day is simulated over surge-priced tasks under the exact linear scan,
-// the grid-indexed source and the zone-sharded source, and all three
-// must agree bit-for-bit — the surge multiplier changes what tasks are
-// worth, never who is feasible, so candidate-source choice must be
-// invisible through the whole pricing-to-profit pipeline.
+// day is simulated over surge-priced tasks under the exact linear scan
+// and the indexed source, and the two must agree bit-for-bit — the
+// surge multiplier changes what tasks are worth, never who is feasible,
+// so candidate-source choice must be invisible through the whole
+// pricing-to-profit pipeline.
 func TestSurgePricingThroughFullSimRun(t *testing.T) {
 	cfg := trace.NewConfig(83, 200, 50, trace.Hitchhiking)
 	gen := trace.NewGenerator(cfg)
@@ -65,15 +65,8 @@ func TestSurgePricingThroughFullSimRun(t *testing.T) {
 	}
 
 	scan := run(nil)
-	sources := map[string]sim.CandidateSource{
-		"grid":      sim.NewGridSource(nil),
-		"sharded-1": sim.NewShardedSource(1),
-		"sharded-4": sim.NewShardedSource(4),
-	}
-	for name, src := range sources {
-		if got := run(src); !reflect.DeepEqual(scan, got) {
-			t.Errorf("%s: surge-priced simulation diverges from the linear scan", name)
-		}
+	if got := run(sim.NewGridSource(nil)); !reflect.DeepEqual(scan, got) {
+		t.Error("indexed: surge-priced simulation diverges from the linear scan")
 	}
 
 	// The revenue really is the surged revenue: Σ multiplier·base over

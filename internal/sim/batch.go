@@ -227,7 +227,7 @@ func (e *Engine) closeBatch(r *eventRun, batch []int, decisionAt float64, algo B
 // drivers for a matrix whose decisive columns number a few dozen.
 // Every candidate source produces the identical candidate sets (the
 // differential contract) and both steps are deterministic, so results
-// stay bit-identical across sources and shard counts.
+// stay bit-identical across sources.
 func (e *Engine) closeBatchDense(r *eventRun, batch []int, decisionAt float64, algo BatchAlgorithm) {
 	// Per-task candidate sets — pruned to the decisive top — and the
 	// sorted union of their drivers.
@@ -365,8 +365,8 @@ func selectTop(row []Candidate, k int) {
 // instance lives on the engine and is reused across every window of
 // every batched run, so the steady-state hot path — candidate arena,
 // driver→column maps, the CSR edge arrays and the solver's own scratch
-// — never touches the allocator. Driver-indexed arrays are epoch-
-// stamped instead of cleared: bumping epoch invalidates the whole map
+// — never touches the allocator. Per-driver arrays are epoch-stamped
+// instead of cleared: bumping epoch invalidates the whole map
 // in O(1), and entries for drivers added mid-stream (AddDriver) carry
 // epoch 0, which is never current.
 type windowScratch struct {
@@ -399,8 +399,8 @@ type windowScratch struct {
 // them from every assignment. Rows are laid out in batch order and each
 // row's edges in ascending driver order, so the solve is deterministic
 // and the commit loop below replays decisions in exactly the dense
-// path's order — which is what keeps the two paths, all candidate
-// sources, every shard count and every worker count bit-identical.
+// path's order — which is what keeps the two paths, both candidate
+// sources and every worker count bit-identical.
 func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64, algo BatchAlgorithm) {
 	ws := e.winScratch
 	if ws == nil {

@@ -65,7 +65,7 @@ func (diffRandom) Choose(_ model.Task, cands []Candidate, rng *rand.Rand) int {
 // These differential tests are the correctness contract of the spatial
 // candidate index: on randomized markets — varying grid granularity,
 // driver counts, working models and both availability modes — the
-// grid-indexed engine must produce the *identical* Result (serve counts,
+// indexed engine must produce the *identical* Result (serve counts,
 // revenue, every per-driver assignment sequence, bit-for-bit floats) as
 // the linear-scan engine, for every Run* entry point. The pre-filter may
 // only ever shrink the work, never the candidate set.
@@ -94,7 +94,7 @@ func diffResults(t *testing.T, label string, scan, indexed Result) {
 	if reflect.DeepEqual(scan, indexed) {
 		return
 	}
-	t.Errorf("%s: grid-indexed result diverges from linear scan", label)
+	t.Errorf("%s: indexed result diverges from linear scan", label)
 	if scan.Served != indexed.Served || scan.Rejected != indexed.Rejected {
 		t.Errorf("%s: served/rejected %d/%d vs %d/%d",
 			label, scan.Served, scan.Rejected, indexed.Served, indexed.Rejected)
@@ -152,8 +152,9 @@ func TestGridSourceMatchesScan(t *testing.T) {
 }
 
 // TestGridSourceMatchesScanByValueAndBatched covers the remaining entry
-// points: descending-price processing and batched matching (whose
-// candidate queries happen at the batch close, after the publish time).
+// points: descending-price processing, batched matching (whose
+// candidate queries happen at the batch close, after the publish time)
+// and rolling-horizon replanning.
 func TestGridSourceMatchesScanByValueAndBatched(t *testing.T) {
 	seeds := []int64{11, 12, 13, 14}
 	if testing.Short() {
@@ -174,6 +175,10 @@ func TestGridSourceMatchesScanByValueAndBatched(t *testing.T) {
 				func(e *Engine) Result { return e.RunBatched(tr.Tasks, 30, algo) })
 			diffResults(t, fmt.Sprintf("seed=%d %v", seed, algo), scan, indexed)
 		}
+
+		scan, indexed = runPair(t, cfg.Market, tr.Drivers, seed, false, nil,
+			func(e *Engine) Result { return e.RunReplan(tr.Tasks, 60) })
+		diffResults(t, fmt.Sprintf("seed=%d replan", seed), scan, indexed)
 	}
 }
 
@@ -198,100 +203,11 @@ func TestGridSourceMatchesScanWithSpeedOverrides(t *testing.T) {
 	}
 }
 
-// runWithSource runs one simulation on a fresh engine bound to src.
-func runWithSource(t *testing.T, mkt model.Market, drivers []model.Driver, seed int64,
-	realTime bool, src CandidateSource, run func(e *Engine) Result) Result {
-	t.Helper()
-	e, err := New(mkt, drivers, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.RealTime = realTime
-	if src != nil {
-		e.SetCandidateSource(src)
-	}
-	return run(e)
-}
-
-// shardCounts is the sweep the sharded differential tests run: 1 must
-// reproduce the sequential engine, and every higher count must too.
-var shardCounts = []int{1, 2, 4, 8}
-
-// TestShardedSourceMatchesScan is the determinism contract of the
-// zone-sharded engine: for shard counts 1, 2, 4 and 8, across
-// randomized markets, working models, availability modes and
-// dispatchers, the sharded engine's Result must be reflect.DeepEqual-
-// (and therefore bit-)identical to the sequential linear-scan engine.
-func TestShardedSourceMatchesScan(t *testing.T) {
-	seeds := []int64{31, 32, 33, 34, 35}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	dispatchers := []Dispatcher{diffMaxMargin{}, diffNearest{}, diffRandom{}}
-	for _, seed := range seeds {
-		for _, nDrivers := range []int{3, 40, 150} {
-			for _, dm := range []trace.DriverModel{trace.Hitchhiking, trace.HomeWorkHome} {
-				cfg := trace.NewConfig(seed, 150, nDrivers, dm)
-				tr := trace.NewGenerator(cfg).Generate(nil)
-				for _, realTime := range []bool{false, true} {
-					for _, d := range dispatchers {
-						run := func(e *Engine) Result { return e.Run(tr.Tasks, d) }
-						scan := runWithSource(t, cfg.Market, tr.Drivers, seed, realTime, nil, run)
-						for _, shards := range shardCounts {
-							label := fmt.Sprintf("seed=%d n=%d model=%v rt=%v shards=%d disp=%s",
-								seed, nDrivers, dm, realTime, shards, d.Name())
-							sharded := runWithSource(t, cfg.Market, tr.Drivers, seed, realTime,
-								NewShardedSource(shards), run)
-							diffResults(t, label, scan, sharded)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestShardedSourceMatchesScanAllEntryPoints covers the remaining Run*
-// entry points — by-value ordering, both batched solvers, and
-// rolling-horizon replanning — across the shard sweep.
-func TestShardedSourceMatchesScanAllEntryPoints(t *testing.T) {
-	seeds := []int64{41, 42, 43}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		cfg := trace.NewConfig(seed, 120, 50, trace.Hitchhiking)
-		cfg.PickupWindowMin = 8 * 60 // give batches room to form
-		cfg.PickupWindowMax = 16 * 60
-		tr := trace.NewGenerator(cfg).Generate(nil)
-
-		runs := map[string]func(e *Engine) Result{
-			"by-value": func(e *Engine) Result { return e.RunByValue(tr.Tasks, diffMaxMargin{}) },
-			"batched-hungarian": func(e *Engine) Result {
-				return e.RunBatched(tr.Tasks, 30, BatchHungarian)
-			},
-			"batched-auction": func(e *Engine) Result {
-				return e.RunBatched(tr.Tasks, 30, BatchAuction)
-			},
-			"replan": func(e *Engine) Result { return e.RunReplan(tr.Tasks, 60) },
-		}
-		for name, run := range runs {
-			scan := runWithSource(t, cfg.Market, tr.Drivers, seed, false, nil, run)
-			for _, shards := range shardCounts {
-				sharded := runWithSource(t, cfg.Market, tr.Drivers, seed, false,
-					NewShardedSource(shards), run)
-				diffResults(t, fmt.Sprintf("seed=%d %s shards=%d", seed, name, shards), scan, sharded)
-			}
-		}
-	}
-}
-
-// TestShardedScenarioMatchesScan adds the dynamic workloads — driver
-// churn and rider cancellations — on top of the shard sweep: the
-// sequential scan engine and every sharded engine must agree on the
-// full Result including cancellation accounting, for instant, batched
-// and replanned dispatch.
-func TestShardedScenarioMatchesScan(t *testing.T) {
+// TestGridSourceMatchesScanScenario adds the dynamic workloads — driver
+// churn and rider cancellations: the scan engine and the indexed engine
+// must agree on the full Result including cancellation accounting, for
+// instant, batched and replanned dispatch.
+func TestGridSourceMatchesScanScenario(t *testing.T) {
 	seeds := []int64{51, 52, 53, 54}
 	if testing.Short() {
 		seeds = seeds[:2]
@@ -313,41 +229,12 @@ func TestShardedScenarioMatchesScan(t *testing.T) {
 			"replan": func(e *Engine) Result { return e.RunReplanScenario(tr.Tasks, events, 90) },
 		}
 		for name, run := range runs {
-			scan := runWithSource(t, cfg.Market, tr.Drivers, seed, false, nil, run)
-			grid := runWithSource(t, cfg.Market, tr.Drivers, seed, false, NewGridSource(nil), run)
-			diffResults(t, fmt.Sprintf("seed=%d scenario=%s grid", seed, name), scan, grid)
-			for _, shards := range shardCounts {
-				sharded := runWithSource(t, cfg.Market, tr.Drivers, seed, false,
-					NewShardedSource(shards), run)
-				diffResults(t, fmt.Sprintf("seed=%d scenario=%s shards=%d", seed, name, shards), scan, sharded)
-				if sharded.Cancelled != scan.Cancelled {
-					t.Errorf("seed=%d scenario=%s shards=%d: cancelled %d vs scan %d",
-						seed, name, shards, sharded.Cancelled, scan.Cancelled)
-				}
+			scan, indexed := runPair(t, cfg.Market, tr.Drivers, seed, false, nil, run)
+			diffResults(t, fmt.Sprintf("seed=%d scenario=%s", seed, name), scan, indexed)
+			if indexed.Cancelled != scan.Cancelled {
+				t.Errorf("seed=%d scenario=%s: cancelled %d vs scan %d",
+					seed, name, indexed.Cancelled, scan.Cancelled)
 			}
-		}
-	}
-}
-
-// TestShardedSourceSpeedOverrides: per-driver speeds stretch the
-// reachability radius past zone borders (candidate borrowing).
-func TestShardedSourceSpeedOverrides(t *testing.T) {
-	for _, seed := range []int64{61, 62} {
-		cfg := trace.NewConfig(seed, 120, 60, trace.Hitchhiking)
-		tr := trace.NewGenerator(cfg).Generate(nil)
-		for i := range tr.Drivers {
-			switch i % 3 {
-			case 0:
-				tr.Drivers[i].SpeedKmh = 55
-			case 1:
-				tr.Drivers[i].SpeedKmh = 18
-			}
-		}
-		run := func(e *Engine) Result { return e.Run(tr.Tasks, diffMaxMargin{}) }
-		scan := runWithSource(t, cfg.Market, tr.Drivers, seed, false, nil, run)
-		for _, shards := range shardCounts {
-			sharded := runWithSource(t, cfg.Market, tr.Drivers, seed, false, NewShardedSource(shards), run)
-			diffResults(t, fmt.Sprintf("seed=%d speed-overrides shards=%d", seed, shards), scan, sharded)
 		}
 	}
 }

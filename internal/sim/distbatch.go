@@ -115,7 +115,7 @@ func (e *Engine) orderTerms(task model.Task) orderTerms {
 
 // distBatch is one scoring pass's scratch. Each caller that may score
 // concurrently owns one (the engine for the linear scan, each
-// GridSource, each ShardedSource zone).
+// GridSource).
 type distBatch struct {
 	ids   []int      // surviving driver indices
 	snaps []geo.Snap // batch endpoints (locations, then home dests)

@@ -14,10 +14,10 @@ import (
 // cancellations, driver frees, plus the internal batch-close and
 // replan-round triggers — onto one priority queue and drains it through
 // per-mode handlers. The queue's merge order is total and documented
-// (key, then kind, then sequence number), which is what makes the
-// sharded candidate generation reproducible: any two engines
-// that drain the same events against the same candidate *sets* produce
-// bit-identical results, whatever the shard count.
+// (key, then kind, then sequence number), which is what makes a run
+// reproducible whatever generates its candidates: any two engines that
+// drain the same events against the same candidate *sets* produce
+// bit-identical results.
 
 // eventKind orders same-key events. The ordering is part of the
 // engine's semantics: at one timestamp, fleet changes (join/retire) are

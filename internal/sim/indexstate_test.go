@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -17,24 +18,14 @@ import (
 // expired once the run's clock passes their shift end — on the paths
 // where they could go wrong: a run whose decision times jump around, a
 // restore that builds the index in the middle of the day, a fleet that
-// grows, and the steady-state query that must not allocate.
-
-// indexedSources is every source with an index in it.
-func indexedSources() map[string]func() CandidateSource {
-	srcs := map[string]func() CandidateSource{
-		"grid": func() CandidateSource { return NewGridSource(nil) },
-	}
-	for _, n := range shardCounts {
-		srcs[fmt.Sprintf("sharded-%d", n)] = func() CandidateSource { return NewShardedSource(n) }
-	}
-	return srcs
-}
+// grows — faster, or further north, than the one the index was built
+// over — and the steady-state query that must not allocate.
 
 // TestByValueSourcesMatchScan: RunByValue decides orders in price
 // order, so the decision time and the pickup deadline of successive
 // queries go up and down across the whole day. The index may wake
-// lazily but must never expire, and every source still has to agree
-// with the scan bit for bit.
+// lazily but must never expire, and the indexed source still has to
+// agree with the scan bit for bit.
 func TestByValueSourcesMatchScan(t *testing.T) {
 	seeds := []int64{61, 62, 63}
 	if testing.Short() {
@@ -52,14 +43,11 @@ func TestByValueSourcesMatchScan(t *testing.T) {
 					}
 					return res
 				}
-				scan := runWithSource(t, cfg.Market, tr.Drivers, seed, realTime, nil, run)
+				scan, got := runPair(t, cfg.Market, tr.Drivers, seed, realTime, nil, run)
 				if scan.Served == 0 {
 					t.Fatalf("seed %d: the scan served nothing; the comparison is empty", seed)
 				}
-				for name, mk := range indexedSources() {
-					got := runWithSource(t, cfg.Market, tr.Drivers, seed, realTime, mk(), run)
-					diffResults(t, fmt.Sprintf("by-value seed=%d rt=%v %s %s", seed, realTime, d.Name(), name), scan, got)
-				}
+				diffResults(t, fmt.Sprintf("by-value seed=%d rt=%v %s", seed, realTime, d.Name()), scan, got)
 			}
 		}
 	}
@@ -68,7 +56,7 @@ func TestByValueSourcesMatchScan(t *testing.T) {
 // TestRestoreMidDayMatchesScan: RestoreStream binds the source afresh
 // with the clock far past the horizon a day opens with — most of the
 // fleet has retired, some of it is locked well into the future. The
-// restored run on every indexed source must finish with the books of a
+// restored run on the indexed source must finish with the books of a
 // scan run that was never interrupted.
 func TestRestoreMidDayMatchesScan(t *testing.T) {
 	cfg := trace.NewConfig(71, 260, 80, trace.Hitchhiking)
@@ -100,44 +88,42 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, mk := range indexedSources() {
-			for _, cut := range []int{len(feed) * 6 / 10, len(feed) * 9 / 10} {
-				_, st := open(mk())
-				applyItems(t, st, tr.Tasks, feed[:cut])
-				snap, err := st.CaptureState()
-				if err != nil {
-					t.Fatal(err)
-				}
-				e2, err := New(cfg.Market, tr.Drivers, 9)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e2.SetCandidateSource(mk())
-				var restored *Stream
-				if batched {
-					restored, err = e2.RestoreStream(snap, nil, 60, BatchHungarian)
-				} else {
-					restored, err = e2.RestoreStream(snap, diffNearest{}, 0, 0)
-				}
-				if err != nil {
-					t.Fatalf("%s cut %d: RestoreStream: %v", name, cut, err)
-				}
-				applyItems(t, restored, tr.Tasks, feed[cut:])
-				got, err := restored.Finish()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("batched=%v %s cut %d: restored books diverge from the uninterrupted scan: served %d/%d revenue %.9f/%.9f",
-						batched, name, cut, want.Served, got.Served, want.Revenue, got.Revenue)
-				}
+		for _, cut := range []int{len(feed) * 6 / 10, len(feed) * 9 / 10} {
+			_, st := open(NewGridSource(nil))
+			applyItems(t, st, tr.Tasks, feed[:cut])
+			snap, err := st.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e2, err := New(cfg.Market, tr.Drivers, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e2.SetCandidateSource(NewGridSource(nil))
+			var restored *Stream
+			if batched {
+				restored, err = e2.RestoreStream(snap, nil, 60, BatchHungarian)
+			} else {
+				restored, err = e2.RestoreStream(snap, diffNearest{}, 0, 0)
+			}
+			if err != nil {
+				t.Fatalf("cut %d: RestoreStream: %v", cut, err)
+			}
+			applyItems(t, restored, tr.Tasks, feed[cut:])
+			got, err := restored.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("batched=%v cut %d: restored books diverge from the uninterrupted scan: served %d/%d revenue %.9f/%.9f",
+					batched, cut, want.Served, got.Served, want.Revenue, got.Revenue)
 			}
 		}
 	}
 }
 
-// TestAddedDriverFasterThanFleet: the indexed sources size their
-// reachability radius by the fastest driver they know. A driver added
+// TestAddedDriverFasterThanFleet: the indexed source sizes its
+// reachability radius by the fastest driver it knows. A driver added
 // mid-day who is faster than everyone the source was bound with, and
 // who can make a pickup only because she is, must widen that radius.
 func TestAddedDriverFasterThanFleet(t *testing.T) {
@@ -154,9 +140,10 @@ func TestAddedDriverFasterThanFleet(t *testing.T) {
 	order := model.Task{ID: 0, Publish: 1000, Source: base, Dest: at(0.01, 0.01),
 		StartBy: 1000 + 8*60, EndBy: 1000 + 3600, Price: 30, WTP: 40}
 
-	srcs := indexedSources()
-	srcs["scan"] = func() CandidateSource { return nil }
-	for name, mk := range srcs {
+	for name, mk := range map[string]func() CandidateSource{
+		"scan":    func() CandidateSource { return nil },
+		"indexed": func() CandidateSource { return NewGridSource(nil) },
+	} {
 		e, err := New(mkt, slow, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -181,6 +168,103 @@ func TestAddedDriverFasterThanFleet(t *testing.T) {
 			t.Errorf("%s: the fast newcomer was not found: %+v", name, dec)
 		}
 	}
+}
+
+// TestAddedDriversPolewardOfGrid: the index scales longitudes by the
+// smallest cosine over the grid it was bound with, which understates
+// east-west distances only at latitudes near the grid's. Half of this
+// day's fleet is announced mid-day 20° north of the half the source was
+// bound over, where the same degrees of longitude are two thirds the
+// kilometres: a source that kept the southern scale for them would
+// prune northern drivers who can make their pickups. The streamed day
+// must settle the scan's books bit for bit, northern rides included.
+func TestAddedDriversPolewardOfGrid(t *testing.T) {
+	gen := func(seed int64, dLat float64) model.Trace {
+		cfg := trace.NewConfig(seed, 160, 120, trace.Hitchhiking)
+		cfg.PickupWindowMin = 8 * 60 // radii of 4–8 km: wide enough to lose someone
+		cfg.PickupWindowMax = 16 * 60
+		tr := trace.NewGenerator(cfg).Generate(nil)
+		for i := range tr.Drivers {
+			tr.Drivers[i].Source.Lat += dLat
+			tr.Drivers[i].Dest.Lat += dLat
+		}
+		for i := range tr.Tasks {
+			tr.Tasks[i].Source.Lat += dLat
+			tr.Tasks[i].Dest.Lat += dLat
+		}
+		return tr
+	}
+	south, north := gen(91, 0), gen(92, 20)
+	tasks := slices.Concat(south.Tasks, north.Tasks)
+	slices.SortStableFunc(tasks, func(a, b model.Task) int { return cmp.Compare(a.Publish, b.Publish) })
+	const announced = 6 * 3600.0
+
+	day := func(src CandidateSource) Result {
+		e, err := New(model.DefaultMarket(), south.Drivers, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetCandidateSource(src)
+		// diffRandom draws among all candidates: losing any one shows.
+		st, err := e.NewStream(diffRandom{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := false
+		for _, task := range tasks {
+			if !joined && task.Publish >= announced {
+				joined = true
+				if err := st.AdvanceTo(announced); err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range north.Drivers {
+					if _, err := st.AddDriver(d, announced); err != nil {
+						t.Fatalf("AddDriver: %v", err)
+					}
+				}
+			}
+			if _, err := st.SubmitTask(task); err != nil {
+				t.Fatalf("SubmitTask: %v", err)
+			}
+		}
+		res, err := st.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	scan := day(nil)
+	northern := 0
+	for _, n := range scan.PerDriverTasks[len(south.Drivers):] {
+		northern += n
+	}
+	if northern == 0 {
+		t.Fatal("the scan gave the northern drivers nothing; the comparison is empty")
+	}
+	diffResults(t, "fleet announced 20° north of the bound grid", scan, day(NewGridSource(nil)))
+}
+
+// TestAddedDriverPolewardOfStaticGridPanics: a configured grid cannot
+// be laid out again, so a newcomer it cannot cover is refused the way
+// Bind refuses a fleet it cannot cover.
+func TestAddedDriverPolewardOfStaticGridPanics(t *testing.T) {
+	porto := geo.PortoBox.Center()
+	e, err := New(model.DefaultMarket(), []model.Driver{{ID: 0, Source: porto, Dest: porto, Start: 0, End: 7200}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetCandidateSource(NewGridSource(geo.NewGrid(geo.PortoBox, 8, 8)))
+	st, err := e.NewStream(diffMaxMargin{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a driver 20° north of a configured Porto grid was indexed without a word")
+		}
+	}()
+	helsinki := geo.Point{Lat: 60.17, Lon: 24.94}
+	st.AddDriver(model.Driver{ID: 1, Source: helsinki, Dest: helsinki, Start: 0, End: 7200}, 0)
 }
 
 // TestSelectTopKeepsTheSortedTop: the quickselect must keep exactly the
@@ -233,7 +317,7 @@ func TestShardedCandidatesZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewShardedSource(2)
+	src := NewGridSource(nil)
 	e.SetCandidateSource(src)
 	if _, err := e.NewStream(diffMaxMargin{}, nil); err != nil {
 		t.Fatal(err)

@@ -25,9 +25,9 @@ import (
 //
 // Every feed point sits on the single-goroutine event drain, so the
 // observation order is a pure function of the event merge order — the
-// same differential discipline as candidate generation: sources, shard
-// counts and match workers cannot change it, and results stay
-// bit-identical across all of them (see livepricing_test.go). The
+// same differential discipline as candidate generation: sources and
+// match workers cannot change it, and results stay bit-identical
+// across all of them (see livepricing_test.go). The
 // pricer is Reset at the start of every run so repeated days are
 // reproducible.
 

@@ -129,7 +129,7 @@ func TestLiveSurgeMovesPrices(t *testing.T) {
 
 // TestLiveSurgeDifferential is the live-pricing half of the
 // differential wall: with a surge pricer fed from the event loop, every
-// candidate source × shard count × match-worker count must still
+// candidate source × match-worker count must still
 // produce bit-identical results, because every feed point sits on the
 // single-goroutine event drain. Churn and cancellations included.
 func TestLiveSurgeDifferential(t *testing.T) {
@@ -147,13 +147,9 @@ func TestLiveSurgeDifferential(t *testing.T) {
 	variants := []variant{
 		{"scan", func() CandidateSource { return nil }, 1},
 	}
-	for _, shards := range []int{1, 2, 4} {
-		n := shards
-		variants = append(variants, variant{
-			name: "sharded", src: func() CandidateSource { return NewShardedSource(n) }, workers: n,
-		})
+	for _, workers := range []int{1, 2, 4} {
+		variants = append(variants, variant{"indexed", func() CandidateSource { return NewGridSource(nil) }, workers})
 	}
-	variants = append(variants, variant{"grid", func() CandidateSource { return NewGridSource(nil) }, 2})
 
 	run := func(v variant, batched bool) Result {
 		eng, err := New(cfg.Market, tr.Drivers, 1)

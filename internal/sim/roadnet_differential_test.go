@@ -11,9 +11,9 @@ import (
 
 // TestRoadNetworkMetricDifferential is the network-metric property
 // wall: with Market.Dist swapped from crow-fly to the roadnet router,
-// an engine day must stay bit-identical across ScanSource, GridSource
-// and ShardedSource × shards {1,2,4} × match workers {1,2,4} × routing
-// kernel (CH vs ALT) × batched distance hook (installed vs absent),
+// an engine day must stay bit-identical across ScanSource and
+// GridSource × match workers {1,2,4} × routing kernel (CH vs ALT) ×
+// batched distance hook (installed vs absent),
 // under churn and cancellations, for both instant and batched dispatch.
 // The router's shared cache is exercised concurrently by the match
 // workers, so this doubles as a determinism check on the singleflight
@@ -49,27 +49,17 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 	type variant struct {
 		name    string
 		src     func() CandidateSource
-		shards  int
 		workers int
 		alt     bool // route with the ALT kernel instead of CH
 		batch   bool // install the one-to-many scoring hook
 	}
 	var variants []variant
-	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 0, 1, false, false})
-	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 0, 1, false, true})
-	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 0, 1, true, false})
-	variants = append(variants, variant{"grid", func() CandidateSource { return NewGridSource(nil) }, 0, 2, false, true})
-	variants = append(variants, variant{"grid", func() CandidateSource { return NewGridSource(nil) }, 0, 2, true, false})
-	for _, s := range []int{1, 2, 4} {
-		for _, w := range []int{1, 2, 4} {
-			s, w := s, w
-			variants = append(variants, variant{
-				"sharded", func() CandidateSource { return NewShardedSource(s) }, s, w, false, true,
-			})
-			variants = append(variants, variant{
-				"sharded", func() CandidateSource { return NewShardedSource(s) }, s, w, true, false,
-			})
-		}
+	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 1, false, false})
+	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 1, false, true})
+	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 1, true, false})
+	for _, w := range []int{1, 2, 4} {
+		variants = append(variants, variant{"indexed", func() CandidateSource { return NewGridSource(nil) }, w, false, true})
+		variants = append(variants, variant{"indexed", func() CandidateSource { return NewGridSource(nil) }, w, true, false})
 	}
 
 	engine := func(v variant) *Engine {
@@ -155,16 +145,16 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 		}
 		for _, v := range variants[1:] {
 			if got := run(v, batched); !reflect.DeepEqual(want, got) {
-				t.Errorf("batched=%v: %s(shards=%d,workers=%d,alt=%v,batch=%v) diverges from scan under network metric: served %d vs %d, revenue %.9f vs %.9f — this is a bug",
-					batched, v.name, v.shards, v.workers, v.alt, v.batch, got.Served, want.Served, got.Revenue, want.Revenue)
+				t.Errorf("batched=%v: %s(workers=%d,alt=%v,batch=%v) diverges from scan under network metric: served %d vs %d, revenue %.9f vs %.9f — this is a bug",
+					batched, v.name, v.workers, v.alt, v.batch, got.Served, want.Served, got.Revenue, want.Revenue)
 			}
 			if !v.batch {
 				continue
 			}
 			for _, sameEngine := range []bool{true, false} {
 				if got := suspended(v, batched, sameEngine); !reflect.DeepEqual(want, got) {
-					t.Errorf("batched=%v: %s(shards=%d,workers=%d) suspended and restored mid-day (same engine: %v) diverges from scan: served %d vs %d, cancelled %d vs %d, revenue %.9f vs %.9f — this is a bug",
-						batched, v.name, v.shards, v.workers, sameEngine, got.Served, want.Served, got.Cancelled, want.Cancelled, got.Revenue, want.Revenue)
+					t.Errorf("batched=%v: %s(workers=%d) suspended and restored mid-day (same engine: %v) diverges from scan: served %d vs %d, cancelled %d vs %d, revenue %.9f vs %.9f — this is a bug",
+						batched, v.name, v.workers, sameEngine, got.Served, want.Served, got.Cancelled, want.Cancelled, got.Revenue, want.Revenue)
 				}
 			}
 		}
@@ -270,7 +260,7 @@ func TestScoringSnapsOncePerMove(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := &snapCountingSource{CandidateSource: NewShardedSource(2), router: router}
+		src := &snapCountingSource{CandidateSource: NewGridSource(nil), router: router}
 		eng.SetCandidateSource(src)
 
 		dayStart := router.Snaps()

@@ -8,9 +8,8 @@
 // onto one priority queue (see event.go) drained through a pluggable
 // Clock, with a total, documented merge order for same-timestamp
 // events. Candidate generation is pluggable too (CandidateSource):
-// the exact linear scan, a grid-indexed pre-filter, and a zone-sharded
-// source that queries per-zone spatial indexes all yield bit-identical
-// results; only the wall-clock changes.
+// the exact linear scan and a pre-filter over one spatial index yield
+// bit-identical results; only the wall-clock changes.
 //
 // The engine owns market state (driver positions, availability, earnings)
 // and computes the candidate set for each arriving task exactly as
@@ -57,12 +56,11 @@ type Dispatcher interface {
 
 // CandidateSource enumerates the feasible drivers for an arriving task.
 // It is the engine's pluggable answer to "who can serve this?": the
-// linear scan evaluates every driver (exact, O(N) per task), the
-// grid-indexed source pre-filters with a spatial index, and the sharded
-// source partitions the fleet into per-zone indexes — all
-// running the same exact feasibility checks on the survivors, so every
-// source produces identical candidate sets and therefore bit-identical
-// simulation results.
+// linear scan evaluates every driver (exact, O(N) per task) and
+// GridSource pre-filters with a spatial index — both running the same
+// exact feasibility checks on the survivors, so every source produces
+// identical candidate sets and therefore bit-identical simulation
+// results.
 //
 // Implementations must append candidates in ascending driver order: the
 // dispatchers' tie-breaking (and their consumption of the engine's RNG)
@@ -178,7 +176,7 @@ type Engine struct {
 	// independent task–driver components concurrently; values below 2
 	// solve serially. Results are bit-identical for every worker count
 	// (the window differential tests sweep it) — the knob is purely
-	// operational, like shard counts.
+	// operational.
 	MatchWorkers int
 
 	// DenseWindows forces batched windows through the pre-decomposition
@@ -303,8 +301,7 @@ func (e *Engine) SetCandidateSource(src CandidateSource) {
 // drivers absent (they join mid-run via events) before the candidate
 // source rebuilds its indexes from the presence flags. timeKeyed says
 // whether the run's decision times are monotone (every run but
-// RunByValue), which lets the indexed sources retire what the clock has
-// passed.
+// RunByValue), which lets the index retire what the clock has passed.
 func (e *Engine) resetAbsent(absent []int, timeKeyed bool) {
 	e.timeKeyed = timeKeyed
 	e.states = make([]driverState, len(e.Drivers))

@@ -10,13 +10,15 @@ import (
 )
 
 // This file holds the two CandidateSource implementations. ScanSource is
-// the reference: the exact per-driver feasibility loop of Algorithms 3–4.
-// GridSource puts a spatial.Index between the task and that loop: only
-// drivers inside the max-speed reachability radius of the pickup are
-// checked exactly. The pre-filter is conservative — it never drops a
-// driver the scan would accept — and the index hands the survivors over
-// in ascending driver order, so the two sources yield bit-identical
-// simulations (the differential tests assert exactly that).
+// the reference: the exact per-driver feasibility loop of Algorithms 3–4,
+// and the engine's default. GridSource — the one indexed source, which
+// dispatch.New and `rideshare simulate` always bind — puts a
+// spatial.Index between the task and that loop: only drivers inside the
+// max-speed reachability radius of the pickup are checked exactly. The
+// pre-filter is conservative — it never drops a driver the scan would
+// accept — and the index hands the survivors over in ascending driver
+// order, so the two sources yield bit-identical simulations (the
+// differential tests assert exactly that).
 
 // ScanSource enumerates candidates with an exact linear scan over all
 // drivers — O(N) per task. The zero value is ready for Engine use.
@@ -70,6 +72,7 @@ type GridSource struct {
 
 	e        *Engine
 	ix       *spatial.Index
+	boxCos   float64 // the bound grid's minCos: what Added holds a newcomer to
 	maxSpeed float64 // fastest driver in the fleet, km/h
 	ids      []int   // query scratch
 	db       distBatch
@@ -77,14 +80,20 @@ type GridSource struct {
 
 var _ CandidateSource = (*GridSource)(nil)
 
-// NewGridSource returns a grid-indexed source over the given grid; nil
+// NewGridSource returns an indexed source over the given grid; nil
 // auto-sizes one from the fleet when the source is bound to an engine.
 func NewGridSource(grid *geo.Grid) *GridSource {
 	return &GridSource{Grid: grid}
 }
 
+// NewShardedSource returns NewGridSource(nil) whatever the count.
+//
+// Deprecated: the zone partition is gone and one index serves every
+// fleet; only the frozen benchmark/ still calls this.
+func NewShardedSource(int) *GridSource { return NewGridSource(nil) }
+
 // Name implements CandidateSource.
-func (s *GridSource) Name() string { return "grid-indexed" }
+func (s *GridSource) Name() string { return "indexed" }
 
 // Bind implements CandidateSource. It panics if the configured grid's
 // latitude band is so far from the fleet's that the index's conservative
@@ -98,6 +107,7 @@ func (s *GridSource) Bind(e *Engine) {
 		grid = autoGrid(e.Drivers)
 	}
 	checkGridCoversFleet(grid, e.Drivers)
+	s.boxCos = minCos(grid)
 	s.ix = spatial.NewSparseIndex(grid, len(e.Drivers))
 	s.maxSpeed = e.Market.SpeedKmh
 	for i := range e.Drivers {
@@ -151,30 +161,50 @@ func (s *GridSource) Presence(i int, present bool) {
 	}
 }
 
-// Added implements CandidateSource.
+// Added implements CandidateSource. The grid stays the one Bind laid
+// out — a newcomer outside it is clamped into a border cell, as a
+// pickup is — unless she stands so far poleward of it that its
+// longitude scale would overstate her distances (polewardOf): then the
+// source binds again over the grown fleet, which auto-sizes a grid that
+// covers her, or panics as Bind does on a configured one.
 func (s *GridSource) Added(i int) {
+	d := &s.e.Drivers[i]
+	if polewardOf(s.boxCos, d.Source) || polewardOf(s.boxCos, d.Dest) {
+		s.Bind(s.e)
+		return
+	}
 	s.ix.Grow()
 	s.index(i)
 }
 
-// checkGridCoversFleet verifies the precondition of the index's planar
-// pre-filter: its longitude scale uses the smallest cosine over the grid
-// box's latitudes, which lower-bounds true east-west distances only for
-// points at latitudes with comparable cosines. A fleet far poleward of
-// the box would have its distances overstated beyond what the Safety
-// slack absorbs, silently voiding the scan/grid equivalence — reject
-// that configuration loudly instead. The 1.05 ceiling leaves most of
-// the 1/spatial.Safety ≈ 1.11 slack for metric disagreement (haversine,
-// road networks) and for drivers drifting to dropoffs near, but outside,
-// the box during simulation.
-func checkGridCoversFleet(grid *geo.Grid, drivers []model.Driver) {
-	boxCos := math.Min(
+// minCos is the smallest cosine over the grid box's latitudes: the
+// longitude scale of the index's planar pre-filter.
+func minCos(grid *geo.Grid) float64 {
+	return math.Min(
 		math.Abs(math.Cos(grid.Box.MinLat*math.Pi/180)),
 		math.Abs(math.Cos(grid.Box.MaxLat*math.Pi/180)))
+}
+
+// polewardOf reports whether p breaks the precondition of the index's
+// planar pre-filter over a grid whose minCos is boxCos: that scale
+// lower-bounds true east-west distances only for points at latitudes
+// with comparable cosines. A point far poleward of the box would have
+// its distances overstated beyond what the Safety slack absorbs,
+// silently voiding the scan/grid equivalence. The 1.05 ceiling leaves
+// most of the 1/spatial.Safety ≈ 1.11 slack for metric disagreement
+// (haversine, road networks) and for drivers drifting to dropoffs near,
+// but outside, the box during simulation.
+func polewardOf(boxCos float64, p geo.Point) bool {
+	return boxCos > math.Abs(math.Cos(p.Lat*math.Pi/180))*1.05
+}
+
+// checkGridCoversFleet rejects, loudly, a grid that some driver's start
+// or end stands polewardOf.
+func checkGridCoversFleet(grid *geo.Grid, drivers []model.Driver) {
+	boxCos := minCos(grid)
 	for _, d := range drivers {
 		for _, p := range []geo.Point{d.Source, d.Dest} {
-			c := math.Abs(math.Cos(p.Lat * math.Pi / 180))
-			if boxCos > c*1.05 {
+			if polewardOf(boxCos, p) {
 				panic(fmt.Sprintf(
 					"sim: grid box latitudes [%g, %g] too far from driver %d at latitude %g for conservative pre-filtering; use a grid covering the fleet (or a nil Grid to auto-size one)",
 					grid.Box.MinLat, grid.Box.MaxLat, d.ID, p.Lat))

@@ -63,8 +63,11 @@ func applyItems(t *testing.T, st *Stream, tasks []model.Task, items []feedItem) 
 // through JSON (the snapshot wire format), restore it onto a FRESH
 // engine, finish both runs — the restored one must settle books
 // bit-identical to the never-interrupted one. Swept across instant and
-// batched modes, shard counts, and several cut points including 0 (the
-// virgin stream) and every-op (capture after each operation).
+// batched modes, the scan (shards-1) and the indexed source as the
+// deprecated NewShardedSource shim hands it out (shards-2, -4: the
+// labels predate the deletion of the zone partition and go with the
+// shim), and several cut points including 0 (the virgin stream) and
+// every-op (capture after each operation).
 func TestStreamStateRoundTrip(t *testing.T) {
 	cfg := trace.NewConfig(41, 120, 25, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)

@@ -30,8 +30,7 @@ var ErrFinished = errors.New("sim: stream finished")
 // original order within a kind) produces the same Result, bit for bit,
 // as RunScenario on the whole trace — same heap, same handlers, same
 // RNG consumption. The streaming differential tests in this package and
-// in dispatch/ hold that line across candidate sources and shard
-// counts.
+// in dispatch/ hold that line across candidate sources.
 
 // TaskDecision is the platform's answer to one submitted task. Instant
 // streams return it fully decided from SubmitTask; batched streams

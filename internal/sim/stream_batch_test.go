@@ -81,9 +81,11 @@ func replayThroughBatchedStream(t *testing.T, e *Engine, window float64, algo Ba
 
 // TestBatchedStreamBitIdenticalToRunBatched is the tentpole's
 // differential contract: replaying any trace — churn, cancellations,
-// shard counts 1/2/4, both solvers — one event at a time through a
-// batched Stream must produce the same Result, bit for bit, as
-// RunBatchedScenario on the whole day.
+// both solvers, the scan (shards=1) and the indexed source as the
+// deprecated NewShardedSource shim hands it out (shards=2, 4: the
+// labels predate the deletion of the zone partition and go with the
+// shim) — one event at a time through a batched Stream must produce the
+// same Result, bit for bit, as RunBatchedScenario on the whole day.
 func TestBatchedStreamBitIdenticalToRunBatched(t *testing.T) {
 	scenarios := []struct {
 		drivers, tasks int

@@ -17,22 +17,22 @@ import (
 // what the pre-decomposition dense oracle (Engine.DenseWindows) would
 // have committed — same assignments, same rejections, bit-identical
 // Result — across solvers, window lengths, candidate sources and
-// dynamic churn/cancellation workloads; and the matcher worker count,
-// like the shard count, must be invisible in the results of both the
-// batch drain and the streaming replay.
+// dynamic churn/cancellation workloads; and the matcher worker count
+// must be invisible in the results of both the batch drain and the
+// streaming replay.
 
 // runBatchedWith runs one batched scenario on a fresh engine in the
 // given window configuration.
 func runBatchedWith(t *testing.T, cfg trace.Config, drivers []model.Driver, tasks []model.Task,
 	events []model.MarketEvent, window float64, algo BatchAlgorithm,
-	shards, workers int, dense bool) Result {
+	indexed bool, workers int, dense bool) Result {
 	t.Helper()
 	e, err := New(cfg.Market, drivers, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shards > 1 {
-		e.SetCandidateSource(NewShardedSource(shards))
+	if indexed {
+		e.SetCandidateSource(NewGridSource(nil))
 	}
 	e.MatchWorkers = workers
 	e.DenseWindows = dense
@@ -42,7 +42,7 @@ func runBatchedWith(t *testing.T, cfg trace.Config, drivers []model.Driver, task
 // TestSparseWindowsMatchDenseOracle sweeps randomized days — quiet and
 // churning — and asserts the sparse component path reproduces the dense
 // oracle's Result bit for bit under both solvers, several window
-// lengths, and both the scan and sharded candidate sources.
+// lengths, and both the scan and indexed candidate sources.
 func TestSparseWindowsMatchDenseOracle(t *testing.T) {
 	seeds := []int64{71, 72, 73, 74}
 	if testing.Short() {
@@ -58,13 +58,13 @@ func TestSparseWindowsMatchDenseOracle(t *testing.T) {
 		})
 		for _, algo := range []BatchAlgorithm{BatchHungarian, BatchAuction} {
 			for _, window := range []float64{20, 60, 240} {
-				for _, shards := range []int{1, 4} {
+				for _, indexed := range []bool{false, true} {
 					for _, evs := range map[string][]model.MarketEvent{"quiet": nil, "churn": events} {
-						dense := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, algo, shards, 1, true)
-						sparse := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, algo, shards, 1, false)
+						dense := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, algo, indexed, 1, true)
+						sparse := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, algo, indexed, 1, false)
 						if !reflect.DeepEqual(dense, sparse) {
-							t.Errorf("seed=%d %v window=%g shards=%d events=%d: sparse diverged from dense oracle\ndense:  served=%d rejected=%d cancelled=%d revenue=%.9f\nsparse: served=%d rejected=%d cancelled=%d revenue=%.9f",
-								seed, algo, window, shards, len(evs),
+							t.Errorf("seed=%d %v window=%g indexed=%v events=%d: sparse diverged from dense oracle\ndense:  served=%d rejected=%d cancelled=%d revenue=%.9f\nsparse: served=%d rejected=%d cancelled=%d revenue=%.9f",
+								seed, algo, window, indexed, len(evs),
 								dense.Served, dense.Rejected, dense.Cancelled, dense.Revenue,
 								sparse.Served, sparse.Rejected, sparse.Cancelled, sparse.Revenue)
 						}
@@ -78,7 +78,7 @@ func TestSparseWindowsMatchDenseOracle(t *testing.T) {
 // TestWindowWorkerIndependence is the worker-count determinism
 // contract: batched results — from the batch drain and from a batched
 // stream replay — are bit-identical across matcher workers {1, 2, 4} ×
-// shards {1, 2, 4} × both solvers on churn/cancellation traces.
+// {scan, indexed} × both solvers on churn/cancellation traces.
 func TestWindowWorkerIndependence(t *testing.T) {
 	seeds := []int64{81, 82}
 	if testing.Short() {
@@ -93,26 +93,26 @@ func TestWindowWorkerIndependence(t *testing.T) {
 			Seed: seed + 900, JoinFraction: 0.3, RetireFraction: 0.3, CancelFraction: 0.25,
 		})
 		for _, algo := range []BatchAlgorithm{BatchHungarian, BatchAuction} {
-			base := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, events, 45, algo, 1, 1, false)
-			for _, shards := range []int{1, 2, 4} {
+			base := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, events, 45, algo, false, 1, false)
+			for _, indexed := range []bool{false, true} {
 				for _, workers := range []int{1, 2, 4} {
-					label := fmt.Sprintf("seed=%d %v shards=%d workers=%d", seed, algo, shards, workers)
-					got := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, events, 45, algo, shards, workers, false)
+					label := fmt.Sprintf("seed=%d %v indexed=%v workers=%d", seed, algo, indexed, workers)
+					got := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, events, 45, algo, indexed, workers, false)
 					if !reflect.DeepEqual(base, got) {
-						t.Errorf("%s: batch drain diverged from shards=1 workers=1", label)
+						t.Errorf("%s: batch drain diverged from scan workers=1", label)
 					}
 
 					se, err := New(cfg.Market, tr.Drivers, 7)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if shards > 1 {
-						se.SetCandidateSource(NewShardedSource(shards))
+					if indexed {
+						se.SetCandidateSource(NewGridSource(nil))
 					}
 					se.MatchWorkers = workers
 					streamed := replayThroughBatchedStream(t, se, 45, algo, tr.Tasks, events)
 					if !reflect.DeepEqual(base, streamed) {
-						t.Errorf("%s: batched stream replay diverged from shards=1 workers=1", label)
+						t.Errorf("%s: batched stream replay diverged from scan workers=1", label)
 					}
 				}
 			}
@@ -144,7 +144,7 @@ func TestWindowSolversAgreePerWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetCandidateSource(NewShardedSource(4))
+		e.SetCandidateSource(NewGridSource(nil))
 		windows, ties := 0, 0
 		e.auditHook = func(r *eventRun, batch []int, decisionAt float64) {
 			windows++

@@ -60,8 +60,7 @@ const Safety = 0.9
 
 // Index is a driver-over-grid-cells bucket index. Construct with
 // NewIndex (every point present) or NewSparseIndex (membership managed
-// with Add and Remove — the shape zone shards need, where each shard
-// indexes only the drivers currently inside its zone). It is not safe
+// with Add and Remove — every id starts absent). It is not safe
 // for concurrent use, queries included: a query marks its result in the
 // index's bitmap and may wake parked entries.
 //
@@ -163,9 +162,7 @@ func NewIndex(grid *geo.Grid, locs []geo.Point) *Index {
 
 // NewSparseIndex allocates an index with id space [0, n) over grid in
 // which every id starts absent: queries visit nothing until points are
-// inserted with Add. Zone shards use this shape — each shard allocates
-// the full fleet id space but only ever inserts the drivers currently
-// located in its zone. The wake and expiry queues are reserved for all
+// inserted with Add. The wake and expiry queues are reserved for all
 // n ids here, so no query allocates.
 func NewSparseIndex(grid *geo.Grid, n int) *Index {
 	if n > math.MaxInt32 {
@@ -261,7 +258,7 @@ func (ix *Index) checkID(id int) {
 // availability window puts it in: the window is preserved across
 // Remove/Add cycles, and a SetSpan before the first Add costs nothing
 // but the stores. It panics if id is already present — membership bugs
-// (a driver indexed by two zone shards at once) must not pass silently.
+// (a driver placed twice) must not pass silently.
 func (ix *Index) Add(id int, p geo.Point) {
 	ix.checkID(id)
 	if ix.cell[id] != absentCell {
@@ -273,10 +270,9 @@ func (ix *Index) Add(id int, p geo.Point) {
 	ix.members++
 }
 
-// Remove detaches id from the index (driver retirement, or migration to
-// another zone shard): subsequent queries never visit it. The id keeps
-// its slot in the id space and may be re-inserted with Add. It panics if
-// id is absent.
+// Remove detaches id from the index (driver retirement): subsequent
+// queries never visit it. The id keeps its slot in the id space and may
+// be re-inserted with Add. It panics if id is absent.
 func (ix *Index) Remove(id int) {
 	ix.checkID(id)
 	if ix.cell[id] == absentCell {

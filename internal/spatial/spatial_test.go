@@ -248,7 +248,7 @@ func TestRemoveAndAdd(t *testing.T) {
 }
 
 // TestSpanSurvivesRemoveAdd: availability windows are per-id state, not
-// per-membership — a driver migrating between zone shards keeps hers.
+// per-membership — a driver who leaves the index and comes back keeps hers.
 func TestSpanSurvivesRemoveAdd(t *testing.T) {
 	ix := NewSparseIndex(geo.NewGrid(geo.PortoBox, 4, 4), 2)
 	p := geo.PortoBox.Center()

@@ -12,7 +12,7 @@ PORT="${1:-18080}"
 
 go build -o /tmp/rideshare-smoke ./cmd/rideshare
 
-/tmp/rideshare-smoke serve -addr "127.0.0.1:$PORT" -drivers 500 -shards 2 &
+/tmp/rideshare-smoke serve -addr "127.0.0.1:$PORT" -drivers 500 &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 
@@ -43,7 +43,7 @@ echo "serve_smoke: clean shutdown"
 # covers the rest. -match-workers exercises the component worker pool
 # and -pprof-addr the profiling listener (probed below).
 PPROF_PORT=$((PORT + 1))
-/tmp/rideshare-smoke serve -addr "127.0.0.1:$PORT" -drivers 500 -shards 2 \
+/tmp/rideshare-smoke serve -addr "127.0.0.1:$PORT" -drivers 500 \
   -batch-window 30 -batch-algo hungarian -realtime \
   -match-workers 2 -pprof-addr "127.0.0.1:$PPROF_PORT" &
 SERVE_PID=$!
@@ -80,7 +80,7 @@ echo "serve_smoke: batched clean shutdown"
 # travel time the market computes now routes over the synthetic road
 # network, so this exercises the router (nearest-node search, ALT
 # shortest paths, the shared route cache) under live HTTP traffic.
-/tmp/rideshare-smoke serve -addr "127.0.0.1:$PORT" -drivers 500 -shards 2 -roadnet &
+/tmp/rideshare-smoke serve -addr "127.0.0.1:$PORT" -drivers 500 -roadnet &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 
