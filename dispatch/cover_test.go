@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -342,29 +343,78 @@ func mkRawLog(t *testing.T, records [][]byte, snapshot []byte) string {
 	return dir
 }
 
-func mustRecord(t *testing.T, typ byte, v any) []byte {
-	t.Helper()
-	payload, err := encodeRecord(typ, v)
-	if err != nil {
-		t.Fatalf("encodeRecord: %v", err)
-	}
-	return payload
+// mustRecord encodes a version-2 record. Its digest stays zero, which is
+// what a replay has reached until the first decision is made.
+func mustRecord(rec walRecord) []byte { return appendRecord(nil, &rec) }
+
+func mkGenesis(version int, m Market, fp configFingerprint) []byte {
+	return mustRecord(walRecord{Kind: recInit, Init: &initRecord{Version: version, Market: m, Config: fp}})
 }
 
-// mkGenesis encodes a genesis record. cfg is a configFingerprint, or
-// raw JSON standing for what another build's fingerprint looked like.
-func mkGenesis(t *testing.T, version int, m Market, cfg any) []byte {
+// v1Record encodes a record as the version-1 builds wrote it: the bare
+// kind byte, then JSON.
+func v1Record(t *testing.T, kind byte, v any) []byte {
 	t.Helper()
-	return mustRecord(t, recInit, struct {
+	return append([]byte{kind}, mustJSON(t, v)...)
+}
+
+// v1Genesis encodes a version-1 genesis record. cfg is a
+// configFingerprint, or raw JSON standing for what another build's
+// fingerprint looked like.
+func v1Genesis(t *testing.T, version int, m Market, cfg any) []byte {
+	t.Helper()
+	return v1Record(t, recInit, struct {
 		Version int    `json:"version"`
 		Market  Market `json:"market"`
 		Config  any    `json:"config"`
 	}{version, m, cfg})
 }
 
+// liveSnapshot runs a small durable market that cuts a snapshot before
+// every record, halts it, and returns the newest snapshot decoded.
+func liveSnapshot(t *testing.T) *snapPayload {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "wal")
+	svc, err := New(overloadMarket(),
+		WithDurability(dir, DurFsync("off"), DurSnapshotEvery(1)))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		if _, err := svc.SubmitTask(ctx, overloadTask(i, float64(i))); err != nil {
+			t.Fatalf("SubmitTask(%d): %v", i, err)
+		}
+	}
+	if _, err := svc.Halt(); err != nil {
+		t.Fatalf("Halt: %v", err)
+	}
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rec.Snapshot == nil {
+		t.Fatal("no snapshot despite DurSnapshotEvery(1)")
+	}
+	snap, err := decodeSnapshot(rec.Snapshot)
+	if err != nil {
+		t.Fatalf("decoding snapshot: %v", err)
+	}
+	if len(snap.State.Tasks) == 0 {
+		t.Fatal("snapshot registered no tasks")
+	}
+	return snap
+}
+
 func TestRestoreRejectsMalformedLogs(t *testing.T) {
 	fp := fingerprint(config{policy: MaxMargin, seed: 1})
-	genesis := mkGenesis(t, durVersion, overloadMarket(), fp)
+	genesis := mkGenesis(durVersion, overloadMarket(), fp)
+	v1genesis := v1Genesis(t, durVersionV1, overloadMarket(), fp)
+	live := liveSnapshot(t)
+	good := appendSnapshot(nil, live)
+	skewed := *live
+	skewed.Version = 99
+	bare := func(kind byte) []byte { return mustRecord(walRecord{Kind: kind})[:9] } // tag and digest, no body
 	cases := []struct {
 		name     string
 		records  [][]byte
@@ -377,34 +427,63 @@ func TestRestoreRejectsMalformedLogs(t *testing.T) {
 			opts: []DurOption{DurSnapshotEvery(0)}, wantIs: ErrInvalidOption},
 		{name: "no-genesis", records: nil, wantIs: wal.ErrCorrupt},
 		{name: "first-record-not-genesis",
-			records: [][]byte{mustRecord(t, recSubmit, walRecord{})}, wantIs: wal.ErrCorrupt},
-		{name: "genesis-bad-json", records: [][]byte{{recInit, 'x'}}, wantSub: "decoding genesis"},
+			records: [][]byte{mustRecord(walRecord{Kind: recSubmit})}, wantIs: wal.ErrCorrupt},
+		{name: "genesis-truncated", records: [][]byte{genesis[:len(genesis)-3]},
+			wantIs: errWireTruncated, wantSub: "decoding genesis"},
+		{name: "genesis-trailing-bytes", records: [][]byte{append(append([]byte(nil), genesis...), 0)},
+			wantIs: errWireTrailing, wantSub: "decoding genesis"},
 		{name: "genesis-version-skew",
-			records: [][]byte{mkGenesis(t, 99, overloadMarket(), fp)}, wantSub: "version 99"},
+			records: [][]byte{mkGenesis(99, overloadMarket(), fp)}, wantIs: errWireVersion, wantSub: "version 99"},
 		{name: "genesis-bad-policy",
-			records: [][]byte{mkGenesis(t, durVersion, overloadMarket(), configFingerprint{Policy: "bogus", Seed: 1})},
+			records: [][]byte{mkGenesis(durVersion, overloadMarket(), configFingerprint{Policy: "bogus", Seed: 1})},
 			wantIs:  ErrInvalidOption},
 		{name: "genesis-bad-market",
-			records: [][]byte{mkGenesis(t, durVersion, Market{SpeedKmh: -1}, fp)},
+			records: [][]byte{mkGenesis(durVersion, Market{SpeedKmh: -1}, fp)},
 			wantSub: "rebuilding service"},
 		{name: "snapshot-bad-json", records: [][]byte{genesis},
-			snapshot: []byte("junk"), wantSub: "decoding snapshot"},
+			snapshot: []byte("junk"), wantIs: errWireValue, wantSub: "decoding snapshot"},
+		{name: "snapshot-truncated", records: [][]byte{genesis},
+			snapshot: good[:len(good)/2], wantIs: errWireTruncated, wantSub: "decoding snapshot"},
+		{name: "snapshot-trailing-bytes", records: [][]byte{genesis},
+			snapshot: append(append([]byte(nil), good...), 0), wantIs: errWireTrailing},
 		{name: "snapshot-version-skew", records: [][]byte{genesis},
-			snapshot: mustJSON(t, snapPayload{Version: 99}), wantSub: "version 99"},
-		{name: "snapshot-no-state", records: [][]byte{genesis},
-			snapshot: mustJSON(t, snapPayload{Version: durVersion,
-				Init: initRecord{Version: durVersion, Market: overloadMarket(), Config: fp}}),
-			wantSub: "no stream state"},
+			snapshot: appendSnapshot(nil, &skewed), wantIs: errWireVersion, wantSub: "version 99"},
 		{name: "replay-empty-record",
 			records: [][]byte{genesis, {}}, wantSub: "empty journal record"},
 		{name: "replay-unknown-type",
-			records: [][]byte{genesis, {99, '{', '}'}}, wantSub: "unknown record type"},
+			records: [][]byte{genesis, {99, '{', '}'}}, wantIs: errWireTag, wantSub: "unknown record type"},
 		{name: "replay-submit-without-task",
-			records: [][]byte{genesis, mustRecord(t, recSubmit, walRecord{})}, wantSub: "no task"},
+			records: [][]byte{genesis, bare(recSubmit)}, wantIs: errWireTruncated},
 		{name: "replay-join-without-driver",
-			records: [][]byte{genesis, mustRecord(t, recAddDriver, walRecord{})}, wantSub: "no driver"},
+			records: [][]byte{genesis, bare(recAddDriver)}, wantIs: errWireTruncated},
 		{name: "replay-genesis-mid-log",
 			records: [][]byte{genesis, genesis}, wantSub: "genesis record mid-log"},
+
+		// The same refusals from the version-1 reader.
+		{name: "genesis-bad-json", records: [][]byte{{recInit, 'x'}}, wantSub: "decoding genesis"},
+		{name: "v1-genesis-version-skew",
+			records: [][]byte{v1Genesis(t, 99, overloadMarket(), fp)}, wantIs: errWireVersion, wantSub: "version 99"},
+		{name: "v1-snapshot-bad-json", records: [][]byte{v1genesis},
+			snapshot: []byte("{junk"), wantSub: "decoding snapshot"},
+		{name: "v1-snapshot-version-skew", records: [][]byte{v1genesis},
+			snapshot: mustJSON(t, snapshotV1{Version: 99}), wantIs: errWireVersion, wantSub: "version 99"},
+		{name: "snapshot-no-state", records: [][]byte{v1genesis},
+			snapshot: mustJSON(t, snapshotV1{Version: durVersionV1,
+				Init: initRecord{Version: durVersionV1, Market: overloadMarket(), Config: fp}}),
+			wantSub: "no stream state"},
+		{name: "v1-snapshot-id-columns-disagree", records: [][]byte{v1genesis},
+			snapshot: mustJSON(t, snapshotV1{Version: durVersionV1, State: live.State, DriverIDs: []int{1}}),
+			wantIs:   errWireValue},
+		{name: "v1-replay-unknown-type",
+			records: [][]byte{v1genesis, {9, '{', '}'}}, wantIs: errWireTag},
+		{name: "v1-replay-bad-body",
+			records: [][]byte{v1genesis, {recCancel, 'x'}}, wantSub: "decoding body"},
+		{name: "v1-replay-submit-without-task",
+			records: [][]byte{v1genesis, v1Record(t, recSubmit, recordV1{})}, wantSub: "no task"},
+		{name: "v1-replay-join-without-driver",
+			records: [][]byte{v1genesis, v1Record(t, recAddDriver, recordV1{})}, wantSub: "no driver"},
+		{name: "v1-replay-genesis-mid-log",
+			records: [][]byte{v1genesis, v1genesis}, wantSub: "genesis record mid-log"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -441,9 +520,9 @@ func TestRestoreReplaysDriverJoin(t *testing.T) {
 		Start: 0, End: 7200}
 	task := overloadTask(0, 1)
 	dir := mkRawLog(t, [][]byte{
-		mkGenesis(t, durVersion, overloadMarket(), fp),
-		mustRecord(t, recAddDriver, walRecord{Driver: &join}),
-		mustRecord(t, recSubmit, walRecord{Task: &task}),
+		mkGenesis(durVersion, overloadMarket(), fp),
+		mustRecord(walRecord{Kind: recAddDriver, Driver: join}),
+		mustRecord(walRecord{Kind: recSubmit, Task: task}),
 	}, nil)
 	svc, err := Restore(dir, DurFsync("off"))
 	if err != nil {
@@ -465,53 +544,32 @@ func TestRestoreReplaysDriverJoin(t *testing.T) {
 }
 
 // TestRestoreRejectsDuplicateSnapshotIDs mutates a genuine snapshot so
-// it registers the same public driver (then task) twice: loadSnapshot
-// must refuse rather than silently clobber the ID maps.
+// its stream state holds the same public driver (then task) twice:
+// loadSnapshot must refuse rather than silently clobber the ID maps.
 func TestRestoreRejectsDuplicateSnapshotIDs(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	svc, err := New(overloadMarket(),
-		WithDurability(dir, DurFsync("off"), DurSnapshotEvery(1)))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := svc.SubmitTask(ctx, overloadTask(i, float64(i))); err != nil {
-			t.Fatalf("SubmitTask(%d): %v", i, err)
-		}
-	}
-	if _, err := svc.Halt(); err != nil {
-		t.Fatalf("Halt: %v", err)
-	}
-	rec, err := wal.Recover(dir)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if rec.Snapshot == nil {
-		t.Fatal("no snapshot despite DurSnapshotEvery(1)")
-	}
-	var snap snapPayload
-	if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-		t.Fatalf("decoding snapshot: %v", err)
-	}
-	if len(snap.TaskIDs) == 0 {
-		t.Fatal("snapshot registered no tasks")
-	}
+	snap := liveSnapshot(t)
 	mutations := []struct {
 		name string
-		mut  func(*snapPayload)
+		mut  func(*sim.StreamState)
 	}{
-		{"dup-driver", func(s *snapPayload) { s.DriverIDs = append(s.DriverIDs, s.DriverIDs[0]) }},
-		{"dup-task", func(s *snapPayload) { s.TaskIDs = append(s.TaskIDs, s.TaskIDs[0]) }},
+		{"dup-driver", func(st *sim.StreamState) {
+			st.Drivers = append(slices.Clone(st.Drivers), st.Drivers[0])
+			st.States = append(slices.Clone(st.States), st.States[0])
+			st.Present = append(slices.Clone(st.Present), false)
+			st.Res.DriverPaths = append(slices.Clone(st.Res.DriverPaths), nil)
+		}},
+		{"dup-task", func(st *sim.StreamState) {
+			st.Tasks = append(slices.Clone(st.Tasks), st.Tasks[0])
+			st.Cancelled = append(slices.Clone(st.Cancelled), false)
+		}},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
-			bad := snap
-			bad.DriverIDs = append([]int(nil), snap.DriverIDs...)
-			bad.TaskIDs = append([]int(nil), snap.TaskIDs...)
-			m.mut(&bad)
-			dir := mkRawLog(t, [][]byte{mkGenesis(t, durVersion, overloadMarket(), snap.Init.Config)},
-				mustJSON(t, bad))
+			bad, st := *snap, *snap.State
+			bad.State = &st
+			m.mut(&st)
+			dir := mkRawLog(t, [][]byte{mkGenesis(durVersion, overloadMarket(), snap.Config)},
+				appendSnapshot(nil, &bad))
 			if _, err := Restore(dir); err == nil || !strings.Contains(err.Error(), "twice") {
 				t.Fatalf("Restore(err) = %v, want duplicate-registration refusal", err)
 			}
@@ -542,11 +600,11 @@ func TestFingerprintOptionsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacyShardsKey: the genesis of a log written before the
-// zone partition was deleted carries "shards": N. Nothing reads the key
-// any more — every source settles the same books, which is why
-// durVersion did not move — so such a log must restore, take the rest
-// of its day and settle like a service that never heard of it.
+// TestRestoreLegacyShardsKey: the genesis of a version-1 log written
+// before the zone partition was deleted carries "shards": N. Nothing
+// reads the key any more — every source settles the same books — so
+// such a log must restore, take the rest of its day and settle like a
+// service that never heard of it.
 func TestRestoreLegacyShardsKey(t *testing.T) {
 	cfg := trace.NewConfig(64, 80, 20, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
@@ -566,11 +624,11 @@ func TestRestoreLegacyShardsKey(t *testing.T) {
 		t.Fatal("degenerate reference: nothing served")
 	}
 
-	records := [][]byte{mkGenesis(t, durVersion, market,
+	records := [][]byte{v1Genesis(t, durVersionV1, market,
 		json.RawMessage(`{"policy":"nearest","shards":4,"seed":7}`))}
 	for _, it := range feed[:half] {
 		task := pubTask(it.idx, tr.Tasks[it.idx])
-		records = append(records, mustRecord(t, recSubmit, walRecord{Task: &task}))
+		records = append(records, v1Record(t, recSubmit, recordV1{Task: &task}))
 	}
 	restored, err := Restore(mkRawLog(t, records, nil), DurFsync("off"))
 	if err != nil {

@@ -53,7 +53,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -231,11 +230,19 @@ type Service struct {
 
 	// Durable rail (WithDurability): jr journals every externally
 	// injected mutation to the write-ahead log before it is applied and
-	// cuts periodic snapshots; nil on in-memory services. mkt and cfg
-	// are retained for snapshot payloads and Restore validation.
+	// cuts periodic snapshots; nil on in-memory services. cfg is retained
+	// for the snapshots' config fingerprint.
 	jr  *journal
-	mkt Market
 	cfg config
+
+	// digest is a rolling 64-bit digest of every decision made so far
+	// (foldDecision, foldCancel). Each journal record and snapshot
+	// carries its value, and a replay that reaches a record with a
+	// different one stops there (ErrReplayDiverged). digestAnchored is
+	// false only while Restore replays a version-1 prefix, whose records
+	// carry no digest.
+	digest         uint64
+	digestAnchored bool
 }
 
 // New opens a dispatch service over the market. Drivers with a positive
@@ -292,8 +299,9 @@ func New(m Market, opts ...Option) (*Service, error) {
 		liveBatch:  cfg.batchWindow > 0 && cfg.realTime,
 		maxPending: cfg.maxPending,
 		subs:       make(map[int]*subscriber),
-		mkt:        m,
 		cfg:        cfg,
+
+		digestAnchored: true,
 	}
 	drivers := make([]model.Driver, len(m.Drivers))
 	var fleet []model.MarketEvent
@@ -344,7 +352,7 @@ func New(m Market, opts ...Option) (*Service, error) {
 	}
 	s.st = st
 	if cfg.durDir != "" {
-		if err := s.openJournal(); err != nil {
+		if err := s.openJournal(m); err != nil {
 			return nil, err
 		}
 	}
@@ -364,6 +372,7 @@ func (s *Service) onWindowDecision(dec sim.TaskDecision) {
 		ev.Type, ev.DriverID = EventAssigned, a.DriverID
 	}
 	s.decided[id] = a
+	s.foldDecision(a)
 	s.publish(ev)
 }
 
@@ -421,7 +430,7 @@ func (s *Service) fireBatchTimer(closeAt float64) {
 		// instant, whatever the wall clock said. If the journal refuses
 		// (disk full, closed log), the close stays pending — the next
 		// event past the close time will drain it.
-		if err := s.journal(recAdvance, walRecord{At: closeAt}); err == nil {
+		if err := s.journal(walRecord{Kind: recAdvance, At: closeAt}); err == nil {
 			s.st.AdvanceTo(closeAt)
 		}
 	}
@@ -431,20 +440,43 @@ func (s *Service) fireBatchTimer(closeAt float64) {
 	s.armBatchTimer()
 }
 
+// mixDigest folds one 64-bit word into the decision digest. Each step
+// is a bijection of the running value, so no earlier difference is ever
+// absorbed.
+func mixDigest(d, x uint64) uint64 {
+	d = (d ^ x) * 0x9e3779b97f4a7c15
+	return d ^ d>>29
+}
+
+// foldDecision folds a final answer — instant, or delivered at a window
+// close — into the decision digest. Pending handles are not decisions.
+// Must be called with the mutex held.
+func (s *Service) foldDecision(a Assignment) {
+	d := mixDigest(s.digest, uint64(a.TaskID))
+	d = mixDigest(d, uint64(a.DriverID))
+	d = mixDigest(d, math.Float64bits(a.PickupBy))
+	s.digest = mixDigest(d, math.Float64bits(a.DecidedAt))
+}
+
+// foldCancel folds a cancellation's outcome into the decision digest.
+// Must be called with the mutex held.
+func (s *Service) foldCancel(out CancelOutcome) {
+	var took uint64
+	if out.Cancelled {
+		took = 1
+	}
+	d := mixDigest(s.digest, uint64(out.TaskID))
+	d = mixDigest(d, took)
+	s.digest = mixDigest(d, uint64(out.FreedDriverID))
+}
+
 // toModelDriver validates and converts a public driver.
 func toModelDriver(d Driver) (model.Driver, error) {
 	// Accept-form, so NaN (which fails every comparison) is rejected too.
 	if !(d.JoinAt >= 0) || math.IsInf(d.JoinAt, 1) {
 		return model.Driver{}, fmt.Errorf("%w: driver %d: join time %g not a finite non-negative number", ErrInvalidDriver, d.ID, d.JoinAt)
 	}
-	md := model.Driver{
-		ID:       d.ID,
-		Source:   geo.Point(d.Source),
-		Dest:     geo.Point(d.Dest),
-		Start:    d.Start,
-		End:      d.End,
-		SpeedKmh: d.SpeedKmh,
-	}
+	md := d.model()
 	if err := md.Validate(); err != nil {
 		return model.Driver{}, fmt.Errorf("%w: %v", ErrInvalidDriver, err)
 	}
@@ -453,16 +485,7 @@ func toModelDriver(d Driver) (model.Driver, error) {
 
 // toModelTask validates and converts a public task, defaulting WTP.
 func toModelTask(t Task) (model.Task, error) {
-	mt := model.Task{
-		ID:      t.ID,
-		Publish: t.Publish,
-		Source:  geo.Point(t.Source),
-		Dest:    geo.Point(t.Dest),
-		StartBy: t.StartBy,
-		EndBy:   t.EndBy,
-		Price:   t.Price,
-		WTP:     t.WTP,
-	}
+	mt := t.model()
 	if mt.WTP == 0 {
 		mt.WTP = mt.Price
 	}
@@ -566,7 +589,7 @@ func (s *Service) SubmitTask(ctx context.Context, t Task) (Assignment, error) {
 	if err := s.checkTime(t.Publish); err != nil {
 		return Assignment{}, err
 	}
-	if err := s.journal(recSubmit, walRecord{Task: &t}); err != nil {
+	if err := s.journal(walRecord{Kind: recSubmit, Task: t}); err != nil {
 		return Assignment{}, err
 	}
 	dec, serr := s.st.SubmitTask(mt)
@@ -597,6 +620,7 @@ func (s *Service) SubmitTask(ctx context.Context, t Task) (Assignment, error) {
 		ev.Type, ev.DriverID = EventAssigned, a.DriverID
 	}
 	s.decided[t.ID] = a
+	s.foldDecision(a)
 	s.publish(ev)
 	return a, nil
 }
@@ -659,7 +683,7 @@ func (s *Service) AddDriver(ctx context.Context, d Driver) error {
 		if s.st.Present(idx) || !s.retired[d.ID] {
 			return fmt.Errorf("%w: %d", ErrDuplicateDriver, d.ID)
 		}
-		if err := s.journal(recAddDriver, walRecord{Driver: &d}); err != nil {
+		if err := s.journal(walRecord{Kind: recAddDriver, Driver: d}); err != nil {
 			return err
 		}
 		delete(s.retired, d.ID)
@@ -673,7 +697,7 @@ func (s *Service) AddDriver(ctx context.Context, d Driver) error {
 	if err != nil {
 		return err
 	}
-	if err := s.journal(recAddDriver, walRecord{Driver: &d}); err != nil {
+	if err := s.journal(walRecord{Kind: recAddDriver, Driver: d}); err != nil {
 		return err
 	}
 	idx, serr := s.st.AddDriver(md, at)
@@ -707,7 +731,7 @@ func (s *Service) RetireDriver(ctx context.Context, driverID int, at float64) er
 	if err := s.checkTime(at); err != nil {
 		return err
 	}
-	if err := s.journal(recRetire, walRecord{ID: driverID, At: at}); err != nil {
+	if err := s.journal(walRecord{Kind: recRetire, ID: driverID, At: at}); err != nil {
 		return err
 	}
 	if effAt := s.st.Now(); at < effAt {
@@ -745,7 +769,7 @@ func (s *Service) CancelTask(ctx context.Context, taskID int, at float64) (Cance
 		return CancelOutcome{}, fmt.Errorf("%w: task %d published at %g, cancel at %g",
 			ErrInvalidCancel, taskID, s.taskPublish(idx), at)
 	}
-	if err := s.journal(recCancel, walRecord{ID: taskID, At: at}); err != nil {
+	if err := s.journal(walRecord{Kind: recCancel, ID: taskID, At: at}); err != nil {
 		return CancelOutcome{}, err
 	}
 	freed, cancelled, serr := s.st.CancelTask(idx, at)
@@ -767,6 +791,7 @@ func (s *Service) CancelTask(ctx context.Context, taskID int, at float64) (Cance
 		}
 		s.publish(ev)
 	}
+	s.foldCancel(out)
 	return out, nil
 }
 

@@ -2,8 +2,9 @@ package dispatch
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -25,13 +26,20 @@ import (
 // config fingerprint, so a log is self-contained: Restore takes only
 // the directory.
 //
+// Record and snapshot payloads are the fixed-width binary layout of
+// codec.go (DESIGN.md tabulates it); internal/wal frames and checksums
+// them. Every payload also carries the service's rolling digest of the
+// decisions made so far, so a replay that decides differently from the
+// run that wrote the log fails at the first record where the two part
+// (ErrReplayDiverged) instead of restoring different books.
+//
 // What is NOT journaled, by design: shed submissions (they error before
 // the journal point and register nothing — Stats.Shed restores only as
 // of the last snapshot), feed subscriptions (live connections die with
 // the process), and pacing clocks (wall-clock artifacts; a restored
 // service runs the default clock until the caller re-paces it).
 
-// Record type tags, the first byte of every WAL record payload.
+// Record kinds. On the wire a record starts with rec2Base+kind.
 const (
 	recInit      byte = 1 // genesis: market + config fingerprint
 	recSubmit    byte = 2 // SubmitTask (admitted)
@@ -42,19 +50,28 @@ const (
 	recFinish    byte = 7 // Close: the day settled
 )
 
-// walRecord is the JSON body of every mutation record; which fields are
-// meaningful depends on the type tag.
+// walRecord is one journaled mutation; which fields are meaningful
+// depends on Kind.
 type walRecord struct {
-	Task   *Task   `json:"task,omitempty"`   // recSubmit
-	Driver *Driver `json:"driver,omitempty"` // recAddDriver
-	ID     int     `json:"id,omitempty"`     // recCancel (task), recRetire (driver)
-	At     float64 `json:"at,omitempty"`     // recCancel, recRetire, recAdvance
+	Kind byte
+	// Legacy marks a record read from a version-1 log, which carries no
+	// digest.
+	Legacy bool
+	// Digest is the service's decision digest at the journal point:
+	// after every earlier record was applied, before this one is.
+	Digest uint64
+	Init   *initRecord // recInit
+	Task   Task        // recSubmit
+	Driver Driver      // recAddDriver
+	ID     int         // recCancel (task), recRetire (driver)
+	At     float64     // recCancel, recRetire, recAdvance
 }
 
 // configFingerprint is the durable image of a service's configuration:
 // everything that shapes outcomes, nothing that doesn't (pacing clocks,
 // feed buffers). Restore rebuilds the service from it and the journaled
-// inputs then replay bit-identically.
+// inputs then replay bit-identically. (The json tags here and on
+// initRecord serve the version-1 reader in codec_v1.go and go with it.)
 type configFingerprint struct {
 	Policy       string  `json:"policy"`
 	MatchWorkers int     `json:"match_workers,omitempty"`
@@ -132,20 +149,23 @@ type initRecord struct {
 }
 
 // snapPayload is a snapshot file's body: the engine's captured stream
-// state plus the service-level books, with the genesis copied in so a
-// snapshot stays usable after the segments before it are pruned.
+// state plus the service-level books. The fleet is in State and nowhere
+// else — driver and task IDs are the IDs of State.Drivers and
+// State.Tasks, index for index — and the market constants and config
+// fingerprint ride along so a snapshot stays usable after the segment
+// holding the genesis record is pruned.
 type snapPayload struct {
-	Version   int                `json:"version"`
-	Init      initRecord         `json:"init"`
-	State     *sim.StreamState   `json:"state"`
-	DriverIDs []int              `json:"driver_ids"`         // engine index -> public ID
-	Retired   []int              `json:"retired,omitempty"`  // public IDs retired
-	TaskIDs   []int              `json:"task_ids,omitempty"` // engine index -> public ID
-	Decided   map[int]Assignment `json:"decided,omitempty"`
-	Shed      int64              `json:"shed,omitempty"`
+	Version  int
+	Legacy   bool    // read from a version-1 snapshot: Digest is unknown
+	Digest   uint64  // decision digest as of the snapshot's LSN
+	SpeedKmh float64 // Market.SpeedKmh
+	GasPerKm float64 // Market.GasPerKm
+	Config   configFingerprint
+	State    *sim.StreamState
+	Retired  []int              // public driver IDs retired, ascending
+	Decided  map[int]Assignment // by task ID; each entry's TaskID is its key
+	Shed     int64
 }
-
-const durVersion = 1
 
 // durConfig carries WithDurability's knobs.
 type durConfig struct {
@@ -267,38 +287,22 @@ type journal struct {
 	lg            *wal.Log
 	snapshotEvery int
 	sinceSnap     int // records appended since the last snapshot
-}
-
-// encodeRecord frames a record payload: one type byte, then JSON.
-func encodeRecord(typ byte, v any) ([]byte, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: encoding journal record: %w", err)
-	}
-	return append([]byte{typ}, body...), nil
-}
-
-// decodeRecord splits a record payload into its type tag and JSON body.
-func decodeRecord(data []byte) (byte, []byte, error) {
-	if len(data) == 0 {
-		return 0, nil, fmt.Errorf("dispatch: empty journal record")
-	}
-	return data[0], data[1:], nil
+	// buf and snapBuf are the record and snapshot encoders' reused
+	// output buffers: a steady-state append allocates nothing.
+	buf     []byte
+	snapBuf []byte
 }
 
 // openJournal creates the service's write-ahead log and appends the
 // genesis record. Called by New, before any traffic.
-func (s *Service) openJournal() error {
+func (s *Service) openJournal(m Market) error {
 	lg, err := wal.Create(s.cfg.durDir, s.cfg.dur.walOptions())
 	if err != nil {
 		return err
 	}
-	payload, err := encodeRecord(recInit, initRecord{Version: durVersion, Market: s.mkt, Config: fingerprint(s.cfg)})
-	if err != nil {
-		lg.Close()
-		return err
-	}
-	if _, err := lg.Append(payload); err != nil {
+	genesis := walRecord{Kind: recInit, Digest: s.digest,
+		Init: &initRecord{Version: durVersion, Market: m, Config: fingerprint(s.cfg)}}
+	if _, err := lg.Append(appendRecord(nil, &genesis)); err != nil {
 		lg.Close()
 		return err
 	}
@@ -311,7 +315,7 @@ func (s *Service) openJournal() error {
 // already applied). No-op on in-memory services. A journal error means
 // the mutation was NOT made durable; callers refuse the mutation. Must
 // be called with the mutex held, after validation and before applying.
-func (s *Service) journal(typ byte, rec walRecord) error {
+func (s *Service) journal(rec walRecord) error {
 	if s.jr == nil {
 		return nil
 	}
@@ -320,42 +324,50 @@ func (s *Service) journal(typ byte, rec walRecord) error {
 			return err
 		}
 	}
-	payload, err := encodeRecord(typ, rec)
-	if err != nil {
-		return err
-	}
-	if _, err := s.jr.lg.Append(payload); err != nil {
+	rec.Digest = s.digest
+	s.jr.buf = appendRecord(s.jr.buf[:0], &rec)
+	if _, err := s.jr.lg.Append(s.jr.buf); err != nil {
 		return fmt.Errorf("dispatch: journaling: %w", err)
 	}
 	s.jr.sinceSnap++
 	return nil
 }
 
-// writeSnapshot captures the full service state — engine stream plus
-// service-level books — into a snapshot file covering every record
-// appended so far. Must be called with the mutex held.
-func (s *Service) writeSnapshot() error {
+// captureSnapshot gathers the full service state — engine stream plus
+// service-level books. Decided is the live map, not a copy: encode it
+// before releasing the mutex.
+func (s *Service) captureSnapshot() (snapPayload, error) {
 	st, err := s.st.CaptureState()
 	if err != nil {
-		return simErr(err)
+		return snapPayload{}, simErr(err)
 	}
+	mkt := s.st.Engine().Market
 	snap := snapPayload{
-		Version:   durVersion,
-		Init:      initRecord{Version: durVersion, Market: s.mkt, Config: fingerprint(s.cfg)},
-		State:     st,
-		DriverIDs: s.driverIDs,
-		TaskIDs:   s.taskIDs,
-		Decided:   s.decided,
-		Shed:      s.shed.Load(),
+		Version:  durVersion,
+		Digest:   s.digest,
+		SpeedKmh: mkt.SpeedKmh,
+		GasPerKm: mkt.GasPerKm,
+		Config:   fingerprint(s.cfg),
+		State:    st,
+		Decided:  s.decided,
+		Shed:     s.shed.Load(),
 	}
 	for id := range s.retired {
 		snap.Retired = append(snap.Retired, id)
 	}
-	payload, err := json.Marshal(snap)
+	slices.Sort(snap.Retired)
+	return snap, nil
+}
+
+// writeSnapshot cuts a snapshot file covering every record appended so
+// far. Must be called with the mutex held.
+func (s *Service) writeSnapshot() error {
+	snap, err := s.captureSnapshot()
 	if err != nil {
-		return fmt.Errorf("dispatch: encoding snapshot: %w", err)
+		return err
 	}
-	if err := s.jr.lg.WriteSnapshot(payload); err != nil {
+	s.jr.snapBuf = appendSnapshot(s.jr.snapBuf[:0], &snap)
+	if err := s.jr.lg.WriteSnapshot(s.jr.snapBuf); err != nil {
 		return fmt.Errorf("dispatch: writing snapshot: %w", err)
 	}
 	s.jr.sinceSnap = 0
@@ -370,14 +382,10 @@ func (s *Service) journalFinish() error {
 		return nil
 	}
 	err := s.writeSnapshot()
-	payload, perr := encodeRecord(recFinish, walRecord{})
-	if perr != nil && err == nil {
-		err = perr
-	}
-	if perr == nil {
-		if _, aerr := s.jr.lg.Append(payload); aerr != nil && err == nil {
-			err = fmt.Errorf("dispatch: journaling finish: %w", aerr)
-		}
+	finish := walRecord{Kind: recFinish, Digest: s.digest}
+	s.jr.buf = appendRecord(s.jr.buf[:0], &finish)
+	if _, aerr := s.jr.lg.Append(s.jr.buf); aerr != nil && err == nil {
+		err = fmt.Errorf("dispatch: journaling finish: %w", aerr)
 	}
 	if serr := s.jr.lg.Sync(); serr != nil && err == nil {
 		err = fmt.Errorf("dispatch: syncing journal: %w", serr)
@@ -399,6 +407,30 @@ func (s *Service) closeJournal(jerr error) error {
 	return cerr
 }
 
+// ErrReplayDiverged: while restoring, the decisions replayed from the
+// log stopped matching the decisions of the run that wrote it — this
+// build dispatches differently (a changed float expression, a changed
+// policy), or a record was altered in a way its checksum missed. The
+// error Restore returns is a *ReplayDivergedError carrying the LSN.
+var ErrReplayDiverged = errors.New("dispatch: replay diverged from the journaled run")
+
+// ReplayDivergedError names the first record whose journaled decision
+// digest the replay failed to reproduce. The decision that went wrong
+// was made while applying an earlier record, at or after the previous
+// digest that matched. It matches ErrReplayDiverged under errors.Is.
+type ReplayDivergedError struct {
+	LSN      uint64 // first record whose digest mismatched
+	Logged   uint64 // digest the record carries
+	Replayed uint64 // digest the replay had reached
+}
+
+func (e *ReplayDivergedError) Error() string {
+	return fmt.Sprintf("%v: record %d carries decision digest %016x, replay reached %016x",
+		ErrReplayDiverged, e.LSN, e.Logged, e.Replayed)
+}
+
+func (e *ReplayDivergedError) Unwrap() error { return ErrReplayDiverged }
+
 // Restore rebuilds a durable service from the write-ahead log in dir:
 // it loads the newest valid snapshot (or the genesis record), replays
 // the record suffix through the normal dispatch paths — arriving at
@@ -410,9 +442,10 @@ func (s *Service) closeJournal(jerr error) error {
 // not overridable. A torn tail (crash mid-append) is truncated away; a
 // complete final record failing its checksum surfaces wal.ErrCorruptTail
 // (repair explicitly with wal.Repair); deeper corruption surfaces
-// wal.ErrCorrupt. If the log ends in a finish record the day is
-// settled: the service is returned already closed, answering Snapshot
-// and Decision but no mutations.
+// wal.ErrCorrupt; a replay whose decisions part from the journaled
+// run's surfaces ErrReplayDiverged. If the log ends in a finish record
+// the day is settled: the service is returned already closed, answering
+// Snapshot and Decision but no mutations.
 func Restore(dir string, opts ...DurOption) (*Service, error) {
 	dc := defaultDurConfig()
 	for _, o := range opts {
@@ -426,39 +459,37 @@ func Restore(dir string, opts ...DurOption) (*Service, error) {
 	}
 
 	var snap *snapPayload
-	var init initRecord
+	var market Market
+	var fp configFingerprint
+	var legacy bool
 	records := rec.Records
 	if rec.Snapshot != nil {
-		snap = &snapPayload{}
-		if err := json.Unmarshal(rec.Snapshot, snap); err != nil {
+		snap, err = decodeSnapshot(rec.Snapshot)
+		if err != nil {
 			return nil, fmt.Errorf("dispatch: decoding snapshot: %w", err)
 		}
-		if snap.Version != durVersion {
-			return nil, fmt.Errorf("dispatch: snapshot version %d, this build reads %d", snap.Version, durVersion)
-		}
-		init = snap.Init
+		market = Market{SpeedKmh: snap.SpeedKmh, GasPerKm: snap.GasPerKm}
+		fp, legacy = snap.Config, snap.Legacy
 	} else {
 		if len(records) == 0 {
 			return nil, fmt.Errorf("%w: log holds no genesis record", wal.ErrCorrupt)
 		}
-		typ, body, derr := decodeRecord(records[0].Data)
-		if derr != nil || typ != recInit {
+		genesis, derr := decodeRecord(records[0].Data)
+		if genesis.Kind != recInit {
 			return nil, fmt.Errorf("%w: log does not start with a genesis record", wal.ErrCorrupt)
 		}
-		if err := json.Unmarshal(body, &init); err != nil {
-			return nil, fmt.Errorf("dispatch: decoding genesis record: %w", err)
+		if derr != nil {
+			return nil, fmt.Errorf("dispatch: decoding genesis record: %w", derr)
 		}
+		market, fp, legacy = genesis.Init.Market, genesis.Init.Config, genesis.Legacy
 		records = records[1:]
 	}
-	if init.Version != durVersion {
-		return nil, fmt.Errorf("dispatch: log version %d, this build reads %d", init.Version, durVersion)
-	}
 
-	fpOpts, err := init.Config.options()
+	fpOpts, err := fp.options()
 	if err != nil {
 		return nil, err
 	}
-	svc, err := New(init.Market, fpOpts...)
+	svc, err := New(market, fpOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: rebuilding service from log: %w", err)
 	}
@@ -466,9 +497,12 @@ func Restore(dir string, opts ...DurOption) (*Service, error) {
 	// wall-clock window timer until the log is drained.
 	liveBatch := svc.liveBatch
 	svc.liveBatch = false
+	// A version-1 base says nothing about the digest; the first
+	// version-2 record after it anchors the check.
+	svc.digestAnchored = !legacy
 
 	if snap != nil {
-		if err := svc.loadSnapshot(snap, init); err != nil {
+		if err := svc.loadSnapshot(snap); err != nil {
 			return nil, err
 		}
 	}
@@ -489,7 +523,7 @@ func Restore(dir string, opts ...DurOption) (*Service, error) {
 		return svc, nil
 	}
 
-	lg, err := wal.Open(dir, dc.walOptions())
+	lg, err := rec.Open(dc.walOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -509,15 +543,15 @@ func Restore(dir string, opts ...DurOption) (*Service, error) {
 
 // loadSnapshot swaps the freshly-constructed service's stream and books
 // for the snapshot's captured state.
-func (svc *Service) loadSnapshot(snap *snapPayload, init initRecord) error {
+func (svc *Service) loadSnapshot(snap *snapPayload) error {
 	if snap.State == nil {
 		return fmt.Errorf("dispatch: snapshot carries no stream state")
 	}
 	eng := svc.st.Engine()
 	var d sim.Dispatcher
 	var algo sim.BatchAlgorithm
-	if init.Config.BatchWindow > 0 {
-		a, err := ParseBatchAlgorithm(init.Config.BatchAlgo)
+	if snap.Config.BatchWindow > 0 {
+		a, err := ParseBatchAlgorithm(snap.Config.BatchAlgo)
 		if err != nil {
 			return err
 		}
@@ -526,7 +560,7 @@ func (svc *Service) loadSnapshot(snap *snapPayload, init initRecord) error {
 			return err
 		}
 	} else {
-		pol, err := ParsePolicy(init.Config.Policy)
+		pol, err := ParsePolicy(snap.Config.Policy)
 		if err != nil {
 			return err
 		}
@@ -535,7 +569,7 @@ func (svc *Service) loadSnapshot(snap *snapPayload, init initRecord) error {
 			return err
 		}
 	}
-	strm, err := eng.RestoreStream(snap.State, d, init.Config.BatchWindow, algo)
+	strm, err := eng.RestoreStream(snap.State, d, snap.Config.BatchWindow, algo)
 	if err != nil {
 		return fmt.Errorf("dispatch: restoring stream state: %w", err)
 	}
@@ -545,65 +579,66 @@ func (svc *Service) loadSnapshot(snap *snapPayload, init initRecord) error {
 	}
 	svc.st = strm
 
-	svc.driverIDs = append([]int(nil), snap.DriverIDs...)
-	svc.drivers = make(map[int]int, len(snap.DriverIDs))
-	for idx, id := range snap.DriverIDs {
+	svc.driverIDs = make([]int, len(snap.State.Drivers))
+	svc.drivers = make(map[int]int, len(snap.State.Drivers))
+	for idx := range snap.State.Drivers {
+		id := snap.State.Drivers[idx].ID
 		if _, dup := svc.drivers[id]; dup {
 			return fmt.Errorf("dispatch: snapshot registers driver %d twice", id)
 		}
 		svc.drivers[id] = idx
+		svc.driverIDs[idx] = id
 	}
 	svc.retired = make(map[int]bool, len(snap.Retired))
 	for _, id := range snap.Retired {
 		svc.retired[id] = true
 	}
-	svc.taskIDs = append([]int(nil), snap.TaskIDs...)
-	svc.tasks = make(map[int]int, len(snap.TaskIDs))
-	for idx, id := range snap.TaskIDs {
+	svc.taskIDs = make([]int, len(snap.State.Tasks))
+	svc.tasks = make(map[int]int, len(snap.State.Tasks))
+	for idx := range snap.State.Tasks {
+		id := snap.State.Tasks[idx].ID
 		if _, dup := svc.tasks[id]; dup {
 			return fmt.Errorf("dispatch: snapshot registers task %d twice", id)
 		}
 		svc.tasks[id] = idx
+		svc.taskIDs[idx] = id
 	}
-	svc.decided = make(map[int]Assignment, len(snap.Decided))
-	for id, a := range snap.Decided {
-		svc.decided[id] = a
+	svc.decided = snap.Decided
+	if svc.decided == nil {
+		svc.decided = make(map[int]Assignment)
 	}
 	svc.shed.Store(snap.Shed)
+	svc.digest = snap.Digest
 	return nil
 }
 
 // replayRecord re-drives one journaled mutation through the service's
-// normal paths. Returns done=true on the finish record.
+// normal paths, after checking that the replay so far decided what the
+// journaled run decided. Returns done=true on the finish record.
 func (svc *Service) replayRecord(r wal.Record) (done bool, err error) {
-	typ, body, err := decodeRecord(r.Data)
+	rec, err := decodeRecord(r.Data)
 	if err != nil {
 		return false, err
 	}
-	var rec walRecord
-	if typ != recInit && typ != recFinish {
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return false, fmt.Errorf("decoding body: %w", err)
+	if !rec.Legacy {
+		if !svc.digestAnchored {
+			svc.digest, svc.digestAnchored = rec.Digest, true
+		} else if rec.Digest != svc.digest {
+			return false, &ReplayDivergedError{LSN: r.LSN, Logged: rec.Digest, Replayed: svc.digest}
 		}
 	}
 	ctx := context.Background()
-	switch typ {
+	switch rec.Kind {
 	case recInit:
 		// A genesis record after the start means the suffix overlaps the
 		// snapshot boundary incorrectly.
 		return false, fmt.Errorf("unexpected genesis record mid-log")
 	case recSubmit:
-		if rec.Task == nil {
-			return false, fmt.Errorf("submit record carries no task")
-		}
-		_, err = svc.SubmitTask(ctx, *rec.Task)
+		_, err = svc.SubmitTask(ctx, rec.Task)
 	case recCancel:
 		_, err = svc.CancelTask(ctx, rec.ID, rec.At)
 	case recAddDriver:
-		if rec.Driver == nil {
-			return false, fmt.Errorf("join record carries no driver")
-		}
-		err = svc.AddDriver(ctx, *rec.Driver)
+		err = svc.AddDriver(ctx, rec.Driver)
 	case recRetire:
 		err = svc.RetireDriver(ctx, rec.ID, rec.At)
 	case recAdvance:
@@ -611,8 +646,6 @@ func (svc *Service) replayRecord(r wal.Record) (done bool, err error) {
 	case recFinish:
 		_, err = svc.Close()
 		return true, err
-	default:
-		return false, fmt.Errorf("unknown record type %d", typ)
 	}
 	// Replay of an admitted mutation can only fail if the log and the
 	// code disagree (version skew, corruption the checksum missed).

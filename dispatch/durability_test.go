@@ -56,7 +56,7 @@ func durFeed(tr model.Trace) (Market, []durItem) {
 	return m, feed
 }
 
-func applyFeed(t *testing.T, svc *Service, tr model.Trace, items []durItem) {
+func applyFeed(t testing.TB, svc *Service, tr model.Trace, items []durItem) {
 	t.Helper()
 	ctx := context.Background()
 	for _, it := range items {
@@ -356,7 +356,7 @@ func TestDurableCorruptTailTyped(t *testing.T) {
 }
 
 // segFileOf returns the single segment file of a one-segment log.
-func segFileOf(t *testing.T, dir string) string {
+func segFileOf(t testing.TB, dir string) string {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
 	if err != nil || len(segs) != 1 {

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/model"
@@ -71,7 +73,9 @@ type ResultSnap struct {
 // StreamState is a complete, self-contained copy of a suspended
 // streaming run, sufficient to rebuild a Stream that continues
 // bit-identically. All fields are exported and JSON-clean (no NaNs: the
-// batcher's NaN close sentinel is carried as BatchSnap.Open).
+// batcher's NaN close sentinel is carried as BatchSnap.Open), and a
+// capture is deterministic: Inflight is ordered by task, Revert by
+// driver.
 type StreamState struct {
 	Drivers   []model.Driver    `json:"drivers"`
 	States    []DriverStateSnap `json:"states"`
@@ -132,6 +136,10 @@ func (s *Stream) CaptureState() (*StreamState, error) {
 	for drv, info := range r.revert {
 		st.Revert = append(st.Revert, InflightSnap{Task: info.task, Driver: drv, Prev: snapDriverState(info.prev), Arrival: info.arrival})
 	}
+	// Both come out of maps: order them by their keys, so the same run
+	// always captures the same state.
+	slices.SortFunc(st.Inflight, func(a, b InflightSnap) int { return cmp.Compare(a.Task, b.Task) })
+	slices.SortFunc(st.Revert, func(a, b InflightSnap) int { return cmp.Compare(a.Driver, b.Driver) })
 	st.Res = ResultSnap{
 		Served:      r.res.Served,
 		Rejected:    r.res.Rejected,

@@ -60,7 +60,9 @@ func applyItems(t *testing.T, st *Stream, tasks []model.Task, items []feedItem) 
 
 // TestStreamStateRoundTrip is the suspend/resume differential: run a
 // churning trace to a cut point, capture the state, serialize it
-// through JSON (the snapshot wire format), restore it onto a FRESH
+// through JSON (the version-1 snapshot format; dispatch's
+// TestCodecStateRoundTrip repeats this through the binary codec that
+// replaced it), restore it onto a FRESH
 // engine, finish both runs — the restored one must settle books
 // bit-identical to the never-interrupted one. Swept across instant and
 // batched modes, the scan (shards-1) and the indexed source as the

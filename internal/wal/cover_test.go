@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -331,12 +332,76 @@ func TestCompleteBadRecordWithTrailingBytes(t *testing.T) {
 // final frame) silently drops the torn frame and resumes appending on
 // the record boundary.
 func TestOpenTruncatesTornTail(t *testing.T) {
+	openers := map[string]func(dir string) (*Log, error){
+		"open": func(dir string) (*Log, error) { return Open(dir, Options{}) },
+		// The same through a Recovery already in hand: no second scan.
+		"recovery-open": func(dir string) (*Log, error) {
+			rec, err := Recover(dir)
+			if err != nil {
+				return nil, err
+			}
+			if !rec.TornTail || len(rec.Records) != 1 {
+				return nil, fmt.Errorf("recovery sees torn=%v and %d records", rec.TornTail, len(rec.Records))
+			}
+			return rec.Open(Options{})
+		},
+	}
+	for name, open := range openers {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Create(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, l, payloads(2)...)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, _, err := listFiles(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sz, err := fileSize(segs[0].path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(segs[0].path, sz-1); err != nil {
+				t.Fatal(err)
+			}
+			l, err = open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := l.NextLSN(); got != 1 {
+				t.Fatalf("after dropping the torn record NextLSN = %d, want 1", got)
+			}
+			if _, err := l.Append([]byte("replacement")); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := Recover(dir)
+			if err != nil || len(rec.Records) != 2 || string(rec.Records[1].Data) != "replacement" {
+				t.Fatalf("recovery after torn-tail reopen: %v, %d records", err, len(rec.Records))
+			}
+		})
+	}
+	if _, err := new(Recovery).Open(Options{}); err == nil {
+		t.Fatal("Open on a Recovery that Recover never returned succeeded")
+	}
+}
+
+// TestFrameLengthNeverSizesAnAllocation: a torn final frame whose header
+// claims the largest legal record is still just a torn tail — recovery
+// must measure the claim against the bytes that follow, not allocate it.
+func TestFrameLengthNeverSizesAnAllocation(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Create(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, l, payloads(2)...)
+	appendAll(t, l, payloads(3)...)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -344,29 +409,27 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sz, err := fileSize(segs[0].path)
+	f, err := os.OpenFile(segs[0].path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(segs[0].path, sz-1); err != nil {
+	var frame [frameLen + 3]byte
+	binary.LittleEndian.PutUint32(frame[:], maxRecord)
+	if _, err := f.Write(frame[:]); err != nil {
 		t.Fatal(err)
 	}
-	l, err = Open(dir, Options{})
-	if err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.NextLSN(); got != 1 {
-		t.Fatalf("after dropping the torn record NextLSN = %d, want 1", got)
-	}
-	if _, err := l.Append([]byte("replacement")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	rec, err := Recover(dir)
-	if err != nil || len(rec.Records) != 2 || string(rec.Records[1].Data) != "replacement" {
-		t.Fatalf("recovery after torn-tail reopen: %v, %d records", err, len(rec.Records))
+	runtime.ReadMemStats(&after)
+	if err != nil || !rec.TornTail || len(rec.Records) != 3 {
+		t.Fatalf("Recover = %+v, %v; want three records and a torn tail", rec, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("recovering a %d-byte segment allocated %d bytes", headerLen+3*40+len(frame), got)
 	}
 }
 

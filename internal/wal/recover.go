@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,6 +32,8 @@ type Recovery struct {
 	// frame — the signature of a crash mid-append — which recovery
 	// drops (Open truncates it away).
 	TornTail bool
+
+	scan *scanState // where Open resumes; its records live in Records
 }
 
 // Recover scans the log in dir without modifying it. A torn tail is
@@ -44,7 +45,7 @@ func Recover(dir string) (*Recovery, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := &Recovery{NextLSN: st.next, TornTail: st.tornSeg != ""}
+	rec := &Recovery{NextLSN: st.next, TornTail: st.tornSeg != "", scan: st}
 	// Walk snapshots newest-first until one parses; a truncated or
 	// corrupt newer snapshot (crash during WriteSnapshot never leaves
 	// one, but disks do) falls back to the one before it.
@@ -67,6 +68,7 @@ func Recover(dir string) (*Recovery, error) {
 			rec.Records = append(rec.Records, r)
 		}
 	}
+	st.records = nil
 	return rec, nil
 }
 
@@ -104,6 +106,7 @@ type snapFile struct {
 
 // scanState is the result of a full directory scan.
 type scanState struct {
+	dir     string
 	segs    []segFile
 	snaps   []snapFile
 	records []Record
@@ -150,7 +153,7 @@ func scanDir(dir string) (*scanState, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, dir)
 	}
-	st := &scanState{segs: segs, snaps: snaps}
+	st := &scanState{dir: dir, segs: segs, snaps: snaps}
 	expect := segs[0].firstLSN
 	for i, seg := range segs {
 		if seg.firstLSN != expect {
@@ -168,59 +171,50 @@ func scanDir(dir string) (*scanState, error) {
 }
 
 // scanSegment appends seg's records to st and returns how many it held.
-// Only the final segment may legally end early (torn tail).
+// Only the final segment may legally end early (torn tail). The segment
+// is read in one piece and the records are slices of it, so a frame
+// header's length field is only ever measured against bytes that are
+// there — it never sizes an allocation.
 func scanSegment(seg segFile, last bool, st *scanState) (uint64, error) {
-	f, err := os.Open(seg.path)
+	buf, err := os.ReadFile(seg.path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	defer f.Close()
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, fmt.Errorf("%w: segment %s header unreadable: %v", ErrCorrupt, seg.path, err)
+	if len(buf) < headerLen {
+		return 0, fmt.Errorf("%w: segment %s header is %d bytes", ErrCorrupt, seg.path, len(buf))
 	}
-	if string(hdr[:8]) != segMagic {
+	if string(buf[:8]) != segMagic {
 		return 0, fmt.Errorf("%w: segment %s has bad magic", ErrCorrupt, seg.path)
 	}
-	if got := binary.LittleEndian.Uint64(hdr[8:]); got != seg.firstLSN {
+	if got := binary.LittleEndian.Uint64(buf[8:]); got != seg.firstLSN {
 		return 0, fmt.Errorf("%w: segment %s header LSN %d does not match its name", ErrCorrupt, seg.path, got)
 	}
 	var count uint64
-	off := int64(headerLen)
-	var frame [frameLen]byte
-	for {
-		n, err := io.ReadFull(f, frame[:])
-		if err == io.EOF {
-			return count, nil
+	for rest := buf[headerLen:]; len(rest) > 0; {
+		off := int64(len(buf) - len(rest))
+		if len(rest) < frameLen {
+			return count, tailStop(seg, last, off, st, int64(len(rest)), "frame header")
 		}
-		if err == io.ErrUnexpectedEOF {
-			return count, tailStop(seg, last, off, st, int64(n), "frame header")
-		}
-		if err != nil {
-			return 0, fmt.Errorf("wal: %w", err)
-		}
-		size := binary.LittleEndian.Uint32(frame[0:])
-		want := binary.LittleEndian.Uint32(frame[4:])
+		size := binary.LittleEndian.Uint32(rest[0:])
+		want := binary.LittleEndian.Uint32(rest[4:])
 		if size > maxRecord {
 			// An absurd length is bit corruption of the frame itself:
 			// treat like a checksum failure at this position.
 			return count, badStop(seg, last, off, st, "frame length")
 		}
-		payload := make([]byte, size)
-		n, err = io.ReadFull(f, payload)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return count, tailStop(seg, last, off, st, frameLen+int64(n), "record body")
+		end := frameLen + int(size)
+		if len(rest) < end {
+			return count, tailStop(seg, last, off, st, int64(len(rest)), "record body")
 		}
-		if err != nil {
-			return 0, fmt.Errorf("wal: %w", err)
-		}
+		payload := rest[frameLen:end:end]
 		if crc32.Checksum(payload, crcTable) != want {
 			return count, badStop(seg, last, off, st, "checksum")
 		}
 		st.records = append(st.records, Record{LSN: seg.firstLSN + count, Data: payload})
 		count++
-		off += frameLen + int64(size)
+		rest = rest[end:]
 	}
+	return count, nil
 }
 
 // tailStop handles an incomplete frame: legal (and recoverable) only at

@@ -193,7 +193,23 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opt: opt.withDefaults()}
+	return st.open(opt)
+}
+
+// Open opens the recovered log for appending after its last valid
+// record, exactly as the package-level Open would, without scanning the
+// directory a second time. The log must not have been written to since
+// Recover returned rec.
+func (rec *Recovery) Open(opt Options) (*Log, error) {
+	if rec.scan == nil {
+		return nil, fmt.Errorf("wal: Open on a Recovery that Recover did not return")
+	}
+	return rec.scan.open(opt)
+}
+
+// open resumes appending at the end of a scanned log.
+func (st *scanState) open(opt Options) (*Log, error) {
+	l := &Log{dir: st.dir, opt: opt.withDefaults()}
 	if st.tornSeg != "" {
 		// Drop the unacknowledged torn frame so the segment ends on a
 		// record boundary again, then continue appending to it.
@@ -386,17 +402,22 @@ func (l *Log) WriteSnapshot(payload []byte) error {
 	lsn := l.next
 	final := filepath.Join(l.dir, fmt.Sprintf(snapPattern, lsn))
 	tmp := final + ".tmp"
-	buf := make([]byte, headerLen+frameLen+len(payload))
-	copy(buf[:8], snapMagic)
-	binary.LittleEndian.PutUint64(buf[8:], lsn)
-	binary.LittleEndian.PutUint32(buf[headerLen:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[headerLen+4:], crc32.Checksum(payload, crcTable))
-	copy(buf[headerLen+frameLen:], payload)
+	var hdr [headerLen + frameLen]byte
+	copy(hdr[:8], snapMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], lsn)
+	binary.LittleEndian.PutUint32(hdr[headerLen:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[headerLen+4:], crc32.Checksum(payload, crcTable))
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
+	// Header and payload go out as two writes: the payload can be
+	// megabytes, and nothing reads the file before the rename below.
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		_, err = f.Write(payload)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
