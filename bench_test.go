@@ -316,6 +316,69 @@ func BenchmarkOnlineMaxMarginGrid10k(b *testing.B) { benchmarkDispatchScale(b, 1
 func BenchmarkOnlineMaxMarginScan50k(b *testing.B) { benchmarkDispatchScale(b, 50_000, scanSrc) }
 func BenchmarkOnlineMaxMarginGrid50k(b *testing.B) { benchmarkDispatchScale(b, 50_000, gridSrc) }
 
+// BenchmarkInstantDecision is the per-layer probe of the instant path:
+// the instant_50k day of benchmark/ (50k drivers, 1 000 orders, instant
+// MaxMargin over the indexed source) submitted order by order, with the
+// index build outside the timer. It reports the time of one decision
+// and, from an untimed second day under a counting Market.Dist, how
+// many drivers a decision scored exactly: every exact score measures
+// the distance into the order's pickup once, and so does the commit of
+// each served order, which is subtracted.
+func BenchmarkInstantDecision(b *testing.B) {
+	if testing.Short() {
+		b.Skip("city-scale instant day; skipped in -short smoke runs")
+	}
+	cfg := trace.NewConfig(27, 1000, 50_000, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	day := func(mkt model.Market, timed bool) (served int) {
+		eng, err := sim.New(mkt, tr.Drivers, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng.SetCandidateSource(sim.NewGridSource(nil))
+		st, err := eng.NewStream(online.MaxMargin{}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if timed {
+			b.StartTimer()
+			defer b.StopTimer()
+		}
+		for _, task := range tr.Tasks {
+			dec, err := st.SubmitTask(task)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if dec.Assigned {
+				served++
+			}
+		}
+		return served
+	}
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		day(cfg.Market, true)
+	}
+	orders := float64(len(tr.Tasks))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*orders), "ns/decision")
+
+	pickups := make(map[geo.Point]bool, len(tr.Tasks))
+	for _, task := range tr.Tasks {
+		pickups[task.Source] = true
+	}
+	intoPickup := 0
+	counting := cfg.Market
+	counting.Dist = func(a, p geo.Point) float64 {
+		if pickups[p] {
+			intoPickup++
+		}
+		return cfg.Market.Dist(a, p)
+	}
+	served := day(counting, false)
+	b.ReportMetric(float64(intoPickup-served)/orders, "exact-scores/decision")
+}
+
 // BenchmarkScenarioChurn measures the event-driven engine on the
 // dynamic workload the batch replayer could not express: a 10k-driver
 // day with mid-day joins, early retirements and rider cancellations,

@@ -17,6 +17,16 @@
 // contract) whether candidates came from the exact linear scan or the
 // spatial index's pre-filter, so tie-breaking and RNG consumption, and
 // therefore results, are identical under either source.
+//
+// Nearest and MaxMargin each take one extremum over that slice and say
+// so (sim.Ranked), which lets instant dispatch over the indexed source
+// hand them only the drivers who could still win or tie — the rest are
+// ruled out by a distance lower bound and never scored. What makes that
+// exact is how the two break ties: MaxMargin keeps the first of equal
+// margins, Nearest draws from the RNG only on an exact arrival tie with
+// its running best, so a candidate strictly worse than the best before
+// it changes neither the winner nor the RNG position. Random looks at
+// the whole list and always gets it.
 package online
 
 import (
@@ -30,7 +40,10 @@ import (
 // is ready to use.
 type Nearest struct{}
 
-var _ sim.Dispatcher = Nearest{}
+var (
+	_ sim.Dispatcher = Nearest{}
+	_ sim.Ranked     = Nearest{}
+)
 
 // Name implements sim.Dispatcher.
 func (Nearest) Name() string { return "Nearest" }
@@ -57,6 +70,11 @@ func (Nearest) Choose(_ model.Task, cands []sim.Candidate, rng *rand.Rand) int {
 	return best
 }
 
+// RankedBy implements sim.Ranked: Choose is an argmin of Arrival whose
+// reservoir counts, and draws for, exact ties with the running minimum
+// only.
+func (Nearest) RankedBy() sim.Rank { return sim.RankArrival }
+
 // MaxMargin is the maximum-marginal-value heuristic (Algorithm 4).
 //
 // AllowNegative controls whether a task may be assigned to a driver whose
@@ -68,7 +86,10 @@ type MaxMargin struct {
 	AllowNegative bool
 }
 
-var _ sim.Dispatcher = MaxMargin{}
+var (
+	_ sim.Dispatcher = MaxMargin{}
+	_ sim.Ranked     = MaxMargin{}
+)
 
 // Name implements sim.Dispatcher.
 func (m MaxMargin) Name() string {
@@ -91,6 +112,11 @@ func (m MaxMargin) Choose(_ model.Task, cands []sim.Candidate, _ *rand.Rand) int
 	}
 	return best
 }
+
+// RankedBy implements sim.Ranked: Choose is a strict-comparison argmax
+// of Margin — the first of equal margins stays — and the rejection rule
+// reads the winner alone.
+func (MaxMargin) RankedBy() sim.Rank { return sim.RankMargin }
 
 // Random assigns the task to a uniformly random candidate. It is not in
 // the paper; it serves as the naive control baseline in ablation

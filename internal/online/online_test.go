@@ -3,8 +3,10 @@ package online
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -158,5 +160,104 @@ func TestNearestServeRateReasonable(t *testing.T) {
 	}
 	if math.IsNaN(nr.TotalProfit) {
 		t.Fatal("NaN profit")
+	}
+}
+
+// tieSpy is a dispatcher without the Ranked capability — embedding the
+// interface hides it — that watches the full lists its chooser is
+// handed: how many had their best arrival, or their best margin, shared
+// by more than one candidate.
+type tieSpy struct {
+	sim.Dispatcher
+	arrivalTies, marginTies *int
+}
+
+func (s tieSpy) Choose(task model.Task, cands []sim.Candidate, rng *rand.Rand) int {
+	if len(cands) > 0 {
+		minArrival, maxMargin := cands[0].Arrival, cands[0].Margin
+		for _, c := range cands {
+			minArrival, maxMargin = min(minArrival, c.Arrival), max(maxMargin, c.Margin)
+		}
+		atMin, atMax := 0, 0
+		for _, c := range cands {
+			if c.Arrival == minArrival {
+				atMin++
+			}
+			if c.Margin == maxMargin {
+				atMax++
+			}
+		}
+		if atMin > 1 {
+			*s.arrivalTies++
+		}
+		if atMax > 1 {
+			*s.marginTies++
+		}
+	}
+	return s.Dispatcher.Choose(task, cands, rng)
+}
+
+// TestBoundedChoiceKeepsTies builds the day the generated ones never
+// hit. Every third driver waits on one spot with one home and one speed
+// — exact arrival ties and exact margin ties among them — and the ids
+// between belong to drivers scattered a few kilometres around, who rank
+// below the stack and are what the bounded path skips: each stack
+// member after the first ties with the incumbent across a skipped
+// range. Half the orders start on the stack's spot and end at its home,
+// where both of a stack member's lower bounds are 0 and exact, so her
+// optimistic rank equals the incumbent's to the bit — the case a skip
+// test written with <= would lose. The bounded index must settle the
+// scan's books and leave the RNG where the scan left it.
+func TestBoundedChoiceKeepsTies(t *testing.T) {
+	spot := geo.Point{Lat: 41.15, Lon: -8.61}
+	home := geo.Point{Lat: 41.17, Lon: -8.60}
+	rng := rand.New(rand.NewSource(4))
+	near := func(p geo.Point) geo.Point {
+		return geo.Point{Lat: p.Lat + (rng.Float64()-0.5)*0.06, Lon: p.Lon + (rng.Float64()-0.5)*0.06}
+	}
+	var fleet []model.Driver
+	for i := 0; i < 45; i++ {
+		d := model.Driver{ID: i, Source: spot, Dest: home, Start: 0, End: 40000}
+		if i%3 != 1 {
+			d.Source, d.Dest = near(spot), near(home)
+		}
+		fleet = append(fleet, d)
+	}
+	var orders []model.Task
+	for i := 0; i < 40; i++ {
+		at := 600 + 90*float64(i)
+		o := model.Task{ID: i, Publish: at, Source: spot, Dest: home, StartBy: at + 900, EndBy: at + 4500, Price: 9, WTP: 9}
+		if i%2 == 1 {
+			o.Source, o.Dest = near(spot), near(home)
+		}
+		orders = append(orders, o)
+	}
+
+	day := func(src sim.CandidateSource, d sim.Dispatcher) (sim.Result, uint64) {
+		e, err := sim.New(model.DefaultMarket(), fleet, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetCandidateSource(src)
+		return e.Run(orders, d), e.RNGDraws()
+	}
+	for _, d := range []sim.Dispatcher{Nearest{}, MaxMargin{}, MaxMargin{AllowNegative: true}} {
+		var arrivalTies, marginTies int
+		want, wantDraws := day(nil, tieSpy{d, &arrivalTies, &marginTies})
+		if want.Served == 0 || arrivalTies == 0 || marginTies == 0 {
+			t.Fatalf("%s: %d served, %d lists with an arrival tie at the minimum, %d with a margin tie at the maximum; the day tests nothing",
+				d.Name(), want.Served, arrivalTies, marginTies)
+		}
+		if _, isNearest := d.(Nearest); isNearest && wantDraws == 0 {
+			t.Fatalf("%s: no RNG draw all day", d.Name())
+		}
+		got, gotDraws := day(sim.NewGridSource(nil), d)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: bounded index served %d for %.9f, the scan %d for %.9f; assignments %v vs %v",
+				d.Name(), got.Served, got.Revenue, want.Served, want.Revenue, got.Assignment, want.Assignment)
+		}
+		if gotDraws != wantDraws {
+			t.Errorf("%s: %d RNG draws on the bounded index, %d on the scan", d.Name(), gotDraws, wantDraws)
+		}
 	}
 }

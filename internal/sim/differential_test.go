@@ -52,6 +52,33 @@ func (diffNearest) Choose(_ model.Task, cands []Candidate, rng *rand.Rand) int {
 	return best
 }
 
+// rankedMaxMargin and rankedNearest are the same two choosers declaring
+// what they rank by, as online's do: on a GridSource they are handed the
+// bounded list (Contenders), everywhere else the full one. The
+// capability-less forms above stay the reference column of every sweep.
+type rankedMaxMargin struct{ diffMaxMargin }
+
+func (rankedMaxMargin) Name() string   { return "maxMargin+rank" }
+func (rankedMaxMargin) RankedBy() Rank { return RankMargin }
+
+type rankedNearest struct{ diffNearest }
+
+func (rankedNearest) Name() string   { return "nearest+rank" }
+func (rankedNearest) RankedBy() Rank { return RankArrival }
+
+// forms lists what the indexed engine runs against one scan run of d: d
+// itself (the full list through the index) and its Ranked twin, if it
+// has one (the bounded list).
+func forms(d Dispatcher) []Dispatcher {
+	switch d.(type) {
+	case diffMaxMargin:
+		return []Dispatcher{d, rankedMaxMargin{}}
+	case diffNearest:
+		return []Dispatcher{d, rankedNearest{}}
+	}
+	return []Dispatcher{d}
+}
+
 type diffRandom struct{}
 
 func (diffRandom) Name() string { return "random" }
@@ -70,23 +97,43 @@ func (diffRandom) Choose(_ model.Task, cands []Candidate, rng *rand.Rand) int {
 // the linear-scan engine, for every Run* entry point. The pre-filter may
 // only ever shrink the work, never the candidate set.
 
+// diffEngine builds one column of a differential: an engine over the
+// given inputs and candidate source (nil is the scan).
+func diffEngine(t *testing.T, mkt model.Market, drivers []model.Driver, seed int64, realTime bool, src CandidateSource) *Engine {
+	t.Helper()
+	e, err := New(mkt, drivers, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RealTime = realTime
+	e.SetCandidateSource(src)
+	return e
+}
+
 // runPair runs the same simulation on a scan engine and a grid engine
 // built from identical inputs and returns both results.
 func runPair(t *testing.T, mkt model.Market, drivers []model.Driver, seed int64,
 	realTime bool, grid *geo.Grid, run func(e *Engine) Result) (scan, indexed Result) {
 	t.Helper()
-	se, err := New(mkt, drivers, seed)
-	if err != nil {
-		t.Fatal(err)
+	return run(diffEngine(t, mkt, drivers, seed, realTime, nil)),
+		run(diffEngine(t, mkt, drivers, seed, realTime, NewGridSource(grid)))
+}
+
+// diffForms runs one instant day of d on a scan engine and then every
+// form of d on an indexed engine built from the same inputs: the books
+// and the RNG position must all equal the scan's.
+func diffForms(t *testing.T, label string, mkt model.Market, drivers []model.Driver, seed int64,
+	realTime bool, grid *geo.Grid, d Dispatcher, run func(e *Engine, d Dispatcher) Result) {
+	t.Helper()
+	se := diffEngine(t, mkt, drivers, seed, realTime, nil)
+	scan := run(se, d)
+	for _, form := range forms(d) {
+		ge := diffEngine(t, mkt, drivers, seed, realTime, NewGridSource(grid))
+		diffResults(t, label+" disp="+form.Name(), scan, run(ge, form))
+		if se.RNGDraws() != ge.RNGDraws() {
+			t.Errorf("%s disp=%s: %d RNG draws on the index, %d on the scan", label, form.Name(), ge.RNGDraws(), se.RNGDraws())
+		}
 	}
-	se.RealTime = realTime
-	ge, err := New(mkt, drivers, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ge.RealTime = realTime
-	ge.SetCandidateSource(NewGridSource(grid))
-	return run(se), run(ge)
 }
 
 func diffResults(t *testing.T, label string, scan, indexed Result) {
@@ -138,11 +185,10 @@ func TestGridSourceMatchesScan(t *testing.T) {
 				for _, realTime := range []bool{false, true} {
 					for gname, mk := range grids {
 						for _, d := range dispatchers {
-							label := fmt.Sprintf("seed=%d n=%d model=%v rt=%v grid=%s disp=%s",
-								seed, nDrivers, dm, realTime, gname, d.Name())
-							scan, indexed := runPair(t, cfg.Market, tr.Drivers, seed, realTime, mk(),
-								func(e *Engine) Result { return e.Run(tr.Tasks, d) })
-							diffResults(t, label, scan, indexed)
+							label := fmt.Sprintf("seed=%d n=%d model=%v rt=%v grid=%s",
+								seed, nDrivers, dm, realTime, gname)
+							diffForms(t, label, cfg.Market, tr.Drivers, seed, realTime, mk(), d,
+								func(e *Engine, d Dispatcher) Result { return e.Run(tr.Tasks, d) })
 						}
 					}
 				}
@@ -197,9 +243,10 @@ func TestGridSourceMatchesScanWithSpeedOverrides(t *testing.T) {
 				tr.Drivers[i].SpeedKmh = 18
 			}
 		}
-		scan, indexed := runPair(t, cfg.Market, tr.Drivers, seed, false, nil,
-			func(e *Engine) Result { return e.Run(tr.Tasks, diffMaxMargin{}) })
-		diffResults(t, fmt.Sprintf("seed=%d speed-overrides", seed), scan, indexed)
+		for _, d := range []Dispatcher{diffMaxMargin{}, diffNearest{}} {
+			diffForms(t, fmt.Sprintf("seed=%d speed-overrides", seed), cfg.Market, tr.Drivers, seed, false, nil, d,
+				func(e *Engine, d Dispatcher) Result { return e.Run(tr.Tasks, d) })
+		}
 	}
 }
 
@@ -221,8 +268,11 @@ func TestGridSourceMatchesScanScenario(t *testing.T) {
 		if len(events) == 0 {
 			t.Fatalf("seed=%d: churn produced no events", seed)
 		}
+		for _, d := range []Dispatcher{diffNearest{}, diffMaxMargin{}} {
+			diffForms(t, fmt.Sprintf("seed=%d scenario=instant", seed), cfg.Market, tr.Drivers, seed, false, nil, d,
+				func(e *Engine, d Dispatcher) Result { return e.RunScenario(tr.Tasks, events, d) })
+		}
 		runs := map[string]func(e *Engine) Result{
-			"instant": func(e *Engine) Result { return e.RunScenario(tr.Tasks, events, diffNearest{}) },
 			"batched": func(e *Engine) Result {
 				return e.RunBatchedScenario(tr.Tasks, events, 45, BatchHungarian)
 			},

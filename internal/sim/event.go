@@ -384,10 +384,19 @@ func (r *eventRun) assignTask(ti int, c Candidate, task model.Task) {
 }
 
 // instantArrival is the instant-dispatch arrival handler: candidates at
-// the arrival instant, one dispatcher choice, commit or reject.
+// the arrival instant, one dispatcher choice, commit or reject. When the
+// dispatcher declares what it ranks by and the source can bound that
+// rank (both discovered here, neither configured), the choice is made
+// over the contenders only; see Ranked.
 func (r *eventRun) instantArrival(ev event) {
 	task := r.tasks[ev.idx]
-	r.cands = r.e.source.Candidates(task, ev.at, r.cands[:0])
+	ranked, _ := r.d.(Ranked)
+	bounded, _ := r.e.source.(boundedSource)
+	if ranked != nil && bounded != nil {
+		r.cands = bounded.Contenders(task, ev.at, ranked.RankedBy(), r.cands[:0])
+	} else {
+		r.cands = r.e.source.Candidates(task, ev.at, r.cands[:0])
+	}
 	choice := -1
 	if len(r.cands) > 0 {
 		choice = r.d.Choose(task, r.cands, r.e.rng)

@@ -36,18 +36,17 @@ func TestByValueSourcesMatchScan(t *testing.T) {
 		tr := trace.NewGenerator(cfg).Generate(nil)
 		for _, realTime := range []bool{false, true} {
 			for _, d := range []Dispatcher{diffMaxMargin{}, diffNearest{}} {
-				run := func(e *Engine) Result {
+				run := func(e *Engine, d Dispatcher) Result {
 					res := e.RunByValue(tr.Tasks, d)
 					if e.timeKeyed {
 						t.Fatal("a by-value run told its sources the clock is monotone")
 					}
+					if res.Served == 0 {
+						t.Fatalf("seed %d: nothing served; the comparison is empty", seed)
+					}
 					return res
 				}
-				scan, got := runPair(t, cfg.Market, tr.Drivers, seed, realTime, nil, run)
-				if scan.Served == 0 {
-					t.Fatalf("seed %d: the scan served nothing; the comparison is empty", seed)
-				}
-				diffResults(t, fmt.Sprintf("by-value seed=%d rt=%v %s", seed, realTime, d.Name()), scan, got)
+				diffForms(t, fmt.Sprintf("by-value seed=%d rt=%v", seed, realTime), cfg.Market, tr.Drivers, seed, realTime, nil, d, run)
 			}
 		}
 	}
@@ -64,8 +63,11 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 	events := trace.WithChurn(tr, trace.DefaultChurn(5, 0.3, 0.3))
 	feed, fleet := buildFeed(tr.Tasks, events)
 
-	for _, batched := range []bool{false, true} {
-		open := func(src CandidateSource) (*Engine, *Stream) {
+	// nil is the batched day. The instant day's reference is the plain
+	// chooser on the scan; both of its forms restore on the index.
+	for _, d := range []Dispatcher{nil, diffNearest{}, rankedNearest{}} {
+		batched := d == nil
+		open := func(src CandidateSource, d Dispatcher) (*Engine, *Stream) {
 			e, err := New(cfg.Market, tr.Drivers, 9)
 			if err != nil {
 				t.Fatal(err)
@@ -75,21 +77,21 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 			if batched {
 				st, err = e.NewBatchedStream(60, BatchHungarian, fleet)
 			} else {
-				st, err = e.NewStream(diffNearest{}, fleet)
+				st, err = e.NewStream(d, fleet)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			return e, st
 		}
-		_, base := open(nil)
+		_, base := open(nil, diffNearest{})
 		applyItems(t, base, tr.Tasks, feed)
 		want, err := base.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, cut := range []int{len(feed) * 6 / 10, len(feed) * 9 / 10} {
-			_, st := open(NewGridSource(nil))
+			_, st := open(NewGridSource(nil), d)
 			applyItems(t, st, tr.Tasks, feed[:cut])
 			snap, err := st.CaptureState()
 			if err != nil {
@@ -104,7 +106,7 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 			if batched {
 				restored, err = e2.RestoreStream(snap, nil, 60, BatchHungarian)
 			} else {
-				restored, err = e2.RestoreStream(snap, diffNearest{}, 0, 0)
+				restored, err = e2.RestoreStream(snap, d, 0, 0)
 			}
 			if err != nil {
 				t.Fatalf("cut %d: RestoreStream: %v", cut, err)
@@ -115,8 +117,8 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("batched=%v cut %d: restored books diverge from the uninterrupted scan: served %d/%d revenue %.9f/%.9f",
-					batched, cut, want.Served, got.Served, want.Revenue, got.Revenue)
+				t.Fatalf("batched=%v %T cut %d: restored books diverge from the uninterrupted scan: served %d/%d revenue %.9f/%.9f",
+					batched, d, cut, want.Served, got.Served, want.Revenue, got.Revenue)
 			}
 		}
 	}
@@ -140,16 +142,21 @@ func TestAddedDriverFasterThanFleet(t *testing.T) {
 	order := model.Task{ID: 0, Publish: 1000, Source: base, Dest: at(0.01, 0.01),
 		StartBy: 1000 + 8*60, EndBy: 1000 + 3600, Price: 30, WTP: 40}
 
-	for name, mk := range map[string]func() CandidateSource{
-		"scan":    func() CandidateSource { return nil },
-		"indexed": func() CandidateSource { return NewGridSource(nil) },
+	for name, col := range map[string]struct {
+		src CandidateSource
+		d   Dispatcher
+	}{
+		"scan":            {nil, diffMaxMargin{}},
+		"indexed":         {NewGridSource(nil), diffMaxMargin{}},
+		"bounded margin":  {NewGridSource(nil), rankedMaxMargin{}},
+		"bounded arrival": {NewGridSource(nil), rankedNearest{}},
 	} {
 		e, err := New(mkt, slow, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetCandidateSource(mk())
-		st, err := e.NewStream(diffMaxMargin{}, nil)
+		e.SetCandidateSource(col.src)
+		st, err := e.NewStream(col.d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,14 +206,13 @@ func TestAddedDriversPolewardOfGrid(t *testing.T) {
 	slices.SortStableFunc(tasks, func(a, b model.Task) int { return cmp.Compare(a.Publish, b.Publish) })
 	const announced = 6 * 3600.0
 
-	day := func(src CandidateSource) Result {
+	day := func(src CandidateSource, d Dispatcher) Result {
 		e, err := New(model.DefaultMarket(), south.Drivers, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.SetCandidateSource(src)
-		// diffRandom draws among all candidates: losing any one shows.
-		st, err := e.NewStream(diffRandom{}, nil)
+		st, err := e.NewStream(d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,15 +239,23 @@ func TestAddedDriversPolewardOfGrid(t *testing.T) {
 		}
 		return res
 	}
-	scan := day(nil)
-	northern := 0
-	for _, n := range scan.PerDriverTasks[len(south.Drivers):] {
-		northern += n
+	// diffRandom draws among all candidates: losing any one shows. The
+	// two ranked choosers bound their rank in the projection of the grid
+	// the source laid out again: a bound kept from the southern one would
+	// skip northern winners.
+	for _, d := range []Dispatcher{diffRandom{}, diffMaxMargin{}, diffNearest{}} {
+		scan := day(nil, d)
+		northern := 0
+		for _, n := range scan.PerDriverTasks[len(south.Drivers):] {
+			northern += n
+		}
+		if northern == 0 {
+			t.Fatal("the scan gave the northern drivers nothing; the comparison is empty")
+		}
+		for _, form := range forms(d) {
+			diffResults(t, "fleet announced 20° north of the bound grid, "+form.Name(), scan, day(NewGridSource(nil), form))
+		}
 	}
-	if northern == 0 {
-		t.Fatal("the scan gave the northern drivers nothing; the comparison is empty")
-	}
-	diffResults(t, "fleet announced 20° north of the bound grid", scan, day(NewGridSource(nil)))
 }
 
 // TestAddedDriverPolewardOfStaticGridPanics: a configured grid cannot
@@ -298,53 +312,67 @@ func TestSelectTopKeepsTheSortedTop(t *testing.T) {
 	}
 }
 
-// TestShardedCandidatesZeroAllocSteadyState is the candidate path's
+// TestCandidatesZeroAllocSteadyState is the candidate path's
 // counterpart of matching's TestSparseSolverZeroAllocSteadyState: on a
 // fleet whose shifts start and end all day long, a query stream that
 // moves the clock forward — so every query wakes the drivers who came
 // on shift and expires those who left — allocates nothing once the
-// scratch buffers have seen a busy hour.
-func TestShardedCandidatesZeroAllocSteadyState(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const n, shift = 3000, 7000.0
-	fleet := make([]model.Driver, n)
-	for i := range fleet {
-		p := geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
-		start := rng.Float64() * 60000
-		fleet[i] = model.Driver{ID: i, Source: p, Dest: p, Start: start, End: start + shift}
+// scratch buffers have seen a busy hour. That holds for the full list
+// and for the bounded one under either rank.
+func TestCandidatesZeroAllocSteadyState(t *testing.T) {
+	queries := map[string]func(*GridSource, model.Task, float64, []Candidate) []Candidate{
+		"full list": (*GridSource).Candidates,
+		"bounded by margin": func(s *GridSource, task model.Task, now float64, buf []Candidate) []Candidate {
+			return s.Contenders(task, now, RankMargin, buf)
+		},
+		"bounded by arrival": func(s *GridSource, task model.Task, now float64, buf []Candidate) []Candidate {
+			return s.Contenders(task, now, RankArrival, buf)
+		},
 	}
-	e, err := New(model.DefaultMarket(), fleet, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewGridSource(nil)
-	e.SetCandidateSource(src)
-	if _, err := e.NewStream(diffMaxMargin{}, nil); err != nil {
-		t.Fatal(err)
-	}
+	for name, ask := range queries {
+		rng := rand.New(rand.NewSource(8))
+		const n, shift = 3000, 7000.0
+		fleet := make([]model.Driver, n)
+		for i := range fleet {
+			p := geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
+			start := rng.Float64() * 60000
+			fleet[i] = model.Driver{ID: i, Source: p, Dest: p, Start: start, End: start + shift}
+		}
+		e, err := New(model.DefaultMarket(), fleet, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := NewGridSource(nil)
+		e.SetCandidateSource(src)
+		if _, err := e.NewStream(diffMaxMargin{}, nil); err != nil {
+			t.Fatal(err)
+		}
 
-	now := 0.0
-	buf := make([]Candidate, 0, n)
-	query := func() {
-		now += 45
-		p := geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
-		buf = src.Candidates(model.Task{Publish: now, Source: p, Dest: geo.PortoBox.Center(),
-			StartBy: now + 900, EndBy: now + 4000, Price: 20}, now, buf[:0])
-	}
-	for now < 2*shift { // warm-up: the on-shift fleet reaches its steady size
-		query()
-	}
-	allocs := testing.AllocsPerRun(600, query)
-	if allocs != 0 {
-		t.Fatalf("%v allocations per warm Candidates call", allocs)
-	}
-	// The measured stretch really did see the fleet turn over: drivers
-	// whose shift began after the warm-up are candidates by its end.
-	woken := false
-	for _, c := range buf {
-		woken = woken || fleet[c.Driver].Start > 2*shift
-	}
-	if !woken || len(buf) == 0 {
-		t.Fatalf("no driver who started during the measured stretch is among the last %d candidates", len(buf))
+		now := 0.0
+		buf := make([]Candidate, 0, n)
+		query := func() {
+			now += 45
+			p := geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
+			buf = ask(src, model.Task{Publish: now, Source: p, Dest: geo.PortoBox.Center(),
+				StartBy: now + 900, EndBy: now + 4000, Price: 20}, now, buf[:0])
+		}
+		for now < 2*shift { // warm-up: the on-shift fleet reaches its steady size
+			query()
+		}
+		// The measured stretch must see the fleet turn over: some driver
+		// whose shift began after the warm-up is a candidate during it.
+		woken := false
+		allocs := testing.AllocsPerRun(600, func() {
+			query()
+			for _, c := range buf {
+				woken = woken || fleet[c.Driver].Start > 2*shift
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %v allocations per warm query", name, allocs)
+		}
+		if !woken {
+			t.Fatalf("%s: no driver who started during the measured stretch was ever a candidate", name)
+		}
 	}
 }

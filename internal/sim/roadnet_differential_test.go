@@ -80,17 +80,18 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 		eng.MatchWorkers = v.workers
 		return eng
 	}
-	run := func(v variant, batched bool) Result {
+	run := func(v variant, d Dispatcher) Result {
 		eng := engine(v)
-		if batched {
+		if d == nil {
 			return eng.RunBatchedScenario(tr.Tasks, events, 60, BatchHungarian)
 		}
-		return eng.RunScenario(tr.Tasks, events, diffMaxMargin{})
+		return eng.RunScenario(tr.Tasks, events, d)
 	}
 
 	feed, fleet := buildFeed(tr.Tasks, events)
 	var memoChecked, memoStale int
-	suspended := func(v variant, batched, sameEngine bool) Result {
+	suspended := func(v variant, d Dispatcher, sameEngine bool) Result {
+		batched := d == nil
 		eng := engine(v)
 		apply := func(st *Stream, items []feedItem) {
 			for i := range items {
@@ -105,7 +106,7 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 		if batched {
 			st, err = eng.NewBatchedStream(60, BatchHungarian, fleet)
 		} else {
-			st, err = eng.NewStream(diffMaxMargin{}, fleet)
+			st, err = eng.NewStream(d, fleet)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +123,7 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 		if batched {
 			st, err = eng.RestoreStream(state, nil, 60, BatchHungarian)
 		} else {
-			st, err = eng.RestoreStream(state, diffMaxMargin{}, 0, 0)
+			st, err = eng.RestoreStream(state, d, 0, 0)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -135,8 +136,18 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 		return res
 	}
 
-	for _, batched := range []bool{false, true} {
-		want := run(variants[0], batched)
+	// The batched day has no dispatcher (nil). The instant day runs
+	// under the plain chooser — the reference, on variants[0] — and its
+	// Ranked twin: without the hook the index bounds the road metric
+	// (floored at crow-fly, so the planar bound stands); with it,
+	// Contenders hands back scoreCandidates' batched full list.
+	for _, d := range []Dispatcher{nil, diffMaxMargin{}, rankedMaxMargin{}} {
+		batched := d == nil
+		ref := d
+		if _, twin := d.(Ranked); twin {
+			ref = diffMaxMargin{}
+		}
+		want := run(variants[0], ref)
 		if want.Served == 0 {
 			t.Fatalf("degenerate baseline (batched=%v): nothing served under network metric", batched)
 		}
@@ -144,17 +155,17 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 			t.Fatal("degenerate baseline: the instant day revoked no assignment, handleFree never ran")
 		}
 		for _, v := range variants[1:] {
-			if got := run(v, batched); !reflect.DeepEqual(want, got) {
-				t.Errorf("batched=%v: %s(workers=%d,alt=%v,batch=%v) diverges from scan under network metric: served %d vs %d, revenue %.9f vs %.9f — this is a bug",
-					batched, v.name, v.workers, v.alt, v.batch, got.Served, want.Served, got.Revenue, want.Revenue)
+			if got := run(v, d); !reflect.DeepEqual(want, got) {
+				t.Errorf("batched=%v %T: %s(workers=%d,alt=%v,batch=%v) diverges from scan under network metric: served %d vs %d, revenue %.9f vs %.9f — this is a bug",
+					batched, d, v.name, v.workers, v.alt, v.batch, got.Served, want.Served, got.Revenue, want.Revenue)
 			}
 			if !v.batch {
 				continue
 			}
 			for _, sameEngine := range []bool{true, false} {
-				if got := suspended(v, batched, sameEngine); !reflect.DeepEqual(want, got) {
-					t.Errorf("batched=%v: %s(workers=%d) suspended and restored mid-day (same engine: %v) diverges from scan: served %d vs %d, cancelled %d vs %d, revenue %.9f vs %.9f — this is a bug",
-						batched, v.name, v.workers, sameEngine, got.Served, want.Served, got.Cancelled, want.Cancelled, got.Revenue, want.Revenue)
+				if got := suspended(v, d, sameEngine); !reflect.DeepEqual(want, got) {
+					t.Errorf("batched=%v %T: %s(workers=%d) suspended and restored mid-day (same engine: %v) diverges from scan: served %d vs %d, cancelled %d vs %d, revenue %.9f vs %.9f — this is a bug",
+						batched, d, v.name, v.workers, sameEngine, got.Served, want.Served, got.Cancelled, want.Cancelled, got.Revenue, want.Revenue)
 				}
 			}
 		}

@@ -49,9 +49,51 @@ type Candidate struct {
 
 // Dispatcher selects a candidate for each arriving task. Implementations
 // must not retain the candidate slice. Returning -1 rejects the task.
+//
+// cands holds every feasible driver in ascending driver order — unless
+// the dispatcher is Ranked, in which case it may be the rank-preserving
+// subset of that list (see Ranked): same order, same winner, same draws.
 type Dispatcher interface {
 	Name() string
 	Choose(task model.Task, cands []Candidate, rng *rand.Rand) int
+}
+
+// Rank names the one number of a Candidate that a Ranked dispatcher's
+// Choose takes its extremum over.
+type Rank uint8
+
+const (
+	RankMargin  Rank = iota + 1 // the larger Candidate.Margin wins
+	RankArrival                 // the earlier Candidate.Arrival wins
+)
+
+// of is the number r ranks c by, oriented so that larger is better.
+func (r Rank) of(c Candidate) float64 {
+	if r == RankArrival {
+		return -c.Arrival
+	}
+	return c.Margin
+}
+
+// Ranked is the optional capability of a Dispatcher whose Choose is one
+// extremum over the candidates. Declaring it is a promise about Choose:
+//
+//   - it returns a candidate of maximal rank (or rejects), and
+//   - neither what it returns nor how many draws it takes from rng
+//     depends on a candidate ranked strictly below the best of the
+//     candidates before it in the list.
+//
+// A strict-comparison argmax that keeps the first best (MaxMargin) and a
+// reservoir draw among exact ties (Nearest) both qualify; a uniform
+// choice over the whole list (Random) does not. Instant dispatch then
+// asks a source that can (GridSource.Contenders) for a list that may
+// leave out any candidate ranked strictly below the best one before it,
+// and Choose — unchanged, there is no second chooser — picks the same
+// driver from the short list as from the full one. Everything else
+// (batched windows, replanning, any other source or dispatcher) keeps
+// the full list.
+type Ranked interface {
+	RankedBy() Rank
 }
 
 // CandidateSource enumerates the feasible drivers for an arriving task.
@@ -89,6 +131,15 @@ type CandidateSource interface {
 	// the source extends its id space to hold her, indexing her if she is
 	// present already. Nothing else is rebuilt.
 	Added(i int)
+}
+
+// boundedSource is the source half of Ranked: a CandidateSource that can
+// bound a rank from cheap inputs and so hand back fewer than everyone.
+type boundedSource interface {
+	// Contenders appends, in ascending driver order, a subset of what
+	// Candidates would: every candidate whose rank under by equals or
+	// beats that of all candidates before it is in it.
+	Contenders(task model.Task, now float64, by Rank, buf []Candidate) []Candidate
 }
 
 // Result aggregates a full simulation run. Per-driver slices are indexed
@@ -486,14 +537,22 @@ func (e *Engine) finishCandidate(i int, task model.Task, service, serviceCost, a
 		return Candidate{}, false
 	}
 
-	// δ_{n,m}, Eq. (14): price minus the marginal cost of inserting
-	// the task after the driver's current plan.
+	return Candidate{Driver: i, Arrival: arrival, Margin: e.margin(task.Price, serviceCost, pickupKm, homeKm, e.homeKm(i))}, true
+}
+
+// margin is δ_{n,m}, Eq. (14): price minus the marginal cost of
+// inserting the task after the driver's current plan — the deadhead to
+// the pickup, the trip, and the way home from the dropoff (homeKm) in
+// place of the way home from where she is (oldHomeKm). Every operation
+// in it is monotone in pickupKm and homeKm, rounding included, so lower
+// bounds on the two distances give an upper bound on the margin in
+// floating point, not only in the reals — which GridSource.Contenders
+// relies on by calling this same function for its bound.
+func (e *Engine) margin(price, serviceCost, pickupKm, homeKm, oldHomeKm float64) float64 {
 	deadhead := e.Market.TravelCostKm(pickupKm)
 	newHome := e.Market.TravelCostKm(homeKm)
-	oldHome := e.Market.TravelCostKm(e.homeKm(i))
-	margin := task.Price - (deadhead + serviceCost + newHome - oldHome)
-
-	return Candidate{Driver: i, Arrival: arrival, Margin: margin}, true
+	oldHome := e.Market.TravelCostKm(oldHomeKm)
+	return price - (deadhead + serviceCost + newHome - oldHome)
 }
 
 // assign commits the task to the candidate driver.

@@ -78,7 +78,10 @@ type GridSource struct {
 	db       distBatch
 }
 
-var _ CandidateSource = (*GridSource)(nil)
+var (
+	_ CandidateSource = (*GridSource)(nil)
+	_ boundedSource   = (*GridSource)(nil)
+)
 
 // NewGridSource returns an indexed source over the given grid; nil
 // auto-sizes one from the fleet when the source is bound to an engine.
@@ -129,17 +132,86 @@ func (s *GridSource) index(i int) {
 // Candidates implements CandidateSource.
 func (s *GridSource) Candidates(task model.Task, now float64, buf []Candidate) []Candidate {
 	e := s.e
-	// Who could reach the pickup by its deadline? Every driver departs
-	// at max(freeAt, now), so the index prunes on both the travel-time
-	// budget and the availability window.
-	minRetire := e.minRetire(task, now)
-	if e.timeKeyed {
+	return e.scoreCandidates(&s.db, s.reachable(task, now), task, now, e.orderTerms(task), buf)
+}
+
+// reachable asks the index who could reach the pickup by its deadline:
+// every driver departs at max(freeAt, now), so it prunes on both the
+// travel-time budget and the availability window. It answers in the
+// canonical ascending driver order the dispatchers' tie-breaking
+// depends on. The result is the source's scratch, good until the next
+// query.
+func (s *GridSource) reachable(task model.Task, now float64) []int {
+	minRetire := s.e.minRetire(task, now)
+	if s.e.timeKeyed {
 		s.ix.Expire(now)
 	}
-	// The index answers in the canonical ascending driver order the
-	// dispatchers' tie-breaking depends on.
 	s.ids = s.ix.AppendReachable(s.ids[:0], task.Source, s.maxSpeed, task.StartBy, now, minRetire)
-	return e.scoreCandidates(&s.db, s.ids, task, now, e.orderTerms(task), buf)
+	return s.ids
+}
+
+// Contenders is Candidates for a dispatcher that takes one extremum
+// (see Ranked): it walks the same reachable drivers in the same order,
+// but scores one exactly — candidateFor, two Market.Dist calls — only
+// if an optimistic candidate built from lower bounds on her two
+// distances could still equal or beat the best exact candidate so far.
+// Everyone else is skipped for a few multiplications and a square root.
+//
+// The bounds are the pre-filter's own: Safety × the planar distance of
+// two projected points never exceeds Market.Dist of them (see the type
+// comment). The optimistic arrival and margin come out of the very
+// functions the exact ones do, fed the smaller distances; every step of
+// those is monotone under rounding, so the optimistic rank is at least
+// the exact one as floats, and a skipped driver ranks strictly below the
+// incumbent — she could neither win nor tie. An optimistic arrival past
+// the pickup deadline means the exact one is too: infeasible, skipped
+// whatever the rank. Both skip tests are false for a NaN, which
+// therefore goes to exact scoring.
+//
+// Under a road metric (Market.Batch) the full list stays: scoring it in
+// two shared-endpoint batches is what that path is built around.
+func (s *GridSource) Contenders(task model.Task, now float64, by Rank, buf []Candidate) []Candidate {
+	e := s.e
+	if e.Market.Batch != nil || by != RankMargin && by != RankArrival {
+		return s.Candidates(task, now, buf)
+	}
+	q := e.orderTerms(task)
+	sx, sy := s.ix.Project(task.Source)
+	dx, dy := s.ix.Project(task.Dest)
+	best, found := 0.0, false
+	for _, i := range s.reachable(task, now) {
+		lx, ly := s.ix.Project(e.states[i].loc)
+		pickupKm := lowerKm(lx, ly, sx, sy)
+		arrival, ok := e.pickupArrival(i, task, now, pickupKm)
+		if !ok {
+			continue
+		}
+		if found {
+			opt := Candidate{Arrival: arrival}
+			if by == RankMargin {
+				hx, hy := s.ix.Project(e.Drivers[i].Dest)
+				opt.Margin = e.margin(task.Price, q.serviceCost, pickupKm, lowerKm(dx, dy, hx, hy), e.homeKm(i))
+			}
+			if by.of(opt) < best {
+				continue
+			}
+		}
+		c, ok := e.candidateFor(i, task, now, q.service, q.serviceCost)
+		if !ok {
+			continue
+		}
+		buf = append(buf, c)
+		if r := by.of(c); !found || r > best {
+			best, found = r, true
+		}
+	}
+	return buf
+}
+
+// lowerKm is the pre-filter's lower bound on the travel distance between
+// two points given by their spatial.Index.Project coordinates.
+func lowerKm(ax, ay, bx, by float64) float64 {
+	return spatial.Safety * math.Sqrt((ax-bx)*(ax-bx)+(ay-by)*(ay-by))
 }
 
 // Moved implements CandidateSource.

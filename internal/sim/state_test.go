@@ -65,10 +65,11 @@ func applyItems(t *testing.T, st *Stream, tasks []model.Task, items []feedItem) 
 // replaced it), restore it onto a FRESH
 // engine, finish both runs — the restored one must settle books
 // bit-identical to the never-interrupted one. Swept across instant and
-// batched modes, the scan (shards-1) and the indexed source as the
-// deprecated NewShardedSource shim hands it out (shards-2, -4: the
-// labels predate the deletion of the zone partition and go with the
-// shim), and several cut points including 0 (the virgin stream) and
+// batched modes, both candidate sources — the row labelled shards-1 is
+// the scan; shards-2 and shards-4 are one and the same indexed source,
+// twice, through the deprecated NewShardedSource shim (nothing has been
+// sharded since PR 15; the labels go when the shim does, ROADMAP item
+// 1) — and several cut points including 0 (the virgin stream) and
 // every-op (capture after each operation).
 func TestStreamStateRoundTrip(t *testing.T) {
 	cfg := trace.NewConfig(41, 120, 25, trace.Hitchhiking)

@@ -47,7 +47,7 @@ func (m *twin) reachable(ix *Index, p geo.Point, speedKmh, byTime, now, minRetir
 	if speedKmh <= 0 || byTime < now {
 		return out
 	}
-	qx, qy := ix.project(p)
+	qx, qy := ix.Project(p)
 	for id := range m.loc {
 		if !m.present[id] || m.retire[id] < minRetire {
 			continue
@@ -60,7 +60,7 @@ func (m *twin) reachable(ix *Index, p geo.Point, speedKmh, byTime, now, minRetir
 			continue
 		}
 		budgetKm := speedKmh * (byTime - depart) / 3600 / Safety
-		px, py := ix.project(m.loc[id])
+		px, py := ix.Project(m.loc[id])
 		if dx, dy := px-qx, py-qy; dx*dx+dy*dy <= budgetKm*budgetKm {
 			out = append(out, id)
 		}
@@ -73,10 +73,10 @@ func (m *twin) near(ix *Index, p geo.Point, radiusKm float64) []int {
 	if radiusKm < 0 {
 		return out
 	}
-	qx, qy := ix.project(p)
+	qx, qy := ix.Project(p)
 	limit := radiusKm / Safety
 	for id := range m.loc {
-		px, py := ix.project(m.loc[id])
+		px, py := ix.Project(m.loc[id])
 		if dx, dy := px-qx, py-qy; m.present[id] && dx*dx+dy*dy <= limit*limit {
 			out = append(out, id)
 		}
@@ -113,7 +113,7 @@ func checkInvariants(ix *Index, m *twin) error {
 			return fmt.Errorf("id %d: slot %d of cell %d does not hold it", id, slot, c)
 		}
 		e := cl.ents[slot]
-		px, py := ix.project(m.loc[id])
+		px, py := ix.Project(m.loc[id])
 		if e.px != px || e.py != py || e.freeAt != m.free[id] || e.retireAt != m.retire[id] {
 			return fmt.Errorf("id %d: entry %+v is stale", id, e)
 		}

@@ -30,7 +30,7 @@
 // swept in ascending order, so no caller sorts.
 //
 // Distance checks use planar kilometer coordinates under a fixed
-// conservative projection (see project) so the query hot path does no
+// conservative projection (see Project) so the query hot path does no
 // per-pair trigonometry. The conservativeness contract is stated in
 // terms of equirectangular distance: a query with radius R visits every
 // point whose equirectangular distance to the query point is at most
@@ -113,7 +113,7 @@ type Index struct {
 // entry is one present point as a scan sees it: everything the
 // predicate reads, in one place.
 type entry struct {
-	px, py           float64 // planar km coordinates (see project)
+	px, py           float64 // planar km coordinates (see Project)
 	freeAt, retireAt float64
 	id               int32
 }
@@ -138,14 +138,17 @@ const (
 // kmPerLat converts degrees of latitude to kilometers.
 const kmPerLat = geo.EarthRadiusKm * math.Pi / 180
 
-// project maps p to planar kilometer coordinates in which the Euclidean
+// Project maps p to planar kilometer coordinates in which the Euclidean
 // distance never exceeds the equirectangular distance for points at the
 // box's latitudes: longitude is scaled with the *smallest* cosine the
 // box reaches, so east-west separations are under-, never over-stated.
 // Distance checks against these coordinates are therefore lower bounds,
 // exactly what a conservative pre-filter needs — and they avoid the
-// per-pair trigonometry of the true metric on the query hot path.
-func (ix *Index) project(p geo.Point) (x, y float64) {
+// per-pair trigonometry of the true metric on the query hot path. It is
+// exported so a caller can put the same bound — Safety × the Euclidean
+// distance of two projected points never exceeds their travel distance
+// — under its own pruning (sim.GridSource.Contenders).
+func (ix *Index) Project(p geo.Point) (x, y float64) {
 	return p.Lon * ix.kmPerLon, p.Lat * kmPerLat
 }
 
@@ -302,7 +305,7 @@ func (ix *Index) Move(id int, p geo.Point) {
 		return
 	}
 	e := &ix.cells[old].ents[ix.slot[id]]
-	e.px, e.py = ix.project(p)
+	e.px, e.py = ix.Project(p)
 }
 
 // SetSpan sets id's availability window: freeAt is the earliest time the
@@ -370,7 +373,7 @@ func (ix *Index) classify(id int32) uint8 {
 // attach appends id's entry to cell c, behind the live prefix; enter
 // moves it into the prefix if that is where it belongs.
 func (ix *Index) attach(id, c int32) {
-	px, py := ix.project(ix.loc[id])
+	px, py := ix.Project(ix.loc[id])
 	cl := &ix.cells[c]
 	ix.cell[id] = c
 	ix.slot[id] = int32(len(cl.ents))
@@ -579,7 +582,7 @@ func (s *scan) reachable(e *entry) bool {
 // reach the caller, so the square is walked the way memory lies, one
 // row of cells after the other.
 func (ix *Index) collect(buf []int, p geo.Point, ringRadiusKm float64, s scan) []int {
-	s.qx, s.qy = ix.project(p)
+	s.qx, s.qy = ix.Project(p)
 	rows, cols := ix.grid.Rows, ix.grid.Cols
 	center := ix.grid.CellOf(p)
 	crow, ccol := center/cols, center%cols
