@@ -363,20 +363,84 @@ func BenchmarkInstantDecision(b *testing.B) {
 	orders := float64(len(tr.Tasks))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*orders), "ns/decision")
 
-	pickups := make(map[geo.Point]bool, len(tr.Tasks))
-	for _, task := range tr.Tasks {
+	counting, intoPickup := countIntoPickups(cfg.Market, tr.Tasks)
+	served := day(counting, false)
+	b.ReportMetric(float64(*intoPickup-served)/orders, "exact-scores/decision")
+}
+
+// countIntoPickups returns mkt with a Dist that counts the distances
+// measured into one of the tasks' pickups: one per exact score of a
+// driver against an order, and one per commit of a served order.
+func countIntoPickups(mkt model.Market, tasks []model.Task) (model.Market, *int) {
+	pickups := make(map[geo.Point]bool, len(tasks))
+	for _, task := range tasks {
 		pickups[task.Source] = true
 	}
-	intoPickup := 0
-	counting := cfg.Market
+	intoPickup := new(int)
+	counting := mkt
 	counting.Dist = func(a, p geo.Point) float64 {
 		if pickups[p] {
-			intoPickup++
+			*intoPickup++
 		}
-		return cfg.Market.Dist(a, p)
+		return mkt.Dist(a, p)
 	}
-	served := day(counting, false)
-	b.ReportMetric(float64(intoPickup-served)/orders, "exact-scores/decision")
+	return counting, intoPickup
+}
+
+// BenchmarkWindowClose is the probe of the batched crow-fly path: the
+// window-closing half of benchmark/'s durable_churn day (10k drivers,
+// 4 000 orders, 60 s Hungarian windows over the indexed source, no
+// churn and no journal) submitted order by order. It reports the time
+// of one window — the day's wall time over its windows; submissions
+// between closes only enqueue — and, from an untimed second day under a
+// counting Market.Dist, how many drivers a window row scored exactly
+// (counted as BenchmarkInstantDecision counts them).
+func BenchmarkWindowClose(b *testing.B) {
+	if testing.Short() {
+		b.Skip("city-scale batched day; skipped in -short smoke runs")
+	}
+	cfg := trace.NewConfig(27, 4000, 10_000, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	day := func(mkt model.Market, timed bool) (windows, rows, served int) {
+		eng, err := sim.New(mkt, tr.Drivers, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng.SetCandidateSource(sim.NewGridSource(nil))
+		st, err := eng.NewBatchedStream(60, sim.BatchHungarian, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st.SetBatchCloseHandler(func(w sim.BatchStats) {
+			windows++
+			rows += w.Matched + w.Rejected
+			served += w.Matched
+		})
+		if timed {
+			b.StartTimer()
+			defer b.StopTimer()
+		}
+		for _, task := range tr.Tasks {
+			if _, err := st.SubmitTask(task); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := st.Finish(); err != nil {
+			b.Fatal(err)
+		}
+		return windows, rows, served
+	}
+	b.ResetTimer()
+	b.StopTimer()
+	windows := 0
+	for i := 0; i < b.N; i++ {
+		windows, _, _ = day(cfg.Market, true)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(windows)), "ns/window")
+
+	counting, intoPickup := countIntoPickups(cfg.Market, tr.Tasks)
+	_, rows, served := day(counting, false)
+	b.ReportMetric(float64(*intoPickup-served)/float64(rows), "exact-scores/row")
 }
 
 // BenchmarkScenarioChurn measures the event-driven engine on the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/matching"
 	"repro/internal/model"
@@ -185,18 +184,18 @@ func (e *Engine) RunBatchedScenario(tasks []model.Task, events []model.MarketEve
 // decision time and commits the matches, reporting each order's outcome
 // through the run's decision hook when one is installed.
 //
-// The production path (closeBatchSparse) builds the window as a sparse
-// candidate graph, splits it into connected task–driver components and
-// solves each one independently with the sparse kernels of
-// internal/matching, reusing pooled scratch so a steady-state window
-// costs no allocations. The pre-decomposition dense path is retained as
-// the differential oracle behind Engine.DenseWindows: both commit an
-// exact maximum-weight assignment, bit-identical whenever the window's
-// optimum is unique — the window differential tests sweep exactly that,
-// and the per-window audit proves equal weight even on the degenerate
-// windows where several exact optima tie bitwise (orders lying on a
-// driver's route home cost zero margin for every such driver) and each
-// path commits its own canonical optimum.
+// There is one window solve, closeBatchSparse: the window as a sparse
+// candidate graph, split into connected task–driver components, each
+// solved independently with the sparse kernels of internal/matching over
+// pooled scratch, so a steady-state window costs no allocations. The
+// pre-decomposition dense solve it replaced is a test oracle now
+// (closeBatchDense in dense_test.go, installed through windowOracle):
+// both commit an exact maximum-weight assignment, bit-identical whenever
+// the window's optimum is unique — the window differential tests sweep
+// exactly that, and the per-window audit proves equal weight even on the
+// degenerate windows where several exact optima tie bitwise (orders
+// lying on a driver's route home cost zero margin for every such driver)
+// and each commits its own canonical optimum.
 func (e *Engine) closeBatch(r *eventRun, batch []int, decisionAt float64, algo BatchAlgorithm) {
 	if len(batch) == 0 {
 		return // every order of the window was cancelled
@@ -204,113 +203,11 @@ func (e *Engine) closeBatch(r *eventRun, batch []int, decisionAt float64, algo B
 	if e.auditHook != nil {
 		e.auditHook(r, batch, decisionAt)
 	}
-	if e.DenseWindows {
-		e.closeBatchDense(r, batch, decisionAt, algo)
+	if e.windowOracle != nil {
+		e.windowOracle(r, batch, decisionAt, algo)
 		return
 	}
 	e.closeBatchSparse(r, batch, decisionAt, algo)
-}
-
-// closeBatchDense is the pre-decomposition window solve — one dense
-// Hungarian/Auction instance over the whole window — kept verbatim as
-// the oracle the sparse path is differentially tested against.
-//
-// The weight matrix is compacted in two canonical steps. First, each
-// row keeps only its top len(batch) candidates by (margin, then driver
-// index): a maximum-weight matching never needs more — if an optimal
-// matching used a column outside a row's top-k, at least one of the k
-// higher-ranked columns is unmatched (only k−1 other rows exist) and
-// an exchange to it preserves the total — so the optimum is exact, not
-// approximated. Second, columns shrink to the union of the surviving
-// drivers in ascending order. Carrying the whole fleet instead would
-// make the Hungarian reduction O((batch+fleet)³) — hours at 50k
-// drivers for a matrix whose decisive columns number a few dozen.
-// Every candidate source produces the identical candidate sets (the
-// differential contract) and both steps are deterministic, so results
-// stay bit-identical across sources.
-func (e *Engine) closeBatchDense(r *eventRun, batch []int, decisionAt float64, algo BatchAlgorithm) {
-	// Per-task candidate sets — pruned to the decisive top — and the
-	// sorted union of their drivers.
-	cands := make([][]Candidate, len(batch))
-	inUnion := make(map[int]bool)
-	var union []int
-	for bi, ti := range batch {
-		r.cands = e.source.Candidates(r.tasks[ti], decisionAt, r.cands[:0])
-		cs := append([]Candidate(nil), r.cands...)
-		if len(cs) > len(batch) {
-			sort.Slice(cs, func(a, b int) bool {
-				if cs[a].Margin != cs[b].Margin {
-					return cs[a].Margin > cs[b].Margin
-				}
-				return cs[a].Driver < cs[b].Driver
-			})
-			cs = cs[:len(batch)]
-		}
-		cands[bi] = cs
-		for _, c := range cs {
-			if !inUnion[c.Driver] {
-				inUnion[c.Driver] = true
-				union = append(union, c.Driver)
-			}
-		}
-	}
-	sort.Ints(union)
-	col := make(map[int]int, len(union)) // driver -> compact column
-	for j, drv := range union {
-		col[drv] = j
-	}
-
-	// Weight matrix: rows = batch tasks, cols = candidate drivers;
-	// margins δ_{n,m} at decision time, Forbidden where infeasible.
-	w := make([][]float64, len(batch))
-	arrivals := make([][]float64, len(batch))
-	for bi := range batch {
-		w[bi] = make([]float64, len(union))
-		arrivals[bi] = make([]float64, len(union))
-		for j := range w[bi] {
-			w[bi][j] = matching.Forbidden
-		}
-		for _, c := range cands[bi] {
-			j := col[c.Driver]
-			w[bi][j] = c.Margin
-			arrivals[bi][j] = c.Arrival
-		}
-	}
-
-	var asg matching.Assignment
-	var err error
-	switch algo {
-	case BatchAuction:
-		// ε bounds both the optimality gap (≤ rows·ε, negligible
-		// against fares of currency-unit magnitude) and the worst-case
-		// bid count (≤ cols·maxW/ε on exactly tied margins — drivers at
-		// identical coordinates). A much smaller ε would buy no
-		// meaningful accuracy while letting a degenerate window stall
-		// the whole market for the length of its ε-step price war.
-		asg, err = matching.Auction(w, 1e-4)
-	default:
-		asg, err = matching.Hungarian(w)
-	}
-	if err != nil {
-		// The matrix is rectangular by construction.
-		panic(fmt.Sprintf("sim: batch matching failed: %v", err))
-	}
-
-	for bi, ti := range batch {
-		j := asg.ColOf[bi]
-		if j < 0 {
-			r.res.Rejected++
-			if r.onDecided != nil {
-				r.onDecided(TaskDecision{Task: ti, Driver: -1, At: decisionAt})
-			}
-			continue
-		}
-		drv := union[j]
-		r.assignTask(ti, Candidate{Driver: drv, Arrival: arrivals[bi][j], Margin: w[bi][j]}, r.tasks[ti])
-		if r.onDecided != nil {
-			r.onDecided(TaskDecision{Task: ti, Assigned: true, Driver: drv, PickupAt: arrivals[bi][j], At: decisionAt})
-		}
-	}
 }
 
 // ranksBefore is the strict order a window row is pruned under: higher
@@ -361,6 +258,41 @@ func selectTop(row []Candidate, k int) {
 	}
 }
 
+// topRow is the reference construction of a window row, for any source:
+// query the full candidate list onto the tail of arena, drop the
+// non-positive margins (individual rationality bars them from every
+// assignment), keep the k that rank first, and put those back in
+// ascending driver order. k is the number of orders in the window, and a
+// maximum-weight matching never needs more of a row: if an optimal
+// matching used an edge outside a row's top k, at least one of the k
+// higher-ranked drivers is unmatched (only k−1 other rows exist) and an
+// exchange to her keeps the total — so pruning is exact, not
+// approximate, and keeps the solve from carrying the whole fleet.
+// GridSource.TopRow builds the same row without scoring everyone.
+func topRow(src CandidateSource, task model.Task, now float64, k int, arena []Candidate) []Candidate {
+	start := len(arena)
+	arena = src.Candidates(task, now, arena)
+	keep := start
+	for _, c := range arena[start:] {
+		if c.Margin > 0 {
+			arena[keep] = c
+			keep++
+		}
+	}
+	arena = arena[:keep]
+	if row := arena[start:]; len(row) > k {
+		selectTop(row, k)
+		arena = arena[:start+k]
+		sortByDriver(arena[start:])
+	}
+	return arena
+}
+
+// sortByDriver restores the canonical ascending driver order of a row.
+func sortByDriver(row []Candidate) {
+	slices.SortFunc(row, func(a, b Candidate) int { return a.Driver - b.Driver })
+}
+
 // windowScratch is the batcher's pooled per-window working set. One
 // instance lives on the engine and is reused across every window of
 // every batched run, so the steady-state hot path — candidate arena,
@@ -385,22 +317,23 @@ type windowScratch struct {
 	solver matching.SparseSolver
 }
 
-// closeBatchSparse is the production window solve: the window as a
-// sparse candidate graph, decomposed into connected components and
-// solved exactly per component (concurrently across Engine.MatchWorkers
-// goroutines when configured) by internal/matching's sparse kernels.
+// closeBatchSparse is the window solve: the window as a sparse candidate
+// graph, decomposed into connected components and solved exactly per
+// component (concurrently across Engine.MatchWorkers goroutines when
+// configured) by internal/matching's sparse kernels.
 //
-// The graph keeps the dense path's two canonical compactions — top
-// len(batch) candidates per row by (margin, driver), selected rather
-// than sorted out of the row (selectTop), columns renumbered
-// over the ascending union of surviving drivers — and adds a third that
-// is equally exact: candidates with non-positive margin are dropped
-// while building the rows, because individual rationality already bars
-// them from every assignment. Rows are laid out in batch order and each
-// row's edges in ascending driver order, so the solve is deterministic
-// and the commit loop below replays decisions in exactly the dense
-// path's order — which is what keeps the two paths, both candidate
-// sources and every worker count bit-identical.
+// The graph is compacted in three canonical, exact steps: candidates
+// with non-positive margin are dropped, each row keeps its top
+// len(batch) by (margin, driver) — see topRow for both — and columns are
+// renumbered over the ascending union of the surviving drivers. A source
+// that can bound a margin (boundedSource, discovered here once per
+// window, never configured) hands back the same rows having scored only
+// the drivers who could be in them; any other source goes through topRow.
+// Rows are laid out in batch order and each row's edges in ascending
+// driver order, so the solve is deterministic and the commit loop below
+// replays decisions in batch order — which is what keeps both candidate
+// sources, both ways of building a row, every worker count and the dense
+// oracle bit-identical.
 func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64, algo BatchAlgorithm) {
 	ws := e.winScratch
 	if ws == nil {
@@ -413,23 +346,16 @@ func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64, 
 	}
 	ws.epoch++
 
-	// Rows: query, filter to positive margins, prune to the decisive
-	// top-k, restore ascending driver order within the row.
 	ws.arena = ws.arena[:0]
 	ws.rowPtr = append(ws.rowPtr[:0], 0)
 	ws.union = ws.union[:0]
+	bounded, _ := e.source.(boundedSource)
 	for _, ti := range batch {
-		r.cands = e.source.Candidates(r.tasks[ti], decisionAt, r.cands[:0])
 		start := len(ws.arena)
-		for _, c := range r.cands {
-			if c.Margin > 0 {
-				ws.arena = append(ws.arena, c)
-			}
-		}
-		if row := ws.arena[start:]; len(row) > len(batch) {
-			selectTop(row, len(batch))
-			ws.arena = ws.arena[:start+len(batch)]
-			slices.SortFunc(ws.arena[start:], func(a, b Candidate) int { return a.Driver - b.Driver })
+		if bounded != nil {
+			ws.arena = bounded.TopRow(r.tasks[ti], decisionAt, len(batch), ws.arena)
+		} else {
+			ws.arena = topRow(e.source, r.tasks[ti], decisionAt, len(batch), ws.arena)
 		}
 		for _, c := range ws.arena[start:] {
 			if ws.colEpoch[c.Driver] != ws.epoch {
@@ -462,7 +388,12 @@ func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64, 
 
 	kind, eps := matching.KindHungarian, 0.0
 	if algo == BatchAuction {
-		// Same ε as the dense oracle; see closeBatchDense.
+		// ε bounds both the optimality gap (≤ rows·ε, negligible
+		// against fares of currency-unit magnitude) and the worst-case
+		// bid count (≤ cols·maxW/ε on exactly tied margins — drivers at
+		// identical coordinates). A much smaller ε would buy no
+		// meaningful accuracy while letting a degenerate window stall
+		// the whole market for the length of its ε-step price war.
 		kind, eps = matching.KindAuction, 1e-4
 	}
 	workers := e.MatchWorkers

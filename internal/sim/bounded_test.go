@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,12 +12,14 @@ import (
 	"repro/internal/trace"
 )
 
-// The tests in this file hold the bounded instant path (Ranked,
-// GridSource.Contenders) to its two promises: it does less, and a
-// chooser cannot tell. The differential wall sweeps it over generated
-// days; here are the work count the benchmark's traced pass cannot take
-// (its decorators hide the capability) and the fuzz target that aims at
-// the admissibility of the bound itself.
+// The tests in this file hold the two bounded paths — the instant one
+// (Ranked, GridSource.Contenders) and the window's rows
+// (GridSource.TopRow) — to their two promises: they do less, and neither
+// a chooser nor a window solve can tell. The differential wall sweeps
+// both over generated days; here are the work counts the benchmark's
+// traced pass cannot take (its decorators hide the capability), the
+// row-level differentials, the tie window the generators never produce
+// and the fuzz targets that aim at the admissibility of the bound itself.
 
 // TestBoundedPathScoresFewer counts Market.Dist calls over one fixed
 // day, indexed source both times: the full list scores every reachable
@@ -55,6 +58,236 @@ func TestBoundedPathScoresFewer(t *testing.T) {
 		}
 		t.Logf("%s: %d calls, full list %d (%.1fx), %d orders", ranked.Name(), bounded, full, float64(full)/float64(bounded), len(tr.Tasks))
 	}
+}
+
+// fullRowsOnly hides a source's bounded capability, as any struct that
+// embeds the interface does: closeBatchSparse falls back to topRow.
+type fullRowsOnly struct{ CandidateSource }
+
+// rowAudit is what auditRows saw: windows closed, rows compared, rows
+// the full list had more than k positive margins for (pruned, so the
+// root decided something) and rows it had fewer than k for (short: the
+// heap never filled and only the floor pruned).
+type rowAudit struct{ windows, rows, pruned, short int }
+
+// auditRows hooks every window e closes: before it is solved, the
+// bounded row of each of its orders (src, the engine's own source) must
+// equal — Driver, and the bits of Margin and Arrival, element for
+// element — the reference row: the scan's full list over the same
+// engine state, filtered, selectTop'd and sorted by topRow. Rows are
+// appended to one arena as closeBatchSparse appends them, at the
+// window's own k and at each of extraK.
+func auditRows(t *testing.T, e *Engine, src *GridSource, extraK ...int) *rowAudit {
+	a := &rowAudit{}
+	scan := &ScanSource{}
+	scan.Bind(e)
+	var got, want, full []Candidate
+	e.auditHook = func(r *eventRun, batch []int, at float64) {
+		a.windows++
+		got, want = got[:0], want[:0]
+		for _, k := range append([]int{len(batch)}, extraK...) {
+			for _, ti := range batch {
+				task := r.tasks[ti]
+				start := len(got)
+				want = topRow(scan, task, at, k, want)
+				got = src.TopRow(task, at, k, got)
+				if !sameRow(got[start:], want[start:]) {
+					t.Fatalf("window at %g, task %d, k=%d: bounded row\n%+v\nfull row\n%+v", at, ti, k, got[start:], want[start:])
+				}
+				if k != len(batch) {
+					continue
+				}
+				a.rows++
+				positive := 0
+				full = scan.Candidates(task, at, full[:0])
+				for _, c := range full {
+					if c.Margin > 0 {
+						positive++
+					}
+				}
+				if positive > k {
+					a.pruned++
+				} else if positive < k {
+					a.short++
+				}
+			}
+		}
+	}
+	return a
+}
+
+func sameRow(a, b []Candidate) bool {
+	return slices.EqualFunc(a, b, func(x, y Candidate) bool {
+		return x.Driver == y.Driver &&
+			math.Float64bits(x.Margin) == math.Float64bits(y.Margin) &&
+			math.Float64bits(x.Arrival) == math.Float64bits(y.Arrival)
+	})
+}
+
+// TestBoundedRowsEqualFullRows is the row-level differential the books
+// cannot give: the window wall compares Results, and a wrong row that
+// the solve happens not to use would pass it. Here every row of every
+// window of a churned batched day, under both availability modes, is
+// held to the reference row, and the day's books to the scan's.
+func TestBoundedRowsEqualFullRows(t *testing.T) {
+	cfg := trace.NewConfig(33, 500, 1500, trace.Hitchhiking)
+	cfg.PickupWindowMin = 8 * 60 // give batches room to form
+	cfg.PickupWindowMax = 16 * 60
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	events := trace.WithChurn(tr, trace.ChurnConfig{
+		Seed: 12, JoinFraction: 0.3, RetireFraction: 0.3, CancelFraction: 0.2,
+	})
+	for _, realTime := range []bool{false, true} {
+		src := NewGridSource(nil)
+		e := diffEngine(t, cfg.Market, tr.Drivers, 1, realTime, src)
+		a := auditRows(t, e, src)
+		got := e.RunBatchedScenario(tr.Tasks, events, 120, BatchHungarian)
+		want := diffEngine(t, cfg.Market, tr.Drivers, 1, realTime, nil).RunBatchedScenario(tr.Tasks, events, 120, BatchHungarian)
+		diffResults(t, fmt.Sprintf("realTime=%v", realTime), want, got)
+		if a.pruned == 0 || a.short == 0 || got.Served == 0 {
+			t.Errorf("realTime=%v: %+v, %d served: the day must have rows the root prunes and rows that never fill", realTime, *a, got.Served)
+		}
+		t.Logf("realTime=%v: %+v", realTime, *a)
+	}
+}
+
+// TestBoundedRowsTieWindow is the window the generators never produce:
+// six identical drivers on one spot (the stack), orders starting on that
+// spot and ending at the stack's home, so every leg of a stack driver is
+// zero, her optimistic margin equals her exact one bitwise, and all six
+// equal the order's price. Their ids are interleaved with drivers the
+// floor skips (far: negative margins) and drivers the root skips or
+// admits (near: a kilometre north, margins below the stack's, in an id
+// order that is not their rank order). Rows are held to the reference
+// for every k from 1 to past the fleet, and the books of one-window days
+// to the scan's for k = 1, k below the stack, k between the stack and
+// the positive margins, and k above them — where, as for the cheap order
+// only the stack wants, the row has fewer than k positive margins.
+//
+// Mutants this kills, each tried by hand: a bound of 1.02× the planar
+// distance in lowerKm (at k=8 near driver 10, who belongs in the row, is
+// skipped against a root she beats); a heap whose root is not the
+// ranksBefore-last element — no siftUp (the root stays driver 0 and a
+// stack driver is skipped against a margin she ties but does not trail),
+// no siftDown (a just-admitted near driver sits at the root and the
+// worst one stays in the row), a root replaced without asking
+// ranksBefore; and no exact floor (the cheap order's near drivers are
+// optimistic above 0 and exact below it). Skipping on < in place of <=,
+// or on < 0 at the floor, is not a mutant: it scores the rest of the
+// stack and drops them by ranksBefore — only slower.
+func TestBoundedRowsTieWindow(t *testing.T) {
+	mkt := model.DefaultMarket()
+	spot := geo.PortoBox.Center()
+	home := geo.Point{Lat: spot.Lat, Lon: spot.Lon + 0.06} // ~5 km east
+	north := func(km float64) geo.Point {
+		return geo.Point{Lat: spot.Lat + km/geo.EarthRadiusKm*180/math.Pi, Lon: spot.Lon}
+	}
+	far := geo.Point{Lat: spot.Lat - 0.05, Lon: spot.Lon - 0.08}
+	var fleet []model.Driver
+	stack := 0
+	for id, at := range []geo.Point{
+		spot, far, spot, north(1.010), spot, far, north(1.000), spot, north(0.990), spot, north(0.995), far, spot,
+	} {
+		d := model.Driver{ID: id, Source: at, Dest: home, Start: 0, End: 36000}
+		if at == far {
+			d.Dest = far
+		}
+		if at == spot {
+			stack++
+		}
+		fleet = append(fleet, d)
+	}
+	order := func(id int, publish, price float64) model.Task {
+		return model.Task{ID: id, Publish: publish, Source: spot, Dest: home,
+			StartBy: publish + 1200, EndBy: publish + 3600, Price: price, WTP: price}
+	}
+
+	// The stack is what it is meant to be: the top six, at the price.
+	src := NewGridSource(nil)
+	e := diffEngine(t, mkt, fleet, 1, false, src)
+	if _, err := e.NewBatchedStream(30, BatchHungarian, nil); err != nil {
+		t.Fatal(err)
+	}
+	row := src.TopRow(order(0, 0, 1), 30, stack, nil)
+	for _, c := range row {
+		if fleet[c.Driver].Source != spot || math.Float64bits(c.Margin) != math.Float64bits(1) {
+			t.Fatalf("the top %d are not the stack at the order's price, bitwise: %+v", stack, row)
+		}
+	}
+
+	// Rows, at every k, over the untouched fleet.
+	var ks []int
+	for k := 2; k <= len(fleet)+1; k++ {
+		ks = append(ks, k)
+	}
+	a := auditRows(t, e, src, ks...)
+	e.RunBatched([]model.Task{order(0, 0, 1)}, 30, BatchHungarian)
+	if a.windows != 1 {
+		t.Fatalf("%d windows audited, want 1", a.windows)
+	}
+
+	// Books, of days of two windows of k orders: the second window sees
+	// the stack drivers the first one moved and locked.
+	for _, k := range []int{1, 3, 8, 12} {
+		var day []model.Task
+		for w, publish := range []float64{0, 900} {
+			for i := 0; i < k; i++ {
+				price := 1.0
+				if i == k-1 && k > 3 {
+					// Only the stack has a positive margin for it; a near
+					// driver's is negative under an optimistic one above 0.
+					price = 0.075
+				}
+				day = append(day, order(w*k+i, publish, price))
+			}
+		}
+		for _, realTime := range []bool{false, true} {
+			src := NewGridSource(nil)
+			e := diffEngine(t, mkt, fleet, 1, realTime, src)
+			a := auditRows(t, e, src)
+			got := e.RunBatched(day, 30, BatchHungarian)
+			want := diffEngine(t, mkt, fleet, 1, realTime, nil).RunBatched(day, 30, BatchHungarian)
+			diffResults(t, fmt.Sprintf("k=%d realTime=%v", k, realTime), want, got)
+			if a.windows != 2 || a.rows != 2*k || got.Served == 0 {
+				t.Fatalf("k=%d realTime=%v: %+v, %d served; want 2 windows of %d rows", k, realTime, *a, got.Served, k)
+			}
+			if (k > 3) != (a.short > 0) {
+				t.Fatalf("k=%d realTime=%v: %d rows with fewer than k positive margins", k, realTime, a.short)
+			}
+		}
+	}
+}
+
+// TestBoundedRowsScoreFewer is TestBoundedPathScoresFewer for a batched
+// day: Market.Dist calls over one fixed day, indexed source both times,
+// rows by topRow (the capability hidden) against rows by TopRow. Equal
+// books, a count that repeats exactly, and at least 4x fewer calls.
+func TestBoundedRowsScoreFewer(t *testing.T) {
+	cfg := trace.NewConfig(17, 300, 5000, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	day := func(bounded bool) (calls int, res Result) {
+		mkt := cfg.Market
+		mkt.Dist = func(a, b geo.Point) float64 {
+			calls++
+			return cfg.Market.Dist(a, b)
+		}
+		var src CandidateSource = NewGridSource(nil)
+		if !bounded {
+			src = fullRowsOnly{src}
+		}
+		res = diffEngine(t, mkt, tr.Drivers, 1, false, src).RunBatched(tr.Tasks, 60, BatchHungarian)
+		return calls, res
+	}
+	full, want := day(false)
+	bounded, got := day(true)
+	diffResults(t, "bounded rows", want, got)
+	if again, _ := day(true); again != bounded {
+		t.Errorf("%d Market.Dist calls, then %d on the same day", bounded, again)
+	}
+	if want.Served == 0 || full < 4*bounded {
+		t.Errorf("%d Market.Dist calls against the full rows' %d over %d served orders; want at least 4x fewer", bounded, full, want.Served)
+	}
+	t.Logf("%d calls, full rows %d (%.1fx), %d orders", bounded, full, float64(full)/float64(bounded), len(tr.Tasks))
 }
 
 // fuzzBox is the configured grid FuzzBoundedChoice binds, and
@@ -187,5 +420,55 @@ func FuzzBoundedChoice(f *testing.F) {
 					d.Name(), gotDriver, gotDraws, bounded, wantDriver, wantDraws, full)
 			}
 		}
+	})
+}
+
+// FuzzBoundedRows is FuzzBoundedChoice for a window's rows: the same
+// small fleets on shared points, a batched day of a few orders whose
+// earlier windows move and lock drivers for the later ones, and at every
+// window each order's bounded row held bitwise to the reference row
+// (auditRows) at the window's own k and at an arbitrary one; then the
+// day's books to the scan's.
+func FuzzBoundedRows(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(slices.Repeat([]byte{0xff}, 96))
+	rng := rand.New(rand.NewSource(4))
+	for range 6 {
+		seed := make([]byte, 40+rng.Intn(160))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzInput(data)
+		realTime := int(in.byte())%2 == 1
+		window := 1 + in.byte()*4
+		k := 1 + int(in.byte())%8
+		spots := make([]geo.Point, 2+int(in.byte())%5)
+		for i := range spots {
+			spots[i] = in.point()
+		}
+		spot := func() geo.Point { return spots[int(in.byte())%len(spots)] }
+		fleet := make([]model.Driver, 1+int(in.byte())%16)
+		for i := range fleet {
+			start := in.byte() * 60
+			fleet[i] = model.Driver{ID: i, Source: spot(), Dest: spot(), Start: start, End: start + (1+in.byte())*120,
+				SpeedKmh: []float64{0, 15, 30, 60, 120}[int(in.byte())%5]}
+		}
+		orders := make([]model.Task, 1+int(in.byte())%10)
+		publish := 0.0
+		for i := range orders {
+			publish += in.byte() * 2
+			startBy := publish + (1+in.byte())*60
+			price := in.byte() / 8
+			orders[i] = model.Task{ID: i, Publish: publish, Source: spot(), Dest: spot(),
+				StartBy: startBy, EndBy: startBy + (1+in.byte())*120, Price: price, WTP: price}
+		}
+
+		src := NewGridSource(geo.NewGrid(fuzzBox, 1+int(in.byte())%6, 1+int(in.byte())%6))
+		e := diffEngine(t, model.DefaultMarket(), fleet, 1, realTime, src)
+		auditRows(t, e, src, k)
+		got := e.RunBatched(orders, window, BatchHungarian)
+		want := diffEngine(t, model.DefaultMarket(), fleet, 1, realTime, nil).RunBatched(orders, window, BatchHungarian)
+		diffResults(t, "fuzzed batched day", want, got)
 	})
 }

@@ -317,8 +317,8 @@ func TestSelectTopKeepsTheSortedTop(t *testing.T) {
 // fleet whose shifts start and end all day long, a query stream that
 // moves the clock forward — so every query wakes the drivers who came
 // on shift and expires those who left — allocates nothing once the
-// scratch buffers have seen a busy hour. That holds for the full list
-// and for the bounded one under either rank.
+// scratch buffers have seen a busy hour. That holds for the full list,
+// for the bounded one under either rank, and for a window's bounded row.
 func TestCandidatesZeroAllocSteadyState(t *testing.T) {
 	queries := map[string]func(*GridSource, model.Task, float64, []Candidate) []Candidate{
 		"full list": (*GridSource).Candidates,
@@ -327,6 +327,9 @@ func TestCandidatesZeroAllocSteadyState(t *testing.T) {
 		},
 		"bounded by arrival": func(s *GridSource, task model.Task, now float64, buf []Candidate) []Candidate {
 			return s.Contenders(task, now, RankArrival, buf)
+		},
+		"bounded row": func(s *GridSource, task model.Task, now float64, buf []Candidate) []Candidate {
+			return s.TopRow(task, now, 4, buf)
 		},
 	}
 	for name, ask := range queries {

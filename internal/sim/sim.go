@@ -89,9 +89,10 @@ func (r Rank) of(c Candidate) float64 {
 // asks a source that can (GridSource.Contenders) for a list that may
 // leave out any candidate ranked strictly below the best one before it,
 // and Choose — unchanged, there is no second chooser — picks the same
-// driver from the short list as from the full one. Everything else
-// (batched windows, replanning, any other source or dispatcher) keeps
-// the full list.
+// driver from the short list as from the full one. Replanning and any
+// other source or dispatcher keep the full list; a batched window needs
+// rows, not a winner, and bounds those its own way
+// (boundedSource.TopRow).
 type Ranked interface {
 	RankedBy() Rank
 }
@@ -133,13 +134,19 @@ type CandidateSource interface {
 	Added(i int)
 }
 
-// boundedSource is the source half of Ranked: a CandidateSource that can
-// bound a rank from cheap inputs and so hand back fewer than everyone.
+// boundedSource is the source half of Ranked, and of a batched window's
+// rows: a CandidateSource that can bound a rank from cheap inputs and so
+// score fewer than everyone.
 type boundedSource interface {
 	// Contenders appends, in ascending driver order, a subset of what
 	// Candidates would: every candidate whose rank under by equals or
 	// beats that of all candidates before it is in it.
 	Contenders(task model.Task, now float64, by Rank, buf []Candidate) []Candidate
+	// TopRow appends the order's row of a window of k orders — exactly
+	// what topRow makes of Candidates: the at most k candidates of
+	// positive margin that rank first under ranksBefore, in ascending
+	// driver order.
+	TopRow(task model.Task, now float64, k int, arena []Candidate) []Candidate
 }
 
 // Result aggregates a full simulation run. Per-driver slices are indexed
@@ -230,13 +237,6 @@ type Engine struct {
 	// operational.
 	MatchWorkers int
 
-	// DenseWindows forces batched windows through the pre-decomposition
-	// dense solve — the differential oracle for the sparse component
-	// path. Assignments are identical either way; only speed and
-	// allocation behaviour change. Tests and the bench harness flip it;
-	// production leaves it false.
-	DenseWindows bool
-
 	// pricer, when installed via SetLivePricer, re-prices every arriving
 	// order from live demand/supply observations (see livepricing.go).
 	pricer       LivePricer
@@ -256,8 +256,11 @@ type Engine struct {
 	winScratch *windowScratch // pooled batched-window working set
 
 	// auditHook, when set by tests, observes every batched window right
-	// before it is solved and committed.
-	auditHook func(r *eventRun, batch []int, decisionAt float64)
+	// before it is solved and committed; windowOracle, when set by tests,
+	// then solves and commits it in closeBatchSparse's place (the dense
+	// pre-decomposition solve lives in dense_test.go).
+	auditHook    func(r *eventRun, batch []int, decisionAt float64)
+	windowOracle func(r *eventRun, batch []int, decisionAt float64, algo BatchAlgorithm)
 }
 
 // New returns an engine over the given market and drivers. It returns an
@@ -547,7 +550,8 @@ func (e *Engine) finishCandidate(i int, task model.Task, service, serviceCost, a
 // in it is monotone in pickupKm and homeKm, rounding included, so lower
 // bounds on the two distances give an upper bound on the margin in
 // floating point, not only in the reals — which GridSource.Contenders
-// relies on by calling this same function for its bound.
+// and GridSource.TopRow rely on by calling this same function for their
+// bound.
 func (e *Engine) margin(price, serviceCost, pickupKm, homeKm, oldHomeKm float64) float64 {
 	deadhead := e.Market.TravelCostKm(pickupKm)
 	newHome := e.Market.TravelCostKm(homeKm)

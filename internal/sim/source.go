@@ -208,6 +208,106 @@ func (s *GridSource) Contenders(task model.Task, now float64, by Rank, buf []Can
 	return buf
 }
 
+// TopRow is topRow for a batched window (closeBatchSparse): it walks the
+// same reachable drivers in the same order, keeping the exact candidates
+// of the row so far — at most k, all of positive margin — as a heap on
+// the tail of arena whose root is the one that ranks last under
+// ranksBefore, and scores a driver exactly only if her optimistic margin
+// (Contenders' bound: the exact functions fed lower bounds on her two
+// distances, so never below her exact margin, as floats) could still put
+// her in the row. What survives is sorted back into driver order, so the
+// row is topRow's element for element.
+//
+// The tie rule is the opposite of Contenders', which must keep ties and
+// skips on <. A row ranks by margin and then by lower driver id, and the
+// walk is in ascending id: a driver whose margin could at best equal the
+// root's has a higher id than everyone in the heap, loses the tie-break
+// to the root and so to all of them, and is skipped on <=. (Skipping on
+// < would only score more.) The floor is closed the same way: topRow
+// keeps Margin > 0, so an optimistic margin of 0 is skipped. Both tests
+// are false for a NaN, which goes to exact scoring, where !(Margin > 0)
+// drops it as topRow's filter does. A row with fewer than k positive
+// margins never fills the heap and is pruned by the floor alone.
+//
+// The per-driver prelude is Contenders', copied rather than shared: as
+// a function of its own it costs 312 against the inliner's budget of 80,
+// and a call per reachable driver is what this walk saves. The two fuzz
+// targets pin the copies. The dropoff-deadline and return-home clauses
+// could be bounded the same way and are not: on a 10k-driver day they
+// would spare 0.7 % of the exact scores (1.8 % in real-time mode).
+//
+// Under a road metric (Market.Batch) the full list stays, as in
+// Contenders — and measured, not assumed: a road distance exceeds the
+// planar bound by circuity and two access legs, half the rows of such a
+// day never fill, and 55 % of the drivers survived the bound.
+func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candidate) []Candidate {
+	e := s.e
+	if e.Market.Batch != nil {
+		return topRow(s, task, now, k, arena)
+	}
+	q := e.orderTerms(task)
+	sx, sy := s.ix.Project(task.Source)
+	dx, dy := s.ix.Project(task.Dest)
+	start := len(arena)
+	for _, i := range s.reachable(task, now) {
+		lx, ly := s.ix.Project(e.states[i].loc)
+		pickupKm := lowerKm(lx, ly, sx, sy)
+		if _, ok := e.pickupArrival(i, task, now, pickupKm); !ok {
+			continue
+		}
+		hx, hy := s.ix.Project(e.Drivers[i].Dest)
+		opt := e.margin(task.Price, q.serviceCost, pickupKm, lowerKm(dx, dy, hx, hy), e.homeKm(i))
+		row := arena[start:]
+		full := len(row) == k
+		if opt <= 0 || full && opt <= row[0].Margin {
+			continue
+		}
+		c, ok := e.candidateFor(i, task, now, q.service, q.serviceCost)
+		if !ok || !(c.Margin > 0) {
+			continue
+		}
+		if !full {
+			arena = append(arena, c)
+			siftUp(arena[start:])
+		} else if ranksBefore(c, row[0]) {
+			row[0] = c
+			siftDown(row)
+		}
+	}
+	sortByDriver(arena[start:])
+	return arena
+}
+
+// siftUp and siftDown maintain TopRow's heap: no element ranks before
+// its parent, so row[0] ranks last. siftUp places a just-appended last
+// element, siftDown a just-replaced root.
+func siftUp(row []Candidate) {
+	for i := len(row) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !ranksBefore(row[p], row[i]) {
+			return
+		}
+		row[p], row[i] = row[i], row[p]
+		i = p
+	}
+}
+
+func siftDown(row []Candidate) {
+	for i := 0; ; {
+		last := i // the one of i and its children that ranks last
+		for c := 2*i + 1; c <= 2*i+2 && c < len(row); c++ {
+			if ranksBefore(row[last], row[c]) {
+				last = c
+			}
+		}
+		if last == i {
+			return
+		}
+		row[i], row[last] = row[last], row[i]
+		i = last
+	}
+}
+
 // lowerKm is the pre-filter's lower bound on the travel distance between
 // two points given by their spatial.Index.Project coordinates.
 func lowerKm(ax, ay, bx, by float64) float64 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/matching"
@@ -14,8 +13,9 @@ import (
 
 // These tests are the sparse window pipeline's correctness wall. The
 // component-decomposed solve (closeBatchSparse) must commit exactly
-// what the pre-decomposition dense oracle (Engine.DenseWindows) would
-// have committed — same assignments, same rejections, bit-identical
+// what the pre-decomposition dense oracle (closeBatchDense in
+// dense_test.go) would have committed — same assignments, same
+// rejections, bit-identical
 // Result — across solvers, window lengths, candidate sources and
 // dynamic churn/cancellation workloads; and the matcher worker count
 // must be invisible in the results of both the batch drain and the
@@ -35,7 +35,9 @@ func runBatchedWith(t *testing.T, cfg trace.Config, drivers []model.Driver, task
 		e.SetCandidateSource(NewGridSource(nil))
 	}
 	e.MatchWorkers = workers
-	e.DenseWindows = dense
+	if dense {
+		e.windowOracle = e.closeBatchDense
+	}
 	return e.RunBatchedScenario(tasks, events, window, algo)
 }
 
@@ -148,7 +150,7 @@ func TestWindowSolversAgreePerWindow(t *testing.T) {
 		windows, ties := 0, 0
 		e.auditHook = func(r *eventRun, batch []int, decisionAt float64) {
 			windows++
-			w, union := auditBuildDense(e, r, batch, decisionAt)
+			w, _, union := buildDenseWindow(e, r, batch, decisionAt)
 			dense, err := matching.Hungarian(w)
 			if err != nil {
 				t.Fatal(err)
@@ -184,51 +186,6 @@ func TestWindowSolversAgreePerWindow(t *testing.T) {
 		}
 		t.Logf("seed=%d: %d windows audited, %d with tied optima", seed, windows, ties)
 	}
-}
-
-// auditBuildDense rebuilds closeBatchDense's pruned weight matrix for
-// one window from the same candidate queries, without committing.
-func auditBuildDense(e *Engine, r *eventRun, batch []int, decisionAt float64) ([][]float64, []int) {
-	cands := make([][]Candidate, len(batch))
-	inUnion := make(map[int]bool)
-	var union []int
-	var buf []Candidate
-	for bi, ti := range batch {
-		buf = e.source.Candidates(r.tasks[ti], decisionAt, buf[:0])
-		cs := append([]Candidate(nil), buf...)
-		if len(cs) > len(batch) {
-			sort.Slice(cs, func(a, b int) bool {
-				if cs[a].Margin != cs[b].Margin {
-					return cs[a].Margin > cs[b].Margin
-				}
-				return cs[a].Driver < cs[b].Driver
-			})
-			cs = cs[:len(batch)]
-		}
-		cands[bi] = cs
-		for _, c := range cs {
-			if !inUnion[c.Driver] {
-				inUnion[c.Driver] = true
-				union = append(union, c.Driver)
-			}
-		}
-	}
-	sort.Ints(union)
-	col := make(map[int]int, len(union))
-	for j, drv := range union {
-		col[drv] = j
-	}
-	w := make([][]float64, len(batch))
-	for bi := range batch {
-		w[bi] = make([]float64, len(union))
-		for j := range w[bi] {
-			w[bi][j] = matching.Forbidden
-		}
-		for _, c := range cands[bi] {
-			w[bi][col[c.Driver]] = c.Margin
-		}
-	}
-	return w, union
 }
 
 // TestWindowScratchSurvivesFleetGrowth: the pooled driver-indexed maps
