@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -28,7 +29,7 @@ import (
 // negative count would silently misbehave (or panic) deep inside the
 // engine instead of failing at the boundary.
 func checkPositive(cmd string, vals map[string]int) error {
-	for _, name := range []string{"-workers", "-match-workers", "-reps", "-tasks", "-drivers"} {
+	for _, name := range []string{"-workers", "-reps", "-tasks", "-drivers"} {
 		if v, ok := vals[name]; ok && v < 1 {
 			return fmt.Errorf("%s: %s must be ≥ 1, got %d", cmd, name, v)
 		}
@@ -44,6 +45,28 @@ func checkPositive(cmd string, vals map[string]int) error {
 func checkBatchWindow(cmd string, w float64) error {
 	if !(w >= 0) || math.IsInf(w, 1) {
 		return fmt.Errorf("%s: -batch-window must be a non-negative finite number of seconds, got %g", cmd, w)
+	}
+	return nil
+}
+
+// explicitFlag names, dash included, one of the given flags that the
+// command line set explicitly ("" when it set none): a flag that the
+// chosen mode never consults is rejected instead of silently ignored.
+func explicitFlag(fs *flag.FlagSet, names ...string) string {
+	set := ""
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			set = "-" + f.Name
+		}
+	})
+	return set
+}
+
+// checkBatchAlgoUnused is that rule for serve and router without a
+// batch window: the solver flag has no window to solve.
+func checkBatchAlgoUnused(cmd string, fs *flag.FlagSet) error {
+	if explicitFlag(fs, "batch-algo") != "" {
+		return fmt.Errorf("%s: -batch-algo selects the window solver and needs -batch-window (instant dispatch has no windows to solve)", cmd)
 	}
 	return nil
 }
@@ -213,6 +236,11 @@ func cmdSimulate(args []string) error {
 	}
 	if err := checkFraction("simulate", map[string]float64{"-churn": *churn, "-cancel": *cancel}); err != nil {
 		return err
+	}
+	if a := strings.ToLower(*algo); *byValue && (a == "batched" || a == "replan") {
+		// Both run the day in time order; the flag would be silently
+		// ignored — reject it instead.
+		return fmt.Errorf("simulate: -byvalue processes tasks by descending price and is not consulted with -algo %s, which runs the day in time order (drop one flag)", a)
 	}
 	var batchedAlgo sim.BatchAlgorithm
 	if strings.ToLower(*algo) == "batched" {

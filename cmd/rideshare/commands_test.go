@@ -118,48 +118,70 @@ func TestCmdErrors(t *testing.T) {
 // TestCmdFlagValidation: every command rejects non-positive counts
 // (-workers, -reps, -tasks, -drivers) and out-of-range rates
 // at the flag boundary with a clear error, instead of misbehaving or
-// panicking deep inside the engine.
+// panicking deep inside the engine — and rejects a flag the chosen mode
+// never consults, naming both flags, instead of silently ignoring it.
 func TestCmdFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func() error
+		want []string // substrings of the error, when the wording matters
 	}{
-		{"gen -tasks 0", func() error { return cmdGen([]string{"-tasks", "0"}) }},
-		{"gen -drivers -1", func() error { return cmdGen([]string{"-drivers", "-1"}) }},
-		{"gen -churn 1.5", func() error { return cmdGen([]string{"-churn", "1.5"}) }},
-		{"gen -cancel -0.1", func() error { return cmdGen([]string{"-cancel", "-0.1"}) }},
-		{"experiments -workers 0", func() error { return cmdExperiments([]string{"-workers", "0"}) }},
-		{"experiments -workers -3", func() error { return cmdExperiments([]string{"-workers", "-3"}) }},
-		{"experiments -reps 0", func() error { return cmdExperiments([]string{"-reps", "0"}) }},
+		{"gen -tasks 0", func() error { return cmdGen([]string{"-tasks", "0"}) }, nil},
+		{"gen -drivers -1", func() error { return cmdGen([]string{"-drivers", "-1"}) }, nil},
+		{"gen -churn 1.5", func() error { return cmdGen([]string{"-churn", "1.5"}) }, nil},
+		{"gen -cancel -0.1", func() error { return cmdGen([]string{"-cancel", "-0.1"}) }, nil},
+		{"experiments -workers 0", func() error { return cmdExperiments([]string{"-workers", "0"}) }, nil},
+		{"experiments -workers -3", func() error { return cmdExperiments([]string{"-workers", "-3"}) }, nil},
+		{"experiments -reps 0", func() error { return cmdExperiments([]string{"-reps", "0"}) }, nil},
 		{"simulate -algo batched -batchwindow 0", func() error {
 			return cmdSimulate([]string{"-trace", "x.json", "-algo", "batched", "-batchwindow", "0"})
-		}},
+		}, nil},
 		{"simulate -algo batched -batchwindow -5", func() error {
 			return cmdSimulate([]string{"-trace", "x.json", "-algo", "batched", "-batchwindow", "-5"})
-		}},
+		}, nil},
 		{"simulate -algo batched -batchalgo simplex", func() error {
 			return cmdSimulate([]string{"-trace", "x.json", "-algo", "batched", "-batchalgo", "simplex"})
-		}},
-		{"serve -match-workers 0", func() error { return cmdServe([]string{"-match-workers", "0"}) }},
-		{"serve -match-workers without -batch-window", func() error {
-			return cmdServe([]string{"-match-workers", "4"})
-		}},
-		{"serve -drivers 0", func() error { return cmdServe([]string{"-drivers", "0"}) }},
-		{"serve -batch-window -1", func() error { return cmdServe([]string{"-batch-window", "-1"}) }},
+		}, nil},
+		{"simulate -algo batched -byvalue", func() error {
+			return cmdSimulate([]string{"-trace", "x.json", "-algo", "batched", "-byvalue"})
+		}, []string{"-byvalue", "-algo batched"}},
+		{"simulate -algo replan -byvalue", func() error {
+			return cmdSimulate([]string{"-trace", "x.json", "-algo", "replan", "-byvalue"})
+		}, []string{"-byvalue", "-algo replan"}},
+		{"serve -match-workers (retired with the window worker pool)", func() error {
+			return cmdServe([]string{"-batch-window", "30", "-match-workers", "2"})
+		}, []string{"flag provided but not defined: -match-workers"}},
+		{"serve -batch-algo without -batch-window", func() error {
+			return cmdServe([]string{"-batch-algo", "auction"})
+		}, []string{"-batch-algo", "-batch-window"}},
+		{"router -batch-algo without -batch-window", func() error {
+			return cmdRouter([]string{"-batch-algo", "auction"})
+		}, []string{"-batch-algo", "-batch-window"}},
+		{"serve -drivers 0", func() error { return cmdServe([]string{"-drivers", "0"}) }, nil},
+		{"serve -batch-window -1", func() error { return cmdServe([]string{"-batch-window", "-1"}) }, nil},
 		{"serve -algo with -batch-window", func() error {
 			return cmdServe([]string{"-algo", "nearest", "-batch-window", "30"})
-		}},
-		{"serve -batch-window NaN", func() error { return cmdServe([]string{"-batch-window", "NaN"}) }},
-		{"serve -batch-algo simplex", func() error { return cmdServe([]string{"-batch-algo", "simplex"}) }},
-		{"loadgen -tasks 0", func() error { return cmdLoadgen([]string{"-tasks", "0"}) }},
-		{"loadgen -workers 0", func() error { return cmdLoadgen([]string{"-workers", "0"}) }},
-		{"loadgen -cancel 2", func() error { return cmdLoadgen([]string{"-cancel", "2"}) }},
-		{"loadgen -rate -5", func() error { return cmdLoadgen([]string{"-rate", "-5"}) }},
-		{"serve -max-pending -1", func() error { return cmdServe([]string{"-max-pending", "-1"}) }},
+		}, nil},
+		{"serve -batch-window NaN", func() error { return cmdServe([]string{"-batch-window", "NaN"}) }, nil},
+		{"serve -batch-algo simplex", func() error {
+			return cmdServe([]string{"-batch-window", "30", "-batch-algo", "simplex"})
+		}, []string{"simplex"}},
+		{"loadgen -tasks 0", func() error { return cmdLoadgen([]string{"-tasks", "0"}) }, nil},
+		{"loadgen -workers 0", func() error { return cmdLoadgen([]string{"-workers", "0"}) }, nil},
+		{"loadgen -cancel 2", func() error { return cmdLoadgen([]string{"-cancel", "2"}) }, nil},
+		{"loadgen -rate -5", func() error { return cmdLoadgen([]string{"-rate", "-5"}) }, nil},
+		{"serve -max-pending -1", func() error { return cmdServe([]string{"-max-pending", "-1"}) }, nil},
 	}
 	for _, tc := range cases {
-		if err := tc.run(); err == nil {
+		err := tc.run()
+		if err == nil {
 			t.Errorf("%s accepted", tc.name)
+			continue
+		}
+		for _, sub := range tc.want {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, sub)
+			}
 		}
 	}
 }

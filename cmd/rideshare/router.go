@@ -58,14 +58,13 @@ func cmdRouter(args []string) error {
 	if *maxPending < 0 || *maxInflight < 0 {
 		return fmt.Errorf("router: -max-pending %d / -max-inflight %d, want ≥ 0", *maxPending, *maxInflight)
 	}
+	if *batchWindow == 0 {
+		if err := checkBatchAlgoUnused("router", fs); err != nil {
+			return err
+		}
+	}
 	if *walDir == "" {
-		durSet := ""
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "fsync" || f.Name == "snapshot-every" {
-				durSet = "-" + f.Name
-			}
-		})
-		if durSet != "" {
+		if durSet := explicitFlag(fs, "fsync", "snapshot-every"); durSet != "" {
 			return fmt.Errorf("router: %s needs -wal-dir (there is no log to tune)", durSet)
 		}
 	}

@@ -111,7 +111,6 @@ func cmdServe(args []string) error {
 	realTime := fs.Bool("realtime", false, "free drivers at real trip finish times instead of deadlines (and close due batch windows on the wall clock)")
 	batchWindow := fs.Float64("batch-window", 0, "batched dispatch: accumulate orders for this many seconds and clear each window with a maximum-weight matching (0 = instant dispatch)")
 	batchAlgo := fs.String("batch-algo", "hungarian", "batched dispatch solver: hungarian or auction")
-	matchWorkers := fs.Int("match-workers", 1, "concurrent solvers for a batch window's independent components (identical assignments, higher throughput; needs -batch-window)")
 	maxPending := fs.Int("max-pending", 0, "admission bound: shed submissions with 429 once the open batch window (batched) or the submissions in flight (instant) reach this many (0 = unbounded)")
 	useRoadnet := fs.Bool("roadnet", false, "route every distance over the synthetic street graph instead of crow-fly (network-accurate travel times; journals with -wal-dir)")
 	roadnetCache := fs.Int("roadnet-cache", 0, "route-cache bound in memoized node pairs (0 = default; needs -roadnet)")
@@ -125,13 +124,7 @@ func cmdServe(args []string) error {
 	if *walDir == "" {
 		// -fsync/-snapshot-every tune the write-ahead log; without one
 		// they would be silently ignored — reject them instead.
-		durSet := ""
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "fsync" || f.Name == "snapshot-every" {
-				durSet = "-" + f.Name
-			}
-		})
-		if durSet != "" {
+		if durSet := explicitFlag(fs, "fsync", "snapshot-every"); durSet != "" {
 			return fmt.Errorf("serve: %s needs -wal-dir (there is no log to tune)", durSet)
 		}
 	}
@@ -141,25 +134,17 @@ func cmdServe(args []string) error {
 	if !*useRoadnet {
 		// -roadnet-cache tunes the street-graph route cache; without the
 		// graph it would be silently ignored — reject it instead.
-		cacheSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "roadnet-cache" {
-				cacheSet = true
-			}
-		})
-		if cacheSet {
+		if explicitFlag(fs, "roadnet-cache") != "" {
 			return fmt.Errorf("serve: -roadnet-cache needs -roadnet (there is no route cache to bound)")
 		}
 	}
 	if *roadnetCache < 0 {
 		return fmt.Errorf("serve: -roadnet-cache %d, want ≥ 0", *roadnetCache)
 	}
-	counts := map[string]int{"-match-workers": *matchWorkers}
 	if *tracePath == "" {
-		counts["-drivers"] = *drivers
-	}
-	if err := checkPositive("serve", counts); err != nil {
-		return err
+		if err := checkPositive("serve", map[string]int{"-drivers": *drivers}); err != nil {
+			return err
+		}
 	}
 	if err := checkBatchWindow("serve", *batchWindow); err != nil {
 		return err
@@ -168,19 +153,11 @@ func cmdServe(args []string) error {
 		// A batched market clears windows with -batch-algo; the instant
 		// policy is never consulted. An explicit -algo alongside
 		// -batch-window would be silently ignored — reject it instead.
-		algoSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "algo" {
-				algoSet = true
-			}
-		})
-		if algoSet {
+		if explicitFlag(fs, "algo") != "" {
 			return fmt.Errorf("serve: -algo selects the instant-dispatch policy and is not consulted with -batch-window; use -batch-algo (or drop one flag)")
 		}
-	} else if *matchWorkers > 1 {
-		// Matcher workers solve batch-window components; without a
-		// window the flag would be silently ignored — reject it instead.
-		return fmt.Errorf("serve: -match-workers needs -batch-window (instant dispatch has no windows to solve)")
+	} else if err := checkBatchAlgoUnused("serve", fs); err != nil {
+		return err
 	}
 	policy, err := dispatch.ParsePolicy(*algo)
 	if err != nil {
@@ -213,9 +190,6 @@ func cmdServe(args []string) error {
 	}
 	if *batchWindow > 0 {
 		opts = append(opts, dispatch.WithBatching(*batchWindow, batchPolicy))
-	}
-	if *matchWorkers > 1 {
-		opts = append(opts, dispatch.WithMatchWorkers(*matchWorkers))
 	}
 	if *maxPending > 0 {
 		opts = append(opts, dispatch.WithMaxPending(*maxPending))

@@ -20,11 +20,11 @@ import (
 // churn and cancellations included — event by event through a Service
 // built WithBatching produces a final result bit-identical to
 // Engine.RunBatchedScenario replaying the same trace in one call over
-// the engine's exact scan, for both solvers and every matcher worker
-// count (the engine baseline runs serially, so the sweep also proves
-// the worker pool invisible end to end). The shards=N labels predate
-// the deletion of the zone partition: N goes to the deprecated
-// WithShards, which must change nothing, and goes away with it.
+// the engine's exact scan, for both solvers. The shards=N and workers=M
+// labels predate the deletion of the zone partition and of the window
+// worker pool: N goes to the deprecated WithShards and M to the
+// deprecated WithMatchWorkers, which must change nothing, and go away
+// with them.
 func TestBatchedServiceReplayBitIdenticalToEngine(t *testing.T) {
 	const seed = 17
 	scenarios := []struct {
@@ -108,6 +108,7 @@ func TestWithBatchingValidation(t *testing.T) {
 		t.Errorf("valid batching rejected: %v", err)
 	}
 
+	// The deprecated option still validates its count.
 	for _, n := range []int{0, -3} {
 		if _, err := New(m, WithBatching(30, Hungarian), WithMatchWorkers(n)); !errors.Is(err, ErrInvalidOption) {
 			t.Errorf("WithMatchWorkers(%d): %v, want ErrInvalidOption", n, err)

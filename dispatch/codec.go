@@ -33,8 +33,8 @@ import (
 //     exactly what the encoders emit: encode(decode(x)) == x.
 //
 // A payload names itself by its first byte: rec2Base+kind for a record,
-// snapTag for a snapshot. Version-1 payloads began with a bare kind
-// (1–7) or '{'; codec_v1.go still reads those.
+// snapTag for a snapshot. Version-1 payloads (JSON) began with a bare
+// kind (1–7) or '{' and are refused by name: see errVersion1.
 
 const (
 	durVersion = 2
@@ -55,6 +55,14 @@ var (
 	errWireVersion   = errors.New("unsupported log version")
 	errWireValue     = errors.New("malformed value")
 )
+
+// errVersion1 refuses a payload of the JSON format that durVersion 2
+// replaced. The last build that reads it is commit e258dd6, and a log
+// that build has restored is a version-2 log from its next snapshot on.
+func errVersion1(what string) error {
+	return fmt.Errorf("%w: a version-1 %s, which this build no longer reads; restore the log once with the build at commit e258dd6 and let it cut a snapshot (its next cadence point, or Close) — it continues the log in version 2",
+		errWireVersion, what)
+}
 
 func appendU32(b []byte, v uint32) []byte  { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte  { return binary.LittleEndian.AppendUint64(b, v) }
@@ -322,14 +330,14 @@ func appendRecord(b []byte, rec *walRecord) []byte {
 	return b
 }
 
-// decodeRecord decodes one journal record of either version. The
-// returned record's Kind is set even when the body fails to decode.
+// decodeRecord decodes one journal record. The returned record's Kind
+// is set even when the body fails to decode.
 func decodeRecord(data []byte) (walRecord, error) {
 	if len(data) == 0 {
 		return walRecord{}, fmt.Errorf("dispatch: empty journal record")
 	}
-	if data[0] < rec2Base {
-		return decodeRecordV1(data)
+	if k := data[0]; k >= recInit && k <= recFinish {
+		return walRecord{Kind: k}, errVersion1("record")
 	}
 	r := wireReader{b: data[1:]}
 	rec := walRecord{Kind: data[0] - rec2Base, Digest: r.u64()}
@@ -474,10 +482,10 @@ func appendSnapshot(b []byte, snap *snapPayload) []byte {
 	return appendState(b, st)
 }
 
-// decodeSnapshot decodes a snapshot payload of either version.
+// decodeSnapshot decodes a snapshot payload.
 func decodeSnapshot(data []byte) (*snapPayload, error) {
 	if len(data) > 0 && data[0] == '{' {
-		return decodeSnapshotV1(data)
+		return nil, errVersion1("snapshot")
 	}
 	r := wireReader{b: data}
 	if tag := r.u8(); r.err == nil && tag != snapTag {

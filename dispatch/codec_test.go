@@ -539,16 +539,111 @@ func seedPayloads(f *testing.F) (records [][]byte, snapshot []byte) {
 	}
 	// The final snapshot covers every record but the finish: take the
 	// rest, genesis first, out of the segment itself.
-	seg, err := os.ReadFile(segFileOf(f, dir))
+	return segRecords(f, dir), rec.Snapshot
+}
+
+// segRecords returns every record payload of a one-segment log, genesis
+// first, whatever snapshots cover them.
+func segRecords(t testing.TB, dir string) (records [][]byte) {
+	t.Helper()
+	seg, err := os.ReadFile(segFileOf(t, dir))
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	for off := 16; off < len(seg); {
+	for off := 16; off < len(seg); { // 16: segment header
 		end := off + 8 + int(binary.LittleEndian.Uint32(seg[off:]))
 		records = append(records, seg[off+8:end])
 		off = end
 	}
-	return records, rec.Snapshot
+	return records
+}
+
+// poolFingerprint is the configuration `serve -batch-window 30
+// -match-workers 2` journaled on builds that had the window worker pool.
+var poolFingerprint = configFingerprint{Policy: "maxmargin", MatchWorkers: 2, Seed: 9, BatchWindow: 30, BatchAlgo: "hungarian"}
+
+// TestRestoreIgnoresMatchWorkersSlot: a log whose genesis names a worker
+// pool restores to the books of the run that wrote it, takes 100 more
+// operations to the same books as a service that was never interrupted,
+// and its genesis still re-encodes to the bytes on disk.
+func TestRestoreIgnoresMatchWorkersSlot(t *testing.T) {
+	cfg := trace.NewConfig(66, 240, 40, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	tr.Events = trace.WithChurn(tr, trace.DefaultChurn(3, 0.3, 0.2))
+	market, feed := durFeed(tr)
+	cut := len(feed) - 100
+	opts := []Option{WithSeed(poolFingerprint.Seed), WithBatching(poolFingerprint.BatchWindow, Hungarian)}
+	ctx := context.Background()
+
+	ref, err := New(market, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyFeed(t, ref, tr, feed[:cut])
+	wantMid, err := ref.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantMid.Served == 0 || wantMid.Pending == 0 {
+		t.Fatalf("degenerate cut, nothing served or nothing waiting: %+v", wantMid)
+	}
+
+	dir := t.TempDir()
+	svc, err := New(market, append(opts, WithDurability(dir, DurSnapshotEvery(100000), DurFsync("off")))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyFeed(t, svc, tr, feed[:cut])
+	if _, err := svc.Halt(); err != nil {
+		t.Fatal(err)
+	}
+	records := segRecords(t, dir)
+	genesis, err := decodeRecord(records[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if genesis.Init.Config.MatchWorkers != 0 {
+		t.Fatalf("this build journaled a worker count: %+v", genesis.Init.Config)
+	}
+	genesis.Init.Config.MatchWorkers = poolFingerprint.MatchWorkers
+	if genesis.Init.Config != poolFingerprint {
+		t.Fatalf("the day's fingerprint %+v is not the pool build's %+v", genesis.Init.Config, poolFingerprint)
+	}
+	records[0] = appendRecord(nil, &genesis)
+
+	old := mkRawLog(t, records, nil)
+	restored, err := Restore(old, DurSnapshotEvery(100000), DurFsync("off"))
+	if err != nil {
+		t.Fatalf("Restore of a log whose genesis names a worker pool: %v", err)
+	}
+	gotMid, err := restored.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantMid != gotMid {
+		t.Fatalf("restored books\nwant %+v\ngot  %+v", wantMid, gotMid)
+	}
+	applyFeed(t, ref, tr, feed[cut:])
+	applyFeed(t, restored, tr, feed[cut:])
+	want, err := ref.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(ref.final, restored.final) {
+		t.Fatalf("books after 100 more operations\nwant %+v\ngot  %+v", want, got)
+	}
+	onDisk := segRecords(t, old)[0]
+	kept, err := decodeRecord(onDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := appendRecord(nil, &kept); !bytes.Equal(onDisk, again) || kept.Init.Config.MatchWorkers != 2 {
+		t.Fatalf("the genesis no longer re-encodes to its own bytes (slot read as %d)", kept.Init.Config.MatchWorkers)
+	}
 }
 
 // allocatedBy reports the bytes fn allocates: the least of three runs
@@ -574,7 +669,7 @@ func allocBudget(n int) uint64 { return 64*uint64(n) + 1<<12 }
 
 // FuzzDecodeRecord: arbitrary bytes never panic the record decoder and
 // never make it allocate out of proportion to the input, and whatever
-// version-2 payload it accepts is exactly what the encoder would write.
+// payload it accepts is exactly what the encoder would write.
 func FuzzDecodeRecord(f *testing.F) {
 	records, _ := seedPayloads(f)
 	for _, r := range records {
@@ -583,14 +678,12 @@ func FuzzDecodeRecord(f *testing.F) {
 	for _, rec := range sampleRecords() {
 		f.Add(appendRecord(nil, &rec))
 	}
-	f.Add([]byte{recCancel, '{', '"', 'i', 'd', '"', ':', '3', '}'})
+	f.Add([]byte{recCancel, '{', '"', 'i', 'd', '"', ':', '3', '}'}) // version 1: refused
+	f.Add(mkGenesis(durVersion, overloadMarket(), poolFingerprint))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec walRecord
 		var err error
 		got := allocatedBy(func() { rec, err = decodeRecord(data) }, allocBudget(len(data)))
-		if len(data) > 0 && data[0] < rec2Base {
-			return // the version-1 reader: encoding/json's allocations, and no canonical form
-		}
 		if got > allocBudget(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
@@ -608,14 +701,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	_, snapshot := seedPayloads(f)
 	f.Add(snapshot)
 	f.Add(appendSnapshot(nil, awkwardSnapshot()))
-	f.Add([]byte(`{"version":1,"state":{"drivers":[]}}`))
+	f.Add([]byte(`{"version":1,"state":{"drivers":[]}}`)) // version 1: refused
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var snap *snapPayload
 		var err error
 		got := allocatedBy(func() { snap, err = decodeSnapshot(data) }, allocBudget(len(data)))
-		if len(data) > 0 && data[0] == '{' {
-			return // the version-1 reader
-		}
 		if got > allocBudget(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}

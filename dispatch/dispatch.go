@@ -238,11 +238,8 @@ type Service struct {
 	// digest is a rolling 64-bit digest of every decision made so far
 	// (foldDecision, foldCancel). Each journal record and snapshot
 	// carries its value, and a replay that reaches a record with a
-	// different one stops there (ErrReplayDiverged). digestAnchored is
-	// false only while Restore replays a version-1 prefix, whose records
-	// carry no digest.
-	digest         uint64
-	digestAnchored bool
+	// different one stops there (ErrReplayDiverged).
+	digest uint64
 }
 
 // New opens a dispatch service over the market. Drivers with a positive
@@ -300,8 +297,6 @@ func New(m Market, opts ...Option) (*Service, error) {
 		maxPending: cfg.maxPending,
 		subs:       make(map[int]*subscriber),
 		cfg:        cfg,
-
-		digestAnchored: true,
 	}
 	drivers := make([]model.Driver, len(m.Drivers))
 	var fleet []model.MarketEvent
@@ -330,7 +325,6 @@ func New(m Market, opts ...Option) (*Service, error) {
 		eng.Clock = cfg.clock
 	}
 	eng.SetCandidateSource(sim.NewGridSource(nil))
-	eng.MatchWorkers = cfg.matchWorkers
 	var st *sim.Stream
 	if s.batched {
 		algo, aerr := cfg.batchAlgo.sim()

@@ -54,9 +54,6 @@ const (
 // depends on Kind.
 type walRecord struct {
 	Kind byte
-	// Legacy marks a record read from a version-1 log, which carries no
-	// digest.
-	Legacy bool
 	// Digest is the service's decision digest at the journal point:
 	// after every earlier record was applied, before this one is.
 	Digest uint64
@@ -70,33 +67,35 @@ type walRecord struct {
 // configFingerprint is the durable image of a service's configuration:
 // everything that shapes outcomes, nothing that doesn't (pacing clocks,
 // feed buffers). Restore rebuilds the service from it and the journaled
-// inputs then replay bit-identically. (The json tags here and on
-// initRecord serve the version-1 reader in codec_v1.go and go with it.)
+// inputs then replay bit-identically.
 type configFingerprint struct {
-	Policy       string  `json:"policy"`
-	MatchWorkers int     `json:"match_workers,omitempty"`
-	RealTime     bool    `json:"real_time,omitempty"`
-	Seed         int64   `json:"seed"`
-	Strict       bool    `json:"strict,omitempty"`
-	BatchWindow  float64 `json:"batch_window,omitempty"`
-	BatchAlgo    string  `json:"batch_algo,omitempty"`
-	MaxPending   int     `json:"max_pending,omitempty"`
+	Policy string
+	// MatchWorkers is a wire slot no build consults any more: logs from
+	// builds that had a window worker pool carry its size here, this
+	// build writes 0, and the decoder keeps what it read so a payload
+	// re-encodes to its own bytes.
+	MatchWorkers int
+	RealTime     bool
+	Seed         int64
+	Strict       bool
+	BatchWindow  float64
+	BatchAlgo    string
+	MaxPending   int
 	// RoadNetwork, when present, is the normalized street-graph metric
 	// configuration; Restore rebuilds the identical seeded graph and
 	// router from it. A caller-supplied WithDistanceFunc has no durable
 	// image and is rejected at construction instead.
-	RoadNetwork *RoadNetwork `json:"road_network,omitempty"`
+	RoadNetwork *RoadNetwork
 }
 
 func fingerprint(c config) configFingerprint {
 	fp := configFingerprint{
-		Policy:       c.policy.String(),
-		MatchWorkers: c.matchWorkers,
-		RealTime:     c.realTime,
-		Seed:         c.seed,
-		Strict:       c.strict,
-		BatchWindow:  c.batchWindow,
-		MaxPending:   c.maxPending,
+		Policy:      c.policy.String(),
+		RealTime:    c.realTime,
+		Seed:        c.seed,
+		Strict:      c.strict,
+		BatchWindow: c.batchWindow,
+		MaxPending:  c.maxPending,
 	}
 	if c.batchWindow > 0 {
 		fp.BatchAlgo = c.batchAlgo.String()
@@ -115,9 +114,6 @@ func (fp configFingerprint) options() ([]Option, error) {
 		return nil, fmt.Errorf("dispatch: restoring config: %w", err)
 	}
 	opts := []Option{WithDispatcher(pol), WithSeed(fp.Seed)}
-	if fp.MatchWorkers > 1 {
-		opts = append(opts, WithMatchWorkers(fp.MatchWorkers))
-	}
 	if fp.RealTime {
 		opts = append(opts, WithRealTime())
 	}
@@ -143,9 +139,9 @@ func (fp configFingerprint) options() ([]Option, error) {
 // initRecord is the genesis record's body: everything Restore needs to
 // reconstruct the service before replaying a single mutation.
 type initRecord struct {
-	Version int               `json:"version"`
-	Market  Market            `json:"market"`
-	Config  configFingerprint `json:"config"`
+	Version int
+	Market  Market
+	Config  configFingerprint
 }
 
 // snapPayload is a snapshot file's body: the engine's captured stream
@@ -156,7 +152,6 @@ type initRecord struct {
 // holding the genesis record is pruned.
 type snapPayload struct {
 	Version  int
-	Legacy   bool    // read from a version-1 snapshot: Digest is unknown
 	Digest   uint64  // decision digest as of the snapshot's LSN
 	SpeedKmh float64 // Market.SpeedKmh
 	GasPerKm float64 // Market.GasPerKm
@@ -461,7 +456,6 @@ func Restore(dir string, opts ...DurOption) (*Service, error) {
 	var snap *snapPayload
 	var market Market
 	var fp configFingerprint
-	var legacy bool
 	records := rec.Records
 	if rec.Snapshot != nil {
 		snap, err = decodeSnapshot(rec.Snapshot)
@@ -469,7 +463,7 @@ func Restore(dir string, opts ...DurOption) (*Service, error) {
 			return nil, fmt.Errorf("dispatch: decoding snapshot: %w", err)
 		}
 		market = Market{SpeedKmh: snap.SpeedKmh, GasPerKm: snap.GasPerKm}
-		fp, legacy = snap.Config, snap.Legacy
+		fp = snap.Config
 	} else {
 		if len(records) == 0 {
 			return nil, fmt.Errorf("%w: log holds no genesis record", wal.ErrCorrupt)
@@ -481,7 +475,7 @@ func Restore(dir string, opts ...DurOption) (*Service, error) {
 		if derr != nil {
 			return nil, fmt.Errorf("dispatch: decoding genesis record: %w", derr)
 		}
-		market, fp, legacy = genesis.Init.Market, genesis.Init.Config, genesis.Legacy
+		market, fp = genesis.Init.Market, genesis.Init.Config
 		records = records[1:]
 	}
 
@@ -497,9 +491,6 @@ func Restore(dir string, opts ...DurOption) (*Service, error) {
 	// wall-clock window timer until the log is drained.
 	liveBatch := svc.liveBatch
 	svc.liveBatch = false
-	// A version-1 base says nothing about the digest; the first
-	// version-2 record after it anchors the check.
-	svc.digestAnchored = !legacy
 
 	if snap != nil {
 		if err := svc.loadSnapshot(snap); err != nil {
@@ -544,9 +535,6 @@ func Restore(dir string, opts ...DurOption) (*Service, error) {
 // loadSnapshot swaps the freshly-constructed service's stream and books
 // for the snapshot's captured state.
 func (svc *Service) loadSnapshot(snap *snapPayload) error {
-	if snap.State == nil {
-		return fmt.Errorf("dispatch: snapshot carries no stream state")
-	}
 	eng := svc.st.Engine()
 	var d sim.Dispatcher
 	var algo sim.BatchAlgorithm
@@ -620,12 +608,8 @@ func (svc *Service) replayRecord(r wal.Record) (done bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	if !rec.Legacy {
-		if !svc.digestAnchored {
-			svc.digest, svc.digestAnchored = rec.Digest, true
-		} else if rec.Digest != svc.digest {
-			return false, &ReplayDivergedError{LSN: r.LSN, Logged: rec.Digest, Replayed: svc.digest}
-		}
+	if rec.Digest != svc.digest {
+		return false, &ReplayDivergedError{LSN: r.LSN, Logged: rec.Digest, Replayed: svc.digest}
 	}
 	ctx := context.Background()
 	switch rec.Kind {

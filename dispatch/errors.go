@@ -42,7 +42,7 @@ var (
 	ErrOutOfOrder = errors.New("dispatch: event timestamp before current time")
 
 	// ErrInvalidOption: a functional option was given an unusable
-	// value (e.g. WithMatchWorkers(0)).
+	// value (e.g. WithMaxPending(0)).
 	ErrInvalidOption = errors.New("dispatch: invalid option")
 
 	// ErrOverloaded: the service is at its WithMaxPending admission

@@ -145,15 +145,14 @@ func (c scaledClock) Advance(from, to float64) {
 }
 
 type config struct {
-	policy       Policy
-	matchWorkers int
-	realTime     bool
-	clock        Clock
-	seed         int64
-	strict       bool
-	batchWindow  float64 // 0: instant dispatch
-	batchAlgo    BatchAlgorithm
-	maxPending   int // 0: unbounded admission
+	policy      Policy
+	realTime    bool
+	clock       Clock
+	seed        int64
+	strict      bool
+	batchWindow float64 // 0: instant dispatch
+	batchAlgo   BatchAlgorithm
+	maxPending  int // 0: unbounded admission
 
 	roadnet  *RoadNetwork     // non-nil: street-graph metric (see WithRoadNetwork)
 	distFunc geo.DistanceFunc // non-nil: caller-supplied metric, not journalable
@@ -190,19 +189,16 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithMatchWorkers bounds the goroutines a batched service uses to
-// solve each window's independent task–driver components concurrently
-// (a window over a city fleet decomposes into many small components;
-// see WithBatching). Assignments are bit-identical for every worker
-// count — the knob is purely operational. n must be ≥ 1; 1 (the
-// default) solves serially. It has no effect on an instant-dispatch
-// service.
+// WithMatchWorkers checks that n ≥ 1 and changes nothing.
+//
+// Deprecated: a batched service solves each window's components one
+// after another on the goroutine that closes the window; only the
+// frozen benchmark/ still calls this.
 func WithMatchWorkers(n int) Option {
-	return func(c *config) error {
+	return func(*config) error {
 		if n < 1 {
 			return fmt.Errorf("%w: match workers %d, want ≥ 1", ErrInvalidOption, n)
 		}
-		c.matchWorkers = n
 		return nil
 	}
 }

@@ -47,11 +47,11 @@ func TestWithRoadNetworkChangesOutcome(t *testing.T) {
 	}
 }
 
-// TestWithRoadNetworkShardWorkerIdentity: under the network metric the
-// operational knobs stay purely operational — batched days are
-// bit-identical across match-worker counts, and across whatever count
-// the deprecated WithShards is handed (the test and its columns are
-// named from before the zone partition was deleted, and go with it).
+// TestWithRoadNetworkShardWorkerIdentity pins the two deprecated
+// options under the network metric: batched days are bit-identical
+// whatever count WithShards and WithMatchWorkers are handed (the test
+// and its columns are named from before the zone partition and the
+// window worker pool were deleted, and go with the options).
 func TestWithRoadNetworkShardWorkerIdentity(t *testing.T) {
 	cfg := trace.NewConfig(73, 110, 60, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
@@ -86,8 +86,8 @@ func TestWithRoadNetworkShardWorkerIdentity(t *testing.T) {
 }
 
 // TestWithRoadNetworkAlgoIdentity: the routing kernel must be invisible
-// in the books. Full trace replays — instant and batched, across
-// match-worker counts, under churn — settle bit-identically whether
+// in the books. Full trace replays — instant and batched, under churn —
+// settle bit-identically whether
 // the router runs contraction hierarchies or landmark A*, because both
 // kernels return bitwise-equal distances (and the CH one-to-many batch
 // path is bitwise-equal to looped lookups).
@@ -99,27 +99,22 @@ func TestWithRoadNetworkAlgoIdentity(t *testing.T) {
 	for _, batched := range []bool{false, true} {
 		var want *sim.Result
 		for _, algo := range []string{"ch", "alt"} {
-			for _, workers := range []int{1, 2, 4} {
-				name := fmt.Sprintf("batched-%v-%s-workers-%d", batched, algo, workers)
-				opts := []Option{WithSeed(5), WithRoadNetwork(RoadNetwork{Rows: 12, Cols: 14, Algo: algo})}
-				if batched {
-					opts = append(opts, WithBatching(45, Hungarian))
+			name := fmt.Sprintf("batched-%v-%s", batched, algo)
+			opts := []Option{WithSeed(5), WithRoadNetwork(RoadNetwork{Rows: 12, Cols: 14, Algo: algo})}
+			if batched {
+				opts = append(opts, WithBatching(45, Hungarian))
+			}
+			got := settleTrace(t, tr, opts...)
+			if want == nil {
+				want = got
+				if got.Served == 0 {
+					t.Fatalf("%s: degenerate baseline: nothing served", name)
 				}
-				if workers > 1 {
-					opts = append(opts, WithMatchWorkers(workers))
-				}
-				got := settleTrace(t, tr, opts...)
-				if want == nil {
-					want = got
-					if got.Served == 0 {
-						t.Fatalf("%s: degenerate baseline: nothing served", name)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s diverged from the ch baseline: served %d vs %d, revenue %.9f vs %.9f — this is a bug",
-						name, got.Served, want.Served, got.Revenue, want.Revenue)
-				}
+				continue
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s diverged from the ch baseline: served %d vs %d, revenue %.9f vs %.9f — this is a bug",
+					name, got.Served, want.Served, got.Revenue, want.Revenue)
 			}
 		}
 	}

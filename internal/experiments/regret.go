@@ -123,7 +123,6 @@ func regretPoint(cfg Config, rc RegretConfig, drivers int) (RegretPoint, error) 
 	if err != nil {
 		return RegretPoint{}, err
 	}
-	eng.MatchWorkers = cfg.Workers
 	results := []sim.Result{
 		eng.RunScenario(tr.Tasks, tr.Events, online.MaxMargin{}),
 		eng.RunBatchedScenario(tr.Tasks, tr.Events, rc.Window, sim.BatchHungarian),

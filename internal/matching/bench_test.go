@@ -58,7 +58,7 @@ func BenchmarkWindowKernels(b *testing.B) {
 			b.Run("sparse-hungarian/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, _, err := solver.Solve(sp, KindHungarian, 0, 1); err != nil {
+					if _, _, _, err := solver.Solve(sp, KindHungarian, 0); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -66,41 +66,11 @@ func BenchmarkWindowKernels(b *testing.B) {
 			b.Run("sparse-auction/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, _, err := solver.Solve(sp, KindAuction, 1e-4, 1); err != nil {
+					if _, _, _, err := solver.Solve(sp, KindAuction, 1e-4); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkSparseWorkers prices the component worker pool on a
-// many-component instance (block-diagonal, so every block is one
-// independent component).
-func BenchmarkSparseWorkers(b *testing.B) {
-	const blocks, blockRows, blockCols = 64, 4, 12
-	sp := Sparse{Rows: blocks * blockRows, Cols: blocks * blockCols}
-	sp.RowPtr = make([]int, 0, sp.Rows+1)
-	sp.RowPtr = append(sp.RowPtr, 0)
-	rng := rand.New(rand.NewSource(7))
-	for r := 0; r < sp.Rows; r++ {
-		base := (r / blockRows) * blockCols
-		for c := 0; c < blockCols; c++ {
-			sp.Col = append(sp.Col, base+c)
-			sp.W = append(sp.W, rng.Float64()*10+0.1)
-		}
-		sp.RowPtr = append(sp.RowPtr, len(sp.Col))
-	}
-	for _, workers := range []int{1, 2, 4} {
-		var solver SparseSolver
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := solver.Solve(sp, KindHungarian, 0, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -3,8 +3,6 @@ package matching
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 )
 
 // This file is the sparse formulation of the window-matching problem.
@@ -22,13 +20,12 @@ import (
 // reused across solves, so a long-running dispatcher clears thousands
 // of windows without touching the allocator. Solve splits the instance
 // into connected components with a union-find over the edges and solves
-// each component independently — optionally across a bounded pool of
-// worker goroutines — which is exact, not approximate: components share
-// no rows and no columns, so any matching of the whole instance
-// restricts to one matching per component and its weight is the sum of
-// the restrictions; maximizing each term independently therefore
-// maximizes the sum, and the union of per-component optima is a global
-// maximum-weight matching.
+// each component independently, which is exact, not approximate:
+// components share no rows and no columns, so any matching of the whole
+// instance restricts to one matching per component and its weight is
+// the sum of the restrictions; maximizing each term independently
+// therefore maximizes the sum, and the union of per-component optima is
+// a global maximum-weight matching.
 
 // Kind selects the kernel a SparseSolver runs on each component.
 type Kind int
@@ -92,8 +89,7 @@ func (sp Sparse) Validate() error {
 
 // SparseSolver carries the reusable scratch of sparse solves. The zero
 // value is ready to use; a solver is not safe for concurrent Solve
-// calls (one window at a time), though a single Solve may fan its
-// components out across worker goroutines internally.
+// calls (one window at a time).
 type SparseSolver struct {
 	// Matching state, persistent across the rows of one solve. Columns
 	// live in an extended id space: real columns 0..Cols-1, then one
@@ -122,12 +118,8 @@ type SparseSolver struct {
 	// row. Only the row half is filled (decomposeRows).
 	comps ComponentScratch
 
-	// Per-worker scratch: a touched-column list for Hungarian, a bid
-	// queue for Auction. workers[0] serves the serial path.
-	workers []workerScratch
-}
-
-type workerScratch struct {
+	// Per-component scratch: the columns a Hungarian row dirtied, the
+	// Auction's bid queue.
 	touched []int
 	queue   []int
 }
@@ -155,25 +147,16 @@ func grownBool(s []bool, n int) []bool {
 	return s[:n]
 }
 
-// ensureWorkers grows the per-worker scratch pool to n entries.
-func (s *SparseSolver) ensureWorkers(n int) {
-	for len(s.workers) < n {
-		s.workers = append(s.workers, workerScratch{})
-	}
-}
-
 // Solve computes a maximum-weight matching of sp: the instance is split
 // into connected components, each solved independently by the chosen
-// kernel, concurrently across min(workers, components) goroutines when
-// workers > 1. eps is the Auction bid increment (ignored by Hungarian;
+// kernel. eps is the Auction bid increment (ignored by Hungarian;
 // non-positive values default as the dense Auction does).
 //
 // The returned slice maps each row to its matched column (-1 for
 // unmatched) and is owned by the solver: it is valid until the next
 // Solve call and must not be retained. Weight and matched counts are
-// computed from the final assignment in ascending row order, so the
-// full result is bit-identical for every worker count.
-func (s *SparseSolver) Solve(sp Sparse, kind Kind, eps float64, workers int) (colOf []int, weight float64, matched int, err error) {
+// computed from the final assignment in ascending row order.
+func (s *SparseSolver) Solve(sp Sparse, kind Kind, eps float64) (colOf []int, weight float64, matched int, err error) {
 	if err := sp.Validate(); err != nil {
 		return nil, 0, 0, err
 	}
@@ -220,22 +203,12 @@ func (s *SparseSolver) Solve(sp Sparse, kind Kind, eps float64, workers int) (co
 	}
 
 	ncomp := s.comps.decomposeRows(sp)
-	if workers > ncomp {
-		workers = ncomp
-	}
-	if workers <= 1 {
-		s.ensureWorkers(1)
-		for c := 0; c < ncomp; c++ {
-			s.solveComponent(sp, kind, eps, c, &s.workers[0])
-		}
-	} else {
-		// Kept out of line so the serial hot path carries no closure
-		// captures (they would heap-allocate on every solve).
-		s.solveParallel(sp, kind, eps, ncomp, workers)
+	for c := 0; c < ncomp; c++ {
+		s.solveComponent(sp, kind, eps, c)
 	}
 
-	// Settle in ascending row order — deterministic across worker
-	// counts — mapping exit columns back to "unmatched".
+	// Settle in ascending row order, mapping exit columns back to
+	// "unmatched".
 	for r := 0; r < sp.Rows; r++ {
 		c := s.colOf[r]
 		if c < 0 || c >= sp.Cols {
@@ -253,39 +226,15 @@ func (s *SparseSolver) Solve(sp Sparse, kind Kind, eps float64, workers int) (co
 	return s.colOf, weight, matched, nil
 }
 
-// solveParallel fans the components out over a bounded worker pool.
-// Components touch disjoint rows and columns, so the shared state
-// (colOf, rowOf, u, v, minv, way, used, price) is written at disjoint
-// indices by construction; only the touched/queue lists are per-worker.
-func (s *SparseSolver) solveParallel(sp Sparse, kind Kind, eps float64, ncomp, workers int) {
-	s.ensureWorkers(workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(ws *workerScratch) {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= ncomp {
-					return
-				}
-				s.solveComponent(sp, kind, eps, c, ws)
-			}
-		}(&s.workers[w])
-	}
-	wg.Wait()
-}
-
 // solveComponent dispatches one component to the kernel.
-func (s *SparseSolver) solveComponent(sp Sparse, kind Kind, eps float64, comp int, ws *workerScratch) {
+func (s *SparseSolver) solveComponent(sp Sparse, kind Kind, eps float64, comp int) {
 	rows := s.comps.RowsByComp[s.comps.RowPtr[comp]:s.comps.RowPtr[comp+1]]
 	if kind == KindAuction {
-		s.auctionComponent(sp, eps, rows, ws)
+		s.auctionComponent(sp, eps, rows)
 		return
 	}
 	for _, r := range rows {
-		s.augmentRow(sp, r, ws)
+		s.augmentRow(sp, r)
 	}
 }
 
@@ -300,8 +249,8 @@ func (s *SparseSolver) solveComponent(sp Sparse, kind Kind, eps float64, comp in
 // window of many small components cheap. Frontier ties break toward the
 // smallest extended column id, mirroring the dense solver's ascending
 // column scan.
-func (s *SparseSolver) augmentRow(sp Sparse, r0 int, ws *workerScratch) {
-	touched := ws.touched[:0]
+func (s *SparseSolver) augmentRow(sp Sparse, r0 int) {
+	touched := s.touched[:0]
 	inf := math.Inf(1)
 	j0 := -1 // frontier column; -1 while the path is still just r0
 	for {
@@ -393,7 +342,7 @@ func (s *SparseSolver) augmentRow(sp Sparse, r0 int, ws *workerScratch) {
 		s.minv[c] = inf
 		s.used[c] = false
 	}
-	ws.touched = touched[:0]
+	s.touched = touched[:0]
 }
 
 // auctionComponent runs Bertsekas' auction over one component's rows,
@@ -402,7 +351,7 @@ func (s *SparseSolver) augmentRow(sp Sparse, r0 int, ws *workerScratch) {
 // stack preserves each component's relative pop order and prices never
 // cross components, so solving per component reproduces the dense run's
 // per-component bid sequence exactly.)
-func (s *SparseSolver) auctionComponent(sp Sparse, eps float64, rows []int, ws *workerScratch) {
+func (s *SparseSolver) auctionComponent(sp Sparse, eps float64, rows []int) {
 	maxW := 0.0
 	nedges := 0
 	for _, r := range rows {
@@ -416,7 +365,7 @@ func (s *SparseSolver) auctionComponent(sp Sparse, eps float64, rows []int, ws *
 	if maxW == 0 {
 		return // no positive weight: unmatched everywhere is optimal
 	}
-	queue := append(ws.queue[:0], rows...)
+	queue := append(s.queue[:0], rows...)
 	// Termination bound, as in the dense Auction: every bid raises one
 	// column's price by ≥ ε and a column priced above maxW draws no
 	// further bids. The component's distinct column count is bounded by
@@ -466,7 +415,7 @@ func (s *SparseSolver) auctionComponent(sp Sparse, eps float64, rows []int, ws *
 		s.rowOf[best] = r
 		s.colOf[r] = best
 	}
-	ws.queue = queue[:0]
+	s.queue = queue[:0]
 }
 
 // SparseHungarian solves sp with the sparse Hungarian kernel on a
@@ -484,7 +433,7 @@ func SparseAuction(sp Sparse, eps float64) (Assignment, error) {
 
 func sparseSolve(sp Sparse, kind Kind, eps float64) (Assignment, error) {
 	var s SparseSolver
-	colOf, weight, matched, err := s.Solve(sp, kind, eps, 1)
+	colOf, weight, matched, err := s.Solve(sp, kind, eps)
 	if err != nil {
 		return Assignment{}, err
 	}

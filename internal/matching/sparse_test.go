@@ -199,7 +199,7 @@ func TestSparseComponentEdgeCases(t *testing.T) {
 		}
 		for _, kind := range []Kind{KindHungarian, KindAuction} {
 			var solver SparseSolver
-			colOf, weight, matched, err := solver.Solve(sp, kind, 1e-6, 1)
+			colOf, weight, matched, err := solver.Solve(sp, kind, 1e-6)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, kind, err)
 			}
@@ -244,52 +244,23 @@ func TestSparseAuctionBitCompatibleWithDense(t *testing.T) {
 	}
 }
 
-// TestSparseWorkerCountIndependence: the solve must be bit-identical
-// across worker counts — components are solved independently and merged
-// in canonical order, so concurrency must never show in the result.
-func TestSparseWorkerCountIndependence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 120; trial++ {
-		sp := randomSparse(rng, 1+rng.Intn(16), 1+rng.Intn(24), 0.02+rng.Float64()*0.4, trial%4 == 0)
-		for _, kind := range []Kind{KindHungarian, KindAuction} {
-			var base SparseSolver
-			want, wWeight, wMatched, err := base.Solve(sp, kind, 1e-5, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantCopy := append([]int(nil), want...)
-			for _, workers := range []int{2, 4, 7} {
-				var solver SparseSolver
-				got, gWeight, gMatched, err := solver.Solve(sp, kind, 1e-5, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(wantCopy, got) || wWeight != gWeight || wMatched != gMatched {
-					t.Fatalf("trial %d %v: workers=%d diverged: %v (w=%.12f m=%d) vs %v (w=%.12f m=%d)",
-						trial, kind, workers, got, gWeight, gMatched, wantCopy, wWeight, wMatched)
-				}
-			}
-		}
-	}
-}
-
 // TestSparseSolverZeroAllocSteadyState is the zero-allocation contract
-// of the hot path: once the solver's scratch is warm, repeated serial
+// of the hot path: once the solver's scratch is warm, repeated
 // solves must not touch the allocator.
 func TestSparseSolverZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sp := randomSparse(rng, 12, 40, 0.15, false)
 	var solver SparseSolver
-	if _, _, _, err := solver.Solve(sp, KindHungarian, 0, 1); err != nil {
+	if _, _, _, err := solver.Solve(sp, KindHungarian, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []Kind{KindHungarian, KindAuction} {
 		kind := kind
-		if _, _, _, err := solver.Solve(sp, kind, 1e-5, 1); err != nil {
+		if _, _, _, err := solver.Solve(sp, kind, 1e-5); err != nil {
 			t.Fatal(err) // warm this kernel's scratch too
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, _, _, err := solver.Solve(sp, kind, 1e-5, 1); err != nil {
+			if _, _, _, err := solver.Solve(sp, kind, 1e-5); err != nil {
 				t.Error(err)
 			}
 		})
@@ -315,11 +286,11 @@ func TestSparseValidate(t *testing.T) {
 			t.Errorf("%s: invalid instance accepted", name)
 		}
 		var solver SparseSolver
-		if _, _, _, err := solver.Solve(sp, KindHungarian, 0, 1); err == nil {
+		if _, _, _, err := solver.Solve(sp, KindHungarian, 0); err == nil {
 			t.Errorf("%s: Solve accepted invalid instance", name)
 		}
 	}
-	if _, _, _, err := new(SparseSolver).Solve(Sparse{RowPtr: []int{0}}, Kind(99), 0, 1); err == nil {
+	if _, _, _, err := new(SparseSolver).Solve(Sparse{RowPtr: []int{0}}, Kind(99), 0); err == nil {
 		t.Error("unknown kernel accepted")
 	}
 	good := Sparse{Rows: 1, Cols: 2, RowPtr: []int{0, 1}, Col: []int{1}, W: []float64{3}}

@@ -136,9 +136,6 @@ func (b *batcher) close(ev event) {
 	stats.Matched = len(b.batch) - stats.Rejected
 	b.batch = b.batch[:0]
 	b.closeAt = math.NaN()
-	if b.r.e.pricer != nil {
-		b.r.e.pricer.Decay(b.r.e.pricerDecay)
-	}
 	if b.onClose != nil {
 		b.onClose(stats)
 	}
@@ -319,8 +316,7 @@ type windowScratch struct {
 
 // closeBatchSparse is the window solve: the window as a sparse candidate
 // graph, decomposed into connected components and solved exactly per
-// component (concurrently across Engine.MatchWorkers goroutines when
-// configured) by internal/matching's sparse kernels.
+// component by internal/matching's sparse kernels.
 //
 // The graph is compacted in three canonical, exact steps: candidates
 // with non-positive margin are dropped, each row keeps its top
@@ -332,8 +328,8 @@ type windowScratch struct {
 // Rows are laid out in batch order and each row's edges in ascending
 // driver order, so the solve is deterministic and the commit loop below
 // replays decisions in batch order — which is what keeps both candidate
-// sources, both ways of building a row, every worker count and the dense
-// oracle bit-identical.
+// sources, both ways of building a row and the dense oracle
+// bit-identical.
 func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64, algo BatchAlgorithm) {
 	ws := e.winScratch
 	if ws == nil {
@@ -396,11 +392,7 @@ func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64, 
 		// the whole market for the length of its ε-step price war.
 		kind, eps = matching.KindAuction, 1e-4
 	}
-	workers := e.MatchWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	colOf, _, _, err := ws.solver.Solve(sp, kind, eps, workers)
+	colOf, _, _, err := ws.solver.Solve(sp, kind, eps)
 	if err != nil {
 		// The CSR is well-formed by construction.
 		panic(fmt.Sprintf("sim: batch matching failed: %v", err))

@@ -194,7 +194,6 @@ func (e *Engine) newEventRun(tasks []model.Task, events []model.MarketEvent, tim
 		r.inflight = make(map[int]inflightInfo)
 		r.revert = make(map[int]inflightInfo)
 	}
-	r.resetLivePricing()
 	return r
 }
 
@@ -246,7 +245,6 @@ func (r *eventRun) handle(ev event) {
 	case evFree:
 		r.handleFree(ev)
 	case evArrival:
-		r.priceArrival(ev.idx)
 		r.onArrival(ev)
 	case evBatchClose:
 		r.onBatchClose(ev)
@@ -277,9 +275,6 @@ func (r *eventRun) handleJoin(ev event) {
 		st.freeAt = ev.at
 	}
 	r.e.source.Presence(i, true)
-	if r.e.pricer != nil {
-		r.e.pricer.ObserveSupply(r.e.states[i].loc, 1)
-	}
 }
 
 // handleRetire removes the driver from the market: no new tasks, though
@@ -353,11 +348,6 @@ func (r *eventRun) handleFree(ev event) {
 		st.freeAt = ev.at
 	}
 	r.e.source.Moved(ev.idx)
-	if r.e.pricer != nil {
-		// The revoked driver's capacity is available again at her
-		// restored location.
-		r.e.pricer.ObserveSupply(st.loc, 1)
-	}
 
 	r.res.Served--
 	delete(r.res.Assignment, info.task)

@@ -12,13 +12,10 @@ import (
 // TestRoadNetworkMetricDifferential is the network-metric property
 // wall: with Market.Dist swapped from crow-fly to the roadnet router,
 // an engine day must stay bit-identical across ScanSource and
-// GridSource × match workers {1,2,4} × routing kernel (CH vs ALT) ×
-// batched distance hook (installed vs absent),
-// under churn and cancellations, for both instant and batched dispatch.
-// The router's shared cache is exercised concurrently by the match
-// workers, so this doubles as a determinism check on the singleflight
-// path; the batch-hook dimension pins the one-to-many scoring path to
-// the per-pair loop it replaces.
+// GridSource × routing kernel (CH vs ALT) × batched distance hook
+// (installed vs absent), under churn and cancellations, for both
+// instant and batched dispatch. The batch-hook dimension pins the
+// one-to-many scoring path to the per-pair loop it replaces.
 //
 // Every variant with the hook installed then replays both days through
 // the streaming API, suspended mid-day: captured, and restored both
@@ -47,19 +44,19 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 	})
 
 	type variant struct {
-		name    string
-		src     func() CandidateSource
-		workers int
-		alt     bool // route with the ALT kernel instead of CH
-		batch   bool // install the one-to-many scoring hook
+		name  string
+		src   func() CandidateSource
+		alt   bool // route with the ALT kernel instead of CH
+		batch bool // install the one-to-many scoring hook
 	}
-	var variants []variant
-	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 1, false, false})
-	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 1, false, true})
-	variants = append(variants, variant{"scan", func() CandidateSource { return nil }, 1, true, false})
-	for _, w := range []int{1, 2, 4} {
-		variants = append(variants, variant{"indexed", func() CandidateSource { return NewGridSource(nil) }, w, false, true})
-		variants = append(variants, variant{"indexed", func() CandidateSource { return NewGridSource(nil) }, w, true, false})
+	scan := func() CandidateSource { return nil }
+	indexed := func() CandidateSource { return NewGridSource(nil) }
+	variants := []variant{
+		{"scan", scan, false, false},
+		{"scan", scan, false, true},
+		{"scan", scan, true, false},
+		{"indexed", indexed, false, true},
+		{"indexed", indexed, true, false},
 	}
 
 	engine := func(v variant) *Engine {
@@ -77,7 +74,6 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.SetCandidateSource(v.src())
-		eng.MatchWorkers = v.workers
 		return eng
 	}
 	run := func(v variant, d Dispatcher) Result {
@@ -156,16 +152,16 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 		}
 		for _, v := range variants[1:] {
 			if got := run(v, d); !reflect.DeepEqual(want, got) {
-				t.Errorf("batched=%v %T: %s(workers=%d,alt=%v,batch=%v) diverges from scan under network metric: served %d vs %d, revenue %.9f vs %.9f — this is a bug",
-					batched, d, v.name, v.workers, v.alt, v.batch, got.Served, want.Served, got.Revenue, want.Revenue)
+				t.Errorf("batched=%v %T: %s(alt=%v,batch=%v) diverges from scan under network metric: served %d vs %d, revenue %.9f vs %.9f — this is a bug",
+					batched, d, v.name, v.alt, v.batch, got.Served, want.Served, got.Revenue, want.Revenue)
 			}
 			if !v.batch {
 				continue
 			}
 			for _, sameEngine := range []bool{true, false} {
 				if got := suspended(v, d, sameEngine); !reflect.DeepEqual(want, got) {
-					t.Errorf("batched=%v %T: %s(workers=%d) suspended and restored mid-day (same engine: %v) diverges from scan: served %d vs %d, cancelled %d vs %d, revenue %.9f vs %.9f — this is a bug",
-						batched, d, v.name, v.workers, sameEngine, got.Served, want.Served, got.Cancelled, want.Cancelled, got.Revenue, want.Revenue)
+					t.Errorf("batched=%v %T: %s suspended and restored mid-day (same engine: %v) diverges from scan: served %d vs %d, cancelled %d vs %d, revenue %.9f vs %.9f — this is a bug",
+						batched, d, v.name, sameEngine, got.Served, want.Served, got.Cancelled, want.Cancelled, got.Revenue, want.Revenue)
 				}
 			}
 		}

@@ -230,18 +230,11 @@ type Engine struct {
 	// speed (InstantClock).
 	Clock Clock
 
-	// MatchWorkers bounds the goroutines solving a batched window's
-	// independent task–driver components concurrently; values below 2
-	// solve serially. Results are bit-identical for every worker count
-	// (the window differential tests sweep it) — the knob is purely
-	// operational.
+	// MatchWorkers is ignored.
+	//
+	// Deprecated: a window's components are solved one after another on
+	// the calling goroutine; only the frozen benchmark/ still sets this.
 	MatchWorkers int
-
-	// pricer, when installed via SetLivePricer, re-prices every arriving
-	// order from live demand/supply observations (see livepricing.go).
-	pricer       LivePricer
-	pricerDecay  float64
-	pricerMarkup float64
 
 	states     []driverState
 	present    []bool       // false: not yet joined, or retired
@@ -572,8 +565,4 @@ func (e *Engine) assign(c Candidate, task model.Task) {
 	}
 	st.loc = task.Dest
 	e.source.Moved(c.Driver)
-	if e.pricer != nil {
-		// The driver's capacity frees next at the dropoff zone.
-		e.pricer.ObserveSupply(task.Dest, 1)
-	}
 }

@@ -202,9 +202,9 @@ func (st *StreamState) validate() error {
 // given window and algorithm (which must match the capturing run's
 // configuration — the engine cannot verify the window retroactively,
 // only that the mode agrees). The engine's market constants, RealTime,
-// Clock, candidate source and MatchWorkers must be configured as they
-// were on the capturing engine before calling; the restored stream then
-// continues bit-identically to the captured one.
+// Clock and candidate source must be configured as they were on the
+// capturing engine before calling; the restored stream then continues
+// bit-identically to the captured one.
 func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64, algo BatchAlgorithm) (*Stream, error) {
 	if err := st.validate(); err != nil {
 		return nil, err

@@ -2,8 +2,15 @@ package sim
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/matching"
@@ -17,15 +24,15 @@ import (
 // dense_test.go) would have committed — same assignments, same
 // rejections, bit-identical
 // Result — across solvers, window lengths, candidate sources and
-// dynamic churn/cancellation workloads; and the matcher worker count
-// must be invisible in the results of both the batch drain and the
-// streaming replay.
+// dynamic churn/cancellation workloads; and the batch drain and the
+// streaming replay must agree, whatever the deprecated
+// Engine.MatchWorkers is set to.
 
 // runBatchedWith runs one batched scenario on a fresh engine in the
 // given window configuration.
 func runBatchedWith(t *testing.T, cfg trace.Config, drivers []model.Driver, tasks []model.Task,
 	events []model.MarketEvent, window float64, algo BatchAlgorithm,
-	indexed bool, workers int, dense bool) Result {
+	indexed bool, dense bool) Result {
 	t.Helper()
 	e, err := New(cfg.Market, drivers, 7)
 	if err != nil {
@@ -34,7 +41,6 @@ func runBatchedWith(t *testing.T, cfg trace.Config, drivers []model.Driver, task
 	if indexed {
 		e.SetCandidateSource(NewGridSource(nil))
 	}
-	e.MatchWorkers = workers
 	if dense {
 		e.windowOracle = e.closeBatchDense
 	}
@@ -62,8 +68,8 @@ func TestSparseWindowsMatchDenseOracle(t *testing.T) {
 			for _, window := range []float64{20, 60, 240} {
 				for _, indexed := range []bool{false, true} {
 					for _, evs := range map[string][]model.MarketEvent{"quiet": nil, "churn": events} {
-						dense := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, algo, indexed, 1, true)
-						sparse := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, algo, indexed, 1, false)
+						dense := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, algo, indexed, true)
+						sparse := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, algo, indexed, false)
 						if !reflect.DeepEqual(dense, sparse) {
 							t.Errorf("seed=%d %v window=%g indexed=%v events=%d: sparse diverged from dense oracle\ndense:  served=%d rejected=%d cancelled=%d revenue=%.9f\nsparse: served=%d rejected=%d cancelled=%d revenue=%.9f",
 								seed, algo, window, indexed, len(evs),
@@ -77,10 +83,12 @@ func TestSparseWindowsMatchDenseOracle(t *testing.T) {
 	}
 }
 
-// TestWindowWorkerIndependence is the worker-count determinism
-// contract: batched results — from the batch drain and from a batched
-// stream replay — are bit-identical across matcher workers {1, 2, 4} ×
-// {scan, indexed} × both solvers on churn/cancellation traces.
+// TestWindowWorkerIndependence pins the deprecated Engine.MatchWorkers
+// (the window worker pool it sized is gone; only the frozen benchmark/
+// still sets it): batched results — from the batch drain and from a
+// batched stream replay — are bit-identical with the field set and left
+// alone, over {scan, indexed} × both solvers on churn/cancellation
+// traces.
 func TestWindowWorkerIndependence(t *testing.T) {
 	seeds := []int64{81, 82}
 	if testing.Short() {
@@ -95,15 +103,10 @@ func TestWindowWorkerIndependence(t *testing.T) {
 			Seed: seed + 900, JoinFraction: 0.3, RetireFraction: 0.3, CancelFraction: 0.25,
 		})
 		for _, algo := range []BatchAlgorithm{BatchHungarian, BatchAuction} {
-			base := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, events, 45, algo, false, 1, false)
+			base := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, events, 45, algo, false, false)
 			for _, indexed := range []bool{false, true} {
-				for _, workers := range []int{1, 2, 4} {
-					label := fmt.Sprintf("seed=%d %v indexed=%v workers=%d", seed, algo, indexed, workers)
-					got := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, events, 45, algo, indexed, workers, false)
-					if !reflect.DeepEqual(base, got) {
-						t.Errorf("%s: batch drain diverged from scan workers=1", label)
-					}
-
+				for _, workers := range []int{0, 4} {
+					label := fmt.Sprintf("seed=%d %v indexed=%v MatchWorkers=%d", seed, algo, indexed, workers)
 					se, err := New(cfg.Market, tr.Drivers, 7)
 					if err != nil {
 						t.Fatal(err)
@@ -112,11 +115,82 @@ func TestWindowWorkerIndependence(t *testing.T) {
 						se.SetCandidateSource(NewGridSource(nil))
 					}
 					se.MatchWorkers = workers
+					if got := se.RunBatchedScenario(tr.Tasks, events, 45, algo); !reflect.DeepEqual(base, got) {
+						t.Errorf("%s: batch drain diverged from the scan", label)
+					}
 					streamed := replayThroughBatchedStream(t, se, 45, algo, tr.Tasks, events)
 					if !reflect.DeepEqual(base, streamed) {
-						t.Errorf("%s: batched stream replay diverged from scan workers=1", label)
+						t.Errorf("%s: batched stream replay diverged from the scan", label)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestEngineSpawnsNoGoroutines: the engine is one goroutine by design —
+// the caller's. A batched 2 000-driver day leaves the process's
+// goroutine count where it was, at every window close and at the end,
+// and no non-test file of this package or of internal/matching holds a
+// go statement or imports sync or sync/atomic, so a worker pool cannot
+// come back unnoticed.
+func TestEngineSpawnsNoGoroutines(t *testing.T) {
+	cfg := trace.NewConfig(83, 600, 2000, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	e, err := New(cfg.Market, tr.Drivers, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetCandidateSource(NewGridSource(nil))
+	e.MatchWorkers = 4 // deprecated and ignored; sized a pool once
+	st, err := e.NewBatchedStream(60, BatchHungarian, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	windows := 0
+	st.SetBatchCloseHandler(func(BatchStats) {
+		windows++
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("window %d closed with %d goroutines, the day began with %d", windows, n, before)
+		}
+	})
+	for _, task := range tr.Tasks {
+		if _, err := st.SubmitTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := st.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if windows == 0 || res.Served == 0 {
+		t.Fatalf("degenerate day: %d windows, %d served", windows, res.Served)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("the day ended with %d goroutines, it began with %d", n, before)
+	}
+
+	for _, dir := range []string{".", filepath.Join("..", "matching")} {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for name, file := range pkg.Files {
+				for _, imp := range file.Imports {
+					if imp.Path.Value == `"sync"` || imp.Path.Value == `"sync/atomic"` {
+						t.Errorf("%s imports %s", name, imp.Path.Value)
+					}
+				}
+				ast.Inspect(file, func(n ast.Node) bool {
+					if _, spawn := n.(*ast.GoStmt); spawn {
+						t.Errorf("%s holds a go statement", name)
+					}
+					return true
+				})
 			}
 		}
 	}

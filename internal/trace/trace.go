@@ -105,12 +105,6 @@ type Config struct {
 	// means PortoHotspots.
 	Hotspots []Hotspot
 
-	// Spikes layers transient demand surges (flight banks, stadium
-	// lets-out) onto the daily curve; see Spike. Empty means none, and
-	// a spike-free trace is byte-identical to one generated before
-	// spikes existed.
-	Spikes []Spike
-
 	// WTPMarkup sets customer willingness-to-pay at
 	// price·(1+markup·U) with U uniform in [0,1].
 	WTPMarkup float64
@@ -181,9 +175,6 @@ func (c Config) Validate() error {
 	case c.ShiftMinLen <= 0 || c.ShiftMaxLen < c.ShiftMinLen:
 		return fmt.Errorf("trace: bad shift length range [%g, %g]", c.ShiftMinLen, c.ShiftMaxLen)
 	}
-	if err := validateSpikes(c.Spikes); err != nil {
-		return err
-	}
 	return c.Market.Validate()
 }
 
@@ -225,7 +216,7 @@ func (g *Generator) GenerateTasks() []model.Task {
 	arrivals := g.arrivalTimes(g.cfg.Tasks)
 	tasks := make([]model.Task, 0, len(arrivals))
 	for i, at := range arrivals {
-		src := g.samplePickupAt(at)
+		src := g.samplePickup()
 		distKm := g.boundedPareto()
 		bearing := g.rng.Float64() * 2 * math.Pi
 		dst := g.cfg.Box.Clamp(geo.Offset(src, bearing, distKm))
@@ -311,10 +302,10 @@ func (g *Generator) arrivalTimes(n int) []float64 {
 	// process are i.i.d. with density ∝ intensity; sample by rejection
 	// then sort by insertion into a slice we later sort — but to keep
 	// the stream deterministic and O(n log n), sample then sort.
-	lambdaMax := g.cfg.intensityMax() // 2.75 ≥ max of DemandIntensity; + spikes
+	const lambdaMax = 2.75 // ≥ max of DemandIntensity
 	for len(out) < n {
 		t := g.cfg.DayStart + g.rng.Float64()*day
-		if g.rng.Float64()*lambdaMax <= g.cfg.intensityAt(t) {
+		if g.rng.Float64()*lambdaMax <= DemandIntensity(t-g.cfg.DayStart) {
 			out = append(out, t)
 		}
 	}

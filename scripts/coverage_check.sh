@@ -34,9 +34,11 @@ check() {
 # and replay-rejection tests pushed it to 94.2. sim re-ratcheted to 93.5
 # when the zone-sharded source was deleted (93.6 with one indexed source),
 # and to 94.0 when the dense window oracle moved into a test file and the
-# bounded rows landed fully covered (94.2).
-check ./internal/sim 94.0
-check ./dispatch 93.0
+# bounded rows landed fully covered (94.2). Both re-ratcheted when the
+# window worker pool, the live-pricing hooks and the version-1 log
+# reader were deleted (sim 94.4, dispatch 96.1, matching 98.2).
+check ./internal/sim 94.2
+check ./dispatch 95.0
 check ./internal/matching 98.0
 # The oracle rail's solver stack, floored when the offline-optimum PR
 # landed (lp 93.9, bound 94.1, offline 93.8 at the time).
@@ -48,7 +50,7 @@ check ./internal/offline 93.0
 # is the PR's acceptance criterion).
 check ./internal/wal 90.0
 check ./internal/fed 90.0
-# The road-network distance rail and live surge pricing, floored when
+# The road-network distance rail and the surge pricer, floored when
 # the roadnet-metric PR landed (roadnet 93.9, pricing 100.0 at the
 # time; the ≥90 bar is the PR's acceptance criterion).
 check ./internal/roadnet 90.0

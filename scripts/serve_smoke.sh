@@ -40,12 +40,12 @@ echo "serve_smoke: clean shutdown"
 # Second leg: the same drill against a batched market (-batch-window).
 # -realtime arms the wall-clock window timer, so the final window is
 # decided even with no follow-up traffic; loadgen's pending accounting
-# covers the rest. -match-workers exercises the component worker pool
-# and -pprof-addr the profiling listener (probed below).
+# covers the rest. -pprof-addr starts the profiling listener (probed
+# below).
 PPROF_PORT=$((PORT + 1))
 /tmp/rideshare-smoke serve -addr "127.0.0.1:$PORT" -drivers 500 \
   -batch-window 30 -batch-algo hungarian -realtime \
-  -match-workers 2 -pprof-addr "127.0.0.1:$PPROF_PORT" &
+  -pprof-addr "127.0.0.1:$PPROF_PORT" &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 
