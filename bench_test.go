@@ -666,7 +666,7 @@ func BenchmarkAblationBatchedDispatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		instant = eng.Run(tr.Tasks, online.MaxMargin{}).TotalProfit
-		batched = eng.RunBatched(tr.Tasks, 30, sim.BatchHungarian).TotalProfit
+		batched = eng.RunBatched(tr.Tasks, 30).TotalProfit
 	}
 	b.ReportMetric(instant, "profit-instant")
 	b.ReportMetric(batched, "profit-batched")
@@ -688,26 +688,6 @@ func BenchmarkHungarianMatching(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := matching.Hungarian(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAuctionMatching(b *testing.B) {
-	w := make([][]float64, 12)
-	for r := range w {
-		w[r] = make([]float64, 40)
-		for c := range w[r] {
-			if (r*41+c*17)%5 == 0 {
-				w[r][c] = matching.Forbidden
-				continue
-			}
-			w[r][c] = float64((r*31+c*13)%23) - 5
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := matching.Auction(w, 1e-6); err != nil {
 			b.Fatal(err)
 		}
 	}

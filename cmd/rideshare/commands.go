@@ -62,11 +62,12 @@ func explicitFlag(fs *flag.FlagSet, names ...string) string {
 	return set
 }
 
-// checkBatchAlgoUnused is that rule for serve and router without a
-// batch window: the solver flag has no window to solve.
-func checkBatchAlgoUnused(cmd string, fs *flag.FlagSet) error {
-	if explicitFlag(fs, "batch-algo") != "" {
-		return fmt.Errorf("%s: -batch-algo selects the window solver and needs -batch-window (instant dispatch has no windows to solve)", cmd)
+// checkAlgoUnused is that rule for serve and router with a batch
+// window: a batched market clears windows with a matching and never
+// consults the instant-dispatch policy.
+func checkAlgoUnused(cmd string, fs *flag.FlagSet, window float64) error {
+	if window > 0 && explicitFlag(fs, "algo") != "" {
+		return fmt.Errorf("%s: -algo selects the instant-dispatch policy and is not consulted with -batch-window (drop one flag)", cmd)
 	}
 	return nil
 }
@@ -173,7 +174,6 @@ func cmdSolve(args []string) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "trace JSON file (required)")
 	withBound := fs.Bool("bound", false, "also compute the Z*_f upper bound and performance ratio")
-	naive := fs.Bool("naive", false, "use the O(N²M²) reference greedy instead of lazy evaluation")
 	verbose := fs.Bool("v", false, "print each selected task list")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -189,7 +189,7 @@ func cmdSolve(args []string) error {
 	if err != nil {
 		return err
 	}
-	sol, err := core.GreedySolver{Naive: *naive}.Solve(p)
+	sol, err := core.GreedySolver{}.Solve(p)
 	if err != nil {
 		return err
 	}
@@ -222,11 +222,8 @@ func cmdSimulate(args []string) error {
 	byValue := fs.Bool("byvalue", false, "process tasks by descending price (offline variant)")
 	realTime := fs.Bool("realtime", false, "free drivers at real finish times instead of deadlines")
 	batchWindow := fs.Float64("batchwindow", 30, "batch window in seconds (batched dispatcher only)")
-	batchAlgo := fs.String("batchalgo", "hungarian", "batch solver: hungarian or auction (batched dispatcher only)")
-	// Aliases matching the serve/bench spelling, so the batch flags
-	// read the same across subcommands.
+	// Alias matching the serve/router spelling.
 	fs.Float64Var(batchWindow, "batch-window", 30, "alias for -batchwindow")
-	fs.StringVar(batchAlgo, "batch-algo", "hungarian", "alias for -batchalgo")
 	replanPeriod := fs.Float64("replanperiod", 60, "flush period in seconds (replan dispatcher only)")
 	seed := fs.Int64("seed", 1, "random seed for tie-breaking")
 	churn := fs.Float64("churn", 0, "override the trace's events: this fraction of drivers retires early (half also joins mid-day)")
@@ -237,27 +234,29 @@ func cmdSimulate(args []string) error {
 	if err := checkFraction("simulate", map[string]float64{"-churn": *churn, "-cancel": *cancel}); err != nil {
 		return err
 	}
-	if a := strings.ToLower(*algo); *byValue && (a == "batched" || a == "replan") {
+	mode := strings.ToLower(*algo)
+	if *byValue && (mode == "batched" || mode == "replan") {
 		// Both run the day in time order; the flag would be silently
 		// ignored — reject it instead.
-		return fmt.Errorf("simulate: -byvalue processes tasks by descending price and is not consulted with -algo %s, which runs the day in time order (drop one flag)", a)
+		return fmt.Errorf("simulate: -byvalue processes tasks by descending price and is not consulted with -algo %s, which runs the day in time order (drop one flag)", mode)
 	}
-	var batchedAlgo sim.BatchAlgorithm
-	if strings.ToLower(*algo) == "batched" {
-		// The engine treats a non-positive window as an internal
-		// invariant violation (it panics); the flag boundary turns bad
-		// user input into a normal error instead.
+	// The engine treats a non-positive or non-finite window or period
+	// as an internal invariant violation (it panics); the flag boundary
+	// turns bad user input into a normal error instead — and rejects
+	// either flag under a dispatcher that never reads it.
+	if mode == "batched" {
 		if !(*batchWindow > 0) || math.IsInf(*batchWindow, 1) {
 			return fmt.Errorf("simulate: -batchwindow must be a positive finite number of seconds, got %g", *batchWindow)
 		}
-		switch strings.ToLower(*batchAlgo) {
-		case "hungarian":
-			batchedAlgo = sim.BatchHungarian
-		case "auction":
-			batchedAlgo = sim.BatchAuction
-		default:
-			return fmt.Errorf("simulate: unknown batch solver %q (want hungarian or auction)", *batchAlgo)
+	} else if set := explicitFlag(fs, "batchwindow", "batch-window"); set != "" {
+		return fmt.Errorf("simulate: %s is the batched dispatcher's window and is not consulted with -algo %s (drop one flag)", set, mode)
+	}
+	if mode == "replan" {
+		if !(*replanPeriod > 0) || math.IsInf(*replanPeriod, 1) {
+			return fmt.Errorf("simulate: -replanperiod must be a positive finite number of seconds, got %g", *replanPeriod)
 		}
+	} else if explicitFlag(fs, "replanperiod") != "" {
+		return fmt.Errorf("simulate: -replanperiod is the replan dispatcher's flush period and is not consulted with -algo %s (drop one flag)", mode)
 	}
 	if *tracePath == "" {
 		return fmt.Errorf("simulate: -trace is required")
@@ -284,16 +283,16 @@ func cmdSimulate(args []string) error {
 
 	var res sim.Result
 	name := ""
-	switch strings.ToLower(*algo) {
+	switch mode {
 	case "batched":
-		res = eng.RunBatchedScenario(tr.Tasks, events, *batchWindow, batchedAlgo)
-		name = fmt.Sprintf("%v window=%gs", batchedAlgo, *batchWindow)
+		res = eng.RunBatchedScenario(tr.Tasks, events, *batchWindow)
+		name = fmt.Sprintf("%v window=%gs", sim.BatchHungarian, *batchWindow)
 	case "replan":
 		res = eng.RunReplanScenario(tr.Tasks, events, *replanPeriod)
 		name = fmt.Sprintf("replan period=%gs", *replanPeriod)
 	default:
 		var d sim.Dispatcher
-		switch strings.ToLower(*algo) {
+		switch mode {
 		case "maxmargin":
 			d = online.MaxMargin{}
 		case "nearest":

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/model"
@@ -120,7 +121,15 @@ func TestCmdErrors(t *testing.T) {
 // at the flag boundary with a clear error, instead of misbehaving or
 // panicking deep inside the engine — and rejects a flag the chosen mode
 // never consults, naming both flags, instead of silently ignoring it.
+// The simulate and serve rows that must be refused before the day runs
+// get a real trace, so a check that went missing shows as the panic, the
+// endless run or the clean exit it used to be, not as a missing file.
 func TestCmdFlagValidation(t *testing.T) {
+	day := filepath.Join(t.TempDir(), "day.json")
+	if err := cmdGen([]string{"-tasks", "20", "-drivers", "4", "-out", day}); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	unknown := func(flag string) []string { return []string{"flag provided but not defined: " + flag} }
 	cases := []struct {
 		name string
 		run  func() error
@@ -139,9 +148,39 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"simulate -algo batched -batchwindow -5", func() error {
 			return cmdSimulate([]string{"-trace", "x.json", "-algo", "batched", "-batchwindow", "-5"})
 		}, nil},
-		{"simulate -algo batched -batchalgo simplex", func() error {
-			return cmdSimulate([]string{"-trace", "x.json", "-algo", "batched", "-batchalgo", "simplex"})
-		}, nil},
+		{"simulate -algo replan -replanperiod 0", func() error {
+			return cmdSimulate([]string{"-trace", day, "-algo", "replan", "-replanperiod", "0"})
+		}, []string{"-replanperiod", "positive finite"}},
+		{"simulate -algo replan -replanperiod -5", func() error {
+			return cmdSimulate([]string{"-trace", day, "-algo", "replan", "-replanperiod", "-5"})
+		}, []string{"-replanperiod", "positive finite"}},
+		{"simulate -algo replan -replanperiod +Inf", func() error {
+			return cmdSimulate([]string{"-trace", day, "-algo", "replan", "-replanperiod", "+Inf"})
+		}, []string{"-replanperiod", "positive finite"}},
+		{"simulate -algo replan -replanperiod NaN", func() error {
+			return cmdSimulate([]string{"-trace", day, "-algo", "replan", "-replanperiod", "NaN"})
+		}, []string{"-replanperiod", "positive finite"}},
+		{"simulate -algo maxmargin -batchwindow", func() error {
+			return cmdSimulate([]string{"-trace", day, "-algo", "maxmargin", "-batchwindow", "10"})
+		}, []string{"-batchwindow", "-algo maxmargin"}},
+		{"simulate -algo replan -batch-window", func() error {
+			return cmdSimulate([]string{"-trace", day, "-algo", "replan", "-batch-window", "7"})
+		}, []string{"-batch-window", "-algo replan"}},
+		{"simulate -algo batched -replanperiod", func() error {
+			return cmdSimulate([]string{"-trace", day, "-algo", "batched", "-replanperiod", "5"})
+		}, []string{"-replanperiod", "-algo batched"}},
+		{"simulate -algo nearest -replanperiod", func() error {
+			return cmdSimulate([]string{"-trace", day, "-algo", "nearest", "-replanperiod", "5"})
+		}, []string{"-replanperiod", "-algo nearest"}},
+		{"simulate -batchalgo (retired with the auction)", func() error {
+			return cmdSimulate([]string{"-trace", day, "-algo", "batched", "-batchalgo", "auction"})
+		}, unknown("-batchalgo")},
+		{"simulate -batch-algo (retired with the auction)", func() error {
+			return cmdSimulate([]string{"-trace", day, "-algo", "batched", "-batch-algo", "hungarian"})
+		}, unknown("-batch-algo")},
+		{"solve -naive (retired: only tests run the reference greedy)", func() error {
+			return cmdSolve([]string{"-trace", day, "-naive"})
+		}, unknown("-naive")},
 		{"simulate -algo batched -byvalue", func() error {
 			return cmdSimulate([]string{"-trace", "x.json", "-algo", "batched", "-byvalue"})
 		}, []string{"-byvalue", "-algo batched"}},
@@ -151,21 +190,24 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"serve -match-workers (retired with the window worker pool)", func() error {
 			return cmdServe([]string{"-batch-window", "30", "-match-workers", "2"})
 		}, []string{"flag provided but not defined: -match-workers"}},
-		{"serve -batch-algo without -batch-window", func() error {
-			return cmdServe([]string{"-batch-algo", "auction"})
-		}, []string{"-batch-algo", "-batch-window"}},
-		{"router -batch-algo without -batch-window", func() error {
-			return cmdRouter([]string{"-batch-algo", "auction"})
-		}, []string{"-batch-algo", "-batch-window"}},
+		{"serve -batch-algo (retired with the auction)", func() error {
+			return cmdServe([]string{"-batch-window", "30", "-batch-algo", "hungarian"})
+		}, unknown("-batch-algo")},
+		{"router -batch-algo (retired with the auction)", func() error {
+			return cmdRouter([]string{"-batch-window", "30", "-batch-algo", "auction"})
+		}, unknown("-batch-algo")},
 		{"serve -drivers 0", func() error { return cmdServe([]string{"-drivers", "0"}) }, nil},
 		{"serve -batch-window -1", func() error { return cmdServe([]string{"-batch-window", "-1"}) }, nil},
 		{"serve -algo with -batch-window", func() error {
 			return cmdServe([]string{"-algo", "nearest", "-batch-window", "30"})
-		}, nil},
+		}, []string{"-algo", "-batch-window"}},
+		{"router -algo with -batch-window", func() error {
+			return cmdRouter([]string{"-batch-window", "30", "-algo", "nearest"})
+		}, []string{"-algo", "-batch-window"}},
+		{"serve -drivers with -trace", func() error {
+			return cmdServe([]string{"-trace", day, "-drivers", "10"})
+		}, []string{"-drivers", "-trace"}},
 		{"serve -batch-window NaN", func() error { return cmdServe([]string{"-batch-window", "NaN"}) }, nil},
-		{"serve -batch-algo simplex", func() error {
-			return cmdServe([]string{"-batch-window", "30", "-batch-algo", "simplex"})
-		}, []string{"simplex"}},
 		{"loadgen -tasks 0", func() error { return cmdLoadgen([]string{"-tasks", "0"}) }, nil},
 		{"loadgen -workers 0", func() error { return cmdLoadgen([]string{"-workers", "0"}) }, nil},
 		{"loadgen -cancel 2", func() error { return cmdLoadgen([]string{"-cancel", "2"}) }, nil},
@@ -173,7 +215,15 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"serve -max-pending -1", func() error { return cmdServe([]string{"-max-pending", "-1"}) }, nil},
 	}
 	for _, tc := range cases {
-		err := tc.run()
+		// A row that is not refused may serve or replan for ever.
+		done := make(chan error, 1)
+		go func() { done <- tc.run() }()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: still running after 20 s", tc.name)
+		}
 		if err == nil {
 			t.Errorf("%s accepted", tc.name)
 			continue

@@ -74,11 +74,11 @@ func usage() {
 
 Usage:
   rideshare gen         -tasks N -drivers N [-model hitchhiking|home] [-seed S] [-churn R] [-cancel R] [-out trace.json]
-  rideshare solve       -trace trace.json [-bound] [-naive]
-  rideshare simulate    -trace trace.json [-algo maxmargin|nearest|random|batched|replan] [-batchwindow W -batchalgo hungarian|auction] [-churn R] [-cancel R] [-byvalue] [-realtime]
+  rideshare solve       -trace trace.json [-bound] [-v]
+  rideshare simulate    -trace trace.json [-algo maxmargin|nearest|random | -algo batched [-batchwindow W] | -algo replan [-replanperiod P]] [-churn R] [-cancel R] [-byvalue] [-realtime]
   rideshare experiments [-fig 3|4|5|6|7|8|9|welfare|surge|dispatch|churn|regret|all] [-scale bench|paper] [-seed S]
-  rideshare serve       [-addr :8080] [-drivers N | -trace trace.json] [-algo maxmargin|nearest|random] [-batch-window W -batch-algo hungarian|auction] [-roadnet] [-realtime] [-seed S] [-wal-dir DIR [-fsync always|interval|off] [-snapshot-every N]]
-  rideshare router      [-addr :8080] [-markets a,b,c] [-drivers N] [-algo P | -batch-window W -batch-algo A] [-max-pending N] [-max-inflight N] [-wal-dir DIR [-fsync P] [-snapshot-every N]]
+  rideshare serve       [-addr :8080] [-drivers N | -trace trace.json] [-algo maxmargin|nearest|random | -batch-window W] [-roadnet] [-realtime] [-seed S] [-wal-dir DIR [-fsync always|interval|off] [-snapshot-every N]]
+  rideshare router      [-addr :8080] [-markets a,b,c] [-drivers N] [-algo P | -batch-window W] [-max-pending N] [-max-inflight N] [-wal-dir DIR [-fsync P] [-snapshot-every N]]
   rideshare loadgen     [-addr http://127.0.0.1:8080] [-market NAME] [-tasks N] [-id-base N] [-workers N] [-cancel R] [-seed S]
   rideshare tightness   [-d D] [-eps E]
 `)

@@ -36,7 +36,6 @@ func cmdRouter(args []string) error {
 	seed := fs.Int64("seed", 1, "base seed; market i uses seed+i for its fleet")
 	algo := fs.String("algo", "maxmargin", "dispatch policy: maxmargin, nearest or random")
 	batchWindow := fs.Float64("batch-window", 0, "batched dispatch window in seconds (0 = instant dispatch)")
-	batchAlgo := fs.String("batch-algo", "hungarian", "batched dispatch solver: hungarian or auction")
 	maxPending := fs.Int("max-pending", 0, "per-market admission bound: shed submissions with 429 at this many pending (0 = unbounded)")
 	maxInflight := fs.Int("max-inflight", 0, "per-market router-level bound on concurrent in-flight requests; excess answers 429 (0 = unbounded)")
 	walDir := fs.String("wal-dir", "", "durable mode: root directory, one write-ahead log per market in <dir>/<market>; existing logs are recovered")
@@ -58,10 +57,8 @@ func cmdRouter(args []string) error {
 	if *maxPending < 0 || *maxInflight < 0 {
 		return fmt.Errorf("router: -max-pending %d / -max-inflight %d, want ≥ 0", *maxPending, *maxInflight)
 	}
-	if *batchWindow == 0 {
-		if err := checkBatchAlgoUnused("router", fs); err != nil {
-			return err
-		}
+	if err := checkAlgoUnused("router", fs, *batchWindow); err != nil {
+		return err
 	}
 	if *walDir == "" {
 		if durSet := explicitFlag(fs, "fsync", "snapshot-every"); durSet != "" {
@@ -69,10 +66,6 @@ func cmdRouter(args []string) error {
 		}
 	}
 	policy, err := dispatch.ParsePolicy(*algo)
-	if err != nil {
-		return fmt.Errorf("router: %w", err)
-	}
-	batchPolicy, err := dispatch.ParseBatchAlgorithm(*batchAlgo)
 	if err != nil {
 		return fmt.Errorf("router: %w", err)
 	}
@@ -88,7 +81,7 @@ func cmdRouter(args []string) error {
 		}
 		opts := []dispatch.Option{dispatch.WithDispatcher(policy), dispatch.WithSeed(mseed)}
 		if *batchWindow > 0 {
-			opts = append(opts, dispatch.WithBatching(*batchWindow, batchPolicy))
+			opts = append(opts, dispatch.WithBatching(*batchWindow, dispatch.Hungarian))
 		}
 		if *maxPending > 0 {
 			opts = append(opts, dispatch.WithMaxPending(*maxPending))

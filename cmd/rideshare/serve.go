@@ -110,7 +110,6 @@ func cmdServe(args []string) error {
 	algo := fs.String("algo", "maxmargin", "dispatch policy: maxmargin, nearest or random")
 	realTime := fs.Bool("realtime", false, "free drivers at real trip finish times instead of deadlines (and close due batch windows on the wall clock)")
 	batchWindow := fs.Float64("batch-window", 0, "batched dispatch: accumulate orders for this many seconds and clear each window with a maximum-weight matching (0 = instant dispatch)")
-	batchAlgo := fs.String("batch-algo", "hungarian", "batched dispatch solver: hungarian or auction")
 	maxPending := fs.Int("max-pending", 0, "admission bound: shed submissions with 429 once the open batch window (batched) or the submissions in flight (instant) reach this many (0 = unbounded)")
 	useRoadnet := fs.Bool("roadnet", false, "route every distance over the synthetic street graph instead of crow-fly (network-accurate travel times; journals with -wal-dir)")
 	roadnetCache := fs.Int("roadnet-cache", 0, "route-cache bound in memoized node pairs (0 = default; needs -roadnet)")
@@ -145,25 +144,16 @@ func cmdServe(args []string) error {
 		if err := checkPositive("serve", map[string]int{"-drivers": *drivers}); err != nil {
 			return err
 		}
+	} else if explicitFlag(fs, "drivers") != "" {
+		return fmt.Errorf("serve: -drivers sizes the synthetic fleet and is not consulted with -trace, which supplies the fleet (drop one flag)")
 	}
 	if err := checkBatchWindow("serve", *batchWindow); err != nil {
 		return err
 	}
-	if *batchWindow > 0 {
-		// A batched market clears windows with -batch-algo; the instant
-		// policy is never consulted. An explicit -algo alongside
-		// -batch-window would be silently ignored — reject it instead.
-		if explicitFlag(fs, "algo") != "" {
-			return fmt.Errorf("serve: -algo selects the instant-dispatch policy and is not consulted with -batch-window; use -batch-algo (or drop one flag)")
-		}
-	} else if err := checkBatchAlgoUnused("serve", fs); err != nil {
+	if err := checkAlgoUnused("serve", fs, *batchWindow); err != nil {
 		return err
 	}
 	policy, err := dispatch.ParsePolicy(*algo)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	batchPolicy, err := dispatch.ParseBatchAlgorithm(*batchAlgo)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
@@ -189,7 +179,7 @@ func cmdServe(args []string) error {
 		opts = append(opts, dispatch.WithRealTime())
 	}
 	if *batchWindow > 0 {
-		opts = append(opts, dispatch.WithBatching(*batchWindow, batchPolicy))
+		opts = append(opts, dispatch.WithBatching(*batchWindow, dispatch.Hungarian))
 	}
 	if *maxPending > 0 {
 		opts = append(opts, dispatch.WithMaxPending(*maxPending))
@@ -264,7 +254,7 @@ func cmdServe(args []string) error {
 	} else {
 		mode := fmt.Sprintf("policy %v", policy)
 		if *batchWindow > 0 {
-			mode = fmt.Sprintf("batched %gs/%v", *batchWindow, batchPolicy)
+			mode = fmt.Sprintf("batched %gs/%v", *batchWindow, dispatch.Hungarian)
 		}
 		if *useRoadnet {
 			mode += ", street-graph metric"

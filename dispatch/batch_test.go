@@ -7,10 +7,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/matching"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -20,11 +22,12 @@ import (
 // churn and cancellations included — event by event through a Service
 // built WithBatching produces a final result bit-identical to
 // Engine.RunBatchedScenario replaying the same trace in one call over
-// the engine's exact scan, for both solvers. The shards=N and workers=M
-// labels predate the deletion of the zone partition and of the window
-// worker pool: N goes to the deprecated WithShards and M to the
-// deprecated WithMatchWorkers, which must change nothing, and go away
-// with them.
+// the engine's exact scan. The hungarian, shards=N and workers=M labels
+// predate the deletion of the second window solver, of the zone
+// partition and of the window worker pool: Hungarian goes to
+// WithBatching's deprecated parameter, N to the deprecated WithShards
+// and M to the deprecated WithMatchWorkers, which must change nothing,
+// and go away with them.
 func TestBatchedServiceReplayBitIdenticalToEngine(t *testing.T) {
 	const seed = 17
 	scenarios := []struct {
@@ -35,13 +38,6 @@ func TestBatchedServiceReplayBitIdenticalToEngine(t *testing.T) {
 		{30, 150, 0, 0, 45},
 		{30, 150, 0.5, 0.4, 90},
 	}
-	algos := []struct {
-		pub BatchAlgorithm
-		sim sim.BatchAlgorithm
-	}{
-		{Hungarian, sim.BatchHungarian},
-		{Auction, sim.BatchAuction},
-	}
 	for si, sc := range scenarios {
 		cfg := trace.NewConfig(int64(70+si), sc.tasks, sc.drivers, trace.Hitchhiking)
 		cfg.PickupWindowMin = 8 * 60 // give windows room to form
@@ -50,39 +46,37 @@ func TestBatchedServiceReplayBitIdenticalToEngine(t *testing.T) {
 		if sc.churn > 0 || sc.cancel > 0 {
 			tr.Events = trace.WithChurn(tr, trace.DefaultChurn(int64(si), sc.churn, sc.cancel))
 		}
-		for _, algo := range algos {
-			for _, shards := range []int{1, 2, 4} {
-				for _, workers := range []int{1, 2, 4} {
-					name := fmt.Sprintf("s%d/%v/shards=%d/workers=%d", si, algo.pub, shards, workers)
-					t.Run(name, func(t *testing.T) {
-						eng, err := sim.New(cfg.Market, tr.Drivers, seed)
-						if err != nil {
-							t.Fatal(err)
-						}
-						batch := eng.RunBatchedScenario(tr.Tasks, tr.Events, sc.window, algo.sim)
+		for _, shards := range []int{1, 2, 4} {
+			for _, workers := range []int{1, 2, 4} {
+				name := fmt.Sprintf("s%d/%v/shards=%d/workers=%d", si, Hungarian, shards, workers)
+				t.Run(name, func(t *testing.T) {
+					eng, err := sim.New(cfg.Market, tr.Drivers, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					batch := eng.RunBatchedScenario(tr.Tasks, tr.Events, sc.window)
 
-						svc := replayTrace(t, tr, WithBatching(sc.window, algo.pub),
-							WithShards(shards), WithMatchWorkers(workers), WithSeed(seed), WithStrictTimes())
-						stats, err := svc.Close()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if svc.final == nil {
-							t.Fatal("service kept no final result")
-						}
-						if !reflect.DeepEqual(batch, *svc.final) {
-							t.Fatalf("batched service replay diverged from engine:\nengine:  served=%d rejected=%d cancelled=%d revenue=%.9f profit=%.9f\nservice: served=%d rejected=%d cancelled=%d revenue=%.9f profit=%.9f",
-								batch.Served, batch.Rejected, batch.Cancelled, batch.Revenue, batch.TotalProfit,
-								stats.Served, stats.Rejected, stats.Cancelled, stats.Revenue, stats.Profit)
-						}
-						if stats.Pending != 0 {
-							t.Fatalf("pending after Close: %d", stats.Pending)
-						}
-						if stats.Served+stats.Rejected+stats.Cancelled != stats.Tasks {
-							t.Fatalf("final books do not balance: %+v", stats)
-						}
-					})
-				}
+					svc := replayTrace(t, tr, WithBatching(sc.window, Hungarian),
+						WithShards(shards), WithMatchWorkers(workers), WithSeed(seed), WithStrictTimes())
+					stats, err := svc.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if svc.final == nil {
+						t.Fatal("service kept no final result")
+					}
+					if !reflect.DeepEqual(batch, *svc.final) {
+						t.Fatalf("batched service replay diverged from engine:\nengine:  served=%d rejected=%d cancelled=%d revenue=%.9f profit=%.9f\nservice: served=%d rejected=%d cancelled=%d revenue=%.9f profit=%.9f",
+							batch.Served, batch.Rejected, batch.Cancelled, batch.Revenue, batch.TotalProfit,
+							stats.Served, stats.Rejected, stats.Cancelled, stats.Revenue, stats.Profit)
+					}
+					if stats.Pending != 0 {
+						t.Fatalf("pending after Close: %d", stats.Pending)
+					}
+					if stats.Served+stats.Rejected+stats.Cancelled != stats.Tasks {
+						t.Fatalf("final books do not balance: %+v", stats)
+					}
+				})
 			}
 		}
 	}
@@ -104,7 +98,7 @@ func TestWithBatchingValidation(t *testing.T) {
 	if _, err := New(m, WithBatching(30, BatchAlgorithm(9))); !errors.Is(err, ErrInvalidOption) {
 		t.Errorf("unknown algorithm: %v, want ErrInvalidOption", err)
 	}
-	if _, err := New(m, WithBatching(30, Auction)); err != nil {
+	if _, err := New(m, WithBatching(30, Hungarian)); err != nil {
 		t.Errorf("valid batching rejected: %v", err)
 	}
 
@@ -117,15 +111,15 @@ func TestWithBatchingValidation(t *testing.T) {
 	if _, err := New(m, WithBatching(30, Hungarian), WithMatchWorkers(4)); err != nil {
 		t.Errorf("valid match workers rejected: %v", err)
 	}
+}
 
-	if _, err := ParseBatchAlgorithm("simplex"); !errors.Is(err, ErrInvalidOption) {
-		t.Errorf("ParseBatchAlgorithm(simplex): %v", err)
-	}
-	for _, a := range []BatchAlgorithm{Hungarian, Auction} {
-		got, err := ParseBatchAlgorithm(a.String())
-		if err != nil || got != a {
-			t.Errorf("ParseBatchAlgorithm(%q) = %v, %v", a.String(), got, err)
-		}
+// TestWithBatchingRejectsUnknownAlgorithm pins the deprecated algo
+// parameter: it accepts Hungarian, refuses anything else by name
+// (BatchAlgorithm(1) was the ε-auction), and selects nothing.
+func TestWithBatchingRejectsUnknownAlgorithm(t *testing.T) {
+	_, err := New(overloadMarket(), WithBatching(30, BatchAlgorithm(1)))
+	if !errors.Is(err, ErrInvalidOption) || !strings.Contains(err.Error(), "unknown batch algorithm BatchAlgorithm(1)") {
+		t.Fatalf("WithBatching(30, BatchAlgorithm(1)): %v, want ErrInvalidOption naming the algorithm", err)
 	}
 }
 
@@ -424,5 +418,63 @@ func TestBatchedServiceRealTimeSoak(t *testing.T) {
 	}
 	if pendingEvs == 0 || decidedEvs == 0 || closeEvs == 0 {
 		t.Fatalf("feed starved: pending=%d decided=%d closes=%d", pendingEvs, decidedEvs, closeEvs)
+	}
+}
+
+// TestTiedWindowClosesAtDenseOptimum: k drivers parked on one point and
+// k+2 identical orders make every margin of the window tie bitwise —
+// the shape on which an ε-auction walks the prices up in ε steps with
+// the service mutex held (EXPERIMENTS.md has the timings that retired
+// it). The one window serves k orders, rejects two, and books exactly
+// the weight the dense Hungarian oracle finds on the all-tied matrix.
+func TestTiedWindowClosesAtDenseOptimum(t *testing.T) {
+	const k = 28
+	day := func(drivers, orders int) Stats {
+		t.Helper()
+		m := Market{}
+		d := overloadMarket().Drivers[0]
+		for d.ID = 0; d.ID < drivers; d.ID++ {
+			m.Drivers = append(m.Drivers, d)
+		}
+		svc, err := New(m, WithBatching(30, Hungarian), WithStrictTimes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < orders; id++ {
+			if _, err := svc.SubmitTask(context.Background(), overloadTask(id, 5)); err != nil {
+				t.Fatalf("SubmitTask(%d): %v", id, err)
+			}
+		}
+		st, err := svc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	// One driver, one order: her profit is the margin every pair of the
+	// tied window shares.
+	delta := day(1, 1).Profit
+	if !(delta > 0) {
+		t.Fatalf("the lone pair's margin is %g, want positive", delta)
+	}
+	w := make([][]float64, k+2)
+	for r := range w {
+		w[r] = make([]float64, k)
+		for c := range w[r] {
+			w[r][c] = delta
+		}
+	}
+	dense, err := matching.Hungarian(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st := day(k, k+2)
+	if st.Served != k || st.Rejected != 2 || st.Pending != 0 {
+		t.Fatalf("tied window: served %d rejected %d pending %d, want %d/2/0", st.Served, st.Rejected, st.Pending, k)
+	}
+	if st.Profit != dense.Weight {
+		t.Fatalf("tied window booked %.15f, the dense oracle's optimum is %.15f", st.Profit, dense.Weight)
 	}
 }

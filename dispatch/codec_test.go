@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -208,9 +209,9 @@ func TestCodecStateRoundTrip(t *testing.T) {
 			e2.SetCandidateSource(sim.NewGridSource(nil))
 			var restored *sim.Stream
 			if batched {
-				restored, err = e2.RestoreStream(back, nil, 45, sim.BatchHungarian)
+				restored, err = e2.RestoreStream(back, nil, 45)
 			} else {
-				restored, err = e2.RestoreStream(back, online.Random{}, 0, 0)
+				restored, err = e2.RestoreStream(back, online.Random{}, 0)
 			}
 			if err != nil {
 				t.Fatalf("batched=%v cut %d: RestoreStream: %v", batched, cut, err)
@@ -562,6 +563,50 @@ func segRecords(t testing.TB, dir string) (records [][]byte) {
 // -match-workers 2` journaled on builds that had the window worker pool.
 var poolFingerprint = configFingerprint{Policy: "maxmargin", MatchWorkers: 2, Seed: 9, BatchWindow: 30, BatchAlgo: "hungarian"}
 
+// auctionFingerprint is the configuration `serve -batch-window 30
+// -batch-algo auction` journaled on builds that had the ε-auction
+// window solver (commit 818a72e and before).
+var auctionFingerprint = configFingerprint{Policy: "maxmargin", Seed: 9, BatchWindow: 30, BatchAlgo: "auction"}
+
+// TestRestoreRefusesAuctionLog: a genesis and a snapshot that name the
+// auction still decode and re-encode byte for byte — the slot is the
+// codec's to carry — and Restore refuses each by name, telling the
+// operator which build reads the log; it neither falls back to the
+// Hungarian solve nor panics.
+func TestRestoreRefusesAuctionLog(t *testing.T) {
+	genesis := mkGenesis(durVersion, overloadMarket(), auctionFingerprint)
+	rec, err := decodeRecord(genesis)
+	if err != nil || rec.Init.Config != auctionFingerprint {
+		t.Fatalf("decoding the auction genesis: %+v, %v", rec.Init, err)
+	}
+	if back := appendRecord(nil, &rec); !bytes.Equal(back, genesis) {
+		t.Fatal("the auction genesis does not re-encode to its own bytes")
+	}
+
+	// The snapshot sits behind a Hungarian genesis, so it is the
+	// snapshot's own slot that is refused.
+	snap := liveSnapshot(t, WithSeed(auctionFingerprint.Seed), WithBatching(auctionFingerprint.BatchWindow, Hungarian))
+	hungarian := mkGenesis(durVersion, overloadMarket(), snap.Config)
+	snap.Config.BatchAlgo = "auction"
+	if snap.Config != auctionFingerprint {
+		t.Fatalf("the snapshot's fingerprint %+v is not the auction build's %+v", snap.Config, auctionFingerprint)
+	}
+	for name, dir := range map[string]string{
+		"genesis":  mkRawLog(t, [][]byte{genesis}, nil),
+		"snapshot": mkRawLog(t, [][]byte{hungarian}, appendSnapshot(nil, snap)),
+	} {
+		svc, err := Restore(dir)
+		if svc != nil || !errors.Is(err, errAuctionLog) {
+			t.Fatalf("%s: Restore = %v, %v, want errAuctionLog and no service", name, svc, err)
+		}
+		for _, want := range []string{"batched(auction)", "commit 818a72e", "no conversion"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: refusal %q does not say %q", name, err, want)
+			}
+		}
+	}
+}
+
 // TestRestoreIgnoresMatchWorkersSlot: a log whose genesis names a worker
 // pool restores to the books of the run that wrote it, takes 100 more
 // operations to the same books as a service that was never interrupted,
@@ -680,6 +725,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	}
 	f.Add([]byte{recCancel, '{', '"', 'i', 'd', '"', ':', '3', '}'}) // version 1: refused
 	f.Add(mkGenesis(durVersion, overloadMarket(), poolFingerprint))
+	f.Add(mkGenesis(durVersion, overloadMarket(), auctionFingerprint)) // refused by Restore, not by the decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec walRecord
 		var err error

@@ -355,13 +355,14 @@ var (
 	v1Snapshot = []byte(`{"version":1,"init":{"version":1},"state":{"drivers":[]}}`)
 )
 
-// liveSnapshot runs a small durable market that cuts a snapshot before
-// every record, halts it, and returns the newest snapshot decoded.
-func liveSnapshot(t *testing.T) *snapPayload {
+// liveSnapshot runs a small durable market (instant unless opts say
+// otherwise) that cuts a snapshot before every record, halts it, and
+// returns the newest snapshot decoded.
+func liveSnapshot(t *testing.T, opts ...Option) *snapPayload {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "wal")
 	svc, err := New(overloadMarket(),
-		WithDurability(dir, DurFsync("off"), DurSnapshotEvery(1)))
+		append(opts, WithDurability(dir, DurFsync("off"), DurSnapshotEvery(1)))...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -557,7 +558,7 @@ func TestRestoreRejectsDuplicateSnapshotIDs(t *testing.T) {
 
 func TestFingerprintOptionsRoundTrip(t *testing.T) {
 	fp := configFingerprint{Policy: "nearest", MatchWorkers: 2, RealTime: true,
-		Seed: 7, Strict: true, BatchWindow: 30, BatchAlgo: "auction", MaxPending: 9}
+		Seed: 7, Strict: true, BatchWindow: 30, BatchAlgo: "hungarian", MaxPending: 9}
 	opts, err := fp.options()
 	if err != nil {
 		t.Fatalf("options(): %v", err)
@@ -577,6 +578,10 @@ func TestFingerprintOptionsRoundTrip(t *testing.T) {
 	bad.BatchAlgo = "bogus"
 	if _, err := bad.options(); !errors.Is(err, ErrInvalidOption) {
 		t.Fatalf("options() with bad algo: err = %v, want ErrInvalidOption", err)
+	}
+	bad.BatchAlgo = "auction"
+	if _, err := bad.options(); !errors.Is(err, errAuctionLog) {
+		t.Fatalf("options() with the auction: err = %v, want errAuctionLog", err)
 	}
 }
 

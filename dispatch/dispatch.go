@@ -19,9 +19,9 @@
 // books with Close.
 //
 // By default every task is answered the instant it is submitted. A
-// service built WithBatching(window, algo) instead accumulates the
-// orders of each window and clears them together with a maximum-weight
-// matching (Hungarian or Auction) at the window close: SubmitTask
+// service built WithBatching(window, Hungarian) instead accumulates the
+// orders of each window and clears them together with an exact
+// maximum-weight matching at the window close: SubmitTask
 // returns a pending Assignment, the decision arrives on the event feed
 // (and via Decision) when the window closes, and an EventBatchClosed
 // feed entry carries each window's stats. Windows close when market
@@ -327,11 +327,7 @@ func New(m Market, opts ...Option) (*Service, error) {
 	eng.SetCandidateSource(sim.NewGridSource(nil))
 	var st *sim.Stream
 	if s.batched {
-		algo, aerr := cfg.batchAlgo.sim()
-		if aerr != nil {
-			return nil, aerr
-		}
-		st, err = eng.NewBatchedStream(cfg.batchWindow, algo, fleet)
+		st, err = eng.NewBatchedStream(cfg.batchWindow, sim.BatchHungarian, fleet)
 	} else {
 		st, err = eng.NewStream(d, fleet)
 	}

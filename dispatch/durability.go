@@ -79,8 +79,11 @@ type configFingerprint struct {
 	Seed         int64
 	Strict       bool
 	BatchWindow  float64
-	BatchAlgo    string
-	MaxPending   int
+	// BatchAlgo names the window solver of a batched market: this build
+	// writes "hungarian" (and "" on an instant market), the only one it
+	// has; a log naming "auction" is refused (errAuctionLog).
+	BatchAlgo  string
+	MaxPending int
 	// RoadNetwork, when present, is the normalized street-graph metric
 	// configuration; Restore rebuilds the identical seeded graph and
 	// router from it. A caller-supplied WithDistanceFunc has no durable
@@ -98,7 +101,7 @@ func fingerprint(c config) configFingerprint {
 		MaxPending:  c.maxPending,
 	}
 	if c.batchWindow > 0 {
-		fp.BatchAlgo = c.batchAlgo.String()
+		fp.BatchAlgo = Hungarian.String()
 	}
 	if c.roadnet != nil {
 		rn := *c.roadnet
@@ -106,6 +109,13 @@ func fingerprint(c config) configFingerprint {
 	}
 	return fp
 }
+
+// errAuctionLog refuses a log or snapshot whose fingerprint names the
+// ε-auction window solver, which this build does not have: replaying it
+// under the Hungarian solve would fail the per-record digest at the
+// first window the two decide differently, so Restore says so up front
+// instead of falling back.
+var errAuctionLog = errors.New("the log was written by a batched(auction) market and this build has no auction window solver; commit 818a72e is the last build that reads it, and there is no conversion — drain the day there and start a fresh log")
 
 // options converts the fingerprint back into constructor options.
 func (fp configFingerprint) options() ([]Option, error) {
@@ -121,11 +131,14 @@ func (fp configFingerprint) options() ([]Option, error) {
 		opts = append(opts, WithStrictTimes())
 	}
 	if fp.BatchWindow > 0 {
-		algo, err := ParseBatchAlgorithm(fp.BatchAlgo)
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: restoring config: %w", err)
+		switch fp.BatchAlgo {
+		case Hungarian.String():
+		case "auction":
+			return nil, fmt.Errorf("dispatch: restoring config: %w", errAuctionLog)
+		default:
+			return nil, fmt.Errorf("dispatch: restoring config: %w: unknown batch algorithm %q", ErrInvalidOption, fp.BatchAlgo)
 		}
-		opts = append(opts, WithBatching(fp.BatchWindow, algo))
+		opts = append(opts, WithBatching(fp.BatchWindow, Hungarian))
 	}
 	if fp.MaxPending > 0 {
 		opts = append(opts, WithMaxPending(fp.MaxPending))
@@ -537,17 +550,7 @@ func Restore(dir string, opts ...DurOption) (*Service, error) {
 func (svc *Service) loadSnapshot(snap *snapPayload) error {
 	eng := svc.st.Engine()
 	var d sim.Dispatcher
-	var algo sim.BatchAlgorithm
-	if snap.Config.BatchWindow > 0 {
-		a, err := ParseBatchAlgorithm(snap.Config.BatchAlgo)
-		if err != nil {
-			return err
-		}
-		algo, err = a.sim()
-		if err != nil {
-			return err
-		}
-	} else {
+	if snap.Config.BatchWindow == 0 {
 		pol, err := ParsePolicy(snap.Config.Policy)
 		if err != nil {
 			return err
@@ -557,7 +560,7 @@ func (svc *Service) loadSnapshot(snap *snapPayload) error {
 			return err
 		}
 	}
-	strm, err := eng.RestoreStream(snap.State, d, snap.Config.BatchWindow, algo)
+	strm, err := eng.RestoreStream(snap.State, d, snap.Config.BatchWindow)
 	if err != nil {
 		return fmt.Errorf("dispatch: restoring stream state: %w", err)
 	}

@@ -178,7 +178,7 @@ func TestDurableRestartChain(t *testing.T) {
 	tr.Events = trace.WithChurn(tr, trace.DefaultChurn(4, 0.3, 0.25))
 	market, feed := durFeed(tr)
 
-	ref, err := New(market, WithSeed(3), WithBatching(60, Auction))
+	ref, err := New(market, WithSeed(3), WithBatching(60, Hungarian))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestDurableRestartChain(t *testing.T) {
 	// artifacts survive pruning for the assertions below; each Restore
 	// reopens with the same knobs (the log does not remember them).
 	knobs := []DurOption{DurSnapshotEvery(11), DurSegmentBytes(4096), DurKeepSnapshots(16)}
-	svc, err := New(market, WithSeed(3), WithBatching(60, Auction), WithDurability(dir, knobs...))
+	svc, err := New(market, WithSeed(3), WithBatching(60, Hungarian), WithDurability(dir, knobs...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,55 +69,24 @@ func (p Policy) dispatcher() (sim.Dispatcher, error) {
 	}
 }
 
-// BatchAlgorithm selects the per-window assignment solver of a batched
-// service (see WithBatching).
+// BatchAlgorithm names the per-window assignment solver of a batched
+// service. There is one, and nothing selects it.
+//
+// Deprecated: only the second argument of WithBatching, which the
+// frozen benchmark/ still passes, and the durable fingerprint's name
+// for it.
 type BatchAlgorithm int
 
-// The built-in batch solvers.
-const (
-	// Hungarian solves each window's maximum-weight task–driver
-	// assignment exactly, in O(n³).
-	Hungarian BatchAlgorithm = iota
-	// Auction uses Bertsekas' auction algorithm — exact up to its tiny
-	// bid increment, typically faster on sparse windows.
-	Auction
-)
+// Hungarian — each window's maximum-weight task–driver assignment
+// solved exactly — is the only BatchAlgorithm.
+const Hungarian BatchAlgorithm = 0
 
 // String implements fmt.Stringer.
 func (a BatchAlgorithm) String() string {
-	switch a {
-	case Hungarian:
+	if a == Hungarian {
 		return "hungarian"
-	case Auction:
-		return "auction"
-	default:
-		return fmt.Sprintf("BatchAlgorithm(%d)", int(a))
 	}
-}
-
-// ParseBatchAlgorithm converts a solver name (as printed by String)
-// back into a BatchAlgorithm; serve front ends use it to parse
-// configuration.
-func ParseBatchAlgorithm(s string) (BatchAlgorithm, error) {
-	switch s {
-	case "hungarian":
-		return Hungarian, nil
-	case "auction":
-		return Auction, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown batch algorithm %q (want hungarian or auction)", ErrInvalidOption, s)
-	}
-}
-
-func (a BatchAlgorithm) sim() (sim.BatchAlgorithm, error) {
-	switch a {
-	case Hungarian:
-		return sim.BatchHungarian, nil
-	case Auction:
-		return sim.BatchAuction, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown batch algorithm %d", ErrInvalidOption, int(a))
-	}
+	return fmt.Sprintf("BatchAlgorithm(%d)", int(a))
 }
 
 // Clock paces the service's simulated time. Advance is called as the
@@ -151,8 +120,7 @@ type config struct {
 	seed        int64
 	strict      bool
 	batchWindow float64 // 0: instant dispatch
-	batchAlgo   BatchAlgorithm
-	maxPending  int // 0: unbounded admission
+	maxPending  int     // 0: unbounded admission
 
 	roadnet  *RoadNetwork     // non-nil: street-graph metric (see WithRoadNetwork)
 	distFunc geo.DistanceFunc // non-nil: caller-supplied metric, not journalable
@@ -206,25 +174,29 @@ func WithMatchWorkers(n int) Option {
 // WithBatching switches the service from instant to windowed dispatch:
 // submitted tasks accumulate in a batch window of `window` simulated
 // seconds (anchored at the order that opened it) and are matched
-// together at the window's close by a maximum-weight task–driver
-// assignment under the chosen solver. SubmitTask then answers with a
-// pending Assignment; the decision arrives on the event feed when the
-// window closes (followed by an EventBatchClosed entry carrying the
-// window's stats) and is queryable via Decision. The window must be a
-// positive, finite number of seconds; anything else is rejected with
-// ErrInvalidOption. WithBatching composes with WithClock, WithSeed,
-// WithStrictTimes and WithRealTime (which additionally closes due
-// windows on the wall clock — see its comment); the WithDispatcher
-// policy is not consulted in batched mode.
+// together at the window's close by an exact maximum-weight task–driver
+// assignment. SubmitTask then answers with a pending Assignment; the
+// decision arrives on the event feed when the window closes (followed by
+// an EventBatchClosed entry carrying the window's stats) and is
+// queryable via Decision. The window must be a positive, finite number
+// of seconds; anything else is rejected with ErrInvalidOption.
+// WithBatching composes with WithClock, WithSeed, WithStrictTimes and
+// WithRealTime (which additionally closes due windows on the wall clock
+// — see its comment); the WithDispatcher policy is not consulted in
+// batched mode.
+//
+// Deprecated parameter: algo selects nothing and must be Hungarian
+// (anything else is ErrInvalidOption); it stays in the signature only
+// because the frozen benchmark/ passes it.
 func WithBatching(window float64, algo BatchAlgorithm) Option {
 	return func(c *config) error {
 		if !(window > 0) || math.IsInf(window, 1) {
 			return fmt.Errorf("%w: batch window must be a positive finite number of seconds, got %g", ErrInvalidOption, window)
 		}
-		if _, err := algo.sim(); err != nil {
-			return err
+		if algo != Hungarian {
+			return fmt.Errorf("%w: unknown batch algorithm %v (the only window solver is %v)", ErrInvalidOption, algo, Hungarian)
 		}
-		c.batchWindow, c.batchAlgo = window, algo
+		c.batchWindow = window
 		return nil
 	}
 }

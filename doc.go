@@ -18,12 +18,12 @@
 // assignment now, with drivers joining, retiring and riders cancelling
 // while the market runs — and guarantees that replaying a whole day
 // through it is bit-identical to the internal batch simulator. A
-// service built dispatch.WithBatching(window, algo) runs the paper's
-// batched mode on the same loop: orders accumulate per window, a
-// maximum-weight matching clears each window at its close, and
-// SubmitTask answers with a pending handle resolved on the event feed.
-// `rideshare serve` puts the same service behind HTTP/JSON (see
-// cmd/rideshare), examples/quickstart and examples/streamserve are
+// service built dispatch.WithBatching(window, dispatch.Hungarian) runs
+// the paper's batched mode on the same loop: orders accumulate per
+// window, an exact maximum-weight matching clears each window at its
+// close, and SubmitTask answers with a pending handle resolved on the
+// event feed. `rideshare serve` puts the same service behind HTTP/JSON
+// (see cmd/rideshare), examples/quickstart and examples/streamserve are
 // runnable starting points.
 //
 // The reproduction itself lives under internal/ (see DESIGN.md for the

@@ -73,19 +73,17 @@ func TestBatchedSolutionsAreOfflineFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []sim.BatchAlgorithm{sim.BatchHungarian, sim.BatchAuction} {
-		res := eng.RunBatched(p.Tasks, 45, algo)
-		for n, tasks := range res.DriverPaths {
-			if len(tasks) == 0 {
-				continue
-			}
-			profit, err := g.PathProfit(n, tasks)
-			if err != nil {
-				t.Fatalf("%v: driver %d path %v infeasible offline: %v", algo, n, tasks, err)
-			}
-			if math.Abs(profit-res.PerDriverProfit[n]) > 1e-6 {
-				t.Fatalf("%v: driver %d profit mismatch", algo, n)
-			}
+	res := eng.RunBatched(p.Tasks, 45)
+	for n, tasks := range res.DriverPaths {
+		if len(tasks) == 0 {
+			continue
+		}
+		profit, err := g.PathProfit(n, tasks)
+		if err != nil {
+			t.Fatalf("driver %d path %v infeasible offline: %v", n, tasks, err)
+		}
+		if math.Abs(profit-res.PerDriverProfit[n]) > 1e-6 {
+			t.Fatalf("driver %d profit mismatch", n)
 		}
 	}
 }
@@ -107,7 +105,7 @@ func TestEverythingBelowTheBound(t *testing.T) {
 			"greedy":    greedy,
 			"nearest":   eng.Run(p.Tasks, online.Nearest{}).TotalProfit,
 			"maxmargin": eng.Run(p.Tasks, online.MaxMargin{}).TotalProfit,
-			"batched":   eng.RunBatched(p.Tasks, 45, sim.BatchHungarian).TotalProfit,
+			"batched":   eng.RunBatched(p.Tasks, 45).TotalProfit,
 			"replan":    eng.RunReplan(p.Tasks, 60).TotalProfit,
 		}
 		for name, profit := range profits {
@@ -134,7 +132,7 @@ func TestBatchedVersusInstantTradeoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	instant := eng.Run(tr.Tasks, online.MaxMargin{})
-	batched := eng.RunBatched(tr.Tasks, 60, sim.BatchHungarian)
+	batched := eng.RunBatched(tr.Tasks, 60)
 	if batched.TotalProfit < instant.TotalProfit*0.9 {
 		t.Fatalf("with 10-20 min notice, batched profit %.2f fell far below instant %.2f",
 			batched.TotalProfit, instant.TotalProfit)
@@ -228,7 +226,7 @@ func TestFullDeterminism(t *testing.T) {
 			offline.Greedy(p.Graph()).TotalProfit,
 			eng.Run(p.Tasks, online.Nearest{}).TotalProfit,
 			eng.Run(p.Tasks, online.MaxMargin{}).TotalProfit,
-			eng.RunBatched(p.Tasks, 30, sim.BatchHungarian).TotalProfit,
+			eng.RunBatched(p.Tasks, 30).TotalProfit,
 			bound.Lagrangian(p.Graph(), 0, 30).Bound,
 		}
 	}

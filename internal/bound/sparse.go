@@ -9,16 +9,13 @@ package bound
 // Lagrangian upper bound on components too big to enumerate. On small
 // instances it reproduces BruteForce bit for bit — same enumeration
 // order, same strict-improvement rule, same left-associated sums — so
-// the brute-force solver stays the differential oracle.
-//
-// Determinism: components are self-contained (every scratch buffer is
-// per worker) and merged in component order, so the result is
-// bit-identical for every Workers value.
+// the brute-force solver stays the differential oracle. Components are
+// solved one after another on the calling goroutine: a city day's pair
+// graph is a few small components around one giant, and a fan-out over
+// them measured no gain (EXPERIMENTS.md).
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/lp"
 	"repro/internal/offline"
@@ -26,12 +23,8 @@ import (
 )
 
 // SparseOptions configures SparseSolver.Solve. The zero value solves
-// serially with BruteForce's path cap and no LP pruning.
+// with BruteForce's path cap and no LP pruning.
 type SparseOptions struct {
-	// Workers bounds the component fan-out; values below 2 run
-	// serially. The solution is bit-identical for every value.
-	Workers int
-
 	// Warm holds one task list per ORIGINAL driver index (the shape of
 	// sim.Result.DriverPaths): the online policy's own assignment.
 	// Paths that are infeasible in hindsight, overlap an earlier
@@ -64,13 +57,11 @@ type SparseOptions struct {
 	// (default 5e6). A component that exhausts it keeps the better of
 	// the best solution found so far and the incumbent, turns inexact,
 	// and reports a Lagrangian upper bound. The abort point depends
-	// only on the component's own deterministic node order, so results
-	// stay bit-identical for every Workers value.
+	// only on the component's own deterministic node order.
 	NodeCap int
 
 	// SkipPaths suppresses Solution.Paths materialization; with LP off
-	// and Workers < 2 the re-solve path then allocates nothing in
-	// steady state.
+	// the re-solve path then allocates nothing in steady state.
 	SkipPaths bool
 }
 
@@ -100,16 +91,12 @@ type SparseSolution struct {
 // SparseSolver holds the reusable arenas. The zero value is ready;
 // buffers grow to the high-water mark and are reused across solves.
 type SparseSolver struct {
-	scratch []sparseScratch
+	scratch sparseScratch
 	compRes []compResult
 
 	taskDriver []int32
 	drvVal     []float64
 	drvHas     []bool
-
-	// optBuf keeps the normalized options addressable without letting
-	// them escape per call (the worker goroutines share the pointer).
-	optBuf SparseOptions
 }
 
 type pathRec struct {
@@ -119,7 +106,7 @@ type pathRec struct {
 
 type chosenRec struct {
 	driver int32 // compact driver
-	off, n int32 // slots in the owning worker's chosenSlots
+	off, n int32 // slots in scratch.chosenSlots
 	value  float64
 }
 
@@ -128,7 +115,6 @@ type compResult struct {
 	ub        float64
 	exact     bool
 	nodes     int
-	worker    int
 	firstRec  int
 	nRecs     int
 	lpSolved  int
@@ -144,8 +130,6 @@ type dfsFrame struct {
 }
 
 type sparseScratch struct {
-	id int
-
 	// enumeration (per component)
 	frames     []dfsFrame
 	paths      []pathRec
@@ -186,7 +170,7 @@ type sparseScratch struct {
 	drop     []bool
 	taskRow  []int32 // sized M, comp rows reset before use
 
-	// chosen output, persists across this worker's components
+	// chosen output, persists across the solve's components
 	chosenSlots []int32
 	chosenRecs  []chosenRec
 }
@@ -242,68 +226,33 @@ func (s *SparseSolver) Solve(in *offline.Instance, opt SparseOptions) (SparseSol
 	if opt.NodeCap <= 0 {
 		opt.NodeCap = 5_000_000
 	}
-	s.optBuf = opt
-	optp := &s.optBuf
 
 	ncomp := in.NComp
-	workers := opt.Workers
-	if workers > ncomp {
-		workers = ncomp
-	}
-	if workers < 2 {
-		workers = 1
-	}
-	if cap(s.scratch) < workers {
-		s.scratch = append(s.scratch[:cap(s.scratch)], make([]sparseScratch, workers-cap(s.scratch))...)
-	}
-	s.scratch = s.scratch[:workers]
 	m, nslots := len(in.Tasks), in.NSlots()
-	for w := range s.scratch {
-		sc := &s.scratch[w]
-		sc.id = w
-		sc.used = growBools(sc.used, m)
-		sc.dead = growBools(sc.dead, m)
-		for i := 0; i < m; i++ {
-			sc.used[i] = false
-			sc.dead[i] = false
-		}
-		sc.cur = growF64(sc.cur, nslots)
-		sc.prevS = growI32(sc.prevS, nslots)
-		sc.lambda = growF64(sc.lambda, m)
-		sc.grad = growInts(sc.grad, m)
-		sc.taskRow = growI32(sc.taskRow, m)
-		sc.chosenSlots = sc.chosenSlots[:0]
-		sc.chosenRecs = sc.chosenRecs[:0]
+	sc := &s.scratch
+	sc.used = growBools(sc.used, m)
+	sc.dead = growBools(sc.dead, m)
+	for i := 0; i < m; i++ {
+		sc.used[i] = false
+		sc.dead[i] = false
 	}
+	sc.cur = growF64(sc.cur, nslots)
+	sc.prevS = growI32(sc.prevS, nslots)
+	sc.lambda = growF64(sc.lambda, m)
+	sc.grad = growInts(sc.grad, m)
+	sc.taskRow = growI32(sc.taskRow, m)
+	sc.chosenSlots = sc.chosenSlots[:0]
+	sc.chosenRecs = sc.chosenRecs[:0]
 	if cap(s.compRes) < ncomp {
 		s.compRes = append(s.compRes[:cap(s.compRes)], make([]compResult, ncomp-cap(s.compRes))...)
 	}
 	s.compRes = s.compRes[:ncomp]
 
-	if workers == 1 {
-		for c := 0; c < ncomp; c++ {
-			s.solveComp(in, optp, c, &s.scratch[0])
-		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(sc *sparseScratch) {
-				defer wg.Done()
-				for {
-					c := int(atomic.AddInt64(&next, 1)) - 1
-					if c >= ncomp {
-						return
-					}
-					s.solveComp(in, optp, c, sc)
-				}
-			}(&s.scratch[w])
-		}
-		wg.Wait()
+	for c := 0; c < ncomp; c++ {
+		s.solveComp(in, &opt, c)
 	}
 
-	return s.merge(in, optp)
+	return s.merge(in, &opt)
 }
 
 // merge folds the per-component results into the global solution in
@@ -321,6 +270,7 @@ func (s *SparseSolver) merge(in *offline.Instance, opt *SparseOptions) (SparseSo
 		s.drvHas[d] = false
 	}
 
+	sc := &s.scratch
 	sol := SparseSolution{Exact: true, Components: in.NComp, TaskDriver: s.taskDriver}
 	gap := 0.0 // Σ (ub − incumbent) over inexact components
 	for c := range s.compRes {
@@ -338,7 +288,6 @@ func (s *SparseSolver) merge(in *offline.Instance, opt *SparseOptions) (SparseSo
 		} else {
 			sol.Exact = false
 		}
-		sc := &s.scratch[res.worker]
 		for r := res.firstRec; r < res.firstRec+res.nRecs; r++ {
 			rec := sc.chosenRecs[r]
 			s.drvVal[rec.driver] = rec.value
@@ -365,7 +314,6 @@ func (s *SparseSolver) merge(in *offline.Instance, opt *SparseOptions) (SparseSo
 			// Find the rec again (component of driver d).
 			c := in.Comp.CompOfCol[d]
 			res := &s.compRes[c]
-			sc := &s.scratch[res.worker]
 			for r := res.firstRec; r < res.firstRec+res.nRecs; r++ {
 				rec := sc.chosenRecs[r]
 				if int(rec.driver) != d {

@@ -12,10 +12,11 @@ import (
 	"repro/internal/offline"
 )
 
-// solveComp solves component c into s.compRes[c] using sc's arenas.
-func (s *SparseSolver) solveComp(in *offline.Instance, opt *SparseOptions, c int, sc *sparseScratch) {
+// solveComp solves component c into s.compRes[c].
+func (s *SparseSolver) solveComp(in *offline.Instance, opt *SparseOptions, c int) {
+	sc := &s.scratch
 	res := &s.compRes[c]
-	*res = compResult{worker: sc.id, firstRec: len(sc.chosenRecs), exact: true}
+	*res = compResult{firstRec: len(sc.chosenRecs), exact: true}
 	cols := in.Comp.ColsByComp[in.Comp.ColPtr[c]:in.Comp.ColPtr[c+1]]
 	rows := in.Comp.RowsByComp[in.Comp.RowPtr[c]:in.Comp.RowPtr[c+1]]
 	if len(cols) == 0 {

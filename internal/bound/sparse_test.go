@@ -110,13 +110,11 @@ func TestSparseOptionInvariance(t *testing.T) {
 			}
 		}
 		variants := []SparseOptions{
-			{Workers: 2},
-			{Workers: 4},
 			{LP: true},
 			{LP: true, Warm: warmOpt},
 			{Warm: warmOpt},
 			{Warm: warmJunk},
-			{LP: true, Warm: warmJunk, Workers: 3},
+			{LP: true, Warm: warmJunk},
 		}
 		for vi, vo := range variants {
 			var s2 SparseSolver
@@ -173,52 +171,15 @@ func TestSparseTieDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s SparseSolver
-	for _, workers := range []int{1, 2, 4} {
-		got, err := s.Solve(in, SparseOptions{Workers: workers})
+	for solve := 0; solve < 2; solve++ { // the second on warm arenas
+		got, err := s.Solve(in, SparseOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Objective != want.Objective {
-			t.Fatalf("workers %d: objective %v, want %v", workers, got.Objective, want.Objective)
+			t.Fatalf("solve %d: objective %v, want %v", solve, got.Objective, want.Objective)
 		}
 		samePaths(t, "tie", got.Paths, want.Paths)
-	}
-}
-
-// TestSparseWorkerSweepIdentical checks the full-solution determinism
-// promise on a bigger instance with many components.
-func TestSparseWorkerSweepIdentical(t *testing.T) {
-	cfg := trace.NewConfig(11, 120, 25, trace.Hitchhiking)
-	tr := trace.NewGenerator(cfg).Generate(nil)
-	tr.Events = trace.WithChurn(tr, trace.DefaultChurn(5, 0.25, 0.2))
-	in, err := offline.Compile(cfg.Market, tr, offline.Options{TopK: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base SparseSolution
-	for i, workers := range []int{1, 2, 4} {
-		var s SparseSolver
-		got, err := s.Solve(in, SparseOptions{Workers: workers, LP: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			base = got
-			base.TaskDriver = append([]int32(nil), got.TaskDriver...)
-			continue
-		}
-		if got.Objective != base.Objective || got.UpperBound != base.UpperBound ||
-			got.Nodes != base.Nodes || got.Exact != base.Exact {
-			t.Fatalf("workers %d: (%v %v %d %v), want (%v %v %d %v)", workers,
-				got.Objective, got.UpperBound, got.Nodes, got.Exact,
-				base.Objective, base.UpperBound, base.Nodes, base.Exact)
-		}
-		samePaths(t, "sweep", got.Paths, base.Paths)
-		for m := range got.TaskDriver {
-			if got.TaskDriver[m] != base.TaskDriver[m] {
-				t.Fatalf("workers %d: TaskDriver[%d] differs", workers, m)
-			}
-		}
 	}
 }
 
@@ -347,7 +308,7 @@ func BenchmarkSparseSolveLP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(in, SparseOptions{LP: true, Workers: 4}); err != nil {
+		if _, err := s.Solve(in, SparseOptions{LP: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,31 +101,18 @@ type Solver interface {
 	Solve(p *Problem) (Solution, error)
 }
 
-// GreedySolver runs the offline greedy algorithm GA (§IV, Algorithm 1).
-// Naive selects the textbook O(N²M²) reference implementation instead of
-// the lazy-evaluation one; both produce a greedy-optimal sequence.
-type GreedySolver struct {
-	Naive bool
-}
+// GreedySolver runs the offline greedy algorithm GA (§IV, Algorithm 1),
+// lazily evaluated (offline.Greedy).
+type GreedySolver struct{}
 
 var _ Solver = GreedySolver{}
 
 // Name implements Solver.
-func (g GreedySolver) Name() string {
-	if g.Naive {
-		return "Greedy(naive)"
-	}
-	return "Greedy"
-}
+func (GreedySolver) Name() string { return "Greedy" }
 
 // Solve implements Solver.
 func (g GreedySolver) Solve(p *Problem) (Solution, error) {
-	var res offline.Solution
-	if g.Naive {
-		res = offline.GreedyNaive(p.Graph())
-	} else {
-		res = offline.Greedy(p.Graph())
-	}
+	res := offline.Greedy(p.Graph())
 	sol := Solution{
 		Algorithm: g.Name(),
 		Paths:     res.Paths,

@@ -41,24 +41,6 @@ func TestGreedySolverValidSolution(t *testing.T) {
 	}
 }
 
-func TestGreedyNaiveSolverAgrees(t *testing.T) {
-	p := buildProblem(t, 2, 60, 10, trace.HomeWorkHome)
-	lazy, err := GreedySolver{}.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := GreedySolver{Naive: true}.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lazy.Profit-naive.Profit) > 1e-6 {
-		t.Fatalf("lazy %.6f != naive %.6f", lazy.Profit, naive.Profit)
-	}
-	if naive.Algorithm != "Greedy(naive)" {
-		t.Errorf("Algorithm = %q", naive.Algorithm)
-	}
-}
-
 func TestOnlineSolvers(t *testing.T) {
 	p := buildProblem(t, 3, 100, 15, trace.Hitchhiking)
 	for _, s := range []Solver{

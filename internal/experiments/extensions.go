@@ -233,7 +233,7 @@ func DispatchComparison(ctx context.Context, cfg Config, drivers int) ([]Dispatc
 
 	nearest := eng.Run(p.Tasks, online.Nearest{})
 	maxMargin := eng.Run(p.Tasks, online.MaxMargin{})
-	batched := eng.RunBatched(p.Tasks, 30, sim.BatchHungarian)
+	batched := eng.RunBatched(p.Tasks, 30)
 	replan := eng.RunReplan(p.Tasks, 120)
 
 	return []DispatchRow{

@@ -2,9 +2,8 @@ package experiments
 
 // The oracle-rail study: how much revenue did each online policy leave
 // on the table against a clairvoyant dispatcher on the same day? For
-// every density the three policies (instant maxMargin, batched
-// Hungarian, batched auction) run over an identical churn/cancellation
-// trace; the trace is then compiled once into a hindsight instance
+// every density the two policies (instant maxMargin, batched
+// Hungarian windows) run over an identical churn/cancellation trace; the trace is then compiled once into a hindsight instance
 // (revenue objective, rail pruning, every policy's own assignments
 // force-kept so the rail stays at or above all of them) and solved by
 // the sparse branch and bound, warm-started from the best policy.
@@ -26,7 +25,7 @@ import (
 )
 
 // RegretPolicies names the online policies of the study, in row order.
-var RegretPolicies = []string{"maxMargin", "batched(hungarian)", "batched(auction)"}
+var RegretPolicies = []string{"maxMargin", "batched(hungarian)"}
 
 // RegretRow is one (policy, density) cell of the study.
 type RegretRow struct {
@@ -111,7 +110,7 @@ func RegretSweep(ctx context.Context, cfg Config, rc RegretConfig) ([]RegretPoin
 	return points, nil
 }
 
-// regretPoint runs one density: three policies, one shared oracle.
+// regretPoint runs one density: two policies, one shared oracle.
 func regretPoint(cfg Config, rc RegretConfig, drivers int) (RegretPoint, error) {
 	tcfg := trace.NewConfig(cfg.Seed, cfg.Tasks, drivers, trace.Hitchhiking)
 	tr := trace.NewGenerator(tcfg).Generate(nil)
@@ -125,8 +124,7 @@ func regretPoint(cfg Config, rc RegretConfig, drivers int) (RegretPoint, error) 
 	}
 	results := []sim.Result{
 		eng.RunScenario(tr.Tasks, tr.Events, online.MaxMargin{}),
-		eng.RunBatchedScenario(tr.Tasks, tr.Events, rc.Window, sim.BatchHungarian),
-		eng.RunBatchedScenario(tr.Tasks, tr.Events, rc.Window, sim.BatchAuction),
+		eng.RunBatchedScenario(tr.Tasks, tr.Events, rc.Window),
 	}
 
 	// Force-keep every policy's pairs so the rail optimum dominates
@@ -157,7 +155,6 @@ func regretPoint(cfg Config, rc RegretConfig, drivers int) (RegretPoint, error) 
 	var solver bound.SparseSolver
 	t0 = time.Now()
 	sol, err := solver.Solve(in, bound.SparseOptions{
-		Workers: cfg.Workers,
 		Warm:    results[bestPolicy].DriverPaths,
 		LP:      rc.LP,
 		PathCap: rc.PathCap,

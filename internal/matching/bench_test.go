@@ -7,8 +7,7 @@ import (
 )
 
 // Micro-benchmarks for the window-matching kernels: the dense
-// Hungarian/Auction oracles against the sparse component-decomposed
-// solver, across the sparsity range batched dispatch actually sees.
+// Hungarian oracle against the sparse component-decomposed solver, across the sparsity range batched dispatch actually sees.
 // Dense instances cost the same whatever the sparsity (the virtual
 // square is materialized either way); the sparse kernel's cost tracks
 // the edge count and the component structure, which is the whole point.
@@ -46,27 +45,11 @@ func BenchmarkWindowKernels(b *testing.B) {
 					}
 				}
 			})
-			b.Run("dense-auction/"+name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Auction(w, 1e-4); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 			var solver SparseSolver
 			b.Run("sparse-hungarian/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, _, err := solver.Solve(sp, KindHungarian, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("sparse-auction/"+name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, _, err := solver.Solve(sp, KindAuction, 1e-4); err != nil {
+					if _, _, _, err := solver.Solve(sp); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -6,10 +6,11 @@
 // and the candidate drivers, trading a bounded increase in response time
 // for globally better matches.
 //
-// Two algorithms are provided: the O(n³) Hungarian method (exact,
-// deterministic) and Bertsekas' auction algorithm (exact up to its bid
-// increment ε, often faster on sparse rectangular instances); both
-// operate on a rectangular weight matrix with missing (forbidden) pairs.
+// One algorithm, twice: the O(n³) Hungarian method (exact,
+// deterministic) over a dense rectangular weight matrix with missing
+// (forbidden) pairs — the reference the tests compare against — and its
+// sparse, component-decomposed restatement (sparse.go), which is what a
+// dispatch window runs.
 package matching
 
 import (

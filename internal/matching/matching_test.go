@@ -170,53 +170,6 @@ func TestHungarianAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestAuctionNearOptimal(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 150; trial++ {
-		rows := 1 + rng.Intn(6)
-		cols := 1 + rng.Intn(6)
-		w := randomMatrix(rng, rows, cols, 0.3)
-		const eps = 1e-9
-		asg, err := Auction(w, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteForce(w)
-		// Auction is optimal within rows·eps.
-		if asg.Weight < want-float64(rows)*eps-1e-6 {
-			t.Fatalf("trial %d: auction %.9f below optimum %.9f", trial, asg.Weight, want)
-		}
-		assertValid(t, w, asg)
-	}
-}
-
-func TestAuctionMatchesHungarianOnLargeRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 10; trial++ {
-		w := randomMatrix(rng, 20, 25, 0.4)
-		h, err := Hungarian(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := Auction(w, 1e-9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(h.Weight-a.Weight) > 1e-5 {
-			t.Fatalf("trial %d: auction %.6f vs hungarian %.6f", trial, a.Weight, h.Weight)
-		}
-	}
-}
-
-func TestAuctionEmptyAndRagged(t *testing.T) {
-	if asg, err := Auction(nil, 0); err != nil || asg.Matched != 0 {
-		t.Fatalf("empty: %+v, %v", asg, err)
-	}
-	if _, err := Auction([][]float64{{1}, {2, 3}}, 0); err == nil {
-		t.Fatal("ragged matrix accepted")
-	}
-}
-
 // assertValid checks structural invariants: no column reused, no
 // forbidden or non-positive matches, weight adds up.
 func assertValid(t *testing.T, w [][]float64, asg Assignment) {

@@ -6,10 +6,9 @@ import (
 )
 
 // This file is the sparse formulation of the window-matching problem.
-// The dense solvers in hungarian.go and auction.go receive a full
-// rows×cols weight matrix and — in the Hungarian case — reduce it to a
-// virtual (rows+cols)² square, which is exactly the right oracle for
-// tests but hopeless as a hot path: a batched dispatch window over a
+// The dense solver in hungarian.go receives a full rows×cols weight
+// matrix and reduces it to a virtual (rows+cols)² square, which is
+// exactly the right oracle for tests but hopeless as a hot path: a batched dispatch window over a
 // city fleet is a *sparse* bipartite graph (each order reaches a few
 // dozen nearby drivers out of tens of thousands) that usually falls
 // apart into many small connected components, each solvable
@@ -26,19 +25,6 @@ import (
 // the sum of the restrictions; maximizing each term independently
 // therefore maximizes the sum, and the union of per-component optima is
 // a global maximum-weight matching.
-
-// Kind selects the kernel a SparseSolver runs on each component.
-type Kind int
-
-// The sparse kernels.
-const (
-	// KindHungarian runs shortest augmenting paths with dual
-	// potentials (exact, deterministic) per component.
-	KindHungarian Kind = iota
-	// KindAuction runs Bertsekas' auction per component (exact up to
-	// rows·ε per component, same contract as the dense Auction).
-	KindAuction
-)
 
 // Sparse is a sparse rectangular weight matrix in compressed sparse
 // row form: row r's edges are Col[RowPtr[r]:RowPtr[r+1]] (column
@@ -109,19 +95,14 @@ type SparseSolver struct {
 	way  []int
 	used []bool
 
-	// Auction prices over real columns.
-	price []float64
-
 	// The union-find and the component layout it leaves: component c
 	// owns rows comps.RowsByComp[comps.RowPtr[c]:comps.RowPtr[c+1]] in
 	// ascending order; components are numbered by their smallest member
 	// row. Only the row half is filled (decomposeRows).
 	comps ComponentScratch
 
-	// Per-component scratch: the columns a Hungarian row dirtied, the
-	// Auction's bid queue.
+	// The columns one row's augment dirtied.
 	touched []int
-	queue   []int
 }
 
 // grownInt returns s resized (never shrunk) to n without zeroing:
@@ -148,20 +129,16 @@ func grownBool(s []bool, n int) []bool {
 }
 
 // Solve computes a maximum-weight matching of sp: the instance is split
-// into connected components, each solved independently by the chosen
-// kernel. eps is the Auction bid increment (ignored by Hungarian;
-// non-positive values default as the dense Auction does).
+// into connected components, each solved independently by shortest
+// augmenting paths with dual potentials (exact, deterministic).
 //
 // The returned slice maps each row to its matched column (-1 for
 // unmatched) and is owned by the solver: it is valid until the next
 // Solve call and must not be retained. Weight and matched counts are
 // computed from the final assignment in ascending row order.
-func (s *SparseSolver) Solve(sp Sparse, kind Kind, eps float64) (colOf []int, weight float64, matched int, err error) {
+func (s *SparseSolver) Solve(sp Sparse) (colOf []int, weight float64, matched int, err error) {
 	if err := sp.Validate(); err != nil {
 		return nil, 0, 0, err
-	}
-	if kind != KindHungarian && kind != KindAuction {
-		return nil, 0, 0, fmt.Errorf("matching: unknown sparse kernel %d", int(kind))
 	}
 	ext := sp.Cols + sp.Rows // real columns plus one exit per row
 	s.colOf = grownInt(s.colOf, sp.Rows)
@@ -176,35 +153,26 @@ func (s *SparseSolver) Solve(sp Sparse, kind Kind, eps float64) (colOf []int, we
 		return s.colOf, 0, 0, nil
 	}
 
-	switch kind {
-	case KindHungarian:
-		s.u = grownFloat(s.u, sp.Rows)
-		s.v = grownFloat(s.v, ext)
-		s.minv = grownFloat(s.minv, ext)
-		s.way = grownInt(s.way, ext)
-		s.used = grownBool(s.used, ext)
-		for r := 0; r < sp.Rows; r++ {
-			s.u[r] = 0
-		}
-		inf := math.Inf(1)
-		for c := 0; c < ext; c++ {
-			s.v[c] = 0
-			s.minv[c] = inf
-			s.used[c] = false
-		}
-	case KindAuction:
-		if eps <= 0 {
-			eps = 1e-6
-		}
-		s.price = grownFloat(s.price, sp.Cols)
-		for c := 0; c < sp.Cols; c++ {
-			s.price[c] = 0
-		}
+	s.u = grownFloat(s.u, sp.Rows)
+	s.v = grownFloat(s.v, ext)
+	s.minv = grownFloat(s.minv, ext)
+	s.way = grownInt(s.way, ext)
+	s.used = grownBool(s.used, ext)
+	for r := 0; r < sp.Rows; r++ {
+		s.u[r] = 0
+	}
+	inf := math.Inf(1)
+	for c := 0; c < ext; c++ {
+		s.v[c] = 0
+		s.minv[c] = inf
+		s.used[c] = false
 	}
 
-	ncomp := s.comps.decomposeRows(sp)
-	for c := 0; c < ncomp; c++ {
-		s.solveComponent(sp, kind, eps, c)
+	// Rows are augmented component by component, each component's rows
+	// in ascending order.
+	s.comps.decomposeRows(sp)
+	for _, r := range s.comps.RowsByComp {
+		s.augmentRow(sp, r)
 	}
 
 	// Settle in ascending row order, mapping exit columns back to
@@ -224,18 +192,6 @@ func (s *SparseSolver) Solve(sp Sparse, kind Kind, eps float64) (colOf []int, we
 		matched++
 	}
 	return s.colOf, weight, matched, nil
-}
-
-// solveComponent dispatches one component to the kernel.
-func (s *SparseSolver) solveComponent(sp Sparse, kind Kind, eps float64, comp int) {
-	rows := s.comps.RowsByComp[s.comps.RowPtr[comp]:s.comps.RowPtr[comp+1]]
-	if kind == KindAuction {
-		s.auctionComponent(sp, eps, rows)
-		return
-	}
-	for _, r := range rows {
-		s.augmentRow(sp, r)
-	}
 }
 
 // augmentRow extends the matching by one shortest augmenting path from
@@ -345,95 +301,12 @@ func (s *SparseSolver) augmentRow(sp Sparse, r0 int) {
 	s.touched = touched[:0]
 }
 
-// auctionComponent runs Bertsekas' auction over one component's rows,
-// mirroring the dense Auction bid for bid: same 0-value reservation,
-// same bid increment, same LIFO processing order. (The dense global
-// stack preserves each component's relative pop order and prices never
-// cross components, so solving per component reproduces the dense run's
-// per-component bid sequence exactly.)
-func (s *SparseSolver) auctionComponent(sp Sparse, eps float64, rows []int) {
-	maxW := 0.0
-	nedges := 0
-	for _, r := range rows {
-		for k := sp.RowPtr[r]; k < sp.RowPtr[r+1]; k++ {
-			if sp.W[k] > maxW {
-				maxW = sp.W[k]
-			}
-		}
-		nedges += sp.RowPtr[r+1] - sp.RowPtr[r]
-	}
-	if maxW == 0 {
-		return // no positive weight: unmatched everywhere is optimal
-	}
-	queue := append(s.queue[:0], rows...)
-	// Termination bound, as in the dense Auction: every bid raises one
-	// column's price by ≥ ε and a column priced above maxW draws no
-	// further bids. The component's distinct column count is bounded by
-	// its edge count — the cheap conservative stand-in; the bound is a
-	// proof of termination, not a truncation.
-	bound := math.Ceil(float64(nedges)*(maxW/eps+2)) + float64(len(rows))
-	maxBids := math.MaxInt
-	if bound < float64(math.MaxInt) {
-		maxBids = int(bound)
-	}
-	for len(queue) > 0 && maxBids > 0 {
-		maxBids--
-		r := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-
-		// Best and second-best column values for row r; staying
-		// unmatched is worth 0 and acts as the reservation, so edges
-		// with w ≤ 0 can never contribute to either.
-		best := -1
-		bestV := 0.0
-		secondV := 0.0
-		for k := sp.RowPtr[r]; k < sp.RowPtr[r+1]; k++ {
-			c := sp.Col[k]
-			w := sp.W[k]
-			if w <= 0 {
-				continue
-			}
-			v := w - s.price[c]
-			if best < 0 || v > bestV {
-				if best >= 0 && bestV > secondV {
-					secondV = bestV
-				}
-				best, bestV = c, v
-			} else if v > secondV {
-				secondV = v
-			}
-		}
-		if best < 0 || bestV <= 0 {
-			continue // unmatched is optimal for this row
-		}
-		s.price[best] += bestV - secondV + eps
-
-		if prev := s.rowOf[best]; prev >= 0 {
-			s.colOf[prev] = -1
-			queue = append(queue, prev)
-		}
-		s.rowOf[best] = r
-		s.colOf[r] = best
-	}
-	s.queue = queue[:0]
-}
-
-// SparseHungarian solves sp with the sparse Hungarian kernel on a
-// throwaway solver — the convenience form for tests and offline tools;
-// hot paths hold a SparseSolver and call Solve.
+// SparseHungarian solves sp on a throwaway solver — the convenience
+// form for tests and offline tools; hot paths hold a SparseSolver and
+// call Solve.
 func SparseHungarian(sp Sparse) (Assignment, error) {
-	return sparseSolve(sp, KindHungarian, 0)
-}
-
-// SparseAuction solves sp with the sparse auction kernel on a
-// throwaway solver. eps is the bid increment, as in Auction.
-func SparseAuction(sp Sparse, eps float64) (Assignment, error) {
-	return sparseSolve(sp, KindAuction, eps)
-}
-
-func sparseSolve(sp Sparse, kind Kind, eps float64) (Assignment, error) {
 	var s SparseSolver
-	colOf, weight, matched, err := s.Solve(sp, kind, eps)
+	colOf, weight, matched, err := s.Solve(sp)
 	if err != nil {
 		return Assignment{}, err
 	}

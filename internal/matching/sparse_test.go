@@ -197,49 +197,18 @@ func TestSparseComponentEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, kind := range []Kind{KindHungarian, KindAuction} {
-			var solver SparseSolver
-			colOf, weight, matched, err := solver.Solve(sp, kind, 1e-6)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, kind, err)
-			}
-			if math.Abs(weight-d.Weight) > float64(sp.Rows)*1e-6+1e-9 {
-				t.Errorf("%s/%v: weight %.9f, dense optimum %.9f", name, kind, weight, d.Weight)
-			}
-			if kind == KindHungarian {
-				// Normalize nil vs empty: Solve hands back a zero-length
-				// view of its scratch for row-less instances.
-				if matched != d.Matched || !reflect.DeepEqual(append([]int{}, colOf...), append([]int{}, d.ColOf...)) {
-					t.Errorf("%s: assignment %v (matched %d), dense %v (%d)", name, colOf, matched, d.ColOf, d.Matched)
-				}
-			}
-		}
-	}
-}
-
-// TestSparseAuctionBitCompatibleWithDense: the per-component auction
-// must reproduce the dense auction bid for bid — including on
-// quantized tied weights, where the ε-step price wars happen — because
-// the dense LIFO stack preserves each component's relative order and
-// prices never leak across components.
-func TestSparseAuctionBitCompatibleWithDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 300; trial++ {
-		sp := randomSparse(rng, 1+rng.Intn(8), 1+rng.Intn(10), 0.05+rng.Float64()*0.9, trial%2 == 0)
-		const eps = 1e-4
-		d, err := Auction(denseOf(sp), eps)
+		var solver SparseSolver
+		colOf, weight, matched, err := solver.Solve(sp)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		s, err := SparseAuction(sp, eps)
-		if err != nil {
-			t.Fatal(err)
+		if math.Abs(weight-d.Weight) > 1e-9 {
+			t.Errorf("%s: weight %.9f, dense optimum %.9f", name, weight, d.Weight)
 		}
-		if !reflect.DeepEqual(d.ColOf, s.ColOf) || d.Matched != s.Matched {
-			t.Fatalf("trial %d: sparse auction %v vs dense %v on\n%v", trial, s.ColOf, d.ColOf, denseOf(sp))
-		}
-		if math.Abs(d.Weight-s.Weight) > 1e-9 {
-			t.Fatalf("trial %d: sparse auction weight %.12f vs dense %.12f", trial, s.Weight, d.Weight)
+		// Normalize nil vs empty: Solve hands back a zero-length view of
+		// its scratch for row-less instances.
+		if matched != d.Matched || !reflect.DeepEqual(append([]int{}, colOf...), append([]int{}, d.ColOf...)) {
+			t.Errorf("%s: assignment %v (matched %d), dense %v (%d)", name, colOf, matched, d.ColOf, d.Matched)
 		}
 	}
 }
@@ -251,22 +220,16 @@ func TestSparseSolverZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sp := randomSparse(rng, 12, 40, 0.15, false)
 	var solver SparseSolver
-	if _, _, _, err := solver.Solve(sp, KindHungarian, 0); err != nil {
+	if _, _, _, err := solver.Solve(sp); err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []Kind{KindHungarian, KindAuction} {
-		kind := kind
-		if _, _, _, err := solver.Solve(sp, kind, 1e-5); err != nil {
-			t.Fatal(err) // warm this kernel's scratch too
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, _, err := solver.Solve(sp); err != nil {
+			t.Error(err)
 		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, _, _, err := solver.Solve(sp, kind, 1e-5); err != nil {
-				t.Error(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%v: %v allocs per warm solve, want 0", kind, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per warm solve, want 0", allocs)
 	}
 }
 
@@ -286,12 +249,9 @@ func TestSparseValidate(t *testing.T) {
 			t.Errorf("%s: invalid instance accepted", name)
 		}
 		var solver SparseSolver
-		if _, _, _, err := solver.Solve(sp, KindHungarian, 0); err == nil {
+		if _, _, _, err := solver.Solve(sp); err == nil {
 			t.Errorf("%s: Solve accepted invalid instance", name)
 		}
-	}
-	if _, _, _, err := new(SparseSolver).Solve(Sparse{RowPtr: []int{0}}, Kind(99), 0); err == nil {
-		t.Error("unknown kernel accepted")
 	}
 	good := Sparse{Rows: 1, Cols: 2, RowPtr: []int{0, 1}, Col: []int{1}, W: []float64{3}}
 	if err := good.Validate(); err != nil {

@@ -33,28 +33,22 @@ import (
 // streaming API (Engine.NewBatchedStream): a batch run is just a
 // batched stream that enqueues the whole day upfront.
 
-// BatchAlgorithm selects the assignment solver used per batch.
+// BatchAlgorithm names the window solver. There is one, the exact
+// sparse Hungarian solve of closeBatchSparse, and nothing selects it.
+//
+// Deprecated: only the argument of NewBatchedStream, which the frozen
+// benchmark/ still passes, and the name the CLI prints.
 type BatchAlgorithm int
 
-// Batch solvers.
-const (
-	// BatchHungarian solves each batch exactly in O(n³).
-	BatchHungarian BatchAlgorithm = iota
-	// BatchAuction uses Bertsekas' auction algorithm (exact up to its
-	// bid increment; typically faster on sparse batches).
-	BatchAuction
-)
+// BatchHungarian is the only BatchAlgorithm.
+const BatchHungarian BatchAlgorithm = 0
 
 // String implements fmt.Stringer.
 func (a BatchAlgorithm) String() string {
-	switch a {
-	case BatchHungarian:
+	if a == BatchHungarian {
 		return "batched(hungarian)"
-	case BatchAuction:
-		return "batched(auction)"
-	default:
-		return fmt.Sprintf("BatchAlgorithm(%d)", int(a))
 	}
+	return fmt.Sprintf("BatchAlgorithm(%d)", int(a))
 }
 
 // BatchStats summarizes one closed dispatch window.
@@ -82,7 +76,6 @@ type BatchStats struct {
 type batcher struct {
 	r      *eventRun
 	window float64
-	algo   BatchAlgorithm
 
 	batch     []int
 	openedAt  float64
@@ -99,11 +92,11 @@ type batcher struct {
 // must be positive: the public boundaries (dispatch options, CLI flags)
 // validate user input, so a non-positive window here is an internal
 // programming error.
-func newBatcher(r *eventRun, window float64, algo BatchAlgorithm) *batcher {
+func newBatcher(r *eventRun, window float64) *batcher {
 	if !(window > 0) || math.IsInf(window, 1) {
 		panic(fmt.Sprintf("sim: non-positive batch window %g", window))
 	}
-	b := &batcher{r: r, window: window, algo: algo, closeAt: math.NaN()}
+	b := &batcher{r: r, window: window, closeAt: math.NaN()}
 	r.onArrival = b.arrival
 	r.onBatchClose = b.close
 	r.cancelPending = b.cancelPending
@@ -131,7 +124,7 @@ func (b *batcher) close(ev event) {
 		Cancelled: b.cancelled,
 	}
 	before := b.r.res.Rejected
-	b.r.e.closeBatch(b.r, b.batch, ev.at, b.algo)
+	b.r.e.closeBatch(b.r, b.batch, ev.at)
 	stats.Rejected = b.r.res.Rejected - before
 	stats.Matched = len(b.batch) - stats.Rejected
 	b.batch = b.batch[:0]
@@ -159,16 +152,16 @@ func (b *batcher) cancelPending(ti int) bool {
 // per driver per batch. Margins ≤ 0 are never assigned (individual
 // rationality), and tasks that found no driver are rejected — they are
 // real-time orders and cannot wait for the next batch.
-func (e *Engine) RunBatched(tasks []model.Task, window float64, algo BatchAlgorithm) Result {
-	return e.RunBatchedScenario(tasks, nil, window, algo)
+func (e *Engine) RunBatched(tasks []model.Task, window float64) Result {
+	return e.RunBatchedScenario(tasks, nil, window)
 }
 
 // RunBatchedScenario is RunBatched with dynamic market events (driver
 // churn, rider cancellations) interleaved into the arrival stream, with
 // the same event semantics as RunScenario.
-func (e *Engine) RunBatchedScenario(tasks []model.Task, events []model.MarketEvent, window float64, algo BatchAlgorithm) Result {
+func (e *Engine) RunBatchedScenario(tasks []model.Task, events []model.MarketEvent, window float64) Result {
 	r := e.newEventRun(tasks, events, true)
-	newBatcher(r, window, algo)
+	newBatcher(r, window)
 	for i := range tasks {
 		r.add(event{key: tasks[i].Publish, kind: evArrival, seq: i, at: tasks[i].Publish, idx: i})
 	}
@@ -183,7 +176,7 @@ func (e *Engine) RunBatchedScenario(tasks []model.Task, events []model.MarketEve
 //
 // There is one window solve, closeBatchSparse: the window as a sparse
 // candidate graph, split into connected task–driver components, each
-// solved independently with the sparse kernels of internal/matching over
+// solved independently by internal/matching's sparse Hungarian over
 // pooled scratch, so a steady-state window costs no allocations. The
 // pre-decomposition dense solve it replaced is a test oracle now
 // (closeBatchDense in dense_test.go, installed through windowOracle):
@@ -193,7 +186,7 @@ func (e *Engine) RunBatchedScenario(tasks []model.Task, events []model.MarketEve
 // degenerate windows where several exact optima tie bitwise (orders
 // lying on a driver's route home cost zero margin for every such driver)
 // and each commits its own canonical optimum.
-func (e *Engine) closeBatch(r *eventRun, batch []int, decisionAt float64, algo BatchAlgorithm) {
+func (e *Engine) closeBatch(r *eventRun, batch []int, decisionAt float64) {
 	if len(batch) == 0 {
 		return // every order of the window was cancelled
 	}
@@ -201,10 +194,10 @@ func (e *Engine) closeBatch(r *eventRun, batch []int, decisionAt float64, algo B
 		e.auditHook(r, batch, decisionAt)
 	}
 	if e.windowOracle != nil {
-		e.windowOracle(r, batch, decisionAt, algo)
+		e.windowOracle(r, batch, decisionAt)
 		return
 	}
-	e.closeBatchSparse(r, batch, decisionAt, algo)
+	e.closeBatchSparse(r, batch, decisionAt)
 }
 
 // ranksBefore is the strict order a window row is pruned under: higher
@@ -316,7 +309,7 @@ type windowScratch struct {
 
 // closeBatchSparse is the window solve: the window as a sparse candidate
 // graph, decomposed into connected components and solved exactly per
-// component by internal/matching's sparse kernels.
+// component by internal/matching's sparse Hungarian.
 //
 // The graph is compacted in three canonical, exact steps: candidates
 // with non-positive margin are dropped, each row keeps its top
@@ -330,7 +323,7 @@ type windowScratch struct {
 // replays decisions in batch order — which is what keeps both candidate
 // sources, both ways of building a row and the dense oracle
 // bit-identical.
-func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64, algo BatchAlgorithm) {
+func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64) {
 	ws := e.winScratch
 	if ws == nil {
 		ws = &windowScratch{}
@@ -382,17 +375,7 @@ func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64, 
 		RowPtr: ws.rowPtr, Col: ws.col, W: ws.w,
 	}
 
-	kind, eps := matching.KindHungarian, 0.0
-	if algo == BatchAuction {
-		// ε bounds both the optimality gap (≤ rows·ε, negligible
-		// against fares of currency-unit magnitude) and the worst-case
-		// bid count (≤ cols·maxW/ε on exactly tied margins — drivers at
-		// identical coordinates). A much smaller ε would buy no
-		// meaningful accuracy while letting a degenerate window stall
-		// the whole market for the length of its ε-step price war.
-		kind, eps = matching.KindAuction, 1e-4
-	}
-	colOf, _, _, err := ws.solver.Solve(sp, kind, eps)
+	colOf, _, _, err := ws.solver.Solve(sp)
 	if err != nil {
 		// The CSR is well-formed by construction.
 		panic(fmt.Sprintf("sim: batch matching failed: %v", err))

@@ -141,8 +141,8 @@ func TestBoundedRowsEqualFullRows(t *testing.T) {
 		src := NewGridSource(nil)
 		e := diffEngine(t, cfg.Market, tr.Drivers, 1, realTime, src)
 		a := auditRows(t, e, src)
-		got := e.RunBatchedScenario(tr.Tasks, events, 120, BatchHungarian)
-		want := diffEngine(t, cfg.Market, tr.Drivers, 1, realTime, nil).RunBatchedScenario(tr.Tasks, events, 120, BatchHungarian)
+		got := e.RunBatchedScenario(tr.Tasks, events, 120)
+		want := diffEngine(t, cfg.Market, tr.Drivers, 1, realTime, nil).RunBatchedScenario(tr.Tasks, events, 120)
 		diffResults(t, fmt.Sprintf("realTime=%v", realTime), want, got)
 		if a.pruned == 0 || a.short == 0 || got.Served == 0 {
 			t.Errorf("realTime=%v: %+v, %d served: the day must have rows the root prunes and rows that never fill", realTime, *a, got.Served)
@@ -221,7 +221,7 @@ func TestBoundedRowsTieWindow(t *testing.T) {
 		ks = append(ks, k)
 	}
 	a := auditRows(t, e, src, ks...)
-	e.RunBatched([]model.Task{order(0, 0, 1)}, 30, BatchHungarian)
+	e.RunBatched([]model.Task{order(0, 0, 1)}, 30)
 	if a.windows != 1 {
 		t.Fatalf("%d windows audited, want 1", a.windows)
 	}
@@ -245,8 +245,8 @@ func TestBoundedRowsTieWindow(t *testing.T) {
 			src := NewGridSource(nil)
 			e := diffEngine(t, mkt, fleet, 1, realTime, src)
 			a := auditRows(t, e, src)
-			got := e.RunBatched(day, 30, BatchHungarian)
-			want := diffEngine(t, mkt, fleet, 1, realTime, nil).RunBatched(day, 30, BatchHungarian)
+			got := e.RunBatched(day, 30)
+			want := diffEngine(t, mkt, fleet, 1, realTime, nil).RunBatched(day, 30)
 			diffResults(t, fmt.Sprintf("k=%d realTime=%v", k, realTime), want, got)
 			if a.windows != 2 || a.rows != 2*k || got.Served == 0 {
 				t.Fatalf("k=%d realTime=%v: %+v, %d served; want 2 windows of %d rows", k, realTime, *a, got.Served, k)
@@ -275,7 +275,7 @@ func TestBoundedRowsScoreFewer(t *testing.T) {
 		if !bounded {
 			src = fullRowsOnly{src}
 		}
-		res = diffEngine(t, mkt, tr.Drivers, 1, false, src).RunBatched(tr.Tasks, 60, BatchHungarian)
+		res = diffEngine(t, mkt, tr.Drivers, 1, false, src).RunBatched(tr.Tasks, 60)
 		return calls, res
 	}
 	full, want := day(false)
@@ -467,8 +467,8 @@ func FuzzBoundedRows(f *testing.F) {
 		src := NewGridSource(geo.NewGrid(fuzzBox, 1+int(in.byte())%6, 1+int(in.byte())%6))
 		e := diffEngine(t, model.DefaultMarket(), fleet, 1, realTime, src)
 		auditRows(t, e, src, k)
-		got := e.RunBatched(orders, window, BatchHungarian)
-		want := diffEngine(t, model.DefaultMarket(), fleet, 1, realTime, nil).RunBatched(orders, window, BatchHungarian)
+		got := e.RunBatched(orders, window)
+		want := diffEngine(t, model.DefaultMarket(), fleet, 1, realTime, nil).RunBatched(orders, window)
 		diffResults(t, "fuzzed batched day", want, got)
 	})
 }

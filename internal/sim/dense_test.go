@@ -8,22 +8,15 @@ import (
 )
 
 // closeBatchDense is the pre-decomposition window solve — one dense
-// Hungarian/Auction instance over the whole window — kept as the oracle
+// Hungarian instance over the whole window — kept as the oracle
 // closeBatchSparse is differentially tested against. It was production
 // code behind an exported Engine.DenseWindows switch until the window got
 // a second production way to build its rows; tests install it through
 // Engine.windowOracle (runBatchedWith).
-func (e *Engine) closeBatchDense(r *eventRun, batch []int, decisionAt float64, algo BatchAlgorithm) {
+func (e *Engine) closeBatchDense(r *eventRun, batch []int, decisionAt float64) {
 	w, arrivals, union := buildDenseWindow(e, r, batch, decisionAt)
 
-	var asg matching.Assignment
-	var err error
-	switch algo {
-	case BatchAuction:
-		asg, err = matching.Auction(w, 1e-4) // closeBatchSparse's ε
-	default:
-		asg, err = matching.Hungarian(w)
-	}
+	asg, err := matching.Hungarian(w)
 	if err != nil {
 		// The matrix is rectangular by construction.
 		panic(fmt.Sprintf("sim: batch matching failed: %v", err))

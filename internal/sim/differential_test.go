@@ -216,11 +216,9 @@ func TestGridSourceMatchesScanByValueAndBatched(t *testing.T) {
 			func(e *Engine) Result { return e.RunByValue(tr.Tasks, diffMaxMargin{}) })
 		diffResults(t, fmt.Sprintf("seed=%d by-value", seed), scan, indexed)
 
-		for _, algo := range []BatchAlgorithm{BatchHungarian, BatchAuction} {
-			scan, indexed = runPair(t, cfg.Market, tr.Drivers, seed, false, nil,
-				func(e *Engine) Result { return e.RunBatched(tr.Tasks, 30, algo) })
-			diffResults(t, fmt.Sprintf("seed=%d %v", seed, algo), scan, indexed)
-		}
+		scan, indexed = runPair(t, cfg.Market, tr.Drivers, seed, false, nil,
+			func(e *Engine) Result { return e.RunBatched(tr.Tasks, 30) })
+		diffResults(t, fmt.Sprintf("seed=%d batched", seed), scan, indexed)
 
 		scan, indexed = runPair(t, cfg.Market, tr.Drivers, seed, false, nil,
 			func(e *Engine) Result { return e.RunReplan(tr.Tasks, 60) })
@@ -274,7 +272,7 @@ func TestGridSourceMatchesScanScenario(t *testing.T) {
 		}
 		runs := map[string]func(e *Engine) Result{
 			"batched": func(e *Engine) Result {
-				return e.RunBatchedScenario(tr.Tasks, events, 45, BatchHungarian)
+				return e.RunBatchedScenario(tr.Tasks, events, 45)
 			},
 			"replan": func(e *Engine) Result { return e.RunReplanScenario(tr.Tasks, events, 90) },
 		}

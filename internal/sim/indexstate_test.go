@@ -104,9 +104,9 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 			e2.SetCandidateSource(NewGridSource(nil))
 			var restored *Stream
 			if batched {
-				restored, err = e2.RestoreStream(snap, nil, 60, BatchHungarian)
+				restored, err = e2.RestoreStream(snap, nil, 60)
 			} else {
-				restored, err = e2.RestoreStream(snap, d, 0, 0)
+				restored, err = e2.RestoreStream(snap, d, 0)
 			}
 			if err != nil {
 				t.Fatalf("cut %d: RestoreStream: %v", cut, err)

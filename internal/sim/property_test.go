@@ -53,7 +53,7 @@ func TestQuickSimulationConservation(t *testing.T) {
 		}
 
 		return check(eng.Run(tr.Tasks, localMaxMargin{})) &&
-			check(eng.RunBatched(tr.Tasks, 60, BatchHungarian)) &&
+			check(eng.RunBatched(tr.Tasks, 60)) &&
 			check(eng.RunReplan(tr.Tasks, 120))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/model"
@@ -39,8 +40,11 @@ func (e *Engine) RunReplan(tasks []model.Task, period float64) Result {
 // (an assigned-but-not-picked-up cancellation frees the driver for the
 // next round, with the same revocation semantics as RunScenario).
 func (e *Engine) RunReplanScenario(tasks []model.Task, events []model.MarketEvent, period float64) Result {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: non-positive replan period %g", period))
+	// A NaN period would schedule no flush at all and an infinite one
+	// would never leave the flush-grid loop below; the CLI validates the
+	// flag, so either here is a programming error like a negative one.
+	if !(period > 0) || math.IsInf(period, 1) {
+		panic(fmt.Sprintf("sim: replan period must be positive and finite, got %g", period))
 	}
 	r := e.newEventRun(tasks, events, true)
 	if len(tasks) == 0 && len(events) == 0 {

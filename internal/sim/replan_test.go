@@ -124,12 +124,18 @@ func TestReplanBeatsInstantHeuristics(t *testing.T) {
 
 func TestReplanPanicsOnBadPeriod(t *testing.T) {
 	e := mustEngine(t, []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: 100}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	e.RunReplan(nil, -1)
+	// NaN used to run with no flush grid and +Inf to extend the grid for
+	// ever (on an empty day both returned quietly).
+	for _, period := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("period %g: expected panic", period)
+				}
+			}()
+			e.RunReplan(nil, period)
+		}()
+	}
 }
 
 func TestReplanEmptyTasks(t *testing.T) {

@@ -79,7 +79,7 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 	run := func(v variant, d Dispatcher) Result {
 		eng := engine(v)
 		if d == nil {
-			return eng.RunBatchedScenario(tr.Tasks, events, 60, BatchHungarian)
+			return eng.RunBatchedScenario(tr.Tasks, events, 60)
 		}
 		return eng.RunScenario(tr.Tasks, events, d)
 	}
@@ -117,9 +117,9 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 			eng = engine(v)
 		}
 		if batched {
-			st, err = eng.RestoreStream(state, nil, 60, BatchHungarian)
+			st, err = eng.RestoreStream(state, nil, 60)
 		} else {
-			st, err = eng.RestoreStream(state, d, 0, 0)
+			st, err = eng.RestoreStream(state, d, 0)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -273,7 +273,7 @@ func TestScoringSnapsOncePerMove(t *testing.T) {
 		dayStart := router.Snaps()
 		var res Result
 		if batched {
-			res = eng.RunBatchedScenario(tr.Tasks, events, 60, BatchHungarian)
+			res = eng.RunBatchedScenario(tr.Tasks, events, 60)
 		} else {
 			res = eng.RunScenario(tr.Tasks, events, diffMaxMargin{})
 		}
@@ -320,7 +320,7 @@ func TestRoadNetworkMetricChangesOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crow := crowEng.RunBatched(tr.Tasks, 60, BatchHungarian)
+	crow := crowEng.RunBatched(tr.Tasks, 60)
 
 	netMarket := crowCfg.Market
 	netMarket.Dist = router.Dist
@@ -328,7 +328,7 @@ func TestRoadNetworkMetricChangesOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := netEng.RunBatched(tr.Tasks, 60, BatchHungarian)
+	net := netEng.RunBatched(tr.Tasks, 60)
 
 	if crow.Served == 0 || net.Served == 0 {
 		t.Fatalf("degenerate day: crow served %d, net served %d", crow.Served, net.Served)

@@ -165,7 +165,7 @@ func TestScenarioCancelPendingBatchedTask(t *testing.T) {
 	e := mustEngine(t, d)
 	res := e.RunBatchedScenario([]model.Task{a},
 		[]model.MarketEvent{{At: minutes(5), Kind: model.EventCancel, Task: 0}},
-		minutes(10), BatchHungarian)
+		minutes(10))
 	if res.Cancelled != 1 || res.Served != 0 || res.Rejected != 0 {
 		t.Fatalf("cancelled=%d served=%d rejected=%d, want 1/0/0", res.Cancelled, res.Served, res.Rejected)
 	}
@@ -193,8 +193,8 @@ func TestScenarioCancelKeepsBatchWindowsAnchored(t *testing.T) {
 	cancelA := []model.MarketEvent{{At: minutes(2), Kind: model.EventCancel, Task: 0}}
 	e := mustEngine(t, d)
 
-	cancelled := e.RunBatchedScenario([]model.Task{a, b, c}, cancelA, minutes(10), BatchHungarian)
-	uncancelled := e.RunBatchedScenario([]model.Task{a, b, c}, nil, minutes(10), BatchHungarian)
+	cancelled := e.RunBatchedScenario([]model.Task{a, b, c}, cancelA, minutes(10))
+	uncancelled := e.RunBatchedScenario([]model.Task{a, b, c}, nil, minutes(10))
 
 	for ti := 1; ti <= 2; ti++ {
 		_, gc := cancelled.Assignment[ti]

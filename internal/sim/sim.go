@@ -253,7 +253,7 @@ type Engine struct {
 	// then solves and commits it in closeBatchSparse's place (the dense
 	// pre-decomposition solve lives in dense_test.go).
 	auditHook    func(r *eventRun, batch []int, decisionAt float64)
-	windowOracle func(r *eventRun, batch []int, decisionAt float64, algo BatchAlgorithm)
+	windowOracle func(r *eventRun, batch []int, decisionAt float64)
 }
 
 // New returns an engine over the given market and drivers. It returns an

@@ -199,13 +199,13 @@ func (st *StreamState) validate() error {
 // RestoreStream rebuilds a suspended streaming run from a captured
 // state, in the mode selected by the arguments: instant dispatch under
 // d when the state has no batch section, else batched dispatch with the
-// given window and algorithm (which must match the capturing run's
-// configuration — the engine cannot verify the window retroactively,
-// only that the mode agrees). The engine's market constants, RealTime,
-// Clock and candidate source must be configured as they were on the
-// capturing engine before calling; the restored stream then continues
-// bit-identically to the captured one.
-func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64, algo BatchAlgorithm) (*Stream, error) {
+// given window (which must match the capturing run's configuration —
+// the engine cannot verify the window retroactively, only that the mode
+// agrees). The engine's market constants, RealTime, Clock and candidate
+// source must be configured as they were on the capturing engine before
+// calling; the restored stream then continues bit-identically to the
+// captured one.
+func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64) (*Stream, error) {
 	if err := st.validate(); err != nil {
 		return nil, err
 	}
@@ -269,7 +269,7 @@ func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64, al
 
 	strm := &Stream{e: e, r: r}
 	if st.Batch != nil {
-		b := newBatcher(r, window, algo)
+		b := newBatcher(r, window)
 		b.batch = append(b.batch, st.Batch.Batch...)
 		b.openedAt = st.Batch.OpenedAt
 		b.cancelled = st.Batch.Cancelled

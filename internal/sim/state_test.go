@@ -138,9 +138,9 @@ func TestStreamStateRoundTrip(t *testing.T) {
 					}
 					var restored *Stream
 					if m.batched {
-						restored, err = e2.RestoreStream(&back, nil, 45, BatchHungarian)
+						restored, err = e2.RestoreStream(&back, nil, 45)
 					} else {
-						restored, err = e2.RestoreStream(&back, diffRandom{}, 0, 0)
+						restored, err = e2.RestoreStream(&back, diffRandom{}, 0)
 					}
 					if err != nil {
 						t.Fatalf("cut %d: RestoreStream: %v", cut, err)
@@ -242,33 +242,33 @@ func TestRestoreStreamValidates(t *testing.T) {
 	// Sizing mismatch.
 	bad := mkState()
 	bad.Present = bad.Present[:1]
-	if _, err := fresh().RestoreStream(bad, diffMaxMargin{}, 0, 0); err == nil {
+	if _, err := fresh().RestoreStream(bad, diffMaxMargin{}, 0); err == nil {
 		t.Fatal("sizing mismatch accepted")
 	}
 	// Assignment out of range.
 	bad = mkState()
 	bad.Res.Assignment[99] = 0
-	if _, err := fresh().RestoreStream(bad, diffMaxMargin{}, 0, 0); err == nil {
+	if _, err := fresh().RestoreStream(bad, diffMaxMargin{}, 0); err == nil {
 		t.Fatal("out-of-range assignment accepted")
 	}
 	// Unknown event kind in the queue.
 	bad = mkState()
 	bad.Queue = append(bad.Queue, EventSnap{Kind: 99})
-	if _, err := fresh().RestoreStream(bad, diffMaxMargin{}, 0, 0); err == nil {
+	if _, err := fresh().RestoreStream(bad, diffMaxMargin{}, 0); err == nil {
 		t.Fatal("unknown event kind accepted")
 	}
 	// Instant restore without a dispatcher.
-	if _, err := fresh().RestoreStream(mkState(), nil, 0, 0); err == nil {
+	if _, err := fresh().RestoreStream(mkState(), nil, 0); err == nil {
 		t.Fatal("instant restore without dispatcher accepted")
 	}
 	// Batched restore with a bad window.
 	batched := mkState()
 	batched.Batch = &BatchSnap{}
-	if _, err := fresh().RestoreStream(batched, nil, 0, BatchHungarian); err == nil {
+	if _, err := fresh().RestoreStream(batched, nil, 0); err == nil {
 		t.Fatal("batched restore without window accepted")
 	}
 	// The pristine state restores fine.
-	if _, err := fresh().RestoreStream(mkState(), diffMaxMargin{}, 0, 0); err != nil {
+	if _, err := fresh().RestoreStream(mkState(), diffMaxMargin{}, 0); err != nil {
 		t.Fatalf("clean state refused: %v", err)
 	}
 }

@@ -136,15 +136,22 @@ func (e *Engine) NewStream(d Dispatcher, fleetEvents []model.MarketEvent) (*Stre
 // RunBatchedScenario on the whole day; the differential tests hold that
 // line. A non-positive (or non-finite) window is rejected with an
 // error, mirroring the validation the public dispatch options perform.
+//
+// Deprecated parameter: algo selects nothing — every window is solved
+// by the exact sparse Hungarian — and must be BatchHungarian; it stays
+// in the signature only because the frozen benchmark/ passes it.
 func (e *Engine) NewBatchedStream(window float64, algo BatchAlgorithm, fleetEvents []model.MarketEvent) (*Stream, error) {
 	if !(window > 0) || math.IsInf(window, 1) {
 		return nil, fmt.Errorf("sim: batch window must be a positive finite number of seconds, got %g", window)
+	}
+	if algo != BatchHungarian {
+		return nil, fmt.Errorf("sim: unknown batch algorithm %v (the only window solver is %v)", algo, BatchHungarian)
 	}
 	r, err := e.newStreamRun(fleetEvents)
 	if err != nil {
 		return nil, err
 	}
-	b := newBatcher(r, window, algo)
+	b := newBatcher(r, window)
 	return &Stream{e: e, r: r, b: b}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -18,7 +19,7 @@ import (
 // window closes fire exactly where RunBatchedScenario's drain would
 // fire them: before the first submission at or past the close time, or
 // in Finish.
-func replayThroughBatchedStream(t *testing.T, e *Engine, window float64, algo BatchAlgorithm,
+func replayThroughBatchedStream(t *testing.T, e *Engine, window float64,
 	tasks []model.Task, events []model.MarketEvent) Result {
 	t.Helper()
 	var fleet []model.MarketEvent
@@ -47,7 +48,7 @@ func replayThroughBatchedStream(t *testing.T, e *Engine, window float64, algo Ba
 		return feed[a].rank < feed[b].rank
 	})
 
-	st, err := e.NewBatchedStream(window, algo, fleet)
+	st, err := e.NewBatchedStream(window, BatchHungarian, fleet)
 	if err != nil {
 		t.Fatalf("NewBatchedStream: %v", err)
 	}
@@ -81,10 +82,11 @@ func replayThroughBatchedStream(t *testing.T, e *Engine, window float64, algo Ba
 
 // TestBatchedStreamBitIdenticalToRunBatched is the tentpole's
 // differential contract: replaying any trace — churn, cancellations,
-// both solvers, the scan (shards=1) and the indexed source as the
-// deprecated NewShardedSource shim hands it out (shards=2, 4: the
-// labels predate the deletion of the zone partition and go with the
-// shim) — one event at a time through a batched Stream must produce the
+// the scan (shards=1) and the indexed source as the deprecated
+// NewShardedSource shim hands it out (shards=2, 4: the labels predate
+// the deletion of the zone partition and go with the shim, as the
+// batched(hungarian) level predates the deletion of the second solver)
+// — one event at a time through a batched Stream must produce the
 // same Result, bit for bit, as RunBatchedScenario on the whole day.
 func TestBatchedStreamBitIdenticalToRunBatched(t *testing.T) {
 	scenarios := []struct {
@@ -96,7 +98,6 @@ func TestBatchedStreamBitIdenticalToRunBatched(t *testing.T) {
 		{25, 120, 0.4, 0.3, 45},
 		{40, 150, 0.5, 0.4, 120},
 	}
-	algos := []BatchAlgorithm{BatchHungarian, BatchAuction}
 	for si, sc := range scenarios {
 		cfg := trace.NewConfig(int64(200+si), sc.tasks, sc.drivers, trace.Hitchhiking)
 		cfg.PickupWindowMin = 8 * 60 // give batches room to form
@@ -106,43 +107,41 @@ func TestBatchedStreamBitIdenticalToRunBatched(t *testing.T) {
 		if sc.churn > 0 || sc.cancel > 0 {
 			events = trace.WithChurn(tr, trace.DefaultChurn(int64(si), sc.churn, sc.cancel))
 		}
-		for _, algo := range algos {
-			for _, shards := range []int{1, 2, 4} {
-				name := fmt.Sprintf("s%d/%v/shards=%d", si, algo, shards)
-				t.Run(name, func(t *testing.T) {
-					mk := func() CandidateSource {
-						if shards > 1 {
-							return NewShardedSource(shards)
-						}
-						return nil
+		for _, shards := range []int{1, 2, 4} {
+			name := fmt.Sprintf("s%d/%v/shards=%d", si, BatchHungarian, shards)
+			t.Run(name, func(t *testing.T) {
+				mk := func() CandidateSource {
+					if shards > 1 {
+						return NewShardedSource(shards)
 					}
-					be, err := New(cfg.Market, tr.Drivers, 7)
-					if err != nil {
-						t.Fatal(err)
-					}
-					be.SetCandidateSource(mk())
-					batch := be.RunBatchedScenario(tr.Tasks, events, sc.window, algo)
+					return nil
+				}
+				be, err := New(cfg.Market, tr.Drivers, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				be.SetCandidateSource(mk())
+				batch := be.RunBatchedScenario(tr.Tasks, events, sc.window)
 
-					se, err := New(cfg.Market, tr.Drivers, 7)
-					if err != nil {
-						t.Fatal(err)
-					}
-					se.SetCandidateSource(mk())
-					streamed := replayThroughBatchedStream(t, se, sc.window, algo, tr.Tasks, events)
+				se, err := New(cfg.Market, tr.Drivers, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				se.SetCandidateSource(mk())
+				streamed := replayThroughBatchedStream(t, se, sc.window, tr.Tasks, events)
 
-					if !reflect.DeepEqual(batch, streamed) {
-						t.Fatalf("batched stream diverged from RunBatchedScenario:\nbatch:  served=%d rejected=%d cancelled=%d revenue=%.9f profit=%.9f\nstream: served=%d rejected=%d cancelled=%d revenue=%.9f profit=%.9f",
-							batch.Served, batch.Rejected, batch.Cancelled, batch.Revenue, batch.TotalProfit,
-							streamed.Served, streamed.Rejected, streamed.Cancelled, streamed.Revenue, streamed.TotalProfit)
-					}
-				})
-			}
+				if !reflect.DeepEqual(batch, streamed) {
+					t.Fatalf("batched stream diverged from RunBatchedScenario:\nbatch:  served=%d rejected=%d cancelled=%d revenue=%.9f profit=%.9f\nstream: served=%d rejected=%d cancelled=%d revenue=%.9f profit=%.9f",
+						batch.Served, batch.Rejected, batch.Cancelled, batch.Revenue, batch.TotalProfit,
+						streamed.Served, streamed.Rejected, streamed.Cancelled, streamed.Revenue, streamed.TotalProfit)
+				}
+			})
 		}
 	}
 }
 
 // TestBatchedStreamInvariants is the batched mode's property wall,
-// driven over randomized churn/cancel days for both solvers:
+// driven over randomized churn/cancel days:
 //
 //   - the books balance after every single operation and every window
 //     close: served + rejected + cancelled + pending == submitted;
@@ -155,125 +154,123 @@ func TestBatchedStreamInvariants(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		for _, algo := range []BatchAlgorithm{BatchHungarian, BatchAuction} {
-			t.Run(fmt.Sprintf("seed=%d/%v", seed, algo), func(t *testing.T) {
-				cfg := trace.NewConfig(seed, 150, 30, trace.Hitchhiking)
-				cfg.PickupWindowMin = 8 * 60
-				cfg.PickupWindowMax = 16 * 60
-				tr := trace.NewGenerator(cfg).Generate(nil)
-				events := trace.WithChurn(tr, trace.ChurnConfig{
-					Seed: seed + 9, JoinFraction: 0.3, RetireFraction: 0.3, CancelFraction: 0.35,
-				})
+		t.Run(fmt.Sprintf("seed=%d/%v", seed, BatchHungarian), func(t *testing.T) {
+			cfg := trace.NewConfig(seed, 150, 30, trace.Hitchhiking)
+			cfg.PickupWindowMin = 8 * 60
+			cfg.PickupWindowMax = 16 * 60
+			tr := trace.NewGenerator(cfg).Generate(nil)
+			events := trace.WithChurn(tr, trace.ChurnConfig{
+				Seed: seed + 9, JoinFraction: 0.3, RetireFraction: 0.3, CancelFraction: 0.35,
+			})
 
-				e, err := New(cfg.Market, tr.Drivers, seed)
-				if err != nil {
-					t.Fatal(err)
+			e, err := New(cfg.Market, tr.Drivers, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fleet []model.MarketEvent
+			type op struct {
+				at     float64
+				rank   int
+				isTask bool
+				task   int
+			}
+			var feed []op
+			for _, ev := range events {
+				switch ev.Kind {
+				case model.EventJoin, model.EventRetire:
+					fleet = append(fleet, ev)
+				case model.EventCancel:
+					feed = append(feed, op{at: ev.At, rank: int(evCancel), task: ev.Task})
 				}
-				var fleet []model.MarketEvent
-				type op struct {
-					at     float64
-					rank   int
-					isTask bool
-					task   int
+			}
+			for i := range tr.Tasks {
+				feed = append(feed, op{at: tr.Tasks[i].Publish, rank: int(evArrival), isTask: true, task: i})
+			}
+			sort.SliceStable(feed, func(a, b int) bool {
+				if feed[a].at != feed[b].at {
+					return feed[a].at < feed[b].at
 				}
-				var feed []op
-				for _, ev := range events {
-					switch ev.Kind {
-					case model.EventJoin, model.EventRetire:
-						fleet = append(fleet, ev)
-					case model.EventCancel:
-						feed = append(feed, op{at: ev.At, rank: int(evCancel), task: ev.Task})
-					}
-				}
-				for i := range tr.Tasks {
-					feed = append(feed, op{at: tr.Tasks[i].Publish, rank: int(evArrival), isTask: true, task: i})
-				}
-				sort.SliceStable(feed, func(a, b int) bool {
-					if feed[a].at != feed[b].at {
-						return feed[a].at < feed[b].at
-					}
-					return feed[a].rank < feed[b].rank
-				})
+				return feed[a].rank < feed[b].rank
+			})
 
-				st, err := e.NewBatchedStream(60, algo, fleet)
-				if err != nil {
-					t.Fatal(err)
+			st, err := e.NewBatchedStream(60, BatchHungarian, fleet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decided := make(map[int]TaskDecision)
+			var windowDrivers map[int]bool
+			cancelledPending := make(map[int]bool)
+			st.SetDecisionHandler(func(dec TaskDecision) {
+				if windowDrivers == nil {
+					windowDrivers = make(map[int]bool)
 				}
-				decided := make(map[int]TaskDecision)
-				var windowDrivers map[int]bool
-				cancelledPending := make(map[int]bool)
-				st.SetDecisionHandler(func(dec TaskDecision) {
-					if windowDrivers == nil {
-						windowDrivers = make(map[int]bool)
-					}
-					if _, dup := decided[dec.Task]; dup {
-						t.Errorf("task %d decided twice", dec.Task)
-					}
-					decided[dec.Task] = dec
-					if cancelledPending[dec.Task] {
-						t.Errorf("task %d was cancelled in its window but still decided: %+v", dec.Task, dec)
-					}
-					if dec.Assigned {
-						if windowDrivers[dec.Driver] {
-							t.Errorf("driver %d assigned twice within one window", dec.Driver)
-						}
-						windowDrivers[dec.Driver] = true
-					}
-				})
-				windows := 0
-				st.SetBatchCloseHandler(func(bs BatchStats) {
-					windows++
-					if bs.Submitted != bs.Matched+bs.Rejected+bs.Cancelled {
-						t.Errorf("window stats do not balance: %+v", bs)
-					}
-					if bs.ClosedAt != bs.OpenedAt+60 {
-						t.Errorf("window not anchored at its opener: %+v", bs)
-					}
-					windowDrivers = nil // next window may reuse drivers
-					// Books are NOT checked here: a close usually fires
-					// inside the submission that passed its time, when
-					// that task is registered but its arrival is still
-					// queued. The per-operation check below covers every
-					// post-close state.
-				})
-
-				cancelledOK := make(map[int]bool)
-				for _, o := range feed {
-					if o.isTask {
-						if _, err := st.SubmitTask(tr.Tasks[o.task]); err != nil {
-							t.Fatalf("SubmitTask(%d): %v", o.task, err)
-						}
-					} else {
-						_, wasDecided := decided[o.task]
-						if _, ok, err := st.CancelTask(o.task, o.at); err != nil {
-							t.Fatalf("CancelTask(%d): %v", o.task, err)
-						} else if ok {
-							cancelledOK[o.task] = true
-							if !wasDecided {
-								cancelledPending[o.task] = true
-							}
-						}
-					}
-					checkBooks(t, st, "after op")
+				if _, dup := decided[dec.Task]; dup {
+					t.Errorf("task %d decided twice", dec.Task)
 				}
-				res, err := st.Finish()
-				if err != nil {
-					t.Fatalf("Finish: %v", err)
+				decided[dec.Task] = dec
+				if cancelledPending[dec.Task] {
+					t.Errorf("task %d was cancelled in its window but still decided: %+v", dec.Task, dec)
 				}
-				if windows == 0 {
-					t.Fatal("no window ever closed")
-				}
-				if res.Served+res.Rejected+res.Cancelled != len(tr.Tasks) {
-					t.Fatalf("final books do not balance: served=%d rejected=%d cancelled=%d of %d",
-						res.Served, res.Rejected, res.Cancelled, len(tr.Tasks))
-				}
-				for ti := range tr.Tasks {
-					if _, wasDecided := decided[ti]; !wasDecided && !cancelledOK[ti] {
-						t.Errorf("task %d neither decided nor cancelled", ti)
+				if dec.Assigned {
+					if windowDrivers[dec.Driver] {
+						t.Errorf("driver %d assigned twice within one window", dec.Driver)
 					}
+					windowDrivers[dec.Driver] = true
 				}
 			})
-		}
+			windows := 0
+			st.SetBatchCloseHandler(func(bs BatchStats) {
+				windows++
+				if bs.Submitted != bs.Matched+bs.Rejected+bs.Cancelled {
+					t.Errorf("window stats do not balance: %+v", bs)
+				}
+				if bs.ClosedAt != bs.OpenedAt+60 {
+					t.Errorf("window not anchored at its opener: %+v", bs)
+				}
+				windowDrivers = nil // next window may reuse drivers
+				// Books are NOT checked here: a close usually fires
+				// inside the submission that passed its time, when
+				// that task is registered but its arrival is still
+				// queued. The per-operation check below covers every
+				// post-close state.
+			})
+
+			cancelledOK := make(map[int]bool)
+			for _, o := range feed {
+				if o.isTask {
+					if _, err := st.SubmitTask(tr.Tasks[o.task]); err != nil {
+						t.Fatalf("SubmitTask(%d): %v", o.task, err)
+					}
+				} else {
+					_, wasDecided := decided[o.task]
+					if _, ok, err := st.CancelTask(o.task, o.at); err != nil {
+						t.Fatalf("CancelTask(%d): %v", o.task, err)
+					} else if ok {
+						cancelledOK[o.task] = true
+						if !wasDecided {
+							cancelledPending[o.task] = true
+						}
+					}
+				}
+				checkBooks(t, st, "after op")
+			}
+			res, err := st.Finish()
+			if err != nil {
+				t.Fatalf("Finish: %v", err)
+			}
+			if windows == 0 {
+				t.Fatal("no window ever closed")
+			}
+			if res.Served+res.Rejected+res.Cancelled != len(tr.Tasks) {
+				t.Fatalf("final books do not balance: served=%d rejected=%d cancelled=%d of %d",
+					res.Served, res.Rejected, res.Cancelled, len(tr.Tasks))
+			}
+			for ti := range tr.Tasks {
+				if _, wasDecided := decided[ti]; !wasDecided && !cancelledOK[ti] {
+					t.Errorf("task %d neither decided nor cancelled", ti)
+				}
+			}
+		})
 	}
 }
 
@@ -394,5 +391,16 @@ func TestNewBatchedStreamRejectsBadWindow(t *testing.T) {
 	}
 	if _, err := e.NewBatchedStream(30, BatchHungarian, nil); err != nil {
 		t.Errorf("valid window rejected: %v", err)
+	}
+}
+
+// TestNewBatchedStreamRejectsUnknownAlgorithm pins the deprecated algo
+// parameter: it accepts BatchHungarian, refuses anything else by name
+// (BatchAlgorithm(1) was the ε-auction), and selects nothing.
+func TestNewBatchedStreamRejectsUnknownAlgorithm(t *testing.T) {
+	e := mustEngine(t, []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: 100}})
+	_, err := e.NewBatchedStream(30, BatchAlgorithm(1), nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown batch algorithm BatchAlgorithm(1)") {
+		t.Fatalf("BatchAlgorithm(1): err = %v, want the unknown-algorithm refusal", err)
 	}
 }

@@ -22,17 +22,15 @@ import (
 // component-decomposed solve (closeBatchSparse) must commit exactly
 // what the pre-decomposition dense oracle (closeBatchDense in
 // dense_test.go) would have committed — same assignments, same
-// rejections, bit-identical
-// Result — across solvers, window lengths, candidate sources and
-// dynamic churn/cancellation workloads; and the batch drain and the
+// rejections, bit-identical Result — across window lengths, candidate
+// sources and dynamic churn/cancellation workloads; and the batch drain and the
 // streaming replay must agree, whatever the deprecated
 // Engine.MatchWorkers is set to.
 
 // runBatchedWith runs one batched scenario on a fresh engine in the
 // given window configuration.
 func runBatchedWith(t *testing.T, cfg trace.Config, drivers []model.Driver, tasks []model.Task,
-	events []model.MarketEvent, window float64, algo BatchAlgorithm,
-	indexed bool, dense bool) Result {
+	events []model.MarketEvent, window float64, indexed bool, dense bool) Result {
 	t.Helper()
 	e, err := New(cfg.Market, drivers, 7)
 	if err != nil {
@@ -44,13 +42,13 @@ func runBatchedWith(t *testing.T, cfg trace.Config, drivers []model.Driver, task
 	if dense {
 		e.windowOracle = e.closeBatchDense
 	}
-	return e.RunBatchedScenario(tasks, events, window, algo)
+	return e.RunBatchedScenario(tasks, events, window)
 }
 
 // TestSparseWindowsMatchDenseOracle sweeps randomized days — quiet and
 // churning — and asserts the sparse component path reproduces the dense
-// oracle's Result bit for bit under both solvers, several window
-// lengths, and both the scan and indexed candidate sources.
+// oracle's Result bit for bit under several window lengths and both the
+// scan and indexed candidate sources.
 func TestSparseWindowsMatchDenseOracle(t *testing.T) {
 	seeds := []int64{71, 72, 73, 74}
 	if testing.Short() {
@@ -64,18 +62,16 @@ func TestSparseWindowsMatchDenseOracle(t *testing.T) {
 		events := trace.WithChurn(tr, trace.ChurnConfig{
 			Seed: seed + 500, JoinFraction: 0.3, RetireFraction: 0.3, CancelFraction: 0.25,
 		})
-		for _, algo := range []BatchAlgorithm{BatchHungarian, BatchAuction} {
-			for _, window := range []float64{20, 60, 240} {
-				for _, indexed := range []bool{false, true} {
-					for _, evs := range map[string][]model.MarketEvent{"quiet": nil, "churn": events} {
-						dense := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, algo, indexed, true)
-						sparse := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, algo, indexed, false)
-						if !reflect.DeepEqual(dense, sparse) {
-							t.Errorf("seed=%d %v window=%g indexed=%v events=%d: sparse diverged from dense oracle\ndense:  served=%d rejected=%d cancelled=%d revenue=%.9f\nsparse: served=%d rejected=%d cancelled=%d revenue=%.9f",
-								seed, algo, window, indexed, len(evs),
-								dense.Served, dense.Rejected, dense.Cancelled, dense.Revenue,
-								sparse.Served, sparse.Rejected, sparse.Cancelled, sparse.Revenue)
-						}
+		for _, window := range []float64{20, 60, 240} {
+			for _, indexed := range []bool{false, true} {
+				for _, evs := range map[string][]model.MarketEvent{"quiet": nil, "churn": events} {
+					dense := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, indexed, true)
+					sparse := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, evs, window, indexed, false)
+					if !reflect.DeepEqual(dense, sparse) {
+						t.Errorf("seed=%d window=%g indexed=%v events=%d: sparse diverged from dense oracle\ndense:  served=%d rejected=%d cancelled=%d revenue=%.9f\nsparse: served=%d rejected=%d cancelled=%d revenue=%.9f",
+							seed, window, indexed, len(evs),
+							dense.Served, dense.Rejected, dense.Cancelled, dense.Revenue,
+							sparse.Served, sparse.Rejected, sparse.Cancelled, sparse.Revenue)
 					}
 				}
 			}
@@ -87,8 +83,7 @@ func TestSparseWindowsMatchDenseOracle(t *testing.T) {
 // (the window worker pool it sized is gone; only the frozen benchmark/
 // still sets it): batched results — from the batch drain and from a
 // batched stream replay — are bit-identical with the field set and left
-// alone, over {scan, indexed} × both solvers on churn/cancellation
-// traces.
+// alone, over {scan, indexed} on churn/cancellation traces.
 func TestWindowWorkerIndependence(t *testing.T) {
 	seeds := []int64{81, 82}
 	if testing.Short() {
@@ -102,26 +97,24 @@ func TestWindowWorkerIndependence(t *testing.T) {
 		events := trace.WithChurn(tr, trace.ChurnConfig{
 			Seed: seed + 900, JoinFraction: 0.3, RetireFraction: 0.3, CancelFraction: 0.25,
 		})
-		for _, algo := range []BatchAlgorithm{BatchHungarian, BatchAuction} {
-			base := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, events, 45, algo, false, false)
-			for _, indexed := range []bool{false, true} {
-				for _, workers := range []int{0, 4} {
-					label := fmt.Sprintf("seed=%d %v indexed=%v MatchWorkers=%d", seed, algo, indexed, workers)
-					se, err := New(cfg.Market, tr.Drivers, 7)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if indexed {
-						se.SetCandidateSource(NewGridSource(nil))
-					}
-					se.MatchWorkers = workers
-					if got := se.RunBatchedScenario(tr.Tasks, events, 45, algo); !reflect.DeepEqual(base, got) {
-						t.Errorf("%s: batch drain diverged from the scan", label)
-					}
-					streamed := replayThroughBatchedStream(t, se, 45, algo, tr.Tasks, events)
-					if !reflect.DeepEqual(base, streamed) {
-						t.Errorf("%s: batched stream replay diverged from the scan", label)
-					}
+		base := runBatchedWith(t, cfg, tr.Drivers, tr.Tasks, events, 45, false, false)
+		for _, indexed := range []bool{false, true} {
+			for _, workers := range []int{0, 4} {
+				label := fmt.Sprintf("seed=%d indexed=%v MatchWorkers=%d", seed, indexed, workers)
+				se, err := New(cfg.Market, tr.Drivers, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if indexed {
+					se.SetCandidateSource(NewGridSource(nil))
+				}
+				se.MatchWorkers = workers
+				if got := se.RunBatchedScenario(tr.Tasks, events, 45); !reflect.DeepEqual(base, got) {
+					t.Errorf("%s: batch drain diverged from the scan", label)
+				}
+				streamed := replayThroughBatchedStream(t, se, 45, tr.Tasks, events)
+				if !reflect.DeepEqual(base, streamed) {
+					t.Errorf("%s: batched stream replay diverged from the scan", label)
 				}
 			}
 		}
@@ -251,7 +244,7 @@ func TestWindowSolversAgreePerWindow(t *testing.T) {
 				ties++
 			}
 		}
-		res := e.RunBatched(tr.Tasks, 180, BatchHungarian)
+		res := e.RunBatched(tr.Tasks, 180)
 		if windows == 0 {
 			t.Fatalf("seed=%d: no windows audited", seed)
 		}

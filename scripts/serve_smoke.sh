@@ -44,7 +44,7 @@ echo "serve_smoke: clean shutdown"
 # below).
 PPROF_PORT=$((PORT + 1))
 /tmp/rideshare-smoke serve -addr "127.0.0.1:$PORT" -drivers 500 \
-  -batch-window 30 -batch-algo hungarian -realtime \
+  -batch-window 30 -realtime \
   -pprof-addr "127.0.0.1:$PPROF_PORT" &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
