@@ -193,6 +193,9 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"serve -batch-algo (retired with the auction)", func() error {
 			return cmdServe([]string{"-batch-window", "30", "-batch-algo", "hungarian"})
 		}, unknown("-batch-algo")},
+		{"serve -roadnet-cache (retired: serve's street graph is a distance table, with no cache to bound)", func() error {
+			return cmdServe([]string{"-roadnet", "-roadnet-cache", "5"})
+		}, unknown("-roadnet-cache")},
 		{"router -batch-algo (retired with the auction)", func() error {
 			return cmdRouter([]string{"-batch-window", "30", "-batch-algo", "auction"})
 		}, unknown("-batch-algo")},

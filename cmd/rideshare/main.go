@@ -12,7 +12,8 @@
 //	             over the public dispatch package — instant dispatch, or
 //	             windowed batch matching with -batch-window; durable with
 //	             -wal-dir (write-ahead log, snapshots, crash recovery);
-//	             street-graph travel times with -roadnet
+//	             street-graph travel times with -roadnet (the default
+//	             20×24 grid, every node pair read from a distance table)
 //	router       federate several markets behind one HTTP router:
 //	             /v1/markets/{m}/... per market, aggregated healthz and
 //	             stats, per-market WALs, rolling restart via recovery

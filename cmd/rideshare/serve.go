@@ -112,7 +112,6 @@ func cmdServe(args []string) error {
 	batchWindow := fs.Float64("batch-window", 0, "batched dispatch: accumulate orders for this many seconds and clear each window with a maximum-weight matching (0 = instant dispatch)")
 	maxPending := fs.Int("max-pending", 0, "admission bound: shed submissions with 429 once the open batch window (batched) or the submissions in flight (instant) reach this many (0 = unbounded)")
 	useRoadnet := fs.Bool("roadnet", false, "route every distance over the synthetic street graph instead of crow-fly (network-accurate travel times; journals with -wal-dir)")
-	roadnetCache := fs.Int("roadnet-cache", 0, "route-cache bound in memoized node pairs (0 = default; needs -roadnet)")
 	pprofAddr := fs.String("pprof-addr", "", "optional listen address for a net/http/pprof debug server (e.g. localhost:6060) with mutex profiling enabled; empty disables it")
 	walDir := fs.String("wal-dir", "", "durable mode: write-ahead-log directory; an existing log is recovered and the market resumes where it stopped")
 	fsyncMode := fs.String("fsync", "always", "WAL fsync policy: always, interval or off (needs -wal-dir)")
@@ -129,16 +128,6 @@ func cmdServe(args []string) error {
 	}
 	if *maxPending < 0 {
 		return fmt.Errorf("serve: -max-pending %d, want ≥ 0", *maxPending)
-	}
-	if !*useRoadnet {
-		// -roadnet-cache tunes the street-graph route cache; without the
-		// graph it would be silently ignored — reject it instead.
-		if explicitFlag(fs, "roadnet-cache") != "" {
-			return fmt.Errorf("serve: -roadnet-cache needs -roadnet (there is no route cache to bound)")
-		}
-	}
-	if *roadnetCache < 0 {
-		return fmt.Errorf("serve: -roadnet-cache %d, want ≥ 0", *roadnetCache)
 	}
 	if *tracePath == "" {
 		if err := checkPositive("serve", map[string]int{"-drivers": *drivers}); err != nil {
@@ -185,7 +174,7 @@ func cmdServe(args []string) error {
 		opts = append(opts, dispatch.WithMaxPending(*maxPending))
 	}
 	if *useRoadnet {
-		opts = append(opts, dispatch.WithRoadNetwork(dispatch.RoadNetwork{CacheEntries: *roadnetCache}))
+		opts = append(opts, dispatch.WithRoadNetwork(dispatch.RoadNetwork{}))
 	}
 	var svc *dispatch.Service
 	restored := false

@@ -15,7 +15,13 @@ import (
 // the identical graph and router (the generator is seeded).
 //
 // Zero values take the defaults of the internal generator's Porto grid
-// (20×24 intersections, seed 1) and router (2²⁰ cached node pairs).
+// (20×24 intersections, seed 1) and router. The router's shape follows
+// from the grid's size alone: up to 1 024 intersections (the default has
+// 480) it holds every node-pair distance in a flat table filled when the
+// service is built, and CacheEntries and Algo — still validated and
+// journaled — select nothing; above that it routes with the Algo kernel
+// behind a cache of CacheEntries node pairs (default 2²⁰). Every shape
+// returns the same distances bit for bit.
 type RoadNetwork struct {
 	// Rows and Cols size the street grid; both must be ≥ 2.
 	Rows int `json:"rows,omitempty"`
@@ -23,12 +29,14 @@ type RoadNetwork struct {
 	// Seed drives the generator's street removal, diagonal avenues and
 	// node jitter.
 	Seed int64 `json:"seed,omitempty"`
-	// CacheEntries bounds the router's route cache (node pairs held in
-	// all); must be ≥ 0, where 0 means the default.
+	// CacheEntries bounds the route cache of a grid over 1 024
+	// intersections (node pairs held in all); must be ≥ 0, where 0 means
+	// the default. A smaller grid has no cache to bound.
 	CacheEntries int `json:"cache_entries,omitempty"`
-	// Algo selects the routing kernel: "" or "ch" for contraction
-	// hierarchies (the default; enables one-to-many candidate
-	// batching), "alt" for landmark A*. The kernels return bitwise
+	// Algo selects the routing kernel of a grid over 1 024
+	// intersections: "" or "ch" for contraction hierarchies (the
+	// default; enables one-to-many candidate batching), "alt" for
+	// landmark A*. The kernels and the small grids' table return bitwise
 	// identical distances, so replays and restores may mix them.
 	Algo string `json:"algo,omitempty"`
 }

@@ -69,6 +69,32 @@ func Equirectangular(a, b Point) float64 {
 	return EarthRadiusKm * math.Hypot(x, y)
 }
 
+// kmPerDeg is the length of one degree of latitude.
+const kmPerDeg = EarthRadiusKm * math.Pi / 180
+
+// CosLat returns the cosine of a latitude in degrees, computed the way
+// Equirectangular computes the cosine of a mean latitude.
+func CosLat(lat float64) float64 { return math.Cos(degToRad(lat)) }
+
+// EquirectangularSqAt returns Equirectangular(a, b) squared with cosLat
+// standing in for the cosine of the mean latitude: three multiplications
+// and no trigonometry, for callers that can decide a comparison from a
+// bound and take the exact distance only when they cannot. The cosine is
+// unimodal on [-90°, 90°], so over any band of latitudes that holds both
+// points — and with them their mean — it is least at an end of the band
+// and greatest at the equator or, failing that, at the other end. Up to
+// float rounding (a few parts in 10¹⁶: the coordinate differences are
+// the very subtractions Equirectangular performs), a cosLat no greater
+// than the least makes the result a lower bound on Equirectangular(a,
+// b)², one no less than the greatest an upper bound; a caller that
+// scales the result by 1 ∓ 1e-9 before comparing has the inequality in
+// floats too.
+func EquirectangularSqAt(a, b Point, cosLat float64) float64 {
+	x := (b.Lon - a.Lon) * (cosLat * kmPerDeg)
+	y := (b.Lat - a.Lat) * kmPerDeg
+	return x*x + y*y
+}
+
 // DistanceFunc computes the distance in kilometers between two points.
 type DistanceFunc func(a, b Point) float64
 

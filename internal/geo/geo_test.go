@@ -192,3 +192,37 @@ func clampLon(v float64) float64 {
 func randomPointIn(rng *rand.Rand, b BoundingBox) Point {
 	return b.Lerp(rng.Float64(), rng.Float64())
 }
+
+// TestEquirectangularSqAtBrackets: over random bands of latitude —
+// narrow and wide, astride the equator and up against a pole — and
+// random pairs inside each, the planar square under the band's least
+// cosine is at most Equirectangular², and under its greatest (1 when the
+// band holds the equator) at least, to within the 1e-9 a caller allows;
+// and under the pair's own mean-latitude cosine it is the exact square
+// to a few ulps.
+func TestEquirectangularSqAtBrackets(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 2000; trial++ {
+		lo := -90 + 180*rng.Float64()
+		hi := math.Min(90, lo+math.Pow(10, -3+4*rng.Float64())) // 0.001° to 10°
+		cosLo := math.Min(CosLat(lo), CosLat(hi))
+		cosHi := math.Max(CosLat(lo), CosLat(hi))
+		if lo <= 0 && hi >= 0 {
+			cosHi = 1
+		}
+		for i := 0; i < 20; i++ {
+			a := Point{Lat: lo + (hi-lo)*rng.Float64(), Lon: -180 + 360*rng.Float64()}
+			b := Point{Lat: lo + (hi-lo)*rng.Float64(), Lon: a.Lon + (rng.Float64()-0.5)*math.Pow(10, -6+7*rng.Float64())}
+			d := Equirectangular(a, b)
+			if lower := EquirectangularSqAt(a, b, cosLo); lower*(1-1e-9) > d*d {
+				t.Fatalf("band [%v, %v], %v–%v: lower bound %v above the exact square %v", lo, hi, a, b, lower, d*d)
+			}
+			if upper := EquirectangularSqAt(a, b, cosHi); upper*(1+1e-9) < d*d {
+				t.Fatalf("band [%v, %v], %v–%v: upper bound %v below the exact square %v", lo, hi, a, b, upper, d*d)
+			}
+			if at := EquirectangularSqAt(a, b, CosLat((a.Lat+b.Lat)/2)); math.Abs(at-d*d) > 1e-14*d*d {
+				t.Fatalf("%v–%v: square under the mean-latitude cosine %v, exact %v", a, b, at, d*d)
+			}
+		}
+	}
+}

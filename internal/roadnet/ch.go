@@ -135,41 +135,45 @@ func chLess(a, b chHeapItem) bool {
 	return a.dist < b.dist || (a.dist == b.dist && a.node < b.node)
 }
 
+// push and pop sift a hole rather than swap: the moving item is written
+// once, where it comes to rest. chLess is a total order, so the sequence
+// of items popped does not depend on how the array is arranged.
 func (h *chHeap) push(it chHeapItem) {
 	*h = append(*h, it)
 	q := *h
-	for i := len(q) - 1; i > 0; {
+	i := len(q) - 1
+	for i > 0 {
 		p := (i - 1) / 2
-		if !chLess(q[i], q[p]) {
+		if !chLess(it, q[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
 		i = p
 	}
+	q[i] = it
 }
 
 func (h *chHeap) pop() chHeapItem {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	*h = q
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && chLess(q[l], q[small]) {
-			small = l
+	last := q[n]
+	*h = q[:n]
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && chLess(q[c+1], q[c]) {
+			c++
 		}
-		if r < n && chLess(q[r], q[small]) {
-			small = r
-		}
-		if small == i {
+		if !chLess(q[c], last) {
 			break
 		}
-		q[i], q[small] = q[small], q[i]
-		i = small
+		q[i] = q[c]
+		i = c
 	}
+	q[i] = last
 	return top
 }
 

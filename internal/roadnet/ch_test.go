@@ -211,27 +211,14 @@ func routerTestPoints(box geo.BoundingBox, n int, salt int64) []geo.Point {
 }
 
 // TestDistManyMatchesLoopedDist pins the one-to-many contract: both
-// batch shapes must be bitwise equal to their per-pair loops, on both
-// kernels, including repeated targets (cache path) and the shared
-// endpoint itself.
+// batch shapes must be bitwise equal to their per-pair loops, on the
+// table and on every kernel, including repeated targets (cache path) and
+// the shared endpoint itself.
 func TestDistManyMatchesLoopedDist(t *testing.T) {
-	cfg := DefaultGridConfig()
-	cfg.Rows, cfg.Cols = 12, 14
-	g, err := GenerateGrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []string{"ch", "ch-nolabels", "alt"} {
-		algo := AlgoCH
-		if mode == "alt" {
-			algo = AlgoALT
-		}
-		r := NewRouterAlgo(g, cfg.Box, 8, algo)
-		if mode == "ch-nolabels" {
-			// Strip the hub-label tier so the batch path runs the
-			// large-graph search kernels end to end through the Router.
-			r.ch.labOffF, r.ch.labOffB, r.ch.labF, r.ch.labB = nil, nil, nil, nil
-		}
+	// The ch-nolabels column runs the batch path over the large-graph
+	// search kernels end to end through the Router.
+	routers, cfg := snapTestRouters(t)
+	for mode, r := range routers {
 		pts := routerTestPoints(cfg.Box, 24, 3)
 		pts = append(pts, pts[4], pts[0]) // duplicates: cached on second sight
 		origin := geo.Point{Lat: cfg.Box.MinLat + 0.7*(cfg.Box.MaxLat-cfg.Box.MinLat),
@@ -263,7 +250,7 @@ func TestDistManyCacheAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, cfg.Box, 8)
+	r := kernelRouter(g, cfg.Box, 8, AlgoCH)
 	pts := routerTestPoints(cfg.Box, 16, 9)
 	origin := pts[0]
 	targets := pts[1:]
@@ -290,8 +277,8 @@ func TestDistManyCacheAccounting(t *testing.T) {
 // graph and point scatter: every Dist must agree bitwise.
 func TestRouterAlgoBitwiseIdentity(t *testing.T) {
 	chTestGraphs(t, func(name string, g *Graph, cfg GridConfig) {
-		alt := NewRouterAlgo(g, cfg.Box, 8, AlgoALT)
-		ch := NewRouterAlgo(g, cfg.Box, 8, AlgoCH)
+		alt := kernelRouter(g, cfg.Box, 8, AlgoALT)
+		ch := kernelRouter(g, cfg.Box, 8, AlgoCH)
 		pts := routerTestPoints(cfg.Box, 20, 5)
 		for i, a := range pts {
 			for j, b := range pts {
@@ -312,7 +299,7 @@ func TestRouterResetCacheStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, cfg.Box, 8)
+	r := kernelRouter(g, cfg.Box, 8, AlgoCH)
 	pts := routerTestPoints(cfg.Box, 6, 1)
 	for _, p := range pts[1:] {
 		r.Dist(pts[0], p)
@@ -377,7 +364,7 @@ func BenchmarkCHQueryPTP(b *testing.B) {
 
 func BenchmarkDistManyCH(b *testing.B) {
 	g, cfg := benchGraph(b)
-	r := NewRouter(g, cfg.Box, 10)
+	r := kernelRouter(g, cfg.Box, 10, AlgoCH)
 	r.SetCacheBound(1) // defeat memoization: measure the kernel
 	pts := routerTestPoints(cfg.Box, 16, 2)
 	out := make([]float64, len(pts)-1)
@@ -389,7 +376,7 @@ func BenchmarkDistManyCH(b *testing.B) {
 
 func BenchmarkDistLoopedCH(b *testing.B) {
 	g, cfg := benchGraph(b)
-	r := NewRouter(g, cfg.Box, 10)
+	r := kernelRouter(g, cfg.Box, 10, AlgoCH)
 	r.SetCacheBound(1)
 	pts := routerTestPoints(cfg.Box, 16, 2)
 	b.ResetTimer()

@@ -3,8 +3,9 @@
 // trip trajectories; straight-line distance understates urban driving
 // distance by the network's circuity (~1.2–1.4× in practice). This
 // package supplies weighted road graphs, shortest-path routing
-// (Dijkstra and A*), synthetic city-network generators, and a cached
-// Router that plugs into model.Market.Dist so every cost and travel-time
+// (Dijkstra and A*), synthetic city-network generators, and a Router —
+// an all-pairs distance table on city-sized graphs, cached kernels above
+// them — that plugs into model.Market.Dist so every cost and travel-time
 // estimate in the framework can be network-accurate instead of
 // crow-fly.
 package roadnet
@@ -177,29 +178,41 @@ func (g *Graph) DistancesFrom(src int) []float64 {
 	if src < 0 || src >= len(g.pts) {
 		panic(fmt.Sprintf("roadnet: source %d out of range [0,%d)", src, len(g.pts)))
 	}
-	n := len(g.pts)
-	dist := make([]float64, n)
-	done := make([]bool, n)
+	dist := make([]float64, len(g.pts))
+	var h chHeap
+	sweep(g.adj, int32(src), dist, &h)
+	return dist
+}
+
+// sweep is the one single-source Dijkstra body of the package: it fills
+// dist (one element per node of adj) with the distance from src to every
+// node, +Inf where unreachable, borrowing h as its queue. DistancesFrom,
+// the landmark tables and the Router's all-pairs table are all this
+// loop, so they agree with each other — and with route, which performs
+// the same relaxation nd := dist[u] + e.km — bit for bit: adding a
+// positive weight is monotone in floats, so a settled label is the
+// minimum left-fold over all paths whatever order the queue breaks ties
+// in. A node is pushed only when its label strictly improves, so its
+// queue entries carry distinct keys and exactly one of them — the one
+// equal to the final label — relaxes its edges; no settled flags needed.
+func sweep(adj [][]halfEdge, src int32, dist []float64, h *chHeap) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	q := pq{{node: int32(src)}}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
-		u := it.node
-		if done[u] {
-			continue
+	*h = append((*h)[:0], chHeapItem{node: src})
+	for len(*h) > 0 {
+		it := h.pop()
+		if it.dist != dist[it.node] {
+			continue // superseded by a shorter label
 		}
-		done[u] = true
-		for _, e := range g.adj[u] {
-			if nd := dist[u] + e.km; nd < dist[e.to] {
+		for _, e := range adj[it.node] {
+			if nd := it.dist + e.km; nd < dist[e.to] {
 				dist[e.to] = nd
-				heap.Push(&q, pqItem{node: e.to, dist: nd})
+				h.push(chHeapItem{dist: nd, node: e.to})
 			}
 		}
 	}
-	return dist
 }
 
 // StronglyConnected reports whether every node reaches every other.

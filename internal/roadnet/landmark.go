@@ -1,7 +1,6 @@
 package roadnet
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/geo"
@@ -114,26 +113,8 @@ func (g *Graph) DistancesTo(dst int) []float64 {
 		}
 	}
 	dist := make([]float64, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[dst] = 0
-	q := pq{{node: int32(dst)}}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, e := range tr[u] {
-			if nd := dist[u] + e.km; nd < dist[e.to] {
-				dist[e.to] = nd
-				heap.Push(&q, pqItem{node: e.to, dist: nd})
-			}
-		}
-	}
+	var h chHeap
+	sweep(tr, int32(dst), dist, &h)
 	return dist
 }
 

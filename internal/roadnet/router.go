@@ -8,7 +8,8 @@ import (
 	"repro/internal/geo"
 )
 
-// Algorithm selects the Router's point-to-point routing kernel. Both
+// Algorithm selects the point-to-point routing kernel of a Router whose
+// graph is too large for the all-pairs table (see tableMaxPairs). Both
 // kernels return bitwise-identical distances (the differential tests
 // enforce it), so the choice is purely a speed/preprocessing trade.
 type Algorithm int
@@ -33,17 +34,29 @@ func (a Algorithm) String() string {
 
 // Router adapts a road graph to the framework's geo.DistanceFunc
 // contract: Dist(a, b) snaps both points to their nearest intersections,
-// routes between them with the configured kernel (contraction-hierarchy
-// query by default, landmark-accelerated A* for AlgoALT), and adds the
-// straight-line access legs. Snapping is the expensive half on a graph
-// whose routes fit the cache, so every distance also comes in a snapped
-// form (Snap, DistSnapped and the two batch kernels): a caller whose
-// points outlive one query snaps each once and keeps the geo.Snap. The
-// point forms are wrappers that snap and call the snapped ones, so both
-// evaluate one float expression. Route results are memoized in a bounded,
-// sharded cache with per-key inflight de-duplication, so the O(M²)
-// task-map construction and 50k-driver dispatch days pay each route
-// once without growing memory without bound.
+// takes the shortest route between them, and adds the straight-line
+// access legs. Snapping is the expensive half, so every distance also
+// comes in a snapped form (Snap, DistSnapped and the two batch kernels):
+// a caller whose points outlive one query snaps each once and keeps the
+// geo.Snap. The point forms are wrappers that snap and call the snapped
+// ones, so both evaluate one float expression.
+//
+// Node-to-node distances come from one of two tiers, chosen by the size
+// of the graph and by nothing else:
+//
+//   - At most tableMaxPairs node pairs (1 024 nodes — every city-sized
+//     graph in the repository): a flat all-pairs table filled at
+//     construction by one Dijkstra sweep per node. A lookup is an indexed
+//     load. Such a router builds no hierarchy, no labels and no
+//     landmarks whatever the Algorithm says, and has no cache:
+//     SetCacheBound does nothing and CacheStats / CacheSize read zero.
+//   - Above that: the configured kernel (contraction-hierarchy query by
+//     default, landmark-accelerated A* for AlgoALT) behind a bounded,
+//     sharded cache with per-key inflight de-duplication, so the O(M²)
+//     task-map construction and 50k-driver dispatch days pay each route
+//     once without growing memory without bound.
+//
+// Both tiers return the float Graph.ShortestPath returns, bit for bit.
 //
 // Dist never returns less than the straight-line distance between its
 // arguments, so crow-fly ring pruning (internal/spatial) stays
@@ -53,17 +66,28 @@ func (a Algorithm) String() string {
 // to NewRouter covers the graph's nodes, which the generators in this
 // package guarantee.
 //
-// Router is safe for concurrent use.
+// Router is safe for concurrent use; a table router is immutable after
+// construction but for its snap counter.
 type Router struct {
-	g    *Graph
-	algo Algorithm
-	lm   *Landmarks // ALT kernel state (nil under AlgoCH)
-	ch   *Hierarchy // CH kernel state (nil under AlgoALT)
+	g *Graph
+
+	// table[u*n+v] is the distance u→v, for all n² pairs; nil on a
+	// graph over tableMaxPairs, which routes with lm or ch instead.
+	table []float64
+	n     int
+	lm    *Landmarks // ALT kernel state (nil unless AlgoALT, no table)
+	ch    *Hierarchy // CH kernel state (nil unless AlgoCH, no table)
 
 	// snap index: grid buckets of node ids.
 	grid    *geo.Grid
 	buckets [][]int32
 	spanKm  float64 // conservative min cell span, for ring termination
+
+	// The latitude band of the box and the nodes, and the least and the
+	// greatest cosine of latitude inside it: what the planar bounds of
+	// nearest and distSnapped stand on (see geo.EquirectangularSqAt).
+	latLo, latHi float64
+	cosLo, cosHi float64
 
 	maxPerShard int64
 	shards      [routeCacheShards]routeShard
@@ -82,6 +106,21 @@ const (
 	// default 20×24 grid), so the default never evicts there while
 	// still capping memory (~48 MiB of entries) on huge graphs.
 	DefaultCacheEntries = 1 << 20
+
+	// tableMaxPairs is the largest graph, in node pairs, that gets the
+	// all-pairs table: exactly the graphs whose every route the default
+	// cache could have held anyway (n ≤ 1 024), at a sixth of the bytes
+	// — 8 per pair, 8 MiB at the bound, 1.8 MB on the default grid.
+	tableMaxPairs = DefaultCacheEntries
+
+	// sqSlackRel and sqSlackAbs are the margins by which a squared
+	// planar bound (geo.EquirectangularSqAt) must clear a squared exact
+	// distance before nearest or distSnapped acts on it. The relative one
+	// swallows float rounding on both sides, seven orders of magnitude
+	// over; the absolute one — nothing beside any distance a street graph
+	// holds — swallows a square that underflowed next to the origin.
+	sqSlackRel = 1e-9
+	sqSlackAbs = 1e-280
 
 	// defaultLandmarks is the number of ALT landmarks precomputed by
 	// NewRouter. Eight well-spread landmarks are the classic
@@ -105,37 +144,67 @@ type routeCall struct {
 	d    float64
 }
 
-// NewRouter builds a contraction-hierarchy router over the graph,
-// indexing nodes into an s x s snap grid covering box; s < 1 sizes the
-// grid from the node count (see snapGridDim). The route cache holds up
-// to DefaultCacheEntries routes; tune with SetCacheBound before use.
+// NewRouter builds a router over the graph, indexing nodes into an s x s
+// snap grid covering box; s < 1 sizes the grid from the node count (see
+// snapGridDim). Above the table's size bound it routes over a
+// contraction hierarchy behind a cache of up to DefaultCacheEntries
+// routes; tune with SetCacheBound before use.
 func NewRouter(g *Graph, box geo.BoundingBox, s int) *Router {
 	return NewRouterAlgo(g, box, s, AlgoCH)
 }
 
-// NewRouterAlgo is NewRouter with an explicit routing kernel: AlgoCH
-// preprocesses a contraction hierarchy, AlgoALT precomputes ALT
-// landmarks. Both yield bitwise-identical distances.
+// NewRouterAlgo is NewRouter with an explicit routing kernel for graphs
+// over the table's size bound: AlgoCH preprocesses a contraction
+// hierarchy, AlgoALT precomputes ALT landmarks. Both yield
+// bitwise-identical distances, and on a smaller graph algo selects
+// nothing.
 func NewRouterAlgo(g *Graph, box geo.BoundingBox, s int, algo Algorithm) *Router {
+	return newRouter(g, box, s, algo, tableMaxPairs)
+}
+
+// newRouter is NewRouterAlgo with the table's size bound as a parameter:
+// the package's tests pass 0 to hold the kernels, the cache and the hub
+// labels to their contracts on graphs small enough to sweep.
+func newRouter(g *Graph, box geo.BoundingBox, s int, algo Algorithm, tableMax int) *Router {
+	n := g.NumNodes()
 	if s < 1 {
-		s = snapGridDim(g.NumNodes())
+		s = snapGridDim(n)
 	}
 	r := &Router{
-		g:    g,
-		algo: algo,
-		grid: geo.NewGrid(box, s, s),
+		g:     g,
+		n:     n,
+		grid:  geo.NewGrid(box, s, s),
+		latLo: box.MinLat,
+		latHi: box.MaxLat,
 	}
 	r.maxPerShard = ceilDiv(DefaultCacheEntries, routeCacheShards)
 	h, w := r.grid.CellSpanKm()
 	r.spanKm = math.Min(h, w)
 	r.buckets = make([][]int32, r.grid.NumCells())
-	for id := 0; id < g.NumNodes(); id++ {
-		c := r.grid.CellOf(g.Point(id))
+	for id := 0; id < n; id++ {
+		p := g.Point(id)
+		c := r.grid.CellOf(p)
 		r.buckets[c] = append(r.buckets[c], int32(id))
+		r.latLo, r.latHi = math.Min(r.latLo, p.Lat), math.Max(r.latHi, p.Lat)
 	}
-	if algo == AlgoALT {
+	// The cosine is unimodal on [-90°, 90°]: over a band it is least at
+	// an end, and greatest at the equator if the band holds it, else at
+	// the other end.
+	south, north := geo.CosLat(r.latLo), geo.CosLat(r.latHi)
+	r.cosLo, r.cosHi = math.Min(south, north), math.Max(south, north)
+	if r.latLo <= 0 && r.latHi >= 0 {
+		r.cosHi = 1
+	}
+	switch {
+	case n*n <= tableMax:
+		r.table = make([]float64, n*n)
+		var q chHeap
+		for u := 0; u < n; u++ {
+			sweep(g.adj, int32(u), r.table[u*n:][:n], &q)
+		}
+	case algo == AlgoALT:
 		r.lm = NewLandmarks(g, g.SelectLandmarks(defaultLandmarks))
-	} else {
+	default:
 		r.ch = BuildHierarchy(g)
 	}
 	return r
@@ -155,13 +224,10 @@ func snapGridDim(n int) int {
 	return dim
 }
 
-// Algo reports which routing kernel the router was built with.
-func (r *Router) Algo() Algorithm { return r.algo }
-
 // SetCacheBound caps the route cache at roughly maxEntries memoized
 // node pairs (rounded up to a multiple of the shard count; at least one
 // per shard). Call before routing; it does not shrink an existing
-// cache.
+// cache. A table router has no cache and ignores the call.
 func (r *Router) SetCacheBound(maxEntries int) {
 	if maxEntries < 1 {
 		maxEntries = 1
@@ -181,11 +247,33 @@ func ceilDiv(n, d int64) int64 { return (n + d - 1) / d }
 // populated-but-farther Moore neighborhood therefore never masks the
 // true nearest node in a later ring.
 func (r *Router) NearestNode(p geo.Point) int {
+	id, _, _ := r.nearest(p)
+	return int(id)
+}
+
+// inBand reports whether a latitude lies in the router's band, where
+// cosLo and cosHi bracket the cosine.
+func (r *Router) inBand(lat float64) bool { return lat >= r.latLo && lat <= r.latHi }
+
+// nearest is NearestNode, returning the winner's distance too, and how
+// many nodes it took the exact distance to. Within the rings those are
+// only the nodes that can win: every node lies in the band, so the mean
+// latitude of p and a node lies in it too — or between it and p — and
+// cosLo is no greater than the cosine the exact distance will use.
+// EquirectangularSqAt under cosLo is therefore a lower bound, and a node
+// whose bound already exceeds the best distance so far is passed over.
+// The test is strict, so a node exactly tied with the incumbent is still
+// measured and the lowest id still wins.
+func (r *Router) nearest(p geo.Point) (id int32, km float64, measured int) {
 	rows, cols := r.grid.Rows, r.grid.Cols
 	cell := r.grid.CellOf(p)
 	row, col := cell/cols, cell%cols
+	cosLo := r.cosLo
+	if !r.inBand(p.Lat) {
+		cosLo = math.Min(cosLo, geo.CosLat(p.Lat))
+	}
 	best := int32(-1)
-	bestD := math.Inf(1)
+	bestD, bestSq := math.Inf(1), math.Inf(1) // bestSq: bestD², slack added
 	for ring := 0; ring <= max(rows, cols); ring++ {
 		if best >= 0 && float64(ring-1)*r.spanKm > bestD {
 			break
@@ -203,26 +291,31 @@ func (r *Router) NearestNode(p geo.Point) int {
 					continue
 				}
 				for _, id := range r.buckets[rr*cols+cc] {
-					d := geo.Equirectangular(p, r.g.Point(int(id)))
+					q := r.g.pts[id]
+					if geo.EquirectangularSqAt(p, q, cosLo)*(1-sqSlackRel) > bestSq {
+						continue
+					}
+					measured++
+					d := geo.Equirectangular(p, q)
 					if d < bestD || d == bestD && id < best {
-						best, bestD = id, d
+						best, bestD, bestSq = id, d, d*d+sqSlackAbs
 					}
 				}
 			}
 		}
 	}
-	return int(best)
+	return best, bestD, measured
 }
 
 // Snap resolves p onto the graph: its nearest node and the straight-line
 // access leg to it. The result stays valid for the router's lifetime.
 func (r *Router) Snap(p geo.Point) geo.Snap {
 	r.snaps.Add(1)
-	u := r.NearestNode(p)
+	u, km, _ := r.nearest(p)
 	if u < 0 {
 		return geo.Snap{P: p, Node: -1}
 	}
-	return geo.Snap{P: p, Node: int32(u), AccessKm: geo.Equirectangular(p, r.g.Point(u))}
+	return geo.Snap{P: p, Node: u, AccessKm: km}
 }
 
 // Dist computes the network distance between a and b in kilometers:
@@ -240,22 +333,29 @@ func (r *Router) DistSnapped(a, b geo.Snap) float64 {
 }
 
 // distSnapped is the one distance expression every public form
-// evaluates: the two access legs, plus the cached route between the
-// nodes (computed by compute on a miss, see nodeDistVia), floored at the
-// straight-line distance so the result is a true metric
-// over-approximation of crow-fly (the equirectangular projection's
-// triangle inequality holds only to ~1e-4 at city scale, and pruning
-// correctness must not depend on that).
+// evaluates: the two access legs, plus the route between the nodes (see
+// nodeDistVia for compute), floored at the straight-line distance so the
+// result is a true metric over-approximation of crow-fly (the
+// equirectangular projection's triangle inequality holds only to ~1e-4
+// at city scale, and pruning correctness must not depend on that). The
+// floor rarely binds — a route is longer than the chord it spans — so
+// between two points of the band, whose mean latitude has a cosine of at
+// most cosHi, the exact straight-line distance is taken only when the
+// upper bound EquirectangularSqAt gives under cosHi does not already sit
+// at or below the route.
 func (r *Router) distSnapped(a, b geo.Snap, compute func() float64) float64 {
-	crow := geo.Equirectangular(a.P, b.P)
 	if a.Node < 0 {
-		return crow // empty graph: degrade to crow-fly
+		return geo.Equirectangular(a.P, b.P) // empty graph: degrade to crow-fly
 	}
 	d := a.AccessKm + b.AccessKm
 	if a.Node != b.Node {
 		d += r.nodeDistVia(a.Node, b.Node, compute)
 	}
-	if crow > d {
+	if r.inBand(a.P.Lat) && r.inBand(b.P.Lat) &&
+		geo.EquirectangularSqAt(a.P, b.P, r.cosHi)*(1+sqSlackRel)+sqSlackAbs <= d*d {
+		return d
+	}
+	if crow := geo.Equirectangular(a.P, b.P); crow > d {
 		d = crow
 	}
 	return d
@@ -292,6 +392,11 @@ func (r *Router) routeNodes(u, v int32) float64 {
 // lookups keep the exact cache semantics — and hit/miss accounting — of
 // looped per-pair lookups.
 func (r *Router) nodeDistVia(u, v int32, compute func() float64) float64 {
+	if r.table != nil {
+		// Re-slicing to the row first hands a node of some other router's
+		// graph to Go's bounds check instead of a neighbouring row.
+		return r.table[int(u)*r.n:][:r.n][v]
+	}
 	key := [2]int32{u, v}
 	s := r.shard(key)
 	s.mu.Lock()
@@ -339,7 +444,7 @@ func (r *Router) nodeDistVia(u, v int32, compute func() float64) float64 {
 }
 
 // CacheSize returns the number of memoized node pairs (for tests and
-// capacity planning).
+// capacity planning); zero on a table router, which has no cache.
 func (r *Router) CacheSize() int {
 	var n int
 	for i := range r.shards {
@@ -369,21 +474,22 @@ func (r *Router) Snaps() uint64 { return r.snaps.Load() }
 // counters. Hits are lookups served without running a route computation
 // (including waiters coalesced onto another goroutine's in-flight
 // route); misses count route computations; evictions count entries
-// dropped to honor the cache bound.
+// dropped to honor the cache bound. All three stay zero on a table
+// router: a table load is neither.
 func (r *Router) CacheStats() (hits, misses, evictions uint64) {
 	return r.hits.Load(), r.misses.Load(), r.evictions.Load()
 }
 
 // DistManySnappedInto writes the network distances from origin to every
 // target into out, which must have at least len(targets) elements:
-// out[i] is bitwise equal to DistSnapped(origin, targets[i]). Under
-// AlgoCH the pairs that miss the route cache share one forward upward
+// out[i] is bitwise equal to DistSnapped(origin, targets[i]). Over a
+// hierarchy the pairs that miss the route cache share one forward upward
 // search (origin's side, run when the first of them misses) and pay
 // only a small bucket-probing backward search each, so a batch beats
-// looped DistSnapped once a handful of misses share the origin; under
-// AlgoALT it is the loop. Cache semantics are identical to looped
-// DistSnapped: each pair is looked up, coalesced, counted, and stored
-// exactly as a single call would.
+// looped DistSnapped once a handful of misses share the origin; on a
+// table router, and under AlgoALT, it is the loop. Cache semantics are
+// identical to looped DistSnapped: each pair is looked up, coalesced,
+// counted, and stored exactly as a single call would.
 func (r *Router) DistManySnappedInto(origin geo.Snap, targets []geo.Snap, out []float64) {
 	if len(out) < len(targets) {
 		panic("roadnet: DistManySnappedInto out buffer too small")

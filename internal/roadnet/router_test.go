@@ -245,7 +245,7 @@ func TestRouterCacheSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, cfg.Box, 10)
+	r := kernelRouter(g, cfg.Box, 10, AlgoCH)
 	a, b := cfg.Box.Lerp(0.1, 0.1), cfg.Box.Lerp(0.9, 0.9)
 
 	const workers = 64
@@ -283,7 +283,7 @@ func TestRouterCacheConcurrentMixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, cfg.Box, 10)
+	r := kernelRouter(g, cfg.Box, 10, AlgoCH)
 	r.SetCacheBound(64)
 
 	const workers, iters = 8, 200
@@ -324,7 +324,7 @@ func TestRouterCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, cfg.Box, 10)
+	r := kernelRouter(g, cfg.Box, 10, AlgoCH)
 	r.SetCacheBound(16) // one entry per shard
 	n := g.NumNodes()
 	for u := 0; u < n; u += 2 {
@@ -358,7 +358,7 @@ func TestRouterCacheStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, cfg.Box, 10)
+	r := kernelRouter(g, cfg.Box, 10, AlgoCH)
 	a, b := cfg.Box.Lerp(0.2, 0.3), cfg.Box.Lerp(0.8, 0.6)
 	r.Dist(a, b)
 	r.Dist(a, b)
@@ -381,22 +381,81 @@ func benchGraph(b *testing.B) (*Graph, GridConfig) {
 	return g, cfg
 }
 
-func BenchmarkRouterNearestNode(b *testing.B) {
-	g, cfg := benchGraph(b)
-	r := NewRouter(g, cfg.Box, 10)
-	pts := make([]geo.Point, 64)
-	for i := range pts {
-		pts[i] = cfg.Box.Lerp(float64(i%8)/8+0.06, float64(i/8)/8+0.06)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.NearestNode(pts[i%len(pts)])
+// BenchmarkRouterBuild is what a service pays before its first order, by
+// tier: the all-pairs table the default grid gets, the hierarchy and hub
+// labels the same grid got before the table (through kernelRouter), and
+// the hierarchy of a graph well over the table's bound.
+func BenchmarkRouterBuild(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		rows, cols int
+		kernel     bool // build through kernelRouter
+	}{
+		{"table-20x24", 20, 24, false},
+		{"ch-20x24", 20, 24, true},
+		{"ch-60x72", 60, 72, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if c.rows*c.cols > 1024 && testing.Short() {
+				b.Skip("a 4 320-node hierarchy takes most of a second to build")
+			}
+			cfg := DefaultGridConfig()
+			cfg.Rows, cfg.Cols = c.rows, c.cols
+			g, err := GenerateGrid(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.kernel {
+					kernelRouter(g, cfg.Box, 0, AlgoCH)
+				} else {
+					NewRouter(g, cfg.Box, 0)
+				}
+			}
+		})
 	}
 }
 
+// BenchmarkRouterNearestNode times one snap search on the default grid
+// and reports the work under the time: exact distances taken per search
+// (every node of the rings visited, before the planar bound).
+func BenchmarkRouterNearestNode(b *testing.B) {
+	g, cfg := benchGraph(b)
+	r := NewRouter(g, cfg.Box, 0)
+	pts := routerTestPoints(cfg.Box, 1024, 3)
+	measured := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, m := r.nearest(pts[i%len(pts)])
+		measured += m
+	}
+	b.ReportMetric(float64(measured)/float64(b.N), "nodes-measured/snap")
+}
+
+// BenchmarkDistSnappedTable times the distance the engine's scoring loop
+// takes half a million times a day: two kept snaps, one table load, the
+// floor's bound.
+func BenchmarkDistSnappedTable(b *testing.B) {
+	g, cfg := benchGraph(b)
+	r := NewRouter(g, cfg.Box, 0)
+	snaps := r.snapAll(routerTestPoints(cfg.Box, 1024, 3))
+	var sink float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += r.DistSnapped(snaps[i%len(snaps)], snaps[(i*7+3)%len(snaps)])
+	}
+	if math.IsNaN(sink) {
+		b.Fatal("NaN distance")
+	}
+}
+
+// BenchmarkRouterDistCached times a point-form distance whose route the
+// cache already holds, on the kernel tier: two snap searches, one cache
+// hit behind a shard lock.
 func BenchmarkRouterDistCached(b *testing.B) {
 	g, cfg := benchGraph(b)
-	r := NewRouter(g, cfg.Box, 10)
+	r := kernelRouter(g, cfg.Box, 10, AlgoCH)
 	a, c := cfg.Box.Lerp(0.1, 0.15), cfg.Box.Lerp(0.85, 0.8)
 	r.Dist(a, c) // warm the single hot entry
 	b.ResetTimer()

@@ -8,22 +8,37 @@ import (
 	"repro/internal/geo"
 )
 
-// refDist is Router.Dist as it read before the snapped forms existed —
-// both nearest-node searches inside the call, the access legs, the
-// route, the crow-fly floor — kept here as the reference every public
-// form is held bitwise equal to. It routes with the point-to-point
-// kernel directly, so it shares neither the cache nor the batch probes
-// with the forms under test.
+// kernelRouter builds a router that routes with its kernel and cache
+// even on a graph the all-pairs table would cover: the table's size
+// bound set to zero, through the constructor's one unexported parameter.
+func kernelRouter(g *Graph, box geo.BoundingBox, s int, algo Algorithm) *Router {
+	return newRouter(g, box, s, algo, 0)
+}
+
+// stripLabels removes a CH router's hub-label tier, leaving the
+// live-search kernels graphs over chLabelMaxNodes nodes run on.
+func stripLabels(r *Router) *Router {
+	h := r.ch
+	h.labOffF, h.labOffB, h.labF, h.labB = nil, nil, nil, nil
+	return r
+}
+
+// refDist is the reference every public distance form is held bitwise
+// equal to, and it shares nothing with them but the graph: a scan of
+// every node for each endpoint's nearest (lowest id on a tie), the two
+// access legs, plain Dijkstra between the nodes, the crow-fly floor
+// always evaluated. No snap grid, no bound, no table, kernel or cache.
 func refDist(r *Router, a, b geo.Point) float64 {
 	crow := geo.Equirectangular(a, b)
-	u := r.NearestNode(a)
+	u, ua := bruteNearest(r.g, a)
 	if u < 0 {
 		return crow // empty graph: degrade to crow-fly
 	}
-	v := r.NearestNode(b)
-	d := geo.Equirectangular(a, r.g.Point(u)) + geo.Equirectangular(b, r.g.Point(v))
+	v, vb := bruteNearest(r.g, b)
+	d := ua + vb
 	if u != v {
-		d += r.routeNodes(int32(u), int32(v))
+		route, _ := r.g.ShortestPath(u, v)
+		d += route
 	}
 	if crow > d {
 		d = crow
@@ -36,13 +51,17 @@ func refDist(r *Router, a, b geo.Point) float64 {
 // batch shapes.
 func checkFormsAgainstRef(t testing.TB, label string, r *Router, hub geo.Point, pts []geo.Point) {
 	t.Helper()
-	hubSnap := r.Snap(hub)
+	snap := func(p geo.Point) geo.Snap {
+		s := r.Snap(p)
+		if want, _ := bruteNearest(r.g, p); s.P != p || int(s.Node) != want || r.NearestNode(p) != want {
+			t.Fatalf("%s: Snap(%v) = %+v, NearestNode = %d, a scan of every node finds %d", label, p, s, r.NearestNode(p), want)
+		}
+		return s
+	}
+	hubSnap := snap(hub)
 	snaps := make([]geo.Snap, len(pts))
 	for i, p := range pts {
-		snaps[i] = r.Snap(p)
-		if snaps[i].P != p || int(snaps[i].Node) != r.NearestNode(p) {
-			t.Fatalf("%s: Snap(%v) = %+v, NearestNode = %d", label, p, snaps[i], r.NearestNode(p))
-		}
+		snaps[i] = snap(p)
 	}
 	from := make([]float64, len(pts)) // hub → pts[i]
 	to := make([]float64, len(pts))   // pts[i] → hub
@@ -83,8 +102,9 @@ func checkFormsAgainstRef(t testing.TB, label string, r *Router, hub geo.Point, 
 	}
 }
 
-// snapTestRouters builds one router per kernel over the 12x14 test
-// grid: hub labels, the live-search fallback, and ALT.
+// snapTestRouters builds one router per distance tier over the 12x14
+// test grid: the all-pairs table such a graph gets in production, and —
+// through kernelRouter — hub labels, the live-search fallback, and ALT.
 func snapTestRouters(t testing.TB) (map[string]*Router, GridConfig) {
 	cfg := DefaultGridConfig()
 	cfg.Rows, cfg.Cols = 12, 14
@@ -93,21 +113,23 @@ func snapTestRouters(t testing.TB) (map[string]*Router, GridConfig) {
 		t.Fatal(err)
 	}
 	routers := map[string]*Router{
-		"ch":          NewRouterAlgo(g, cfg.Box, 0, AlgoCH),
-		"ch-nolabels": NewRouterAlgo(g, cfg.Box, 0, AlgoCH),
-		"alt":         NewRouterAlgo(g, cfg.Box, 0, AlgoALT),
+		"table":       NewRouter(g, cfg.Box, 0),
+		"ch":          kernelRouter(g, cfg.Box, 0, AlgoCH),
+		"ch-nolabels": stripLabels(kernelRouter(g, cfg.Box, 0, AlgoCH)),
+		"alt":         kernelRouter(g, cfg.Box, 0, AlgoALT),
 	}
-	h := routers["ch-nolabels"].ch
-	h.labOffF, h.labOffB, h.labF, h.labB = nil, nil, nil, nil
+	if routers["table"].table == nil || routers["ch"].table != nil {
+		t.Fatal("the table column is not on the table, or a kernel column is")
+	}
 	return routers, cfg
 }
 
 // TestSnappedFormsMatchReference is the contract of the snapped
 // endpoint forms: DistSnapped, both snapped batch kernels and the
-// point-form wrappers all return, bit for bit, what the pre-snap Dist
-// body returns — over random pairs inside and outside the snap box,
+// point-form wrappers all return, bit for bit, what the reference
+// returns — over random pairs inside and outside the snap box,
 // coincident points, points sharing a nearest node (u == v), points
-// sitting on nodes, an empty graph, and every routing kernel. A batch
+// sitting on nodes, an empty graph, and every distance tier. A batch
 // is run twice so the second pass is served from the route cache.
 func TestSnappedFormsMatchReference(t *testing.T) {
 	routers, cfg := snapTestRouters(t)
@@ -137,12 +159,69 @@ func TestSnappedFormsMatchReference(t *testing.T) {
 	}
 
 	for _, algo := range []Algorithm{AlgoCH, AlgoALT} {
-		empty := NewRouterAlgo(&Graph{}, box, 0, algo)
+		empty := kernelRouter(&Graph{}, box, 0, algo)
 		if s := empty.Snap(box.Center()); s.Node != -1 || s.AccessKm != 0 {
 			t.Fatalf("empty graph (%s): Snap = %+v, want node -1 and no access leg", algo, s)
 		}
 		pts := routerTestPoints(box, 8, 2)
 		checkFormsAgainstRef(t, "empty graph "+algo.String(), empty, box.Lerp(0.4, 1.3), pts)
+	}
+	checkFormsAgainstRef(t, "empty graph table", NewRouter(&Graph{}, box, 0), box.Lerp(0.4, 1.3), routerTestPoints(box, 8, 2))
+}
+
+// TestBoundsAcrossLatitudes holds the two planar bounds — the one that
+// lets the snap pass over a node, the one that lets a distance skip its
+// crow-fly floor — to the reference where their cosines are least alike:
+// a city astride the equator (the upper cosine is 1), one in the far
+// south, one at 70° north and one a few kilometres from the pole, where
+// a degree of longitude shrinks fast across the band, each probed with
+// points inside its band and outside it.
+func TestBoundsAcrossLatitudes(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		minLat, maxLat float64
+	}{
+		{"equator", -0.07, 0.08},
+		{"south", -34.0, -33.85},
+		{"north", 69.9, 70.05},
+		{"polar", 89.8, 89.95},
+	} {
+		cfg := DefaultGridConfig()
+		cfg.Rows, cfg.Cols = 9, 11
+		lonSpan := math.Min(0.2/geo.CosLat(c.maxLat), 120) // ~20 km wide, while degrees last
+		cfg.Box = geo.BoundingBox{MinLat: c.minLat, MinLon: -60, MaxLat: c.maxLat, MaxLon: -60 + lonSpan}
+		g, err := GenerateGrid(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for tier, r := range map[string]*Router{
+			"table": NewRouter(g, cfg.Box, 0),
+			"ch":    kernelRouter(g, cfg.Box, 0, AlgoCH),
+		} {
+			if astride := c.minLat < 0 && c.maxLat > 0; (r.cosHi == 1) != astride || r.cosLo > r.cosHi {
+				t.Fatalf("%s: band [%v, %v] has cosines [%v, %v]", c.name, r.latLo, r.latHi, r.cosLo, r.cosHi)
+			}
+			rng := rand.New(rand.NewSource(23))
+			for round := 0; round < 4; round++ {
+				hub := cfg.Box.Lerp(rng.Float64(), rng.Float64())
+				var pts []geo.Point
+				for i := 0; i < 20; i++ {
+					pts = append(pts,
+						cfg.Box.Lerp(rng.Float64(), rng.Float64()),
+						cfg.Box.Clamp(geo.Point{Lat: hub.Lat + (rng.Float64()-0.5)*2e-3, Lon: hub.Lon + (rng.Float64()-0.5)*2e-3}),
+					)
+				}
+				for _, p := range []geo.Point{
+					cfg.Box.Lerp(1.4, rng.Float64()), cfg.Box.Lerp(-0.4, rng.Float64()), cfg.Box.Lerp(rng.Float64(), 1.3),
+				} {
+					if p.Valid() {
+						pts = append(pts, p)
+					}
+				}
+				checkFormsAgainstRef(t, c.name+" "+tier, r, hub, pts)
+				checkFormsAgainstRef(t, c.name+" "+tier+" from outside the band", r, pts[len(pts)-1], pts)
+			}
+		}
 	}
 }
 
@@ -179,10 +258,11 @@ func TestRouterSnapsCounted(t *testing.T) {
 	step("the snapped forms", 0)
 }
 
-// FuzzRouterDist throws arbitrary valid point pairs at every kernel:
-// the distance must be finite, never below crow-fly (the admissibility
-// the spatial pruning rail depends on), and bitwise the reference in
-// every form — pair, snapped pair, and a batch of one in each shape.
+// FuzzRouterDist throws arbitrary valid point pairs at every tier: the
+// distance must be finite, never below crow-fly (the admissibility the
+// spatial pruning rail depends on), and bitwise the reference in every
+// form — pair, snapped pair, and a batch of one in each shape — with
+// both points resolved to the node a scan of every node resolves them to.
 func FuzzRouterDist(f *testing.F) {
 	routers, cfg := snapTestRouters(f)
 	box := cfg.Box
@@ -197,6 +277,11 @@ func FuzzRouterDist(f *testing.F) {
 	f.Add(box.MaxLat, box.MaxLon, box.MinLat, box.MinLon)    // the box's own corners
 	f.Add(0.0, 0.0, math.SmallestNonzeroFloat64, -1e-300)    // denormal offsets
 	f.Add(in.Lat, in.Lon, in.Lat, math.Nextafter(in.Lon, 1)) // one ulp apart
+	g := routers["ch"].g
+	mid := geo.Midpoint(g.Point(5), g.Point(6))
+	f.Add(mid.Lat, mid.Lon, in.Lat, in.Lon)                 // as far from one node as from the next: the snap's skip test at its slack
+	f.Add(0.3, -8.6, -0.2, -8.5)                            // astride the equator, outside the band: the snap bounds under the query's own cosine, the floor's bound stands down
+	f.Add(node.Lat+1e-4, node.Lon, node.Lat-1e-4, node.Lon) // either side of one node, in line with it: leg sum and crow-fly agree to rounding
 	f.Fuzz(func(t *testing.T, lat1, lon1, lat2, lon2 float64) {
 		a, b := geo.Point{Lat: lat1, Lon: lon1}, geo.Point{Lat: lat2, Lon: lon2}
 		if !a.Valid() || !b.Valid() {

@@ -24,15 +24,45 @@ import (
 // instant day's cancellations are all revocations — the handleFree
 // path, which puts a driver back where she was — and the snap memo is
 // walked after every operation (checkSnapMemo).
+//
+// The wall stands twice, once on each side of the router's size split:
+// on a 12×14 graph, where both routers answer from the all-pairs table
+// and the kernel dimension shows that the algorithm selects nothing
+// there, and on a 33×32 graph — 1 056 nodes, the smallest default-shaped
+// grid over the table's 1 024 — where CH and ALT route behind the cache.
 func TestRoadNetworkMetricDifferential(t *testing.T) {
+	t.Run("table", func(t *testing.T) {
+		ch, _ := roadNetworkMetricDifferential(t, 12, 14)
+		if ch.Snaps() == 0 {
+			t.Error("the router resolved no point; the network metric was not on the hot path")
+		}
+		if hits, misses, evictions := ch.CacheStats(); hits|misses|evictions != 0 || ch.CacheSize() != 0 {
+			t.Errorf("a table router reports a cache after its day: hits=%d misses=%d evictions=%d size=%d",
+				hits, misses, evictions, ch.CacheSize())
+		}
+	})
+	t.Run("kernels", func(t *testing.T) {
+		ch, alt := roadNetworkMetricDifferential(t, 33, 32)
+		for name, r := range map[string]*roadnet.Router{"ch": ch, "alt": alt} {
+			if hits, misses, _ := r.CacheStats(); hits == 0 || misses == 0 {
+				t.Errorf("%s route cache never exercised (hits=%d misses=%d); the network metric was not on the hot path", name, hits, misses)
+			}
+		}
+	})
+}
+
+// roadNetworkMetricDifferential is the wall over one rows×cols street
+// grid; it returns the CH-configured and ALT-configured routers the
+// variants shared, for the caller to ask what the day left in them.
+func roadNetworkMetricDifferential(t *testing.T, rows, cols int) (chRouter, altRouter *roadnet.Router) {
 	rcfg := roadnet.DefaultGridConfig()
-	rcfg.Rows, rcfg.Cols = 12, 14 // smaller graph, same structure — keeps the sweep fast
+	rcfg.Rows, rcfg.Cols = rows, cols
 	g, err := roadnet.GenerateGrid(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chRouter := roadnet.NewRouter(g, rcfg.Box, 8)
-	altRouter := roadnet.NewRouterAlgo(g, rcfg.Box, 8, roadnet.AlgoALT)
+	chRouter = roadnet.NewRouter(g, rcfg.Box, 8)
+	altRouter = roadnet.NewRouterAlgo(g, rcfg.Box, 8, roadnet.AlgoALT)
 
 	// Generate the trace under the network metric so deadlines and
 	// prices are feasible for the distances the engine will see.
@@ -169,10 +199,7 @@ func TestRoadNetworkMetricDifferential(t *testing.T) {
 	if memoChecked == 0 || memoStale == 0 {
 		t.Errorf("snap memo walk saw %d current and %d outdated entries; it must see both to mean anything", memoChecked, memoStale)
 	}
-
-	if hits, misses, _ := chRouter.CacheStats(); hits == 0 || misses == 0 {
-		t.Errorf("route cache never exercised (hits=%d misses=%d); the network metric was not on the hot path", hits, misses)
-	}
+	return chRouter, altRouter
 }
 
 // checkSnapMemo walks the engine's snap memo and holds every entry the
