@@ -323,19 +323,22 @@ func BenchmarkOnlineMaxMarginGrid50k(b *testing.B) { benchmarkDispatchScale(b, 5
 // and, from an untimed second day under a counting Market.Dist, how
 // many drivers a decision scored exactly: every exact score measures
 // the distance into the order's pickup once, and so does the commit of
-// each served order, which is subtracted.
+// each served order, which is subtracted. From the same day come the
+// source's own counts (sim.WalkStats): index entries put through the
+// predicate and cells skipped whole, a decision.
 func BenchmarkInstantDecision(b *testing.B) {
 	if testing.Short() {
 		b.Skip("city-scale instant day; skipped in -short smoke runs")
 	}
 	cfg := trace.NewConfig(27, 1000, 50_000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
-	day := func(mkt model.Market, timed bool) (served int) {
+	day := func(mkt model.Market, timed bool) (served int, walk sim.WalkStats) {
 		eng, err := sim.New(mkt, tr.Drivers, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng.SetCandidateSource(sim.NewGridSource(nil))
+		src := sim.NewGridSource(nil)
+		eng.SetCandidateSource(src)
 		st, err := eng.NewStream(online.MaxMargin{}, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -353,7 +356,7 @@ func BenchmarkInstantDecision(b *testing.B) {
 				served++
 			}
 		}
-		return served
+		return served, src.WalkStats()
 	}
 	b.ResetTimer()
 	b.StopTimer()
@@ -364,8 +367,10 @@ func BenchmarkInstantDecision(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*orders), "ns/decision")
 
 	counting, intoPickup := countIntoPickups(cfg.Market, tr.Tasks)
-	served := day(counting, false)
+	served, walk := day(counting, false)
 	b.ReportMetric(float64(*intoPickup-served)/orders, "exact-scores/decision")
+	b.ReportMetric(float64(walk.EntriesScanned)/orders, "entries-scanned/decision")
+	b.ReportMetric(float64(walk.CellsSkipped)/orders, "cells-skipped/decision")
 }
 
 // countIntoPickups returns mkt with a Dist that counts the distances
@@ -394,19 +399,21 @@ func countIntoPickups(mkt model.Market, tasks []model.Task) (model.Market, *int)
 // of one window — the day's wall time over its windows; submissions
 // between closes only enqueue — and, from an untimed second day under a
 // counting Market.Dist, how many drivers a window row scored exactly
-// (counted as BenchmarkInstantDecision counts them).
+// (counted as BenchmarkInstantDecision counts them), with the source's
+// counts of entries scanned and cells skipped, a row.
 func BenchmarkWindowClose(b *testing.B) {
 	if testing.Short() {
 		b.Skip("city-scale batched day; skipped in -short smoke runs")
 	}
 	cfg := trace.NewConfig(27, 4000, 10_000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
-	day := func(mkt model.Market, timed bool) (windows, rows, served int) {
+	day := func(mkt model.Market, timed bool) (windows, rows, served int, walk sim.WalkStats) {
 		eng, err := sim.New(mkt, tr.Drivers, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng.SetCandidateSource(sim.NewGridSource(nil))
+		src := sim.NewGridSource(nil)
+		eng.SetCandidateSource(src)
 		st, err := eng.NewBatchedStream(60, sim.BatchHungarian, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -428,19 +435,21 @@ func BenchmarkWindowClose(b *testing.B) {
 		if _, err := st.Finish(); err != nil {
 			b.Fatal(err)
 		}
-		return windows, rows, served
+		return windows, rows, served, src.WalkStats()
 	}
 	b.ResetTimer()
 	b.StopTimer()
 	windows := 0
 	for i := 0; i < b.N; i++ {
-		windows, _, _ = day(cfg.Market, true)
+		windows, _, _, _ = day(cfg.Market, true)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(windows)), "ns/window")
 
 	counting, intoPickup := countIntoPickups(cfg.Market, tr.Tasks)
-	_, rows, served := day(counting, false)
+	_, rows, served, walk := day(counting, false)
 	b.ReportMetric(float64(*intoPickup-served)/float64(rows), "exact-scores/row")
+	b.ReportMetric(float64(walk.EntriesScanned)/float64(rows), "entries-scanned/row")
+	b.ReportMetric(float64(walk.CellsSkipped)/float64(rows), "cells-skipped/row")
 }
 
 // BenchmarkScenarioChurn measures the event-driven engine on the

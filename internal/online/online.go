@@ -22,11 +22,16 @@
 // so (sim.Ranked), which lets instant dispatch over the indexed source
 // hand them only the drivers who could still win or tie — the rest are
 // ruled out by a distance lower bound and never scored. What makes that
-// exact is how the two break ties: MaxMargin keeps the first of equal
-// margins, Nearest draws from the RNG only on an exact arrival tie with
-// its running best, so a candidate strictly worse than the best before
-// it changes neither the winner nor the RNG position. Random looks at
-// the whole list and always gets it.
+// exact is how the two break ties, and the two contracts differ
+// (sim.Rank). MaxMargin keeps the first of equal margins and draws
+// nothing, so only the candidates that hold the final maximum matter:
+// RankMargin is order-free, and the source may look for them in any
+// order, nearest cell first. Nearest draws from the RNG on an exact
+// arrival tie with its *running* best, which a later candidate may yet
+// beat, so a candidate matters unless it is strictly worse than the best
+// before it in driver order: RankArrival is prefix-only, and the source
+// walks it in that order. Either way neither the winner nor the RNG
+// position changes. Random looks at the whole list and always gets it.
 package online
 
 import (
@@ -72,7 +77,7 @@ func (Nearest) Choose(_ model.Task, cands []sim.Candidate, rng *rand.Rand) int {
 
 // RankedBy implements sim.Ranked: Choose is an argmin of Arrival whose
 // reservoir counts, and draws for, exact ties with the running minimum
-// only.
+// only — the prefix-only contract of sim.RankArrival.
 func (Nearest) RankedBy() sim.Rank { return sim.RankArrival }
 
 // MaxMargin is the maximum-marginal-value heuristic (Algorithm 4).
@@ -114,8 +119,9 @@ func (m MaxMargin) Choose(_ model.Task, cands []sim.Candidate, _ *rand.Rand) int
 }
 
 // RankedBy implements sim.Ranked: Choose is a strict-comparison argmax
-// of Margin — the first of equal margins stays — and the rejection rule
-// reads the winner alone.
+// of Margin — the first of equal margins stays, nothing is drawn — and
+// the rejection rule reads the winner alone: the order-free contract of
+// sim.RankMargin.
 func (MaxMargin) RankedBy() sim.Rank { return sim.RankMargin }
 
 // Random assigns the task to a uniformly random candidate. It is not in

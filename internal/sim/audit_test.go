@@ -1,0 +1,49 @@
+package sim
+
+import (
+	"math"
+	"testing"
+)
+
+// auditIndex is the check that stands where a single setter for driver
+// state would: after a day — or in the middle of one — every driver's
+// index entry must mirror the engine, or a stale line would prune a
+// winner without any book showing why. The five places that write
+// states[i].loc or freeAt (assign, handleFree, handleJoin, AddDriver,
+// and resetAbsent / RestoreStream through Bind) each reach the source by
+// Moved, Presence, Added or Bind; this is where a sixth that forgot to
+// would show. It does nothing for an engine on another source.
+//
+// An absent driver's window is the empty span Presence gave her — or her
+// engine window again, if a revoked ride was handed back to her after
+// she retired (handleFree → Moved): the engine's own presence check
+// keeps her out either way.
+func auditIndex(t testing.TB, label string, e *Engine) {
+	t.Helper()
+	s, ok := e.source.(*GridSource)
+	if !ok {
+		return
+	}
+	if s.ix.Len() != len(e.Drivers) || s.ix.Members() != len(e.Drivers) {
+		t.Fatalf("%s: index of %d ids, %d present, for a fleet of %d", label, s.ix.Len(), s.ix.Members(), len(e.Drivers))
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i, d := range e.Drivers {
+		st := e.states[i]
+		en, _ := s.ix.Lookup(i)
+		if px, py := s.ix.Project(st.loc); !same(en.PX, px) || !same(en.PY, py) {
+			t.Fatalf("%s: driver %d stands at %v, her entry at (%g, %g), not (%g, %g)", label, i, st.loc, en.PX, en.PY, px, py)
+		}
+		open := same(en.FreeAt, st.freeAt) && same(en.RetireAt, d.End)
+		shut := same(en.FreeAt, math.Inf(1)) && same(en.RetireAt, math.Inf(-1))
+		if !open && (e.present[i] || !shut) {
+			t.Fatalf("%s: driver %d (present=%v) has the window (%g, %g), her entry (%g, %g)", label, i, e.present[i], st.freeAt, d.End, en.FreeAt, en.RetireAt)
+		}
+		if hx, hy := s.ix.Project(d.Dest); !same(en.HomeX, hx) || !same(en.HomeY, hy) {
+			t.Fatalf("%s: driver %d is headed for %v, her entry for (%g, %g), not (%g, %g)", label, i, d.Dest, en.HomeX, en.HomeY, hx, hy)
+		}
+		if km := e.Market.Dist(st.loc, d.Dest); en.HomeKm == en.HomeKm && !same(en.HomeKm, km) {
+			t.Fatalf("%s: driver %d is %g km from home, her entry says %g", label, i, km, en.HomeKm)
+		}
+	}
+}

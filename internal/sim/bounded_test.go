@@ -24,13 +24,17 @@ import (
 // TestBoundedPathScoresFewer counts Market.Dist calls over one fixed
 // day, indexed source both times: the full list scores every reachable
 // driver, the bounded list only those whose optimistic rank reaches the
-// incumbent. The count is a property of the inputs, so it must repeat
-// exactly — a count that moves between runs would mean the path reads
-// something other than engine state.
+// incumbent — and, ranking by margin, only in the cells whose bound
+// does. The counts, Market.Dist's and the source's own (WalkStats), are
+// properties of the inputs, so they must repeat exactly — one that moves
+// between runs would mean the path reads something other than engine
+// state — and each has a ceiling at what was measured when the cell walk
+// landed (8 968 calls before it for the margin rank; the arrival rank's
+// 4 238 are the ascending walk's, which it left alone).
 func TestBoundedPathScoresFewer(t *testing.T) {
 	cfg := trace.NewConfig(17, 200, 5000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
-	day := func(d Dispatcher) (calls int, res Result) {
+	day := func(d Dispatcher) (calls int, stats WalkStats, res Result) {
 		mkt := cfg.Market
 		mkt.Dist = func(a, b geo.Point) float64 {
 			calls++
@@ -40,23 +44,106 @@ func TestBoundedPathScoresFewer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetCandidateSource(NewGridSource(nil))
+		src := NewGridSource(nil)
+		e.SetCandidateSource(src)
 		res = e.Run(tr.Tasks, d)
-		return calls, res
+		return calls, src.WalkStats(), res
 	}
-	for _, d := range []Dispatcher{diffMaxMargin{}, diffNearest{}} {
-		full, want := day(d)
-		ranked := forms(d)[1]
-		bounded, got := day(ranked)
+	for _, col := range []struct {
+		d       Dispatcher
+		ceiling int       // Market.Dist calls
+		most    WalkStats // ceilings; CellsSkipped is a floor
+	}{
+		{diffMaxMargin{}, 7953, WalkStats{CellsVisited: 21294, CellsSkipped: 10535, EntriesScanned: 55926, ExactScores: 1011}},
+		{diffNearest{}, 4238, WalkStats{ExactScores: 1289}},
+	} {
+		full, none, want := day(col.d)
+		if none != (WalkStats{}) {
+			t.Errorf("%s: the full list counted %+v on the bounded paths", col.d.Name(), none)
+		}
+		ranked := forms(col.d)[1]
+		bounded, stats, got := day(ranked)
 		diffResults(t, ranked.Name(), want, got)
-		if again, _ := day(ranked); again != bounded {
-			t.Errorf("%s: %d Market.Dist calls, then %d on the same day", ranked.Name(), bounded, again)
+		if again, stats2, _ := day(ranked); again != bounded || stats2 != stats {
+			t.Errorf("%s: %d Market.Dist calls and %+v, then %d and %+v on the same day", ranked.Name(), bounded, stats, again, stats2)
 		}
-		if want.Served == 0 || full < 5*bounded {
-			t.Errorf("%s: %d Market.Dist calls against the full list's %d over %d served orders; want at least 5x fewer",
-				ranked.Name(), bounded, full, want.Served)
+		if want.Served == 0 || bounded > col.ceiling {
+			t.Errorf("%s: %d Market.Dist calls against the full list's %d over %d served orders; want at most %d",
+				ranked.Name(), bounded, full, want.Served, col.ceiling)
 		}
-		t.Logf("%s: %d calls, full list %d (%.1fx), %d orders", ranked.Name(), bounded, full, float64(full)/float64(bounded), len(tr.Tasks))
+		if stats.CellsVisited > col.most.CellsVisited || stats.EntriesScanned > col.most.EntriesScanned ||
+			stats.ExactScores > col.most.ExactScores || stats.CellsSkipped < col.most.CellsSkipped {
+			t.Errorf("%s: %+v; want at most %+v, and at least that many cells skipped", ranked.Name(), stats, col.most)
+		}
+		t.Logf("%s: %d calls, full list %d (%.1fx), %d orders, %+v", ranked.Name(), bounded, full, float64(full)/float64(bounded), len(tr.Tasks), stats)
+	}
+}
+
+// TestNearestDrawsOnRunningTies is why RankArrival is walked in driver
+// order and RankMargin need not be. Nearest draws from the RNG whenever
+// a candidate ties the minimum *so far*: drivers 1 and 2 arrive together
+// and driver 9 strictly earlier, so the full list costs one draw (2
+// against 1) before 9 takes the order. A bounded list that left 1 or 2
+// out — as any walk that comes to 9 before them must, their optimistic
+// arrival being later than hers — would pick the same driver and leave
+// the RNG one draw behind for the rest of the day. First the fuzz
+// finding as it was found, everyone on one spot; then with 9 on the
+// pickup and the other two waiting together 2 km north, where a walk by
+// distance would certainly meet her first.
+func TestNearestDrawsOnRunningTies(t *testing.T) {
+	mkt := model.DefaultMarket()
+	spot := geo.PortoBox.Center()
+	north := geo.Point{Lat: spot.Lat + 2/geo.EarthRadiusKm*180/math.Pi, Lon: spot.Lon}
+	for name, day := range map[string]struct {
+		tie, early geo.Point
+		tieAt      float64 // when 1 and 2 are free
+		earlyAt    float64 // when 9 is
+		publish    float64
+		first      float64 // the arrival the tie must have, 0 for whatever it is
+	}{
+		"one spot":     {tie: spot, early: spot, tieAt: 13500, earlyAt: 11520, first: 13500},
+		"two km apart": {tie: north, early: spot, publish: 1000},
+	} {
+		var fleet []model.Driver
+		for i := 0; i < 10; i++ {
+			d := model.Driver{ID: i, Source: spot, Dest: spot, Start: 15300, End: 40000} // free after the deadline
+			switch i {
+			case 1, 2:
+				d.Source, d.Start = day.tie, day.tieAt
+			case 9:
+				d.Source, d.Start = day.early, day.earlyAt
+			}
+			fleet = append(fleet, d)
+		}
+		order := model.Task{ID: 0, Publish: day.publish, Source: spot, Dest: north,
+			StartBy: 13500, EndBy: 20000, Price: 10, WTP: 10}
+
+		src := NewGridSource(geo.NewGrid(geo.PortoBox, 16, 16))
+		e := diffEngine(t, mkt, fleet, 1, false, src)
+		if _, err := e.NewStream(rankedNearest{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		full := e.candidates(order, order.Publish, nil)
+		if len(full) != 3 || full[0].Driver != 1 || full[1].Driver != 2 || full[2].Driver != 9 ||
+			full[0].Arrival != full[1].Arrival || !(full[2].Arrival < full[0].Arrival) ||
+			day.first != 0 && full[0].Arrival != day.first {
+			t.Fatalf("%s: the full list %+v is not the tie of 1 and 2 ahead of an earlier 9", name, full)
+		}
+		bounded := src.Contenders(order, order.Publish, RankArrival, nil)
+		if !slices.Equal(bounded, full) {
+			t.Errorf("%s: contenders %+v, want all of %+v: 2 ties the running minimum", name, bounded, full)
+		}
+		for _, list := range [][]Candidate{full, bounded} {
+			counter := newCountingSource(7)
+			if pick := (rankedNearest{}).Choose(order, list, rand.New(counter)); list[pick].Driver != 9 || counter.n != 1 {
+				t.Errorf("%s: driver %d after %d draws from %+v, want driver 9 after 1", name, list[pick].Driver, counter.n, list)
+			}
+		}
+		// The margin rank has no such debt: its list may come in any order
+		// of walking, and does, sorted.
+		if byMargin := src.Contenders(order, order.Publish, RankMargin, nil); !slices.IsSortedFunc(byMargin, func(a, b Candidate) int { return a.Driver - b.Driver }) {
+			t.Errorf("%s: margin contenders %+v are not in driver order", name, byMargin)
+		}
 	}
 }
 
@@ -144,6 +231,7 @@ func TestBoundedRowsEqualFullRows(t *testing.T) {
 		got := e.RunBatchedScenario(tr.Tasks, events, 120)
 		want := diffEngine(t, cfg.Market, tr.Drivers, 1, realTime, nil).RunBatchedScenario(tr.Tasks, events, 120)
 		diffResults(t, fmt.Sprintf("realTime=%v", realTime), want, got)
+		auditIndex(t, fmt.Sprintf("realTime=%v", realTime), e)
 		if a.pruned == 0 || a.short == 0 || got.Served == 0 {
 			t.Errorf("realTime=%v: %+v, %d served: the day must have rows the root prunes and rows that never fill", realTime, *a, got.Served)
 		}
@@ -248,6 +336,7 @@ func TestBoundedRowsTieWindow(t *testing.T) {
 			got := e.RunBatched(day, 30)
 			want := diffEngine(t, mkt, fleet, 1, realTime, nil).RunBatched(day, 30)
 			diffResults(t, fmt.Sprintf("k=%d realTime=%v", k, realTime), want, got)
+			auditIndex(t, fmt.Sprintf("k=%d realTime=%v", k, realTime), e)
 			if a.windows != 2 || a.rows != 2*k || got.Served == 0 {
 				t.Fatalf("k=%d realTime=%v: %+v, %d served; want 2 windows of %d rows", k, realTime, *a, got.Served, k)
 			}
@@ -261,33 +350,44 @@ func TestBoundedRowsTieWindow(t *testing.T) {
 // TestBoundedRowsScoreFewer is TestBoundedPathScoresFewer for a batched
 // day: Market.Dist calls over one fixed day, indexed source both times,
 // rows by topRow (the capability hidden) against rows by TopRow. Equal
-// books, a count that repeats exactly, and at least 4x fewer calls.
+// books, counts that repeat exactly, and ceilings at what was measured
+// when the cell walk landed (11 474 calls before it).
 func TestBoundedRowsScoreFewer(t *testing.T) {
 	cfg := trace.NewConfig(17, 300, 5000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
-	day := func(bounded bool) (calls int, res Result) {
+	day := func(bounded bool) (calls int, stats WalkStats, res Result) {
 		mkt := cfg.Market
 		mkt.Dist = func(a, b geo.Point) float64 {
 			calls++
 			return cfg.Market.Dist(a, b)
 		}
-		var src CandidateSource = NewGridSource(nil)
+		grid := NewGridSource(nil)
+		var src CandidateSource = grid
 		if !bounded {
 			src = fullRowsOnly{src}
 		}
 		res = diffEngine(t, mkt, tr.Drivers, 1, false, src).RunBatched(tr.Tasks, 60)
-		return calls, res
+		return calls, grid.WalkStats(), res
 	}
-	full, want := day(false)
-	bounded, got := day(true)
+	full, none, want := day(false)
+	if none != (WalkStats{}) {
+		t.Errorf("the full rows counted %+v on the bounded paths", none)
+	}
+	bounded, stats, got := day(true)
 	diffResults(t, "bounded rows", want, got)
-	if again, _ := day(true); again != bounded {
-		t.Errorf("%d Market.Dist calls, then %d on the same day", bounded, again)
+	if again, stats2, _ := day(true); again != bounded || stats2 != stats {
+		t.Errorf("%d Market.Dist calls and %+v, then %d and %+v on the same day", bounded, stats, again, stats2)
 	}
-	if want.Served == 0 || full < 4*bounded {
-		t.Errorf("%d Market.Dist calls against the full rows' %d over %d served orders; want at least 4x fewer", bounded, full, want.Served)
+	const ceiling = 9964
+	most := WalkStats{CellsVisited: 20231, CellsSkipped: 7876, EntriesScanned: 65505, ExactScores: 1833}
+	if want.Served == 0 || bounded > ceiling {
+		t.Errorf("%d Market.Dist calls against the full rows' %d over %d served orders; want at most %d", bounded, full, want.Served, ceiling)
 	}
-	t.Logf("%d calls, full rows %d (%.1fx), %d orders", bounded, full, float64(full)/float64(bounded), len(tr.Tasks))
+	if stats.CellsVisited > most.CellsVisited || stats.EntriesScanned > most.EntriesScanned ||
+		stats.ExactScores > most.ExactScores || stats.CellsSkipped < most.CellsSkipped {
+		t.Errorf("%+v; want at most %+v, and at least that many cells skipped", stats, most)
+	}
+	t.Logf("%d calls, full rows %d (%.1fx), %d orders, %+v", bounded, full, float64(full)/float64(bounded), len(tr.Tasks), stats)
 }
 
 // fuzzBox is the configured grid FuzzBoundedChoice binds, and
@@ -326,6 +426,135 @@ func (in *fuzzInput) point() geo.Point {
 	}
 }
 
+// fuzzDay is a fuzz input written out by hand: bytes(head...) lays it out
+// as FuzzBoundedChoice and FuzzBoundedRows read it, after the bytes each
+// reads first. Every field is the byte the target decodes, so the two
+// comments there are the key to the units.
+type fuzzDay struct {
+	spots      []fuzzSpot   // 2 to 6
+	fleet      []fuzzDriver // up to 12 (choice) or 16 (rows)
+	orders     []fuzzOrder  // up to 5 (choice) or 10 (rows)
+	rows, cols byte         // of the grid, 1 to 6
+}
+
+type fuzzSpot struct {
+	far  bool // outside the box: a and b then span 3° around it
+	a, b byte // latitude and longitude, as 255ths of the span
+}
+
+type fuzzDriver struct {
+	start    byte // minutes
+	src, dst byte // spots
+	shift    byte // End = Start + (1+shift) × 120 s
+	speed    byte // index into {market's, 15, 30, 60, 120} km/h
+}
+
+type fuzzOrder struct {
+	gap      byte // Publish = the order before's + gap × 30 s (choice) or × 2 s (rows)
+	notice   byte // StartBy = Publish + (1+notice) × 60 s
+	price    byte // eighths
+	src, dst byte // spots
+	slack    byte // EndBy = StartBy + (1+slack) × 120 s
+}
+
+func (d fuzzDay) bytes(head ...byte) []byte {
+	out := append([]byte{}, head...)
+	out = append(out, byte(len(d.spots)-2))
+	for _, s := range d.spots {
+		far := byte(1)
+		if s.far {
+			far = 0
+		}
+		out = append(out, far, s.a, s.b)
+	}
+	out = append(out, byte(len(d.fleet)-1))
+	for _, f := range d.fleet {
+		out = append(out, f.start, f.src, f.dst, f.shift, f.speed)
+	}
+	out = append(out, byte(len(d.orders)-1))
+	for _, o := range d.orders {
+		out = append(out, o.gap, o.notice, o.price, o.src, o.dst, o.slack)
+	}
+	return append(out, d.rows-1, d.cols-1)
+}
+
+// The named seeds. Each is a shape the walks' order or the cell bound
+// could get wrong and random bytes rarely draw.
+var (
+	// runningTie is the fuzz finding that keeps RankArrival's walk in
+	// driver order: everyone on one spot, drivers 1 and 2 free at 13 500 s,
+	// driver 9 at 11 520 s, the rest after the pickup deadline. Nearest
+	// draws once, when 2 ties the running minimum 1 set; a walk that came
+	// to 9 first would skip both and draw nothing.
+	runningTie = func() fuzzDay {
+		d := fuzzDay{spots: []fuzzSpot{{a: 128, b: 128}, {a: 10, b: 10}}, rows: 4, cols: 4,
+			orders: []fuzzOrder{{notice: 224, price: 80}}}
+		for i := 0; i < 10; i++ {
+			f := fuzzDriver{start: 255, shift: 30}
+			switch i {
+			case 1, 2:
+				f.start = 225
+			case 9:
+				f.start = 192
+			}
+			d.fleet = append(d.fleet, f)
+		}
+		return d
+	}()
+
+	// ringBoundary stacks identical drivers either side of the line between
+	// the pickup's ring 1 and ring 2 of a 6×6 grid (columns change at
+	// 212.5/255), interleaved by id, everyone headed for the orders'
+	// dropoff: ties within each stack, a near tie across the line, and a
+	// cell bound that must not cut the farther stack off from the nearer.
+	ringBoundary = func() fuzzDay {
+		d := fuzzDay{spots: []fuzzSpot{{a: 128, b: 128}, {a: 128, b: 212}, {a: 128, b: 213}, {a: 40, b: 128}, {a: 85, b: 170}}, rows: 6, cols: 6}
+		for i := 0; i < 12; i++ {
+			d.fleet = append(d.fleet, fuzzDriver{src: byte(1 + i%2), dst: 3, shift: 200})
+		}
+		d.fleet[4].src, d.fleet[7].src = 4, 4 // two more on a corner where four cells meet
+		for i := 0; i < 5; i++ {
+			d.orders = append(d.orders, fuzzOrder{gap: byte(i % 2), notice: 40, price: 120, src: 0, dst: 3, slack: 30})
+		}
+		return d
+	}()
+
+	// clamped has its fastest driver wait 3° east of the box — clamped into
+	// a border cell a ring or two from pickups she is 250 km from — for
+	// orders that take her home, which is where margins are largest.
+	clamped = func() fuzzDay {
+		d := fuzzDay{spots: []fuzzSpot{{a: 100, b: 200}, {far: true, a: 128, b: 255}, {a: 150, b: 60}, {a: 100, b: 40}}, rows: 5, cols: 6}
+		d.fleet = []fuzzDriver{
+			{src: 2, dst: 3, shift: 250}, {src: 1, dst: 3, shift: 250, speed: 4}, {src: 0, dst: 0, shift: 250},
+			{src: 2, dst: 2, shift: 250}, {src: 1, dst: 1, shift: 250, speed: 4}, {src: 0, dst: 3, shift: 250},
+		}
+		for i := 0; i < 4; i++ {
+			d.orders = append(d.orders, fuzzOrder{gap: 1, notice: 250, price: 200, src: byte(i % 2 * 2), dst: 3, slack: 100})
+		}
+		return d
+	}()
+
+	// staleAggregate shares one cell between a driver with 250 km to go
+	// home, whose shift ends four minutes into the day, and one who is
+	// home already. The first order has both scored, so the cell's bound
+	// is the long haul's; once she has retired it is stale — too high,
+	// which only costs the scan that brings it down again. (Real-time
+	// mode, so that a shift need not outlast the order's deadline.)
+	staleAggregate = func() fuzzDay {
+		d := fuzzDay{spots: []fuzzSpot{{a: 40, b: 40}, {far: true, a: 128, b: 255}, {a: 200, b: 200}, {a: 205, b: 205}}, rows: 6, cols: 6}
+		d.fleet = []fuzzDriver{
+			{src: 0, dst: 1, shift: 1}, {src: 0, dst: 0, shift: 250}, {src: 2, dst: 3, shift: 250}, {src: 3, dst: 2, shift: 250},
+		}
+		d.orders = []fuzzOrder{
+			{notice: 60, price: 200, src: 0, dst: 2, slack: 100},
+			{gap: 200, notice: 60, price: 200, src: 2, dst: 3, slack: 100},
+			{gap: 1, notice: 60, price: 200, src: 3, dst: 0, slack: 100},
+			{gap: 200, notice: 60, price: 200, src: 2, dst: 0, slack: 100},
+		}
+		return d
+	}()
+)
+
 // FuzzBoundedChoice aims at the admissibility of the bound: a small
 // fleet on a handful of shared points (inside the grid's box and out to
 // the polewardOf limit), arbitrary shifts and speeds, a few orders
@@ -336,6 +565,10 @@ func (in *fuzzInput) point() geo.Point {
 func FuzzBoundedChoice(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(slices.Repeat([]byte{0xff}, 96))
+	for _, d := range []fuzzDay{runningTie, ringBoundary, clamped, staleAggregate} {
+		f.Add(d.bytes(0)) // deadline mode
+		f.Add(d.bytes(1)) // real-time mode
+	}
 	rng := rand.New(rand.NewSource(3))
 	for range 6 {
 		seed := make([]byte, 40+rng.Intn(120))
@@ -420,6 +653,7 @@ func FuzzBoundedChoice(f *testing.F) {
 					d.Name(), gotDriver, gotDraws, bounded, wantDriver, wantDraws, full)
 			}
 		}
+		auditIndex(t, "after the queries", e)
 	})
 }
 
@@ -432,6 +666,13 @@ func FuzzBoundedChoice(f *testing.F) {
 func FuzzBoundedRows(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(slices.Repeat([]byte{0xff}, 96))
+	for _, d := range []fuzzDay{ringBoundary, clamped, staleAggregate} {
+		for _, k := range []byte{0, 2, 7} { // rows of 1, 3 and 8
+			f.Add(d.bytes(0, 0, k)) // deadline mode, 1 s windows
+			f.Add(d.bytes(1, 0, k)) // real-time mode, 1 s windows
+			f.Add(d.bytes(1, 5, k)) // real-time mode, 21 s windows
+		}
+	}
 	rng := rand.New(rand.NewSource(4))
 	for range 6 {
 		seed := make([]byte, 40+rng.Intn(160))
@@ -470,5 +711,6 @@ func FuzzBoundedRows(f *testing.F) {
 		got := e.RunBatched(orders, window)
 		want := diffEngine(t, model.DefaultMarket(), fleet, 1, realTime, nil).RunBatched(orders, window)
 		diffResults(t, "fuzzed batched day", want, got)
+		auditIndex(t, "fuzzed batched day", e)
 	})
 }

@@ -115,8 +115,10 @@ func diffEngine(t *testing.T, mkt model.Market, drivers []model.Driver, seed int
 func runPair(t *testing.T, mkt model.Market, drivers []model.Driver, seed int64,
 	realTime bool, grid *geo.Grid, run func(e *Engine) Result) (scan, indexed Result) {
 	t.Helper()
-	return run(diffEngine(t, mkt, drivers, seed, realTime, nil)),
-		run(diffEngine(t, mkt, drivers, seed, realTime, NewGridSource(grid)))
+	ge := diffEngine(t, mkt, drivers, seed, realTime, NewGridSource(grid))
+	scan, indexed = run(diffEngine(t, mkt, drivers, seed, realTime, nil)), run(ge)
+	auditIndex(t, "indexed engine", ge)
+	return scan, indexed
 }
 
 // diffForms runs one instant day of d on a scan engine and then every
@@ -130,6 +132,7 @@ func diffForms(t *testing.T, label string, mkt model.Market, drivers []model.Dri
 	for _, form := range forms(d) {
 		ge := diffEngine(t, mkt, drivers, seed, realTime, NewGridSource(grid))
 		diffResults(t, label+" disp="+form.Name(), scan, run(ge, form))
+		auditIndex(t, label+" disp="+form.Name(), ge)
 		if se.RNGDraws() != ge.RNGDraws() {
 			t.Errorf("%s disp=%s: %d RNG draws on the index, %d on the scan", label, form.Name(), ge.RNGDraws(), se.RNGDraws())
 		}

@@ -91,8 +91,9 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cut := range []int{len(feed) * 6 / 10, len(feed) * 9 / 10} {
-			_, st := open(NewGridSource(nil), d)
+			e1, st := open(NewGridSource(nil), d)
 			applyItems(t, st, tr.Tasks, feed[:cut])
+			auditIndex(t, "at the cut", e1)
 			snap, err := st.CaptureState()
 			if err != nil {
 				t.Fatal(err)
@@ -111,11 +112,13 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cut %d: RestoreStream: %v", cut, err)
 			}
+			auditIndex(t, "restored", e2)
 			applyItems(t, restored, tr.Tasks, feed[cut:])
 			got, err := restored.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
+			auditIndex(t, "restored and finished", e2)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("batched=%v %T cut %d: restored books diverge from the uninterrupted scan: served %d/%d revenue %.9f/%.9f",
 					batched, d, cut, want.Served, got.Served, want.Revenue, got.Revenue)
@@ -174,6 +177,7 @@ func TestAddedDriverFasterThanFleet(t *testing.T) {
 		if !dec.Assigned || dec.Driver != idx {
 			t.Errorf("%s: the fast newcomer was not found: %+v", name, dec)
 		}
+		auditIndex(t, name, e)
 	}
 }
 
@@ -237,6 +241,7 @@ func TestAddedDriversPolewardOfGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		auditIndex(t, "fleet announced 20° north of the bound grid", e)
 		return res
 	}
 	// diffRandom draws among all candidates: losing any one shows. The

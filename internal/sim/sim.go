@@ -59,21 +59,24 @@ type Dispatcher interface {
 }
 
 // Rank names the one number of a Candidate that a Ranked dispatcher's
-// Choose takes its extremum over.
+// Choose takes its extremum over — and with it, how much of the list
+// that Choose may be spared (see Ranked):
+//
+//   - RankMargin is order-free: the chooser's result depends on nothing
+//     ranked strictly below the *final* best, so a source may drop such
+//     candidates wherever in the list they stand, and find them in any
+//     order it likes as long as it hands the rest over in driver order.
+//   - RankArrival is prefix-only: the chooser may depend on a candidate
+//     that ranks below the final best but ties the best *before it*
+//     (Nearest draws from the RNG there), so a source may drop only what
+//     ranks strictly below the best of the candidates ahead of it in
+//     driver order — which it can only know by walking in that order.
 type Rank uint8
 
 const (
-	RankMargin  Rank = iota + 1 // the larger Candidate.Margin wins
-	RankArrival                 // the earlier Candidate.Arrival wins
+	RankMargin  Rank = iota + 1 // the larger Candidate.Margin wins; order-free
+	RankArrival                 // the earlier Candidate.Arrival wins; prefix-only
 )
-
-// of is the number r ranks c by, oriented so that larger is better.
-func (r Rank) of(c Candidate) float64 {
-	if r == RankArrival {
-		return -c.Arrival
-	}
-	return c.Margin
-}
 
 // Ranked is the optional capability of a Dispatcher whose Choose is one
 // extremum over the candidates. Declaring it is a promise about Choose:
@@ -81,17 +84,20 @@ func (r Rank) of(c Candidate) float64 {
 //   - it returns a candidate of maximal rank (or rejects), and
 //   - neither what it returns nor how many draws it takes from rng
 //     depends on a candidate ranked strictly below the best of the
-//     candidates before it in the list.
+//     candidates before it in the list — or, if it declares RankMargin,
+//     on one ranked strictly below the best of the whole list.
 //
-// A strict-comparison argmax that keeps the first best (MaxMargin) and a
-// reservoir draw among exact ties (Nearest) both qualify; a uniform
-// choice over the whole list (Random) does not. Instant dispatch then
-// asks a source that can (GridSource.Contenders) for a list that may
-// leave out any candidate ranked strictly below the best one before it,
-// and Choose — unchanged, there is no second chooser — picks the same
-// driver from the short list as from the full one. Replanning and any
-// other source or dispatcher keep the full list; a batched window needs
-// rows, not a winner, and bounds those its own way
+// A reservoir draw among exact ties (Nearest, by RankArrival) keeps the
+// first promise: it draws when a candidate ties the running minimum,
+// which a later, earlier arrival may then beat. A strict-comparison
+// argmax that keeps the first best and draws nothing (MaxMargin, by
+// RankMargin) keeps the second, stronger one. A uniform choice over the
+// whole list (Random) keeps neither. Instant dispatch then asks a source
+// that can (GridSource.Contenders) for a list that leaves out what the
+// promise lets it, and Choose — unchanged, there is no second chooser —
+// picks the same driver from the short list as from the full one.
+// Replanning and any other source or dispatcher keep the full list; a
+// batched window needs rows, not a winner, and bounds those its own way
 // (boundedSource.TopRow).
 type Ranked interface {
 	RankedBy() Rank
@@ -140,7 +146,8 @@ type CandidateSource interface {
 type boundedSource interface {
 	// Contenders appends, in ascending driver order, a subset of what
 	// Candidates would: every candidate whose rank under by equals or
-	// beats that of all candidates before it is in it.
+	// beats that of all candidates before it is in it — for RankMargin at
+	// least every candidate whose rank equals the best of them all.
 	Contenders(task model.Task, now float64, by Rank, buf []Candidate) []Candidate
 	// TopRow appends the order's row of a window of k orders — exactly
 	// what topRow makes of Candidates: the at most k candidates of
@@ -546,9 +553,14 @@ func (e *Engine) finishCandidate(i int, task model.Task, service, serviceCost, a
 // and GridSource.TopRow rely on by calling this same function for their
 // bound.
 func (e *Engine) margin(price, serviceCost, pickupKm, homeKm, oldHomeKm float64) float64 {
-	deadhead := e.Market.TravelCostKm(pickupKm)
-	newHome := e.Market.TravelCostKm(homeKm)
-	oldHome := e.Market.TravelCostKm(oldHomeKm)
+	// Market.TravelCostKm three times, written out: called, each copies
+	// half the Market through a 16-byte load that straddles a cache line
+	// wherever the allocator happens to put the engine, and this runs for
+	// every driver the index predicate passes.
+	perKm := e.Market.GasPerKm
+	deadhead := pickupKm * perKm
+	newHome := homeKm * perKm
+	oldHome := oldHomeKm * perKm
 	return price - (deadhead + serviceCost + newHome - oldHome)
 }
 

@@ -199,6 +199,32 @@ func TestMarginFormula(t *testing.T) {
 	}
 }
 
+// TestMarginPricesLegsAsTheMarketDoes: Engine.margin multiplies its
+// three distances by the market's cost per kilometre itself rather than
+// through Market.TravelCostKm (see there for why). The books are kept by
+// TravelCost, so the two must agree to the bit on whatever they are fed,
+// infinities and NaN included.
+func TestMarginPricesLegsAsTheMarketDoes(t *testing.T) {
+	e := mustEngine(t, []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: minutes(240)}})
+	e.Market.GasPerKm = 0.137
+	rng := rand.New(rand.NewSource(5))
+	kms := []float64{0, math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, 1e300}
+	for i := 0; i < 1000; i++ {
+		km := func() float64 {
+			if i < 200 {
+				return kms[rng.Intn(len(kms))]
+			}
+			return rng.ExpFloat64() * 8
+		}
+		price, sc, pickup, home, old := rng.Float64()*40, rng.Float64()*9, km(), km(), km()
+		m := e.Market
+		want := price - (m.TravelCostKm(pickup) + sc + m.TravelCostKm(home) - m.TravelCostKm(old))
+		if got := e.margin(price, sc, pickup, home, old); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("margin(%g, %g, %g, %g, %g) = %g, by TravelCostKm %g", price, sc, pickup, home, old, got, want)
+		}
+	}
+}
+
 // dispatcherFunc adapts a func to Dispatcher for tests.
 type dispatcherFunc func(model.Task, []Candidate, *rand.Rand) int
 

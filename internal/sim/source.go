@@ -16,9 +16,10 @@ import (
 // spatial.Index between the task and that loop: only drivers inside the
 // max-speed reachability radius of the pickup are checked exactly. The
 // pre-filter is conservative — it never drops a driver the scan would
-// accept — and the index hands the survivors over in ascending driver
-// order, so the two sources yield bit-identical simulations (the
-// differential tests assert exactly that).
+// accept — and every list leaves the source in ascending driver order,
+// from the index's own sweep or sorted back into it, so the two sources
+// yield bit-identical simulations (the differential tests assert exactly
+// that).
 
 // ScanSource enumerates candidates with an exact linear scan over all
 // drivers — O(N) per task. The zero value is ready for Engine use.
@@ -76,7 +77,21 @@ type GridSource struct {
 	maxSpeed float64 // fastest driver in the fleet, km/h
 	ids      []int   // query scratch
 	db       distBatch
+	stats    WalkStats
 }
+
+// WalkStats counts what the bounded paths — Contenders and crow-fly
+// TopRow — have done since the source was made: plain counters, written
+// by the one goroutine that runs the engine.
+type WalkStats struct {
+	CellsVisited   uint64 // non-empty cells a margin walk came to
+	CellsSkipped   uint64 // of those, skipped whole on their bound
+	EntriesScanned uint64 // index entries put through the predicate
+	ExactScores    uint64 // candidateFor calls, on either rank
+}
+
+// WalkStats returns the counters.
+func (s *GridSource) WalkStats() WalkStats { return s.stats }
 
 var (
 	_ CandidateSource = (*GridSource)(nil)
@@ -127,6 +142,7 @@ func (s *GridSource) index(i int) {
 	s.maxSpeed = max(s.maxSpeed, s.e.Drivers[i].SpeedKmh)
 	s.Presence(i, s.e.present[i])
 	s.ix.Add(i, s.e.states[i].loc)
+	s.ix.SetHome(i, s.e.Drivers[i].Dest)
 }
 
 // Candidates implements CandidateSource.
@@ -151,11 +167,11 @@ func (s *GridSource) reachable(task model.Task, now float64) []int {
 }
 
 // Contenders is Candidates for a dispatcher that takes one extremum
-// (see Ranked): it walks the same reachable drivers in the same order,
-// but scores one exactly — candidateFor, two Market.Dist calls — only
-// if an optimistic candidate built from lower bounds on her two
-// distances could still equal or beat the best exact candidate so far.
-// Everyone else is skipped for a few multiplications and a square root.
+// (see Ranked): it scores a driver exactly — candidateFor, two
+// Market.Dist calls — only if an optimistic candidate built from lower
+// bounds on her two distances could still equal or beat the best exact
+// candidate so far. Everyone else is skipped for a few multiplications
+// and a square root.
 //
 // The bounds are the pre-filter's own: Safety × the planar distance of
 // two projected points never exceeds Market.Dist of them (see the type
@@ -163,10 +179,20 @@ func (s *GridSource) reachable(task model.Task, now float64) []int {
 // functions the exact ones do, fed the smaller distances; every step of
 // those is monotone under rounding, so the optimistic rank is at least
 // the exact one as floats, and a skipped driver ranks strictly below the
-// incumbent — she could neither win nor tie. An optimistic arrival past
-// the pickup deadline means the exact one is too: infeasible, skipped
-// whatever the rank. Both skip tests are false for a NaN, which
-// therefore goes to exact scoring.
+// incumbent — she could neither win nor tie. Every skip test is false
+// for a NaN, which therefore goes to exact scoring.
+//
+// The two ranks are walked differently, because their choosers promise
+// different things (see Rank). RankMargin is order-free, so it takes the
+// index's cursor (marginWalk) and sorts the few survivors back into
+// driver order. RankArrival is prefix-only and keeps the ascending list:
+// Nearest draws from the RNG when a candidate ties the *running* minimum,
+// so skipping a driver against an incumbent met later in driver order —
+// which any other order of walking does — removes draws (drivers 1 and 2
+// tie at 13 500 s, driver 9 arrives at 11 520 s: one draw from the full
+// list, none if 9 is met first; TestNearestDrawsOnRunningTies). On that
+// walk an optimistic arrival past the pickup deadline means the exact
+// one is too: infeasible, skipped whatever the rank.
 //
 // Under a road metric (Market.Batch) the full list stays: scoring it in
 // two shared-endpoint batches is what that path is built around.
@@ -176,65 +202,142 @@ func (s *GridSource) Contenders(task model.Task, now float64, by Rank, buf []Can
 		return s.Candidates(task, now, buf)
 	}
 	q := e.orderTerms(task)
+	if by == RankMargin {
+		return s.bestMargins(task, now, q, buf)
+	}
 	sx, sy := s.ix.Project(task.Source)
-	dx, dy := s.ix.Project(task.Dest)
-	best, found := 0.0, false
+	earliest := math.Inf(1)
 	for _, i := range s.reachable(task, now) {
 		lx, ly := s.ix.Project(e.states[i].loc)
-		pickupKm := lowerKm(lx, ly, sx, sy)
-		arrival, ok := e.pickupArrival(i, task, now, pickupKm)
-		if !ok {
+		arrival, ok := e.pickupArrival(i, task, now, lowerKm(lx, ly, sx, sy))
+		if !ok || arrival > earliest {
 			continue
 		}
-		if found {
-			opt := Candidate{Arrival: arrival}
-			if by == RankMargin {
-				hx, hy := s.ix.Project(e.Drivers[i].Dest)
-				opt.Margin = e.margin(task.Price, q.serviceCost, pickupKm, lowerKm(dx, dy, hx, hy), e.homeKm(i))
-			}
-			if by.of(opt) < best {
-				continue
-			}
-		}
+		s.stats.ExactScores++
 		c, ok := e.candidateFor(i, task, now, q.service, q.serviceCost)
 		if !ok {
 			continue
 		}
 		buf = append(buf, c)
-		if r := by.of(c); !found || r > best {
-			best, found = r, true
+		if c.Arrival < earliest {
+			earliest = c.Arrival
 		}
 	}
 	return buf
 }
 
-// TopRow is topRow for a batched window (closeBatchSparse): it walks the
-// same reachable drivers in the same order, keeping the exact candidates
-// of the row so far — at most k, all of positive margin — as a heap on
-// the tail of arena whose root is the one that ranks last under
-// ranksBefore, and scores a driver exactly only if her optimistic margin
-// (Contenders' bound: the exact functions fed lower bounds on her two
-// distances, so never below her exact margin, as floats) could still put
-// her in the row. What survives is sorted back into driver order, so the
-// row is topRow's element for element.
+// marginWalk is one order's pass over the index for the two walks that
+// rank by margin: the cursor over the drivers who could reach the pickup
+// by its deadline, and what the optimistic margin of one of them needs
+// of the order. The pickup-deadline clause is not bounded here a second
+// time: the cursor's predicate applies it at the fleet's top speed and
+// candidateFor applies it exactly, so on a fleet of mixed speeds a slow
+// driver the predicate lets through is at worst scored and dropped.
+type marginWalk struct {
+	cur                spatial.Cursor
+	e                  *Engine
+	price, serviceCost float64
+	dropX, dropY       float64 // the dropoff, projected
+}
+
+func (s *GridSource) marginWalk(task model.Task, now float64, q orderTerms) marginWalk {
+	if s.e.timeKeyed {
+		s.ix.Expire(now)
+	}
+	w := marginWalk{
+		cur: s.ix.Reachable(task.Source, s.maxSpeed, task.StartBy, now, s.e.minRetire(task, now)),
+		e:   s.e, price: task.Price, serviceCost: q.serviceCost,
+	}
+	w.dropX, w.dropY = s.ix.Project(task.Dest)
+	return w
+}
+
+// optimistic is the margin bound of the driver behind en, who stands
+// √distSq planar kilometres from the pickup: Engine.margin fed Safety ×
+// the planar length of her two new legs. The way home she already has
+// is exact, taken from the engine the first time a walk needs it after
+// she moved and kept in her entry since — only ever for a driver the
+// index predicate passed, so a rejected one costs no Market.Dist. Both
+// walks call this one method, where each used to carry a copy of the
+// per-driver prelude to spare a call per reachable driver: the call now
+// comes after the inlined predicate, for half as many, and written out
+// in the loop it measured inside the noise.
+func (w *marginWalk) optimistic(en *spatial.Entry, distSq float64) float64 {
+	if en.HomeKm != en.HomeKm {
+		en.HomeKm = w.e.homeKm(int(en.ID))
+	}
+	return w.e.margin(w.price, w.serviceCost, spatial.Safety*math.Sqrt(distSq),
+		lowerKm(w.dropX, w.dropY, en.HomeX, en.HomeY), en.HomeKm)
+}
+
+// cellBound is optimistic for the current cell as a whole: no driver in
+// it is nearer the pickup than the cell, ends nearer her home than at
+// it, or has further to go home now than the one of them who has
+// furthest.
+func (w *marginWalk) cellBound() float64 {
+	return w.e.margin(w.price, w.serviceCost, w.cur.RingKm(), 0, w.cur.MaxHomeKm())
+}
+
+// bestMargins is Contenders for RankMargin: every feasible driver whose
+// optimistic margin reaches the best exact one met before her on the
+// walk. Whoever holds the final best margin, or ties it, is among them
+// whatever the order of the walk — her optimistic margin is at least
+// her exact one, which no incumbent exceeds — and sorted back into
+// driver order the list is one MaxMargin cannot tell from the full one.
+func (s *GridSource) bestMargins(task model.Task, now float64, q orderTerms, buf []Candidate) []Candidate {
+	start := len(buf)
+	best := math.Inf(-1)
+	n := s.stats // counted in a local: a store to s would make the loop reload all it reads
+	for w := s.marginWalk(task, now, q); w.cur.Next(); {
+		n.CellsVisited++
+		if w.cellBound() < best {
+			n.CellsSkipped++
+			continue
+		}
+		ents := w.cur.Entries()
+		n.EntriesScanned += uint64(len(ents))
+		maxHome := math.Inf(-1)
+		for k := range ents {
+			en := &ents[k]
+			if distSq, ok := w.cur.Reach(en); ok && !(w.optimistic(en, distSq) < best) {
+				n.ExactScores++
+				if c, ok := s.e.candidateFor(int(en.ID), task, now, q.service, q.serviceCost); ok {
+					buf = append(buf, c)
+					if c.Margin > best {
+						best = c.Margin
+					}
+				}
+			}
+			maxHome = max(maxHome, en.HomeKm)
+		}
+		w.cur.Tighten(maxHome)
+	}
+	s.stats = n
+	sortByDriver(buf[start:])
+	return buf
+}
+
+// TopRow is topRow for a batched window (closeBatchSparse): the same
+// walk as bestMargins, keeping the exact candidates of the row so far —
+// at most k, all of positive margin — as a heap on the tail of arena
+// whose root is the one that ranks last under ranksBefore, and scoring a
+// driver exactly only if her optimistic margin could still put her in
+// the row. What survives is sorted back into driver order, so the row is
+// topRow's element for element.
 //
-// The tie rule is the opposite of Contenders', which must keep ties and
-// skips on <. A row ranks by margin and then by lower driver id, and the
-// walk is in ascending id: a driver whose margin could at best equal the
-// root's has a higher id than everyone in the heap, loses the tie-break
-// to the root and so to all of them, and is skipped on <=. (Skipping on
-// < would only score more.) The floor is closed the same way: topRow
-// keeps Margin > 0, so an optimistic margin of 0 is skipped. Both tests
-// are false for a NaN, which goes to exact scoring, where !(Margin > 0)
+// A driver is skipped when her optimistic margin is strictly below the
+// full heap's root: she ranks after everyone in it. One that could at
+// best equal the root is scored, and ranksBefore — margin, then lower
+// driver id — decides; the walk is not in driver order, so the tie-break
+// cannot be settled without her id. The floor is closed: topRow keeps
+// Margin > 0, so an optimistic margin of 0 is skipped. Both tests are
+// false for a NaN, which goes to exact scoring, where !(Margin > 0)
 // drops it as topRow's filter does. A row with fewer than k positive
 // margins never fills the heap and is pruned by the floor alone.
 //
-// The per-driver prelude is Contenders', copied rather than shared: as
-// a function of its own it costs 312 against the inliner's budget of 80,
-// and a call per reachable driver is what this walk saves. The two fuzz
-// targets pin the copies. The dropoff-deadline and return-home clauses
-// could be bounded the same way and are not: on a 10k-driver day they
-// would spare 0.7 % of the exact scores (1.8 % in real-time mode).
+// The dropoff-deadline and return-home clauses could be bounded the same
+// way and are not: on a 10k-driver day they would spare 0.7 % of the
+// exact scores (1.8 % in real-time mode).
 //
 // Under a road metric (Market.Batch) the full list stays, as in
 // Contenders — and measured, not assumed: a road distance exceeds the
@@ -246,35 +349,51 @@ func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candida
 		return topRow(s, task, now, k, arena)
 	}
 	q := e.orderTerms(task)
-	sx, sy := s.ix.Project(task.Source)
-	dx, dy := s.ix.Project(task.Dest)
 	start := len(arena)
-	for _, i := range s.reachable(task, now) {
-		lx, ly := s.ix.Project(e.states[i].loc)
-		pickupKm := lowerKm(lx, ly, sx, sy)
-		if _, ok := e.pickupArrival(i, task, now, pickupKm); !ok {
+	root := math.Inf(-1) // the margin to reach: a full heap's root, none until it fills
+	n := s.stats         // counted in a local, as in bestMargins
+	for w := s.marginWalk(task, now, q); w.cur.Next(); {
+		n.CellsVisited++
+		if opt := w.cellBound(); opt <= 0 || opt < root {
+			n.CellsSkipped++
 			continue
 		}
-		hx, hy := s.ix.Project(e.Drivers[i].Dest)
-		opt := e.margin(task.Price, q.serviceCost, pickupKm, lowerKm(dx, dy, hx, hy), e.homeKm(i))
-		row := arena[start:]
-		full := len(row) == k
-		if opt <= 0 || full && opt <= row[0].Margin {
-			continue
+		ents := w.cur.Entries()
+		n.EntriesScanned += uint64(len(ents))
+		maxHome := math.Inf(-1)
+		for i := range ents {
+			en := &ents[i]
+			if distSq, ok := w.cur.Reach(en); ok {
+				if opt := w.optimistic(en, distSq); !(opt <= 0 || opt < root) {
+					n.ExactScores++
+					if c, ok := e.candidateFor(int(en.ID), task, now, q.service, q.serviceCost); ok && c.Margin > 0 {
+						arena = admit(arena, start, k, c)
+						if row := arena[start:]; len(row) == k {
+							root = row[0].Margin
+						}
+					}
+				}
+			}
+			maxHome = max(maxHome, en.HomeKm)
 		}
-		c, ok := e.candidateFor(i, task, now, q.service, q.serviceCost)
-		if !ok || !(c.Margin > 0) {
-			continue
-		}
-		if !full {
-			arena = append(arena, c)
-			siftUp(arena[start:])
-		} else if ranksBefore(c, row[0]) {
-			row[0] = c
-			siftDown(row)
-		}
+		w.cur.Tighten(maxHome)
 	}
+	s.stats = n
 	sortByDriver(arena[start:])
+	return arena
+}
+
+// admit puts c into TopRow's heap, arena[start:], while that has fewer
+// than k elements, and after that in place of its root if c ranks before
+// it.
+func admit(arena []Candidate, start, k int, c Candidate) []Candidate {
+	if row := arena[start:]; len(row) < k {
+		arena = append(arena, c)
+		siftUp(arena[start:])
+	} else if ranksBefore(c, row[0]) {
+		row[0] = c
+		siftDown(row)
+	}
 	return arena
 }
 

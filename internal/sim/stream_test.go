@@ -124,6 +124,8 @@ func TestStreamReplayBitIdenticalToRunScenario(t *testing.T) {
 					}
 					se.SetCandidateSource(src.mk())
 					streamed := replayThroughStream(t, se, d, tr.Tasks, events)
+					auditIndex(t, "batch run", be)
+					auditIndex(t, "streamed run", se)
 
 					if !reflect.DeepEqual(batch, streamed) {
 						t.Fatalf("stream replay diverged from RunScenario:\nbatch:  served=%d rejected=%d cancelled=%d revenue=%.9f profit=%.9f\nstream: served=%d rejected=%d cancelled=%d revenue=%.9f profit=%.9f",
@@ -218,6 +220,7 @@ func TestStreamDynamicDriverAppend(t *testing.T) {
 			if res.Served != 1 || res.PerDriverTasks[idx] != 1 {
 				t.Fatalf("final result: %+v", res)
 			}
+			auditIndex(t, "after an announced driver joined, served and retired", e)
 		})
 	}
 }

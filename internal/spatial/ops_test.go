@@ -11,11 +11,13 @@ import (
 )
 
 // This file drives the index with arbitrary operation sequences —
-// Add/Remove/Move/SetSpan/Grow/Expire interleaved with the three query
-// forms, the deadlines of the window queries going up and down — against
-// a brute-force twin that keeps only the id arrays and answers every
-// query by scanning them. The index must return exactly the twin's set,
-// in ascending id order, and stay structurally sound after every step.
+// Add/Remove/Move/SetSpan/SetHome/Grow/Expire interleaved with the four
+// query forms, the deadlines of the window queries going up and down —
+// against a brute-force twin that keeps only the id arrays and answers
+// every query by scanning them. The index must return exactly the twin's
+// set — in ascending id order from the three forms that answer with ids,
+// cell by cell outwards from the cursor — carry every payload as the
+// twin has it, and stay structurally sound after every step.
 // The sequence is decoded from bytes, so the same interpreter serves the
 // seeded property test and the native fuzz target.
 
@@ -31,13 +33,34 @@ type twin struct {
 	loc          []geo.Point
 	free, retire []float64
 	present      []bool
+	// The payload: home is what SetHome was last given since the id was
+	// added (a point of NaNs before), homeKm what a cursor's caller last
+	// wrote since the id was added or moved (NaN before).
+	home   []geo.Point
+	homeKm []float64
 }
+
+var nowhere = geo.Point{Lat: math.NaN(), Lon: math.NaN()}
 
 func (m *twin) grow() {
 	m.loc = append(m.loc, geo.Point{})
 	m.free = append(m.free, math.Inf(-1))
 	m.retire = append(m.retire, math.Inf(1))
 	m.present = append(m.present, false)
+	m.home = append(m.home, nowhere)
+	m.homeKm = append(m.homeKm, math.NaN())
+}
+
+// sameFloat is ==, with NaN equal to NaN.
+func sameFloat(a, b float64) bool { return a == b || a != a && b != b }
+
+// payload checks that e carries id's payload as the twin has it.
+func (m *twin) payload(ix *Index, e Entry) error {
+	hx, hy := ix.Project(m.home[e.ID])
+	if !sameFloat(e.HomeX, hx) || !sameFloat(e.HomeY, hy) || !sameFloat(e.HomeKm, m.homeKm[e.ID]) {
+		return fmt.Errorf("id %d: payload (%g,%g) %g, twin (%g,%g) %g", e.ID, e.HomeX, e.HomeY, e.HomeKm, hx, hy, m.homeKm[e.ID])
+	}
+	return nil
 }
 
 // reachable is AppendReachable by definition: every present id, in id
@@ -68,6 +91,74 @@ func (m *twin) reachable(ix *Index, p geo.Point, speedKmh, byTime, now, minRetir
 	return out
 }
 
+// walk is the same query through a Cursor, returned sorted: every entry
+// of every cell the cursor hands out goes through Reach, so the ids it
+// accepts must be reachable's whichever cells the caller then treats as
+// skipped. On the way it holds the cursor to its promises — no cell
+// twice, rings outwards, RingKm the ring's bound, every entry in the
+// cell it is handed out for with the twin's payload under the cell's
+// aggregate, Reach's distance the planar one — and plays the caller's
+// part on the cells it does not skip (every skipEvery-th is, none at 0):
+// it fills in the HomeKm of about half the entries Reach passes and
+// reports the cell's maximum back.
+func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now, minRetire float64, skipEvery int, fill float64) []int {
+	t.Helper()
+	var got []int
+	cols := ix.grid.Cols
+	center := ix.grid.CellOf(p)
+	qx, qy := ix.Project(p)
+	seen := map[int32]bool{}
+	lastRingKm, n := 0.0, 0
+	for c := ix.Reachable(p, speedKmh, byTime, now, minRetire); c.Next(); n++ {
+		ents := c.Entries()
+		if len(ents) == 0 {
+			t.Fatalf("cursor stopped at a cell with nothing to scan")
+		}
+		at := ix.cell[ents[0].ID]
+		if seen[at] {
+			t.Fatalf("cursor came to cell %d twice", at)
+		}
+		seen[at] = true
+		ring := max(abs(int(at)/cols-center/cols), abs(int(at)%cols-center%cols))
+		if want := Safety * float64(max(ring-1, 0)) * ix.minSpanKm; c.RingKm() != want || c.RingKm() < lastRingKm {
+			t.Fatalf("cell %d, %d rings from cell %d: RingKm %g after %g, want %g", at, ring, center, c.RingKm(), lastRingKm, want)
+		}
+		lastRingKm = c.RingKm()
+		skip := skipEvery > 0 && n%skipEvery == 0
+		maxHome := math.Inf(-1)
+		for k := range ents {
+			en := &ents[k]
+			if ix.cell[en.ID] != at {
+				t.Fatalf("id %d of cell %d handed out with cell %d", en.ID, ix.cell[en.ID], at)
+			}
+			if err := m.payload(ix, *en); err != nil {
+				t.Fatal(err)
+			}
+			if !(c.MaxHomeKm() >= orInf(en.HomeKm)) {
+				t.Fatalf("id %d: HomeKm %g above MaxHomeKm %g", en.ID, en.HomeKm, c.MaxHomeKm())
+			}
+			if distSq, ok := c.Reach(en); ok {
+				if dx, dy := en.PX-qx, en.PY-qy; distSq != dx*dx+dy*dy {
+					t.Fatalf("id %d: Reach says %g km², the planar distance squared is %g", en.ID, distSq, dx*dx+dy*dy)
+				}
+				got = append(got, int(en.ID))
+				if !skip && en.HomeKm != en.HomeKm && (int(en.ID)+int(fill))%2 == 0 {
+					en.HomeKm = fill + float64(en.ID)
+					m.homeKm[en.ID] = en.HomeKm
+				}
+			}
+			maxHome = max(maxHome, en.HomeKm) // NaN once any is
+		}
+		if !skip {
+			c.Tighten(maxHome)
+		}
+	}
+	slices.Sort(got)
+	return got
+}
+
+func abs(x int) int { return max(x, -x) }
+
 func (m *twin) near(ix *Index, p geo.Point, radiusKm float64) []int {
 	var out []int
 	if radiusKm < 0 {
@@ -85,11 +176,13 @@ func (m *twin) near(ix *Index, p geo.Point, radiusKm float64) []int {
 }
 
 // checkInvariants verifies the structure the queries rely on: every
-// present id sits in the cell of its location at its recorded slot, the
-// live prefix of a cell holds exactly its live entries, each state is
-// the one the window dictates or a stale-but-safe one (parked ids the
-// watermark passed stay parked until woken), both heaps are heaps with
-// hpos in step, and no query left a mark behind.
+// present id sits in the cell of its location at its recorded slot with
+// the twin's payload, the live prefix of a cell holds exactly its live
+// entries and the cell's aggregate is at least the HomeKm of each (an
+// unknown one counting as +Inf), each state is the one the window
+// dictates or a stale-but-safe one (parked ids the watermark passed stay
+// parked until woken), both heaps are heaps with hpos in step, and no
+// query left a mark behind.
 func checkInvariants(ix *Index, m *twin) error {
 	members, inWake, inExp := 0, 0, 0
 	for id := range ix.loc {
@@ -109,13 +202,16 @@ func checkInvariants(ix *Index, m *twin) error {
 		}
 		cl := &ix.cells[c]
 		slot := int(ix.slot[id])
-		if slot >= len(cl.ents) || cl.ents[slot].id != int32(id) {
+		if slot >= len(cl.ents) || cl.ents[slot].ID != int32(id) {
 			return fmt.Errorf("id %d: slot %d of cell %d does not hold it", id, slot, c)
 		}
 		e := cl.ents[slot]
 		px, py := ix.Project(m.loc[id])
-		if e.px != px || e.py != py || e.freeAt != m.free[id] || e.retireAt != m.retire[id] {
+		if e.PX != px || e.PY != py || e.FreeAt != m.free[id] || e.RetireAt != m.retire[id] {
 			return fmt.Errorf("id %d: entry %+v is stale", id, e)
+		}
+		if err := m.payload(ix, e); err != nil {
+			return err
 		}
 		st := ix.state[id]
 		if (st == stLive) != (slot < cl.live) {
@@ -129,6 +225,9 @@ func checkInvariants(ix *Index, m *twin) error {
 			}
 			if ix.exp[ix.hpos[id]] != int32(id) {
 				return fmt.Errorf("id %d: not at its place in the expiry queue", id)
+			}
+			if !(cl.maxHomeKm >= orInf(e.HomeKm)) {
+				return fmt.Errorf("id %d: HomeKm %g above its cell's aggregate %g", id, e.HomeKm, cl.maxHomeKm)
 			}
 		case stParked:
 			inWake++
@@ -224,7 +323,7 @@ func runIndexOps(t testing.TB, data []byte, expire bool) {
 		}
 	}
 	for !r.done() {
-		op := r.byte() % 10
+		op := r.byte() % 12
 		id := int(r.byte()) % len(m.loc)
 		switch op {
 		case 0, 1: // place: Add when absent, Move when present
@@ -233,8 +332,9 @@ func runIndexOps(t testing.TB, data []byte, expire bool) {
 				ix.Move(id, p)
 			} else {
 				ix.Add(id, p)
+				m.home[id] = nowhere
 			}
-			m.loc[id], m.present[id] = p, true
+			m.loc[id], m.present[id], m.homeKm[id] = p, true, math.NaN()
 			if ix.Location(id) != p || !ix.Contains(id) {
 				t.Fatalf("op %d: id %d not at %v after placing it", r.pos, id, p)
 			}
@@ -271,6 +371,15 @@ func runIndexOps(t testing.TB, data []byte, expire bool) {
 			var got []int
 			ix.Near(p, radius, func(id int) { got = append(got, id) })
 			equal("Near", got, m.near(ix, p, radius))
+		case 10: // window query, cursor form
+			p, speed, byTime, now, minRetire := r.point(), float64(r.byte()%90), r.time(), r.time(), r.time()
+			skipEvery, fill := int(r.byte()%4), float64(r.byte())
+			equal("Reachable", m.walk(t, ix, p, speed, byTime, now, minRetire, skipEvery, fill), m.reachable(ix, p, speed, byTime, now, minRetire))
+		case 11: // the payload's static half, whenever: it is the caller's
+			if m.present[id] {
+				m.home[id] = r.point()
+				ix.SetHome(id, m.home[id])
+			}
 		}
 		if ix.Len() != len(m.loc) {
 			t.Fatalf("op %d: Len() = %d, want %d", r.pos, ix.Len(), len(m.loc))

@@ -8,9 +8,9 @@
 // drop a point that is within the radius.
 //
 // The index buckets each point into its grid cell and serves a query by
-// scanning the square of cells around the query point's cell, row by
-// row. The square reaches out to ring r only while that ring's distance
-// lower bound (r-1)·minCellSpan — scaled by a safety factor that absorbs
+// scanning the square of cells around the query point's cell. The
+// square reaches out to ring r only while that ring's distance lower
+// bound (r-1)·minCellSpan — scaled by a safety factor that absorbs
 // projection distortion — does not exceed the query radius, so a query
 // touches O(points within ~R) rather than all N points. Points outside
 // the grid's bounding box are clamped into boundary cells; because
@@ -19,15 +19,25 @@
 // points too.
 //
 // A cell holds packed entries — id, planar coordinates, availability
-// window — so a scan is a plain loop over contiguous memory. The index
-// is also aware of time: an entry whose window cannot matter to any
-// query asked so far (its free time lies beyond every pickup deadline
-// seen: parked) or to any query still to come (it retired before the
-// caller's clock: expired) sits behind the live prefix of its cell,
-// where window queries do not look. The per-entry predicate is
-// unchanged, so the two states only skip entries it would reject; see
-// Index. Accepted ids are collected in a bitmap over the id space and
-// swept in ascending order, so no caller sorts.
+// window, and a payload the caller owns — one cache line each, so a
+// scan is a plain loop over contiguous memory. The index is also aware
+// of time: an entry whose window cannot matter to any query asked so
+// far (its free time lies beyond every pickup deadline seen: parked) or
+// to any query still to come (it retired before the caller's clock:
+// expired) sits behind the live prefix of its cell, where window queries
+// do not look. The per-entry predicate is unchanged, so the two states
+// only skip entries it would reject; see Index.
+//
+// A query answers in one of two shapes. The forms that return ids (Near,
+// NearReachable, AppendReachable) walk the square the way memory lies,
+// row by row, collect the accepted ids in a bitmap over the id space and
+// sweep it in ascending order, so no caller sorts. The Cursor form
+// (Reachable) gives the walk to a caller that is after an extremum and
+// can bound it: cells come nearest ring first — the best-first order of
+// incremental nearest-neighbour search over a bucket grid (Hjaltason and
+// Samet, "Distance Browsing in Spatial Databases", TODS 1999) — each with
+// a bound on all of its entries at once, so that most cells behind a
+// good incumbent are passed over without a line of theirs being read.
 //
 // Distance checks use planar kilometer coordinates under a fixed
 // conservative projection (see Project) so the query hot path does no
@@ -62,14 +72,15 @@ const Safety = 0.9
 // NewIndex (every point present) or NewSparseIndex (membership managed
 // with Add and Remove — every id starts absent). It is not safe
 // for concurrent use, queries included: a query marks its result in the
-// index's bitmap and may wake parked entries.
+// index's bitmap, may wake parked entries, and through a Cursor writes
+// the caller's findings into entries and cells.
 //
 // Besides its location, every point carries an availability window
 // [freeAt, retireAt) — for a driver: when she can next depart (shift
 // start, or the lock release of her in-flight task) and when her shift
-// ends. The window queries (NearReachable, AppendReachable) combine the
-// window with the distance bound, and scan only the live entries of a
-// cell. A present point is in exactly one of three states:
+// ends. The window queries (NearReachable, AppendReachable, Reachable)
+// combine the window with the distance bound, and scan only the live
+// entries of a cell. A present point is in exactly one of three states:
 //
 //   - expired: retireAt < watermark, the largest time passed to Expire.
 //     A window query demands retireAt >= minRetire, so it can skip the
@@ -110,19 +121,32 @@ type Index struct {
 	kmPerLon  float64 // km per degree of longitude at the box's widest-cos latitude
 }
 
-// entry is one present point as a scan sees it: everything the
-// predicate reads, in one place.
-type entry struct {
-	px, py           float64 // planar km coordinates (see Project)
-	freeAt, retireAt float64
-	id               int32
+// Entry is one present point as a scan sees it: everything the
+// predicate reads and the caller's payload, 64 bytes — one cache line.
+// The index owns the first five fields, which a caller only reads. The
+// payload is the caller's and the index never interprets it beyond the
+// one rule stated at HomeKm: it travels with the entry through every
+// swap and rebucketing and is dropped by Remove.
+type Entry struct {
+	PX, PY           float64 // planar km coordinates (see Project)
+	FreeAt, RetireAt float64
+	// HomeX, HomeY are set by SetHome and never change otherwise (NaN
+	// until set): for a driver, her projected destination.
+	HomeX, HomeY float64
+	// HomeKm is a number the caller derives from the point's location,
+	// NaN while unknown: a caller handed the entry by a Cursor may fill
+	// it in, and every Move resets it to NaN, same cell or not. For a
+	// driver: the travel distance from where she is to her destination.
+	HomeKm float64
+	ID     int32
 }
 
 // cell is one grid cell's points: the live ones first, then the parked
 // and expired ones in no particular order.
 type cell struct {
-	ents []entry
-	live int
+	ents      []Entry
+	live      int
+	maxHomeKm float64 // at least every live entry's HomeKm; see Cursor.MaxHomeKm
 }
 
 // absentCell marks an id that is allocated but not currently indexed
@@ -202,9 +226,10 @@ func NewSparseIndex(grid *geo.Grid, n int) *Index {
 	// Every cell starts with room for a few entries in one shared block,
 	// laid out in cell order like the scan walks it; a cell that outgrows
 	// its share moves to a block of its own.
-	arena := make([]entry, cellReserve*len(ix.cells))
+	arena := make([]Entry, cellReserve*len(ix.cells))
 	for c := range ix.cells {
 		ix.cells[c].ents = arena[c*cellReserve : c*cellReserve : (c+1)*cellReserve]
+		ix.cells[c].maxHomeKm = math.Inf(-1)
 	}
 	return ix
 }
@@ -268,9 +293,40 @@ func (ix *Index) Add(id int, p geo.Point) {
 		panic(fmt.Sprintf("spatial: Add of already-present id %d", id))
 	}
 	ix.loc[id] = p
-	ix.attach(int32(id), int32(ix.grid.CellOf(p)))
+	px, py := ix.Project(p)
+	nan := math.NaN()
+	ix.attach(Entry{PX: px, PY: py, FreeAt: ix.freeAt[id], RetireAt: ix.retireAt[id],
+		HomeX: nan, HomeY: nan, HomeKm: nan, ID: int32(id)}, int32(ix.grid.CellOf(p)))
 	ix.enter(int32(id), ix.classify(int32(id)))
 	ix.members++
+}
+
+// SetHome sets the static half of id's payload (see Entry) to home,
+// projected. It panics if id is absent: the payload lives in the entry,
+// and Remove drops it.
+func (ix *Index) SetHome(id int, home geo.Point) {
+	e := ix.entry(id, "SetHome")
+	e.HomeX, e.HomeY = ix.Project(home)
+}
+
+// Lookup returns a copy of id's entry, and whether id is present.
+func (ix *Index) Lookup(id int) (Entry, bool) {
+	ix.checkID(id)
+	if ix.cell[id] == absentCell {
+		return Entry{}, false
+	}
+	return ix.cells[ix.cell[id]].ents[ix.slot[id]], true
+}
+
+// entry returns the present id's entry, panicking in op's name if id is
+// absent.
+func (ix *Index) entry(id int, op string) *Entry {
+	ix.checkID(id)
+	c := ix.cell[id]
+	if c == absentCell {
+		panic(fmt.Sprintf("spatial: %s of absent id %d", op, id))
+	}
+	return &ix.cells[c].ents[ix.slot[id]]
 }
 
 // Remove detaches id from the index (driver retirement): subsequent
@@ -288,24 +344,22 @@ func (ix *Index) Remove(id int) {
 }
 
 // Move updates id's location, rebucketing it if it crossed a cell
-// boundary. It panics if id is absent.
+// boundary, and forgets the HomeKm the caller derived from the old one.
+// It panics if id is absent.
 func (ix *Index) Move(id int, p geo.Point) {
-	ix.checkID(id)
-	old := ix.cell[id]
-	if old == absentCell {
-		panic(fmt.Sprintf("spatial: Move of absent id %d", id))
-	}
+	e := ix.entry(id, "Move")
 	ix.loc[id] = p
-	if c := int32(ix.grid.CellOf(p)); c != old {
-		st := ix.state[id]
+	e.PX, e.PY = ix.Project(p)
+	e.HomeKm = math.NaN()
+	if c := int32(ix.grid.CellOf(p)); c != ix.cell[id] {
+		moved, st := *e, ix.state[id]
 		ix.leave(int32(id))
 		ix.detach(int32(id))
-		ix.attach(int32(id), c)
+		ix.attach(moved, c)
 		ix.enter(int32(id), st)
-		return
+	} else if ix.state[id] == stLive {
+		ix.cells[c].maxHomeKm = math.Inf(1)
 	}
-	e := &ix.cells[old].ents[ix.slot[id]]
-	e.px, e.py = ix.Project(p)
 }
 
 // SetSpan sets id's availability window: freeAt is the earliest time the
@@ -322,7 +376,7 @@ func (ix *Index) SetSpan(id int, freeAt, retireAt float64) {
 	}
 	ix.leave(int32(id))
 	e := &ix.cells[c].ents[ix.slot[id]]
-	e.freeAt, e.retireAt = freeAt, retireAt
+	e.FreeAt, e.RetireAt = freeAt, retireAt
 	ix.enter(int32(id), ix.classify(int32(id)))
 }
 
@@ -370,14 +424,13 @@ func (ix *Index) classify(id int32) uint8 {
 	return stLive
 }
 
-// attach appends id's entry to cell c, behind the live prefix; enter
-// moves it into the prefix if that is where it belongs.
-func (ix *Index) attach(id, c int32) {
-	px, py := ix.Project(ix.loc[id])
+// attach appends e to cell c, behind the live prefix; enter moves it
+// into the prefix if that is where it belongs.
+func (ix *Index) attach(e Entry, c int32) {
 	cl := &ix.cells[c]
-	ix.cell[id] = c
-	ix.slot[id] = int32(len(cl.ents))
-	cl.ents = append(cl.ents, entry{px: px, py: py, freeAt: ix.freeAt[id], retireAt: ix.retireAt[id], id: id})
+	ix.cell[e.ID] = c
+	ix.slot[e.ID] = int32(len(cl.ents))
+	cl.ents = append(cl.ents, e)
 }
 
 // detach swap-removes id's entry, which must lie behind the live prefix
@@ -395,8 +448,8 @@ func (cl *cell) swap(ix *Index, i, j int) {
 		return
 	}
 	cl.ents[i], cl.ents[j] = cl.ents[j], cl.ents[i]
-	ix.slot[cl.ents[i].id] = int32(i)
-	ix.slot[cl.ents[j].id] = int32(j)
+	ix.slot[cl.ents[i].ID] = int32(i)
+	ix.slot[cl.ents[j].ID] = int32(j)
 }
 
 // enter puts a present id that is in no state (fresh from attach, or
@@ -407,6 +460,7 @@ func (ix *Index) enter(id int32, st uint8) {
 	switch st {
 	case stLive:
 		cl := &ix.cells[ix.cell[id]]
+		cl.maxHomeKm = max(cl.maxHomeKm, orInf(cl.ents[ix.slot[id]].HomeKm))
 		cl.swap(ix, int(ix.slot[id]), cl.live)
 		cl.live++
 		ix.push(&ix.exp, ix.retireAt, id)
@@ -522,16 +576,169 @@ func (ix *Index) NearReachable(p geo.Point, speedKmh, byTime, now, minRetire flo
 // result a superset of the truly reachable points; exact feasibility
 // stays with the caller.
 func (ix *Index) AppendReachable(buf []int, p geo.Point, speedKmh, byTime, now, minRetire float64) []int {
-	if speedKmh <= 0 || byTime < now {
+	s, radiusKm, ok := ix.windowScan(speedKmh, byTime, now, minRetire)
+	if !ok {
 		return buf
+	}
+	return ix.collect(buf, p, radiusKm, s)
+}
+
+// windowScan is what every window query does first: it refuses the
+// query no point can satisfy, wakes the points a later deadline than any
+// before overtakes, and returns the predicate — dormant if the query
+// asks below the watermark — with the radius the fastest point covers.
+func (ix *Index) windowScan(speedKmh, byTime, now, minRetire float64) (s scan, radiusKm float64, ok bool) {
+	if speedKmh <= 0 || byTime < now {
+		return scan{}, 0, false
 	}
 	if byTime > ix.horizon {
 		ix.wakeUntil(byTime)
 	}
-	return ix.collect(buf, p, speedKmh*(byTime-now)/3600, scan{
+	return scan{
 		windows: true, dormant: !(minRetire >= ix.watermark),
 		speedKmh: speedKmh, byTime: byTime, now: now, minRetire: minRetire,
-	})
+	}, speedKmh * (byTime - now) / 3600, true
+}
+
+// rings is how far out, in cells, a scan of radiusKm reaches: every
+// point in a cell r rings out is at least (r-1) cell spans from any
+// point in the center cell, so the square stops at the first ring that
+// bound puts beyond the radius.
+func (ix *Index) rings(radiusKm float64) int {
+	rings := 1
+	for rings < max(ix.grid.Rows, ix.grid.Cols) && float64(rings)*ix.minSpanKm*Safety <= radiusKm {
+		rings++
+	}
+	return rings
+}
+
+// Cursor is AppendReachable turned inside out, for a caller that wants
+// the entries rather than the ids and has bounds of its own to apply.
+// The caller steps with Next through the non-empty cells of the scanned
+// square — the center cell first, then ring after ring around it, so
+// that what lies nearest is met first — and for each cell either skips
+// it on what RingKm and MaxHomeKm say of all its entries at once, or
+// reads them from Entries, puts them through the query's predicate with
+// Reach (scan's, promoted) and reports back with Tighten. It is a value
+// — no closure, nothing allocated — and is good until the index is next
+// mutated or queried.
+type Cursor struct {
+	scan
+	ix         *Index
+	crow, ccol int     // the center cell
+	ring, side int     // the ring and the side of it that nextSide takes next
+	rings      int     // the last ring of the square
+	at, end    int     // the cells left of the side being walked: at, at+step, … < end
+	step       int     // 1 along a row of the grid, its width down a column
+	ringKm     float64 // RingKm of the side being walked
+	cl         *cell   // the current cell
+}
+
+// Reachable starts a Cursor over the points AppendReachable would test
+// with the same arguments.
+func (ix *Index) Reachable(p geo.Point, speedKmh, byTime, now, minRetire float64) Cursor {
+	s, radiusKm, ok := ix.windowScan(speedKmh, byTime, now, minRetire)
+	if !ok {
+		return Cursor{rings: -1}
+	}
+	s.qx, s.qy = ix.Project(p)
+	center := ix.grid.CellOf(p)
+	return Cursor{
+		scan: s, ix: ix,
+		crow: center / ix.grid.Cols, ccol: center % ix.grid.Cols,
+		rings: ix.rings(radiusKm),
+	}
+}
+
+// Next moves to the next cell with entries to scan, and reports whether
+// there is one.
+func (c *Cursor) Next() bool {
+	for c.at < c.end || c.nextSide() {
+		cl := &c.ix.cells[c.at]
+		c.at += c.step
+		if cl.live > 0 || c.dormant && len(cl.ents) > 0 {
+			c.cl = cl
+			return true
+		}
+	}
+	return false
+}
+
+// nextSide points at, end and step at the next stretch of cells: ring r
+// is the top and the bottom row of the square of cells r around the
+// center, then what lies between them of its left and its right column,
+// each clipped to the grid. It reports false once the rings are spent.
+func (c *Cursor) nextSide() bool {
+	for c.ring <= c.rings { // never, for the cursor of a query no point can satisfy
+		rows, cols := c.ix.grid.Rows, c.ix.grid.Cols
+		r, side := c.ring, c.side
+		if c.side++; c.side == 4 || r == 0 { // ring 0 is one cell: its top row
+			c.ring, c.side = r+1, 0
+		}
+		if side < 2 {
+			row := c.crow - r + side*2*r
+			if row < 0 || row >= rows {
+				continue
+			}
+			c.at, c.end, c.step = row*cols+max(c.ccol-r, 0), row*cols+min(c.ccol+r, cols-1)+1, 1
+		} else {
+			col := c.ccol - r + (side-2)*2*r
+			lo, hi := max(c.crow-r+1, 0), min(c.crow+r-1, rows-1)
+			if col < 0 || col >= cols || lo > hi {
+				continue
+			}
+			c.at, c.end, c.step = lo*cols+col, hi*cols+col+1, cols
+		}
+		c.ringKm = Safety * float64(max(r-1, 0)) * c.ix.minSpanKm
+		return true
+	}
+	return false
+}
+
+// RingKm is a lower bound on the travel distance from the query point
+// to any point of the current cell: the bound the square's size rests on
+// (see rings) — every point r rings out is at least r-1 cell spans away,
+// clamped ones included — discounted by Safety like every other.
+func (c *Cursor) RingKm() float64 { return c.ringKm }
+
+// MaxHomeKm is an upper bound on the HomeKm of every entry Entries
+// would return for the current cell, an unknown (NaN) one counting as
+// +Inf. It is kept per cell: raised when an entry joins the cell's live
+// ones or moves within it, not lowered when one leaves, and made exact
+// again by Tighten. A query below the watermark reads past the live
+// entries, which is all the bound covers, and gets +Inf.
+func (c *Cursor) MaxHomeKm() float64 {
+	if c.dormant {
+		return math.Inf(1)
+	}
+	return c.cl.maxHomeKm
+}
+
+// Entries returns the current cell's scanned entries: the live ones, or
+// all of them on a query that asks below the watermark (see Expire). The
+// caller may write their HomeKm and nothing else.
+func (c *Cursor) Entries() []Entry {
+	if c.dormant {
+		return c.cl.ents
+	}
+	return c.cl.ents[:c.cl.live]
+}
+
+// Tighten tells the index the largest HomeKm among the entries Entries
+// returned for the current cell as the caller leaves them, NaN if any of
+// them is NaN.
+func (c *Cursor) Tighten(maxHomeKm float64) {
+	if !c.dormant {
+		c.cl.maxHomeKm = orInf(maxHomeKm)
+	}
+}
+
+// orInf reads an unknown HomeKm as the bound it allows: none.
+func orInf(homeKm float64) float64 {
+	if homeKm != homeKm {
+		return math.Inf(1)
+	}
+	return homeKm
 }
 
 // scan is one query's per-entry predicate: the reachability test of
@@ -545,51 +752,51 @@ type scan struct {
 	speedKmh, byTime, now, minRetire float64
 }
 
-// within and reachable are the two predicates, each small enough for the
+// within and Reach are the two predicates, each small enough for the
 // compiler to inline into the scan loop.
-func (s *scan) within(e *entry) bool {
-	dx, dy := e.px-s.qx, e.py-s.qy
+func (s *scan) within(e *Entry) bool {
+	dx, dy := e.PX-s.qx, e.PY-s.qy
 	return dx*dx+dy*dy <= s.limitSq
 }
 
-func (s *scan) reachable(e *entry) bool {
+// Reach is a window query's predicate, the one AppendReachable applies.
+// It also returns the squared planar distance from e to the query point
+// that it compares, for a caller that goes on to bound with it (0 when
+// the availability window alone rejects e). A Cursor has it by
+// embedding, which is what lets it inline into the caller's loop.
+func (s *scan) Reach(e *Entry) (distSq float64, ok bool) {
 	// Availability prunes first: on a day-long market most of the
 	// fleet is off shift or locked, and these are float compares.
-	if e.retireAt < s.minRetire {
-		return false
+	if e.RetireAt < s.minRetire {
+		return 0, false
 	}
-	depart := e.freeAt
+	depart := e.FreeAt
 	if depart < s.now {
 		depart = s.now
 	}
 	if depart > s.byTime {
-		return false
+		return 0, false
 	}
 	// Compare travel time at the fleet-max speed against the point's
 	// own remaining budget, using the Safety-discounted planar
 	// distance lower bound (squared, to avoid the square root).
 	budgetKm := s.speedKmh * (s.byTime - depart) / 3600 / Safety
-	dx, dy := e.px-s.qx, e.py-s.qy
-	return dx*dx+dy*dy <= budgetKm*budgetKm
+	dx, dy := e.PX-s.qx, e.PY-s.qy
+	distSq = dx*dx + dy*dy
+	return distSq, distSq <= budgetKm*budgetKm
 }
 
-// collect is the one scan body: it walks the cells within ringRadiusKm
-// of p, sets the bit of every entry s accepts, and then appends the set
-// bits to buf in ascending id order, clearing them. Every point in a
-// cell r rings out is at least (r-1) cell spans from any point in the
-// center cell, so the square stops at the first ring that bound puts
-// beyond the radius. The order cells and entries are read in does not
+// collect is the scan body of the queries that answer with ids: it walks
+// the cells within ringRadiusKm of p (see rings), sets the bit of every
+// entry s accepts, and then appends the set bits to buf in ascending id
+// order, clearing them. The order cells and entries are read in does not
 // reach the caller, so the square is walked the way memory lies, one
 // row of cells after the other.
 func (ix *Index) collect(buf []int, p geo.Point, ringRadiusKm float64, s scan) []int {
 	s.qx, s.qy = ix.Project(p)
 	rows, cols := ix.grid.Rows, ix.grid.Cols
 	center := ix.grid.CellOf(p)
-	crow, ccol := center/cols, center%cols
-	rings := 1
-	for rings < max(rows, cols) && float64(rings)*ix.minSpanKm*Safety <= ringRadiusKm {
-		rings++
-	}
+	crow, ccol, rings := center/cols, center%cols, ix.rings(ringRadiusKm)
 	lo, hi := len(ix.marks), -1 // bitmap words touched
 	for row := max(crow-rings, 0); row <= min(crow+rings, rows-1); row++ {
 		for _, cl := range ix.cells[row*cols+max(ccol-rings, 0) : row*cols+min(ccol+rings, cols-1)+1] {
@@ -599,11 +806,17 @@ func (ix *Index) collect(buf []int, p geo.Point, ringRadiusKm float64, s scan) [
 			}
 			for i := range ents {
 				e := &ents[i]
-				if accepted := s.windows && s.reachable(e) || !s.windows && s.within(e); !accepted {
+				accepted := false
+				if s.windows {
+					_, accepted = s.Reach(e)
+				} else {
+					accepted = s.within(e)
+				}
+				if !accepted {
 					continue
 				}
-				w := int(e.id >> 6)
-				ix.marks[w] |= 1 << (uint(e.id) & 63)
+				w := int(e.ID >> 6)
+				ix.marks[w] |= 1 << (uint(e.ID) & 63)
 				lo, hi = min(lo, w), max(hi, w)
 			}
 		}
