@@ -325,7 +325,9 @@ func BenchmarkOnlineMaxMarginGrid50k(b *testing.B) { benchmarkDispatchScale(b, 5
 // the distance into the order's pickup once, and so does the commit of
 // each served order, which is subtracted. From the same day come the
 // source's own counts (sim.WalkStats): index entries put through the
-// predicate and cells skipped whole, a decision.
+// predicate and cells skipped whole, a decision, and what the index did
+// to keep its cells in step with the clock — entries woken, entries
+// expired, and entries shifted to keep a parked region in wake order.
 func BenchmarkInstantDecision(b *testing.B) {
 	if testing.Short() {
 		b.Skip("city-scale instant day; skipped in -short smoke runs")
@@ -371,6 +373,9 @@ func BenchmarkInstantDecision(b *testing.B) {
 	b.ReportMetric(float64(*intoPickup-served)/orders, "exact-scores/decision")
 	b.ReportMetric(float64(walk.EntriesScanned)/orders, "entries-scanned/decision")
 	b.ReportMetric(float64(walk.CellsSkipped)/orders, "cells-skipped/decision")
+	b.ReportMetric(float64(walk.Woken)/orders, "woken/decision")
+	b.ReportMetric(float64(walk.Expired)/orders, "expired/decision")
+	b.ReportMetric(float64(walk.Shifted)/orders, "shifted/decision")
 }
 
 // countIntoPickups returns mkt with a Dist that counts the distances

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -18,6 +19,17 @@ import (
 // engine window again, if a revoked ride was handed back to her after
 // she retired (handleFree → Moved): the engine's own presence check
 // keeps her out either way.
+//
+// An entry that mirrors the engine is still lost to a window query if it
+// lies in the wrong region of its cell — parked or expired when its
+// window says live, under a header that does not say the cell is
+// behind. The regions are the index's own business, so the audit asks:
+// every driver with an open window must answer a query at the spot she
+// stands on, at the instant she is free, that demands no shift longer
+// than hers. That raises the horizon to her free time, so her cell is
+// settled for it; and the query reads the live range alone whenever her
+// shift end is not already below the index's clock (below it, every
+// region is read and the check is vacuous — rightly, she is expired).
 func auditIndex(t testing.TB, label string, e *Engine) {
 	t.Helper()
 	s, ok := e.source.(*GridSource)
@@ -44,6 +56,12 @@ func auditIndex(t testing.TB, label string, e *Engine) {
 		}
 		if km := e.Market.Dist(st.loc, d.Dest); en.HomeKm == en.HomeKm && !same(en.HomeKm, km) {
 			t.Fatalf("%s: driver %d is %g km from home, her entry says %g", label, i, km, en.HomeKm)
+		}
+		if open && !math.IsInf(st.freeAt, 0) {
+			s.ids = s.ix.AppendReachable(s.ids[:0], st.loc, 1, st.freeAt, st.freeAt, d.End)
+			if _, found := slices.BinarySearch(s.ids, i); !found {
+				t.Fatalf("%s: driver %d, free at %g until %g, is not among the %d a query for exactly that finds where she stands", label, i, st.freeAt, d.End, len(s.ids))
+			}
 		}
 	}
 }

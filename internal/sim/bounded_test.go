@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/model"
+	"repro/internal/spatial"
 	"repro/internal/trace"
 )
 
@@ -30,7 +31,12 @@ import (
 // between runs would mean the path reads something other than engine
 // state — and each has a ceiling at what was measured when the cell walk
 // landed (8 968 calls before it for the margin rank; the arrival rank's
-// 4 238 are the ascending walk's, which it left alone).
+// 4 238 are the ascending walk's, which it left alone). The index's own
+// transitions (spatial.Stats) are the same for the full list, which asks
+// the same queries, and are pinned as they are counted: about 50 a
+// decision on this day. Shifted has a ceiling of one entry an order
+// instead (5 measured) — a park that cost the size of its cell would
+// read in the thousands.
 func TestBoundedPathScoresFewer(t *testing.T) {
 	cfg := trace.NewConfig(17, 200, 5000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
@@ -54,12 +60,14 @@ func TestBoundedPathScoresFewer(t *testing.T) {
 		ceiling int       // Market.Dist calls
 		most    WalkStats // ceilings; CellsSkipped is a floor
 	}{
-		{diffMaxMargin{}, 7953, WalkStats{CellsVisited: 21294, CellsSkipped: 10535, EntriesScanned: 55926, ExactScores: 1011}},
-		{diffNearest{}, 4238, WalkStats{ExactScores: 1289}},
+		{diffMaxMargin{}, 7953, WalkStats{CellsVisited: 21294, CellsSkipped: 10535, EntriesScanned: 55926, ExactScores: 1011,
+			Stats: spatial.Stats{Woken: 5092, Expired: 4901, Sorts: 515, Shifted: 200}}},
+		{diffNearest{}, 4238, WalkStats{ExactScores: 1289,
+			Stats: spatial.Stats{Woken: 5093, Expired: 4901, Sorts: 515, Shifted: 200}}},
 	} {
 		full, none, want := day(col.d)
-		if none != (WalkStats{}) {
-			t.Errorf("%s: the full list counted %+v on the bounded paths", col.d.Name(), none)
+		if none != (WalkStats{Stats: none.Stats}) || !sameTransitions(none.Stats, col.most.Stats) {
+			t.Errorf("%s: the full list counted %+v; want nothing on the bounded paths and the index's %+v", col.d.Name(), none, col.most.Stats)
 		}
 		ranked := forms(col.d)[1]
 		bounded, stats, got := day(ranked)
@@ -75,8 +83,19 @@ func TestBoundedPathScoresFewer(t *testing.T) {
 			stats.ExactScores > col.most.ExactScores || stats.CellsSkipped < col.most.CellsSkipped {
 			t.Errorf("%s: %+v; want at most %+v, and at least that many cells skipped", ranked.Name(), stats, col.most)
 		}
+		if !sameTransitions(stats.Stats, col.most.Stats) {
+			t.Errorf("%s: the index counted %+v, want %+v", ranked.Name(), stats.Stats, col.most.Stats)
+		}
 		t.Logf("%s: %d calls, full list %d (%.1fx), %d orders, %+v", ranked.Name(), bounded, full, float64(full)/float64(bounded), len(tr.Tasks), stats)
 	}
+}
+
+// sameTransitions holds the index's counters to want: equal, but for
+// Shifted, which may be anything up to want's.
+func sameTransitions(got, want spatial.Stats) bool {
+	within := got.Shifted <= want.Shifted
+	got.Shifted = want.Shifted
+	return within && got == want
 }
 
 // TestNearestDrawsOnRunningTies is why RankArrival is walked in driver
@@ -369,9 +388,12 @@ func TestBoundedRowsScoreFewer(t *testing.T) {
 		res = diffEngine(t, mkt, tr.Drivers, 1, false, src).RunBatched(tr.Tasks, 60)
 		return calls, grid.WalkStats(), res
 	}
+	// The index's transitions over the day, the same whoever builds the
+	// rows; Shifted is a ceiling, one entry an order (8 measured).
+	index := spatial.Stats{Woken: 5109, Expired: 4909, Sorts: 513, Shifted: 300}
 	full, none, want := day(false)
-	if none != (WalkStats{}) {
-		t.Errorf("the full rows counted %+v on the bounded paths", none)
+	if none != (WalkStats{Stats: none.Stats}) || !sameTransitions(none.Stats, index) {
+		t.Errorf("the full rows counted %+v; want nothing on the bounded paths and the index's %+v", none, index)
 	}
 	bounded, stats, got := day(true)
 	diffResults(t, "bounded rows", want, got)
@@ -386,6 +408,9 @@ func TestBoundedRowsScoreFewer(t *testing.T) {
 	if stats.CellsVisited > most.CellsVisited || stats.EntriesScanned > most.EntriesScanned ||
 		stats.ExactScores > most.ExactScores || stats.CellsSkipped < most.CellsSkipped {
 		t.Errorf("%+v; want at most %+v, and at least that many cells skipped", stats, most)
+	}
+	if !sameTransitions(stats.Stats, index) {
+		t.Errorf("the index counted %+v, want %+v", stats.Stats, index)
 	}
 	t.Logf("%d calls, full rows %d (%.1fx), %d orders, %+v", bounded, full, float64(full)/float64(bounded), len(tr.Tasks), stats)
 }

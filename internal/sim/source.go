@@ -81,17 +81,26 @@ type GridSource struct {
 }
 
 // WalkStats counts what the bounded paths — Contenders and crow-fly
-// TopRow — have done since the source was made: plain counters, written
-// by the one goroutine that runs the engine.
+// TopRow — have done since the source was made, and what its index has
+// done for every query, those of the full list included, since it was
+// last bound: plain counters, written by the one goroutine that runs the
+// engine.
 type WalkStats struct {
 	CellsVisited   uint64 // non-empty cells a margin walk came to
 	CellsSkipped   uint64 // of those, skipped whole on their bound
 	EntriesScanned uint64 // index entries put through the predicate
 	ExactScores    uint64 // candidateFor calls, on either rank
+	spatial.Stats         // the index's transitions: Woken, Expired, Sorts, Shifted
 }
 
 // WalkStats returns the counters.
-func (s *GridSource) WalkStats() WalkStats { return s.stats }
+func (s *GridSource) WalkStats() WalkStats {
+	w := s.stats
+	if s.ix != nil {
+		w.Stats = s.ix.Stats()
+	}
+	return w
+}
 
 var (
 	_ CandidateSource = (*GridSource)(nil)

@@ -175,7 +175,11 @@ func TestPayloadTravelsWithTheEntry(t *testing.T) {
 }
 
 // TestCellAggregate follows one cell's MaxHomeKm through what raises it,
-// what leaves it stale and what makes it exact again.
+// what leaves it stale and what makes it exact again. With the cell
+// keeping its own time one step moved and none changed what it reads:
+// Expire(2000) no longer takes the long haul out of the live range, the
+// visit after it does, before it answers — so every visit sees what it
+// saw when Expire did the work.
 func TestCellAggregate(t *testing.T) {
 	grid := geo.NewGrid(geo.PortoBox, 3, 3)
 	p := grid.CellCenter(4)
@@ -204,7 +208,7 @@ func TestCellAggregate(t *testing.T) {
 		}
 		c.Tighten(40)
 	})
-	ix.Expire(2000) // the long haul leaves the live entries; nothing is lowered
+	ix.Expire(2000) // the long haul leaves the live entries at the next visit; nothing is lowered
 	visit(2000, 2000, func(c *Cursor) {
 		if ents := c.Entries(); len(ents) != 1 || ents[0].ID != 1 {
 			t.Fatalf("after the expiry: entries %+v, want id 1 alone", ents)

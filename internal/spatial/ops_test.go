@@ -177,14 +177,15 @@ func (m *twin) near(ix *Index, p geo.Point, radiusKm float64) []int {
 
 // checkInvariants verifies the structure the queries rely on: every
 // present id sits in the cell of its location at its recorded slot with
-// the twin's payload, the live prefix of a cell holds exactly its live
-// entries and the cell's aggregate is at least the HomeKm of each (an
-// unknown one counting as +Inf), each state is the one the window
-// dictates or a stale-but-safe one (parked ids the watermark passed stay
-// parked until woken), both heaps are heaps with hpos in step, and no
-// query left a mark behind.
+// the twin's payload, and the region that slot lies in is one the twin's
+// window allows under the two clocks — parked beyond the horizon, or the
+// cell's header says it is due; live with the header under its RetireAt
+// and over its HomeKm (an unknown one counting as +Inf); expired below
+// the watermark. Every cell's boundaries are in order, every entry of it
+// points back at its slot, a sorted parked region is in wake order, and
+// no query left a mark behind.
 func checkInvariants(ix *Index, m *twin) error {
-	members, inWake, inExp := 0, 0, 0
+	members := 0
 	for id := range ix.loc {
 		c := ix.cell[id]
 		if (c != absentCell) != m.present[id] {
@@ -201,8 +202,8 @@ func checkInvariants(ix *Index, m *twin) error {
 			return fmt.Errorf("id %d: in cell %d, located in cell %d", id, c, want)
 		}
 		cl := &ix.cells[c]
-		slot := int(ix.slot[id])
-		if slot >= len(cl.ents) || cl.ents[slot].ID != int32(id) {
+		slot := ix.slot[id]
+		if int(slot) >= len(cl.ents) || cl.ents[slot].ID != int32(id) {
 			return fmt.Errorf("id %d: slot %d of cell %d does not hold it", id, slot, c)
 		}
 		e := cl.ents[slot]
@@ -213,31 +214,25 @@ func checkInvariants(ix *Index, m *twin) error {
 		if err := m.payload(ix, e); err != nil {
 			return err
 		}
-		st := ix.state[id]
-		if (st == stLive) != (slot < cl.live) {
-			return fmt.Errorf("id %d: state %d at slot %d of a cell with %d live", id, st, slot, cl.live)
-		}
-		switch st {
-		case stLive:
-			inExp++
-			if m.free[id] > ix.horizon || m.retire[id] < ix.watermark {
-				return fmt.Errorf("id %d: live with window (%g,%g) under horizon %g, watermark %g", id, m.free[id], m.retire[id], ix.horizon, ix.watermark)
+		switch {
+		case slot < cl.park:
+			if !(cl.wakeAt <= m.free[id]) {
+				return fmt.Errorf("id %d: parked with freeAt %g under its cell's wakeAt %g", id, m.free[id], cl.wakeAt)
 			}
-			if ix.exp[ix.hpos[id]] != int32(id) {
-				return fmt.Errorf("id %d: not at its place in the expiry queue", id)
+			if m.free[id] <= ix.horizon && !ix.behind(cl) {
+				return fmt.Errorf("id %d: parked with freeAt %g under horizon %g in a cell that is not behind", id, m.free[id], ix.horizon)
+			}
+		case slot < cl.live:
+			if !(m.free[id] <= ix.horizon) {
+				return fmt.Errorf("id %d: live with freeAt %g beyond horizon %g", id, m.free[id], ix.horizon)
+			}
+			if !(cl.expireAt <= m.retire[id]) {
+				return fmt.Errorf("id %d: live with retireAt %g under its cell's expireAt %g", id, m.retire[id], cl.expireAt)
 			}
 			if !(cl.maxHomeKm >= orInf(e.HomeKm)) {
 				return fmt.Errorf("id %d: HomeKm %g above its cell's aggregate %g", id, e.HomeKm, cl.maxHomeKm)
 			}
-		case stParked:
-			inWake++
-			if !(m.free[id] > ix.horizon) {
-				return fmt.Errorf("id %d: parked with freeAt %g under horizon %g", id, m.free[id], ix.horizon)
-			}
-			if ix.wake[ix.hpos[id]] != int32(id) {
-				return fmt.Errorf("id %d: not at its place in the wake queue", id)
-			}
-		case stExpired:
+		default:
 			if !(m.retire[id] < ix.watermark) {
 				return fmt.Errorf("id %d: expired with retireAt %g under watermark %g", id, m.retire[id], ix.watermark)
 			}
@@ -246,21 +241,23 @@ func checkInvariants(ix *Index, m *twin) error {
 	if members != ix.members {
 		return fmt.Errorf("Members() = %d, %d present", ix.members, members)
 	}
-	if inWake != len(ix.wake) || inExp != len(ix.exp) {
-		return fmt.Errorf("queues hold %d parked, %d live; states say %d, %d", len(ix.wake), len(ix.exp), inWake, inExp)
-	}
-	if cap(ix.wake) < len(ix.loc) || cap(ix.exp) < len(ix.loc) {
-		return fmt.Errorf("queues reserved for %d and %d of %d ids", cap(ix.wake), cap(ix.exp), len(ix.loc))
-	}
-	for i := 1; i < len(ix.wake); i++ {
-		if ix.freeAt[ix.wake[i]] < ix.freeAt[ix.wake[(i-1)/2]] {
-			return fmt.Errorf("wake queue out of order at %d", i)
+	for c := range ix.cells {
+		cl := &ix.cells[c]
+		if cl.park < 0 || cl.park > cl.live || int(cl.live) > len(cl.ents) {
+			return fmt.Errorf("cell %d: boundaries %d, %d over %d entries", c, cl.park, cl.live, len(cl.ents))
+		}
+		members -= len(cl.ents)
+		for i, e := range cl.ents {
+			if ix.cell[e.ID] != int32(c) || ix.slot[e.ID] != int32(i) {
+				return fmt.Errorf("cell %d slot %d holds id %d, which is recorded in cell %d slot %d", c, i, e.ID, ix.cell[e.ID], ix.slot[e.ID])
+			}
+			if cl.sorted && 0 < i && i < int(cl.park) && cl.ents[i-1].FreeAt < e.FreeAt {
+				return fmt.Errorf("cell %d: sorted parked region wakes %g at slot %d after %g", c, e.FreeAt, i, cl.ents[i-1].FreeAt)
+			}
 		}
 	}
-	for i := 1; i < len(ix.exp); i++ {
-		if ix.retireAt[ix.exp[i]] < ix.retireAt[ix.exp[(i-1)/2]] {
-			return fmt.Errorf("expiry queue out of order at %d", i)
-		}
+	if members != 0 {
+		return fmt.Errorf("the cells hold %d entries more or fewer than there are members", -members)
 	}
 	for w, word := range ix.marks {
 		if word != 0 {
@@ -308,7 +305,8 @@ func (r *opReader) time() float64 {
 // runIndexOps interprets data as an op sequence over a fresh index and
 // its twin, failing on the first disagreement. With expire false the
 // Expire op is skipped: an index never told the time must be exact too.
-func runIndexOps(t testing.TB, data []byte, expire bool) {
+// It returns the index's counters at the end.
+func runIndexOps(t testing.TB, data []byte, expire bool) Stats {
 	const startIDs, maxIDs = 24, 70 // crosses a bitmap word boundary by growing
 	r := &opReader{data: data}
 	ix := NewSparseIndex(geo.NewGrid(opsGridBox, 1+int(r.byte()%9), 1+int(r.byte()%9)), startIDs)
@@ -388,6 +386,7 @@ func runIndexOps(t testing.TB, data []byte, expire bool) {
 			t.Fatalf("op %d (kind %d, id %d): %v", r.pos, op, id, err)
 		}
 	}
+	return ix.Stats()
 }
 
 // TestIndexOpsMatchBruteForce is the property test: seeded random op
@@ -405,6 +404,83 @@ func TestIndexOpsMatchBruteForce(t *testing.T) {
 	}
 }
 
+// seq writes an op sequence for runIndexOps by hand: times are lattice
+// bytes (t × 40 s; 0 and 255 the infinities), points two bytes each.
+type seq []byte
+
+func newSeq(rows, cols byte) *seq { return &seq{rows - 1, cols - 1} }
+
+func (s *seq) op(b ...byte) *seq { *s = append(*s, b...); return s }
+
+func (s *seq) place(id, lat, lon byte) *seq    { return s.op(0, id, lat, lon) }
+func (s *seq) remove(id byte) *seq             { return s.op(2, id) }
+func (s *seq) span(id, free, retire byte) *seq { return s.op(3, id, free, retire) }
+func (s *seq) expire(now byte) *seq            { return s.op(5, 0, now) }
+
+// ask puts one query through all three window forms, at top speed from
+// the middle of the region, with minRetire at now.
+func (s *seq) ask(byTime, now byte) *seq {
+	for _, form := range []byte{7, 8} {
+		s.op(form, 0, 128, 128, 89, byTime, now, now)
+	}
+	return s.op(10, 0, 128, 128, 89, byTime, now, now, 0, 3)
+}
+
+// namedSeeds are the situations the per-cell agenda has and the heaps
+// had not, each with the counters a run of it must end on.
+var namedSeeds = []struct {
+	name string
+	ops  *seq
+	want Stats
+}{
+	// 1 is parked until 4 000 s and retires at 2 000 s; the clock passes
+	// that while she is parked, and the query that wakes her finds her
+	// expired already. 0 and 2 are live beside her.
+	{"expiredWhileParked", newSeq(1, 1).
+		span(1, 100, 50).place(0, 128, 128).place(1, 128, 128).place(2, 120, 130).
+		ask(20, 10).expire(60).ask(70, 61).ask(110, 61).span(1, 100, 200).ask(120, 61),
+		Stats{Expired: 1}},
+	// Five in one cell wake at 4 000 s and two at 4 800 s. A deadline
+	// short of them all leaves the cell alone; the first that reaches them
+	// sorts seven entries with two keys between them and wakes five; one
+	// more parks on the tie and both groups wake in turn.
+	{"equalFreeAtAcrossSort", newSeq(1, 1).
+		span(0, 100, 250).span(1, 100, 250).span(2, 120, 250).span(3, 100, 250).
+		span(4, 100, 250).span(5, 120, 250).span(6, 100, 250).
+		place(0, 128, 128).place(1, 128, 128).place(2, 128, 128).place(3, 128, 128).
+		place(4, 128, 128).place(5, 128, 128).place(6, 128, 128).
+		ask(90, 80).ask(100, 80).span(7, 120, 250).place(7, 128, 128).span(3, 120, 250).
+		ask(110, 80).ask(120, 80),
+		Stats{Woken: 9, Sorts: 1, Shifted: 0}},
+	// A sorted cell: 4 wakes and is locked again until a time in the
+	// middle of the others, which shifts the two that wake before her;
+	// then 2 is removed from the middle, which closes the gap over three.
+	{"reparkThenRemoveMiddle", newSeq(2, 1).
+		span(0, 100, 250).span(1, 120, 250).span(2, 140, 250).span(3, 160, 250).span(4, 50, 250).
+		place(0, 128, 128).place(1, 128, 128).place(2, 128, 128).place(3, 128, 128).place(4, 128, 128).
+		ask(60, 55).span(4, 130, 250).remove(2).ask(125, 55).ask(200, 55),
+		Stats{Woken: 5, Sorts: 1, Shifted: 5}},
+	// A deadline of +Inf puts every cell with something parked behind at
+	// once; what is left parked is 2, free at +Inf, whom no query accepts.
+	// Nothing finite can park again. Ordinary queries follow.
+	{"infiniteHorizon", newSeq(3, 3).
+		span(0, 100, 250).span(1, 200, 255).span(2, 255, 255).span(3, 150, 120).span(6, 180, 255).
+		place(0, 10, 10).place(1, 128, 128).place(2, 250, 250).place(3, 128, 10).place(4, 10, 250).place(6, 128, 128).
+		ask(60, 55).ask(255, 55).span(5, 240, 255).place(5, 128, 128).span(0, 254, 250).
+		expire(130).ask(140, 131).ask(245, 131).span(2, 255, 255),
+		Stats{Woken: 4, Expired: 1, Sorts: 1}},
+}
+
+// TestNamedSeeds runs them with the clock live, as the fuzzer's corpus
+// does, and holds each to the transitions it was written to make.
+func TestNamedSeeds(t *testing.T) {
+	for _, seed := range namedSeeds {
+		if got := runIndexOps(t, *seed.ops, true); got != seed.want {
+			t.Errorf("%s: %+v, want %+v", seed.name, got, seed.want)
+		}
+	}
+}
+
 // FuzzIndexOps is the same interpreter under the native fuzzer; the
 // first byte after the grid dimensions' decides whether Expire is live.
 func FuzzIndexOps(f *testing.F) {
@@ -414,6 +490,9 @@ func FuzzIndexOps(f *testing.F) {
 		rng.Read(data)
 		f.Add(data, true)
 		f.Add(data, false)
+	}
+	for _, seed := range namedSeeds {
+		f.Add([]byte(*seed.ops), true)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, expire bool) {
 		if len(data) > 4096 {
@@ -438,11 +517,13 @@ func TestSetSpanReopens(t *testing.T) {
 		t.Fatalf("at 50: %v, want [0]", got)
 	}
 	ix.Expire(200)
-	if ix.state[0] != stExpired || ix.state[1] != stParked {
-		t.Fatalf("states %v after Expire(200), want expired and parked", ix.state)
-	}
 	if got := query(260, 250); len(got) != 0 {
 		t.Fatalf("at 250: %v, want none", got)
+	}
+	// That query settled their cell: 0, whom the first one woke, left the
+	// live range, and 1 has yet to enter it.
+	if st := ix.Stats(); st.Woken != 1 || st.Expired != 1 {
+		t.Fatalf("%+v after Expire(200) and a query, want 0 woken and expired and 1 neither", st)
 	}
 	// A query below the watermark still sees the expired point.
 	if got := ix.AppendReachable(nil, p, 30, 60, 50, 50); !slices.Equal(got, []int{0}) {
@@ -463,9 +544,10 @@ func TestSetSpanReopens(t *testing.T) {
 	}
 }
 
-// TestQueriesDoNotAllocate: wakes and expiries are swaps inside a cell
-// and moves between reserved queues, so a warm index answers without
-// touching the allocator, whatever the query raises.
+// TestQueriesDoNotAllocate: waking is a boundary stepping over sorted
+// entries, expiry a swap inside a cell and the one sort a cell ever gets
+// is in place, so a warm index answers without touching the allocator,
+// whatever the query raises.
 func TestQueriesDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	pts := randomPoints(rng, 4000, geo.PortoBox)
@@ -476,19 +558,16 @@ func TestQueriesDoNotAllocate(t *testing.T) {
 		ix.Add(id, p)
 	}
 	buf := make([]int, 0, len(pts))
-	now, woken, expired := 0.0, len(ix.wake), 0
+	now := 0.0
 	allocs := testing.AllocsPerRun(200, func() {
 		now += 400
-		before := len(ix.exp) + len(ix.wake)
 		ix.Expire(now)
 		buf = ix.AppendReachable(buf[:0], pts[int(now)%len(pts)], 60, now+600, now, now)
-		expired += before - len(ix.exp) - len(ix.wake)
 	})
-	woken -= len(ix.wake)
 	if allocs != 0 {
 		t.Fatalf("%v allocations per query", allocs)
 	}
-	if woken < 1000 || expired < 1000 {
-		t.Fatalf("the run woke %d and expired %d points; it was meant to do plenty of both", woken, expired)
+	if st := ix.Stats(); st.Woken < 1000 || st.Expired < 1000 || st.Sorts < 100 {
+		t.Fatalf("the run counted %+v; it was meant to wake, expire and sort plenty", st)
 	}
 }

@@ -24,9 +24,12 @@
 // of time: an entry whose window cannot matter to any query asked so
 // far (its free time lies beyond every pickup deadline seen: parked) or
 // to any query still to come (it retired before the caller's clock:
-// expired) sits behind the live prefix of its cell, where window queries
-// do not look. The per-entry predicate is unchanged, so the two states
-// only skip entries it would reject; see Index.
+// expired) lies on one side or the other of its cell's live range,
+// which is all a window query reads. The two clocks are two numbers; a
+// cell keeps its parked entries in the order they wake and catches up
+// with the clocks when a query next comes to it (see Index). The
+// per-entry predicate is unchanged, so the two regions only hold
+// entries it would reject.
 //
 // A query answers in one of two shapes. The forms that return ids (Near,
 // NearReachable, AppendReachable) walk the square the way memory lies,
@@ -52,6 +55,7 @@
 package spatial
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -72,29 +76,38 @@ const Safety = 0.9
 // NewIndex (every point present) or NewSparseIndex (membership managed
 // with Add and Remove — every id starts absent). It is not safe
 // for concurrent use, queries included: a query marks its result in the
-// index's bitmap, may wake parked entries, and through a Cursor writes
-// the caller's findings into entries and cells.
+// index's bitmap, settles the cells it comes to, and through a Cursor
+// writes the caller's findings into entries and cells.
 //
 // Besides its location, every point carries an availability window
 // [freeAt, retireAt) — for a driver: when she can next depart (shift
 // start, or the lock release of her in-flight task) and when her shift
 // ends. The window queries (NearReachable, AppendReachable, Reachable)
 // combine the window with the distance bound, and scan only the live
-// entries of a cell. A present point is in exactly one of three states:
+// range of a cell. Two clocks say what may lie outside it: the
+// watermark, the largest time passed to Expire, and the horizon, the
+// largest byTime any window query has asked for. A point with
+// retireAt < watermark is expired — a window query demands retireAt >=
+// minRetire, so one whose minRetire is at or above the watermark can
+// skip it, and one that asks below it scans every region. A point with
+// freeAt > horizon is parked: every query so far would have rejected it
+// (it departs after the deadline).
 //
-//   - expired: retireAt < watermark, the largest time passed to Expire.
-//     A window query demands retireAt >= minRetire, so it can skip the
-//     expired as long as its minRetire is at or above the watermark; one
-//     that asks below it scans them too.
-//   - parked: not expired, and freeAt > horizon, the largest byTime any
-//     window query has asked for. Every query so far would have rejected
-//     the point (it departs after the deadline); a query that raises the
-//     horizon first wakes the points it overtakes.
-//   - live: neither.
-//
-// Both rules only ever skip entries the per-entry predicate rejects, so
-// the accepted set is that of a scan over every present point, whatever
-// the order of queries, Expire calls and mutations.
+// Raising a clock moves nothing. A cell's entries lie as [parked, by
+// descending FreeAt | live | expired], and its header bounds from below
+// the FreeAt of its parked and the RetireAt of its live entries, so a
+// window query sees from the header alone whether a clock has passed
+// one of them since the cell was last settled, and settles it first:
+// the parked boundary steps over the entries the horizon has overtaken
+// — they lie next to the live range, nothing is copied — and the live
+// entries the watermark has passed are swapped out behind it. So an
+// entry outside the live range is parked beyond the horizon or expired
+// below the watermark, or its cell's header says the cell is behind and
+// the next visit settles it before reading; a cell no query comes to is
+// never settled at all. Both rules only ever skip entries the per-entry
+// predicate rejects, so the accepted set is that of a scan over every
+// present point, whatever the order of queries, Expire calls and
+// mutations.
 type Index struct {
 	grid *geo.Grid
 
@@ -103,16 +116,13 @@ type Index struct {
 	retireAt []float64   // id -> end of availability
 	cell     []int32     // id -> current cell, or absentCell when removed
 	slot     []int32     // id -> position inside cells[cell[id]].ents
-	state    []uint8     // id -> live, parked or expired (while present)
-	hpos     []int32     // id -> position in the heap its state puts it in
 
 	cells   []cell
 	members int // number of present points
 
-	horizon   float64 // largest byTime of any window query
+	horizon   float64 // largest byTime of any window query, +Inf read as the largest finite time
 	watermark float64 // largest time passed to Expire
-	wake      []int32 // parked ids, a min-heap on freeAt
-	exp       []int32 // live ids, a min-heap on retireAt
+	stats     Stats
 
 	marks []uint64 // accepted ids of the query in progress, one bit each
 	ids   []int    // scratch of the callback queries
@@ -120,6 +130,19 @@ type Index struct {
 	minSpanKm float64 // conservative one-cell extent for ring bounds
 	kmPerLon  float64 // km per degree of longitude at the box's widest-cos latitude
 }
+
+// Stats counts what keeping the cells in step with the two clocks has
+// cost since the index was made: plain counters, for the one goroutine
+// an Index has.
+type Stats struct {
+	Woken   uint64 // entries a settling cell took from parked to live
+	Expired uint64 // entries a settling cell took, from either, to expired
+	Sorts   uint64 // parked regions, of two entries or more, put in wake order
+	Shifted uint64 // entries moved over for a park into, or a leave from, a sorted parked region
+}
+
+// Stats returns the counters.
+func (ix *Index) Stats() Stats { return ix.stats }
 
 // Entry is one present point as a scan sees it: everything the
 // predicate reads and the caller's payload, 64 bytes — one cache line.
@@ -141,23 +164,21 @@ type Entry struct {
 	ID     int32
 }
 
-// cell is one grid cell's points: the live ones first, then the parked
-// and expired ones in no particular order.
+// cell is one grid cell's points in three regions — ents[:park] parked,
+// ents[park:live] live, ents[live:] expired — as of the last time it was
+// settled (see Index); the header is one cache line.
 type cell struct {
-	ents      []Entry
-	live      int
-	maxHomeKm float64 // at least every live entry's HomeKm; see Cursor.MaxHomeKm
+	ents       []Entry
+	park, live int32
+	sorted     bool    // ents[:park] is in descending FreeAt: done by the first settle that wakes, kept since
+	wakeAt     float64 // at most every parked entry's FreeAt; +Inf if none
+	expireAt   float64 // at most every live entry's RetireAt
+	maxHomeKm  float64 // at least every live entry's HomeKm; see Cursor.MaxHomeKm
 }
 
 // absentCell marks an id that is allocated but not currently indexed
 // (removed, or never added on a sparse index).
 const absentCell = -1
-
-const (
-	stLive uint8 = iota
-	stParked
-	stExpired
-)
 
 // kmPerLat converts degrees of latitude to kilometers.
 const kmPerLat = geo.EarthRadiusKm * math.Pi / 180
@@ -189,8 +210,8 @@ func NewIndex(grid *geo.Grid, locs []geo.Point) *Index {
 
 // NewSparseIndex allocates an index with id space [0, n) over grid in
 // which every id starts absent: queries visit nothing until points are
-// inserted with Add. The wake and expiry queues are reserved for all
-// n ids here, so no query allocates.
+// inserted with Add. A cell is built empty, unsorted and with nothing
+// due; no query allocates.
 func NewSparseIndex(grid *geo.Grid, n int) *Index {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("spatial: id space %d exceeds int32", n))
@@ -207,13 +228,9 @@ func NewSparseIndex(grid *geo.Grid, n int) *Index {
 		retireAt:  make([]float64, n),
 		cell:      make([]int32, n),
 		slot:      make([]int32, n),
-		state:     make([]uint8, n),
-		hpos:      make([]int32, n),
 		cells:     make([]cell, grid.NumCells()),
 		horizon:   math.Inf(-1),
 		watermark: math.Inf(-1),
-		wake:      make([]int32, 0, n),
-		exp:       make([]int32, 0, n),
 		marks:     make([]uint64, (n+63)/64),
 		minSpanKm: min(h, w),
 		kmPerLon:  kmPerLon,
@@ -228,8 +245,8 @@ func NewSparseIndex(grid *geo.Grid, n int) *Index {
 	// its share moves to a block of its own.
 	arena := make([]Entry, cellReserve*len(ix.cells))
 	for c := range ix.cells {
-		ix.cells[c].ents = arena[c*cellReserve : c*cellReserve : (c+1)*cellReserve]
-		ix.cells[c].maxHomeKm = math.Inf(-1)
+		ix.cells[c] = cell{ents: arena[c*cellReserve : c*cellReserve : (c+1)*cellReserve],
+			wakeAt: math.Inf(1), expireAt: math.Inf(1), maxHomeKm: math.Inf(-1)}
 	}
 	return ix
 }
@@ -250,14 +267,9 @@ func (ix *Index) Grow() int {
 	ix.retireAt = append(ix.retireAt, math.Inf(1))
 	ix.cell = append(ix.cell, absentCell)
 	ix.slot = append(ix.slot, 0)
-	ix.state = append(ix.state, stLive)
-	ix.hpos = append(ix.hpos, 0)
 	if len(ix.marks)*64 <= id {
 		ix.marks = append(ix.marks, 0)
 	}
-	// Keep both queues able to hold every id without growing mid-query.
-	ix.wake = slices.Grow(ix.wake, id+1-len(ix.wake))
-	ix.exp = slices.Grow(ix.exp, id+1-len(ix.exp))
 	return id
 }
 
@@ -282,7 +294,7 @@ func (ix *Index) checkID(id int) {
 	}
 }
 
-// Add inserts the absent id at location p, directly in the state its
+// Add inserts the absent id at location p, directly in the region its
 // availability window puts it in: the window is preserved across
 // Remove/Add cycles, and a SetSpan before the first Add costs nothing
 // but the stores. It panics if id is already present — membership bugs
@@ -295,9 +307,8 @@ func (ix *Index) Add(id int, p geo.Point) {
 	ix.loc[id] = p
 	px, py := ix.Project(p)
 	nan := math.NaN()
-	ix.attach(Entry{PX: px, PY: py, FreeAt: ix.freeAt[id], RetireAt: ix.retireAt[id],
+	ix.insert(Entry{PX: px, PY: py, FreeAt: ix.freeAt[id], RetireAt: ix.retireAt[id],
 		HomeX: nan, HomeY: nan, HomeKm: nan, ID: int32(id)}, int32(ix.grid.CellOf(p)))
-	ix.enter(int32(id), ix.classify(int32(id)))
 	ix.members++
 }
 
@@ -333,12 +344,8 @@ func (ix *Index) entry(id int, op string) *Entry {
 // queries never visit it. The id keeps its slot in the id space and may
 // be re-inserted with Add. It panics if id is absent.
 func (ix *Index) Remove(id int) {
-	ix.checkID(id)
-	if ix.cell[id] == absentCell {
-		panic(fmt.Sprintf("spatial: Remove of absent id %d", id))
-	}
-	ix.leave(int32(id))
-	ix.detach(int32(id))
+	ix.entry(id, "Remove")
+	ix.extract(int32(id))
 	ix.cell[id] = absentCell
 	ix.members--
 }
@@ -352,19 +359,17 @@ func (ix *Index) Move(id int, p geo.Point) {
 	e.PX, e.PY = ix.Project(p)
 	e.HomeKm = math.NaN()
 	if c := int32(ix.grid.CellOf(p)); c != ix.cell[id] {
-		moved, st := *e, ix.state[id]
-		ix.leave(int32(id))
-		ix.detach(int32(id))
-		ix.attach(moved, c)
-		ix.enter(int32(id), st)
-	} else if ix.state[id] == stLive {
-		ix.cells[c].maxHomeKm = math.Inf(1)
+		moved := *e
+		ix.extract(int32(id))
+		ix.insert(moved, c)
+	} else if cl := &ix.cells[c]; cl.park <= ix.slot[id] && ix.slot[id] < cl.live {
+		cl.maxHomeKm = math.Inf(1)
 	}
 }
 
 // SetSpan sets id's availability window: freeAt is the earliest time the
 // point can start moving, retireAt the time it stops being available.
-// A present point moves to the state the new window puts it in, so one
+// A present point moves to the region the new window puts it in, so one
 // that re-opens a parked or expired id is seen by the next query.
 func (ix *Index) SetSpan(id int, freeAt, retireAt float64) {
 	ix.checkID(id)
@@ -374,173 +379,157 @@ func (ix *Index) SetSpan(id int, freeAt, retireAt float64) {
 	if c == absentCell {
 		return
 	}
-	ix.leave(int32(id))
-	e := &ix.cells[c].ents[ix.slot[id]]
+	e := ix.cells[c].ents[ix.slot[id]]
 	e.FreeAt, e.RetireAt = freeAt, retireAt
-	ix.enter(int32(id), ix.classify(int32(id)))
+	ix.extract(int32(id))
+	ix.insert(e, c)
 }
 
 // Expire tells the index that the caller's clock has reached now: no
 // later window query will ask for a point retiring before now (its
 // minRetire is at least its own now), so the points that already have
-// leave the scanned prefix of their cells for good — until a SetSpan
+// leave the live range of their cells for good — each cell when a query
+// next comes to it; the call itself stores one number — until a SetSpan
 // re-opens one. The promise is about speed, not results: a query whose
 // minRetire does lie below the watermark scans the expired too. Calls
 // with a time at or below the watermark do nothing, so only a caller
 // whose clock is monotone gains from calling it.
 func (ix *Index) Expire(now float64) {
-	if !(now > ix.watermark) {
-		return
-	}
-	ix.watermark = now
-	for len(ix.exp) > 0 && ix.retireAt[ix.exp[0]] < now {
-		id := ix.exp[0]
-		ix.leave(id)
-		ix.enter(id, stExpired)
+	if now > ix.watermark {
+		ix.watermark = now
 	}
 }
 
-// wakeUntil raises the horizon to byTime and makes every parked point
-// whose free time it overtakes live (or expired, if the watermark passed
-// it while it was parked).
-func (ix *Index) wakeUntil(byTime float64) {
-	ix.horizon = byTime
-	for len(ix.wake) > 0 && ix.freeAt[ix.wake[0]] <= byTime {
-		id := ix.wake[0]
-		ix.leave(id)
-		ix.enter(id, ix.classify(id))
+// move copies the entry at slot from of cl to slot to, which holds
+// nothing that is still needed, and records where it now is.
+func (ix *Index) move(cl *cell, to, from int32) {
+	if to != from {
+		cl.ents[to] = cl.ents[from]
+		ix.slot[cl.ents[to].ID] = to
 	}
 }
 
-// classify names the state id's window puts it in under the current
-// horizon and watermark.
-func (ix *Index) classify(id int32) uint8 {
-	switch {
-	case ix.retireAt[id] < ix.watermark:
-		return stExpired
-	case ix.freeAt[id] > ix.horizon:
-		return stParked
-	}
-	return stLive
-}
-
-// attach appends e to cell c, behind the live prefix; enter moves it
-// into the prefix if that is where it belongs.
-func (ix *Index) attach(e Entry, c int32) {
+// insert puts e, whose id is in no cell, into cell c, in the region its
+// window names under the two clocks as they stand. The free slot starts
+// behind the expired and is handed down a region at a time, the first
+// entry of each region it passes moving to that region's end. In a
+// sorted parked region it then goes on down past the entries that wake
+// before e — those of one cell, which any scan of the cell reads too.
+func (ix *Index) insert(e Entry, c int32) {
 	cl := &ix.cells[c]
 	ix.cell[e.ID] = c
-	ix.slot[e.ID] = int32(len(cl.ents))
+	at := int32(len(cl.ents))
 	cl.ents = append(cl.ents, e)
+	if !(e.RetireAt < ix.watermark) {
+		ix.move(cl, at, cl.live)
+		at = cl.live
+		cl.live++
+		if e.FreeAt > ix.horizon {
+			ix.move(cl, at, cl.park)
+			at = cl.park
+			cl.park++
+			cl.wakeAt = min(cl.wakeAt, e.FreeAt)
+			for ; cl.sorted && at > 0 && cl.ents[at-1].FreeAt < e.FreeAt; at-- {
+				ix.move(cl, at, at-1)
+				ix.stats.Shifted++
+			}
+		} else {
+			cl.expireAt = min(cl.expireAt, e.RetireAt)
+			cl.maxHomeKm = max(cl.maxHomeKm, orInf(e.HomeKm))
+		}
+	}
+	cl.ents[at] = e
+	ix.slot[e.ID] = at
 }
 
-// detach swap-removes id's entry, which must lie behind the live prefix
-// (leave puts it there), from its cell.
-func (ix *Index) detach(id int32) {
+// extract takes id's entry out of its cell: insert run backwards. The
+// gap is closed within a sorted parked region, filled from the end of an
+// unsorted one, and then handed up, each region it passes giving its
+// last entry for its first slot. The header is left alone: its bounds
+// hold without the entry, and the next settle makes them exact.
+func (ix *Index) extract(id int32) {
 	cl := &ix.cells[ix.cell[id]]
-	last := len(cl.ents) - 1
-	cl.swap(ix, int(ix.slot[id]), last)
+	at := ix.slot[id]
+	if at < cl.park {
+		cl.park--
+		if !cl.sorted {
+			ix.move(cl, at, cl.park)
+			at = cl.park
+		}
+		for ; at < cl.park; at++ {
+			ix.move(cl, at, at+1)
+			ix.stats.Shifted++
+		}
+	}
+	if at < cl.live {
+		cl.live--
+		ix.move(cl, at, cl.live)
+		at = cl.live
+	}
+	last := int32(len(cl.ents) - 1)
+	ix.move(cl, at, last)
 	cl.ents = cl.ents[:last]
 }
 
-// swap exchanges two entries of the cell and records their new slots.
-func (cl *cell) swap(ix *Index, i, j int) {
-	if i == j {
-		return
+// behind reports whether a clock has passed an entry of cl's since cl was
+// last settled — or may have: the header's bounds can be low.
+func (ix *Index) behind(cl *cell) bool {
+	return cl.wakeAt <= ix.horizon || cl.expireAt < ix.watermark
+}
+
+// settle brings cl up to the two clocks. The parked boundary steps over
+// every entry the horizon has overtaken, nearest first — the region is
+// sorted for it once, the first time, and kept sorted by insert and
+// extract — and one the watermark passed while it was parked goes
+// straight on to the expired; then, if the watermark has passed a live
+// entry, those it has are swapped out of the live range. Both leave the
+// header exact.
+func (ix *Index) settle(cl *cell) {
+	if cl.wakeAt <= ix.horizon {
+		if parked := cl.ents[:cl.park]; !cl.sorted && len(parked) > 1 {
+			ix.stats.Sorts++
+			slices.SortFunc(parked, func(a, b Entry) int { return cmp.Compare(b.FreeAt, a.FreeAt) })
+			for i := range parked {
+				ix.slot[parked[i].ID] = int32(i)
+			}
+		}
+		cl.sorted = true
+		for cl.park > 0 && cl.ents[cl.park-1].FreeAt <= ix.horizon {
+			cl.park--
+			if e := &cl.ents[cl.park]; e.RetireAt < ix.watermark {
+				cl.live--
+				ix.swap(cl, cl.park, cl.live)
+				ix.stats.Expired++
+			} else {
+				cl.expireAt = min(cl.expireAt, e.RetireAt)
+				cl.maxHomeKm = max(cl.maxHomeKm, orInf(e.HomeKm))
+				ix.stats.Woken++
+			}
+		}
+		cl.wakeAt = math.Inf(1)
+		if cl.park > 0 {
+			cl.wakeAt = cl.ents[cl.park-1].FreeAt
+		}
 	}
+	if cl.expireAt < ix.watermark {
+		cl.expireAt = math.Inf(1)
+		for i := cl.park; i < cl.live; {
+			if e := &cl.ents[i]; e.RetireAt < ix.watermark {
+				cl.live--
+				ix.swap(cl, i, cl.live)
+				ix.stats.Expired++
+			} else {
+				cl.expireAt = min(cl.expireAt, e.RetireAt)
+				i++
+			}
+		}
+	}
+}
+
+// swap exchanges two entries of cl and records their new slots.
+func (ix *Index) swap(cl *cell, i, j int32) {
 	cl.ents[i], cl.ents[j] = cl.ents[j], cl.ents[i]
-	ix.slot[cl.ents[i].ID] = int32(i)
-	ix.slot[cl.ents[j].ID] = int32(j)
-}
-
-// enter puts a present id that is in no state (fresh from attach, or
-// after leave) into state st: into the live prefix and the expiry queue,
-// or the wake queue, or neither.
-func (ix *Index) enter(id int32, st uint8) {
-	ix.state[id] = st
-	switch st {
-	case stLive:
-		cl := &ix.cells[ix.cell[id]]
-		cl.maxHomeKm = max(cl.maxHomeKm, orInf(cl.ents[ix.slot[id]].HomeKm))
-		cl.swap(ix, int(ix.slot[id]), cl.live)
-		cl.live++
-		ix.push(&ix.exp, ix.retireAt, id)
-	case stParked:
-		ix.push(&ix.wake, ix.freeAt, id)
-	}
-}
-
-// leave undoes enter: id drops out of its queue and, if it was live,
-// out of its cell's live prefix.
-func (ix *Index) leave(id int32) {
-	switch ix.state[id] {
-	case stLive:
-		ix.pop(&ix.exp, ix.retireAt, id)
-		cl := &ix.cells[ix.cell[id]]
-		cl.live--
-		cl.swap(ix, int(ix.slot[id]), cl.live)
-	case stParked:
-		ix.pop(&ix.wake, ix.freeAt, id)
-	}
-}
-
-// push adds id to the min-heap h ordered by key[id]; hpos tracks every
-// member's position so pop can take out any of them. An id is in at
-// most one of the two heaps, so they share hpos.
-func (ix *Index) push(h *[]int32, key []float64, id int32) {
-	*h = append(*h, id)
-	ix.siftUp(*h, key, len(*h)-1)
-}
-
-// pop removes id from h wherever it sits. id's own key is not read, so
-// it may already have changed.
-func (ix *Index) pop(h *[]int32, key []float64, id int32) {
-	heap := *h
-	i, last := int(ix.hpos[id]), len(heap)-1
-	moved := heap[last]
-	*h = heap[:last]
-	if i == last {
-		return
-	}
-	heap[i] = moved
-	ix.hpos[moved] = int32(i)
-	ix.siftUp(heap[:last], key, i)
-	ix.siftDown(heap[:last], key, int(ix.hpos[moved]))
-}
-
-func (ix *Index) siftUp(h []int32, key []float64, i int) {
-	id := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(key[id] < key[h[parent]]) {
-			break
-		}
-		h[i] = h[parent]
-		ix.hpos[h[i]] = int32(i)
-		i = parent
-	}
-	h[i] = id
-	ix.hpos[id] = int32(i)
-}
-
-func (ix *Index) siftDown(h []int32, key []float64, i int) {
-	id := h[i]
-	for {
-		child := 2*i + 1
-		if child >= len(h) {
-			break
-		}
-		if r := child + 1; r < len(h) && key[h[r]] < key[h[child]] {
-			child = r
-		}
-		if !(key[h[child]] < key[id]) {
-			break
-		}
-		h[i] = h[child]
-		ix.hpos[h[i]] = int32(i)
-		i = child
-	}
-	h[i] = id
-	ix.hpos[id] = int32(i)
+	ix.slot[cl.ents[i].ID], ix.slot[cl.ents[j].ID] = i, j
 }
 
 // Near calls visit, in ascending id order, for every point whose
@@ -584,15 +573,17 @@ func (ix *Index) AppendReachable(buf []int, p geo.Point, speedKmh, byTime, now, 
 }
 
 // windowScan is what every window query does first: it refuses the
-// query no point can satisfy, wakes the points a later deadline than any
-// before overtakes, and returns the predicate — dormant if the query
+// query no point can satisfy, raises the horizon to a later deadline than
+// any before, and returns the predicate — dormant if the query
 // asks below the watermark — with the radius the fastest point covers.
 func (ix *Index) windowScan(speedKmh, byTime, now, minRetire float64) (s scan, radiusKm float64, ok bool) {
 	if speedKmh <= 0 || byTime < now {
 		return scan{}, 0, false
 	}
 	if byTime > ix.horizon {
-		ix.wakeUntil(byTime)
+		// Short of +Inf, which every query rejects as a free time and
+		// which is the wakeAt of a cell with nothing to wake.
+		ix.horizon = min(byTime, math.MaxFloat64)
 	}
 	return scan{
 		windows: true, dormant: !(minRetire >= ix.watermark),
@@ -650,13 +641,16 @@ func (ix *Index) Reachable(p geo.Point, speedKmh, byTime, now, minRetire float64
 	}
 }
 
-// Next moves to the next cell with entries to scan, and reports whether
-// there is one.
+// Next moves to the next cell with entries to scan, settling on the way
+// each cell a clock has run ahead of, and reports whether there is one.
 func (c *Cursor) Next() bool {
 	for c.at < c.end || c.nextSide() {
 		cl := &c.ix.cells[c.at]
 		c.at += c.step
-		if cl.live > 0 || c.dormant && len(cl.ents) > 0 {
+		if c.ix.behind(cl) {
+			c.ix.settle(cl)
+		}
+		if cl.live > cl.park || c.dormant && len(cl.ents) > 0 {
 			c.cl = cl
 			return true
 		}
@@ -721,7 +715,7 @@ func (c *Cursor) Entries() []Entry {
 	if c.dormant {
 		return c.cl.ents
 	}
-	return c.cl.ents[:c.cl.live]
+	return c.cl.ents[c.cl.park:c.cl.live]
 }
 
 // Tighten tells the index the largest HomeKm among the entries Entries
@@ -743,8 +737,8 @@ func orInf(homeKm float64) float64 {
 
 // scan is one query's per-entry predicate: the reachability test of
 // AppendReachable when windows is set, else the plain radius test of
-// Near against limitSq. dormant makes a window scan read past the live
-// prefix (see Expire).
+// Near against limitSq. dormant makes a window scan read every region of
+// a cell (see Expire).
 type scan struct {
 	windows, dormant                 bool
 	qx, qy                           float64
@@ -799,10 +793,14 @@ func (ix *Index) collect(buf []int, p geo.Point, ringRadiusKm float64, s scan) [
 	crow, ccol, rings := center/cols, center%cols, ix.rings(ringRadiusKm)
 	lo, hi := len(ix.marks), -1 // bitmap words touched
 	for row := max(crow-rings, 0); row <= min(crow+rings, rows-1); row++ {
-		for _, cl := range ix.cells[row*cols+max(ccol-rings, 0) : row*cols+min(ccol+rings, cols-1)+1] {
+		for at := row*cols + max(ccol-rings, 0); at <= row*cols+min(ccol+rings, cols-1); at++ {
+			cl := &ix.cells[at]
 			ents := cl.ents
 			if s.windows && !s.dormant {
-				ents = ents[:cl.live]
+				if ix.behind(cl) {
+					ix.settle(cl)
+				}
+				ents = ents[cl.park:cl.live]
 			}
 			for i := range ents {
 				e := &ents[i]

@@ -66,6 +66,9 @@ check ./internal/pricing 90.0
 # and expired entries; 98.6 at the time, what is left being the two
 # id-space-overflow panics). Held through the cell walk (98.9): the
 # cursor, its ring order and the cell aggregate are covered by this
-# package's own tests, not only through sim.
+# package's own tests, not only through sim. Held again when the two
+# global queues gave way to per-cell regions (98.9): the
+# expired-while-parked step, the unsorted leave and the insertion shift
+# each have a named case in cell_test.go.
 check ./internal/spatial 98.5
 echo "coverage_check: all floors held"
