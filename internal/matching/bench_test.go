@@ -7,7 +7,8 @@ import (
 )
 
 // Micro-benchmarks for the window-matching kernels: the dense
-// Hungarian oracle against the sparse component-decomposed solver, across the sparsity range batched dispatch actually sees.
+// Hungarian oracle against the sparse solver, across the sparsity range
+// batched dispatch actually sees.
 // Dense instances cost the same whatever the sparsity (the virtual
 // square is materialized either way); the sparse kernel's cost tracks
 // the edge count and the component structure, which is the whole point.

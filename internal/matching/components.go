@@ -2,14 +2,13 @@ package matching
 
 // ComponentScratch is the package's one union-find: it splits a Sparse
 // bipartite instance into connected row–column components and lays
-// both sides out in canonical order. SparseSolver runs its row half
-// (decomposeRows) before every solve; callers outside the
-// window-matching path (the offline oracle rail solves each hindsight
-// component independently) take both sides from Decompose without
-// going through a matching solve. The zero value is ready to use;
-// buffers are grown to the high-water mark and reused across calls, and
-// all returned layout slices alias the scratch — valid until the next
-// Decompose.
+// both sides out in canonical order. The window solve needs none of it
+// (SparseSolver's augments stay inside their component on their own);
+// callers that want the components themselves — the offline oracle rail
+// solves each hindsight component independently — take them from
+// Decompose. The zero value is ready to use; buffers are grown to the
+// high-water mark and reused across calls, and all returned layout
+// slices alias the scratch — valid until the next Decompose.
 type ComponentScratch struct {
 	parent   []int
 	firstRow []int
@@ -38,11 +37,11 @@ func (cs *ComponentScratch) find(r int) int {
 	return r
 }
 
-// decomposeRows runs the union-find over sp's edges — rows sharing any
-// column are merged — and fills the row half of the layout: CompOfRow,
-// RowPtr and RowsByComp. It returns the component count. sp is assumed
-// valid (see Sparse.Validate).
-func (cs *ComponentScratch) decomposeRows(sp Sparse) int {
+// Decompose runs the union-find over sp's edges — rows sharing any
+// column are merged — and fills the whole scratch layout, rows and
+// columns. It returns the component count. sp is assumed valid (see
+// Sparse.Validate).
+func (cs *ComponentScratch) Decompose(sp Sparse) int {
 	cs.parent = grownInt(cs.parent, sp.Rows)
 	for r := range cs.parent {
 		cs.parent[r] = r
@@ -80,7 +79,10 @@ func (cs *ComponentScratch) decomposeRows(sp Sparse) int {
 		cs.CompOfRow[r] = cs.CompOfRow[root]
 	}
 	// Counting-sort the rows into their components; scanning ids
-	// ascending keeps each component's member list ascending.
+	// ascending keeps each component's member list ascending. The
+	// union-find is settled, so parent (len sp.Rows ≥ ncomp) serves as
+	// the fill cursors, here and for the columns below (firstRow's
+	// sp.Cols may be smaller).
 	cs.RowPtr = grownInt(cs.RowPtr, ncomp+1)
 	for c := 0; c <= ncomp; c++ {
 		cs.RowPtr[c] = 0
@@ -92,7 +94,7 @@ func (cs *ComponentScratch) decomposeRows(sp Sparse) int {
 		cs.RowPtr[c] += cs.RowPtr[c-1]
 	}
 	cs.RowsByComp = grownInt(cs.RowsByComp, sp.Rows)
-	cursors := cs.parent // union-find is settled; reuse as fill cursors
+	cursors := cs.parent
 	for c := 0; c < ncomp; c++ {
 		cursors[c] = cs.RowPtr[c]
 	}
@@ -101,14 +103,7 @@ func (cs *ComponentScratch) decomposeRows(sp Sparse) int {
 		cs.RowsByComp[cursors[c]] = r
 		cursors[c]++
 	}
-	return ncomp
-}
 
-// Decompose splits sp into components and fills the whole scratch
-// layout, rows (decomposeRows) and columns. It returns the component
-// count.
-func (cs *ComponentScratch) Decompose(sp Sparse) int {
-	ncomp := cs.decomposeRows(sp)
 	// Columns inherit the component of the first row that touched them,
 	// and are counting-sorted the way the rows were.
 	cs.CompOfCol = grownInt(cs.CompOfCol, sp.Cols)
@@ -134,16 +129,13 @@ func (cs *ComponentScratch) Decompose(sp Sparse) int {
 		cs.ColPtr[c] += cs.ColPtr[c-1]
 	}
 	cs.ColsByComp = grownInt(cs.ColsByComp, ncols)
-	// Row filling is done with cursors, so parent is free again (its
-	// len is sp.Rows ≥ ncomp; firstRow's sp.Cols may be smaller).
-	colCursors := cs.parent
 	for c := 0; c < ncomp; c++ {
-		colCursors[c] = cs.ColPtr[c]
+		cursors[c] = cs.ColPtr[c]
 	}
 	for c := 0; c < sp.Cols; c++ {
 		if comp := cs.CompOfCol[c]; comp >= 0 {
-			cs.ColsByComp[colCursors[comp]] = c
-			colCursors[comp]++
+			cs.ColsByComp[cursors[comp]] = c
+			cursors[comp]++
 		}
 	}
 	return ncomp

@@ -89,15 +89,14 @@ func floodFillRows(nc int, rows [][]int) []int {
 }
 
 // TestComponentScratchMatchesSolver fuzzes random instances and checks
-// that the row half on its own — what SparseSolver runs before a solve,
-// on its own pooled scratch — agrees with the full decomposition on row
-// labeling and layout, that both agree with a flood fill over rows that
-// share a column, and that the column layout is consistent with the row
-// labels.
+// that the decomposition's row labels agree with a flood fill over rows
+// that share a column, that its row layout lists each component's rows
+// ascending, and that the column layout is consistent with the row
+// labels. (The solve itself splits nothing; TestSolveComponentsAlone
+// holds it to the components Decompose finds.)
 func TestComponentScratchMatchesSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var cs ComponentScratch
-	var ss SparseSolver
 	for trial := 0; trial < 300; trial++ {
 		nr := rng.Intn(12)
 		nc := rng.Intn(12)
@@ -126,25 +125,28 @@ func TestComponentScratchMatchesSolver(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := cs.Decompose(sp)
-		nWant := ss.comps.decomposeRows(sp)
-		if n != nWant {
-			t.Fatalf("trial %d: ncomp %d, solver %d", trial, n, nWant)
-		}
 		flood := floodFillRows(nc, rows)
+		nWant := 0
 		for r := 0; r < nr; r++ {
-			if cs.CompOfRow[r] != ss.comps.CompOfRow[r] || cs.CompOfRow[r] != flood[r] {
-				t.Fatalf("trial %d: CompOfRow[%d] = %d, solver %d, flood fill %d",
-					trial, r, cs.CompOfRow[r], ss.comps.CompOfRow[r], flood[r])
+			if cs.CompOfRow[r] != flood[r] {
+				t.Fatalf("trial %d: CompOfRow[%d] = %d, flood fill %d", trial, r, cs.CompOfRow[r], flood[r])
 			}
+			nWant = max(nWant, flood[r]+1)
 		}
-		for c := 0; c <= n; c++ {
-			if cs.RowPtr[c] != ss.comps.RowPtr[c] {
-				t.Fatalf("trial %d: RowPtr[%d] = %d, solver %d", trial, c, cs.RowPtr[c], ss.comps.RowPtr[c])
-			}
+		if n != nWant {
+			t.Fatalf("trial %d: ncomp %d, flood fill %d", trial, n, nWant)
 		}
-		for i := 0; i < nr; i++ {
-			if cs.RowsByComp[i] != ss.comps.RowsByComp[i] {
-				t.Fatalf("trial %d: RowsByComp[%d] = %d, solver %d", trial, i, cs.RowsByComp[i], ss.comps.RowsByComp[i])
+		// Row side: component comp lists exactly its rows, ascending.
+		if cs.RowPtr[0] != 0 || cs.RowPtr[n] != nr {
+			t.Fatalf("trial %d: RowPtr spans [%d, %d), want [0, %d)", trial, cs.RowPtr[0], cs.RowPtr[n], nr)
+		}
+		for comp := 0; comp < n; comp++ {
+			prev := -1
+			for _, r := range cs.RowsByComp[cs.RowPtr[comp]:cs.RowPtr[comp+1]] {
+				if r <= prev || flood[r] != comp {
+					t.Fatalf("trial %d: comp %d lists row %d (flood fill %d) after %d", trial, comp, r, flood[r], prev)
+				}
+				prev = r
 			}
 		}
 		// Column side: every edge must stay inside its row's component,

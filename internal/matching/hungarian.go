@@ -9,7 +9,7 @@
 // One algorithm, twice: the O(n³) Hungarian method (exact,
 // deterministic) over a dense rectangular weight matrix with missing
 // (forbidden) pairs — the reference the tests compare against — and its
-// sparse, component-decomposed restatement (sparse.go), which is what a
+// sparse restatement over adjacency lists (sparse.go), which is what a
 // dispatch window runs.
 package matching
 

@@ -17,14 +17,15 @@ import (
 // Sparse is that graph in CSR form, and SparseSolver solves it with
 // zero steady-state allocations: every slice it needs is grown once and
 // reused across solves, so a long-running dispatcher clears thousands
-// of windows without touching the allocator. Solve splits the instance
-// into connected components with a union-find over the edges and solves
-// each component independently, which is exact, not approximate:
-// components share no rows and no columns, so any matching of the whole
-// instance restricts to one matching per component and its weight is
-// the sum of the restrictions; maximizing each term independently
-// therefore maximizes the sum, and the union of per-component optima is
-// a global maximum-weight matching.
+// of windows without touching the allocator. Solve augments one row at
+// a time, rows ascending, and each augment only ever reaches the
+// columns of its own row's connected component, so the instance is in
+// effect solved component by component without being split: components
+// share no rows, no columns and no dual variables, so interleaving their
+// rows changes no float operation of any of them, and the union of
+// per-component optima is a global maximum-weight matching (any
+// matching of the whole restricts to one per component, and its weight
+// is the sum of the restrictions).
 
 // Sparse is a sparse rectangular weight matrix in compressed sparse
 // row form: row r's edges are Col[RowPtr[r]:RowPtr[r+1]] (column
@@ -95,12 +96,6 @@ type SparseSolver struct {
 	way  []int
 	used []bool
 
-	// The union-find and the component layout it leaves: component c
-	// owns rows comps.RowsByComp[comps.RowPtr[c]:comps.RowPtr[c+1]] in
-	// ascending order; components are numbered by their smallest member
-	// row. Only the row half is filled (decomposeRows).
-	comps ComponentScratch
-
 	// The columns one row's augment dirtied.
 	touched []int
 }
@@ -128,9 +123,9 @@ func grownBool(s []bool, n int) []bool {
 	return s[:n]
 }
 
-// Solve computes a maximum-weight matching of sp: the instance is split
-// into connected components, each solved independently by shortest
-// augmenting paths with dual potentials (exact, deterministic).
+// Solve computes a maximum-weight matching of sp by shortest augmenting
+// paths with dual potentials, one row at a time in ascending order
+// (exact, deterministic).
 //
 // The returned slice maps each row to its matched column (-1 for
 // unmatched) and is owned by the solver: it is valid until the next
@@ -168,10 +163,7 @@ func (s *SparseSolver) Solve(sp Sparse) (colOf []int, weight float64, matched in
 		s.used[c] = false
 	}
 
-	// Rows are augmented component by component, each component's rows
-	// in ascending order.
-	s.comps.decomposeRows(sp)
-	for _, r := range s.comps.RowsByComp {
+	for r := 0; r < sp.Rows; r++ {
 		s.augmentRow(sp, r)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -98,9 +99,9 @@ func TestSparseHungarianAgainstBruteForce(t *testing.T) {
 }
 
 // TestSparseDecomposedEqualsWholeMatrix is the exactness property of
-// the component decomposition (the satellite contract): on random
-// sparse rectangular instances, the component-decomposed solve equals
-// the whole-matrix Hungarian optimum in total weight, and — continuous
+// the sparse solve over instances that fall apart into components: on
+// random sparse rectangular instances, it equals the whole-matrix
+// Hungarian optimum in total weight, and — continuous
 // weights making the optimum unique, so canonical tie-breaking is never
 // exercised against a second optimum — is bit-identical in assignments.
 func TestSparseDecomposedEqualsWholeMatrix(t *testing.T) {
@@ -122,6 +123,140 @@ func TestSparseDecomposedEqualsWholeMatrix(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// blockSparse builds a random instance of several blocks — each a random
+// rows×cols sub-instance, continuous or quantized — with every block's
+// rows and columns scattered through the global id spaces by a random
+// permutation, plus a few columns no block touches. A block may itself
+// fall apart into several components.
+func blockSparse(rng *rand.Rand, quantize bool) Sparse {
+	type edge struct {
+		c int
+		w float64
+	}
+	blocks := 2 + rng.Intn(5)
+	var blockRows [][][]edge // block -> local row -> edges on local cols
+	var blockCols []int
+	nr, nc := 0, 2+rng.Intn(3)
+	for b := 0; b < blocks; b++ {
+		sub := randomSparse(rng, 1+rng.Intn(5), 1+rng.Intn(6), 0.2+rng.Float64()*0.8, quantize)
+		rows := make([][]edge, sub.Rows)
+		for r := range rows {
+			for k := sub.RowPtr[r]; k < sub.RowPtr[r+1]; k++ {
+				rows[r] = append(rows[r], edge{sub.Col[k], sub.W[k]})
+			}
+		}
+		blockRows = append(blockRows, rows)
+		blockCols = append(blockCols, sub.Cols)
+		nr += sub.Rows
+		nc += sub.Cols
+	}
+	rowID, colID := rng.Perm(nr), rng.Perm(nc)
+	global := make([][]edge, nr)
+	nextRow, nextCol := 0, 0
+	for b, rows := range blockRows {
+		for _, es := range rows {
+			g := rowID[nextRow]
+			nextRow++
+			for _, e := range es {
+				global[g] = append(global[g], edge{colID[nextCol+e.c], e.w})
+			}
+			sort.Slice(global[g], func(i, j int) bool { return global[g][i].c < global[g][j].c })
+		}
+		nextCol += blockCols[b]
+	}
+	sp := Sparse{Rows: nr, Cols: nc, RowPtr: make([]int, nr+1)}
+	for r, es := range global {
+		for _, e := range es {
+			sp.Col = append(sp.Col, e.c)
+			sp.W = append(sp.W, e.w)
+		}
+		sp.RowPtr[r+1] = len(sp.Col)
+	}
+	return sp
+}
+
+// TestSolveComponentsAlone is why the solve needs no decomposition: on
+// random multi-component instances, continuous and tied, Solve over the
+// whole returns bitwise what solving each component (ComponentScratch)
+// alone as its own Sparse returns — the same column for every row, the
+// same matched count, and a weight equal to the ascending-row fold of
+// the components' matched edges, each component's own weight being the
+// same fold over its rows. Rows and columns keep their relative order
+// inside a component, so the tie-breaks (smallest extended column) are
+// the same ones.
+func TestSolveComponentsAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var whole, alone SparseSolver
+	var cs ComponentScratch
+	multi := 0
+	for trial := 0; trial < 400; trial++ {
+		sp := blockSparse(rng, trial%2 == 1)
+		got, weight, matched, err := whole.Solve(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append([]int(nil), got...)
+
+		ncomp := cs.Decompose(sp)
+		if ncomp > 1 {
+			multi++
+		}
+		want := make([]int, sp.Rows)
+		edgeW := make([]float64, sp.Rows) // weight of row r's matched edge
+		wantMatched := 0
+		for comp := 0; comp < ncomp; comp++ {
+			rows := cs.RowsByComp[cs.RowPtr[comp]:cs.RowPtr[comp+1]]
+			cols := cs.ColsByComp[cs.ColPtr[comp]:cs.ColPtr[comp+1]]
+			local := make(map[int]int, len(cols))
+			for i, c := range cols {
+				local[c] = i
+			}
+			sub := Sparse{Rows: len(rows), Cols: len(cols), RowPtr: make([]int, len(rows)+1)}
+			for i, r := range rows {
+				for k := sp.RowPtr[r]; k < sp.RowPtr[r+1]; k++ {
+					sub.Col = append(sub.Col, local[sp.Col[k]])
+					sub.W = append(sub.W, sp.W[k])
+				}
+				sub.RowPtr[i+1] = len(sub.Col)
+			}
+			colOf, subWeight, subMatched, err := alone.Solve(sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fold := 0.0
+			for i, r := range rows {
+				want[r] = -1
+				if c := colOf[i]; c >= 0 {
+					want[r] = cols[c]
+					for k := sub.RowPtr[i]; k < sub.RowPtr[i+1]; k++ {
+						if sub.Col[k] == c {
+							edgeW[r] = sub.W[k]
+						}
+					}
+					fold += edgeW[r]
+				}
+			}
+			if fold != subWeight {
+				t.Fatalf("trial %d, component %d: weight %v, its rows' fold %v", trial, comp, subWeight, fold)
+			}
+			wantMatched += subMatched
+		}
+		wantWeight := 0.0
+		for r, c := range want {
+			if c >= 0 {
+				wantWeight += edgeW[r]
+			}
+		}
+		if !reflect.DeepEqual(got, want) || matched != wantMatched || weight != wantWeight {
+			t.Fatalf("trial %d: whole %v (matched %d, weight %v), components alone %v (%d, %v)\n%v",
+				trial, got, matched, weight, want, wantMatched, wantWeight, denseOf(sp))
+		}
+	}
+	if multi < 350 {
+		t.Fatalf("only %d of 400 instances had more than one component", multi)
 	}
 }
 
@@ -147,8 +282,8 @@ func TestSparseQuantizedWeightEquality(t *testing.T) {
 	}
 }
 
-// TestSparseComponentEdgeCases fuzzes the shapes the decomposition must
-// not trip over: singleton tasks, drivers shared by zero tasks
+// TestSparseComponentEdgeCases fuzzes the component shapes the solve
+// must not trip over: singleton tasks, drivers shared by zero tasks
 // (untouched columns), rows with no candidates at all, a fully
 // connected window collapsing to one component, and all-non-positive
 // instances where unmatched everywhere is the optimum.

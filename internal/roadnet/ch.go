@@ -19,13 +19,11 @@ import (
 // per-target searches scan), so an order's distances to all its
 // candidate drivers cost one search plus a small probe per driver.
 //
-// On small graphs (see chLabelMaxNodes) preprocessing goes one step
-// further and freezes every node's upward cones into hub labels — the
-// canonical CH-derived labeling — so a query degenerates to scanning
-// two short arrays for their cheapest common hub: no heap, no
-// relaxation, no per-query allocation. The bidirectional search kernel
-// remains both the fallback for large graphs and the machine that
-// builds the labels.
+// A hierarchy only ever serves graphs too large for the Router's
+// all-pairs table, so it has one query path per shape: Query is the
+// bidirectional point-to-point search (queryPTP), and the batches are
+// an exhaustive search on the shared side (forward / backward) probed
+// once per pair (probeBackward / probeForward).
 //
 // Bit-identity discipline: the rest of the repository asserts that
 // every routing kernel returns distances bitwise equal to Dijkstra's.
@@ -61,7 +59,6 @@ type chRef struct {
 // Build with BuildHierarchy; queries are safe for concurrent use (each
 // borrows scratch from an internal pool).
 type Hierarchy struct {
-	n         int
 	rank      []int32 // node -> contraction order (0 = contracted first)
 	arcs      []chArc
 	shortcuts int
@@ -73,34 +70,8 @@ type Hierarchy struct {
 	fwdOff, bwdOff []int32
 	fwdRef, bwdRef []chRef
 
-	// Hub labels (small graphs only; see chLabelMaxNodes): a node's
-	// forward label is its entire upward cone — every hub it can climb
-	// to, with the CH weight and the search-tree parent entry, so the
-	// winning up-down path unpacks without re-running any search.
-	// CSR layout again; entries sit in settle order, which guarantees a
-	// parent entry always precedes its children within one label.
-	labOffF, labOffB []int32
-	labF, labB       []labEntry
-
 	pool sync.Pool // *chScratch
 }
-
-// labEntry is one hub of a node's label. parent chains entries within
-// the same label (-1 at the label's own node); arc is the CH arc from
-// the parent hub into this hub (forward labels) or out of it (backward
-// labels), -1 at the root.
-type labEntry struct {
-	dist   float64
-	hub    int32
-	parent int32
-	arc    int32
-}
-
-// labeled reports whether the hub-label tier was built.
-func (h *Hierarchy) labeled() bool { return h.labOffF != nil }
-
-func (h *Hierarchy) labFAt(x int32) []labEntry { return h.labF[h.labOffF[x]:h.labOffF[x+1]] }
-func (h *Hierarchy) labBAt(x int32) []labEntry { return h.labB[h.labOffB[x]:h.labOffB[x+1]] }
 
 // fwdAt / bwdAt return a node's upward adjacency slice.
 func (h *Hierarchy) fwdAt(x int32) []chRef { return h.fwdRef[h.fwdOff[x]:h.fwdOff[x+1]] }
@@ -111,15 +82,6 @@ func (h *Hierarchy) bwdAt(x int32) []chRef { return h.bwdRef[h.bwdOff[x]:h.bwdOf
 // which costs query time but never correctness, so the cap only trades
 // preprocessing speed against hierarchy sparsity.
 const witnessSettleCap = 256
-
-// chLabelMaxNodes gates the hub-label tier: below this node count,
-// preprocessing additionally runs every node's upward searches to
-// exhaustion and stores the settled cones as labels, turning queries
-// into array scans with no heap at all. Label storage is the sum of all
-// cone sizes — about O(n·√n) on grid-like graphs — so the tier is
-// limited to graphs where that stays in the tens of megabytes; larger
-// graphs fall back to the bidirectional search kernel.
-const chLabelMaxNodes = 4096
 
 // chHeapItem / chHeap implement the searches' priority queue without
 // container/heap's interface boxing. Ties break on node id so every
@@ -233,7 +195,7 @@ func BuildHierarchy(g *Graph) *Hierarchy {
 		sc, rm := b.contract(v, false)
 		q.push(chHeapItem{dist: b.priority(v, sc, rm), node: v})
 	}
-	h := &Hierarchy{n: n, rank: make([]int32, n), shortcuts: 0}
+	h := &Hierarchy{rank: make([]int32, n), shortcuts: 0}
 	order := int32(0)
 	for len(q) > 0 {
 		it := q.pop()
@@ -289,47 +251,7 @@ func BuildHierarchy(g *Graph) *Hierarchy {
 		}
 	}
 	h.pool.New = func() any { return newCHScratch(n) }
-	h.buildLabels()
 	return h
-}
-
-// buildLabels runs every node's forward and backward upward searches to
-// exhaustion and freezes the settled cones as hub labels (small graphs
-// only; see chLabelMaxNodes). With labels, a point-to-point query is a
-// scan over two short arrays — no heap, no relaxation — and the stored
-// parent chains reproduce exactly the search trees the live searches
-// would have built, so unpacking stays bitwise-identical to Dijkstra.
-func (h *Hierarchy) buildLabels() {
-	if h.n == 0 || h.n > chLabelMaxNodes {
-		return
-	}
-	sc := newCHScratch(h.n)
-	pos := make([]int32, h.n) // node -> entry index within the current label
-	h.labOffF = make([]int32, 1, h.n+1)
-	h.labOffB = make([]int32, 1, h.n+1)
-	for u := int32(0); u < int32(h.n); u++ {
-		h.forward(sc, u)
-		for i, x := range sc.setF {
-			pos[x] = int32(i)
-			e := labEntry{dist: sc.distF[x], hub: x, parent: -1, arc: sc.parF[x]}
-			if e.arc >= 0 {
-				e.parent = pos[h.arcs[e.arc].from]
-			}
-			h.labF = append(h.labF, e)
-		}
-		h.labOffF = append(h.labOffF, int32(len(h.labF)))
-
-		h.backward(sc, u)
-		for i, x := range sc.setB {
-			pos[x] = int32(i)
-			e := labEntry{dist: sc.distB[x], hub: x, parent: -1, arc: sc.parB[x]}
-			if e.arc >= 0 {
-				e.parent = pos[h.arcs[e.arc].to]
-			}
-			h.labB = append(h.labB, e)
-		}
-		h.labOffB = append(h.labOffB, int32(len(h.labB)))
-	}
 }
 
 // NumShortcuts returns the number of shortcut arcs the preprocessing
@@ -488,8 +410,6 @@ type chScratch struct {
 	doneF, doneB []uint32
 	epF, epB     uint32
 	heapF, heapB chHeap
-	setF, setB   []int32 // settle order of the last exhaustive search
-	srcF, srcB   int32   // label-mode batch anchors (see prepareF/prepareB)
 	chain        []int32 // parent-walk buffer (arc indices)
 	stack        []int32 // shortcut-expansion stack
 }
@@ -516,7 +436,6 @@ func (h *Hierarchy) forward(sc *chScratch, u int32) {
 	sc.parF[u] = -1
 	sc.labF[u] = sc.epF
 	sc.heapF.push(chHeapItem{dist: 0, node: u})
-	sc.setF = sc.setF[:0]
 	for len(sc.heapF) > 0 {
 		it := sc.heapF.pop()
 		x := it.node
@@ -524,7 +443,6 @@ func (h *Hierarchy) forward(sc *chScratch, u int32) {
 			continue
 		}
 		sc.doneF[x] = sc.epF
-		sc.setF = append(sc.setF, x)
 		for _, e := range h.fwdAt(x) {
 			nd := sc.distF[x] + e.km
 			if sc.labF[e.node] != sc.epF || nd < sc.distF[e.node] {
@@ -546,7 +464,6 @@ func (h *Hierarchy) backward(sc *chScratch, v int32) {
 	sc.parB[v] = -1
 	sc.labB[v] = sc.epB
 	sc.heapB.push(chHeapItem{dist: 0, node: v})
-	sc.setB = sc.setB[:0]
 	for len(sc.heapB) > 0 {
 		it := sc.heapB.pop()
 		x := it.node
@@ -554,7 +471,6 @@ func (h *Hierarchy) backward(sc *chScratch, v int32) {
 			continue
 		}
 		sc.doneB[x] = sc.epB
-		sc.setB = append(sc.setB, x)
 		for _, e := range h.bwdAt(x) {
 			nd := sc.distB[x] + e.km
 			if sc.labB[e.node] != sc.epB || nd < sc.distB[e.node] {
@@ -697,152 +613,16 @@ func (h *Hierarchy) foldArc(sc *chScratch, a int32, d float64) float64 {
 }
 
 // Query returns the shortest-path distance from u to v, bitwise equal
-// to Graph.ShortestPath's. Safe for concurrent use. With the hub-label
-// tier built this is two array scans; otherwise the bidirectional
-// search kernel runs.
+// to Graph.ShortestPath's: the point-to-point search kernel (queryPTP)
+// on pooled scratch. Safe for concurrent use.
 func (h *Hierarchy) Query(u, v int) float64 {
 	if u == v {
 		return 0
 	}
 	sc := h.scratch()
-	var d float64
-	if h.labeled() {
-		h.stampForwardLabel(sc, int32(u))
-		d = h.probeBackwardLabel(sc, int32(v))
-	} else {
-		d = h.queryPTP(sc, int32(u), int32(v))
-	}
+	d := h.queryPTP(sc, int32(u), int32(v))
 	h.pool.Put(sc)
 	return d
-}
-
-// stampForwardLabel loads u's forward label into the scratch arrays
-// under a fresh epoch: distF holds the hub weight, parF the entry index
-// (for unpacking). One stamp serves any number of probeBackwardLabel
-// calls, which is what makes label-mode one-to-many batches a stamp
-// plus one scan per target.
-func (h *Hierarchy) stampForwardLabel(sc *chScratch, u int32) {
-	sc.epF++
-	sc.srcF = u
-	lu := h.labFAt(u)
-	for i := range lu {
-		e := &lu[i]
-		sc.labF[e.hub] = sc.epF
-		sc.distF[e.hub] = e.dist
-		sc.parF[e.hub] = int32(i)
-	}
-}
-
-// probeBackwardLabel scans v's backward label against the stamped
-// forward label, picks the cheapest common hub (first wins on exact
-// ties, so the scan order itself is the deterministic tie-break), and
-// unpacks the winning chains. Returns +Inf when the labels share no
-// hub (v unreachable from the stamped source).
-func (h *Hierarchy) probeBackwardLabel(sc *chScratch, v int32) float64 {
-	lv := h.labBAt(v)
-	best := math.Inf(1)
-	bi, bj := int32(-1), int32(-1)
-	for j := range lv {
-		e := &lv[j]
-		if sc.labF[e.hub] == sc.epF {
-			if cand := sc.distF[e.hub] + e.dist; cand < best {
-				best = cand
-				bi, bj = sc.parF[e.hub], int32(j)
-			}
-		}
-	}
-	if bi < 0 {
-		return math.Inf(1)
-	}
-	return h.unpackLabels(sc, h.labFAt(sc.srcF), lv, bi, bj)
-}
-
-// stampBackwardLabel / probeForwardLabel mirror the pair above for
-// many-to-one batches (shared destination).
-func (h *Hierarchy) stampBackwardLabel(sc *chScratch, v int32) {
-	sc.epB++
-	sc.srcB = v
-	lv := h.labBAt(v)
-	for i := range lv {
-		e := &lv[i]
-		sc.labB[e.hub] = sc.epB
-		sc.distB[e.hub] = e.dist
-		sc.parB[e.hub] = int32(i)
-	}
-}
-
-func (h *Hierarchy) probeForwardLabel(sc *chScratch, u int32) float64 {
-	lu := h.labFAt(u)
-	best := math.Inf(1)
-	bi, bj := int32(-1), int32(-1)
-	for i := range lu {
-		e := &lu[i]
-		if sc.labB[e.hub] == sc.epB {
-			if cand := e.dist + sc.distB[e.hub]; cand < best {
-				best = cand
-				bi, bj = int32(i), sc.parB[e.hub]
-			}
-		}
-	}
-	if bi < 0 {
-		return math.Inf(1)
-	}
-	return h.unpackLabels(sc, lu, h.labBAt(sc.srcB), bi, bj)
-}
-
-// unpackLabels re-accumulates the up-down path whose halves end at
-// forward entry bi and backward entry bj: the stored parent chains are
-// exactly the live searches' parent walks, folded in the same path
-// order, so the result matches Dijkstra bitwise (see unpack).
-func (h *Hierarchy) unpackLabels(sc *chScratch, lu, lv []labEntry, bi, bj int32) float64 {
-	sc.chain = sc.chain[:0]
-	for e := bi; lu[e].arc >= 0; e = lu[e].parent {
-		sc.chain = append(sc.chain, lu[e].arc)
-	}
-	d := 0.0
-	for i := len(sc.chain) - 1; i >= 0; i-- {
-		d = h.foldArc(sc, sc.chain[i], d)
-	}
-	for e := bj; lv[e].arc >= 0; e = lv[e].parent {
-		d = h.foldArc(sc, lv[e].arc, d)
-	}
-	return d
-}
-
-// prepareForward readies scratch for a one-to-many batch anchored at
-// origin node u; probeBackward answers each target. With labels the
-// pair is stamp+scan, otherwise an exhaustive upward search feeds
-// bucket probes.
-func (h *Hierarchy) prepareForward(sc *chScratch, u int32) {
-	if h.labeled() {
-		h.stampForwardLabel(sc, u)
-	} else {
-		h.forward(sc, u)
-	}
-}
-
-func (h *Hierarchy) probeTarget(sc *chScratch, v int32) float64 {
-	if h.labeled() {
-		return h.probeBackwardLabel(sc, v)
-	}
-	return h.probeBackward(sc, v)
-}
-
-// prepareBackward / probeSource mirror the pair above for many-to-one
-// batches (shared destination).
-func (h *Hierarchy) prepareBackward(sc *chScratch, v int32) {
-	if h.labeled() {
-		h.stampBackwardLabel(sc, v)
-	} else {
-		h.backward(sc, v)
-	}
-}
-
-func (h *Hierarchy) probeSource(sc *chScratch, u int32) float64 {
-	if h.labeled() {
-		return h.probeForwardLabel(sc, u)
-	}
-	return h.probeForward(sc, u)
 }
 
 // queryPTP is the point-to-point kernel: both upward searches run

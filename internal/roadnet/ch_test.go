@@ -37,9 +37,6 @@ func TestCHBitwiseEqualsDijkstra(t *testing.T) {
 	pairs := 0
 	chTestGraphs(t, func(name string, g *Graph, _ GridConfig) {
 		h := BuildHierarchy(g)
-		if !h.labeled() {
-			t.Fatalf("%s: hub labels missing on a %d-node graph", name, g.NumNodes())
-		}
 		n := g.NumNodes()
 		for u := 0; u < n; u += 3 {
 			for v := 0; v < n; v += 5 {
@@ -58,12 +55,11 @@ func TestCHBitwiseEqualsDijkstra(t *testing.T) {
 	}
 }
 
-// TestCHSearchKernelBitwise pins the live-search kernels — the
-// point-to-point bidirectional search and the exhaustive-plus-probe
-// batch pair — directly against Dijkstra. On graphs over
-// chLabelMaxNodes nodes these ARE the production query paths, but
-// Query/DistManyInto take the hub-label route on test-sized graphs, so the
-// fallbacks get their own bitwise wall here.
+// TestCHSearchKernelBitwise pins the batch kernels — an exhaustive
+// search on the shared side probed once per pair, in both shapes —
+// directly against Dijkstra (Query's point-to-point search is
+// TestCHBitwiseEqualsDijkstra's), and checks that a probe leaves the
+// shared search it reads intact for the batch's next pair.
 func TestCHSearchKernelBitwise(t *testing.T) {
 	chTestGraphs(t, func(name string, g *Graph, _ GridConfig) {
 		h := BuildHierarchy(g)
@@ -77,11 +73,6 @@ func TestCHSearchKernelBitwise(t *testing.T) {
 				}
 				d0, _ := g.ShortestPath(u, v)
 				inf := math.IsInf(d0, 1)
-				if d1 := h.queryPTP(sc, int32(u), int32(v)); d1 != d0 && !(inf && math.IsInf(d1, 1)) {
-					t.Fatalf("%s: queryPTP(%d,%d) = %v, Dijkstra = %v", name, u, v, d1, d0)
-				}
-				// queryPTP burned the epochs; restore the shared forward
-				// search exactly as a Router batch would hold it.
 				h.forward(sc, int32(u))
 				fwdEp := sc.epF
 				if d2 := h.probeBackward(sc, int32(v)); d2 != d0 && !(inf && math.IsInf(d2, 1)) {
@@ -215,8 +206,6 @@ func routerTestPoints(box geo.BoundingBox, n int, salt int64) []geo.Point {
 // table and on every kernel, including repeated targets (cache path) and
 // the shared endpoint itself.
 func TestDistManyMatchesLoopedDist(t *testing.T) {
-	// The ch-nolabels column runs the batch path over the large-graph
-	// search kernels end to end through the Router.
 	routers, cfg := snapTestRouters(t)
 	for mode, r := range routers {
 		pts := routerTestPoints(cfg.Box, 24, 3)
@@ -340,25 +329,6 @@ func BenchmarkCHQuery(b *testing.B) {
 		u := (i * 7919) % n
 		v := (i*104729 + 13) % n
 		h.Query(u, v)
-	}
-}
-
-// BenchmarkCHQueryPTP times the bidirectional search kernel alone (the
-// large-graph fallback; BenchmarkCHQuery times the hub-label path the
-// default grid actually uses).
-func BenchmarkCHQueryPTP(b *testing.B) {
-	g, _ := benchGraph(b)
-	h := BuildHierarchy(g)
-	sc := h.scratch()
-	defer h.pool.Put(sc)
-	n := g.NumNodes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := (i * 7919) % n
-		v := (i*104729 + 13) % n
-		if u != v {
-			h.queryPTP(sc, int32(u), int32(v))
-		}
 	}
 }
 

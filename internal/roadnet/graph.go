@@ -102,16 +102,6 @@ func (g *Graph) ShortestPath(src, dst int) (float64, []int) {
 	return g.route(src, dst, nil)
 }
 
-// AStar runs A* with the straight-line-distance heuristic (admissible
-// whenever edge lengths are ≥ straight-line, which AddRoad guarantees
-// for factor ≥ 1). Results equal ShortestPath; it just explores less.
-func (g *Graph) AStar(src, dst int) (float64, []int) {
-	target := g.pts[dst]
-	return g.route(src, dst, func(n int32) float64 {
-		return geo.Equirectangular(g.pts[n], target)
-	})
-}
-
 // route is the shared Dijkstra/A* core; h == nil means Dijkstra.
 func (g *Graph) route(src, dst int, h func(int32) float64) (float64, []int) {
 	if src < 0 || src >= len(g.pts) || dst < 0 || dst >= len(g.pts) {

@@ -121,11 +121,8 @@ func (g *Graph) DistancesTo(dst int) []float64 {
 // AStarALT runs A* with the ALT landmark heuristic combined (by max)
 // with the straight-line bound. Results equal ShortestPath exactly —
 // the heuristic is consistent — it just settles fewer nodes than the
-// straight-line heuristic alone. A nil Landmarks falls back to AStar.
+// straight-line heuristic alone. lm must not be nil.
 func (g *Graph) AStarALT(lm *Landmarks, src, dst int) (float64, []int) {
-	if lm == nil || len(lm.ids) == 0 {
-		return g.AStar(src, dst)
-	}
 	target := g.pts[dst]
 	return g.route(src, dst, func(n int32) float64 {
 		h := lm.LowerBound(int(n), dst)

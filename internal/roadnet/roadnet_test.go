@@ -114,25 +114,6 @@ func TestDijkstraMatchesFloydWarshall(t *testing.T) {
 	}
 }
 
-func TestAStarMatchesDijkstra(t *testing.T) {
-	// A*'s heuristic is admissible for roads with factor ≥ 1 (AddRoad),
-	// so distances must agree with Dijkstra exactly.
-	g, err := GenerateGrid(DefaultGridConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		u := rng.Intn(g.NumNodes())
-		v := rng.Intn(g.NumNodes())
-		dd, _ := g.ShortestPath(u, v)
-		da, _ := g.AStar(u, v)
-		if math.Abs(dd-da) > 1e-9 {
-			t.Fatalf("A* %g != Dijkstra %g for (%d,%d)", da, dd, u, v)
-		}
-	}
-}
-
 func TestPathEdgesExist(t *testing.T) {
 	g, err := GenerateGrid(DefaultGridConfig())
 	if err != nil {

@@ -47,11 +47,12 @@ func (a Algorithm) String() string {
 //   - At most tableMaxPairs node pairs (1 024 nodes — every city-sized
 //     graph in the repository): a flat all-pairs table filled at
 //     construction by one Dijkstra sweep per node. A lookup is an indexed
-//     load. Such a router builds no hierarchy, no labels and no
-//     landmarks whatever the Algorithm says, and has no cache:
-//     SetCacheBound does nothing and CacheStats / CacheSize read zero.
-//   - Above that: the configured kernel (contraction-hierarchy query by
-//     default, landmark-accelerated A* for AlgoALT) behind a bounded,
+//     load. Such a router builds no hierarchy and no landmarks whatever
+//     the Algorithm says, and has no cache: SetCacheBound does nothing
+//     and CacheStats / CacheSize read zero.
+//   - Above that: the configured kernel (the contraction hierarchy's
+//     bidirectional search by default, with one shared half-search per
+//     batch; landmark-accelerated A* for AlgoALT) behind a bounded,
 //     sharded cache with per-key inflight de-duplication, so the O(M²)
 //     task-map construction and 50k-driver dispatch days pay each route
 //     once without growing memory without bound.
@@ -163,8 +164,8 @@ func NewRouterAlgo(g *Graph, box geo.BoundingBox, s int, algo Algorithm) *Router
 }
 
 // newRouter is NewRouterAlgo with the table's size bound as a parameter:
-// the package's tests pass 0 to hold the kernels, the cache and the hub
-// labels to their contracts on graphs small enough to sweep.
+// the package's tests pass 0 to hold the kernels and the cache to their
+// contracts on graphs small enough to sweep.
 func newRouter(g *Graph, box geo.BoundingBox, s int, algo Algorithm, tableMax int) *Router {
 	n := g.NumNodes()
 	if s < 1 {
@@ -505,9 +506,9 @@ func (r *Router) DistManySnappedInto(origin geo.Snap, targets []geo.Snap, out []
 		out[i] = r.distSnapped(origin, t, func() float64 {
 			if sc == nil {
 				sc = r.ch.scratch()
-				r.ch.prepareForward(sc, origin.Node)
+				r.ch.forward(sc, origin.Node)
 			}
-			return r.ch.probeTarget(sc, t.Node)
+			return r.ch.probeBackward(sc, t.Node)
 		})
 	}
 	if sc != nil {
@@ -535,9 +536,9 @@ func (r *Router) DistManyToSnappedInto(sources []geo.Snap, dest geo.Snap, out []
 		out[i] = r.distSnapped(a, dest, func() float64 {
 			if sc == nil {
 				sc = r.ch.scratch()
-				r.ch.prepareBackward(sc, dest.Node)
+				r.ch.backward(sc, dest.Node)
 			}
-			return r.ch.probeSource(sc, a.Node)
+			return r.ch.probeForward(sc, a.Node)
 		})
 	}
 	if sc != nil {

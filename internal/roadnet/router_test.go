@@ -150,10 +150,9 @@ func TestRouterDistMatchesUnchachedRoute(t *testing.T) {
 	}
 }
 
-// TestAStarBitwiseEqualsDijkstra is the property wall for the routing
-// kernels: on generated cities (grids across seeds, and a radial town),
-// plain A* and landmark A* both return bitwise-identical distances to
-// Dijkstra.
+// TestAStarBitwiseEqualsDijkstra is the property wall for the ALT
+// kernel: on generated cities (grids across seeds, and a radial town),
+// landmark A* returns bitwise-identical distances to Dijkstra.
 func TestAStarBitwiseEqualsDijkstra(t *testing.T) {
 	check := func(t *testing.T, g *Graph) {
 		t.Helper()
@@ -162,13 +161,9 @@ func TestAStarBitwiseEqualsDijkstra(t *testing.T) {
 		for u := 0; u < n; u += 3 {
 			for v := 0; v < n; v += 5 {
 				d0, _ := g.ShortestPath(u, v)
-				d1, _ := g.AStar(u, v)
-				d2, _ := g.AStarALT(lm, u, v)
+				d1, _ := g.AStarALT(lm, u, v)
 				if d0 != d1 {
-					t.Fatalf("AStar(%d,%d) = %v, Dijkstra = %v", u, v, d1, d0)
-				}
-				if d0 != d2 {
-					t.Fatalf("AStarALT(%d,%d) = %v, Dijkstra = %v", u, v, d2, d0)
+					t.Fatalf("AStarALT(%d,%d) = %v, Dijkstra = %v", u, v, d1, d0)
 				}
 			}
 		}
@@ -382,9 +377,9 @@ func benchGraph(b *testing.B) (*Graph, GridConfig) {
 }
 
 // BenchmarkRouterBuild is what a service pays before its first order, by
-// tier: the all-pairs table the default grid gets, the hierarchy and hub
-// labels the same grid got before the table (through kernelRouter), and
-// the hierarchy of a graph well over the table's bound.
+// tier: the all-pairs table the default grid gets, the hierarchy the
+// same grid got before the table (through kernelRouter), and the
+// hierarchy of a graph well over the table's bound.
 func BenchmarkRouterBuild(b *testing.B) {
 	for _, c := range []struct {
 		name       string
@@ -464,12 +459,9 @@ func BenchmarkRouterDistCached(b *testing.B) {
 	}
 }
 
-func benchmarkAStarPairs(b *testing.B, alt bool) {
+func BenchmarkAStarLandmarks(b *testing.B) {
 	g, _ := benchGraph(b)
-	var lm *Landmarks
-	if alt {
-		lm = NewLandmarks(g, g.SelectLandmarks(defaultLandmarks))
-	}
+	lm := NewLandmarks(g, g.SelectLandmarks(defaultLandmarks))
 	n := g.NumNodes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -478,13 +470,6 @@ func benchmarkAStarPairs(b *testing.B, alt bool) {
 		if u == v {
 			v = (v + 1) % n
 		}
-		if alt {
-			g.AStarALT(lm, u, v)
-		} else {
-			g.AStar(u, v)
-		}
+		g.AStarALT(lm, u, v)
 	}
 }
-
-func BenchmarkAStarStraightLine(b *testing.B) { benchmarkAStarPairs(b, false) }
-func BenchmarkAStarLandmarks(b *testing.B)    { benchmarkAStarPairs(b, true) }

@@ -15,14 +15,6 @@ func kernelRouter(g *Graph, box geo.BoundingBox, s int, algo Algorithm) *Router 
 	return newRouter(g, box, s, algo, 0)
 }
 
-// stripLabels removes a CH router's hub-label tier, leaving the
-// live-search kernels graphs over chLabelMaxNodes nodes run on.
-func stripLabels(r *Router) *Router {
-	h := r.ch
-	h.labOffF, h.labOffB, h.labF, h.labB = nil, nil, nil, nil
-	return r
-}
-
 // refDist is the reference every public distance form is held bitwise
 // equal to, and it shares nothing with them but the graph: a scan of
 // every node for each endpoint's nearest (lowest id on a tie), the two
@@ -104,7 +96,7 @@ func checkFormsAgainstRef(t testing.TB, label string, r *Router, hub geo.Point, 
 
 // snapTestRouters builds one router per distance tier over the 12x14
 // test grid: the all-pairs table such a graph gets in production, and —
-// through kernelRouter — hub labels, the live-search fallback, and ALT.
+// through kernelRouter — the CH search kernels and ALT.
 func snapTestRouters(t testing.TB) (map[string]*Router, GridConfig) {
 	cfg := DefaultGridConfig()
 	cfg.Rows, cfg.Cols = 12, 14
@@ -113,10 +105,9 @@ func snapTestRouters(t testing.TB) (map[string]*Router, GridConfig) {
 		t.Fatal(err)
 	}
 	routers := map[string]*Router{
-		"table":       NewRouter(g, cfg.Box, 0),
-		"ch":          kernelRouter(g, cfg.Box, 0, AlgoCH),
-		"ch-nolabels": stripLabels(kernelRouter(g, cfg.Box, 0, AlgoCH)),
-		"alt":         kernelRouter(g, cfg.Box, 0, AlgoALT),
+		"table": NewRouter(g, cfg.Box, 0),
+		"ch":    kernelRouter(g, cfg.Box, 0, AlgoCH),
+		"alt":   kernelRouter(g, cfg.Box, 0, AlgoALT),
 	}
 	if routers["table"].table == nil || routers["ch"].table != nil {
 		t.Fatal("the table column is not on the table, or a kernel column is")

@@ -41,11 +41,12 @@ func refSweep(g *Graph, src int) []float64 {
 // TestTableBitwiseEqualsKernels holds the all-pairs table to every other
 // way the package has of measuring a node pair, bit for bit: on the
 // default grid and a radial city, three seeds each, all n² entries equal
-// the pre-table sweep and Hierarchy.Query, and Graph.ShortestPath and
+// the pre-table sweep, and Graph.ShortestPath, Hierarchy.Query and
 // AStarALT agree on every pair of the radial city and on a lattice of
-// the grid's that touches every row and every column (a per-pair
-// Dijkstra over all 230 400 would take twelve seconds a graph). It is this identity
-// that lets a table router replay a journal a CH or ALT router wrote.
+// the grid's that touches every row and every column (a per-pair search
+// over all 230 400 would take seconds a graph, and under -race a
+// minute). It is this identity that lets a table router replay a journal
+// a CH or ALT router wrote.
 func TestTableBitwiseEqualsKernels(t *testing.T) {
 	check := func(name string, g *Graph, box geo.BoundingBox, stride int) {
 		t.Helper()
@@ -62,9 +63,6 @@ func TestTableBitwiseEqualsKernels(t *testing.T) {
 				if row[v] != ref[v] {
 					t.Fatalf("%s: table(%d,%d) = %v, the pre-table sweep = %v", name, u, v, row[v], ref[v])
 				}
-				if d := h.Query(u, v); row[v] != d {
-					t.Fatalf("%s: table(%d,%d) = %v, Hierarchy.Query = %v", name, u, v, row[v], d)
-				}
 				if got := r.nodeDist(int32(u), int32(v)); got != row[v] {
 					t.Fatalf("%s: nodeDist(%d,%d) = %v, table entry %v", name, u, v, got, row[v])
 				}
@@ -72,6 +70,9 @@ func TestTableBitwiseEqualsKernels(t *testing.T) {
 			for v := u % stride; v < n; v += stride {
 				if d, _ := g.ShortestPath(u, v); row[v] != d {
 					t.Fatalf("%s: table(%d,%d) = %v, ShortestPath = %v", name, u, v, row[v], d)
+				}
+				if d := h.Query(u, v); row[v] != d {
+					t.Fatalf("%s: table(%d,%d) = %v, Hierarchy.Query = %v", name, u, v, row[v], d)
 				}
 				if d, _ := g.AStarALT(lm, u, v); row[v] != d {
 					t.Fatalf("%s: table(%d,%d) = %v, AStarALT = %v", name, u, v, row[v], d)
@@ -247,7 +248,9 @@ func TestTableRouterConcurrentReads(t *testing.T) {
 // TestTableThreshold pins the size split and what lies either side of
 // it: 32×32 nodes — 2²⁰ pairs, the bound exactly — get the table and
 // nothing else whichever algorithm is asked for, report no cache and
-// ignore its bound; 33×32 get the kernel asked for and a live cache.
+// ignore its bound; 33×32 get the kernel asked for and a live cache, and
+// — the smallest graph the public constructor puts on a kernel — answer
+// every distance form bitwise as the reference does.
 func TestTableThreshold(t *testing.T) {
 	grid := func(rows, cols int) (*Graph, GridConfig) {
 		cfg := DefaultGridConfig()
@@ -290,9 +293,13 @@ func TestTableThreshold(t *testing.T) {
 	if hits, misses, _ := r.CacheStats(); hits == 0 || misses == 0 || r.CacheSize() == 0 {
 		t.Fatalf("1 056 nodes: cache stats hits=%d misses=%d size=%d; want a live cache", hits, misses, r.CacheSize())
 	}
-	if alt := NewRouterAlgo(g, cfg.Box, 0, AlgoALT); alt.table != nil || alt.ch != nil || alt.lm == nil {
+	alt := NewRouterAlgo(g, cfg.Box, 0, AlgoALT)
+	if alt.table != nil || alt.ch != nil || alt.lm == nil {
 		t.Fatal("1 056 nodes under alt: want landmarks alone")
 	}
+	pts := routerTestPoints(cfg.Box, 12, 8)
+	checkFormsAgainstRef(t, "1 056 nodes under ch", r, cfg.Box.Lerp(0.35, 0.6), pts)
+	checkFormsAgainstRef(t, "1 056 nodes under alt", alt, cfg.Box.Lerp(0.35, 0.6), pts)
 }
 
 // TestNearestNodeExactTie: two nodes the same distance from the query to

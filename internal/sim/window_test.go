@@ -19,8 +19,8 @@ import (
 )
 
 // These tests are the sparse window pipeline's correctness wall. The
-// component-decomposed solve (closeBatchSparse) must commit exactly
-// what the pre-decomposition dense oracle (closeBatchDense in
+// sparse solve (closeBatchSparse) must commit exactly
+// what the dense oracle (closeBatchDense in
 // dense_test.go) would have committed — same assignments, same
 // rejections, bit-identical Result — across window lengths, candidate
 // sources and dynamic churn/cancellation workloads; and the batch drain and the
