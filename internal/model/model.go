@@ -172,9 +172,10 @@ func ValidateEvents(events []MarketEvent, drivers []Driver, tasks []Task) error 
 
 // DistanceBatcher is the fast path of a metric that resolves points onto
 // a routing graph before it measures between them (roadnet.Router is
-// the implementation, over contraction hierarchies). Two things make a
-// candidate query cheap there, and the interface exposes both: a point
-// is resolved once (Snap) and the result reused for as long as the
+// the implementation: an all-pairs node table on a graph of at most
+// 1 024 nodes, a contraction hierarchy or ALT above that). Two things
+// make a candidate query cheap there, and the interface exposes both: a
+// point is resolved once (Snap) and the result reused for as long as the
 // point stands still, and distances sharing one endpoint are taken in
 // one call. Every method must agree bitwise with the market's Dist:
 //

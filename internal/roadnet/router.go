@@ -68,7 +68,8 @@ func (a Algorithm) String() string {
 // package guarantee.
 //
 // Router is safe for concurrent use; a table router is immutable after
-// construction but for its snap counter.
+// construction but for its snap counter, and hands its table out
+// read-only (Table) for callers that bound before they measure.
 type Router struct {
 	g *Graph
 
@@ -209,6 +210,20 @@ func newRouter(g *Graph, box geo.BoundingBox, s int, algo Algorithm, tableMax in
 		r.ch = BuildHierarchy(g)
 	}
 	return r
+}
+
+// Table returns the all-pairs table, dist[u*n+v] the distance u→v, and
+// its dimension n; nil and 0 on a router that routes with a kernel, or
+// has no node. The slice is the router's own and must not be written. It
+// is what DistSnapped adds the two access legs to, so a caller may bound
+// a distance from it: for snaps a and b of this router, DistSnapped(a,
+// b) >= b.AccessKm + dist[a.Node*n+b.Node] in floating point, rounding
+// included (the access legs are non-negative, and dist[u*n+u] is 0).
+func (r *Router) Table() (dist []float64, n int) {
+	if len(r.table) == 0 {
+		return nil, 0
+	}
+	return r.table, r.n
 }
 
 // snapGridDim sizes the snap grid for n nodes at about one and a half

@@ -321,3 +321,49 @@ func TestNearestNodeExactTie(t *testing.T) {
 		}
 	}
 }
+
+// TestTableExposedBound holds Table to its contract: a table router hands
+// out its own n² entries, and for snaps a and b of it DistSnapped(a, b)
+// never falls below b.AccessKm + dist[a.Node*n+b.Node] — pairs on one
+// node included, and points outside the box, whose access legs are
+// long — which is the bound the engine's road walks take the pickup leg
+// from. A router routed by a kernel, and one over no node, hand out
+// nothing.
+func TestTableExposedBound(t *testing.T) {
+	cfg := DefaultGridConfig()
+	cfg.Rows, cfg.Cols = 9, 11
+	g, err := GenerateGrid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRouter(g, cfg.Box, 0)
+	dist, n := r.Table()
+	if n != g.NumNodes() || len(dist) != n*n || &dist[0] != &r.table[0] {
+		t.Fatalf("Table() handed out %d entries over %d nodes, want the router's own %d over %d", len(dist), n, n*n, g.NumNodes())
+	}
+	pts := append(routerTestPoints(cfg.Box, 60, 5), cfg.Box.Lerp(-0.5, 1.4), cfg.Box.Lerp(1.2, -0.3))
+	snaps := make([]geo.Snap, len(pts))
+	for i, p := range pts {
+		snaps[i] = r.Snap(p)
+	}
+	same := 0
+	for _, a := range snaps {
+		for _, b := range snaps {
+			if a.Node == b.Node {
+				same++
+			}
+			if d, bound := r.DistSnapped(a, b), b.AccessKm+dist[int(a.Node)*n+int(b.Node)]; d < bound {
+				t.Fatalf("DistSnapped(%+v, %+v) = %v, under the table bound %v", a, b, d, bound)
+			}
+		}
+	}
+	if same <= len(snaps) {
+		t.Fatalf("only %d pairs on one node, %d of them a point with itself: the same-node case is not exercised", same, len(snaps))
+	}
+	if dist, n := kernelRouter(g, cfg.Box, 0, AlgoCH).Table(); dist != nil || n != 0 {
+		t.Errorf("a kernel router handed out a table of %d entries over %d nodes", len(dist), n)
+	}
+	if dist, n := NewRouter(&Graph{}, cfg.Box, 0).Table(); dist != nil || n != 0 {
+		t.Errorf("a router over no node handed out a table of %d entries over %d nodes", len(dist), n)
+	}
+}

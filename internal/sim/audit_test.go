@@ -13,7 +13,10 @@ import (
 // states[i].loc or freeAt (assign, handleFree, handleJoin, AddDriver,
 // and resetAbsent / RestoreStream through Bind) each reach the source by
 // Moved, Presence, Added or Bind; this is where a sixth that forgot to
-// would show. It does nothing for an engine on another source.
+// would show. It does nothing for an engine on another source. The
+// payload is held the same way: a HomeKm is the distance home from where
+// she stands, and a Node (-1 while unknown) the one the snap memo holds
+// for that spot.
 //
 // An absent driver's window is the empty span Presence gave her — or her
 // engine window again, if a revoked ride was handed back to her after
@@ -56,6 +59,9 @@ func auditIndex(t testing.TB, label string, e *Engine) {
 		}
 		if km := e.Market.Dist(st.loc, d.Dest); en.HomeKm == en.HomeKm && !same(en.HomeKm, km) {
 			t.Fatalf("%s: driver %d is %g km from home, her entry says %g", label, i, km, en.HomeKm)
+		}
+		if m := &e.memo[i]; en.Node != -1 && (e.Market.Batch == nil || !m.filled || m.loc.P != st.loc || m.loc.Node != en.Node) {
+			t.Fatalf("%s: driver %d at %v has the node %d in her entry, the memo %+v", label, i, st.loc, en.Node, m.loc)
 		}
 		if open && !math.IsInf(st.freeAt, 0) {
 			s.ids = s.ix.AppendReachable(s.ids[:0], st.loc, 1, st.freeAt, st.freeAt, d.End)

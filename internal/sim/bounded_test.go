@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/model"
+	"repro/internal/roadnet"
 	"repro/internal/spatial"
 	"repro/internal/trace"
 )
@@ -415,6 +416,73 @@ func TestBoundedRowsScoreFewer(t *testing.T) {
 	t.Logf("%d calls, full rows %d (%.1fx), %d orders, %+v", bounded, full, float64(full)/float64(bounded), len(tr.Tasks), stats)
 }
 
+// TestRoadRowsScoreFewer is the same count on a road market with a node
+// table, over batched_network's own day at seed 27 in library form: the
+// default 20×24 street grid, its router as both Market.Dist and
+// Market.Batch, 10 000 drivers and 1 200 orders drawn for crow-fly — so
+// that a road ride often cannot make its deadlines — in 60 s windows.
+// Rows by topRow (the capability hidden) against rows by TopRow: equal
+// books, counts that repeat exactly, every entry's payload the engine's,
+// ceilings at what was measured when the road walk landed, and the gate
+// it was built on — of the drivers the index predicate passed, at most
+// 15 % scored exactly. Most of the rest fall to the arrival bound
+// (DeadlineSkips). The per-driver bound alone scored 8.6 % of 495 988
+// reached (tested against the pickup deadline alone, 22.6 %; the planar
+// bound, 55 %); stopping each walk at the first ring past the deadlines
+// (marginWalk.past) cut the cells visited from 170 140 to 73 796 and the
+// drivers reached to 291 052 — those no longer reached were, but for a
+// dozen, drivers the arrival bound skipped — so the share is 14.6 % of
+// what is left.
+func TestRoadRowsScoreFewer(t *testing.T) {
+	rcfg := roadnet.DefaultGridConfig()
+	g, err := roadnet.GenerateGrid(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := roadnet.NewRouter(g, rcfg.Box, 0)
+	if table, _ := router.Table(); table == nil {
+		t.Fatalf("the %d-node router has no table", g.NumNodes())
+	}
+	mkt := model.DefaultMarket()
+	mkt.Dist, mkt.Batch = router.Dist, router
+	fleet := trace.NewGenerator(trace.NewConfig(27, 1, 10000, trace.Hitchhiking)).GenerateDrivers()
+	tasks := trace.NewGenerator(trace.NewConfig(28, 1200, 1, trace.Hitchhiking)).Generate(nil).Tasks
+	day := func(bounded bool) (WalkStats, Result) {
+		grid := NewGridSource(nil)
+		var src CandidateSource = grid
+		if !bounded {
+			src = fullRowsOnly{src}
+		}
+		e := diffEngine(t, mkt, fleet, 1, false, src)
+		res := e.RunBatched(tasks, 60)
+		auditIndex(t, fmt.Sprintf("bounded=%v", bounded), e)
+		return grid.WalkStats(), res
+	}
+	none, want := day(false)
+	if none != (WalkStats{Stats: none.Stats}) {
+		t.Errorf("the full rows counted %+v on the bounded paths", none)
+	}
+	stats, got := day(true)
+	diffResults(t, "bounded road rows", want, got)
+	if again, _ := day(true); again != stats {
+		t.Errorf("%+v, then %+v on the same day", stats, again)
+	}
+	most := WalkStats{CellsVisited: 73796, CellsSkipped: 4569, EntriesScanned: 331930, Reached: 291052, ExactScores: 42507}
+	if want.Served == 0 || stats.DeadlineSkips == 0 {
+		t.Fatalf("degenerate day: %d served, %+v", want.Served, stats)
+	}
+	if stats.CellsVisited > most.CellsVisited || stats.EntriesScanned > most.EntriesScanned || stats.Reached > most.Reached ||
+		stats.ExactScores > most.ExactScores || stats.CellsSkipped < most.CellsSkipped {
+		t.Errorf("%+v; want at most %+v, and at least that many cells skipped", stats, most)
+	}
+	if frac := float64(stats.ExactScores) / float64(stats.Reached); frac > 0.15 {
+		t.Errorf("%d exact scores of %d drivers reached (%.1f %%); want at most 15 %%: %+v", stats.ExactScores, stats.Reached, 100*frac, stats)
+	}
+	t.Logf("%d orders, %d served; of the drivers reached %.1f %% scored exactly, %.1f %% skipped on the arrival bound: %+v",
+		len(tasks), got.Served, 100*float64(stats.ExactScores)/float64(stats.Reached),
+		100*float64(stats.DeadlineSkips)/float64(stats.Reached), stats)
+}
+
 // fuzzBox is the configured grid FuzzBoundedChoice binds, and
 // fuzzMaxLat how far north of it a point may stand before polewardOf
 // refuses it: the bound has to hold all the way up to there.
@@ -580,17 +648,53 @@ var (
 	}()
 )
 
+// fuzzMarket is the market of a fuzzed day: crow-fly, or in road mode a
+// street grid over the fuzz box of 2 to 8 intersections a side, drawn
+// from the next three bytes, whose router is both Market.Dist and
+// Market.Batch. Every such graph has a node table, so the margin walks
+// bound the road pickup leg and the arrival with it (roadLeg), and the
+// reference scores the full list in two snapped batches. The day's
+// spots come after it: in road mode every other one stands on the
+// intersection nearest where it was drawn, so that a driver there has no
+// access leg — the one term the table bound drops — and the bound is as
+// tight as it gets.
+func fuzzMarket(t *testing.T, road bool, in *fuzzInput) (model.Market, []geo.Point) {
+	mkt := model.DefaultMarket()
+	onNode := func(p geo.Point) geo.Point { return p }
+	if road {
+		cfg := roadnet.DefaultGridConfig()
+		cfg.Box = fuzzBox
+		cfg.Rows, cfg.Cols, cfg.Seed = 2+int(in.byte())%7, 2+int(in.byte())%7, int64(in.byte())
+		g, err := roadnet.GenerateGrid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		router := roadnet.NewRouter(g, cfg.Box, 0)
+		mkt.Dist, mkt.Batch = router.Dist, router
+		onNode = func(p geo.Point) geo.Point { return g.Point(router.NearestNode(p)) }
+	}
+	spots := make([]geo.Point, 2+int(in.byte())%5)
+	for i := range spots {
+		if spots[i] = in.point(); i%2 == 0 {
+			spots[i] = onNode(spots[i])
+		}
+	}
+	return mkt, spots
+}
+
 // FuzzBoundedChoice aims at the admissibility of the bound: a small
 // fleet on a handful of shared points (inside the grid's box and out to
 // the polewardOf limit), arbitrary shifts and speeds, a few orders
 // dispatched first so some drivers have moved and are locked, then one
-// order. For both ranks the bounded list must be a sub-list of the
-// scan's full one, and the chooser must take the same driver from
-// either with the same number of RNG draws.
+// order — on crow-fly or on a small street grid (fuzzMarket). For both
+// ranks the bounded list must be a sub-list of the scan's full one, and
+// the chooser must take the same driver from either with the same
+// number of RNG draws.
 func FuzzBoundedChoice(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(slices.Repeat([]byte{0xff}, 96))
-	for _, d := range []fuzzDay{runningTie, ringBoundary, clamped, staleAggregate} {
+	days := []fuzzDay{runningTie, ringBoundary, clamped, staleAggregate}
+	for _, d := range days {
 		f.Add(d.bytes(0)) // deadline mode
 		f.Add(d.bytes(1)) // real-time mode
 	}
@@ -600,13 +704,15 @@ func FuzzBoundedChoice(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
+	for _, d := range days {
+		f.Add(d.bytes(2, 4, 5, 1)) // deadline mode, a 6×7 street grid
+		f.Add(d.bytes(3, 0, 1, 2)) // real-time mode, a 2×3 street grid
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
-		realTime := int(in.byte())%2 == 1
-		spots := make([]geo.Point, 2+int(in.byte())%5)
-		for i := range spots {
-			spots[i] = in.point()
-		}
+		mode := int(in.byte())
+		realTime, road := mode%2 == 1, mode/2%2 == 1
+		mkt, spots := fuzzMarket(t, road, &in)
 		spot := func() geo.Point { return spots[int(in.byte())%len(spots)] }
 		fleet := make([]model.Driver, 1+int(in.byte())%12)
 		for i := range fleet {
@@ -624,13 +730,8 @@ func FuzzBoundedChoice(f *testing.F) {
 				StartBy: startBy, EndBy: startBy + (1+in.byte())*120, Price: price, WTP: price}
 		}
 
-		e, err := New(model.DefaultMarket(), fleet, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.RealTime = realTime
 		src := NewGridSource(geo.NewGrid(fuzzBox, 1+int(in.byte())%6, 1+int(in.byte())%6))
-		e.SetCandidateSource(src)
+		e := diffEngine(t, mkt, fleet, 1, realTime, src)
 		st, err := e.NewStream(diffRandom{}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -683,16 +784,21 @@ func FuzzBoundedChoice(f *testing.F) {
 }
 
 // FuzzBoundedRows is FuzzBoundedChoice for a window's rows: the same
-// small fleets on shared points, a batched day of a few orders whose
-// earlier windows move and lock drivers for the later ones, and at every
-// window each order's bounded row held bitwise to the reference row
-// (auditRows) at the window's own k and at an arbitrary one; then the
-// day's books to the scan's.
+// small fleets on shared points, on crow-fly or on a small street grid
+// (fuzzMarket), a batched day of a few orders whose earlier windows move
+// and lock drivers for the later ones, and at every window each order's
+// bounded row held bitwise to the reference row (auditRows) at the
+// window's own k and at an arbitrary one; then the day's books to the
+// scan's. testdata/fuzz/FuzzBoundedRows/nodeTie is the fuzzer's find
+// against a table bound raised by 2 %: on an 8×8 grid six drivers share
+// one intersection, two of them tie on margin for a row of one, and the
+// raised bound skipped the lower id.
 func FuzzBoundedRows(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(slices.Repeat([]byte{0xff}, 96))
-	for _, d := range []fuzzDay{ringBoundary, clamped, staleAggregate} {
-		for _, k := range []byte{0, 2, 7} { // rows of 1, 3 and 8
+	days, ks := []fuzzDay{ringBoundary, clamped, staleAggregate}, []byte{0, 2, 7} // rows of 1, 3 and 8
+	for _, d := range days {
+		for _, k := range ks {
 			f.Add(d.bytes(0, 0, k)) // deadline mode, 1 s windows
 			f.Add(d.bytes(1, 0, k)) // real-time mode, 1 s windows
 			f.Add(d.bytes(1, 5, k)) // real-time mode, 21 s windows
@@ -704,15 +810,19 @@ func FuzzBoundedRows(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
+	for _, d := range days {
+		for _, k := range ks {
+			f.Add(d.bytes(2, 5, k, 4, 5, 1)) // deadline mode, 21 s windows, a 6×7 street grid
+			f.Add(d.bytes(3, 0, k, 1, 0, 3)) // real-time mode, 1 s windows, a 3×2 street grid
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
-		realTime := int(in.byte())%2 == 1
+		mode := int(in.byte())
+		realTime, road := mode%2 == 1, mode/2%2 == 1
 		window := 1 + in.byte()*4
 		k := 1 + int(in.byte())%8
-		spots := make([]geo.Point, 2+int(in.byte())%5)
-		for i := range spots {
-			spots[i] = in.point()
-		}
+		mkt, spots := fuzzMarket(t, road, &in)
 		spot := func() geo.Point { return spots[int(in.byte())%len(spots)] }
 		fleet := make([]model.Driver, 1+int(in.byte())%16)
 		for i := range fleet {
@@ -731,10 +841,10 @@ func FuzzBoundedRows(f *testing.F) {
 		}
 
 		src := NewGridSource(geo.NewGrid(fuzzBox, 1+int(in.byte())%6, 1+int(in.byte())%6))
-		e := diffEngine(t, model.DefaultMarket(), fleet, 1, realTime, src)
+		e := diffEngine(t, mkt, fleet, 1, realTime, src)
 		auditRows(t, e, src, k)
 		got := e.RunBatched(orders, window)
-		want := diffEngine(t, model.DefaultMarket(), fleet, 1, realTime, nil).RunBatched(orders, window)
+		want := diffEngine(t, mkt, fleet, 1, realTime, nil).RunBatched(orders, window)
 		diffResults(t, "fuzzed batched day", want, got)
 		auditIndex(t, "fuzzed batched day", e)
 	})

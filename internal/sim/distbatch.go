@@ -18,14 +18,17 @@ import (
 //     the engine keeps the geo.Snap, not the point.
 //   - Two of the three distances share a task endpoint across the whole
 //     set: location→pickup (shared destination) and dropoff→home
-//     (shared origin). Each is one batch call, which the router answers
-//     from a single shared half-search over the pairs its cache lacks.
+//     (shared origin). Each is one batch call: on a graph of at most
+//     1 024 nodes the router loops over table loads, and above that it
+//     answers from a single shared half-search over the pairs its cache
+//     lacks.
 //
 // The batcher contract demands bitwise-equal distances, and the stages
 // below are the same pickupArrival/finishCandidate pair the per-pair
 // path runs, so scoring with and without a batcher is value-identical
 // (the roadnet differential tests replay full traces both ways to prove
-// it).
+// it). The bounded walks score their few survivors one at a time
+// (candidate), through DistSnapped on the same snaps: the same values.
 
 // driverSnap is the engine's memo of one driver: the distance from her
 // current location to her home (the oldHome term of the margin, taken
@@ -111,6 +114,27 @@ func (e *Engine) orderTerms(task model.Task) orderTerms {
 	q.service = e.Market.TravelTimeKm(km, 0)
 	q.serviceCost = e.Market.TravelCostKm(km)
 	return q
+}
+
+// candidate is candidateFor over the market's batcher when it has one:
+// the same two stages on driver i's memoised snaps and the order's,
+// through DistSnapped — bitwise what scoreCandidates' batches compute
+// for her, without two nearest-node searches per pair.
+func (e *Engine) candidate(i int, task model.Task, now float64, q orderTerms) (Candidate, bool) {
+	b := e.Market.Batch
+	if b == nil {
+		return e.candidateFor(i, task, now, q.service, q.serviceCost)
+	}
+	if !e.present[i] {
+		return Candidate{}, false
+	}
+	m := e.driverSnap(b, i)
+	pickupKm := b.DistSnapped(m.loc, q.src)
+	arrival, ok := e.pickupArrival(i, task, now, pickupKm)
+	if !ok {
+		return Candidate{}, false
+	}
+	return e.finishCandidate(i, task, q.service, q.serviceCost, arrival, pickupKm, b.DistSnapped(q.dst, m.home))
 }
 
 // distBatch is one scoring pass's scratch. Each caller that may score

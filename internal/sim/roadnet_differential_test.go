@@ -25,24 +25,38 @@ import (
 // path, which puts a driver back where she was — and the snap memo is
 // walked after every operation (checkSnapMemo).
 //
-// The wall stands twice, once on each side of the router's size split:
-// on a 12×14 graph, where both routers answer from the all-pairs table
-// and the kernel dimension shows that the algorithm selects nothing
-// there, and on a 33×32 graph — 1 056 nodes, the smallest default-shaped
-// grid over the table's 1 024 — where CH and ALT route behind the cache.
+// The wall stands on both sides of the router's size split: on a 12×14
+// graph and on a 32×32 one — 1 024 nodes, the largest the table takes —
+// where both routers answer from the all-pairs table, the kernel
+// dimension shows that the algorithm selects nothing, and the indexed
+// source with the hook installed takes the margin walks with the table
+// bound (roadLeg); and on a 33×32 graph — 1 056 nodes, the smallest
+// default-shaped grid over the table's 1 024 — where CH and ALT route
+// behind the cache and the indexed source keeps the full list.
 func TestRoadNetworkMetricDifferential(t *testing.T) {
-	t.Run("table", func(t *testing.T) {
-		ch, _ := roadNetworkMetricDifferential(t, 12, 14)
-		if ch.Snaps() == 0 {
-			t.Error("the router resolved no point; the network metric was not on the hot path")
-		}
-		if hits, misses, evictions := ch.CacheStats(); hits|misses|evictions != 0 || ch.CacheSize() != 0 {
-			t.Errorf("a table router reports a cache after its day: hits=%d misses=%d evictions=%d size=%d",
-				hits, misses, evictions, ch.CacheSize())
-		}
-	})
+	for _, leg := range []struct {
+		name       string
+		rows, cols int
+	}{{"table", 12, 14}, {"table-edge", 32, 32}} {
+		t.Run(leg.name, func(t *testing.T) {
+			ch, _ := roadNetworkMetricDifferential(t, leg.rows, leg.cols)
+			if table, n := ch.Table(); n != leg.rows*leg.cols || len(table) != n*n {
+				t.Fatalf("a %dx%d router holds a table of %d entries over %d nodes", leg.rows, leg.cols, len(table), n)
+			}
+			if ch.Snaps() == 0 {
+				t.Error("the router resolved no point; the network metric was not on the hot path")
+			}
+			if hits, misses, evictions := ch.CacheStats(); hits|misses|evictions != 0 || ch.CacheSize() != 0 {
+				t.Errorf("a table router reports a cache after its day: hits=%d misses=%d evictions=%d size=%d",
+					hits, misses, evictions, ch.CacheSize())
+			}
+		})
+	}
 	t.Run("kernels", func(t *testing.T) {
 		ch, alt := roadNetworkMetricDifferential(t, 33, 32)
+		if table, _ := ch.Table(); table != nil {
+			t.Fatal("a 1 056-node router holds a table")
+		}
 		for name, r := range map[string]*roadnet.Router{"ch": ch, "alt": alt} {
 			if hits, misses, _ := r.CacheStats(); hits == 0 || misses == 0 {
 				t.Errorf("%s route cache never exercised (hits=%d misses=%d); the network metric was not on the hot path", name, hits, misses)
@@ -165,8 +179,10 @@ func roadNetworkMetricDifferential(t *testing.T, rows, cols int) (chRouter, altR
 	// The batched day has no dispatcher (nil). The instant day runs
 	// under the plain chooser — the reference, on variants[0] — and its
 	// Ranked twin: without the hook the index bounds the road metric
-	// (floored at crow-fly, so the planar bound stands); with it,
-	// Contenders hands back scoreCandidates' batched full list.
+	// (floored at crow-fly, so the planar bound stands); with it, the
+	// rows and Contenders bound the pickup leg by the table where there
+	// is one, and hand back scoreCandidates' batched full list where
+	// there is not.
 	for _, d := range []Dispatcher{nil, diffMaxMargin{}, rankedMaxMargin{}} {
 		batched := d == nil
 		ref := d

@@ -77,19 +77,21 @@ type GridSource struct {
 	maxSpeed float64 // fastest driver in the fleet, km/h
 	ids      []int   // query scratch
 	db       distBatch
+	road     roadLeg // the margin walks' road terms, on a market with a node table
 	stats    WalkStats
 }
 
-// WalkStats counts what the bounded paths — Contenders and crow-fly
-// TopRow — have done since the source was made, and what its index has
-// done for every query, those of the full list included, since it was
-// last bound: plain counters, written by the one goroutine that runs the
-// engine.
+// WalkStats counts what the bounded paths — Contenders and TopRow — have
+// done since the source was made, and what its index has done for every
+// query, those of the full list included, since it was last bound: plain
+// counters, written by the one goroutine that runs the engine.
 type WalkStats struct {
 	CellsVisited   uint64 // non-empty cells a margin walk came to
 	CellsSkipped   uint64 // of those, skipped whole on their bound
-	EntriesScanned uint64 // index entries put through the predicate
-	ExactScores    uint64 // candidateFor calls, on either rank
+	EntriesScanned uint64 // index entries a margin walk put through the predicate
+	Reached        uint64 // of those, entries the predicate passed
+	DeadlineSkips  uint64 // of those, drivers a road walk skipped on her arrival bound
+	ExactScores    uint64 // drivers scored exactly, on either rank
 	spatial.Stats         // the index's transitions: Woken, Expired, Sorts, Shifted
 }
 
@@ -137,9 +139,30 @@ func (s *GridSource) Bind(e *Engine) {
 	s.boxCos = minCos(grid)
 	s.ix = spatial.NewSparseIndex(grid, len(e.Drivers))
 	s.maxSpeed = e.Market.SpeedKmh
+	s.road = roadLeg{}
+	if t, ok := e.Market.Batch.(nodeTable); ok {
+		s.road.table, s.road.nodes = t.Table()
+	}
 	for i := range e.Drivers {
 		s.index(i)
 	}
+}
+
+// nodeTable is the optional capability of a Market.Batch that measures
+// between graph nodes by one load from an all-pairs table and hands the
+// table out (roadnet.Router on a graph of at most 1 024 nodes; a nil
+// table means it has none). Bind discovers it, as closeBatchSparse
+// discovers boundedSource: nothing configures it.
+type nodeTable interface {
+	Table() (dist []float64, n int)
+}
+
+// walks reports whether the margin walks can bound the market's metric:
+// crow-fly, or a road metric with a node table. Any other Batch market —
+// a graph routed by a kernel — keeps the full list, scored in two
+// shared-endpoint batches.
+func (s *GridSource) walks() bool {
+	return s.e.Market.Batch == nil || s.road.table != nil
 }
 
 // index puts driver i, whom the index has an id for but does not hold,
@@ -176,11 +199,11 @@ func (s *GridSource) reachable(task model.Task, now float64) []int {
 }
 
 // Contenders is Candidates for a dispatcher that takes one extremum
-// (see Ranked): it scores a driver exactly — candidateFor, two
-// Market.Dist calls — only if an optimistic candidate built from lower
-// bounds on her two distances could still equal or beat the best exact
-// candidate so far. Everyone else is skipped for a few multiplications
-// and a square root.
+// (see Ranked): it scores a driver exactly — Engine.candidate, two
+// distances — only if an optimistic candidate built from lower bounds on
+// her two distances could still equal or beat the best exact candidate
+// so far. Everyone else is skipped for a few multiplications and a
+// square root.
 //
 // The bounds are the pre-filter's own: Safety × the planar distance of
 // two projected points never exceeds Market.Dist of them (see the type
@@ -203,17 +226,20 @@ func (s *GridSource) reachable(task model.Task, now float64) []int {
 // walk an optimistic arrival past the pickup deadline means the exact
 // one is too: infeasible, skipped whatever the rank.
 //
-// Under a road metric (Market.Batch) the full list stays: scoring it in
-// two shared-endpoint batches is what that path is built around.
+// Under a road metric (Market.Batch) the margin rank walks too when the
+// batcher has a node table (see roadLeg), and everything else keeps the
+// full list, scored in two shared-endpoint batches: the arrival rank,
+// whose walk in id order could only bound on the planar leg, and a graph
+// routed by a kernel.
 func (s *GridSource) Contenders(task model.Task, now float64, by Rank, buf []Candidate) []Candidate {
 	e := s.e
-	if e.Market.Batch != nil || by != RankMargin && by != RankArrival {
+	switch {
+	case by == RankMargin && s.walks():
+		return s.bestMargins(task, now, e.orderTerms(task), buf)
+	case by != RankArrival || e.Market.Batch != nil:
 		return s.Candidates(task, now, buf)
 	}
 	q := e.orderTerms(task)
-	if by == RankMargin {
-		return s.bestMargins(task, now, q, buf)
-	}
 	sx, sy := s.ix.Project(task.Source)
 	earliest := math.Inf(1)
 	for _, i := range s.reachable(task, now) {
@@ -238,45 +264,103 @@ func (s *GridSource) Contenders(task model.Task, now float64, by Rank, buf []Can
 // marginWalk is one order's pass over the index for the two walks that
 // rank by margin: the cursor over the drivers who could reach the pickup
 // by its deadline, and what the optimistic margin of one of them needs
-// of the order. The pickup-deadline clause is not bounded here a second
-// time: the cursor's predicate applies it at the fleet's top speed and
-// candidateFor applies it exactly, so on a fleet of mixed speeds a slow
-// driver the predicate lets through is at worst scored and dropped.
+// of the order — with, on a market with a node table, the road terms
+// (road). On crow-fly the pickup-deadline clause is not bounded here a
+// second time: the cursor's predicate applies it at the fleet's top
+// speed and the exact score applies it exactly, so on a fleet of mixed
+// speeds a slow driver the predicate lets through is at worst scored and
+// dropped.
 type marginWalk struct {
 	cur                spatial.Cursor
 	e                  *Engine
+	road               *roadLeg // nil on crow-fly
 	price, serviceCost float64
 	dropX, dropY       float64 // the dropoff, projected
 }
 
 func (s *GridSource) marginWalk(task model.Task, now float64, q orderTerms) marginWalk {
-	if s.e.timeKeyed {
+	e := s.e
+	if e.timeKeyed {
 		s.ix.Expire(now)
 	}
 	w := marginWalk{
-		cur: s.ix.Reachable(task.Source, s.maxSpeed, task.StartBy, now, s.e.minRetire(task, now)),
-		e:   s.e, price: task.Price, serviceCost: q.serviceCost,
+		cur: s.ix.Reachable(task.Source, s.maxSpeed, task.StartBy, now, e.minRetire(task, now)),
+		e:   e, price: task.Price, serviceCost: q.serviceCost,
 	}
 	w.dropX, w.dropY = s.ix.Project(task.Dest)
+	if r := &s.road; r.table != nil {
+		r.pickup, r.now, r.speed = q.src, now, s.maxSpeed
+		r.startBy, r.endBy, r.service = task.StartBy, task.EndBy, q.service
+		w.road = r
+	}
 	return w
 }
 
+// roadLeg is what a walk on a market with a node table needs to bound a
+// driver's road pickup leg and her arrival at the pickup. On such a
+// market DistSnapped(loc, pickup) is at least pickup.AccessKm +
+// table[loc.Node][pickup.Node] (roadnet.Router.Table): her own access
+// leg, the only term dropped, is non-negative, and float addition is
+// monotone, so fl(fl(accL+accP)+T) >= fl(accP+T); T[n][n] = 0 covers the
+// two standing at one node. That is off by one access leg where the
+// planar bound is off by circuity and two, and it costs one load.
+type roadLeg struct {
+	table []float64 // table[u*nodes+v]: the distance u→v
+	nodes int
+	// Of the order being walked: its snapped pickup, the decision time,
+	// the fleet's top speed, the two deadlines and the service time.
+	pickup                  geo.Snap
+	now, speed              float64
+	startBy, endBy, service float64
+}
+
+// leg is the pickup leg bound of the driver behind en, given the planar
+// one: the larger of that and the table bound. It fills in her entry's
+// Node from the engine's snap memo the first time a walk needs it after
+// she moved.
+func (r *roadLeg) leg(e *Engine, en *spatial.Entry, planarKm float64) float64 {
+	if en.Node < 0 {
+		en.Node = e.driverSnap(e.Market.Batch, int(en.ID)).loc.Node
+	}
+	return max(planarKm, r.pickup.AccessKm+r.table[int(en.Node)*r.nodes+int(r.pickup.Node)])
+}
+
+// late reports whether a driver free at freeAt, whose pickup leg is at
+// least pickupKm, already misses the pickup deadline on her earliest
+// arrival, or leaves the ride no time to end by the dropoff deadline.
+// The arrival bound is pickupArrival's expression, each input at most
+// the exact one's: she departs no earlier than max(freeAt, now) — her
+// entry's FreeAt is the engine's — no driver is faster than the fleet,
+// and the leg is a lower bound, so a driver it rules out fails the exact
+// clause too. Both tests are false for a NaN, which goes on to the
+// margin bound and, from there, to exact scoring.
+func (r *roadLeg) late(freeAt, pickupKm float64) bool {
+	arrival := max(freeAt, r.now) + pickupKm/r.speed*3600
+	return arrival > r.startBy || arrival+r.service > r.endBy
+}
+
 // optimistic is the margin bound of the driver behind en, who stands
-// √distSq planar kilometres from the pickup: Engine.margin fed Safety ×
-// the planar length of her two new legs. The way home she already has
-// is exact, taken from the engine the first time a walk needs it after
-// she moved and kept in her entry since — only ever for a driver the
-// index predicate passed, so a rejected one costs no Market.Dist. Both
-// walks call this one method, where each used to carry a copy of the
-// per-driver prelude to spare a call per reachable driver: the call now
-// comes after the inlined predicate, for half as many, and written out
-// in the loop it measured inside the noise.
-func (w *marginWalk) optimistic(en *spatial.Entry, distSq float64) float64 {
+// √distSq planar kilometres from the pickup: Engine.margin fed lower
+// bounds on her two new legs — Safety × their planar lengths, the pickup
+// leg raised to the table bound on a road market (roadLeg). The way home
+// she already has is exact, taken from the engine the first time a walk
+// needs it after she moved and kept in her entry since — only ever for a
+// driver the index predicate passed, and on a road market only for one
+// the arrival bound did not rule out, so neither costs a distance. The
+// second result is false for a driver that bound rules out: she is
+// infeasible, whatever her margin.
+func (w *marginWalk) optimistic(en *spatial.Entry, distSq float64) (float64, bool) {
+	pickupKm := spatial.Safety * math.Sqrt(distSq)
+	if r := w.road; r != nil {
+		if pickupKm = r.leg(w.e, en, pickupKm); r.late(en.FreeAt, pickupKm) {
+			return 0, false
+		}
+	}
 	if en.HomeKm != en.HomeKm {
 		en.HomeKm = w.e.homeKm(int(en.ID))
 	}
-	return w.e.margin(w.price, w.serviceCost, spatial.Safety*math.Sqrt(distSq),
-		lowerKm(w.dropX, w.dropY, en.HomeX, en.HomeY), en.HomeKm)
+	return w.e.margin(w.price, w.serviceCost, pickupKm,
+		lowerKm(w.dropX, w.dropY, en.HomeX, en.HomeY), en.HomeKm), true
 }
 
 // cellBound is optimistic for the current cell as a whole: no driver in
@@ -287,17 +371,31 @@ func (w *marginWalk) cellBound() float64 {
 	return w.e.margin(w.price, w.serviceCost, w.cur.RingKm(), 0, w.cur.MaxHomeKm())
 }
 
+// past reports, on a road market, that the walk can stop: no driver in
+// the current cell, nor in any cell after it, can make the order's
+// deadlines. RingKm is a lower bound on the pickup leg of everyone in the
+// cell, the cursor hands out cells ring by ring so it never falls, and
+// everyone departs no earlier than now — so roadLeg.late's arrival bound
+// at RingKm from now holds for all of them at once. It is the dropoff
+// clause that makes this pay: orders priced and timed for crow-fly leave
+// a road ride less time to reach the pickup than the pickup deadline
+// does, and the cursor's square is sized by the pickup deadline alone.
+func (w *marginWalk) past() bool {
+	return w.road != nil && w.road.late(math.Inf(-1), w.cur.RingKm())
+}
+
 // bestMargins is Contenders for RankMargin: every feasible driver whose
 // optimistic margin reaches the best exact one met before her on the
 // walk. Whoever holds the final best margin, or ties it, is among them
 // whatever the order of the walk — her optimistic margin is at least
-// her exact one, which no incumbent exceeds — and sorted back into
-// driver order the list is one MaxMargin cannot tell from the full one.
+// her exact one, which no incumbent exceeds, and a driver the arrival
+// bound rules out is no candidate at all — and sorted back into driver
+// order the list is one MaxMargin cannot tell from the full one.
 func (s *GridSource) bestMargins(task model.Task, now float64, q orderTerms, buf []Candidate) []Candidate {
 	start := len(buf)
 	best := math.Inf(-1)
 	n := s.stats // counted in a local: a store to s would make the loop reload all it reads
-	for w := s.marginWalk(task, now, q); w.cur.Next(); {
+	for w := s.marginWalk(task, now, q); w.cur.Next() && !w.past(); {
 		n.CellsVisited++
 		if w.cellBound() < best {
 			n.CellsSkipped++
@@ -308,12 +406,17 @@ func (s *GridSource) bestMargins(task model.Task, now float64, q orderTerms, buf
 		maxHome := math.Inf(-1)
 		for k := range ents {
 			en := &ents[k]
-			if distSq, ok := w.cur.Reach(en); ok && !(w.optimistic(en, distSq) < best) {
-				n.ExactScores++
-				if c, ok := s.e.candidateFor(int(en.ID), task, now, q.service, q.serviceCost); ok {
-					buf = append(buf, c)
-					if c.Margin > best {
-						best = c.Margin
+			if distSq, ok := w.cur.Reach(en); ok {
+				n.Reached++
+				if opt, ok := w.optimistic(en, distSq); !ok {
+					n.DeadlineSkips++
+				} else if !(opt < best) {
+					n.ExactScores++
+					if c, ok := s.e.candidate(int(en.ID), task, now, q); ok {
+						buf = append(buf, c)
+						if c.Margin > best {
+							best = c.Margin
+						}
 					}
 				}
 			}
@@ -344,24 +447,26 @@ func (s *GridSource) bestMargins(task model.Task, now float64, q orderTerms, buf
 // drops it as topRow's filter does. A row with fewer than k positive
 // margins never fills the heap and is pruned by the floor alone.
 //
-// The dropoff-deadline and return-home clauses could be bounded the same
-// way and are not: on a 10k-driver day they would spare 0.7 % of the
-// exact scores (1.8 % in real-time mode).
-//
-// Under a road metric (Market.Batch) the full list stays, as in
-// Contenders — and measured, not assumed: a road distance exceeds the
-// planar bound by circuity and two access legs, half the rows of such a
-// day never fill, and 55 % of the drivers survived the bound.
+// On a road market with a node table the walk also skips a driver whose
+// arrival bound misses either deadline (roadLeg.late), before her way
+// home is looked up, and stops at the first ring no driver can make the
+// deadlines from (marginWalk.past). There the deadlines are what prune:
+// half the rows of batched_network never fill, so the margin meets only
+// the floor, and of the drivers a bound on the pickup deadline alone
+// lets through, 48 % fail the dropoff deadline. On crow-fly the deadline
+// clauses are not bounded: they would spare 0.7 % of the exact scores
+// (1.8 % in real-time mode). A Batch market without a table keeps
+// topRow's full list, as in Contenders.
 func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candidate) []Candidate {
 	e := s.e
-	if e.Market.Batch != nil {
+	if !s.walks() {
 		return topRow(s, task, now, k, arena)
 	}
 	q := e.orderTerms(task)
 	start := len(arena)
 	root := math.Inf(-1) // the margin to reach: a full heap's root, none until it fills
 	n := s.stats         // counted in a local, as in bestMargins
-	for w := s.marginWalk(task, now, q); w.cur.Next(); {
+	for w := s.marginWalk(task, now, q); w.cur.Next() && !w.past(); {
 		n.CellsVisited++
 		if opt := w.cellBound(); opt <= 0 || opt < root {
 			n.CellsSkipped++
@@ -373,9 +478,12 @@ func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candida
 		for i := range ents {
 			en := &ents[i]
 			if distSq, ok := w.cur.Reach(en); ok {
-				if opt := w.optimistic(en, distSq); !(opt <= 0 || opt < root) {
+				n.Reached++
+				if opt, ok := w.optimistic(en, distSq); !ok {
+					n.DeadlineSkips++
+				} else if !(opt <= 0 || opt < root) {
 					n.ExactScores++
-					if c, ok := e.candidateFor(int(en.ID), task, now, q.service, q.serviceCost); ok && c.Margin > 0 {
+					if c, ok := e.candidate(int(en.ID), task, now, q); ok && c.Margin > 0 {
 						arena = admit(arena, start, k, c)
 						if row := arena[start:]; len(row) == k {
 							root = row[0].Margin

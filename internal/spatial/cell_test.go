@@ -45,7 +45,7 @@ func (p *pair) place(id int, at geo.Point) {
 		p.ix.Add(id, at)
 		p.m.home[id] = nowhere
 	}
-	p.m.loc[id], p.m.present[id], p.m.homeKm[id] = at, true, math.NaN()
+	p.m.loc[id], p.m.present[id], p.m.homeKm[id], p.m.node[id] = at, true, math.NaN(), -1
 	p.check()
 }
 
@@ -254,7 +254,7 @@ func TestDenseCellDay(t *testing.T) {
 			t.Fatalf("step %d: %v, brute force %v", k, got, want)
 		}
 		if id >= 0 {
-			p.m.loc[id], p.m.homeKm[id], p.m.free[id] = to, math.NaN(), free
+			p.m.loc[id], p.m.homeKm[id], p.m.node[id], p.m.free[id] = to, math.NaN(), -1, free
 		}
 		p.check()
 		if k%4 == 0 {

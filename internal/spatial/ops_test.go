@@ -34,10 +34,12 @@ type twin struct {
 	free, retire []float64
 	present      []bool
 	// The payload: home is what SetHome was last given since the id was
-	// added (a point of NaNs before), homeKm what a cursor's caller last
-	// wrote since the id was added or moved (NaN before).
+	// added (a point of NaNs before), homeKm and node what a cursor's
+	// caller last wrote since the id was added or moved (NaN and -1
+	// before).
 	home   []geo.Point
 	homeKm []float64
+	node   []int32
 }
 
 var nowhere = geo.Point{Lat: math.NaN(), Lon: math.NaN()}
@@ -49,6 +51,7 @@ func (m *twin) grow() {
 	m.present = append(m.present, false)
 	m.home = append(m.home, nowhere)
 	m.homeKm = append(m.homeKm, math.NaN())
+	m.node = append(m.node, -1)
 }
 
 // sameFloat is ==, with NaN equal to NaN.
@@ -57,8 +60,9 @@ func sameFloat(a, b float64) bool { return a == b || a != a && b != b }
 // payload checks that e carries id's payload as the twin has it.
 func (m *twin) payload(ix *Index, e Entry) error {
 	hx, hy := ix.Project(m.home[e.ID])
-	if !sameFloat(e.HomeX, hx) || !sameFloat(e.HomeY, hy) || !sameFloat(e.HomeKm, m.homeKm[e.ID]) {
-		return fmt.Errorf("id %d: payload (%g,%g) %g, twin (%g,%g) %g", e.ID, e.HomeX, e.HomeY, e.HomeKm, hx, hy, m.homeKm[e.ID])
+	if !sameFloat(e.HomeX, hx) || !sameFloat(e.HomeY, hy) || !sameFloat(e.HomeKm, m.homeKm[e.ID]) || e.Node != m.node[e.ID] {
+		return fmt.Errorf("id %d: payload (%g,%g) %g node %d, twin (%g,%g) %g node %d",
+			e.ID, e.HomeX, e.HomeY, e.HomeKm, e.Node, hx, hy, m.homeKm[e.ID], m.node[e.ID])
 	}
 	return nil
 }
@@ -99,8 +103,8 @@ func (m *twin) reachable(ix *Index, p geo.Point, speedKmh, byTime, now, minRetir
 // cell it is handed out for with the twin's payload under the cell's
 // aggregate, Reach's distance the planar one — and plays the caller's
 // part on the cells it does not skip (every skipEvery-th is, none at 0):
-// it fills in the HomeKm of about half the entries Reach passes and
-// reports the cell's maximum back.
+// it fills in the HomeKm of about half the entries Reach passes and the
+// Node of about half, and reports the cell's maximum HomeKm back.
 func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now, minRetire float64, skipEvery int, fill float64) []int {
 	t.Helper()
 	var got []int
@@ -145,6 +149,10 @@ func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now,
 				if !skip && en.HomeKm != en.HomeKm && (int(en.ID)+int(fill))%2 == 0 {
 					en.HomeKm = fill + float64(en.ID)
 					m.homeKm[en.ID] = en.HomeKm
+				}
+				if !skip && en.Node < 0 && (int(en.ID)/2+int(fill))%2 == 0 {
+					en.Node = int32(fill) + en.ID
+					m.node[en.ID] = en.Node
 				}
 			}
 			maxHome = max(maxHome, en.HomeKm) // NaN once any is
@@ -332,7 +340,7 @@ func runIndexOps(t testing.TB, data []byte, expire bool) Stats {
 				ix.Add(id, p)
 				m.home[id] = nowhere
 			}
-			m.loc[id], m.present[id], m.homeKm[id] = p, true, math.NaN()
+			m.loc[id], m.present[id], m.homeKm[id], m.node[id] = p, true, math.NaN(), -1
 			if ix.Location(id) != p || !ix.Contains(id) {
 				t.Fatalf("op %d: id %d not at %v after placing it", r.pos, id, p)
 			}

@@ -146,22 +146,25 @@ func (ix *Index) Stats() Stats { return ix.stats }
 
 // Entry is one present point as a scan sees it: everything the
 // predicate reads and the caller's payload, 64 bytes — one cache line.
-// The index owns the first five fields, which a caller only reads. The
-// payload is the caller's and the index never interprets it beyond the
-// one rule stated at HomeKm: it travels with the entry through every
-// swap and rebucketing and is dropped by Remove.
+// The index owns PX, PY, FreeAt, RetireAt and ID, which a caller only
+// reads. The payload is the caller's and the index never interprets it
+// beyond the one rule stated at HomeKm and Node: it travels with the
+// entry through every swap and rebucketing and is dropped by Remove.
 type Entry struct {
 	PX, PY           float64 // planar km coordinates (see Project)
 	FreeAt, RetireAt float64
 	// HomeX, HomeY are set by SetHome and never change otherwise (NaN
 	// until set): for a driver, her projected destination.
 	HomeX, HomeY float64
-	// HomeKm is a number the caller derives from the point's location,
-	// NaN while unknown: a caller handed the entry by a Cursor may fill
-	// it in, and every Move resets it to NaN, same cell or not. For a
-	// driver: the travel distance from where she is to her destination.
+	// HomeKm and Node are what the caller derives from the point's
+	// location, NaN and -1 while unknown: a caller handed the entry by a
+	// Cursor may fill them in, and Add and every Move reset them, same
+	// cell or not. For a driver on a road market: the travel distance
+	// from where she is to her destination, and the graph node she
+	// stands nearest.
 	HomeKm float64
 	ID     int32
+	Node   int32
 }
 
 // cell is one grid cell's points in three regions — ents[:park] parked,
@@ -308,7 +311,7 @@ func (ix *Index) Add(id int, p geo.Point) {
 	px, py := ix.Project(p)
 	nan := math.NaN()
 	ix.insert(Entry{PX: px, PY: py, FreeAt: ix.freeAt[id], RetireAt: ix.retireAt[id],
-		HomeX: nan, HomeY: nan, HomeKm: nan, ID: int32(id)}, int32(ix.grid.CellOf(p)))
+		HomeX: nan, HomeY: nan, HomeKm: nan, ID: int32(id), Node: -1}, int32(ix.grid.CellOf(p)))
 	ix.members++
 }
 
@@ -351,13 +354,13 @@ func (ix *Index) Remove(id int) {
 }
 
 // Move updates id's location, rebucketing it if it crossed a cell
-// boundary, and forgets the HomeKm the caller derived from the old one.
-// It panics if id is absent.
+// boundary, and forgets the HomeKm and Node the caller derived from the
+// old one. It panics if id is absent.
 func (ix *Index) Move(id int, p geo.Point) {
 	e := ix.entry(id, "Move")
 	ix.loc[id] = p
 	e.PX, e.PY = ix.Project(p)
-	e.HomeKm = math.NaN()
+	e.HomeKm, e.Node = math.NaN(), -1
 	if c := int32(ix.grid.CellOf(p)); c != ix.cell[id] {
 		moved := *e
 		ix.extract(int32(id))
@@ -710,7 +713,7 @@ func (c *Cursor) MaxHomeKm() float64 {
 
 // Entries returns the current cell's scanned entries: the live ones, or
 // all of them on a query that asks below the watermark (see Expire). The
-// caller may write their HomeKm and nothing else.
+// caller may write their HomeKm and Node and nothing else.
 func (c *Cursor) Entries() []Entry {
 	if c.dormant {
 		return c.cl.ents

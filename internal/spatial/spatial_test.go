@@ -4,9 +4,20 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geo"
 )
+
+// TestEntryIsOneCacheLine pins the layout the scan loop is built
+// around: an entry is one 64-byte line, and the caller's Node sits in
+// the four bytes that were padding beside ID. A field added past it
+// would make every cell's scan read two lines an entry.
+func TestEntryIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Entry{}); size != 64 {
+		t.Fatalf("spatial.Entry is %d bytes, want 64", size)
+	}
+}
 
 func randomPoints(rng *rand.Rand, n int, box geo.BoundingBox) []geo.Point {
 	pts := make([]geo.Point, n)

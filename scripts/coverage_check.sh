@@ -39,8 +39,10 @@ check() {
 # reader were deleted (sim 94.4, dispatch 96.1, matching 98.2).
 # dispatch and matching re-ratcheted when the ε-auction and its option
 # plumbing were deleted (dispatch 96.3, matching 98.9; sim stayed at 94.4
-# and keeps its floor; 94.5 with the cell walk).
-check ./internal/sim 94.2
+# and keeps its floor; 94.5 with the cell walk). sim re-ratcheted to its
+# measured 94.7 when the margin walks learned the road metric's node
+# table, with a table-market mode in both bounded-path fuzz targets.
+check ./internal/sim 94.7
 check ./dispatch 96.0
 check ./internal/matching 98.5
 # The oracle rail's solver stack, floored when the offline-optimum PR
