@@ -325,16 +325,19 @@ func BenchmarkOnlineMaxMarginGrid50k(b *testing.B) { benchmarkDispatchScale(b, 5
 // the distance into the order's pickup once, and so does the commit of
 // each served order, which is subtracted. From the same day come the
 // source's own counts (sim.WalkStats): index entries put through the
-// predicate and cells skipped whole, a decision, and what the index did
-// to keep its cells in step with the clock — entries woken, entries
-// expired, and entries shifted to keep a parked region in wake order.
+// predicate, those it passed, the ways home the walk had to look up
+// itself (0: the index is handed every one) and cells skipped whole, a
+// decision, and what the index did to keep its cells in step with the
+// clock — entries woken, entries expired, and entries shifted to keep a
+// parked region in wake order.
 func BenchmarkInstantDecision(b *testing.B) {
 	if testing.Short() {
 		b.Skip("city-scale instant day; skipped in -short smoke runs")
 	}
 	cfg := trace.NewConfig(27, 1000, 50_000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
-	day := func(mkt model.Market, timed bool) (served int, walk sim.WalkStats) {
+	// day is timed, or with counted set counted from its first decision.
+	day := func(mkt model.Market, counted *int) (served int, walk sim.WalkStats) {
 		eng, err := sim.New(mkt, tr.Drivers, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -345,7 +348,9 @@ func BenchmarkInstantDecision(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if timed {
+		if counted != nil {
+			*counted = 0
+		} else {
 			b.StartTimer()
 			defer b.StopTimer()
 		}
@@ -363,15 +368,17 @@ func BenchmarkInstantDecision(b *testing.B) {
 	b.ResetTimer()
 	b.StopTimer()
 	for i := 0; i < b.N; i++ {
-		day(cfg.Market, true)
+		day(cfg.Market, nil)
 	}
 	orders := float64(len(tr.Tasks))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*orders), "ns/decision")
 
 	counting, intoPickup := countIntoPickups(cfg.Market, tr.Tasks)
-	served, walk := day(counting, false)
+	served, walk := day(counting, intoPickup)
 	b.ReportMetric(float64(*intoPickup-served)/orders, "exact-scores/decision")
 	b.ReportMetric(float64(walk.EntriesScanned)/orders, "entries-scanned/decision")
+	b.ReportMetric(float64(walk.Reached)/orders, "reached/decision")
+	b.ReportMetric(float64(walk.HomeFills)/orders, "home-fills/decision")
 	b.ReportMetric(float64(walk.CellsSkipped)/orders, "cells-skipped/decision")
 	b.ReportMetric(float64(walk.Woken)/orders, "woken/decision")
 	b.ReportMetric(float64(walk.Expired)/orders, "expired/decision")
@@ -380,7 +387,9 @@ func BenchmarkInstantDecision(b *testing.B) {
 
 // countIntoPickups returns mkt with a Dist that counts the distances
 // measured into one of the tasks' pickups: one per exact score of a
-// driver against an order, and one per commit of a served order.
+// driver against an order, and one per commit of a served order — once
+// the day has begun; before, the index's bind takes every driver's way
+// home, and some of their homes are pickups.
 func countIntoPickups(mkt model.Market, tasks []model.Task) (model.Market, *int) {
 	pickups := make(map[geo.Point]bool, len(tasks))
 	for _, task := range tasks {
@@ -405,14 +414,16 @@ func countIntoPickups(mkt model.Market, tasks []model.Task) (model.Market, *int)
 // between closes only enqueue — and, from an untimed second day under a
 // counting Market.Dist, how many drivers a window row scored exactly
 // (counted as BenchmarkInstantDecision counts them), with the source's
-// counts of entries scanned and cells skipped, a row.
+// counts of entries scanned, reached, ways home filled and cells
+// skipped, a row.
 func BenchmarkWindowClose(b *testing.B) {
 	if testing.Short() {
 		b.Skip("city-scale batched day; skipped in -short smoke runs")
 	}
 	cfg := trace.NewConfig(27, 4000, 10_000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
-	day := func(mkt model.Market, timed bool) (windows, rows, served int, walk sim.WalkStats) {
+	// day is timed, or with counted set counted from its first decision.
+	day := func(mkt model.Market, counted *int) (windows, rows, served int, walk sim.WalkStats) {
 		eng, err := sim.New(mkt, tr.Drivers, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -428,7 +439,9 @@ func BenchmarkWindowClose(b *testing.B) {
 			rows += w.Matched + w.Rejected
 			served += w.Matched
 		})
-		if timed {
+		if counted != nil {
+			*counted = 0
+		} else {
 			b.StartTimer()
 			defer b.StopTimer()
 		}
@@ -446,14 +459,16 @@ func BenchmarkWindowClose(b *testing.B) {
 	b.StopTimer()
 	windows := 0
 	for i := 0; i < b.N; i++ {
-		windows, _, _, _ = day(cfg.Market, true)
+		windows, _, _, _ = day(cfg.Market, nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(windows)), "ns/window")
 
 	counting, intoPickup := countIntoPickups(cfg.Market, tr.Tasks)
-	_, rows, served, walk := day(counting, false)
+	_, rows, served, walk := day(counting, intoPickup)
 	b.ReportMetric(float64(*intoPickup-served)/float64(rows), "exact-scores/row")
 	b.ReportMetric(float64(walk.EntriesScanned)/float64(rows), "entries-scanned/row")
+	b.ReportMetric(float64(walk.Reached)/float64(rows), "reached/row")
+	b.ReportMetric(float64(walk.HomeFills)/float64(rows), "home-fills/row")
 	b.ReportMetric(float64(walk.CellsSkipped)/float64(rows), "cells-skipped/row")
 }
 

@@ -187,7 +187,9 @@ func TestAddDriverPolewardOfFleet(t *testing.T) {
 // TestNewPrunesCandidatesByDefault: a bare New binds the indexed
 // candidate source — an order is scored against the drivers who could
 // reach it, not against the fleet. Seen from outside through the metric:
-// the distance from a driver a day's drive away is never asked for.
+// from the first decision on, the distance from a driver a day's drive
+// away is never asked for. (Binding the index takes every driver's way
+// home once, hers too; that is set-up, and not counted.)
 func TestNewPrunesCandidatesByDefault(t *testing.T) {
 	near := Point{Lat: 41.15, Lon: -8.61}
 	far := Point{Lat: 45.5, Lon: -8.61} // ~480 km north
@@ -207,6 +209,11 @@ func TestNewPrunesCandidatesByDefault(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer svc.Close()
+	if calls.Load() != 2 || farCalls.Load() != 1 {
+		t.Fatalf("New measured %d distances, %d of them the far driver's; want each driver's way home once", calls.Load(), farCalls.Load())
+	}
+	calls.Store(0)
+	farCalls.Store(0)
 	a, err := svc.SubmitTask(context.Background(), Task{ID: 1, Publish: 10,
 		Source: Point{Lat: 41.16, Lon: -8.6}, Dest: Point{Lat: 41.18, Lon: -8.58},
 		StartBy: 610, EndBy: 4000, Price: 50, WTP: 60})

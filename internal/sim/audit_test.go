@@ -15,8 +15,10 @@ import (
 // Moved, Presence, Added or Bind; this is where a sixth that forgot to
 // would show. It does nothing for an engine on another source. The
 // payload is held the same way: a HomeKm is the distance home from where
-// she stands, and a Node (-1 while unknown) the one the snap memo holds
-// for that spot.
+// she stands — always known on a crow-fly market, where the source hands
+// it over with every placement, and NaN until a walk fills it in on a
+// road market — and a Node (-1 while unknown) the one the snap memo
+// holds for that spot.
 //
 // An absent driver's window is the empty span Presence gave her — or her
 // engine window again, if a revoked ride was handed back to her after
@@ -57,7 +59,7 @@ func auditIndex(t testing.TB, label string, e *Engine) {
 		if hx, hy := s.ix.Project(d.Dest); !same(en.HomeX, hx) || !same(en.HomeY, hy) {
 			t.Fatalf("%s: driver %d is headed for %v, her entry for (%g, %g), not (%g, %g)", label, i, d.Dest, en.HomeX, en.HomeY, hx, hy)
 		}
-		if km := e.Market.Dist(st.loc, d.Dest); en.HomeKm == en.HomeKm && !same(en.HomeKm, km) {
+		if km := e.Market.Dist(st.loc, d.Dest); (en.HomeKm == en.HomeKm || e.Market.Batch == nil) && !same(en.HomeKm, km) {
 			t.Fatalf("%s: driver %d is %g km from home, her entry says %g", label, i, km, en.HomeKm)
 		}
 		if m := &e.memo[i]; en.Node != -1 && (e.Market.Batch == nil || !m.filled || m.loc.P != st.loc || m.loc.Node != en.Node) {

@@ -264,22 +264,22 @@ type Engine struct {
 }
 
 // New returns an engine over the given market and drivers. It returns an
-// error if the inputs fail validation.
+// error if the inputs fail validation. It builds no run state: every
+// entry point that reads it — Run*, NewStream, NewBatchedStream and
+// RestoreStream — builds its own, and binds the candidate source then.
 func New(m model.Market, drivers []model.Driver, seed int64) (*Engine, error) {
 	if err := model.ValidateAll(m, drivers, nil); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	src := newCountingSource(seed)
-	e := &Engine{
+	return &Engine{
 		Market:  m,
 		Drivers: append([]model.Driver(nil), drivers...),
 		rng:     rand.New(src),
 		seed:    seed,
 		rngSrc:  src,
 		source:  &ScanSource{},
-	}
-	e.resetAbsent(nil, true)
-	return e, nil
+	}, nil
 }
 
 // countingSource wraps the seeded RNG source and counts every draw, so

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 // lineMkt: 60 km/h, 1 unit/km on a flat line (see taskmap tests).
@@ -342,4 +343,54 @@ func TestEngineResetBetweenRuns(t *testing.T) {
 	if r1.Served != r2.Served || math.Abs(r1.TotalProfit-r2.TotalProfit) > 1e-12 {
 		t.Fatalf("runs differ: %+v vs %+v", r1.Served, r2.Served)
 	}
+}
+
+// TestFreshEngine: New builds no run state — every entry point that
+// reads it builds its own — so what a caller does between New and the
+// first run must not need any. RNGDraws counts from zero, SeekRNG lands
+// where that many draws would, SetCandidateSource records a source
+// without binding it, and the first run then binds it and starts from
+// the RNG as the caller left it, with the books of an engine nobody
+// touched.
+func TestFreshEngine(t *testing.T) {
+	cfg := trace.NewConfig(5, 80, 300, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	fresh := func() *Engine {
+		t.Helper()
+		e, err := New(cfg.Market, tr.Drivers, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.states != nil || e.present != nil || e.memo != nil {
+			t.Fatal("New built run state")
+		}
+		return e
+	}
+
+	drawn := fresh()
+	if n := drawn.RNGDraws(); n != 0 {
+		t.Fatalf("a fresh engine has drawn %d times", n)
+	}
+	for range 7 {
+		drawn.rng.Int63()
+	}
+	sought := fresh()
+	sought.SeekRNG(7)
+	if drawn.RNGDraws() != 7 || sought.RNGDraws() != 7 {
+		t.Fatalf("%d draws drawn and %d sought, want 7 each", drawn.RNGDraws(), sought.RNGDraws())
+	}
+
+	src := NewGridSource(nil)
+	sought.SetCandidateSource(src)
+	if src.e != nil || src.ix != nil {
+		t.Fatal("SetCandidateSource bound the source")
+	}
+
+	want := drawn.Run(tr.Tasks, diffRandom{})
+	got := sought.Run(tr.Tasks, diffRandom{})
+	diffResults(t, "sought, indexed", want, got)
+	if drawn.RNGDraws() != sought.RNGDraws() || drawn.RNGDraws() == 7 {
+		t.Fatalf("%d draws on the drawn engine, %d on the sought one: want equal, and a day that draws", drawn.RNGDraws(), sought.RNGDraws())
+	}
+	auditIndex(t, "after the first run", sought)
 }

@@ -91,6 +91,7 @@ type WalkStats struct {
 	EntriesScanned uint64 // index entries a margin walk put through the predicate
 	Reached        uint64 // of those, entries the predicate passed
 	DeadlineSkips  uint64 // of those, drivers a road walk skipped on her arrival bound
+	HomeFills      uint64 // of those, ways home a walk looked up itself: none on crow-fly
 	ExactScores    uint64 // drivers scored exactly, on either rank
 	spatial.Stats         // the index's transitions: Woken, Expired, Sorts, Shifted
 }
@@ -144,8 +145,11 @@ func (s *GridSource) Bind(e *Engine) {
 		s.road.table, s.road.nodes = t.Table()
 	}
 	for i := range e.Drivers {
-		s.index(i)
+		s.span(i)
 	}
+	s.ix.Load(func(i int) (geo.Point, geo.Point, float64) {
+		return e.states[i].loc, e.Drivers[i].Dest, s.homeKm(i)
+	})
 }
 
 // nodeTable is the optional capability of a Market.Batch that measures
@@ -165,16 +169,36 @@ func (s *GridSource) walks() bool {
 	return s.e.Market.Batch == nil || s.road.table != nil
 }
 
-// index puts driver i, whom the index has an id for but does not hold,
-// into it. The window goes in first, so she is placed once, in the
-// state it gives her: freeAt starts at shift start (the engine resets
-// states that way) and narrows as assignments lock her; a driver who
-// has yet to join gets the empty span until Presence opens it.
-func (s *GridSource) index(i int) {
+// span takes driver i, whom the index has an id for but does not hold,
+// into the fleet's top speed and gives the index her window, before she
+// is placed — with the whole fleet by Bind's Load, or alone by index —
+// so that she is placed once, in the region the window puts her in.
+// freeAt starts at shift start (the engine resets states that way) and
+// narrows as assignments lock her; a driver who has yet to join gets the
+// empty span until Presence opens it.
+func (s *GridSource) span(i int) {
 	s.maxSpeed = max(s.maxSpeed, s.e.Drivers[i].SpeedKmh)
 	s.Presence(i, s.e.present[i])
-	s.ix.Add(i, s.e.states[i].loc)
+}
+
+// index places driver i, who joined the fleet after Bind, on her own.
+func (s *GridSource) index(i int) {
+	s.span(i)
+	s.ix.Add(i, s.e.states[i].loc, s.homeKm(i))
 	s.ix.SetHome(i, s.e.Drivers[i].Dest)
+}
+
+// homeKm is driver i's way home as her entry is given it, from Bind's
+// pass over the fleet and from every Moved: on crow-fly the engine's, one
+// Market.Dist, so that no walk has a way home to look up and every cell's
+// bound is finite from the first query; on a road market NaN, unknown,
+// for the walks to fill in — there it costs two snaps, which a set-up
+// would pay for every driver and a walk pays only for those it reaches.
+func (s *GridSource) homeKm(i int) float64 {
+	if s.e.Market.Batch != nil {
+		return math.NaN()
+	}
+	return s.e.homeKm(i)
 }
 
 // Candidates implements CandidateSource.
@@ -270,12 +294,18 @@ func (s *GridSource) Contenders(task model.Task, now float64, by Rank, buf []Can
 // speed and the exact score applies it exactly, so on a fleet of mixed
 // speeds a slow driver the predicate lets through is at worst scored and
 // dropped.
+//
+// A walk is one variable of its caller's, declared before the loop that
+// steps it: declared in the loop's init clause, its address taken by
+// every method call would make it a per-iteration variable, copied whole
+// at every cell (go build -gcflags=-d=loopvar=2 names any such loop).
 type marginWalk struct {
 	cur                spatial.Cursor
 	e                  *Engine
 	road               *roadLeg // nil on crow-fly
 	price, serviceCost float64
 	dropX, dropY       float64 // the dropoff, projected
+	homeFills          uint64  // ways home optimistic looked up (WalkStats.HomeFills)
 }
 
 func (s *GridSource) marginWalk(task model.Task, now float64, q orderTerms) marginWalk {
@@ -343,12 +373,13 @@ func (r *roadLeg) late(freeAt, pickupKm float64) bool {
 // √distSq planar kilometres from the pickup: Engine.margin fed lower
 // bounds on her two new legs — Safety × their planar lengths, the pickup
 // leg raised to the table bound on a road market (roadLeg). The way home
-// she already has is exact, taken from the engine the first time a walk
-// needs it after she moved and kept in her entry since — only ever for a
-// driver the index predicate passed, and on a road market only for one
-// the arrival bound did not rule out, so neither costs a distance. The
-// second result is false for a driver that bound rules out: she is
-// infeasible, whatever her margin.
+// she already has is exact and kept in her entry. A crow-fly walk reads
+// it: the source hands it to the index with every placement
+// (GridSource.homeKm). A road walk fills it in from the engine the first
+// time it needs it after she moved — only ever for a driver the index
+// predicate passed and the arrival bound did not rule out, so neither
+// costs two snaps — and counts the fill. The second result is false for
+// a driver that bound rules out: she is infeasible, whatever her margin.
 func (w *marginWalk) optimistic(en *spatial.Entry, distSq float64) (float64, bool) {
 	pickupKm := spatial.Safety * math.Sqrt(distSq)
 	if r := w.road; r != nil {
@@ -358,6 +389,7 @@ func (w *marginWalk) optimistic(en *spatial.Entry, distSq float64) (float64, boo
 	}
 	if en.HomeKm != en.HomeKm {
 		en.HomeKm = w.e.homeKm(int(en.ID))
+		w.homeFills++
 	}
 	return w.e.margin(w.price, w.serviceCost, pickupKm,
 		lowerKm(w.dropX, w.dropY, en.HomeX, en.HomeY), en.HomeKm), true
@@ -395,7 +427,8 @@ func (s *GridSource) bestMargins(task model.Task, now float64, q orderTerms, buf
 	start := len(buf)
 	best := math.Inf(-1)
 	n := s.stats // counted in a local: a store to s would make the loop reload all it reads
-	for w := s.marginWalk(task, now, q); w.cur.Next() && !w.past(); {
+	w := s.marginWalk(task, now, q)
+	for w.cur.Next() && !w.past() {
 		n.CellsVisited++
 		if w.cellBound() < best {
 			n.CellsSkipped++
@@ -424,6 +457,7 @@ func (s *GridSource) bestMargins(task model.Task, now float64, q orderTerms, buf
 		}
 		w.cur.Tighten(maxHome)
 	}
+	n.HomeFills += w.homeFills
 	s.stats = n
 	sortByDriver(buf[start:])
 	return buf
@@ -466,7 +500,8 @@ func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candida
 	start := len(arena)
 	root := math.Inf(-1) // the margin to reach: a full heap's root, none until it fills
 	n := s.stats         // counted in a local, as in bestMargins
-	for w := s.marginWalk(task, now, q); w.cur.Next() && !w.past(); {
+	w := s.marginWalk(task, now, q)
+	for w.cur.Next() && !w.past() {
 		n.CellsVisited++
 		if opt := w.cellBound(); opt <= 0 || opt < root {
 			n.CellsSkipped++
@@ -495,6 +530,7 @@ func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candida
 		}
 		w.cur.Tighten(maxHome)
 	}
+	n.HomeFills += w.homeFills
 	s.stats = n
 	sortByDriver(arena[start:])
 	return arena
@@ -552,7 +588,7 @@ func lowerKm(ax, ay, bx, by float64) float64 {
 
 // Moved implements CandidateSource.
 func (s *GridSource) Moved(i int) {
-	s.ix.Move(i, s.e.states[i].loc)
+	s.ix.Move(i, s.e.states[i].loc, s.homeKm(i))
 	s.ix.SetSpan(i, s.e.states[i].freeAt, s.e.Drivers[i].End)
 }
 

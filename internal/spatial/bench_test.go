@@ -113,10 +113,10 @@ func BenchmarkIndexDay(b *testing.B) {
 		ix := NewSparseIndex(geo.NewGrid(box, 158, 158), n+queries)
 		for id, p := range pts {
 			ix.SetSpan(id, starts[id], starts[id]+4*3600)
-			ix.Add(id, p)
+			ix.Add(id, p, math.NaN())
 		}
 		for q, at := range pickups {
-			ix.Add(n+q, at)
+			ix.Add(n+q, at, math.NaN())
 		}
 		for q := range pickups {
 			ix.Remove(n + q)
@@ -135,7 +135,7 @@ func BenchmarkIndexDay(b *testing.B) {
 				}
 			}
 			if first >= 0 {
-				ix.Move(first, at)
+				ix.Move(first, at, math.NaN())
 				ix.SetSpan(first, now+1500, starts[first]+4*3600)
 			}
 		}

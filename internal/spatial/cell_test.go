@@ -40,9 +40,9 @@ func (p *pair) check() {
 func (p *pair) place(id int, at geo.Point) {
 	p.t.Helper()
 	if p.m.present[id] {
-		p.ix.Move(id, at)
+		p.ix.Move(id, at, math.NaN())
 	} else {
-		p.ix.Add(id, at)
+		p.ix.Add(id, at, math.NaN())
 		p.m.home[id] = nowhere
 	}
 	p.m.loc[id], p.m.present[id], p.m.homeKm[id], p.m.node[id] = at, true, math.NaN(), -1
@@ -225,7 +225,7 @@ func TestDenseCellDay(t *testing.T) {
 			p.m.free[id], p.m.retire[id] = start, start+15000
 			p.ix.SetSpan(id, start, start+15000)
 			p.m.loc[id], p.m.present[id] = at(id), true
-			p.ix.Add(id, at(id))
+			p.ix.Add(id, at(id), math.NaN())
 		}
 		p.check()
 		return p
@@ -240,7 +240,7 @@ func TestDenseCellDay(t *testing.T) {
 			return -1, to, free, got
 		}
 		id, to, free = got[k%len(got)], at(k+1), now+1200+float64(k%5)*600
-		ix.Move(id, to)
+		ix.Move(id, to, math.NaN())
 		ix.SetSpan(id, free, ix.retireAt[id])
 		return
 	}
@@ -283,6 +283,44 @@ func TestDenseCellDay(t *testing.T) {
 	}
 	if q.ix.Stats() != st {
 		t.Fatalf("the unchecked day counted %+v, the checked one %+v", q.ix.Stats(), st)
+	}
+}
+
+// TestLoadHotCell: Load lays out a hot spot — forty points in one cell,
+// thirty of them locked until times given out of order, one retired
+// before the clock — with its parked region in wake order, so the
+// queries that wake it walk the boundary down without a sort, and a
+// later park keeps the order it found.
+func TestLoadHotCell(t *testing.T) {
+	const n = 40
+	grid := geo.NewGrid(geo.PortoBox, 1, 1)
+	at := geo.PortoBox.Center()
+	p := newPair(t, grid, n)
+	for id := range 30 {
+		p.span(id, float64(1000+id*7919%30*100), 90000)
+	}
+	p.span(30, 0, 50)
+	p.ix.Expire(100)
+	p.ix.Load(func(id int) (geo.Point, geo.Point, float64) { return at, nowhere, float64(id) })
+	for id := range n {
+		p.m.loc[id], p.m.present[id], p.m.homeKm[id] = at, true, float64(id)
+	}
+	p.check()
+	if cl := &p.ix.cells[0]; cl.park != 30 || cl.live != n-1 || !cl.sorted || cl.maxHomeKm != n-1 {
+		t.Fatalf("boundaries %d, %d, sorted %v, aggregate %g: want 30 parked, 9 live under 39, 1 expired", cl.park, cl.live, cl.sorted, cl.maxHomeKm)
+	}
+	for _, by := range []float64{1500, 2600, 3900} {
+		if by == 3900 {
+			p.span(0, 3450, 90000) // locked again, among those still parked
+		}
+		if got := len(p.query(at, by, 200)); got != 9+int(by-1000)/100+1 {
+			t.Fatalf("by %g: %d points, want the 9 always free and those free by then", by, got)
+		}
+	}
+	// 6, 11 and 13 woken, and 0 twice; she parked past the 8 that wake
+	// between 2 700 and 3 400 s.
+	if st := p.ix.Stats(); st != (Stats{Woken: 31, Shifted: 8}) {
+		t.Fatalf("%+v: want 31 woken without a sort, 8 shifted", st)
 	}
 }
 

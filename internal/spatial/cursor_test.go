@@ -95,13 +95,15 @@ func TestCursorWalksRingsOutward(t *testing.T) {
 }
 
 // TestPayloadTravelsWithTheEntry: the static half is set once and stays
-// through windows, moves and rebucketing; HomeKm is the caller's until
-// the point moves; Remove drops both.
+// through windows, moves and rebucketing; HomeKm is what the last Add or
+// Move gave, or what a cursor's caller filled in since; Remove drops
+// both.
 func TestPayloadTravelsWithTheEntry(t *testing.T) {
 	grid := geo.NewGrid(geo.PortoBox, 4, 4)
 	ix := NewSparseIndex(grid, 3)
 	home := geo.PortoBox.Lerp(0.9, 0.1)
 	hx, hy := ix.Project(home)
+	nan := math.NaN()
 	lookup := func() Entry {
 		t.Helper()
 		e, ok := ix.Lookup(1)
@@ -114,22 +116,26 @@ func TestPayloadTravelsWithTheEntry(t *testing.T) {
 	if _, ok := ix.Lookup(1); ok {
 		t.Fatal("Lookup found an id that was never added")
 	}
-	ix.Add(1, grid.CellCenter(5))
+	ix.Add(1, grid.CellCenter(5), nan)
 	if e := lookup(); e.HomeX == e.HomeX || e.HomeY == e.HomeY || e.HomeKm == e.HomeKm {
 		t.Fatalf("fresh entry %+v: want a payload of NaNs", e)
 	}
 	ix.SetHome(1, home)
 
-	// A cursor's caller fills HomeKm in.
+	// A cursor's caller fills an unknown HomeKm in.
 	fill := func(km float64) {
 		t.Helper()
 		n := 0
 		for c := ix.Reachable(grid.CellCenter(5), 30, 1e6, 0, 0); c.Next(); {
+			maxHome := math.Inf(-1)
 			for i, ents := 0, c.Entries(); i < len(ents); i++ {
-				ents[i].HomeKm = km
+				if ents[i].HomeKm != ents[i].HomeKm {
+					ents[i].HomeKm = km
+				}
+				maxHome = max(maxHome, ents[i].HomeKm)
 				n++
 			}
-			c.Tighten(km)
+			c.Tighten(maxHome)
 		}
 		if n != 1 {
 			t.Fatalf("the walk met %d entries, want 1", n)
@@ -142,29 +148,35 @@ func TestPayloadTravelsWithTheEntry(t *testing.T) {
 	}
 
 	for _, mv := range []struct {
-		name string
-		to   geo.Point
-		cell int32
+		name   string
+		to     geo.Point
+		cell   int32
+		homeKm float64 // what the move hands over
+		agg    float64 // the cell's aggregate after it
 	}{
-		{"within the cell", grid.Box.Lerp(0.3, 0.3), 5},
-		{"to another cell", grid.CellCenter(10), 10},
+		{"within the cell", grid.Box.Lerp(0.3, 0.3), 5, nan, math.Inf(1)},
+		{"to another cell", grid.CellCenter(10), 10, nan, math.Inf(1)},
+		// The fill before it left the cell's aggregate at 7.5: raised.
+		{"within the cell, known", grid.Box.Lerp(0.6, 0.6), 10, 9, 9},
+		// A cell nothing has been in: bounded by the newcomer alone.
+		{"to another cell, known", grid.CellCenter(0), 0, 6, 6},
 	} {
 		fill(7.5)
-		ix.Move(1, mv.to)
+		ix.Move(1, mv.to, mv.homeKm)
 		e := lookup()
 		px, py := ix.Project(mv.to)
-		if ix.cell[1] != mv.cell || e.PX != px || e.PY != py || e.HomeX != hx || e.HomeY != hy || e.HomeKm == e.HomeKm {
-			t.Fatalf("after a move %s: %+v in cell %d, want the home kept and HomeKm forgotten", mv.name, e, ix.cell[1])
+		if ix.cell[1] != mv.cell || e.PX != px || e.PY != py || e.HomeX != hx || e.HomeY != hy || !sameFloat(e.HomeKm, mv.homeKm) {
+			t.Fatalf("after a move %s: %+v in cell %d, want the home kept and HomeKm %g", mv.name, e, ix.cell[1], mv.homeKm)
 		}
-		if agg := ix.cells[mv.cell].maxHomeKm; !math.IsInf(agg, 1) {
-			t.Fatalf("after a move %s: the cell's aggregate is %g with an unknown HomeKm in it", mv.name, agg)
+		if agg := ix.cells[mv.cell].maxHomeKm; agg != mv.agg {
+			t.Fatalf("after a move %s: the cell's aggregate is %g, want %g", mv.name, agg, mv.agg)
 		}
 	}
 
 	ix.Remove(1)
-	ix.Add(1, grid.CellCenter(5))
-	if e := lookup(); e.HomeX == e.HomeX || e.HomeKm == e.HomeKm {
-		t.Fatalf("re-added entry %+v: Remove must drop the payload", e)
+	ix.Add(1, grid.CellCenter(15), 4)
+	if e := lookup(); e.HomeX == e.HomeX || e.HomeKm != 4 || ix.cells[15].maxHomeKm != 4 {
+		t.Fatalf("re-added entry %+v under the aggregate %g: Remove must drop the payload, Add give HomeKm 4", e, ix.cells[15].maxHomeKm)
 	}
 	defer func() {
 		if recover() == nil {

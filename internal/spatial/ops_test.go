@@ -11,7 +11,8 @@ import (
 )
 
 // This file drives the index with arbitrary operation sequences —
-// Add/Remove/Move/SetSpan/SetHome/Grow/Expire interleaved with the four
+// Add/Remove/Move (with a known HomeKm or none)/SetSpan/SetHome/Grow/
+// Expire interleaved with the four
 // query forms, the deadlines of the window queries going up and down —
 // against a brute-force twin that keeps only the id arrays and answers
 // every query by scanning them. The index must return exactly the twin's
@@ -34,9 +35,9 @@ type twin struct {
 	free, retire []float64
 	present      []bool
 	// The payload: home is what SetHome was last given since the id was
-	// added (a point of NaNs before), homeKm and node what a cursor's
-	// caller last wrote since the id was added or moved (NaN and -1
-	// before).
+	// added (a point of NaNs before), homeKm what the last Add or Move
+	// gave or a cursor's caller filled in since, and node what that caller
+	// filled in since (-1 before).
 	home   []geo.Point
 	homeKm []float64
 	node   []int32
@@ -329,18 +330,21 @@ func runIndexOps(t testing.TB, data []byte, expire bool) Stats {
 		}
 	}
 	for !r.done() {
-		op := r.byte() % 12
+		op := r.byte() % 13
 		id := int(r.byte()) % len(m.loc)
 		switch op {
-		case 0, 1: // place: Add when absent, Move when present
-			p := r.point()
+		case 0, 1: // place: Add when absent, Move when present; 1 with a known HomeKm
+			p, homeKm := r.point(), math.NaN()
+			if op == 1 {
+				homeKm = float64(r.byte())
+			}
 			if m.present[id] {
-				ix.Move(id, p)
+				ix.Move(id, p, homeKm)
 			} else {
-				ix.Add(id, p)
+				ix.Add(id, p, homeKm)
 				m.home[id] = nowhere
 			}
-			m.loc[id], m.present[id], m.homeKm[id], m.node[id] = p, true, math.NaN(), -1
+			m.loc[id], m.present[id], m.homeKm[id], m.node[id] = p, true, homeKm, -1
 			if ix.Location(id) != p || !ix.Contains(id) {
 				t.Fatalf("op %d: id %d not at %v after placing it", r.pos, id, p)
 			}
@@ -386,6 +390,18 @@ func runIndexOps(t testing.TB, data []byte, expire bool) Stats {
 				m.home[id] = r.point()
 				ix.SetHome(id, m.home[id])
 			}
+		case 12: // reload: every id out, then all of them in at once, where the twin last had each
+			fill := float64(r.byte())
+			for id := range m.loc {
+				if m.present[id] {
+					ix.Remove(id)
+				}
+				m.present[id], m.homeKm[id], m.node[id] = true, fill+float64(id), -1
+				if (id+int(fill))%3 == 0 {
+					m.homeKm[id] = math.NaN()
+				}
+			}
+			ix.Load(func(id int) (geo.Point, geo.Point, float64) { return m.loc[id], m.home[id], m.homeKm[id] })
 		}
 		if ix.Len() != len(m.loc) {
 			t.Fatalf("op %d: Len() = %d, want %d", r.pos, ix.Len(), len(m.loc))
@@ -424,6 +440,7 @@ func (s *seq) place(id, lat, lon byte) *seq    { return s.op(0, id, lat, lon) }
 func (s *seq) remove(id byte) *seq             { return s.op(2, id) }
 func (s *seq) span(id, free, retire byte) *seq { return s.op(3, id, free, retire) }
 func (s *seq) expire(now byte) *seq            { return s.op(5, 0, now) }
+func (s *seq) reload(fill byte) *seq           { return s.op(12, 0, fill) }
 
 // ask puts one query through all three window forms, at top speed from
 // the middle of the region, with minRetire at now.
@@ -477,6 +494,17 @@ var namedSeeds = []struct {
 		ask(60, 55).ask(255, 55).span(5, 240, 255).place(5, 128, 128).span(0, 254, 250).
 		expire(130).ask(140, 131).ask(245, 131).span(2, 255, 255),
 		Stats{Woken: 4, Expired: 1, Sorts: 1}},
+	// Every id loaded at once into one cell, four of them locked (until
+	// 4 000, 4 800, 2 000 and 6 000 s) and parked in wake order by Load,
+	// the other twenty live; 5 was placed before and goes out and back in.
+	// The first query wakes two without a sort; 4 is then locked until
+	// 5 200 s and parks past the one of the two left that wakes before
+	// her; the last query wakes the three.
+	{"loadedInWakeOrder", newSeq(1, 1).
+		span(0, 100, 250).span(1, 120, 250).span(2, 50, 250).span(3, 150, 250).
+		place(5, 128, 128).reload(7).
+		ask(110, 55).span(4, 130, 250).ask(200, 55),
+		Stats{Woken: 5, Shifted: 1}},
 }
 
 // TestNamedSeeds runs them with the clock live, as the fuzzer's corpus
@@ -563,7 +591,7 @@ func TestQueriesDoNotAllocate(t *testing.T) {
 	for id, p := range pts {
 		start := rng.Float64() * 80000
 		ix.SetSpan(id, start, start+6000)
-		ix.Add(id, p)
+		ix.Add(id, p, math.NaN())
 	}
 	buf := make([]int, 0, len(pts))
 	now := 0.0

@@ -74,7 +74,8 @@ const Safety = 0.9
 
 // Index is a driver-over-grid-cells bucket index. Construct with
 // NewIndex (every point present) or NewSparseIndex (membership managed
-// with Add and Remove — every id starts absent). It is not safe
+// with Add and Remove — every id starts absent — or every id placed at
+// once with Load, as NewIndex does). It is not safe
 // for concurrent use, queries included: a query marks its result in the
 // index's bitmap, settles the cells it comes to, and through a Cursor
 // writes the caller's findings into entries and cells.
@@ -137,7 +138,7 @@ type Index struct {
 type Stats struct {
 	Woken   uint64 // entries a settling cell took from parked to live
 	Expired uint64 // entries a settling cell took, from either, to expired
-	Sorts   uint64 // parked regions, of two entries or more, put in wake order
+	Sorts   uint64 // parked regions, of two entries or more, a settling cell put in wake order (Load's are not counted)
 	Shifted uint64 // entries moved over for a park into, or a leave from, a sorted parked region
 }
 
@@ -148,8 +149,8 @@ func (ix *Index) Stats() Stats { return ix.stats }
 // predicate reads and the caller's payload, 64 bytes — one cache line.
 // The index owns PX, PY, FreeAt, RetireAt and ID, which a caller only
 // reads. The payload is the caller's and the index never interprets it
-// beyond the one rule stated at HomeKm and Node: it travels with the
-// entry through every swap and rebucketing and is dropped by Remove.
+// beyond the rules stated at HomeKm and Node: it travels with the entry
+// through every swap and rebucketing and is dropped by Remove.
 type Entry struct {
 	PX, PY           float64 // planar km coordinates (see Project)
 	FreeAt, RetireAt float64
@@ -157,11 +158,12 @@ type Entry struct {
 	// until set): for a driver, her projected destination.
 	HomeX, HomeY float64
 	// HomeKm and Node are what the caller derives from the point's
-	// location, NaN and -1 while unknown: a caller handed the entry by a
-	// Cursor may fill them in, and Add and every Move reset them, same
-	// cell or not. For a driver on a road market: the travel distance
-	// from where she is to her destination, and the graph node she
-	// stands nearest.
+	// location. HomeKm is given with the location, to Add or Load and to
+	// every Move, and is NaN when the caller does not know it; Node is -1
+	// after each, same cell or not. A caller handed the entry by a Cursor
+	// may fill in either while it is unknown. For a driver: the travel
+	// distance from where she is to her destination, and on a road market
+	// the graph node she stands nearest.
 	HomeKm float64
 	ID     int32
 	Node   int32
@@ -200,14 +202,14 @@ func (ix *Index) Project(p geo.Point) (x, y float64) {
 	return p.Lon * ix.kmPerLon, p.Lat * kmPerLat
 }
 
-// NewIndex builds an index of the given points over grid. Point i is
-// addressed as id i in every other method. Every availability window
-// starts as (-Inf, +Inf), i.e. always available; narrow it with SetSpan.
+// NewIndex builds an index of the given points over grid, with no HomeKm
+// known. Point i is addressed as id i in every other method. Every
+// availability window starts as (-Inf, +Inf), i.e. always available;
+// narrow it with SetSpan.
 func NewIndex(grid *geo.Grid, locs []geo.Point) *Index {
 	ix := NewSparseIndex(grid, len(locs))
-	for id, p := range locs {
-		ix.Add(id, p)
-	}
+	nowhere := geo.Point{Lat: math.NaN(), Lon: math.NaN()}
+	ix.Load(func(id int) (geo.Point, geo.Point, float64) { return locs[id], nowhere, math.NaN() })
 	return ix
 }
 
@@ -297,12 +299,13 @@ func (ix *Index) checkID(id int) {
 	}
 }
 
-// Add inserts the absent id at location p, directly in the region its
-// availability window puts it in: the window is preserved across
-// Remove/Add cycles, and a SetSpan before the first Add costs nothing
-// but the stores. It panics if id is already present — membership bugs
-// (a driver placed twice) must not pass silently.
-func (ix *Index) Add(id int, p geo.Point) {
+// Add inserts the absent id at location p, with homeKm as its HomeKm
+// (see Entry), directly in the region its availability window puts it
+// in: the window is preserved across Remove/Add cycles, and a SetSpan
+// before the first Add costs nothing but the stores. It panics if id is
+// already present — membership bugs (a driver placed twice) must not
+// pass silently.
+func (ix *Index) Add(id int, p geo.Point, homeKm float64) {
 	ix.checkID(id)
 	if ix.cell[id] != absentCell {
 		panic(fmt.Sprintf("spatial: Add of already-present id %d", id))
@@ -311,8 +314,127 @@ func (ix *Index) Add(id int, p geo.Point) {
 	px, py := ix.Project(p)
 	nan := math.NaN()
 	ix.insert(Entry{PX: px, PY: py, FreeAt: ix.freeAt[id], RetireAt: ix.retireAt[id],
-		HomeX: nan, HomeY: nan, HomeKm: nan, ID: int32(id), Node: -1}, int32(ix.grid.CellOf(p)))
+		HomeX: nan, HomeY: nan, HomeKm: homeKm, ID: int32(id), Node: -1}, int32(ix.grid.CellOf(p)))
 	ix.members++
+}
+
+// Load adds every id at once to an index that holds none: what Add over
+// each id would make, but for the order in a cell's parked region, and
+// for less than those Adds cost, sort included. at gives an id its
+// location, its home (as SetHome) and its HomeKm; its window is the one
+// SetSpan stored. Each cell is laid out in one pass — its entries in the
+// regions their windows put them in under the two clocks, the parked
+// region already in wake order, so that no query pays the cell's first
+// sort, and room for as many entries as Add's appends would have grown
+// it to — and its header is exact. It panics if an id is present.
+func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64)) {
+	if ix.members != 0 {
+		panic(fmt.Sprintf("spatial: Load into an index that holds %d points", ix.members))
+	}
+	n := len(ix.loc)
+	homes := make([][3]float64, n) // HomeX, HomeY, HomeKm
+	start := make([]int32, len(ix.cells)+1)
+	for id := range n {
+		p, home, km := at(id)
+		ix.loc[id] = p
+		c := int32(ix.grid.CellOf(p))
+		ix.cell[id] = c
+		start[c+1]++
+		hx, hy := ix.Project(home)
+		homes[id] = [3]float64{hx, hy, km}
+	}
+	most := 0
+	for c := range ix.cells {
+		most = max(most, int(start[c+1]))
+		start[c+1] += start[c]
+	}
+	// Every cell's ids in a stretch of keys, ascending: what the regions
+	// are made of and the sort moves.
+	keys := make([]int32, n)
+	next := slices.Clone(start[:len(ix.cells)])
+	for id := range n {
+		c := ix.cell[id]
+		keys[next[c]] = int32(id)
+		next[c]++
+	}
+	// The capacities Add's appends take a cell through from its reserve:
+	// a cell with more entries than that gets the one it would have
+	// reached, cut from one block for them all.
+	grown := []int{cellReserve}
+	for g := make([]Entry, 0, cellReserve); cap(g) < most; grown = append(grown, cap(g)) {
+		g = append(g[:cap(g)], Entry{})
+	}
+	room := func(k int) int {
+		i, _ := slices.BinarySearch(grown, k)
+		return grown[i]
+	}
+	total := 0
+	for c := range ix.cells {
+		if k := int(start[c+1] - start[c]); k > cap(ix.cells[c].ents) {
+			total += room(k)
+		}
+	}
+	block := make([]Entry, total)
+	for c := range ix.cells {
+		cl := &ix.cells[c]
+		seg := keys[start[c]:start[c+1]]
+		if len(seg) > cap(cl.ents) {
+			r := room(len(seg))
+			cl.ents, block = block[:0:r], block[r:]
+		}
+		// The parked to the front and the expired to the back, as insert
+		// puts them; then the parked in wake order.
+		park, live := 0, len(seg)
+		for i := 0; i < live; {
+			switch id := seg[i]; {
+			case ix.retireAt[id] < ix.watermark:
+				live--
+				seg[i], seg[live] = seg[live], id
+			case ix.freeAt[id] > ix.horizon:
+				seg[i], seg[park] = seg[park], id
+				park++
+				i++
+			default:
+				i++
+			}
+		}
+		ix.byWake(seg[:park])
+		cl.ents = cl.ents[:len(seg)]
+		cl.park, cl.live, cl.sorted = int32(park), int32(live), true
+		cl.wakeAt, cl.expireAt, cl.maxHomeKm = math.Inf(1), math.Inf(1), math.Inf(-1)
+		for i, id := range seg {
+			px, py := ix.Project(ix.loc[id])
+			h := &homes[id]
+			e := &cl.ents[i]
+			*e = Entry{PX: px, PY: py, FreeAt: ix.freeAt[id], RetireAt: ix.retireAt[id],
+				HomeX: h[0], HomeY: h[1], HomeKm: h[2], ID: id, Node: -1}
+			ix.slot[id] = int32(i)
+			switch {
+			case i < park:
+				cl.wakeAt = e.FreeAt // the last parked wakes first
+			case i < live:
+				cl.expireAt = min(cl.expireAt, e.RetireAt)
+				cl.maxHomeKm = max(cl.maxHomeKm, orInf(e.HomeKm))
+			}
+		}
+	}
+	ix.members = n
+}
+
+// byWake puts ids in descending free time: by insertion, with the
+// comparison inlined, for the few a cell mostly holds, and by
+// slices.SortFunc for a hot spot's hundreds.
+func (ix *Index) byWake(ids []int32) {
+	free := ix.freeAt
+	if len(ids) > 16 {
+		slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(free[b], free[a]) })
+		return
+	}
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && free[ids[j-1]] < free[ids[j]]; j-- {
+			ids[j-1], ids[j] = ids[j], ids[j-1]
+		}
+	}
 }
 
 // SetHome sets the static half of id's payload (see Entry) to home,
@@ -354,19 +476,20 @@ func (ix *Index) Remove(id int) {
 }
 
 // Move updates id's location, rebucketing it if it crossed a cell
-// boundary, and forgets the HomeKm and Node the caller derived from the
-// old one. It panics if id is absent.
-func (ix *Index) Move(id int, p geo.Point) {
+// boundary, and replaces what the caller derived from the old one:
+// HomeKm by homeKm, and Node by -1 (see Entry). It panics if id is
+// absent.
+func (ix *Index) Move(id int, p geo.Point, homeKm float64) {
 	e := ix.entry(id, "Move")
 	ix.loc[id] = p
 	e.PX, e.PY = ix.Project(p)
-	e.HomeKm, e.Node = math.NaN(), -1
+	e.HomeKm, e.Node = homeKm, -1
 	if c := int32(ix.grid.CellOf(p)); c != ix.cell[id] {
 		moved := *e
 		ix.extract(int32(id))
 		ix.insert(moved, c)
 	} else if cl := &ix.cells[c]; cl.park <= ix.slot[id] && ix.slot[id] < cl.live {
-		cl.maxHomeKm = math.Inf(1)
+		cl.maxHomeKm = max(cl.maxHomeKm, orInf(homeKm))
 	}
 }
 
@@ -482,11 +605,11 @@ func (ix *Index) behind(cl *cell) bool {
 
 // settle brings cl up to the two clocks. The parked boundary steps over
 // every entry the horizon has overtaken, nearest first — the region is
-// sorted for it once, the first time, and kept sorted by insert and
-// extract — and one the watermark passed while it was parked goes
-// straight on to the expired; then, if the watermark has passed a live
-// entry, those it has are swapped out of the live range. Both leave the
-// header exact.
+// sorted for it once, the first time, unless Load laid it out sorted, and
+// kept sorted by insert and extract — and one the watermark passed while
+// it was parked goes straight on to the expired; then, if the watermark
+// has passed a live entry, those it has are swapped out of the live
+// range. Both leave the header exact.
 func (ix *Index) settle(cl *cell) {
 	if cl.wakeAt <= ix.horizon {
 		if parked := cl.ents[:cl.park]; !cl.sorted && len(parked) > 1 {
@@ -700,10 +823,12 @@ func (c *Cursor) RingKm() float64 { return c.ringKm }
 
 // MaxHomeKm is an upper bound on the HomeKm of every entry Entries
 // would return for the current cell, an unknown (NaN) one counting as
-// +Inf. It is kept per cell: raised when an entry joins the cell's live
-// ones or moves within it, not lowered when one leaves, and made exact
-// again by Tighten. A query below the watermark reads past the live
-// entries, which is all the bound covers, and gets +Inf.
+// +Inf. It is kept per cell: raised to the HomeKm an entry brings when it
+// joins the cell's live ones or moves within them, not lowered when one
+// leaves, and made exact again by Tighten — so a caller that gives every
+// HomeKm has a finite bound on every cell from the first query. A
+// query below the watermark reads past the live entries, which is all
+// the bound covers, and gets +Inf.
 func (c *Cursor) MaxHomeKm() float64 {
 	if c.dormant {
 		return math.Inf(1)
@@ -713,7 +838,7 @@ func (c *Cursor) MaxHomeKm() float64 {
 
 // Entries returns the current cell's scanned entries: the live ones, or
 // all of them on a query that asks below the watermark (see Expire). The
-// caller may write their HomeKm and Node and nothing else.
+// caller may fill in an unknown HomeKm or Node and write nothing else.
 func (c *Cursor) Entries() []Entry {
 	if c.dormant {
 		return c.cl.ents

@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -75,7 +76,7 @@ func TestNearAfterMoves(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		id := rng.Intn(len(cur))
 		cur[id] = geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
-		ix.Move(id, cur[id])
+		ix.Move(id, cur[id], math.NaN())
 	}
 	fresh := NewIndex(geo.NewGrid(geo.PortoBox, 12, 12), cur)
 	for q := 0; q < 40; q++ {
@@ -217,18 +218,18 @@ func TestRemoveAndAdd(t *testing.T) {
 			present[id] = false
 		case !present[id]:
 			pts[id] = geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
-			ix.Add(id, pts[id])
+			ix.Add(id, pts[id], math.NaN())
 			present[id] = true
 		default:
 			pts[id] = geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
-			ix.Move(id, pts[id])
+			ix.Move(id, pts[id], math.NaN())
 		}
 	}
 	fresh := NewSparseIndex(geo.NewGrid(geo.PortoBox, 10, 10), len(pts))
 	want := 0
 	for id, ok := range present {
 		if ok {
-			fresh.Add(id, pts[id])
+			fresh.Add(id, pts[id], math.NaN())
 			want++
 		}
 	}
@@ -263,10 +264,10 @@ func TestRemoveAndAdd(t *testing.T) {
 func TestSpanSurvivesRemoveAdd(t *testing.T) {
 	ix := NewSparseIndex(geo.NewGrid(geo.PortoBox, 4, 4), 2)
 	p := geo.PortoBox.Center()
-	ix.Add(0, p)
+	ix.Add(0, p, math.NaN())
 	ix.SetSpan(0, 100, 200)
 	ix.Remove(0)
-	ix.Add(0, p)
+	ix.Add(0, p, math.NaN())
 	seen := 0
 	// Window [100, 200): reachable for a dispatch at now=150, byTime=160.
 	ix.NearReachable(p, 30, 160, 150, 200, func(int) { seen++ })
@@ -284,7 +285,7 @@ func TestSpanSurvivesRemoveAdd(t *testing.T) {
 func TestSparseMembershipPanics(t *testing.T) {
 	ix := NewSparseIndex(geo.NewGrid(geo.PortoBox, 2, 2), 3)
 	p := geo.PortoBox.Center()
-	ix.Add(1, p)
+	ix.Add(1, p, math.NaN())
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -294,9 +295,12 @@ func TestSparseMembershipPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("double Add", func() { ix.Add(1, p) })
+	mustPanic("double Add", func() { ix.Add(1, p, math.NaN()) })
 	mustPanic("Remove of absent id", func() { ix.Remove(0) })
-	mustPanic("Move of absent id", func() { ix.Move(2, p) })
+	mustPanic("Move of absent id", func() { ix.Move(2, p, math.NaN()) })
+	mustPanic("Load into an index that holds a point", func() {
+		ix.Load(func(int) (geo.Point, geo.Point, float64) { return p, p, 0 })
+	})
 	mustPanic("Remove out of range", func() { ix.Remove(7) })
 }
 
@@ -307,5 +311,5 @@ func TestMovePanicsOutOfRange(t *testing.T) {
 			t.Fatal("Move(5) on a 3-point index did not panic")
 		}
 	}()
-	ix.Move(5, geo.PortoBox.Center())
+	ix.Move(5, geo.PortoBox.Center(), math.NaN())
 }
