@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/geo"
 	"repro/internal/model"
@@ -165,6 +167,68 @@ func TestDurableRoadNetworkAlgoRestore(t *testing.T) {
 		t.Fatalf("alt restore settled differently from uninterrupted ch day (served %d vs %d, revenue %.9f vs %.9f)",
 			restored.final.Served, ref.final.Served, restored.final.Revenue, ref.final.Revenue)
 	}
+}
+
+// TestRoadMarketSpawnsNoGoroutines: a road market sweeps its distance
+// table on worker goroutines while it is built, and every one of them is
+// joined before New or Restore returns — the road counterpart of
+// internal/sim's TestEngineSpawnsNoGoroutines. GOMAXPROCS is raised so
+// that workers are spawned at every -cpu, and the journal runs under
+// "off" because the "interval" policy's syncer is a goroutine by design.
+func TestRoadMarketSpawnsNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rn, err := RoadNetwork{}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := rn.build(); err != nil {
+		t.Fatal(err)
+	} else if dist, _ := r.Table(); dist == nil {
+		t.Fatal("the default road network has no distance table: nothing here is swept in parallel")
+	}
+	cfg := trace.NewConfig(83, 80, 30, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	market, feed := durFeed(tr)
+
+	dir := t.TempDir()
+	before := runtime.NumGoroutine()
+	svc, err := New(market, WithSeed(7), WithBatching(45, Hungarian), WithRoadNetwork(rn),
+		WithDurability(dir, DurFsync("off")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := goroutinesBackTo(before); n > before {
+		t.Errorf("New: %d goroutines after, %d before", n, before)
+	}
+	cut := len(feed) / 2
+	applyFeed(t, svc, tr, feed[:cut])
+	svc = nil // crash: journal abandoned, nothing flushed
+
+	before = runtime.NumGoroutine()
+	restored, err := Restore(dir)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if n := goroutinesBackTo(before); n > before {
+		t.Errorf("Restore: %d goroutines after, %d before", n, before)
+	}
+	applyFeed(t, restored, tr, feed[cut:])
+	if _, err := restored.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goroutinesBackTo returns the goroutine count once it is back at or
+// below want, or what it is after a second of waiting. A worker's
+// WaitGroup.Done runs a few instructions before its goroutine is gone, so
+// the count may lag a join by that much; a worker left running never
+// comes back.
+func goroutinesBackTo(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		runtime.Gosched()
+	}
+	return n
 }
 
 // TestWithDistanceFunc: an arbitrary metric is honored (an inflated

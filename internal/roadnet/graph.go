@@ -162,8 +162,8 @@ func (g *Graph) route(src, dst int, h func(int32) float64) (float64, []int) {
 }
 
 // DistancesFrom runs a full single-source Dijkstra and returns the
-// distance to every node (+Inf where unreachable). Used to build
-// distance matrices and by the connectivity checks.
+// distance to every node (+Inf where unreachable). Used by the landmark
+// selection and tables; the Router's table runs the same sweep per row.
 func (g *Graph) DistancesFrom(src int) []float64 {
 	if src < 0 || src >= len(g.pts) {
 		panic(fmt.Sprintf("roadnet: source %d out of range [0,%d)", src, len(g.pts)))

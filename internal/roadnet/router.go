@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -46,10 +47,12 @@ func (a Algorithm) String() string {
 //
 //   - At most tableMaxPairs node pairs (1 024 nodes — every city-sized
 //     graph in the repository): a flat all-pairs table filled at
-//     construction by one Dijkstra sweep per node. A lookup is an indexed
-//     load. Such a router builds no hierarchy and no landmarks whatever
-//     the Algorithm says, and has no cache: SetCacheBound does nothing
-//     and CacheStats / CacheSize read zero.
+//     construction by one Dijkstra sweep per node, the sweeps shared out
+//     among GOMAXPROCS workers that are all joined before the constructor
+//     returns (fillTable). A lookup is an indexed load. Such a router
+//     builds no hierarchy and no landmarks whatever the Algorithm says,
+//     and has no cache: SetCacheBound does nothing and CacheStats /
+//     CacheSize read zero.
 //   - Above that: the configured kernel (the contraction hierarchy's
 //     bidirectional search by default, with one shared half-search per
 //     batch; landmark-accelerated A* for AlgoALT) behind a bounded,
@@ -199,17 +202,43 @@ func newRouter(g *Graph, box geo.BoundingBox, s int, algo Algorithm, tableMax in
 	}
 	switch {
 	case n*n <= tableMax:
-		r.table = make([]float64, n*n)
-		var q chHeap
-		for u := 0; u < n; u++ {
-			sweep(g.adj, int32(u), r.table[u*n:][:n], &q)
-		}
+		r.table = fillTable(g.adj, n)
 	case algo == AlgoALT:
 		r.lm = NewLandmarks(g, g.SelectLandmarks(defaultLandmarks))
 	default:
 		r.ch = BuildHierarchy(g)
 	}
 	return r
+}
+
+// fillTable returns the all-pairs table of the n nodes of adj: row u is
+// the sweep from u. The rows are shared out among min(GOMAXPROCS, n)
+// workers, the caller one of them, so at GOMAXPROCS 1 nothing is
+// spawned: each worker has its own queue and takes the next row nobody
+// has taken until none is left, and every worker is joined before the
+// table is returned. A row is one sweep over the read-only adjacency,
+// written by the one worker that took it, so the table is the same bit
+// for bit at any worker count and in any order the rows are taken.
+func fillTable(adj [][]halfEdge, n int) []float64 {
+	table := make([]float64, n*n)
+	var next atomic.Int64
+	work := func() {
+		var q chHeap
+		for u := int(next.Add(1) - 1); u < n; u = int(next.Add(1) - 1) {
+			sweep(adj, int32(u), table[u*n:][:n], &q)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return table
 }
 
 // Table returns the all-pairs table, dist[u*n+v] the distance u→v, and

@@ -377,9 +377,11 @@ func benchGraph(b *testing.B) (*Graph, GridConfig) {
 }
 
 // BenchmarkRouterBuild is what a service pays before its first order, by
-// tier: the all-pairs table the default grid gets, the hierarchy the
-// same grid got before the table (through kernelRouter), and the
-// hierarchy of a graph well over the table's bound.
+// tier: the all-pairs table the default grid gets and the one of the
+// 32×32 grid at the table's bound (both swept on GOMAXPROCS workers, so
+// read them at -cpu 1 and above), the hierarchy the default grid got
+// before the table (through kernelRouter), and the hierarchy of a graph
+// well over the table's bound.
 func BenchmarkRouterBuild(b *testing.B) {
 	for _, c := range []struct {
 		name       string
@@ -387,6 +389,7 @@ func BenchmarkRouterBuild(b *testing.B) {
 		kernel     bool // build through kernelRouter
 	}{
 		{"table-20x24", 20, 24, false},
+		{"table-32x32", 32, 32, false},
 		{"ch-20x24", 20, 24, true},
 		{"ch-60x72", 60, 72, false},
 	} {

@@ -3,8 +3,10 @@ package roadnet
 import (
 	"container/heap"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geo"
 )
@@ -100,14 +102,99 @@ func TestTableBitwiseEqualsKernels(t *testing.T) {
 	}
 }
 
+// oneWayGraph is two nodes of the Porto box joined by one 25 km one-way
+// edge a→b: b never reaches a.
+func oneWayGraph() (g *Graph, a, b int) {
+	g = &Graph{}
+	a = g.AddNode(geo.PortoBox.Lerp(0.2, 0.2))
+	b = g.AddNode(geo.PortoBox.Lerp(0.8, 0.8))
+	g.AddEdge(a, b, 25)
+	return g, a, b
+}
+
+// goroutinesBackTo returns the goroutine count once it is back at or
+// below want, or what it is after a second of waiting. A worker's
+// WaitGroup.Done runs a few instructions before its goroutine is gone, so
+// the count may lag a join by that much; a worker left running never
+// comes back.
+func goroutinesBackTo(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		runtime.Gosched()
+	}
+	return n
+}
+
+// TestTableBuildAtAnyProcs: the table's rows are swept by as many
+// workers as GOMAXPROCS allows, and the table is the same at any count —
+// every entry, compared by its bits, equal to the rows one sweep after
+// another fills — on the default grid, on the 32×32 grid at the table's
+// bound, on a radial city and on a graph with a row of +Inf; and no
+// worker outlives NewRouter.
+func TestTableBuildAtAnyProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	grid := func(rows, cols int) (*Graph, geo.BoundingBox) {
+		cfg := DefaultGridConfig()
+		cfg.Rows, cfg.Cols = rows, cols
+		g, err := GenerateGrid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, cfg.Box
+	}
+	radial, err := GenerateRadial(geo.PortoBox.Center(), 8, 12, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneWay, a, b := oneWayGraph()
+	type graph struct {
+		name string
+		g    *Graph
+		box  geo.BoundingBox
+	}
+	def, defBox := grid(20, 24)
+	bound, boundBox := grid(32, 32)
+	for _, c := range []graph{
+		{"20x24", def, defBox},
+		{"32x32", bound, boundBox},
+		{"radial", radial, geo.PortoBox},
+		{"one-way", oneWay, geo.PortoBox},
+	} {
+		n := c.g.NumNodes()
+		want := make([]float64, n*n)
+		var q chHeap
+		for u := 0; u < n; u++ {
+			sweep(c.g.adj, int32(u), want[u*n:][:n], &q)
+		}
+		if c.g == oneWay && !math.IsInf(want[b*n+a], 1) {
+			t.Fatalf("one-way: b→a = %v, want +Inf", want[b*n+a])
+		}
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			before := runtime.NumGoroutine()
+			r := NewRouter(c.g, c.box, 0)
+			// The entries first: a worker still sweeping when NewRouter
+			// returns is a race (-race names it) and may leave a row short.
+			if len(r.table) != n*n {
+				t.Fatalf("%s at GOMAXPROCS %d: a table of %d entries over %d nodes", c.name, procs, len(r.table), n)
+			}
+			for i, d := range r.table {
+				if math.Float64bits(d) != math.Float64bits(want[i]) {
+					t.Fatalf("%s at GOMAXPROCS %d: table(%d,%d) = %v, the sequential sweep %v", c.name, procs, i/n, i%n, d, want[i])
+				}
+			}
+			if after := goroutinesBackTo(before); after > before {
+				t.Errorf("%s at GOMAXPROCS %d: %d goroutines after NewRouter, %d before", c.name, procs, after, before)
+			}
+		}
+	}
+}
+
 // TestTableUnreachableIsInf: a pair no path joins reads +Inf from the
 // table and from every public form over it, as it does from the kernels
 // — the floor's bound must not turn an infinite route into a finite one.
 func TestTableUnreachableIsInf(t *testing.T) {
-	g := &Graph{}
-	a := g.AddNode(geo.PortoBox.Lerp(0.2, 0.2))
-	b := g.AddNode(geo.PortoBox.Lerp(0.8, 0.8))
-	g.AddEdge(a, b, 25) // one-way: b never reaches a
+	g, a, b := oneWayGraph()
 	pa, pb := geo.PortoBox.Lerp(0.21, 0.2), geo.PortoBox.Lerp(0.8, 0.79)
 
 	for name, r := range map[string]*Router{

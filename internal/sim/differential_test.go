@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -309,6 +310,51 @@ func TestGridSourcePanicsOnFarGrid(t *testing.T) {
 	}()
 	e.SetCandidateSource(NewGridSource(equatorial))
 	e.Run(tr.Tasks, diffMaxMargin{})
+}
+
+// TestCoverageMatchesCosineForm: the band test Bind and Added take first
+// answers as polewardOf does, on grids north, south and astride the
+// equator, at a pole, and over a box past a pole that no geo.NewGrid
+// would make (where the band must not be trusted), for points at and one
+// ulp either side of each band edge and of the poleward limit, at the
+// equator, at ±90° and spread over the globe.
+func TestCoverageMatchesCosineForm(t *testing.T) {
+	grids := []*geo.Grid{
+		geo.NewGrid(geo.PortoBox, 8, 8),
+		geo.NewGrid(geo.BoundingBox{MinLat: -1, MinLon: -8.7, MaxLat: 1, MaxLon: -8.5}, 8, 8),
+		geo.NewGrid(geo.BoundingBox{MinLat: -34.2, MinLon: 18.3, MaxLat: -33.7, MaxLon: 18.9}, 8, 8),
+		geo.NewGrid(geo.BoundingBox{MinLat: 0, MinLon: 0, MaxLat: 0.5, MaxLon: 1}, 8, 8),
+		geo.NewGrid(geo.BoundingBox{MinLat: 80, MinLon: 0, MaxLat: 90, MaxLon: 1}, 8, 8),
+		geo.NewGrid(geo.BoundingBox{MinLat: -90, MinLon: 0, MaxLat: -85, MaxLon: 1}, 8, 8),
+		{Box: geo.BoundingBox{MinLat: -100, MinLon: 0, MaxLat: 10, MaxLon: 1}, Rows: 1, Cols: 1},
+	}
+	rng := rand.New(rand.NewSource(5))
+	poleward := 0
+	for _, grid := range grids {
+		boxCos := minCos(grid)
+		lats := []float64{0, math.Copysign(0, -1), 90, -90, math.NaN()}
+		limit := math.Acos(boxCos/1.05) * 180 / math.Pi
+		for _, edge := range []float64{grid.Box.MinLat, grid.Box.MaxLat, limit, -limit} {
+			lats = append(lats, edge, math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
+		}
+		for i := 0; i < 2000; i++ {
+			lats = append(lats, -90+180*rng.Float64())
+		}
+		c := coverageOf(grid)
+		for _, lat := range lats {
+			p := geo.Point{Lat: lat, Lon: grid.Box.MinLon}
+			want := polewardOf(boxCos, p)
+			if got := c.poleward(p); got != want {
+				t.Errorf("box %+v, latitude %v: band-first form says poleward %v, the cosine form %v", grid.Box, lat, got, want)
+			}
+			if want {
+				poleward++
+			}
+		}
+	}
+	if poleward == 0 {
+		t.Fatal("no point was poleward of any grid: the comparison never saw a true")
+	}
 }
 
 // TestSetCandidateSourceNilRestoresScan guards the seam's default.

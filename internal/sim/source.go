@@ -73,9 +73,9 @@ type GridSource struct {
 
 	e        *Engine
 	ix       *spatial.Index
-	boxCos   float64 // the bound grid's minCos: what Added holds a newcomer to
-	maxSpeed float64 // fastest driver in the fleet, km/h
-	ids      []int   // query scratch
+	cover    coverage // the bound grid's: what Added holds a newcomer to
+	maxSpeed float64  // fastest driver in the fleet, km/h
+	ids      []int    // query scratch
 	db       distBatch
 	road     roadLeg // the margin walks' road terms, on a market with a node table
 	stats    WalkStats
@@ -136,8 +136,7 @@ func (s *GridSource) Bind(e *Engine) {
 	if grid == nil {
 		grid = autoGrid(e.Drivers)
 	}
-	checkGridCoversFleet(grid, e.Drivers)
-	s.boxCos = minCos(grid)
+	s.cover = checkGridCoversFleet(grid, e.Drivers)
 	s.ix = spatial.NewSparseIndex(grid, len(e.Drivers))
 	s.maxSpeed = e.Market.SpeedKmh
 	s.road = roadLeg{}
@@ -613,7 +612,7 @@ func (s *GridSource) Presence(i int, present bool) {
 // covers her, or panics as Bind does on a configured one.
 func (s *GridSource) Added(i int) {
 	d := &s.e.Drivers[i]
-	if polewardOf(s.boxCos, d.Source) || polewardOf(s.boxCos, d.Dest) {
+	if s.cover.poleward(d.Source) || s.cover.poleward(d.Dest) {
 		s.Bind(s.e)
 		return
 	}
@@ -627,6 +626,33 @@ func minCos(grid *geo.Grid) float64 {
 	return math.Min(
 		math.Abs(math.Cos(grid.Box.MinLat*math.Pi/180)),
 		math.Abs(math.Cos(grid.Box.MaxLat*math.Pi/180)))
+}
+
+// coverage is polewardOf over one grid, without trigonometry for a point
+// inside the grid's latitude band: |cos| is unimodal on [-90°, 90°], so
+// over the band it is least at an end, and a point of the band has a
+// cosine no smaller than minCos but for rounding — ulps against the 1.05
+// slack. Only a point outside the band takes the cosine. A box reaching
+// past a pole (which geo.NewGrid refuses) gets an empty band.
+type coverage struct {
+	latLo, latHi float64 // the band; empty (lo > hi) when it has no shortcut
+	boxCos       float64 // the grid's minCos
+}
+
+func coverageOf(grid *geo.Grid) coverage {
+	c := coverage{latLo: grid.Box.MinLat, latHi: grid.Box.MaxLat, boxCos: minCos(grid)}
+	if c.latLo < -90 || c.latHi > 90 {
+		c.latLo, c.latHi = 1, -1
+	}
+	return c
+}
+
+// poleward is polewardOf(boxCos, p), to the bit.
+func (c coverage) poleward(p geo.Point) bool {
+	if p.Lat >= c.latLo && p.Lat <= c.latHi {
+		return false
+	}
+	return polewardOf(c.boxCos, p)
 }
 
 // polewardOf reports whether p breaks the precondition of the index's
@@ -643,18 +669,20 @@ func polewardOf(boxCos float64, p geo.Point) bool {
 }
 
 // checkGridCoversFleet rejects, loudly, a grid that some driver's start
-// or end stands polewardOf.
-func checkGridCoversFleet(grid *geo.Grid, drivers []model.Driver) {
-	boxCos := minCos(grid)
-	for _, d := range drivers {
-		for _, p := range []geo.Point{d.Source, d.Dest} {
-			if polewardOf(boxCos, p) {
+// or end stands polewardOf, and returns the grid's coverage.
+func checkGridCoversFleet(grid *geo.Grid, drivers []model.Driver) coverage {
+	c := coverageOf(grid)
+	for i := range drivers {
+		d := &drivers[i]
+		for _, p := range [2]geo.Point{d.Source, d.Dest} {
+			if c.poleward(p) {
 				panic(fmt.Sprintf(
 					"sim: grid box latitudes [%g, %g] too far from driver %d at latitude %g for conservative pre-filtering; use a grid covering the fleet (or a nil Grid to auto-size one)",
 					grid.Box.MinLat, grid.Box.MaxLat, d.ID, p.Lat))
 			}
 		}
 	}
+	return c
 }
 
 // fleetBox bounds the fleet's start/end positions, padded so boundary
