@@ -143,14 +143,14 @@ func BenchmarkFig9AvgTasksPerDriver(b *testing.B) {
 // --- §VI-B small-scale exact comparison (CPLEX role) -----------------
 
 func BenchmarkExactSmallScale(b *testing.B) {
-	// The paper's n ≤ 50, m ≤ 100 exact regime, shrunk to B&B-friendly
-	// size: exact Z* via the arc-formulation MILP.
+	// The paper's n ≤ 50, m ≤ 100 exact regime, shrunk to a size
+	// exhaustive search settles: exact Z* by brute force.
 	p := benchProblem(b, 1, 12, 4, trace.Hitchhiking)
 	g := p.Graph()
 	var gap float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex, err := bound.ExactMILP(g, 0)
+		ex, err := bound.BruteForce(g, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func BenchmarkOnlineMaxMargin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Run(tr.Tasks, online.MaxMargin{})
+		eng.RunScenario(tr.Tasks, nil, online.MaxMargin{})
 	}
 }
 
@@ -274,7 +274,7 @@ func BenchmarkOnlineNearest(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Run(tr.Tasks, online.Nearest{})
+		eng.RunScenario(tr.Tasks, nil, online.Nearest{})
 	}
 }
 
@@ -297,18 +297,16 @@ func benchmarkDispatchScale(b *testing.B, drivers int, src func() sim.CandidateS
 	if err != nil {
 		b.Fatal(err)
 	}
-	if s := src(); s != nil {
-		eng.SetCandidateSource(s)
-	}
+	eng.SetCandidateSource(src())
 	var served int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		served = eng.Run(tr.Tasks, online.MaxMargin{}).Served
+		served = eng.RunScenario(tr.Tasks, nil, online.MaxMargin{}).Served
 	}
 	b.ReportMetric(float64(served), "served")
 }
 
-func scanSrc() sim.CandidateSource { return nil }
+func scanSrc() sim.CandidateSource { return &sim.ScanSource{} }
 func gridSrc() sim.CandidateSource { return sim.NewGridSource(nil) }
 
 func BenchmarkOnlineMaxMarginScan10k(b *testing.B) { benchmarkDispatchScale(b, 10_000, scanSrc) }
@@ -499,8 +497,10 @@ func BenchmarkScenarioChurn10k(b *testing.B) {
 	b.ReportMetric(float64(res.Cancelled), "cancelled")
 }
 
-// BenchmarkSpatialIndexNear measures one radius query against a 10k-point
-// index — the per-task cost floor of indexed dispatch.
+// BenchmarkSpatialIndexNear measures one window query against a
+// 10k-point index — the query the indexed source's full list makes, a
+// 2.5 km reach (30 km/h for 5 minutes) over points that are always
+// available: the per-task cost floor of indexed dispatch.
 func BenchmarkSpatialIndexNear(b *testing.B) {
 	rng := trace.NewGenerator(trace.NewConfig(29, 10_000, 1, trace.Hitchhiking))
 	tasks := rng.GenerateTasks()
@@ -514,7 +514,7 @@ func BenchmarkSpatialIndexNear(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		visited = 0
-		ix.Near(pts[i%len(pts)], 2.5, func(int) { visited++ })
+		ix.NearReachable(pts[i%len(pts)], 30, 300, 0, 0, func(int) { visited++ })
 	}
 	b.ReportMetric(float64(visited), "visited")
 }
@@ -622,7 +622,7 @@ func benchmarkAvailability(b *testing.B, realTime bool) {
 	var profit float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profit = eng.Run(tr.Tasks, online.MaxMargin{}).TotalProfit
+		profit = eng.RunScenario(tr.Tasks, nil, online.MaxMargin{}).TotalProfit
 	}
 	b.ReportMetric(profit, "profit")
 }
@@ -639,7 +639,7 @@ func BenchmarkAblationByValueOrdering(b *testing.B) {
 	var arrival, byValue float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arrival = eng.Run(tr.Tasks, online.MaxMargin{}).TotalProfit
+		arrival = eng.RunScenario(tr.Tasks, nil, online.MaxMargin{}).TotalProfit
 		byValue = eng.RunByValue(tr.Tasks, online.MaxMargin{}).TotalProfit
 	}
 	b.ReportMetric(arrival, "profit-arrival")
@@ -671,8 +671,8 @@ func BenchmarkAblationSurgeVsFlat(b *testing.B) {
 	var flat, surged float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		flat = eng.Run(flatTrace.Tasks, online.MaxMargin{}).TotalProfit
-		surged = eng.Run(surgeTasks, online.MaxMargin{}).TotalProfit
+		flat = eng.RunScenario(flatTrace.Tasks, nil, online.MaxMargin{}).TotalProfit
+		surged = eng.RunScenario(surgeTasks, nil, online.MaxMargin{}).TotalProfit
 	}
 	b.ReportMetric(flat, "profit-flat")
 	b.ReportMetric(surged, "profit-surge")
@@ -694,8 +694,8 @@ func BenchmarkAblationBatchedDispatch(b *testing.B) {
 	var instant, batched float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		instant = eng.Run(tr.Tasks, online.MaxMargin{}).TotalProfit
-		batched = eng.RunBatched(tr.Tasks, 30).TotalProfit
+		instant = eng.RunScenario(tr.Tasks, nil, online.MaxMargin{}).TotalProfit
+		batched = eng.RunBatchedScenario(tr.Tasks, nil, 30).TotalProfit
 	}
 	b.ReportMetric(instant, "profit-instant")
 	b.ReportMetric(batched, "profit-batched")
@@ -794,8 +794,8 @@ func BenchmarkAblationReplanDispatch(b *testing.B) {
 	var replan, instant float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replan = eng.RunReplan(tr.Tasks, 120).TotalProfit
-		instant = eng.Run(tr.Tasks, online.MaxMargin{}).TotalProfit
+		replan = eng.RunReplanScenario(tr.Tasks, nil, 120).TotalProfit
+		instant = eng.RunScenario(tr.Tasks, nil, online.MaxMargin{}).TotalProfit
 	}
 	b.ReportMetric(replan, "profit-replan")
 	b.ReportMetric(instant, "profit-instant")

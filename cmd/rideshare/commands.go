@@ -277,9 +277,6 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 	eng.RealTime = *realTime
-	// The engine's default scan settles the same books; the index gets
-	// there without visiting every driver per order.
-	eng.SetCandidateSource(sim.NewGridSource(nil))
 
 	var res sim.Result
 	name := ""

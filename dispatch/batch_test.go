@@ -54,6 +54,7 @@ func TestBatchedServiceReplayBitIdenticalToEngine(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					eng.SetCandidateSource(&sim.ScanSource{})
 					batch := eng.RunBatchedScenario(tr.Tasks, tr.Events, sc.window)
 
 					svc := replayTrace(t, tr, WithBatching(sc.window, Hungarian),

@@ -324,7 +324,6 @@ func New(m Market, opts ...Option) (*Service, error) {
 	if cfg.clock != nil {
 		eng.Clock = cfg.clock
 	}
-	eng.SetCandidateSource(sim.NewGridSource(nil))
 	var st *sim.Stream
 	if s.batched {
 		st, err = eng.NewBatchedStream(cfg.batchWindow, sim.BatchHungarian, fleet)

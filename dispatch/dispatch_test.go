@@ -143,6 +143,7 @@ func TestServiceReplayBitIdenticalToBatch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					eng.SetCandidateSource(&sim.ScanSource{})
 					batch := eng.RunScenario(tr.Tasks, tr.Events, pol.d)
 
 					svc := replayTrace(t, tr, opts...)

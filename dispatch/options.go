@@ -3,7 +3,6 @@ package dispatch
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/online"
@@ -101,17 +100,7 @@ type Clock interface {
 // ScaledClock returns a Clock that sleeps (to−from)/factor wall seconds
 // per advance: factor 60 replays a simulated hour per wall minute.
 // Factor ≤ 0 is treated as 1 (real time).
-func ScaledClock(factor float64) Clock { return scaledClock{factor} }
-
-type scaledClock struct{ factor float64 }
-
-func (c scaledClock) Advance(from, to float64) {
-	f := c.factor
-	if f <= 0 {
-		f = 1
-	}
-	time.Sleep(time.Duration((to - from) / f * float64(time.Second)))
-}
+func ScaledClock(factor float64) Clock { return sim.ScaledClock{Factor: factor} }
 
 type config struct {
 	policy      Policy

@@ -38,13 +38,13 @@ func main() {
 		}
 		eng.SetCandidateSource(src)
 		start := time.Now()
-		res := eng.Run(tr.Tasks, online.MaxMargin{})
+		res := eng.RunScenario(tr.Tasks, nil, online.MaxMargin{})
 		fmt.Printf("%-14s served %d  revenue %.2f  profit %.2f  in %v\n",
 			label, res.Served, res.Revenue, res.TotalProfit, time.Since(start).Round(time.Millisecond))
 		return res
 	}
 
-	scan := run("linear scan", nil)
+	scan := run("linear scan", &sim.ScanSource{})
 	indexed := run("indexed", sim.NewGridSource(nil))
 	if scan.Served != indexed.Served || scan.Revenue != indexed.Revenue || scan.TotalProfit != indexed.TotalProfit {
 		log.Fatal("cityscale: indexed run diverged from the scan — this is a bug")
@@ -60,7 +60,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng.SetCandidateSource(sim.NewGridSource(nil))
 	churnStart := time.Now()
 	churned := eng.RunScenario(tr.Tasks, events, online.MaxMargin{})
 	fmt.Printf("\nchurned day (%d events): served %d (static day: %d), %d rides cancelled before pickup, in %v\n",

@@ -74,7 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := eng.Run(tasks, online.MaxMargin{})
+	res := eng.RunScenario(tasks, nil, online.MaxMargin{})
 
 	var avgMult float64
 	surged := 0

@@ -45,7 +45,7 @@ func TestOnlineSolutionsAreOfflineFeasible(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range []sim.Dispatcher{online.Nearest{}, online.MaxMargin{}, online.Random{}} {
-			res := eng.Run(p.Tasks, d)
+			res := eng.RunScenario(p.Tasks, nil, d)
 			for n, tasks := range res.DriverPaths {
 				if len(tasks) == 0 {
 					continue
@@ -73,7 +73,7 @@ func TestBatchedSolutionsAreOfflineFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eng.RunBatched(p.Tasks, 45)
+	res := eng.RunBatchedScenario(p.Tasks, nil, 45)
 	for n, tasks := range res.DriverPaths {
 		if len(tasks) == 0 {
 			continue
@@ -103,10 +103,10 @@ func TestEverythingBelowTheBound(t *testing.T) {
 		}
 		profits := map[string]float64{
 			"greedy":    greedy,
-			"nearest":   eng.Run(p.Tasks, online.Nearest{}).TotalProfit,
-			"maxmargin": eng.Run(p.Tasks, online.MaxMargin{}).TotalProfit,
-			"batched":   eng.RunBatched(p.Tasks, 45).TotalProfit,
-			"replan":    eng.RunReplan(p.Tasks, 60).TotalProfit,
+			"nearest":   eng.RunScenario(p.Tasks, nil, online.Nearest{}).TotalProfit,
+			"maxmargin": eng.RunScenario(p.Tasks, nil, online.MaxMargin{}).TotalProfit,
+			"batched":   eng.RunBatchedScenario(p.Tasks, nil, 45).TotalProfit,
+			"replan":    eng.RunReplanScenario(p.Tasks, nil, 60).TotalProfit,
 		}
 		for name, profit := range profits {
 			if profit > ub.Bound+1e-6 {
@@ -131,8 +131,8 @@ func TestBatchedVersusInstantTradeoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instant := eng.Run(tr.Tasks, online.MaxMargin{})
-	batched := eng.RunBatched(tr.Tasks, 60)
+	instant := eng.RunScenario(tr.Tasks, nil, online.MaxMargin{})
+	batched := eng.RunBatchedScenario(tr.Tasks, nil, 60)
 	if batched.TotalProfit < instant.TotalProfit*0.9 {
 		t.Fatalf("with 10-20 min notice, batched profit %.2f fell far below instant %.2f",
 			batched.TotalProfit, instant.TotalProfit)
@@ -224,9 +224,9 @@ func TestFullDeterminism(t *testing.T) {
 		}
 		return []float64{
 			offline.Greedy(p.Graph()).TotalProfit,
-			eng.Run(p.Tasks, online.Nearest{}).TotalProfit,
-			eng.Run(p.Tasks, online.MaxMargin{}).TotalProfit,
-			eng.RunBatched(p.Tasks, 30).TotalProfit,
+			eng.RunScenario(p.Tasks, nil, online.Nearest{}).TotalProfit,
+			eng.RunScenario(p.Tasks, nil, online.MaxMargin{}).TotalProfit,
+			eng.RunBatchedScenario(p.Tasks, nil, 30).TotalProfit,
 			bound.Lagrangian(p.Graph(), 0, 30).Bound,
 		}
 	}

@@ -10,11 +10,11 @@
 //     large for the dense master LP: every dual-feasible λ ≥ 0 yields the
 //     valid bound L(λ) = Σ_m λ_m + Σ_n max(0, bestpath_n(λ)); subgradient
 //     steps shrink it toward Z*_f.
-//   - Z*, the exact integral optimum, via the arc-formulation MILP
-//     (Eqs. 4, 5a–5h) solved with branch-and-bound — the paper's
-//     small-scale exact comparison (n ≤ 50, m ≤ 100).
-//   - A brute-force exact solver for tiny instances, used to validate
-//     the MILP encoding in tests.
+//   - Z*, the exact integral optimum, by exhaustive search over
+//     node-disjoint per-driver paths (BruteForce) — the paper's
+//     small-scale exact comparison (n ≤ 50, m ≤ 100) — and, for the
+//     hindsight oracle at city scale, by the sparse branch-and-bound
+//     (Sparse), held to BruteForce on every instance it can enumerate.
 package bound
 
 import (

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/lp"
 	"repro/internal/taskmap"
 )
 
@@ -15,182 +14,16 @@ import (
 // genuinely malformed instance.
 var ErrPathLimit = errors.New("path limit exceeded")
 
-// This file contains the exact solvers for the small-scale evaluation
+// This file contains the exact solver for the small-scale evaluation
 // (§VI-B: "for n ≤ 50 and m ≤ 100, we can use the integer programming
 // solvers of CPLEX or MOSEK to calculate the exact value of the best
-// integer solution Z*").
+// integer solution Z*"): BruteForce plays that role here, and the sparse
+// branch-and-bound (sparse.go) the oracle's at city scale.
 
 // Exact is an integral optimum with its assignment.
 type Exact struct {
 	Objective float64
 	Paths     []taskmap.Path // one entry per driver with a non-empty list
-	Nodes     int            // B&B nodes (0 for brute force)
-	RootBound float64        // LP relaxation at the root: equals Z*_f of the arc formulation
-}
-
-// arc endpoint sentinels for the MILP encoding.
-const (
-	srcNode = -2
-	snkNode = -1
-)
-
-type arcVar struct {
-	driver   int
-	from, to int // task indices, or srcNode / snkNode
-	col      int
-	cost     float64
-}
-
-// ExactMILP solves the arc formulation (Eqs. 4, 5a–5h) to integral
-// optimality with branch-and-bound. Intended for the paper's small
-// scale; it returns an error if the node cap is exhausted.
-func ExactMILP(g *taskmap.Graph, maxNodes int) (Exact, error) {
-	n := g.N()
-	m := g.M()
-
-	var arcs []arcVar
-	// Assemble arcs per driver.
-	for i := 0; i < n; i++ {
-		arcs = append(arcs, arcVar{driver: i, from: srcNode, to: snkNode, cost: g.Baseline[i]})
-		for t := 0; t < m; t++ {
-			if !g.Feasible(i, t) {
-				continue
-			}
-			if g.SourceReachable(i, t) {
-				arcs = append(arcs, arcVar{driver: i, from: srcNode, to: t, cost: g.SourceCost(i, t)})
-			}
-			arcs = append(arcs, arcVar{driver: i, from: t, to: snkNode, cost: g.SinkCost(i, t)})
-			for _, s := range g.Succs[t] {
-				if g.Feasible(i, int(s)) {
-					arcs = append(arcs, arcVar{
-						driver: i, from: t, to: int(s),
-						cost: g.Market.DeadheadCost(g.Tasks[t], g.Tasks[s]),
-					})
-				}
-			}
-		}
-	}
-
-	prob := lp.NewProblem(len(arcs))
-	for k := range arcs {
-		arcs[k].col = k
-		a := &arcs[k]
-		obj := -a.cost
-		if a.to >= 0 {
-			obj += g.Value[a.to] // margin p_m − ĉ_m collected on entry to m
-		}
-		prob.SetObjective(k, obj)
-	}
-
-	// (5c) source out-degree = 1 per driver; (5d) sink in-degree = 1.
-	srcRows := make([][]lp.Entry, n)
-	snkRows := make([][]lp.Entry, n)
-	// (5e)(5f) flow conservation per (driver, task).
-	inflow := make(map[[2]int][]lp.Entry)
-	outflow := make(map[[2]int][]lp.Entry)
-	// (5a) per task packing across drivers.
-	taskRows := make([][]lp.Entry, m)
-	// (5b) individual rationality per driver.
-	irRows := make([][]lp.Entry, n)
-
-	for _, a := range arcs {
-		e := lp.Entry{Col: a.col, Val: 1}
-		if a.from == srcNode {
-			srcRows[a.driver] = append(srcRows[a.driver], e)
-		} else {
-			outflow[[2]int{a.driver, a.from}] = append(outflow[[2]int{a.driver, a.from}], e)
-		}
-		if a.to == snkNode {
-			snkRows[a.driver] = append(snkRows[a.driver], e)
-		} else {
-			inflow[[2]int{a.driver, a.to}] = append(inflow[[2]int{a.driver, a.to}], e)
-			taskRows[a.to] = append(taskRows[a.to], lp.Entry{Col: a.col, Val: 1})
-		}
-		// IR row: profit contribution of this arc for its driver.
-		coeff := -a.cost
-		if a.to >= 0 {
-			coeff += g.Value[a.to]
-		}
-		if coeff != 0 {
-			irRows[a.driver] = append(irRows[a.driver], lp.Entry{Col: a.col, Val: coeff})
-		}
-	}
-
-	for i := 0; i < n; i++ {
-		prob.AddRow(lp.EQ, 1, srcRows[i]...)
-		prob.AddRow(lp.EQ, 1, snkRows[i]...)
-		if len(irRows[i]) > 0 {
-			// profit + baseline ≥ 0 (Eq. 5b with the baseline credit).
-			prob.AddRow(lp.GE, -g.Baseline[i], irRows[i]...)
-		}
-	}
-	for i := 0; i < n; i++ {
-		for t := 0; t < m; t++ {
-			in := inflow[[2]int{i, t}]
-			out := outflow[[2]int{i, t}]
-			if len(in) == 0 && len(out) == 0 {
-				continue
-			}
-			row := append([]lp.Entry(nil), in...)
-			for _, e := range out {
-				row = append(row, lp.Entry{Col: e.Col, Val: -1})
-			}
-			prob.AddRow(lp.EQ, 0, row...)
-		}
-	}
-	for t := 0; t < m; t++ {
-		if len(taskRows[t]) > 0 {
-			prob.AddRow(lp.LE, 1, taskRows[t]...)
-		}
-	}
-
-	binary := make([]int, len(arcs))
-	for k := range binary {
-		binary[k] = k
-	}
-	res, err := lp.SolveBinary(prob, binary, maxNodes)
-	if err != nil {
-		return Exact{}, fmt.Errorf("bound: exact MILP: %w", err)
-	}
-	if res.Status != lp.Optimal {
-		return Exact{}, fmt.Errorf("bound: exact MILP status %v after %d nodes", res.Status, res.Nodes)
-	}
-
-	// The objective omitted the constant Σ_n baseline credit.
-	var baseSum float64
-	for i := 0; i < n; i++ {
-		baseSum += g.Baseline[i]
-	}
-	ex := Exact{
-		Objective: res.Objective + baseSum,
-		Nodes:     res.Nodes,
-		RootBound: res.RootBound + baseSum,
-	}
-
-	// Reconstruct paths by following chosen arcs.
-	next := make(map[[2]int]int) // (driver, from) -> to
-	for _, a := range arcs {
-		if res.X[a.col] > 0.5 {
-			next[[2]int{a.driver, a.from}] = a.to
-		}
-	}
-	for i := 0; i < n; i++ {
-		var tasks []int
-		cur, ok := next[[2]int{i, srcNode}]
-		for ok && cur != snkNode {
-			tasks = append(tasks, cur)
-			cur, ok = next[[2]int{i, cur}]
-		}
-		if len(tasks) == 0 {
-			continue
-		}
-		profit, err := g.PathProfit(i, tasks)
-		if err != nil {
-			return Exact{}, fmt.Errorf("bound: MILP produced invalid path for driver %d: %w", i, err)
-		}
-		ex.Paths = append(ex.Paths, taskmap.Path{Driver: i, Tasks: tasks, Profit: profit})
-	}
-	return ex, nil
 }
 
 // EnumeratePaths lists every nonempty source→destination task sequence

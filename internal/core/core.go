@@ -160,7 +160,7 @@ func (o OnlineSolver) Solve(p *Problem) (Solution, error) {
 	if o.ByValue {
 		res = eng.RunByValue(p.Tasks, o.Dispatcher)
 	} else {
-		res = eng.Run(p.Tasks, o.Dispatcher)
+		res = eng.RunScenario(p.Tasks, nil, o.Dispatcher)
 	}
 	sol := Solution{
 		Algorithm: o.Name(),

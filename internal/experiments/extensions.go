@@ -154,7 +154,7 @@ func SurgeSweep(ctx context.Context, cfg Config, drivers int, caps []float64) ([
 		if err != nil {
 			return nil, err
 		}
-		res := eng.Run(tasks, online.MaxMargin{})
+		res := eng.RunScenario(tasks, nil, online.MaxMargin{})
 		rows = append(rows, SurgeRow{
 			MaxAlpha:  cap,
 			ServeRate: res.ServeRate(),
@@ -231,10 +231,10 @@ func DispatchComparison(ctx context.Context, cfg Config, drivers int) ([]Dispatc
 		}
 	}
 
-	nearest := eng.Run(p.Tasks, online.Nearest{})
-	maxMargin := eng.Run(p.Tasks, online.MaxMargin{})
-	batched := eng.RunBatched(p.Tasks, 30)
-	replan := eng.RunReplan(p.Tasks, 120)
+	nearest := eng.RunScenario(p.Tasks, nil, online.Nearest{})
+	maxMargin := eng.RunScenario(p.Tasks, nil, online.MaxMargin{})
+	batched := eng.RunBatchedScenario(p.Tasks, nil, 30)
+	replan := eng.RunReplanScenario(p.Tasks, nil, 120)
 
 	return []DispatchRow{
 		row("Nearest (Alg. 3)", nearest.TotalProfit, nearest.Revenue, nearest.Served),

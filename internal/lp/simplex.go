@@ -1,13 +1,11 @@
 // Package lp is a self-contained linear-programming toolkit: a dense
-// two-phase primal simplex solver with dual extraction, and a
-// branch-and-bound solver for binary integer programs built on top of
-// it.
+// two-phase primal simplex solver with dual extraction.
 //
-// The paper solves the relaxed problem Z_f (§III-E) and small exact
-// instances Z* with CPLEX/MOSEK (§VI-B); this package is the stdlib-only
-// substitute documented in DESIGN.md. It targets the problem sizes the
-// framework produces: restricted-master LPs from column generation (a few
-// thousand rows/columns) and small exact arc-formulation MILPs.
+// The paper solves the relaxed problem Z_f (§III-E) with CPLEX/MOSEK;
+// this package is the stdlib-only substitute documented in DESIGN.md. It
+// targets the problem sizes the framework produces: restricted-master
+// LPs from column generation (a few thousand rows/columns). The exact
+// integral optimum Z* is internal/bound's, by path enumeration.
 //
 // Problems are stated as
 //
@@ -106,9 +104,6 @@ func NewProblem(numVars int) *Problem {
 
 // NumVars returns the number of structural variables.
 func (p *Problem) NumVars() int { return p.numVars }
-
-// NumRows returns the number of constraint rows added so far.
-func (p *Problem) NumRows() int { return len(p.rows) }
 
 // SetObjective sets the objective coefficient of variable col.
 func (p *Problem) SetObjective(col int, val float64) {

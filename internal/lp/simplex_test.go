@@ -363,7 +363,7 @@ func TestSenseString(t *testing.T) {
 	for _, tc := range []struct {
 		s    Sense
 		want string
-	}{{LE, "<="}, {GE, ">="}, {EQ, "=="}} {
+	}{{LE, "<="}, {GE, ">="}, {EQ, "=="}, {Sense(7), "Sense(7)"}} {
 		if got := tc.s.String(); got != tc.want {
 			t.Errorf("Sense(%d).String() = %q, want %q", tc.s, got, tc.want)
 		}
@@ -374,9 +374,41 @@ func TestStatusString(t *testing.T) {
 	for _, tc := range []struct {
 		s    Status
 		want string
-	}{{Optimal, "optimal"}, {Infeasible, "infeasible"}, {Unbounded, "unbounded"}, {IterLimit, "iteration-limit"}} {
+	}{{Optimal, "optimal"}, {Infeasible, "infeasible"}, {Unbounded, "unbounded"}, {IterLimit, "iteration-limit"}, {Status(-1), "Status(-1)"}} {
 		if got := tc.s.String(); got != tc.want {
 			t.Errorf("Status.String() = %q, want %q", got, tc.want)
 		}
+	}
+}
+
+// TestProblemRangePanics: a problem is built by program logic, so an
+// index outside it is a bug and panics, naming what was out of range.
+func TestProblemRangePanics(t *testing.T) {
+	mk := func() *Problem {
+		p := NewProblem(2)
+		p.AddRow(LE, 1, Entry{0, 1})
+		return p
+	}
+	for _, tc := range []struct {
+		name string
+		op   func()
+		want string
+	}{
+		{"NewProblem(0)", func() { NewProblem(0) }, "lp: non-positive variable count 0"},
+		{"SetObjective(-1)", func() { mk().SetObjective(-1, 1) }, "lp: column -1 out of range [0,2)"},
+		{"SetObjective(2)", func() { mk().SetObjective(2, 1) }, "lp: column 2 out of range [0,2)"},
+		{"AddRow column 2", func() { mk().AddRow(GE, 0, Entry{1, 1}, Entry{2, 1}) }, "lp: column 2 out of range [0,2)"},
+		{"SetCoeff row 1", func() { mk().SetCoeff(1, 0, 1) }, "lp: row 1 out of range [0,1)"},
+		{"SetCoeff row -1", func() { mk().SetCoeff(-1, 0, 1) }, "lp: row -1 out of range [0,1)"},
+		{"SetCoeff column 3", func() { mk().SetCoeff(0, 3, 1) }, "lp: column 3 out of range [0,2)"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: panicked with %v, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.op()
+		}()
 	}
 }

@@ -117,8 +117,8 @@ func TestMaxMarginBeatsNearestOnProfit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mmTotal += eng.Run(tr.Tasks, MaxMargin{}).TotalProfit
-		nrTotal += eng.Run(tr.Tasks, Nearest{}).TotalProfit
+		mmTotal += eng.RunScenario(tr.Tasks, nil, MaxMargin{}).TotalProfit
+		nrTotal += eng.RunScenario(tr.Tasks, nil, Nearest{}).TotalProfit
 	}
 	if mmTotal < nrTotal {
 		t.Fatalf("maxMargin aggregate profit %.1f below Nearest %.1f", mmTotal, nrTotal)
@@ -134,7 +134,7 @@ func TestMaxMarginNeverNegativeDriverProfit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eng.Run(tr.Tasks, MaxMargin{})
+	res := eng.RunScenario(tr.Tasks, nil, MaxMargin{})
 	for i, p := range res.PerDriverProfit {
 		if p < -1e-6 {
 			t.Fatalf("driver %d profit %.6f < 0 under IR-enforcing maxMargin", i, p)
@@ -154,7 +154,7 @@ func TestNearestServeRateReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nr := eng.Run(tr.Tasks, Nearest{})
+	nr := eng.RunScenario(tr.Tasks, nil, Nearest{})
 	if nr.ServeRate() < 0.2 {
 		t.Fatalf("Nearest serve rate %.2f unreasonably low", nr.ServeRate())
 	}
@@ -239,11 +239,11 @@ func TestBoundedChoiceKeepsTies(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.SetCandidateSource(src)
-		return e.Run(orders, d), e.RNGDraws()
+		return e.RunScenario(orders, nil, d), e.RNGDraws()
 	}
 	for _, d := range []sim.Dispatcher{Nearest{}, MaxMargin{}, MaxMargin{AllowNegative: true}} {
 		var arrivalTies, marginTies int
-		want, wantDraws := day(nil, tieSpy{d, &arrivalTies, &marginTies})
+		want, wantDraws := day(&sim.ScanSource{}, tieSpy{d, &arrivalTies, &marginTies})
 		if want.Served == 0 || arrivalTies == 0 || marginTies == 0 {
 			t.Fatalf("%s: %d served, %d lists with an arrival tie at the minimum, %d with a margin tie at the maximum; the day tests nothing",
 				d.Name(), want.Served, arrivalTies, marginTies)

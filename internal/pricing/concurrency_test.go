@@ -59,25 +59,3 @@ func TestSurgeConcurrentObservePrice(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestSurgeReset: observations are forgotten and the pricer returns to
-// its flat (α = 1) state.
-func TestSurgeReset(t *testing.T) {
-	m := model.DefaultMarket()
-	grid := geo.NewGrid(geo.PortoBox, 8, 8)
-	s := NewSurge(NewLinear(m, 1), grid, 3)
-	center := geo.PortoBox.Center()
-	s.ObserveDemand(center, 50)
-	s.ObserveSupply(center, 1)
-	if a := s.Multiplier(center); a <= 1 {
-		t.Fatalf("multiplier %v after heavy demand, want > 1", a)
-	}
-	s.Reset()
-	if a := s.Multiplier(center); a != 1 {
-		t.Fatalf("multiplier %v after Reset, want 1", a)
-	}
-	tk := model.Task{Source: center, Dest: geo.PortoBox.Lerp(0.8, 0.8), StartBy: 60, EndBy: 600}
-	if got, want := s.Price(tk), s.Base.Price(tk); got != want {
-		t.Fatalf("post-Reset price %v, want flat price %v", got, want)
-	}
-}

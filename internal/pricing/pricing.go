@@ -72,18 +72,20 @@ func (l *Linear) Price(t model.Task) float64 {
 // smoothed over the zone's Moore neighborhood so that adjacent zones do
 // not see discontinuous fares.
 //
-// Surge honors the Pricer concurrency contract: Observe*, Decay and
-// Reset take the write lock while Multiplier and Price take the read
-// lock, so a live engine may feed observations while HTTP handlers (or
-// match workers) price concurrently. Base, Grid and MaxAlpha are
-// read-only after construction.
+// Surge is an offline pricer: a caller feeds it the demand and supply of
+// a day and stamps its prices onto the day's tasks before the engine
+// runs, which has no pricing hook. It still honors the Pricer concurrency
+// contract: Observe* and Decay take the write lock while Multiplier and
+// Price take the read lock, so observations and prices may come from
+// several goroutines at once. Base, Grid and MaxAlpha are read-only after
+// construction.
 type Surge struct {
 	Base     *Linear
 	Grid     *geo.Grid
 	MaxAlpha float64
 
 	// mu guards demand and supply: the current per-cell counts, updated
-	// via Observe*/Decay/Reset and read by Multiplier/Price.
+	// via Observe*/Decay and read by Multiplier/Price.
 	mu     sync.RWMutex
 	demand []float64
 	supply []float64
@@ -124,25 +126,13 @@ func (s *Surge) ObserveSupply(p geo.Point, weight float64) {
 }
 
 // Decay exponentially ages all demand/supply observations by factor
-// gamma in (0, 1]; the simulator calls it between time buckets so that
-// surge reflects recent imbalance rather than the whole day.
+// gamma in (0, 1]; a caller pricing a day calls it between time buckets
+// so that surge reflects recent imbalance rather than the whole day.
 func (s *Surge) Decay(gamma float64) {
 	s.mu.Lock()
 	for i := range s.demand {
 		s.demand[i] *= gamma
 		s.supply[i] *= gamma
-	}
-	s.mu.Unlock()
-}
-
-// Reset zeroes all demand/supply observations, returning the pricer to
-// its as-constructed state. The engine calls it at the start of every
-// run so repeated days are bit-identical.
-func (s *Surge) Reset() {
-	s.mu.Lock()
-	for i := range s.demand {
-		s.demand[i] = 0
-		s.supply[i] = 0
 	}
 	s.mu.Unlock()
 }

@@ -58,13 +58,11 @@ func TestSurgePricingThroughFullSimRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if src != nil {
-			e.SetCandidateSource(src)
-		}
-		return e.Run(surgeTasks, online.MaxMargin{})
+		e.SetCandidateSource(src)
+		return e.RunScenario(surgeTasks, nil, online.MaxMargin{})
 	}
 
-	scan := run(nil)
+	scan := run(&sim.ScanSource{})
 	if got := run(sim.NewGridSource(nil)); !reflect.DeepEqual(scan, got) {
 		t.Error("indexed: surge-priced simulation diverges from the linear scan")
 	}

@@ -145,20 +145,16 @@ func (b *batcher) cancelPending(ti int) bool {
 	return false
 }
 
-// RunBatched simulates the day with batched dispatch: tasks are grouped
-// into consecutive windows of `window` seconds by publish time; at each
-// window's end the engine solves a maximum-weight task–driver assignment
-// over the marginal values δ_{n,m} (Eq. 14), assigning at most one task
-// per driver per batch. Margins ≤ 0 are never assigned (individual
-// rationality), and tasks that found no driver are rejected — they are
-// real-time orders and cannot wait for the next batch.
-func (e *Engine) RunBatched(tasks []model.Task, window float64) Result {
-	return e.RunBatchedScenario(tasks, nil, window)
-}
-
-// RunBatchedScenario is RunBatched with dynamic market events (driver
-// churn, rider cancellations) interleaved into the arrival stream, with
-// the same event semantics as RunScenario.
+// RunBatchedScenario simulates the day with batched dispatch: tasks are
+// grouped into consecutive windows of `window` seconds by publish time;
+// at each window's end the engine solves a maximum-weight task–driver
+// assignment over the marginal values δ_{n,m} (Eq. 14), assigning at most
+// one task per driver per batch. Margins ≤ 0 are never assigned
+// (individual rationality), and tasks that found no driver are rejected —
+// they are real-time orders and cannot wait for the next batch. Dynamic
+// market events (driver churn, rider cancellations) are interleaved into
+// the arrival stream with the same semantics as RunScenario; pass nil for
+// a day without them.
 func (e *Engine) RunBatchedScenario(tasks []model.Task, events []model.MarketEvent, window float64) Result {
 	r := e.newEventRun(tasks, events, true)
 	newBatcher(r, window)

@@ -12,7 +12,7 @@ func TestBatchedSingleTask(t *testing.T) {
 	d := []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: minutes(120)}}
 	tk := task(0, 1, 3, minutes(1), minutes(15), minutes(25), 10)
 	e := mustEngine(t, d)
-	res := e.RunBatched([]model.Task{tk}, 30)
+	res := e.RunBatchedScenario([]model.Task{tk}, nil, 30)
 	if res.Served != 1 {
 		t.Fatalf("served = %d, want 1", res.Served)
 	}
@@ -37,7 +37,7 @@ func TestBatchedGloballyBetterThanGreedyChoice(t *testing.T) {
 	a := task(0, 0, 2, minutes(1), minutes(20), minutes(30), 10)
 	b := task(1, 1, 3, minutes(1.5), minutes(20), minutes(30), 10)
 	e := mustEngine(t, drivers)
-	res := e.RunBatched([]model.Task{a, b}, 120)
+	res := e.RunBatchedScenario([]model.Task{a, b}, nil, 120)
 	if res.Served != 2 {
 		t.Fatalf("served = %d, want 2 (one task per driver per batch)", res.Served)
 	}
@@ -56,7 +56,7 @@ func TestBatchedOneTaskPerDriverPerBatch(t *testing.T) {
 		task(2, 0, 1, minutes(1.4), minutes(60), minutes(65), 10),
 	}
 	e := mustEngine(t, d)
-	res := e.RunBatched(tasks, 120)
+	res := e.RunBatchedScenario(tasks, nil, 120)
 	if res.Served != 1 {
 		t.Fatalf("served = %d, want 1 within a single batch", res.Served)
 	}
@@ -78,7 +78,7 @@ func TestBatchedWindowSplitsBatches(t *testing.T) {
 		task(2, 2, 3, minutes(9), minutes(60), minutes(65), 10),
 	}
 	e := mustEngine(t, d)
-	res := e.RunBatched(tasks, 10)
+	res := e.RunBatchedScenario(tasks, nil, 10)
 	if res.Served != 3 {
 		t.Fatalf("served = %d, want 3 across separate batches", res.Served)
 	}
@@ -90,10 +90,10 @@ func TestBatchedDelayCanLoseUrgentTasks(t *testing.T) {
 	d := []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: minutes(240)}}
 	urgent := task(0, 0, 1, minutes(1), minutes(2), minutes(10), 10)
 	e := mustEngine(t, d)
-	if res := e.RunBatched([]model.Task{urgent}, 600); res.Served != 0 {
+	if res := e.RunBatchedScenario([]model.Task{urgent}, nil, 600); res.Served != 0 {
 		t.Fatal("urgent task should be lost to batching delay")
 	}
-	if res := e.Run([]model.Task{urgent}, pickFirst{}); res.Served != 1 {
+	if res := e.RunScenario([]model.Task{urgent}, nil, pickFirst{}); res.Served != 1 {
 		t.Fatal("instant dispatch should serve the urgent task")
 	}
 }
@@ -105,7 +105,7 @@ func TestBatchedProfitNonNegativePerDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eng.RunBatched(tr.Tasks, 60)
+	res := eng.RunBatchedScenario(tr.Tasks, nil, 60)
 	for i, p := range res.PerDriverProfit {
 		if p < -1e-6 {
 			t.Fatalf("driver %d profit %.6f < 0 (matching assigned a non-positive margin?)", i, p)
@@ -120,7 +120,7 @@ func TestBatchedPanicsOnBadWindow(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	e.RunBatched(nil, 0)
+	e.RunBatchedScenario(nil, nil, 0)
 }
 
 func TestBatchAlgorithmString(t *testing.T) {

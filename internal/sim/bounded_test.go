@@ -279,7 +279,7 @@ func TestBoundedRowsEqualFullRows(t *testing.T) {
 		e := diffEngine(t, cfg.Market, tr.Drivers, 1, realTime, src)
 		a := auditRows(t, e, src)
 		got := e.RunBatchedScenario(tr.Tasks, events, 120)
-		want := diffEngine(t, cfg.Market, tr.Drivers, 1, realTime, nil).RunBatchedScenario(tr.Tasks, events, 120)
+		want := diffEngine(t, cfg.Market, tr.Drivers, 1, realTime, &ScanSource{}).RunBatchedScenario(tr.Tasks, events, 120)
 		diffResults(t, fmt.Sprintf("realTime=%v", realTime), want, got)
 		auditIndex(t, fmt.Sprintf("realTime=%v", realTime), e)
 		if a.pruned == 0 || a.short == 0 || got.Served == 0 {
@@ -359,7 +359,7 @@ func TestBoundedRowsTieWindow(t *testing.T) {
 		ks = append(ks, k)
 	}
 	a := auditRows(t, e, src, ks...)
-	e.RunBatched([]model.Task{order(0, 0, 1)}, 30)
+	e.RunBatchedScenario([]model.Task{order(0, 0, 1)}, nil, 30)
 	if a.windows != 1 {
 		t.Fatalf("%d windows audited, want 1", a.windows)
 	}
@@ -383,8 +383,8 @@ func TestBoundedRowsTieWindow(t *testing.T) {
 			src := NewGridSource(nil)
 			e := diffEngine(t, mkt, fleet, 1, realTime, src)
 			a := auditRows(t, e, src)
-			got := e.RunBatched(day, 30)
-			want := diffEngine(t, mkt, fleet, 1, realTime, nil).RunBatched(day, 30)
+			got := e.RunBatchedScenario(day, nil, 30)
+			want := diffEngine(t, mkt, fleet, 1, realTime, &ScanSource{}).RunBatchedScenario(day, nil, 30)
 			diffResults(t, fmt.Sprintf("k=%d realTime=%v", k, realTime), want, got)
 			auditIndex(t, fmt.Sprintf("k=%d realTime=%v", k, realTime), e)
 			if a.windows != 2 || a.rows != 2*k || got.Served == 0 {
@@ -490,7 +490,7 @@ func TestRoadRowsScoreFewer(t *testing.T) {
 			src = fullRowsOnly{src}
 		}
 		e := diffEngine(t, mkt, fleet, 1, false, src)
-		res := e.RunBatched(tasks, 60)
+		res := e.RunBatchedScenario(tasks, nil, 60)
 		auditIndex(t, fmt.Sprintf("bounded=%v", bounded), e)
 		return grid.WalkStats(), res
 	}
@@ -881,8 +881,8 @@ func FuzzBoundedRows(f *testing.F) {
 		src := NewGridSource(geo.NewGrid(fuzzBox, 1+int(in.byte())%6, 1+int(in.byte())%6))
 		e := diffEngine(t, mkt, fleet, 1, realTime, src)
 		auditRows(t, e, src, k)
-		got := e.RunBatched(orders, window)
-		want := diffEngine(t, mkt, fleet, 1, realTime, nil).RunBatched(orders, window)
+		got := e.RunBatchedScenario(orders, nil, window)
+		want := diffEngine(t, mkt, fleet, 1, realTime, &ScanSource{}).RunBatchedScenario(orders, nil, window)
 		diffResults(t, "fuzzed batched day", want, got)
 		auditIndex(t, "fuzzed batched day", e)
 	})

@@ -99,7 +99,7 @@ func (diffRandom) Choose(_ model.Task, cands []Candidate, rng *rand.Rand) int {
 // only ever shrink the work, never the candidate set.
 
 // diffEngine builds one column of a differential: an engine over the
-// given inputs and candidate source (nil is the scan).
+// given inputs and candidate source.
 func diffEngine(t *testing.T, mkt model.Market, drivers []model.Driver, seed int64, realTime bool, src CandidateSource) *Engine {
 	t.Helper()
 	e, err := New(mkt, drivers, seed)
@@ -117,7 +117,7 @@ func runPair(t *testing.T, mkt model.Market, drivers []model.Driver, seed int64,
 	realTime bool, grid *geo.Grid, run func(e *Engine) Result) (scan, indexed Result) {
 	t.Helper()
 	ge := diffEngine(t, mkt, drivers, seed, realTime, NewGridSource(grid))
-	scan, indexed = run(diffEngine(t, mkt, drivers, seed, realTime, nil)), run(ge)
+	scan, indexed = run(diffEngine(t, mkt, drivers, seed, realTime, &ScanSource{})), run(ge)
 	auditIndex(t, "indexed engine", ge)
 	return scan, indexed
 }
@@ -128,7 +128,7 @@ func runPair(t *testing.T, mkt model.Market, drivers []model.Driver, seed int64,
 func diffForms(t *testing.T, label string, mkt model.Market, drivers []model.Driver, seed int64,
 	realTime bool, grid *geo.Grid, d Dispatcher, run func(e *Engine, d Dispatcher) Result) {
 	t.Helper()
-	se := diffEngine(t, mkt, drivers, seed, realTime, nil)
+	se := diffEngine(t, mkt, drivers, seed, realTime, &ScanSource{})
 	scan := run(se, d)
 	for _, form := range forms(d) {
 		ge := diffEngine(t, mkt, drivers, seed, realTime, NewGridSource(grid))
@@ -192,7 +192,7 @@ func TestGridSourceMatchesScan(t *testing.T) {
 							label := fmt.Sprintf("seed=%d n=%d model=%v rt=%v grid=%s",
 								seed, nDrivers, dm, realTime, gname)
 							diffForms(t, label, cfg.Market, tr.Drivers, seed, realTime, mk(), d,
-								func(e *Engine, d Dispatcher) Result { return e.Run(tr.Tasks, d) })
+								func(e *Engine, d Dispatcher) Result { return e.RunScenario(tr.Tasks, nil, d) })
 						}
 					}
 				}
@@ -221,11 +221,11 @@ func TestGridSourceMatchesScanByValueAndBatched(t *testing.T) {
 		diffResults(t, fmt.Sprintf("seed=%d by-value", seed), scan, indexed)
 
 		scan, indexed = runPair(t, cfg.Market, tr.Drivers, seed, false, nil,
-			func(e *Engine) Result { return e.RunBatched(tr.Tasks, 30) })
+			func(e *Engine) Result { return e.RunBatchedScenario(tr.Tasks, nil, 30) })
 		diffResults(t, fmt.Sprintf("seed=%d batched", seed), scan, indexed)
 
 		scan, indexed = runPair(t, cfg.Market, tr.Drivers, seed, false, nil,
-			func(e *Engine) Result { return e.RunReplan(tr.Tasks, 60) })
+			func(e *Engine) Result { return e.RunReplanScenario(tr.Tasks, nil, 60) })
 		diffResults(t, fmt.Sprintf("seed=%d replan", seed), scan, indexed)
 	}
 }
@@ -247,7 +247,7 @@ func TestGridSourceMatchesScanWithSpeedOverrides(t *testing.T) {
 		}
 		for _, d := range []Dispatcher{diffMaxMargin{}, diffNearest{}} {
 			diffForms(t, fmt.Sprintf("seed=%d speed-overrides", seed), cfg.Market, tr.Drivers, seed, false, nil, d,
-				func(e *Engine, d Dispatcher) Result { return e.Run(tr.Tasks, d) })
+				func(e *Engine, d Dispatcher) Result { return e.RunScenario(tr.Tasks, nil, d) })
 		}
 	}
 }
@@ -309,7 +309,7 @@ func TestGridSourcePanicsOnFarGrid(t *testing.T) {
 		}
 	}()
 	e.SetCandidateSource(NewGridSource(equatorial))
-	e.Run(tr.Tasks, diffMaxMargin{})
+	e.RunScenario(tr.Tasks, nil, diffMaxMargin{})
 }
 
 // TestCoverageMatchesCosineForm: the band test Bind and Added take first
@@ -357,20 +357,26 @@ func TestCoverageMatchesCosineForm(t *testing.T) {
 	}
 }
 
-// TestSetCandidateSourceNilRestoresScan guards the seam's default.
-func TestSetCandidateSourceNilRestoresScan(t *testing.T) {
+// TestDefaultSourceIsGrid guards the seam's default: New binds the
+// indexed source every service runs, and SetCandidateSource(nil) binds
+// one again, not the scan it replaced.
+func TestDefaultSourceIsGrid(t *testing.T) {
 	cfg := trace.NewConfig(31, 60, 10, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
 	e, err := New(cfg.Market, tr.Drivers, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetCandidateSource(NewGridSource(nil))
-	e.SetCandidateSource(nil)
-	if _, ok := e.source.(*ScanSource); !ok {
-		t.Fatalf("source after SetCandidateSource(nil) is %T, want *ScanSource", e.source)
+	if _, ok := e.source.(*GridSource); !ok {
+		t.Fatalf("source after New is %T, want *GridSource", e.source)
 	}
-	res := e.Run(tr.Tasks, diffMaxMargin{})
+	e.SetCandidateSource(&ScanSource{})
+	e.SetCandidateSource(nil)
+	if _, ok := e.source.(*GridSource); !ok {
+		t.Fatalf("source after SetCandidateSource(nil) is %T, want *GridSource", e.source)
+	}
+	res := e.RunScenario(tr.Tasks, nil, diffMaxMargin{})
+	auditIndex(t, "after SetCandidateSource(nil)", e)
 	if res.Served+res.Rejected != len(tr.Tasks) {
 		t.Fatalf("run after source swap lost tasks: %d+%d != %d", res.Served, res.Rejected, len(tr.Tasks))
 	}

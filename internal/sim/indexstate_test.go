@@ -84,7 +84,7 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 			}
 			return e, st
 		}
-		_, base := open(nil, diffNearest{})
+		_, base := open(&ScanSource{}, diffNearest{})
 		applyItems(t, base, tr.Tasks, feed)
 		want, err := base.Finish()
 		if err != nil {
@@ -149,7 +149,7 @@ func TestAddedDriverFasterThanFleet(t *testing.T) {
 		src CandidateSource
 		d   Dispatcher
 	}{
-		"scan":            {nil, diffMaxMargin{}},
+		"scan":            {&ScanSource{}, diffMaxMargin{}},
 		"indexed":         {NewGridSource(nil), diffMaxMargin{}},
 		"bounded margin":  {NewGridSource(nil), rankedMaxMargin{}},
 		"bounded arrival": {NewGridSource(nil), rankedNearest{}},
@@ -249,7 +249,7 @@ func TestAddedDriversPolewardOfGrid(t *testing.T) {
 	// the source laid out again: a bound kept from the southern one would
 	// skip northern winners.
 	for _, d := range []Dispatcher{diffRandom{}, diffMaxMargin{}, diffNearest{}} {
-		scan := day(nil, d)
+		scan := day(&ScanSource{}, d)
 		northern := 0
 		for _, n := range scan.PerDriverTasks[len(south.Drivers):] {
 			northern += n

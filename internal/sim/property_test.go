@@ -52,9 +52,9 @@ func TestQuickSimulationConservation(t *testing.T) {
 			return true
 		}
 
-		return check(eng.Run(tr.Tasks, localMaxMargin{})) &&
-			check(eng.RunBatched(tr.Tasks, 60)) &&
-			check(eng.RunReplan(tr.Tasks, 120))
+		return check(eng.RunScenario(tr.Tasks, nil, localMaxMargin{})) &&
+			check(eng.RunBatchedScenario(tr.Tasks, nil, 60)) &&
+			check(eng.RunReplanScenario(tr.Tasks, nil, 120))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestQuickNoOverlappingService(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res := eng.Run(tr.Tasks, localMaxMargin{})
+		res := eng.RunScenario(tr.Tasks, nil, localMaxMargin{})
 		for _, path := range res.DriverPaths {
 			for i := 1; i < len(path); i++ {
 				prev, cur := tr.Tasks[path[i-1]], tr.Tasks[path[i]]

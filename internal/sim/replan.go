@@ -26,19 +26,15 @@ import (
 // sorts after every arrival at t, so it always sees the full demand
 // published up to and including t.
 
-// RunReplan simulates the day under rolling-horizon re-optimization.
-// period controls the flush grid that re-examines deferred tasks after
-// arrivals go quiet; re-planning itself is triggered by every arrival,
-// so accepted customers get an answer with no added latency.
-func (e *Engine) RunReplan(tasks []model.Task, period float64) Result {
-	return e.RunReplanScenario(tasks, nil, period)
-}
-
-// RunReplanScenario is RunReplan with dynamic market events: retired
-// drivers drop out of every subsequent snapshot, mid-day joiners enter
-// it from their join time, and cancelled pending tasks leave the pool
-// (an assigned-but-not-picked-up cancellation frees the driver for the
-// next round, with the same revocation semantics as RunScenario).
+// RunReplanScenario simulates the day under rolling-horizon
+// re-optimization. period controls the flush grid that re-examines
+// deferred tasks after arrivals go quiet; re-planning itself is triggered
+// by every arrival, so accepted customers get an answer with no added
+// latency. Dynamic market events (nil for none): retired drivers drop out
+// of every subsequent snapshot, mid-day joiners enter it from their join
+// time, and cancelled pending tasks leave the pool (an
+// assigned-but-not-picked-up cancellation frees the driver for the next
+// round, with the same revocation semantics as RunScenario).
 func (e *Engine) RunReplanScenario(tasks []model.Task, events []model.MarketEvent, period float64) Result {
 	// A NaN period would schedule no flush at all and an infinite one
 	// would never leave the flush-grid loop below; the CLI validates the

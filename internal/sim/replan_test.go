@@ -31,7 +31,7 @@ func TestReplanSingleTask(t *testing.T) {
 	d := []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: minutes(120)}}
 	tk := task(0, 1, 3, minutes(1), minutes(15), minutes(25), 10)
 	e := mustEngine(t, d)
-	res := e.RunReplan([]model.Task{tk}, 120)
+	res := e.RunReplanScenario([]model.Task{tk}, nil, 120)
 	if res.Served != 1 {
 		t.Fatalf("served = %d, want 1", res.Served)
 	}
@@ -50,7 +50,7 @@ func TestReplanChainsTasks(t *testing.T) {
 		task(2, 2, 3, minutes(3), minutes(80), minutes(85), 10),
 	}
 	e := mustEngine(t, d)
-	res := e.RunReplan(tasks, 300)
+	res := e.RunReplanScenario(tasks, nil, 300)
 	if res.Served != 3 {
 		t.Fatalf("served = %d, want all 3 chained", res.Served)
 	}
@@ -65,7 +65,7 @@ func TestReplanExpiredTasksRejected(t *testing.T) {
 	d := []model.Driver{{ID: 0, Source: at(30), Dest: at(30), Start: 0, End: minutes(240)}}
 	unreachable := task(0, 0, 1, minutes(1), minutes(5), minutes(10), 10)
 	e := mustEngine(t, d)
-	res := e.RunReplan([]model.Task{unreachable}, 60)
+	res := e.RunReplanScenario([]model.Task{unreachable}, nil, 60)
 	if res.Served != 0 || res.Rejected != 1 {
 		t.Fatalf("served=%d rejected=%d, want 0,1", res.Served, res.Rejected)
 	}
@@ -78,7 +78,7 @@ func TestReplanAccountingConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eng.RunReplan(tr.Tasks, 120)
+	res := eng.RunReplanScenario(tr.Tasks, nil, 120)
 	if res.Served+res.Rejected != len(tr.Tasks) {
 		t.Fatalf("served %d + rejected %d != %d", res.Served, res.Rejected, len(tr.Tasks))
 	}
@@ -114,8 +114,8 @@ func TestReplanBeatsInstantHeuristics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replan += eng.RunReplan(tr.Tasks, 60).TotalProfit
-		mm += eng.Run(tr.Tasks, localMaxMargin{}).TotalProfit
+		replan += eng.RunReplanScenario(tr.Tasks, nil, 60).TotalProfit
+		mm += eng.RunScenario(tr.Tasks, nil, localMaxMargin{}).TotalProfit
 	}
 	if replan < mm {
 		t.Fatalf("replan aggregate %.2f below maxMargin %.2f", replan, mm)
@@ -133,14 +133,14 @@ func TestReplanPanicsOnBadPeriod(t *testing.T) {
 					t.Errorf("period %g: expected panic", period)
 				}
 			}()
-			e.RunReplan(nil, period)
+			e.RunReplanScenario(nil, nil, period)
 		}()
 	}
 }
 
 func TestReplanEmptyTasks(t *testing.T) {
 	e := mustEngine(t, []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: 100}})
-	res := e.RunReplan(nil, 60)
+	res := e.RunReplanScenario(nil, nil, 60)
 	if res.Served != 0 || res.Rejected != 0 {
 		t.Fatalf("empty day: %+v", res)
 	}

@@ -93,7 +93,7 @@ func roadNetworkMetricDifferential(t *testing.T, rows, cols int) (chRouter, altR
 		alt   bool // route with the ALT kernel instead of CH
 		batch bool // install the one-to-many scoring hook
 	}
-	scan := func() CandidateSource { return nil }
+	scan := func() CandidateSource { return &ScanSource{} }
 	indexed := func() CandidateSource { return NewGridSource(nil) }
 	variants := []variant{
 		{"scan", scan, false, false},
@@ -363,7 +363,7 @@ func TestRoadNetworkMetricChangesOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crow := crowEng.RunBatched(tr.Tasks, 60)
+	crow := crowEng.RunBatchedScenario(tr.Tasks, nil, 60)
 
 	netMarket := crowCfg.Market
 	netMarket.Dist = router.Dist
@@ -371,7 +371,7 @@ func TestRoadNetworkMetricChangesOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := netEng.RunBatched(tr.Tasks, 60)
+	net := netEng.RunBatchedScenario(tr.Tasks, nil, 60)
 
 	if crow.Served == 0 || net.Served == 0 {
 		t.Fatalf("degenerate day: crow served %d, net served %d", crow.Served, net.Served)

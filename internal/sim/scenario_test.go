@@ -21,7 +21,7 @@ func TestScenarioRetireStopsNewAssignments(t *testing.T) {
 	b := task(1, 2, 3, minutes(30), minutes(60), minutes(80), 10)
 	e := mustEngine(t, d)
 
-	plain := e.Run([]model.Task{a, b}, pickFirst{})
+	plain := e.RunScenario([]model.Task{a, b}, nil, pickFirst{})
 	if plain.Served != 2 {
 		t.Fatalf("baseline served %d, want 2", plain.Served)
 	}
@@ -50,7 +50,7 @@ func TestScenarioJoinHidesDriverUntilAnnounced(t *testing.T) {
 	join := []model.MarketEvent{{At: minutes(10), Kind: model.EventJoin, Driver: 0}}
 	e := mustEngine(t, d)
 
-	upfront := e.Run([]model.Task{early, late}, pickFirst{})
+	upfront := e.RunScenario([]model.Task{early, late}, nil, pickFirst{})
 	if upfront.Served != 2 {
 		t.Fatalf("upfront roster served %d, want 2 (pre-shift pre-assignment is legal)", upfront.Served)
 	}
@@ -80,7 +80,7 @@ func TestScenarioJoinHidesDriverUntilAnnounced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := eng.Run(tr.Tasks, diffNearest{})
+	plain := eng.RunScenario(tr.Tasks, nil, diffNearest{})
 	announced := eng.RunScenario(tr.Tasks, joins, diffNearest{})
 	if !reflect.DeepEqual(plain, announced) {
 		t.Fatal("join events at time zero changed the simulation result")
@@ -248,7 +248,7 @@ func TestClockAdvancesMonotonically(t *testing.T) {
 	e := mustEngine(t, d)
 	clk := &recordingClock{}
 	e.Clock = clk
-	e.Run(tasks, pickFirst{})
+	e.RunScenario(tasks, nil, pickFirst{})
 	if len(clk.tos) != 2 {
 		t.Fatalf("clock advanced %d times across 3 distinct arrival times, want 2", len(clk.tos))
 	}
@@ -279,7 +279,7 @@ func TestScenarioChurnDegradesService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := e.Run(tr.Tasks, diffMaxMargin{})
+	base := e.RunScenario(tr.Tasks, nil, diffMaxMargin{})
 	heavy := e.RunScenario(tr.Tasks, trace.WithChurn(tr, trace.ChurnConfig{
 		Seed: 7, RetireFraction: 0.8, CancelFraction: 0.4,
 	}), diffMaxMargin{})

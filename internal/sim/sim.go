@@ -267,6 +267,13 @@ type Engine struct {
 // error if the inputs fail validation. It builds no run state: every
 // entry point that reads it — Run*, NewStream, NewBatchedStream and
 // RestoreStream — builds its own, and binds the candidate source then.
+//
+// The engine binds a GridSource, the indexed source every service runs.
+// Its pre-filter is exact only for a market metric that never returns
+// less than 0.9 × the crow-fly (equirectangular) distance, as every
+// metric in this repository does; a metric that undercuts it silently
+// loses feasible drivers. Bind a ScanSource through SetCandidateSource
+// for any other metric.
 func New(m model.Market, drivers []model.Driver, seed int64) (*Engine, error) {
 	if err := model.ValidateAll(m, drivers, nil); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -278,7 +285,7 @@ func New(m model.Market, drivers []model.Driver, seed int64) (*Engine, error) {
 		rng:     rand.New(src),
 		seed:    seed,
 		rngSrc:  src,
-		source:  &ScanSource{},
+		source:  &GridSource{},
 	}, nil
 }
 
@@ -341,12 +348,12 @@ func (e *Engine) SeekRNG(n uint64) {
 }
 
 // SetCandidateSource swaps the engine's candidate generation strategy.
-// Passing nil restores the default linear scan. The source is bound —
-// its indexes built, once — at the start of the next Run*, NewStream or
-// RestoreStream, so it may be set at any time between runs.
+// Passing nil restores the default, a fresh GridSource. The source is
+// bound — its indexes built, once — at the start of the next Run*,
+// NewStream or RestoreStream, so it may be set at any time between runs.
 func (e *Engine) SetCandidateSource(src CandidateSource) {
 	if src == nil {
-		src = &ScanSource{}
+		src = &GridSource{}
 	}
 	e.source = src
 }
@@ -371,21 +378,15 @@ func (e *Engine) resetAbsent(absent []int, timeKeyed bool) {
 	e.source.Bind(e)
 }
 
-// Run processes the tasks in publish order through the dispatcher and
-// returns the aggregated result. The engine resets its state first, so
-// one engine can run several dispatchers in sequence; tasks are not
-// mutated. It is RunScenario with no dynamic events.
-func (e *Engine) Run(tasks []model.Task, d Dispatcher) Result {
-	return e.RunScenario(tasks, nil, d)
-}
-
-// RunScenario simulates the day under instant dispatch with dynamic
-// market events interleaved into the arrival stream: drivers joining
-// and retiring mid-day, riders cancelling before pickup. Events are
-// validated against the inputs (indices are positions in the slices,
-// as in model.Trace); invalid scenarios panic, as they are static
-// test/experiment inputs. A nil or empty event slice reproduces Run
-// exactly.
+// RunScenario processes the tasks in publish order through the
+// dispatcher under instant dispatch and returns the aggregated result.
+// The engine resets its state first, so one engine can run several
+// dispatchers in sequence; tasks are not mutated. Dynamic market events
+// are interleaved into the arrival stream: drivers joining and retiring
+// mid-day, riders cancelling before pickup. Events are validated against
+// the inputs (indices are positions in the slices, as in model.Trace);
+// invalid scenarios panic, as they are static test/experiment inputs.
+// Pass nil for a day without them.
 func (e *Engine) RunScenario(tasks []model.Task, events []model.MarketEvent, d Dispatcher) Result {
 	r := e.newEventRun(tasks, events, true)
 	r.d = d

@@ -61,7 +61,7 @@ func TestSingleTaskServed(t *testing.T) {
 	d := []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: minutes(120)}}
 	tk := task(0, 1, 3, minutes(1), minutes(10), minutes(20), 10)
 	e := mustEngine(t, d)
-	res := e.Run([]model.Task{tk}, pickFirst{})
+	res := e.RunScenario([]model.Task{tk}, nil, pickFirst{})
 	if res.Served != 1 || res.Rejected != 0 {
 		t.Fatalf("served=%d rejected=%d, want 1, 0", res.Served, res.Rejected)
 	}
@@ -80,7 +80,7 @@ func TestUnreachablePickupRejected(t *testing.T) {
 	d := []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: minutes(240)}}
 	tk := task(0, 30, 31, minutes(1), minutes(10), minutes(30), 10)
 	e := mustEngine(t, d)
-	res := e.Run([]model.Task{tk}, pickFirst{})
+	res := e.RunScenario([]model.Task{tk}, nil, pickFirst{})
 	if res.Served != 0 || res.Rejected != 1 {
 		t.Fatalf("served=%d rejected=%d, want 0, 1", res.Served, res.Rejected)
 	}
@@ -92,7 +92,7 @@ func TestReturnHomeEnforced(t *testing.T) {
 	d := []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: minutes(30)}}
 	tk := task(0, 1, 20, minutes(1), minutes(2), minutes(25), 50)
 	e := mustEngine(t, d)
-	res := e.Run([]model.Task{tk}, pickFirst{})
+	res := e.RunScenario([]model.Task{tk}, nil, pickFirst{})
 	if res.Served != 0 {
 		t.Fatalf("task served despite violating the driver's end-of-shift return")
 	}
@@ -104,12 +104,12 @@ func TestShiftNotStartedYet(t *testing.T) {
 	d := []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: minutes(60), End: minutes(240)}}
 	ok := task(0, 5, 6, minutes(5), minutes(70), minutes(90), 10)
 	e := mustEngine(t, d)
-	if res := e.Run([]model.Task{ok}, pickFirst{}); res.Served != 1 {
+	if res := e.RunScenario([]model.Task{ok}, nil, pickFirst{}); res.Served != 1 {
 		t.Fatal("task after shift start should be served")
 	}
 	// Same task but pickup deadline minute 30 < shift start + travel.
 	tooEarly := task(0, 5, 6, minutes(5), minutes(30), minutes(90), 10)
-	if res := e.Run([]model.Task{tooEarly}, pickFirst{}); res.Served != 0 {
+	if res := e.RunScenario([]model.Task{tooEarly}, nil, pickFirst{}); res.Served != 0 {
 		t.Fatal("task before shift start should be rejected")
 	}
 }
@@ -122,7 +122,7 @@ func TestLockedDriverQueuesNextTask(t *testing.T) {
 	a := task(0, 0, 10, minutes(0), minutes(1), minutes(15), 20)
 	b := task(1, 10, 12, minutes(5), minutes(30), minutes(45), 10)
 	e := mustEngine(t, d)
-	res := e.Run([]model.Task{a, b}, pickFirst{})
+	res := e.RunScenario([]model.Task{a, b}, nil, pickFirst{})
 	if res.Served != 2 {
 		t.Fatalf("served=%d, want 2 (locked driver must be a candidate via post-finish state)", res.Served)
 	}
@@ -142,11 +142,11 @@ func TestRealTimeModeBeatsDeadlineMode(t *testing.T) {
 	b := task(1, 10, 11, minutes(5), minutes(30), minutes(70), 10)
 
 	e := mustEngine(t, d)
-	if res := e.Run([]model.Task{a, b}, pickFirst{}); res.Served != 1 {
+	if res := e.RunScenario([]model.Task{a, b}, nil, pickFirst{}); res.Served != 1 {
 		t.Fatalf("deadline mode served %d, want 1 (driver locked until t̄+)", res.Served)
 	}
 	e.RealTime = true
-	if res := e.Run([]model.Task{a, b}, pickFirst{}); res.Served != 2 {
+	if res := e.RunScenario([]model.Task{a, b}, nil, pickFirst{}); res.Served != 2 {
 		t.Fatalf("real-time mode served %d, want 2 via early finish", res.Served)
 	}
 }
@@ -158,7 +158,7 @@ func TestDropoffDeadlineEnforced(t *testing.T) {
 	// = 10 min, but EndBy at minute 12 < 15.
 	tk := task(0, 5, 15, 0, minutes(10), minutes(12), 10)
 	e := mustEngine(t, d)
-	if res := e.Run([]model.Task{tk}, pickFirst{}); res.Served != 0 {
+	if res := e.RunScenario([]model.Task{tk}, nil, pickFirst{}); res.Served != 0 {
 		t.Fatal("task violating dropoff deadline should be rejected")
 	}
 }
@@ -170,7 +170,7 @@ func TestRejectAllDispatcher(t *testing.T) {
 		task(1, 1, 2, minutes(2), minutes(12), minutes(22), 5),
 	}
 	e := mustEngine(t, d)
-	res := e.Run(tasks, rejectAll{})
+	res := e.RunScenario(tasks, nil, rejectAll{})
 	if res.Served != 0 || res.Rejected != 2 {
 		t.Fatalf("served=%d rejected=%d, want 0, 2", res.Served, res.Rejected)
 	}
@@ -194,7 +194,7 @@ func TestMarginFormula(t *testing.T) {
 		got = cands[0].Margin
 		return -1
 	})
-	e.Run([]model.Task{tk}, probe)
+	e.RunScenario([]model.Task{tk}, nil, probe)
 	if math.Abs(got-0) > 1e-6 {
 		t.Fatalf("margin = %.6f, want 0", got)
 	}
@@ -245,7 +245,7 @@ func TestArrivalComputation(t *testing.T) {
 		arr = cands[0].Arrival
 		return -1
 	})
-	e.Run([]model.Task{tk}, probe)
+	e.RunScenario([]model.Task{tk}, nil, probe)
 	if math.Abs(arr-minutes(8)) > 1 {
 		t.Fatalf("arrival = %.1f s, want ≈ %1.f s", arr, minutes(8))
 	}
@@ -265,7 +265,7 @@ func TestProfitAccountingConservation(t *testing.T) {
 		tasks = append(tasks, task(i, float64(i%8), float64((i+3)%8), start-minutes(5), start, start+minutes(20), p))
 	}
 	e := mustEngine(t, d)
-	res := e.Run(tasks, pickFirst{})
+	res := e.RunScenario(tasks, nil, pickFirst{})
 
 	var profitSum, revSum float64
 	for i := range d {
@@ -295,7 +295,7 @@ func TestRunByValueOrdersDescendingPrice(t *testing.T) {
 	rich := task(1, 1, 2, minutes(2), minutes(10), minutes(20), 50)
 	e := mustEngine(t, d)
 
-	inOrder := e.Run([]model.Task{cheap, rich}, pickFirst{})
+	inOrder := e.RunScenario([]model.Task{cheap, rich}, nil, pickFirst{})
 	if _, ok := inOrder.Assignment[0]; !ok {
 		t.Fatal("publish order should serve the earlier (cheap) task first")
 	}
@@ -338,8 +338,8 @@ func TestEngineResetBetweenRuns(t *testing.T) {
 		task(1, 3, 5, minutes(2), minutes(40), minutes(60), 10),
 	}
 	e := mustEngine(t, d)
-	r1 := e.Run(tasks, pickFirst{})
-	r2 := e.Run(tasks, pickFirst{})
+	r1 := e.RunScenario(tasks, nil, pickFirst{})
+	r2 := e.RunScenario(tasks, nil, pickFirst{})
 	if r1.Served != r2.Served || math.Abs(r1.TotalProfit-r2.TotalProfit) > 1e-12 {
 		t.Fatalf("runs differ: %+v vs %+v", r1.Served, r2.Served)
 	}
@@ -385,9 +385,10 @@ func TestFreshEngine(t *testing.T) {
 	if src.e != nil || src.ix != nil {
 		t.Fatal("SetCandidateSource bound the source")
 	}
+	drawn.SetCandidateSource(&ScanSource{})
 
-	want := drawn.Run(tr.Tasks, diffRandom{})
-	got := sought.Run(tr.Tasks, diffRandom{})
+	want := drawn.RunScenario(tr.Tasks, nil, diffRandom{})
+	got := sought.RunScenario(tr.Tasks, nil, diffRandom{})
 	diffResults(t, "sought, indexed", want, got)
 	if drawn.RNGDraws() != sought.RNGDraws() || drawn.RNGDraws() == 7 {
 		t.Fatalf("%d draws on the drawn engine, %d on the sought one: want equal, and a day that draws", drawn.RNGDraws(), sought.RNGDraws())

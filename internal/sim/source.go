@@ -10,10 +10,9 @@ import (
 )
 
 // This file holds the two CandidateSource implementations. ScanSource is
-// the reference: the exact per-driver feasibility loop of Algorithms 3–4,
-// and the engine's default. GridSource — the one indexed source, which
-// dispatch.New and `rideshare simulate` always bind — puts a
-// spatial.Index between the task and that loop: only drivers inside the
+// the reference: the exact per-driver feasibility loop of Algorithms 3–4.
+// GridSource — the one indexed source, and the one sim.New binds — puts
+// a spatial.Index between the task and that loop: only drivers inside the
 // max-speed reachability radius of the pickup are checked exactly. The
 // pre-filter is conservative — it never drops a driver the scan would
 // accept — and every list leaves the source in ascending driver order,

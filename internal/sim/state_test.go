@@ -84,14 +84,18 @@ func TestStreamStateRoundTrip(t *testing.T) {
 	modes := []mode{{"instant", false}, {"batched", true}}
 	for _, m := range modes {
 		for _, shards := range []int{1, 2, 4} {
+			src := func() CandidateSource {
+				if shards > 1 {
+					return NewShardedSource(shards)
+				}
+				return &ScanSource{}
+			}
 			mk := func() (*Stream, error) {
 				e, err := New(cfg.Market, tr.Drivers, 7)
 				if err != nil {
 					return nil, err
 				}
-				if shards > 1 {
-					e.SetCandidateSource(NewShardedSource(shards))
-				}
+				e.SetCandidateSource(src())
 				if m.batched {
 					return e.NewBatchedStream(45, BatchHungarian, fleet)
 				}
@@ -133,9 +137,7 @@ func TestStreamStateRoundTrip(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if shards > 1 {
-						e2.SetCandidateSource(NewShardedSource(shards))
-					}
+					e2.SetCandidateSource(src())
 					var restored *Stream
 					if m.batched {
 						restored, err = e2.RestoreStream(&back, nil, 45)

@@ -114,7 +114,7 @@ func TestBatchedStreamBitIdenticalToRunBatched(t *testing.T) {
 					if shards > 1 {
 						return NewShardedSource(shards)
 					}
-					return nil
+					return &ScanSource{}
 				}
 				be, err := New(cfg.Market, tr.Drivers, 7)
 				if err != nil {

@@ -94,7 +94,7 @@ func TestStreamReplayBitIdenticalToRunScenario(t *testing.T) {
 		name string
 		mk   func() CandidateSource
 	}{
-		{"scan", func() CandidateSource { return nil }},
+		{"scan", func() CandidateSource { return &ScanSource{} }},
 		{"grid", func() CandidateSource { return NewGridSource(nil) }},
 		{"sharded-1", func() CandidateSource { return NewShardedSource(1) }},
 		{"sharded-2", func() CandidateSource { return NewShardedSource(2) }},
@@ -159,7 +159,7 @@ func TestStreamDynamicDriverAppend(t *testing.T) {
 		name string
 		mk   func() CandidateSource
 	}{
-		{"scan", func() CandidateSource { return nil }},
+		{"scan", func() CandidateSource { return &ScanSource{} }},
 		{"grid", func() CandidateSource { return NewGridSource(nil) }},
 		{"sharded-4", func() CandidateSource { return NewShardedSource(4) }},
 	} {

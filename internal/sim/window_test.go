@@ -36,13 +36,19 @@ func runBatchedWith(t *testing.T, cfg trace.Config, drivers []model.Driver, task
 	if err != nil {
 		t.Fatal(err)
 	}
-	if indexed {
-		e.SetCandidateSource(NewGridSource(nil))
-	}
+	e.SetCandidateSource(sourceOf(indexed))
 	if dense {
 		e.windowOracle = e.closeBatchDense
 	}
 	return e.RunBatchedScenario(tasks, events, window)
+}
+
+// sourceOf is the indexed source, or the scan it is held to.
+func sourceOf(indexed bool) CandidateSource {
+	if indexed {
+		return NewGridSource(nil)
+	}
+	return &ScanSource{}
 }
 
 // TestSparseWindowsMatchDenseOracle sweeps randomized days — quiet and
@@ -105,9 +111,7 @@ func TestWindowWorkerIndependence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if indexed {
-					se.SetCandidateSource(NewGridSource(nil))
-				}
+				se.SetCandidateSource(sourceOf(indexed))
 				se.MatchWorkers = workers
 				if got := se.RunBatchedScenario(tr.Tasks, events, 45); !reflect.DeepEqual(base, got) {
 					t.Errorf("%s: batch drain diverged from the scan", label)
@@ -244,7 +248,7 @@ func TestWindowSolversAgreePerWindow(t *testing.T) {
 				ties++
 			}
 		}
-		res := e.RunBatched(tr.Tasks, 180)
+		res := e.RunBatchedScenario(tr.Tasks, nil, 180)
 		if windows == 0 {
 			t.Fatalf("seed=%d: no windows audited", seed)
 		}

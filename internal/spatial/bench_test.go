@@ -10,10 +10,10 @@ import (
 )
 
 // Micro-benchmarks for the ring queries on the candidate-generation hot
-// path: Near (pure radius) and NearReachable (radius plus availability
-// pruning), at fleet sizes where the bucketed expansion either touches
-// a handful of cells or degenerates toward a scan. CI runs these at
-// -benchtime 1x as a bit-rot smoke.
+// path: NearReachable (radius plus availability pruning), at fleet sizes
+// where the bucketed expansion either touches a handful of cells or
+// degenerates toward a scan. CI runs these at -benchtime 1x as a bit-rot
+// smoke.
 
 // benchIndex builds an index of n points spread over the Porto box,
 // with availability windows staggered so NearReachable prunes roughly
@@ -47,17 +47,6 @@ func benchIndex(n int) (*Index, []geo.Point) {
 func BenchmarkRingQueries(b *testing.B) {
 	for _, n := range []int{1000, 10000, 50000} {
 		ix, queries := benchIndex(n)
-		for _, radius := range []float64{0.5, 2, 8} {
-			b.Run(fmt.Sprintf("near/n=%d/r=%.1fkm", n, radius), func(b *testing.B) {
-				b.ReportAllocs()
-				hits := 0
-				for i := 0; i < b.N; i++ {
-					q := queries[i%len(queries)]
-					ix.Near(q, radius, func(int) { hits++ })
-				}
-				_ = hits
-			})
-		}
 		b.Run(fmt.Sprintf("near-reachable/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			hits := 0

@@ -168,22 +168,6 @@ func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now,
 
 func abs(x int) int { return max(x, -x) }
 
-func (m *twin) near(ix *Index, p geo.Point, radiusKm float64) []int {
-	var out []int
-	if radiusKm < 0 {
-		return out
-	}
-	qx, qy := ix.Project(p)
-	limit := radiusKm / Safety
-	for id := range m.loc {
-		px, py := ix.Project(m.loc[id])
-		if dx, dy := px-qx, py-qy; m.present[id] && dx*dx+dy*dy <= limit*limit {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // checkInvariants verifies the structure the queries rely on: every
 // present id sits in the cell of its location at its recorded slot with
 // the twin's payload, and the region that slot lies in is one the twin's
@@ -376,11 +360,10 @@ func runIndexOps(t testing.TB, data []byte, expire bool) Stats {
 			p, speed, byTime, now, minRetire := r.point(), float64(r.byte()%90), r.time(), r.time(), r.time()
 			got := ix.AppendReachable([]int{-7}, p, speed, byTime, now, minRetire)
 			equal("AppendReachable", got, append([]int{-7}, m.reachable(ix, p, speed, byTime, now, minRetire)...))
-		case 9:
+		case 9: // window query reaching radius km from time 0, every retirement let through: a negative radius is refused
 			p, radius := r.point(), float64(r.byte())/8-1
-			var got []int
-			ix.Near(p, radius, func(id int) { got = append(got, id) })
-			equal("Near", got, m.near(ix, p, radius))
+			got := ix.AppendReachable(nil, p, 3600, radius, 0, math.Inf(-1))
+			equal("AppendReachable", got, m.reachable(ix, p, 3600, radius, 0, math.Inf(-1)))
 		case 10: // window query, cursor form
 			p, speed, byTime, now, minRetire := r.point(), float64(r.byte()%90), r.time(), r.time(), r.time()
 			skipEvery, fill := int(r.byte()%4), float64(r.byte())
@@ -569,14 +552,6 @@ func TestSetSpanReopens(t *testing.T) {
 	ix.SetSpan(1, 240, 900) // ride cancelled, free again
 	if got := query(260, 250); !slices.Equal(got, []int{0, 1}) {
 		t.Fatalf("at 250 after re-opening: %v, want [0 1]", got)
-	}
-	// Near never looked at windows, and still does not.
-	ix.SetSpan(0, math.Inf(1), math.Inf(-1))
-	ix.Expire(1000)
-	var near []int
-	ix.Near(p, 1, func(id int) { near = append(near, id) })
-	if !slices.Equal(near, []int{0, 1}) {
-		t.Fatalf("Near: %v, want [0 1]", near)
 	}
 }
 

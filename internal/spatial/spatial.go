@@ -31,8 +31,8 @@
 // per-entry predicate is unchanged, so the two regions only hold
 // entries it would reject.
 //
-// A query answers in one of two shapes. The forms that return ids (Near,
-// NearReachable, AppendReachable) walk the square the way memory lies,
+// A query answers in one of two shapes. The forms that return ids
+// (NearReachable, AppendReachable) walk the square the way memory lies,
 // row by row, collect the accepted ids in a bitmap over the id space and
 // sweep it in ascending order, so no caller sorts. The Cursor form
 // (Reachable) gives the walk to a caller that is after an extremum and
@@ -658,21 +658,6 @@ func (ix *Index) swap(cl *cell, i, j int32) {
 	ix.slot[cl.ents[i].ID], ix.slot[cl.ents[j].ID] = i, j
 }
 
-// Near calls visit, in ascending id order, for every point whose
-// equirectangular distance to p, scaled by Safety, is within radiusKm —
-// a superset of the points truly within radiusKm. Availability windows
-// are ignored: parked and expired points are visited like live ones.
-func (ix *Index) Near(p geo.Point, radiusKm float64, visit func(id int)) {
-	if radiusKm < 0 {
-		return
-	}
-	limit := radiusKm / Safety
-	ix.ids = ix.collect(ix.ids[:0], p, radiusKm, scan{limitSq: limit * limit})
-	for _, id := range ix.ids {
-		visit(id)
-	}
-}
-
 // NearReachable calls visit for every point AppendReachable would
 // return, in the same ascending order.
 func (ix *Index) NearReachable(p geo.Point, speedKmh, byTime, now, minRetire float64, visit func(id int)) {
@@ -712,7 +697,7 @@ func (ix *Index) windowScan(speedKmh, byTime, now, minRetire float64) (s scan, r
 		ix.horizon = min(byTime, math.MaxFloat64)
 	}
 	return scan{
-		windows: true, dormant: !(minRetire >= ix.watermark),
+		dormant:  !(minRetire >= ix.watermark),
 		speedKmh: speedKmh, byTime: byTime, now: now, minRetire: minRetire,
 	}, speedKmh * (byTime - now) / 3600, true
 }
@@ -864,21 +849,12 @@ func orInf(homeKm float64) float64 {
 }
 
 // scan is one query's per-entry predicate: the reachability test of
-// AppendReachable when windows is set, else the plain radius test of
-// Near against limitSq. dormant makes a window scan read every region of
-// a cell (see Expire).
+// AppendReachable. dormant makes it read every region of a cell (see
+// Expire).
 type scan struct {
-	windows, dormant                 bool
+	dormant                          bool
 	qx, qy                           float64
-	limitSq                          float64
 	speedKmh, byTime, now, minRetire float64
-}
-
-// within and Reach are the two predicates, each small enough for the
-// compiler to inline into the scan loop.
-func (s *scan) within(e *Entry) bool {
-	dx, dy := e.PX-s.qx, e.PY-s.qy
-	return dx*dx+dy*dy <= s.limitSq
 }
 
 // Reach is a window query's predicate, the one AppendReachable applies.
@@ -924,7 +900,7 @@ func (ix *Index) collect(buf []int, p geo.Point, ringRadiusKm float64, s scan) [
 		for at := row*cols + max(ccol-rings, 0); at <= row*cols+min(ccol+rings, cols-1); at++ {
 			cl := &ix.cells[at]
 			ents := cl.ents
-			if s.windows && !s.dormant {
+			if !s.dormant {
 				if ix.behind(cl) {
 					ix.settle(cl)
 				}
@@ -932,13 +908,7 @@ func (ix *Index) collect(buf []int, p geo.Point, ringRadiusKm float64, s scan) [
 			}
 			for i := range ents {
 				e := &ents[i]
-				accepted := false
-				if s.windows {
-					_, accepted = s.Reach(e)
-				} else {
-					accepted = s.within(e)
-				}
-				if !accepted {
+				if _, ok := s.Reach(e); !ok {
 					continue
 				}
 				w := int(e.ID >> 6)

@@ -3,7 +3,6 @@ package spatial
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"unsafe"
 
@@ -28,12 +27,11 @@ func randomPoints(rng *rand.Rand, n int, box geo.BoundingBox) []geo.Point {
 	return pts
 }
 
-// collect gathers Near's visit set in sorted order.
+// collect is a radius query in the window form: from time 0 at
+// 3 600 km/h a point reaches radiusKm kilometres by time radiusKm, and
+// no point's window has been narrowed, so distance alone decides.
 func collect(ix *Index, p geo.Point, radiusKm float64) []int {
-	var ids []int
-	ix.Near(p, radiusKm, func(id int) { ids = append(ids, id) })
-	sort.Ints(ids)
-	return ids
+	return ix.AppendReachable(nil, p, 3600, radiusKm, 0, math.Inf(-1))
 }
 
 // TestNearConservative is the index's core contract: no point within the

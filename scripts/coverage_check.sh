@@ -47,7 +47,10 @@ check ./dispatch 96.0
 check ./internal/matching 98.5
 # The oracle rail's solver stack, floored when the offline-optimum PR
 # landed (lp 93.9, bound 94.1, offline 93.8 at the time; bound 94.7
-# without its component fan-out, floor kept).
+# without its component fan-out, floor kept). Held when the
+# arc-formulation MILP and lp's branch-and-bound were deleted: lp 94.4
+# with direct tests of its range panics and unknown-value strings (92.6
+# without them), bound 94.4.
 check ./internal/lp 93.0
 check ./internal/bound 93.0
 check ./internal/offline 93.0
