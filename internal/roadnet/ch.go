@@ -22,8 +22,11 @@ import (
 // A hierarchy only ever serves graphs too large for the Router's
 // all-pairs table, so it has one query path per shape: Query is the
 // bidirectional point-to-point search (queryPTP), and the batches are
-// an exhaustive search on the shared side (forward / backward) probed
-// once per pair (probeBackward / probeForward).
+// an exhaustive search on the shared side (chSide.exhaust) probed once
+// per pair from the other side (chSide.probe). The two directions are
+// one search over one side type: a forward side climbs Hierarchy.fwd
+// from the source, a backward side Hierarchy.bwd from the target, and
+// every search takes whichever it is handed.
 //
 // Bit-identity discipline: the rest of the repository asserts that
 // every routing kernel returns distances bitwise equal to Dijkstra's.
@@ -63,19 +66,24 @@ type Hierarchy struct {
 	arcs      []chArc
 	shortcuts int
 
-	// Upward adjacency in CSR layout (offset + flat ref arrays), so the
-	// query inner loops scan contiguous memory instead of chasing
-	// per-node slice headers: fwd holds arcs u→w with rank[w] > rank[u]
-	// keyed by u; bwd holds arcs u→w with rank[u] > rank[w] keyed by w.
-	fwdOff, bwdOff []int32
-	fwdRef, bwdRef []chRef
+	// The two upward search graphs: fwd holds arcs u→w with rank[w] >
+	// rank[u] keyed by u; bwd holds arcs u→w with rank[u] > rank[w] keyed
+	// by w.
+	fwd, bwd chGraph
 
 	pool sync.Pool // *chScratch
 }
 
-// fwdAt / bwdAt return a node's upward adjacency slice.
-func (h *Hierarchy) fwdAt(x int32) []chRef { return h.fwdRef[h.fwdOff[x]:h.fwdOff[x+1]] }
-func (h *Hierarchy) bwdAt(x int32) []chRef { return h.bwdRef[h.bwdOff[x]:h.bwdOff[x+1]] }
+// chGraph is one upward search graph in CSR layout (offset + flat ref
+// arrays), so the search's inner loop scans contiguous memory instead of
+// chasing per-node slice headers.
+type chGraph struct {
+	off []int32
+	ref []chRef
+}
+
+// at returns node x's upward adjacency slice.
+func (g *chGraph) at(x int32) []chRef { return g.ref[g.off[x]:g.off[x+1]] }
 
 // witnessSettleCap bounds each witness search during preprocessing. An
 // inconclusive search just inserts a (possibly redundant) shortcut,
@@ -217,40 +225,41 @@ func BuildHierarchy(g *Graph) *Hierarchy {
 	}
 
 	h.arcs = b.arcs
-	// Two counting passes build the CSR adjacency with refs in arc-index
-	// order per node (deterministic, same order appends would give).
-	h.fwdOff = make([]int32, n+1)
-	h.bwdOff = make([]int32, n+1)
-	for idx := range h.arcs {
+	// Every arc climbs one way: u→w is forward from u when w ranks above
+	// u, else backward from w. Two counting passes lay out both graphs
+	// with each node's refs in arc-index order (deterministic, the order
+	// appends would give).
+	climb := func(idx int) (g *chGraph, key int32, ref chRef) {
 		a := &h.arcs[idx]
 		if h.rank[a.from] < h.rank[a.to] {
-			h.fwdOff[a.from+1]++
-		} else {
-			h.bwdOff[a.to+1]++
+			return &h.fwd, a.from, chRef{node: a.to, arc: int32(idx), km: a.km}
 		}
+		return &h.bwd, a.to, chRef{node: a.from, arc: int32(idx), km: a.km}
 	}
-	for i := 0; i < n; i++ {
-		h.fwdOff[i+1] += h.fwdOff[i]
-		h.bwdOff[i+1] += h.bwdOff[i]
+	graphs := []*chGraph{&h.fwd, &h.bwd}
+	for _, g := range graphs {
+		g.off = make([]int32, n+1)
 	}
-	h.fwdRef = make([]chRef, h.fwdOff[n])
-	h.bwdRef = make([]chRef, h.bwdOff[n])
-	fNext := make([]int32, n)
-	bNext := make([]int32, n)
 	for idx := range h.arcs {
-		a := &h.arcs[idx]
-		ref := chRef{arc: int32(idx), km: a.km}
-		if h.rank[a.from] < h.rank[a.to] {
-			ref.node = a.to
-			h.fwdRef[h.fwdOff[a.from]+fNext[a.from]] = ref
-			fNext[a.from]++
-		} else {
-			ref.node = a.from
-			h.bwdRef[h.bwdOff[a.to]+bNext[a.to]] = ref
-			bNext[a.to]++
-		}
+		g, key, _ := climb(idx)
+		g.off[key+1]++
 	}
-	h.pool.New = func() any { return newCHScratch(n) }
+	for _, g := range graphs {
+		for i := 0; i < n; i++ {
+			g.off[i+1] += g.off[i]
+		}
+		g.ref = make([]chRef, g.off[n])
+	}
+	for idx := range h.arcs {
+		g, key, ref := climb(idx)
+		g.ref[g.off[key]] = ref
+		g.off[key]++ // key's start walks to its end: key+1's start
+	}
+	for _, g := range graphs {
+		copy(g.off[1:], g.off[:n]) // every start one slot back
+		g.off[0] = 0
+	}
+	h.pool.New = func() any { return newCHScratch(h) }
 	return h
 }
 
@@ -399,189 +408,129 @@ func (b *chBuilder) markContracted(v int32) {
 	}
 }
 
-// chScratch is one query's working set: epoch-stamped distance/parent
-// arrays and a heap for each of the forward and backward upward
-// searches, plus the unpacking buffers. Borrowed from the hierarchy's
-// pool so concurrent queries never share state.
+// chScratch is one query's working set: the forward side (f, climbing
+// Hierarchy.fwd from the source) and the backward side (b, climbing
+// Hierarchy.bwd from the target), plus the unpacking buffers. Borrowed
+// from the hierarchy's pool so concurrent queries never share state.
 type chScratch struct {
-	distF, distB []float64
-	parF, parB   []int32
-	labF, labB   []uint32
-	doneF, doneB []uint32
-	epF, epB     uint32
-	heapF, heapB chHeap
-	chain        []int32 // parent-walk buffer (arc indices)
-	stack        []int32 // shortcut-expansion stack
+	f, b  chSide
+	chain []int32 // parent-walk buffer (arc indices)
+	stack []int32 // shortcut-expansion stack
 }
 
-func newCHScratch(n int) *chScratch {
-	return &chScratch{
-		distF: make([]float64, n), distB: make([]float64, n),
-		parF: make([]int32, n), parB: make([]int32, n),
-		labF: make([]uint32, n), labB: make([]uint32, n),
-		doneF: make([]uint32, n), doneB: make([]uint32, n),
+// chSide is one upward search: epoch-stamped labels (lab: reached, done:
+// settled) with distance and parent arc per node, its queue, and the
+// upward graph it climbs. dist[x] is the CH weight of the best up-path
+// from the side's source to x — for a backward side, of the best
+// down-path x → target.
+type chSide struct {
+	up   chGraph
+	dist []float64
+	par  []int32
+	lab  []uint32
+	done []uint32
+	ep   uint32
+	heap chHeap
+}
+
+func newCHScratch(h *Hierarchy) *chScratch {
+	n := len(h.rank)
+	side := func(up chGraph) chSide {
+		return chSide{up: up, dist: make([]float64, n), par: make([]int32, n),
+			lab: make([]uint32, n), done: make([]uint32, n)}
 	}
+	return &chScratch{f: side(h.fwd), b: side(h.bwd)}
 }
 
 func (h *Hierarchy) scratch() *chScratch { return h.pool.Get().(*chScratch) }
 
-// forward runs the upward search from u to exhaustion, recording
+// start opens a new search from src under a fresh epoch.
+func (s *chSide) start(src int32) {
+	s.ep++
+	s.heap = s.heap[:0]
+	s.dist[src] = 0
+	s.par[src] = -1
+	s.lab[src] = s.ep
+	s.heap.push(chHeapItem{dist: 0, node: src})
+}
+
+// relax labels x's upward neighbours through x wherever that improves
+// them, and queues those whose new key is below limit.
+func (s *chSide) relax(x int32, limit float64) {
+	// Locals, because a push writes through s and the compiler would
+	// reload every field after it. dist[x] holds still: an upward arc
+	// never returns to x.
+	dist, lab, par, ep := s.dist, s.lab, s.par, s.ep
+	dx := dist[x]
+	for _, e := range s.up.at(x) {
+		nd := dx + e.km
+		if lab[e.node] != ep || nd < dist[e.node] {
+			lab[e.node] = ep
+			dist[e.node] = nd
+			par[e.node] = e.arc
+			if nd < limit {
+				s.heap.push(chHeapItem{dist: nd, node: e.node})
+			}
+		}
+	}
+}
+
+// exhaust runs the upward search from src to exhaustion, recording
 // distance and parent arc for every settled node. The settled set is
-// the "bucket" side of one-to-many batches: probeBackward scans it by
+// the "bucket" side of a batch: the other side's probes scan it by
 // array lookup.
-func (h *Hierarchy) forward(sc *chScratch, u int32) {
-	sc.epF++
-	sc.heapF = sc.heapF[:0]
-	sc.distF[u] = 0
-	sc.parF[u] = -1
-	sc.labF[u] = sc.epF
-	sc.heapF.push(chHeapItem{dist: 0, node: u})
-	for len(sc.heapF) > 0 {
-		it := sc.heapF.pop()
-		x := it.node
-		if sc.doneF[x] == sc.epF {
+func (s *chSide) exhaust(src int32) {
+	s.start(src)
+	for len(s.heap) > 0 {
+		x := s.heap.pop().node
+		if s.done[x] == s.ep {
 			continue
 		}
-		sc.doneF[x] = sc.epF
-		for _, e := range h.fwdAt(x) {
-			nd := sc.distF[x] + e.km
-			if sc.labF[e.node] != sc.epF || nd < sc.distF[e.node] {
-				sc.labF[e.node] = sc.epF
-				sc.distF[e.node] = nd
-				sc.parF[e.node] = e.arc
-				sc.heapF.push(chHeapItem{dist: nd, node: e.node})
-			}
-		}
+		s.done[x] = s.ep
+		s.relax(x, math.Inf(1))
 	}
 }
 
-// backward is forward's mirror: the upward search from v over the
-// reverse graph, i.e. distB[x] = CH weight of the best down-path x→v.
-func (h *Hierarchy) backward(sc *chScratch, v int32) {
-	sc.epB++
-	sc.heapB = sc.heapB[:0]
-	sc.distB[v] = 0
-	sc.parB[v] = -1
-	sc.labB[v] = sc.epB
-	sc.heapB.push(chHeapItem{dist: 0, node: v})
-	for len(sc.heapB) > 0 {
-		it := sc.heapB.pop()
-		x := it.node
-		if sc.doneB[x] == sc.epB {
-			continue
-		}
-		sc.doneB[x] = sc.epB
-		for _, e := range h.bwdAt(x) {
-			nd := sc.distB[x] + e.km
-			if sc.labB[e.node] != sc.epB || nd < sc.distB[e.node] {
-				sc.labB[e.node] = sc.epB
-				sc.distB[e.node] = nd
-				sc.parB[e.node] = e.arc
-				sc.heapB.push(chHeapItem{dist: nd, node: e.node})
-			}
-		}
-	}
-}
-
-// probeBackward runs the backward upward search from v against a
-// prepared forward search (see forward), returning the unpacked,
-// re-accumulated distance of the best meeting path — bitwise equal to
-// Dijkstra from the forward search's source to v — or +Inf when the
-// cones never meet (v unreachable).
-func (h *Hierarchy) probeBackward(sc *chScratch, v int32) float64 {
-	sc.epB++
-	sc.heapB = sc.heapB[:0]
+// probe runs the upward search from src against other, which exhaust
+// has prepared, and returns the node where the best meeting path turns
+// (-1 when the cones never meet). other is only read, so it serves the
+// batch's next probe as it stands.
+func (s *chSide) probe(other *chSide, src int32) (meet int32) {
+	s.start(src)
 	best := math.Inf(1)
-	meet := int32(-1)
-	sc.distB[v] = 0
-	sc.parB[v] = -1
-	sc.labB[v] = sc.epB
-	sc.heapB.push(chHeapItem{dist: 0, node: v})
-	for len(sc.heapB) > 0 {
-		it := sc.heapB.pop()
-		x := it.node
-		if sc.doneB[x] == sc.epB {
+	meet = -1
+	for len(s.heap) > 0 {
+		x := s.heap.pop().node
+		if s.done[x] == s.ep {
 			continue
 		}
-		sc.doneB[x] = sc.epB
-		if sc.distB[x] >= best {
+		s.done[x] = s.ep
+		if s.dist[x] >= best {
 			break // keys only grow; no later meet can improve
 		}
-		if sc.doneF[x] == sc.epF {
-			if cand := sc.distF[x] + sc.distB[x]; cand < best {
+		if other.done[x] == other.ep {
+			if cand := s.dist[x] + other.dist[x]; cand < best {
 				best = cand
 				meet = x
 			}
 		}
-		for _, e := range h.bwdAt(x) {
-			nd := sc.distB[x] + e.km
-			if sc.labB[e.node] != sc.epB || nd < sc.distB[e.node] {
-				sc.labB[e.node] = sc.epB
-				sc.distB[e.node] = nd
-				sc.parB[e.node] = e.arc
-				sc.heapB.push(chHeapItem{dist: nd, node: e.node})
-			}
-		}
+		s.relax(x, math.Inf(1))
 	}
-	if meet < 0 {
-		return math.Inf(1)
-	}
-	return h.unpack(sc, meet)
-}
-
-// probeForward is probeBackward's mirror for many-to-one batches: a
-// forward upward search from u against a prepared backward search,
-// returning the unpacked distance u → (backward source).
-func (h *Hierarchy) probeForward(sc *chScratch, u int32) float64 {
-	sc.epF++
-	sc.heapF = sc.heapF[:0]
-	best := math.Inf(1)
-	meet := int32(-1)
-	sc.distF[u] = 0
-	sc.parF[u] = -1
-	sc.labF[u] = sc.epF
-	sc.heapF.push(chHeapItem{dist: 0, node: u})
-	for len(sc.heapF) > 0 {
-		it := sc.heapF.pop()
-		x := it.node
-		if sc.doneF[x] == sc.epF {
-			continue
-		}
-		sc.doneF[x] = sc.epF
-		if sc.distF[x] >= best {
-			break
-		}
-		if sc.doneB[x] == sc.epB {
-			if cand := sc.distF[x] + sc.distB[x]; cand < best {
-				best = cand
-				meet = x
-			}
-		}
-		for _, e := range h.fwdAt(x) {
-			nd := sc.distF[x] + e.km
-			if sc.labF[e.node] != sc.epF || nd < sc.distF[e.node] {
-				sc.labF[e.node] = sc.epF
-				sc.distF[e.node] = nd
-				sc.parF[e.node] = e.arc
-				sc.heapF.push(chHeapItem{dist: nd, node: e.node})
-			}
-		}
-	}
-	if meet < 0 {
-		return math.Inf(1)
-	}
-	return h.unpack(sc, meet)
+	return meet
 }
 
 // unpack walks the winning up-down path through meet, expands every
 // shortcut to its original edges, and re-accumulates the edge weights
 // left-associatively in path order — the float operations Dijkstra
-// itself would have performed along this path.
+// itself would have performed along this path. A meet of -1 is +Inf.
 func (h *Hierarchy) unpack(sc *chScratch, meet int32) float64 {
+	if meet < 0 {
+		return math.Inf(1)
+	}
 	// Forward half: the parent walk discovers arcs tip-first, so stage
 	// them and fold in reverse (source → meet order).
 	sc.chain = sc.chain[:0]
-	for a := sc.parF[meet]; a >= 0; a = sc.parF[h.arcs[a].from] {
+	for a := sc.f.par[meet]; a >= 0; a = sc.f.par[h.arcs[a].from] {
 		sc.chain = append(sc.chain, a)
 	}
 	d := 0.0
@@ -589,7 +538,7 @@ func (h *Hierarchy) unpack(sc *chScratch, meet int32) float64 {
 		d = h.foldArc(sc, sc.chain[i], d)
 	}
 	// Backward half: the parent walk already runs meet → target.
-	for a := sc.parB[meet]; a >= 0; a = sc.parB[h.arcs[a].to] {
+	for a := sc.b.par[meet]; a >= 0; a = sc.b.par[h.arcs[a].to] {
 		d = h.foldArc(sc, a, d)
 	}
 	return d
@@ -626,97 +575,43 @@ func (h *Hierarchy) Query(u, v int) float64 {
 }
 
 // queryPTP is the point-to-point kernel: both upward searches run
-// interleaved (strictly alternating, for determinism) and each stops as
-// soon as its next key cannot beat the best meeting found — unlike the
-// one-to-many path, neither side runs to exhaustion. Meeting checks use
-// the other side's tentative label; tentative values only overestimate,
-// so best stays achievable and the optimal meet is re-checked with
-// final values when its second settle lands. The winning path is
-// unpacked and re-accumulated like every other query.
+// interleaved (strictly alternating, for determinism, and on the side
+// that still has a queue once one runs dry) and each stops as soon as
+// its next key cannot beat the best meeting found — unlike a batch,
+// neither side runs to exhaustion, and keys at or above best are never
+// queued. Meeting checks use the other side's tentative label;
+// tentative values only overestimate, so best stays achievable and the
+// optimal meet is re-checked with final values when its second settle
+// lands. The winning path is unpacked and re-accumulated like every
+// other query.
 func (h *Hierarchy) queryPTP(sc *chScratch, u, v int32) float64 {
-	sc.epF++
-	sc.epB++
-	sc.heapF = sc.heapF[:0]
-	sc.heapB = sc.heapB[:0]
-	sc.distF[u] = 0
-	sc.parF[u] = -1
-	sc.labF[u] = sc.epF
-	sc.heapF.push(chHeapItem{dist: 0, node: u})
-	sc.distB[v] = 0
-	sc.parB[v] = -1
-	sc.labB[v] = sc.epB
-	sc.heapB.push(chHeapItem{dist: 0, node: v})
+	sc.f.start(u)
+	sc.b.start(v)
 	best := math.Inf(1)
 	meet := int32(-1)
-	fwdTurn := true
-	for len(sc.heapF) > 0 || len(sc.heapB) > 0 {
-		dir := fwdTurn
-		if dir && len(sc.heapF) == 0 {
-			dir = false
-		} else if !dir && len(sc.heapB) == 0 {
-			dir = true
+	turn, next := &sc.f, &sc.b
+	for len(turn.heap) > 0 || len(next.heap) > 0 {
+		s, other := turn, next
+		if len(s.heap) == 0 {
+			s, other = other, s
 		}
-		fwdTurn = !fwdTurn
-		if dir {
-			it := sc.heapF.pop()
-			x := it.node
-			if sc.doneF[x] == sc.epF {
-				continue
-			}
-			if sc.distF[x] >= best {
-				sc.heapF = sc.heapF[:0] // forward side exhausted
-				continue
-			}
-			sc.doneF[x] = sc.epF
-			if sc.labB[x] == sc.epB {
-				if cand := sc.distF[x] + sc.distB[x]; cand < best {
-					best = cand
-					meet = x
-				}
-			}
-			for _, e := range h.fwdAt(x) {
-				nd := sc.distF[x] + e.km
-				if sc.labF[e.node] != sc.epF || nd < sc.distF[e.node] {
-					sc.labF[e.node] = sc.epF
-					sc.distF[e.node] = nd
-					sc.parF[e.node] = e.arc
-					if nd < best { // keys ≥ best can never settle
-						sc.heapF.push(chHeapItem{dist: nd, node: e.node})
-					}
-				}
-			}
-		} else {
-			it := sc.heapB.pop()
-			x := it.node
-			if sc.doneB[x] == sc.epB {
-				continue
-			}
-			if sc.distB[x] >= best {
-				sc.heapB = sc.heapB[:0] // backward side exhausted
-				continue
-			}
-			sc.doneB[x] = sc.epB
-			if sc.labF[x] == sc.epF {
-				if cand := sc.distF[x] + sc.distB[x]; cand < best {
-					best = cand
-					meet = x
-				}
-			}
-			for _, e := range h.bwdAt(x) {
-				nd := sc.distB[x] + e.km
-				if sc.labB[e.node] != sc.epB || nd < sc.distB[e.node] {
-					sc.labB[e.node] = sc.epB
-					sc.distB[e.node] = nd
-					sc.parB[e.node] = e.arc
-					if nd < best {
-						sc.heapB.push(chHeapItem{dist: nd, node: e.node})
-					}
-				}
+		turn, next = next, turn
+		x := s.heap.pop().node
+		if s.done[x] == s.ep {
+			continue
+		}
+		if s.dist[x] >= best {
+			s.heap = s.heap[:0] // this side is exhausted
+			continue
+		}
+		s.done[x] = s.ep
+		if other.lab[x] == other.ep {
+			if cand := s.dist[x] + other.dist[x]; cand < best {
+				best = cand
+				meet = x
 			}
 		}
-	}
-	if meet < 0 {
-		return math.Inf(1)
+		s.relax(x, best)
 	}
 	return h.unpack(sc, meet)
 }

@@ -22,7 +22,7 @@ func chTestGraphs(t *testing.T, visit func(name string, g *Graph, cfg GridConfig
 		}
 		visit("grid", g, cfg)
 	}
-	g, err := GenerateRadial(geo.PortoBox.Center(), 5, 9, 7, 1)
+	g, err := GenerateRadial(geo.PortoBox.Center(), 5, 9, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +59,39 @@ func TestCHBitwiseEqualsDijkstra(t *testing.T) {
 // search on the shared side probed once per pair, in both shapes —
 // directly against Dijkstra (Query's point-to-point search is
 // TestCHBitwiseEqualsDijkstra's), and checks that a probe leaves the
-// shared search it reads intact for the batch's next pair.
+// shared search it reads intact for the batch's next pair: its epoch,
+// and its distance and parent at both ends of the probed pair.
 func TestCHSearchKernelBitwise(t *testing.T) {
 	chTestGraphs(t, func(name string, g *Graph, _ GridConfig) {
 		h := BuildHierarchy(g)
 		sc := h.scratch()
 		defer h.pool.Put(sc)
+		// batch exhausts shared from src, probes from dst on probing, and
+		// returns the unpacked distance after checking shared is unmoved.
+		batch := func(shared, probing *chSide, src, dst int32) float64 {
+			shared.exhaust(src)
+			type label struct {
+				dist float64
+				par  int32
+			}
+			ep := shared.ep
+			ends := [2]int32{src, dst}
+			var before [2]label
+			for i, x := range ends {
+				before[i] = label{shared.dist[x], shared.par[x]}
+			}
+			d := h.unpack(sc, probing.probe(shared, dst))
+			if shared.ep != ep {
+				t.Fatalf("%s: probe from %d moved the shared search's epoch", name, dst)
+			}
+			for i, x := range ends {
+				if got := (label{shared.dist[x], shared.par[x]}); got != before[i] {
+					t.Fatalf("%s: probe from %d changed the shared search at node %d: %+v, was %+v",
+						name, dst, x, got, before[i])
+				}
+			}
+			return d
+		}
 		n := g.NumNodes()
 		for u := 0; u < n; u += 7 {
 			for v := 0; v < n; v += 5 {
@@ -73,17 +100,11 @@ func TestCHSearchKernelBitwise(t *testing.T) {
 				}
 				d0, _ := g.ShortestPath(u, v)
 				inf := math.IsInf(d0, 1)
-				h.forward(sc, int32(u))
-				fwdEp := sc.epF
-				if d2 := h.probeBackward(sc, int32(v)); d2 != d0 && !(inf && math.IsInf(d2, 1)) {
-					t.Fatalf("%s: forward+probeBackward(%d,%d) = %v, Dijkstra = %v", name, u, v, d2, d0)
+				if d2 := batch(&sc.f, &sc.b, int32(u), int32(v)); d2 != d0 && !(inf && math.IsInf(d2, 1)) {
+					t.Fatalf("%s: forward exhaust+probe(%d,%d) = %v, Dijkstra = %v", name, u, v, d2, d0)
 				}
-				if sc.epF != fwdEp {
-					t.Fatalf("%s: probeBackward disturbed the shared forward search", name)
-				}
-				h.backward(sc, int32(v))
-				if d3 := h.probeForward(sc, int32(u)); d3 != d0 && !(inf && math.IsInf(d3, 1)) {
-					t.Fatalf("%s: backward+probeForward(%d,%d) = %v, Dijkstra = %v", name, u, v, d3, d0)
+				if d3 := batch(&sc.b, &sc.f, int32(v), int32(u)); d3 != d0 && !(inf && math.IsInf(d3, 1)) {
+					t.Fatalf("%s: backward exhaust+probe(%d,%d) = %v, Dijkstra = %v", name, u, v, d3, d0)
 				}
 			}
 		}

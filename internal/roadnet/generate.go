@@ -113,7 +113,7 @@ func GenerateGrid(cfg GridConfig) (*Graph, error) {
 	// grid neighbor until the network is strongly connected. All roads
 	// are two-way, so connecting components pairwise always converges.
 	for !g.StronglyConnected() {
-		reached := g.reachableFrom(0)
+		reached := reachableFrom(g.adj, 0)
 		repaired := false
 		for r := 0; r < cfg.Rows && !repaired; r++ {
 			for c := 0; c < cfg.Cols && !repaired; c++ {
@@ -141,28 +141,10 @@ func GenerateGrid(cfg GridConfig) (*Graph, error) {
 	return g, nil
 }
 
-// reachableFrom marks nodes reachable from src along directed edges.
-func (g *Graph) reachableFrom(src int) []bool {
-	seen := make([]bool, g.NumNodes())
-	stack := []int32{int32(src)}
-	seen[src] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[u] {
-			if !seen[e.to] {
-				seen[e.to] = true
-				stack = append(stack, e.to)
-			}
-		}
-	}
-	return seen
-}
-
 // GenerateRadial builds a ring-and-spoke network (historic-city shape):
 // `rings` concentric rings crossed by `spokes` radial avenues meeting
 // at a central node.
-func GenerateRadial(center geo.Point, rings, spokes int, maxRadiusKm float64, seed int64) (*Graph, error) {
+func GenerateRadial(center geo.Point, rings, spokes int, maxRadiusKm float64) (*Graph, error) {
 	if rings < 1 || spokes < 3 {
 		return nil, fmt.Errorf("roadnet: radial needs ≥1 ring and ≥3 spokes, got %d, %d", rings, spokes)
 	}
@@ -191,7 +173,6 @@ func GenerateRadial(center geo.Point, rings, spokes int, maxRadiusKm float64, se
 			g.AddRoad(id(r, s), id(r, (s+1)%spokes), 1) // ring segments
 		}
 	}
-	_ = seed // reserved for future jitter; deterministic today
 	if !g.StronglyConnected() {
 		return nil, fmt.Errorf("roadnet: radial network not strongly connected")
 	}

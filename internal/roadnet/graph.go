@@ -11,7 +11,6 @@
 package roadnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -75,26 +74,6 @@ func (g *Graph) AddRoad(u, v int, factor float64) {
 	g.AddEdge(v, u, km)
 }
 
-// pqItem / pq implement the Dijkstra priority queue.
-type pqItem struct {
-	node int32
-	dist float64
-}
-
-type pq []pqItem
-
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 // ShortestPath runs Dijkstra from src to dst and returns the distance
 // in kilometers and the node sequence. It returns +Inf and nil when dst
 // is unreachable.
@@ -117,13 +96,12 @@ func (g *Graph) route(src, dst int, h func(int32) float64) (float64, []int) {
 	}
 	dist[src] = 0
 
-	q := pq{{node: int32(src)}}
+	q := chHeap{{node: int32(src)}}
 	if h != nil {
 		q[0].dist = h(int32(src))
 	}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
-		u := it.node
+	for len(q) > 0 {
+		u := q.pop().node
 		if done[u] {
 			continue
 		}
@@ -143,7 +121,7 @@ func (g *Graph) route(src, dst int, h func(int32) float64) (float64, []int) {
 				if h != nil {
 					key += h(e.to)
 				}
-				heap.Push(&q, pqItem{node: e.to, dist: key})
+				q.push(chHeapItem{dist: key, node: e.to})
 			}
 		}
 	}
@@ -205,44 +183,51 @@ func sweep(adj [][]halfEdge, src int32, dist []float64, h *chHeap) {
 	}
 }
 
-// StronglyConnected reports whether every node reaches every other.
-// Two BFS-style sweeps (forward from 0, and forward on the transpose)
-// suffice.
+// StronglyConnected reports whether every node reaches every other:
+// every node is reached from node 0 forward and on the transpose.
 func (g *Graph) StronglyConnected() bool {
-	n := len(g.pts)
-	if n == 0 {
+	if len(g.pts) == 0 {
 		return true
 	}
-	seen := make([]bool, n)
-	reach := func(adj [][]halfEdge) int {
-		for i := range seen {
-			seen[i] = false
-		}
-		stack := []int32{0}
-		seen[0] = true
-		count := 0
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			count++
-			for _, e := range adj[u] {
-				if !seen[e.to] {
-					seen[e.to] = true
-					stack = append(stack, e.to)
-				}
+	return all(reachableFrom(g.adj, 0)) && all(reachableFrom(transpose(g.adj), 0))
+}
+
+// reachableFrom marks the nodes reachable from src along adj's edges.
+func reachableFrom(adj [][]halfEdge, src int32) []bool {
+	seen := make([]bool, len(adj))
+	stack := []int32{src}
+	seen[src] = true
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range adj[u] {
+			if !seen[e.to] {
+				seen[e.to] = true
+				stack = append(stack, e.to)
 			}
 		}
-		return count
 	}
-	if reach(g.adj) != n {
-		return false
+	return seen
+}
+
+// all reports whether every element of seen is set.
+func all(seen []bool) bool {
+	for _, s := range seen {
+		if !s {
+			return false
+		}
 	}
-	// Transpose adjacency.
-	tr := make([][]halfEdge, n)
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
+	return true
+}
+
+// transpose returns adj with every edge reversed, each node's in-edges
+// in the order their tails appear in adj.
+func transpose(adj [][]halfEdge) [][]halfEdge {
+	tr := make([][]halfEdge, len(adj))
+	for u := range adj {
+		for _, e := range adj[u] {
 			tr[e.to] = append(tr[e.to], halfEdge{to: int32(u), km: e.km})
 		}
 	}
-	return reach(tr) == n
+	return tr
 }

@@ -104,17 +104,9 @@ func (g *Graph) DistancesTo(dst int) []float64 {
 	if dst < 0 || dst >= len(g.pts) {
 		panic("roadnet: destination out of range")
 	}
-	n := len(g.pts)
-	// Transpose adjacency once; landmark construction is offline.
-	tr := make([][]halfEdge, n)
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			tr[e.to] = append(tr[e.to], halfEdge{to: int32(u), km: e.km})
-		}
-	}
-	dist := make([]float64, n)
+	dist := make([]float64, len(g.pts))
 	var h chHeap
-	sweep(tr, int32(dst), dist, &h)
+	sweep(transpose(g.adj), int32(dst), dist, &h)
 	return dist
 }
 

@@ -183,7 +183,7 @@ func TestGridConfigValidation(t *testing.T) {
 
 func TestRadialGenerator(t *testing.T) {
 	center := geo.PortoBox.Center()
-	g, err := GenerateRadial(center, 4, 8, 5, 1)
+	g, err := GenerateRadial(center, 4, 8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +203,13 @@ func TestRadialGenerator(t *testing.T) {
 
 func TestRadialValidation(t *testing.T) {
 	center := geo.PortoBox.Center()
-	if _, err := GenerateRadial(center, 0, 8, 5, 1); err == nil {
+	if _, err := GenerateRadial(center, 0, 8, 5); err == nil {
 		t.Error("0 rings accepted")
 	}
-	if _, err := GenerateRadial(center, 2, 2, 5, 1); err == nil {
+	if _, err := GenerateRadial(center, 2, 2, 5); err == nil {
 		t.Error("2 spokes accepted")
 	}
-	if _, err := GenerateRadial(center, 2, 6, -1, 1); err == nil {
+	if _, err := GenerateRadial(center, 2, 6, -1); err == nil {
 		t.Error("negative radius accepted")
 	}
 }

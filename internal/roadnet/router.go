@@ -528,9 +528,9 @@ func (r *Router) CacheStats() (hits, misses, evictions uint64) {
 // DistManySnappedInto writes the network distances from origin to every
 // target into out, which must have at least len(targets) elements:
 // out[i] is bitwise equal to DistSnapped(origin, targets[i]). Over a
-// hierarchy the pairs that miss the route cache share one forward upward
-// search (origin's side, run when the first of them misses) and pay
-// only a small bucket-probing backward search each, so a batch beats
+// hierarchy the pairs that miss the route cache share one exhaustive
+// forward search (origin's side, run when the first of them misses) and
+// pay only a small backward probe each, so a batch beats
 // looped DistSnapped once a handful of misses share the origin; on a
 // table router, and under AlgoALT, it is the loop. Cache semantics are
 // identical to looped DistSnapped: each pair is looked up, coalesced,
@@ -545,15 +545,20 @@ func (r *Router) DistManySnappedInto(origin geo.Snap, targets []geo.Snap, out []
 		}
 		return
 	}
+	// One miss closure for the batch, reading the pair's node from a
+	// variable declared outside the loop, so no loop variable is captured.
 	var sc *chScratch
+	var to int32
+	miss := func() float64 {
+		if sc == nil {
+			sc = r.ch.scratch()
+			sc.f.exhaust(origin.Node)
+		}
+		return r.ch.unpack(sc, sc.b.probe(&sc.f, to))
+	}
 	for i, t := range targets {
-		out[i] = r.distSnapped(origin, t, func() float64 {
-			if sc == nil {
-				sc = r.ch.scratch()
-				r.ch.forward(sc, origin.Node)
-			}
-			return r.ch.probeBackward(sc, t.Node)
-		})
+		to = t.Node
+		out[i] = r.distSnapped(origin, t, miss)
 	}
 	if sc != nil {
 		r.ch.pool.Put(sc)
@@ -576,14 +581,17 @@ func (r *Router) DistManyToSnappedInto(sources []geo.Snap, dest geo.Snap, out []
 		return
 	}
 	var sc *chScratch
+	var from int32
+	miss := func() float64 {
+		if sc == nil {
+			sc = r.ch.scratch()
+			sc.b.exhaust(dest.Node)
+		}
+		return r.ch.unpack(sc, sc.f.probe(&sc.b, from))
+	}
 	for i, a := range sources {
-		out[i] = r.distSnapped(a, dest, func() float64 {
-			if sc == nil {
-				sc = r.ch.scratch()
-				r.ch.backward(sc, dest.Node)
-			}
-			return r.ch.probeForward(sc, a.Node)
-		})
+		from = a.Node
+		out[i] = r.distSnapped(a, dest, miss)
 	}
 	if sc != nil {
 		r.ch.pool.Put(sc)

@@ -179,7 +179,7 @@ func TestAStarBitwiseEqualsDijkstra(t *testing.T) {
 		}
 		check(t, g)
 	}
-	g, err := GenerateRadial(geo.PortoBox.Center(), 5, 9, 7, 1)
+	g, err := GenerateRadial(geo.PortoBox.Center(), 5, 9, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestLandmarkLowerBoundAdmissible(t *testing.T) {
 }
 
 func TestSelectLandmarksClampsAndDedups(t *testing.T) {
-	g, err := GenerateRadial(geo.PortoBox.Center(), 2, 4, 3, 1)
+	g, err := GenerateRadial(geo.PortoBox.Center(), 2, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
