@@ -351,7 +351,12 @@ func New(m Market, opts ...Option) (*Service, error) {
 // onWindowDecision records and publishes one deferred window-close
 // decision. Called by the stream with the mutex held.
 func (s *Service) onWindowDecision(dec sim.TaskDecision) {
-	id := s.taskIDs[dec.Task]
+	s.decide(s.taskIDs[dec.Task], dec)
+}
+
+// decide records, folds and publishes the final decision on task id,
+// made at submission (instant) or at a window close (batched).
+func (s *Service) decide(id int, dec sim.TaskDecision) Assignment {
 	a := Assignment{TaskID: id, DriverID: -1, DecidedAt: dec.At}
 	ev := Event{Type: EventRejected, At: dec.At, TaskID: id, DriverID: -1}
 	if dec.Assigned {
@@ -363,6 +368,7 @@ func (s *Service) onWindowDecision(dec sim.TaskDecision) {
 	s.decided[id] = a
 	s.foldDecision(a)
 	s.publish(ev)
+	return a
 }
 
 // onWindowClosed publishes the closed window's stats on the feed.
@@ -600,18 +606,7 @@ func (s *Service) SubmitTask(ctx context.Context, t Task) (Assignment, error) {
 		return a, nil
 	}
 
-	a := Assignment{TaskID: t.ID, DriverID: -1, DecidedAt: dec.At}
-	ev := Event{Type: EventRejected, At: dec.At, TaskID: t.ID, DriverID: -1}
-	if dec.Assigned {
-		a.Assigned = true
-		a.DriverID = s.driverIDs[dec.Driver]
-		a.PickupBy = dec.PickupAt
-		ev.Type, ev.DriverID = EventAssigned, a.DriverID
-	}
-	s.decided[t.ID] = a
-	s.foldDecision(a)
-	s.publish(ev)
-	return a, nil
+	return s.decide(t.ID, dec), nil
 }
 
 // Decision reports the platform's current answer for a submitted task:
@@ -838,34 +833,47 @@ func (s *Service) Close() (Stats, error) {
 	if s.closed {
 		return s.finalStats, nil
 	}
+	var jerr error
+	stats, err := s.shutdown(func() (sim.Result, error) {
+		// Durable shutdown: persist a final snapshot of the pre-finish
+		// state and journal the finish itself, so Restore rebuilds this
+		// exact moment and settles the same books; then flush and fsync
+		// the tail whatever the fsync policy. Journal failures here must
+		// not wedge shutdown — closeJournal reports them after the books
+		// settle.
+		jerr = s.journalFinish()
+		res, err := s.st.Finish()
+		if err == nil {
+			s.final = &res
+		}
+		return res, err
+	})
+	if err != nil {
+		// A finished stream under an open service is unreachable by
+		// construction; shutdown surfaces it typed rather than panicking.
+		return Stats{}, err
+	}
+	return stats, s.closeJournal(jerr)
+}
+
+// shutdown closes the service: it stops the window timer, takes the
+// books from settle, records their Stats as final and closes every
+// subscriber channel. Close settles the day; Halt only reads it.
+func (s *Service) shutdown(settle func() (sim.Result, error)) (Stats, error) {
 	if s.timer != nil {
 		s.timer.Stop()
 		s.timer = nil
 	}
-	// Durable shutdown: persist a final snapshot of the pre-finish state
-	// and journal the finish itself, so Restore rebuilds this exact
-	// moment and settles the same books; then flush and fsync the tail
-	// whatever the fsync policy. Journal failures here must not wedge
-	// shutdown — closeJournal reports them after the books settle.
-	jerr := s.journalFinish()
-	res, err := s.st.Finish()
+	res, err := settle()
 	if err != nil {
-		// A finished stream under an open service is unreachable by
-		// construction; surface it typed rather than panicking.
 		return Stats{}, simErr(err)
 	}
 	stats := s.stats(res)
-	// The stream is finished (sim.ErrFinished from here on); stats()
-	// above read the settled counters, which stay valid.
-	s.final = &res
 	s.finalStats = stats
 	s.closed = true
 	for id, sub := range s.subs {
 		close(sub.ch)
 		delete(s.subs, id)
-	}
-	if cerr := s.closeJournal(jerr); cerr != nil {
-		return stats, cerr
 	}
 	return stats, nil
 }
@@ -885,20 +893,9 @@ func (s *Service) Halt() (Stats, error) {
 	if s.closed {
 		return s.finalStats, nil
 	}
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
-	res, err := s.st.Snapshot()
+	stats, err := s.shutdown(s.st.Snapshot)
 	if err != nil {
-		return Stats{}, simErr(err)
-	}
-	stats := s.stats(res)
-	s.finalStats = stats
-	s.closed = true
-	for id, sub := range s.subs {
-		close(sub.ch)
-		delete(s.subs, id)
+		return Stats{}, err
 	}
 	var jerr error
 	if s.jr != nil {
@@ -906,8 +903,5 @@ func (s *Service) Halt() (Stats, error) {
 			jerr = fmt.Errorf("dispatch: syncing journal: %w", serr)
 		}
 	}
-	if cerr := s.closeJournal(jerr); cerr != nil {
-		return stats, cerr
-	}
-	return stats, nil
+	return stats, s.closeJournal(jerr)
 }

@@ -15,8 +15,7 @@
 package offline
 
 import (
-	"container/heap"
-
+	"repro/internal/heap"
 	"repro/internal/taskmap"
 )
 
@@ -59,19 +58,9 @@ type heapItem struct {
 	version int // graph version when the path was computed
 }
 
-type pathHeap []heapItem
-
-func (h pathHeap) Len() int            { return len(h) }
-func (h pathHeap) Less(i, j int) bool  { return h[i].path.Profit > h[j].path.Profit }
-func (h pathHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pathHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *pathHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
+// profitFirst orders the max-heap by profit alone, so equal-profit
+// paths pop in heap order.
+func profitFirst(a, b heapItem) bool { return a.path.Profit > b.path.Profit }
 
 // Greedy runs Algorithm 1 on the task map and returns the selected
 // paths. The choice sequence is exactly the paper's GA up to arbitrary
@@ -83,7 +72,7 @@ func Greedy(g *taskmap.Graph) Solution {
 	}
 
 	var sol Solution
-	h := make(pathHeap, 0, g.N())
+	h := make([]heapItem, 0, g.N())
 	version := 0
 	for n := 0; n < g.N(); n++ {
 		p := g.BestPath(n, alive, nil)
@@ -92,10 +81,10 @@ func Greedy(g *taskmap.Graph) Solution {
 			h = append(h, heapItem{path: p, version: version})
 		}
 	}
-	heap.Init(&h)
+	heap.Init(h, profitFirst)
 
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(heapItem)
+	for len(h) > 0 {
+		it := heap.Pop(&h, profitFirst)
 		if it.version != version && !allAlive(it.path.Tasks, alive) {
 			// Stale: some node on the cached path was removed.
 			// Recompute against the current graph; the recomputed
@@ -104,7 +93,7 @@ func Greedy(g *taskmap.Graph) Solution {
 			p := g.BestPath(it.path.Driver, alive, nil)
 			sol.Recomputes++
 			if p.Len() > 0 && p.Profit > 0 {
-				heap.Push(&h, heapItem{path: p, version: version})
+				heap.Push(&h, heapItem{path: p, version: version}, profitFirst)
 			}
 			continue
 		}

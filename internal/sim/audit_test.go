@@ -10,7 +10,7 @@ import (
 // state would: after a day — or in the middle of one — every driver's
 // index entry must mirror the engine, or a stale line would prune a
 // winner without any book showing why. The five places that write
-// states[i].loc or freeAt (assign, handleFree, handleJoin, AddDriver,
+// states[i].Loc or FreeAt (assign, handleFree, handleJoin, AddDriver,
 // and resetAbsent / RestoreStream through Bind) each reach the source by
 // Moved, Presence, Added or Bind; this is where a sixth that forgot to
 // would show. It does nothing for an engine on another source. The
@@ -48,27 +48,27 @@ func auditIndex(t testing.TB, label string, e *Engine) {
 	for i, d := range e.Drivers {
 		st := e.states[i]
 		en, _ := s.ix.Lookup(i)
-		if px, py := s.ix.Project(st.loc); !same(en.PX, px) || !same(en.PY, py) {
-			t.Fatalf("%s: driver %d stands at %v, her entry at (%g, %g), not (%g, %g)", label, i, st.loc, en.PX, en.PY, px, py)
+		if px, py := s.ix.Project(st.Loc); !same(en.PX, px) || !same(en.PY, py) {
+			t.Fatalf("%s: driver %d stands at %v, her entry at (%g, %g), not (%g, %g)", label, i, st.Loc, en.PX, en.PY, px, py)
 		}
-		open := same(en.FreeAt, st.freeAt) && same(en.RetireAt, d.End)
+		open := same(en.FreeAt, st.FreeAt) && same(en.RetireAt, d.End)
 		shut := same(en.FreeAt, math.Inf(1)) && same(en.RetireAt, math.Inf(-1))
 		if !open && (e.present[i] || !shut) {
-			t.Fatalf("%s: driver %d (present=%v) has the window (%g, %g), her entry (%g, %g)", label, i, e.present[i], st.freeAt, d.End, en.FreeAt, en.RetireAt)
+			t.Fatalf("%s: driver %d (present=%v) has the window (%g, %g), her entry (%g, %g)", label, i, e.present[i], st.FreeAt, d.End, en.FreeAt, en.RetireAt)
 		}
 		if hx, hy := s.ix.Project(d.Dest); !same(en.HomeX, hx) || !same(en.HomeY, hy) {
 			t.Fatalf("%s: driver %d is headed for %v, her entry for (%g, %g), not (%g, %g)", label, i, d.Dest, en.HomeX, en.HomeY, hx, hy)
 		}
-		if km := e.Market.Dist(st.loc, d.Dest); (en.HomeKm == en.HomeKm || e.Market.Batch == nil) && !same(en.HomeKm, km) {
+		if km := e.Market.Dist(st.Loc, d.Dest); (en.HomeKm == en.HomeKm || e.Market.Batch == nil) && !same(en.HomeKm, km) {
 			t.Fatalf("%s: driver %d is %g km from home, her entry says %g", label, i, km, en.HomeKm)
 		}
-		if m := &e.memo[i]; en.Node != -1 && (e.Market.Batch == nil || !m.filled || m.loc.P != st.loc || m.loc.Node != en.Node) {
-			t.Fatalf("%s: driver %d at %v has the node %d in her entry, the memo %+v", label, i, st.loc, en.Node, m.loc)
+		if m := &e.memo[i]; en.Node != -1 && (e.Market.Batch == nil || !m.filled || m.loc.P != st.Loc || m.loc.Node != en.Node) {
+			t.Fatalf("%s: driver %d at %v has the node %d in her entry, the memo %+v", label, i, st.Loc, en.Node, m.loc)
 		}
-		if open && !math.IsInf(st.freeAt, 0) {
-			s.ids = s.ix.AppendReachable(s.ids[:0], st.loc, 1, st.freeAt, st.freeAt, d.End)
+		if open && !math.IsInf(st.FreeAt, 0) {
+			s.ids = s.ix.AppendReachable(s.ids[:0], st.Loc, 1, st.FreeAt, st.FreeAt, d.End)
 			if _, found := slices.BinarySearch(s.ids, i); !found {
-				t.Fatalf("%s: driver %d, free at %g until %g, is not among the %d a query for exactly that finds where she stands", label, i, st.freeAt, d.End, len(s.ids))
+				t.Fatalf("%s: driver %d, free at %g until %g, is not among the %d a query for exactly that finds where she stands", label, i, st.FreeAt, d.End, len(s.ids))
 			}
 		}
 	}

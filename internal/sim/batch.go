@@ -108,23 +108,23 @@ func (b *batcher) open() bool { return !math.IsNaN(b.closeAt) }
 
 func (b *batcher) arrival(ev event) {
 	if !b.open() {
-		b.openedAt = ev.at
-		b.closeAt = ev.at + b.window
+		b.openedAt = ev.At
+		b.closeAt = ev.At + b.window
 		b.cancelled = 0
-		b.r.push(event{key: b.closeAt, kind: evBatchClose, at: b.closeAt})
+		b.r.push(event{Key: b.closeAt, Kind: evBatchClose, At: b.closeAt})
 	}
-	b.batch = append(b.batch, ev.idx)
+	b.batch = append(b.batch, ev.Idx)
 }
 
 func (b *batcher) close(ev event) {
 	stats := BatchStats{
 		OpenedAt:  b.openedAt,
-		ClosedAt:  ev.at,
+		ClosedAt:  ev.At,
 		Submitted: len(b.batch) + b.cancelled,
 		Cancelled: b.cancelled,
 	}
 	before := b.r.res.Rejected
-	b.r.e.closeBatch(b.r, b.batch, ev.at)
+	b.r.e.closeBatch(b.r, b.batch, ev.At)
 	stats.Rejected = b.r.res.Rejected - before
 	stats.Matched = len(b.batch) - stats.Rejected
 	b.batch = b.batch[:0]
@@ -156,14 +156,9 @@ func (b *batcher) cancelPending(ti int) bool {
 // the arrival stream with the same semantics as RunScenario; pass nil for
 // a day without them.
 func (e *Engine) RunBatchedScenario(tasks []model.Task, events []model.MarketEvent, window float64) Result {
-	r := e.newEventRun(tasks, events, true)
+	r := e.mustOpen(tasks, events, true)
 	newBatcher(r, window)
-	for i := range tasks {
-		r.add(event{key: tasks[i].Publish, kind: evArrival, seq: i, at: tasks[i].Publish, idx: i})
-	}
-	r.drain()
-	e.settle(&r.res)
-	return r.res
+	return r.day(publishKey)
 }
 
 // closeBatch solves the maximum-weight assignment for one batch at its

@@ -305,12 +305,12 @@ func TestBoundedRowsEqualFullRows(t *testing.T) {
 // Mutants this kills, each tried by hand: a bound of 1.02× the planar
 // distance in lowerKm (at k=8 near driver 10, who belongs in the row, is
 // skipped against a root she beats); a heap whose root is not the
-// ranksBefore-last element — no siftUp (the root stays driver 0 and a
-// stack driver is skipped against a margin she ties but does not trail),
-// no siftDown (a just-admitted near driver sits at the root and the
-// worst one stays in the row), a root replaced without asking
-// ranksBefore; and no exact floor (the cheap order's near drivers are
-// optimistic above 0 and exact below it). Skipping on < in place of <=,
+// ranksBefore-last element — no Fix after an append (the root stays
+// driver 0 and a stack driver is skipped against a margin she ties but
+// does not trail), no Fix after a root replacement (a just-admitted near
+// driver sits at the root and the worst one stays in the row), a root
+// replaced without asking ranksBefore; and no exact floor (the cheap
+// order's near drivers are optimistic above 0 and exact below it). Skipping on < in place of <=,
 // or on < 0 at the floor, is not a mutant: it scores the rest of the
 // stack and drops them by ranksBefore — only slower.
 func TestBoundedRowsTieWindow(t *testing.T) {

@@ -45,7 +45,7 @@ type driverSnap struct {
 	homeKm    float64 // Dist(loc.P, home.P), valid when hasHomeKm
 	hasHomeKm bool
 	filled    bool     // loc and home have been snapped at least once
-	loc, home geo.Snap // of states[i].loc and Drivers[i].Dest
+	loc, home geo.Snap // of states[i].Loc and Drivers[i].Dest
 }
 
 // resetMemo sizes an empty memo for the current fleet.
@@ -57,7 +57,7 @@ func (e *Engine) resetMemo() {
 // points it does not currently describe.
 func (e *Engine) driverSnap(b model.DistanceBatcher, i int) *driverSnap {
 	m := &e.memo[i]
-	loc, home := e.states[i].loc, e.Drivers[i].Dest
+	loc, home := e.states[i].Loc, e.Drivers[i].Dest
 	if !m.filled || m.home.P != home {
 		m.home = b.Snap(home)
 		m.hasHomeKm = false
@@ -78,7 +78,7 @@ func (e *Engine) homeKm(i int) float64 {
 	b := e.Market.Batch
 	if b == nil {
 		m := &e.memo[i]
-		if loc := e.states[i].loc; !m.hasHomeKm || m.loc.P != loc {
+		if loc := e.states[i].Loc; !m.hasHomeKm || m.loc.P != loc {
 			m.loc.P = loc
 			m.homeKm = e.Market.Dist(loc, e.Drivers[i].Dest)
 			m.hasHomeKm = true

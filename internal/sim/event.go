@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
+	"repro/internal/heap"
 	"repro/internal/model"
 )
 
@@ -19,17 +19,15 @@ import (
 // drain the same events against the same candidate *sets* produce
 // bit-identical results.
 
-// eventKind orders same-key events. The ordering is part of the
+// The event kinds order same-key events. The ordering is part of the
 // engine's semantics: at one timestamp, fleet changes (join/retire) are
 // applied first, then cancellations and the driver frees they trigger,
 // then batch closes (a batch spans [head, head+window) — an arrival at
 // exactly head+window belongs to the next batch), then arrivals, and
 // finally replan rounds (a round at t re-plans everything published
 // up to and including t).
-type eventKind int
-
 const (
-	evJoin eventKind = iota
+	evJoin = iota
 	evRetire
 	evCancel
 	evFree
@@ -38,40 +36,22 @@ const (
 	evReplan
 )
 
-// event is one queue entry. key is the drain order (the event time for
-// every time-keyed run; RunByValue keys arrivals by descending price
-// instead), at is the simulated time the event occurs, idx the task or
-// driver it concerns, and seq a stable tiebreak within (key, kind).
-type event struct {
-	key  float64
-	kind eventKind
-	seq  int
-	at   float64
-	idx  int
-}
+// event is one queue entry, kept in the form a capture writes it. Key
+// is the drain order (the event time for every time-keyed run;
+// RunByValue keys arrivals by descending price instead), At the
+// simulated time the event occurs, Idx the task or driver it concerns,
+// and Seq a stable tiebreak within (Key, Kind).
+type event = EventSnap
 
-// eventQueue is a min-heap over (key, kind, seq).
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	a, b := q[i], q[j]
-	if a.key != b.key {
-		return a.key < b.key
+// eventBefore is the queue's merge order: (Key, Kind, Seq), ascending.
+func eventBefore(a, b event) bool {
+	if a.Key != b.Key {
+		return a.Key < b.Key
 	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
 	}
-	return a.seq < b.seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+	return a.Seq < b.Seq
 }
 
 // Clock paces the event drain. The engine calls Advance as simulated
@@ -103,15 +83,6 @@ func (c ScaledClock) Advance(from, to float64) {
 	time.Sleep(time.Duration((to - from) / f * float64(time.Second)))
 }
 
-// inflightInfo snapshots a driver's state right before an assignment so
-// a later rider cancellation can revoke it.
-type inflightInfo struct {
-	driver  int
-	prev    driverState
-	arrival float64
-	task    int
-}
-
 // eventRun is the per-run state of one drain: the queue, the result
 // under construction, the cancellation bookkeeping, and the mode hooks
 // (instant dispatch, batched matching, replanning) that interpret
@@ -122,16 +93,16 @@ type eventRun struct {
 	d     Dispatcher
 	res   Result
 
-	q     eventQueue
-	seq   int // next sequence number for dynamically pushed events
+	q     []event // a min-heap under eventBefore
+	seq   int     // next sequence number for dynamically pushed events
 	cands []Candidate
 
 	started bool
 	now     float64
 
 	cancelled []bool
-	inflight  map[int]inflightInfo // task index -> snapshot, while revocable
-	revert    map[int]inflightInfo // driver -> revert to apply at its evFree
+	inflight  map[int]InflightSnap // task index -> snapshot, while revocable
+	revert    map[int]InflightSnap // driver -> revert to apply at its evFree
 
 	onArrival    func(ev event)
 	onBatchClose func(ev event)
@@ -148,13 +119,16 @@ type eventRun struct {
 	cancelPending func(ti int) bool
 }
 
-// newEventRun validates the scenario events, resets the engine with
-// join-announced drivers absent, and enqueues the churn events. The
-// caller enqueues arrivals (choosing the key) and mode triggers, then
-// calls drain.
-func (e *Engine) newEventRun(tasks []model.Task, events []model.MarketEvent, timeKeyed bool) *eventRun {
+// openRun validates the scenario events, resets the engine with
+// join-announced drivers absent, and queues the churn events, for every
+// day and every stream. The caller queues arrivals (choosing the key)
+// and mode triggers, then drains or steps.
+func (e *Engine) openRun(tasks []model.Task, events []model.MarketEvent, timeKeyed bool) (*eventRun, error) {
 	if err := model.ValidateEvents(events, e.Drivers, tasks); err != nil {
-		panic(fmt.Sprintf("sim: invalid scenario: %v", err))
+		return nil, fmt.Errorf("sim: invalid scenario: %w", err)
+	}
+	if !timeKeyed && len(events) > 0 {
+		return nil, fmt.Errorf("sim: churn events require a time-keyed run (not by-value)")
 	}
 	var absent []int
 	hasCancel := false
@@ -173,53 +147,84 @@ func (e *Engine) newEventRun(tasks []model.Task, events []model.MarketEvent, tim
 		seq:   len(tasks) + len(events),
 		res:   newResult(e),
 	}
-	if !timeKeyed && len(events) > 0 {
-		panic("sim: churn events require a time-keyed run (not by-value)")
-	}
 	for i, ev := range events {
-		var kind eventKind
-		var idx int
+		kind, idx := evJoin, ev.Driver
 		switch ev.Kind {
-		case model.EventJoin:
-			kind, idx = evJoin, ev.Driver
 		case model.EventRetire:
-			kind, idx = evRetire, ev.Driver
+			kind = evRetire
 		case model.EventCancel:
 			kind, idx = evCancel, ev.Task
 		}
-		r.q = append(r.q, event{key: ev.At, kind: kind, seq: i, at: ev.At, idx: idx})
+		r.add(event{Key: ev.At, Kind: kind, Seq: i, At: ev.At, Idx: idx})
 	}
 	if hasCancel {
-		r.cancelled = make([]bool, len(tasks))
-		r.inflight = make(map[int]inflightInfo)
-		r.revert = make(map[int]inflightInfo)
+		r.watchCancels()
+	}
+	return r, nil
+}
+
+// mustOpen is openRun for the Run* days, whose scenarios are static test
+// and experiment inputs: an invalid one panics.
+func (e *Engine) mustOpen(tasks []model.Task, events []model.MarketEvent, timeKeyed bool) *eventRun {
+	r, err := e.openRun(tasks, events, timeKeyed)
+	if err != nil {
+		panic(err.Error())
 	}
 	return r
 }
 
+// watchCancels allocates the revocation bookkeeping of a run that can
+// see a cancellation: every stream, and a day with a cancel event. Once
+// it exists, assignTask keeps an in-flight copy of every assignment.
+func (r *eventRun) watchCancels() {
+	r.cancelled = make([]bool, len(r.tasks))
+	r.inflight = make(map[int]InflightSnap)
+	r.revert = make(map[int]InflightSnap)
+}
+
+// day queues every task's arrival, drain-ordered by key, drains the
+// run and settles its books: the whole of a Run* day once its mode
+// hooks and any other events are in place. The merge order is total,
+// so the order events were queued in does not matter.
+func (r *eventRun) day(key func(model.Task) float64) Result {
+	for i, t := range r.tasks {
+		r.add(event{Key: key(t), Kind: evArrival, Seq: i, At: t.Publish, Idx: i})
+	}
+	r.drain()
+	r.e.settle(&r.res)
+	return r.res
+}
+
+// publishKey drains arrivals in publish order, the key of every
+// time-keyed run.
+func publishKey(t model.Task) float64 { return t.Publish }
+
 // add enqueues a statically built event (heap property restored by
-// drain's heap.Init).
+// init).
 func (r *eventRun) add(ev event) { r.q = append(r.q, ev) }
 
-// push enqueues an event mid-drain, preserving the heap.
-func (r *eventRun) push(ev event) {
-	ev.seq = r.seq
+// push stamps ev with the next sequence number and enqueues it,
+// preserving the heap; it returns the stamp. It is the only place a
+// dynamic event gets one.
+func (r *eventRun) push(ev event) int {
+	ev.Seq = r.seq
 	r.seq++
-	heap.Push(&r.q, ev)
+	heap.Push(&r.q, ev, eventBefore)
+	return ev.Seq
 }
 
 // init restores the heap invariant over the statically built queue.
 // Call once, after the last add and before the first step.
-func (r *eventRun) init() { heap.Init(&r.q) }
+func (r *eventRun) init() { heap.Init(r.q, eventBefore) }
 
 // step pops and handles the next event in merge order, reporting
 // whether one was processed. The batch drain and the streaming API
 // (see stream.go) are both loops over this single-event core.
 func (r *eventRun) step() bool {
-	if r.q.Len() == 0 {
+	if len(r.q) == 0 {
 		return false
 	}
-	r.handle(heap.Pop(&r.q).(event))
+	r.handle(heap.Pop(&r.q, eventBefore))
 	return true
 }
 
@@ -227,15 +232,9 @@ func (r *eventRun) step() bool {
 // its handler.
 func (r *eventRun) handle(ev event) {
 	if r.e.timeKeyed {
-		if r.started && ev.at > r.now && r.e.Clock != nil {
-			r.e.Clock.Advance(r.now, ev.at)
-		}
-		if ev.at > r.now || !r.started {
-			r.now = ev.at
-		}
-		r.started = true
+		r.advance(ev.At)
 	}
-	switch ev.kind {
+	switch ev.Kind {
 	case evJoin:
 		r.handleJoin(ev)
 	case evRetire:
@@ -253,6 +252,28 @@ func (r *eventRun) handle(ev event) {
 	}
 }
 
+// advance moves the run's clock forward to t, letting the Clock pace
+// the gap. The first call only starts the clock; moving backwards is a
+// no-op.
+func (r *eventRun) advance(t float64) {
+	if !r.started {
+		r.now, r.started = t, true
+		return
+	}
+	if t > r.now {
+		if r.e.Clock != nil {
+			r.e.Clock.Advance(r.now, t)
+		}
+		r.now = t
+	}
+}
+
+// future reports whether an event at t lies ahead of the run's clock,
+// so a stream queues it rather than handling it now.
+func (r *eventRun) future(t float64) bool {
+	return t > r.now || !r.started && t > 0
+}
+
 // drain processes every event in merge order: the batch entry points
 // are thin adapters that enqueue their whole day and drain it through
 // the same stepping core the streaming API advances incrementally.
@@ -266,13 +287,13 @@ func (r *eventRun) drain() {
 // on. Joining after the nominal shift start delays the earliest
 // departure accordingly.
 func (r *eventRun) handleJoin(ev event) {
-	i := ev.idx
+	i := ev.Idx
 	if r.e.present[i] {
 		return
 	}
 	r.e.present[i] = true
-	if st := &r.e.states[i]; st.freeAt < ev.at {
-		st.freeAt = ev.at
+	if st := &r.e.states[i]; st.FreeAt < ev.At {
+		st.FreeAt = ev.At
 	}
 	r.e.source.Presence(i, true)
 }
@@ -280,7 +301,7 @@ func (r *eventRun) handleJoin(ev event) {
 // handleRetire removes the driver from the market: no new tasks, though
 // an in-flight assignment still completes.
 func (r *eventRun) handleRetire(ev event) {
-	i := ev.idx
+	i := ev.Idx
 	if !r.e.present[i] {
 		return
 	}
@@ -303,7 +324,7 @@ func (r *eventRun) handleRetire(ev event) {
 // as too late and the ride proceeds — the simplification is noted in
 // DESIGN.md.
 func (r *eventRun) handleCancel(ev event) {
-	ti := ev.idx
+	ti := ev.Idx
 	if r.isCancelled(ti) {
 		return
 	}
@@ -317,7 +338,7 @@ func (r *eventRun) handleCancel(ev event) {
 		return
 	}
 	info, ok := r.inflight[ti]
-	if !ok || info.arrival <= ev.at {
+	if !ok || info.Arrival <= ev.At {
 		return // picked up already (or superseded): too late to cancel
 	}
 	if path := r.res.DriverPaths[drv]; len(path) == 0 || path[len(path)-1] != ti {
@@ -326,7 +347,7 @@ func (r *eventRun) handleCancel(ev event) {
 	r.cancelled[ti] = true
 	r.res.Cancelled++
 	r.revert[drv] = info
-	r.push(event{key: ev.at, kind: evFree, at: ev.at, idx: drv})
+	r.push(event{Key: ev.At, Kind: evFree, At: ev.At, Idx: drv})
 }
 
 // handleFree applies a pending revocation: the driver's pre-assignment
@@ -336,23 +357,23 @@ func (r *eventRun) handleCancel(ev event) {
 // location. The aborted deadhead's fuel is not charged; the engine's
 // cost model only meters committed trips.
 func (r *eventRun) handleFree(ev event) {
-	info, ok := r.revert[ev.idx]
+	info, ok := r.revert[ev.Idx]
 	if !ok {
 		return
 	}
-	delete(r.revert, ev.idx)
-	delete(r.inflight, info.task)
-	st := &r.e.states[ev.idx]
-	*st = info.prev
-	if st.freeAt < ev.at {
-		st.freeAt = ev.at
+	delete(r.revert, ev.Idx)
+	delete(r.inflight, info.Task)
+	st := &r.e.states[ev.Idx]
+	*st = info.Prev
+	if st.FreeAt < ev.At {
+		st.FreeAt = ev.At
 	}
-	r.e.source.Moved(ev.idx)
+	r.e.source.Moved(ev.Idx)
 
 	r.res.Served--
-	delete(r.res.Assignment, info.task)
-	path := r.res.DriverPaths[ev.idx]
-	r.res.DriverPaths[ev.idx] = path[:len(path)-1]
+	delete(r.res.Assignment, info.Task)
+	path := r.res.DriverPaths[ev.Idx]
+	r.res.DriverPaths[ev.Idx] = path[:len(path)-1]
 }
 
 // isCancelled reports whether the task was cancelled earlier in the
@@ -365,7 +386,7 @@ func (r *eventRun) isCancelled(ti int) bool {
 // revocation snapshot while cancellations are possible.
 func (r *eventRun) assignTask(ti int, c Candidate, task model.Task) {
 	if r.inflight != nil {
-		r.inflight[ti] = inflightInfo{driver: c.Driver, prev: r.e.states[c.Driver], arrival: c.Arrival, task: ti}
+		r.inflight[ti] = InflightSnap{Task: ti, Driver: c.Driver, Prev: r.e.states[c.Driver], Arrival: c.Arrival}
 	}
 	r.e.assign(c, task)
 	r.res.Served++
@@ -379,13 +400,13 @@ func (r *eventRun) assignTask(ti int, c Candidate, task model.Task) {
 // rank (both discovered here, neither configured), the choice is made
 // over the contenders only; see Ranked.
 func (r *eventRun) instantArrival(ev event) {
-	task := r.tasks[ev.idx]
+	task := r.tasks[ev.Idx]
 	ranked, _ := r.d.(Ranked)
 	bounded, _ := r.e.source.(boundedSource)
 	if ranked != nil && bounded != nil {
-		r.cands = bounded.Contenders(task, ev.at, ranked.RankedBy(), r.cands[:0])
+		r.cands = bounded.Contenders(task, ev.At, ranked.RankedBy(), r.cands[:0])
 	} else {
-		r.cands = r.e.source.Candidates(task, ev.at, r.cands[:0])
+		r.cands = r.e.source.Candidates(task, ev.At, r.cands[:0])
 	}
 	choice := -1
 	if len(r.cands) > 0 {
@@ -398,7 +419,7 @@ func (r *eventRun) instantArrival(ev event) {
 		r.res.Rejected++
 		return
 	}
-	r.assignTask(ev.idx, r.cands[choice], task)
+	r.assignTask(ev.Idx, r.cands[choice], task)
 }
 
 // newResult allocates a Result sized to the engine's fleet.

@@ -42,7 +42,7 @@ func (e *Engine) RunReplanScenario(tasks []model.Task, events []model.MarketEven
 	if !(period > 0) || math.IsInf(period, 1) {
 		panic(fmt.Sprintf("sim: replan period must be positive and finite, got %g", period))
 	}
-	r := e.newEventRun(tasks, events, true)
+	r := e.mustOpen(tasks, events, true)
 	if len(tasks) == 0 && len(events) == 0 {
 		return r.res
 	}
@@ -51,7 +51,7 @@ func (e *Engine) RunReplanScenario(tasks []model.Task, events []model.MarketEven
 	expired := make([]bool, len(tasks))
 	var published []int // task indices in arrival order
 
-	r.onArrival = func(ev event) { published = append(published, ev.idx) }
+	r.onArrival = func(ev event) { published = append(published, ev.Idx) }
 	r.cancelPending = func(ti int) bool {
 		// Published (cancellations are strictly after publish) and not
 		// yet decided: drop it from the pool. Decided tasks fall through
@@ -59,7 +59,7 @@ func (e *Engine) RunReplanScenario(tasks []model.Task, events []model.MarketEven
 		return !assigned[ti] && !expired[ti]
 	}
 	r.onReplan = func(ev event) {
-		now := ev.at
+		now := ev.At
 		// Pending demand: published, unassigned, uncancelled, pickup
 		// deadline ahead.
 		var pending []int
@@ -87,7 +87,7 @@ func (e *Engine) RunReplanScenario(tasks []model.Task, events []model.MarketEven
 				continue // not yet joined, or retired
 			}
 			st := &e.states[i]
-			availAt := st.freeAt
+			availAt := st.FreeAt
 			if availAt < now {
 				availAt = now
 			}
@@ -96,7 +96,7 @@ func (e *Engine) RunReplanScenario(tasks []model.Task, events []model.MarketEven
 			}
 			vdrivers = append(vdrivers, model.Driver{
 				ID:       len(vdrivers),
-				Source:   st.loc,
+				Source:   st.Loc,
 				Dest:     d.Dest,
 				Start:    availAt,
 				End:      d.End,
@@ -135,11 +135,11 @@ func (e *Engine) RunReplanScenario(tasks []model.Task, events []model.MarketEven
 			task := r.tasks[ti]
 			drv := realOf[path.Driver]
 			st := &e.states[drv]
-			depart := st.freeAt
+			depart := st.FreeAt
 			if depart < now {
 				depart = now
 			}
-			arrival := depart + e.Market.DriverTravelTime(e.Drivers[drv], st.loc, task.Source)
+			arrival := depart + e.Market.DriverTravelTime(e.Drivers[drv], st.Loc, task.Source)
 			if arrival > task.StartBy {
 				continue // the snapshot aged out; re-plan next round
 			}
@@ -148,22 +148,14 @@ func (e *Engine) RunReplanScenario(tasks []model.Task, events []model.MarketEven
 		}
 	}
 
-	// Arrivals, then one replan round per distinct arrival time, then
-	// the periodic flush grid out to the horizon.
-	start, horizon := 0.0, 0.0
-	for i := range tasks {
-		r.add(event{key: tasks[i].Publish, kind: evArrival, seq: i, at: tasks[i].Publish, idx: i})
-		if i == 0 || tasks[i].Publish < start {
-			start = tasks[i].Publish
-		}
-		if i == 0 || tasks[i].StartBy > horizon {
-			horizon = tasks[i].StartBy
-		}
-	}
+	// One replan round per distinct arrival time, then the periodic
+	// flush grid out to the horizon; day queues the arrivals.
 	if len(tasks) > 0 {
 		roundTimes := make([]float64, 0, len(tasks))
+		horizon := tasks[0].StartBy
 		for i := range tasks {
 			roundTimes = append(roundTimes, tasks[i].Publish)
+			horizon = max(horizon, tasks[i].StartBy)
 		}
 		sort.Float64s(roundTimes)
 		seq := 0
@@ -171,25 +163,24 @@ func (e *Engine) RunReplanScenario(tasks []model.Task, events []model.MarketEven
 			if k > 0 && at == roundTimes[k-1] {
 				continue
 			}
-			r.add(event{key: at, kind: evReplan, seq: seq, at: at})
+			r.add(event{Key: at, Kind: evReplan, Seq: seq, At: at})
 			seq++
 		}
-		for now := start + period; now <= horizon+period; now += period {
-			r.add(event{key: now, kind: evReplan, seq: seq, at: now})
+		for now := roundTimes[0] + period; now <= horizon+period; now += period {
+			r.add(event{Key: now, Kind: evReplan, Seq: seq, At: now})
 			seq++
 		}
 	}
 
-	r.drain()
+	res := r.day(publishKey)
 
 	// Cancellation revocations can strand a task as unassigned again
 	// only by marking it cancelled, so the final sweep stays simple:
 	// everything never decided is rejected.
 	for ti := range tasks {
 		if !assigned[ti] && !expired[ti] && !r.isCancelled(ti) {
-			r.res.Rejected++
+			res.Rejected++
 		}
 	}
-	e.settle(&r.res)
-	return r.res
+	return res
 }

@@ -233,7 +233,7 @@ func checkSnapMemo(t *testing.T, e *Engine, r *roadnet.Router) (current, outdate
 	}
 	for i := range e.memo {
 		m := &e.memo[i]
-		loc, home := e.states[i].loc, e.Drivers[i].Dest
+		loc, home := e.states[i].Loc, e.Drivers[i].Dest
 		if !m.filled {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/heap"
 	"repro/internal/model"
 	"repro/internal/trace"
 )
@@ -214,17 +215,58 @@ func TestScenarioCancelKeepsBatchWindowsAnchored(t *testing.T) {
 	}
 }
 
+// TestScenarioInvalidEventsPanic: a Run* day panics on a scenario it
+// cannot run, as its inputs are static; a stream returns the error.
 func TestScenarioInvalidEventsPanic(t *testing.T) {
 	d := []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: minutes(240)}}
 	a := task(0, 1, 2, minutes(1), minutes(10), minutes(20), 10)
-	e := mustEngine(t, d)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range event driver index did not panic")
+	tasks := []model.Task{a}
+	badDriver := []model.MarketEvent{{At: 0, Kind: model.EventRetire, Driver: 5}}
+	cancel := []model.MarketEvent{{At: minutes(2), Kind: model.EventCancel, Task: 0}}
+	join := []model.MarketEvent{{At: 0, Kind: model.EventJoin, Driver: 0}}
+	for _, tc := range []struct {
+		name   string
+		panics bool
+		run    func(e *Engine) error
+	}{
+		{"RunScenario, bad index", true, func(e *Engine) error { e.RunScenario(tasks, badDriver, pickFirst{}); return nil }},
+		{"RunBatchedScenario, bad index", true, func(e *Engine) error { e.RunBatchedScenario(tasks, badDriver, 60); return nil }},
+		{"RunReplanScenario, bad index", true, func(e *Engine) error { e.RunReplanScenario(tasks, badDriver, 60); return nil }},
+		{"RunByValue with events", true, func(e *Engine) error { e.mustOpen(tasks, join, false); return nil }},
+		{"NewStream, cancellation", false, func(e *Engine) error { _, err := e.NewStream(pickFirst{}, cancel); return err }},
+		{"NewStream, bad index", false, func(e *Engine) error { _, err := e.NewStream(pickFirst{}, badDriver); return err }},
+		{"NewBatchedStream, cancellation", false, func(e *Engine) error {
+			_, err := e.NewBatchedStream(60, BatchHungarian, cancel)
+			return err
+		}},
+		{"NewBatchedStream, bad index", false, func(e *Engine) error {
+			_, err := e.NewBatchedStream(60, BatchHungarian, badDriver)
+			return err
+		}},
+	} {
+		var err error
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			err = tc.run(mustEngine(t, d))
+			return false
+		}()
+		if panicked != tc.panics || !tc.panics && err == nil {
+			t.Errorf("%s: panicked %v, error %v; want a panic %v", tc.name, panicked, err, tc.panics)
 		}
-	}()
-	e.RunScenario([]model.Task{a},
-		[]model.MarketEvent{{At: 0, Kind: model.EventRetire, Driver: 5}}, pickFirst{})
+	}
+}
+
+// TestEventQueueAllocatesNothing: the typed heap boxes no event, so a
+// push and a pop on a warmed queue allocate nothing.
+func TestEventQueueAllocatesNothing(t *testing.T) {
+	r := &eventRun{q: make([]event, 0, 8)}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.push(event{Key: 1, Kind: evArrival})
+		heap.Pop(&r.q, eventBefore)
+	})
+	if allocs != 0 {
+		t.Fatalf("a push and a pop allocate %v times, want 0", allocs)
+	}
 }
 
 // recordingClock captures every advance to verify the drain is paced

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/geo"
 	"repro/internal/model"
 )
 
@@ -215,15 +214,6 @@ func (r Result) AvgTasksPerDriver() float64 {
 	return sum / float64(len(r.PerDriverTasks))
 }
 
-// driverState is the engine's mutable view of one driver.
-type driverState struct {
-	freeAt  float64   // when the driver can next move (real finish time)
-	loc     geo.Point // current position (last dropoff, or source)
-	revenue float64
-	cost    float64 // travel cost incurred so far (deadhead + service)
-	ntasks  int
-}
-
 // Engine simulates one day of the online market. Construct with New.
 type Engine struct {
 	Market  model.Market
@@ -243,7 +233,7 @@ type Engine struct {
 	// the calling goroutine; only the frozen benchmark/ still sets this.
 	MatchWorkers int
 
-	states     []driverState
+	states     []DriverStateSnap
 	present    []bool       // false: not yet joined, or retired
 	timeKeyed  bool         // the current run's clock only moves forward (all but RunByValue)
 	memo       []driverSnap // per-driver derived distances and snaps (distbatch.go)
@@ -365,10 +355,10 @@ func (e *Engine) SetCandidateSource(src CandidateSource) {
 // RunByValue), which lets the index retire what the clock has passed.
 func (e *Engine) resetAbsent(absent []int, timeKeyed bool) {
 	e.timeKeyed = timeKeyed
-	e.states = make([]driverState, len(e.Drivers))
+	e.states = make([]DriverStateSnap, len(e.Drivers))
 	e.present = make([]bool, len(e.Drivers))
 	for i, d := range e.Drivers {
-		e.states[i] = driverState{freeAt: d.Start, loc: d.Source}
+		e.states[i] = DriverStateSnap{FreeAt: d.Start, Loc: d.Source}
 		e.present[i] = true
 	}
 	for _, i := range absent {
@@ -388,15 +378,10 @@ func (e *Engine) resetAbsent(absent []int, timeKeyed bool) {
 // invalid scenarios panic, as they are static test/experiment inputs.
 // Pass nil for a day without them.
 func (e *Engine) RunScenario(tasks []model.Task, events []model.MarketEvent, d Dispatcher) Result {
-	r := e.newEventRun(tasks, events, true)
+	r := e.mustOpen(tasks, events, true)
 	r.d = d
 	r.onArrival = r.instantArrival
-	for i := range tasks {
-		r.add(event{key: tasks[i].Publish, kind: evArrival, seq: i, at: tasks[i].Publish, idx: i})
-	}
-	r.drain()
-	e.settle(&r.res)
-	return r.res
+	return r.day(publishKey)
 }
 
 // RunByValue processes tasks in descending price order — the offline
@@ -406,15 +391,10 @@ func (e *Engine) RunScenario(tasks []model.Task, events []model.MarketEvent, d D
 // happens at the task's own publish time; only the drain order changes,
 // so the run is keyed by price, not time, and supports no churn events.
 func (e *Engine) RunByValue(tasks []model.Task, d Dispatcher) Result {
-	r := e.newEventRun(tasks, nil, false)
+	r := e.mustOpen(tasks, nil, false)
 	r.d = d
 	r.onArrival = r.instantArrival
-	for i := range tasks {
-		r.add(event{key: -tasks[i].Price, kind: evArrival, seq: i, at: tasks[i].Publish, idx: i})
-	}
-	r.drain()
-	e.settle(&r.res)
-	return r.res
+	return r.day(func(t model.Task) float64 { return -t.Price })
 }
 
 // settle closes per-driver accounts: profit is revenue minus excess
@@ -424,16 +404,16 @@ func (e *Engine) settle(res *Result) {
 	for i := range e.states {
 		st := &e.states[i]
 		drv := e.Drivers[i]
-		res.PerDriverRevenue[i] = st.revenue
-		res.PerDriverTasks[i] = st.ntasks
-		if st.ntasks == 0 {
+		res.PerDriverRevenue[i] = st.Revenue
+		res.PerDriverTasks[i] = st.NTasks
+		if st.NTasks == 0 {
 			continue
 		}
-		homeCost := e.Market.TravelCost(st.loc, drv.Dest)
-		excess := st.cost + homeCost - e.Market.BaselineCost(drv)
-		res.PerDriverProfit[i] = st.revenue - excess
+		homeCost := e.Market.TravelCost(st.Loc, drv.Dest)
+		excess := st.Cost + homeCost - e.Market.BaselineCost(drv)
+		res.PerDriverProfit[i] = st.Revenue - excess
 		res.TotalProfit += res.PerDriverProfit[i]
-		res.Revenue += st.revenue
+		res.Revenue += st.Revenue
 	}
 }
 
@@ -479,7 +459,7 @@ func (e *Engine) candidateFor(i int, task model.Task, now, service, serviceCost 
 	if !e.present[i] {
 		return Candidate{}, false // not yet joined, or retired
 	}
-	pickupKm := e.Market.Dist(e.states[i].loc, task.Source)
+	pickupKm := e.Market.Dist(e.states[i].Loc, task.Source)
 	arrival, ok := e.pickupArrival(i, task, now, pickupKm)
 	if !ok {
 		return Candidate{}, false
@@ -496,13 +476,13 @@ func (e *Engine) pickupArrival(i int, task model.Task, now, pickupKm float64) (f
 	drv := e.Drivers[i]
 	st := &e.states[i]
 
-	depart := st.freeAt
-	if depart < now && st.ntasks > 0 {
+	depart := st.FreeAt
+	if depart < now && st.NTasks > 0 {
 		// The driver has been idle at her last dropoff since
 		// freeAt; she departs when notified.
 		depart = now
 	}
-	if st.ntasks == 0 {
+	if st.NTasks == 0 {
 		// Not yet started: she leaves her source no earlier than
 		// shift start or the task's arrival, whichever is later.
 		if depart < now {
@@ -568,14 +548,14 @@ func (e *Engine) margin(price, serviceCost, pickupKm, homeKm, oldHomeKm float64)
 // assign commits the task to the candidate driver.
 func (e *Engine) assign(c Candidate, task model.Task) {
 	st := &e.states[c.Driver]
-	st.cost += e.Market.TravelCost(st.loc, task.Source) + e.Market.ServiceCost(task)
-	st.revenue += task.Price
-	st.ntasks++
+	st.Cost += e.Market.TravelCost(st.Loc, task.Source) + e.Market.ServiceCost(task)
+	st.Revenue += task.Price
+	st.NTasks++
 	if e.RealTime {
-		st.freeAt = c.Arrival + e.Market.TravelTime(task.Source, task.Dest, 0)
+		st.FreeAt = c.Arrival + e.Market.TravelTime(task.Source, task.Dest, 0)
 	} else {
-		st.freeAt = task.EndBy
+		st.FreeAt = task.EndBy
 	}
-	st.loc = task.Dest
+	st.Loc = task.Dest
 	e.source.Moved(c.Driver)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/geo"
+	"repro/internal/heap"
 	"repro/internal/model"
 	"repro/internal/spatial"
 )
@@ -146,7 +147,7 @@ func (s *GridSource) Bind(e *Engine) {
 		s.span(i)
 	}
 	s.ix.Load(func(i int) (geo.Point, geo.Point, float64) {
-		return e.states[i].loc, e.Drivers[i].Dest, s.homeKm(i)
+		return e.states[i].Loc, e.Drivers[i].Dest, s.homeKm(i)
 	})
 }
 
@@ -182,7 +183,7 @@ func (s *GridSource) span(i int) {
 // index places driver i, who joined the fleet after Bind, on her own.
 func (s *GridSource) index(i int) {
 	s.span(i)
-	s.ix.Add(i, s.e.states[i].loc, s.homeKm(i))
+	s.ix.Add(i, s.e.states[i].Loc, s.homeKm(i))
 	s.ix.SetHome(i, s.e.Drivers[i].Dest)
 }
 
@@ -265,7 +266,7 @@ func (s *GridSource) Contenders(task model.Task, now float64, by Rank, buf []Can
 	sx, sy := s.ix.Project(task.Source)
 	earliest := math.Inf(1)
 	for _, i := range s.reachable(task, now) {
-		lx, ly := s.ix.Project(e.states[i].loc)
+		lx, ly := s.ix.Project(e.states[i].Loc)
 		arrival, ok := e.pickupArrival(i, task, now, lowerKm(lx, ly, sx, sy))
 		if !ok || arrival > earliest {
 			continue
@@ -536,47 +537,20 @@ func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candida
 
 // admit puts c into TopRow's heap, arena[start:], while that has fewer
 // than k elements, and after that in place of its root if c ranks before
-// it.
+// it. The heap's root ranks last under ranksBefore. The heap is the tail
+// of arena, so c is appended to arena, not to the tail.
 func admit(arena []Candidate, start, k int, c Candidate) []Candidate {
 	if row := arena[start:]; len(row) < k {
 		arena = append(arena, c)
-		siftUp(arena[start:])
+		heap.Fix(arena[start:], len(row), ranksAfter)
 	} else if ranksBefore(c, row[0]) {
 		row[0] = c
-		siftDown(row)
+		heap.Fix(row, 0, ranksAfter)
 	}
 	return arena
 }
 
-// siftUp and siftDown maintain TopRow's heap: no element ranks before
-// its parent, so row[0] ranks last. siftUp places a just-appended last
-// element, siftDown a just-replaced root.
-func siftUp(row []Candidate) {
-	for i := len(row) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !ranksBefore(row[p], row[i]) {
-			return
-		}
-		row[p], row[i] = row[i], row[p]
-		i = p
-	}
-}
-
-func siftDown(row []Candidate) {
-	for i := 0; ; {
-		last := i // the one of i and its children that ranks last
-		for c := 2*i + 1; c <= 2*i+2 && c < len(row); c++ {
-			if ranksBefore(row[last], row[c]) {
-				last = c
-			}
-		}
-		if last == i {
-			return
-		}
-		row[i], row[last] = row[last], row[i]
-		i = last
-	}
-}
+func ranksAfter(a, b Candidate) bool { return ranksBefore(b, a) }
 
 // lowerKm is the pre-filter's lower bound on the travel distance between
 // two points given by their spatial.Index.Project coordinates.
@@ -586,8 +560,8 @@ func lowerKm(ax, ay, bx, by float64) float64 {
 
 // Moved implements CandidateSource.
 func (s *GridSource) Moved(i int) {
-	s.ix.Move(i, s.e.states[i].loc, s.homeKm(i))
-	s.ix.SetSpan(i, s.e.states[i].freeAt, s.e.Drivers[i].End)
+	s.ix.Move(i, s.e.states[i].Loc, s.homeKm(i))
+	s.ix.SetSpan(i, s.e.states[i].FreeAt, s.e.Drivers[i].End)
 }
 
 // Presence implements CandidateSource. The dense index keeps every
@@ -597,7 +571,7 @@ func (s *GridSource) Moved(i int) {
 // exact check is the arbiter — it only keeps retired fleets cheap.
 func (s *GridSource) Presence(i int, present bool) {
 	if present {
-		s.ix.SetSpan(i, s.e.states[i].freeAt, s.e.Drivers[i].End)
+		s.ix.SetSpan(i, s.e.states[i].FreeAt, s.e.Drivers[i].End)
 	} else {
 		s.ix.SetSpan(i, math.Inf(1), math.Inf(-1))
 	}

@@ -2,8 +2,8 @@ package sim
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -96,14 +96,6 @@ type StreamState struct {
 	Batch *BatchSnap `json:"batch,omitempty"`
 }
 
-func snapDriverState(st driverState) DriverStateSnap {
-	return DriverStateSnap{FreeAt: st.freeAt, Loc: st.loc, Revenue: st.revenue, Cost: st.cost, NTasks: st.ntasks}
-}
-
-func (s DriverStateSnap) state() driverState {
-	return driverState{freeAt: s.FreeAt, loc: s.Loc, revenue: s.Revenue, cost: s.Cost, ntasks: s.NTasks}
-}
-
 // CaptureState deep-copies the suspended run into a StreamState. The
 // stream must not be advanced concurrently (callers serialize, as the
 // dispatch service does); a finished stream reports ErrFinished.
@@ -114,7 +106,7 @@ func (s *Stream) CaptureState() (*StreamState, error) {
 	e, r := s.e, s.r
 	st := &StreamState{
 		Drivers:   append([]model.Driver(nil), e.Drivers...),
-		States:    make([]DriverStateSnap, len(e.states)),
+		States:    append([]DriverStateSnap{}, e.states...),
 		Present:   append([]bool(nil), e.present...),
 		RNGDraws:  e.RNGDraws(),
 		Now:       r.now,
@@ -122,40 +114,18 @@ func (s *Stream) CaptureState() (*StreamState, error) {
 		Seq:       r.seq,
 		Tasks:     append([]model.Task(nil), r.tasks...),
 		Cancelled: append([]bool{}, r.cancelled...),
-	}
-	for i, ds := range e.states {
-		st.States[i] = snapDriverState(ds)
-	}
-	st.Queue = make([]EventSnap, len(r.q))
-	for i, ev := range r.q {
-		st.Queue[i] = EventSnap{Key: ev.key, Kind: int(ev.kind), Seq: ev.seq, At: ev.at, Idx: ev.idx}
-	}
-	for ti, info := range r.inflight {
-		st.Inflight = append(st.Inflight, InflightSnap{Task: ti, Driver: info.driver, Prev: snapDriverState(info.prev), Arrival: info.arrival})
-	}
-	for drv, info := range r.revert {
-		st.Revert = append(st.Revert, InflightSnap{Task: info.task, Driver: drv, Prev: snapDriverState(info.prev), Arrival: info.arrival})
-	}
-	// Both come out of maps: order them by their keys, so the same run
-	// always captures the same state.
-	slices.SortFunc(st.Inflight, func(a, b InflightSnap) int { return cmp.Compare(a.Task, b.Task) })
-	slices.SortFunc(st.Revert, func(a, b InflightSnap) int { return cmp.Compare(a.Driver, b.Driver) })
-	st.Res = ResultSnap{
-		Served:      r.res.Served,
-		Rejected:    r.res.Rejected,
-		Cancelled:   r.res.Cancelled,
-		Assignment:  make(map[int]int, len(r.res.Assignment)),
-		DriverPaths: make([][]int, len(r.res.DriverPaths)),
-	}
-	for ti, drv := range r.res.Assignment {
-		st.Res.Assignment[ti] = drv
-	}
-	for i, p := range r.res.DriverPaths {
-		// Preserve nil-ness: a path emptied by a revoked assignment is
-		// empty-but-non-nil, and a faithful restore keeps it that way.
-		if p != nil {
-			st.Res.DriverPaths[i] = append([]int{}, p...)
-		}
+		Queue:     append([]EventSnap{}, r.q...),
+		// Both come out of maps: order them by their keys, so the same
+		// run always captures the same state.
+		Inflight: slices.SortedFunc(maps.Values(r.inflight), func(a, b InflightSnap) int { return cmp.Compare(a.Task, b.Task) }),
+		Revert:   slices.SortedFunc(maps.Values(r.revert), func(a, b InflightSnap) int { return cmp.Compare(a.Driver, b.Driver) }),
+		Res: ResultSnap{
+			Served:      r.res.Served,
+			Rejected:    r.res.Rejected,
+			Cancelled:   r.res.Cancelled,
+			Assignment:  maps.Clone(r.res.Assignment),
+			DriverPaths: clonePaths(r.res.DriverPaths),
+		},
 	}
 	if s.b != nil {
 		bs := &BatchSnap{
@@ -172,8 +142,20 @@ func (s *Stream) CaptureState() (*StreamState, error) {
 	return st, nil
 }
 
-// validate cross-checks the state's internal sizing so a corrupted
-// snapshot fails loudly here instead of as an index panic mid-replay.
+// clonePaths deep-copies per-driver task lists for a capture or a
+// restore. It keeps nil-ness: a path emptied by a revoked assignment is
+// empty but not nil, and stays so.
+func clonePaths(paths [][]int) [][]int {
+	out := make([][]int, len(paths))
+	for i, p := range paths {
+		out[i] = slices.Clone(p)
+	}
+	return out
+}
+
+// validate cross-checks the state's sizing and every index it holds, so
+// a corrupted snapshot fails loudly here instead of as an index panic
+// mid-replay.
 func (st *StreamState) validate() error {
 	n := len(st.Drivers)
 	if len(st.States) != n || len(st.Present) != n || len(st.Res.DriverPaths) != n {
@@ -183,14 +165,41 @@ func (st *StreamState) validate() error {
 	if len(st.Cancelled) != len(st.Tasks) {
 		return fmt.Errorf("sim: state sizing mismatch: %d tasks, %d cancelled flags", len(st.Tasks), len(st.Cancelled))
 	}
+	task := func(ti int) bool { return ti >= 0 && ti < len(st.Tasks) }
+	driver := func(i int) bool { return i >= 0 && i < n }
 	for ti, drv := range st.Res.Assignment {
-		if ti < 0 || ti >= len(st.Tasks) || drv < 0 || drv >= n {
+		if !task(ti) || !driver(drv) {
 			return fmt.Errorf("sim: state assignment out of range: task %d -> driver %d", ti, drv)
 		}
 	}
 	for _, ev := range st.Queue {
-		if ev.Kind < int(evJoin) || ev.Kind > int(evReplan) {
+		var ok bool
+		switch ev.Kind {
+		case evArrival, evCancel:
+			ok = task(ev.Idx)
+		case evJoin, evRetire, evFree:
+			ok = driver(ev.Idx)
+		case evBatchClose, evReplan:
+			ok = true
+		default:
 			return fmt.Errorf("sim: state queue holds unknown event kind %d", ev.Kind)
+		}
+		if !ok || ev.Seq >= st.Seq {
+			return fmt.Errorf("sim: state queue event out of range: kind %d, index %d, seq %d of %d", ev.Kind, ev.Idx, ev.Seq, st.Seq)
+		}
+	}
+	for _, info := range slices.Concat(st.Inflight, st.Revert) {
+		if !task(info.Task) || !driver(info.Driver) {
+			return fmt.Errorf("sim: state revocation out of range: task %d, driver %d", info.Task, info.Driver)
+		}
+	}
+	tasks := slices.Concat(st.Res.DriverPaths...)
+	if st.Batch != nil {
+		tasks = append(tasks, st.Batch.Batch...)
+	}
+	for _, ti := range tasks {
+		if !task(ti) {
+			return fmt.Errorf("sim: state path or open batch holds unknown task %d", ti)
 		}
 	}
 	return nil
@@ -217,10 +226,7 @@ func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64) (*
 	}
 
 	e.Drivers = append([]model.Driver(nil), st.Drivers...)
-	e.states = make([]driverState, len(st.States))
-	for i, ds := range st.States {
-		e.states[i] = ds.state()
-	}
+	e.states = slices.Clone(st.States)
 	e.present = append([]bool(nil), st.Present...)
 	e.timeKeyed = true
 	e.resetMemo()
@@ -234,38 +240,21 @@ func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64) (*
 		seq:       st.Seq,
 		tasks:     append([]model.Task(nil), st.Tasks...),
 		cancelled: append([]bool{}, st.Cancelled...),
-		inflight:  make(map[int]inflightInfo, len(st.Inflight)),
-		revert:    make(map[int]inflightInfo, len(st.Revert)),
+		inflight:  make(map[int]InflightSnap, len(st.Inflight)),
+		revert:    make(map[int]InflightSnap, len(st.Revert)),
+		res:       newResult(e),
+		q:         slices.Clone(st.Queue),
 	}
-	r.res = Result{
-		Served:           st.Res.Served,
-		Rejected:         st.Res.Rejected,
-		Cancelled:        st.Res.Cancelled,
-		PerDriverRevenue: make([]float64, len(e.Drivers)),
-		PerDriverProfit:  make([]float64, len(e.Drivers)),
-		PerDriverTasks:   make([]int, len(e.Drivers)),
-		DriverPaths:      make([][]int, len(e.Drivers)),
-		Assignment:       make(map[int]int, len(st.Res.Assignment)),
-	}
-	for ti, drv := range st.Res.Assignment {
-		r.res.Assignment[ti] = drv
-	}
-	for i, p := range st.Res.DriverPaths {
-		if p != nil {
-			r.res.DriverPaths[i] = append([]int{}, p...)
-		}
-	}
+	r.res.Served, r.res.Rejected, r.res.Cancelled = st.Res.Served, st.Res.Rejected, st.Res.Cancelled
+	maps.Copy(r.res.Assignment, st.Res.Assignment)
+	r.res.DriverPaths = clonePaths(st.Res.DriverPaths)
 	for _, info := range st.Inflight {
-		r.inflight[info.Task] = inflightInfo{driver: info.Driver, prev: info.Prev.state(), arrival: info.Arrival, task: info.Task}
+		r.inflight[info.Task] = info
 	}
 	for _, info := range st.Revert {
-		r.revert[info.Driver] = inflightInfo{driver: info.Driver, prev: info.Prev.state(), arrival: info.Arrival, task: info.Task}
+		r.revert[info.Driver] = info
 	}
-	r.q = make(eventQueue, len(st.Queue))
-	for i, ev := range st.Queue {
-		r.q[i] = event{key: ev.Key, kind: eventKind(ev.Kind), seq: ev.Seq, at: ev.At, idx: ev.Idx}
-	}
-	heap.Init(&r.q)
+	r.init()
 
 	strm := &Stream{e: e, r: r}
 	if st.Batch != nil {

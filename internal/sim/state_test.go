@@ -215,12 +215,18 @@ func TestStreamErrFinished(t *testing.T) {
 func TestRestoreStreamValidates(t *testing.T) {
 	cfg := trace.NewConfig(6, 10, 5, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
-	mkState := func() *StreamState {
+	// mk captures a stream, instant or batched, after one submission.
+	mk := func(batched bool) *StreamState {
 		e, err := New(cfg.Market, tr.Drivers, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := e.NewStream(diffMaxMargin{}, nil)
+		var st *Stream
+		if batched {
+			st, err = e.NewBatchedStream(60, BatchHungarian, nil)
+		} else {
+			st, err = e.NewStream(diffMaxMargin{}, nil)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,36 +247,70 @@ func TestRestoreStreamValidates(t *testing.T) {
 		return e
 	}
 
-	// Sizing mismatch.
-	bad := mkState()
-	bad.Present = bad.Present[:1]
-	if _, err := fresh().RestoreStream(bad, diffMaxMargin{}, 0); err == nil {
-		t.Fatal("sizing mismatch accepted")
-	}
-	// Assignment out of range.
-	bad = mkState()
-	bad.Res.Assignment[99] = 0
-	if _, err := fresh().RestoreStream(bad, diffMaxMargin{}, 0); err == nil {
-		t.Fatal("out-of-range assignment accepted")
-	}
-	// Unknown event kind in the queue.
-	bad = mkState()
-	bad.Queue = append(bad.Queue, EventSnap{Kind: 99})
-	if _, err := fresh().RestoreStream(bad, diffMaxMargin{}, 0); err == nil {
-		t.Fatal("unknown event kind accepted")
+	for _, tc := range []struct {
+		name    string
+		batched bool
+		corrupt func(st *StreamState)
+	}{
+		{"sizing mismatch", false, func(st *StreamState) { st.Present = st.Present[:1] }},
+		{"assignment out of range", false, func(st *StreamState) { st.Res.Assignment[99] = 0 }},
+		{"unknown event kind", false, func(st *StreamState) { st.Queue = append(st.Queue, EventSnap{Kind: 99}) }},
+		{"arrival of an unknown task", false, func(st *StreamState) {
+			st.Queue = append(st.Queue, EventSnap{Kind: evArrival, Idx: 99})
+		}},
+		{"cancel of an unknown task", false, func(st *StreamState) {
+			st.Queue = append(st.Queue, EventSnap{Kind: evCancel, Idx: -1})
+		}},
+		{"join of an unknown driver", false, func(st *StreamState) {
+			st.Queue = append(st.Queue, EventSnap{Kind: evJoin, Idx: len(st.Drivers)})
+		}},
+		{"retire of an unknown driver", false, func(st *StreamState) {
+			st.Queue = append(st.Queue, EventSnap{Kind: evRetire, Idx: -1})
+		}},
+		{"free of an unknown driver", false, func(st *StreamState) {
+			st.Queue = append(st.Queue, EventSnap{Kind: evFree, Idx: 1 << 20})
+		}},
+		{"sequence number not yet stamped", false, func(st *StreamState) {
+			st.Queue = append(st.Queue, EventSnap{Kind: evJoin, Seq: st.Seq})
+		}},
+		{"in-flight unknown task", false, func(st *StreamState) {
+			st.Inflight = append(st.Inflight, InflightSnap{Task: 99})
+		}},
+		{"in-flight unknown driver", false, func(st *StreamState) {
+			st.Inflight = append(st.Inflight, InflightSnap{Driver: -1})
+		}},
+		{"revert of an unknown task", false, func(st *StreamState) {
+			st.Revert = append(st.Revert, InflightSnap{Task: -1})
+		}},
+		{"revert of an unknown driver", false, func(st *StreamState) {
+			st.Revert = append(st.Revert, InflightSnap{Driver: 99})
+		}},
+		{"path through an unknown task", false, func(st *StreamState) {
+			st.Res.DriverPaths[1] = append(st.Res.DriverPaths[1], 99)
+		}},
+		{"open batch holds an unknown task", true, func(st *StreamState) { st.Batch.Batch[0] = 1 << 20 }},
+	} {
+		d, window := Dispatcher(diffMaxMargin{}), 0.0
+		if tc.batched {
+			d, window = nil, 60
+		}
+		bad := mk(tc.batched)
+		tc.corrupt(bad)
+		if _, err := fresh().RestoreStream(bad, d, window); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if _, err := fresh().RestoreStream(mk(tc.batched), d, window); err != nil {
+			t.Fatalf("%s: clean state refused: %v", tc.name, err)
+		}
 	}
 	// Instant restore without a dispatcher.
-	if _, err := fresh().RestoreStream(mkState(), nil, 0); err == nil {
+	if _, err := fresh().RestoreStream(mk(false), nil, 0); err == nil {
 		t.Fatal("instant restore without dispatcher accepted")
 	}
 	// Batched restore with a bad window.
-	batched := mkState()
+	batched := mk(false)
 	batched.Batch = &BatchSnap{}
 	if _, err := fresh().RestoreStream(batched, nil, 0); err == nil {
 		t.Fatal("batched restore without window accepted")
-	}
-	// The pristine state restores fine.
-	if _, err := fresh().RestoreStream(mkState(), diffMaxMargin{}, 0); err != nil {
-		t.Fatalf("clean state refused: %v", err)
 	}
 }

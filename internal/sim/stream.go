@@ -1,11 +1,11 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 
+	"repro/internal/heap"
 	"repro/internal/model"
 )
 
@@ -70,40 +70,22 @@ type Stream struct {
 	closed bool
 }
 
-// newStreamRun validates the pre-scheduled fleet events, resets the
-// engine and builds the suspended run; the caller installs the mode
-// hooks (instant arrival handler, or a batcher).
-func (e *Engine) newStreamRun(fleetEvents []model.MarketEvent) (*eventRun, error) {
-	var absent []int
+// openStream refuses pre-scheduled cancellations — their tasks do not
+// exist yet — opens the run, and readies it to step; the caller installs
+// the mode hooks (instant arrival handler, or a batcher).
+func (e *Engine) openStream(fleetEvents []model.MarketEvent) (*Stream, error) {
 	for i, ev := range fleetEvents {
 		if ev.Kind == model.EventCancel {
 			return nil, fmt.Errorf("sim: fleet event %d: cancellations cannot be pre-scheduled on a stream", i)
 		}
-		if ev.Kind == model.EventJoin {
-			absent = append(absent, ev.Driver)
-		}
 	}
-	if err := model.ValidateEvents(fleetEvents, e.Drivers, nil); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+	r, err := e.openRun(nil, fleetEvents, true)
+	if err != nil {
+		return nil, err
 	}
-	e.resetAbsent(absent, true)
-	r := &eventRun{
-		e:         e,
-		seq:       len(fleetEvents),
-		res:       newResult(e),
-		cancelled: make([]bool, 0),
-		inflight:  make(map[int]inflightInfo),
-		revert:    make(map[int]inflightInfo),
-	}
-	for i, ev := range fleetEvents {
-		kind := evJoin
-		if ev.Kind == model.EventRetire {
-			kind = evRetire
-		}
-		r.add(event{key: ev.At, kind: kind, seq: i, at: ev.At, idx: ev.Driver})
-	}
+	r.watchCancels()
 	r.init()
-	return r, nil
+	return &Stream{e: e, r: r}, nil
 }
 
 // NewStream resets the engine and opens a streaming run dispatched by
@@ -116,13 +98,13 @@ func (e *Engine) NewStream(d Dispatcher, fleetEvents []model.MarketEvent) (*Stre
 	if d == nil {
 		return nil, fmt.Errorf("sim: nil dispatcher")
 	}
-	r, err := e.newStreamRun(fleetEvents)
+	s, err := e.openStream(fleetEvents)
 	if err != nil {
 		return nil, err
 	}
-	r.d = d
-	r.onArrival = r.instantArrival
-	return &Stream{e: e, r: r}, nil
+	s.r.d = d
+	s.r.onArrival = s.r.instantArrival
+	return s, nil
 }
 
 // NewBatchedStream resets the engine and opens a streaming run with
@@ -147,12 +129,12 @@ func (e *Engine) NewBatchedStream(window float64, algo BatchAlgorithm, fleetEven
 	if algo != BatchHungarian {
 		return nil, fmt.Errorf("sim: unknown batch algorithm %v (the only window solver is %v)", algo, BatchHungarian)
 	}
-	r, err := e.newStreamRun(fleetEvents)
+	s, err := e.openStream(fleetEvents)
 	if err != nil {
 		return nil, err
 	}
-	b := newBatcher(r, window)
-	return &Stream{e: e, r: r, b: b}, nil
+	s.b = newBatcher(s.r, window)
+	return s, nil
 }
 
 // SetDecisionHandler registers fn to receive every dispatch decision
@@ -191,20 +173,17 @@ func (s *Stream) PendingTasks() int {
 	return len(s.b.batch)
 }
 
-// submit pushes ev (stamping the next sequence number) and steps the
-// run until ev itself has been handled — which first drains everything
-// ordered before it: pre-scheduled fleet events, revocation frees from
-// earlier cancellations. Dynamic sequence numbers are unique, so the
-// match is unambiguous.
+// submit pushes ev and steps the run until ev itself has been handled —
+// which first drains everything ordered before it: pre-scheduled fleet
+// events, revocation frees from earlier cancellations. Dynamic sequence
+// numbers are unique, so the match on push's stamp is unambiguous.
 func (s *Stream) submit(ev event) {
 	r := s.r
-	ev.seq = r.seq
-	r.seq++
-	heap.Push(&r.q, ev)
+	seq := r.push(ev)
 	for {
-		popped := heap.Pop(&r.q).(event)
+		popped := heap.Pop(&r.q, eventBefore)
 		r.handle(popped)
-		if popped.seq == ev.seq {
+		if popped.Seq == seq {
 			return
 		}
 	}
@@ -250,7 +229,7 @@ func (s *Stream) SubmitTask(t model.Task) (TaskDecision, error) {
 	r.tasks = append(r.tasks, t)
 	r.cancelled = append(r.cancelled, false)
 	at := s.clampLate(t.Publish)
-	s.submit(event{key: at, kind: evArrival, at: at, idx: ti})
+	s.submit(event{Key: at, Kind: evArrival, At: at, Idx: ti})
 	dec := TaskDecision{Task: ti, Driver: -1, At: at}
 	if s.b != nil {
 		// The arrival joined (or opened) a window whose close is
@@ -261,7 +240,7 @@ func (s *Stream) SubmitTask(t model.Task) (TaskDecision, error) {
 	if drv, ok := r.res.Assignment[ti]; ok {
 		dec.Assigned, dec.Driver = true, drv
 		if info, ok := r.inflight[ti]; ok {
-			dec.PickupAt = info.arrival
+			dec.PickupAt = info.Arrival
 		}
 	}
 	return dec, nil
@@ -285,7 +264,7 @@ func (s *Stream) CancelTask(ti int, at float64) (freedDriver int, ok bool, err e
 	drv, assigned := r.res.Assignment[ti]
 	before := r.res.Cancelled
 	at = s.clampLate(at)
-	s.submit(event{key: at, kind: evCancel, at: at, idx: ti})
+	s.submit(event{Key: at, Kind: evCancel, At: at, Idx: ti})
 	if r.res.Cancelled > before {
 		if assigned {
 			return drv, true, nil
@@ -295,23 +274,6 @@ func (s *Stream) CancelTask(ti int, at float64) (freedDriver int, ok bool, err e
 	return -1, false, nil
 }
 
-// submitOrSchedule routes a fleet event by its timestamp: an event at
-// or before the stream's current time is processed immediately (with
-// everything queued before it, exactly as submit does); a future event
-// is left on the heap to fire when the drain reaches its time. The
-// distinction matters twice over — a future event must not fast-forward
-// the market clock past traffic that has not arrived yet, and the heap
-// firing it later is precisely how the batch drain would order it.
-func (s *Stream) submitOrSchedule(ev event) {
-	if ev.key > s.r.now || !s.r.started && ev.key > 0 {
-		ev.seq = s.r.seq
-		s.r.seq++
-		heap.Push(&s.r.q, ev)
-		return
-	}
-	s.submit(ev)
-}
-
 // JoinDriver re-announces a registered driver at the given time: an
 // absent driver (not yet joined, or retired) becomes visible to
 // dispatch from that time on. Joining later than her shift start delays
@@ -319,15 +281,7 @@ func (s *Stream) submitOrSchedule(ev event) {
 // a join time in the future is scheduled rather than applied now. A
 // finished stream reports ErrFinished.
 func (s *Stream) JoinDriver(i int, at float64) error {
-	if err := s.checkOpen(); err != nil {
-		return err
-	}
-	if i < 0 || i >= len(s.e.Drivers) {
-		panic(fmt.Sprintf("sim: join of unknown driver %d", i))
-	}
-	at = s.clampLate(at)
-	s.submitOrSchedule(event{key: at, kind: evJoin, at: at, idx: i})
-	return nil
+	return s.fleetEvent(evJoin, "join", i, at)
 }
 
 // RetireDriver removes a registered driver from the market at the given
@@ -335,14 +289,30 @@ func (s *Stream) JoinDriver(i int, at float64) error {
 // retirement time in the future is scheduled rather than applied now. A
 // finished stream reports ErrFinished.
 func (s *Stream) RetireDriver(i int, at float64) error {
+	return s.fleetEvent(evRetire, "retire", i, at)
+}
+
+// fleetEvent routes a join or retirement of driver i by its timestamp:
+// one at or before the stream's current time is processed immediately
+// (with everything queued before it, exactly as submit does); a future
+// one is left on the heap to fire when the drain reaches its time. The
+// distinction matters twice over — a future event must not fast-forward
+// the market clock past traffic that has not arrived yet, and the heap
+// firing it later is precisely how the batch drain would order it.
+func (s *Stream) fleetEvent(kind int, verb string, i int, at float64) error {
 	if err := s.checkOpen(); err != nil {
 		return err
 	}
 	if i < 0 || i >= len(s.e.Drivers) {
-		panic(fmt.Sprintf("sim: retire of unknown driver %d", i))
+		panic(fmt.Sprintf("sim: %s of unknown driver %d", verb, i))
 	}
 	at = s.clampLate(at)
-	s.submitOrSchedule(event{key: at, kind: evRetire, at: at, idx: i})
+	ev := event{Key: at, Kind: kind, At: at, Idx: i}
+	if s.r.future(at) {
+		s.r.push(ev)
+	} else {
+		s.submit(ev)
+	}
 	return nil
 }
 
@@ -362,11 +332,11 @@ func (s *Stream) AddDriver(d model.Driver, at float64) (int, error) {
 	r := s.r
 	at = s.clampLate(at)
 	i := len(e.Drivers)
-	future := at > r.now || !r.started && at > 0
+	future := r.future(at)
 	e.Drivers = append(e.Drivers, d)
-	st := driverState{freeAt: d.Start, loc: d.Source}
-	if !future && st.freeAt < at {
-		st.freeAt = at
+	st := DriverStateSnap{FreeAt: d.Start, Loc: d.Source}
+	if !future && st.FreeAt < at {
+		st.FreeAt = at
 	}
 	e.states = append(e.states, st)
 	e.present = append(e.present, !future)
@@ -377,9 +347,7 @@ func (s *Stream) AddDriver(d model.Driver, at float64) (int, error) {
 	r.res.DriverPaths = append(r.res.DriverPaths, nil)
 	e.source.Added(i)
 	if future {
-		ev := event{key: at, kind: evJoin, at: at, idx: i, seq: r.seq}
-		r.seq++
-		heap.Push(&r.q, ev)
+		r.push(event{Key: at, Kind: evJoin, At: at, Idx: i})
 	}
 	return i, nil
 }
@@ -405,19 +373,10 @@ func (s *Stream) AdvanceTo(t float64) error {
 		return err
 	}
 	r := s.r
-	for r.q.Len() > 0 && r.q[0].key <= t {
+	for len(r.q) > 0 && r.q[0].Key <= t {
 		r.step()
 	}
-	if !r.started {
-		r.now, r.started = t, true
-		return nil
-	}
-	if t > r.now {
-		if r.e.Clock != nil {
-			r.e.Clock.Advance(r.now, t)
-		}
-		r.now = t
-	}
+	r.advance(t)
 	return nil
 }
 
@@ -487,10 +446,10 @@ func (s *Stream) Snapshot() (Result, error) {
 	// driver to her pre-assignment state for the duration of the
 	// settlement, then restore. The stream is single-threaded (callers
 	// serialize), so the temporary mutation is invisible.
-	saved := make(map[int]driverState, len(r.revert))
+	saved := make(map[int]DriverStateSnap, len(r.revert))
 	for drv, info := range r.revert {
 		saved[drv] = e.states[drv]
-		e.states[drv] = info.prev
+		e.states[drv] = info.Prev
 	}
 	e.settle(&res)
 	for drv, st := range saved {
