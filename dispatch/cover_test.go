@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -79,6 +80,26 @@ func TestMarketOverridesAndInvalidSpeed(t *testing.T) {
 	bad.SpeedKmh = -4
 	if _, err := New(bad); !errors.Is(err, ErrInvalidDriver) {
 		t.Fatalf("New with negative speed: err = %v, want ErrInvalidDriver", err)
+	}
+	// A non-finite constant fails every ordered test a rejection could be
+	// written as; +Inf speed would make every pickup instant.
+	for _, c := range []struct {
+		name       string
+		speed, gas float64
+	}{
+		{"+Inf speed", math.Inf(1), 0},
+		{"NaN speed", math.NaN(), 0},
+		{"NaN gas", 0, math.NaN()},
+		{"+Inf gas", 0, math.Inf(1)},
+	} {
+		bad := overloadMarket()
+		bad.SpeedKmh, bad.GasPerKm = c.speed, c.gas
+		if svc, err := New(bad); !errors.Is(err, ErrInvalidDriver) {
+			if err == nil {
+				svc.Close()
+			}
+			t.Errorf("New with %s: err = %v, want ErrInvalidDriver", c.name, err)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -251,6 +253,59 @@ func TestWithDistanceFunc(t *testing.T) {
 	}
 	if _, err := New(Market{}, WithDistanceFunc(inflated), WithDurability(t.TempDir())); !errors.Is(err, ErrInvalidOption) {
 		t.Errorf("WithDistanceFunc + WithDurability: err = %v, want ErrInvalidOption", err)
+	}
+}
+
+// TestNaNMetricAssignsNothing: a distance function that answers NaN
+// fails every deadline clause it enters — a clause written "infeasible
+// if past the bound" would pass it — so no order is assigned, under any
+// policy, instant or batched, and the books stay finite. "way home" is
+// NaN only towards the drivers' destination: the return-home clause.
+// "the ride" is NaN only from the pickup to the dropoff: the dropoff
+// clause, which alone stands between Nearest and a finite arrival.
+func TestNaNMetricAssignsNothing(t *testing.T) {
+	home, ride := overloadMarket().Drivers[0].Dest, overloadTask(0, 0)
+	nanOn := func(nan func(a, b Point) bool) func(a, b Point) float64 {
+		return func(a, b Point) float64 {
+			if nan(a, b) {
+				return math.NaN()
+			}
+			return geo.Equirectangular(geo.Point(a), geo.Point(b))
+		}
+	}
+	for name, dist := range map[string]func(a, b Point) float64{
+		"every pair": nanOn(func(Point, Point) bool { return true }),
+		"way home":   nanOn(func(_, b Point) bool { return b == home }),
+		"the ride":   nanOn(func(a, b Point) bool { return a == ride.Source && b == ride.Dest }),
+	} {
+		for _, policy := range []Policy{MaxMargin, Nearest, Random} {
+			for _, window := range []float64{0, 60} {
+				opts := []Option{WithDistanceFunc(dist), WithDispatcher(policy)}
+				if window > 0 {
+					opts = append(opts, WithBatching(window, Hungarian))
+				}
+				svc, err := New(overloadMarket(), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := 1; id <= 3; id++ {
+					a, err := svc.SubmitTask(context.Background(), overloadTask(id, 10*float64(id)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a.Assigned {
+						t.Errorf("%s, %v, window %g: order %d assigned to %d, pickup by %g", name, policy, window, id, a.DriverID, a.PickupBy)
+					}
+				}
+				st, err := svc.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Served != 0 || st.Profit != 0 || st.Revenue != 0 {
+					t.Errorf("%s, %v, window %g: served %d for revenue %g, profit %g; want nothing", name, policy, window, st.Served, st.Revenue, st.Profit)
+				}
+			}
+		}
 	}
 }
 

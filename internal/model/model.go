@@ -243,10 +243,10 @@ func (m Market) Validate() error {
 	switch {
 	case m.Dist == nil:
 		return errors.New("market: nil distance function")
-	case m.SpeedKmh <= 0:
-		return fmt.Errorf("market: non-positive speed %.2f", m.SpeedKmh)
-	case m.GasPerKm < 0:
-		return fmt.Errorf("market: negative gas cost %.4f", m.GasPerKm)
+	case !finite(m.SpeedKmh) || !(m.SpeedKmh > 0):
+		return fmt.Errorf("market: speed %g not a finite positive number", m.SpeedKmh)
+	case !finite(m.GasPerKm) || !(m.GasPerKm >= 0):
+		return fmt.Errorf("market: gas cost %g not a finite non-negative number", m.GasPerKm)
 	}
 	return nil
 }

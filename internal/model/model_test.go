@@ -119,15 +119,28 @@ func TestMarketValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("nil Dist accepted")
 	}
-	bad = m
-	bad.SpeedKmh = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero speed accepted")
+	for _, tc := range []struct {
+		name       string
+		speed, gas float64
+	}{
+		{"zero speed", 0, 0.09},
+		{"negative speed", -30, 0.09},
+		{"NaN speed", math.NaN(), 0.09},
+		{"+Inf speed", math.Inf(1), 0.09},
+		{"negative gas", 30, -1},
+		{"NaN gas", 30, math.NaN()},
+		{"+Inf gas", 30, math.Inf(1)},
+	} {
+		bad = m
+		bad.SpeedKmh, bad.GasPerKm = tc.speed, tc.gas
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	bad = m
-	bad.GasPerKm = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative gas accepted")
+	free := m
+	free.GasPerKm = 0
+	if err := free.Validate(); err != nil {
+		t.Errorf("zero gas cost rejected: %v", err)
 	}
 }
 

@@ -21,17 +21,17 @@
 // Nearest and MaxMargin each take one extremum over that slice and say
 // so (sim.Ranked), which lets instant dispatch over the indexed source
 // hand them only the drivers who could still win or tie — the rest are
-// ruled out by a distance lower bound and never scored. What makes that
-// exact is how the two break ties, and the two contracts differ
-// (sim.Rank). MaxMargin keeps the first of equal margins and draws
-// nothing, so only the candidates that hold the final maximum matter:
-// RankMargin is order-free, and the source may look for them in any
-// order, nearest cell first. Nearest draws from the RNG on an exact
-// arrival tie with its *running* best, which a later candidate may yet
-// beat, so a candidate matters unless it is strictly worse than the best
-// before it in driver order: RankArrival is prefix-only, and the source
-// walks it in that order. Either way neither the winner nor the RNG
-// position changes. Random looks at the whole list and always gets it.
+// ruled out by a distance lower bound and never scored. Each rank has
+// one rule (sim.Rank), set by how its chooser breaks ties. MaxMargin
+// keeps the first of the greatest positive margins, draws nothing and
+// rejects when no margin is positive, so all it needs is the order's row
+// of a window of one — which the source finds in any order, nearest cell
+// first. Nearest draws from the RNG on an exact arrival tie with its
+// *running* best, which a later candidate may yet beat, so a candidate
+// matters unless it is strictly worse than the best before it in driver
+// order, and the source walks in that order. Either way neither the
+// winner nor the RNG position changes. Random looks at the whole list
+// and always gets it.
 package online
 
 import (
@@ -80,16 +80,12 @@ func (Nearest) Choose(_ model.Task, cands []sim.Candidate, rng *rand.Rand) int {
 // only — the prefix-only contract of sim.RankArrival.
 func (Nearest) RankedBy() sim.Rank { return sim.RankArrival }
 
-// MaxMargin is the maximum-marginal-value heuristic (Algorithm 4).
-//
-// AllowNegative controls whether a task may be assigned to a driver whose
-// marginal value δ_{n,m} is non-positive. The paper's Algorithm 4 picks
-// argmax δ unconditionally, but the market model's individual-rationality
-// constraint (Eq. 5b) forbids forcing unprofitable work on a driver, so
-// the default (false) rejects tasks whose best margin is ≤ 0.
-type MaxMargin struct {
-	AllowNegative bool
-}
+// MaxMargin is the maximum-marginal-value heuristic (Algorithm 4). The
+// paper's Algorithm 4 picks argmax δ_{n,m} unconditionally, but the
+// market model's individual-rationality constraint (Eq. 5b) forbids
+// forcing unprofitable work on a driver, so a task whose best margin is
+// not positive is rejected. The zero value is ready to use.
+type MaxMargin struct{}
 
 var (
 	_ sim.Dispatcher = MaxMargin{}
@@ -97,31 +93,23 @@ var (
 )
 
 // Name implements sim.Dispatcher.
-func (m MaxMargin) Name() string {
-	if m.AllowNegative {
-		return "maxMargin(unconstrained)"
-	}
-	return "maxMargin"
-}
+func (MaxMargin) Name() string { return "maxMargin" }
 
-// Choose picks the candidate with maximal δ_{n,m}.
-func (m MaxMargin) Choose(_ model.Task, cands []sim.Candidate, _ *rand.Rand) int {
+// Choose picks the first candidate of maximal δ_{n,m} among those whose
+// δ is positive; a NaN δ is not. It rejects when there is none.
+func (MaxMargin) Choose(_ model.Task, cands []sim.Candidate, _ *rand.Rand) int {
 	best := -1
 	for i, c := range cands {
-		if best < 0 || c.Margin > cands[best].Margin {
+		if c.Margin > 0 && (best < 0 || c.Margin > cands[best].Margin) {
 			best = i
 		}
-	}
-	if best >= 0 && !m.AllowNegative && cands[best].Margin <= 0 {
-		return -1
 	}
 	return best
 }
 
 // RankedBy implements sim.Ranked: Choose is a strict-comparison argmax
-// of Margin — the first of equal margins stays, nothing is drawn — and
-// the rejection rule reads the winner alone: the order-free contract of
-// sim.RankMargin.
+// of the positive margins — the first of equal margins stays, nothing is
+// drawn — which is sim.RankMargin's rule: the row of a window of one.
 func (MaxMargin) RankedBy() sim.Rank { return sim.RankMargin }
 
 // Random assigns the task to a uniformly random candidate. It is not in

@@ -61,8 +61,29 @@ func TestMaxMarginRejectsNonPositiveByDefault(t *testing.T) {
 	if got := (MaxMargin{}).Choose(model.Task{}, neg, nil); got != -1 {
 		t.Fatalf("default MaxMargin accepted a negative margin: %d", got)
 	}
-	if got := (MaxMargin{AllowNegative: true}).Choose(model.Task{}, neg, nil); got != 1 {
-		t.Fatalf("unconstrained MaxMargin chose %d, want 1", got)
+}
+
+// TestMaxMarginOneRule holds Choose to the rule of sim.RankMargin: the
+// first of the greatest positive margins, or a rejection. A NaN margin
+// is not positive, wherever it stands — first, it would otherwise win,
+// since no margin compares greater than it.
+func TestMaxMarginOneRule(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		list []sim.Candidate
+		want int
+	}{
+		{"NaN first", cands([2]float64{5, nan}, [2]float64{6, 3}), 1},
+		{"NaN between", cands([2]float64{5, 2}, [2]float64{6, nan}, [2]float64{7, 3}), 2},
+		{"only NaN", cands([2]float64{5, nan}), -1},
+		{"none positive", cands([2]float64{5, -2}, [2]float64{6, 0}, [2]float64{7, -0.5}), -1},
+		{"first of equal", cands([2]float64{5, -1}, [2]float64{6, 4}, [2]float64{7, 4}), 1},
+		{"empty", nil, -1},
+	} {
+		if got := (MaxMargin{}).Choose(model.Task{}, tc.list, nil); got != tc.want {
+			t.Errorf("%s: MaxMargin chose %d from %+v, want %d", tc.name, got, tc.list, tc.want)
+		}
 	}
 }
 
@@ -94,7 +115,6 @@ func TestNames(t *testing.T) {
 	}{
 		{Nearest{}, "Nearest"},
 		{MaxMargin{}, "maxMargin"},
-		{MaxMargin{AllowNegative: true}, "maxMargin(unconstrained)"},
 		{Random{}, "Random"},
 	} {
 		if got := tc.d.Name(); got != tc.want {
@@ -241,7 +261,7 @@ func TestBoundedChoiceKeepsTies(t *testing.T) {
 		e.SetCandidateSource(src)
 		return e.RunScenario(orders, nil, d), e.RNGDraws()
 	}
-	for _, d := range []sim.Dispatcher{Nearest{}, MaxMargin{}, MaxMargin{AllowNegative: true}} {
+	for _, d := range []sim.Dispatcher{Nearest{}, MaxMargin{}} {
 		var arrivalTies, marginTies int
 		want, wantDraws := day(&sim.ScanSource{}, tieSpy{d, &arrivalTies, &marginTies})
 		if want.Served == 0 || arrivalTies == 0 || marginTies == 0 {

@@ -98,6 +98,65 @@ func TestBoundedPathScoresFewer(t *testing.T) {
 	}
 }
 
+// TestUnprofitableDayScoresFew is TestBoundedPathScoresFewer's day with
+// every price 0: no order is worth serving, and the margin rank is the
+// row of one, whose floor — a positive margin — skips every cell whose
+// bound is not above it: 163 exact scores. A walk whose bar is the best
+// margin met so far, however negative, scores 1 039 to learn that
+// nothing pays.
+func TestUnprofitableDayScoresFew(t *testing.T) {
+	cfg := trace.NewConfig(17, 200, 5000, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	for i := range tr.Tasks {
+		tr.Tasks[i].Price, tr.Tasks[i].WTP = 0, 0
+	}
+	day := func(src CandidateSource, d Dispatcher) Result {
+		e := diffEngine(t, cfg.Market, tr.Drivers, 1, false, src)
+		return e.RunScenario(tr.Tasks, nil, d)
+	}
+	want := day(&ScanSource{}, diffMaxMargin{})
+	grid := NewGridSource(nil)
+	got := day(grid, rankedMaxMargin{})
+	diffResults(t, "zero prices", want, got)
+	if want.Served != 0 || want.Rejected != len(tr.Tasks) {
+		t.Errorf("zero prices: %d served, %d rejected of %d orders; want none served", want.Served, want.Rejected, len(tr.Tasks))
+	}
+	if stats := grid.WalkStats(); stats.ExactScores > 200 || stats.CellsSkipped == 0 {
+		t.Errorf("zero prices: %+v; want at most 200 exact scores and some cells skipped", stats)
+	} else {
+		t.Logf("zero prices: %+v", stats)
+	}
+}
+
+// TestNaNMetricSameBooks runs the scan and the index under a metric that
+// answers NaN for some pairs: a NaN leg fails its deadline clause, and a
+// NaN way home from where a driver stands leaves her a NaN margin, which
+// the margin rank's rule does not count as positive — the full list's
+// chooser passes over it wherever it stands, and the row of one drops
+// it. Both must settle the same books.
+func TestNaNMetricSameBooks(t *testing.T) {
+	cfg := trace.NewConfig(23, 120, 400, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	nans := 0
+	mkt := cfg.Market
+	mkt.Dist = func(a, b geo.Point) float64 {
+		if int(math.Abs(a.Lat*1e5)+math.Abs(b.Lon*1e5))%5 == 0 {
+			nans++
+			return math.NaN()
+		}
+		return cfg.Market.Dist(a, b)
+	}
+	for _, realTime := range []bool{false, true} {
+		want := diffEngine(t, mkt, tr.Drivers, 1, realTime, &ScanSource{}).RunScenario(tr.Tasks, nil, diffMaxMargin{})
+		got := diffEngine(t, mkt, tr.Drivers, 1, realTime, NewGridSource(nil)).RunScenario(tr.Tasks, nil, rankedMaxMargin{})
+		diffResults(t, fmt.Sprintf("NaN metric, real time %v", realTime), want, got)
+		if want.Served == 0 || nans == 0 || math.IsNaN(want.TotalProfit) {
+			t.Errorf("real time %v: %d served for profit %g, %d NaN distances; the day tests nothing", realTime, want.Served, want.TotalProfit, nans)
+		}
+		t.Logf("real time %v: %d of %d served, %d NaN distances so far", realTime, want.Served, len(tr.Tasks), nans)
+	}
+}
+
 // countedDay opens a stream on an engine whose Market.Dist counts into
 // *calls, zeroes the count, submits the tasks in turn and returns the
 // settled books: the calls of the day, from its first decision to its

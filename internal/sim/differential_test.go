@@ -17,6 +17,8 @@ import (
 // RNG-sensitivity that makes candidate-set identity observable: maxMargin
 // keeps the first best under strict comparison, nearest breaks arrival
 // ties through the engine RNG, random consumes one draw per task.
+// maxMargin is RankMargin's rule: the first of the greatest positive
+// margins, a NaN margin not positive.
 
 type diffMaxMargin struct{}
 
@@ -24,12 +26,9 @@ func (diffMaxMargin) Name() string { return "maxMargin" }
 func (diffMaxMargin) Choose(_ model.Task, cands []Candidate, _ *rand.Rand) int {
 	best := -1
 	for i, c := range cands {
-		if best < 0 || c.Margin > cands[best].Margin {
+		if c.Margin > 0 && (best < 0 || c.Margin > cands[best].Margin) {
 			best = i
 		}
-	}
-	if best >= 0 && cands[best].Margin <= 0 {
-		return -1
 	}
 	return best
 }

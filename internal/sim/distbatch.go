@@ -185,7 +185,7 @@ func (e *Engine) scoreCandidates(db *distBatch, ids []int, task model.Task, now 
 	keep := 0
 	for k, i := range db.ids {
 		arrival, ok := e.pickupArrival(i, task, now, db.kms[k])
-		if !ok || arrival+q.service > task.EndBy {
+		if !ok || !(arrival+q.service <= task.EndBy) {
 			continue
 		}
 		db.ids[keep] = i

@@ -50,53 +50,52 @@ type Candidate struct {
 // must not retain the candidate slice. Returning -1 rejects the task.
 //
 // cands holds every feasible driver in ascending driver order — unless
-// the dispatcher is Ranked, in which case it may be the rank-preserving
-// subset of that list (see Ranked): same order, same winner, same draws.
+// the dispatcher is Ranked, in which case it may be what the rule of its
+// rank leaves of that list (see Rank): same order, same winner, same
+// draws.
 type Dispatcher interface {
 	Name() string
 	Choose(task model.Task, cands []Candidate, rng *rand.Rand) int
 }
 
 // Rank names the one number of a Candidate that a Ranked dispatcher's
-// Choose takes its extremum over — and with it, how much of the list
-// that Choose may be spared (see Ranked):
+// Choose takes its extremum over, and with it the one rule by which a
+// source may spare that Choose part of the list:
 //
-//   - RankMargin is order-free: the chooser's result depends on nothing
-//     ranked strictly below the *final* best, so a source may drop such
-//     candidates wherever in the list they stand, and find them in any
-//     order it likes as long as it hands the rest over in driver order.
-//   - RankArrival is prefix-only: the chooser may depend on a candidate
-//     that ranks below the final best but ties the best *before it*
-//     (Nearest draws from the RNG there), so a source may drop only what
-//     ranks strictly below the best of the candidates ahead of it in
-//     driver order — which it can only know by walking in that order.
+//   - RankMargin: the list is the order's row of a window of one
+//     (boundedSource.TopRow with k = 1) — the first candidate in driver
+//     order of the greatest positive margin, or none. A source may find
+//     it in any order it likes.
+//   - RankArrival: the list is the full one less the candidates that
+//     rank strictly below the best of those ahead of them in driver
+//     order — which a source can only know by walking in that order.
 type Rank uint8
 
 const (
-	RankMargin  Rank = iota + 1 // the larger Candidate.Margin wins; order-free
-	RankArrival                 // the earlier Candidate.Arrival wins; prefix-only
+	RankMargin  Rank = iota + 1 // the larger positive Candidate.Margin wins
+	RankArrival                 // the earlier Candidate.Arrival wins
 )
 
 // Ranked is the optional capability of a Dispatcher whose Choose is one
-// extremum over the candidates. Declaring it is a promise about Choose:
+// extremum over the candidates. Declaring it is a promise that Choose
+// picks the same driver, after as many draws from rng, from what the
+// rule of its rank (see Rank) leaves of the list as from all of it:
 //
-//   - it returns a candidate of maximal rank (or rejects), and
-//   - neither what it returns nor how many draws it takes from rng
-//     depends on a candidate ranked strictly below the best of the
-//     candidates before it in the list — or, if it declares RankMargin,
-//     on one ranked strictly below the best of the whole list.
+//   - by RankMargin, Choose returns the first candidate of greatest
+//     margin if that margin is positive and rejects if none is (a NaN
+//     margin is not), and draws nothing — MaxMargin, the paper's
+//     Algorithm 4 under individual rationality (Eq. 5b);
+//   - by RankArrival, neither what Choose returns nor how many draws it
+//     takes depends on a candidate ranked strictly below the best of the
+//     candidates before it — a reservoir draw among exact ties with the
+//     running minimum (Nearest) keeps this.
 //
-// A reservoir draw among exact ties (Nearest, by RankArrival) keeps the
-// first promise: it draws when a candidate ties the running minimum,
-// which a later, earlier arrival may then beat. A strict-comparison
-// argmax that keeps the first best and draws nothing (MaxMargin, by
-// RankMargin) keeps the second, stronger one. A uniform choice over the
-// whole list (Random) keeps neither. Instant dispatch then asks a source
-// that can (GridSource.Contenders) for a list that leaves out what the
-// promise lets it, and Choose — unchanged, there is no second chooser —
-// picks the same driver from the short list as from the full one.
+// A uniform choice over the whole list (Random) can promise neither.
+// Instant dispatch asks a source that can (GridSource.Contenders) for
+// the list the rule leaves, and Choose — unchanged, there is no second
+// chooser — picks the same driver from it as from the full one.
 // Replanning and any other source or dispatcher keep the full list; a
-// batched window needs rows, not a winner, and bounds those its own way
+// batched window's rows follow RankMargin's rule at the window's k
 // (boundedSource.TopRow).
 type Ranked interface {
 	RankedBy() Rank
@@ -143,10 +142,10 @@ type CandidateSource interface {
 // rows: a CandidateSource that can bound a rank from cheap inputs and so
 // score fewer than everyone.
 type boundedSource interface {
-	// Contenders appends, in ascending driver order, a subset of what
-	// Candidates would: every candidate whose rank under by equals or
-	// beats that of all candidates before it is in it — for RankMargin at
-	// least every candidate whose rank equals the best of them all.
+	// Contenders appends, in ascending driver order, what the rule of by
+	// (see Rank) leaves of what Candidates would: for RankMargin the row
+	// of one, for RankArrival every candidate whose rank equals or beats
+	// that of all candidates before it, for any other rank all of them.
 	Contenders(task model.Task, now float64, by Rank, buf []Candidate) []Candidate
 	// TopRow appends the order's row of a window of k orders — exactly
 	// what topRow makes of Candidates: the at most k candidates of
@@ -471,7 +470,10 @@ func (e *Engine) candidateFor(i int, task model.Task, now, service, serviceCost 
 // pickupArrival computes when driver i would reach the pickup (given
 // the already-computed distance from her location to it) and checks the
 // pickup-deadline clause. The second return is false when she cannot
-// make the pickup.
+// make the pickup. Here and in finishCandidate every clause is written
+// "feasible only if within the bound", so that a NaN — from a metric
+// that returns one — makes the pair infeasible rather than passing the
+// clause.
 func (e *Engine) pickupArrival(i int, task model.Task, now, pickupKm float64) (float64, bool) {
 	drv := e.Drivers[i]
 	st := &e.states[i]
@@ -493,8 +495,8 @@ func (e *Engine) pickupArrival(i int, task model.Task, now, pickupKm float64) (f
 		}
 	}
 	arrival := depart + e.Market.TravelTimeKm(pickupKm, drv.SpeedKmh)
-	if arrival > task.StartBy {
-		return 0, false // cannot reach the pickup by its deadline
+	if !(arrival <= task.StartBy) {
+		return 0, false // cannot reach the pickup by its deadline (or a NaN)
 	}
 	return arrival, true
 }
@@ -506,7 +508,7 @@ func (e *Engine) finishCandidate(i int, task model.Task, service, serviceCost, a
 	drv := e.Drivers[i]
 
 	finish := arrival + service
-	if finish > task.EndBy {
+	if !(finish <= task.EndBy) {
 		return Candidate{}, false // cannot complete by the dropoff deadline
 	}
 	// Return-home clause: after the task the driver must still make
@@ -517,7 +519,7 @@ func (e *Engine) finishCandidate(i int, task model.Task, service, serviceCost, a
 	if e.RealTime {
 		releasedAt = finish
 	}
-	if releasedAt+e.Market.TravelTimeKm(homeKm, drv.SpeedKmh) > drv.End {
+	if !(releasedAt+e.Market.TravelTimeKm(homeKm, drv.SpeedKmh) <= drv.End) {
 		return Candidate{}, false
 	}
 
@@ -530,9 +532,8 @@ func (e *Engine) finishCandidate(i int, task model.Task, service, serviceCost, a
 // place of the way home from where she is (oldHomeKm). Every operation
 // in it is monotone in pickupKm and homeKm, rounding included, so lower
 // bounds on the two distances give an upper bound on the margin in
-// floating point, not only in the reals — which GridSource.Contenders
-// and GridSource.TopRow rely on by calling this same function for their
-// bound.
+// floating point, not only in the reals — which GridSource.TopRow relies
+// on by calling this same function for its bound.
 func (e *Engine) margin(price, serviceCost, pickupKm, homeKm, oldHomeKm float64) float64 {
 	// Market.TravelCostKm three times, written out: called, each copies
 	// half the Market through a 16-byte load that straddles a cache line

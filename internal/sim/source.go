@@ -222,43 +222,39 @@ func (s *GridSource) reachable(task model.Task, now float64) []int {
 }
 
 // Contenders is Candidates for a dispatcher that takes one extremum
-// (see Ranked): it scores a driver exactly — Engine.candidate, two
-// distances — only if an optimistic candidate built from lower bounds on
-// her two distances could still equal or beat the best exact candidate
-// so far. Everyone else is skipped for a few multiplications and a
-// square root.
+// (see Ranked), cut by the rule of its rank (see Rank).
 //
-// The bounds are the pre-filter's own: Safety × the planar distance of
-// two projected points never exceeds Market.Dist of them (see the type
-// comment). The optimistic arrival and margin come out of the very
-// functions the exact ones do, fed the smaller distances; every step of
-// those is monotone under rounding, so the optimistic rank is at least
-// the exact one as floats, and a skipped driver ranks strictly below the
-// incumbent — she could neither win nor tie. Every skip test is false
-// for a NaN, which therefore goes to exact scoring.
+// RankMargin is the order's row of a window of one, TopRow with k = 1:
+// the one walk that ranks by margin, nearest cell first, which answers
+// with the first candidate of greatest positive margin or with none.
 //
-// The two ranks are walked differently, because their choosers promise
-// different things (see Rank). RankMargin is order-free, so it takes the
-// index's cursor (marginWalk) and sorts the few survivors back into
-// driver order. RankArrival is prefix-only and keeps the ascending list:
-// Nearest draws from the RNG when a candidate ties the *running* minimum,
-// so skipping a driver against an incumbent met later in driver order —
-// which any other order of walking does — removes draws (drivers 1 and 2
-// tie at 13 500 s, driver 9 arrives at 11 520 s: one draw from the full
-// list, none if 9 is met first; TestNearestDrawsOnRunningTies). On that
-// walk an optimistic arrival past the pickup deadline means the exact
-// one is too: infeasible, skipped whatever the rank.
-//
-// Under a road metric (Market.Batch) the margin rank walks too when the
-// batcher has a node table (see roadLeg), and everything else keeps the
-// full list, scored in two shared-endpoint batches: the arrival rank,
-// whose walk in id order could only bound on the planar leg, and a graph
-// routed by a kernel.
+// RankArrival keeps the ascending list and scores a driver exactly —
+// Engine.candidate, two distances — only if an optimistic arrival,
+// built from a lower bound on her pickup leg, could still equal or beat
+// the earliest exact arrival so far; everyone else is skipped for a few
+// multiplications and a square root. The bound is the pre-filter's own:
+// Safety × the planar distance of two projected points never exceeds
+// Market.Dist of them (see the type comment). The optimistic arrival
+// comes out of the very function the exact one does, fed the smaller
+// distance; every step of it is monotone under rounding, so a skipped
+// driver arrives strictly after the incumbent — she could neither win
+// nor tie — and one whose optimistic arrival is past the pickup
+// deadline is infeasible. Both tests are false for a NaN, which goes to
+// exact scoring. The walk is in driver order because the rule asks for
+// it: Nearest draws from the RNG when a candidate ties the *running*
+// minimum, so skipping a driver against an incumbent met later in
+// driver order — which any other order of walking does — removes draws
+// (drivers 1 and 2 tie at 13 500 s, driver 9 arrives at 11 520 s: one
+// draw from the full list, none if 9 is met first;
+// TestNearestDrawsOnRunningTies). Under a road metric (Market.Batch),
+// where a walk in id order could only bound on the planar leg, the
+// arrival rank keeps the full list, scored in two shared-endpoint
+// batches; so does any other rank.
 func (s *GridSource) Contenders(task model.Task, now float64, by Rank, buf []Candidate) []Candidate {
 	e := s.e
 	switch {
-	case by == RankMargin && s.walks():
-		return s.bestMargins(task, now, e.orderTerms(task), buf)
+	case by == RankMargin:
+		return s.TopRow(task, now, 1, buf)
 	case by != RankArrival || e.Market.Batch != nil:
 		return s.Candidates(task, now, buf)
 	}
@@ -284,15 +280,15 @@ func (s *GridSource) Contenders(task model.Task, now float64, by Rank, buf []Can
 	return buf
 }
 
-// marginWalk is one order's pass over the index for the two walks that
-// rank by margin: the cursor over the drivers who could reach the pickup
-// by its deadline, and what the optimistic margin of one of them needs
-// of the order — with, on a market with a node table, the road terms
-// (road). On crow-fly the pickup-deadline clause is not bounded here a
-// second time: the cursor's predicate applies it at the fleet's top
-// speed and the exact score applies it exactly, so on a fleet of mixed
-// speeds a slow driver the predicate lets through is at worst scored and
-// dropped.
+// marginWalk is one order's pass over the index for the walk that ranks
+// by margin (TopRow): the cursor over the drivers who could reach the
+// pickup by its deadline, and what the optimistic margin of one of them
+// needs of the order — with, on a market with a node table, the road
+// terms (road). On crow-fly the pickup-deadline clause is not bounded
+// here a second time: the cursor's predicate applies it at the fleet's
+// top speed and the exact score applies it exactly, so on a fleet of
+// mixed speeds a slow driver the predicate lets through is at worst
+// scored and dropped.
 //
 // A walk is one variable of its caller's, declared before the loop that
 // steps it: declared in the loop's init clause, its address taken by
@@ -415,70 +411,27 @@ func (w *marginWalk) past() bool {
 	return w.road != nil && w.road.late(math.Inf(-1), w.cur.RingKm())
 }
 
-// bestMargins is Contenders for RankMargin: every feasible driver whose
-// optimistic margin reaches the best exact one met before her on the
-// walk. Whoever holds the final best margin, or ties it, is among them
-// whatever the order of the walk — her optimistic margin is at least
-// her exact one, which no incumbent exceeds, and a driver the arrival
-// bound rules out is no candidate at all — and sorted back into driver
-// order the list is one MaxMargin cannot tell from the full one.
-func (s *GridSource) bestMargins(task model.Task, now float64, q orderTerms, buf []Candidate) []Candidate {
-	start := len(buf)
-	best := math.Inf(-1)
-	n := s.stats // counted in a local: a store to s would make the loop reload all it reads
-	w := s.marginWalk(task, now, q)
-	for w.cur.Next() && !w.past() {
-		n.CellsVisited++
-		if w.cellBound() < best {
-			n.CellsSkipped++
-			continue
-		}
-		ents := w.cur.Entries()
-		n.EntriesScanned += uint64(len(ents))
-		maxHome := math.Inf(-1)
-		for k := range ents {
-			en := &ents[k]
-			if distSq, ok := w.cur.Reach(en); ok {
-				n.Reached++
-				if opt, ok := w.optimistic(en, distSq); !ok {
-					n.DeadlineSkips++
-				} else if !(opt < best) {
-					n.ExactScores++
-					if c, ok := s.e.candidate(int(en.ID), task, now, q); ok {
-						buf = append(buf, c)
-						if c.Margin > best {
-							best = c.Margin
-						}
-					}
-				}
-			}
-			maxHome = max(maxHome, en.HomeKm)
-		}
-		w.cur.Tighten(maxHome)
-	}
-	n.HomeFills += w.homeFills
-	s.stats = n
-	sortByDriver(buf[start:])
-	return buf
-}
-
-// TopRow is topRow for a batched window (closeBatchSparse): the same
-// walk as bestMargins, keeping the exact candidates of the row so far —
-// at most k, all of positive margin — as a heap on the tail of arena
-// whose root is the one that ranks last under ranksBefore, and scoring a
-// driver exactly only if her optimistic margin could still put her in
-// the row. What survives is sorted back into driver order, so the row is
-// topRow's element for element.
+// TopRow is topRow for a batched window (closeBatchSparse), and for an
+// instant decision by margin a window of one (Contenders): the margin
+// walk, keeping the exact candidates of the row so far — at most k, all
+// of positive margin — as a heap on the tail of arena whose root is the
+// one that ranks last under ranksBefore, and scoring a driver exactly
+// only if her optimistic margin could still put her in the row. What
+// survives is sorted back into driver order, so the row is topRow's
+// element for element.
 //
 // A driver is skipped when her optimistic margin is strictly below the
 // full heap's root: she ranks after everyone in it. One that could at
 // best equal the root is scored, and ranksBefore — margin, then lower
 // driver id — decides; the walk is not in driver order, so the tie-break
 // cannot be settled without her id. The floor is closed: topRow keeps
-// Margin > 0, so an optimistic margin of 0 is skipped. Both tests are
-// false for a NaN, which goes to exact scoring, where !(Margin > 0)
-// drops it as topRow's filter does. A row with fewer than k positive
-// margins never fills the heap and is pruned by the floor alone.
+// Margin > 0, so an optimistic margin of 0 is skipped. Both are one
+// test, opt < root: until the heap fills, root is the least positive
+// float, below which lies exactly what is not positive, and the full
+// heap's root is a positive margin. The test is false for a NaN, which
+// goes to exact scoring, where !(Margin > 0) drops it as topRow's filter
+// does. A row with fewer than k positive margins never fills the heap
+// and is pruned by the floor alone.
 //
 // On a road market with a node table the walk also skips a driver whose
 // arrival bound misses either deadline (roadLeg.late), before her way
@@ -489,7 +442,7 @@ func (s *GridSource) bestMargins(task model.Task, now float64, q orderTerms, buf
 // lets through, 48 % fail the dropoff deadline. On crow-fly the deadline
 // clauses are not bounded: they would spare 0.7 % of the exact scores
 // (1.8 % in real-time mode). A Batch market without a table keeps
-// topRow's full list, as in Contenders.
+// topRow's full list.
 func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candidate) []Candidate {
 	e := s.e
 	if !s.walks() {
@@ -497,12 +450,13 @@ func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candida
 	}
 	q := e.orderTerms(task)
 	start := len(arena)
-	root := math.Inf(-1) // the margin to reach: a full heap's root, none until it fills
-	n := s.stats         // counted in a local, as in bestMargins
+	// The margin to reach: the floor, then a full heap's root.
+	root := math.SmallestNonzeroFloat64
+	n := s.stats // counted in a local: a store to s would make the loop reload all it reads
 	w := s.marginWalk(task, now, q)
 	for w.cur.Next() && !w.past() {
 		n.CellsVisited++
-		if opt := w.cellBound(); opt <= 0 || opt < root {
+		if w.cellBound() < root {
 			n.CellsSkipped++
 			continue
 		}
@@ -515,7 +469,7 @@ func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candida
 				n.Reached++
 				if opt, ok := w.optimistic(en, distSq); !ok {
 					n.DeadlineSkips++
-				} else if !(opt <= 0 || opt < root) {
+				} else if !(opt < root) {
 					n.ExactScores++
 					if c, ok := e.candidate(int(en.ID), task, now, q); ok && c.Margin > 0 {
 						arena = admit(arena, start, k, c)

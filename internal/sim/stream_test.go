@@ -156,12 +156,12 @@ func TestStreamDynamicDriverAppend(t *testing.T) {
 		}
 	}
 	for _, src := range []struct {
-		name string
-		mk   func() CandidateSource
+		name, source string // the test's name, the source's Name
+		mk           func() CandidateSource
 	}{
-		{"scan", func() CandidateSource { return &ScanSource{} }},
-		{"grid", func() CandidateSource { return NewGridSource(nil) }},
-		{"sharded-4", func() CandidateSource { return NewShardedSource(4) }},
+		{"scan", "scan", func() CandidateSource { return &ScanSource{} }},
+		{"grid", "indexed", func() CandidateSource { return NewGridSource(nil) }},
+		{"sharded-4", "indexed", func() CandidateSource { return NewShardedSource(4) }},
 	} {
 		t.Run(src.name, func(t *testing.T) {
 			e, err := New(mkt, []model.Driver{far}, 1)
@@ -172,6 +172,9 @@ func TestStreamDynamicDriverAppend(t *testing.T) {
 			st, err := e.NewStream(diffMaxMargin{}, nil)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if st.Engine() != e || e.source.Name() != src.source {
+				t.Fatalf("stream of engine %p over source %q, want %p over %q", st.Engine(), e.source.Name(), e, src.source)
 			}
 			if dec, err := st.SubmitTask(task(0, 100)); err != nil {
 				t.Fatalf("SubmitTask: %v", err)
@@ -184,7 +187,7 @@ func TestStreamDynamicDriverAppend(t *testing.T) {
 			if err != nil {
 				t.Fatalf("AddDriver: %v", err)
 			}
-			if idx != 1 || st.DriverCount() != 2 || st.PresentDrivers() != 1 {
+			if idx != 1 || st.DriverCount() != 2 || st.PresentDrivers() != 1 || st.Present(idx) {
 				t.Fatalf("after scheduled append: idx=%d drivers=%d present=%d", idx, st.DriverCount(), st.PresentDrivers())
 			}
 			// A task published before her join time cannot be assigned to
@@ -204,8 +207,9 @@ func TestStreamDynamicDriverAppend(t *testing.T) {
 			if !dec.Assigned || dec.Driver != idx {
 				t.Fatalf("appended driver did not take the task: %+v", dec)
 			}
-			if st.PresentDrivers() != 2 {
-				t.Fatalf("present=%d after the join fired", st.PresentDrivers())
+			if st.PresentDrivers() != 2 || !st.Present(idx) || st.TaskPublish(1) != 150 {
+				t.Fatalf("present=%d (driver %d: %v) after the join fired, task 1 published at %g",
+					st.PresentDrivers(), idx, st.Present(idx), st.TaskPublish(1))
 			}
 			if err := st.RetireDriver(idx, 300); err != nil { // at the current instant: applied now
 				t.Fatalf("RetireDriver: %v", err)

@@ -31,16 +31,17 @@
 // per-entry predicate is unchanged, so the two regions only hold
 // entries it would reject.
 //
-// A query answers in one of two shapes. The forms that return ids
-// (NearReachable, AppendReachable) walk the square the way memory lies,
-// row by row, collect the accepted ids in a bitmap over the id space and
-// sweep it in ascending order, so no caller sorts. The Cursor form
-// (Reachable) gives the walk to a caller that is after an extremum and
-// can bound it: cells come nearest ring first — the best-first order of
-// incremental nearest-neighbour search over a bucket grid (Hjaltason and
-// Samet, "Distance Browsing in Spatial Databases", TODS 1999) — each with
-// a bound on all of its entries at once, so that most cells behind a
-// good incumbent are passed over without a line of theirs being read.
+// Every window query is one walk: cells come nearest ring first — the
+// best-first order of incremental nearest-neighbour search over a bucket
+// grid (Hjaltason and Samet, "Distance Browsing in Spatial Databases",
+// TODS 1999) — through a Cursor, each with a bound on all of its entries
+// at once. The walk has two consumers. A caller that is after an
+// extremum and can bound it steps the Cursor (Reachable) itself, and
+// passes over most cells behind a good incumbent without reading a line
+// of theirs. The forms that return ids (NearReachable, AppendReachable)
+// step the same Cursor through every cell, collect the accepted ids in a
+// bitmap over the id space and sweep it in ascending order, so no caller
+// sorts.
 //
 // Distance checks use planar kilometer coordinates under a fixed
 // conservative projection (see Project) so the query hot path does no
@@ -676,30 +677,28 @@ func (ix *Index) NearReachable(p geo.Point, speedKmh, byTime, now, minRetire flo
 // result a superset of the truly reachable points; exact feasibility
 // stays with the caller.
 func (ix *Index) AppendReachable(buf []int, p geo.Point, speedKmh, byTime, now, minRetire float64) []int {
-	s, radiusKm, ok := ix.windowScan(speedKmh, byTime, now, minRetire)
-	if !ok {
-		return buf
+	lo, hi := len(ix.marks), -1 // bitmap words touched
+	c := ix.Reachable(p, speedKmh, byTime, now, minRetire)
+	for c.Next() {
+		ents := c.Entries()
+		for i := range ents {
+			e := &ents[i]
+			if _, ok := c.Reach(e); !ok {
+				continue
+			}
+			w := int(e.ID >> 6)
+			ix.marks[w] |= 1 << (uint(e.ID) & 63)
+			lo, hi = min(lo, w), max(hi, w)
+		}
 	}
-	return ix.collect(buf, p, radiusKm, s)
-}
-
-// windowScan is what every window query does first: it refuses the
-// query no point can satisfy, raises the horizon to a later deadline than
-// any before, and returns the predicate — dormant if the query
-// asks below the watermark — with the radius the fastest point covers.
-func (ix *Index) windowScan(speedKmh, byTime, now, minRetire float64) (s scan, radiusKm float64, ok bool) {
-	if speedKmh <= 0 || byTime < now {
-		return scan{}, 0, false
+	for w := lo; w <= hi; w++ {
+		word := ix.marks[w]
+		ix.marks[w] = 0
+		for ; word != 0; word &= word - 1 {
+			buf = append(buf, w<<6|bits.TrailingZeros64(word))
+		}
 	}
-	if byTime > ix.horizon {
-		// Short of +Inf, which every query rejects as a free time and
-		// which is the wakeAt of a cell with nothing to wake.
-		ix.horizon = min(byTime, math.MaxFloat64)
-	}
-	return scan{
-		dormant:  !(minRetire >= ix.watermark),
-		speedKmh: speedKmh, byTime: byTime, now: now, minRetire: minRetire,
-	}, speedKmh * (byTime - now) / 3600, true
+	return buf
 }
 
 // rings is how far out, in cells, a scan of radiusKm reaches: every
@@ -714,16 +713,16 @@ func (ix *Index) rings(radiusKm float64) int {
 	return rings
 }
 
-// Cursor is AppendReachable turned inside out, for a caller that wants
-// the entries rather than the ids and has bounds of its own to apply.
-// The caller steps with Next through the non-empty cells of the scanned
-// square — the center cell first, then ring after ring around it, so
-// that what lies nearest is met first — and for each cell either skips
-// it on what RingKm and MaxHomeKm say of all its entries at once, or
-// reads them from Entries, puts them through the query's predicate with
-// Reach (scan's, promoted) and reports back with Tighten. It is a value
-// — no closure, nothing allocated — and is good until the index is next
-// mutated or queried.
+// Cursor is the walk of a window query, the one AppendReachable steps
+// too, handed to a caller that wants the entries rather than the ids and
+// has bounds of its own to apply. The caller steps with Next through the
+// non-empty cells of the scanned square — the center cell first, then
+// ring after ring around it, so that what lies nearest is met first —
+// and for each cell either skips it on what RingKm and MaxHomeKm say of
+// all its entries at once, or reads them from Entries, puts them through
+// the query's predicate with Reach (scan's, promoted) and reports back
+// with Tighten. It is a value — no closure, nothing allocated — and is
+// good until the index is next mutated or queried.
 type Cursor struct {
 	scan
 	ix         *Index
@@ -736,19 +735,31 @@ type Cursor struct {
 	cl         *cell   // the current cell
 }
 
-// Reachable starts a Cursor over the points AppendReachable would test
-// with the same arguments.
+// Reachable starts the Cursor of the window query that AppendReachable
+// answers with ids. It refuses the query no point can satisfy,
+// raises the horizon to a later deadline than any before, and makes the
+// predicate dormant if the query asks below the watermark; the square
+// reaches as far as the fastest point covers.
 func (ix *Index) Reachable(p geo.Point, speedKmh, byTime, now, minRetire float64) Cursor {
-	s, radiusKm, ok := ix.windowScan(speedKmh, byTime, now, minRetire)
-	if !ok {
+	if speedKmh <= 0 || byTime < now {
 		return Cursor{rings: -1}
 	}
-	s.qx, s.qy = ix.Project(p)
+	if byTime > ix.horizon {
+		// Short of +Inf, which every query rejects as a free time and
+		// which is the wakeAt of a cell with nothing to wake.
+		ix.horizon = min(byTime, math.MaxFloat64)
+	}
+	qx, qy := ix.Project(p)
 	center := ix.grid.CellOf(p)
 	return Cursor{
-		scan: s, ix: ix,
+		scan: scan{
+			dormant: !(minRetire >= ix.watermark),
+			qx:      qx, qy: qy,
+			speedKmh: speedKmh, byTime: byTime, now: now, minRetire: minRetire,
+		},
+		ix:   ix,
 		crow: center / ix.grid.Cols, ccol: center % ix.grid.Cols,
-		rings: ix.rings(radiusKm),
+		rings: ix.rings(speedKmh * (byTime - now) / 3600),
 	}
 }
 
@@ -882,47 +893,4 @@ func (s *scan) Reach(e *Entry) (distSq float64, ok bool) {
 	dx, dy := e.PX-s.qx, e.PY-s.qy
 	distSq = dx*dx + dy*dy
 	return distSq, distSq <= budgetKm*budgetKm
-}
-
-// collect is the scan body of the queries that answer with ids: it walks
-// the cells within ringRadiusKm of p (see rings), sets the bit of every
-// entry s accepts, and then appends the set bits to buf in ascending id
-// order, clearing them. The order cells and entries are read in does not
-// reach the caller, so the square is walked the way memory lies, one
-// row of cells after the other.
-func (ix *Index) collect(buf []int, p geo.Point, ringRadiusKm float64, s scan) []int {
-	s.qx, s.qy = ix.Project(p)
-	rows, cols := ix.grid.Rows, ix.grid.Cols
-	center := ix.grid.CellOf(p)
-	crow, ccol, rings := center/cols, center%cols, ix.rings(ringRadiusKm)
-	lo, hi := len(ix.marks), -1 // bitmap words touched
-	for row := max(crow-rings, 0); row <= min(crow+rings, rows-1); row++ {
-		for at := row*cols + max(ccol-rings, 0); at <= row*cols+min(ccol+rings, cols-1); at++ {
-			cl := &ix.cells[at]
-			ents := cl.ents
-			if !s.dormant {
-				if ix.behind(cl) {
-					ix.settle(cl)
-				}
-				ents = ents[cl.park:cl.live]
-			}
-			for i := range ents {
-				e := &ents[i]
-				if _, ok := s.Reach(e); !ok {
-					continue
-				}
-				w := int(e.ID >> 6)
-				ix.marks[w] |= 1 << (uint(e.ID) & 63)
-				lo, hi = min(lo, w), max(hi, w)
-			}
-		}
-	}
-	for w := lo; w <= hi; w++ {
-		word := ix.marks[w]
-		ix.marks[w] = 0
-		for ; word != 0; word &= word - 1 {
-			buf = append(buf, w<<6|bits.TrailingZeros64(word))
-		}
-	}
-	return buf
 }
