@@ -2,7 +2,9 @@ package fed
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -209,5 +211,64 @@ func TestRouterCloseReportsJournalError(t *testing.T) {
 	}
 	if _, ok := stats["porto"]; !ok {
 		t.Fatal("stats missing despite the close error")
+	}
+}
+
+// TestUnencodableAnswerIs500: an answer encoding/json refuses is
+// encoded before the status line goes out, so it is a 500 naming the
+// reason, not a 200 with an empty body. Orders priced at two thirds of
+// the largest float are each valid, but their revenue sums to +Inf,
+// which /v1/stats and the router's aggregate cannot encode; the
+// appended assignment answer is held to the same rule.
+func TestUnencodableAnswerIs500(t *testing.T) {
+	fx := newFixture(t, 74, 40, 12)
+	defer fx.svc.Close()
+	served := 0
+	for _, task := range fx.tasks {
+		task.Price, task.WTP = math.MaxFloat64/1.5, 0
+		a, err := fx.svc.SubmitTask(context.Background(), task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Assigned {
+			served++
+		}
+	}
+	stats, err := fx.svc.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served < 2 || !math.IsInf(stats.Revenue, 1) {
+		t.Fatalf("%d served, revenue %g: the day does not overflow", served, stats.Revenue)
+	}
+
+	rt := NewRouter(nil)
+	if err := rt.Register(Market{Name: "porto", Svc: fx.svc}); err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]http.Handler{"market": MarketHandler(fx.svc, nil), "router": rt.Handler()} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var answer struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &answer); err != nil {
+			t.Fatalf("%s: answer %q: %v", name, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(answer.Error, "unsupported value: +Inf") {
+			t.Errorf("%s: /v1/stats answered %d %q, want 500 naming +Inf", name, rec.Code, rec.Body.String())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", name, ct)
+		}
+	}
+	// An assignment is appended only when its floats are finite; any
+	// other goes through writeJSON and is refused the same way.
+	for _, a := range []dispatch.Assignment{{PickupBy: math.Inf(1)}, {DecidedAt: math.NaN()}, {DecideBy: math.Inf(-1)}} {
+		rec := httptest.NewRecorder()
+		wb := getBuf()
+		writeAssignment(rec, wb, a)
+		putBuf(wb)
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "unsupported value") {
+			t.Errorf("%+v: answered %d %q, want 500", a, rec.Code, rec.Body.String())
+		}
 	}
 }

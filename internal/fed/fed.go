@@ -12,6 +12,7 @@
 package fed
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -48,8 +49,10 @@ func MarketHandler(svc *dispatch.Service, done <-chan struct{}) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/tasks", func(w http.ResponseWriter, r *http.Request) {
-		var t dispatch.Task
-		if err := json.NewDecoder(r.Body).Decode(&t); err != nil {
+		wb := getBuf()
+		defer putBuf(wb)
+		t, err := decodeTask(wb, r.Body)
+		if err != nil {
 			httpError(w, fmt.Errorf("%w: %v", dispatch.ErrInvalidTask, err))
 			return
 		}
@@ -58,7 +61,7 @@ func MarketHandler(svc *dispatch.Service, done <-chan struct{}) http.Handler {
 			httpError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, a)
+		writeAssignment(w, wb, a)
 	})
 
 	mux.HandleFunc("GET /v1/tasks/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -199,10 +202,21 @@ func idAndAt(w http.ResponseWriter, r *http.Request) (id int, at float64, ok boo
 	return id, body.At, true
 }
 
+// writeJSON answers v as json.Encoder writes it. The answer is encoded
+// before the status line goes out, so a value encoding/json refuses (a
+// sum that overflowed to +Inf) is answered 500 with the reason, not 200
+// with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	wb := getBuf()
+	defer putBuf(wb)
+	buf := bytes.NewBuffer(wb.b[:0])
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		// A map of strings always encodes.
+		json.NewEncoder(buf).Encode(map[string]string{"error": fmt.Sprintf("fed: encoding the answer: %v", err)})
+	}
+	writeBody(w, status, buf.Bytes())
 }
 
 // httpError maps the dispatch package's typed errors onto HTTP status

@@ -96,6 +96,7 @@ type eventRun struct {
 	q     []event // a min-heap under eventBefore
 	seq   int     // next sequence number for dynamically pushed events
 	cands []Candidate
+	slots []int // the unused rest of the chunk first path slots come from
 
 	started bool
 	now     float64
@@ -391,7 +392,27 @@ func (r *eventRun) assignTask(ti int, c Candidate, task model.Task) {
 	r.e.assign(c, task)
 	r.res.Served++
 	r.res.Assignment[ti] = c.Driver
-	r.res.DriverPaths[c.Driver] = append(r.res.DriverPaths[c.Driver], ti)
+	path := r.res.DriverPaths[c.Driver]
+	if cap(path) == 0 {
+		path = r.pathSlot()
+	}
+	r.res.DriverPaths[c.Driver] = append(path, ti)
+}
+
+// pathChunk is how many first path slots one allocation holds.
+const pathChunk = 256
+
+// pathSlot hands out a driver's first path slot: one int of a per-run
+// chunk, capped at 1. Her second task then moves the path out by the
+// same append, to the same size, as a path begun on nil would take, and
+// no two drivers' paths ever share a slot.
+func (r *eventRun) pathSlot() []int {
+	if len(r.slots) == 0 {
+		r.slots = make([]int, pathChunk)
+	}
+	s := r.slots[:0:1]
+	r.slots = r.slots[1:]
+	return s
 }
 
 // instantArrival is the instant-dispatch arrival handler: candidates at
