@@ -1,8 +1,10 @@
 package roadnet
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,9 +68,10 @@ func (a Algorithm) String() string {
 // arguments, so crow-fly ring pruning (internal/spatial) stays
 // admissible under the network metric.
 //
-// The snap grid's ring-search termination bound assumes the box passed
-// to NewRouter covers the graph's nodes, which the generators in this
-// package guarantee.
+// A snap inside the box passed to NewRouter reads its snap-grid cell's
+// short list (see nearest). Only a point outside searches the grid in
+// rings, whose termination bound assumes the box covers the graph's
+// nodes, which the generators in this package guarantee.
 //
 // Router is safe for concurrent use; a table router is immutable after
 // construction but for its snap counter, and hands its table out
@@ -83,10 +86,13 @@ type Router struct {
 	lm    *Landmarks // ALT kernel state (nil unless AlgoALT, no table)
 	ch    *Hierarchy // CH kernel state (nil unless AlgoCH, no table)
 
-	// snap index: grid buckets of node ids.
-	grid    *geo.Grid
-	buckets [][]int32
-	spanKm  float64 // conservative min cell span, for ring termination
+	// The snap index, two CSR pairs over the grid's cells: cell c's
+	// bucket nodes[nodeAt[c]:nodeAt[c+1]] (its nodes, ascending) and its
+	// list lists[listAt[c]:listAt[c+1]] (see nearest).
+	grid                         *geo.Grid
+	nodes, nodeAt, lists, listAt []int32
+	spanKm                       float64 // conservative min cell span, for ring termination
+	rowScale, colScale           float64 // cells per degree, for list
 
 	// The latitude band of the box and the nodes, and the least and the
 	// greatest cosine of latitude inside it: what the planar bounds of
@@ -185,12 +191,17 @@ func newRouter(g *Graph, box geo.BoundingBox, s int, algo Algorithm, tableMax in
 	r.maxPerShard = ceilDiv(DefaultCacheEntries, routeCacheShards)
 	h, w := r.grid.CellSpanKm()
 	r.spanKm = math.Min(h, w)
-	r.buckets = make([][]int32, r.grid.NumCells())
-	for id := 0; id < n; id++ {
-		p := g.Point(id)
-		c := r.grid.CellOf(p)
-		r.buckets[c] = append(r.buckets[c], int32(id))
+	// The buckets: the ids stably sorted by cell, and the counts summed.
+	cells := make([]int, n)
+	r.nodes, r.nodeAt = make([]int32, n), make([]int32, r.grid.NumCells()+1)
+	for id, p := range g.pts {
+		r.nodes[id], cells[id] = int32(id), r.grid.CellOf(p)
+		r.nodeAt[cells[id]+1]++
 		r.latLo, r.latHi = math.Min(r.latLo, p.Lat), math.Max(r.latHi, p.Lat)
+	}
+	slices.SortStableFunc(r.nodes, func(a, b int32) int { return cells[a] - cells[b] })
+	for c := range r.grid.NumCells() {
+		r.nodeAt[c+1] += r.nodeAt[c]
 	}
 	// The cosine is unimodal on [-90°, 90°]: over a band it is least at
 	// an end, and greatest at the equator if the band holds it, else at
@@ -200,12 +211,15 @@ func newRouter(g *Graph, box geo.BoundingBox, s int, algo Algorithm, tableMax in
 	if r.latLo <= 0 && r.latHi >= 0 {
 		r.cosHi = 1
 	}
+	r.rowScale, r.colScale = float64(s)/(box.MaxLat-box.MinLat), float64(s)/(box.MaxLon-box.MinLon)
 	switch {
 	case n*n <= tableMax:
-		r.table = fillTable(g.adj, n)
+		r.table = fillTable(g.adj, n, r.buildLists)
 	case algo == AlgoALT:
+		r.buildLists()
 		r.lm = NewLandmarks(g, g.SelectLandmarks(defaultLandmarks))
 	default:
+		r.buildLists()
 		r.ch = BuildHierarchy(g)
 	}
 	return r
@@ -218,8 +232,9 @@ func newRouter(g *Graph, box geo.BoundingBox, s int, algo Algorithm, tableMax in
 // has taken until none is left, and every worker is joined before the
 // table is returned. A row is one sweep over the read-only adjacency,
 // written by the one worker that took it, so the table is the same bit
-// for bit at any worker count and in any order the rows are taken.
-func fillTable(adj [][]halfEdge, n int) []float64 {
+// for bit at any worker count and in any order the rows are taken. The
+// caller runs first, the snap lists' build, before it takes a row.
+func fillTable(adj [][]halfEdge, n int, first func()) []float64 {
 	table := make([]float64, n*n)
 	var next atomic.Int64
 	work := func() {
@@ -236,6 +251,7 @@ func fillTable(adj [][]halfEdge, n int) []float64 {
 			work()
 		}()
 	}
+	first()
 	work()
 	wg.Wait()
 	return table
@@ -255,14 +271,12 @@ func (r *Router) Table() (dist []float64, n int) {
 	return r.table, r.n
 }
 
-// snapGridDim sizes the snap grid for n nodes at about one and a half
-// nodes per cell: NearestNode's cost is the nodes it measures, which is
-// the occupancy of the few cells its rings visit, so the grid has to
-// grow with the graph (a fixed 8x8 puts 67 nodes in a cell of a
-// 4 320-node graph). Much below one node per cell the rings visited
-// grow faster than the buckets shrink.
+// snapGridDim sizes the snap grid for n nodes at a quarter of a node per
+// cell: a snap inside the box reads its cell's list (only one outside
+// searches rings), shorter the finer the grid — 11.6 nodes at 1.5 nodes
+// a cell, 3.1 here, 2.1 at 0.1, where the list build takes twice as long.
 func snapGridDim(n int) int {
-	dim := int(math.Ceil(math.Sqrt(float64(n) / 1.5)))
+	dim := int(math.Ceil(math.Sqrt(float64(n) / 0.25)))
 	if dim < 1 {
 		dim = 1
 	}
@@ -284,13 +298,13 @@ func ceilDiv(n, d int64) int64 { return (n + d - 1) / d }
 
 // NearestNode returns the graph node closest to p (-1 on an empty
 // graph; the lowest id among nodes exactly tied, so the answer does not
-// depend on the snap grid's dimension). It searches the snap grid in
-// expanding Chebyshev rings around p's cell and stops only when the
-// next ring cannot possibly hold a closer node: any point in a cell r
-// rings away is at least (r-1)·min(cell height, cell width) from p, the
-// same conservative bound internal/spatial uses. A
-// populated-but-farther Moore neighborhood therefore never masks the
-// true nearest node in a later ring.
+// depend on the snap grid's dimension). A point inside the box reads its
+// cell's list. A point outside searches the snap grid in expanding
+// Chebyshev rings around its clamped cell and stops only when the next
+// ring cannot possibly hold a closer node: any point in a cell r rings
+// away is at least (r-1)·min(cell height, cell width) from p, the same
+// conservative bound internal/spatial uses, so a populated-but-farther
+// Moore neighborhood never masks the true nearest node in a later ring.
 func (r *Router) NearestNode(p geo.Point) int {
 	id, _, _ := r.nearest(p)
 	return int(id)
@@ -301,55 +315,121 @@ func (r *Router) NearestNode(p geo.Point) int {
 func (r *Router) inBand(lat float64) bool { return lat >= r.latLo && lat <= r.latHi }
 
 // nearest is NearestNode, returning the winner's distance too, and how
-// many nodes it took the exact distance to. Within the rings those are
-// only the nodes that can win: every node lies in the band, so the mean
-// latitude of p and a node lies in it too — or between it and p — and
-// cosLo is no greater than the cosine the exact distance will use.
-// EquirectangularSqAt under cosLo is therefore a lower bound, and a node
-// whose bound already exceeds the best distance so far is passed over.
-// The test is strict, so a node exactly tied with the incumbent is still
-// measured and the lowest id still wins.
+// many nodes it took the exact distance to: only the nodes that can win.
+// Every node lies in the band, so the mean latitude of p and a node lies
+// in it too — or between it and p — and cosLo is no greater than the
+// cosine the exact distance will use. EquirectangularSqAt under cosLo is
+// therefore a lower bound, and a node whose bound already exceeds the
+// best distance so far is passed over. The test is strict, so a node
+// exactly tied with the incumbent is still measured and the lowest id
+// still wins. A point inside the box offers its cell's list alone (two
+// multiplications find the cell): the nodes whose lower bound to the cell
+// (cosLo, its nearest point) is at most the least upper bound a node has
+// over it (cosHi, its farthest corner), as the node nearest a point of
+// the cell is no farther from it than any other. Only a point outside
+// the box takes the ring search.
 func (r *Router) nearest(p geo.Point) (id int32, km float64, measured int) {
+	id, km, sq := int32(-1), math.Inf(1), math.Inf(1) // sq: km², slack added
+	scan := func(ids []int32, cosLo float64) {
+		for _, u := range ids {
+			q := r.g.pts[u]
+			if geo.EquirectangularSqAt(p, q, cosLo)*(1-sqSlackRel) > sq {
+				continue
+			}
+			measured++
+			if d := geo.Equirectangular(p, q); d < km || d == km && u < id {
+				id, km, sq = u, d, d*d+sqSlackAbs
+			}
+		}
+	}
 	rows, cols := r.grid.Rows, r.grid.Cols
+	if box := &r.grid.Box; box.Contains(p) {
+		c := min(int((p.Lat-box.MinLat)*r.rowScale), rows-1)*cols + min(int((p.Lon-box.MinLon)*r.colScale), cols-1)
+		scan(r.lists[r.listAt[c]:r.listAt[c+1]], r.cosLo)
+		return id, km, measured
+	}
 	cell := r.grid.CellOf(p)
-	row, col := cell/cols, cell%cols
 	cosLo := r.cosLo
 	if !r.inBand(p.Lat) {
 		cosLo = math.Min(cosLo, geo.CosLat(p.Lat))
 	}
-	best := int32(-1)
-	bestD, bestSq := math.Inf(1), math.Inf(1) // bestSq: bestD², slack added
 	for ring := 0; ring <= max(rows, cols); ring++ {
-		if best >= 0 && float64(ring-1)*r.spanKm > bestD {
+		if id >= 0 && float64(ring-1)*r.spanKm > km {
 			break
 		}
-		// The in-bounds cells at exactly Chebyshev distance ring: every
-		// column of the ring's top and bottom rows, the two end columns
-		// of the rows between.
-		for rr := max(row-ring, 0); rr <= min(row+ring, rows-1); rr++ {
-			step := 1
-			if rr != row-ring && rr != row+ring {
-				step = 2 * ring
+		r.ring(cell/cols, cell%cols, ring, func(ids []int32) { scan(ids, cosLo) })
+	}
+	return id, km, measured
+}
+
+// ring hands visit the buckets of the in-bounds cells at exactly
+// Chebyshev distance k from (row, col), a row's run of cells at a time:
+// the ring's top and bottom rows, the two end cells of the rows between.
+func (r *Router) ring(row, col, k int, visit func(ids []int32)) {
+	cols := r.grid.Cols
+	run := func(rr, c0, c1 int) { visit(r.nodes[r.nodeAt[rr*cols+c0]:r.nodeAt[rr*cols+c1+1]]) }
+	for rr := max(row-k, 0); rr <= min(row+k, r.grid.Rows-1); rr++ {
+		switch {
+		case rr == row-k || rr == row+k:
+			run(rr, max(col-k, 0), min(col+k, cols-1))
+		default:
+			if col-k >= 0 {
+				run(rr, col-k, col-k)
 			}
-			for cc := col - ring; cc <= col+ring; cc += step {
-				if cc < 0 || cc >= cols {
-					continue
-				}
-				for _, id := range r.buckets[rr*cols+cc] {
-					q := r.g.pts[id]
-					if geo.EquirectangularSqAt(p, q, cosLo)*(1-sqSlackRel) > bestSq {
-						continue
-					}
-					measured++
-					d := geo.Equirectangular(p, q)
-					if d < bestD || d == bestD && id < best {
-						best, bestD, bestSq = id, d, d*d+sqSlackAbs
-					}
-				}
+			if col+k < cols {
+				run(rr, col+k, col+k)
 			}
 		}
 	}
-	return best, bestD, measured
+}
+
+// buildLists fills every cell's list, nearest the cell's centre first,
+// from its rings outward, and stops at a ring no node of which can pass:
+// ring k ≥ 2 lies k−1 cell steps away, less a hundredth for the pads and
+// CellOf's rounding. The cell is padded by a millionth of a side and
+// 1e-12°, far more than the rounding of nearest's cell and the bounds.
+func (r *Router) buildLists() {
+	box, rows, cols := r.grid.Box, r.grid.Rows, r.grid.Cols
+	dLat, dLon := (box.MaxLat-box.MinLat)/float64(rows), (box.MaxLon-box.MinLon)/float64(cols)
+	stepKm := math.Sqrt(min(geo.EquirectangularSqAt(geo.Point{}, geo.Point{Lat: dLat}, r.cosLo),
+		geo.EquirectangularSqAt(geo.Point{}, geo.Point{Lon: dLon}, r.cosLo)))
+	type candidate struct {
+		id      int32
+		lb, key float64 // the lower bound over the cell, and to its centre
+	}
+	var found []candidate
+	r.listAt = make([]int32, 1, rows*cols+1)
+	for c := range rows * cols {
+		row, col := c/cols, c%cols
+		sw := geo.Point{Lat: box.MinLat + float64(row)*dLat, Lon: box.MinLon + float64(col)*dLon}
+		lo := geo.Point{Lat: sw.Lat - dLat*1e-6 - 1e-12, Lon: sw.Lon - dLon*1e-6 - 1e-12}
+		hi := geo.Point{Lat: sw.Lat + dLat*(1+1e-6) + 1e-12, Lon: sw.Lon + dLon*(1+1e-6) + 1e-12}
+		mid := geo.Point{Lat: sw.Lat + dLat/2, Lon: sw.Lon + dLon/2}
+		m := math.Inf(1) // the least upper bound so far
+		found = found[:0]
+		offer := func(ids []int32) {
+			for _, id := range ids {
+				q := r.g.pts[id]
+				near := geo.Point{Lat: min(max(q.Lat, lo.Lat), hi.Lat), Lon: min(max(q.Lon, lo.Lon), hi.Lon)}
+				// The farthest corner's differences: the greatest corner bound.
+				far := geo.Point{Lat: max(math.Abs(q.Lat-lo.Lat), math.Abs(q.Lat-hi.Lat)), Lon: max(math.Abs(q.Lon-lo.Lon), math.Abs(q.Lon-hi.Lon))}
+				m = min(m, geo.EquirectangularSqAt(geo.Point{}, far, r.cosHi)*(1+sqSlackRel)+sqSlackAbs)
+				found = append(found, candidate{id, geo.EquirectangularSqAt(near, q, r.cosLo) * (1 - sqSlackRel), geo.EquirectangularSqAt(mid, q, r.cosLo)})
+			}
+		}
+		for k := 0; k <= max(rows, cols) && r.n > 0; k++ {
+			if gap := (float64(k) - 1.01) * stepKm; gap > 0 && gap*gap > m {
+				break
+			}
+			r.ring(row, col, k, offer)
+		}
+		found = slices.DeleteFunc(found, func(f candidate) bool { return f.lb > m })
+		slices.SortFunc(found, func(a, b candidate) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id)) })
+		for _, f := range found {
+			r.lists = append(r.lists, f.id)
+		}
+		r.listAt = append(r.listAt, int32(len(r.lists)))
+	}
 }
 
 // Snap resolves p onto the graph: its nearest node and the straight-line

@@ -415,20 +415,39 @@ func BenchmarkRouterBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterNearestNode times one snap search on the default grid
-// and reports the work under the time: exact distances taken per search
-// (every node of the rings visited, before the planar bound).
+// BenchmarkRouterNearestNode times one snap search of a point inside the
+// box on the default grid and on network_large's 60×72 grid, the
+// contraction hierarchy's tier, and reports the work under the time: the
+// length of the cell's list read, and the exact distances taken of it
+// (the nodes the planar bound cannot pass over).
 func BenchmarkRouterNearestNode(b *testing.B) {
-	g, cfg := benchGraph(b)
-	r := NewRouter(g, cfg.Box, 0)
-	pts := routerTestPoints(cfg.Box, 1024, 3)
-	measured := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, m := r.nearest(pts[i%len(pts)])
-		measured += m
+	for _, c := range []struct {
+		name       string
+		rows, cols int
+	}{{"20x24", 20, 24}, {"60x72", 60, 72}} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := DefaultGridConfig()
+			cfg.Rows, cfg.Cols = c.rows, c.cols
+			g, err := GenerateGrid(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := NewRouter(g, cfg.Box, 0)
+			pts := routerTestPoints(cfg.Box, 1024, 3)
+			listed := 0
+			for _, p := range pts {
+				listed += len(cellList(r, p))
+			}
+			measured := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _, m := r.nearest(pts[i%len(pts)])
+				measured += m
+			}
+			b.ReportMetric(float64(listed)/float64(len(pts)), "list-len/snap")
+			b.ReportMetric(float64(measured)/float64(b.N), "nodes-measured/snap")
+		})
 	}
-	b.ReportMetric(float64(measured)/float64(b.N), "nodes-measured/snap")
 }
 
 // BenchmarkDistSnappedTable times the distance the engine's scoring loop

@@ -249,13 +249,16 @@ func TestRouterSnapsCounted(t *testing.T) {
 	step("the snapped forms", 0)
 }
 
-// FuzzRouterDist throws arbitrary valid point pairs at every tier: the
-// distance must be finite, never below crow-fly (the admissibility the
-// spatial pruning rail depends on), and bitwise the reference in every
-// form — pair, snapped pair, and a batch of one in each shape — with
-// both points resolved to the node a scan of every node resolves them to.
+// FuzzRouterDist throws arbitrary valid point pairs at every tier, and
+// at the router of tieGraph: the distance must be finite, never below
+// crow-fly (the admissibility the spatial pruning rail depends on), and
+// bitwise the reference in every form — pair, snapped pair, and a batch
+// of one in each shape — with both points resolved to the node a scan of
+// every node resolves them to.
 func FuzzRouterDist(f *testing.F) {
 	routers, cfg := snapTestRouters(f)
+	tie, tieBox, tieCorner := tieGraph()
+	routers["tie"] = NewRouter(tie, tieBox, 4)
 	box := cfg.Box
 	in, out := box.Lerp(0.31, 0.77), box.Lerp(0.9, 0.12)
 	node := routers["ch"].g.Point(5)
@@ -273,6 +276,14 @@ func FuzzRouterDist(f *testing.F) {
 	f.Add(mid.Lat, mid.Lon, in.Lat, in.Lon)                 // as far from one node as from the next: the snap's skip test at its slack
 	f.Add(0.3, -8.6, -0.2, -8.5)                            // astride the equator, outside the band: the snap bounds under the query's own cosine, the floor's bound stands down
 	f.Add(node.Lat+1e-4, node.Lon, node.Lat-1e-4, node.Lon) // either side of one node, in line with it: leg sum and crow-fly agree to rounding
+	// Three named seeds for the snap's cell lists, on the 12x14 routers'
+	// snap grid (row 7, column 11; the grid sized from the node count):
+	rows, cols := routers["table"].grid.Rows, routers["table"].grid.Cols
+	cellCorner := box.Lerp(7/float64(rows), 11/float64(cols))
+	edgeMid := box.Lerp(7/float64(rows), 11.5/float64(cols))
+	f.Add(cellCorner.Lat, cellCorner.Lon, in.Lat, in.Lon)                                 // cellCorner: a snap-cell corner inside the box
+	f.Add(math.Nextafter(edgeMid.Lat, -90), edgeMid.Lon, edgeMid.Lat, edgeMid.Lon)        // ulpAcrossEdge: one ulp south of a cell edge, and on it
+	f.Add(tieCorner.Lat, tieCorner.Lon, math.Nextafter(tieCorner.Lat, 90), tieCorner.Lon) // builtTie: tieGraph's corner, equidistant to the bit, and one ulp north
 	f.Fuzz(func(t *testing.T, lat1, lon1, lat2, lon2 float64) {
 		a, b := geo.Point{Lat: lat1, Lon: lon1}, geo.Point{Lat: lat2, Lon: lon2}
 		if !a.Valid() || !b.Valid() {

@@ -71,7 +71,12 @@ check ./internal/fed 90.0
 # folded into one side type and route moved onto chHeap (96.2–96.8
 # across runs, from 96.6–97.1: the covered copies left, the uncovered
 # guards stayed; the spread is the route cache's coalescing path, which
-# only a run whose goroutines collide on a key reaches).
+# only a run whose goroutines collide on a key reaches). Held when every
+# snap-grid cell got its list of the nodes that can be nearest to a point
+# in it (97.0, from 96.8): TestSnapMatchesScan alone covers the list build
+# (buildLists) and both snap paths — the list of a point inside the box
+# and the ring search of a point outside it (nearest, ring) — as do
+# TestNearestNodeDifferential and TestSnappedFormsMatchReference.
 check ./internal/roadnet 96.0
 check ./internal/pricing 90.0
 # The candidate index, floored when it learned the time (live, parked
