@@ -10,11 +10,15 @@ package experiments
 //
 // The rail optimum is a lower bound on the true hindsight optimum, so
 // the reported competitive ratios are upper bounds on the policies'
-// true ratios — the forced pairs keep every ratio ≤ 1.
+// true ratios — the forced pairs keep every ratio ≤ 1. Where the solve
+// is inexact the rail optimum is itself only bracketed, between the
+// incumbent and the solver's upper bound, and so is each ratio: online ÷
+// upper bound below, online ÷ incumbent above.
 
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/bound"
@@ -39,6 +43,11 @@ type RegretRow struct {
 
 	RevenueRegret    float64 `json:"revenue_regret"`    // offline − online
 	CompetitiveRatio float64 `json:"competitive_ratio"` // online / offline, ∈ (0, 1]
+
+	// CompetitiveRatioLow is online / Oracle.UpperBound, the lower end of
+	// the bracket whose upper end is CompetitiveRatio; the two are equal
+	// when the oracle solve is exact.
+	CompetitiveRatioLow float64 `json:"competitive_ratio_low"`
 }
 
 // RegretPoint bundles one density's shared oracle solve.
@@ -190,7 +199,7 @@ func regretPoint(cfg Config, rc RegretConfig, drivers int) (RegretPoint, error) 
 		},
 	}
 	for i, res := range results {
-		row := RegretRow{
+		pt.Rows = append(pt.Rows, RegretRow{
 			Policy:         RegretPolicies[i],
 			Drivers:        drivers,
 			OnlineRevenue:  res.Revenue,
@@ -198,38 +207,61 @@ func regretPoint(cfg Config, rc RegretConfig, drivers int) (RegretPoint, error) 
 			OnlineServed:   res.Served,
 			OfflineServed:  offServed,
 			RevenueRegret:  sol.Objective - res.Revenue,
-		}
-		switch {
-		case sol.Objective > 0:
-			row.CompetitiveRatio = res.Revenue / sol.Objective
-		case res.Revenue == 0:
-			row.CompetitiveRatio = 1 // both zero: the policy left nothing behind
-		default:
-			row.CompetitiveRatio = 0
-		}
-		pt.Rows = append(pt.Rows, row)
+		})
 	}
+	pt.bracket()
 	return pt, nil
 }
 
-// RegretFigure renders the sweep as a competitive-ratio figure, one
-// series per policy.
+// bracket sets every row's two competitive ratios from its revenues and
+// the oracle's upper bound: online ÷ incumbent and online ÷ upper bound.
+func (pt *RegretPoint) bracket() {
+	ratio := func(online, offline float64) float64 {
+		switch {
+		case offline > 0:
+			return online / offline
+		case online == 0:
+			return 1 // both zero: the policy left nothing behind
+		default:
+			return 0
+		}
+	}
+	for i := range pt.Rows {
+		row := &pt.Rows[i]
+		row.CompetitiveRatio = ratio(row.OnlineRevenue, row.OfflineRevenue)
+		row.CompetitiveRatioLow = ratio(row.OnlineRevenue, pt.Oracle.UpperBound)
+	}
+}
+
+// RegretFigure renders the sweep as a competitive-ratio figure, two
+// series per policy: the bracket's lower end (online ÷ the oracle's
+// upper bound) and its upper end (online ÷ incumbent), equal at a point
+// whose solve is exact. Where a point is inexact, the label and the
+// notes say the ÷incumbent column is an upper bound on the ratio and
+// name how many of the point's components were inexact.
 func RegretFigure(points []RegretPoint, cfg Config, rc RegretConfig) Figure {
-	series := make([]Series, len(RegretPolicies))
+	series := make([]Series, 2*len(RegretPolicies))
 	for i, name := range RegretPolicies {
-		series[i] = Series{Name: name}
+		series[2*i].Name = name + " ÷UB"
+		series[2*i+1].Name = name + " ÷incumbent"
 	}
 	exact := 0
+	var inexact []string
 	for _, pt := range points {
 		if pt.Oracle.Exact {
 			exact++
+		} else {
+			inexact = append(inexact, fmt.Sprintf("%d/%d at %d drivers",
+				pt.Oracle.Components-pt.Oracle.ExactComponents, pt.Oracle.Components, pt.Drivers))
 		}
+		x := float64(pt.Drivers)
 		for i, row := range pt.Rows {
-			series[i].X = append(series[i].X, float64(pt.Drivers))
-			series[i].Y = append(series[i].Y, row.CompetitiveRatio)
+			lo, hi := &series[2*i], &series[2*i+1]
+			lo.X, lo.Y = append(lo.X, x), append(lo.Y, row.CompetitiveRatioLow)
+			hi.X, hi.Y = append(hi.X, x), append(hi.Y, row.CompetitiveRatio)
 		}
 	}
-	return Figure{
+	fig := Figure{
 		ID:     "regret",
 		Title:  "Competitive Ratio vs Hindsight Optimum",
 		XLabel: "number of drivers", YLabel: "online revenue / offline optimum",
@@ -237,4 +269,10 @@ func RegretFigure(points []RegretPoint, cfg Config, rc RegretConfig) Figure {
 		Notes: fmt.Sprintf("%d tasks; churn=%.2f cancel=%.2f; rail top-%d; %d/%d oracle solves exact",
 			cfg.Tasks, rc.Churn, rc.Cancel, rc.TopK, exact, len(points)),
 	}
+	if len(inexact) > 0 {
+		fig.YLabel = "online revenue / offline optimum, bracketed: ÷UB a lower bound, ÷incumbent an upper bound where inexact"
+		fig.Notes += "; components inexact: " + strings.Join(inexact, ", ") +
+			" (there ÷incumbent is an upper bound on the ratio, ÷UB a lower bound)"
+	}
+	return fig
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -86,12 +87,64 @@ func TestRegretFigureShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	fig := RegretFigure(points, cfg, rc)
-	if fig.ID != "regret" || len(fig.Series) != len(RegretPolicies) {
+	if fig.ID != "regret" || len(fig.Series) != 2*len(RegretPolicies) {
 		t.Fatalf("bad figure: id=%q series=%d", fig.ID, len(fig.Series))
 	}
 	for _, s := range fig.Series {
 		if len(s.X) != len(points) || len(s.Y) != len(points) {
 			t.Errorf("series %s: %d/%d samples, want %d", s.Name, len(s.X), len(s.Y), len(points))
 		}
+	}
+}
+
+// TestRegretFigureBracket pins the bracket on hand-built points: on an
+// inexact one each policy's two columns are online ÷ upper bound and
+// online ÷ incumbent, and the label and notes call the second an upper
+// bound and count the inexact components; on an exact one, where the
+// upper bound is the incumbent, the two columns are equal and nothing is
+// called a bound.
+func TestRegretFigureBracket(t *testing.T) {
+	point := func(exact bool, upper float64) RegretPoint {
+		pt := RegretPoint{
+			Drivers: 12,
+			Rows: []RegretRow{
+				{Policy: RegretPolicies[0], OnlineRevenue: 30, OfflineRevenue: 40},
+				{Policy: RegretPolicies[1], OnlineRevenue: 36, OfflineRevenue: 40},
+			},
+			Oracle: RegretOracle{Exact: exact, Components: 7, ExactComponents: 5, UpperBound: upper},
+		}
+		if exact {
+			pt.Oracle.ExactComponents = 7
+		}
+		pt.bracket()
+		return pt
+	}
+	cfg, rc := Config{Tasks: 40}, RegretConfig{TopK: 4}
+
+	fig := RegretFigure([]RegretPoint{point(false, 50)}, cfg, rc)
+	want := []float64{30.0 / 50, 30.0 / 40, 36.0 / 50, 36.0 / 40}
+	for i, s := range fig.Series {
+		if len(s.Y) != 1 || s.Y[0] != want[i] || s.X[0] != 12 {
+			t.Errorf("inexact: series %q = %v at %v, want %v at 12", s.Name, s.Y, s.X, want[i])
+		}
+	}
+	for _, text := range []string{fig.YLabel, fig.Notes} {
+		if !strings.Contains(text, "upper bound") {
+			t.Errorf("inexact: %q does not call the ratio an upper bound", text)
+		}
+	}
+	if !strings.Contains(fig.Notes, "2/7 at 12 drivers") {
+		t.Errorf("inexact: notes %q do not name the 2 inexact components of 7", fig.Notes)
+	}
+
+	fig = RegretFigure([]RegretPoint{point(true, 40)}, cfg, rc)
+	for i := 0; i < len(fig.Series); i += 2 {
+		lo, hi := fig.Series[i], fig.Series[i+1]
+		if lo.Y[0] != hi.Y[0] {
+			t.Errorf("exact: %q = %v, %q = %v, want equal", lo.Name, lo.Y[0], hi.Name, hi.Y[0])
+		}
+	}
+	if strings.Contains(fig.YLabel+fig.Notes, "bound") {
+		t.Errorf("exact: label %q / notes %q call an exact ratio a bound", fig.YLabel, fig.Notes)
 	}
 }

@@ -1,9 +1,6 @@
 package roadnet
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // This file implements contraction hierarchies (Geisberger et al.): a
 // preprocessing pass contracts nodes one by one in edge-difference
@@ -20,8 +17,8 @@ import (
 // candidate drivers cost one search plus a small probe per driver.
 //
 // A hierarchy only ever serves graphs too large for the Router's
-// all-pairs table, so it has one query path per shape: Query is the
-// bidirectional point-to-point search (queryPTP), and the batches are
+// all-pairs table, so it has one query path per shape: queryPTP is the
+// bidirectional point-to-point search, and the batches are
 // an exhaustive search on the shared side (chSide.exhaust) probed once
 // per pair from the other side (chSide.probe). The two directions are
 // one search over one side type: a forward side climbs Hierarchy.fwd
@@ -59,8 +56,11 @@ type chRef struct {
 }
 
 // Hierarchy is the preprocessed contraction hierarchy for one graph.
-// Build with BuildHierarchy; queries are safe for concurrent use (each
-// borrows scratch from an internal pool).
+// Build with BuildHierarchy; it is immutable data after that, and every
+// search writes only the chScratch it is handed, so any number of
+// searches may read one hierarchy at once, each on scratch of its own.
+// A Router builds one scratch with its hierarchy and searches on it
+// under its mutex.
 type Hierarchy struct {
 	rank      []int32 // node -> contraction order (0 = contracted first)
 	arcs      []chArc
@@ -70,8 +70,6 @@ type Hierarchy struct {
 	// rank[u] keyed by u; bwd holds arcs u→w with rank[u] > rank[w] keyed
 	// by w.
 	fwd, bwd chGraph
-
-	pool sync.Pool // *chScratch
 }
 
 // chGraph is one upward search graph in CSR layout (offset + flat ref
@@ -259,7 +257,6 @@ func BuildHierarchy(g *Graph) *Hierarchy {
 		copy(g.off[1:], g.off[:n]) // every start one slot back
 		g.off[0] = 0
 	}
-	h.pool.New = func() any { return newCHScratch(h) }
 	return h
 }
 
@@ -410,8 +407,8 @@ func (b *chBuilder) markContracted(v int32) {
 
 // chScratch is one query's working set: the forward side (f, climbing
 // Hierarchy.fwd from the source) and the backward side (b, climbing
-// Hierarchy.bwd from the target), plus the unpacking buffers. Borrowed
-// from the hierarchy's pool so concurrent queries never share state.
+// Hierarchy.bwd from the target), plus the unpacking buffers: all that
+// a search writes, so searches on scratch of their own may run at once.
 type chScratch struct {
 	f, b  chSide
 	chain []int32 // parent-walk buffer (arc indices)
@@ -441,8 +438,6 @@ func newCHScratch(h *Hierarchy) *chScratch {
 	}
 	return &chScratch{f: side(h.fwd), b: side(h.bwd)}
 }
-
-func (h *Hierarchy) scratch() *chScratch { return h.pool.Get().(*chScratch) }
 
 // start opens a new search from src under a fresh epoch.
 func (s *chSide) start(src int32) {
@@ -561,29 +556,17 @@ func (h *Hierarchy) foldArc(sc *chScratch, a int32, d float64) float64 {
 	return d
 }
 
-// Query returns the shortest-path distance from u to v, bitwise equal
-// to Graph.ShortestPath's: the point-to-point search kernel (queryPTP)
-// on pooled scratch. Safe for concurrent use.
-func (h *Hierarchy) Query(u, v int) float64 {
-	if u == v {
-		return 0
-	}
-	sc := h.scratch()
-	d := h.queryPTP(sc, int32(u), int32(v))
-	h.pool.Put(sc)
-	return d
-}
-
-// queryPTP is the point-to-point kernel: both upward searches run
-// interleaved (strictly alternating, for determinism, and on the side
-// that still has a queue once one runs dry) and each stops as soon as
-// its next key cannot beat the best meeting found — unlike a batch,
-// neither side runs to exhaustion, and keys at or above best are never
-// queued. Meeting checks use the other side's tentative label;
-// tentative values only overestimate, so best stays achievable and the
-// optimal meet is re-checked with final values when its second settle
-// lands. The winning path is unpacked and re-accumulated like every
-// other query.
+// queryPTP returns the shortest-path distance from u to v on sc, bitwise
+// equal to Graph.ShortestPath's (0 when u is v). It is the point-to-point
+// kernel: both upward searches run interleaved (strictly alternating,
+// for determinism, and on the side that still has a queue once one runs
+// dry) and each stops as soon as its next key cannot beat the best
+// meeting found — unlike a batch, neither side runs to exhaustion, and
+// keys at or above best are never queued. Meeting checks use the other
+// side's tentative label; tentative values only overestimate, so best
+// stays achievable and the optimal meet is re-checked with final values
+// when its second settle lands. The winning path is unpacked and
+// re-accumulated like every other query.
 func (h *Hierarchy) queryPTP(sc *chScratch, u, v int32) float64 {
 	sc.f.start(u)
 	sc.b.start(v)

@@ -29,21 +29,29 @@ func chTestGraphs(t *testing.T, visit func(name string, g *Graph, cfg GridConfig
 	visit("radial", g, DefaultGridConfig())
 }
 
+// querier returns the hierarchy's point-to-point search on scratch of
+// its own: what a CH router's kernel answers on a miss, without the
+// router.
+func querier(h *Hierarchy) func(u, v int) float64 {
+	sc := newCHScratch(h)
+	return func(u, v int) float64 { return h.queryPTP(sc, int32(u), int32(v)) }
+}
+
 // TestCHBitwiseEqualsDijkstra is the CH counterpart of the ALT bitwise
-// wall: over random grids and a radial city, every Hierarchy.Query must
-// return exactly Dijkstra's float — not approximately, bitwise. This is
-// the property the whole dispatch-level ALT-vs-CH identity rests on.
+// wall: over random grids and a radial city, every point-to-point query
+// must return exactly Dijkstra's float — not approximately, bitwise. This
+// is the property the whole dispatch-level ALT-vs-CH identity rests on.
 func TestCHBitwiseEqualsDijkstra(t *testing.T) {
 	pairs := 0
 	chTestGraphs(t, func(name string, g *Graph, _ GridConfig) {
-		h := BuildHierarchy(g)
+		query := querier(BuildHierarchy(g))
 		n := g.NumNodes()
 		for u := 0; u < n; u += 3 {
 			for v := 0; v < n; v += 5 {
 				d0, _ := g.ShortestPath(u, v)
-				d1 := h.Query(u, v)
+				d1 := query(u, v)
 				if d0 != d1 && !(math.IsInf(d0, 1) && math.IsInf(d1, 1)) {
-					t.Fatalf("%s: CH Query(%d,%d) = %v, Dijkstra = %v (delta %g)",
+					t.Fatalf("%s: CH query(%d,%d) = %v, Dijkstra = %v (delta %g)",
 						name, u, v, d1, d0, d1-d0)
 				}
 				pairs++
@@ -57,15 +65,14 @@ func TestCHBitwiseEqualsDijkstra(t *testing.T) {
 
 // TestCHSearchKernelBitwise pins the batch kernels — an exhaustive
 // search on the shared side probed once per pair, in both shapes —
-// directly against Dijkstra (Query's point-to-point search is
+// directly against Dijkstra (the point-to-point search is
 // TestCHBitwiseEqualsDijkstra's), and checks that a probe leaves the
 // shared search it reads intact for the batch's next pair: its epoch,
 // and its distance and parent at both ends of the probed pair.
 func TestCHSearchKernelBitwise(t *testing.T) {
 	chTestGraphs(t, func(name string, g *Graph, _ GridConfig) {
 		h := BuildHierarchy(g)
-		sc := h.scratch()
-		defer h.pool.Put(sc)
+		sc := newCHScratch(h)
 		// batch exhausts shared from src, probes from dst on probing, and
 		// returns the unpacked distance after checking shared is unmoved.
 		batch := func(shared, probing *chSide, src, dst int32) float64 {
@@ -132,8 +139,7 @@ func TestHierarchyShortcutsUnpack(t *testing.T) {
 		}
 		return 0, false
 	}
-	sc := h.scratch()
-	defer h.pool.Put(sc)
+	sc := newCHScratch(h)
 	checked := 0
 	for i := range h.arcs {
 		a := &h.arcs[i]
@@ -343,13 +349,13 @@ func BenchmarkCHBuild(b *testing.B) {
 
 func BenchmarkCHQuery(b *testing.B) {
 	g, _ := benchGraph(b)
-	h := BuildHierarchy(g)
+	query := querier(BuildHierarchy(g))
 	n := g.NumNodes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := (i * 7919) % n
 		v := (i*104729 + 13) % n
-		h.Query(u, v)
+		query(u, v)
 	}
 }
 

@@ -311,6 +311,30 @@ func TestGridCircuityRealistic(t *testing.T) {
 	}
 }
 
+// TestCircuityAcrossTiers: Circuity samples nodeDist, so a kernel
+// router, which holds its lock over the whole sample, returns the table
+// router's mean bit for bit under either kernel; a graph of fewer than
+// two nodes has nothing to sample and reads 1.
+func TestCircuityAcrossTiers(t *testing.T) {
+	cfg := DefaultGridConfig()
+	cfg.Rows, cfg.Cols = 12, 14
+	g, err := GenerateGrid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewRouter(g, cfg.Box, 0).Circuity(300)
+	for _, algo := range []Algorithm{AlgoCH, AlgoALT} {
+		if got := kernelRouter(g, cfg.Box, 0, algo).Circuity(300); got != want {
+			t.Errorf("%v: circuity %v, the table's %v", algo, got, want)
+		}
+	}
+	one := &Graph{}
+	one.AddNode(cfg.Box.Center())
+	if c := NewRouter(one, cfg.Box, 0).Circuity(10); c != 1 {
+		t.Errorf("one-node circuity %v, want 1", c)
+	}
+}
+
 func TestAddEdgePanics(t *testing.T) {
 	g := &Graph{}
 	g.AddNode(geo.PortoBox.Center())

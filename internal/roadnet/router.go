@@ -57,10 +57,10 @@ func (a Algorithm) String() string {
 //     CacheSize read zero.
 //   - Above that: the configured kernel (the contraction hierarchy's
 //     bidirectional search by default, with one shared half-search per
-//     batch; landmark-accelerated A* for AlgoALT) behind a bounded,
-//     sharded cache with per-key inflight de-duplication, so the O(M²)
-//     task-map construction and 50k-driver dispatch days pay each route
-//     once without growing memory without bound.
+//     batch; landmark-accelerated A* for AlgoALT) behind a bounded FIFO
+//     route cache, so the O(M²) task-map construction and 50k-driver
+//     dispatch days pay each route once without growing memory without
+//     bound.
 //
 // Both tiers return the float Graph.ShortestPath returns, bit for bit.
 //
@@ -73,9 +73,19 @@ func (a Algorithm) String() string {
 // rings, whose termination bound assumes the box covers the graph's
 // nodes, which the generators in this package guarantee.
 //
-// Router is safe for concurrent use; a table router is immutable after
-// construction but for its snap counter, and hands its table out
-// read-only (Table) for callers that bound before they measure.
+// Router is safe for concurrent use. A table router is immutable after
+// construction but for its atomic snap counter, takes no lock, and hands
+// its table out read-only (Table) for callers that bound before they
+// measure. A kernel router serialises its kernel tier on one mutex:
+// every public entry that can reach the kernel (DistSnapped and Dist,
+// each batch, Circuity) takes it once, and the cache lookup, the
+// kernel's query on a miss and the insert share that one critical
+// section, so a node pair is computed once however many goroutines ask
+// for it, and concurrent callers queue rather than route side by side.
+// Every production caller reaches a router from one goroutine — the
+// dispatch service under its own mutex, the engine, which spawns none,
+// one router per federated market — so there the lock is never
+// contended.
 type Router struct {
 	g *Graph
 
@@ -100,18 +110,21 @@ type Router struct {
 	latLo, latHi float64
 	cosLo, cosHi float64
 
-	maxPerShard int64
-	shards      [routeCacheShards]routeShard
+	// The kernel tier's mutable state, all under mu: the route cache
+	// (routes, with fifo its insertion order, evicted first in first out
+	// at maxEntries), its counters, and the one search scratch of the
+	// hierarchy (nil unless ch).
+	mu                      sync.Mutex
+	maxEntries              int
+	routes                  map[[2]int32]float64
+	fifo                    [][2]int32
+	sc                      *chScratch
+	hits, misses, evictions uint64
 
-	hits, misses, evictions, snaps atomic.Uint64
+	snaps atomic.Uint64
 }
 
 const (
-	// routeCacheShards is the number of independently locked cache
-	// shards; node-pair keys hash across them so concurrent match
-	// workers rarely contend.
-	routeCacheShards = 16
-
 	// DefaultCacheEntries bounds the route cache. A city graph with n
 	// intersections has at most n² routable pairs (~230k for the
 	// default 20×24 grid), so the default never evicts there while
@@ -140,21 +153,6 @@ const (
 	defaultLandmarks = 8
 )
 
-// routeShard is one lock-striped slice of the route cache.
-type routeShard struct {
-	mu       sync.Mutex
-	entries  map[[2]int32]float64
-	fifo     [][2]int32 // insertion order, for FIFO eviction
-	inflight map[[2]int32]*routeCall
-}
-
-// routeCall is a single in-flight route computation; concurrent misses
-// on the same key wait on done instead of recomputing.
-type routeCall struct {
-	done chan struct{}
-	d    float64
-}
-
 // NewRouter builds a router over the graph, indexing nodes into an s x s
 // snap grid covering box; s < 1 sizes the grid from the node count (see
 // snapGridDim). Above the table's size bound it routes over a
@@ -182,13 +180,13 @@ func newRouter(g *Graph, box geo.BoundingBox, s int, algo Algorithm, tableMax in
 		s = snapGridDim(n)
 	}
 	r := &Router{
-		g:     g,
-		n:     n,
-		grid:  geo.NewGrid(box, s, s),
-		latLo: box.MinLat,
-		latHi: box.MaxLat,
+		g:          g,
+		n:          n,
+		grid:       geo.NewGrid(box, s, s),
+		latLo:      box.MinLat,
+		latHi:      box.MaxLat,
+		maxEntries: DefaultCacheEntries,
 	}
-	r.maxPerShard = ceilDiv(DefaultCacheEntries, routeCacheShards)
 	h, w := r.grid.CellSpanKm()
 	r.spanKm = math.Min(h, w)
 	// The buckets: the ids stably sorted by cell, and the counts summed.
@@ -221,6 +219,7 @@ func newRouter(g *Graph, box geo.BoundingBox, s int, algo Algorithm, tableMax in
 	default:
 		r.buildLists()
 		r.ch = BuildHierarchy(g)
+		r.sc = newCHScratch(r.ch)
 	}
 	return r
 }
@@ -283,18 +282,14 @@ func snapGridDim(n int) int {
 	return dim
 }
 
-// SetCacheBound caps the route cache at roughly maxEntries memoized
-// node pairs (rounded up to a multiple of the shard count; at least one
-// per shard). Call before routing; it does not shrink an existing
+// SetCacheBound caps the route cache at maxEntries memoized node pairs
+// (at least one). Call before routing; it does not shrink an existing
 // cache. A table router has no cache and ignores the call.
 func (r *Router) SetCacheBound(maxEntries int) {
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	r.maxPerShard = ceilDiv(int64(maxEntries), routeCacheShards)
+	r.mu.Lock()
+	r.maxEntries = max(maxEntries, 1)
+	r.mu.Unlock()
 }
-
-func ceilDiv(n, d int64) int64 { return (n + d - 1) / d }
 
 // NearestNode returns the graph node closest to p (-1 on an empty
 // graph; the lowest id among nodes exactly tied, so the answer does not
@@ -454,6 +449,10 @@ func (r *Router) Dist(a, b geo.Point) float64 {
 // DistSnapped is Dist over endpoints already resolved by this router's
 // Snap: bitwise equal to Dist(a.P, b.P).
 func (r *Router) DistSnapped(a, b geo.Snap) float64 {
+	if r.table == nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
 	return r.distSnapped(a, b, nil)
 }
 
@@ -486,17 +485,9 @@ func (r *Router) distSnapped(a, b geo.Snap, compute func() float64) float64 {
 	return d
 }
 
-// shard maps a node-pair key onto its cache shard.
-func (r *Router) shard(key [2]int32) *routeShard {
-	h := uint32(key[0])*0x9E3779B1 ^ uint32(key[1])*0x85EBCA77
-	return &r.shards[h%routeCacheShards]
-}
-
-// nodeDist returns the cached network distance between two
-// intersections, computing it at most once per key: concurrent misses
-// coalesce onto a single in-flight route computation (counted as one
-// miss; the waiters count as hits, like any lookup served without a
-// route computation).
+// nodeDist returns the network distance between two intersections: a
+// table load, or else the route cache's entry, the kernel computing and
+// storing it on a miss. Above the table the caller holds mu.
 func (r *Router) nodeDist(u, v int32) float64 {
 	return r.nodeDistVia(u, v, nil)
 }
@@ -504,18 +495,21 @@ func (r *Router) nodeDist(u, v int32) float64 {
 // routeNodes is the router's default point-to-point kernel.
 func (r *Router) routeNodes(u, v int32) float64 {
 	if r.ch != nil {
-		return r.ch.Query(int(u), int(v))
+		return r.ch.queryPTP(r.sc, u, v)
 	}
 	d, _ := r.g.AStarALT(r.lm, int(u), int(v))
 	return d
 }
 
 // nodeDistVia is nodeDist with a pluggable kernel: when compute is
-// non-nil it replaces routeNodes for this key's (single) computation.
-// The batched one-to-many queries pass a closure that probes a shared
-// half-search (preparing it on the batch's first miss), so batch
-// lookups keep the exact cache semantics — and hit/miss accounting — of
-// looped per-pair lookups.
+// non-nil it replaces routeNodes on a miss. The batches pass a closure
+// that probes a shared half-search (preparing it on the batch's first
+// miss), so batch lookups keep the exact cache semantics — and hit/miss
+// accounting — of looped per-pair lookups. The table load comes first
+// and takes no lock; above the table the caller holds mu, so the
+// lookup, the kernel and the insert are one critical section and a pair
+// is computed once. The cache then holds at most maxEntries pairs,
+// evicting the oldest to admit a new one.
 func (r *Router) nodeDistVia(u, v int32, compute func() float64) float64 {
 	if r.table != nil {
 		// Re-slicing to the row first hands a node of some other router's
@@ -523,71 +517,45 @@ func (r *Router) nodeDistVia(u, v int32, compute func() float64) float64 {
 		return r.table[int(u)*r.n:][:r.n][v]
 	}
 	key := [2]int32{u, v}
-	s := r.shard(key)
-	s.mu.Lock()
-	if d, ok := s.entries[key]; ok {
-		s.mu.Unlock()
-		r.hits.Add(1)
+	if d, ok := r.routes[key]; ok {
+		r.hits++
 		return d
 	}
-	if c, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		<-c.done
-		r.hits.Add(1)
-		return c.d
-	}
-	c := &routeCall{done: make(chan struct{})}
-	if s.inflight == nil {
-		s.inflight = make(map[[2]int32]*routeCall)
-	}
-	s.inflight[key] = c
-	s.mu.Unlock()
-
-	r.misses.Add(1)
+	r.misses++
+	var d float64
 	if compute != nil {
-		c.d = compute()
+		d = compute()
 	} else {
-		c.d = r.routeNodes(u, v)
+		d = r.routeNodes(u, v)
 	}
-	close(c.done)
-
-	s.mu.Lock()
-	if s.entries == nil {
-		s.entries = make(map[[2]int32]float64)
+	if r.routes == nil {
+		r.routes = make(map[[2]int32]float64)
 	}
-	if int64(len(s.entries)) >= r.maxPerShard {
-		old := s.fifo[0]
-		s.fifo = s.fifo[1:]
-		delete(s.entries, old)
-		r.evictions.Add(1)
+	if len(r.routes) >= r.maxEntries {
+		delete(r.routes, r.fifo[0])
+		r.fifo = r.fifo[1:]
+		r.evictions++
 	}
-	s.entries[key] = c.d
-	s.fifo = append(s.fifo, key)
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	return c.d
+	r.routes[key] = d
+	r.fifo = append(r.fifo, key)
+	return d
 }
 
 // CacheSize returns the number of memoized node pairs (for tests and
 // capacity planning); zero on a table router, which has no cache.
 func (r *Router) CacheSize() int {
-	var n int
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.routes)
 }
 
 // ResetCacheStats zeroes the hit/miss/eviction counters. The memoized
 // routes themselves are kept — benches call this between legs (and
 // around Circuity sampling) so each leg reports its own rates.
 func (r *Router) ResetCacheStats() {
-	r.hits.Store(0)
-	r.misses.Store(0)
-	r.evictions.Store(0)
+	r.mu.Lock()
+	r.hits, r.misses, r.evictions = 0, 0, 0
+	r.mu.Unlock()
 }
 
 // Snaps returns how many points the router has resolved to a node over
@@ -596,13 +564,14 @@ func (r *Router) ResetCacheStats() {
 func (r *Router) Snaps() uint64 { return r.snaps.Load() }
 
 // CacheStats returns the route cache's lifetime hit, miss, and eviction
-// counters. Hits are lookups served without running a route computation
-// (including waiters coalesced onto another goroutine's in-flight
-// route); misses count route computations; evictions count entries
-// dropped to honor the cache bound. All three stay zero on a table
-// router: a table load is neither.
+// counters. Hits are lookups served from the cache; misses count route
+// computations, one per pair however many goroutines asked for it;
+// evictions count entries dropped to honor the cache bound. All three
+// stay zero on a table router: a table load is neither.
 func (r *Router) CacheStats() (hits, misses, evictions uint64) {
-	return r.hits.Load(), r.misses.Load(), r.evictions.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.hits, r.misses, r.evictions
 }
 
 // DistManySnappedInto writes the network distances from origin to every
@@ -612,36 +581,37 @@ func (r *Router) CacheStats() (hits, misses, evictions uint64) {
 // forward search (origin's side, run when the first of them misses) and
 // pay only a small backward probe each, so a batch beats
 // looped DistSnapped once a handful of misses share the origin; on a
-// table router, and under AlgoALT, it is the loop. Cache semantics are
-// identical to looped DistSnapped: each pair is looked up, coalesced,
-// counted, and stored exactly as a single call would.
+// table router, and under AlgoALT, it is the loop. A kernel router
+// holds its mutex for the whole batch, since the shared search lives in
+// its one scratch. Cache semantics are identical to looped DistSnapped:
+// each pair is looked up, counted, and stored exactly as a single call
+// would.
 func (r *Router) DistManySnappedInto(origin geo.Snap, targets []geo.Snap, out []float64) {
 	if len(out) < len(targets) {
 		panic("roadnet: DistManySnappedInto out buffer too small")
 	}
-	if r.ch == nil {
-		for i, t := range targets {
-			out[i] = r.distSnapped(origin, t, nil)
-		}
-		return
+	if r.table == nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
 	}
 	// One miss closure for the batch, reading the pair's node from a
-	// variable declared outside the loop, so no loop variable is captured.
-	var sc *chScratch
+	// variable declared outside the loop, so no loop variable is captured;
+	// nil leaves each miss to routeNodes.
 	var to int32
-	miss := func() float64 {
-		if sc == nil {
-			sc = r.ch.scratch()
-			sc.f.exhaust(origin.Node)
+	var miss func() float64
+	if r.ch != nil {
+		exhausted := false
+		miss = func() float64 {
+			if !exhausted {
+				r.sc.f.exhaust(origin.Node)
+				exhausted = true
+			}
+			return r.ch.unpack(r.sc, r.sc.b.probe(&r.sc.f, to))
 		}
-		return r.ch.unpack(sc, sc.b.probe(&sc.f, to))
 	}
 	for i, t := range targets {
 		to = t.Node
 		out[i] = r.distSnapped(origin, t, miss)
-	}
-	if sc != nil {
-		r.ch.pool.Put(sc)
 	}
 }
 
@@ -654,27 +624,25 @@ func (r *Router) DistManyToSnappedInto(sources []geo.Snap, dest geo.Snap, out []
 	if len(out) < len(sources) {
 		panic("roadnet: DistManyToSnappedInto out buffer too small")
 	}
-	if r.ch == nil {
-		for i, a := range sources {
-			out[i] = r.distSnapped(a, dest, nil)
-		}
-		return
+	if r.table == nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
 	}
-	var sc *chScratch
 	var from int32
-	miss := func() float64 {
-		if sc == nil {
-			sc = r.ch.scratch()
-			sc.b.exhaust(dest.Node)
+	var miss func() float64
+	if r.ch != nil {
+		exhausted := false
+		miss = func() float64 {
+			if !exhausted {
+				r.sc.b.exhaust(dest.Node)
+				exhausted = true
+			}
+			return r.ch.unpack(r.sc, r.sc.f.probe(&r.sc.b, from))
 		}
-		return r.ch.unpack(sc, sc.f.probe(&sc.b, from))
 	}
 	for i, a := range sources {
 		from = a.Node
 		out[i] = r.distSnapped(a, dest, miss)
-	}
-	if sc != nil {
-		r.ch.pool.Put(sc)
 	}
 }
 
@@ -706,6 +674,10 @@ func (r *Router) Circuity(samples int) float64 {
 	n := r.g.NumNodes()
 	if n < 2 || samples < 1 {
 		return 1
+	}
+	if r.table == nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
 	}
 	var sum float64
 	var count int

@@ -3,6 +3,7 @@ package roadnet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -299,7 +300,7 @@ func TestRouterCacheConcurrentMixed(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if size := r.CacheSize(); size > 64+routeCacheShards {
+	if size := r.CacheSize(); size > 64 {
 		t.Fatalf("cache size %d exceeds bound", size)
 	}
 	hits, misses, evictions := r.CacheStats()
@@ -307,6 +308,64 @@ func TestRouterCacheConcurrentMixed(t *testing.T) {
 		t.Fatalf("expected misses and evictions with a 64-entry bound; got hits=%d misses=%d evictions=%d",
 			hits, misses, evictions)
 	}
+}
+
+// TestRouterKernelConcurrentBatches: goroutines sharing one kernel
+// router — batches of both shapes and single pairs at once, every one of
+// them after the hierarchy's one scratch, under a bound that keeps them
+// missing — get what a router asked by one goroutine gets, bit for bit.
+// Run with -race.
+func TestRouterKernelConcurrentBatches(t *testing.T) {
+	cfg := DefaultGridConfig()
+	cfg.Rows, cfg.Cols = 12, 14
+	g, err := GenerateGrid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := routerTestPoints(cfg.Box, 24, 5)
+	ref := kernelRouter(g, cfg.Box, 0, AlgoCH)
+	want := make([][]float64, len(pts)) // want[i][j] = Dist(pts[i], pts[j])
+	for i, p := range pts {
+		want[i] = make([]float64, len(pts))
+		for j, q := range pts {
+			want[i][j] = ref.Dist(p, q)
+		}
+	}
+	r := kernelRouter(g, cfg.Box, 0, AlgoCH)
+	r.SetCacheBound(32)
+	const workers = 6
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			out := make([]float64, len(pts))
+			for k := range pts {
+				i := (k + 5*w) % len(pts)
+				switch w % 3 {
+				case 0:
+					r.DistManyInto(pts[i], pts, out)
+				case 1:
+					r.DistManyToInto(pts, pts[i], out)
+				default:
+					for j, q := range pts {
+						out[j] = r.Dist(pts[i], q)
+					}
+				}
+				for j := range pts {
+					a, b := i, j
+					if w%3 == 1 {
+						a, b = j, i
+					}
+					if out[j] != want[a][b] {
+						t.Errorf("worker %d: Dist(pts[%d], pts[%d]) = %v, alone %v", w, a, b, out[j], want[a][b])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestRouterCacheEviction drives more distinct node pairs than the
@@ -320,7 +379,7 @@ func TestRouterCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := kernelRouter(g, cfg.Box, 10, AlgoCH)
-	r.SetCacheBound(16) // one entry per shard
+	r.SetCacheBound(16)
 	n := g.NumNodes()
 	for u := 0; u < n; u += 2 {
 		for v := 1; v < n; v += 7 {
@@ -361,6 +420,104 @@ func TestRouterCacheStatsAccounting(t *testing.T) {
 	hits, misses, evictions := r.CacheStats()
 	if misses != 1 || hits != 2 || evictions != 0 {
 		t.Fatalf("stats = (hits=%d, misses=%d, evictions=%d), want (2, 1, 0)", hits, misses, evictions)
+	}
+}
+
+// TestRouterCacheBoundExact: the cache holds at most the bound it is
+// given, not a rounding of it, and a miss past the bound evicts exactly
+// one entry.
+func TestRouterCacheBoundExact(t *testing.T) {
+	cfg := DefaultGridConfig()
+	cfg.Rows, cfg.Cols = 8, 8
+	g, err := GenerateGrid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	for _, bound := range []int{1, 5, 64} {
+		r := kernelRouter(g, cfg.Box, 10, AlgoCH)
+		r.SetCacheBound(bound)
+		for i, asked := 0, 0; asked < 10*bound; i++ {
+			if u, v := i/n, i%n; u != v {
+				r.nodeDist(int32(u), int32(v))
+				asked++
+			}
+		}
+		hits, misses, evictions := r.CacheStats()
+		if size := r.CacheSize(); size > bound {
+			t.Errorf("bound %d: cache size %d", bound, size)
+		}
+		if hits != 0 || misses != uint64(10*bound) || evictions != misses-uint64(bound) {
+			t.Errorf("bound %d: hits=%d misses=%d evictions=%d, want 0, %d, %d",
+				bound, hits, misses, evictions, 10*bound, 9*bound)
+		}
+	}
+}
+
+// TestRouterKernelMissAllocs: a route cache miss on the kernel tier, one
+// pair at a time or a whole batch, allocates nothing of its own once the
+// cache is at its bound — no call record, no channel, no scratch.
+func TestRouterKernelMissAllocs(t *testing.T) {
+	cfg := DefaultGridConfig()
+	cfg.Rows, cfg.Cols = 12, 14
+	g, err := GenerateGrid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := kernelRouter(g, cfg.Box, 0, AlgoCH)
+	r.SetCacheBound(1024)
+	n := g.NumNodes()
+	snaps := make([]geo.Snap, n)
+	for u := range snaps {
+		if snaps[u] = r.Snap(g.Point(u)); snaps[u].Node != int32(u) {
+			t.Fatalf("node %d snapped to %d", u, snaps[u].Node)
+		}
+	}
+	// The ordered pairs row by row, each once; the last rows stay fresh
+	// for the batches.
+	next := 0
+	fresh := func() float64 {
+		u, v := next/n, next%n
+		if next++; u == v {
+			v = (v + 1) % n
+			next++
+		}
+		return r.DistSnapped(snaps[u], snaps[v])
+	}
+	for range 2048 {
+		fresh()
+	}
+	const perRun, runs = 64, 20
+	_, before, _ := r.CacheStats()
+	if per := testing.AllocsPerRun(runs, func() {
+		for range perRun {
+			fresh()
+		}
+	}) / perRun; per >= 0.1 {
+		t.Errorf("%.3f allocations per DistSnapped miss, want none", per)
+	}
+	if _, misses, _ := r.CacheStats(); misses-before != (runs+1)*perRun {
+		t.Fatalf("%d misses over %d fresh pairs", misses-before, (runs+1)*perRun)
+	}
+	// A batch from each of the last nodes to every other node: no pair
+	// of that origin has been asked yet.
+	const batches = 10
+	targets := make([][]geo.Snap, batches+1)
+	for k := range targets {
+		o := n - 1 - k
+		targets[k] = append(slices.Clone(snaps[:o]), snaps[o+1:]...)
+	}
+	out := make([]float64, n-1)
+	k := 0
+	_, before, _ = r.CacheStats()
+	if per := testing.AllocsPerRun(batches, func() {
+		r.DistManySnappedInto(snaps[n-1-k], targets[k], out)
+		k++
+	}) / float64(n-1); per >= 0.1 {
+		t.Errorf("%.3f allocations per batched miss, want none", per)
+	}
+	if _, misses, _ := r.CacheStats(); misses-before != uint64((batches+1)*(n-1)) {
+		t.Fatalf("%d misses over %d batches of %d fresh pairs", misses-before, batches+1, n-1)
 	}
 }
 
@@ -469,7 +626,7 @@ func BenchmarkDistSnappedTable(b *testing.B) {
 
 // BenchmarkRouterDistCached times a point-form distance whose route the
 // cache already holds, on the kernel tier: two snap searches, one cache
-// hit behind a shard lock.
+// hit under the router's mutex.
 func BenchmarkRouterDistCached(b *testing.B) {
 	g, cfg := benchGraph(b)
 	r := kernelRouter(g, cfg.Box, 10, AlgoCH)

@@ -64,7 +64,7 @@ func refSweep(g *Graph, src int) []float64 {
 // TestTableBitwiseEqualsKernels holds the all-pairs table to every other
 // way the package has of measuring a node pair, bit for bit: on the
 // default grid at three seeds and on a radial city, all n² entries equal
-// the pre-table sweep, and Graph.ShortestPath, Hierarchy.Query and
+// the pre-table sweep, and Graph.ShortestPath, the hierarchy's query and
 // AStarALT agree on every pair of the radial city and on a lattice of
 // the grid's that touches every row and every column (a per-pair search
 // over all 230 400 would take seconds a graph, and under -race a
@@ -77,7 +77,7 @@ func TestTableBitwiseEqualsKernels(t *testing.T) {
 		if r.table == nil || r.ch != nil || r.lm != nil {
 			t.Fatalf("%s: %d nodes did not get a table and nothing else", name, g.NumNodes())
 		}
-		h := BuildHierarchy(g)
+		query := querier(BuildHierarchy(g))
 		lm := NewLandmarks(g, g.SelectLandmarks(defaultLandmarks))
 		n := g.NumNodes()
 		for u := 0; u < n; u++ {
@@ -94,8 +94,8 @@ func TestTableBitwiseEqualsKernels(t *testing.T) {
 				if d, _ := g.ShortestPath(u, v); row[v] != d {
 					t.Fatalf("%s: table(%d,%d) = %v, ShortestPath = %v", name, u, v, row[v], d)
 				}
-				if d := h.Query(u, v); row[v] != d {
-					t.Fatalf("%s: table(%d,%d) = %v, Hierarchy.Query = %v", name, u, v, row[v], d)
+				if d := query(u, v); row[v] != d {
+					t.Fatalf("%s: table(%d,%d) = %v, the hierarchy's query = %v", name, u, v, row[v], d)
 				}
 				if d, _ := g.AStarALT(lm, u, v); row[v] != d {
 					t.Fatalf("%s: table(%d,%d) = %v, AStarALT = %v", name, u, v, row[v], d)
