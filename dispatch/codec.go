@@ -343,10 +343,12 @@ func decodeRecord(data []byte) (walRecord, error) {
 	rec := walRecord{Kind: data[0] - rec2Base, Digest: r.u64()}
 	switch rec.Kind {
 	case recInit:
-		rec.Init = &initRecord{Version: r.checkVersion()}
-		rec.Init.Market.SpeedKmh, rec.Init.Market.GasPerKm = r.f64(), r.f64()
-		rec.Init.Config = readFingerprint(&r)
-		rec.Init.Market.Drivers = readSlice(&r, wireDriver+8, readDriver)
+		g := r // a copy: readSlice moves its reader to the heap
+		rec.Init = &initRecord{Version: g.checkVersion()}
+		rec.Init.Market.SpeedKmh, rec.Init.Market.GasPerKm = g.f64(), g.f64()
+		rec.Init.Config = readFingerprint(&g)
+		rec.Init.Market.Drivers = readSlice(&g, wireDriver+8, readDriver)
+		r = g
 	case recSubmit:
 		var mt model.Task
 		readModelTask(&r, &mt)
@@ -395,8 +397,18 @@ func readEvent(r *wireReader, e *sim.EventSnap) {
 	*e = sim.EventSnap{Key: r.f64(), Kind: r.int(), Seq: r.int(), At: r.f64(), Idx: r.int()}
 }
 
+// sortedKeys sorts m's keys into the scratch keys points at; nil if none.
+func sortedKeys[V any](keys *[]int, m map[int]V) []int {
+	if len(m) == 0 {
+		return nil
+	}
+	*keys = slices.AppendSeq((*keys)[:0], maps.Keys(m))
+	slices.Sort(*keys)
+	return *keys
+}
+
 // appendState encodes the engine's captured stream state.
-func appendState(b []byte, st *sim.StreamState) []byte {
+func appendState(b []byte, st *sim.StreamState, keys *[]int) []byte {
 	b = appendSlice(b, st.Drivers, appendModelDriver)
 	b = appendSlice(b, st.States, appendDriverState)
 	b = appendBools(b, st.Present)
@@ -409,7 +421,7 @@ func appendState(b []byte, st *sim.StreamState) []byte {
 	b = appendSlice(b, st.Revert, appendInflight)
 	b = appendInt(appendInt(appendInt(b, st.Res.Served), st.Res.Rejected), st.Res.Cancelled)
 	b = appendU32(b, uint32(len(st.Res.Assignment)))
-	for _, ti := range slices.Sorted(maps.Keys(st.Res.Assignment)) {
+	for _, ti := range sortedKeys(keys, st.Res.Assignment) {
 		b = appendInt(appendInt(b, ti), st.Res.Assignment[ti])
 	}
 	b = appendSlice(b, st.Res.DriverPaths, appendInts)
@@ -421,6 +433,24 @@ func appendState(b []byte, st *sim.StreamState) []byte {
 	return b
 }
 
+// readPaths cuts every path from one block that the bytes left bound,
+// each capped at its own length so that an append moves it out.
+func readPaths(r *wireReader) [][]int {
+	block := make([]int, 0, len(r.b)/8)
+	return readSlice(r, 4, func(r *wireReader, p *[]int) {
+		if len(r.b) >= 4 && binary.LittleEndian.Uint32(r.b) == nilLen {
+			r.b = r.b[4:]
+			return
+		}
+		start := len(block)
+		for range r.count(8) {
+			block = append(block, r.int())
+		}
+		*p = block[start:len(block):len(block)]
+	})
+}
+
+// readState decodes a state the caller owns (its paths: readPaths).
 func readState(r *wireReader) *sim.StreamState {
 	st := &sim.StreamState{
 		Drivers:  readSlice(r, wireDriver, readModelDriver),
@@ -444,7 +474,7 @@ func readState(r *wireReader) *sim.StreamState {
 		r.ascending(i, &prev, ti)
 		st.Res.Assignment[ti] = drv
 	}
-	st.Res.DriverPaths = readSlice(r, 4, readInts)
+	st.Res.DriverPaths = readPaths(r)
 	if r.bool() {
 		st.Batch = &sim.BatchSnap{}
 		readInts(r, &st.Batch.Batch)
@@ -460,7 +490,7 @@ const wireAssignment = 8 + 2 + 8 + 3*8
 // appendSnapshot encodes a snapshot payload: tag, version, digest, the
 // market constants and config fingerprint, the service-level books,
 // then the stream state. snap.State must be set.
-func appendSnapshot(b []byte, snap *snapPayload) []byte {
+func appendSnapshot(b []byte, snap *snapPayload, keys *[]int) []byte {
 	st := snap.State
 	// A close over-estimate of what follows, so a fresh buffer is
 	// allocated once instead of doubled into shape.
@@ -474,12 +504,12 @@ func appendSnapshot(b []byte, snap *snapPayload) []byte {
 	b = appendInt(b, int(snap.Shed))
 	b = appendInts(b, &snap.Retired)
 	b = appendU32(b, uint32(len(snap.Decided)))
-	for _, id := range slices.Sorted(maps.Keys(snap.Decided)) {
+	for _, id := range sortedKeys(keys, snap.Decided) {
 		a := snap.Decided[id]
 		b = appendInt(appendBool(appendBool(appendInt(b, id), a.Assigned), a.Pending), a.DriverID)
 		b = appendF64(appendF64(appendF64(b, a.PickupBy), a.DecidedAt), a.DecideBy)
 	}
-	return appendState(b, st)
+	return appendState(b, st, keys)
 }
 
 // decodeSnapshot decodes a snapshot payload.

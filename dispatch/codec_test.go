@@ -184,7 +184,7 @@ func TestCodecStateRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data := appendState(nil, state)
+			data := appendState(nil, state, new([]int))
 			r := wireReader{b: data}
 			back := readState(&r)
 			if err := r.finish(); err != nil {
@@ -253,12 +253,12 @@ func TestCodecSnapshotRoundTrip(t *testing.T) {
 			}
 			applyFeed(t, svc, tr, feed[:cut])
 			svc.mu.Lock()
-			want, err := svc.captureSnapshot()
+			want, err := svc.captureSnapshot(new([]int))
 			svc.mu.Unlock()
 			if err != nil {
 				t.Fatal(err)
 			}
-			data := appendSnapshot(nil, &want)
+			data := appendSnapshot(nil, &want, new([]int))
 			got, err := decodeSnapshot(data)
 			if err != nil {
 				t.Fatalf("batched=%v cut %d: decode: %v", batched, cut, err)
@@ -266,7 +266,7 @@ func TestCodecSnapshotRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(&want, got) {
 				t.Fatalf("batched=%v cut %d: decoded snapshot differs from the captured one\nwant %+v\ngot  %+v", batched, cut, want, *got)
 			}
-			if again := appendSnapshot(nil, got); !bytes.Equal(data, again) {
+			if again := appendSnapshot(nil, got, new([]int)); !bytes.Equal(data, again) {
 				t.Fatalf("batched=%v cut %d: re-encoding changed the bytes", batched, cut)
 			}
 			if cut > 1 && (want.Digest == 0 || len(want.Decided) == 0) {
@@ -318,7 +318,7 @@ func awkwardSnapshot() *snapPayload {
 // the -0s (== 0 to DeepEqual) kept their sign.
 func TestCodecAwkwardValues(t *testing.T) {
 	want := awkwardSnapshot()
-	data := appendSnapshot(nil, want)
+	data := appendSnapshot(nil, want, new([]int))
 	got, err := decodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestCodecAwkwardValues(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("round trip\nwant %+v\ngot  %+v", want, got)
 	}
-	if !bytes.Equal(data, appendSnapshot(nil, got)) {
+	if !bytes.Equal(data, appendSnapshot(nil, got, new([]int))) {
 		t.Fatal("re-encoding changed the bytes")
 	}
 	st := got.State
@@ -351,7 +351,7 @@ func TestCodecRejectsMalformedValues(t *testing.T) {
 		b := appendU64(appendU32([]byte{snapTag}, durVersion), 0)
 		b = appendFingerprint(appendF64(appendF64(b, 30), 0.09), &fp)
 		b = append(append(appendInt(b, 0), retired...), decided...)
-		return appendState(b, &sim.StreamState{})
+		return appendState(b, &sim.StreamState{}, new([]int))
 	}
 	entry := func(b []byte, id int) []byte { // one undecided Decided entry
 		return append(appendInt(append(appendInt(b, id), 0, 0), -1), make([]byte, 3*8)...)
@@ -593,7 +593,7 @@ func TestRestoreRefusesAuctionLog(t *testing.T) {
 	}
 	for name, dir := range map[string]string{
 		"genesis":  mkRawLog(t, [][]byte{genesis}, nil),
-		"snapshot": mkRawLog(t, [][]byte{hungarian}, appendSnapshot(nil, snap)),
+		"snapshot": mkRawLog(t, [][]byte{hungarian}, appendSnapshot(nil, snap, new([]int))),
 	} {
 		svc, err := Restore(dir)
 		if svc != nil || !errors.Is(err, errAuctionLog) {
@@ -746,7 +746,17 @@ func FuzzDecodeRecord(f *testing.F) {
 func FuzzDecodeSnapshot(f *testing.F) {
 	_, snapshot := seedPayloads(f)
 	f.Add(snapshot)
-	f.Add(appendSnapshot(nil, awkwardSnapshot()))
+	f.Add(appendSnapshot(nil, awkwardSnapshot(), new([]int)))
+	// Paths are decoded from one block: nil, empty and multi-task paths
+	// interleaved, leading and trailing.
+	for _, paths := range [][][]int{
+		{{5, 5, 5}, nil, {}, {5}, nil, {5, 5}, {}},
+		{{}, nil, {5, -1}, {}, {5}, nil},
+	} {
+		snap := awkwardSnapshot()
+		snap.State.Res.DriverPaths = paths
+		f.Add(appendSnapshot(nil, snap, new([]int)))
+	}
 	f.Add([]byte(`{"version":1,"state":{"drivers":[]}}`)) // version 1: refused
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var snap *snapPayload
@@ -758,7 +768,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again := appendSnapshot(nil, snap); !bytes.Equal(data, again) {
+		if again := appendSnapshot(nil, snap, new([]int)); !bytes.Equal(data, again) {
 			t.Fatalf("accepted a %d-byte snapshot but encodes it as %d bytes", len(data), len(again))
 		}
 	})
@@ -781,7 +791,7 @@ func benchSnapshot(b *testing.B) snapPayload {
 	}
 	b.Cleanup(func() { svc.Close() })
 	applyFeed(b, svc, tr, feed[:len(feed)/2])
-	snap, err := svc.captureSnapshot()
+	snap, err := svc.captureSnapshot(new([]int))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -815,13 +825,13 @@ func BenchmarkJournalRecord(b *testing.B) {
 // BenchmarkSnapshotCodec times a whole snapshot payload each way.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	snap := benchSnapshot(b)
-	data := appendSnapshot(nil, &snap)
+	data := appendSnapshot(nil, &snap, new([]int))
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))
-		buf := make([]byte, 0, len(data))
+		buf, keys := make([]byte, 0, len(data)), new([]int)
 		for b.Loop() {
-			buf = appendSnapshot(buf[:0], &snap)
+			buf = appendSnapshot(buf[:0], &snap, keys)
 		}
 	})
 	b.Run("decode", func(b *testing.B) {

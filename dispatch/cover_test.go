@@ -424,7 +424,7 @@ func TestRestoreRejectsMalformedLogs(t *testing.T) {
 	fp := fingerprint(config{policy: MaxMargin, seed: 1})
 	genesis := mkGenesis(durVersion, overloadMarket(), fp)
 	live := liveSnapshot(t)
-	good := appendSnapshot(nil, live)
+	good := appendSnapshot(nil, live, new([]int))
 	skewed := *live
 	skewed.Version = 99
 	bare := func(kind byte) []byte { return mustRecord(walRecord{Kind: kind})[:9] } // tag and digest, no body
@@ -460,7 +460,7 @@ func TestRestoreRejectsMalformedLogs(t *testing.T) {
 		{name: "snapshot-trailing-bytes", records: [][]byte{genesis},
 			snapshot: append(append([]byte(nil), good...), 0), wantIs: errWireTrailing},
 		{name: "snapshot-version-skew", records: [][]byte{genesis},
-			snapshot: appendSnapshot(nil, &skewed), wantIs: errWireVersion, wantSub: "version 99"},
+			snapshot: appendSnapshot(nil, &skewed, new([]int)), wantIs: errWireVersion, wantSub: "version 99"},
 		{name: "replay-empty-record",
 			records: [][]byte{genesis, {}}, wantSub: "empty journal record"},
 		{name: "replay-unknown-type",
@@ -576,7 +576,7 @@ func TestRestoreRejectsDuplicateSnapshotIDs(t *testing.T) {
 			bad.State = &st
 			m.mut(&st)
 			dir := mkRawLog(t, [][]byte{mkGenesis(durVersion, overloadMarket(), snap.Config)},
-				appendSnapshot(nil, &bad))
+				appendSnapshot(nil, &bad, new([]int)))
 			if _, err := Restore(dir); err == nil || !strings.Contains(err.Error(), "twice") {
 				t.Fatalf("Restore(err) = %v, want duplicate-registration refusal", err)
 			}

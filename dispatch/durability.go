@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -297,8 +296,9 @@ type journal struct {
 	sinceSnap     int // records appended since the last snapshot
 	// buf and snapBuf are the record and snapshot encoders' reused
 	// output buffers: a steady-state append allocates nothing.
-	buf     []byte
-	snapBuf []byte
+	buf           []byte
+	snapBuf       []byte
+	retired, keys []int // a cut's sort scratch (sortedKeys)
 }
 
 // openJournal creates the service's write-ahead log and appends the
@@ -342,9 +342,9 @@ func (s *Service) journal(rec walRecord) error {
 }
 
 // captureSnapshot gathers the full service state — engine stream plus
-// service-level books. Decided is the live map, not a copy: encode it
-// before releasing the mutex.
-func (s *Service) captureSnapshot() (snapPayload, error) {
+// service-level books — as a view: State and Decided are the live run's,
+// so encode it before releasing the mutex. Retired goes into *retired.
+func (s *Service) captureSnapshot(retired *[]int) (snapPayload, error) {
 	st, err := s.st.CaptureState()
 	if err != nil {
 		return snapPayload{}, simErr(err)
@@ -357,24 +357,21 @@ func (s *Service) captureSnapshot() (snapPayload, error) {
 		GasPerKm: mkt.GasPerKm,
 		Config:   fingerprint(s.cfg),
 		State:    st,
+		Retired:  sortedKeys(retired, s.retired),
 		Decided:  s.decided,
 		Shed:     s.shed.Load(),
 	}
-	for id := range s.retired {
-		snap.Retired = append(snap.Retired, id)
-	}
-	slices.Sort(snap.Retired)
 	return snap, nil
 }
 
 // writeSnapshot cuts a snapshot file covering every record appended so
 // far. Must be called with the mutex held.
 func (s *Service) writeSnapshot() error {
-	snap, err := s.captureSnapshot()
+	snap, err := s.captureSnapshot(&s.jr.retired)
 	if err != nil {
 		return err
 	}
-	s.jr.snapBuf = appendSnapshot(s.jr.snapBuf[:0], &snap)
+	s.jr.snapBuf = appendSnapshot(s.jr.snapBuf[:0], &snap, &s.jr.keys)
 	if err := s.jr.lg.WriteSnapshot(s.jr.snapBuf); err != nil {
 		return fmt.Errorf("dispatch: writing snapshot: %w", err)
 	}
@@ -546,7 +543,7 @@ func Restore(dir string, opts ...DurOption) (*Service, error) {
 }
 
 // loadSnapshot swaps the freshly-constructed service's stream and books
-// for the snapshot's captured state.
+// for the snapshot's captured state, which it adopts.
 func (svc *Service) loadSnapshot(snap *snapPayload) error {
 	eng := svc.st.Engine()
 	var d sim.Dispatcher
@@ -595,9 +592,6 @@ func (svc *Service) loadSnapshot(snap *snapPayload) error {
 		svc.taskIDs[idx] = id
 	}
 	svc.decided = snap.Decided
-	if svc.decided == nil {
-		svc.decided = make(map[int]Assignment)
-	}
 	svc.shed.Store(snap.Shed)
 	svc.digest = snap.Digest
 	return nil

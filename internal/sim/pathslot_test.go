@@ -170,7 +170,9 @@ func TestDriverPathsOwnTheirSlots(t *testing.T) {
 				if fmt.Sprint(snap.Res.DriverPaths) != fmt.Sprint(st.r.res.DriverPaths) {
 					t.Fatalf("cut %d: captured paths differ from the run's", cut)
 				}
-				restored := mk(snap)
+				// snap is a view of st, which goes on below: restore a
+				// copy of it.
+				restored := mk(cloneState(snap))
 				rref := ref.clone()
 				rref.check(t, restored, fmt.Sprintf("cut %d restored", cut))
 				// The suspended run goes on after the restored one: a

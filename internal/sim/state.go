@@ -12,7 +12,7 @@ import (
 )
 
 // This file makes a suspended Stream's state portable: CaptureState
-// deep-copies everything a run needs to continue — driver states, the
+// views everything a run needs to continue — driver states, the
 // pending event queue, the open batch window, the in-progress result,
 // the RNG position — into an exported, serialization-friendly
 // StreamState, and Engine.RestoreStream rebuilds a Stream from one that
@@ -96,25 +96,26 @@ type StreamState struct {
 	Batch *BatchSnap `json:"batch,omitempty"`
 }
 
-// CaptureState deep-copies the suspended run into a StreamState. The
-// stream must not be advanced concurrently (callers serialize, as the
-// dispatch service does); a finished stream reports ErrFinished.
+// CaptureState returns a read-only view of the suspended run — its
+// slices and assignment map are the run's own — valid until the stream
+// next advances, which callers serialize (as the dispatch service does);
+// a finished stream reports ErrFinished.
 func (s *Stream) CaptureState() (*StreamState, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, err
 	}
 	e, r := s.e, s.r
 	st := &StreamState{
-		Drivers:   append([]model.Driver(nil), e.Drivers...),
-		States:    append([]DriverStateSnap{}, e.states...),
-		Present:   append([]bool(nil), e.present...),
+		Drivers:   nilIfEmpty(e.Drivers),
+		States:    emptyIfNil(e.states),
+		Present:   nilIfEmpty(e.present),
 		RNGDraws:  e.RNGDraws(),
 		Now:       r.now,
 		Started:   r.started,
 		Seq:       r.seq,
-		Tasks:     append([]model.Task(nil), r.tasks...),
-		Cancelled: append([]bool{}, r.cancelled...),
-		Queue:     append([]EventSnap{}, r.q...),
+		Tasks:     nilIfEmpty(r.tasks),
+		Cancelled: emptyIfNil(r.cancelled),
+		Queue:     emptyIfNil(r.q),
 		// Both come out of maps: order them by their keys, so the same
 		// run always captures the same state.
 		Inflight: slices.SortedFunc(maps.Values(r.inflight), func(a, b InflightSnap) int { return cmp.Compare(a.Task, b.Task) }),
@@ -123,13 +124,13 @@ func (s *Stream) CaptureState() (*StreamState, error) {
 			Served:      r.res.Served,
 			Rejected:    r.res.Rejected,
 			Cancelled:   r.res.Cancelled,
-			Assignment:  maps.Clone(r.res.Assignment),
-			DriverPaths: clonePaths(r.res.DriverPaths),
+			Assignment:  r.res.Assignment,
+			DriverPaths: emptyIfNil(r.res.DriverPaths),
 		},
 	}
 	if s.b != nil {
 		bs := &BatchSnap{
-			Batch:     append([]int(nil), s.b.batch...),
+			Batch:     nilIfEmpty(s.b.batch),
 			OpenedAt:  s.b.openedAt,
 			Cancelled: s.b.cancelled,
 			Open:      s.b.open(),
@@ -142,15 +143,19 @@ func (s *Stream) CaptureState() (*StreamState, error) {
 	return st, nil
 }
 
-// clonePaths deep-copies per-driver task lists for a capture or a
-// restore. It keeps nil-ness: a path emptied by a revoked assignment is
-// empty but not nil, and stays so.
-func clonePaths(paths [][]int) [][]int {
-	out := make([][]int, len(paths))
-	for i, p := range paths {
-		out[i] = slices.Clone(p)
+// nilIfEmpty and emptyIfNil give a view the nil-ness its wire bytes have.
+func nilIfEmpty[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
 	}
-	return out
+	return s
+}
+
+func emptyIfNil[S ~[]E, E any](s S) S {
+	if s == nil {
+		return S{}
+	}
+	return s
 }
 
 // validate cross-checks the state's sizing and every index it holds, so
@@ -213,7 +218,8 @@ func (st *StreamState) validate() error {
 // agrees). The engine's market constants, RealTime, Clock and candidate
 // source must be configured as they were on the capturing engine before
 // calling; the restored stream then continues bit-identically to the
-// captured one.
+// captured one. It adopts st, which the caller does not use again (a
+// CaptureState view only once its own run is abandoned).
 func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64) (*Stream, error) {
 	if err := st.validate(); err != nil {
 		return nil, err
@@ -225,9 +231,7 @@ func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64) (*
 		return nil, fmt.Errorf("sim: restoring a batched stream needs a positive finite window, got %g", window)
 	}
 
-	e.Drivers = append([]model.Driver(nil), st.Drivers...)
-	e.states = slices.Clone(st.States)
-	e.present = append([]bool(nil), st.Present...)
+	e.Drivers, e.states, e.present = st.Drivers, st.States, st.Present
 	e.timeKeyed = true
 	e.resetMemo()
 	e.SeekRNG(st.RNGDraws)
@@ -238,16 +242,18 @@ func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64) (*
 		started:   st.Started,
 		now:       st.Now,
 		seq:       st.Seq,
-		tasks:     append([]model.Task(nil), st.Tasks...),
-		cancelled: append([]bool{}, st.Cancelled...),
+		tasks:     st.Tasks,
+		cancelled: st.Cancelled,
 		inflight:  make(map[int]InflightSnap, len(st.Inflight)),
 		revert:    make(map[int]InflightSnap, len(st.Revert)),
 		res:       newResult(e),
-		q:         slices.Clone(st.Queue),
+		q:         st.Queue,
 	}
 	r.res.Served, r.res.Rejected, r.res.Cancelled = st.Res.Served, st.Res.Rejected, st.Res.Cancelled
-	maps.Copy(r.res.Assignment, st.Res.Assignment)
-	r.res.DriverPaths = clonePaths(st.Res.DriverPaths)
+	if st.Res.Assignment != nil {
+		r.res.Assignment = st.Res.Assignment
+	}
+	r.res.DriverPaths = st.Res.DriverPaths
 	for _, info := range st.Inflight {
 		r.inflight[info.Task] = info
 	}
@@ -259,7 +265,7 @@ func (e *Engine) RestoreStream(st *StreamState, d Dispatcher, window float64) (*
 	strm := &Stream{e: e, r: r}
 	if st.Batch != nil {
 		b := newBatcher(r, window)
-		b.batch = append(b.batch, st.Batch.Batch...)
+		b.batch = st.Batch.Batch
 		b.openedAt = st.Batch.OpenedAt
 		b.cancelled = st.Batch.Cancelled
 		if st.Batch.Open {

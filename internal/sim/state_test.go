@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -56,6 +58,42 @@ func applyItems(t *testing.T, st *Stream, tasks []model.Task, items []feedItem) 
 			}
 		}
 	}
+}
+
+// cloneState deep-copies a captured state as CaptureState did before
+// it returned a view of the live run: every slice and the assignment
+// map are copied, each slice nil exactly where that copy made it nil. A
+// test that goes on with the captured run after restoring its state, or
+// restores one capture twice, restores a clone.
+func cloneState(st *StreamState) *StreamState {
+	c := *st
+	c.Drivers = append([]model.Driver(nil), st.Drivers...)
+	c.States = append([]DriverStateSnap{}, st.States...)
+	c.Present = append([]bool(nil), st.Present...)
+	c.Tasks = append([]model.Task(nil), st.Tasks...)
+	c.Cancelled = append([]bool{}, st.Cancelled...)
+	c.Queue = append([]EventSnap{}, st.Queue...)
+	c.Inflight = slices.Clone(st.Inflight)
+	c.Revert = slices.Clone(st.Revert)
+	c.Res.Assignment = maps.Clone(st.Res.Assignment)
+	c.Res.DriverPaths = clonePaths(st.Res.DriverPaths)
+	if st.Batch != nil {
+		b := *st.Batch
+		b.Batch = append([]int(nil), st.Batch.Batch...)
+		c.Batch = &b
+	}
+	return &c
+}
+
+// clonePaths deep-copies per-driver task lists. It keeps nil-ness: a
+// path emptied by a revoked assignment is empty but not nil, and stays
+// so.
+func clonePaths(paths [][]int) [][]int {
+	out := make([][]int, len(paths))
+	for i, p := range paths {
+		out[i] = slices.Clone(p)
+	}
+	return out
 }
 
 // TestStreamStateRoundTrip is the suspend/resume differential: run a
