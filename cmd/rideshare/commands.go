@@ -425,7 +425,7 @@ func runExperiments(ctx context.Context, w io.Writer, cfg experiments.Config, fi
 		// affordable under -fig all.
 		rcfg := cfg
 		rcfg.Sweep = []int{cfg.Sweep[0], cfg.Sweep[len(cfg.Sweep)/2], cfg.Sweep[len(cfg.Sweep)-1]}
-		rc := experiments.RegretConfig{Churn: 0.25, Cancel: 0.2, TopK: 8, LP: true, NodeCap: 500_000}
+		rc := experiments.RegretConfig{Churn: 0.25, Cancel: 0.2, TopK: 8, LP: true}
 		points, err := experiments.RegretSweep(ctx, rcfg, rc)
 		if err != nil {
 			return err

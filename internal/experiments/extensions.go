@@ -245,26 +245,6 @@ func DispatchComparison(ctx context.Context, cfg Config, drivers int) ([]Dispatc
 	}, nil
 }
 
-// DispatchFigure renders the comparison as a one-x-point-per-strategy
-// figure (bar-chart shaped).
-func DispatchFigure(rows []DispatchRow) Figure {
-	fig := Figure{
-		ID:     "ext-dispatch",
-		Title:  "Dispatch strategies vs the relaxation bound",
-		XLabel: "strategy index", YLabel: "profit / Z*_f",
-		Series: make([]Series, 1),
-	}
-	fig.Series[0].Name = "ratio"
-	notes := ""
-	for i, r := range rows {
-		fig.Series[0].X = append(fig.Series[0].X, float64(i))
-		fig.Series[0].Y = append(fig.Series[0].Y, r.Ratio)
-		notes += fmt.Sprintf("[%d]=%s ", i, r.Name)
-	}
-	fig.Notes = notes
-	return fig
-}
-
 // ChurnRow is one churn rate's outcome in the churn/cancellation study.
 type ChurnRow struct {
 	Rate      float64 // retirement and cancellation fraction applied

@@ -95,10 +95,6 @@ func TestDispatchComparison(t *testing.T) {
 		t.Errorf("replan %.3f well below Nearest %.3f",
 			byName["rolling replan"].Profit, byName["Nearest (Alg. 3)"].Profit)
 	}
-	fig := DispatchFigure(rows)
-	if fig.ID != "ext-dispatch" || len(fig.Series[0].X) != 5 {
-		t.Fatalf("bad figure")
-	}
 }
 
 func TestChurnSweepShapes(t *testing.T) {

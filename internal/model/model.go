@@ -199,6 +199,12 @@ type DistanceBatcher interface {
 
 	DistManyInto(origin geo.Point, targets []geo.Point, out []float64)
 	DistManyToInto(sources []geo.Point, dest geo.Point, out []float64)
+
+	// Table returns the all-pairs node table, dist[u*n+v] the distance
+	// u→v, and its dimension n, or nil and 0 where there is none. The
+	// slice is read-only. It must bound DistSnapped from below:
+	// DistSnapped(a, b) >= b.AccessKm + dist[a.Node*n+b.Node].
+	Table() (dist []float64, n int)
 }
 
 // Market holds the market-wide physical and economic constants used to

@@ -19,19 +19,19 @@
 // therefore results, are identical under either source.
 //
 // Nearest and MaxMargin each take one extremum over that slice and say
-// so (sim.Ranked), which lets instant dispatch over the indexed source
-// hand them only the drivers who could still win or tie — the rest are
-// ruled out by a distance lower bound and never scored. Each rank has
-// one rule (sim.Rank), set by how its chooser breaks ties. MaxMargin
-// keeps the first of the greatest positive margins, draws nothing and
-// rejects when no margin is positive, so all it needs is the order's row
-// of a window of one — which the source finds in any order, nearest cell
-// first. Nearest draws from the RNG on an exact arrival tie with its
+// so (sim.Dispatcher.RankedBy), which lets instant dispatch over the
+// indexed source hand them only the drivers who could still win or tie
+// — the rest are ruled out by a distance lower bound and never scored.
+// Each rank has one rule (sim.Rank), set by how its chooser breaks
+// ties. MaxMargin keeps the first of the greatest positive margins,
+// draws nothing and rejects when no margin is positive, so all it needs
+// is the order's row of a window of one — which the source finds in any
+// order, nearest cell first. Nearest draws from the RNG on an exact arrival tie with its
 // *running* best, which a later candidate may yet beat, so a candidate
 // matters unless it is strictly worse than the best before it in driver
 // order, and the source walks in that order. Either way neither the
-// winner nor the RNG position changes. Random looks at the whole list
-// and always gets it.
+// winner nor the RNG position changes. Random looks at the whole list,
+// names no rank, and always gets it.
 package online
 
 import (
@@ -45,10 +45,7 @@ import (
 // is ready to use.
 type Nearest struct{}
 
-var (
-	_ sim.Dispatcher = Nearest{}
-	_ sim.Ranked     = Nearest{}
-)
+var _ sim.Dispatcher = Nearest{}
 
 // Name implements sim.Dispatcher.
 func (Nearest) Name() string { return "Nearest" }
@@ -75,7 +72,7 @@ func (Nearest) Choose(_ model.Task, cands []sim.Candidate, rng *rand.Rand) int {
 	return best
 }
 
-// RankedBy implements sim.Ranked: Choose is an argmin of Arrival whose
+// RankedBy implements sim.Dispatcher: Choose is an argmin of Arrival whose
 // reservoir counts, and draws for, exact ties with the running minimum
 // only — the prefix-only contract of sim.RankArrival.
 func (Nearest) RankedBy() sim.Rank { return sim.RankArrival }
@@ -87,10 +84,7 @@ func (Nearest) RankedBy() sim.Rank { return sim.RankArrival }
 // not positive is rejected. The zero value is ready to use.
 type MaxMargin struct{}
 
-var (
-	_ sim.Dispatcher = MaxMargin{}
-	_ sim.Ranked     = MaxMargin{}
-)
+var _ sim.Dispatcher = MaxMargin{}
 
 // Name implements sim.Dispatcher.
 func (MaxMargin) Name() string { return "maxMargin" }
@@ -107,7 +101,7 @@ func (MaxMargin) Choose(_ model.Task, cands []sim.Candidate, _ *rand.Rand) int {
 	return best
 }
 
-// RankedBy implements sim.Ranked: Choose is a strict-comparison argmax
+// RankedBy implements sim.Dispatcher: Choose is a strict-comparison argmax
 // of the positive margins — the first of equal margins stays, nothing is
 // drawn — which is sim.RankMargin's rule: the row of a window of one.
 func (MaxMargin) RankedBy() sim.Rank { return sim.RankMargin }
@@ -129,3 +123,7 @@ func (Random) Choose(_ model.Task, cands []sim.Candidate, rng *rand.Rand) int {
 	}
 	return rng.Intn(len(cands))
 }
+
+// RankedBy implements sim.Dispatcher: a uniform draw over the whole list
+// depends on every candidate, so Random names no rank.
+func (Random) RankedBy() sim.Rank { return 0 }

@@ -108,17 +108,24 @@ func TestRandomStaysInRange(t *testing.T) {
 	}
 }
 
+// TestNames also holds each dispatcher to its rank: Random's uniform
+// draw depends on the whole list, so it must name none and be handed all
+// of it.
 func TestNames(t *testing.T) {
 	for _, tc := range []struct {
 		d    sim.Dispatcher
 		want string
+		rank sim.Rank
 	}{
-		{Nearest{}, "Nearest"},
-		{MaxMargin{}, "maxMargin"},
-		{Random{}, "Random"},
+		{Nearest{}, "Nearest", sim.RankArrival},
+		{MaxMargin{}, "maxMargin", sim.RankMargin},
+		{Random{}, "Random", 0},
 	} {
 		if got := tc.d.Name(); got != tc.want {
 			t.Errorf("Name() = %q, want %q", got, tc.want)
+		}
+		if got := tc.d.RankedBy(); got != tc.rank {
+			t.Errorf("%s: RankedBy() = %d, want %d", tc.want, got, tc.rank)
 		}
 	}
 }
@@ -183,14 +190,15 @@ func TestNearestServeRateReasonable(t *testing.T) {
 	}
 }
 
-// tieSpy is a dispatcher without the Ranked capability — embedding the
-// interface hides it — that watches the full lists its chooser is
-// handed: how many had their best arrival, or their best margin, shared
-// by more than one candidate.
+// tieSpy is a dispatcher that names no rank, so it is handed the full
+// lists, and watches them: how many had their best arrival, or their
+// best margin, shared by more than one candidate.
 type tieSpy struct {
 	sim.Dispatcher
 	arrivalTies, marginTies *int
 }
+
+func (tieSpy) RankedBy() sim.Rank { return 0 }
 
 func (s tieSpy) Choose(task model.Task, cands []sim.Candidate, rng *rand.Rand) int {
 	if len(cands) > 0 {

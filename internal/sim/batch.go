@@ -305,10 +305,9 @@ type windowScratch struct {
 // The graph is compacted in three canonical, exact steps: candidates
 // with non-positive margin are dropped, each row keeps its top
 // len(batch) by (margin, driver) — see topRow for both — and columns are
-// renumbered over the ascending union of the surviving drivers. A source
-// that can bound a margin (boundedSource, discovered here once per
-// window, never configured) hands back the same rows having scored only
-// the drivers who could be in them; any other source goes through topRow.
+// renumbered over the ascending union of the surviving drivers. The
+// source builds each row (CandidateSource.TopRow): GridSource scores only
+// the drivers who could be in it, ScanSource goes through topRow.
 // Rows are laid out in batch order and each row's edges in ascending
 // driver order, so the solve is deterministic and the commit loop below
 // replays decisions in batch order — which is what keeps both candidate
@@ -329,14 +328,9 @@ func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64) 
 	ws.arena = ws.arena[:0]
 	ws.rowPtr = append(ws.rowPtr[:0], 0)
 	ws.union = ws.union[:0]
-	bounded, _ := e.source.(boundedSource)
 	for _, ti := range batch {
 		start := len(ws.arena)
-		if bounded != nil {
-			ws.arena = bounded.TopRow(r.tasks[ti], decisionAt, len(batch), ws.arena)
-		} else {
-			ws.arena = topRow(e.source, r.tasks[ti], decisionAt, len(batch), ws.arena)
-		}
+		ws.arena = e.source.TopRow(r.tasks[ti], decisionAt, len(batch), ws.arena)
 		for _, c := range ws.arena[start:] {
 			if ws.colEpoch[c.Driver] != ws.epoch {
 				ws.colEpoch[c.Driver] = ws.epoch

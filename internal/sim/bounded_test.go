@@ -15,13 +15,12 @@ import (
 )
 
 // The tests in this file hold the two bounded paths — the instant one
-// (Ranked, GridSource.Contenders) and the window's rows
+// (Dispatcher.RankedBy, GridSource.Contenders) and the window's rows
 // (GridSource.TopRow) — to their two promises: they do less, and neither
 // a chooser nor a window solve can tell. The differential wall sweeps
-// both over generated days; here are the work counts the benchmark's
-// traced pass cannot take (its decorators hide the capability), the
-// row-level differentials, the tie window the generators never produce
-// and the fuzz targets that aim at the admissibility of the bound itself.
+// both over generated days; here are the work counts, the row-level
+// differentials, the tie window the generators never produce and the
+// fuzz targets that aim at the admissibility of the bound itself.
 
 // TestBoundedPathScoresFewer counts Market.Dist calls over one fixed
 // day, indexed source both times: the full list scores every reachable
@@ -256,9 +255,17 @@ func TestNearestDrawsOnRunningTies(t *testing.T) {
 	}
 }
 
-// fullRowsOnly hides a source's bounded capability, as any struct that
-// embeds the interface does: closeBatchSparse falls back to topRow.
+// fullRowsOnly takes the full list from a source: its Contenders are
+// Candidates and its rows are topRow's, built from Candidates.
 type fullRowsOnly struct{ CandidateSource }
+
+func (s fullRowsOnly) Contenders(task model.Task, now float64, _ Rank, buf []Candidate) []Candidate {
+	return s.Candidates(task, now, buf)
+}
+
+func (s fullRowsOnly) TopRow(task model.Task, now float64, k int, arena []Candidate) []Candidate {
+	return topRow(s, task, now, k, arena)
+}
 
 // rowAudit is what auditRows saw: windows closed, rows compared, rows
 // the full list had more than k positive margins for (pruned, so the
@@ -458,13 +465,12 @@ func TestBoundedRowsTieWindow(t *testing.T) {
 
 // TestBoundedRowsScoreFewer is TestBoundedPathScoresFewer for a batched
 // day: Market.Dist calls from the first decision of one fixed day,
-// indexed source both times, rows by topRow (the capability hidden)
-// against rows by TopRow. Equal books, counts that repeat exactly, no
-// way home looked up by a walk, and ceilings — a floor for the cells
-// skipped — at what was measured when the entries began to carry their
-// way home from the bind (9 964 calls over the engine's life before,
-// 11 474 before the cell walk; 7 876 cells skipped and 65 505 entries
-// scanned).
+// indexed source both times, rows by topRow (fullRowsOnly) against rows
+// by TopRow. Equal books, counts that repeat exactly, no way home looked
+// up by a walk, and ceilings — a floor for the cells skipped — at what
+// was measured when the entries began to carry their way home from the
+// bind (9 964 calls over the engine's life before, 11 474 before the
+// cell walk; 7 876 cells skipped and 65 505 entries scanned).
 func TestBoundedRowsScoreFewer(t *testing.T) {
 	cfg := trace.NewConfig(17, 300, 5000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
@@ -516,7 +522,7 @@ func TestBoundedRowsScoreFewer(t *testing.T) {
 // default 20×24 street grid, its router as both Market.Dist and
 // Market.Batch, 10 000 drivers and 1 200 orders drawn for crow-fly — so
 // that a road ride often cannot make its deadlines — in 60 s windows.
-// Rows by topRow (the capability hidden) against rows by TopRow: equal
+// Rows by topRow (fullRowsOnly) against rows by TopRow: equal
 // books, counts that repeat exactly, every entry's payload the engine's,
 // ceilings at what was measured when the road walk landed, and the gate
 // it was built on — of the drivers the index predicate passed, at most
@@ -845,10 +851,7 @@ func FuzzBoundedChoice(f *testing.F) {
 		if all := src.Contenders(order, order.Publish, 0, nil); !slices.Equal(all, full) {
 			t.Fatalf("a rank the source cannot bound got %+v, not the full list %+v", all, full)
 		}
-		for _, d := range []interface {
-			Dispatcher
-			Ranked
-		}{rankedMaxMargin{}, rankedNearest{}} {
+		for _, d := range []Dispatcher{rankedMaxMargin{}, rankedNearest{}} {
 			bounded := src.Contenders(order, order.Publish, d.RankedBy(), nil)
 			rest := full
 			for _, c := range bounded {

@@ -22,7 +22,8 @@ import (
 
 type diffMaxMargin struct{}
 
-func (diffMaxMargin) Name() string { return "maxMargin" }
+func (diffMaxMargin) Name() string   { return "maxMargin" }
+func (diffMaxMargin) RankedBy() Rank { return 0 }
 func (diffMaxMargin) Choose(_ model.Task, cands []Candidate, _ *rand.Rand) int {
 	best := -1
 	for i, c := range cands {
@@ -35,7 +36,8 @@ func (diffMaxMargin) Choose(_ model.Task, cands []Candidate, _ *rand.Rand) int {
 
 type diffNearest struct{}
 
-func (diffNearest) Name() string { return "nearest" }
+func (diffNearest) Name() string   { return "nearest" }
+func (diffNearest) RankedBy() Rank { return 0 }
 func (diffNearest) Choose(_ model.Task, cands []Candidate, rng *rand.Rand) int {
 	best, ties := -1, 0
 	for i, c := range cands {
@@ -67,7 +69,7 @@ func (rankedNearest) Name() string   { return "nearest+rank" }
 func (rankedNearest) RankedBy() Rank { return RankArrival }
 
 // forms lists what the indexed engine runs against one scan run of d: d
-// itself (the full list through the index) and its Ranked twin, if it
+// itself (the full list through the index) and its ranked twin, if it
 // has one (the bounded list).
 func forms(d Dispatcher) []Dispatcher {
 	switch d.(type) {
@@ -81,7 +83,8 @@ func forms(d Dispatcher) []Dispatcher {
 
 type diffRandom struct{}
 
-func (diffRandom) Name() string { return "random" }
+func (diffRandom) Name() string   { return "random" }
+func (diffRandom) RankedBy() Rank { return 0 }
 func (diffRandom) Choose(_ model.Task, cands []Candidate, rng *rand.Rand) int {
 	if len(cands) == 0 {
 		return -1

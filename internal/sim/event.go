@@ -416,19 +416,12 @@ func (r *eventRun) pathSlot() []int {
 }
 
 // instantArrival is the instant-dispatch arrival handler: candidates at
-// the arrival instant, one dispatcher choice, commit or reject. When the
-// dispatcher declares what it ranks by and the source can bound that
-// rank (both discovered here, neither configured), the choice is made
-// over the contenders only; see Ranked.
+// the arrival instant, one dispatcher choice, commit or reject. The
+// choice is made over the contenders the rule of the dispatcher's rank
+// leaves (Dispatcher.RankedBy, CandidateSource.Contenders).
 func (r *eventRun) instantArrival(ev event) {
 	task := r.tasks[ev.Idx]
-	ranked, _ := r.d.(Ranked)
-	bounded, _ := r.e.source.(boundedSource)
-	if ranked != nil && bounded != nil {
-		r.cands = bounded.Contenders(task, ev.At, ranked.RankedBy(), r.cands[:0])
-	} else {
-		r.cands = r.e.source.Candidates(task, ev.At, r.cands[:0])
-	}
+	r.cands = r.e.source.Contenders(task, ev.At, r.d.RankedBy(), r.cands[:0])
 	choice := -1
 	if len(r.cands) > 0 {
 		choice = r.d.Choose(task, r.cands, r.e.rng)

@@ -13,7 +13,8 @@ import (
 // package (which would create an import cycle in tests).
 type localMaxMargin struct{}
 
-func (localMaxMargin) Name() string { return "maxMargin" }
+func (localMaxMargin) Name() string   { return "maxMargin" }
+func (localMaxMargin) RankedBy() Rank { return 0 }
 func (localMaxMargin) Choose(_ model.Task, cands []Candidate, _ *rand.Rand) int {
 	best := -1
 	for i, c := range cands {

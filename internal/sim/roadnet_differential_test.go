@@ -178,7 +178,7 @@ func roadNetworkMetricDifferential(t *testing.T, rows, cols int) (chRouter, altR
 
 	// The batched day has no dispatcher (nil). The instant day runs
 	// under the plain chooser — the reference, on variants[0] — and its
-	// Ranked twin: without the hook the index bounds the road metric
+	// ranked twin: without a rank the index bounds the road metric
 	// (floored at crow-fly, so the planar bound stands); with it, the
 	// rows and Contenders bound the pickup leg by the table where there
 	// is one, and hand back scoreCandidates' batched full list where
@@ -186,7 +186,7 @@ func roadNetworkMetricDifferential(t *testing.T, rows, cols int) (chRouter, altR
 	for _, d := range []Dispatcher{nil, diffMaxMargin{}, rankedMaxMargin{}} {
 		batched := d == nil
 		ref := d
-		if _, twin := d.(Ranked); twin {
+		if _, twin := d.(rankedMaxMargin); twin {
 			ref = diffMaxMargin{}
 		}
 		want := run(variants[0], ref)
@@ -256,7 +256,8 @@ func checkSnapMemo(t *testing.T, e *Engine, r *roadnet.Router) (current, outdate
 }
 
 // snapCountingSource measures the scoring path from outside: the snaps
-// the router takes inside Candidates calls, the calls themselves, and
+// the router takes inside the source's queries — Candidates, Contenders
+// and TopRow, the full list and both walks — the queries themselves, and
 // the moves the engine reports between them.
 type snapCountingSource struct {
 	CandidateSource
@@ -265,12 +266,25 @@ type snapCountingSource struct {
 	snaps          uint64
 }
 
-func (s *snapCountingSource) Candidates(task model.Task, now float64, buf []Candidate) []Candidate {
+// query counts the snaps one source query takes.
+func (s *snapCountingSource) query(q func() []Candidate) []Candidate {
 	before := s.router.Snaps()
-	buf = s.CandidateSource.Candidates(task, now, buf)
+	buf := q()
 	s.snaps += s.router.Snaps() - before
 	s.queries++
 	return buf
+}
+
+func (s *snapCountingSource) Candidates(task model.Task, now float64, buf []Candidate) []Candidate {
+	return s.query(func() []Candidate { return s.CandidateSource.Candidates(task, now, buf) })
+}
+
+func (s *snapCountingSource) Contenders(task model.Task, now float64, by Rank, buf []Candidate) []Candidate {
+	return s.query(func() []Candidate { return s.CandidateSource.Contenders(task, now, by, buf) })
+}
+
+func (s *snapCountingSource) TopRow(task model.Task, now float64, k int, arena []Candidate) []Candidate {
+	return s.query(func() []Candidate { return s.CandidateSource.TopRow(task, now, k, arena) })
 }
 
 func (s *snapCountingSource) Moved(i int) {
@@ -302,7 +316,10 @@ func TestScoringSnapsOncePerMove(t *testing.T) {
 		Seed: 11, JoinFraction: 0.2, RetireFraction: 0.15, CancelFraction: 0.2,
 	})
 
-	for _, batched := range []bool{false, true} {
+	// The batched day builds its rows by the table walk; the instant day
+	// runs the full list (diffMaxMargin) and the margin walk
+	// (rankedMaxMargin).
+	for _, d := range []Dispatcher{nil, diffMaxMargin{}, rankedMaxMargin{}} {
 		router := roadnet.NewRouter(g, rcfg.Box, 0)
 		market := cfg.Market
 		market.Dist, market.Batch = router.Dist, router
@@ -315,30 +332,30 @@ func TestScoringSnapsOncePerMove(t *testing.T) {
 
 		dayStart := router.Snaps()
 		var res Result
-		if batched {
+		if d == nil {
 			res = eng.RunBatchedScenario(tr.Tasks, events, 60)
 		} else {
-			res = eng.RunScenario(tr.Tasks, events, diffMaxMargin{})
+			res = eng.RunScenario(tr.Tasks, events, d)
 		}
 		day := router.Snaps() - dayStart
 		if res.Served == 0 || res.Cancelled == 0 || src.moves <= res.Served {
-			t.Fatalf("batched=%v: degenerate day (served %d, cancelled %d, moves %d): the pin needs assignments and revocations",
-				batched, res.Served, res.Cancelled, src.moves)
+			t.Fatalf("%T: degenerate day (served %d, cancelled %d, moves %d): the pin needs assignments and revocations",
+				d, res.Served, res.Cancelled, src.moves)
 		}
 
 		drivers := len(tr.Drivers)
 		bound := uint64(2*src.queries + 2*drivers + src.moves)
 		if src.snaps > bound {
-			t.Errorf("batched=%v: scoring resolved %d points over %d queries, %d drivers and %d moves; snap-once allows %d",
-				batched, src.snaps, src.queries, drivers, src.moves, bound)
+			t.Errorf("%T: scoring resolved %d points over %d queries, %d drivers and %d moves; snap-once allows %d",
+				d, src.snaps, src.queries, drivers, src.moves, bound)
 		}
 		if src.snaps < uint64(2*src.queries) {
-			t.Errorf("batched=%v: scoring resolved %d points over %d queries: the counter is not on the scoring path",
-				batched, src.snaps, src.queries)
+			t.Errorf("%T: scoring resolved %d points over %d queries: the counter is not on the scoring path",
+				d, src.snaps, src.queries)
 		}
 		if outside, allowed := day-src.snaps, uint64(4*src.moves+4*drivers); outside > allowed {
-			t.Errorf("batched=%v: the day resolved %d points outside scoring, assign and settle account for at most %d",
-				batched, outside, allowed)
+			t.Errorf("%T: the day resolved %d points outside scoring, assign and settle account for at most %d",
+				d, outside, allowed)
 		}
 	}
 }

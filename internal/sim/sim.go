@@ -49,57 +49,47 @@ type Candidate struct {
 // Dispatcher selects a candidate for each arriving task. Implementations
 // must not retain the candidate slice. Returning -1 rejects the task.
 //
-// cands holds every feasible driver in ascending driver order — unless
-// the dispatcher is Ranked, in which case it may be what the rule of its
-// rank leaves of that list (see Rank): same order, same winner, same
-// draws.
+// cands holds every feasible driver in ascending driver order, or, when
+// RankedBy names a rank, what the rule of that rank leaves of that list
+// (see Rank): same order, same winner, same draws.
 type Dispatcher interface {
 	Name() string
 	Choose(task model.Task, cands []Candidate, rng *rand.Rand) int
+	// RankedBy names the one number Choose takes its extremum over. A
+	// rank is a promise that Choose picks the same driver, after as many
+	// draws from rng, from what the rank's rule leaves of the list as
+	// from all of it:
+	//
+	//   - RankMargin: Choose returns the first candidate of greatest
+	//     margin if that margin is positive (a NaN is not), else rejects,
+	//     and draws nothing — MaxMargin, Algorithm 4 under Eq. (5b);
+	//   - RankArrival: neither the choice nor the draw count depends on a
+	//     candidate ranked strictly below the best of those before it —
+	//     Nearest's reservoir draw among ties with the running minimum.
+	//
+	// The zero Rank promises nothing and gets the full list (Random).
+	RankedBy() Rank
 }
 
-// Rank names the one number of a Candidate that a Ranked dispatcher's
-// Choose takes its extremum over, and with it the one rule by which a
-// source may spare that Choose part of the list:
+// Rank names the one number of a Candidate that a dispatcher's Choose
+// takes its extremum over (Dispatcher.RankedBy), and with it the one
+// rule by which a source may spare that Choose part of the list:
 //
 //   - RankMargin: the list is the order's row of a window of one
-//     (boundedSource.TopRow with k = 1) — the first candidate in driver
+//     (CandidateSource.TopRow with k = 1) — the first candidate in driver
 //     order of the greatest positive margin, or none. A source may find
 //     it in any order it likes.
 //   - RankArrival: the list is the full one less the candidates that
 //     rank strictly below the best of those ahead of them in driver
 //     order — which a source can only know by walking in that order.
+//
+// The zero Rank is no rule: the list is the full one.
 type Rank uint8
 
 const (
 	RankMargin  Rank = iota + 1 // the larger positive Candidate.Margin wins
 	RankArrival                 // the earlier Candidate.Arrival wins
 )
-
-// Ranked is the optional capability of a Dispatcher whose Choose is one
-// extremum over the candidates. Declaring it is a promise that Choose
-// picks the same driver, after as many draws from rng, from what the
-// rule of its rank (see Rank) leaves of the list as from all of it:
-//
-//   - by RankMargin, Choose returns the first candidate of greatest
-//     margin if that margin is positive and rejects if none is (a NaN
-//     margin is not), and draws nothing — MaxMargin, the paper's
-//     Algorithm 4 under individual rationality (Eq. 5b);
-//   - by RankArrival, neither what Choose returns nor how many draws it
-//     takes depends on a candidate ranked strictly below the best of the
-//     candidates before it — a reservoir draw among exact ties with the
-//     running minimum (Nearest) keeps this.
-//
-// A uniform choice over the whole list (Random) can promise neither.
-// Instant dispatch asks a source that can (GridSource.Contenders) for
-// the list the rule leaves, and Choose — unchanged, there is no second
-// chooser — picks the same driver from it as from the full one.
-// Replanning and any other source or dispatcher keep the full list; a
-// batched window's rows follow RankMargin's rule at the window's k
-// (boundedSource.TopRow).
-type Ranked interface {
-	RankedBy() Rank
-}
 
 // CandidateSource enumerates the feasible drivers for an arriving task.
 // It is the engine's pluggable answer to "who can serve this?": the
@@ -136,21 +126,16 @@ type CandidateSource interface {
 	// the source extends its id space to hold her, indexing her if she is
 	// present already. Nothing else is rebuilt.
 	Added(i int)
-}
-
-// boundedSource is the source half of Ranked, and of a batched window's
-// rows: a CandidateSource that can bound a rank from cheap inputs and so
-// score fewer than everyone.
-type boundedSource interface {
 	// Contenders appends, in ascending driver order, what the rule of by
 	// (see Rank) leaves of what Candidates would: for RankMargin the row
 	// of one, for RankArrival every candidate whose rank equals or beats
-	// that of all candidates before it, for any other rank all of them.
+	// that of all candidates before it, for the zero Rank all of them.
+	// Instant dispatch asks it with the dispatcher's RankedBy.
 	Contenders(task model.Task, now float64, by Rank, buf []Candidate) []Candidate
 	// TopRow appends the order's row of a window of k orders — exactly
 	// what topRow makes of Candidates: the at most k candidates of
 	// positive margin that rank first under ranksBefore, in ascending
-	// driver order.
+	// driver order. A batched window asks it once per order.
 	TopRow(task model.Task, now float64, k int, arena []Candidate) []Candidate
 }
 

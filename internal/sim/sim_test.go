@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -24,7 +25,8 @@ func minutes(m float64) float64 { return m * 60 }
 // pickFirst deterministically takes the first candidate.
 type pickFirst struct{}
 
-func (pickFirst) Name() string { return "first" }
+func (pickFirst) Name() string   { return "first" }
+func (pickFirst) RankedBy() Rank { return 0 }
 func (pickFirst) Choose(_ model.Task, cands []Candidate, _ *rand.Rand) int {
 	if len(cands) == 0 {
 		return -1
@@ -36,6 +38,7 @@ func (pickFirst) Choose(_ model.Task, cands []Candidate, _ *rand.Rand) int {
 type rejectAll struct{}
 
 func (rejectAll) Name() string                                         { return "reject" }
+func (rejectAll) RankedBy() Rank                                       { return 0 }
 func (rejectAll) Choose(_ model.Task, _ []Candidate, _ *rand.Rand) int { return -1 }
 
 func mustEngine(t *testing.T, drivers []model.Driver) *Engine {
@@ -229,7 +232,8 @@ func TestMarginPricesLegsAsTheMarketDoes(t *testing.T) {
 // dispatcherFunc adapts a func to Dispatcher for tests.
 type dispatcherFunc func(model.Task, []Candidate, *rand.Rand) int
 
-func (dispatcherFunc) Name() string { return "func" }
+func (dispatcherFunc) Name() string   { return "func" }
+func (dispatcherFunc) RankedBy() Rank { return 0 }
 func (f dispatcherFunc) Choose(t model.Task, c []Candidate, r *rand.Rand) int {
 	return f(t, c, r)
 }
@@ -249,6 +253,22 @@ func TestArrivalComputation(t *testing.T) {
 	if math.Abs(arr-minutes(8)) > 1 {
 		t.Fatalf("arrival = %.1f s, want ≈ %1.f s", arr, minutes(8))
 	}
+}
+
+// TestChoiceOutOfRangePanics: a dispatcher that answers with an index
+// past the list it was handed is a bug in the dispatcher, and the
+// arrival handler names it instead of committing whatever lies there.
+func TestChoiceOutOfRangePanics(t *testing.T) {
+	d := []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: minutes(240)}}
+	tk := task(0, 6, 7, minutes(2), minutes(30), minutes(60), 10)
+	past := dispatcherFunc(func(_ model.Task, cands []Candidate, _ *rand.Rand) int { return len(cands) })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "dispatcher func chose 1 of 1 candidates") {
+			t.Fatalf("recovered %q, want the out-of-range choice named", msg)
+		}
+	}()
+	mustEngine(t, d).RunScenario([]model.Task{tk}, nil, past)
 }
 
 func TestProfitAccountingConservation(t *testing.T) {

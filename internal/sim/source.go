@@ -50,6 +50,17 @@ func (s *ScanSource) Presence(int, bool) {}
 // Added implements CandidateSource: the scan reads the engine's fleet.
 func (s *ScanSource) Added(int) {}
 
+// Contenders implements CandidateSource: the reference spares no one and
+// answers every rank with the full list.
+func (s *ScanSource) Contenders(task model.Task, now float64, _ Rank, buf []Candidate) []Candidate {
+	return s.Candidates(task, now, buf)
+}
+
+// TopRow implements CandidateSource with the reference construction.
+func (s *ScanSource) TopRow(task model.Task, now float64, k int, arena []Candidate) []Candidate {
+	return topRow(s, task, now, k, arena)
+}
+
 // GridSource enumerates candidates through a bucketed spatial index over
 // grid cells that tracks every driver's location and availability window
 // as assignments mutate state. A task with pickup deadline t̄− dispatched
@@ -105,10 +116,7 @@ func (s *GridSource) WalkStats() WalkStats {
 	return w
 }
 
-var (
-	_ CandidateSource = (*GridSource)(nil)
-	_ boundedSource   = (*GridSource)(nil)
-)
+var _ CandidateSource = (*GridSource)(nil)
 
 // NewGridSource returns an indexed source over the given grid; nil
 // auto-sizes one from the fleet when the source is bound to an engine.
@@ -140,8 +148,8 @@ func (s *GridSource) Bind(e *Engine) {
 	s.ix = spatial.NewSparseIndex(grid, len(e.Drivers))
 	s.maxSpeed = e.Market.SpeedKmh
 	s.road = roadLeg{}
-	if t, ok := e.Market.Batch.(nodeTable); ok {
-		s.road.table, s.road.nodes = t.Table()
+	if e.Market.Batch != nil {
+		s.road.table, s.road.nodes = e.Market.Batch.Table()
 	}
 	for i := range e.Drivers {
 		s.span(i)
@@ -149,15 +157,6 @@ func (s *GridSource) Bind(e *Engine) {
 	s.ix.Load(func(i int) (geo.Point, geo.Point, float64) {
 		return e.states[i].Loc, e.Drivers[i].Dest, s.homeKm(i)
 	})
-}
-
-// nodeTable is the optional capability of a Market.Batch that measures
-// between graph nodes by one load from an all-pairs table and hands the
-// table out (roadnet.Router on a graph of at most 1 024 nodes; a nil
-// table means it has none). Bind discovers it, as closeBatchSparse
-// discovers boundedSource: nothing configures it.
-type nodeTable interface {
-	Table() (dist []float64, n int)
 }
 
 // walks reports whether the margin walks can bound the market's metric:
@@ -221,8 +220,9 @@ func (s *GridSource) reachable(task model.Task, now float64) []int {
 	return s.ids
 }
 
-// Contenders is Candidates for a dispatcher that takes one extremum
-// (see Ranked), cut by the rule of its rank (see Rank).
+// Contenders implements CandidateSource: Candidates for a dispatcher that
+// takes one extremum (Dispatcher.RankedBy), cut by the rule of its rank
+// (see Rank).
 //
 // RankMargin is the order's row of a window of one, TopRow with k = 1:
 // the one walk that ranks by margin, nearest cell first, which answers
