@@ -409,11 +409,12 @@ func countIntoPickups(mkt model.Market, tasks []model.Task) (model.Market, *int)
 // 4 000 orders, 60 s Hungarian windows over the indexed source, no
 // churn and no journal) submitted order by order. It reports the time
 // of one window — the day's wall time over its windows; submissions
-// between closes only enqueue — and, from an untimed second day under a
-// counting Market.Dist, how many drivers a window row scored exactly
-// (counted as BenchmarkInstantDecision counts them), with the source's
-// counts of entries scanned, reached, ways home filled and cells
-// skipped, a row.
+// between closes only enqueue — the share of windows two of whose orders
+// ranked one driver first, so that a matching decided them
+// (contested/window), and, from an untimed second day under a counting
+// Market.Dist, how many drivers a window row scored exactly (counted as
+// BenchmarkInstantDecision counts them), with the source's counts of
+// entries scanned, reached, ways home filled and cells skipped, a row.
 func BenchmarkWindowClose(b *testing.B) {
 	if testing.Short() {
 		b.Skip("city-scale batched day; skipped in -short smoke runs")
@@ -421,7 +422,7 @@ func BenchmarkWindowClose(b *testing.B) {
 	cfg := trace.NewConfig(27, 4000, 10_000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
 	// day is timed, or with counted set counted from its first decision.
-	day := func(mkt model.Market, counted *int) (windows, rows, served int, walk sim.WalkStats) {
+	day := func(mkt model.Market, counted *int) (windows, contested, rows, served int, walk sim.WalkStats) {
 		eng, err := sim.New(mkt, tr.Drivers, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -434,6 +435,9 @@ func BenchmarkWindowClose(b *testing.B) {
 		}
 		st.SetBatchCloseHandler(func(w sim.BatchStats) {
 			windows++
+			if w.Contested {
+				contested++
+			}
 			rows += w.Matched + w.Rejected
 			served += w.Matched
 		})
@@ -451,18 +455,19 @@ func BenchmarkWindowClose(b *testing.B) {
 		if _, err := st.Finish(); err != nil {
 			b.Fatal(err)
 		}
-		return windows, rows, served, src.WalkStats()
+		return windows, contested, rows, served, src.WalkStats()
 	}
 	b.ResetTimer()
 	b.StopTimer()
-	windows := 0
+	windows, contested := 0, 0
 	for i := 0; i < b.N; i++ {
-		windows, _, _, _ = day(cfg.Market, nil)
+		windows, contested, _, _, _ = day(cfg.Market, nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(windows)), "ns/window")
+	b.ReportMetric(float64(contested)/float64(windows), "contested/window")
 
 	counting, intoPickup := countIntoPickups(cfg.Market, tr.Tasks)
-	_, rows, served, walk := day(counting, intoPickup)
+	_, _, rows, served, walk := day(counting, intoPickup)
 	b.ReportMetric(float64(*intoPickup-served)/float64(rows), "exact-scores/row")
 	b.ReportMetric(float64(walk.EntriesScanned)/float64(rows), "entries-scanned/row")
 	b.ReportMetric(float64(walk.Reached)/float64(rows), "reached/row")

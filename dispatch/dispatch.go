@@ -289,6 +289,7 @@ func New(m Market, opts ...Option) (*Service, error) {
 	s := &Service{
 		strict:     cfg.strict,
 		drivers:    make(map[int]int, len(m.Drivers)),
+		driverIDs:  make([]int, len(m.Drivers)),
 		retired:    make(map[int]bool),
 		tasks:      make(map[int]int),
 		decided:    make(map[int]Assignment),
@@ -310,7 +311,7 @@ func New(m Market, opts ...Option) (*Service, error) {
 		}
 		drivers[i] = md
 		s.drivers[pd.ID] = i
-		s.driverIDs = append(s.driverIDs, pd.ID)
+		s.driverIDs[i] = pd.ID
 		if pd.JoinAt > 0 {
 			fleet = append(fleet, model.MarketEvent{At: pd.JoinAt, Kind: model.EventJoin, Driver: i})
 		}

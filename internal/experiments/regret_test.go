@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -146,5 +147,40 @@ func TestRegretFigureBracket(t *testing.T) {
 	}
 	if strings.Contains(fig.YLabel+fig.Notes, "bound") {
 		t.Errorf("exact: label %q / notes %q call an exact ratio a bound", fig.YLabel, fig.Notes)
+	}
+}
+
+// TestRegretOnlineRevenuePinned pins the paper's number where the
+// figure prints it: both policies' online revenue, to the bit, and
+// their served counts at the three densities `rideshare experiments
+// -fig regret -scale bench` sweeps, under its RegretConfig. A change to
+// how the engine decides an instant order or a window that moves the
+// books by one ulp fails here, not only in the printed ratios.
+func TestRegretOnlineRevenuePinned(t *testing.T) {
+	cfg := Default()
+	cfg.Sweep = []int{cfg.Sweep[0], cfg.Sweep[len(cfg.Sweep)/2], cfg.Sweep[len(cfg.Sweep)-1]}
+	points, err := RegretSweep(context.Background(), cfg, RegretConfig{Churn: 0.25, Cancel: 0.2, TopK: 8, LP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int][2]struct {
+		bits   uint64
+		served int
+	}{
+		10:  {{0x40534d362215b812, 53}, {0x404be89d275c0a9c, 38}},
+		60:  {{0x406dc547236bc769, 159}, {0x406909794825a3cb, 133}},
+		120: {{0x4070e735989adda6, 176}, {0x406cdc0fe9679a35, 148}},
+	}
+	if len(points) != len(want) {
+		t.Fatalf("%d points, want %d", len(points), len(want))
+	}
+	for _, pt := range points {
+		for i, row := range pt.Rows {
+			w := want[pt.Drivers][i]
+			if got := math.Float64bits(row.OnlineRevenue); got != w.bits || row.OnlineServed != w.served {
+				t.Errorf("%d drivers, %s: online revenue %v (%#x) over %d served, want %v (%#x) over %d",
+					pt.Drivers, row.Policy, row.OnlineRevenue, got, row.OnlineServed, math.Float64frombits(w.bits), w.bits, w.served)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -391,5 +392,108 @@ func TestSparseValidate(t *testing.T) {
 	good := Sparse{Rows: 1, Cols: 2, RowPtr: []int{0, 1}, Col: []int{1}, W: []float64{3}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid instance rejected: %v", err)
+	}
+}
+
+// firstRanked is each row's first-ranked column: its highest positive
+// weight, the lowest column on a tie, or -1 for a row with none. ties
+// counts the rows whose highest positive weight is on several columns.
+func firstRanked(sp Sparse) (first []int, ties int) {
+	first = make([]int, sp.Rows)
+	for r := range first {
+		first[r] = -1
+		best, at := 0.0, 0
+		for k := sp.RowPtr[r]; k < sp.RowPtr[r+1]; k++ {
+			switch w := sp.W[k]; {
+			case w > best: // columns ascend, so > keeps the lowest of a tie
+				best, at, first[r] = w, 1, sp.Col[k]
+			case w == best && best > 0:
+				at++
+			}
+		}
+		if at > 1 {
+			ties++
+		}
+	}
+	return first, ties
+}
+
+// distinctColumns reports whether no column appears twice in cols,
+// ignoring -1.
+func distinctColumns(cols []int) bool {
+	seen := map[int]bool{}
+	for _, c := range cols {
+		if c >= 0 && seen[c] {
+			return false
+		}
+		seen[c] = true
+	}
+	return true
+}
+
+// TestSolveCommitsDistinctFirstRanked is the fact a batched window's
+// shortcut rests on (sim's closeBatchSparse): whenever every row's
+// first-ranked column is distinct, Solve returns exactly those columns.
+// Weights are drawn from {-1, 0, 1, 2, 3}, so rows tie at their maximum
+// and across one another; a row's tie is settled toward the lowest
+// column, as augmentRow breaks frontier ties — a solver that broke them
+// toward the highest would commit another optimum of the same weight
+// and fail here.
+func TestSolveCommitsDistinctFirstRanked(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var s SparseSolver
+	cases, tied := 0, 0
+	for trial := 0; trial < 4000; trial++ {
+		rows := 1 + rng.Intn(8)
+		cols := rows + rng.Intn(12)
+		sp := Sparse{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+		density := 0.1 + 0.5*rng.Float64()
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				if rng.Float64() < density {
+					sp.Col = append(sp.Col, c)
+					sp.W = append(sp.W, float64(rng.Intn(5)-1))
+				}
+			}
+			sp.RowPtr[r+1] = len(sp.Col)
+		}
+		want, ties := firstRanked(sp)
+		if !distinctColumns(want) {
+			continue
+		}
+		cases++
+		tied += ties
+		got, _, _, err := s.Solve(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Solve committed %v, the distinct first-ranked columns are %v\n%v", trial, got, want, denseOf(sp))
+		}
+	}
+	if cases < 1000 || tied < 500 {
+		t.Fatalf("%d instances with distinct first-ranked columns, %d rows tied at their maximum: too few to test the rule", cases, tied)
+	}
+	t.Logf("%d instances, %d rows tied at their maximum", cases, tied)
+}
+
+// TestSolveTieRuleByHand is one instance of that rule written out: each
+// row ties at its maximum, rows 0 and 2 tie with each other, and the
+// last row has no positive weight. The first-ranked columns 1, 2 and 3
+// are distinct, so they are the matching, and the last row is left
+// unmatched.
+func TestSolveTieRuleByHand(t *testing.T) {
+	sp := Sparse{Rows: 4, Cols: 5,
+		RowPtr: []int{0, 3, 6, 8, 10},
+		Col:    []int{1, 3, 4 /**/, 0, 2, 4 /**/, 3, 4 /**/, 0, 1},
+		W:      []float64{2, 2, 1 /**/, 1, 3, 3 /**/, 2, 2 /**/, -1, 0},
+	}
+	var s SparseSolver
+	got, weight, matched, err := s.Solve(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 2, 3, -1}; !slices.Equal(got, want) || weight != 7 || matched != 3 {
+		t.Fatalf("Solve = %v, weight %g, %d matched; want %v, weight 7, 3 matched", got, weight, matched, want)
 	}
 }

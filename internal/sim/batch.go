@@ -65,6 +65,9 @@ type BatchStats struct {
 	Cancelled int
 	Matched   int
 	Rejected  int
+	// Contested reports that two of the window's orders ranked one
+	// driver first, so a matching decided it (closeBatchSparse).
+	Contested bool
 }
 
 // batcher holds the open-window state of one batched run and installs
@@ -124,7 +127,7 @@ func (b *batcher) close(ev event) {
 		Cancelled: b.cancelled,
 	}
 	before := b.r.res.Rejected
-	b.r.e.closeBatch(b.r, b.batch, ev.At)
+	stats.Contested = b.r.e.closeBatch(b.r, b.batch, ev.At)
 	stats.Rejected = b.r.res.Rejected - before
 	stats.Matched = len(b.batch) - stats.Rejected
 	b.batch = b.batch[:0]
@@ -163,32 +166,32 @@ func (e *Engine) RunBatchedScenario(tasks []model.Task, events []model.MarketEve
 
 // closeBatch solves the maximum-weight assignment for one batch at its
 // decision time and commits the matches, reporting each order's outcome
-// through the run's decision hook when one is installed.
+// through the run's decision hook when one is installed, and whether a
+// matching decided the window.
 //
-// There is one window solve, closeBatchSparse: the window as a sparse
-// candidate graph, split into connected task–driver components, each
-// solved independently by internal/matching's sparse Hungarian over
-// pooled scratch, so a steady-state window costs no allocations. The
-// pre-decomposition dense solve it replaced is a test oracle now
-// (closeBatchDense in dense_test.go, installed through windowOracle):
-// both commit an exact maximum-weight assignment, bit-identical whenever
-// the window's optimum is unique — the window differential tests sweep
-// exactly that, and the per-window audit proves equal weight even on the
-// degenerate windows where several exact optima tie bitwise (orders
-// lying on a driver's route home cost zero margin for every such driver)
-// and each commits its own canonical optimum.
-func (e *Engine) closeBatch(r *eventRun, batch []int, decisionAt float64) {
+// There is one window solve, closeBatchSparse, over pooled scratch, so
+// a steady-state window costs no allocations. The dense solve it
+// replaced is a test oracle now (closeBatchDense in dense_test.go,
+// installed through windowOracle; a window an oracle decides counts as
+// contested): both commit an exact maximum-weight assignment,
+// bit-identical whenever the window's optimum is unique — the window
+// differential tests sweep exactly that, and the per-window audit
+// proves equal weight even on the degenerate windows where several exact
+// optima tie bitwise (orders lying on a driver's route home cost zero
+// margin for every such driver) and each commits its own canonical
+// optimum.
+func (e *Engine) closeBatch(r *eventRun, batch []int, decisionAt float64) (contested bool) {
 	if len(batch) == 0 {
-		return // every order of the window was cancelled
+		return false // every order of the window was cancelled
 	}
 	if e.auditHook != nil {
 		e.auditHook(r, batch, decisionAt)
 	}
 	if e.windowOracle != nil {
 		e.windowOracle(r, batch, decisionAt)
-		return
+		return true
 	}
-	e.closeBatchSparse(r, batch, decisionAt)
+	return e.closeBatchSparse(r, batch, decisionAt)
 }
 
 // ranksBefore is the strict order a window row is pruned under: higher
@@ -289,32 +292,52 @@ type windowScratch struct {
 	epoch    int
 	colEpoch []int // driver -> epoch the driver was last seen
 	colIdx   []int // driver -> compact column, valid when colEpoch is current
-	union    []int // compact column -> driver, ascending
+	union    []int // compact column -> driver, ascending once matchWindow sorts it
 
 	col []int     // CSR column ids, parallel to arena
 	w   []float64 // CSR margins
-	arr []float64 // per-edge pickup arrival times
 
 	solver matching.SparseSolver
 }
 
-// closeBatchSparse is the window solve: the window as a sparse candidate
-// graph, decomposed into connected components and solved exactly per
-// component by internal/matching's sparse Hungarian.
+// closeBatchSparse is the window solve. It decides a window in two
+// steps and reports whether it needed the second.
 //
-// The graph is compacted in three canonical, exact steps: candidates
-// with non-positive margin are dropped, each row keeps its top
-// len(batch) by (margin, driver) — see topRow for both — and columns are
-// renumbered over the ascending union of the surviving drivers. The
-// source builds each row (CandidateSource.TopRow): GridSource scores only
-// the drivers who could be in it, ScanSource goes through topRow.
-// Rows are laid out in batch order and each row's edges in ascending
-// driver order, so the solve is deterministic and the commit loop below
-// replays decisions in batch order — which is what keeps both candidate
-// sources, both ways of building a row and the dense oracle
-// bit-identical.
-func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64) {
-	ws := e.winScratch
+// First every row is walked at k = 1: each order's first-ranked
+// candidate under ranksBefore (highest margin, then lowest driver id),
+// or none. If no driver is first for two orders, those candidates are
+// committed as they stand and no matching is built. This is exact: the
+// sum of the row maxima bounds the weight of every matching, and these
+// attain it. It is also the very matching matchWindow would commit,
+// ties included, so the books cannot tell the two apart.
+// SparseSolver.Solve augments the rows in ascending order and settles
+// frontier ties toward the lowest column, and columns ascend with driver
+// ids. An augment that ends on a free column at its first step moves no
+// real column's potential, so while every earlier row took its own first
+// candidate, row r's search settles r's highest margin at its lowest
+// driver first — r's first candidate — finds that column free, and ends
+// there. A one-order window always stops at this step.
+//
+// Otherwise two orders want one driver, the window is contested, and
+// matchWindow solves it.
+func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64) (contested bool) {
+	ws, shared := e.walkRows(r, batch, decisionAt, 1)
+	if shared {
+		e.matchWindow(r, batch, decisionAt)
+		return true
+	}
+	ws.commit(r, batch, decisionAt, nil)
+	return false
+}
+
+// walkRows lays the window's rows onto the scratch arena in batch order,
+// each the top k of its order (CandidateSource.TopRow: GridSource scores
+// only the drivers who could be in it, ScanSource goes through topRow),
+// and collects their drivers, once each, in ws.union. It reports whether
+// a driver stands in two rows; at k = 1 it stops at the first row that
+// repeats one.
+func (e *Engine) walkRows(r *eventRun, batch []int, decisionAt float64, k int) (ws *windowScratch, shared bool) {
+	ws = e.winScratch
 	if ws == nil {
 		ws = &windowScratch{}
 		e.winScratch = ws
@@ -324,21 +347,43 @@ func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64) 
 		ws.colIdx = append(ws.colIdx, 0)
 	}
 	ws.epoch++
-
 	ws.arena = ws.arena[:0]
 	ws.rowPtr = append(ws.rowPtr[:0], 0)
 	ws.union = ws.union[:0]
 	for _, ti := range batch {
 		start := len(ws.arena)
-		ws.arena = e.source.TopRow(r.tasks[ti], decisionAt, len(batch), ws.arena)
-		for _, c := range ws.arena[start:] {
-			if ws.colEpoch[c.Driver] != ws.epoch {
-				ws.colEpoch[c.Driver] = ws.epoch
-				ws.union = append(ws.union, c.Driver)
-			}
-		}
+		ws.arena = e.source.TopRow(r.tasks[ti], decisionAt, k, ws.arena)
 		ws.rowPtr = append(ws.rowPtr, len(ws.arena))
+		for _, c := range ws.arena[start:] {
+			if ws.colEpoch[c.Driver] == ws.epoch {
+				shared = true
+				continue
+			}
+			ws.colEpoch[c.Driver] = ws.epoch
+			ws.union = append(ws.union, c.Driver)
+		}
+		if shared && k == 1 {
+			break
+		}
 	}
+	return ws, shared
+}
+
+// matchWindow solves a window as a sparse candidate graph by
+// internal/matching's sparse Hungarian — one solve over the whole
+// window, whose augmenting searches each reach only their row's
+// connected component — and commits the optimum.
+//
+// The graph is compacted in three canonical, exact steps: candidates
+// with non-positive margin are dropped, each row keeps its top
+// len(batch) by (margin, driver) — see topRow for both — and columns are
+// renumbered over the ascending union of the surviving drivers. Rows are
+// laid out in batch order and each row's edges in ascending driver
+// order, so the solve is deterministic and the commit replays decisions
+// in batch order — which is what keeps both candidate sources, both ways
+// of building a row and the dense oracle bit-identical.
+func (e *Engine) matchWindow(r *eventRun, batch []int, decisionAt float64) {
+	ws, _ := e.walkRows(r, batch, decisionAt, len(batch))
 	slices.Sort(ws.union)
 	for j, drv := range ws.union {
 		ws.colIdx[drv] = j
@@ -349,11 +394,9 @@ func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64) 
 	// renumbering is monotone.
 	ws.col = ws.col[:0]
 	ws.w = ws.w[:0]
-	ws.arr = ws.arr[:0]
 	for _, c := range ws.arena {
 		ws.col = append(ws.col, ws.colIdx[c.Driver])
 		ws.w = append(ws.w, c.Margin)
-		ws.arr = append(ws.arr, c.Arrival)
 	}
 	sp := matching.Sparse{
 		Rows: len(batch), Cols: len(ws.union),
@@ -365,24 +408,35 @@ func (e *Engine) closeBatchSparse(r *eventRun, batch []int, decisionAt float64) 
 		// The CSR is well-formed by construction.
 		panic(fmt.Sprintf("sim: batch matching failed: %v", err))
 	}
+	ws.commit(r, batch, decisionAt, colOf)
+}
 
+// commit decides the window's orders in batch order: each takes the
+// edge of its row that colOf names or, with colOf nil, its row's one
+// candidate. An order left with neither is rejected.
+func (ws *windowScratch) commit(r *eventRun, batch []int, decisionAt float64, colOf []int) {
 	for bi, ti := range batch {
-		j := colOf[bi]
-		if j < 0 {
+		k, end := ws.rowPtr[bi], ws.rowPtr[bi+1]
+		if colOf != nil {
+			if j := colOf[bi]; j < 0 {
+				k = end
+			} else {
+				for ws.col[k] != j {
+					k++
+				}
+			}
+		}
+		if k == end {
 			r.res.Rejected++
 			if r.onDecided != nil {
 				r.onDecided(TaskDecision{Task: ti, Driver: -1, At: decisionAt})
 			}
 			continue
 		}
-		k := ws.rowPtr[bi]
-		for ws.col[k] != j {
-			k++
-		}
-		drv := ws.union[j]
-		r.assignTask(ti, Candidate{Driver: drv, Arrival: ws.arr[k], Margin: ws.w[k]}, r.tasks[ti])
+		c := ws.arena[k]
+		r.assignTask(ti, c, r.tasks[ti])
 		if r.onDecided != nil {
-			r.onDecided(TaskDecision{Task: ti, Assigned: true, Driver: drv, PickupAt: ws.arr[k], At: decisionAt})
+			r.onDecided(TaskDecision{Task: ti, Assigned: true, Driver: c.Driver, PickupAt: c.Arrival, At: decisionAt})
 		}
 	}
 }

@@ -6,13 +6,16 @@ import (
 	"go/parser"
 	"go/token"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/matching"
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -303,5 +306,194 @@ func TestWindowScratchSurvivesFleetGrowth(t *testing.T) {
 	if res.Served+res.Rejected != len(tr.Tasks) {
 		t.Fatalf("books do not balance after fleet growth: served %d + rejected %d != %d",
 			res.Served, res.Rejected, len(tr.Tasks))
+	}
+}
+
+// windowDecision is one decision a window close reported, with the
+// committed driver's margin for the order: scored over the full list
+// before the window committed, which is the state the window decided in.
+type windowDecision struct {
+	TaskDecision
+	Margin float64
+}
+
+// sameDecisions reports whether two runs decided the same orders in the
+// same hook order, each with the same driver, pickup time and margin,
+// bitwise.
+func sameDecisions(a, b []windowDecision) bool {
+	return slices.EqualFunc(a, b, func(x, y windowDecision) bool {
+		return x.Task == y.Task && x.Assigned == y.Assigned && x.Driver == y.Driver &&
+			math.Float64bits(x.PickupAt) == math.Float64bits(y.PickupAt) &&
+			math.Float64bits(x.At) == math.Float64bits(y.At) &&
+			math.Float64bits(x.Margin) == math.Float64bits(y.Margin)
+	})
+}
+
+// windowDecisions runs the batched day a fuzz input describes twice:
+// once as production decides it, once with every window forced through
+// the matching (matchWindow, installed as the window oracle). It fails t
+// unless the decisions and the books are the same, and reports how many
+// windows production found contested and how many rows tied at their
+// best margin. The input is read as FuzzBoundedRows reads it, without
+// the k byte: the mode (bit 0 real time, bit 1 a street grid), the
+// window, the market (fuzzMarket), the fleet, the orders and the grid.
+func windowDecisions(t *testing.T, data []byte) (contested, tiedRows int) {
+	in := fuzzInput(data)
+	mode := int(in.byte())
+	realTime, road := mode%2 == 1, mode/2%2 == 1
+	window := 1 + in.byte()*4
+	mkt, spots := fuzzMarket(t, road, &in)
+	spot := func() geo.Point { return spots[int(in.byte())%len(spots)] }
+	fleet := make([]model.Driver, 1+int(in.byte())%16)
+	for i := range fleet {
+		start := in.byte() * 60
+		fleet[i] = model.Driver{ID: i, Source: spot(), Dest: spot(), Start: start, End: start + (1+in.byte())*120,
+			SpeedKmh: []float64{0, 15, 30, 60, 120}[int(in.byte())%5]}
+	}
+	orders := make([]model.Task, 1+int(in.byte())%10)
+	publish := 0.0
+	for i := range orders {
+		publish += in.byte() * 2
+		startBy := publish + (1+in.byte())*60
+		price := in.byte() / 8
+		orders[i] = model.Task{ID: i, Publish: publish, Source: spot(), Dest: spot(),
+			StartBy: startBy, EndBy: startBy + (1+in.byte())*120, Price: price, WTP: price}
+	}
+	rows, cols := 1+int(in.byte())%6, 1+int(in.byte())%6
+
+	run := func(forced bool) ([]windowDecision, Result, int, int) {
+		e := diffEngine(t, mkt, fleet, 1, realTime, NewGridSource(geo.NewGrid(fuzzBox, rows, cols)))
+		if forced {
+			e.windowOracle = e.matchWindow
+		}
+		margin := map[[2]int]float64{} // {task, driver} -> margin at the close
+		contested, tied := 0, 0
+		e.auditHook = func(r *eventRun, batch []int, at float64) {
+			for _, ti := range batch {
+				best, n := 0.0, 0
+				for _, c := range e.candidates(r.tasks[ti], at, nil) {
+					margin[[2]int{ti, c.Driver}] = c.Margin
+					switch {
+					case c.Margin > best:
+						best, n = c.Margin, 1
+					case c.Margin == best && best > 0:
+						n++
+					}
+				}
+				if n > 1 {
+					tied++
+				}
+			}
+		}
+		st, err := e.NewBatchedStream(window, BatchHungarian, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decided []windowDecision
+		st.SetDecisionHandler(func(d TaskDecision) {
+			decided = append(decided, windowDecision{d, margin[[2]int{d.Task, d.Driver}]})
+		})
+		st.SetBatchCloseHandler(func(bs BatchStats) {
+			if bs.Contested {
+				contested++
+			}
+		})
+		for _, order := range orders {
+			if _, err := st.SubmitTask(order); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := st.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		auditIndex(t, fmt.Sprintf("forced=%v", forced), e)
+		return decided, res, contested, tied
+	}
+	got, gotRes, contested, tiedRows := run(false)
+	want, wantRes, _, _ := run(true)
+	if !sameDecisions(got, want) {
+		t.Fatalf("the shortcut decided\n%+v\nthe matching on every window\n%+v", got, want)
+	}
+	diffResults(t, "shortcut against the matching on every window", wantRes, gotRes)
+	return contested, tiedRows
+}
+
+// The named seeds of FuzzWindowDecisions, laid out as windowDecisions
+// reads them after the mode and window bytes.
+var (
+	// sharedBest has two orders in one window at one pickup, and one
+	// driver waiting beside it whom both rank first: the window is
+	// contested, and the matching gives her to one and a farther driver
+	// to the other.
+	sharedBest = fuzzDay{
+		spots: []fuzzSpot{{a: 128, b: 128}, {a: 128, b: 140}, {a: 128, b: 200}, {a: 60, b: 128}},
+		fleet: []fuzzDriver{
+			{src: 2, dst: 3, shift: 200}, {src: 1, dst: 3, shift: 200}, {src: 2, dst: 3, shift: 200},
+		},
+		orders: []fuzzOrder{
+			{notice: 60, price: 160, src: 0, dst: 3, slack: 60},
+			{notice: 60, price: 160, src: 0, dst: 3, slack: 60},
+		},
+		rows: 4, cols: 4,
+	}
+	// marginTie has two orders in one window at two pickups, each with
+	// two identical drivers waiting on it, interleaved by id: every row
+	// ties at its best margin, the lower id ranks first (1 at the first
+	// pickup, 0 at the second), no driver is first twice, and the
+	// shortcut commits what the matching's lowest-column tie-break
+	// would.
+	marginTie = fuzzDay{
+		spots: []fuzzSpot{{a: 128, b: 128}, {a: 40, b: 220}, {a: 200, b: 60}},
+		fleet: []fuzzDriver{
+			{src: 1, dst: 2, shift: 200}, {src: 0, dst: 2, shift: 200}, {src: 1, dst: 2, shift: 200}, {src: 0, dst: 2, shift: 200},
+		},
+		orders: []fuzzOrder{
+			{notice: 60, price: 200, src: 0, dst: 2, slack: 60},
+			{notice: 60, price: 200, src: 1, dst: 2, slack: 60},
+		},
+		rows: 3, cols: 3,
+	}
+)
+
+// FuzzWindowDecisions holds closeBatchSparse's shortcut — a window whose
+// orders each rank a different driver first commits those drivers with
+// no matching — to the matching it stands in for (windowDecisions): the
+// same small fleets on shared points as FuzzBoundedRows, on crow-fly or
+// on a small street grid, a few windows whose earlier ones move and lock
+// drivers for the later ones, and every decision of every window
+// compared bitwise with the run that solves each window by the matching.
+// The named seeds sharedBest and marginTie aim at the two ways the
+// shortcut can go wrong: taking it when two orders share a best driver,
+// and breaking a margin tie another way than the solver.
+func FuzzWindowDecisions(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(slices.Repeat([]byte{0xff}, 96))
+	for _, d := range []fuzzDay{sharedBest, marginTie, ringBoundary, clamped, staleAggregate} {
+		f.Add(d.bytes(0, 5))          // deadline mode, 21 s windows
+		f.Add(d.bytes(1, 0))          // real-time mode, 1 s windows
+		f.Add(d.bytes(2, 5, 4, 5, 1)) // deadline mode, 21 s windows, a 6×7 street grid
+		f.Add(d.bytes(3, 5, 1, 0, 3)) // real-time mode, 21 s windows, a 3×2 street grid
+	}
+	rng := rand.New(rand.NewSource(5))
+	for range 6 {
+		seed := make([]byte, 40+rng.Intn(160))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { windowDecisions(t, data) })
+}
+
+// TestWindowDecisionSeeds holds the named seeds to the windows they are
+// named for, on crow-fly in both modes: sharedBest contests its window,
+// and marginTie ties both rows and contests nothing.
+func TestWindowDecisionSeeds(t *testing.T) {
+	for mode := byte(0); mode < 2; mode++ {
+		if contested, _ := windowDecisions(t, sharedBest.bytes(mode, 5)); contested != 1 {
+			t.Errorf("mode %d: sharedBest contested %d windows, want 1", mode, contested)
+		}
+		if contested, tied := windowDecisions(t, marginTie.bytes(mode, 5)); contested != 0 || tied != 2 {
+			t.Errorf("mode %d: marginTie contested %d windows and tied %d rows, want 0 and 2", mode, contested, tied)
+		}
 	}
 }
