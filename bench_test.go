@@ -745,7 +745,7 @@ func BenchmarkRoadNetworkRouting(b *testing.B) {
 
 // BenchmarkAblationRoadVsCrowFly builds the same market under network
 // and straight-line distances and reports the greedy profit gap (the
-// estimation-error story of examples/roadnetwork).
+// estimation-error story of roadnet's ExampleRouter_Dist).
 func BenchmarkAblationRoadVsCrowFly(b *testing.B) {
 	g, err := roadnet.GenerateGrid(roadnet.DefaultGridConfig())
 	if err != nil {

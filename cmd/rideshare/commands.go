@@ -203,7 +203,7 @@ func cmdSolve(args []string) error {
 	fmt.Printf("drivers' profit %.2f\n", sol.Profit)
 	fmt.Printf("social welfare  %.2f\n", sol.Welfare(p))
 	if *withBound {
-		ub := bound.Auto(g, sol.Profit)
+		ub, _ := bound.Auto(g, sol.Profit, 120)
 		fmt.Printf("upper bound     %.2f (%s)\n", ub.Bound, ub.Method)
 		fmt.Printf("perf ratio      %.4f\n", core.PerformanceRatio(sol.Profit, ub.Bound))
 	}
@@ -421,11 +421,7 @@ func runExperiments(ctx context.Context, w io.Writer, cfg experiments.Config, fi
 		}
 	}
 	if want("regret") {
-		// Three densities (sparse, mid, dense) keep the oracle solves
-		// affordable under -fig all.
-		rcfg := cfg
-		rcfg.Sweep = []int{cfg.Sweep[0], cfg.Sweep[len(cfg.Sweep)/2], cfg.Sweep[len(cfg.Sweep)-1]}
-		rc := experiments.RegretConfig{Churn: 0.25, Cancel: 0.2, TopK: 8, LP: true}
+		rcfg, rc := experiments.RegretBench(cfg)
 		points, err := experiments.RegretSweep(ctx, rcfg, rc)
 		if err != nil {
 			return err

@@ -23,8 +23,8 @@
 // window, an exact maximum-weight matching clears each window at its
 // close, and SubmitTask answers with a pending handle resolved on the
 // event feed. `rideshare serve` puts the same service behind HTTP/JSON
-// (see cmd/rideshare), examples/quickstart and examples/streamserve are
-// runnable starting points.
+// (see cmd/rideshare); the package's Example functions, whose output go
+// test checks, are runnable starting points.
 //
 // The reproduction itself lives under internal/ (see DESIGN.md for the
 // module map): the offline algorithms and bounds, the trace-driven

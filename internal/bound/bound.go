@@ -224,17 +224,19 @@ func Lagrangian(g *taskmap.Graph, knownLB float64, iters int) Result {
 	return Result{Bound: best, Method: "lagrangian", Iters: iters}
 }
 
-// Auto picks the bound computation by instance size: exact column
-// generation when the master stays small, Lagrangian subgradient
-// otherwise. greedyLB (the greedy profit, or 0) sharpens the Lagrangian
-// step size.
-func Auto(g *taskmap.Graph, greedyLB float64) Result {
-	if g.N()+g.M() <= 150 {
-		r, _, err := ColumnGeneration(g)
-		if err == nil {
-			return r
-		}
-		// Fall through to the robust bound on solver trouble.
+// Auto computes Z*_f by instance size: exact column generation when the
+// master stays small (N+M ≤ 150), otherwise iters rounds of Lagrangian
+// subgradient, whose step size greedyLB (the greedy profit, or 0)
+// sharpens. fellBack reports that column generation was attempted but
+// errored: the Lagrangian result is still a valid bound, but a caller
+// can count it so a misbehaving master LP cannot hide behind a weaker
+// bound.
+func Auto(g *taskmap.Graph, greedyLB float64, iters int) (_ Result, fellBack bool) {
+	if g.N()+g.M() > 150 {
+		return Lagrangian(g, greedyLB, iters), false
 	}
-	return Lagrangian(g, greedyLB, 120)
+	if r, _, err := ColumnGeneration(g); err == nil {
+		return r, false
+	}
+	return Lagrangian(g, greedyLB, iters), true
 }

@@ -124,11 +124,11 @@ func TestLagrangianMonotoneInIterations(t *testing.T) {
 
 func TestAutoSelectsMethodBySize(t *testing.T) {
 	small := buildGraph(t, 1, 15, 3, trace.Hitchhiking)
-	if r := Auto(small, 0); r.Method != "colgen" {
+	if r, _ := Auto(small, 0, 120); r.Method != "colgen" {
 		t.Errorf("small instance used %q, want colgen", r.Method)
 	}
 	big := buildGraph(t, 1, 200, 30, trace.Hitchhiking)
-	if r := Auto(big, 10); r.Method != "lagrangian" {
+	if r, _ := Auto(big, 10, 120); r.Method != "lagrangian" {
 		t.Errorf("large instance used %q, want lagrangian", r.Method)
 	}
 }

@@ -34,24 +34,16 @@ type SparseOptions struct {
 	Warm [][]int
 
 	// PathCap bounds per-driver path enumeration (BruteForce's 5000
-	// when ≤ 0); CompPathCap bounds a component's total kept paths
-	// (default 200000). A component over either cap is not enumerated:
-	// it keeps the incumbent and reports a Lagrangian upper bound.
-	PathCap     int
-	CompPathCap int
+	// when ≤ 0). A component over it or over compPathCap is not
+	// enumerated: it keeps the incumbent and reports a Lagrangian upper
+	// bound.
+	PathCap int
 
 	// LP enables a per-component root LP (path-packing relaxation,
 	// warm-started from the incumbent columns) whose reduced costs fix
 	// out columns that cannot beat the incumbent. Components larger
-	// than LPMaxRows rows (tasks+drivers, default 256) or LPMaxCols
-	// path columns (default 2048) skip the LP.
-	LP        bool
-	LPMaxRows int
-	LPMaxCols int
-
-	// LagIters bounds the subgradient iterations of the fallback upper
-	// bound (default 60).
-	LagIters int
+	// than lpMaxRows rows or lpMaxCols path columns skip the LP.
+	LP bool
 
 	// NodeCap bounds the branch-and-bound nodes spent per component
 	// (default 5e6). A component that exhausts it keeps the better of
@@ -64,6 +56,19 @@ type SparseOptions struct {
 	// the re-solve path then allocates nothing in steady state.
 	SkipPaths bool
 }
+
+// The oracle's fixed limits.
+const (
+	// compPathCap bounds a component's total kept paths.
+	compPathCap = 200000
+	// lpMaxRows (tasks+drivers) and lpMaxCols (path columns) bound the
+	// components that get a root LP.
+	lpMaxRows = 256
+	lpMaxCols = 2048
+	// lagIters bounds the subgradient iterations of the fallback upper
+	// bound.
+	lagIters = 60
+)
 
 // SparseSolution is the solver's result. TaskDriver aliases a solver
 // arena — valid until the next Solve.
@@ -175,30 +180,12 @@ type sparseScratch struct {
 	chosenRecs  []chosenRec
 }
 
-func growF64(s []float64, n int) []float64 {
+// grow returns s resized to n elements. It reallocates only when the
+// capacity is short, keeping the contents up to the old capacity, and
+// never shrinks.
+func grow[S ~[]E, E any](s S, n int) S {
 	if cap(s) < n {
-		s = append(s[:cap(s)], make([]float64, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]int32, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]int, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]bool, n-cap(s))...)
+		s = append(s[:cap(s)], make(S, n-cap(s))...)
 	}
 	return s[:n]
 }
@@ -211,18 +198,6 @@ func (s *SparseSolver) Solve(in *offline.Instance, opt SparseOptions) (SparseSol
 	if opt.PathCap <= 0 {
 		opt.PathCap = 5000
 	}
-	if opt.CompPathCap <= 0 {
-		opt.CompPathCap = 200000
-	}
-	if opt.LPMaxRows <= 0 {
-		opt.LPMaxRows = 256
-	}
-	if opt.LPMaxCols <= 0 {
-		opt.LPMaxCols = 2048
-	}
-	if opt.LagIters <= 0 {
-		opt.LagIters = 60
-	}
 	if opt.NodeCap <= 0 {
 		opt.NodeCap = 5_000_000
 	}
@@ -230,17 +205,17 @@ func (s *SparseSolver) Solve(in *offline.Instance, opt SparseOptions) (SparseSol
 	ncomp := in.NComp
 	m, nslots := len(in.Tasks), in.NSlots()
 	sc := &s.scratch
-	sc.used = growBools(sc.used, m)
-	sc.dead = growBools(sc.dead, m)
+	sc.used = grow(sc.used, m)
+	sc.dead = grow(sc.dead, m)
 	for i := 0; i < m; i++ {
 		sc.used[i] = false
 		sc.dead[i] = false
 	}
-	sc.cur = growF64(sc.cur, nslots)
-	sc.prevS = growI32(sc.prevS, nslots)
-	sc.lambda = growF64(sc.lambda, m)
-	sc.grad = growInts(sc.grad, m)
-	sc.taskRow = growI32(sc.taskRow, m)
+	sc.cur = grow(sc.cur, nslots)
+	sc.prevS = grow(sc.prevS, nslots)
+	sc.lambda = grow(sc.lambda, m)
+	sc.grad = grow(sc.grad, m)
+	sc.taskRow = grow(sc.taskRow, m)
 	sc.chosenSlots = sc.chosenSlots[:0]
 	sc.chosenRecs = sc.chosenRecs[:0]
 	if cap(s.compRes) < ncomp {
@@ -260,12 +235,12 @@ func (s *SparseSolver) Solve(in *offline.Instance, opt SparseOptions) (SparseSol
 // ascending — the same interleaving BruteForce's recursion uses.
 func (s *SparseSolver) merge(in *offline.Instance, opt *SparseOptions) (SparseSolution, error) {
 	m, ndrv := len(in.Tasks), in.NDrv()
-	s.taskDriver = growI32(s.taskDriver, m)
+	s.taskDriver = grow(s.taskDriver, m)
 	for i := 0; i < m; i++ {
 		s.taskDriver[i] = -1
 	}
-	s.drvVal = growF64(s.drvVal, ndrv)
-	s.drvHas = growBools(s.drvHas, ndrv)
+	s.drvVal = grow(s.drvVal, ndrv)
+	s.drvHas = grow(s.drvHas, ndrv)
 	for d := 0; d < ndrv; d++ {
 		s.drvHas[d] = false
 	}

@@ -32,11 +32,11 @@ func (s *SparseSolver) solveComp(in *offline.Instance, opt *SparseOptions, c int
 		inc, incWarm = greedyVal, false
 	}
 
-	if !sc.enumerateComp(in, cols, opt.PathCap, opt.CompPathCap) {
+	if !sc.enumerateComp(in, cols, opt.PathCap) {
 		// Too big to enumerate: keep the incumbent, bound the gap.
 		res.exact = false
 		res.objective = sc.emitIncumbent(in, cols, incWarm, res)
-		ub := sc.lagrangeComp(in, cols, rows, inc, opt.LagIters)
+		ub := sc.lagrangeComp(in, cols, rows, inc)
 		ub += 1e-7 * (1 + math.Abs(ub))
 		if ub < res.objective {
 			ub = res.objective
@@ -46,7 +46,7 @@ func (s *SparseSolver) solveComp(in *offline.Instance, opt *SparseOptions, c int
 	}
 
 	if opt.LP && len(sc.paths) > 0 &&
-		len(cols)+len(rows) <= opt.LPMaxRows && len(sc.paths) <= opt.LPMaxCols {
+		len(cols)+len(rows) <= lpMaxRows && len(sc.paths) <= lpMaxCols {
 		sc.lpFix(in, cols, rows, inc, incWarm, res)
 	}
 
@@ -54,7 +54,7 @@ func (s *SparseSolver) solveComp(in *offline.Instance, opt *SparseOptions, c int
 	res.objective = obj
 	if aborted {
 		res.exact = false
-		ub := sc.lagrangeComp(in, cols, rows, obj, opt.LagIters)
+		ub := sc.lagrangeComp(in, cols, rows, obj)
 		ub += 1e-7 * (1 + math.Abs(ub))
 		if ub < obj {
 			ub = obj
@@ -69,10 +69,10 @@ func (s *SparseSolver) solveComp(in *offline.Instance, opt *SparseOptions, c int
 // component driver's positive-value paths, in exactly the order
 // EnumeratePaths visits them (first tasks in natural task order, then
 // successors in topo order, pre-order). Returns false if a cap blew.
-func (sc *sparseScratch) enumerateComp(in *offline.Instance, cols []int, pathCap, compPathCap int) bool {
+func (sc *sparseScratch) enumerateComp(in *offline.Instance, cols []int, pathCap int) bool {
 	sc.paths = sc.paths[:0]
 	sc.pathSlots = sc.pathSlots[:0]
-	sc.drvPathPtr = growI32(sc.drvPathPtr, len(cols)+1)
+	sc.drvPathPtr = grow(sc.drvPathPtr, len(cols)+1)
 	sc.drvPathPtr[0] = 0
 	for i, d := range cols {
 		enumerated := 0
@@ -187,10 +187,10 @@ func (sc *sparseScratch) reconstruct(end int32, dst []int32) []int32 {
 // false.
 func (sc *sparseScratch) greedyComp(in *offline.Instance, cols, rows []int) float64 {
 	nd := len(cols)
-	sc.gOff = growI32(sc.gOff, nd)
-	sc.gLen = growI32(sc.gLen, nd)
-	sc.gVal = growF64(sc.gVal, nd)
-	sc.gDone = growBools(sc.gDone, nd)
+	sc.gOff = grow(sc.gOff, nd)
+	sc.gLen = grow(sc.gLen, nd)
+	sc.gVal = grow(sc.gVal, nd)
+	sc.gDone = grow(sc.gDone, nd)
 	sc.gSlots = sc.gSlots[:0]
 	for i := 0; i < nd; i++ {
 		sc.gDone[i] = false
@@ -256,9 +256,9 @@ func (sc *sparseScratch) greedyComp(in *offline.Instance, cols, rows []int) floa
 // Restores sc.used to all false.
 func (sc *sparseScratch) warmComp(in *offline.Instance, cols []int, warm [][]int, res *compResult) float64 {
 	nd := len(cols)
-	sc.wOff = growI32(sc.wOff, nd)
-	sc.wLen = growI32(sc.wLen, nd)
-	sc.wVal = growF64(sc.wVal, nd)
+	sc.wOff = grow(sc.wOff, nd)
+	sc.wLen = grow(sc.wLen, nd)
+	sc.wVal = grow(sc.wVal, nd)
 	sc.wSlots = sc.wSlots[:0]
 	total := 0.0
 	for i, d := range cols {
@@ -398,7 +398,7 @@ func (sc *sparseScratch) lpFix(in *offline.Instance, cols, rows []int, inc float
 	res.lpSolved++
 	zlp := sol.Objective
 	fixTol := 1e-6 * (1 + math.Abs(inc))
-	sc.drop = growBools(sc.drop, nv)
+	sc.drop = grow(sc.drop, nv)
 	fixed := 0
 	for i := 0; i < nd; i++ {
 		for pi := sc.drvPathPtr[i]; pi < sc.drvPathPtr[i+1]; pi++ {
@@ -458,7 +458,7 @@ type bbState struct {
 // (still a feasible solution), otherwise the incumbent is kept.
 func (sc *sparseScratch) branchAndBound(in *offline.Instance, cols []int, res *compResult, nodeCap int, inc float64, incWarm bool) (float64, bool) {
 	nd := len(cols)
-	sc.suffix = growF64(sc.suffix, nd+1)
+	sc.suffix = grow(sc.suffix, nd+1)
 	sc.suffix[nd] = 0
 	for i := nd - 1; i >= 0; i-- {
 		maxv := 0.0
@@ -469,8 +469,8 @@ func (sc *sparseScratch) branchAndBound(in *offline.Instance, cols []int, res *c
 		}
 		sc.suffix[i] = sc.suffix[i+1] + maxv
 	}
-	sc.choice = growI32(sc.choice, nd)
-	sc.bestChoice = growI32(sc.bestChoice, nd)
+	sc.choice = grow(sc.choice, nd)
+	sc.bestChoice = grow(sc.bestChoice, nd)
 	for i := 0; i < nd; i++ {
 		sc.bestChoice[i] = -1
 	}
@@ -557,14 +557,14 @@ func (b *bbState) rec(i int, total float64) {
 // integral optimum: L(λ) = Σ_m λ_m + Σ_d max(0, bestpath_d(λ)) is valid
 // for every λ ≥ 0. lb (the incumbent) steers the step size. Restores
 // nothing — λ and grad are component-local and re-seeded next call.
-func (sc *sparseScratch) lagrangeComp(in *offline.Instance, cols, rows []int, lb float64, iters int) float64 {
+func (sc *sparseScratch) lagrangeComp(in *offline.Instance, cols, rows []int, lb float64) float64 {
 	for _, m := range rows {
 		sc.lambda[m] = 0
 	}
 	bestL := math.Inf(1)
 	theta := 2.0
 	noImp := 0
-	for it := 0; it < iters; it++ {
+	for it := 0; it < lagIters; it++ {
 		L := 0.0
 		for _, m := range rows {
 			L += sc.lambda[m]

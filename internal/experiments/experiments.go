@@ -181,12 +181,12 @@ func Fig5PerformanceRatio(ctx context.Context, cfg Config, dm trace.DriverModel)
 		if err != nil {
 			return err
 		}
-		ub, fellBack := upperBound(p, sols[0].Profit, cfg)
+		ub, fellBack := bound.Auto(p.Graph(), sols[0].Profit, cfg.BoundIters)
 		if fellBack {
 			fallbacks.Add(1)
 		}
 		for i := range names {
-			ratios[k][i] = core.PerformanceRatio(sols[i].Profit, ub)
+			ratios[k][i] = core.PerformanceRatio(sols[i].Profit, ub.Bound)
 		}
 		return nil
 	})
@@ -330,23 +330,6 @@ func solveAll(p *core.Problem, seed int64) ([]core.Solution, error) {
 		out[i] = sol
 	}
 	return out, nil
-}
-
-// upperBound computes the Z*_f estimate for a sweep point: exact column
-// generation when small, Lagrangian subgradient otherwise. fellBack
-// reports that column generation was attempted but errored — the
-// Lagrangian result is still a valid bound, but the study surfaces the
-// count so a misbehaving master LP cannot hide behind a weaker bound.
-func upperBound(p *core.Problem, greedyLB float64, cfg Config) (float64, bool) {
-	g := p.Graph()
-	if g.N()+g.M() <= 150 {
-		r, _, err := bound.ColumnGeneration(g)
-		if err == nil {
-			return r.Bound, false
-		}
-		return bound.Lagrangian(g, greedyLB, cfg.BoundIters).Bound, true
-	}
-	return bound.Lagrangian(g, greedyLB, cfg.BoundIters).Bound, false
 }
 
 // RenderText writes the figure as an aligned text table, one row per X

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/bound"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/model"
@@ -216,7 +217,7 @@ func DispatchComparison(ctx context.Context, cfg Config, drivers int) ([]Dispatc
 	if err != nil {
 		return nil, err
 	}
-	ub, _ := upperBound(p, greedySol.Profit, cfg)
+	ub, _ := bound.Auto(p.Graph(), greedySol.Profit, cfg.BoundIters)
 	eng, err := sim.New(p.Market, p.Drivers, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -227,7 +228,7 @@ func DispatchComparison(ctx context.Context, cfg Config, drivers int) ([]Dispatc
 		return DispatchRow{
 			Name: name, Profit: profit, Revenue: revenue,
 			ServeRate: float64(served) / mTasks,
-			Ratio:     core.PerformanceRatio(profit, ub),
+			Ratio:     core.PerformanceRatio(profit, ub.Bound),
 		}
 	}
 

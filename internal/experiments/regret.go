@@ -91,8 +91,16 @@ type RegretConfig struct {
 
 	// Solver knobs, passed through to bound.SparseOptions.
 	LP      bool
-	PathCap int
 	NodeCap int
+}
+
+// RegretBench returns the study as `rideshare experiments -fig regret`
+// runs it: cfg's sweep cut to three densities (sparse, mid, dense),
+// which keeps the oracle solves affordable under -fig all, and a day
+// with churn 0.25, cancellations 0.2, rail width 8 and LP fixing.
+func RegretBench(cfg Config) (Config, RegretConfig) {
+	cfg.Sweep = []int{cfg.Sweep[0], cfg.Sweep[len(cfg.Sweep)/2], cfg.Sweep[len(cfg.Sweep)-1]}
+	return cfg, RegretConfig{Churn: 0.25, Cancel: 0.2, TopK: 8, LP: true}
 }
 
 // RegretSweep runs the oracle-rail study over cfg.Sweep. The returned
@@ -166,7 +174,6 @@ func regretPoint(cfg Config, rc RegretConfig, drivers int) (RegretPoint, error) 
 	sol, err := solver.Solve(in, bound.SparseOptions{
 		Warm:    results[bestPolicy].DriverPaths,
 		LP:      rc.LP,
-		PathCap: rc.PathCap,
 		NodeCap: rc.NodeCap,
 	})
 	if err != nil {

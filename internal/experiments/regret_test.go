@@ -153,13 +153,13 @@ func TestRegretFigureBracket(t *testing.T) {
 // TestRegretOnlineRevenuePinned pins the paper's number where the
 // figure prints it: both policies' online revenue, to the bit, and
 // their served counts at the three densities `rideshare experiments
-// -fig regret -scale bench` sweeps, under its RegretConfig. A change to
-// how the engine decides an instant order or a window that moves the
-// books by one ulp fails here, not only in the printed ratios.
+// -fig regret -scale bench` sweeps, under RegretBench, the configuration
+// that command runs. A change to how the engine decides an instant
+// order or a window that moves the books by one ulp fails here, not
+// only in the printed ratios.
 func TestRegretOnlineRevenuePinned(t *testing.T) {
-	cfg := Default()
-	cfg.Sweep = []int{cfg.Sweep[0], cfg.Sweep[len(cfg.Sweep)/2], cfg.Sweep[len(cfg.Sweep)-1]}
-	points, err := RegretSweep(context.Background(), cfg, RegretConfig{Churn: 0.25, Cancel: 0.2, TopK: 8, LP: true})
+	cfg, rc := RegretBench(Default())
+	points, err := RegretSweep(context.Background(), cfg, rc)
 	if err != nil {
 		t.Fatal(err)
 	}

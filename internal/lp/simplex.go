@@ -239,20 +239,20 @@ func (t *tableau) init(p *Problem) {
 	}
 	nTotal := nv + ns + na
 	t.m, t.nTotal, t.nv, t.ns, t.na = m, nTotal, nv, ns, na
-	t.rowBuf = growFloats(t.rowBuf, m*nTotal)
+	t.rowBuf = grow(t.rowBuf, m*nTotal)
 	for i := range t.rowBuf {
 		t.rowBuf[i] = 0
 	}
-	t.a = growRows(t.a, m)
+	t.a = grow(t.a, m)
 	for i := 0; i < m; i++ {
 		t.a[i] = t.rowBuf[i*nTotal : (i+1)*nTotal : (i+1)*nTotal]
 	}
-	t.rhs = growFloats(t.rhs, m)
-	t.basis = growInts(t.basis, m)
-	t.obj = growFloats(t.obj, nTotal)
-	t.artOf = growInts(t.artOf, m)
-	t.slackOf = growInts(t.slackOf, m)
-	t.rowSign = growFloats(t.rowSign, m)
+	t.rhs = grow(t.rhs, m)
+	t.basis = grow(t.basis, m)
+	t.obj = grow(t.obj, nTotal)
+	t.artOf = grow(t.artOf, m)
+	t.slackOf = grow(t.slackOf, m)
+	t.rowSign = grow(t.rowSign, m)
 	copy(t.obj, p.obj)
 	for i := nv; i < nTotal; i++ {
 		t.obj[i] = 0
@@ -318,7 +318,7 @@ func (t *tableau) solve() Solution {
 	totalIters := 0
 	if t.na > 0 {
 		// Phase 1: minimize sum of artificials == maximize -sum.
-		t.phase1Buf = growFloats(t.phase1Buf, t.nTotal)
+		t.phase1Buf = grow(t.phase1Buf, t.nTotal)
 		phase1 := t.phase1Buf
 		for i := range phase1 {
 			phase1[i] = 0
@@ -351,7 +351,7 @@ func (t *tableau) solve() Solution {
 		return sol
 	}
 
-	t.xBuf = growFloats(t.xBuf, t.nv)
+	t.xBuf = grow(t.xBuf, t.nv)
 	sol.X = t.xBuf
 	for i := range sol.X {
 		sol.X[i] = 0
@@ -376,7 +376,7 @@ func (t *tableau) optimize(obj []float64, phase1 bool) (Status, int) {
 	// iteration (dense, O(m·n)).
 	iters := 0
 	blandAfter := t.iterBudget / 2
-	t.inBasisBuf = growBools(t.inBasisBuf, t.nTotal)
+	t.inBasisBuf = grow(t.inBasisBuf, t.nTotal)
 	inBasis := t.inBasisBuf
 	for i := range inBasis {
 		inBasis[i] = false
@@ -443,7 +443,7 @@ func (t *tableau) optimize(obj []float64, phase1 bool) (Status, int) {
 // current tableau: since rows are kept in product form (B^{-1}A), the
 // reduced cost of column j is obj[j] - Σ_i obj[basis[i]]·a[i][j].
 func (t *tableau) dualVector(obj []float64) []float64 {
-	t.y = growFloats(t.y, t.m)
+	t.y = grow(t.y, t.m)
 	y := t.y
 	for i := 0; i < t.m; i++ {
 		y[i] = obj[t.basis[i]]
@@ -518,7 +518,7 @@ func (t *tableau) evictArtificials() {
 // y*_i only by the ±1 normalization sign applied when rhs was negative.
 func (t *tableau) extractDuals() []float64 {
 	y := t.dualVector(t.obj)
-	t.dualsBuf = growFloats(t.dualsBuf, t.m)
+	t.dualsBuf = grow(t.dualsBuf, t.m)
 	duals := t.dualsBuf
 	for i := 0; i < t.m; i++ {
 		col := t.artOf[i]

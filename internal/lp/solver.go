@@ -84,32 +84,12 @@ func (t *tableau) crashBasis(warm []int) {
 	}
 }
 
-// growFloats returns s resized (never shrunk) to n without zeroing:
-// every user initializes the entries it owns.
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resized to n elements. It reallocates only when the
+// capacity is short, keeping the contents up to the old capacity, and
+// never shrinks.
+func grow[S ~[]E, E any](s S, n int) S {
 	if cap(s) < n {
-		s = append(s[:cap(s)], make([]float64, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]int, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]bool, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-func growRows(s [][]float64, n int) [][]float64 {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([][]float64, n-cap(s))...)
+		s = append(s[:cap(s)], make(S, n-cap(s))...)
 	}
 	return s[:n]
 }

@@ -42,11 +42,11 @@ func (cs *ComponentScratch) find(r int) int {
 // columns. It returns the component count. sp is assumed valid (see
 // Sparse.Validate).
 func (cs *ComponentScratch) Decompose(sp Sparse) int {
-	cs.parent = grownInt(cs.parent, sp.Rows)
+	cs.parent = grow(cs.parent, sp.Rows)
 	for r := range cs.parent {
 		cs.parent[r] = r
 	}
-	cs.firstRow = grownInt(cs.firstRow, sp.Cols)
+	cs.firstRow = grow(cs.firstRow, sp.Cols)
 	for c := range cs.firstRow {
 		cs.firstRow[c] = -1
 	}
@@ -65,7 +65,7 @@ func (cs *ComponentScratch) Decompose(sp Sparse) int {
 	}
 	// Label rows in order of first appearance so ids ascend by smallest
 	// member row whatever the union roots are.
-	cs.CompOfRow = grownInt(cs.CompOfRow, sp.Rows)
+	cs.CompOfRow = grow(cs.CompOfRow, sp.Rows)
 	for r := 0; r < sp.Rows; r++ {
 		cs.CompOfRow[r] = -1
 	}
@@ -83,7 +83,7 @@ func (cs *ComponentScratch) Decompose(sp Sparse) int {
 	// union-find is settled, so parent (len sp.Rows ≥ ncomp) serves as
 	// the fill cursors, here and for the columns below (firstRow's
 	// sp.Cols may be smaller).
-	cs.RowPtr = grownInt(cs.RowPtr, ncomp+1)
+	cs.RowPtr = grow(cs.RowPtr, ncomp+1)
 	for c := 0; c <= ncomp; c++ {
 		cs.RowPtr[c] = 0
 	}
@@ -93,7 +93,7 @@ func (cs *ComponentScratch) Decompose(sp Sparse) int {
 	for c := 1; c <= ncomp; c++ {
 		cs.RowPtr[c] += cs.RowPtr[c-1]
 	}
-	cs.RowsByComp = grownInt(cs.RowsByComp, sp.Rows)
+	cs.RowsByComp = grow(cs.RowsByComp, sp.Rows)
 	cursors := cs.parent
 	for c := 0; c < ncomp; c++ {
 		cursors[c] = cs.RowPtr[c]
@@ -106,7 +106,7 @@ func (cs *ComponentScratch) Decompose(sp Sparse) int {
 
 	// Columns inherit the component of the first row that touched them,
 	// and are counting-sorted the way the rows were.
-	cs.CompOfCol = grownInt(cs.CompOfCol, sp.Cols)
+	cs.CompOfCol = grow(cs.CompOfCol, sp.Cols)
 	for c := 0; c < sp.Cols; c++ {
 		if cs.firstRow[c] < 0 {
 			cs.CompOfCol[c] = -1
@@ -114,7 +114,7 @@ func (cs *ComponentScratch) Decompose(sp Sparse) int {
 			cs.CompOfCol[c] = cs.CompOfRow[cs.firstRow[c]]
 		}
 	}
-	cs.ColPtr = grownInt(cs.ColPtr, ncomp+1)
+	cs.ColPtr = grow(cs.ColPtr, ncomp+1)
 	for c := 0; c <= ncomp; c++ {
 		cs.ColPtr[c] = 0
 	}
@@ -128,7 +128,7 @@ func (cs *ComponentScratch) Decompose(sp Sparse) int {
 	for c := 1; c <= ncomp; c++ {
 		cs.ColPtr[c] += cs.ColPtr[c-1]
 	}
-	cs.ColsByComp = grownInt(cs.ColsByComp, ncols)
+	cs.ColsByComp = grow(cs.ColsByComp, ncols)
 	for c := 0; c < ncomp; c++ {
 		cursors[c] = cs.ColPtr[c]
 	}

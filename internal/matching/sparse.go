@@ -100,25 +100,12 @@ type SparseSolver struct {
 	touched []int
 }
 
-// grownInt returns s resized (never shrunk) to n without zeroing:
-// every user initializes the entries it owns.
-func grownInt(s []int, n int) []int {
+// grow returns s resized to n elements. It reallocates only when the
+// capacity is short, keeping the contents up to the old capacity, and
+// never shrinks.
+func grow[S ~[]E, E any](s S, n int) S {
 	if cap(s) < n {
-		s = append(s[:cap(s)], make([]int, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-func grownFloat(s []float64, n int) []float64 {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]float64, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-func grownBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]bool, n-cap(s))...)
+		s = append(s[:cap(s)], make(S, n-cap(s))...)
 	}
 	return s[:n]
 }
@@ -136,8 +123,8 @@ func (s *SparseSolver) Solve(sp Sparse) (colOf []int, weight float64, matched in
 		return nil, 0, 0, err
 	}
 	ext := sp.Cols + sp.Rows // real columns plus one exit per row
-	s.colOf = grownInt(s.colOf, sp.Rows)
-	s.rowOf = grownInt(s.rowOf, ext)
+	s.colOf = grow(s.colOf, sp.Rows)
+	s.rowOf = grow(s.rowOf, ext)
 	for r := 0; r < sp.Rows; r++ {
 		s.colOf[r] = -1
 	}
@@ -148,11 +135,11 @@ func (s *SparseSolver) Solve(sp Sparse) (colOf []int, weight float64, matched in
 		return s.colOf, 0, 0, nil
 	}
 
-	s.u = grownFloat(s.u, sp.Rows)
-	s.v = grownFloat(s.v, ext)
-	s.minv = grownFloat(s.minv, ext)
-	s.way = grownInt(s.way, ext)
-	s.used = grownBool(s.used, ext)
+	s.u = grow(s.u, sp.Rows)
+	s.v = grow(s.v, ext)
+	s.minv = grow(s.minv, ext)
+	s.way = grow(s.way, ext)
+	s.used = grow(s.used, ext)
 	for r := 0; r < sp.Rows; r++ {
 		s.u[r] = 0
 	}

@@ -176,12 +176,12 @@ func (e *Engine) scoreCandidates(db *distBatch, ids []int, task model.Task, now 
 		db.ids = append(db.ids, i)
 		db.snaps = append(db.snaps, e.driverSnap(batcher, i).loc)
 	}
-	db.kms = growFloats(db.kms, len(db.ids))
+	db.kms = grow(db.kms, len(db.ids))
 	batcher.DistManyToSnappedInto(db.snaps, q.src, db.kms)
 
 	// Stage 2: pickup- and dropoff-deadline clauses, which need no
 	// further distances. Survivors compact in place, keeping order.
-	db.arr = growFloats(db.arr, len(db.ids))
+	db.arr = grow(db.arr, len(db.ids))
 	keep := 0
 	for k, i := range db.ids {
 		arrival, ok := e.pickupArrival(i, task, now, db.kms[k])
@@ -200,7 +200,7 @@ func (e *Engine) scoreCandidates(db *distBatch, ids []int, task model.Task, now 
 
 	// Stage 3: dropoff→home for the survivors, one one-to-many batch
 	// (the dropoff is the shared origin), then the remaining clauses.
-	db.homes = growFloats(db.homes, keep)
+	db.homes = grow(db.homes, keep)
 	batcher.DistManySnappedInto(q.dst, db.snaps[:keep], db.homes)
 	for k := 0; k < keep; k++ {
 		if c, ok := e.finishCandidate(db.ids[k], task, q.service, q.serviceCost, db.arr[k], db.kms[k], db.homes[k]); ok {
@@ -210,11 +210,11 @@ func (e *Engine) scoreCandidates(db *distBatch, ids []int, task model.Task, now 
 	return buf
 }
 
-// growFloats returns s resized to n elements, reallocating only when
+// grow returns s resized to n elements, reallocating only when
 // capacity is short (contents are overwritten by the caller).
-func growFloats(s []float64, n int) []float64 {
+func grow[S ~[]E, E any](s S, n int) S {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make(S, n)
 	}
 	return s[:n]
 }
