@@ -218,14 +218,15 @@ func BenchmarkSimplexMediumLP(b *testing.B) {
 				col := (i*13 + k*7) % 120
 				entries = append(entries, lp.Entry{Col: col, Val: float64((i+k)%5) + 0.5})
 			}
-			p.AddRow(lp.LE, float64(5+i%7), entries...)
+			p.AddRow(float64(5+i%7), entries...)
 		}
 		return p
 	}
 	prob := build()
+	var s lp.Solver
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lp.Solve(prob); err != nil {
+		if _, err := s.Solve(prob); err != nil {
 			b.Fatal(err)
 		}
 	}

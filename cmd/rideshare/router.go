@@ -16,7 +16,6 @@ import (
 	"repro/dispatch"
 	"repro/internal/fed"
 	"repro/internal/trace"
-	"repro/internal/wal"
 )
 
 // cmdRouter is the multi-market front end: one dispatch.Service per
@@ -95,7 +94,7 @@ func cmdRouter(args []string) error {
 			switch {
 			case err == nil:
 				fmt.Fprintf(os.Stderr, "router: market %s recovered from %s\n", name, dir)
-			case errors.Is(err, wal.ErrNotFound):
+			case errors.Is(err, dispatch.ErrLogNotFound):
 				svc, err = dispatch.New(market, append(opts, dispatch.WithDurability(dir, durOpts...))...)
 				if err != nil {
 					return fmt.Errorf("router: market %s: %w", name, err)

@@ -17,7 +17,6 @@ import (
 	"repro/internal/fed"
 	"repro/internal/model"
 	"repro/internal/trace"
-	"repro/internal/wal"
 )
 
 // This file is the live front end: `rideshare serve` exposes a
@@ -187,7 +186,7 @@ func cmdServe(args []string) error {
 			// from it, so the shape flags above are not consulted.
 			restored = true
 			fmt.Fprintf(os.Stderr, "serve: recovered log in %s, resuming the market (shape flags ignored; config comes from the log)\n", *walDir)
-		case errors.Is(err, wal.ErrNotFound):
+		case errors.Is(err, dispatch.ErrLogNotFound):
 			opts = append(opts, dispatch.WithDurability(*walDir, durOpts...))
 			svc, err = dispatch.New(market, opts...)
 			if err != nil {

@@ -444,13 +444,13 @@ func (e *ReplayDivergedError) Unwrap() error { return ErrReplayDiverged }
 // reopens the log for appending, so the restored service is durable in
 // turn. DurOptions tune the reopened log (fsync policy, cadence); the
 // market and dispatch configuration come from the log itself and are
-// not overridable. A torn tail (crash mid-append) is truncated away; a
-// complete final record failing its checksum surfaces wal.ErrCorruptTail
-// (repair explicitly with wal.Repair); deeper corruption surfaces
-// wal.ErrCorrupt; a replay whose decisions part from the journaled
-// run's surfaces ErrReplayDiverged. If the log ends in a finish record
-// the day is settled: the service is returned already closed, answering
-// Snapshot and Decision but no mutations.
+// not overridable. A directory with no log surfaces ErrLogNotFound. A
+// torn tail (crash mid-append) is truncated away; a complete final
+// record failing its checksum surfaces ErrLogCorruptTail; deeper
+// corruption surfaces ErrLogCorrupt; a replay whose decisions part from
+// the journaled run's surfaces ErrReplayDiverged. If the log ends in a
+// finish record the day is settled: the service is returned already
+// closed, answering Snapshot and Decision but no mutations.
 func Restore(dir string, opts ...DurOption) (*Service, error) {
 	dc := defaultDurConfig()
 	for _, o := range opts {

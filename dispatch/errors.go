@@ -1,6 +1,10 @@
 package dispatch
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/wal"
+)
 
 // The service's typed error vocabulary. Every Service method returns
 // one of these sentinels (possibly wrapped with detail) for conditions
@@ -61,4 +65,19 @@ var (
 	// distinguish "this market's day is settled" from transient
 	// conditions without relying on internal state flags.
 	ErrFinished = errors.New("dispatch: market finished")
+
+	// ErrLogNotFound: Restore found no write-ahead log in the
+	// directory. A front end that resumes a market when its log exists
+	// starts a fresh one on this error.
+	ErrLogNotFound = wal.ErrNotFound
+
+	// ErrLogCorruptTail: the log's complete final record fails its
+	// checksum. Restore truncates a torn tail (a crash mid-append) by
+	// itself; this one it does not, since the record was whole.
+	ErrLogCorruptTail = wal.ErrCorruptTail
+
+	// ErrLogCorrupt: a record before the log's final one, a segment
+	// header or a snapshot is damaged, or the log does not begin with
+	// the record that names the market. Nothing repairs it.
+	ErrLogCorrupt = wal.ErrCorrupt
 )

@@ -57,10 +57,10 @@ func ColumnGeneration(g *taskmap.Graph) (Result, []float64, error) {
 	// Row layout: [0,n) driver rows, [n, n+m) task rows.
 	master := lp.NewProblem(1) // dummy col 0 (objective 0, in no rows)
 	for i := 0; i < n; i++ {
-		master.AddRow(lp.LE, 1)
+		master.AddRow(1)
 	}
 	for j := 0; j < m; j++ {
-		master.AddRow(lp.LE, 1)
+		master.AddRow(1)
 	}
 
 	type column struct {
@@ -99,8 +99,9 @@ func ColumnGeneration(g *taskmap.Graph) (Result, []float64, error) {
 	)
 	lambda := make([]float64, m)
 	var lastObj float64
+	var lps lp.Solver // re-solves the growing master from the slack basis each round
 	for round := 0; round < maxRounds; round++ {
-		sol, err := lp.Solve(master)
+		sol, err := lps.Solve(master)
 		if err != nil {
 			return Result{}, nil, fmt.Errorf("bound: master LP: %w", err)
 		}

@@ -54,18 +54,38 @@ func TestColumnGenerationTightWhenLPIntegral(t *testing.T) {
 	}
 }
 
+// TestColumnGenerationReturnsNonNegativeDuals checks the task duals λ
+// and pins Z*_f to the bit with the number of master rounds, on days of
+// both driver models: a change to the master LP that moves one pivot
+// moves one of these.
 func TestColumnGenerationReturnsNonNegativeDuals(t *testing.T) {
-	g := buildGraph(t, 2, 20, 4, trace.Hitchhiking)
-	_, lambda, err := ColumnGeneration(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lambda) != g.M() {
-		t.Fatalf("lambda length %d, want %d", len(lambda), g.M())
-	}
-	for j, l := range lambda {
-		if l < 0 {
-			t.Fatalf("λ[%d] = %g < 0", j, l)
+	for _, tc := range []struct {
+		seed           int64
+		tasks, drivers int
+		dm             trace.DriverModel
+		bits           uint64
+		iters          int
+	}{
+		{2, 20, 4, trace.Hitchhiking, 0x403103d7d3e6a6fe, 1},
+		{0, 40, 8, trace.Hitchhiking, 0x4043759f3566aa0c, 25},
+		{0, 40, 8, trace.HomeWorkHome, 0x404450cd855a1cb6, 34},
+	} {
+		g := buildGraph(t, tc.seed, tc.tasks, tc.drivers, tc.dm)
+		r, lambda, err := ColumnGeneration(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(r.Bound); got != tc.bits || r.Iters != tc.iters || r.Method != "colgen" {
+			t.Errorf("%v seed %d: %s bound %v (%#x) in %d rounds, want colgen %v (%#x) in %d",
+				tc.dm, tc.seed, r.Method, r.Bound, got, r.Iters, math.Float64frombits(tc.bits), tc.bits, tc.iters)
+		}
+		if len(lambda) != g.M() {
+			t.Fatalf("%v seed %d: lambda length %d, want %d", tc.dm, tc.seed, len(lambda), g.M())
+		}
+		for j, l := range lambda {
+			if l < 0 {
+				t.Fatalf("%v seed %d: λ[%d] = %g < 0", tc.dm, tc.seed, j, l)
+			}
 		}
 	}
 }

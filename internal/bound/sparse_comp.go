@@ -347,7 +347,7 @@ func (sc *sparseScratch) lpFix(in *offline.Instance, cols, rows []int, inc float
 	}
 	prob := lp.NewProblem(nv)
 	for i := 0; i < nd+len(rows); i++ {
-		prob.AddRow(lp.LE, 1)
+		prob.AddRow(1)
 	}
 	for i := 0; i < nd; i++ {
 		for pi := sc.drvPathPtr[i]; pi < sc.drvPathPtr[i+1]; pi++ {

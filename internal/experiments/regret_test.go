@@ -156,7 +156,10 @@ func TestRegretFigureBracket(t *testing.T) {
 // -fig regret -scale bench` sweeps, under RegretBench, the configuration
 // that command runs. A change to how the engine decides an instant
 // order or a window that moves the books by one ulp fails here, not
-// only in the printed ratios.
+// only in the printed ratios. The hindsight side is pinned the same
+// way: the offline revenue, the oracle's upper bound to the bit and
+// how many component root LPs it solved and path columns those LPs
+// fixed out, so a change to the LP under the oracle shows here too.
 func TestRegretOnlineRevenuePinned(t *testing.T) {
 	cfg, rc := RegretBench(Default())
 	points, err := RegretSweep(context.Background(), cfg, rc)
@@ -171,16 +174,37 @@ func TestRegretOnlineRevenuePinned(t *testing.T) {
 		60:  {{0x406dc547236bc769, 159}, {0x406909794825a3cb, 133}},
 		120: {{0x4070e735989adda6, 176}, {0x406cdc0fe9679a35, 148}},
 	}
+	oracle := map[int]struct {
+		offline, upper    uint64
+		lpSolved, lpFixed int
+	}{
+		10:  {0x40675586b36d0156, 0x406857f1e09c1baa, 0, 0},
+		60:  {0x4075c8b804ffdd78, 0x4076855aa59725e9, 2, 2},
+		120: {0x40768a3d4414e7fc, 0x407935d3061dd218, 2, 55},
+	}
 	if len(points) != len(want) {
 		t.Fatalf("%d points, want %d", len(points), len(want))
 	}
 	for _, pt := range points {
+		o := oracle[pt.Drivers]
 		for i, row := range pt.Rows {
 			w := want[pt.Drivers][i]
 			if got := math.Float64bits(row.OnlineRevenue); got != w.bits || row.OnlineServed != w.served {
 				t.Errorf("%d drivers, %s: online revenue %v (%#x) over %d served, want %v (%#x) over %d",
 					pt.Drivers, row.Policy, row.OnlineRevenue, got, row.OnlineServed, math.Float64frombits(w.bits), w.bits, w.served)
 			}
+			if got := math.Float64bits(row.OfflineRevenue); got != o.offline {
+				t.Errorf("%d drivers, %s: offline revenue %v (%#x), want %v (%#x)",
+					pt.Drivers, row.Policy, row.OfflineRevenue, got, math.Float64frombits(o.offline), o.offline)
+			}
+		}
+		if got := math.Float64bits(pt.Oracle.UpperBound); got != o.upper {
+			t.Errorf("%d drivers: oracle upper bound %v (%#x), want %v (%#x)",
+				pt.Drivers, pt.Oracle.UpperBound, got, math.Float64frombits(o.upper), o.upper)
+		}
+		if pt.Oracle.LPSolved != o.lpSolved || pt.Oracle.LPFixed != o.lpFixed {
+			t.Errorf("%d drivers: %d root LPs solved fixing %d columns, want %d fixing %d",
+				pt.Drivers, pt.Oracle.LPSolved, pt.Oracle.LPFixed, o.lpSolved, o.lpFixed)
 		}
 	}
 }

@@ -3,9 +3,11 @@ package fed
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -362,16 +364,18 @@ func TestRouterRollingRestart(t *testing.T) {
 }
 
 // TestRouterRestartFailureKeepsMarketDown: a restart whose restore
-// fails leaves THAT market answering 503 — not half-state — until an
-// operator lands a replacement with SetService; other markets are
-// untouched.
+// fails leaves THAT market answering 503 — not half-state — while other
+// markets are untouched; once its log is back, a second Restart retries
+// the restore and the market serves again. A Restart of a market whose
+// restore is running is refused.
 func TestRouterRestartFailureKeepsMarketDown(t *testing.T) {
 	rt := NewRouter(nil)
-	broken := newFixture(t, 7, 5, 10)
+	// The market journals into own, but its WALDir starts empty: Halt
+	// succeeds, Restore finds no log and fails.
+	own, walDir := t.TempDir(), t.TempDir()
+	broken := newFixture(t, 7, 5, 10, dispatch.WithDurability(own))
 	healthy := newFixture(t, 8, 5, 10)
-	// WALDir points at an empty directory: Halt succeeds, Restore finds
-	// no log and fails.
-	if err := rt.Register(Market{Name: "broken", Svc: broken.svc, WALDir: t.TempDir()}); err != nil {
+	if err := rt.Register(Market{Name: "broken", Svc: broken.svc, WALDir: walDir}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Register(Market{Name: "healthy", Svc: healthy.svc}); err != nil {
@@ -381,8 +385,11 @@ func TestRouterRestartFailureKeepsMarketDown(t *testing.T) {
 	srv := httptest.NewServer(rt.Handler())
 	defer srv.Close()
 
-	if err := rt.Restart("broken"); err == nil {
-		t.Fatal("restart over an empty WAL dir succeeded")
+	if code := postJSON(t, srv.URL+"/v1/markets/broken/tasks", broken.tasks[0], nil); code != http.StatusOK {
+		t.Fatalf("submit before the restart: status %d", code)
+	}
+	if err := rt.Restart("broken"); !errors.Is(err, dispatch.ErrLogNotFound) {
+		t.Fatalf("restart over an empty WAL dir: %v, want ErrLogNotFound", err)
 	}
 	if code := getJSON(t, srv.URL+"/v1/markets/broken/stats", nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("failed-restart market: status %d, want 503", code)
@@ -400,18 +407,42 @@ func TestRouterRestartFailureKeepsMarketDown(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v1/markets/healthy/stats", nil); code != http.StatusOK {
 		t.Fatalf("healthy market during neighbour outage: status %d", code)
 	}
-	// A second restart of a down market is refused.
-	if err := rt.Restart("broken"); err == nil || !strings.Contains(err.Error(), "already restarting") {
-		t.Fatalf("restart of a down market: %v", err)
-	}
 
-	// Operator lands a replacement.
-	repl := newFixture(t, 9, 5, 10)
-	if err := rt.SetService("broken", repl.svc); err != nil {
+	// A market whose restore is running refuses a second Restart.
+	e, _ := rt.lookup("broken")
+	e.mu.Lock()
+	e.restoring = true
+	e.mu.Unlock()
+	if err := rt.Restart("broken"); err == nil || !strings.Contains(err.Error(), "already restarting") {
+		t.Fatalf("restart during a restore: %v", err)
+	}
+	e.mu.Lock()
+	e.restoring = false
+	e.mu.Unlock()
+
+	// Put the log back: the retried restore resumes the halted day.
+	files, err := os.ReadDir(own)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if code := getJSON(t, srv.URL+"/v1/markets/broken/stats", nil); code != http.StatusOK {
-		t.Fatalf("replaced market: status %d", code)
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(own, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(walDir, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Restart("broken"); err != nil {
+		t.Fatalf("restart with the log back: %v", err)
+	}
+	var ms dispatch.Stats
+	if code := getJSON(t, srv.URL+"/v1/markets/broken/stats", &ms); code != http.StatusOK || ms.Tasks != 1 {
+		t.Fatalf("restored market: status %d, %d tasks, want 200 and the 1 submitted before the halt", code, ms.Tasks)
+	}
+	if code := postJSON(t, srv.URL+"/v1/markets/broken/tasks", broken.tasks[1], nil); code != http.StatusOK {
+		t.Fatalf("submit after the retried restart: status %d", code)
 	}
 }
 
@@ -431,14 +462,28 @@ func TestRouterInflightIsolation(t *testing.T) {
 	srv := httptest.NewServer(rt.Handler())
 	defer srv.Close()
 
-	// Hold porto's single in-flight slot open with the SSE feed.
-	resp, err := http.Get(srv.URL + "/v1/markets/porto/events")
-	if err != nil {
+	// Hold porto's single in-flight slot with an order whose body never
+	// ends: its handler waits on the read.
+	body, hold := io.Pipe()
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/markets/porto/tasks", "application/json", body)
+		if err != nil {
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	defer hold.Close()
+	if _, err := hold.Write([]byte(`{"id": 0`)); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events stream: status %d", resp.StatusCode)
+	e, _ := rt.lookup("porto")
+	for deadline := time.Now().Add(5 * time.Second); e.inflight.Load() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the held order never took porto's slot")
+		}
 	}
 
 	shed, err := http.Get(srv.URL + "/v1/markets/porto/stats")
@@ -454,8 +499,11 @@ func TestRouterInflightIsolation(t *testing.T) {
 		t.Fatalf("neighbour of a saturated market: status %d", code)
 	}
 
-	// Releasing the stream frees the slot.
-	resp.Body.Close()
+	// Ending the held body frees the slot.
+	hold.Close()
+	if code := <-held; code != http.StatusBadRequest {
+		t.Fatalf("held order cut short: status %d, want 400", code)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if code := getJSON(t, srv.URL+"/v1/markets/porto/stats", nil); code == http.StatusOK {
@@ -465,6 +513,32 @@ func TestRouterInflightIsolation(t *testing.T) {
 			t.Fatal("porto never freed its in-flight slot")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRouterEventsFeedHoldsNoSlot: an open event feed lasts until its
+// client leaves, so it is not charged to the market's in-flight bound —
+// with MaxInflight 1 and a feed open, an order still gets its answer.
+func TestRouterEventsFeedHoldsNoSlot(t *testing.T) {
+	rt := NewRouter(nil)
+	fx := newFixture(t, 23, 5, 20)
+	if err := rt.Register(Market{Name: "porto", Svc: fx.svc, MaxInflight: 1}); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	srv := httptest.NewServer(rt.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/v1/markets/porto/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events stream: status %d", resp.StatusCode)
+	}
+	if code := postJSON(t, srv.URL+"/v1/markets/porto/tasks", fx.tasks[0], nil); code != http.StatusOK {
+		t.Fatalf("order beside an open feed: status %d, want 200", code)
 	}
 }
 
@@ -529,12 +603,6 @@ func TestRouterRegisterValidation(t *testing.T) {
 	}
 	if _, ok := rt.Service("nope"); ok {
 		t.Fatal("Service answered for an unknown market")
-	}
-	if err := rt.SetService("nope", fx.svc); err == nil {
-		t.Fatal("SetService accepted an unknown market")
-	}
-	if err := rt.SetService("ok", nil); err == nil {
-		t.Fatal("SetService accepted a nil service")
 	}
 	if err := rt.Restart("nope"); err == nil {
 		t.Fatal("Restart accepted an unknown market")

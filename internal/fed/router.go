@@ -42,10 +42,11 @@ type marketEntry struct {
 
 	inflight atomic.Int64
 
-	mu   sync.RWMutex
-	svc  *dispatch.Service
-	h    http.Handler
-	down bool // mid-restart: requests answer 503 until the restore lands
+	mu        sync.RWMutex
+	svc       *dispatch.Service
+	h         http.Handler
+	down      bool // halted for a restart: requests answer 503 until a restore lands
+	restoring bool // a Restart is halting or restoring the market now
 }
 
 // Router federates named markets behind one HTTP surface:
@@ -132,31 +133,16 @@ func (rt *Router) Service(name string) (*dispatch.Service, bool) {
 	return e.svc, true
 }
 
-// SetService swaps a market's service for a replacement — the
-// re-registration half of an externally-orchestrated rolling restart —
-// and brings the market back up.
-func (rt *Router) SetService(name string, svc *dispatch.Service) error {
-	if svc == nil {
-		return fmt.Errorf("fed: market %q: nil replacement service", name)
-	}
-	e, ok := rt.lookup(name)
-	if !ok {
-		return fmt.Errorf("fed: unknown market %q", name)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.svc = svc
-	e.h = MarketHandler(svc, rt.done)
-	e.down = false
-	return nil
-}
-
 // Restart rolls one market through WAL recovery: the service is halted
 // crash-consistently (no finish record — the day does NOT settle), the
 // log is restored into a fresh service, and the replacement is swapped
 // in. While the restore runs the market answers 503; every other market
 // keeps serving untouched. The market must have been registered with a
 // WALDir.
+//
+// A restore that fails leaves the market down, its service halted; a
+// later Restart retries the restore without halting again. A Restart
+// of a market whose restore is running is refused.
 func (rt *Router) Restart(name string) error {
 	e, ok := rt.lookup(name)
 	if !ok {
@@ -166,32 +152,35 @@ func (rt *Router) Restart(name string) error {
 		return fmt.Errorf("fed: market %q has no write-ahead log to restart from", name)
 	}
 	e.mu.Lock()
-	if e.down {
+	if e.restoring {
 		e.mu.Unlock()
 		return fmt.Errorf("fed: market %q is already restarting", name)
 	}
-	e.down = true
+	halted := e.down // an earlier restore failed after the halt
+	e.down, e.restoring = true, true
 	old := e.svc
 	e.mu.Unlock()
 
-	if _, err := old.Halt(); err != nil {
-		e.mu.Lock()
-		e.down = false
-		e.mu.Unlock()
-		return fmt.Errorf("fed: halting market %q: %w", name, err)
+	if !halted {
+		if _, err := old.Halt(); err != nil {
+			e.mu.Lock()
+			e.down, e.restoring = false, false
+			e.mu.Unlock()
+			return fmt.Errorf("fed: halting market %q: %w", name, err)
+		}
 	}
 	svc, err := dispatch.Restore(e.walDir, e.durOpts...)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.restoring = false
 	if err != nil {
-		// The old service is halted and the restore failed: the market
-		// stays down (503) rather than serving a half-state. The log on
-		// disk is intact; a later Restart or SetService can still land.
+		// The market stays down (503) rather than serving a half-state.
+		// The log on disk is intact; a later Restart retries the restore.
 		return fmt.Errorf("fed: restoring market %q: %w", name, err)
 	}
-	e.mu.Lock()
 	e.svc = svc
 	e.h = MarketHandler(svc, rt.done)
 	e.down = false
-	e.mu.Unlock()
 	return nil
 }
 
@@ -340,7 +329,9 @@ func (rt *Router) Handler() http.Handler {
 // /v1/markets/porto/tasks/3/cancel lands on /v1/tasks/3/cancel of the
 // porto service. Router-level admission is charged per market: each
 // market's in-flight requests count against only its own MaxInflight,
-// so one saturated city sheds 429 without starving the rest.
+// so one saturated city sheds 429 without starving the rest. The event
+// feed is not charged: it lasts until its client leaves, so one open
+// feed would hold a slot for as long as it is watched.
 func (rt *Router) delegate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("market")
 	e, ok := rt.lookup(name)
@@ -350,8 +341,9 @@ func (rt *Router) delegate(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if e.maxInflight > 0 {
-		if e.inflight.Add(1) > e.maxInflight {
+	rest := r.PathValue("rest")
+	if rest != "events" {
+		if n := e.inflight.Add(1); e.maxInflight > 0 && n > e.maxInflight {
 			e.inflight.Add(-1)
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusTooManyRequests, map[string]string{
@@ -359,9 +351,6 @@ func (rt *Router) delegate(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		defer e.inflight.Add(-1)
-	} else {
-		e.inflight.Add(1)
 		defer e.inflight.Add(-1)
 	}
 
@@ -376,7 +365,6 @@ func (rt *Router) delegate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rest := r.PathValue("rest")
 	inner := "/v1/" + rest
 	if rest == "healthz" {
 		inner = "/healthz"

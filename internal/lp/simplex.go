@@ -1,50 +1,31 @@
 // Package lp is a self-contained linear-programming toolkit: a dense
-// two-phase primal simplex solver with dual extraction.
+// tableau primal simplex solver with dual extraction, for one shape of
+// problem.
 //
 // The paper solves the relaxed problem Z_f (§III-E) with CPLEX/MOSEK;
 // this package is the stdlib-only substitute documented in DESIGN.md. It
-// targets the problem sizes the framework produces: restricted-master
-// LPs from column generation (a few thousand rows/columns). The exact
-// integral optimum Z* is internal/bound's, by path enumeration.
+// targets the problems the framework writes: path-packing LPs — the
+// column-generation master and the oracle's per-component root LP —
+// whose rows are driver convexity and task packing, Σ f ≤ 1 (a few
+// thousand rows/columns). The exact integral optimum Z* is
+// internal/bound's, by path enumeration.
 //
 // Problems are stated as
 //
 //	maximize  c·x
-//	subject to  a_i·x {≤,=,≥} b_i   for every row i
+//	subject to  a_i·x ≤ b_i   for every row i, with b_i ≥ 0
 //	            x ≥ 0
 //
-// Variables are non-negative; upper bounds are expressed as rows.
+// so x = 0 is always feasible and the simplex starts from the all-slack
+// basis: there is no phase 1 and no infeasible outcome. Variables are
+// non-negative; upper bounds are expressed as rows. Solver is the entry
+// point.
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// Sense is a constraint direction.
-type Sense int
-
-// Constraint senses.
-const (
-	LE Sense = iota // a·x ≤ b
-	GE              // a·x ≥ b
-	EQ              // a·x = b
-)
-
-// String implements fmt.Stringer.
-func (s Sense) String() string {
-	switch s {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "=="
-	default:
-		return fmt.Sprintf("Sense(%d)", int(s))
-	}
-}
 
 // Status is the outcome of a solve.
 type Status int
@@ -52,7 +33,6 @@ type Status int
 // Solver outcomes.
 const (
 	Optimal Status = iota
-	Infeasible
 	Unbounded
 	IterLimit
 )
@@ -62,8 +42,6 @@ func (s Status) String() string {
 	switch s {
 	case Optimal:
 		return "optimal"
-	case Infeasible:
-		return "infeasible"
 	case Unbounded:
 		return "unbounded"
 	case IterLimit:
@@ -81,7 +59,6 @@ type Entry struct {
 
 type row struct {
 	entries []Entry
-	sense   Sense
 	rhs     float64
 }
 
@@ -135,14 +112,18 @@ func (p *Problem) SetCoeff(r, col int, val float64) {
 	p.rows[r].entries = append(p.rows[r].entries, Entry{Col: col, Val: val})
 }
 
-// AddRow appends the constraint Σ entries ≤/=/≥ rhs and returns its row
-// index. Entries with out-of-range columns cause a panic: rows are built
-// from program logic, not user input.
-func (p *Problem) AddRow(sense Sense, rhs float64, entries ...Entry) int {
+// AddRow appends the constraint Σ entries ≤ rhs and returns its row
+// index. A negative or NaN rhs, or an entry with an out-of-range
+// column, causes a panic: rows are built from program logic, not user
+// input.
+func (p *Problem) AddRow(rhs float64, entries ...Entry) int {
+	if !(rhs >= 0) {
+		panic(fmt.Sprintf("lp: row rhs %v is negative or NaN", rhs))
+	}
 	for _, e := range entries {
 		p.checkCol(e.Col)
 	}
-	p.rows = append(p.rows, row{entries: append([]Entry(nil), entries...), sense: sense, rhs: rhs})
+	p.rows = append(p.rows, row{entries: append([]Entry(nil), entries...), rhs: rhs})
 	return len(p.rows) - 1
 }
 
@@ -161,84 +142,39 @@ type Solution struct {
 	Iters     int
 }
 
-const (
-	eps     = 1e-9 // pivot / feasibility tolerance
-	dualEps = 1e-7 // phase-1 residual tolerance
-)
-
-// Solve runs the two-phase primal simplex method. It returns an error
-// only for malformed problems; infeasibility and unboundedness are
-// reported in Solution.Status.
-func Solve(p *Problem) (Solution, error) {
-	if p == nil || p.numVars == 0 {
-		return Solution{}, errors.New("lp: empty problem")
-	}
-	t := newTableau(p)
-	sol := t.solve()
-	return sol, nil
-}
+const eps = 1e-9 // pivot / feasibility tolerance
 
 // tableau is the dense simplex working state.
 //
-// Column layout: [0, nv) structural, [nv, nv+ns) slack/surplus,
-// [nv+ns, nv+ns+na) artificial. rhs is kept separately.
+// Column layout: [0, nv) structural, [nv, nv+m) slack, the slack of row
+// i being column nv+i. rhs is kept separately.
 //
 // Every slice is grown in place by init and never shrunk, so a tableau
 // embedded in a Solver re-solves without touching the allocator once
 // its high-water marks are reached.
 type tableau struct {
-	m, nTotal  int
-	nv, ns, na int
-	a          [][]float64 // m x nTotal, row headers into rowBuf
-	rowBuf     []float64   // flat backing store for a
-	rhs        []float64   // m
-	basis      []int       // m, column index basic in each row
-	obj        []float64   // structural objective, length nTotal (zeros beyond nv)
-	artOf      []int       // row -> artificial column (-1 if none)
-	slackOf    []int       // row -> slack column (-1 if none)
-	rowSign    []float64   // ±1: -1 when the row was negated to make rhs ≥ 0
-	iterBudget int
+	m, nTotal, nv int
+	a             [][]float64 // m x nTotal, row headers into rowBuf
+	rowBuf        []float64   // flat backing store for a
+	rhs           []float64   // m
+	basis         []int       // m, column index basic in each row
+	obj           []float64   // structural objective, length nTotal (zeros beyond nv)
+	iterBudget    int
 
 	// Reused per-solve scratch (see optimize / solve / extractDuals).
 	inBasisBuf []bool
 	y          []float64
-	phase1Buf  []float64
 	xBuf       []float64
 	dualsBuf   []float64
 }
 
-func newTableau(p *Problem) *tableau {
-	t := &tableau{}
-	t.init(p)
-	return t
-}
-
-// init loads the problem into the tableau, reusing any backing arrays a
-// previous init left behind.
+// init loads the problem into the tableau at the all-slack basis,
+// reusing any backing arrays a previous init left behind.
 func (t *tableau) init(p *Problem) {
 	m := len(p.rows)
 	nv := p.numVars
-
-	ns := 0
-	na := 0
-	for _, r := range p.rows {
-		rhs := r.rhs
-		sense := r.sense
-		if rhs < 0 {
-			sense = flip(sense)
-		}
-		switch sense {
-		case LE:
-			ns++
-		case GE:
-			ns++
-			na++
-		case EQ:
-			na++
-		}
-	}
-	nTotal := nv + ns + na
-	t.m, t.nTotal, t.nv, t.ns, t.na = m, nTotal, nv, ns, na
+	nTotal := nv + m
+	t.m, t.nTotal, t.nv = m, nTotal, nv
 	t.rowBuf = grow(t.rowBuf, m*nTotal)
 	for i := range t.rowBuf {
 		t.rowBuf[i] = 0
@@ -250,103 +186,27 @@ func (t *tableau) init(p *Problem) {
 	t.rhs = grow(t.rhs, m)
 	t.basis = grow(t.basis, m)
 	t.obj = grow(t.obj, nTotal)
-	t.artOf = grow(t.artOf, m)
-	t.slackOf = grow(t.slackOf, m)
-	t.rowSign = grow(t.rowSign, m)
 	copy(t.obj, p.obj)
 	for i := nv; i < nTotal; i++ {
 		t.obj[i] = 0
 	}
 	t.iterBudget = 2000 + 60*(m+nTotal)
 
-	slackCol := nv
-	artCol := nv + ns
 	for i, r := range p.rows {
-		sign := 1.0
-		rhs := r.rhs
-		sense := r.sense
-		if rhs < 0 {
-			sign = -1
-			rhs = -rhs
-			sense = flip(sense)
-		}
 		for _, e := range r.entries {
-			t.a[i][e.Col] += sign * e.Val
+			t.a[i][e.Col] += e.Val
 		}
-		t.rhs[i] = rhs
-		t.artOf[i] = -1
-		t.slackOf[i] = -1
-		t.rowSign[i] = sign
-
-		switch sense {
-		case LE:
-			t.a[i][slackCol] = 1
-			t.slackOf[i] = slackCol
-			t.basis[i] = slackCol
-			slackCol++
-		case GE:
-			t.a[i][slackCol] = -1
-			t.slackOf[i] = slackCol
-			slackCol++
-			t.a[i][artCol] = 1
-			t.artOf[i] = artCol
-			t.basis[i] = artCol
-			artCol++
-		case EQ:
-			t.a[i][artCol] = 1
-			t.artOf[i] = artCol
-			t.basis[i] = artCol
-			artCol++
-		}
+		t.rhs[i] = r.rhs
+		t.a[i][nv+i] = 1
+		t.basis[i] = nv + i
 	}
 }
 
-func flip(s Sense) Sense {
-	switch s {
-	case LE:
-		return GE
-	case GE:
-		return LE
-	default:
-		return EQ
-	}
-}
-
-// solve runs phase 1 (drive artificials out) then phase 2 (optimize the
-// real objective), and extracts primal and dual values.
+// solve optimizes the objective from the tableau's current basis and
+// extracts primal and dual values.
 func (t *tableau) solve() Solution {
-	totalIters := 0
-	if t.na > 0 {
-		// Phase 1: minimize sum of artificials == maximize -sum.
-		t.phase1Buf = grow(t.phase1Buf, t.nTotal)
-		phase1 := t.phase1Buf
-		for i := range phase1 {
-			phase1[i] = 0
-		}
-		for i := 0; i < t.m; i++ {
-			if c := t.artOf[i]; c >= 0 {
-				phase1[c] = -1
-			}
-		}
-		st, iters := t.optimize(phase1, true)
-		totalIters += iters
-		if st == IterLimit {
-			return Solution{Status: IterLimit, Iters: totalIters}
-		}
-		// Infeasible if any artificial retains positive value.
-		for i := 0; i < t.m; i++ {
-			if isArt := t.basis[i] >= t.nv+t.ns; isArt && t.rhs[i] > dualEps {
-				return Solution{Status: Infeasible, Iters: totalIters}
-			}
-		}
-		// Pivot any degenerate artificials out of the basis where
-		// possible so phase 2 starts from a clean basis.
-		t.evictArtificials()
-	}
-
-	st, iters := t.optimize(t.obj, false)
-	totalIters += iters
-	sol := Solution{Status: st, Iters: totalIters}
+	st, iters := t.optimize()
+	sol := Solution{Status: st, Iters: iters}
 	if st != Optimal {
 		return sol
 	}
@@ -368,12 +228,11 @@ func (t *tableau) solve() Solution {
 	return sol
 }
 
-// optimize runs primal simplex iterations for the given objective,
-// maximizing. In phase 1 (phase1 == true) artificial columns may stay in
-// play; in phase 2 they are barred from entering.
-func (t *tableau) optimize(obj []float64, phase1 bool) (Status, int) {
+// optimize runs primal simplex iterations on the objective, maximizing.
+func (t *tableau) optimize() (Status, int) {
 	// reduced[j] = obj[j] - y·a_j, priced against the current basis each
 	// iteration (dense, O(m·n)).
+	obj := t.obj
 	iters := 0
 	blandAfter := t.iterBudget / 2
 	t.inBasisBuf = grow(t.inBasisBuf, t.nTotal)
@@ -384,15 +243,11 @@ func (t *tableau) optimize(obj []float64, phase1 bool) (Status, int) {
 	for i := 0; i < t.m; i++ {
 		inBasis[t.basis[i]] = true
 	}
-	colLimit := t.nTotal
-	if !phase1 {
-		colLimit = t.nv + t.ns // artificials barred in phase 2
-	}
 	for ; iters < t.iterBudget; iters++ {
-		y := t.dualVector(obj)
+		y := t.dualVector()
 		enter := -1
 		bestScore := eps
-		for j := 0; j < colLimit; j++ {
+		for j := 0; j < t.nTotal; j++ {
 			if inBasis[j] {
 				continue
 			}
@@ -416,19 +271,7 @@ func (t *tableau) optimize(obj []float64, phase1 bool) (Status, int) {
 			return Optimal, iters
 		}
 
-		// Ratio test.
-		leave := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < t.m; i++ {
-			if t.a[i][enter] > eps {
-				ratio := t.rhs[i] / t.a[i][enter]
-				if ratio < bestRatio-eps ||
-					(ratio < bestRatio+eps && leave >= 0 && t.basis[i] < t.basis[leave]) {
-					bestRatio = ratio
-					leave = i
-				}
-			}
-		}
+		leave := t.ratioTest(enter)
 		if leave < 0 {
 			return Unbounded, iters
 		}
@@ -439,25 +282,35 @@ func (t *tableau) optimize(obj []float64, phase1 bool) (Status, int) {
 	return IterLimit, iters
 }
 
-// dualVector returns y with y_i = obj[basis[i]] transformed through the
-// current tableau: since rows are kept in product form (B^{-1}A), the
-// reduced cost of column j is obj[j] - Σ_i obj[basis[i]]·a[i][j].
-func (t *tableau) dualVector(obj []float64) []float64 {
+// ratioTest returns the row that leaves the basis when column enter
+// enters — the least rhs/a ratio over positive entries, ties to the
+// lower basic column — or -1 when no entry is positive.
+func (t *tableau) ratioTest(enter int) int {
+	leave := -1
+	bestRatio := math.Inf(1)
+	for i := 0; i < t.m; i++ {
+		if t.a[i][enter] > eps {
+			ratio := t.rhs[i] / t.a[i][enter]
+			if ratio < bestRatio-eps ||
+				(ratio < bestRatio+eps && leave >= 0 && t.basis[i] < t.basis[leave]) {
+				bestRatio = ratio
+				leave = i
+			}
+		}
+	}
+	return leave
+}
+
+// dualVector returns y with y_i = obj[basis[i]]: since rows are kept in
+// product form (B^{-1}A), the reduced cost of column j is
+// obj[j] - Σ_i obj[basis[i]]·a[i][j].
+func (t *tableau) dualVector() []float64 {
 	t.y = grow(t.y, t.m)
 	y := t.y
 	for i := 0; i < t.m; i++ {
-		y[i] = obj[t.basis[i]]
+		y[i] = t.obj[t.basis[i]]
 	}
 	return y
-}
-
-func (t *tableau) inBasis(col int) bool {
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] == col {
-			return true
-		}
-	}
-	return false
 }
 
 // pivot makes column enter basic in row leave.
@@ -492,44 +345,23 @@ func (t *tableau) pivot(leave, enter int) {
 	t.basis[leave] = enter
 }
 
-// evictArtificials pivots zero-valued artificial basics out where a
-// nonzero structural/slack coefficient exists in their row.
-func (t *tableau) evictArtificials() {
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] < t.nv+t.ns {
-			continue
-		}
-		for j := 0; j < t.nv+t.ns; j++ {
-			if math.Abs(t.a[i][j]) > eps && !t.inBasis(j) {
-				t.pivot(i, j)
-				break
-			}
-		}
-	}
-}
-
-// extractDuals recovers the dual multiplier of each original constraint.
+// extractDuals recovers the dual multiplier of each constraint.
 //
 // The tableau rows are B⁻¹A, so for any column j,
-// Σ_k c_B[k]·a[k][j] = y*·a_j^orig where y* = c_B·B⁻¹ is the dual vector
-// of the *normalized* rows. We price a column whose original coefficient
-// in row i is exactly +e_i: the slack for LE rows, the artificial for GE
-// and EQ rows. The dual of the user's original row then differs from
-// y*_i only by the ±1 normalization sign applied when rhs was negative.
+// Σ_k c_B[k]·a[k][j] = y*·a_j^orig where y* = c_B·B⁻¹ is the dual
+// vector. Pricing row i's slack, whose original column is exactly e_i,
+// gives y*_i.
 func (t *tableau) extractDuals() []float64 {
-	y := t.dualVector(t.obj)
+	y := t.dualVector()
 	t.dualsBuf = grow(t.dualsBuf, t.m)
 	duals := t.dualsBuf
 	for i := 0; i < t.m; i++ {
-		col := t.artOf[i]
-		if col < 0 {
-			col = t.slackOf[i] // LE row: slack has coefficient +1
-		}
+		col := t.nv + i
 		var dot float64
 		for k := 0; k < t.m; k++ {
 			dot += y[k] * t.a[k][col]
 		}
-		duals[i] = t.rowSign[i] * dot
+		duals[i] = dot
 	}
 	return duals
 }

@@ -16,9 +16,11 @@ func approx(t *testing.T, got, want, tolerance float64, what string) {
 	}
 }
 
+// mustSolve solves p on a fresh Solver, so the Solution owns its slices.
 func mustSolve(t *testing.T, p *Problem) Solution {
 	t.Helper()
-	sol, err := Solve(p)
+	var s Solver
+	sol, err := s.Solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -30,8 +32,8 @@ func TestSolveSimpleLE(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(0, 3)
 	p.SetObjective(1, 2)
-	p.AddRow(LE, 4, Entry{0, 1}, Entry{1, 1})
-	p.AddRow(LE, 6, Entry{0, 1}, Entry{1, 3})
+	p.AddRow(4, Entry{0, 1}, Entry{1, 1})
+	p.AddRow(6, Entry{0, 1}, Entry{1, 3})
 	sol := mustSolve(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", sol.Status)
@@ -46,72 +48,19 @@ func TestSolveInteriorOptimum(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(0, 1)
 	p.SetObjective(1, 1)
-	p.AddRow(LE, 2, Entry{0, 1})
-	p.AddRow(LE, 3, Entry{1, 1})
-	p.AddRow(LE, 4, Entry{0, 1}, Entry{1, 1})
+	p.AddRow(2, Entry{0, 1})
+	p.AddRow(3, Entry{1, 1})
+	p.AddRow(4, Entry{0, 1}, Entry{1, 1})
 	sol := mustSolve(t, p)
 	approx(t, sol.Objective, 4, tol, "objective")
 	approx(t, sol.X[0]+sol.X[1], 4, tol, "x+y")
 }
 
-func TestSolveEquality(t *testing.T) {
-	// max 2x + y s.t. x + y = 3, x ≤ 2 → x=2, y=1, obj=5.
-	p := NewProblem(2)
-	p.SetObjective(0, 2)
-	p.SetObjective(1, 1)
-	p.AddRow(EQ, 3, Entry{0, 1}, Entry{1, 1})
-	p.AddRow(LE, 2, Entry{0, 1})
-	sol := mustSolve(t, p)
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", sol.Status)
-	}
-	approx(t, sol.Objective, 5, tol, "objective")
-	approx(t, sol.X[0], 2, tol, "x")
-	approx(t, sol.X[1], 1, tol, "y")
-}
-
-func TestSolveGE(t *testing.T) {
-	// max -x - y s.t. x + y ≥ 2, i.e. minimize x+y ≥ 2 → obj = -2.
-	p := NewProblem(2)
-	p.SetObjective(0, -1)
-	p.SetObjective(1, -1)
-	p.AddRow(GE, 2, Entry{0, 1}, Entry{1, 1})
-	sol := mustSolve(t, p)
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", sol.Status)
-	}
-	approx(t, sol.Objective, -2, tol, "objective")
-}
-
-func TestSolveNegativeRHS(t *testing.T) {
-	// max x s.t. -x ≥ -5 (i.e. x ≤ 5).
-	p := NewProblem(1)
-	p.SetObjective(0, 1)
-	p.AddRow(GE, -5, Entry{0, -1})
-	sol := mustSolve(t, p)
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", sol.Status)
-	}
-	approx(t, sol.Objective, 5, tol, "objective")
-}
-
-func TestSolveInfeasible(t *testing.T) {
-	// x ≤ 1 and x ≥ 2 is infeasible.
-	p := NewProblem(1)
-	p.SetObjective(0, 1)
-	p.AddRow(LE, 1, Entry{0, 1})
-	p.AddRow(GE, 2, Entry{0, 1})
-	sol := mustSolve(t, p)
-	if sol.Status != Infeasible {
-		t.Fatalf("status = %v, want infeasible", sol.Status)
-	}
-}
-
 func TestSolveUnbounded(t *testing.T) {
-	// max x with only x ≥ 1.
+	// max x with only −x ≤ 1: x grows without bound.
 	p := NewProblem(1)
 	p.SetObjective(0, 1)
-	p.AddRow(GE, 1, Entry{0, 1})
+	p.AddRow(1, Entry{0, -1})
 	sol := mustSolve(t, p)
 	if sol.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
@@ -119,15 +68,16 @@ func TestSolveUnbounded(t *testing.T) {
 }
 
 func TestSolveZeroObjective(t *testing.T) {
-	// A pure feasibility problem: any feasible point, objective 0.
+	// A zero objective is optimal at the all-slack start: no pivot, x = 0.
 	p := NewProblem(2)
-	p.AddRow(EQ, 1, Entry{0, 1}, Entry{1, 1})
+	p.AddRow(1, Entry{0, 1}, Entry{1, 1})
 	sol := mustSolve(t, p)
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", sol.Status)
+	if sol.Status != Optimal || sol.Iters != 0 {
+		t.Fatalf("status = %v after %d iterations, want optimal after 0", sol.Status, sol.Iters)
 	}
 	approx(t, sol.Objective, 0, tol, "objective")
-	approx(t, sol.X[0]+sol.X[1], 1, tol, "x+y")
+	approx(t, sol.X[0], 0, tol, "x")
+	approx(t, sol.X[1], 0, tol, "y")
 }
 
 func TestSolveDegenerate(t *testing.T) {
@@ -135,9 +85,9 @@ func TestSolveDegenerate(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(0, 1)
 	p.SetObjective(1, 1)
-	p.AddRow(LE, 1, Entry{0, 1})
-	p.AddRow(LE, 1, Entry{1, 1})
-	p.AddRow(LE, 2, Entry{0, 1}, Entry{1, 1})
+	p.AddRow(1, Entry{0, 1})
+	p.AddRow(1, Entry{1, 1})
+	p.AddRow(2, Entry{0, 1}, Entry{1, 1})
 	sol := mustSolve(t, p)
 	approx(t, sol.Objective, 2, tol, "objective")
 }
@@ -148,8 +98,8 @@ func TestDualsLE(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjective(0, 3)
 	p.SetObjective(1, 2)
-	p.AddRow(LE, 4, Entry{0, 1}, Entry{1, 1})
-	p.AddRow(LE, 6, Entry{0, 1}, Entry{1, 3})
+	p.AddRow(4, Entry{0, 1}, Entry{1, 1})
+	p.AddRow(6, Entry{0, 1}, Entry{1, 3})
 	sol := mustSolve(t, p)
 	approx(t, sol.Duals[0], 3, tol, "dual 0")
 	approx(t, sol.Duals[1], 0, tol, "dual 1")
@@ -172,11 +122,11 @@ func TestDualObjectiveMatchesPrimal(t *testing.T) {
 				entries[j] = Entry{j, rng.Float64()} // nonneg coeffs keep it bounded-ish
 			}
 			rhs[i] = 1 + rng.Float64()*5
-			p.AddRow(LE, rhs[i], entries...)
+			p.AddRow(rhs[i], entries...)
 		}
 		// Add a box to guarantee boundedness.
 		for j := 0; j < nv; j++ {
-			p.AddRow(LE, 10, Entry{j, 1})
+			p.AddRow(10, Entry{j, 1})
 		}
 		sol := mustSolve(t, p)
 		if sol.Status != Optimal {
@@ -194,28 +144,35 @@ func TestDualObjectiveMatchesPrimal(t *testing.T) {
 }
 
 func TestDualsAreSignFeasible(t *testing.T) {
-	// For a max problem: duals of ≤ rows are ≥ 0, of ≥ rows are ≤ 0.
+	// For a max problem every ≤ row's dual is ≥ 0, and a row left slack
+	// at the optimum has dual 0: max x − 2y s.t. x + y ≤ 3, x ≤ 1 binds
+	// only the second row.
 	p := NewProblem(2)
 	p.SetObjective(0, 1)
 	p.SetObjective(1, -2)
-	p.AddRow(LE, 3, Entry{0, 1}, Entry{1, 1})
-	p.AddRow(GE, 1, Entry{0, 1})
+	p.AddRow(3, Entry{0, 1}, Entry{1, 1})
+	p.AddRow(1, Entry{0, 1})
 	sol := mustSolve(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
-	if sol.Duals[0] < -tol {
-		t.Errorf("dual of ≤ row = %g, want ≥ 0", sol.Duals[0])
-	}
-	if sol.Duals[1] > tol {
-		t.Errorf("dual of ≥ row = %g, want ≤ 0", sol.Duals[1])
+	approx(t, sol.Duals[0], 0, tol, "dual of the slack row")
+	approx(t, sol.Duals[1], 1, tol, "dual of the binding row")
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 100; trial++ {
+		sol := mustSolve(t, randomLE(rng))
+		for i, d := range sol.Duals {
+			if d < -tol {
+				t.Fatalf("trial %d: dual of ≤ row %d = %g, want ≥ 0", trial, i, d)
+			}
+		}
 	}
 }
 
 func TestAddVarGrowsProblem(t *testing.T) {
 	p := NewProblem(1)
 	p.SetObjective(0, 1)
-	r := p.AddRow(LE, 5, Entry{0, 1})
+	r := p.AddRow(5, Entry{0, 1})
 	col := p.AddVar(3)
 	if col != 1 {
 		t.Fatalf("AddVar col = %d, want 1", col)
@@ -243,12 +200,12 @@ func TestRandomLPAgainstVertexEnumeration(t *testing.T) {
 		p.SetObjective(1, c1)
 		for i := range lines {
 			lines[i] = line{rng.Float64() * 2, rng.Float64() * 2, 1 + rng.Float64()*4}
-			p.AddRow(LE, lines[i].c, Entry{0, lines[i].a}, Entry{1, lines[i].b})
+			p.AddRow(lines[i].c, Entry{0, lines[i].a}, Entry{1, lines[i].b})
 		}
 		// Axes as implicit constraints x,y ≥ 0 plus a box for boundedness.
 		lines = append(lines, line{1, 0, 20}, line{0, 1, 20})
-		p.AddRow(LE, 20, Entry{0, 1})
-		p.AddRow(LE, 20, Entry{1, 1})
+		p.AddRow(20, Entry{0, 1})
+		p.AddRow(20, Entry{1, 1})
 
 		sol := mustSolve(t, p)
 		if sol.Status != Optimal {
@@ -288,8 +245,9 @@ func TestRandomLPAgainstVertexEnumeration(t *testing.T) {
 	}
 }
 
-// TestQuickSolutionAlwaysFeasible property: whenever the solver reports
-// Optimal, the returned point satisfies every constraint.
+// TestQuickSolutionAlwaysFeasible property: a boxed problem with rows of
+// mixed-sign coefficients is solved to optimality, and the returned
+// point satisfies every constraint.
 func TestQuickSolutionAlwaysFeasible(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -298,7 +256,6 @@ func TestQuickSolutionAlwaysFeasible(t *testing.T) {
 		p := NewProblem(nv)
 		type rrow struct {
 			coeffs []float64
-			sense  Sense
 			rhs    float64
 		}
 		var rows []rrow
@@ -312,33 +269,26 @@ func TestQuickSolutionAlwaysFeasible(t *testing.T) {
 				coeffs[j] = rng.Float64()*2 - 0.5
 				entries[j] = Entry{j, coeffs[j]}
 			}
-			sense := Sense(rng.Intn(2)) // LE or GE
-			rhs := rng.Float64()*6 - 1
-			rows = append(rows, rrow{coeffs, sense, rhs})
-			p.AddRow(sense, rhs, entries...)
+			rhs := rng.Float64() * 6
+			rows = append(rows, rrow{coeffs, rhs})
+			p.AddRow(rhs, entries...)
 		}
 		for j := 0; j < nv; j++ {
-			p.AddRow(LE, 8, Entry{j, 1})
-			rows = append(rows, rrow{unit(nv, j), LE, 8})
+			p.AddRow(8, Entry{j, 1})
+			rows = append(rows, rrow{unit(nv, j), 8})
 		}
-		sol, err := Solve(p)
+		var s Solver
+		sol, err := s.Solve(p)
 		if err != nil || sol.Status != Optimal {
-			return true // infeasible/unbounded is a legal outcome
+			return false // the box bounds every problem and x = 0 is feasible
 		}
 		for _, r := range rows {
 			var lhs float64
 			for j, c := range r.coeffs {
 				lhs += c * sol.X[j]
 			}
-			switch r.sense {
-			case LE:
-				if lhs > r.rhs+1e-6 {
-					return false
-				}
-			case GE:
-				if lhs < r.rhs-1e-6 {
-					return false
-				}
+			if lhs > r.rhs+1e-6 {
+				return false
 			}
 		}
 		for _, x := range sol.X {
@@ -359,22 +309,11 @@ func unit(n, j int) []float64 {
 	return u
 }
 
-func TestSenseString(t *testing.T) {
-	for _, tc := range []struct {
-		s    Sense
-		want string
-	}{{LE, "<="}, {GE, ">="}, {EQ, "=="}, {Sense(7), "Sense(7)"}} {
-		if got := tc.s.String(); got != tc.want {
-			t.Errorf("Sense(%d).String() = %q, want %q", tc.s, got, tc.want)
-		}
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	for _, tc := range []struct {
 		s    Status
 		want string
-	}{{Optimal, "optimal"}, {Infeasible, "infeasible"}, {Unbounded, "unbounded"}, {IterLimit, "iteration-limit"}, {Status(-1), "Status(-1)"}} {
+	}{{Optimal, "optimal"}, {Unbounded, "unbounded"}, {IterLimit, "iteration-limit"}, {Status(-1), "Status(-1)"}} {
 		if got := tc.s.String(); got != tc.want {
 			t.Errorf("Status.String() = %q, want %q", got, tc.want)
 		}
@@ -382,11 +321,12 @@ func TestStatusString(t *testing.T) {
 }
 
 // TestProblemRangePanics: a problem is built by program logic, so an
-// index outside it is a bug and panics, naming what was out of range.
+// index outside it, or a row that x = 0 would not satisfy, is a bug and
+// panics, naming what was wrong.
 func TestProblemRangePanics(t *testing.T) {
 	mk := func() *Problem {
 		p := NewProblem(2)
-		p.AddRow(LE, 1, Entry{0, 1})
+		p.AddRow(1, Entry{0, 1})
 		return p
 	}
 	for _, tc := range []struct {
@@ -397,7 +337,9 @@ func TestProblemRangePanics(t *testing.T) {
 		{"NewProblem(0)", func() { NewProblem(0) }, "lp: non-positive variable count 0"},
 		{"SetObjective(-1)", func() { mk().SetObjective(-1, 1) }, "lp: column -1 out of range [0,2)"},
 		{"SetObjective(2)", func() { mk().SetObjective(2, 1) }, "lp: column 2 out of range [0,2)"},
-		{"AddRow column 2", func() { mk().AddRow(GE, 0, Entry{1, 1}, Entry{2, 1}) }, "lp: column 2 out of range [0,2)"},
+		{"AddRow column 2", func() { mk().AddRow(0, Entry{1, 1}, Entry{2, 1}) }, "lp: column 2 out of range [0,2)"},
+		{"AddRow rhs -1", func() { mk().AddRow(-1, Entry{0, 1}) }, "lp: row rhs -1 is negative or NaN"},
+		{"AddRow rhs NaN", func() { mk().AddRow(math.NaN(), Entry{0, 1}) }, "lp: row rhs NaN is negative or NaN"},
 		{"SetCoeff row 1", func() { mk().SetCoeff(1, 0, 1) }, "lp: row 1 out of range [0,1)"},
 		{"SetCoeff row -1", func() { mk().SetCoeff(-1, 0, 1) }, "lp: row -1 out of range [0,1)"},
 		{"SetCoeff column 3", func() { mk().SetCoeff(0, 3, 1) }, "lp: column 3 out of range [0,2)"},

@@ -1,19 +1,14 @@
 package lp
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
-// This file is the reusable-arena façade over the simplex tableau. The
-// package-level Solve builds a fresh tableau per call — fine for the
-// occasional bound computation, hopeless for a solver that prices
-// thousands of per-component LPs in one oracle run: the dense m×n
-// working state would be reallocated and re-zeroed from the heap every
-// time. A Solver owns one tableau whose backing arrays are grown to the
+// Solver owns one tableau whose backing arrays are grown to the
 // high-water mark of the problems it sees and reused for every solve
-// after that, the same pooling discipline matching.SparseSolver applies
-// to window clearing.
+// after that: the oracle prices thousands of per-component LPs in one
+// run, and column generation re-solves its growing master every round,
+// so the dense m×n working state is not reallocated and re-zeroed from
+// the heap each time — the same pooling discipline
+// matching.SparseSolver applies to window clearing.
 
 // Solver carries the reusable working state of repeated LP solves. The
 // zero value is ready to use; a Solver is not safe for concurrent
@@ -25,16 +20,17 @@ type Solver struct {
 	t tableau
 }
 
-// Solve runs the two-phase primal simplex on p, reusing the solver's
-// arena. Semantics match the package-level Solve exactly; only the
-// allocation behavior and the Solution ownership differ.
+// Solve runs the primal simplex on p from the all-slack basis, reusing
+// the solver's arena. It returns an error only for an empty problem;
+// unboundedness and the iteration limit are reported in
+// Solution.Status.
 func (s *Solver) Solve(p *Problem) (Solution, error) {
 	return s.SolveWarm(p, nil)
 }
 
 // SolveWarm is Solve with a warm-start hint: before optimizing, the
 // given structural columns are pivoted into the starting basis (in
-// order, via the usual ratio test), so phase 2 begins at — or near —
+// order, via the usual ratio test), so the simplex begins at — or near —
 // the vertex those columns describe instead of the all-slack origin.
 // The canonical use is seeding a path-packing LP with an incumbent
 // assignment's columns: re-proving or improving a good incumbent then
@@ -42,17 +38,13 @@ func (s *Solver) Solve(p *Problem) (Solution, error) {
 //
 // The hint is best-effort and never affects the result, only the
 // iteration count: columns that are already basic, out of range, or
-// admit no valid pivot are skipped, and problems that need a phase 1
-// (any GE/EQ row) ignore the hint entirely — a crash basis there could
-// mask artificials and break the feasibility proof.
+// admit no valid pivot are skipped.
 func (s *Solver) SolveWarm(p *Problem, warm []int) (Solution, error) {
 	if p == nil || p.numVars == 0 {
 		return Solution{}, errors.New("lp: empty problem")
 	}
 	s.t.init(p)
-	if len(warm) > 0 && s.t.na == 0 {
-		s.t.crashBasis(warm)
-	}
+	s.t.crashBasis(warm)
 	return s.t.solve(), nil
 }
 
@@ -65,23 +57,19 @@ func (t *tableau) crashBasis(warm []int) {
 		if j < 0 || j >= t.nv || t.inBasis(j) {
 			continue
 		}
-		leave := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < t.m; i++ {
-			if t.a[i][j] > eps {
-				ratio := t.rhs[i] / t.a[i][j]
-				if ratio < bestRatio-eps ||
-					(ratio < bestRatio+eps && leave >= 0 && t.basis[i] < t.basis[leave]) {
-					bestRatio = ratio
-					leave = i
-				}
-			}
+		if leave := t.ratioTest(j); leave >= 0 {
+			t.pivot(leave, j)
 		}
-		if leave < 0 {
-			continue
-		}
-		t.pivot(leave, j)
 	}
+}
+
+func (t *tableau) inBasis(col int) bool {
+	for i := 0; i < t.m; i++ {
+		if t.basis[i] == col {
+			return true
+		}
+	}
+	return false
 }
 
 // grow returns s resized to n elements. It reallocates only when the

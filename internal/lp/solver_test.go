@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// randomLE builds a bounded random all-LE maximization problem — the
-// shape every path-packing LP in the oracle rail takes (no phase 1
-// needed, rhs ≥ 0).
+// randomLE builds a bounded random maximization problem of the one
+// shape the package solves: ≤ rows with rhs ≥ 0.
 func randomLE(rng *rand.Rand) *Problem {
 	nv := 2 + rng.Intn(8)
 	nr := 1 + rng.Intn(6)
@@ -21,30 +20,30 @@ func randomLE(rng *rand.Rand) *Problem {
 		for j := 0; j < nv; j++ {
 			entries[j] = Entry{j, rng.Float64()}
 		}
-		p.AddRow(LE, 1+rng.Float64()*5, entries...)
+		p.AddRow(1+rng.Float64()*5, entries...)
 	}
 	for j := 0; j < nv; j++ {
-		p.AddRow(LE, 10, Entry{j, 1})
+		p.AddRow(10, Entry{j, 1})
 	}
 	return p
 }
 
 // TestSolverMatchesSolve reuses one Solver across many random problems
-// of varying shapes and demands bitwise agreement with the fresh-
-// tableau package Solve: the arena must never leak state between
-// solves.
+// of varying shapes and demands bitwise agreement with a fresh Solver
+// per problem: the arena must never leak state between solves.
 func TestSolverMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var s Solver
 	for trial := 0; trial < 200; trial++ {
 		p := randomLE(rng)
-		want, err := Solve(p)
+		var fresh Solver
+		want, err := fresh.Solve(p)
 		if err != nil {
-			t.Fatalf("trial %d: Solve: %v", trial, err)
+			t.Fatalf("trial %d: fresh Solve: %v", trial, err)
 		}
 		got, err := s.Solve(p)
 		if err != nil {
-			t.Fatalf("trial %d: Solver.Solve: %v", trial, err)
+			t.Fatalf("trial %d: reused Solve: %v", trial, err)
 		}
 		if got.Status != want.Status || got.Objective != want.Objective || got.Iters != want.Iters {
 			t.Fatalf("trial %d: got (%v, %v, %d iters), want (%v, %v, %d iters)",
@@ -66,32 +65,9 @@ func TestSolverMatchesSolve(t *testing.T) {
 	}
 }
 
-// TestSolverMatchesSolvePhase1 covers the GE/EQ shapes that do need a
-// phase 1, where SolveWarm must ignore warm hints but still agree with
-// the fresh path.
-func TestSolverMatchesSolvePhase1(t *testing.T) {
-	var s Solver
-	p := NewProblem(2)
-	p.SetObjective(0, 2)
-	p.SetObjective(1, 1)
-	p.AddRow(EQ, 3, Entry{0, 1}, Entry{1, 1})
-	p.AddRow(LE, 2, Entry{0, 1})
-	want, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.SolveWarm(p, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Status != want.Status || got.Objective != want.Objective {
-		t.Fatalf("got (%v, %v), want (%v, %v)", got.Status, got.Objective, want.Status, want.Objective)
-	}
-}
-
-// TestSolveWarmSameOptimum sweeps warm hints over random all-LE
-// problems: warm starting may change the pivot path but never the
-// optimum (up to simplex tolerance) or the status.
+// TestSolveWarmSameOptimum sweeps warm hints over random problems: warm
+// starting may change the pivot path but never the optimum (up to
+// simplex tolerance) or the status.
 func TestSolveWarmSameOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	var cold, warm Solver
@@ -142,14 +118,14 @@ func TestSolveWarmPacking(t *testing.T) {
 			for j := 0; j < n; j++ {
 				entries[j] = Entry{d*n + j, 1}
 			}
-			p.AddRow(LE, 1, entries...)
+			p.AddRow(1, entries...)
 		}
 		for j := 0; j < n; j++ {
 			entries := make([]Entry, n)
 			for d := 0; d < n; d++ {
 				entries[d] = Entry{d*n + j, 1}
 			}
-			p.AddRow(LE, 1, entries...)
+			p.AddRow(1, entries...)
 		}
 		return p
 	}
@@ -181,7 +157,7 @@ func TestSolverOwnedBuffers(t *testing.T) {
 	var s Solver
 	p1 := NewProblem(1)
 	p1.SetObjective(0, 1)
-	p1.AddRow(LE, 5, Entry{0, 1})
+	p1.AddRow(5, Entry{0, 1})
 	sol1, err := s.Solve(p1)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +168,7 @@ func TestSolverOwnedBuffers(t *testing.T) {
 	}
 	p2 := NewProblem(1)
 	p2.SetObjective(0, 1)
-	p2.AddRow(LE, 2, Entry{0, 1})
+	p2.AddRow(2, Entry{0, 1})
 	if _, err := s.Solve(p2); err != nil {
 		t.Fatal(err)
 	}
