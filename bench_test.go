@@ -13,6 +13,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/dispatch"
 	"repro/internal/bound"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -857,5 +858,31 @@ func BenchmarkExtDispatchComparison(b *testing.B) {
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.Ratio, "ratio-"+r.Name[:7])
+	}
+}
+
+// BenchmarkServiceNew times dispatch.New alone over a 50 000-driver
+// fleet generated beforehand as `serve` generates it: the half of a
+// market's boot that is not the trace generator — converting and
+// validating the fleet, the engine, and binding the candidate index.
+func BenchmarkServiceNew(b *testing.B) {
+	fleet := trace.NewGenerator(trace.NewConfig(27, 1, 50_000, trace.Hitchhiking)).GenerateDrivers()
+	m := dispatch.Market{Drivers: make([]dispatch.Driver, len(fleet))}
+	for i, f := range fleet {
+		m.Drivers[i] = dispatch.Driver{ID: i, Source: dispatch.Point(f.Source), Dest: dispatch.Point(f.Dest),
+			Start: f.Start, End: f.End, SpeedKmh: f.SpeedKmh}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc, err := dispatch.New(m, dispatch.WithSeed(1), dispatch.WithStrictTimes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if _, err := svc.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

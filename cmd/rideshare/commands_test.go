@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/dispatch"
 	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -335,4 +337,60 @@ func TestCmdGenChurnAndSimulate(t *testing.T) {
 	if err := cmdSimulate([]string{"-trace", out, "-churn", "0.1", "-cancel", "0.1"}); err != nil {
 		t.Fatalf("simulate churn override: %v", err)
 	}
+}
+
+// TestDamagedTailRefusalNamesRepairLog: serve and router refuse to
+// resume a log whose final record fails its checksum, and the refusal
+// names dispatch.RepairLog, after which the log resumes.
+func TestDamagedTailRefusalNamesRepairLog(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "porto")
+	tr := trace.NewGenerator(trace.NewConfig(3, 6, 10, trace.Hitchhiking)).Generate(nil)
+	var m dispatch.Market
+	for i, d := range tr.Drivers {
+		m.Drivers = append(m.Drivers, toDispatchDriver(i, d))
+	}
+	svc, err := dispatch.New(m, dispatch.WithDurability(dir, dispatch.DurFsync("off")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tk := range tr.Tasks {
+		if _, err := svc.SubmitTask(context.Background(), toDispatchTask(i, tk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svc.Halt(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v", segs, err)
+	}
+	buf, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)-3] ^= 0x20
+	if err := os.WriteFile(segs[0], buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, run := range map[string]func() error{
+		"serve": func() error { return cmdServe([]string{"-addr", "127.0.0.1:0", "-wal-dir", dir}) },
+		"router": func() error {
+			return cmdRouter([]string{"-addr", "127.0.0.1:0", "-markets", "porto", "-wal-dir", root})
+		},
+	} {
+		if err := run(); !errors.Is(err, dispatch.ErrLogCorruptTail) || !strings.Contains(err.Error(), "dispatch.RepairLog") {
+			t.Errorf("%s over a damaged tail: %v; want ErrLogCorruptTail naming dispatch.RepairLog", name, err)
+		}
+	}
+	if _, err := dispatch.RepairLog(dir); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := dispatch.Restore(dir)
+	if err != nil {
+		t.Fatalf("Restore after RepairLog: %v", err)
+	}
+	restored.Halt()
 }

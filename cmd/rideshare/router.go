@@ -100,7 +100,7 @@ func cmdRouter(args []string) error {
 					return fmt.Errorf("router: market %s: %w", name, err)
 				}
 			default:
-				return fmt.Errorf("router: recovering market %s: %w", name, err)
+				return fmt.Errorf("router: recovering market %s: %w%s", name, err, repairHint(err))
 			}
 			m.Svc, m.WALDir, m.DurOpts = svc, dir, durOpts
 		} else {

@@ -83,6 +83,15 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
+// repairHint is what serve and router add to a refusal to resume a
+// log: for a damaged final record, the way forward; nothing otherwise.
+func repairHint(err error) string {
+	if errors.Is(err, dispatch.ErrLogCorruptTail) {
+		return " (dispatch.RepairLog truncates the damaged final record, losing the one input it journaled; the market then resumes without it)"
+	}
+	return ""
+}
+
 // toDispatchDriver and toDispatchTask convert internal trace types to
 // the public API types, registering the slice index as the public ID.
 // JoinAt stays zero: trace fleets are known upfront.
@@ -193,7 +202,7 @@ func cmdServe(args []string) error {
 				return fmt.Errorf("serve: %w", err)
 			}
 		default:
-			return fmt.Errorf("serve: recovering %s: %w", *walDir, err)
+			return fmt.Errorf("serve: recovering %s: %w%s", *walDir, err, repairHint(err))
 		}
 	} else {
 		svc, err = dispatch.New(market, opts...)

@@ -436,6 +436,16 @@ func (e *ReplayDivergedError) Error() string {
 
 func (e *ReplayDivergedError) Unwrap() error { return ErrReplayDiverged }
 
+// RepairLog truncates the damaged final record off the log in dir — the
+// record for which Restore returns ErrLogCorruptTail — and returns the
+// number of bytes it dropped. Restore then resumes the run as it stood
+// before that record: the one input it journaled is lost. A log that
+// Restore accepts is left as it is (0, nil); a log damaged before its
+// final record is refused with ErrLogCorrupt and not touched.
+func RepairLog(dir string) (truncated int64, err error) {
+	return wal.Repair(dir)
+}
+
 // Restore rebuilds a durable service from the write-ahead log in dir:
 // it loads the newest valid snapshot (or the genesis record), replays
 // the record suffix through the normal dispatch paths — arriving at

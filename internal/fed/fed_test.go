@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -391,19 +392,33 @@ func TestRouterRestartFailureKeepsMarketDown(t *testing.T) {
 	if err := rt.Restart("broken"); !errors.Is(err, dispatch.ErrLogNotFound) {
 		t.Fatalf("restart over an empty WAL dir: %v, want ErrLogNotFound", err)
 	}
-	if code := getJSON(t, srv.URL+"/v1/markets/broken/stats", nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("failed-restart market: status %d, want 503", code)
+	// Nothing is restoring it: the market reports "down" and names no
+	// time to retry after.
+	downState := func(want, retryAfter string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/markets/broken/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]string
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != retryAfter ||
+			body["error"] != fmt.Sprintf("market %q is %s", "broken", want) {
+			t.Fatalf("%s market: status %d, Retry-After %q, body %v", want, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+		var health struct {
+			Status  string                    `json:"status"`
+			Markets map[string]map[string]any `json:"markets"`
+		}
+		if getJSON(t, srv.URL+"/healthz", &health); health.Status != "degraded" {
+			t.Fatalf("healthz with a %s market: %q", want, health.Status)
+		}
+		if health.Markets["broken"]["status"] != want {
+			t.Fatalf("%s market health: %v", want, health.Markets["broken"])
+		}
 	}
-	var health struct {
-		Status  string                    `json:"status"`
-		Markets map[string]map[string]any `json:"markets"`
-	}
-	if getJSON(t, srv.URL+"/healthz", &health); health.Status != "degraded" {
-		t.Fatalf("healthz with a down market: %q", health.Status)
-	}
-	if health.Markets["broken"]["status"] != "restarting" {
-		t.Fatalf("down market health: %v", health.Markets["broken"])
-	}
+	downState("down", "")
 	if code := getJSON(t, srv.URL+"/v1/markets/healthy/stats", nil); code != http.StatusOK {
 		t.Fatalf("healthy market during neighbour outage: status %d", code)
 	}
@@ -413,6 +428,7 @@ func TestRouterRestartFailureKeepsMarketDown(t *testing.T) {
 	e.mu.Lock()
 	e.restoring = true
 	e.mu.Unlock()
+	downState("restarting", "1")
 	if err := rt.Restart("broken"); err == nil || !strings.Contains(err.Error(), "already restarting") {
 		t.Fatalf("restart during a restore: %v", err)
 	}

@@ -256,6 +256,15 @@ func (rt *Router) Stats(r *http.Request) (AggregateStats, error) {
 	return agg, nil
 }
 
+// downStatus names the state of a market that answers 503: "restarting"
+// while a Restart is restoring it, "down" once a restore has failed.
+func downStatus(restoring bool) string {
+	if restoring {
+		return "restarting"
+	}
+	return "down"
+}
+
 // Handler mounts the router's HTTP surface.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -269,11 +278,11 @@ func (rt *Router) Handler() http.Handler {
 				continue
 			}
 			e.mu.RLock()
-			svc, down := e.svc, e.down
+			svc, down, restoring := e.svc, e.down, e.restoring
 			e.mu.RUnlock()
 			if down {
 				overall = "degraded"
-				perMarket[name] = map[string]any{"status": "restarting"}
+				perMarket[name] = map[string]any{"status": downStatus(restoring)}
 				continue
 			}
 			stats, err := svc.Snapshot(r.Context())
@@ -355,12 +364,16 @@ func (rt *Router) delegate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	e.mu.RLock()
-	h, down := e.h, e.down
+	h, down, restoring := e.h, e.down, e.restoring
 	e.mu.RUnlock()
 	if down {
-		w.Header().Set("Retry-After", "1")
+		// Only a market being restored comes back by itself; one whose
+		// restore failed stays down until the next Restart.
+		if restoring {
+			w.Header().Set("Retry-After", "1")
+		}
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"error": fmt.Sprintf("market %q is restarting", name),
+			"error": fmt.Sprintf("market %q is %s", name, downStatus(restoring)),
 		})
 		return
 	}

@@ -322,25 +322,49 @@ func ValidateAll(m Market, drivers []Driver, tasks []Task) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	seenD := make(map[int]bool, len(drivers))
+	seenD := newIDSet(len(drivers))
 	for _, d := range drivers {
 		if err := d.Validate(); err != nil {
 			return err
 		}
-		if seenD[d.ID] {
+		if seenD.add(d.ID) {
 			return fmt.Errorf("duplicate driver ID %d", d.ID)
 		}
-		seenD[d.ID] = true
 	}
-	seenT := make(map[int]bool, len(tasks))
+	seenT := newIDSet(len(tasks))
 	for _, t := range tasks {
 		if err := t.Validate(); err != nil {
 			return err
 		}
-		if seenT[t.ID] {
+		if seenT.add(t.ID) {
 			return fmt.Errorf("duplicate task ID %d", t.ID)
 		}
-		seenT[t.ID] = true
 	}
 	return nil
+}
+
+// idSet is the set of ids ValidateAll has seen: a bitmap over [0, n)
+// for n ids, where a fleet's or a trace's ids usually all lie, and a map
+// for any id outside it.
+type idSet struct {
+	dense []uint64
+	other map[int]bool
+}
+
+func newIDSet(n int) idSet { return idSet{dense: make([]uint64, (n+63)/64)} }
+
+// add records id and reports whether it was already in the set.
+func (s *idSet) add(id int) (seen bool) {
+	if uint(id) < uint(len(s.dense))*64 {
+		w, bit := &s.dense[id/64], uint64(1)<<(id%64)
+		seen = *w&bit != 0
+		*w |= bit
+		return seen
+	}
+	if s.other == nil {
+		s.other = make(map[int]bool)
+	}
+	seen = s.other[id]
+	s.other[id] = true
+	return seen
 }

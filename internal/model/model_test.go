@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -206,5 +207,43 @@ func TestValidateAll(t *testing.T) {
 	badT[0].Publish = badT[0].StartBy + 1
 	if err := ValidateAll(m, drivers, badT); err == nil {
 		t.Error("invalid task accepted")
+	}
+}
+
+// TestValidateAllDuplicateIDs holds ValidateAll's id set — a bitmap
+// over [0, n) and a map beyond it — to a plain map: the same first
+// duplicate is reported, whichever side of the range its ids lie.
+func TestValidateAllDuplicateIDs(t *testing.T) {
+	m := DefaultMarket()
+	for _, ids := range [][]int{
+		{0, 1, 2, 3}, {0, 1, 2, 1}, {3, 2, 1, 0, 3}, {0, 5, -3, 2, -3}, {-1, 4, 7, 9, 4},
+		{1 << 40, 0, 1 << 40}, {63, 64, 64}, {64, 63, 5, 6}, {2, -2, 1 << 62, 0, -1 << 62},
+	} {
+		want := ""
+		seen := map[int]bool{}
+		for _, id := range ids {
+			if seen[id] {
+				want = fmt.Sprintf("duplicate %%s ID %d", id)
+				break
+			}
+			seen[id] = true
+		}
+		drivers := make([]Driver, len(ids))
+		tasks := make([]Task, len(ids))
+		for i, id := range ids {
+			drivers[i], tasks[i] = validDriver(), validTask()
+			drivers[i].ID, tasks[i].ID = id, id
+		}
+		for kind, err := range map[string]error{
+			"driver": ValidateAll(m, drivers, nil),
+			"task":   ValidateAll(m, nil, tasks),
+		} {
+			switch {
+			case want == "" && err != nil:
+				t.Errorf("%v %ss: %v", ids, kind, err)
+			case want != "" && (err == nil || err.Error() != fmt.Sprintf(want, kind)):
+				t.Errorf("%v %ss: got %v, want %q", ids, kind, err, fmt.Sprintf(want, kind))
+			}
+		}
 	}
 }

@@ -182,6 +182,11 @@ func (c Config) Validate() error {
 type Generator struct {
 	cfg Config
 	rng *rand.Rand
+
+	// Constants of cfg the samplers read on every draw: TripMinKm and
+	// TripMaxKm raised to TripAlpha, and the hotspots' total weight.
+	minPowA, maxPowA float64
+	totalW           float64
 }
 
 // NewGenerator returns a generator for cfg. It panics if cfg is invalid,
@@ -193,7 +198,13 @@ func NewGenerator(cfg Config) *Generator {
 	if len(cfg.Hotspots) == 0 {
 		cfg.Hotspots = PortoHotspots()
 	}
-	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	g := &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	g.minPowA = math.Pow(cfg.TripMinKm, cfg.TripAlpha)
+	g.maxPowA = math.Pow(cfg.TripMaxKm, cfg.TripAlpha)
+	for _, h := range cfg.Hotspots {
+		g.totalW += h.Weight
+	}
+	return g
 }
 
 // Generate produces the full instance: tasks priced with the given
@@ -285,11 +296,95 @@ func (g *Generator) GenerateDrivers() []model.Driver {
 // peaks. Exposed so tests and the surge pricer can assert against it.
 func DemandIntensity(t float64) float64 {
 	hour := t / 3600
-	peak := func(center, width float64) float64 {
-		d := (hour - center) / width
-		return math.Exp(-d * d / 2)
+	return demandBase + demandPeaks[0].at(hour) + demandPeaks[1].at(hour) + demandPeaks[2].at(hour)
+}
+
+// demandBase and demandPeaks are DemandIntensity's terms: a constant and
+// three Gaussian bumps, morning and evening rush and a midday shoulder.
+const demandBase = 0.25
+
+var demandPeaks = [3]demandPeak{{1.0, 8.5, 1.2}, {1.2, 18.5, 1.5}, {0.3, 13, 2.0}}
+
+// demandPeak is the term amp·exp(−((hour−center)/width)²/2).
+type demandPeak struct{ amp, center, width float64 }
+
+func (p demandPeak) at(hour float64) float64 {
+	d := (hour - p.center) / p.width
+	return p.amp * math.Exp(-d*d/2)
+}
+
+// lambdaMax bounds DemandIntensity from above over the whole day: the
+// majorant both thinning loops draw against.
+const lambdaMax = 2.75
+
+// The thinning loops (Lewis & Shedler 1979) decide x ≤ DemandIntensity(t)
+// for a uniform x in [0, lambdaMax), and reject about three draws in four. A squeeze
+// (Marsaglia 1977) answers most of them without an Exp: each minute b
+// of the day has bounds lo[b] ≤ DemandIntensity(t) ≤ hi[b] for every t
+// in it, so x > hi[b] rejects and x ≤ lo[b] accepts, and only an x
+// between the two is evaluated. The decision is the exact comparison's
+// in every case, so the trace keeps its bits.
+const (
+	envBinS = 60
+	envBins = 24 * 3600 / envBinS
+	// envSlack widens each bound by a relative 1e-9, far more than the
+	// few ulps by which a rounded DemandIntensity can stray from the
+	// real function it computes, or move within one ulp of a bin edge.
+	envSlack = 1e-9
+)
+
+// envelope is the per-minute bound on DemandIntensity over [0, 24 h),
+// built once per process.
+var envelope = buildEnvelope()
+
+type envBin struct{ lo, hi float64 }
+
+// buildEnvelope bounds each term over each bin [a, e] (in hours): a
+// Gaussian bump is unimodal, so its greatest value there is at its
+// centre clamped into [a, e], and its least at whichever end lies
+// farther from the centre. The sum of the terms' bounds bounds their sum.
+func buildEnvelope() *[envBins]envBin {
+	var env [envBins]envBin
+	for b := range env {
+		a, e := float64(b*envBinS)/3600, float64((b+1)*envBinS)/3600
+		lo, hi := demandBase, demandBase
+		for _, p := range demandPeaks {
+			far := a
+			if p.center-a < e-p.center {
+				far = e
+			}
+			lo += p.at(far)
+			hi += p.at(math.Min(math.Max(p.center, a), e))
+		}
+		env[b] = envBin{lo: lo * (1 - envSlack), hi: hi * (1 + envSlack)}
 	}
-	return 0.25 + 1.0*peak(8.5, 1.2) + 1.2*peak(18.5, 1.5) + 0.3*peak(13, 2.0)
+	return &env
+}
+
+// accept reports x ≤ DemandIntensity(t), the thinning test, evaluating
+// DemandIntensity only when the envelope cannot decide. A t outside
+// [0, 24 h) is always evaluated.
+func accept(t, x float64) bool {
+	if e := envelopeAt(t); e != nil {
+		if x > e.hi {
+			return false
+		}
+		if x <= e.lo {
+			return true
+		}
+	}
+	return x <= DemandIntensity(t)
+}
+
+// envelopeAt returns the bin of the envelope that holds t, or nil if t
+// is not in [0, 24 h).
+func envelopeAt(t float64) *envBin {
+	if t >= 0 && t < 24*3600 {
+		if b := int(t / envBinS); b < envBins {
+			return &envelope[b]
+		}
+	}
+	return nil
 }
 
 // arrivalTimes draws n arrival times from the non-homogeneous Poisson
@@ -302,10 +397,9 @@ func (g *Generator) arrivalTimes(n int) []float64 {
 	// process are i.i.d. with density ∝ intensity; sample by rejection
 	// then sort by insertion into a slice we later sort — but to keep
 	// the stream deterministic and O(n log n), sample then sort.
-	const lambdaMax = 2.75 // ≥ max of DemandIntensity
 	for len(out) < n {
 		t := g.cfg.DayStart + g.rng.Float64()*day
-		if g.rng.Float64()*lambdaMax <= DemandIntensity(t-g.cfg.DayStart) {
+		if accept(t-g.cfg.DayStart, g.rng.Float64()*lambdaMax) {
 			out = append(out, t)
 		}
 	}
@@ -317,10 +411,9 @@ func (g *Generator) arrivalTimes(n int) []float64 {
 // according to the demand curve; used to bias driver shift starts.
 func (g *Generator) sampleByIntensity() float64 {
 	day := g.cfg.DayEnd - g.cfg.DayStart
-	const lambdaMax = 2.75
 	for {
 		t := g.rng.Float64() * day
-		if g.rng.Float64()*lambdaMax <= DemandIntensity(t) {
+		if accept(t, g.rng.Float64()*lambdaMax) {
 			return t
 		}
 	}
@@ -329,11 +422,7 @@ func (g *Generator) sampleByIntensity() float64 {
 // samplePickup draws a pickup location from the hotspot mixture, clamped
 // to the bounding box.
 func (g *Generator) samplePickup() geo.Point {
-	var totalW float64
-	for _, h := range g.cfg.Hotspots {
-		totalW += h.Weight
-	}
-	r := g.rng.Float64() * totalW
+	r := g.rng.Float64() * g.totalW
 	var chosen Hotspot
 	for _, h := range g.cfg.Hotspots {
 		if r < h.Weight {
@@ -352,11 +441,8 @@ func (g *Generator) samplePickup() geo.Point {
 // [TripMinKm, TripMaxKm] with exponent TripAlpha via inverse transform.
 func (g *Generator) boundedPareto() float64 {
 	a := g.cfg.TripAlpha
-	l := g.cfg.TripMinKm
-	h := g.cfg.TripMaxKm
 	u := g.rng.Float64()
-	la := math.Pow(l, a)
-	ha := math.Pow(h, a)
+	la, ha := g.minPowA, g.maxPowA
 	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/a)
 	return x
 }
