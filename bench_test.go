@@ -378,7 +378,6 @@ func BenchmarkInstantDecision(b *testing.B) {
 	b.ReportMetric(float64(*intoPickup-served)/orders, "exact-scores/decision")
 	b.ReportMetric(float64(walk.EntriesScanned)/orders, "entries-scanned/decision")
 	b.ReportMetric(float64(walk.Reached)/orders, "reached/decision")
-	b.ReportMetric(float64(walk.HomeFills)/orders, "home-fills/decision")
 	b.ReportMetric(float64(walk.CellsSkipped)/orders, "cells-skipped/decision")
 	b.ReportMetric(float64(walk.Woken)/orders, "woken/decision")
 	b.ReportMetric(float64(walk.Expired)/orders, "expired/decision")
@@ -416,65 +415,102 @@ func countIntoPickups(mkt model.Market, tasks []model.Task) (model.Market, *int)
 // (contested/window), and, from an untimed second day under a counting
 // Market.Dist, how many drivers a window row scored exactly (counted as
 // BenchmarkInstantDecision counts them), with the source's counts of
-// entries scanned, reached, ways home filled and cells skipped, a row.
+// entries scanned, reached and cells skipped, a row.
 func BenchmarkWindowClose(b *testing.B) {
 	if testing.Short() {
 		b.Skip("city-scale batched day; skipped in -short smoke runs")
 	}
 	cfg := trace.NewConfig(27, 4000, 10_000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
-	// day is timed, or with counted set counted from its first decision.
-	day := func(mkt model.Market, counted *int) (windows, contested, rows, served int, walk sim.WalkStats) {
-		eng, err := sim.New(mkt, tr.Drivers, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := sim.NewGridSource(nil)
-		eng.SetCandidateSource(src)
-		st, err := eng.NewBatchedStream(60, sim.BatchHungarian, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st.SetBatchCloseHandler(func(w sim.BatchStats) {
-			windows++
-			if w.Contested {
-				contested++
-			}
-			rows += w.Matched + w.Rejected
-			served += w.Matched
-		})
-		if counted != nil {
-			*counted = 0
-		} else {
-			b.StartTimer()
-			defer b.StopTimer()
-		}
-		for _, task := range tr.Tasks {
-			if _, err := st.SubmitTask(task); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := st.Finish(); err != nil {
-			b.Fatal(err)
-		}
-		return windows, contested, rows, served, src.WalkStats()
-	}
 	b.ResetTimer()
 	b.StopTimer()
 	windows, contested := 0, 0
 	for i := 0; i < b.N; i++ {
-		windows, contested, _, _, _ = day(cfg.Market, nil)
+		windows, contested, _, _, _ = windowDay(b, cfg.Market, tr.Drivers, tr.Tasks, nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(windows)), "ns/window")
 	b.ReportMetric(float64(contested)/float64(windows), "contested/window")
 
 	counting, intoPickup := countIntoPickups(cfg.Market, tr.Tasks)
-	_, _, rows, served, walk := day(counting, intoPickup)
+	_, _, rows, served, walk := windowDay(b, counting, tr.Drivers, tr.Tasks, intoPickup)
 	b.ReportMetric(float64(*intoPickup-served)/float64(rows), "exact-scores/row")
 	b.ReportMetric(float64(walk.EntriesScanned)/float64(rows), "entries-scanned/row")
 	b.ReportMetric(float64(walk.Reached)/float64(rows), "reached/row")
-	b.ReportMetric(float64(walk.HomeFills)/float64(rows), "home-fills/row")
 	b.ReportMetric(float64(walk.CellsSkipped)/float64(rows), "cells-skipped/row")
+}
+
+// BenchmarkRoadWindowClose is BenchmarkWindowClose on batched_network's
+// shape: 10k drivers and 1 200 orders in 60 s windows over the default
+// 20×24 street grid, whose router — a node table, built outside the
+// timer — is both Market.Dist and Market.Batch. The exact scores of a
+// row are the source's own count: road scoring measures through the
+// batcher, which no counting Market.Dist sees.
+func BenchmarkRoadWindowClose(b *testing.B) {
+	if testing.Short() {
+		b.Skip("city-scale batched road day; skipped in -short smoke runs")
+	}
+	rcfg := roadnet.DefaultGridConfig()
+	g, err := roadnet.GenerateGrid(rcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	router := roadnet.NewRouter(g, rcfg.Box, 0)
+	mkt := model.DefaultMarket()
+	mkt.Dist, mkt.Batch = router.Dist, router
+	fleet := trace.NewGenerator(trace.NewConfig(27, 1, 10_000, trace.Hitchhiking)).GenerateDrivers()
+	tasks := trace.NewGenerator(trace.NewConfig(28, 1200, 1, trace.Hitchhiking)).Generate(nil).Tasks
+	b.ResetTimer()
+	b.StopTimer()
+	windows := 0
+	for i := 0; i < b.N; i++ {
+		windows, _, _, _, _ = windowDay(b, mkt, fleet, tasks, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(windows)), "ns/window")
+
+	_, _, rows, _, walk := windowDay(b, mkt, fleet, tasks, new(int))
+	b.ReportMetric(float64(walk.CellsSkipped)/float64(rows), "cells-skipped/row")
+	b.ReportMetric(float64(walk.ExactScores)/float64(rows), "exact-scores/row")
+}
+
+// windowDay runs one batched day of tasks over drivers in 60 s windows on
+// the indexed source, submitted order by order: timed, or with counted
+// set counted from its first decision. It returns the windows closed,
+// those a matching decided, the rows, the orders served and the source's
+// counts.
+func windowDay(b *testing.B, mkt model.Market, drivers []model.Driver, tasks []model.Task, counted *int) (windows, contested, rows, served int, walk sim.WalkStats) {
+	eng, err := sim.New(mkt, drivers, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := sim.NewGridSource(nil)
+	eng.SetCandidateSource(src)
+	st, err := eng.NewBatchedStream(60, sim.BatchHungarian, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st.SetBatchCloseHandler(func(w sim.BatchStats) {
+		windows++
+		if w.Contested {
+			contested++
+		}
+		rows += w.Matched + w.Rejected
+		served += w.Matched
+	})
+	if counted != nil {
+		*counted = 0
+	} else {
+		b.StartTimer()
+		defer b.StopTimer()
+	}
+	for _, task := range tasks {
+		if _, err := st.SubmitTask(task); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := st.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	return windows, contested, rows, served, src.WalkStats()
 }
 
 // BenchmarkScenarioChurn measures the event-driven engine on the

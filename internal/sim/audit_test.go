@@ -14,11 +14,12 @@ import (
 // and resetAbsent / RestoreStream through Bind) each reach the source by
 // Moved, Presence, Added or Bind; this is where a sixth that forgot to
 // would show. It does nothing for an engine on another source. The
-// payload is held the same way: a HomeKm is the distance home from where
-// she stands — always known on a crow-fly market, where the source hands
-// it over with every placement, and NaN until a walk fills it in on a
-// road market — and a Node (-1 while unknown) the one the snap memo
-// holds for that spot.
+// payload is held the same way, bit for bit, whichever call placed her —
+// Load in Bind (RestoreStream and Added's poleward rebind included), Add
+// on a join, Move in Moved: on a market the walks bound, crow-fly or with
+// a node table, HomeKm is the distance home from where she stands; on a
+// table market Node is the node her spot snaps to. Every other entry
+// carries neither, NaN and -1 (GridSource.place).
 //
 // An absent driver's window is the empty span Presence gave her — or her
 // engine window again, if a revoked ride was handed back to her after
@@ -59,11 +60,15 @@ func auditIndex(t testing.TB, label string, e *Engine) {
 		if hx, hy := s.ix.Project(d.Dest); !same(en.HomeX, hx) || !same(en.HomeY, hy) {
 			t.Fatalf("%s: driver %d is headed for %v, her entry for (%g, %g), not (%g, %g)", label, i, d.Dest, en.HomeX, en.HomeY, hx, hy)
 		}
-		if km := e.Market.Dist(st.Loc, d.Dest); (en.HomeKm == en.HomeKm || e.Market.Batch == nil) && !same(en.HomeKm, km) {
-			t.Fatalf("%s: driver %d is %g km from home, her entry says %g", label, i, km, en.HomeKm)
+		km, node := math.NaN(), int32(-1)
+		if s.walks() {
+			km = e.Market.Dist(st.Loc, d.Dest)
 		}
-		if m := &e.memo[i]; en.Node != -1 && (e.Market.Batch == nil || !m.filled || m.loc.P != st.Loc || m.loc.Node != en.Node) {
-			t.Fatalf("%s: driver %d at %v has the node %d in her entry, the memo %+v", label, i, st.Loc, en.Node, m.loc)
+		if s.road.table != nil {
+			node = e.Market.Batch.Snap(st.Loc).Node
+		}
+		if !same(en.HomeKm, km) || en.Node != node {
+			t.Fatalf("%s: driver %d at %v is %g km from home at node %d, her entry says %g km at node %d", label, i, st.Loc, km, node, en.HomeKm, en.Node)
 		}
 		if open && !math.IsInf(st.FreeAt, 0) {
 			s.ids = s.ix.AppendReachable(s.ids[:0], st.Loc, 1, st.FreeAt, st.FreeAt, d.End)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/model"
+	"repro/internal/roadnet"
 	"repro/internal/trace"
 )
 
@@ -56,19 +57,35 @@ func TestByValueSourcesMatchScan(t *testing.T) {
 // with the clock far past the horizon a day opens with — most of the
 // fleet has retired, some of it is locked well into the future. The
 // restored run on the indexed source must finish with the books of a
-// scan run that was never interrupted.
+// scan run that was never interrupted. On a 12×14 street grid's router
+// the restored bind hands every entry her node and her way home again.
 func TestRestoreMidDayMatchesScan(t *testing.T) {
 	cfg := trace.NewConfig(71, 260, 80, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
 	events := trace.WithChurn(tr, trace.DefaultChurn(5, 0.3, 0.3))
 	feed, fleet := buildFeed(tr.Tasks, events)
+	rcfg := roadnet.DefaultGridConfig()
+	rcfg.Rows, rcfg.Cols = 12, 14
+	g, err := roadnet.GenerateGrid(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	road := cfg.Market
+	router := roadnet.NewRouter(g, rcfg.Box, 0)
+	road.Dist, road.Batch = router.Dist, router
 
-	// nil is the batched day. The instant day's reference is the plain
-	// chooser on the scan; both of its forms restore on the index.
-	for _, d := range []Dispatcher{nil, diffNearest{}, rankedNearest{}} {
-		batched := d == nil
+	// nil is the batched day. The instant day's reference (ref) is the
+	// plain chooser on the scan; both of its forms restore on the index.
+	for _, c := range []struct {
+		mkt    model.Market
+		d, ref Dispatcher
+	}{
+		{cfg.Market, nil, nil}, {cfg.Market, diffNearest{}, diffNearest{}}, {cfg.Market, rankedNearest{}, diffNearest{}},
+		{road, nil, nil}, {road, rankedMaxMargin{}, diffMaxMargin{}},
+	} {
+		d, batched := c.d, c.d == nil
 		open := func(src CandidateSource, d Dispatcher) (*Engine, *Stream) {
-			e, err := New(cfg.Market, tr.Drivers, 9)
+			e, err := New(c.mkt, tr.Drivers, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +101,7 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 			}
 			return e, st
 		}
-		_, base := open(&ScanSource{}, diffNearest{})
+		_, base := open(&ScanSource{}, c.ref)
 		applyItems(t, base, tr.Tasks, feed)
 		want, err := base.Finish()
 		if err != nil {
@@ -98,7 +115,7 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e2, err := New(cfg.Market, tr.Drivers, 9)
+			e2, err := New(c.mkt, tr.Drivers, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,8 +137,8 @@ func TestRestoreMidDayMatchesScan(t *testing.T) {
 			}
 			auditIndex(t, "restored and finished", e2)
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("batched=%v %T cut %d: restored books diverge from the uninterrupted scan: served %d/%d revenue %.9f/%.9f",
-					batched, d, cut, want.Served, got.Served, want.Revenue, got.Revenue)
+				t.Fatalf("road=%v batched=%v %T cut %d: restored books diverge from the uninterrupted scan: served %d/%d revenue %.9f/%.9f",
+					c.mkt.Batch != nil, batched, d, cut, want.Served, got.Served, want.Revenue, got.Revenue)
 			}
 		}
 	}

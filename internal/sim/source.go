@@ -102,7 +102,6 @@ type WalkStats struct {
 	EntriesScanned uint64 // index entries a margin walk put through the predicate
 	Reached        uint64 // of those, entries the predicate passed
 	DeadlineSkips  uint64 // of those, drivers a road walk skipped on her arrival bound
-	HomeFills      uint64 // of those, ways home a walk looked up itself: none on crow-fly
 	ExactScores    uint64 // drivers scored exactly, on either rank
 	spatial.Stats         // the index's transitions: Woken, Expired, Sorts, Shifted
 }
@@ -154,8 +153,9 @@ func (s *GridSource) Bind(e *Engine) {
 	for i := range e.Drivers {
 		s.span(i)
 	}
-	s.ix.Load(func(i int) (geo.Point, geo.Point, float64) {
-		return e.states[i].Loc, e.Drivers[i].Dest, s.homeKm(i)
+	s.ix.Load(func(i int) (geo.Point, geo.Point, float64, int32) {
+		km, node := s.place(i)
+		return e.states[i].Loc, e.Drivers[i].Dest, km, node
 	})
 }
 
@@ -182,21 +182,31 @@ func (s *GridSource) span(i int) {
 // index places driver i, who joined the fleet after Bind, on her own.
 func (s *GridSource) index(i int) {
 	s.span(i)
-	s.ix.Add(i, s.e.states[i].Loc, s.homeKm(i))
+	km, node := s.place(i)
+	s.ix.Add(i, s.e.states[i].Loc, km, node)
 	s.ix.SetHome(i, s.e.Drivers[i].Dest)
 }
 
-// homeKm is driver i's way home as her entry is given it, from Bind's
-// pass over the fleet and from every Moved: on crow-fly the engine's, one
-// Market.Dist, so that no walk has a way home to look up and every cell's
-// bound is finite from the first query; on a road market NaN, unknown,
-// for the walks to fill in — there it costs two snaps, which a set-up
-// would pay for every driver and a walk pays only for those it reaches.
-func (s *GridSource) homeKm(i int) float64 {
-	if s.e.Market.Batch != nil {
-		return math.NaN()
+// place is what driver i's entry is given with her location, by Bind's
+// pass over the fleet, a join and every Moved: on a market the walks
+// bound, her way home, the engine's — so that no walk has one to look up
+// and every cell's bound is finite from the first query — and on one with
+// a node table the node she stands nearest, from the engine's snap memo,
+// which the way home has just filled. The walks reach nearly every
+// driver of a road day — on batched_network's, when they looked these up
+// themselves, 10 372 nodes and 9 495 ways home for 10 000 drivers — so
+// the two snaps this costs a placement are paid either way, here in
+// order rather than at random in the middle of a row. A kernel-routed
+// market does not walk, and its entries carry neither.
+func (s *GridSource) place(i int) (homeKm float64, node int32) {
+	if !s.walks() {
+		return math.NaN(), -1
 	}
-	return s.e.homeKm(i)
+	homeKm, node = s.e.homeKm(i), -1
+	if s.road.table != nil {
+		node = s.e.memo[i].loc.Node
+	}
+	return homeKm, node
 }
 
 // Candidates implements CandidateSource.
@@ -300,7 +310,6 @@ type marginWalk struct {
 	road               *roadLeg // nil on crow-fly
 	price, serviceCost float64
 	dropX, dropY       float64 // the dropoff, projected
-	homeFills          uint64  // ways home optimistic looked up (WalkStats.HomeFills)
 }
 
 func (s *GridSource) marginWalk(task model.Task, now float64, q orderTerms) marginWalk {
@@ -340,13 +349,9 @@ type roadLeg struct {
 }
 
 // leg is the pickup leg bound of the driver behind en, given the planar
-// one: the larger of that and the table bound. It fills in her entry's
-// Node from the engine's snap memo the first time a walk needs it after
-// she moved.
-func (r *roadLeg) leg(e *Engine, en *spatial.Entry, planarKm float64) float64 {
-	if en.Node < 0 {
-		en.Node = e.driverSnap(e.Market.Batch, int(en.ID)).loc.Node
-	}
+// one: the larger of that and the table bound, from the node her entry
+// was given with her location (GridSource.place).
+func (r *roadLeg) leg(en *spatial.Entry, planarKm float64) float64 {
 	return max(planarKm, r.pickup.AccessKm+r.table[int(en.Node)*r.nodes+int(r.pickup.Node)])
 }
 
@@ -368,23 +373,16 @@ func (r *roadLeg) late(freeAt, pickupKm float64) bool {
 // √distSq planar kilometres from the pickup: Engine.margin fed lower
 // bounds on her two new legs — Safety × their planar lengths, the pickup
 // leg raised to the table bound on a road market (roadLeg). The way home
-// she already has is exact and kept in her entry. A crow-fly walk reads
-// it: the source hands it to the index with every placement
-// (GridSource.homeKm). A road walk fills it in from the engine the first
-// time it needs it after she moved — only ever for a driver the index
-// predicate passed and the arrival bound did not rule out, so neither
-// costs two snaps — and counts the fill. The second result is false for
-// a driver that bound rules out: she is infeasible, whatever her margin.
+// she already has is exact and kept in her entry: the source hands it to
+// the index with every placement (GridSource.place). The second result
+// is false for a driver the arrival bound rules out: she is infeasible,
+// whatever her margin.
 func (w *marginWalk) optimistic(en *spatial.Entry, distSq float64) (float64, bool) {
 	pickupKm := spatial.Safety * math.Sqrt(distSq)
 	if r := w.road; r != nil {
-		if pickupKm = r.leg(w.e, en, pickupKm); r.late(en.FreeAt, pickupKm) {
+		if pickupKm = r.leg(en, pickupKm); r.late(en.FreeAt, pickupKm) {
 			return 0, false
 		}
-	}
-	if en.HomeKm != en.HomeKm {
-		en.HomeKm = w.e.homeKm(int(en.ID))
-		w.homeFills++
 	}
 	return w.e.margin(w.price, w.serviceCost, pickupKm,
 		lowerKm(w.dropX, w.dropY, en.HomeX, en.HomeY), en.HomeKm), true
@@ -434,9 +432,8 @@ func (w *marginWalk) past() bool {
 // and is pruned by the floor alone.
 //
 // On a road market with a node table the walk also skips a driver whose
-// arrival bound misses either deadline (roadLeg.late), before her way
-// home is looked up, and stops at the first ring no driver can make the
-// deadlines from (marginWalk.past). There the deadlines are what prune:
+// arrival bound misses either deadline (roadLeg.late), and stops at the
+// first ring no driver can make the deadlines from (marginWalk.past). There the deadlines are what prune:
 // half the rows of batched_network never fill, so the margin meets only
 // the floor, and of the drivers a bound on the pickup deadline alone
 // lets through, 48 % fail the dropoff deadline. On crow-fly the deadline
@@ -483,7 +480,6 @@ func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candida
 		}
 		w.cur.Tighten(maxHome)
 	}
-	n.HomeFills += w.homeFills
 	s.stats = n
 	sortByDriver(arena[start:])
 	return arena
@@ -514,7 +510,8 @@ func lowerKm(ax, ay, bx, by float64) float64 {
 
 // Moved implements CandidateSource.
 func (s *GridSource) Moved(i int) {
-	s.ix.Move(i, s.e.states[i].Loc, s.homeKm(i))
+	km, node := s.place(i)
+	s.ix.Move(i, s.e.states[i].Loc, km, node)
 	s.ix.SetSpan(i, s.e.states[i].FreeAt, s.e.Drivers[i].End)
 }
 

@@ -102,10 +102,10 @@ func BenchmarkIndexDay(b *testing.B) {
 		ix := NewSparseIndex(geo.NewGrid(box, 158, 158), n+queries)
 		for id, p := range pts {
 			ix.SetSpan(id, starts[id], starts[id]+4*3600)
-			ix.Add(id, p, math.NaN())
+			ix.Add(id, p, math.NaN(), -1)
 		}
 		for q, at := range pickups {
-			ix.Add(n+q, at, math.NaN())
+			ix.Add(n+q, at, math.NaN(), -1)
 		}
 		for q := range pickups {
 			ix.Remove(n + q)
@@ -124,7 +124,7 @@ func BenchmarkIndexDay(b *testing.B) {
 				}
 			}
 			if first >= 0 {
-				ix.Move(first, at, math.NaN())
+				ix.Move(first, at, math.NaN(), -1)
 				ix.SetSpan(first, now+1500, starts[first]+4*3600)
 			}
 		}

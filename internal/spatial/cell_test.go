@@ -40,9 +40,9 @@ func (p *pair) check() {
 func (p *pair) place(id int, at geo.Point) {
 	p.t.Helper()
 	if p.m.present[id] {
-		p.ix.Move(id, at, math.NaN())
+		p.ix.Move(id, at, math.NaN(), -1)
 	} else {
-		p.ix.Add(id, at, math.NaN())
+		p.ix.Add(id, at, math.NaN(), -1)
 		p.m.home[id] = nowhere
 	}
 	p.m.loc[id], p.m.present[id], p.m.homeKm[id], p.m.node[id] = at, true, math.NaN(), -1
@@ -72,7 +72,7 @@ func (p *pair) query(at geo.Point, byTime, now float64) []int {
 		p.t.Fatalf("AppendReachable by %g at %g: %v, brute force %v", byTime, now, got, want)
 	}
 	p.check()
-	if got := p.m.walk(p.t, p.ix, at, 30, byTime, now, now, 0, 1); !slices.Equal(got, want) {
+	if got := p.m.walk(p.t, p.ix, at, 30, byTime, now, now, 0); !slices.Equal(got, want) {
 		p.t.Fatalf("Reachable by %g at %g: %v, brute force %v", byTime, now, got, want)
 	}
 	p.check()
@@ -225,7 +225,7 @@ func TestDenseCellDay(t *testing.T) {
 			p.m.free[id], p.m.retire[id] = start, start+15000
 			p.ix.SetSpan(id, start, start+15000)
 			p.m.loc[id], p.m.present[id] = at(id), true
-			p.ix.Add(id, at(id), math.NaN())
+			p.ix.Add(id, at(id), math.NaN(), -1)
 		}
 		p.check()
 		return p
@@ -240,7 +240,7 @@ func TestDenseCellDay(t *testing.T) {
 			return -1, to, free, got
 		}
 		id, to, free = got[k%len(got)], at(k+1), now+1200+float64(k%5)*600
-		ix.Move(id, to, math.NaN())
+		ix.Move(id, to, math.NaN(), -1)
 		ix.SetSpan(id, free, ix.retireAt[id])
 		return
 	}
@@ -259,7 +259,7 @@ func TestDenseCellDay(t *testing.T) {
 		p.check()
 		if k%4 == 0 {
 			want := p.m.reachable(p.ix, at(k), 40, now+900, now, now)
-			if got := p.m.walk(t, p.ix, at(k), 40, now+900, now, now, k%3, float64(k)); !slices.Equal(got, want) {
+			if got := p.m.walk(t, p.ix, at(k), 40, now+900, now, now, k%3); !slices.Equal(got, want) {
 				t.Fatalf("step %d, cursor: %v, brute force %v", k, got, want)
 			}
 			p.check()
@@ -301,7 +301,7 @@ func TestLoadHotCell(t *testing.T) {
 	}
 	p.span(30, 0, 50)
 	p.ix.Expire(100)
-	p.ix.Load(func(id int) (geo.Point, geo.Point, float64) { return at, nowhere, float64(id) })
+	p.ix.Load(func(id int) (geo.Point, geo.Point, float64, int32) { return at, nowhere, float64(id), -1 })
 	for id := range n {
 		p.m.loc[id], p.m.present[id], p.m.homeKm[id] = at, true, float64(id)
 	}

@@ -95,9 +95,8 @@ func TestCursorWalksRingsOutward(t *testing.T) {
 }
 
 // TestPayloadTravelsWithTheEntry: the static half is set once and stays
-// through windows, moves and rebucketing; HomeKm is what the last Add or
-// Move gave, or what a cursor's caller filled in since; Remove drops
-// both.
+// through windows, moves and rebucketing; HomeKm and Node are what the
+// last Add or Move gave; Remove drops both.
 func TestPayloadTravelsWithTheEntry(t *testing.T) {
 	grid := geo.NewGrid(geo.PortoBox, 4, 4)
 	ix := NewSparseIndex(grid, 3)
@@ -116,34 +115,33 @@ func TestPayloadTravelsWithTheEntry(t *testing.T) {
 	if _, ok := ix.Lookup(1); ok {
 		t.Fatal("Lookup found an id that was never added")
 	}
-	ix.Add(1, grid.CellCenter(5), nan)
-	if e := lookup(); e.HomeX == e.HomeX || e.HomeY == e.HomeY || e.HomeKm == e.HomeKm {
-		t.Fatalf("fresh entry %+v: want a payload of NaNs", e)
+	ix.Add(1, grid.CellCenter(5), nan, -1)
+	if e := lookup(); e.HomeX == e.HomeX || e.HomeY == e.HomeY || e.HomeKm == e.HomeKm || e.Node != -1 {
+		t.Fatalf("fresh entry %+v: want a payload of NaNs and no node", e)
 	}
 	ix.SetHome(1, home)
 
-	// A cursor's caller fills an unknown HomeKm in.
-	fill := func(km float64) {
+	// known gives her, where she stands, HomeKm 7.5 and Node 2, and a
+	// cursor's caller makes her cell's aggregate exact: 7.5.
+	known := func() {
 		t.Helper()
+		ix.Move(1, ix.Location(1), 7.5, 2)
 		n := 0
-		for c := ix.Reachable(grid.CellCenter(5), 30, 1e6, 0, 0); c.Next(); {
+		for c := ix.Reachable(ix.Location(1), 30, 1e6, 0, 0); c.Next(); {
 			maxHome := math.Inf(-1)
-			for i, ents := 0, c.Entries(); i < len(ents); i++ {
-				if ents[i].HomeKm != ents[i].HomeKm {
-					ents[i].HomeKm = km
-				}
-				maxHome = max(maxHome, ents[i].HomeKm)
+			for _, en := range c.Entries() {
+				maxHome = max(maxHome, en.HomeKm)
 				n++
 			}
 			c.Tighten(maxHome)
 		}
-		if n != 1 {
-			t.Fatalf("the walk met %d entries, want 1", n)
+		if n != 1 || ix.cells[ix.cell[1]].maxHomeKm != 7.5 {
+			t.Fatalf("the walk met %d entries and left the aggregate at %g, want 1 and 7.5", n, ix.cells[ix.cell[1]].maxHomeKm)
 		}
 	}
-	fill(7.5)
+	known()
 	ix.SetSpan(1, 10, 5000)
-	if e := lookup(); e.HomeX != hx || e.HomeY != hy || e.HomeKm != 7.5 || e.FreeAt != 10 || e.RetireAt != 5000 {
+	if e := lookup(); e.HomeX != hx || e.HomeY != hy || e.HomeKm != 7.5 || e.Node != 2 || e.FreeAt != 10 || e.RetireAt != 5000 {
 		t.Fatalf("after SetSpan: %+v", e)
 	}
 
@@ -152,21 +150,22 @@ func TestPayloadTravelsWithTheEntry(t *testing.T) {
 		to     geo.Point
 		cell   int32
 		homeKm float64 // what the move hands over
+		node   int32   // likewise
 		agg    float64 // the cell's aggregate after it
 	}{
-		{"within the cell", grid.Box.Lerp(0.3, 0.3), 5, nan, math.Inf(1)},
-		{"to another cell", grid.CellCenter(10), 10, nan, math.Inf(1)},
-		// The fill before it left the cell's aggregate at 7.5: raised.
-		{"within the cell, known", grid.Box.Lerp(0.6, 0.6), 10, 9, 9},
+		{"within the cell", grid.Box.Lerp(0.3, 0.3), 5, nan, -1, math.Inf(1)},
+		{"to another cell", grid.CellCenter(10), 10, nan, -1, math.Inf(1)},
+		// known left the cell's aggregate at 7.5: raised.
+		{"within the cell, known", grid.Box.Lerp(0.6, 0.6), 10, 9, 4, 9},
 		// A cell nothing has been in: bounded by the newcomer alone.
-		{"to another cell, known", grid.CellCenter(0), 0, 6, 6},
+		{"to another cell, known", grid.CellCenter(0), 0, 6, 0, 6},
 	} {
-		fill(7.5)
-		ix.Move(1, mv.to, mv.homeKm)
+		known()
+		ix.Move(1, mv.to, mv.homeKm, mv.node)
 		e := lookup()
 		px, py := ix.Project(mv.to)
-		if ix.cell[1] != mv.cell || e.PX != px || e.PY != py || e.HomeX != hx || e.HomeY != hy || !sameFloat(e.HomeKm, mv.homeKm) {
-			t.Fatalf("after a move %s: %+v in cell %d, want the home kept and HomeKm %g", mv.name, e, ix.cell[1], mv.homeKm)
+		if ix.cell[1] != mv.cell || e.PX != px || e.PY != py || e.HomeX != hx || e.HomeY != hy || !sameFloat(e.HomeKm, mv.homeKm) || e.Node != mv.node {
+			t.Fatalf("after a move %s: %+v in cell %d, want the home kept, HomeKm %g and Node %d", mv.name, e, ix.cell[1], mv.homeKm, mv.node)
 		}
 		if agg := ix.cells[mv.cell].maxHomeKm; agg != mv.agg {
 			t.Fatalf("after a move %s: the cell's aggregate is %g, want %g", mv.name, agg, mv.agg)
@@ -174,9 +173,9 @@ func TestPayloadTravelsWithTheEntry(t *testing.T) {
 	}
 
 	ix.Remove(1)
-	ix.Add(1, grid.CellCenter(15), 4)
-	if e := lookup(); e.HomeX == e.HomeX || e.HomeKm != 4 || ix.cells[15].maxHomeKm != 4 {
-		t.Fatalf("re-added entry %+v under the aggregate %g: Remove must drop the payload, Add give HomeKm 4", e, ix.cells[15].maxHomeKm)
+	ix.Add(1, grid.CellCenter(15), 4, 5)
+	if e := lookup(); e.HomeX == e.HomeX || e.HomeKm != 4 || e.Node != 5 || ix.cells[15].maxHomeKm != 4 {
+		t.Fatalf("re-added entry %+v under the aggregate %g: Remove must drop the payload, Add give HomeKm 4 and Node 5", e, ix.cells[15].maxHomeKm)
 	}
 	defer func() {
 		if recover() == nil {
@@ -215,8 +214,14 @@ func TestCellAggregate(t *testing.T) {
 		if !math.IsInf(c.MaxHomeKm(), 1) {
 			t.Fatalf("MaxHomeKm %g over two unknown entries, want +Inf", c.MaxHomeKm())
 		}
-		for i, ents := 0, c.Entries(); i < len(ents); i++ {
-			ents[i].HomeKm = []float64{40, 2}[ents[i].ID]
+	})
+	// Moves that make both known raise nothing past +Inf; the visit after
+	// them brings it down.
+	ix.Move(0, p, 40, -1)
+	ix.Move(1, p, 2, -1)
+	visit(0, 0, func(c *Cursor) {
+		if !math.IsInf(c.MaxHomeKm(), 1) {
+			t.Fatalf("MaxHomeKm %g after moves under +Inf, want +Inf", c.MaxHomeKm())
 		}
 		c.Tighten(40)
 	})

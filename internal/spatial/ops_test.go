@@ -11,7 +11,7 @@ import (
 )
 
 // This file drives the index with arbitrary operation sequences —
-// Add/Remove/Move (with a known HomeKm or none)/SetSpan/SetHome/Grow/
+// Add/Remove/Move (with a known HomeKm and Node or none)/SetSpan/SetHome/Grow/
 // Expire interleaved with the four
 // query forms, the deadlines of the window queries going up and down —
 // against a brute-force twin that keeps only the id arrays and answers
@@ -35,9 +35,8 @@ type twin struct {
 	free, retire []float64
 	present      []bool
 	// The payload: home is what SetHome was last given since the id was
-	// added (a point of NaNs before), homeKm what the last Add or Move
-	// gave or a cursor's caller filled in since, and node what that caller
-	// filled in since (-1 before).
+	// added (a point of NaNs before), homeKm and node what the last Add,
+	// Move or Load gave.
 	home   []geo.Point
 	homeKm []float64
 	node   []int32
@@ -104,9 +103,8 @@ func (m *twin) reachable(ix *Index, p geo.Point, speedKmh, byTime, now, minRetir
 // cell it is handed out for with the twin's payload under the cell's
 // aggregate, Reach's distance the planar one — and plays the caller's
 // part on the cells it does not skip (every skipEvery-th is, none at 0):
-// it fills in the HomeKm of about half the entries Reach passes and the
-// Node of about half, and reports the cell's maximum HomeKm back.
-func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now, minRetire float64, skipEvery int, fill float64) []int {
+// it reports the cell's maximum HomeKm back.
+func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now, minRetire float64, skipEvery int) []int {
 	t.Helper()
 	var got []int
 	cols := ix.grid.Cols
@@ -147,14 +145,6 @@ func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now,
 					t.Fatalf("id %d: Reach says %g km², the planar distance squared is %g", en.ID, distSq, dx*dx+dy*dy)
 				}
 				got = append(got, int(en.ID))
-				if !skip && en.HomeKm != en.HomeKm && (int(en.ID)+int(fill))%2 == 0 {
-					en.HomeKm = fill + float64(en.ID)
-					m.homeKm[en.ID] = en.HomeKm
-				}
-				if !skip && en.Node < 0 && (int(en.ID)/2+int(fill))%2 == 0 {
-					en.Node = int32(fill) + en.ID
-					m.node[en.ID] = en.Node
-				}
 			}
 			maxHome = max(maxHome, en.HomeKm) // NaN once any is
 		}
@@ -317,18 +307,18 @@ func runIndexOps(t testing.TB, data []byte, expire bool) Stats {
 		op := r.byte() % 13
 		id := int(r.byte()) % len(m.loc)
 		switch op {
-		case 0, 1: // place: Add when absent, Move when present; 1 with a known HomeKm
-			p, homeKm := r.point(), math.NaN()
+		case 0, 1: // place: Add when absent, Move when present; 1 with a known HomeKm and Node
+			p, homeKm, node := r.point(), math.NaN(), int32(-1)
 			if op == 1 {
-				homeKm = float64(r.byte())
+				homeKm, node = float64(r.byte()), int32(r.byte())
 			}
 			if m.present[id] {
-				ix.Move(id, p, homeKm)
+				ix.Move(id, p, homeKm, node)
 			} else {
-				ix.Add(id, p, homeKm)
+				ix.Add(id, p, homeKm, node)
 				m.home[id] = nowhere
 			}
-			m.loc[id], m.present[id], m.homeKm[id], m.node[id] = p, true, homeKm, -1
+			m.loc[id], m.present[id], m.homeKm[id], m.node[id] = p, true, homeKm, node
 			if ix.Location(id) != p || !ix.Contains(id) {
 				t.Fatalf("op %d: id %d not at %v after placing it", r.pos, id, p)
 			}
@@ -366,8 +356,7 @@ func runIndexOps(t testing.TB, data []byte, expire bool) Stats {
 			equal("AppendReachable", got, m.reachable(ix, p, 3600, radius, 0, math.Inf(-1)))
 		case 10: // window query, cursor form
 			p, speed, byTime, now, minRetire := r.point(), float64(r.byte()%90), r.time(), r.time(), r.time()
-			skipEvery, fill := int(r.byte()%4), float64(r.byte())
-			equal("Reachable", m.walk(t, ix, p, speed, byTime, now, minRetire, skipEvery, fill), m.reachable(ix, p, speed, byTime, now, minRetire))
+			equal("Reachable", m.walk(t, ix, p, speed, byTime, now, minRetire, int(r.byte()%4)), m.reachable(ix, p, speed, byTime, now, minRetire))
 		case 11: // the payload's static half, whenever: it is the caller's
 			if m.present[id] {
 				m.home[id] = r.point()
@@ -379,12 +368,14 @@ func runIndexOps(t testing.TB, data []byte, expire bool) Stats {
 				if m.present[id] {
 					ix.Remove(id)
 				}
-				m.present[id], m.homeKm[id], m.node[id] = true, fill+float64(id), -1
+				m.present[id], m.homeKm[id], m.node[id] = true, fill+float64(id), int32(fill)+int32(id)
 				if (id+int(fill))%3 == 0 {
-					m.homeKm[id] = math.NaN()
+					m.homeKm[id], m.node[id] = math.NaN(), -1
 				}
 			}
-			ix.Load(func(id int) (geo.Point, geo.Point, float64) { return m.loc[id], m.home[id], m.homeKm[id] })
+			ix.Load(func(id int) (geo.Point, geo.Point, float64, int32) {
+				return m.loc[id], m.home[id], m.homeKm[id], m.node[id]
+			})
 		}
 		if ix.Len() != len(m.loc) {
 			t.Fatalf("op %d: Len() = %d, want %d", r.pos, ix.Len(), len(m.loc))
@@ -431,7 +422,7 @@ func (s *seq) ask(byTime, now byte) *seq {
 	for _, form := range []byte{7, 8} {
 		s.op(form, 0, 128, 128, 89, byTime, now, now)
 	}
-	return s.op(10, 0, 128, 128, 89, byTime, now, now, 0, 3)
+	return s.op(10, 0, 128, 128, 89, byTime, now, now, 0)
 }
 
 // namedSeeds are the situations the per-cell agenda has and the heaps
@@ -566,7 +557,7 @@ func TestQueriesDoNotAllocate(t *testing.T) {
 	for id, p := range pts {
 		start := rng.Float64() * 80000
 		ix.SetSpan(id, start, start+6000)
-		ix.Add(id, p, math.NaN())
+		ix.Add(id, p, math.NaN(), -1)
 	}
 	buf := make([]int, 0, len(pts))
 	now := 0.0

@@ -79,7 +79,7 @@ const Safety = 0.9
 // once with Load, as NewIndex does). It is not safe
 // for concurrent use, queries included: a query marks its result in the
 // index's bitmap, settles the cells it comes to, and through a Cursor
-// writes the caller's findings into entries and cells.
+// writes the caller's findings into cells.
 //
 // Besides its location, every point carries an availability window
 // [freeAt, retireAt) — for a driver: when she can next depart (shift
@@ -159,12 +159,11 @@ type Entry struct {
 	// until set): for a driver, her projected destination.
 	HomeX, HomeY float64
 	// HomeKm and Node are what the caller derives from the point's
-	// location. HomeKm is given with the location, to Add or Load and to
-	// every Move, and is NaN when the caller does not know it; Node is -1
-	// after each, same cell or not. A caller handed the entry by a Cursor
-	// may fill in either while it is unknown. For a driver: the travel
-	// distance from where she is to her destination, and on a road market
-	// the graph node she stands nearest.
+	// location, and are given with it, to Add or Load and to every Move:
+	// HomeKm NaN when the caller does not know it, Node -1 when it has
+	// none. For a driver: the travel distance from where she is to her
+	// destination, and on a road market the graph node she stands
+	// nearest.
 	HomeKm float64
 	ID     int32
 	Node   int32
@@ -204,13 +203,13 @@ func (ix *Index) Project(p geo.Point) (x, y float64) {
 }
 
 // NewIndex builds an index of the given points over grid, with no HomeKm
-// known. Point i is addressed as id i in every other method. Every
-// availability window starts as (-Inf, +Inf), i.e. always available;
-// narrow it with SetSpan.
+// known and no Node. Point i is addressed as id i in every other method.
+// Every availability window starts as (-Inf, +Inf), i.e. always
+// available; narrow it with SetSpan.
 func NewIndex(grid *geo.Grid, locs []geo.Point) *Index {
 	ix := NewSparseIndex(grid, len(locs))
 	nowhere := geo.Point{Lat: math.NaN(), Lon: math.NaN()}
-	ix.Load(func(id int) (geo.Point, geo.Point, float64) { return locs[id], nowhere, math.NaN() })
+	ix.Load(func(id int) (geo.Point, geo.Point, float64, int32) { return locs[id], nowhere, math.NaN(), -1 })
 	return ix
 }
 
@@ -300,13 +299,13 @@ func (ix *Index) checkID(id int) {
 	}
 }
 
-// Add inserts the absent id at location p, with homeKm as its HomeKm
-// (see Entry), directly in the region its availability window puts it
-// in: the window is preserved across Remove/Add cycles, and a SetSpan
-// before the first Add costs nothing but the stores. It panics if id is
+// Add inserts the absent id at location p, with homeKm and node as its
+// HomeKm and Node (see Entry), directly in the region its availability
+// window puts it in: the window is preserved across Remove/Add cycles,
+// and a SetSpan before the first Add costs nothing but the stores. It panics if id is
 // already present — membership bugs (a driver placed twice) must not
 // pass silently.
-func (ix *Index) Add(id int, p geo.Point, homeKm float64) {
+func (ix *Index) Add(id int, p geo.Point, homeKm float64, node int32) {
 	ix.checkID(id)
 	if ix.cell[id] != absentCell {
 		panic(fmt.Sprintf("spatial: Add of already-present id %d", id))
@@ -315,34 +314,37 @@ func (ix *Index) Add(id int, p geo.Point, homeKm float64) {
 	px, py := ix.Project(p)
 	nan := math.NaN()
 	ix.insert(Entry{PX: px, PY: py, FreeAt: ix.freeAt[id], RetireAt: ix.retireAt[id],
-		HomeX: nan, HomeY: nan, HomeKm: homeKm, ID: int32(id), Node: -1}, int32(ix.grid.CellOf(p)))
+		HomeX: nan, HomeY: nan, HomeKm: homeKm, ID: int32(id), Node: node}, int32(ix.grid.CellOf(p)))
 	ix.members++
 }
 
 // Load adds every id at once to an index that holds none: what Add over
 // each id would make, but for the order in a cell's parked region, and
 // for less than those Adds cost, sort included. at gives an id its
-// location, its home (as SetHome) and its HomeKm; its window is the one
-// SetSpan stored. Each cell is laid out in one pass — its entries in the
-// regions their windows put them in under the two clocks, the parked
-// region already in wake order, so that no query pays the cell's first
-// sort, and room for as many entries as Add's appends would have grown
-// it to — and its header is exact. It panics if an id is present.
-func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64)) {
+// location, its home (as SetHome), its HomeKm and its Node; its window is
+// the one SetSpan stored. Each cell is laid out in one pass — its entries
+// in the regions their windows put them in under the two clocks, the
+// parked region already in wake order, so that no query pays the cell's
+// first sort, and room for as many entries as Add's appends would have
+// grown it to — and its header is exact. It panics if an id is present.
+func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64, node int32)) {
 	if ix.members != 0 {
 		panic(fmt.Sprintf("spatial: Load into an index that holds %d points", ix.members))
 	}
 	n := len(ix.loc)
-	homes := make([][3]float64, n) // HomeX, HomeY, HomeKm
+	// Each id's HomeX, HomeY and HomeKm; its Node waits in its slot,
+	// which the layout below overwrites.
+	homes := make([][3]float64, n)
 	start := make([]int32, len(ix.cells)+1)
 	for id := range n {
-		p, home, km := at(id)
+		p, home, km, node := at(id)
 		ix.loc[id] = p
 		c := int32(ix.grid.CellOf(p))
 		ix.cell[id] = c
 		start[c+1]++
 		hx, hy := ix.Project(home)
 		homes[id] = [3]float64{hx, hy, km}
+		ix.slot[id] = node
 	}
 	most := 0
 	for c := range ix.cells {
@@ -408,7 +410,7 @@ func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64)) {
 			h := &homes[id]
 			e := &cl.ents[i]
 			*e = Entry{PX: px, PY: py, FreeAt: ix.freeAt[id], RetireAt: ix.retireAt[id],
-				HomeX: h[0], HomeY: h[1], HomeKm: h[2], ID: id, Node: -1}
+				HomeX: h[0], HomeY: h[1], HomeKm: h[2], ID: id, Node: ix.slot[id]}
 			ix.slot[id] = int32(i)
 			switch {
 			case i < park:
@@ -477,14 +479,13 @@ func (ix *Index) Remove(id int) {
 }
 
 // Move updates id's location, rebucketing it if it crossed a cell
-// boundary, and replaces what the caller derived from the old one:
-// HomeKm by homeKm, and Node by -1 (see Entry). It panics if id is
-// absent.
-func (ix *Index) Move(id int, p geo.Point, homeKm float64) {
+// boundary, and replaces what the caller derived from the old one by
+// homeKm and node (see Entry). It panics if id is absent.
+func (ix *Index) Move(id int, p geo.Point, homeKm float64, node int32) {
 	e := ix.entry(id, "Move")
 	ix.loc[id] = p
 	e.PX, e.PY = ix.Project(p)
-	e.HomeKm, e.Node = homeKm, -1
+	e.HomeKm, e.Node = homeKm, node
 	if c := int32(ix.grid.CellOf(p)); c != ix.cell[id] {
 		moved := *e
 		ix.extract(int32(id))
@@ -834,7 +835,7 @@ func (c *Cursor) MaxHomeKm() float64 {
 
 // Entries returns the current cell's scanned entries: the live ones, or
 // all of them on a query that asks below the watermark (see Expire). The
-// caller may fill in an unknown HomeKm or Node and write nothing else.
+// caller writes none of them.
 func (c *Cursor) Entries() []Entry {
 	if c.dormant {
 		return c.cl.ents
@@ -843,8 +844,7 @@ func (c *Cursor) Entries() []Entry {
 }
 
 // Tighten tells the index the largest HomeKm among the entries Entries
-// returned for the current cell as the caller leaves them, NaN if any of
-// them is NaN.
+// returned for the current cell, NaN if any of them is NaN.
 func (c *Cursor) Tighten(maxHomeKm float64) {
 	if !c.dormant {
 		c.cl.maxHomeKm = orInf(maxHomeKm)

@@ -74,7 +74,7 @@ func TestNearAfterMoves(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		id := rng.Intn(len(cur))
 		cur[id] = geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
-		ix.Move(id, cur[id], math.NaN())
+		ix.Move(id, cur[id], math.NaN(), -1)
 	}
 	fresh := NewIndex(geo.NewGrid(geo.PortoBox, 12, 12), cur)
 	for q := 0; q < 40; q++ {
@@ -216,18 +216,18 @@ func TestRemoveAndAdd(t *testing.T) {
 			present[id] = false
 		case !present[id]:
 			pts[id] = geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
-			ix.Add(id, pts[id], math.NaN())
+			ix.Add(id, pts[id], math.NaN(), -1)
 			present[id] = true
 		default:
 			pts[id] = geo.PortoBox.Lerp(rng.Float64(), rng.Float64())
-			ix.Move(id, pts[id], math.NaN())
+			ix.Move(id, pts[id], math.NaN(), -1)
 		}
 	}
 	fresh := NewSparseIndex(geo.NewGrid(geo.PortoBox, 10, 10), len(pts))
 	want := 0
 	for id, ok := range present {
 		if ok {
-			fresh.Add(id, pts[id], math.NaN())
+			fresh.Add(id, pts[id], math.NaN(), -1)
 			want++
 		}
 	}
@@ -262,10 +262,10 @@ func TestRemoveAndAdd(t *testing.T) {
 func TestSpanSurvivesRemoveAdd(t *testing.T) {
 	ix := NewSparseIndex(geo.NewGrid(geo.PortoBox, 4, 4), 2)
 	p := geo.PortoBox.Center()
-	ix.Add(0, p, math.NaN())
+	ix.Add(0, p, math.NaN(), -1)
 	ix.SetSpan(0, 100, 200)
 	ix.Remove(0)
-	ix.Add(0, p, math.NaN())
+	ix.Add(0, p, math.NaN(), -1)
 	seen := 0
 	// Window [100, 200): reachable for a dispatch at now=150, byTime=160.
 	ix.NearReachable(p, 30, 160, 150, 200, func(int) { seen++ })
@@ -283,7 +283,7 @@ func TestSpanSurvivesRemoveAdd(t *testing.T) {
 func TestSparseMembershipPanics(t *testing.T) {
 	ix := NewSparseIndex(geo.NewGrid(geo.PortoBox, 2, 2), 3)
 	p := geo.PortoBox.Center()
-	ix.Add(1, p, math.NaN())
+	ix.Add(1, p, math.NaN(), -1)
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -293,11 +293,11 @@ func TestSparseMembershipPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("double Add", func() { ix.Add(1, p, math.NaN()) })
+	mustPanic("double Add", func() { ix.Add(1, p, math.NaN(), -1) })
 	mustPanic("Remove of absent id", func() { ix.Remove(0) })
-	mustPanic("Move of absent id", func() { ix.Move(2, p, math.NaN()) })
+	mustPanic("Move of absent id", func() { ix.Move(2, p, math.NaN(), -1) })
 	mustPanic("Load into an index that holds a point", func() {
-		ix.Load(func(int) (geo.Point, geo.Point, float64) { return p, p, 0 })
+		ix.Load(func(int) (geo.Point, geo.Point, float64, int32) { return p, p, 0, -1 })
 	})
 	mustPanic("Remove out of range", func() { ix.Remove(7) })
 }
@@ -309,5 +309,5 @@ func TestMovePanicsOutOfRange(t *testing.T) {
 			t.Fatal("Move(5) on a 3-point index did not panic")
 		}
 	}()
-	ix.Move(5, geo.PortoBox.Center(), math.NaN())
+	ix.Move(5, geo.PortoBox.Center(), math.NaN(), -1)
 }
