@@ -2,6 +2,9 @@ package roadnet
 
 import (
 	"container/heap"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"sync"
@@ -473,5 +476,49 @@ func TestTableExposedBound(t *testing.T) {
 	}
 	if dist, n := NewRouter(&Graph{}, cfg.Box, 0).Table(); dist != nil || n != 0 {
 		t.Errorf("a router over no node handed out a table of %d entries over %d nodes", len(dist), n)
+	}
+}
+
+// TestTableBitsPinned pins the all-pairs table by a sha256 over every
+// entry's bits, row by row, on the default 20×24 grid, on the 32×32 grid
+// at the table's bound and on a radial city. The table is what a journal
+// replays against and what the engine's road walks bound pickups by, so
+// a change to how its rows are swept must leave these sums as they are.
+func TestTableBitsPinned(t *testing.T) {
+	grid := func(rows, cols int) *Graph {
+		cfg := DefaultGridConfig()
+		cfg.Rows, cfg.Cols = rows, cols
+		g, err := GenerateGrid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	radial, err := GenerateRadial(geo.PortoBox.Center(), 8, 12, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		want string
+	}{
+		{"20x24", grid(20, 24), "f372b2328eca872c451cc559e6e6e5b75b3739f7dfeeb73e7fd0eb0b1cc3b886"},
+		{"32x32", grid(32, 32), "96aacaf402db88c2d0714708b31a9b110910e537fadc14e5ef4e7402b6394d43"},
+		{"radial", radial, "5e581ac4b5c0d8520efad00ebd355ce104c6e8954b1ebde428aed1e822dc4e02"},
+	} {
+		dist, n := NewRouter(c.g, geo.PortoBox, 0).Table()
+		if n != c.g.NumNodes() {
+			t.Fatalf("%s: a table over %d nodes, want %d", c.name, n, c.g.NumNodes())
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, d := range dist {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(d))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s: table sha256 %s, want %s", c.name, got, c.want)
+		}
 	}
 }
