@@ -3,7 +3,8 @@
 // trip trajectories; straight-line distance understates urban driving
 // distance by the network's circuity (~1.2–1.4× in practice). This
 // package supplies weighted road graphs, shortest-path routing
-// (Dijkstra and A*), synthetic city-network generators, and a Router —
+// (Dijkstra and A* on a binary heap, whole-graph sweeps on a bucket
+// queue), synthetic city-network generators, and a Router —
 // an all-pairs distance table on city-sized graphs, cached kernels above
 // them — that plugs into model.Market.Dist so every cost and travel-time
 // estimate in the framework can be network-accurate instead of
@@ -13,6 +14,7 @@ package roadnet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/geo"
 )
@@ -147,39 +149,75 @@ func (g *Graph) DistancesFrom(src int) []float64 {
 		panic(fmt.Sprintf("roadnet: source %d out of range [0,%d)", src, len(g.pts)))
 	}
 	dist := make([]float64, len(g.pts))
-	var h chHeap
-	sweep(g.adj, int32(src), dist, &h)
+	newSweeper(g.adj).sweep(int32(src), dist)
 	return dist
 }
 
-// sweep is the one single-source Dijkstra body of the package: it fills
-// dist (one element per node of adj) with the distance from src to every
-// node, +Inf where unreachable, borrowing h as its queue. DistancesFrom,
-// the landmark tables and the Router's all-pairs table are all this
-// loop, so they agree with each other — and with route, which performs
-// the same relaxation nd := dist[u] + e.km — bit for bit: adding a
-// positive weight is monotone in floats, so a settled label is the
-// minimum left-fold over all paths whatever order the queue breaks ties
-// in. A node is pushed only when its label strictly improves, so its
-// queue entries carry distinct keys and exactly one of them — the one
-// equal to the final label — relaxes its edges; no settled flags needed.
-func sweep(adj [][]halfEdge, src int32, dist []float64, h *chHeap) {
+// sweeper is the package's one single-source Dijkstra body and its
+// queue: a ring of buckets of width Δ — the least edge, raised to at
+// least a 64th of the greatest — in which a label d is filed in bucket
+// int(d·(1/Δ)) at slot bucket&(len(ring)-1). A label relaxed from bucket
+// b lands at most ⌈greatest/Δ⌉+1 buckets on, so a ring of ⌈greatest/Δ⌉+3
+// slots, rounded up to a power of two, never files two open buckets in
+// one slot; and no label exceeds (n-1)·greatest, so no bucket exceeds 64·n.
+// One sweeper serves every row of an adjacency, reusing its buckets.
+type sweeper struct {
+	adj   [][]halfEdge
+	ring  [][]chHeapItem
+	scale float64 // 1/Δ
+}
+
+func newSweeper(adj [][]halfEdge) *sweeper {
+	least, most := math.Inf(1), 0.0
+	for _, es := range adj {
+		for _, e := range es {
+			least, most = math.Min(least, e.km), math.Max(most, e.km)
+		}
+	}
+	width := math.Max(math.Max(least, most/64), 0x1p-1022) // 1/width finite
+	k := 1 << bits.Len(uint(math.Ceil(most/width))+2)
+	return &sweeper{adj: adj, ring: make([][]chHeapItem, k), scale: 1 / width}
+}
+
+// sweep fills dist (one element per node) with the distance from src to
+// every node, +Inf where unreachable. It empties the buckets in order,
+// label-correcting within one: an entry whose label has since fallen is
+// skipped, and a node whose label falls into the open bucket is appended
+// to it and scanned again. As fl(d+w) >= d and floor(fl(d·(1/Δ))) is
+// monotone in d, no relaxation files a label below the open bucket, and
+// a closed bucket's labels are final. Final labels do not depend on the
+// order of the scans: a label is only ever lowered to the left fold of
+// some path, and once no edge relaxes, every label is at most the left
+// fold of every path to its node — so each is the least left fold, which
+// is what route, performing the same relaxation nd := dist[u] + e.km,
+// settles too. DistancesFrom, DistancesTo, the landmark tables and the
+// Router's all-pairs table are all this loop, so they agree with each
+// other and with route bit for bit.
+func (s *sweeper) sweep(src int32, dist []float64) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	*h = append((*h)[:0], chHeapItem{node: src})
-	for len(*h) > 0 {
-		it := h.pop()
-		if it.dist != dist[it.node] {
-			continue // superseded by a shorter label
-		}
-		for _, e := range adj[it.node] {
-			if nd := it.dist + e.km; nd < dist[e.to] {
-				dist[e.to] = nd
-				h.push(chHeapItem{dist: nd, node: e.to})
+	adj, ring, scale := s.adj, s.ring, s.scale
+	mask := len(ring) - 1
+	ring[0] = append(ring[0], chHeapItem{node: src})
+	for b, last := 0, 0; b <= last; b++ {
+		open := &ring[b&mask]
+		for i := 0; i < len(*open); i++ {
+			it := (*open)[i]
+			if it.dist != dist[it.node] {
+				continue // superseded by a shorter label
+			}
+			for _, e := range adj[it.node] {
+				if nd := it.dist + e.km; nd < dist[e.to] {
+					dist[e.to] = nd
+					k := int(nd * scale)
+					last = max(last, k)
+					ring[k&mask] = append(ring[k&mask], chHeapItem{dist: nd, node: e.to})
+				}
 			}
 		}
+		*open = (*open)[:0]
 	}
 }
 

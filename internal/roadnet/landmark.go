@@ -105,8 +105,7 @@ func (g *Graph) DistancesTo(dst int) []float64 {
 		panic("roadnet: destination out of range")
 	}
 	dist := make([]float64, len(g.pts))
-	var h chHeap
-	sweep(transpose(g.adj), int32(dst), dist, &h)
+	newSweeper(transpose(g.adj)).sweep(int32(dst), dist)
 	return dist
 }
 

@@ -237,9 +237,9 @@ func fillTable(adj [][]halfEdge, n int, first func()) []float64 {
 	table := make([]float64, n*n)
 	var next atomic.Int64
 	work := func() {
-		var q chHeap
+		s := newSweeper(adj)
 		for u := int(next.Add(1) - 1); u < n; u = int(next.Add(1) - 1) {
-			sweep(adj, int32(u), table[u*n:][:n], &q)
+			s.sweep(int32(u), table[u*n:][:n])
 		}
 	}
 	var wg sync.WaitGroup

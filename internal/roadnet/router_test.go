@@ -536,19 +536,29 @@ func benchGraph(b *testing.B) (*Graph, GridConfig) {
 // BenchmarkRouterBuild is what a service pays before its first order, by
 // tier: the all-pairs table the default grid gets and the one of the
 // 32×32 grid at the table's bound (both swept on GOMAXPROCS workers, so
-// read them at -cpu 1 and above), the hierarchy the default grid got
+// read them at -cpu 1 and above), the default grid's 480 rows swept one
+// after another on one goroutine with no snap lists (the one-core sweep
+// apart from the parallel split), the hierarchy the default grid got
 // before the table (through kernelRouter), and the hierarchy of a graph
 // well over the table's bound.
 func BenchmarkRouterBuild(b *testing.B) {
+	router := func(g *Graph, box geo.BoundingBox) { NewRouter(g, box, 0) }
 	for _, c := range []struct {
 		name       string
 		rows, cols int
-		kernel     bool // build through kernelRouter
+		build      func(g *Graph, box geo.BoundingBox)
 	}{
-		{"table-20x24", 20, 24, false},
-		{"table-32x32", 32, 32, false},
-		{"ch-20x24", 20, 24, true},
-		{"ch-60x72", 60, 72, false},
+		{"table-20x24", 20, 24, router},
+		{"table-32x32", 32, 32, router},
+		{"sweeps-20x24", 20, 24, func(g *Graph, _ geo.BoundingBox) {
+			n := g.NumNodes()
+			table, s := make([]float64, n*n), newSweeper(g.adj)
+			for u := range n {
+				s.sweep(int32(u), table[u*n:][:n])
+			}
+		}},
+		{"ch-20x24", 20, 24, func(g *Graph, box geo.BoundingBox) { kernelRouter(g, box, 0, AlgoCH) }},
+		{"ch-60x72", 60, 72, router},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			if c.rows*c.cols > 1024 && testing.Short() {
@@ -562,11 +572,7 @@ func BenchmarkRouterBuild(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if c.kernel {
-					kernelRouter(g, cfg.Box, 0, AlgoCH)
-				} else {
-					NewRouter(g, cfg.Box, 0)
-				}
+				c.build(g, cfg.Box)
 			}
 		})
 	}
