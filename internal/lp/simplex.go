@@ -164,6 +164,7 @@ type tableau struct {
 	// Reused per-solve scratch (see optimize / solve / extractDuals).
 	inBasisBuf []bool
 	y          []float64
+	reduced    []float64
 	xBuf       []float64
 	dualsBuf   []float64
 }
@@ -231,10 +232,15 @@ func (t *tableau) solve() Solution {
 // optimize runs primal simplex iterations on the objective, maximizing.
 func (t *tableau) optimize() (Status, int) {
 	// reduced[j] = obj[j] - y·a_j, priced against the current basis each
-	// iteration (dense, O(m·n)).
-	obj := t.obj
+	// iteration (dense, O(m·n)) row by row: each row with y_i ≠ 0 is
+	// subtracted from every column in one pass over its contiguous
+	// entries, and each column still takes its rows in ascending order,
+	// so every reduced cost is the same sum to the bit as a column's own
+	// dot product.
 	iters := 0
 	blandAfter := t.iterBudget / 2
+	t.reduced = grow(t.reduced, t.nTotal)
+	reduced := t.reduced
 	t.inBasisBuf = grow(t.inBasisBuf, t.nTotal)
 	inBasis := t.inBasisBuf
 	for i := range inBasis {
@@ -244,18 +250,19 @@ func (t *tableau) optimize() (Status, int) {
 		inBasis[t.basis[i]] = true
 	}
 	for ; iters < t.iterBudget; iters++ {
-		y := t.dualVector()
+		copy(reduced, t.obj)
+		for i, yi := range t.dualVector() {
+			if yi != 0 {
+				for j, aij := range t.a[i] {
+					reduced[j] -= yi * aij
+				}
+			}
+		}
 		enter := -1
 		bestScore := eps
-		for j := 0; j < t.nTotal; j++ {
+		for j, red := range reduced {
 			if inBasis[j] {
 				continue
-			}
-			red := obj[j]
-			for i := 0; i < t.m; i++ {
-				if y[i] != 0 {
-					red -= y[i] * t.a[i][j]
-				}
 			}
 			if red > bestScore {
 				if iters > blandAfter {
