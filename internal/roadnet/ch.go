@@ -90,10 +90,9 @@ func (g *chGraph) at(x int32) []chRef { return g.ref[g.off[x]:g.off[x+1]] }
 const witnessSettleCap = 256
 
 // chHeapItem / chHeap implement the priority queue of the hierarchy's
-// searches and of route (ShortestPath, AStarALT) without container/heap's
-// interface boxing; the whole-graph sweeps file chHeapItems in buckets
-// instead (sweeper). Ties break on node id so every search settles nodes
-// in a deterministic order.
+// searches and of route (ShortestPath, AStarALT) only — sweeper files its
+// items in buckets — without container/heap's interface boxing. Ties
+// break on node id so every search settles nodes in a deterministic order.
 type chHeapItem struct {
 	dist float64
 	node int32

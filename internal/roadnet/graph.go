@@ -153,14 +153,14 @@ func (g *Graph) DistancesFrom(src int) []float64 {
 	return dist
 }
 
-// sweeper is the package's one single-source Dijkstra body and its
-// queue: a ring of buckets of width Δ — the least edge, raised to at
-// least a 64th of the greatest — in which a label d is filed in bucket
-// int(d·(1/Δ)) at slot bucket&(len(ring)-1). A label relaxed from bucket
-// b lands at most ⌈greatest/Δ⌉+1 buckets on, so a ring of ⌈greatest/Δ⌉+3
-// slots, rounded up to a power of two, never files two open buckets in
-// one slot; and no label exceeds (n-1)·greatest, so no bucket exceeds 64·n.
-// One sweeper serves every row of an adjacency, reusing its buckets.
+// sweeper is the package's one single-source Dijkstra body and its queue,
+// a ring of buckets (Dial's, with Δ-stepping's width): Δ is the least edge
+// raised to at least a 64th of the greatest, and a label d is filed in
+// bucket int(d·(1/Δ)) at slot bucket&(len(ring)-1). A label relaxed from
+// bucket b lands at most ⌈greatest/Δ⌉+1 buckets on, so a ring of
+// ⌈greatest/Δ⌉+3 slots, rounded up to a power of two, never files two live
+// buckets in one slot; no label exceeds (n-1)·greatest, so no bucket
+// exceeds 64·n. One sweeper serves every row of an adjacency.
 type sweeper struct {
 	adj   [][]halfEdge
 	ring  [][]chHeapItem
@@ -180,19 +180,16 @@ func newSweeper(adj [][]halfEdge) *sweeper {
 }
 
 // sweep fills dist (one element per node) with the distance from src to
-// every node, +Inf where unreachable. It empties the buckets in order,
-// label-correcting within one: an entry whose label has since fallen is
-// skipped, and a node whose label falls into the open bucket is appended
-// to it and scanned again. As fl(d+w) >= d and floor(fl(d·(1/Δ))) is
-// monotone in d, no relaxation files a label below the open bucket, and
-// a closed bucket's labels are final. Final labels do not depend on the
-// order of the scans: a label is only ever lowered to the left fold of
-// some path, and once no edge relaxes, every label is at most the left
-// fold of every path to its node — so each is the least left fold, which
-// is what route, performing the same relaxation nd := dist[u] + e.km,
-// settles too. DistancesFrom, DistancesTo, the landmark tables and the
-// Router's all-pairs table are all this loop, so they agree with each
-// other and with route bit for bit.
+// every node, +Inf where unreachable, emptying the buckets in order and
+// label-correcting within one: a superseded entry is skipped, and a node
+// whose label falls into the open bucket is appended to it and scanned
+// again. The labels are the least left folds over all paths whatever the
+// order of the scans — each is some path's fold, and once no edge relaxes
+// each is at most every path's — so DistancesFrom, DistancesTo, the
+// landmark tables and the Router's table agree with route, which performs
+// the same relaxation nd := dist[u] + e.km, bit for bit. As fl(d+w) >= d
+// and floor(fl(d·(1/Δ))) is monotone in d, nothing is filed below the
+// open bucket, and a closed bucket's labels are final.
 func (s *sweeper) sweep(src int32, dist []float64) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
