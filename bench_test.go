@@ -325,63 +325,110 @@ func BenchmarkOnlineMaxMarginGrid50k(b *testing.B) { benchmarkDispatchScale(b, 5
 // the distance into the order's pickup once, and so does the commit of
 // each served order, which is subtracted. From the same day come the
 // source's own counts (sim.WalkStats): index entries put through the
-// predicate, those it passed, the ways home the walk had to look up
-// itself (0: the index is handed every one) and cells skipped whole, a
-// decision, and what the index did to keep its cells in step with the
+// predicate, those it passed, cells skipped whole and cells stepped
+// onto, empty ones included, a decision, and what the index did to keep its cells in step with the
 // clock — entries woken, entries expired, and entries shifted to keep a
 // parked region in wake order.
 func BenchmarkInstantDecision(b *testing.B) {
 	if testing.Short() {
 		b.Skip("city-scale instant day; skipped in -short smoke runs")
 	}
-	cfg := trace.NewConfig(27, 1000, 50_000, trace.Hitchhiking)
-	tr := trace.NewGenerator(cfg).Generate(nil)
-	// day is timed, or with counted set counted from its first decision.
-	day := func(mkt model.Market, counted *int) (served int, walk sim.WalkStats) {
-		eng, err := sim.New(mkt, tr.Drivers, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := sim.NewGridSource(nil)
-		eng.SetCandidateSource(src)
-		st, err := eng.NewStream(online.MaxMargin{}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if counted != nil {
-			*counted = 0
-		} else {
-			b.StartTimer()
-			defer b.StopTimer()
-		}
-		for _, task := range tr.Tasks {
-			dec, err := st.SubmitTask(task)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if dec.Assigned {
-				served++
-			}
-		}
-		return served, src.WalkStats()
-	}
+	cfg, tr := instantConfig()
 	b.ResetTimer()
 	b.StopTimer()
 	for i := 0; i < b.N; i++ {
-		day(cfg.Market, nil)
+		instantDay(b, cfg.Market, tr, b.StartTimer)
+		b.StopTimer()
 	}
 	orders := float64(len(tr.Tasks))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*orders), "ns/decision")
 
-	counting, intoPickup := countIntoPickups(cfg.Market, tr.Tasks)
-	served, walk := day(counting, intoPickup)
-	b.ReportMetric(float64(*intoPickup-served)/orders, "exact-scores/decision")
-	b.ReportMetric(float64(walk.EntriesScanned)/orders, "entries-scanned/decision")
-	b.ReportMetric(float64(walk.Reached)/orders, "reached/decision")
-	b.ReportMetric(float64(walk.CellsSkipped)/orders, "cells-skipped/decision")
-	b.ReportMetric(float64(walk.Woken)/orders, "woken/decision")
-	b.ReportMetric(float64(walk.Expired)/orders, "expired/decision")
-	b.ReportMetric(float64(walk.Shifted)/orders, "shifted/decision")
+	counts := countInstantDay(b, cfg.Market, tr)
+	b.ReportMetric(float64(counts.exact)/orders, "exact-scores/decision")
+	b.ReportMetric(float64(counts.walk.EntriesScanned)/orders, "entries-scanned/decision")
+	b.ReportMetric(float64(counts.walk.Reached)/orders, "reached/decision")
+	b.ReportMetric(float64(counts.walk.CellsSkipped)/orders, "cells-skipped/decision")
+	b.ReportMetric(float64(counts.walk.CellsStepped)/orders, "cells-stepped/decision")
+	b.ReportMetric(float64(counts.walk.Woken)/orders, "woken/decision")
+	b.ReportMetric(float64(counts.walk.Expired)/orders, "expired/decision")
+	b.ReportMetric(float64(counts.walk.Shifted)/orders, "shifted/decision")
+}
+
+// TestInstantWalkCounts pins what BenchmarkInstantDecision counts of its
+// day, whole-day totals over its 1 000 orders: they repeat to the digit,
+// so any change to the walk, the index or the engine that moves one
+// shows here, and says so in its change note.
+func TestInstantWalkCounts(t *testing.T) {
+	cfg, tr := instantConfig()
+	got := countInstantDay(t, cfg.Market, tr)
+	w := got.walk
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"exact scores", uint64(got.exact), 12_897},
+		{"entries scanned", w.EntriesScanned, 1_584_465},
+		{"reached", w.Reached, 1_346_702},
+		{"cells skipped", w.CellsSkipped, 698_231},
+		{"cells stepped", w.CellsStepped, 1_544_135},
+		{"woken", w.Woken, 50_661},
+		{"expired", w.Expired, 49_448},
+		{"shifted", w.Shifted, 15},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %d over the day (%.3f a decision), want %d", c.name, c.got, float64(c.got)/float64(len(tr.Tasks)), c.want)
+		}
+	}
+}
+
+// instantConfig is benchmark/'s instant_50k day at seed 27: 50k drivers
+// and 1 000 orders.
+func instantConfig() (trace.Config, model.Trace) {
+	cfg := trace.NewConfig(27, 1000, 50_000, trace.Hitchhiking)
+	return cfg, trace.NewGenerator(cfg).Generate(nil)
+}
+
+// instantDay binds a fresh engine over tr's fleet to the indexed source,
+// calls begin, and submits every order to instant MaxMargin.
+func instantDay(tb testing.TB, mkt model.Market, tr model.Trace, begin func()) (served int, walk sim.WalkStats) {
+	eng, err := sim.New(mkt, tr.Drivers, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src := sim.NewGridSource(nil)
+	eng.SetCandidateSource(src)
+	st, err := eng.NewStream(online.MaxMargin{}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	begin()
+	for _, task := range tr.Tasks {
+		dec, err := st.SubmitTask(task)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if dec.Assigned {
+			served++
+		}
+	}
+	return served, src.WalkStats()
+}
+
+// instantCounts is what an instant day did: drivers scored exactly, and
+// the source's counters.
+type instantCounts struct {
+	exact int
+	walk  sim.WalkStats
+}
+
+// countInstantDay runs instantDay under a counting Market.Dist: every
+// exact score measures the distance into the order's pickup once, and so
+// does the commit of each served order, which is subtracted; the bind's
+// ways home are not counted.
+func countInstantDay(tb testing.TB, mkt model.Market, tr model.Trace) instantCounts {
+	counting, intoPickup := countIntoPickups(mkt, tr.Tasks)
+	served, walk := instantDay(tb, counting, tr, func() { *intoPickup = 0 })
+	return instantCounts{exact: *intoPickup - served, walk: walk}
 }
 
 // countIntoPickups returns mkt with a Dist that counts the distances

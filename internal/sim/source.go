@@ -97,7 +97,8 @@ type GridSource struct {
 // query, those of the full list included, since it was last bound: plain
 // counters, written by the one goroutine that runs the engine.
 type WalkStats struct {
-	CellsVisited   uint64 // non-empty cells a margin walk came to
+	CellsStepped   uint64 // cells a margin walk came to, empty ones included
+	CellsVisited   uint64 // of those, the non-empty ones
 	CellsSkipped   uint64 // of those, skipped whole on their bound
 	EntriesScanned uint64 // index entries a margin walk put through the predicate
 	Reached        uint64 // of those, entries the predicate passed
@@ -480,6 +481,7 @@ func (s *GridSource) TopRow(task model.Task, now float64, k int, arena []Candida
 		}
 		w.cur.Tighten(maxHome)
 	}
+	n.CellsStepped += w.cur.Stepped()
 	s.stats = n
 	sortByDriver(arena[start:])
 	return arena

@@ -734,6 +734,7 @@ type Cursor struct {
 	step       int     // 1 along a row of the grid, its width down a column
 	ringKm     float64 // RingKm of the side being walked
 	cl         *cell   // the current cell
+	stepped    uint64  // cells Next has come to, empty ones included
 }
 
 // Reachable starts the Cursor of the window query that AppendReachable
@@ -770,6 +771,7 @@ func (c *Cursor) Next() bool {
 	for c.at < c.end || c.nextSide() {
 		cl := &c.ix.cells[c.at]
 		c.at += c.step
+		c.stepped++
 		if c.ix.behind(cl) {
 			c.ix.settle(cl)
 		}
@@ -811,6 +813,9 @@ func (c *Cursor) nextSide() bool {
 	}
 	return false
 }
+
+// Stepped is the number of cells Next has come to, empty ones included.
+func (c *Cursor) Stepped() uint64 { return c.stepped }
 
 // RingKm is a lower bound on the travel distance from the query point
 // to any point of the current cell: the bound the square's size rests on
