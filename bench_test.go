@@ -366,14 +366,15 @@ func TestInstantWalkCounts(t *testing.T) {
 		name      string
 		got, want uint64
 	}{
-		{"exact scores", uint64(got.exact), 12_897},
-		{"entries scanned", w.EntriesScanned, 1_584_465},
-		{"reached", w.Reached, 1_346_702},
-		{"cells skipped", w.CellsSkipped, 698_231},
-		{"cells stepped", w.CellsStepped, 1_544_135},
-		{"woken", w.Woken, 50_661},
-		{"expired", w.Expired, 49_448},
-		{"shifted", w.Shifted, 15},
+		{"exact scores", uint64(got.exact), 12_335},
+		{"entries scanned", w.EntriesScanned, 863_028},
+		{"reached", w.Reached, 735_063},
+		{"cells visited", w.CellsVisited, 301_577},
+		{"cells skipped", w.CellsSkipped, 156_404},
+		{"cells stepped", w.CellsStepped, 518_602},
+		{"woken", w.Woken, 49_490},
+		{"expired", w.Expired, 48_948},
+		{"shifted", w.Shifted, 32},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: %d over the day (%.3f a decision), want %d", c.name, c.got, float64(c.got)/float64(len(tr.Tasks)), c.want)

@@ -19,7 +19,9 @@ import (
 // on a join, Move in Moved: on a market the walks bound, crow-fly or with
 // a node table, HomeKm is the distance home from where she stands; on a
 // table market Node is the node her spot snaps to. Every other entry
-// carries neither, NaN and -1 (GridSource.place).
+// carries neither, NaN and -1 (GridSource.place). Her way home puts her
+// in the index's near layer exactly when it is at most h₀
+// (spatial.Index.NearKm), every driver while there is one layer.
 //
 // An absent driver's window is the empty span Presence gave her — or her
 // engine window again, if a revoked ride was handed back to her after
@@ -69,6 +71,9 @@ func auditIndex(t testing.TB, label string, e *Engine) {
 		}
 		if !same(en.HomeKm, km) || en.Node != node {
 			t.Fatalf("%s: driver %d at %v is %g km from home at node %d, her entry says %g km at node %d", label, i, st.Loc, km, node, en.HomeKm, en.Node)
+		}
+		if h0 := s.ix.NearKm(); (en.HomeKm <= h0 || math.IsInf(h0, 1)) == s.ix.Far(i) {
+			t.Fatalf("%s: driver %d, %g km from home, is in the far layer: %v, against h₀ %g", label, i, en.HomeKm, s.ix.Far(i), h0)
 		}
 		if open && !math.IsInf(st.FreeAt, 0) {
 			s.ids = s.ix.AppendReachable(s.ids[:0], st.Loc, 1, st.FreeAt, st.FreeAt, d.End)

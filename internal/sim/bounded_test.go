@@ -31,19 +31,26 @@ import (
 // counts, Market.Dist's and the source's own (WalkStats), are properties
 // of the inputs, so they must repeat exactly — one that moves between
 // runs would mean the path reads something other than engine state — and
-// each has a ceiling at what was measured when the entries began to
-// carry their way home from the bind (7 953 calls over the engine's life
-// before, 8 968 before the cell walk; the arrival rank's 4 238 were the
-// ascending walk's). The cell bound has a floor there, and every entry
-// must carry her way home (auditIndex): a bound left at +Inf until a walk
-// tightens it skipped 10 535 cells of the margin rank's 21 294, and
+// each has a ceiling at what was measured when the margin walk began to
+// stop a layer of the index at the first ring its ceiling rules out
+// (spatial.Cursor.Stop): 22 363 cells stepped, 11 152 visited, 33 060
+// entries scanned, 997 exact scores and 3 142 calls, where the one-layer
+// walk visited 21 294 cells, scanned 45 009 entries and made 1 001 exact
+// scores and 3 161 calls (7 953 calls over the engine's life before the
+// entries carried their way home from the bind, 8 968 before the cell
+// walk; the arrival rank's 4 238 were the ascending walk's). The cell
+// bound has a floor there — 4 179 of the cells visited; 13 918 before
+// the stop, which now spares the walk the rest — and every entry must
+// carry her way home (auditIndex): a bound left at +Inf until a walk
+// tightens it skipped 10 535 cells of the one-layer walk's 21 294, and
 // scanned 55 926 entries. The index's own transitions (spatial.Stats)
-// are the same for the full list, which asks the same queries, and are
-// pinned as they are counted: about 50 a decision on this day, and no
-// sort — the bind's Load put every cell's parked region in wake order
-// (515 first settles sorted one before it did). Shifted has a ceiling of
-// one entry an order instead (6 measured) — a park that cost the size of
-// its cell would read in the thousands.
+// are pinned as they are counted, for the full list and the bounded path
+// apart — a cell is settled when a query comes to it, and a stopped
+// layer's outer rings are not come to: about 50 a decision on this day,
+// and no sort — the bind's Load put every cell's parked region in wake
+// order (515 first settles sorted one before it did). Shifted has a
+// ceiling of one entry an order instead (7 measured) — a park that cost
+// the size of its cell would read in the thousands.
 func TestBoundedPathScoresFewer(t *testing.T) {
 	cfg := trace.NewConfig(17, 200, 5000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
@@ -66,17 +73,18 @@ func TestBoundedPathScoresFewer(t *testing.T) {
 	}
 	for _, col := range []struct {
 		d       Dispatcher
-		ceiling int       // Market.Dist calls
-		most    WalkStats // ceilings; CellsSkipped is a floor
+		ceiling int           // Market.Dist calls
+		most    WalkStats     // ceilings; CellsSkipped is a floor
+		full    spatial.Stats // the index's transitions under the full list
 	}{
-		{diffMaxMargin{}, 3161, WalkStats{CellsVisited: 21294, CellsSkipped: 13918, EntriesScanned: 45009, ExactScores: 1001,
-			Stats: spatial.Stats{Woken: 5092, Expired: 4901, Shifted: 200}}},
+		{diffMaxMargin{}, 3142, WalkStats{CellsStepped: 22363, CellsVisited: 11152, CellsSkipped: 4179, EntriesScanned: 33060, ExactScores: 997,
+			Stats: spatial.Stats{Woken: 4910, Expired: 4857, Shifted: 200}}, spatial.Stats{Woken: 5097, Expired: 4903, Shifted: 200}},
 		{diffNearest{}, 3690, WalkStats{ExactScores: 1289,
-			Stats: spatial.Stats{Woken: 5093, Expired: 4901, Shifted: 200}}},
+			Stats: spatial.Stats{Woken: 5098, Expired: 4904, Shifted: 200}}, spatial.Stats{Woken: 5098, Expired: 4904, Shifted: 200}},
 	} {
 		full, none, want := day(col.d)
-		if none != (WalkStats{Stats: none.Stats}) || !sameTransitions(none.Stats, col.most.Stats) {
-			t.Errorf("%s: the full list counted %+v; want nothing on the bounded paths and the index's %+v", col.d.Name(), none, col.most.Stats)
+		if none != (WalkStats{Stats: none.Stats}) || !sameTransitions(none.Stats, col.full) {
+			t.Errorf("%s: the full list counted %+v; want nothing on the bounded paths and the index's %+v", col.d.Name(), none, col.full)
 		}
 		ranked := forms(col.d)[1]
 		bounded, stats, got := day(ranked)
@@ -88,7 +96,7 @@ func TestBoundedPathScoresFewer(t *testing.T) {
 			t.Errorf("%s: %d Market.Dist calls against the full list's %d over %d served orders; want at most %d",
 				ranked.Name(), bounded, full, want.Served, col.ceiling)
 		}
-		if stats.CellsVisited > col.most.CellsVisited || stats.EntriesScanned > col.most.EntriesScanned ||
+		if stats.CellsStepped > col.most.CellsStepped || stats.CellsVisited > col.most.CellsVisited || stats.EntriesScanned > col.most.EntriesScanned ||
 			stats.ExactScores > col.most.ExactScores || stats.CellsSkipped < col.most.CellsSkipped {
 			t.Errorf("%s: %+v; want at most %+v, and at least that many cells skipped", ranked.Name(), stats, col.most)
 		}
@@ -475,9 +483,14 @@ func TestBoundedRowsTieWindow(t *testing.T) {
 // rows twice, so the cells visited rose from 20 231 to 20 564, while the
 // calls fell from 5 246 to 4 349, the exact scores from 1 810 to 1 352
 // and the entries scanned from 55 663 to 54 311, and the cells skipped
-// grew from 10 903 to 11 804. (Before the entries carried their way home
-// from the bind there were 9 964 calls over the engine's life, and
-// 11 474 before the cell walk.)
+// grew from 10 903 to 11 804. Since the walk stops a layer of the index
+// at the first ring its ceiling rules out, the ceilings are 25 505 cells
+// stepped, 13 715 visited, 43 423 entries scanned, 1 302 exact scores
+// and 4 213 calls, and the floor 4 751 cells skipped: the stop spares
+// the walk the cells it used to skip one by one. The index's transitions
+// are pinned for the two apart, as in TestBoundedPathScoresFewer.
+// (Before the entries carried their way home from the bind there were
+// 9 964 calls over the engine's life, and 11 474 before the cell walk.)
 func TestBoundedRowsScoreFewer(t *testing.T) {
 	cfg := trace.NewConfig(17, 300, 5000, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
@@ -498,25 +511,25 @@ func TestBoundedRowsScoreFewer(t *testing.T) {
 		auditIndex(t, fmt.Sprintf("bounded=%v", bounded), e)
 		return n, stats, res
 	}
-	// The index's transitions over the day, the same whoever builds the
-	// rows, with no sort after the bind's Load (513 before it); Shifted is
-	// a ceiling, one entry an order (9 measured).
-	index := spatial.Stats{Woken: 5109, Expired: 4909, Shifted: 300}
+	// The index's transitions over the day, with no sort after the bind's
+	// Load (513 before it), the full rows' and the bounded ones'; Shifted
+	// is a ceiling, one entry an order (9 measured).
+	index, fullIndex := spatial.Stats{Woken: 4955, Expired: 4874, Shifted: 300}, spatial.Stats{Woken: 5118, Expired: 4913, Shifted: 300}
 	full, none, want := day(false)
-	if none != (WalkStats{Stats: none.Stats}) || !sameTransitions(none.Stats, index) {
-		t.Errorf("the full rows counted %+v; want nothing on the bounded paths and the index's %+v", none, index)
+	if none != (WalkStats{Stats: none.Stats}) || !sameTransitions(none.Stats, fullIndex) {
+		t.Errorf("the full rows counted %+v; want nothing on the bounded paths and the index's %+v", none, fullIndex)
 	}
 	bounded, stats, got := day(true)
 	diffResults(t, "bounded rows", want, got)
 	if again, stats2, _ := day(true); again != bounded || stats2 != stats {
 		t.Errorf("%d Market.Dist calls and %+v, then %d and %+v on the same day", bounded, stats, again, stats2)
 	}
-	const ceiling = 4349
-	most := WalkStats{CellsVisited: 20564, CellsSkipped: 11804, EntriesScanned: 54311, ExactScores: 1352}
+	const ceiling = 4213
+	most := WalkStats{CellsStepped: 25505, CellsVisited: 13715, CellsSkipped: 4751, EntriesScanned: 43423, ExactScores: 1302}
 	if want.Served == 0 || bounded > ceiling {
 		t.Errorf("%d Market.Dist calls against the full rows' %d over %d served orders; want at most %d", bounded, full, want.Served, ceiling)
 	}
-	if stats.CellsVisited > most.CellsVisited || stats.EntriesScanned > most.EntriesScanned ||
+	if stats.CellsStepped > most.CellsStepped || stats.CellsVisited > most.CellsVisited || stats.EntriesScanned > most.EntriesScanned ||
 		stats.ExactScores > most.ExactScores || stats.CellsSkipped < most.CellsSkipped {
 		t.Errorf("%+v; want at most %+v, and at least that many cells skipped", stats, most)
 	}
@@ -762,6 +775,88 @@ var (
 	}()
 )
 
+// The seeds of the index's two layers (spatial.Index.Load): twelve
+// drivers, so that the bind splits off the one with the longest way
+// home.
+var (
+	// layerStop has the row's winner in the far layer, in the pickup's
+	// cell: she waits at the pickup (spot 0), headed 250 km east (spot 1),
+	// and the order takes her 8.4 km of the way, its margin all hers. The
+	// near drivers are at home or 3.95 km from it (h₀), one ring east
+	// (spot 2) and further out (spots 3 and 4). The far layer goes first
+	// on a tie of RingKm, so the near layer's first non-empty cell, one
+	// ring out, is met with her margin as the bar; its ceiling cannot
+	// reach it, and the near layer stops there: two cells visited, one
+	// entry scanned.
+	layerStop = func() fuzzDay {
+		d := fuzzDay{spots: []fuzzSpot{{a: 128, b: 128}, {far: true, a: 128, b: 255}, {a: 128, b: 170}, {a: 128, b: 230}, {a: 30, b: 128}, {a: 128, b: 255}},
+			rows: 6, cols: 6, orders: []fuzzOrder{{notice: 40, price: 120, src: 0, dst: 5, slack: 30}}}
+		d.fleet = append(d.fleet, fuzzDriver{src: 0, dst: 1, shift: 250, speed: 4})
+		for _, home := range [][2]byte{{2, 2}, {2, 2}, {2, 2}, {2, 2}, {2, 3}, {2, 3}, {2, 3}, {3, 3}, {3, 3}, {4, 4}, {4, 4}} {
+			d.fleet = append(d.fleet, fuzzDriver{src: home[0], dst: home[1], shift: 250})
+		}
+		return d
+	}()
+
+	// crossLayer has a window's assignment carry a driver across h₀ and
+	// the next window's row find her there. Driver 0 waits at home (spot
+	// 0), as all but driver 11 do, who is headed 250 km east and is the
+	// far layer; h₀ is 0. The first window sends driver 0 11.5 km east
+	// (spot 1): her way home moves her to the far layer. The second
+	// window's order takes her back, its margin all hers, and leaves her
+	// home, in the near layer again.
+	crossLayer = func() fuzzDay {
+		d := fuzzDay{spots: []fuzzSpot{{a: 128, b: 40}, {a: 128, b: 215}, {a: 40, b: 128}, {a: 215, b: 128}, {far: true, a: 128, b: 255}},
+			rows: 6, cols: 6, orders: []fuzzOrder{
+				{notice: 10, price: 120, src: 0, dst: 1, slack: 5},
+				{gap: 100, notice: 40, price: 120, src: 1, dst: 0, slack: 30},
+			}}
+		d.fleet = append(d.fleet, fuzzDriver{src: 0, dst: 0, shift: 250})
+		for i := 1; i < 11; i++ {
+			d.fleet = append(d.fleet, fuzzDriver{src: byte(2 + i%2), dst: byte(2 + i%2), shift: 250})
+		}
+		d.fleet = append(d.fleet, fuzzDriver{src: 2, dst: 4, shift: 250})
+		return d
+	}()
+)
+
+// TestLayerSeeds holds the layers' named seeds to the situations they
+// are named for, on crow-fly in both modes.
+func TestLayerSeeds(t *testing.T) {
+	for mode := byte(0); mode < 2; mode++ {
+		e, src, order := choiceDay(t, layerStop.bytes(mode))
+		row := src.TopRow(order, order.Publish, 1, nil)
+		want := WalkStats{CellsStepped: src.stats.CellsStepped, CellsVisited: 2, CellsSkipped: 1, EntriesScanned: 1, Reached: 1, ExactScores: 1}
+		if len(row) != 1 || row[0].Driver != 0 || !src.ix.Far(0) || src.ix.Far(1) || src.ix.NearKm() != e.homeKm(5) || src.stats != want {
+			t.Errorf("mode %d: layerStop's row %+v, driver 0 far %v, driver 1 far %v, h₀ %g; %+v, want driver 0 alone, far, and %+v",
+				mode, row, src.ix.Far(0), src.ix.Far(1), src.ix.NearKm(), src.stats, want)
+		}
+
+		d := decodeRows(t, crossLayer.bytes(mode, 0, 0))
+		e = diffEngine(t, d.mkt, d.fleet, 1, d.realTime, d.src)
+		st, err := e.NewBatchedStream(d.window, BatchHungarian, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var far []bool
+		for _, order := range d.orders {
+			if _, err := st.SubmitTask(order); err != nil {
+				t.Fatal(err)
+			}
+			far = append(far, d.src.ix.Far(0))
+		}
+		res, err := st.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Assignment[0] != 0 || res.Assignment[1] != 0 || !slices.Equal(far, []bool{false, true}) || d.src.ix.Far(0) || !d.src.ix.Far(11) {
+			t.Errorf("mode %d: crossLayer assigned %v; driver 0 far %v as the orders came and %v at the end, driver 11 %v; want both orders hers, far only between them",
+				mode, res.Assignment, far, d.src.ix.Far(0), d.src.ix.Far(11))
+		}
+		auditIndex(t, "crossLayer", e)
+	}
+}
+
 // churn is FuzzBoundedRows' tail for a seed: driver 1 joins at 2 s and
 // driver 3 (modulo the fleet) retires at 402 s — each a driver, 1 + her
 // index (0 for none), and a time in units of 2 s.
@@ -812,7 +907,7 @@ func fuzzMarket(t *testing.T, road bool, in *fuzzInput) (model.Market, []geo.Poi
 func FuzzBoundedChoice(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(slices.Repeat([]byte{0xff}, 96))
-	days := []fuzzDay{runningTie, ringBoundary, clamped, staleAggregate}
+	days := []fuzzDay{runningTie, ringBoundary, clamped, staleAggregate, layerStop, crossLayer}
 	for _, d := range days {
 		f.Add(d.bytes(0)) // deadline mode
 		f.Add(d.bytes(1)) // real-time mode
@@ -828,41 +923,7 @@ func FuzzBoundedChoice(f *testing.F) {
 		f.Add(d.bytes(3, 0, 1, 2)) // real-time mode, a 2×3 street grid
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in := fuzzInput(data)
-		mode := int(in.byte())
-		realTime, road := mode%2 == 1, mode/2%2 == 1
-		mkt, spots := fuzzMarket(t, road, &in)
-		spot := func() geo.Point { return spots[int(in.byte())%len(spots)] }
-		fleet := make([]model.Driver, 1+int(in.byte())%12)
-		for i := range fleet {
-			start := in.byte() * 60
-			fleet[i] = model.Driver{ID: i, Source: spot(), Dest: spot(), Start: start, End: start + (1+in.byte())*120,
-				SpeedKmh: []float64{0, 15, 30, 60, 120}[int(in.byte())%5]}
-		}
-		orders := make([]model.Task, 1+int(in.byte())%5)
-		publish := 0.0
-		for i := range orders {
-			publish += in.byte() * 30
-			startBy := publish + (1+in.byte())*60
-			price := in.byte() / 8
-			orders[i] = model.Task{ID: i, Publish: publish, Source: spot(), Dest: spot(),
-				StartBy: startBy, EndBy: startBy + (1+in.byte())*120, Price: price, WTP: price}
-		}
-
-		src := NewGridSource(geo.NewGrid(fuzzBox, 1+int(in.byte())%6, 1+int(in.byte())%6))
-		e := diffEngine(t, mkt, fleet, 1, realTime, src)
-		st, err := e.NewStream(diffRandom{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := len(orders) - 1
-		for _, order := range orders[:last] {
-			if _, err := st.SubmitTask(order); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		order := orders[last]
+		e, src, order := choiceDay(t, data)
 		full := e.candidates(order, order.Publish, nil)
 		if all := src.Contenders(order, order.Publish, 0, nil); !slices.Equal(all, full) {
 			t.Fatalf("a rank the source cannot bound got %+v, not the full list %+v", all, full)
@@ -899,6 +960,53 @@ func FuzzBoundedChoice(f *testing.F) {
 	})
 }
 
+// choiceDay is FuzzBoundedChoice's day, decoded from data: an engine on
+// the indexed source after every order but the last has been dispatched,
+// and the last order.
+func choiceDay(t *testing.T, data []byte) (*Engine, *GridSource, model.Task) {
+	in := fuzzInput(data)
+	mode := int(in.byte())
+	realTime, road := mode%2 == 1, mode/2%2 == 1
+	mkt, spots := fuzzMarket(t, road, &in)
+	fleet, orders := fuzzFleetAndOrders(&in, spots, 12, 5, 30)
+	src := NewGridSource(geo.NewGrid(fuzzBox, 1+int(in.byte())%6, 1+int(in.byte())%6))
+	e := diffEngine(t, mkt, fleet, 1, realTime, src)
+	st, err := e.NewStream(diffRandom{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(orders) - 1
+	for _, order := range orders[:last] {
+		if _, err := st.SubmitTask(order); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e, src, orders[last]
+}
+
+// fuzzFleetAndOrders decodes a fuzzed day's fleet, of up to maxFleet
+// drivers, and its orders, up to maxOrders published gapUnit seconds
+// per byte apart, on the given spots (see fuzzDriver and fuzzOrder).
+func fuzzFleetAndOrders(in *fuzzInput, spots []geo.Point, maxFleet, maxOrders int, gapUnit float64) ([]model.Driver, []model.Task) {
+	spot := func() geo.Point { return spots[int(in.byte())%len(spots)] }
+	fleet := make([]model.Driver, 1+int(in.byte())%maxFleet)
+	for i := range fleet {
+		start := in.byte() * 60
+		fleet[i] = model.Driver{ID: i, Source: spot(), Dest: spot(), Start: start, End: start + (1+in.byte())*120,
+			SpeedKmh: []float64{0, 15, 30, 60, 120}[int(in.byte())%5]}
+	}
+	orders := make([]model.Task, 1+int(in.byte())%maxOrders)
+	publish := 0.0
+	for i := range orders {
+		publish += in.byte() * gapUnit
+		startBy := publish + (1+in.byte())*60
+		price := in.byte() / 8
+		orders[i] = model.Task{ID: i, Publish: publish, Source: spot(), Dest: spot(),
+			StartBy: startBy, EndBy: startBy + (1+in.byte())*120, Price: price, WTP: price}
+	}
+	return fleet, orders
+}
+
 // FuzzBoundedRows is FuzzBoundedChoice for a window's rows: the same
 // small fleets on shared points, on crow-fly or on a small street grid
 // (fuzzMarket), a batched day of a few orders whose earlier windows move
@@ -914,7 +1022,7 @@ func FuzzBoundedChoice(f *testing.F) {
 func FuzzBoundedRows(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(slices.Repeat([]byte{0xff}, 96))
-	days, ks := []fuzzDay{ringBoundary, clamped, staleAggregate}, []byte{0, 2, 7} // rows of 1, 3 and 8
+	days, ks := []fuzzDay{ringBoundary, clamped, staleAggregate, layerStop, crossLayer}, []byte{0, 2, 7} // rows of 1, 3 and 8
 	for _, d := range days {
 		for _, k := range ks {
 			f.Add(d.bytes(0, 0, k)) // deadline mode, 1 s windows
@@ -937,41 +1045,46 @@ func FuzzBoundedRows(f *testing.F) {
 		f.Add(append(d.bytes(2, 5, 0, 4, 5, 1), churn...)) // deadline mode, 21 s windows, a 6×7 street grid
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in := fuzzInput(data)
-		mode := int(in.byte())
-		realTime, road := mode%2 == 1, mode/2%2 == 1
-		window := 1 + in.byte()*4
-		k := 1 + int(in.byte())%8
-		mkt, spots := fuzzMarket(t, road, &in)
-		spot := func() geo.Point { return spots[int(in.byte())%len(spots)] }
-		fleet := make([]model.Driver, 1+int(in.byte())%16)
-		for i := range fleet {
-			start := in.byte() * 60
-			fleet[i] = model.Driver{ID: i, Source: spot(), Dest: spot(), Start: start, End: start + (1+in.byte())*120,
-				SpeedKmh: []float64{0, 15, 30, 60, 120}[int(in.byte())%5]}
-		}
-		orders := make([]model.Task, 1+int(in.byte())%10)
-		publish := 0.0
-		for i := range orders {
-			publish += in.byte() * 2
-			startBy := publish + (1+in.byte())*60
-			price := in.byte() / 8
-			orders[i] = model.Task{ID: i, Publish: publish, Source: spot(), Dest: spot(),
-				StartBy: startBy, EndBy: startBy + (1+in.byte())*120, Price: price, WTP: price}
-		}
-
-		src := NewGridSource(geo.NewGrid(fuzzBox, 1+int(in.byte())%6, 1+int(in.byte())%6))
+		d := decodeRows(t, data)
 		var events []model.MarketEvent
 		for _, kind := range []model.EventKind{model.EventJoin, model.EventRetire} {
-			if who := int(in.byte()); who > 0 {
-				events = append(events, model.MarketEvent{At: in.byte() * 2, Kind: kind, Driver: (who - 1) % len(fleet)})
+			if who := int(d.in.byte()); who > 0 {
+				events = append(events, model.MarketEvent{At: d.in.byte() * 2, Kind: kind, Driver: (who - 1) % len(d.fleet)})
 			}
 		}
-		e := diffEngine(t, mkt, fleet, 1, realTime, src)
-		auditRows(t, e, src, k)
-		got := e.RunBatchedScenario(orders, events, window)
-		want := diffEngine(t, mkt, fleet, 1, realTime, &ScanSource{}).RunBatchedScenario(orders, events, window)
+		e := diffEngine(t, d.mkt, d.fleet, 1, d.realTime, d.src)
+		auditRows(t, e, d.src, d.k)
+		got := e.RunBatchedScenario(d.orders, events, d.window)
+		want := diffEngine(t, d.mkt, d.fleet, 1, d.realTime, &ScanSource{}).RunBatchedScenario(d.orders, events, d.window)
 		diffResults(t, "fuzzed batched day", want, got)
 		auditIndex(t, "fuzzed batched day", e)
 	})
+}
+
+// rowsDay is FuzzBoundedRows' day as far as the source: what is left of
+// the input is the churn.
+type rowsDay struct {
+	in       fuzzInput
+	realTime bool
+	window   float64
+	k        int
+	mkt      model.Market
+	fleet    []model.Driver
+	orders   []model.Task
+	src      *GridSource
+}
+
+func decodeRows(t *testing.T, data []byte) *rowsDay {
+	d := &rowsDay{in: fuzzInput(data)}
+	in := &d.in
+	mode := int(in.byte())
+	road := mode/2%2 == 1
+	d.realTime = mode%2 == 1
+	d.window = 1 + in.byte()*4
+	d.k = 1 + int(in.byte())%8
+	mkt, spots := fuzzMarket(t, road, in)
+	d.mkt = mkt
+	d.fleet, d.orders = fuzzFleetAndOrders(in, spots, 16, 10, 2)
+	d.src = NewGridSource(geo.NewGrid(fuzzBox, 1+int(in.byte())%6, 1+int(in.byte())%6))
+	return d
 }

@@ -30,7 +30,7 @@ func ExampleGridSource_WalkStats() {
 	}
 	// Output:
 	// drivers  served  revenue   profit  exact scores/order
-	//     100     594  1027.91   920.87                1.52
-	//    1000     761  1285.08  1201.04                3.48
-	//   10000     799  1342.13  1306.86                6.33
+	//     100     594  1027.91   920.87                1.51
+	//    1000     761  1285.08  1201.04                3.56
+	//   10000     799  1342.13  1306.86                6.02
 }

@@ -72,7 +72,7 @@ func (p *pair) query(at geo.Point, byTime, now float64) []int {
 		p.t.Fatalf("AppendReachable by %g at %g: %v, brute force %v", byTime, now, got, want)
 	}
 	p.check()
-	if got := p.m.walk(p.t, p.ix, at, 30, byTime, now, now, 0); !slices.Equal(got, want) {
+	if got, _ := p.m.walk(p.t, p.ix, at, 30, byTime, now, now, 0, 0); !slices.Equal(got, want) {
 		p.t.Fatalf("Reachable by %g at %g: %v, brute force %v", byTime, now, got, want)
 	}
 	p.check()
@@ -259,7 +259,7 @@ func TestDenseCellDay(t *testing.T) {
 		p.check()
 		if k%4 == 0 {
 			want := p.m.reachable(p.ix, at(k), 40, now+900, now, now)
-			if got := p.m.walk(t, p.ix, at(k), 40, now+900, now, now, k%3); !slices.Equal(got, want) {
+			if got, _ := p.m.walk(t, p.ix, at(k), 40, now+900, now, now, k%3, 0); !slices.Equal(got, want) {
 				t.Fatalf("step %d, cursor: %v, brute force %v", k, got, want)
 			}
 			p.check()
@@ -301,7 +301,7 @@ func TestLoadHotCell(t *testing.T) {
 	}
 	p.span(30, 0, 50)
 	p.ix.Expire(100)
-	p.ix.Load(func(id int) (geo.Point, geo.Point, float64, int32) { return at, nowhere, float64(id), -1 })
+	p.ix.Load(func(id int) (geo.Point, geo.Point, float64, int32) { return at, nowhere, float64(id), -1 }, false)
 	for id := range n {
 		p.m.loc[id], p.m.present[id], p.m.homeKm[id] = at, true, float64(id)
 	}

@@ -11,8 +11,9 @@ import (
 )
 
 // This file drives the index with arbitrary operation sequences —
-// Add/Remove/Move (with a known HomeKm and Node or none)/SetSpan/SetHome/Grow/
-// Expire interleaved with the four
+// Add/Remove/Move (with a known HomeKm and Node or none, or a HomeKm
+// across the layers' boundary)/SetSpan/SetHome/Grow/Expire/Load, one
+// layer or two, interleaved with the four
 // query forms, the deadlines of the window queries going up and down —
 // against a brute-force twin that keeps only the id arrays and answers
 // every query by scanning them. The index must return exactly the twin's
@@ -99,16 +100,20 @@ func (m *twin) reachable(ix *Index, p geo.Point, speedKmh, byTime, now, minRetir
 // of every cell the cursor hands out goes through Reach, so the ids it
 // accepts must be reachable's whichever cells the caller then treats as
 // skipped. On the way it holds the cursor to its promises — no cell
-// twice, rings outwards, RingKm the ring's bound, every entry in the
+// twice, rings outwards across both layers, RingKm the ring's bound in
+// the cell's layer, LayerHomeKm the layer's ceiling, every entry in the
 // cell it is handed out for with the twin's payload under the cell's
-// aggregate, Reach's distance the planar one — and plays the caller's
-// part on the cells it does not skip (every skipEvery-th is, none at 0):
-// it reports the cell's maximum HomeKm back.
-func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now, minRetire float64, skipEvery int) []int {
+// aggregate and the layer's ceiling, Reach's distance the planar one —
+// and plays the caller's part on the cells it does not skip (every
+// skipEvery-th is, none at 0): it reports the cell's maximum HomeKm back.
+// With stopEvery it plays a caller that stops a layer: every stopEvery-th
+// cell, none at 0, ends the walk of its layer, and the ids of the cells
+// left are not asked for; the layers not stopped must still come out
+// whole.
+func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now, minRetire float64, skipEvery, stopEvery int) (got, want []int) {
 	t.Helper()
-	var got []int
-	cols := ix.grid.Cols
-	center := ix.grid.CellOf(p)
+	var stopped [2]bool
+	near := ix.grid.NumCells()
 	qx, qy := ix.Project(p)
 	seen := map[int32]bool{}
 	lastRingKm, n := 0.0, 0
@@ -122,9 +127,21 @@ func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now,
 			t.Fatalf("cursor came to cell %d twice", at)
 		}
 		seen[at] = true
-		ring := max(abs(int(at)/cols-center/cols), abs(int(at)%cols-center%cols))
-		if want := Safety * float64(max(ring-1, 0)) * ix.minSpanKm; c.RingKm() != want || c.RingKm() < lastRingKm {
-			t.Fatalf("cell %d, %d rings from cell %d: RingKm %g after %g, want %g", at, ring, center, c.RingKm(), lastRingKm, want)
+		grid, cell, spanKm, ceiling := ix.grid, int(at), ix.minSpanKm, ix.nearKm
+		layer := 0
+		if cell >= near {
+			grid, cell, spanKm, ceiling, layer = ix.far, cell-near, ix.farSpanKm, math.Inf(1), 1
+		}
+		if stopped[layer] {
+			t.Fatalf("cell %d of a stopped layer", at)
+		}
+		center, cols := grid.CellOf(p), grid.Cols
+		ring := max(abs(cell/cols-center/cols), abs(cell%cols-center%cols))
+		if want := Safety * float64(max(ring-1, 0)) * spanKm; c.RingKm() != want || c.RingKm() < lastRingKm {
+			t.Fatalf("cell %d, %d rings from cell %d of its layer: RingKm %g after %g, want %g", at, ring, center, c.RingKm(), lastRingKm, want)
+		}
+		if c.LayerHomeKm() != ceiling {
+			t.Fatalf("cell %d: LayerHomeKm %g, want %g", at, c.LayerHomeKm(), ceiling)
 		}
 		lastRingKm = c.RingKm()
 		skip := skipEvery > 0 && n%skipEvery == 0
@@ -137,8 +154,8 @@ func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now,
 			if err := m.payload(ix, *en); err != nil {
 				t.Fatal(err)
 			}
-			if !(c.MaxHomeKm() >= orInf(en.HomeKm)) {
-				t.Fatalf("id %d: HomeKm %g above MaxHomeKm %g", en.ID, en.HomeKm, c.MaxHomeKm())
+			if !(c.MaxHomeKm() >= orInf(en.HomeKm)) || !(c.LayerHomeKm() >= orInf(en.HomeKm)) {
+				t.Fatalf("id %d: HomeKm %g above MaxHomeKm %g or LayerHomeKm %g", en.ID, en.HomeKm, c.MaxHomeKm(), c.LayerHomeKm())
 			}
 			if distSq, ok := c.Reach(en); ok {
 				if dx, dy := en.PX-qx, en.PY-qy; distSq != dx*dx+dy*dy {
@@ -151,9 +168,18 @@ func (m *twin) walk(t testing.TB, ix *Index, p geo.Point, speedKmh, byTime, now,
 		if !skip {
 			c.Tighten(maxHome)
 		}
+		if stopEvery > 0 && n%stopEvery == stopEvery-1 {
+			c.Stop()
+			stopped[layer] = true
+		}
 	}
 	slices.Sort(got)
-	return got
+	for _, id := range m.reachable(ix, p, speedKmh, byTime, now, minRetire) {
+		if c := ix.cell[id]; seen[c] || !stopped[min(int(c)/near, 1)] {
+			want = append(want, id)
+		}
+	}
+	return got, want
 }
 
 func abs(x int) int { return max(x, -x) }
@@ -181,8 +207,12 @@ func checkInvariants(ix *Index, m *twin) error {
 			continue
 		}
 		members++
-		if want := int32(ix.grid.CellOf(m.loc[id])); c != want {
-			return fmt.Errorf("id %d: in cell %d, located in cell %d", id, c, want)
+		want := int32(ix.grid.CellOf(m.loc[id]))
+		if orInf(m.homeKm[id]) > ix.nearKm {
+			want = int32(ix.grid.NumCells() + ix.far.CellOf(m.loc[id]))
+		}
+		if c != want {
+			return fmt.Errorf("id %d: with HomeKm %g against h₀ %g in cell %d, belongs in cell %d", id, m.homeKm[id], ix.nearKm, c, want)
 		}
 		cl := &ix.cells[c]
 		slot := ix.slot[id]
@@ -223,6 +253,13 @@ func checkInvariants(ix *Index, m *twin) error {
 	}
 	if members != ix.members {
 		return fmt.Errorf("Members() = %d, %d present", ix.members, members)
+	}
+	if cells := ix.grid.NumCells(); ix.far != nil {
+		if ix.far.Box != ix.grid.Box || ix.far.NumCells() > cells || len(ix.cells) != cells+ix.far.NumCells() || math.IsInf(ix.nearKm, 0) {
+			return fmt.Errorf("far layer %+v beside the near %+v, %d cells in all, h₀ %g", *ix.far, *ix.grid, len(ix.cells), ix.nearKm)
+		}
+	} else if len(ix.cells) != cells || !math.IsInf(ix.nearKm, 1) {
+		return fmt.Errorf("one layer of %d cells with %d cells in all, h₀ %g", cells, len(ix.cells), ix.nearKm)
 	}
 	for c := range ix.cells {
 		cl := &ix.cells[c]
@@ -304,7 +341,7 @@ func runIndexOps(t testing.TB, data []byte, expire bool) Stats {
 		}
 	}
 	for !r.done() {
-		op := r.byte() % 13
+		op := r.byte() % 15
 		id := int(r.byte()) % len(m.loc)
 		switch op {
 		case 0, 1: // place: Add when absent, Move when present; 1 with a known HomeKm and Node
@@ -356,26 +393,40 @@ func runIndexOps(t testing.TB, data []byte, expire bool) Stats {
 			equal("AppendReachable", got, m.reachable(ix, p, 3600, radius, 0, math.Inf(-1)))
 		case 10: // window query, cursor form
 			p, speed, byTime, now, minRetire := r.point(), float64(r.byte()%90), r.time(), r.time(), r.time()
-			equal("Reachable", m.walk(t, ix, p, speed, byTime, now, minRetire, int(r.byte()%4)), m.reachable(ix, p, speed, byTime, now, minRetire))
+			b := r.byte()
+			got, want := m.walk(t, ix, p, speed, byTime, now, minRetire, int(b%4), int(b/4%4))
+			equal("Reachable", got, want)
 		case 11: // the payload's static half, whenever: it is the caller's
 			if m.present[id] {
 				m.home[id] = r.point()
 				ix.SetHome(id, m.home[id])
 			}
-		case 12: // reload: every id out, then all of them in at once, where the twin last had each
+		case 12, 13: // reload: every id out, then all of them in at once, where the twin last had each; 13 in two layers
 			fill := float64(r.byte())
 			for id := range m.loc {
 				if m.present[id] {
 					ix.Remove(id)
 				}
 				m.present[id], m.homeKm[id], m.node[id] = true, fill+float64(id), int32(fill)+int32(id)
-				if (id+int(fill))%3 == 0 {
+				if op == 13 { // ways home of 0 to 19 km, and one in 23 unknown: some of either beyond h₀
+					m.homeKm[id] = float64((id*7 + int(fill)) % 20)
+				}
+				if op == 12 && (id+int(fill))%3 == 0 || op == 13 && (id+int(fill))%23 == 0 {
 					m.homeKm[id], m.node[id] = math.NaN(), -1
 				}
 			}
 			ix.Load(func(id int) (geo.Point, geo.Point, float64, int32) {
 				return m.loc[id], m.home[id], m.homeKm[id], m.node[id]
-			})
+			}, op == 13)
+		case 14: // carry a way home across the layers' boundary, either way, at the same spot: to h₀ itself, past it, or unknown
+			if m.present[id] {
+				homeKm := ix.nearKm
+				if b := r.byte(); orInf(m.homeKm[id]) <= ix.nearKm {
+					homeKm = []float64{math.Nextafter(ix.nearKm, math.Inf(1)), math.NaN()}[b%2]
+				}
+				ix.Move(id, m.loc[id], homeKm, m.node[id])
+				m.homeKm[id] = homeKm
+			}
 		}
 		if ix.Len() != len(m.loc) {
 			t.Fatalf("op %d: Len() = %d, want %d", r.pos, ix.Len(), len(m.loc))
@@ -415,6 +466,18 @@ func (s *seq) remove(id byte) *seq             { return s.op(2, id) }
 func (s *seq) span(id, free, retire byte) *seq { return s.op(3, id, free, retire) }
 func (s *seq) expire(now byte) *seq            { return s.op(5, 0, now) }
 func (s *seq) reload(fill byte) *seq           { return s.op(12, 0, fill) }
+func (s *seq) layered(fill byte) *seq          { return s.op(13, 0, fill) }
+func (s *seq) cross(id, how byte) *seq         { return s.op(14, id, how) }
+func (s *seq) grow() *seq                      { return s.op(6, 0) }
+func (s *seq) placeKm(id, lat, lon, km byte) *seq {
+	return s.op(1, id, lat, lon, km, 0)
+}
+
+// askStopping is ask's cursor form alone, stopping a layer at every
+// cell it comes to.
+func (s *seq) askStopping(byTime, now byte) *seq {
+	return s.op(10, 0, 128, 128, 89, byTime, now, now, 4)
+}
 
 // ask puts one query through all three window forms, at top speed from
 // the middle of the region, with minRetire at now.
@@ -479,6 +542,32 @@ var namedSeeds = []struct {
 		place(5, 128, 128).reload(7).
 		ask(110, 55).span(4, 130, 250).ask(200, 55),
 		Stats{Woken: 5, Shifted: 1}},
+	// A Load in two layers (h₀ 18 km; 14, at 19 km, and 22, unknown,
+	// beyond it), then near entries carried across h₀ into the far layer:
+	// 3, parked, and 4, from h₀ itself, to just past it at the query's
+	// spot, and 5 to an unknown way home far from it — between queries
+	// that stop a layer at its first cell and ones that walk both to the
+	// end. The last query wakes 3 in her far cell.
+	{"crossUp", newSeq(4, 4).
+		layered(1).placeKm(3, 128, 128, 2).placeKm(4, 128, 128, 18).ask(100, 0).
+		span(3, 120, 250).cross(3, 0).cross(4, 0).askStopping(100, 0).cross(5, 1).ask(100, 0).askStopping(255, 0),
+		Stats{Woken: 1}},
+	// The other way: the far entries of a Load — 14, parked, at 19 km and
+	// 22, unknown — brought down to h₀ itself, which is near; 9, who
+	// retires at 2 400 s, sent up and back down and then expired; a
+	// query after each.
+	{"crossDown", newSeq(4, 4).
+		layered(1).ask(100, 0).span(14, 120, 250).cross(14, 0).cross(22, 0).span(9, 0, 60).cross(9, 0).askStopping(100, 0).
+		cross(9, 0).expire(70).ask(255, 70),
+		Stats{Woken: 1, Expired: 1}},
+	// Unknown ways home on a layered index: a driver added again with
+	// none goes to the far layer, and so do a newcomer and a near entry
+	// moved with none; a reload in one layer takes everyone back to the
+	// near one.
+	{"nanHome", newSeq(3, 3).
+		grow().layered(2).ask(100, 0).remove(6).place(6, 128, 128).place(24, 130, 126).place(7, 128, 128).
+		askStopping(100, 0).reload(3).ask(100, 0),
+		Stats{}},
 }
 
 // TestNamedSeeds runs them with the clock live, as the fuzzer's corpus
@@ -571,5 +660,38 @@ func TestQueriesDoNotAllocate(t *testing.T) {
 	}
 	if st := ix.Stats(); st.Woken < 1000 || st.Expired < 1000 || st.Sorts < 100 {
 		t.Fatalf("the run counted %+v; it was meant to wake, expire and sort plenty", st)
+	}
+}
+
+// TestLayerMigrationsDoNotAllocate: an entry whose way home crosses h₀
+// leaves its layer's cell for the other layer's, a window change moves
+// it between regions, and once every cell they reach has had room for
+// them neither touches the allocator.
+func TestLayerMigrationsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pts := randomPoints(rng, 400, geo.PortoBox)
+	ix := NewSparseIndex(geo.NewGrid(geo.PortoBox, 14, 14), len(pts))
+	ix.Load(func(id int) (geo.Point, geo.Point, float64, int32) { return pts[id], nowhere, float64(id % 20), -1 }, true)
+	if ix.NearKm() != 17 || ix.Far(0) || !ix.Far(19) {
+		t.Fatalf("h₀ %g over ways home 0 to 19 km, twenty of each; want 17, id 0 near and id 19 far", ix.NearKm())
+	}
+	k := 0
+	step := func() {
+		id := k % 40 // ids 0 to 17 near, 18 and 19 far, and so on
+		home := float64(id % 20)
+		ix.Move(id, pts[(id+k)%len(pts)], 35-home, -1) // across h₀, either way, and somewhere else
+		if ix.Far(id) == (home > 17) {
+			t.Fatalf("id %d still in its layer", id)
+		}
+		ix.SetSpan(id, float64(k), float64(k+1000))
+		ix.Move(id, pts[id], home, -1)
+		ix.SetSpan(id, math.Inf(1), math.Inf(-1))
+		k++
+	}
+	for range 2 * len(pts) {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(400, step); allocs != 0 {
+		t.Fatalf("%v allocations a migration", allocs)
 	}
 }

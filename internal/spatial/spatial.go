@@ -35,13 +35,16 @@
 // best-first order of incremental nearest-neighbour search over a bucket
 // grid (Hjaltason and Samet, "Distance Browsing in Spatial Databases",
 // TODS 1999) — through a Cursor, each with a bound on all of its entries
-// at once. The walk has two consumers. A caller that is after an
-// extremum and can bound it steps the Cursor (Reachable) itself, and
-// passes over most cells behind a good incumbent without reading a line
-// of theirs. The forms that return ids (NearReachable, AppendReachable)
-// step the same Cursor through every cell, collect the accepted ids in a
-// bitmap over the id space and sweep it in ascending order, so no caller
-// sorts.
+// at once, from two layers split by the caller's HomeKm (see Load), so
+// that a caller can stop one at the ring its ceiling rules out: the
+// stopping rule of Fagin, Lotem and Naor's threshold algorithm (PODS
+// 2001), one per layer. The walk has two consumers. A caller that is
+// after an extremum and can bound it steps the Cursor (Reachable)
+// itself, and passes over most cells behind a good incumbent without
+// reading a line of theirs. The forms that return ids (NearReachable,
+// AppendReachable) step the same Cursor through every cell, collect the
+// accepted ids in a bitmap over the id space and sweep it in ascending
+// order, so no caller sorts.
 //
 // Distance checks use planar kilometer coordinates under a fixed
 // conservative projection (see Project) so the query hot path does no
@@ -63,6 +66,7 @@ import (
 	"slices"
 
 	"repro/internal/geo"
+	"repro/internal/heap"
 )
 
 // Safety discounts every pruning bound: a cell ring or an individual
@@ -111,7 +115,8 @@ const Safety = 0.9
 // present point, whatever the order of queries, Expire calls and
 // mutations.
 type Index struct {
-	grid *geo.Grid
+	grid *geo.Grid // the near layer's
+	far  *geo.Grid // the far layer's, over the same box; nil while there is none
 
 	loc      []geo.Point // id -> current location
 	freeAt   []float64   // id -> earliest departure time
@@ -119,8 +124,9 @@ type Index struct {
 	cell     []int32     // id -> current cell, or absentCell when removed
 	slot     []int32     // id -> position inside cells[cell[id]].ents
 
-	cells   []cell
-	members int // number of present points
+	cells   []cell  // the near layer's, then the far layer's
+	members int     // number of present points
+	nearKm  float64 // h₀, the near layer's ceiling (see Load): +Inf while there is one layer
 
 	horizon   float64 // largest byTime of any window query, +Inf read as the largest finite time
 	watermark float64 // largest time passed to Expire
@@ -129,7 +135,8 @@ type Index struct {
 	marks []uint64 // accepted ids of the query in progress, one bit each
 	ids   []int    // scratch of the callback queries
 
-	minSpanKm float64 // conservative one-cell extent for ring bounds
+	minSpanKm float64 // conservative one-cell extent for ring bounds, near layer
+	farSpanKm float64 // the same, far layer
 	kmPerLon  float64 // km per degree of longitude at the box's widest-cos latitude
 }
 
@@ -209,7 +216,7 @@ func (ix *Index) Project(p geo.Point) (x, y float64) {
 func NewIndex(grid *geo.Grid, locs []geo.Point) *Index {
 	ix := NewSparseIndex(grid, len(locs))
 	nowhere := geo.Point{Lat: math.NaN(), Lon: math.NaN()}
-	ix.Load(func(id int) (geo.Point, geo.Point, float64, int32) { return locs[id], nowhere, math.NaN(), -1 })
+	ix.Load(func(id int) (geo.Point, geo.Point, float64, int32) { return locs[id], nowhere, math.NaN(), -1 }, false)
 	return ix
 }
 
@@ -233,7 +240,8 @@ func NewSparseIndex(grid *geo.Grid, n int) *Index {
 		retireAt:  make([]float64, n),
 		cell:      make([]int32, n),
 		slot:      make([]int32, n),
-		cells:     make([]cell, grid.NumCells()),
+		cells:     make([]cell, grid.NumCells(), grid.NumCells()*10/9+1), // and room for most far layers (see split)
+		nearKm:    math.Inf(1),
 		horizon:   math.Inf(-1),
 		watermark: math.Inf(-1),
 		marks:     make([]uint64, (n+63)/64),
@@ -245,15 +253,29 @@ func NewSparseIndex(grid *geo.Grid, n int) *Index {
 		ix.retireAt[id] = math.Inf(1)
 		ix.cell[id] = absentCell
 	}
-	// Every cell starts with room for a few entries in one shared block,
-	// laid out in cell order like the scan walks it; a cell that outgrows
-	// its share moves to a block of its own.
-	arena := make([]Entry, cellReserve*len(ix.cells))
-	for c := range ix.cells {
-		ix.cells[c] = cell{ents: arena[c*cellReserve : c*cellReserve : (c+1)*cellReserve],
+	emptyCells(ix.cells)
+	return ix
+}
+
+// emptyCells builds cells empty, unsorted and with nothing due. Every
+// cell starts with room for a few entries in one shared block, laid out
+// in cell order like the scan walks it; a cell that outgrows its share
+// moves to a block of its own.
+func emptyCells(cells []cell) {
+	arena := make([]Entry, cellReserve*len(cells))
+	for c := range cells {
+		cells[c] = cell{ents: arena[c*cellReserve : c*cellReserve : (c+1)*cellReserve],
 			wakeAt: math.Inf(1), expireAt: math.Inf(1), maxHomeKm: math.Inf(-1)}
 	}
-	return ix
+}
+
+// cellOf is the cell an entry at p whose HomeKm is homeKm belongs in:
+// of the near layer's grid, or of the far layer's, after the near cells.
+func (ix *Index) cellOf(p geo.Point, homeKm float64) int32 {
+	if orInf(homeKm) > ix.nearKm {
+		return int32(ix.grid.NumCells() + ix.far.CellOf(p))
+	}
+	return int32(ix.grid.CellOf(p))
 }
 
 // cellReserve is the capacity a cell is built with. The sources size
@@ -290,6 +312,13 @@ func (ix *Index) Contains(id int) bool {
 	return ix.cell[id] != absentCell
 }
 
+// NearKm returns h₀, the largest HomeKm of the near layer (see Load):
+// +Inf while there is one layer.
+func (ix *Index) NearKm() float64 { return ix.nearKm }
+
+// Far reports whether id is present in the far layer.
+func (ix *Index) Far(id int) bool { return ix.Contains(id) && int(ix.cell[id]) >= ix.grid.NumCells() }
+
 // Location returns the current location of id.
 func (ix *Index) Location(id int) geo.Point { return ix.loc[id] }
 
@@ -314,7 +343,7 @@ func (ix *Index) Add(id int, p geo.Point, homeKm float64, node int32) {
 	px, py := ix.Project(p)
 	nan := math.NaN()
 	ix.insert(Entry{PX: px, PY: py, FreeAt: ix.freeAt[id], RetireAt: ix.retireAt[id],
-		HomeX: nan, HomeY: nan, HomeKm: homeKm, ID: int32(id), Node: node}, int32(ix.grid.CellOf(p)))
+		HomeX: nan, HomeY: nan, HomeKm: homeKm, ID: int32(id), Node: node}, ix.cellOf(p, homeKm))
 	ix.members++
 }
 
@@ -327,7 +356,14 @@ func (ix *Index) Add(id int, p geo.Point, homeKm float64, node int32) {
 // parked region already in wake order, so that no query pays the cell's
 // first sort, and room for as many entries as Add's appends would have
 // grown it to — and its header is exact. It panics if an id is present.
-func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64, node int32)) {
+//
+// With layered, Load splits the points at h₀, their 90th percentile
+// HomeKm (NaN read as +Inf): the near layer, on the index's grid, holds
+// every entry whose HomeKm is at most h₀, the far layer the rest, on a
+// grid over the same box of a tenth the cells. h₀ stays until the next
+// Load.
+// Without layered, or with no point beyond h₀, there is one layer.
+func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64, node int32), layered bool) {
 	if ix.members != 0 {
 		panic(fmt.Sprintf("spatial: Load into an index that holds %d points", ix.members))
 	}
@@ -335,16 +371,19 @@ func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64, node i
 	// Each id's HomeX, HomeY and HomeKm; its Node waits in its slot,
 	// which the layout below overwrites.
 	homes := make([][3]float64, n)
-	start := make([]int32, len(ix.cells)+1)
 	for id := range n {
 		p, home, km, node := at(id)
 		ix.loc[id] = p
-		c := int32(ix.grid.CellOf(p))
-		ix.cell[id] = c
-		start[c+1]++
 		hx, hy := ix.Project(home)
 		homes[id] = [3]float64{hx, hy, km}
 		ix.slot[id] = node
+	}
+	ix.split(homes, layered)
+	start := make([]int32, len(ix.cells)+1)
+	for id := range n {
+		c := ix.cellOf(ix.loc[id], homes[id][2])
+		ix.cell[id] = c
+		start[c+1]++
 	}
 	most := 0
 	for c := range ix.cells {
@@ -424,6 +463,38 @@ func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64, node i
 	ix.members = n
 }
 
+// split sets h₀ from the HomeKm of homes and lays out the far layer's
+// cells, empty, after the near layer's (see Load).
+func (ix *Index) split(homes [][3]float64, layered bool) {
+	ix.nearKm, ix.far, ix.cells = math.Inf(1), nil, ix.cells[:ix.grid.NumCells()]
+	if !layered || len(homes) == 0 {
+		return
+	}
+	// h₀ is the least of the k longest ways home, on a min-heap rather
+	// than a sort of all: the far layer holds fewer than k of the points.
+	k := len(homes)/10 + 1
+	top := make([]float64, 0, k)
+	for id := range homes {
+		switch km := orInf(homes[id][2]); {
+		case len(top) < k:
+			heap.Push(&top, km, cmp.Less[float64])
+		case km > top[0]:
+			top[0] = km
+			heap.Fix(top, 0, cmp.Less[float64])
+		}
+	}
+	if slices.Max(top) == top[0] {
+		return // no point is beyond h₀
+	}
+	ix.nearKm = top[0]
+	scale := math.Sqrt(float64(k) / float64(len(homes)))
+	ix.far = geo.NewGrid(ix.grid.Box, max(1, int(math.Ceil(scale*float64(ix.grid.Rows)))), max(1, int(math.Ceil(scale*float64(ix.grid.Cols)))))
+	h, w := ix.far.CellSpanKm()
+	ix.farSpanKm = min(h, w)
+	ix.cells = slices.Grow(ix.cells, ix.far.NumCells())[:len(ix.cells)+ix.far.NumCells()]
+	emptyCells(ix.cells[ix.grid.NumCells():])
+}
+
 // byWake puts ids in descending free time: by insertion, with the
 // comparison inlined, for the few a cell mostly holds, and by
 // slices.SortFunc for a hot spot's hundreds.
@@ -479,14 +550,15 @@ func (ix *Index) Remove(id int) {
 }
 
 // Move updates id's location, rebucketing it if it crossed a cell
-// boundary, and replaces what the caller derived from the old one by
-// homeKm and node (see Entry). It panics if id is absent.
+// boundary or its HomeKm crossed into the other layer, and replaces what
+// the caller derived from the old one by homeKm and node (see Entry). It
+// panics if id is absent.
 func (ix *Index) Move(id int, p geo.Point, homeKm float64, node int32) {
 	e := ix.entry(id, "Move")
 	ix.loc[id] = p
 	e.PX, e.PY = ix.Project(p)
 	e.HomeKm, e.Node = homeKm, node
-	if c := int32(ix.grid.CellOf(p)); c != ix.cell[id] {
+	if c := ix.cellOf(p, homeKm); c != ix.cell[id] {
 		moved := *e
 		ix.extract(int32(id))
 		ix.insert(moved, c)
@@ -702,13 +774,13 @@ func (ix *Index) AppendReachable(buf []int, p geo.Point, speedKmh, byTime, now, 
 	return buf
 }
 
-// rings is how far out, in cells, a scan of radiusKm reaches: every
-// point in a cell r rings out is at least (r-1) cell spans from any
-// point in the center cell, so the square stops at the first ring that
-// bound puts beyond the radius.
-func (ix *Index) rings(radiusKm float64) int {
+// rings is how far out, in cells of grid, a scan of radiusKm reaches:
+// every point in a cell r rings out is at least (r-1) cell spans (spanKm)
+// from any point in the center cell, so the square stops at the first
+// ring that bound puts beyond the radius.
+func rings(grid *geo.Grid, spanKm, radiusKm float64) int {
 	rings := 1
-	for rings < max(ix.grid.Rows, ix.grid.Cols) && float64(rings)*ix.minSpanKm*Safety <= radiusKm {
+	for rings < max(grid.Rows, grid.Cols) && float64(rings)*spanKm*Safety <= radiusKm {
 		rings++
 	}
 	return rings
@@ -717,24 +789,39 @@ func (ix *Index) rings(radiusKm float64) int {
 // Cursor is the walk of a window query, the one AppendReachable steps
 // too, handed to a caller that wants the entries rather than the ids and
 // has bounds of its own to apply. The caller steps with Next through the
-// non-empty cells of the scanned square — the center cell first, then
-// ring after ring around it, so that what lies nearest is met first —
-// and for each cell either skips it on what RingKm and MaxHomeKm say of
-// all its entries at once, or reads them from Entries, puts them through
-// the query's predicate with Reach (scan's, promoted) and reports back
-// with Tighten. It is a value — no closure, nothing allocated — and is
-// good until the index is next mutated or queried.
+// non-empty cells of the scanned square of each layer (see Load) — the
+// center cell first, then ring after ring around it, the two layers'
+// cells merged by RingKm, so that what lies nearest is met first — and
+// for each cell either skips it on what RingKm and MaxHomeKm say of all
+// its entries at once, or reads them from Entries, puts them through the
+// query's predicate with Reach (scan's, promoted) and reports back with
+// Tighten; with Stop it skips the rest of the cell's layer. It is a
+// value — no closure, nothing allocated — and is good until the index is
+// next mutated or queried.
 type Cursor struct {
 	scan
-	ix         *Index
+	ix      *Index
+	layers  [2]layerWalk // near, far
+	on      int          // the current cell's layer (a pointer to it would put the Cursor on the heap)
+	ringKm  float64      // RingKm of the current cell
+	cl      *cell        // the current cell
+	stepped uint64       // cells Next has come to, empty ones included
+}
+
+// layerWalk is a Cursor's pass over one layer's square of cells, a side
+// of a ring at a time; spent, at >= end and ringKm +Inf, it lets every
+// cell of the other layer come first.
+type layerWalk struct {
+	grid       *geo.Grid
+	base       int     // the layer's first cell in Index.cells
+	spanKm     float64 // the layer's one-cell extent
+	homeKm     float64 // at least every HomeKm of the layer: see LayerHomeKm
 	crow, ccol int     // the center cell
 	ring, side int     // the ring and the side of it that nextSide takes next
 	rings      int     // the last ring of the square
 	at, end    int     // the cells left of the side being walked: at, at+step, … < end
 	step       int     // 1 along a row of the grid, its width down a column
 	ringKm     float64 // RingKm of the side being walked
-	cl         *cell   // the current cell
-	stepped    uint64  // cells Next has come to, empty ones included
 }
 
 // Reachable starts the Cursor of the window query that AppendReachable
@@ -743,8 +830,11 @@ type Cursor struct {
 // predicate dormant if the query asks below the watermark; the square
 // reaches as far as the fastest point covers.
 func (ix *Index) Reachable(p geo.Point, speedKmh, byTime, now, minRetire float64) Cursor {
+	c := Cursor{ix: ix}
+	c.layers[0].stop()
+	c.layers[1].stop()
 	if speedKmh <= 0 || byTime < now {
-		return Cursor{rings: -1}
+		return c
 	}
 	if byTime > ix.horizon {
 		// Short of +Inf, which every query rejects as a free time and
@@ -752,76 +842,111 @@ func (ix *Index) Reachable(p geo.Point, speedKmh, byTime, now, minRetire float64
 		ix.horizon = min(byTime, math.MaxFloat64)
 	}
 	qx, qy := ix.Project(p)
-	center := ix.grid.CellOf(p)
-	return Cursor{
-		scan: scan{
-			dormant: !(minRetire >= ix.watermark),
-			qx:      qx, qy: qy,
-			speedKmh: speedKmh, byTime: byTime, now: now, minRetire: minRetire,
-		},
-		ix:   ix,
-		crow: center / ix.grid.Cols, ccol: center % ix.grid.Cols,
-		rings: ix.rings(speedKmh * (byTime - now) / 3600),
+	c.scan = scan{
+		dormant: !(minRetire >= ix.watermark),
+		qx:      qx, qy: qy,
+		speedKmh: speedKmh, byTime: byTime, now: now, minRetire: minRetire,
 	}
+	radiusKm := speedKmh * (byTime - now) / 3600
+	c.layers[0].start(ix.grid, 0, ix.minSpanKm, ix.nearKm, p, radiusKm)
+	if ix.far != nil {
+		c.layers[1].start(ix.far, ix.grid.NumCells(), ix.farSpanKm, math.Inf(1), p, radiusKm)
+		c.on = 1 // ring 0 of either is at RingKm 0: a tie
+	}
+	return c
+}
+
+// start points w at the center cell of its layer's square around p.
+func (w *layerWalk) start(grid *geo.Grid, base int, spanKm, homeKm float64, p geo.Point, radiusKm float64) {
+	center := grid.CellOf(p)
+	*w = layerWalk{grid: grid, base: base, spanKm: spanKm, homeKm: homeKm,
+		crow: center / grid.Cols, ccol: center % grid.Cols, rings: rings(grid, spanKm, radiusKm)}
+	w.nextSide()
+}
+
+// stop spends w.
+func (w *layerWalk) stop() {
+	w.ring, w.rings, w.at, w.end, w.ringKm = 1, 0, 0, 0, math.Inf(1)
 }
 
 // Next moves to the next cell with entries to scan, settling on the way
 // each cell a clock has run ahead of, and reports whether there is one.
+// The layers are merged a side of a ring at a time — a side has one
+// RingKm — the far one first on a tie: its long ways home make the
+// largest margins.
 func (c *Cursor) Next() bool {
-	for c.at < c.end || c.nextSide() {
-		cl := &c.ix.cells[c.at]
-		c.at += c.step
+	w := &c.layers[c.on]
+	for {
+		if w.at >= w.end {
+			w.nextSide()
+			c.on = 0
+			if c.layers[1].ringKm <= c.layers[0].ringKm {
+				c.on = 1
+			}
+			if w = &c.layers[c.on]; w.at >= w.end {
+				return false // both are spent
+			}
+		}
+		cl := &c.ix.cells[w.at]
+		w.at += w.step
 		c.stepped++
 		if c.ix.behind(cl) {
 			c.ix.settle(cl)
 		}
 		if cl.live > cl.park || c.dormant && len(cl.ents) > 0 {
-			c.cl = cl
+			c.cl, c.ringKm = cl, w.ringKm
 			return true
 		}
 	}
-	return false
 }
 
 // nextSide points at, end and step at the next stretch of cells: ring r
 // is the top and the bottom row of the square of cells r around the
 // center, then what lies between them of its left and its right column,
-// each clipped to the grid. It reports false once the rings are spent.
-func (c *Cursor) nextSide() bool {
-	for c.ring <= c.rings { // never, for the cursor of a query no point can satisfy
-		rows, cols := c.ix.grid.Rows, c.ix.grid.Cols
-		r, side := c.ring, c.side
-		if c.side++; c.side == 4 || r == 0 { // ring 0 is one cell: its top row
-			c.ring, c.side = r+1, 0
+// each clipped to the grid. Once the rings are spent it stops w.
+func (w *layerWalk) nextSide() {
+	for w.ring <= w.rings {
+		rows, cols := w.grid.Rows, w.grid.Cols
+		r, side := w.ring, w.side
+		if w.side++; w.side == 4 || r == 0 { // ring 0 is one cell: its top row
+			w.ring, w.side = r+1, 0
 		}
 		if side < 2 {
-			row := c.crow - r + side*2*r
+			row := w.crow - r + side*2*r
 			if row < 0 || row >= rows {
 				continue
 			}
-			c.at, c.end, c.step = row*cols+max(c.ccol-r, 0), row*cols+min(c.ccol+r, cols-1)+1, 1
+			w.at, w.end, w.step = w.base+row*cols+max(w.ccol-r, 0), w.base+row*cols+min(w.ccol+r, cols-1)+1, 1
 		} else {
-			col := c.ccol - r + (side-2)*2*r
-			lo, hi := max(c.crow-r+1, 0), min(c.crow+r-1, rows-1)
+			col := w.ccol - r + (side-2)*2*r
+			lo, hi := max(w.crow-r+1, 0), min(w.crow+r-1, rows-1)
 			if col < 0 || col >= cols || lo > hi {
 				continue
 			}
-			c.at, c.end, c.step = lo*cols+col, hi*cols+col+1, cols
+			w.at, w.end, w.step = w.base+lo*cols+col, w.base+hi*cols+col+1, cols
 		}
-		c.ringKm = Safety * float64(max(r-1, 0)) * c.ix.minSpanKm
-		return true
+		w.ringKm = Safety * float64(max(r-1, 0)) * w.spanKm
+		return
 	}
-	return false
+	w.stop()
 }
+
+// Stop ends the walk of the current cell's layer, for a caller whose
+// bound from RingKm and LayerHomeKm rules out every entry left in it.
+func (c *Cursor) Stop() { c.layers[c.on].stop() }
 
 // Stepped is the number of cells Next has come to, empty ones included.
 func (c *Cursor) Stepped() uint64 { return c.stepped }
 
 // RingKm is a lower bound on the travel distance from the query point
-// to any point of the current cell: the bound the square's size rests on
-// (see rings) — every point r rings out is at least r-1 cell spans away,
-// clamped ones included — discounted by Safety like every other.
+// to any point of the current cell, which never falls: every point r
+// rings out is at least r-1 cell spans of its layer away, clamped ones
+// included (see rings), discounted by Safety like every other bound.
 func (c *Cursor) RingKm() float64 { return c.ringKm }
+
+// LayerHomeKm is an upper bound on the HomeKm of every entry of the
+// current cell's layer: h₀ for the near layer (see Load), +Inf for the far.
+func (c *Cursor) LayerHomeKm() float64 { return c.layers[c.on].homeKm }
 
 // MaxHomeKm is an upper bound on the HomeKm of every entry Entries
 // would return for the current cell, an unknown (NaN) one counting as

@@ -297,7 +297,7 @@ func TestSparseMembershipPanics(t *testing.T) {
 	mustPanic("Remove of absent id", func() { ix.Remove(0) })
 	mustPanic("Move of absent id", func() { ix.Move(2, p, math.NaN(), -1) })
 	mustPanic("Load into an index that holds a point", func() {
-		ix.Load(func(int) (geo.Point, geo.Point, float64, int32) { return p, p, 0, -1 })
+		ix.Load(func(int) (geo.Point, geo.Point, float64, int32) { return p, p, 0, -1 }, true)
 	})
 	mustPanic("Remove out of range", func() { ix.Remove(7) })
 }
