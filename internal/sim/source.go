@@ -400,11 +400,9 @@ func (w *marginWalk) cellBound() float64 {
 }
 
 // layerBound is cellBound for every cell of the current cell's layer
-// from here on: the cursor hands out a layer's cells ring by ring, so
-// RingKm never falls, and no driver of the layer has further to go home
-// than its ceiling (spatial.Cursor.LayerHomeKm). The ceiling is at least
-// the cell's MaxHomeKm and margin is monotone, rounding included, so it
-// falls below the root only at a cell that cellBound skips too.
+// from here on: RingKm never falls along a layer, and no driver of it has
+// further to go home than its ceiling (spatial.Cursor.LayerHomeKm). It is
+// at least cellBound, margin being monotone, so it stops only a skipped cell.
 func (w *marginWalk) layerBound() float64 {
 	return w.e.margin(w.price, w.serviceCost, w.cur.RingKm(), 0, w.cur.LayerHomeKm())
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -663,10 +664,12 @@ func TestQueriesDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestLayerMigrationsDoNotAllocate: an entry whose way home crosses h₀
-// leaves its layer's cell for the other layer's, a window change moves
-// it between regions, and once every cell they reach has had room for
-// them neither touches the allocator.
+// TestLayerMigrationsDoNotAllocate: Load gives a near cell room for
+// every point of its area and a far cell cellReserve more than it holds,
+// so from the first crossing on, an entry whose way home crosses h₀
+// where it stands, and a window change on it, touch no allocator: every
+// far entry into the near layer at once, and the near ones into the far
+// layer one at a time.
 func TestLayerMigrationsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := randomPoints(rng, 400, geo.PortoBox)
@@ -675,23 +678,31 @@ func TestLayerMigrationsDoNotAllocate(t *testing.T) {
 	if ix.NearKm() != 17 || ix.Far(0) || !ix.Far(19) {
 		t.Fatalf("h₀ %g over ways home 0 to 19 km, twenty of each; want 17, id 0 near and id 19 far", ix.NearKm())
 	}
-	k := 0
-	step := func() {
-		id := k % 40 // ids 0 to 17 near, 18 and 19 far, and so on
-		home := float64(id % 20)
-		ix.Move(id, pts[(id+k)%len(pts)], 35-home, -1) // across h₀, either way, and somewhere else
-		if ix.Far(id) == (home > 17) {
-			t.Fatalf("id %d still in its layer", id)
+	cross := func(id int, homeKm float64) {
+		ix.Move(id, pts[id], homeKm, -1)
+		if ix.Far(id) != (homeKm > 17) {
+			t.Fatalf("id %d with way home %g km in the wrong layer", id, homeKm)
 		}
-		ix.SetSpan(id, float64(k), float64(k+1000))
-		ix.Move(id, pts[id], home, -1)
+		ix.SetSpan(id, float64(id), float64(id+1000))
 		ix.SetSpan(id, math.Inf(1), math.Inf(-1))
-		k++
 	}
-	for range 2 * len(pts) {
-		step()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, by := range []float64{-10, 0} { // down, then home again
+		for id := range pts {
+			if home := float64(id % 20); home > 17 {
+				cross(id, home+by)
+			}
+		}
 	}
-	if allocs := testing.AllocsPerRun(400, step); allocs != 0 {
-		t.Fatalf("%v allocations a migration", allocs)
+	for id := range pts {
+		if home := float64(id % 20); home <= 17 {
+			cross(id, home+10)
+			cross(id, home)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d allocations over %d crossings", n, 2*len(pts))
 	}
 }

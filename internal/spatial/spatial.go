@@ -35,16 +35,15 @@
 // best-first order of incremental nearest-neighbour search over a bucket
 // grid (Hjaltason and Samet, "Distance Browsing in Spatial Databases",
 // TODS 1999) — through a Cursor, each with a bound on all of its entries
-// at once, from two layers split by the caller's HomeKm (see Load), so
-// that a caller can stop one at the ring its ceiling rules out: the
-// stopping rule of Fagin, Lotem and Naor's threshold algorithm (PODS
-// 2001), one per layer. The walk has two consumers. A caller that is
-// after an extremum and can bound it steps the Cursor (Reachable)
-// itself, and passes over most cells behind a good incumbent without
-// reading a line of theirs. The forms that return ids (NearReachable,
-// AppendReachable) step the same Cursor through every cell, collect the
-// accepted ids in a bitmap over the id space and sweep it in ascending
-// order, so no caller sorts.
+// at once, from two layers split by HomeKm (see Load) that a caller can
+// stop each at the ring its ceiling rules out: the stopping rule of
+// Fagin, Lotem and Naor's threshold algorithm (PODS 2001). The walk has
+// two consumers. A caller that is after an extremum and can bound it
+// steps the Cursor (Reachable) itself, and passes over most cells behind
+// a good incumbent without reading a line of theirs. The forms that
+// return ids (NearReachable, AppendReachable) step the same Cursor
+// through every cell, collect the accepted ids in a bitmap over the id
+// space and sweep it in ascending order, so no caller sorts.
 //
 // Distance checks use planar kilometer coordinates under a fixed
 // conservative projection (see Project) so the query hot path does no
@@ -358,10 +357,9 @@ func (ix *Index) Add(id int, p geo.Point, homeKm float64, node int32) {
 // grown it to — and its header is exact. It panics if an id is present.
 //
 // With layered, Load splits the points at h₀, their 90th percentile
-// HomeKm (NaN read as +Inf): the near layer, on the index's grid, holds
-// every entry whose HomeKm is at most h₀, the far layer the rest, on a
-// grid over the same box of a tenth the cells. h₀ stays until the next
-// Load.
+// HomeKm (NaN read as +Inf), until the next Load: the near layer, on the
+// index's grid, holds every entry whose HomeKm is at most h₀, the far
+// layer the rest, on a grid over the same box of a tenth the cells.
 // Without layered, or with no point beyond h₀, there is one layer.
 func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64, node int32), layered bool) {
 	if ix.members != 0 {
@@ -379,15 +377,23 @@ func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64, node i
 		ix.slot[id] = node
 	}
 	ix.split(homes, layered)
+	// want is a cell's room: a near cell's for every point of its area,
+	// a far cell's for cellReserve more than it holds, so that the ways
+	// home that cross h₀ find room in either layer.
 	start := make([]int32, len(ix.cells)+1)
+	want := make([]int32, len(ix.cells))
 	for id := range n {
 		c := ix.cellOf(ix.loc[id], homes[id][2])
 		ix.cell[id] = c
 		start[c+1]++
+		want[ix.grid.CellOf(ix.loc[id])]++
 	}
 	most := 0
 	for c := range ix.cells {
-		most = max(most, int(start[c+1]))
+		if c >= ix.grid.NumCells() {
+			want[c] = start[c+1] + cellReserve
+		}
+		most = max(most, int(want[c]))
 		start[c+1] += start[c]
 	}
 	// Every cell's ids in a stretch of keys, ascending: what the regions
@@ -400,7 +406,7 @@ func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64, node i
 		next[c]++
 	}
 	// The capacities Add's appends take a cell through from its reserve:
-	// a cell with more entries than that gets the one it would have
+	// a cell that wants more than that gets the one it would have
 	// reached, cut from one block for them all.
 	grown := []int{cellReserve}
 	for g := make([]Entry, 0, cellReserve); cap(g) < most; grown = append(grown, cap(g)) {
@@ -412,7 +418,7 @@ func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64, node i
 	}
 	total := 0
 	for c := range ix.cells {
-		if k := int(start[c+1] - start[c]); k > cap(ix.cells[c].ents) {
+		if k := int(want[c]); k > cap(ix.cells[c].ents) {
 			total += room(k)
 		}
 	}
@@ -420,8 +426,8 @@ func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64, node i
 	for c := range ix.cells {
 		cl := &ix.cells[c]
 		seg := keys[start[c]:start[c+1]]
-		if len(seg) > cap(cl.ents) {
-			r := room(len(seg))
+		if int(want[c]) > cap(cl.ents) {
+			r := room(int(want[c]))
 			cl.ents, block = block[:0:r], block[r:]
 		}
 		// The parked to the front and the expired to the back, as insert
@@ -789,15 +795,14 @@ func rings(grid *geo.Grid, spanKm, radiusKm float64) int {
 // Cursor is the walk of a window query, the one AppendReachable steps
 // too, handed to a caller that wants the entries rather than the ids and
 // has bounds of its own to apply. The caller steps with Next through the
-// non-empty cells of the scanned square of each layer (see Load) — the
-// center cell first, then ring after ring around it, the two layers'
-// cells merged by RingKm, so that what lies nearest is met first — and
-// for each cell either skips it on what RingKm and MaxHomeKm say of all
-// its entries at once, or reads them from Entries, puts them through the
+// non-empty cells of each layer's scanned square — the center cell
+// first, then ring after ring, the layers merged by RingKm, so that what
+// lies nearest is met first — and for each cell either skips it on what
+// RingKm and MaxHomeKm say of all its entries at once (or the rest of its
+// layer, with Stop), or reads them from Entries, puts them through the
 // query's predicate with Reach (scan's, promoted) and reports back with
-// Tighten; with Stop it skips the rest of the cell's layer. It is a
-// value — no closure, nothing allocated — and is good until the index is
-// next mutated or queried.
+// Tighten. It is a value — no closure, nothing allocated — and is good
+// until the index is next mutated or queried.
 type Cursor struct {
 	scan
 	ix      *Index
@@ -808,9 +813,8 @@ type Cursor struct {
 	stepped uint64       // cells Next has come to, empty ones included
 }
 
-// layerWalk is a Cursor's pass over one layer's square of cells, a side
-// of a ring at a time; spent, at >= end and ringKm +Inf, it lets every
-// cell of the other layer come first.
+// layerWalk is a Cursor's pass over one layer's square, a side of a ring
+// at a time; spent (at >= end, ringKm +Inf), it lets the other go first.
 type layerWalk struct {
 	grid       *geo.Grid
 	base       int     // the layer's first cell in Index.cells
