@@ -154,8 +154,7 @@ func (s *GridSource) Bind(e *Engine) {
 	for i := range e.Drivers {
 		s.span(i)
 	}
-	// Two layers on crow-fly alone: on a road market the deadlines stop
-	// the walk first (marginWalk.past); batched_network read 0.91× on two.
+	// One layer on a road market: see DESIGN.md, "Why not on a road market".
 	s.ix.Load(func(i int) (geo.Point, geo.Point, float64, int32) {
 		km, node := s.place(i)
 		return e.states[i].Loc, e.Drivers[i].Dest, km, node

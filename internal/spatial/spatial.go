@@ -377,9 +377,8 @@ func (ix *Index) Load(at func(id int) (p, home geo.Point, homeKm float64, node i
 		ix.slot[id] = node
 	}
 	ix.split(homes, layered)
-	// want is a cell's room: a near cell's for every point of its area,
-	// a far cell's for cellReserve more than it holds, so that the ways
-	// home that cross h₀ find room in either layer.
+	// A cell's room (want): near, every point of its area; far, cellReserve
+	// more than it holds. The ways home that cross h₀ find room in either.
 	start := make([]int32, len(ix.cells)+1)
 	want := make([]int32, len(ix.cells))
 	for id := range n {
