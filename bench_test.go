@@ -28,7 +28,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spatial"
 	"repro/internal/stats"
-	"repro/internal/taskmap"
 	"repro/internal/trace"
 )
 
@@ -145,15 +144,16 @@ func BenchmarkFig9AvgTasksPerDriver(b *testing.B) {
 
 func BenchmarkExactSmallScale(b *testing.B) {
 	// The paper's n ≤ 50, m ≤ 100 exact regime, shrunk to a size
-	// exhaustive search settles: exact Z* by brute force.
+	// exhaustive search settles: exact Z* by the sparse branch and bound.
 	p := benchProblem(b, 1, 12, 4, trace.Hitchhiking)
 	g := p.Graph()
+	var s bound.SparseSolver
 	var gap float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex, err := bound.BruteForce(g, 0)
-		if err != nil {
-			b.Fatal(err)
+		ex, err := s.Solve(g, bound.SparseOptions{})
+		if err != nil || !ex.Exact {
+			b.Fatalf("exact solve: %v (exact %v)", err, ex.Exact)
 		}
 		greedy := offline.Greedy(g).TotalProfit
 		gap = greedy / ex.Objective
@@ -170,14 +170,15 @@ func BenchmarkTightnessInstance(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g, err := taskmap.New(mkt, drivers, tasks)
+		g, err := offline.Compile(mkt, model.Trace{Drivers: drivers, Tasks: tasks}, offline.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		ga := offline.Greedy(g)
-		ex, err := bound.BruteForce(g, 0)
-		if err != nil {
-			b.Fatal(err)
+		var s bound.SparseSolver
+		ex, err := s.Solve(g, bound.SparseOptions{})
+		if err != nil || !ex.Exact {
+			b.Fatalf("exact solve: %v (exact %v)", err, ex.Exact)
 		}
 		ratio = ga.TotalProfit / ex.Objective
 	}
@@ -191,7 +192,7 @@ func BenchmarkTaskMapConstruction(b *testing.B) {
 	tr := trace.NewGenerator(cfg).Generate(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := taskmap.New(cfg.Market, tr.Drivers, tr.Tasks); err != nil {
+		if _, err := offline.Compile(cfg.Market, tr, offline.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,9 +201,11 @@ func BenchmarkTaskMapConstruction(b *testing.B) {
 func BenchmarkLongestPathDP(b *testing.B) {
 	p := benchProblem(b, 3, 250, 40, trace.Hitchhiking)
 	g := p.Graph()
+	var dp offline.PathDP
+	dp.Reset(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.BestPath(i%g.N(), nil, nil)
+		dp.Best(g, i%g.NDrv(), nil)
 	}
 }
 
@@ -686,9 +689,39 @@ func BenchmarkAblationGreedyNaive(b *testing.B) {
 	var rec int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec = offline.GreedyNaive(g).Recomputes
+		rec = greedyNaive(g)
 	}
 	b.ReportMetric(float64(rec), "dp-calls")
+}
+
+// greedyNaive runs the textbook Algorithm 1 — every round prices every
+// remaining driver and takes the best, ties to the lower driver — and
+// returns its DP calls.
+func greedyNaive(in *offline.Instance) (recomputes int) {
+	var dp offline.PathDP
+	dp.Reset(in)
+	used := make([]bool, in.NDrv())
+	var slots []int32
+	for {
+		best, bestD := 0.0, -1
+		for d := range used {
+			if used[d] {
+				continue
+			}
+			recomputes++
+			if v, end := dp.Best(in, d, nil); end >= 0 && (bestD < 0 || v > best) {
+				best, bestD = v, d
+				slots = dp.AppendSlots(slots[:0], end)
+			}
+		}
+		if bestD < 0 {
+			return recomputes
+		}
+		used[bestD] = true
+		for _, s := range slots {
+			dp.Dead[in.DrvTask[s]] = true
+		}
+	}
 }
 
 // BenchmarkAblationDeadlineVsRealTime quantifies how much extra capacity
@@ -861,7 +894,7 @@ func BenchmarkAblationRoadVsCrowFly(b *testing.B) {
 		promised = crowSol.TotalProfit
 		delivered = 0
 		for _, path := range crowSol.Paths {
-			if pr, err := roadP.Graph().PathProfit(path.Driver, path.Tasks); err == nil {
+			if pr, err := roadP.Graph().ValueOf(path); err == nil {
 				delivered += pr
 			}
 		}

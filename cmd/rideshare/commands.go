@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/offline"
 	"repro/internal/online"
 	"repro/internal/sim"
-	"repro/internal/taskmap"
 	"repro/internal/trace"
 )
 
@@ -195,10 +193,10 @@ func cmdSolve(args []string) error {
 	}
 	g := p.Graph()
 	fmt.Printf("algorithm       %s\n", sol.Algorithm)
-	fmt.Printf("drivers         %d\n", g.N())
-	fmt.Printf("tasks           %d\n", g.M())
-	fmt.Printf("task-map arcs   %d (diameter %d)\n", g.ArcCount(), g.Diameter())
-	fmt.Printf("served          %d (%.1f%%)\n", sol.Served, 100*float64(sol.Served)/float64(g.M()))
+	fmt.Printf("drivers         %d\n", len(p.Drivers))
+	fmt.Printf("tasks           %d\n", len(p.Tasks))
+	fmt.Printf("task-map arcs   %d (diameter %d)\n", g.SharedArcs(), g.Diameter())
+	fmt.Printf("served          %d (%.1f%%)\n", sol.Served, 100*float64(sol.Served)/float64(len(p.Tasks)))
 	fmt.Printf("revenue         %.2f\n", sol.Revenue)
 	fmt.Printf("drivers' profit %.2f\n", sol.Profit)
 	fmt.Printf("social welfare  %.2f\n", sol.Welfare(p))
@@ -449,7 +447,7 @@ func cmdTightness(args []string) error {
 	fs := flag.NewFlagSet("tightness", flag.ContinueOnError)
 	d := fs.Int("d", 5, "task-map diameter D of the adversarial instance")
 	eps := fs.Float64("eps", 0.01, "profit gap ε of the adversarial instance")
-	maxPaths := fs.Int("max-paths", 200000, "per-driver path cap for the brute-force reference solve")
+	maxPaths := fs.Int("max-paths", 200000, "per-driver path cap for the exact solve")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -460,17 +458,20 @@ func cmdTightness(args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := taskmap.New(mkt, drivers, tasks)
+	in, err := offline.Compile(mkt, model.Trace{Drivers: drivers, Tasks: tasks}, offline.Options{})
 	if err != nil {
 		return err
 	}
-	ga := offline.Greedy(g)
-	exact, err := bound.BruteForce(g, *maxPaths)
+	ga := offline.Greedy(in)
+	// The instance is one component, which the sparse solver enumerates
+	// whole: its optimum is exact unless a cap stopped it.
+	var solver bound.SparseSolver
+	exact, err := solver.Solve(in, bound.SparseOptions{PathCap: *maxPaths})
 	if err != nil {
-		if errors.Is(err, bound.ErrPathLimit) {
-			return fmt.Errorf("tightness: instance too large to brute-force at D=%d (%w); lower -d or raise -max-paths", *d, err)
-		}
 		return err
+	}
+	if !exact.Exact {
+		return fmt.Errorf("tightness: instance too large to solve exactly at D=%d; lower -d or raise -max-paths", *d)
 	}
 	fmt.Printf("Fig. 2 adversarial instance: D=%d, ε=%g\n", *d, *eps)
 	fmt.Printf("greedy (GA) profit  %.6f\n", ga.TotalProfit)

@@ -50,7 +50,7 @@ func TestOnlineSolutionsAreOfflineFeasible(t *testing.T) {
 				if len(tasks) == 0 {
 					continue
 				}
-				profit, err := g.PathProfit(n, tasks)
+				profit, err := g.ValueOf(offline.Path{Driver: n, Tasks: tasks})
 				if err != nil {
 					t.Fatalf("%v/%s: driver %d path %v infeasible offline: %v",
 						dm, d.Name(), n, tasks, err)
@@ -78,7 +78,7 @@ func TestBatchedSolutionsAreOfflineFeasible(t *testing.T) {
 		if len(tasks) == 0 {
 			continue
 		}
-		profit, err := g.PathProfit(n, tasks)
+		profit, err := g.ValueOf(offline.Path{Driver: n, Tasks: tasks})
 		if err != nil {
 			t.Fatalf("driver %d path %v infeasible offline: %v", n, tasks, err)
 		}
@@ -245,19 +245,20 @@ func TestWelfareDominatesProfitObjective(t *testing.T) {
 	p := buildProblem(t, 29, 10, 3, trace.Hitchhiking)
 	w := p.WelfareProblem()
 
-	profitOpt, err := bound.BruteForce(p.Graph(), 0)
-	if err != nil {
-		t.Fatal(err)
+	exact := func(in *offline.Instance) bound.SparseSolution {
+		var s bound.SparseSolver
+		sol, err := s.Solve(in, bound.SparseOptions{})
+		if err != nil || !sol.Exact {
+			t.Fatalf("exact solve: %v (exact %v)", err, sol.Exact)
+		}
+		return sol
 	}
-	welfareOpt, err := bound.BruteForce(w.Graph(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	profitOpt, welfareOpt := exact(p.Graph()), exact(w.Graph())
 	// Welfare of the profit-optimal assignment ≤ welfare optimum.
 	var welfareOfProfitOpt float64
 	wg := w.Graph()
 	for _, path := range profitOpt.Paths {
-		pw, err := wg.PathProfit(path.Driver, path.Tasks)
+		pw, err := wg.ValueOf(path)
 		if err != nil {
 			t.Fatalf("profit-optimal path infeasible in welfare view: %v", err)
 		}

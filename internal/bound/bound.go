@@ -1,20 +1,21 @@
 // Package bound computes the optimization bounds the paper's evaluation
-// compares against (§III-E, §VI-B):
+// compares against (§III-E, §VI-B), on the compiled task map
+// (offline.Instance):
 //
 //   - Z*_f, the optimum of the LP relaxation of the node-disjoint-paths
 //     formulation (9)–(10), computed *exactly* by column generation: a
 //     restricted master LP over path variables plus a pricing oracle that
 //     finds the maximum-reduced-profit path per driver by the task-map
-//     longest-path DP. The paper obtains this value from CPLEX/MOSEK.
+//     longest-path DP (offline.PathDP). The paper obtains this value from
+//     CPLEX/MOSEK.
 //   - A Lagrangian (subgradient) upper bound on Z*_f for instances too
 //     large for the dense master LP: every dual-feasible λ ≥ 0 yields the
 //     valid bound L(λ) = Σ_m λ_m + Σ_n max(0, bestpath_n(λ)); subgradient
 //     steps shrink it toward Z*_f.
-//   - Z*, the exact integral optimum, by exhaustive search over
-//     node-disjoint per-driver paths (BruteForce) — the paper's
-//     small-scale exact comparison (n ≤ 50, m ≤ 100) — and, for the
-//     hindsight oracle at city scale, by the sparse branch-and-bound
-//     (Sparse), held to BruteForce on every instance it can enumerate.
+//   - Z*, the exact integral optimum, by the sparse branch-and-bound
+//     (SparseSolver) — the paper's small-scale exact comparison
+//     (n ≤ 50, m ≤ 100) and the hindsight oracle at city scale — held in
+//     tests to a brute force over the dense task map.
 package bound
 
 import (
@@ -22,7 +23,7 @@ import (
 	"math"
 
 	"repro/internal/lp"
-	"repro/internal/taskmap"
+	"repro/internal/offline"
 )
 
 // Result is an upper bound on the integral optimum Z*.
@@ -47,9 +48,9 @@ type Result struct {
 // i.e. the longest path under node values (p_m − ĉ_m − λ_m); a column
 // with r_π − Σλ > μ_i enters. Termination with no entering column proves
 // LP optimality by exact pricing.
-func ColumnGeneration(g *taskmap.Graph) (Result, []float64, error) {
-	n := g.N()
-	m := g.M()
+func ColumnGeneration(in *offline.Instance) (Result, []float64, error) {
+	n := len(in.Drivers)
+	m := len(in.Tasks)
 	if n == 0 || m == 0 {
 		return Result{Bound: 0, Method: "colgen"}, make([]float64, m), nil
 	}
@@ -63,33 +64,35 @@ func ColumnGeneration(g *taskmap.Graph) (Result, []float64, error) {
 		master.AddRow(1)
 	}
 
-	type column struct {
-		driver int
-		tasks  []int
-	}
+	var dp offline.PathDP
+	dp.Reset(in)
+	var slots []int32
 	seen := make(map[string]bool)
-	addColumn := func(p taskmap.Path) bool {
-		key := pathKey(p)
+	// addColumn enters compact driver d's path ending at slot end, the
+	// one the last DP found.
+	addColumn := func(d int, end int32) bool {
+		slots = dp.AppendSlots(slots[:0], end)
+		key := fmt.Sprint(slots) // slot ids name their driver
 		if seen[key] {
 			return false
 		}
 		seen[key] = true
-		profit, err := g.PathProfit(p.Driver, p.Tasks)
+		profit, err := in.PathValue(d, slots)
 		if err != nil {
 			panic(fmt.Sprintf("bound: pricing returned invalid path: %v", err))
 		}
 		col := master.AddVar(profit)
-		master.SetCoeff(p.Driver, col, 1)
-		for _, tk := range p.Tasks {
-			master.SetCoeff(n+tk, col, 1)
+		master.SetCoeff(in.DrvID[d], col, 1)
+		for _, s := range slots {
+			master.SetCoeff(n+int(in.DrvTask[s]), col, 1)
 		}
 		return true
 	}
 
 	// Seed with each driver's unconstrained best path.
-	for i := 0; i < n; i++ {
-		if p := g.BestPath(i, nil, nil); p.Len() > 0 && p.Profit > 0 {
-			addColumn(p)
+	for d := 0; d < in.NDrv(); d++ {
+		if _, end := dp.Best(in, d, nil); end >= 0 {
+			addColumn(d, end)
 		}
 	}
 
@@ -114,16 +117,11 @@ func ColumnGeneration(g *taskmap.Graph) (Result, []float64, error) {
 			lambda[j] = math.Max(0, sol.Duals[n+j])
 		}
 		improved := false
-		for i := 0; i < n; i++ {
-			mu := math.Max(0, sol.Duals[i])
-			p := g.BestPath(i, nil, lambda)
-			if p.Len() == 0 {
-				continue
-			}
-			// p.Profit is r_π − Σ_{m∈π} λ_m by construction of the
-			// dual-adjusted DP.
-			if p.Profit > mu+rcTol {
-				if addColumn(p) {
+		for d := 0; d < in.NDrv(); d++ {
+			mu := math.Max(0, sol.Duals[in.DrvID[d]])
+			// The DP's value is r_π − Σ_{m∈π} λ_m by construction.
+			if v, end := dp.Best(in, d, lambda); end >= 0 && v > mu+rcTol {
+				if addColumn(d, end) {
 					improved = true
 				}
 			}
@@ -135,28 +133,28 @@ func ColumnGeneration(g *taskmap.Graph) (Result, []float64, error) {
 	// Round limit: the master value is a lower bound on Z*_f, not an
 	// upper bound; fall back to the always-valid Lagrangian value at the
 	// current duals.
-	lr := lagrangianValue(g, lambda)
+	lr := lagrangianValue(in, &dp, lambda, nil)
 	return Result{Bound: lr, Method: "colgen-truncated", Iters: maxRounds}, lambda, nil
 }
 
-func pathKey(p taskmap.Path) string {
-	key := fmt.Sprintf("d%d:", p.Driver)
-	for _, t := range p.Tasks {
-		key += fmt.Sprintf("%d,", t)
-	}
-	return key
-}
-
 // lagrangianValue evaluates L(λ) = Σλ + Σ_i max(0, bestpath_i(λ)), a
-// valid upper bound on Z*_f (hence on Z*) for any λ ≥ 0.
-func lagrangianValue(g *taskmap.Graph, lambda []float64) float64 {
+// valid upper bound on Z*_f (hence on Z*) for any λ ≥ 0. If usage is
+// non-nil it counts, per task, the best paths that take it.
+func lagrangianValue(in *offline.Instance, dp *offline.PathDP, lambda []float64, usage []int) float64 {
 	v := 0.0
 	for _, l := range lambda {
 		v += l
 	}
-	for i := 0; i < g.N(); i++ {
-		if p := g.BestPath(i, nil, lambda); p.Profit > 0 {
-			v += p.Profit
+	for d := 0; d < in.NDrv(); d++ {
+		best, end := dp.Best(in, d, lambda)
+		if end < 0 {
+			continue
+		}
+		v += best
+		if usage != nil {
+			for s := end; s >= 0; s = dp.Prev(s) {
+				usage[in.DrvTask[s]]++
+			}
 		}
 	}
 	return v
@@ -167,37 +165,25 @@ func lagrangianValue(g *taskmap.Graph, lambda []float64) float64 {
 // (pass the greedy solution's profit); iters bounds the descent. The
 // returned bound is the minimum L(λ) over all iterates and is always a
 // valid upper bound on Z*, whatever the iteration count.
-func Lagrangian(g *taskmap.Graph, knownLB float64, iters int) Result {
-	m := g.M()
-	n := g.N()
+func Lagrangian(in *offline.Instance, knownLB float64, iters int) Result {
+	m := len(in.Tasks)
+	n := len(in.Drivers)
 	if n == 0 || m == 0 {
 		return Result{Bound: 0, Method: "lagrangian"}
 	}
 	if iters <= 0 {
 		iters = 100
 	}
+	var dp offline.PathDP
+	dp.Reset(in)
 	lambda := make([]float64, m)
 	best := math.Inf(1)
 	usage := make([]int, m)
 
 	for k := 1; k <= iters; k++ {
 		// Evaluate L(λ) and collect the subgradient.
-		for j := range usage {
-			usage[j] = 0
-		}
-		val := 0.0
-		for _, l := range lambda {
-			val += l
-		}
-		for i := 0; i < n; i++ {
-			p := g.BestPath(i, nil, lambda)
-			if p.Profit > 0 {
-				val += p.Profit
-				for _, t := range p.Tasks {
-					usage[t]++
-				}
-			}
-		}
+		clear(usage)
+		val := lagrangianValue(in, &dp, lambda, usage)
 		if val < best {
 			best = val
 		}
@@ -232,12 +218,12 @@ func Lagrangian(g *taskmap.Graph, knownLB float64, iters int) Result {
 // errored: the Lagrangian result is still a valid bound, but a caller
 // can count it so a misbehaving master LP cannot hide behind a weaker
 // bound.
-func Auto(g *taskmap.Graph, greedyLB float64, iters int) (_ Result, fellBack bool) {
-	if g.N()+g.M() > 150 {
-		return Lagrangian(g, greedyLB, iters), false
+func Auto(in *offline.Instance, greedyLB float64, iters int) (_ Result, fellBack bool) {
+	if len(in.Drivers)+len(in.Tasks) > 150 {
+		return Lagrangian(in, greedyLB, iters), false
 	}
-	if r, _, err := ColumnGeneration(g); err == nil {
+	if r, _, err := ColumnGeneration(in); err == nil {
 		return r, false
 	}
-	return Lagrangian(g, greedyLB, iters), true
+	return Lagrangian(in, greedyLB, iters), true
 }

@@ -9,16 +9,13 @@ import (
 )
 
 // ErrPathLimit reports that a per-driver path enumeration blew its cap.
-// Callers that feed untrusted instance sizes (the tightness CLI) match
-// it with errors.Is to distinguish "too big to brute-force" from a
-// genuinely malformed instance.
 var ErrPathLimit = errors.New("path limit exceeded")
 
-// This file contains the exact solver for the small-scale evaluation
-// (§VI-B: "for n ≤ 50 and m ≤ 100, we can use the integer programming
-// solvers of CPLEX or MOSEK to calculate the exact value of the best
-// integer solution Z*"): BruteForce plays that role here, and the sparse
-// branch-and-bound (sparse.go) the oracle's at city scale.
+// This file is the dense oracle of the exact solvers: BruteForce
+// enumerates every driver's paths in the dense task map and tries every
+// node-disjoint combination of them — the paper's small-scale exact
+// comparison (§VI-B, n ≤ 50, m ≤ 100) done the slow, obvious way. The
+// sparse branch-and-bound (sparse.go) must reproduce it bit for bit.
 
 // Exact is an integral optimum with its assignment.
 type Exact struct {
@@ -27,8 +24,7 @@ type Exact struct {
 }
 
 // EnumeratePaths lists every nonempty source→destination task sequence
-// for driver n, up to the cap. It is exponential and exists for the
-// brute-force reference solver and tests.
+// for driver n, up to the cap. It is exponential.
 func EnumeratePaths(g *taskmap.Graph, n, cap int) ([]taskmap.Path, error) {
 	var out []taskmap.Path
 	var cur []int

@@ -1,29 +1,28 @@
 package bound
 
 // The oracle-rail solver: a warm-started, component-decomposed branch
-// and bound over a compiled offline.Instance. Where BruteForce walks
-// the dense taskmap, this solver works per connected component of the
-// hindsight pair graph, enumerating only each component's per-driver
-// positive-value paths, pruning with suffix bounds and (optionally) LP
-// reduced-cost fixing against the incumbent, and falling back to a
-// Lagrangian upper bound on components too big to enumerate. On small
-// instances it reproduces BruteForce bit for bit — same enumeration
-// order, same strict-improvement rule, same left-associated sums — so
-// the brute-force solver stays the differential oracle. Components are
-// solved one after another on the calling goroutine: a city day's pair
-// graph is a few small components around one giant, and a fan-out over
-// them measured no gain (EXPERIMENTS.md).
+// and bound over a compiled offline.Instance. It works per connected
+// component of the hindsight pair graph, enumerating only each
+// component's per-driver positive-value paths, pruning with suffix
+// bounds and (optionally) LP reduced-cost fixing against the incumbent,
+// and falling back to a Lagrangian upper bound on components too big to
+// enumerate. On small instances it reproduces the brute force over the
+// dense task map (BruteForce, the oracle of this package's tests) bit
+// for bit — same enumeration order, same strict-improvement rule, same
+// left-associated sums. Components are solved one after another on the
+// calling goroutine: a city day's pair graph is a few small components
+// around one giant, and a fan-out over them measured no gain
+// (EXPERIMENTS.md).
 
 import (
 	"fmt"
 
 	"repro/internal/lp"
 	"repro/internal/offline"
-	"repro/internal/taskmap"
 )
 
 // SparseOptions configures SparseSolver.Solve. The zero value solves
-// with BruteForce's path cap and no LP pruning.
+// with a 5000-path cap per driver and no LP pruning.
 type SparseOptions struct {
 	// Warm holds one task list per ORIGINAL driver index (the shape of
 	// sim.Result.DriverPaths): the online policy's own assignment.
@@ -33,10 +32,9 @@ type SparseOptions struct {
 	// the LP crash basis.
 	Warm [][]int
 
-	// PathCap bounds per-driver path enumeration (BruteForce's 5000
-	// when ≤ 0). A component over it or over compPathCap is not
-	// enumerated: it keeps the incumbent and reports a Lagrangian upper
-	// bound.
+	// PathCap bounds per-driver path enumeration (5000 when ≤ 0). A
+	// component over it or over compPathCap is not enumerated: it keeps
+	// the incumbent and reports a Lagrangian upper bound.
 	PathCap int
 
 	// LP enables a per-component root LP (path-packing relaxation,
@@ -86,10 +84,10 @@ type SparseSolution struct {
 	LPSolved    int // component root LPs solved to optimality
 	LPFixed     int // path columns fixed out by reduced cost
 
-	// Paths lists the chosen paths in ascending original-driver order
-	// (BruteForce's order); nil under SkipPaths. TaskDriver maps each
-	// task to its serving original driver, or -1.
-	Paths      []taskmap.Path
+	// Paths lists the chosen paths in ascending original-driver order;
+	// nil under SkipPaths. TaskDriver maps each task to its serving
+	// original driver, or -1.
+	Paths      []offline.Path
 	TaskDriver []int32
 }
 
@@ -147,12 +145,10 @@ type sparseScratch struct {
 	used               []bool // sized M, all-false invariant between uses
 	bb                 bbState
 
-	// per-driver DP (sized NSlots)
-	cur   []float64
-	prevS []int32
+	// per-driver DP; its Dead mask keeps an all-false invariant
+	dp offline.PathDP
 
 	// greedy incumbent (per component)
-	dead   []bool // sized M, all-false invariant
 	gOff   []int32
 	gLen   []int32
 	gVal   []float64
@@ -203,16 +199,13 @@ func (s *SparseSolver) Solve(in *offline.Instance, opt SparseOptions) (SparseSol
 	}
 
 	ncomp := in.NComp
-	m, nslots := len(in.Tasks), in.NSlots()
+	m := len(in.Tasks)
 	sc := &s.scratch
 	sc.used = grow(sc.used, m)
-	sc.dead = grow(sc.dead, m)
 	for i := 0; i < m; i++ {
 		sc.used[i] = false
-		sc.dead[i] = false
 	}
-	sc.cur = grow(sc.cur, nslots)
-	sc.prevS = grow(sc.prevS, nslots)
+	sc.dp.Reset(in)
 	sc.lambda = grow(sc.lambda, m)
 	sc.grad = grow(sc.grad, m)
 	sc.taskRow = grow(sc.taskRow, m)
@@ -232,7 +225,7 @@ func (s *SparseSolver) Solve(in *offline.Instance, opt SparseOptions) (SparseSol
 
 // merge folds the per-component results into the global solution in
 // component order, re-accumulating the objective over compact drivers
-// ascending — the same interleaving BruteForce's recursion uses.
+// ascending — the same interleaving the brute force's recursion uses.
 func (s *SparseSolver) merge(in *offline.Instance, opt *SparseOptions) (SparseSolution, error) {
 	m, ndrv := len(in.Tasks), in.NDrv()
 	s.taskDriver = grow(s.taskDriver, m)
@@ -294,13 +287,7 @@ func (s *SparseSolver) merge(in *offline.Instance, opt *SparseOptions) (SparseSo
 				if int(rec.driver) != d {
 					continue
 				}
-				tasks := make([]int, rec.n)
-				for i, slot := range sc.chosenSlots[rec.off : rec.off+rec.n] {
-					tasks[i] = int(in.DrvTask[slot])
-				}
-				sol.Paths = append(sol.Paths, taskmap.Path{
-					Driver: in.DrvID[d], Tasks: tasks, Profit: rec.value,
-				})
+				sol.Paths = append(sol.Paths, in.Path(d, sc.chosenSlots[rec.off:rec.off+rec.n], rec.value))
 				break
 			}
 		}

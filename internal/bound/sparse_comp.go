@@ -1,7 +1,7 @@
 package bound
 
 // Per-component machinery of the sparse oracle solver: path
-// enumeration in EnumeratePaths' order, the warm/greedy incumbent, LP
+// enumeration in the dense oracle's order, the warm/greedy incumbent, LP
 // reduced-cost fixing, the BruteForce-parity branch and bound, and the
 // Lagrangian fallback for components too large to enumerate.
 
@@ -66,9 +66,10 @@ func (s *SparseSolver) solveComp(in *offline.Instance, opt *SparseOptions, c int
 }
 
 // enumerateComp fills sc.paths / sc.pathSlots / sc.drvPathPtr with each
-// component driver's positive-value paths, in exactly the order
-// EnumeratePaths visits them (first tasks in natural task order, then
-// successors in topo order, pre-order). Returns false if a cap blew.
+// component driver's positive-value paths, in exactly the order the
+// dense oracle's EnumeratePaths visits them (first tasks in natural task
+// order, then successors in topo order, pre-order). Returns false if a
+// cap blew.
 func (sc *sparseScratch) enumerateComp(in *offline.Instance, cols []int, pathCap int) bool {
 	sc.paths = sc.paths[:0]
 	sc.pathSlots = sc.pathSlots[:0]
@@ -119,71 +120,10 @@ func (sc *sparseScratch) enumerateComp(in *offline.Instance, cols []int, pathCap
 	return true
 }
 
-// bestPathDP runs the per-driver longest-path DP over d's slots in topo
-// order under the dead-task mask and optional Lagrangian adjustment,
-// returning the best positive closing value and its end slot (-1 for
-// the empty path).
-func (sc *sparseScratch) bestPathDP(in *offline.Instance, d int, lambda []float64) (float64, int32) {
-	lo, hi := in.DrvPtr[d], in.DrvPtr[d+1]
-	topo := in.DrvTopo[lo:hi]
-	ninf := math.Inf(-1)
-	for _, si := range topo {
-		if in.DrvSrcOK[si] && !sc.dead[in.DrvTask[si]] {
-			sc.cur[si] = -in.DrvSrcCost[si]
-		} else {
-			sc.cur[si] = ninf
-		}
-		sc.prevS[si] = -1
-	}
-	best, bestEnd := 0.0, int32(-1)
-	for _, si := range topo {
-		mi := in.DrvTask[si]
-		if sc.dead[mi] {
-			continue
-		}
-		cv := sc.cur[si]
-		if cv == ninf {
-			continue
-		}
-		v := cv + in.Value[mi]
-		if lambda != nil {
-			v -= lambda[mi]
-		}
-		r := v - in.DrvSnkCost[si]
-		r += in.Baseline[d]
-		if r > best {
-			best, bestEnd = r, si
-		}
-		for k := in.DrvSuccPtr[int(si)]; k < in.DrvSuccPtr[int(si)+1]; k++ {
-			sj := in.DrvSucc[k]
-			cand := v - in.DrvSuccCost[k]
-			if cand > sc.cur[sj] {
-				sc.cur[sj] = cand
-				sc.prevS[sj] = si
-			}
-		}
-	}
-	return best, bestEnd
-}
-
-// reconstruct appends the prevS chain ending at end to dst in forward
-// order and returns the extended slice.
-func (sc *sparseScratch) reconstruct(end int32, dst []int32) []int32 {
-	start := len(dst)
-	for s := end; s >= 0; s = sc.prevS[s] {
-		dst = append(dst, s)
-	}
-	// Reverse in place.
-	for i, j := start, len(dst)-1; i < j; i, j = i+1, j-1 {
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-	return dst
-}
-
 // greedyComp builds the offline greedy incumbent: repeatedly commit the
 // best remaining single-driver path (ties to the lower compact driver),
 // invalidating cached paths lazily. Returns the left-associated value
-// over the component's drivers ascending. Restores sc.dead to all
+// over the component's drivers ascending. Restores sc.dp.Dead to all
 // false.
 func (sc *sparseScratch) greedyComp(in *offline.Instance, cols, rows []int) float64 {
 	nd := len(cols)
@@ -205,16 +145,16 @@ func (sc *sparseScratch) greedyComp(in *offline.Instance, cols, rows []int) floa
 			stale := sc.gLen[i] < 0
 			if !stale {
 				for _, slot := range sc.gSlots[sc.gOff[i] : sc.gOff[i]+sc.gLen[i]] {
-					if sc.dead[in.DrvTask[slot]] {
+					if sc.dp.Dead[in.DrvTask[slot]] {
 						stale = true
 						break
 					}
 				}
 			}
 			if stale {
-				v, end := sc.bestPathDP(in, cols[i], nil)
+				v, end := sc.dp.Best(in, cols[i], nil)
 				sc.gOff[i] = int32(len(sc.gSlots))
-				sc.gSlots = sc.reconstruct(end, sc.gSlots)
+				sc.gSlots = sc.dp.AppendSlots(sc.gSlots, end)
 				sc.gLen[i] = int32(len(sc.gSlots)) - sc.gOff[i]
 				sc.gVal[i] = v
 			}
@@ -233,7 +173,7 @@ func (sc *sparseScratch) greedyComp(in *offline.Instance, cols, rows []int) floa
 			sc.gVal[bi] = v
 		}
 		for _, slot := range slots {
-			sc.dead[in.DrvTask[slot]] = true
+			sc.dp.Dead[in.DrvTask[slot]] = true
 		}
 	}
 	total := 0.0
@@ -245,7 +185,7 @@ func (sc *sparseScratch) greedyComp(in *offline.Instance, cols, rows []int) floa
 		}
 	}
 	for _, m := range rows {
-		sc.dead[m] = false
+		sc.dp.Dead[m] = false
 	}
 	return total
 }
@@ -571,10 +511,10 @@ func (sc *sparseScratch) lagrangeComp(in *offline.Instance, cols, rows []int, lb
 			sc.grad[m] = 1
 		}
 		for _, d := range cols {
-			v, end := sc.bestPathDP(in, d, sc.lambda)
+			v, end := sc.dp.Best(in, d, sc.lambda)
 			if v > 0 {
 				L += v
-				for s := end; s >= 0; s = sc.prevS[s] {
+				for s := end; s >= 0; s = sc.dp.Prev(s) {
 					sc.grad[in.DrvTask[s]]--
 				}
 			}

@@ -12,17 +12,16 @@ import (
 	"repro/internal/model"
 	"repro/internal/offline"
 	"repro/internal/sim"
-	"repro/internal/taskmap"
 )
 
 // Problem is one market optimization instance. Construct with
-// NewProblem; the task-map graph is built lazily and cached.
+// NewProblem; the task map is compiled lazily and cached.
 type Problem struct {
 	Market  model.Market
 	Drivers []model.Driver
 	Tasks   []model.Task
 
-	graph *taskmap.Graph
+	graph *offline.Instance
 }
 
 // NewProblem validates and bundles a market instance.
@@ -37,10 +36,11 @@ func NewProblem(m model.Market, drivers []model.Driver, tasks []model.Task) (*Pr
 	}, nil
 }
 
-// Graph returns the merged task map (§III-B), building it on first use.
-func (p *Problem) Graph() *taskmap.Graph {
+// Graph returns the task map (§III-B) compiled with every (task, driver)
+// pair that can be on a path, building it on first use.
+func (p *Problem) Graph() *offline.Instance {
 	if p.graph == nil {
-		g, err := taskmap.New(p.Market, p.Drivers, p.Tasks)
+		g, err := offline.Compile(p.Market, model.Trace{Drivers: p.Drivers, Tasks: p.Tasks}, offline.Options{})
 		if err != nil {
 			// NewProblem validated the same inputs; reaching here is a
 			// programming error.
@@ -71,7 +71,7 @@ type Solution struct {
 	// Paths holds each selected driver's task list. For online solvers
 	// the per-path Profit fields are filled from the simulator's
 	// real-time accounting.
-	Paths []taskmap.Path
+	Paths []offline.Path
 	// Profit is the drivers' total profit, objective Eq. (4).
 	Profit float64
 	// Revenue is Σ p_m over served tasks; Served counts them.
@@ -173,7 +173,7 @@ func (o OnlineSolver) Solve(p *Problem) (Solution, error) {
 		if len(tasks) == 0 {
 			continue
 		}
-		sol.Paths = append(sol.Paths, taskmap.Path{
+		sol.Paths = append(sol.Paths, offline.Path{
 			Driver: n,
 			Tasks:  append([]int(nil), tasks...),
 			Profit: res.PerDriverProfit[n],
@@ -221,9 +221,9 @@ func (p *Problem) CheckOffline(s Solution) error {
 	if err := p.CheckDisjoint(s); err != nil {
 		return err
 	}
-	g := p.Graph()
+	in := p.Graph()
 	for _, path := range s.Paths {
-		profit, err := g.PathProfit(path.Driver, path.Tasks)
+		profit, err := in.ValueOf(path)
 		if err != nil {
 			return fmt.Errorf("driver %d: %w", path.Driver, err)
 		}

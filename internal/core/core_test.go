@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/bound"
+	"repro/internal/offline"
 	"repro/internal/online"
-	"repro/internal/taskmap"
 	"repro/internal/trace"
 )
 
@@ -127,7 +127,7 @@ func TestWelfareProblem(t *testing.T) {
 	var profitOrig float64
 	gOrig := p.Graph()
 	for _, path := range ws.Paths {
-		pr, err := gOrig.PathProfit(path.Driver, path.Tasks)
+		pr, err := gOrig.ValueOf(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,25 +156,25 @@ func TestSolutionWelfareAccessor(t *testing.T) {
 
 func TestCheckDisjointCatchesDuplicates(t *testing.T) {
 	p := buildProblem(t, 7, 20, 4, trace.Hitchhiking)
-	bad := Solution{Paths: []taskmap.Path{
+	bad := Solution{Paths: []offline.Path{
 		{Driver: 0, Tasks: []int{1, 2}},
 		{Driver: 1, Tasks: []int{2}},
 	}}
 	if err := p.CheckDisjoint(bad); err == nil {
 		t.Fatal("duplicate task assignment not caught")
 	}
-	bad2 := Solution{Paths: []taskmap.Path{
+	bad2 := Solution{Paths: []offline.Path{
 		{Driver: 0, Tasks: []int{1}},
 		{Driver: 0, Tasks: []int{2}},
 	}}
 	if err := p.CheckDisjoint(bad2); err == nil {
 		t.Fatal("duplicate driver not caught")
 	}
-	bad3 := Solution{Paths: []taskmap.Path{{Driver: 99, Tasks: []int{1}}}}
+	bad3 := Solution{Paths: []offline.Path{{Driver: 99, Tasks: []int{1}}}}
 	if err := p.CheckDisjoint(bad3); err == nil {
 		t.Fatal("out-of-range driver not caught")
 	}
-	bad4 := Solution{Paths: []taskmap.Path{{Driver: 0, Tasks: []int{999}}}}
+	bad4 := Solution{Paths: []offline.Path{{Driver: 0, Tasks: []int{999}}}}
 	if err := p.CheckDisjoint(bad4); err == nil {
 		t.Fatal("out-of-range task not caught")
 	}

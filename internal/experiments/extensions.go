@@ -70,7 +70,7 @@ func WelfareComparison(ctx context.Context, cfg Config) ([]WelfareRow, error) {
 		var welfareObjProfit float64
 		g := p.Graph()
 		for _, path := range welfareSol.Paths {
-			pr, err := g.PathProfit(path.Driver, path.Tasks)
+			pr, err := g.ValueOf(path)
 			if err != nil {
 				return fmt.Errorf("experiments: welfare path invalid on profit view: %w", err)
 			}

@@ -51,7 +51,7 @@ func ExampleGreedy() {
 			longest = max(longest, len(path.Tasks))
 		}
 		ub, _ := bound.Auto(g, sol.TotalProfit, 120)
-		fmt.Printf("%-8s  %7d  %5d  %2d  %6d  %7d  %7.2f  %7.2f  %.2f\n", m.name, g.N(), g.M(),
+		fmt.Printf("%-8s  %7d  %5d  %2d  %6d  %7d  %7.2f  %7.2f  %.2f\n", m.name, len(tr.Drivers), len(tr.Tasks),
 			g.Diameter(), sol.ServedTasks(), longest, sol.TotalProfit, ub.Bound,
 			core.PerformanceRatio(sol.TotalProfit, ub.Bound))
 	}

@@ -14,16 +14,13 @@
 // the common case is far cheaper).
 package offline
 
-import (
-	"repro/internal/heap"
-	"repro/internal/taskmap"
-)
+import "repro/internal/heap"
 
 // Solution is the assignment produced by the greedy algorithm.
 type Solution struct {
 	// Paths holds the selected task lists, in selection order (highest
 	// profit first), one per selected driver.
-	Paths []taskmap.Path
+	Paths []Path
 	// TotalProfit is the drivers' total profit (objective Eq. 4).
 	TotalProfit float64
 	// Iterations is the number of greedy selections (K in the paper's
@@ -54,7 +51,8 @@ func (s Solution) ServedTasks() int {
 }
 
 type heapItem struct {
-	path    taskmap.Path
+	path    Path
+	driver  int // compact driver index
 	version int // graph version when the path was computed
 }
 
@@ -62,38 +60,44 @@ type heapItem struct {
 // paths pop in heap order.
 func profitFirst(a, b heapItem) bool { return a.path.Profit > b.path.Profit }
 
-// Greedy runs Algorithm 1 on the task map and returns the selected
-// paths. The choice sequence is exactly the paper's GA up to arbitrary
-// tie-breaking between equal-profit paths.
-func Greedy(g *taskmap.Graph) Solution {
-	alive := make([]bool, g.M())
-	for i := range alive {
-		alive[i] = true
+// Greedy runs Algorithm 1 on the compiled task map and returns the
+// selected paths. The choice sequence is exactly the paper's GA up to
+// arbitrary tie-breaking between equal-profit paths.
+func Greedy(in *Instance) Solution {
+	var dp PathDP
+	dp.Reset(in)
+	var slots []int32
+	var sol Solution
+	version := 0
+	// best prices compact driver d's best path around the removed tasks
+	// and reports whether it is worth a heap entry.
+	best := func(d int) (heapItem, bool) {
+		sol.Recomputes++
+		v, end := dp.Best(in, d, nil)
+		if end < 0 {
+			return heapItem{}, false
+		}
+		slots = dp.AppendSlots(slots[:0], end)
+		return heapItem{path: in.Path(d, slots, v), driver: d, version: version}, true
 	}
 
-	var sol Solution
-	h := make([]heapItem, 0, g.N())
-	version := 0
-	for n := 0; n < g.N(); n++ {
-		p := g.BestPath(n, alive, nil)
-		sol.Recomputes++
-		if p.Len() > 0 && p.Profit > 0 {
-			h = append(h, heapItem{path: p, version: version})
+	h := make([]heapItem, 0, in.NDrv())
+	for d := 0; d < in.NDrv(); d++ {
+		if it, ok := best(d); ok {
+			h = append(h, it)
 		}
 	}
 	heap.Init(h, profitFirst)
 
 	for len(h) > 0 {
 		it := heap.Pop(&h, profitFirst)
-		if it.version != version && !allAlive(it.path.Tasks, alive) {
+		if it.version != version && !allAlive(it.path.Tasks, dp.Dead) {
 			// Stale: some node on the cached path was removed.
 			// Recompute against the current graph; the recomputed
 			// profit can only be ≤ the cached one, so pushing it back
 			// keeps the heap's max property sound.
-			p := g.BestPath(it.path.Driver, alive, nil)
-			sol.Recomputes++
-			if p.Len() > 0 && p.Profit > 0 {
-				heap.Push(&h, heapItem{path: p, version: version}, profitFirst)
+			if fresh, ok := best(it.driver); ok {
+				heap.Push(&h, fresh, profitFirst)
 			}
 			continue
 		}
@@ -106,61 +110,18 @@ func Greedy(g *taskmap.Graph) Solution {
 		sol.TotalProfit += it.path.Profit
 		sol.Iterations++
 		for _, t := range it.path.Tasks {
-			alive[t] = false
+			dp.Dead[t] = true
 		}
 		version++
 	}
 	return sol
 }
 
-func allAlive(tasks []int, alive []bool) bool {
+func allAlive(tasks []int, dead []bool) bool {
 	for _, t := range tasks {
-		if !alive[t] {
+		if dead[t] {
 			return false
 		}
 	}
 	return true
-}
-
-// GreedyNaive is the textbook O(N²M²) implementation of Algorithm 1: in
-// every iteration it recomputes the best path of every remaining driver
-// and picks the maximum. It exists as the reference implementation that
-// the lazy version is tested against, and as the ablation baseline for
-// the lazy-evaluation benchmark.
-func GreedyNaive(g *taskmap.Graph) Solution {
-	alive := make([]bool, g.M())
-	for i := range alive {
-		alive[i] = true
-	}
-	usedDriver := make([]bool, g.N())
-
-	var sol Solution
-	for {
-		best := taskmap.Path{}
-		found := false
-		for n := 0; n < g.N(); n++ {
-			if usedDriver[n] {
-				continue
-			}
-			p := g.BestPath(n, alive, nil)
-			sol.Recomputes++
-			if p.Len() == 0 || p.Profit <= 0 {
-				continue
-			}
-			if !found || p.Profit > best.Profit {
-				best = p
-				found = true
-			}
-		}
-		if !found {
-			return sol
-		}
-		sol.Paths = append(sol.Paths, best)
-		sol.TotalProfit += best.Profit
-		sol.Iterations++
-		usedDriver[best.Driver] = true
-		for _, t := range best.Tasks {
-			alive[t] = false
-		}
-	}
 }

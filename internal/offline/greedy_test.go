@@ -10,11 +10,21 @@ import (
 	"repro/internal/trace"
 )
 
-func buildGraph(t *testing.T, seed int64, tasks, drivers int, dm trace.DriverModel) *taskmap.Graph {
+func buildGraph(t *testing.T, seed int64, tasks, drivers int, dm trace.DriverModel) *offline.Instance {
 	t.Helper()
 	cfg := trace.NewConfig(seed, tasks, drivers, dm)
 	tr := trace.NewGenerator(cfg).Generate(nil)
-	g, err := taskmap.New(cfg.Market, tr.Drivers, tr.Tasks)
+	in, err := offline.Compile(cfg.Market, tr, offline.Options{})
+	if err != nil {
+		t.Fatalf("offline.Compile: %v", err)
+	}
+	return in
+}
+
+// denseGraph builds the dense oracle of the day buildGraph compiles.
+func denseGraph(t *testing.T, in *offline.Instance) *taskmap.Graph {
+	t.Helper()
+	g, err := taskmap.New(in.Market, in.Drivers, in.Tasks)
 	if err != nil {
 		t.Fatalf("taskmap.New: %v", err)
 	}
@@ -24,7 +34,8 @@ func buildGraph(t *testing.T, seed int64, tasks, drivers int, dm trace.DriverMod
 func TestGreedyMatchesNaive(t *testing.T) {
 	// The lazy-heap greedy must earn exactly the naive GA's total on a
 	// spread of instances (the selection sequences coincide up to
-	// equal-profit ties, which cannot change the total).
+	// equal-profit ties, which cannot change the total). The naive GA
+	// runs on the dense oracle.
 	for _, tc := range []struct {
 		seed           int64
 		tasks, drivers int
@@ -38,7 +49,7 @@ func TestGreedyMatchesNaive(t *testing.T) {
 	} {
 		g := buildGraph(t, tc.seed, tc.tasks, tc.drivers, tc.dm)
 		lazy := offline.Greedy(g)
-		naive := offline.GreedyNaive(g)
+		naive := denseGreedyNaive(denseGraph(t, g))
 		if math.Abs(lazy.TotalProfit-naive.TotalProfit) > 1e-6 {
 			t.Errorf("seed %d: lazy %.6f != naive %.6f", tc.seed, lazy.TotalProfit, naive.TotalProfit)
 		}
@@ -70,7 +81,7 @@ func TestGreedySolutionFeasible(t *testing.T) {
 			}
 			usedTask[task] = true
 		}
-		profit, err := g.PathProfit(p.Driver, p.Tasks)
+		profit, err := g.ValueOf(p)
 		if err != nil {
 			t.Fatalf("driver %d: infeasible path: %v", p.Driver, err)
 		}
@@ -106,9 +117,10 @@ func TestGreedyWithinApproximationBound(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := buildGraph(t, seed, 10, 3, trace.Hitchhiking)
 		sol := offline.Greedy(g)
-		exact, err := bound.BruteForce(g, 0)
-		if err != nil {
-			t.Fatalf("seed %d: brute force: %v", seed, err)
+		var s bound.SparseSolver
+		exact, err := s.Solve(g, bound.SparseOptions{})
+		if err != nil || !exact.Exact {
+			t.Fatalf("seed %d: exact solve: %v (exact %v)", seed, err, exact.Exact)
 		}
 		if sol.TotalProfit > exact.Objective+1e-6 {
 			t.Fatalf("seed %d: greedy %.6f exceeds optimum %.6f", seed, sol.TotalProfit, exact.Objective)
@@ -149,10 +161,11 @@ func TestGreedyDominatesSingleBestPath(t *testing.T) {
 	// least any single driver's best.
 	g := buildGraph(t, 11, 60, 10, trace.HomeWorkHome)
 	sol := offline.Greedy(g)
-	for n := 0; n < g.N(); n++ {
-		p := g.BestPath(n, nil, nil)
-		if p.Profit > sol.TotalProfit+1e-9 {
-			t.Fatalf("driver %d best path %.6f exceeds greedy total %.6f", n, p.Profit, sol.TotalProfit)
+	var dp offline.PathDP
+	dp.Reset(g)
+	for d := 0; d < g.NDrv(); d++ {
+		if v, _ := dp.Best(g, d, nil); v > sol.TotalProfit+1e-9 {
+			t.Fatalf("driver %d best path %.6f exceeds greedy total %.6f", g.DrvID[d], v, sol.TotalProfit)
 		}
 	}
 }

@@ -3,22 +3,24 @@ package offline
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/matching"
 	"repro/internal/model"
 )
 
-// This file is the trace→hindsight-instance compiler of the oracle
-// rail: it turns any modern trace — churn, cancellations, batched or
-// instant dispatch — into a feasibility-correct offline assignment
-// graph the sparse branch-and-bound in internal/bound can solve per
-// connected component. The dense taskmap.Graph is the semantic
-// reference (and stays the differential oracle via bound.BruteForce),
-// but it is O(N·M) per-driver tables plus O(M²) shared arcs: at a
-// 12k-order/50k-driver day that is ~10 GB of tables nobody reads. The
-// compiler instead keeps only the candidate pairs that can matter,
-// laid out in the PR 5 CSR discipline.
+// This file compiles the paper's task map (§III-B) of a market day:
+// every offline solver — the greedy (Algorithm 1), Z*_f's column
+// generation and Lagrangian bound, the replan dispatcher's snapshots
+// and the sparse branch-and-bound of the hindsight oracle — reads the
+// compiled Instance. It turns any trace — churn, cancellations, batched
+// or instant dispatch — into a feasibility-correct offline assignment
+// graph, keeping only the (task, driver) pairs that can appear on a
+// path, in compressed-row (CSR) form, with each driver's own arcs among
+// her kept tasks. The dense taskmap.Graph, O(N·M) per-driver tables
+// plus O(M²) shared arcs, is kept only in tests, as the differential
+// oracle the parity tests hold this compiler and its solvers to.
 //
 // Hindsight semantics. The offline optimum must answer "what could a
 // clairvoyant dispatcher have earned on this day", so dynamic events
@@ -41,8 +43,8 @@ import (
 //
 // On an event-free trace every bar is vacuous (PickupBar = StartBy,
 // EffStart = Start, RetireAt = +Inf) and the compiled instance is
-// exactly the taskmap restricted to pairs that can appear on some
-// path — the parity tests in hindsight_test.go hold this bitwise.
+// exactly the dense taskmap restricted to pairs that can appear on some
+// path — the parity tests in parity_test.go hold this bitwise.
 //
 // One conservative prefilter drops pairs with EffStart > PickupBar:
 // such a pair can never be on a feasible path (as a first task the
@@ -58,8 +60,8 @@ type Objective int
 const (
 	// ObjectiveProfit compiles the paper's Eq. 4 driver-profit
 	// objective: task margins minus deadhead/source/sink legs plus the
-	// baseline credit. Bitwise-comparable with taskmap.PathProfit and
-	// bound.BruteForce.
+	// baseline credit. Bitwise-comparable with the dense oracle's
+	// PathProfit.
 	ObjectiveProfit Objective = iota
 	// ObjectiveRevenue compiles market revenue (Σ Price over served
 	// tasks): values are raw prices and every cost and baseline is
@@ -181,7 +183,7 @@ type Instance struct {
 	Stats CompileStats
 }
 
-// timeEps mirrors taskmap's deadline-comparison slack.
+// timeEps absorbs floating-point noise in deadline comparisons.
 const timeEps = 1e-9
 
 // NDrv returns the compact driver count, NSlots the kept pair count.
@@ -670,22 +672,21 @@ func (in *Instance) assemble(rows [][]candidate, opt Options) {
 func (in *Instance) buildArcs(opt Options) {
 	nnz := len(in.DrvTask)
 	revenue := in.Objective == ObjectiveRevenue
-	counts := make([]int, nnz+1)
 	type arc struct {
 		from, to int32
 		cost     float64
 	}
-	arcs := make([][]arc, len(in.DrvID))
 
 	fits := make([]bool, len(in.Tasks))
 	for m, t := range in.Tasks {
 		fits[m] = in.Market.ServiceTime(t, 0) <= t.EndBy-t.StartBy+timeEps
 	}
 
-	discover := func(d int) {
+	// discover appends driver d's arcs to out, with ascending topo
+	// source and ascending topo target.
+	discover := func(d int, out []arc) []arc {
 		topo := in.DrvTopo[in.DrvPtr[d]:in.DrvPtr[d+1]]
 		speed := in.Drivers[in.DrvID[d]].SpeedKmh
-		var out []arc
 		for i := 0; i < len(topo); i++ {
 			sa := int(topo[i])
 			a := int(in.DrvTask[sa])
@@ -704,47 +705,47 @@ func (in *Instance) buildArcs(opt Options) {
 				if gap < -timeEps {
 					continue
 				}
-				if in.Market.TravelTime(ta.Dest, tb.Source, 0) > gap+timeEps {
+				// One distance serves the time checks and the cost; the
+				// expressions are TravelTime's and DeadheadCost's term
+				// for term, so the bits are theirs.
+				km := in.Market.Dist(ta.Dest, tb.Source)
+				if in.Market.TravelTimeKm(km, 0) > gap+timeEps {
 					continue
 				}
 				// Slower speed overrides re-check the deadhead against
 				// the barred gap, mirroring taskmap.arcUsable.
 				if speed > 0 && speed < in.Market.SpeedKmh {
-					if in.Market.Dist(ta.Dest, tb.Source)/speed*3600 > gap+timeEps {
+					if km/speed*3600 > gap+timeEps {
 						continue
 					}
 				}
 				cost := 0.0
 				if !revenue {
-					cost = in.Market.DeadheadCost(ta, tb)
+					cost = in.Market.TravelCostKm(km)
 				}
 				out = append(out, arc{from: int32(sa), to: int32(sb), cost: cost})
 			}
 		}
-		arcs[d] = out
+		return out
 	}
-	runIndexed(opt.Workers, len(in.DrvID), discover)
 
-	total := 0
-	for _, out := range arcs {
-		total += len(out)
-		for _, a := range out {
-			counts[a.from+1]++
-		}
-	}
-	in.Stats.Arcs = total
-	in.DrvSuccPtr = counts
-	for s := 1; s <= nnz; s++ {
-		in.DrvSuccPtr[s] += in.DrvSuccPtr[s-1]
-	}
-	in.DrvSucc = make([]int32, total)
-	in.DrvSuccCost = make([]float64, total)
+	// emit appends driver d's arcs to the CSR. A driver's slots are
+	// contiguous and drivers come in order, so her block follows the
+	// last one; scattering in discovery order keeps each succ list in
+	// topo order of the target, matching taskmap.Succs.
+	in.DrvSuccPtr = make([]int, nnz+1)
 	fill := make([]int, nnz)
-	copy(fill, in.DrvSuccPtr[:nnz])
-	// Per driver, arcs were discovered with ascending topo source and
-	// ascending topo target — scattering in that order keeps each succ
-	// list in topo order of the target, matching taskmap.Succs.
-	for _, out := range arcs {
+	emit := func(d int, out []arc) {
+		for _, a := range out {
+			in.DrvSuccPtr[a.from+1]++
+		}
+		for s := in.DrvPtr[d]; s < in.DrvPtr[d+1]; s++ {
+			in.DrvSuccPtr[s+1] += in.DrvSuccPtr[s]
+			fill[s] = in.DrvSuccPtr[s]
+		}
+		n := len(in.DrvSucc) + len(out)
+		in.DrvSucc = slices.Grow(in.DrvSucc, len(out))[:n]
+		in.DrvSuccCost = slices.Grow(in.DrvSuccCost, len(out))[:n]
 		for _, a := range out {
 			p := fill[a.from]
 			fill[a.from]++
@@ -752,6 +753,22 @@ func (in *Instance) buildArcs(opt Options) {
 			in.DrvSuccCost[p] = a.cost
 		}
 	}
+	// Serially one driver's arcs at a time are held apart from the CSR;
+	// in parallel, every driver's until all are found.
+	if opt.Workers < 2 {
+		var out []arc
+		for d := range in.DrvID {
+			out = discover(d, out[:0])
+			emit(d, out)
+		}
+	} else {
+		arcs := make([][]arc, len(in.DrvID))
+		runIndexed(opt.Workers, len(in.DrvID), func(d int) { arcs[d] = discover(d, nil) })
+		for d, out := range arcs {
+			emit(d, out)
+		}
+	}
+	in.Stats.Arcs = len(in.DrvSucc)
 }
 
 // runIndexed applies fn to every index, fanning out over workers when

@@ -7,140 +7,8 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/model"
-	"repro/internal/taskmap"
 	"repro/internal/trace"
 )
-
-// TestCompileNoEventTaskmapParity holds the compiler to the dense
-// reference: on an event-free trace the compiled instance must be the
-// taskmap restricted to path-relevant pairs, bitwise — same srcOK set,
-// same costs, same arcs, same path values.
-func TestCompileNoEventTaskmapParity(t *testing.T) {
-	seeds := []int64{3, 4, 5, 6}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	for _, seed := range seeds {
-		for _, dm := range []trace.DriverModel{trace.Hitchhiking, trace.HomeWorkHome} {
-			cfg := trace.NewConfig(seed, 40, 12, dm)
-			tr := trace.NewGenerator(cfg).Generate(nil)
-			in, err := Compile(cfg.Market, tr, Options{})
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			g, err := taskmap.New(cfg.Market, tr.Drivers, tr.Tasks)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-
-			kept := make(map[[2]int]bool)
-			for d := 0; d < in.NDrv(); d++ {
-				orig := in.DrvID[d]
-				if in.Baseline[d] != g.Baseline[orig] {
-					t.Fatalf("seed %d: baseline driver %d = %v, want %v", seed, orig, in.Baseline[d], g.Baseline[orig])
-				}
-				for s := in.DrvPtr[d]; s < in.DrvPtr[d+1]; s++ {
-					m := int(in.DrvTask[s])
-					kept[[2]int{orig, m}] = true
-					if !g.Feasible(orig, m) {
-						t.Fatalf("seed %d: kept pair (%d,%d) infeasible in taskmap", seed, orig, m)
-					}
-					if in.DrvSrcOK[s] != g.SourceReachable(orig, m) {
-						t.Fatalf("seed %d: srcOK (%d,%d) = %v, taskmap %v", seed, orig, m, in.DrvSrcOK[s], g.SourceReachable(orig, m))
-					}
-					if in.DrvSrcCost[s] != g.SourceCost(orig, m) || in.DrvSnkCost[s] != g.SinkCost(orig, m) {
-						t.Fatalf("seed %d: costs (%d,%d) = (%v,%v), taskmap (%v,%v)",
-							seed, orig, m, in.DrvSrcCost[s], in.DrvSnkCost[s], g.SourceCost(orig, m), g.SinkCost(orig, m))
-					}
-				}
-			}
-			// Dropped feasible pairs must be provably path-irrelevant.
-			for n := range tr.Drivers {
-				for m := range tr.Tasks {
-					if g.Feasible(n, m) && !kept[[2]int{n, m}] {
-						if tr.Drivers[n].Start <= tr.Tasks[m].StartBy+2e-9 {
-							t.Fatalf("seed %d: feasible pair (%d,%d) dropped without prefilter cover", seed, n, m)
-						}
-					}
-				}
-			}
-			// Arc sets agree on the kept subset, costs bitwise.
-			for d := 0; d < in.NDrv(); d++ {
-				for si := in.DrvPtr[d]; si < in.DrvPtr[d+1]; si++ {
-					for sj := in.DrvPtr[d]; sj < in.DrvPtr[d+1]; sj++ {
-						a, b := int(in.DrvTask[si]), int(in.DrvTask[sj])
-						if a == b {
-							continue
-						}
-						k := in.SuccIndex(si, sj)
-						if (k >= 0) != g.HasArc(a, b) {
-							t.Fatalf("seed %d: arc %d→%d driver %d: compiled %v, taskmap %v",
-								seed, a, b, in.DrvID[d], k >= 0, g.HasArc(a, b))
-						}
-						if k >= 0 {
-							want := cfg.Market.DeadheadCost(tr.Tasks[a], tr.Tasks[b])
-							if in.DrvSuccCost[k] != want {
-								t.Fatalf("seed %d: arc cost %d→%d = %v, want %v", seed, a, b, in.DrvSuccCost[k], want)
-							}
-						}
-					}
-				}
-			}
-			// Path values replicate PathProfit bitwise over a DFS sweep.
-			checkPathValues(t, in, g, 2000)
-		}
-	}
-}
-
-// checkPathValues DFS-enumerates up to cap paths per instance and
-// compares PathValue against taskmap.PathProfit bitwise.
-func checkPathValues(t *testing.T, in *Instance, g *taskmap.Graph, cap int) {
-	t.Helper()
-	count := 0
-	var slots []int32
-	var tasks []int
-	var dfs func(d, last int)
-	dfs = func(d, last int) {
-		if count >= cap {
-			return
-		}
-		count++
-		got, err := in.PathValue(d, slots)
-		if err != nil {
-			t.Fatalf("PathValue(%d, %v): %v", d, tasks, err)
-		}
-		want, err := g.PathProfit(in.DrvID[d], tasks)
-		if err != nil {
-			t.Fatalf("PathProfit(%d, %v): %v", in.DrvID[d], tasks, err)
-		}
-		if got != want {
-			t.Fatalf("driver %d path %v: PathValue %v, PathProfit %v", in.DrvID[d], tasks, got, want)
-		}
-		for k := in.DrvSuccPtr[last]; k < in.DrvSuccPtr[last+1]; k++ {
-			s := int(in.DrvSucc[k])
-			slots = append(slots, int32(s))
-			tasks = append(tasks, int(in.DrvTask[s]))
-			dfs(d, s)
-			slots = slots[:len(slots)-1]
-			tasks = tasks[:len(tasks)-1]
-		}
-	}
-	for d := 0; d < in.NDrv(); d++ {
-		for s := in.DrvPtr[d]; s < in.DrvPtr[d+1]; s++ {
-			if !in.DrvSrcOK[s] {
-				continue
-			}
-			slots = append(slots, int32(s))
-			tasks = append(tasks, int(in.DrvTask[s]))
-			dfs(d, s)
-			slots = slots[:0]
-			tasks = tasks[:0]
-		}
-	}
-	if count == 0 {
-		t.Fatal("no paths enumerated — degenerate instance")
-	}
-}
 
 // twoPointTrace builds a hand-sized scenario: driver home near the
 // first point, tasks between named points, everything else derived from
@@ -301,20 +169,23 @@ func TestCompileWorkerCountInvariant(t *testing.T) {
 	cfg := trace.NewConfig(21, 80, 20, trace.HomeWorkHome)
 	tr := trace.NewGenerator(cfg).Generate(nil)
 	tr.Events = trace.WithChurn(tr, trace.DefaultChurn(21, 0.2, 0.3))
-	var ref *Instance
-	for _, w := range []int{1, 2, 4} {
-		in, err := Compile(cfg.Market, tr, Options{TopK: 4, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = in
-			continue
-		}
-		if !reflect.DeepEqual(in.Pairs, ref.Pairs) || !reflect.DeepEqual(in.DrvTask, ref.DrvTask) ||
-			!reflect.DeepEqual(in.DrvSucc, ref.DrvSucc) || !reflect.DeepEqual(in.DrvSuccCost, ref.DrvSuccCost) ||
-			!reflect.DeepEqual(in.DrvSrcCost, ref.DrvSrcCost) || in.Stats != ref.Stats {
-			t.Fatalf("workers=%d compiles a different instance", w)
+	for _, topK := range []int{0, 4} {
+		var ref *Instance
+		for _, w := range []int{1, 2, 4} {
+			in, err := Compile(cfg.Market, tr, Options{TopK: topK, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = in
+				continue
+			}
+			if !reflect.DeepEqual(in.Pairs, ref.Pairs) || !reflect.DeepEqual(in.DrvTask, ref.DrvTask) ||
+				!reflect.DeepEqual(in.DrvSuccPtr, ref.DrvSuccPtr) ||
+				!reflect.DeepEqual(in.DrvSucc, ref.DrvSucc) || !reflect.DeepEqual(in.DrvSuccCost, ref.DrvSuccCost) ||
+				!reflect.DeepEqual(in.DrvSrcCost, ref.DrvSrcCost) || in.Stats != ref.Stats {
+				t.Fatalf("TopK=%d workers=%d compiles a different instance", topK, w)
+			}
 		}
 	}
 }

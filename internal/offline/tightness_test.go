@@ -5,20 +5,39 @@ import (
 	"testing"
 
 	"repro/internal/bound"
+	"repro/internal/model"
 	"repro/internal/offline"
-	"repro/internal/taskmap"
 )
+
+// tightness compiles the Fig. 2 instance of diameter d.
+func tightness(t *testing.T, d int, eps float64) *offline.Instance {
+	t.Helper()
+	mkt, drivers, tasks, err := offline.TightnessInstance(d, eps)
+	if err != nil {
+		t.Fatalf("D=%d: %v", d, err)
+	}
+	in, err := offline.Compile(mkt, model.Trace{Drivers: drivers, Tasks: tasks}, offline.Options{})
+	if err != nil {
+		t.Fatalf("D=%d: %v", d, err)
+	}
+	return in
+}
+
+// optimum solves in exactly: the instance is one component, which the
+// sparse solver enumerates whole.
+func optimum(t *testing.T, in *offline.Instance) float64 {
+	t.Helper()
+	var s bound.SparseSolver
+	sol, err := s.Solve(in, bound.SparseOptions{})
+	if err != nil || !sol.Exact {
+		t.Fatalf("exact solve: %v (exact %v)", err, sol.Exact)
+	}
+	return sol.Objective
+}
 
 func TestTightnessInstanceGreedyEarnsOne(t *testing.T) {
 	for _, d := range []int{2, 3, 5, 8} {
-		mkt, drivers, tasks, err := offline.TightnessInstance(d, 0.01)
-		if err != nil {
-			t.Fatalf("D=%d: %v", d, err)
-		}
-		g, err := taskmap.New(mkt, drivers, tasks)
-		if err != nil {
-			t.Fatalf("D=%d: %v", d, err)
-		}
+		g := tightness(t, d, 0.01)
 		sol := offline.Greedy(g)
 		if math.Abs(sol.TotalProfit-1) > 1e-6 {
 			t.Errorf("D=%d: greedy profit %.6f, want 1 (Lemma 3)", d, sol.TotalProfit)
@@ -35,21 +54,10 @@ func TestTightnessInstanceGreedyEarnsOne(t *testing.T) {
 func TestTightnessInstanceOptimum(t *testing.T) {
 	const eps = 0.01
 	for _, d := range []int{2, 3, 4} {
-		mkt, drivers, tasks, err := offline.TightnessInstance(d, eps)
-		if err != nil {
-			t.Fatalf("D=%d: %v", d, err)
-		}
-		g, err := taskmap.New(mkt, drivers, tasks)
-		if err != nil {
-			t.Fatalf("D=%d: %v", d, err)
-		}
-		exact, err := bound.BruteForce(g, 0)
-		if err != nil {
-			t.Fatalf("D=%d: brute force: %v", d, err)
-		}
+		g := tightness(t, d, eps)
 		want := float64(d+1) * (1 - eps)
-		if math.Abs(exact.Objective-want) > 1e-6 {
-			t.Errorf("D=%d: OPT = %.6f, want (D+1)(1−ε) = %.6f", d, exact.Objective, want)
+		if opt := optimum(t, g); math.Abs(opt-want) > 1e-6 {
+			t.Errorf("D=%d: OPT = %.6f, want (D+1)(1−ε) = %.6f", d, opt, want)
 		}
 	}
 }
@@ -58,20 +66,9 @@ func TestTightnessRatioApproachesBound(t *testing.T) {
 	// GA/OPT = 1/((D+1)(1−ε)): the paper's tight worst case.
 	const eps = 0.001
 	for _, d := range []int{2, 3, 5} {
-		mkt, drivers, tasks, err := offline.TightnessInstance(d, eps)
-		if err != nil {
-			t.Fatalf("D=%d: %v", d, err)
-		}
-		g, err := taskmap.New(mkt, drivers, tasks)
-		if err != nil {
-			t.Fatalf("D=%d: %v", d, err)
-		}
+		g := tightness(t, d, eps)
 		ga := offline.Greedy(g).TotalProfit
-		exact, err := bound.BruteForce(g, 0)
-		if err != nil {
-			t.Fatalf("D=%d: %v", d, err)
-		}
-		ratio := ga / exact.Objective
+		ratio := ga / optimum(t, g)
 		want := 1 / (float64(d+1) * (1 - eps))
 		if math.Abs(ratio-want) > 1e-6 {
 			t.Errorf("D=%d: ratio %.6f, want %.6f", d, ratio, want)
@@ -82,14 +79,7 @@ func TestTightnessRatioApproachesBound(t *testing.T) {
 func TestTightnessInstanceDiameter(t *testing.T) {
 	// The instance's task-map diameter is exactly D (the chain).
 	for _, d := range []int{2, 4, 6} {
-		mkt, drivers, tasks, err := offline.TightnessInstance(d, 0.01)
-		if err != nil {
-			t.Fatalf("D=%d: %v", d, err)
-		}
-		g, err := taskmap.New(mkt, drivers, tasks)
-		if err != nil {
-			t.Fatalf("D=%d: %v", d, err)
-		}
+		g := tightness(t, d, 0.01)
 		if got := g.Diameter(); got != d {
 			t.Errorf("D=%d: diameter %d", d, got)
 		}

@@ -48,7 +48,7 @@ func ExampleRouter_Dist() {
 	// road distances.
 	kept, broken, profit := 0, 0, 0.0
 	for _, p := range crowPlan.Paths {
-		if v, err := roads.Graph().PathProfit(p.Driver, p.Tasks); err == nil {
+		if v, err := roads.Graph().ValueOf(p); err == nil {
 			kept, profit = kept+len(p.Tasks), profit+v
 		} else {
 			broken++

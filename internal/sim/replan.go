@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/offline"
-	"repro/internal/taskmap"
 )
 
 // This file implements rolling-horizon re-optimization: the strongest
@@ -113,13 +112,13 @@ func (e *Engine) RunReplanScenario(tasks []model.Task, events []model.MarketEven
 			vtasks[k].ID = k
 		}
 
-		g, err := taskmap.New(e.Market, vdrivers, vtasks)
+		in, err := offline.Compile(e.Market, model.Trace{Drivers: vdrivers, Tasks: vtasks}, offline.Options{})
 		if err != nil {
 			// Inputs were validated at engine construction; a snapshot
 			// failure is a programming error.
 			panic(fmt.Sprintf("sim: replan snapshot invalid: %v", err))
 		}
-		plan := offline.Greedy(g)
+		plan := offline.Greedy(in)
 
 		// Commit the first leg of every selected task list; later legs
 		// stay open for re-planning. Deferring even first legs keeps

@@ -1,29 +1,32 @@
-// Package taskmap builds the paper's task maps (§III-B): per-driver
-// directed acyclic graphs whose nodes are tasks plus the driver's source
-// (label 0) and destination (label −1), and whose arcs encode "driver n
-// can take task m' in time after finishing task m" (Eqs. 1–3).
+// Package taskmap builds the paper's task maps (§III-B) the dense way:
+// per-driver directed acyclic graphs whose nodes are tasks plus the
+// driver's source (label 0) and destination (label −1), and whose arcs
+// encode "driver n can take task m' in time after finishing task m"
+// (Eqs. 1–3), with the longest-path (maximum profit) dynamic program
+// over each of them.
 //
-// A driver's task list is a path from her source to her destination, and
-// the market optimization (Eq. 4 / Eq. 9) is a maximum-value
-// node-disjoint paths problem over the merged graph. This package
-// provides the graph representation plus the longest-path (maximum
-// profit) dynamic program over the DAG that both the offline greedy
-// algorithm (§IV) and the LP pricing oracle (§III-E) are built on.
+// It is the differential oracle of the tests, and only tests import it:
+// every solver reads the compiled offline.Instance, and the parity
+// tests hold that instance — its pairs, arcs, path values, greedy and
+// exact optima — to this package's plain O(N·M) per-driver tables and
+// O(M²) shared arcs.
 //
 // Arc structure is shared across drivers: the inter-task feasibility
 // condition l_{m,m'} ≤ t̄−_{m'} − t̄+_m depends only on the market speed,
 // while per-driver feasibility (reachability from the driver's source and
 // return to her destination, Eqs. 2–3) is kept in per-driver tables.
-// Per-driver speed overrides are honored by the per-driver tables; the
-// shared arcs assume the market-wide speed, which matches the paper's
-// evaluation (a single constant speed).
+// A driver slower than the market re-checks each shared arc at her own
+// speed (arcUsable); a faster one keeps the shared arcs, which
+// under-approximates her map.
 package taskmap
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/model"
+	"repro/internal/offline"
 )
 
 // None marks "no predecessor" in path reconstruction.
@@ -130,6 +133,18 @@ func (g *Graph) HasArc(m, mp int) bool {
 	return false
 }
 
+// DriverArc reports whether driver n can drive the arc m→mp: the shared
+// arc exists and, for a slower speed override, her deadhead still fits
+// the gap between the two tasks.
+func (g *Graph) DriverArc(n, m, mp int) bool {
+	for k, p := range g.Preds[mp] {
+		if int(p) == m {
+			return g.arcUsable(mp, k, g.Drivers[n].SpeedKmh)
+		}
+	}
+	return false
+}
+
 // arcUsable reports whether the k-th predecessor arc into task m is
 // usable at the given driving speed: shared arcs are built at the
 // market-wide speed, so a driver with a slower override must re-check
@@ -151,9 +166,9 @@ func (g *Graph) buildOrder() {
 	for i := range g.Order {
 		g.Order[i] = int32(i)
 	}
-	// Insertion of sort.Slice over int32 indices by StartBy.
-	tasks := g.Tasks
-	sortInt32s(g.Order, func(a, b int32) bool {
+	tasks, order := g.Tasks, g.Order
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
 		if tasks[a].StartBy != tasks[b].StartBy {
 			return tasks[a].StartBy < tasks[b].StartBy
 		}
@@ -255,17 +270,8 @@ func (g *Graph) buildDriverTables() {
 	}
 }
 
-// Path is a driver's task list: a source→destination path in her task
-// map with its total profit r_π (Eq. 9's path value: task margins minus
-// deadhead and source/sink legs, plus the baseline credit).
-type Path struct {
-	Driver int
-	Tasks  []int // task indices in service order
-	Profit float64
-}
-
-// Len returns the number of tasks on the path.
-func (p Path) Len() int { return len(p.Tasks) }
+// Path is a driver's task list, the one path type of the solvers.
+type Path = offline.Path
 
 // BestPath computes the maximum-profit source→destination path for
 // driver n over the alive tasks (alive == nil means all tasks). It
@@ -416,16 +422,16 @@ func (g *Graph) PathProfit(n int, tasks []int) (float64, error) {
 
 // Diameter returns D: the maximum number of task nodes on any single
 // source→destination path in the merged graph. Every path belongs to
-// exactly one driver (it runs from her source to her destination), so D
-// is the longest chain of tasks that some one driver could serve — "the
-// maximum number of possible tasks taken by a single driver during one
-// working period" (§IV-C). The greedy algorithm's approximation ratio is
-// 1/(D+1) (Theorem 1).
+// exactly one driver (it runs from her source to her destination, on the
+// arcs she can drive), so D is the longest chain of tasks that some one
+// driver could serve — "the maximum number of possible tasks taken by a
+// single driver during one working period" (§IV-C). The greedy
+// algorithm's approximation ratio is 1/(D+1) (Theorem 1).
 func (g *Graph) Diameter() int {
 	mCount := len(g.Tasks)
 	best := 0
 	depth := make([]int, mCount)
-	for n := range g.Drivers {
+	for n, drv := range g.Drivers {
 		feas := g.feasible[n]
 		srcOK := g.srcOK[n]
 		for i := range depth {
@@ -440,8 +446,8 @@ func (g *Graph) Diameter() int {
 			if srcOK[m] {
 				d = 1
 			}
-			for _, p := range g.Preds[m] {
-				if depth[p] > 0 && depth[p]+1 > d {
+			for k, p := range g.Preds[m] {
+				if depth[p] > 0 && depth[p]+1 > d && g.arcUsable(m, k, drv.SpeedKmh) {
 					d = depth[p] + 1
 				}
 			}

@@ -472,3 +472,21 @@ func TestFastDriverKeepsSharedArcs(t *testing.T) {
 		t.Fatalf("fast driver path %v, want both tasks", p.Tasks)
 	}
 }
+
+// TestSlowDriverDiameter: D counts only the arcs a driver can drive. A
+// fleet of one 30 km/h driver over TestSlowDriverArcRecheck's two tasks
+// can serve one of them, not the chain the market speed allows.
+func TestSlowDriverDiameter(t *testing.T) {
+	tasks := []model.Task{
+		simpleTask(0, 0, minutes(10), minutes(15), 5),
+		simpleTask(1, 4, minutes(20), minutes(25), 5),
+	}
+	slow := []model.Driver{{ID: 0, Source: at(0), Dest: at(4), Start: 0, End: minutes(240), SpeedKmh: 30}}
+	if d := mustNew(t, lineMkt(), slow, tasks).Diameter(); d != 1 {
+		t.Fatalf("slow driver's D = %d, want 1", d)
+	}
+	slow[0].SpeedKmh = 0
+	if d := mustNew(t, lineMkt(), slow, tasks).Diameter(); d != 2 {
+		t.Fatalf("market-speed driver's D = %d, want 2", d)
+	}
+}
