@@ -753,8 +753,10 @@ func (in *Instance) buildArcs(opt Options) {
 			in.DrvSuccCost[p] = a.cost
 		}
 	}
-	// Serially one driver's arcs at a time are held apart from the CSR;
-	// in parallel, every driver's until all are found.
+	// A serial compile holds one driver's arcs apart from the CSR at a
+	// time (`-fig 5 -scale paper` on 2 vCPUs peaked at 406–431 MiB so,
+	// 470–545 MiB holding every driver's); a parallel one holds every
+	// driver's until all are found.
 	if opt.Workers < 2 {
 		var out []arc
 		for d := range in.DrvID {

@@ -18,9 +18,15 @@ import (
 // it, are held to the dense map's bitwise.
 
 // speedDay generates an event-free day and gives every other driver the
-// speed override factor × the market speed (none when factor is 0).
+// speed override factor × the market speed (none when factor is 0). A
+// day with overrides gets windows 2.5–5 times the service time: at the
+// default 1–1.1 a driver at 0.9× the market speed serves almost no
+// task, and no arc of hers is ever re-checked.
 func speedDay(seed int64, tasks, drivers int, dm trace.DriverModel, factor float64) (model.Market, model.Trace) {
 	cfg := trace.NewConfig(seed, tasks, drivers, dm)
+	if factor > 0 {
+		cfg.SlackMin, cfg.SlackMax = 2.5, 5
+	}
 	tr := trace.NewGenerator(cfg).Generate(nil)
 	if factor > 0 {
 		for n := 1; n < len(tr.Drivers); n += 2 {

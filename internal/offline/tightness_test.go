@@ -23,8 +23,8 @@ func tightness(t *testing.T, d int, eps float64) *offline.Instance {
 	return in
 }
 
-// optimum solves in exactly: the instance is one component, which the
-// sparse solver enumerates whole.
+// optimum returns the exact optimum of the compiled instance: it is one
+// component, which the sparse solver enumerates whole.
 func optimum(t *testing.T, in *offline.Instance) float64 {
 	t.Helper()
 	var s bound.SparseSolver
