@@ -671,7 +671,8 @@ func BenchmarkPowerLawFit(b *testing.B) {
 
 // BenchmarkAblationGreedyLazy vs ...GreedyNaive quantifies the lazy
 // priority-queue evaluation against the textbook O(N²M²) loop on the
-// same instance (identical output, see offline tests).
+// same instance (the same total profit, which the naive benchmark
+// checks before it times).
 func BenchmarkAblationGreedyLazy(b *testing.B) {
 	p := benchProblem(b, 9, 250, 60, trace.Hitchhiking)
 	g := p.Graph()
@@ -686,18 +687,22 @@ func BenchmarkAblationGreedyLazy(b *testing.B) {
 func BenchmarkAblationGreedyNaive(b *testing.B) {
 	p := benchProblem(b, 9, 250, 60, trace.Hitchhiking)
 	g := p.Graph()
+	if got, want := greedyNaive(g), offline.Greedy(g); got.TotalProfit != want.TotalProfit || got.Iterations != want.Iterations {
+		b.Fatalf("naive greedy: profit %v in %d selections, lazy %v in %d",
+			got.TotalProfit, got.Iterations, want.TotalProfit, want.Iterations)
+	}
 	var rec int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec = greedyNaive(g)
+		rec = greedyNaive(g).Recomputes
 	}
 	b.ReportMetric(float64(rec), "dp-calls")
 }
 
 // greedyNaive runs the textbook Algorithm 1 — every round prices every
 // remaining driver and takes the best, ties to the lower driver — and
-// returns its DP calls.
-func greedyNaive(in *offline.Instance) (recomputes int) {
+// returns its total profit, selections and DP calls.
+func greedyNaive(in *offline.Instance) (sol offline.Solution) {
 	var dp offline.PathDP
 	dp.Reset(in)
 	used := make([]bool, in.NDrv())
@@ -708,15 +713,17 @@ func greedyNaive(in *offline.Instance) (recomputes int) {
 			if used[d] {
 				continue
 			}
-			recomputes++
+			sol.Recomputes++
 			if v, end := dp.Best(in, d, nil); end >= 0 && (bestD < 0 || v > best) {
 				best, bestD = v, d
 				slots = dp.AppendSlots(slots[:0], end)
 			}
 		}
 		if bestD < 0 {
-			return recomputes
+			return sol
 		}
+		sol.TotalProfit += best
+		sol.Iterations++
 		used[bestD] = true
 		for _, s := range slots {
 			dp.Dead[in.DrvTask[s]] = true

@@ -135,6 +135,7 @@ type dfsFrame struct {
 type sparseScratch struct {
 	// enumeration (per component)
 	frames     []dfsFrame
+	slot       []int32 // the driver's slot of each task (MapSlots)
 	paths      []pathRec
 	pathSlots  []int32
 	drvPathPtr []int32

@@ -75,8 +75,10 @@ func (sc *sparseScratch) enumerateComp(in *offline.Instance, cols []int, pathCap
 	sc.pathSlots = sc.pathSlots[:0]
 	sc.drvPathPtr = grow(sc.drvPathPtr, len(cols)+1)
 	sc.drvPathPtr[0] = 0
+	sc.slot = grow(sc.slot, len(in.Tasks))
 	for i, d := range cols {
 		enumerated := 0
+		in.MapSlots(d, sc.slot)
 		for si := in.DrvPtr[d]; si < in.DrvPtr[d+1]; si++ {
 			if !in.DrvSrcOK[si] {
 				continue
@@ -105,9 +107,10 @@ func (sc *sparseScratch) enumerateComp(in *offline.Instance, cols []int, pathCap
 					}
 				}
 				if int(f.k) < in.DrvSuccPtr[int(f.slot)+1] {
-					child := in.DrvSucc[f.k]
+					arc := in.DrvSucc[f.k]
+					child := sc.slot[in.ArcTo[arc]]
 					acc2 := f.acc + in.Value[in.DrvTask[child]]
-					acc2 -= in.DrvSuccCost[f.k]
+					acc2 -= in.ArcCost[arc]
 					f.k++
 					sc.frames = append(sc.frames, dfsFrame{slot: child, k: int32(in.DrvSuccPtr[child]), acc: acc2})
 					continue

@@ -1,6 +1,7 @@
 package offline
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -17,8 +18,9 @@ import (
 // compiled Instance. It turns any trace — churn, cancellations, batched
 // or instant dispatch — into a feasibility-correct offline assignment
 // graph, keeping only the (task, driver) pairs that can appear on a
-// path, in compressed-row (CSR) form, with each driver's own arcs among
-// her kept tasks. The dense taskmap.Graph, O(N·M) per-driver tables
+// path, in compressed-row (CSR) form, with the arcs among kept tasks
+// stored once and each driver's own arcs as indices into them. The
+// dense taskmap.Graph, O(N·M) per-driver tables
 // plus O(M²) shared arcs, is kept only in tests, as the differential
 // oracle the parity tests hold this compiler and its solvers to.
 //
@@ -103,9 +105,9 @@ type Options struct {
 	Keep [][2]int32
 
 	// Workers bounds compile-time parallelism over the per-order
-	// candidate scan and the per-driver arc discovery. Values below 2
+	// candidate scan and the per-task arc discovery. Values below 2
 	// run serially. The output is identical for every worker count —
-	// rows and drivers are independent.
+	// every task's row and arcs are found on their own.
 	Workers int
 }
 
@@ -115,7 +117,7 @@ type CompileStats struct {
 	ForcedKept    int // pairs kept only because of Options.Keep
 	ForcedDropped int // Keep pairs that failed hindsight feasibility
 	DroppedTopK   int // candidates cut by rail top-k pruning
-	Arcs          int // per-driver inter-task arcs
+	Arcs          int // per-driver inter-task arcs (DrvSucc entries)
 	ActiveDrivers int // drivers with ≥ 1 kept pair (compact columns)
 	Components    int
 	LargestTasks  int // tasks in the largest component
@@ -167,13 +169,21 @@ type Instance struct {
 	// order, in the same DrvPtr segments.
 	DrvTopo []int32
 
-	// Per-slot successor arcs: slot s's successors are
-	// DrvSucc[DrvSuccPtr[s]:DrvSuccPtr[s+1]] — slot ids of the same
-	// driver, in topological order of the successor task, mirroring
-	// taskmap.Graph.Succs on the kept subset.
-	DrvSuccPtr  []int
-	DrvSucc     []int32
-	DrvSuccCost []float64
+	// Shared arcs: task a's are ArcTo[ArcPtr[a]:ArcPtr[a+1]], the tasks
+	// that can follow it on some driver's path (both ends kept for her),
+	// in topological order, each with its deadhead cost ArcCost
+	// (objective-adjusted).
+	ArcPtr  []int
+	ArcTo   []int32
+	ArcCost []float64
+
+	// Per-slot successor arcs: the shared arcs slot s's driver can take
+	// on from it are DrvSucc[DrvSuccPtr[s]:DrvSuccPtr[s+1]], indices
+	// into ArcTo/ArcCost in topological order of the target, mirroring
+	// taskmap.Graph.Succs on the kept subset. The target task's slot is
+	// the driver's own (MapSlots).
+	DrvSuccPtr []int
+	DrvSucc    []int32
 
 	// Comp is the union-find decomposition of Pairs: component rows
 	// are task indices, component cols compact drivers.
@@ -209,15 +219,26 @@ func (in *Instance) Slot(d, m int) int {
 	return -1
 }
 
-// SuccIndex returns the position in DrvSucc of the arc slot sa → slot
-// sb, or -1 if the arc does not exist.
+// SuccIndex returns the shared arc (an index into ArcTo and ArcCost)
+// by which slot sa goes on to slot sb of the same driver, or -1 if her
+// map has no such arc.
 func (in *Instance) SuccIndex(sa, sb int) int {
-	for k := in.DrvSuccPtr[sa]; k < in.DrvSuccPtr[sa+1]; k++ {
-		if int(in.DrvSucc[k]) == sb {
-			return k
+	for _, k := range in.DrvSucc[in.DrvSuccPtr[sa]:in.DrvSuccPtr[sa+1]] {
+		if in.ArcTo[k] == in.DrvTask[sb] {
+			return int(k)
 		}
 	}
 	return -1
+}
+
+// MapSlots writes compact driver d's slot of each task she keeps into
+// slot, which has one entry per task, and leaves the other entries as
+// they are: slot[ArcTo[k]] is then the target slot of each arc k of
+// hers.
+func (in *Instance) MapSlots(d int, slot []int32) {
+	for s := in.DrvPtr[d]; s < in.DrvPtr[d+1]; s++ {
+		slot[in.DrvTask[s]] = int32(s)
+	}
 }
 
 // PathValue computes the objective value of the slot sequence for
@@ -249,7 +270,7 @@ func (in *Instance) PathValue(d int, slots []int32) (float64, error) {
 				return 0, fmt.Errorf("offline: no arc %d→%d for driver %d",
 					in.DrvTask[slots[i-1]], in.DrvTask[si], d)
 			}
-			value -= in.DrvSuccCost[k]
+			value -= in.ArcCost[k]
 		}
 	}
 	value -= in.DrvSnkCost[int(slots[len(slots)-1])]
@@ -311,10 +332,7 @@ func Compile(market model.Market, tr model.Trace, opt Options) (*Instance, error
 
 	// Per-order candidate scan (independent rows — parallelizable).
 	rows := make([][]candidate, nTask)
-	fitsMarket := make([]bool, nTask)
-	for m, t := range tr.Tasks {
-		fitsMarket[m] = market.ServiceTime(t, 0) <= t.EndBy-t.StartBy+timeEps
-	}
+	fitsMarket := in.fitsMarket()
 	// The baseline credit is a per-driver constant; computing it once
 	// here instead of per (task, driver) pair removes a distance call
 	// from the scan's hot loop.
@@ -331,7 +349,11 @@ func Compile(market model.Market, tr model.Trace, opt Options) (*Instance, error
 			dropped[m] = before - len(rows[m])
 		}
 	}
-	runIndexed(opt.Workers, nTask, scan)
+	runChunks(opt.Workers, nTask, func(lo, hi int) {
+		for m := lo; m < hi; m++ {
+			scan(m)
+		}
+	})
 	for m, d := range dropped {
 		in.Stats.DroppedTopK += d
 		found := 0
@@ -343,8 +365,8 @@ func Compile(market model.Market, tr model.Trace, opt Options) (*Instance, error
 		in.Stats.ForcedDropped += len(forced[m]) - found
 	}
 
-	in.assemble(rows, opt)
-	in.buildArcs(opt)
+	order := in.assemble(rows, opt)
+	in.buildArcs(fitsMarket, order, opt)
 	in.NComp = in.Comp.Decompose(in.Pairs)
 	in.Stats.Components = in.NComp
 	for c := 0; c < in.NComp; c++ {
@@ -557,8 +579,9 @@ func pruneTopK(cands []candidate, k int) []candidate {
 }
 
 // assemble lays the per-task candidate rows out as the pair CSR, the
-// compact driver set, and the per-driver slot view.
-func (in *Instance) assemble(rows [][]candidate, opt Options) {
+// compact driver set, and the per-driver slot view, and returns the
+// tasks in topological order.
+func (in *Instance) assemble(rows [][]candidate, opt Options) []int32 {
 	nTask, nDrv := len(in.Tasks), len(in.Drivers)
 	revenue := in.Objective == ObjectiveRevenue
 
@@ -661,126 +684,174 @@ func (in *Instance) assemble(rows [][]candidate, opt Options) {
 			cursor[d]++
 		}
 	}
+	return order
 }
 
-// buildArcs discovers the per-driver inter-task arcs driver-centrically:
-// for each driver, ordered pairs within her kept task set in topological
-// order, reproducing taskmap.buildSharedArcs' conditions (and its
-// Succs ordering) on the kept subset. The global shared-arc loop would
-// be O(M²) ≈ 70M arcs at 12k orders; Σ|T_d|² over rail-pruned drivers
-// is orders of magnitude smaller.
-func (in *Instance) buildArcs(opt Options) {
-	nnz := len(in.DrvTask)
+// buildArcs lays out the task map's arcs among the kept pairs in two
+// tables. The shared one holds each arc a→b that some driver keeps both
+// ends of: both tasks fit at the market speed and the pair passes
+// arcKm, one distance for all the drivers who keep it, a's targets in
+// topological order. The per-slot one holds, for each slot of a, the
+// shared arcs its driver can take: to tasks she keeps, re-checked at
+// her own speed if she is slower than the market — taskmap's arcs and
+// their Succs order on the kept subset, in 4 bytes each. The global
+// shared-arc loop would be O(M²) ≈ 70M arcs at 12k orders; the drivers'
+// Σ|T_d|² pairs over rail-pruned drivers are orders of magnitude fewer.
+func (in *Instance) buildArcs(fits []bool, order []int32, opt Options) {
+	nTask, nnz := len(in.Tasks), len(in.DrvTask)
 	revenue := in.Objective == ObjectiveRevenue
-	type arc struct {
-		from, to int32
-		cost     float64
+	rank := make([]int32, nTask)
+	for i, m := range order {
+		rank[m] = int32(i)
+	}
+	// topoAt[s] is slot s's place in DrvTopo; later(d, s) lists the
+	// slots after it in its driver d's topological order.
+	topoAt := make([]int, nnz)
+	for i, s := range in.DrvTopo {
+		topoAt[s] = i
+	}
+	later := func(d int, s int32) []int32 { return in.DrvTopo[topoAt[s]+1 : in.DrvPtr[d+1]] }
+
+	to := make([][]int32, nTask)
+	km := make([][]float64, nTask)
+	gap := make([][]float64, nTask)
+	runChunks(opt.Workers, nTask, func(lo, hi int) {
+		seen := make([]bool, nTask)
+		var cand, chunkTo []int32
+		var chunkKm, chunkGap []float64
+		for a := lo; a < hi; a++ {
+			if !fits[a] {
+				continue
+			}
+			cand = cand[:0]
+			for p := in.Pairs.RowPtr[a]; p < in.Pairs.RowPtr[a+1]; p++ {
+				for _, sb := range later(in.Pairs.Col[p], in.PairSlot[p]) {
+					if b := in.DrvTask[sb]; fits[b] && !seen[b] {
+						seen[b] = true
+						cand = append(cand, b)
+					}
+				}
+			}
+			slices.SortFunc(cand, func(x, y int32) int { return cmp.Compare(rank[x], rank[y]) })
+			start := len(chunkTo)
+			for _, b := range cand {
+				seen[b] = false
+				if k, g, ok := in.arcKm(a, int(b)); ok {
+					chunkTo = append(chunkTo, b)
+					chunkKm = append(chunkKm, k)
+					chunkGap = append(chunkGap, g)
+				}
+			}
+			to[a], km[a], gap[a] = chunkTo[start:], chunkKm[start:], chunkGap[start:]
+		}
+	})
+	in.ArcPtr = make([]int, nTask+1)
+	for a := range to {
+		in.ArcPtr[a+1] = in.ArcPtr[a] + len(to[a])
+	}
+	in.ArcTo = make([]int32, 0, in.ArcPtr[nTask])
+	in.ArcCost = make([]float64, in.ArcPtr[nTask])
+	for a := range to {
+		in.ArcTo = append(in.ArcTo, to[a]...)
+		if !revenue {
+			for j, k := range km[a] {
+				in.ArcCost[in.ArcPtr[a]+j] = in.Market.TravelCostKm(k)
+			}
+		}
 	}
 
+	// A slot's arcs go only to the later slots of its driver whose
+	// tasks fit, so the per-slot table is made once with that many
+	// places per slot (1.05–1.12× the arcs on generated 1 000-order
+	// days); each slot fills its own places, and one pass in slot order
+	// then closes the gaps.
+	ptr := make([]int, nnz+1)
+	for d := range in.DrvID {
+		n := 0
+		topo := in.DrvTopo[in.DrvPtr[d]:in.DrvPtr[d+1]]
+		for i := len(topo) - 1; i >= 0; i-- {
+			if s := topo[i]; fits[in.DrvTask[s]] {
+				ptr[s+1] = n
+				n++
+			}
+		}
+	}
+	for s := 1; s <= nnz; s++ {
+		ptr[s] += ptr[s-1]
+	}
+	succ := make([]int32, ptr[nnz])
+	deg := make([]int, nnz)
+	runChunks(opt.Workers, nTask, func(lo, hi int) {
+		arcTo := make([]int32, nTask) // the shared arc from a to each task, plus one
+		for a := lo; a < hi; a++ {
+			base := in.ArcPtr[a]
+			for j, b := range to[a] {
+				arcTo[b] = int32(base + j + 1)
+			}
+			for p := in.Pairs.RowPtr[a]; p < in.Pairs.RowPtr[a+1]; p++ {
+				d, sa := in.Pairs.Col[p], in.PairSlot[p]
+				speed := in.Drivers[in.DrvID[d]].SpeedKmh
+				slow := speed > 0 && speed < in.Market.SpeedKmh
+				w := ptr[sa]
+				for _, sb := range later(d, sa) {
+					k := int(arcTo[in.DrvTask[sb]]) - 1
+					// Slower speed overrides re-check the deadhead
+					// against the barred gap, mirroring taskmap.arcUsable.
+					if k < 0 || (slow && km[a][k-base]/speed*3600 > gap[a][k-base]+timeEps) {
+						continue
+					}
+					succ[w] = int32(k)
+					w++
+				}
+				deg[sa] = w - ptr[sa]
+			}
+			for _, b := range to[a] {
+				arcTo[b] = 0
+			}
+		}
+	})
+	n := 0
+	for s := 0; s < nnz; s++ {
+		lo := ptr[s]
+		ptr[s] = n
+		n += copy(succ[n:], succ[lo:lo+deg[s]])
+	}
+	ptr[nnz] = n
+	in.DrvSuccPtr, in.DrvSucc = ptr, succ[:n]
+	in.Stats.Arcs = n
+}
+
+// fitsMarket reports, per task, whether its service fits its window at
+// the market speed (Eq. 1), as both ends of a shared arc must.
+func (in *Instance) fitsMarket() []bool {
 	fits := make([]bool, len(in.Tasks))
 	for m, t := range in.Tasks {
 		fits[m] = in.Market.ServiceTime(t, 0) <= t.EndBy-t.StartBy+timeEps
 	}
-
-	// discover appends driver d's arcs to out, with ascending topo
-	// source and ascending topo target.
-	discover := func(d int, out []arc) []arc {
-		topo := in.DrvTopo[in.DrvPtr[d]:in.DrvPtr[d+1]]
-		speed := in.Drivers[in.DrvID[d]].SpeedKmh
-		for i := 0; i < len(topo); i++ {
-			sa := int(topo[i])
-			a := int(in.DrvTask[sa])
-			if !fits[a] {
-				continue
-			}
-			ta := in.Tasks[a]
-			for j := i + 1; j < len(topo); j++ {
-				sb := int(topo[j])
-				b := int(in.DrvTask[sb])
-				if !fits[b] {
-					continue
-				}
-				tb := in.Tasks[b]
-				gap := in.PickupBar[b] - ta.EndBy
-				if gap < -timeEps {
-					continue
-				}
-				// One distance serves the time checks and the cost; the
-				// expressions are TravelTime's and DeadheadCost's term
-				// for term, so the bits are theirs.
-				km := in.Market.Dist(ta.Dest, tb.Source)
-				if in.Market.TravelTimeKm(km, 0) > gap+timeEps {
-					continue
-				}
-				// Slower speed overrides re-check the deadhead against
-				// the barred gap, mirroring taskmap.arcUsable.
-				if speed > 0 && speed < in.Market.SpeedKmh {
-					if km/speed*3600 > gap+timeEps {
-						continue
-					}
-				}
-				cost := 0.0
-				if !revenue {
-					cost = in.Market.TravelCostKm(km)
-				}
-				out = append(out, arc{from: int32(sa), to: int32(sb), cost: cost})
-			}
-		}
-		return out
-	}
-
-	// emit appends driver d's arcs to the CSR. A driver's slots are
-	// contiguous and drivers come in order, so her block follows the
-	// last one; scattering in discovery order keeps each succ list in
-	// topo order of the target, matching taskmap.Succs.
-	in.DrvSuccPtr = make([]int, nnz+1)
-	fill := make([]int, nnz)
-	emit := func(d int, out []arc) {
-		for _, a := range out {
-			in.DrvSuccPtr[a.from+1]++
-		}
-		for s := in.DrvPtr[d]; s < in.DrvPtr[d+1]; s++ {
-			in.DrvSuccPtr[s+1] += in.DrvSuccPtr[s]
-			fill[s] = in.DrvSuccPtr[s]
-		}
-		n := len(in.DrvSucc) + len(out)
-		in.DrvSucc = slices.Grow(in.DrvSucc, len(out))[:n]
-		in.DrvSuccCost = slices.Grow(in.DrvSuccCost, len(out))[:n]
-		for _, a := range out {
-			p := fill[a.from]
-			fill[a.from]++
-			in.DrvSucc[p] = a.to
-			in.DrvSuccCost[p] = a.cost
-		}
-	}
-	// A serial compile holds one driver's arcs apart from the CSR at a
-	// time (`-fig 5 -scale paper` on 2 vCPUs peaked at 406–431 MiB so,
-	// 470–545 MiB holding every driver's); a parallel one holds every
-	// driver's until all are found.
-	if opt.Workers < 2 {
-		var out []arc
-		for d := range in.DrvID {
-			out = discover(d, out[:0])
-			emit(d, out)
-		}
-	} else {
-		arcs := make([][]arc, len(in.DrvID))
-		runIndexed(opt.Workers, len(in.DrvID), func(d int) { arcs[d] = discover(d, nil) })
-		for d, out := range arcs {
-			emit(d, out)
-		}
-	}
-	in.Stats.Arcs = len(in.DrvSucc)
+	return fits
 }
 
-// runIndexed applies fn to every index, fanning out over workers when
-// workers > 1. Each index is processed exactly once; work is handed out
-// in contiguous chunks so writers touch disjoint cache lines.
-func runIndexed(workers, n int, fn func(int)) {
+// arcKm is the rest of the shared-arc test a→b (Eq. 3): the deadhead
+// from a's dropoff to b's pickup fits, at the market speed, in the gap
+// between a's dropoff deadline and b's pickup bar. It returns the
+// deadhead's length and the gap; the expressions are TravelTime's and
+// DeadheadCost's term for term, so one distance gives their bits.
+func (in *Instance) arcKm(a, b int) (km, gap float64, ok bool) {
+	gap = in.PickupBar[b] - in.Tasks[a].EndBy
+	if gap < -timeEps {
+		return 0, gap, false
+	}
+	km = in.Market.Dist(in.Tasks[a].Dest, in.Tasks[b].Source)
+	return km, gap, in.Market.TravelTimeKm(km, 0) <= gap+timeEps
+}
+
+// runChunks splits the indices 0..n-1 into one contiguous chunk per
+// worker and applies fn to each, concurrently when workers > 1, so fn
+// can keep scratch for its chunk. Chunks are disjoint and in order, so
+// writers touch disjoint cache lines.
+func runChunks(workers, n int, fn func(lo, hi int)) {
 	if workers < 2 || n < 2 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
+		fn(0, n)
 		return
 	}
 	if workers > n {
@@ -789,17 +860,12 @@ func runIndexed(workers, n int, fn func(int)) {
 	chunk := (n + workers - 1) / workers
 	done := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		go func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
+		lo := min(w*chunk, n)
+		hi := min(lo+chunk, n)
+		go func() {
+			fn(lo, hi)
 			done <- struct{}{}
-		}(lo, hi)
+		}()
 	}
 	for w := 0; w < workers; w++ {
 		<-done

@@ -3,6 +3,7 @@ package offline
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/geo"
@@ -181,8 +182,9 @@ func TestCompileWorkerCountInvariant(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(in.Pairs, ref.Pairs) || !reflect.DeepEqual(in.DrvTask, ref.DrvTask) ||
-				!reflect.DeepEqual(in.DrvSuccPtr, ref.DrvSuccPtr) ||
-				!reflect.DeepEqual(in.DrvSucc, ref.DrvSucc) || !reflect.DeepEqual(in.DrvSuccCost, ref.DrvSuccCost) ||
+				!reflect.DeepEqual(in.ArcPtr, ref.ArcPtr) || !reflect.DeepEqual(in.ArcTo, ref.ArcTo) ||
+				!reflect.DeepEqual(in.ArcCost, ref.ArcCost) || !reflect.DeepEqual(in.DrvSuccPtr, ref.DrvSuccPtr) ||
+				!reflect.DeepEqual(in.DrvSucc, ref.DrvSucc) ||
 				!reflect.DeepEqual(in.DrvSrcCost, ref.DrvSrcCost) || in.Stats != ref.Stats {
 				t.Fatalf("TopK=%d workers=%d compiles a different instance", topK, w)
 			}
@@ -203,7 +205,7 @@ func TestCompileRevenueMode(t *testing.T) {
 	}
 	// Feasibility is objective-independent: identical structure.
 	if !reflect.DeepEqual(profit.Pairs.Col, rev.Pairs.Col) || !reflect.DeepEqual(profit.DrvTask, rev.DrvTask) ||
-		!reflect.DeepEqual(profit.DrvSucc, rev.DrvSucc) {
+		!reflect.DeepEqual(profit.ArcTo, rev.ArcTo) || !reflect.DeepEqual(profit.DrvSucc, rev.DrvSucc) {
 		t.Fatal("revenue mode changed the kept graph")
 	}
 	for m, task := range tr.Tasks {
@@ -216,7 +218,7 @@ func TestCompileRevenueMode(t *testing.T) {
 			t.Fatal("revenue mode must zero source/sink costs")
 		}
 	}
-	for _, c := range rev.DrvSuccCost {
+	for _, c := range rev.ArcCost {
 		if c != 0 {
 			t.Fatal("revenue mode must zero arc costs")
 		}
@@ -312,5 +314,37 @@ func TestCompileStatsAndEffStartBars(t *testing.T) {
 	}
 	if !math.IsInf(in.RetireAt[0], 1) || in.EffStart[0] != d.Start || in.PickupBar[0] != a.StartBy {
 		t.Fatal("event-free bars must be vacuous")
+	}
+}
+
+// TestCompileBytesPerArc bounds what a compiled day costs in memory per
+// driver's arc, the term that grows with drivers × (tasks per driver)²:
+// the instance keeps each arc among kept tasks once and each driver's
+// own arcs as 4-byte indices into them, and the compile makes its
+// tables once instead of growing them. At 500 orders and 150 drivers it
+// holds about 6.4 bytes per arc and allocates about 15; a 12-byte copy
+// of every driver's arc, grown as it was found, held 14.8 and allocated
+// 71.
+func TestCompileBytesPerArc(t *testing.T) {
+	for _, dm := range []trace.DriverModel{trace.Hitchhiking, trace.HomeWorkHome} {
+		cfg := trace.NewConfig(1, 500, 150, dm)
+		tr := trace.NewGenerator(cfg).Generate(nil)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		in, err := Compile(cfg.Market, tr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		arcs := float64(in.Stats.Arcs)
+		held := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / arcs
+		alloc := float64(after.TotalAlloc-before.TotalAlloc) / arcs
+		runtime.KeepAlive(in)
+		t.Logf("%v: %d arcs, %.2f bytes held and %.2f allocated per arc", dm, in.Stats.Arcs, held, alloc)
+		if held > 8 || alloc > 24 {
+			t.Errorf("%v: %.2f bytes held and %.2f allocated per arc, want at most 8 and 24", dm, held, alloc)
+		}
 	}
 }

@@ -116,8 +116,8 @@ func checkParity(t *testing.T, seed int64, mkt model.Market, tr model.Trace, in 
 				}
 				if k >= 0 {
 					want := mkt.DeadheadCost(tr.Tasks[a], tr.Tasks[b])
-					if in.DrvSuccCost[k] != want {
-						t.Fatalf("seed %d: arc cost %d→%d = %v, want %v", seed, a, b, in.DrvSuccCost[k], want)
+					if in.ArcCost[k] != want {
+						t.Fatalf("seed %d: arc cost %d→%d = %v, want %v", seed, a, b, in.ArcCost[k], want)
 					}
 				}
 			}
@@ -155,8 +155,8 @@ func checkPathValues(t *testing.T, in *offline.Instance, g *taskmap.Graph, cap i
 		if v, err := in.ValueOf(offline.Path{Driver: in.DrvID[d], Tasks: tasks}); err != nil || v != want {
 			t.Fatalf("driver %d path %v: ValueOf %v (%v), PathProfit %v", in.DrvID[d], tasks, v, err, want)
 		}
-		for k := in.DrvSuccPtr[last]; k < in.DrvSuccPtr[last+1]; k++ {
-			s := int(in.DrvSucc[k])
+		for _, k := range in.DrvSucc[in.DrvSuccPtr[last]:in.DrvSuccPtr[last+1]] {
+			s := in.Slot(d, int(in.ArcTo[k]))
 			slots = append(slots, int32(s))
 			tasks = append(tasks, int(in.DrvTask[s]))
 			dfs(d, s)

@@ -30,8 +30,9 @@ type PathDP struct {
 	// Dead marks tasks removed from the map (sized M by Reset, all
 	// false): the DP routes around them.
 	Dead []bool
-	cur  []float64
-	prev []int32
+	cur  []float64 // per task: the best value of a path to it
+	prev []int32   // per task: the slot before it on that path, or -1
+	task []int32   // the slots' tasks in the last Best's instance
 }
 
 // Reset sizes the scratch for in and revives every task. It allocates
@@ -39,8 +40,8 @@ type PathDP struct {
 func (dp *PathDP) Reset(in *Instance) {
 	dp.Dead = slices.Grow(dp.Dead[:0], len(in.Tasks))[:len(in.Tasks)]
 	clear(dp.Dead)
-	dp.cur = slices.Grow(dp.cur[:0], in.NSlots())[:in.NSlots()]
-	dp.prev = slices.Grow(dp.prev[:0], in.NSlots())[:in.NSlots()]
+	dp.cur = slices.Grow(dp.cur[:0], len(in.Tasks))[:len(in.Tasks)]
+	dp.prev = slices.Grow(dp.prev[:0], len(in.Tasks))[:len(in.Tasks)]
 }
 
 // Best runs the DP over compact driver d's slots in topological order,
@@ -54,13 +55,15 @@ func (dp *PathDP) Best(in *Instance, d int, lambda []float64) (float64, int32) {
 	lo, hi := in.DrvPtr[d], in.DrvPtr[d+1]
 	topo := in.DrvTopo[lo:hi]
 	ninf := math.Inf(-1)
+	dp.task = in.DrvTask
 	for _, si := range topo {
-		if in.DrvSrcOK[si] && !dp.Dead[in.DrvTask[si]] {
-			dp.cur[si] = -in.DrvSrcCost[si]
+		mi := in.DrvTask[si]
+		if in.DrvSrcOK[si] && !dp.Dead[mi] {
+			dp.cur[mi] = -in.DrvSrcCost[si]
 		} else {
-			dp.cur[si] = ninf
+			dp.cur[mi] = ninf
 		}
-		dp.prev[si] = -1
+		dp.prev[mi] = -1
 	}
 	best, bestEnd := 0.0, int32(-1)
 	for _, si := range topo {
@@ -68,7 +71,7 @@ func (dp *PathDP) Best(in *Instance, d int, lambda []float64) (float64, int32) {
 		if dp.Dead[mi] {
 			continue
 		}
-		cv := dp.cur[si]
+		cv := dp.cur[mi]
 		if cv == ninf {
 			continue
 		}
@@ -81,12 +84,14 @@ func (dp *PathDP) Best(in *Instance, d int, lambda []float64) (float64, int32) {
 		if r > best {
 			best, bestEnd = r, si
 		}
-		for k := in.DrvSuccPtr[int(si)]; k < in.DrvSuccPtr[int(si)+1]; k++ {
-			sj := in.DrvSucc[k]
-			cand := v - in.DrvSuccCost[k]
-			if cand > dp.cur[sj] {
-				dp.cur[sj] = cand
-				dp.prev[sj] = si
+		// Her arcs lead only to tasks she keeps, so their cur was set
+		// above.
+		for _, k := range in.DrvSucc[in.DrvSuccPtr[si]:in.DrvSuccPtr[si+1]] {
+			mj := in.ArcTo[k]
+			cand := v - in.ArcCost[k]
+			if cand > dp.cur[mj] {
+				dp.cur[mj] = cand
+				dp.prev[mj] = si
 			}
 		}
 	}
@@ -95,13 +100,13 @@ func (dp *PathDP) Best(in *Instance, d int, lambda []float64) (float64, int32) {
 
 // Prev returns the slot before s on the path the last Best reached s
 // by, or -1 if s is its first.
-func (dp *PathDP) Prev(s int32) int32 { return dp.prev[s] }
+func (dp *PathDP) Prev(s int32) int32 { return dp.prev[dp.task[s]] }
 
 // AppendSlots appends the path the last Best ended at end to dst, in
 // service order.
 func (dp *PathDP) AppendSlots(dst []int32, end int32) []int32 {
 	start := len(dst)
-	for s := end; s >= 0; s = dp.prev[s] {
+	for s := end; s >= 0; s = dp.Prev(s) {
 		dst = append(dst, s)
 	}
 	for i, j := start, len(dst)-1; i < j; i, j = i+1, j-1 {
@@ -150,39 +155,42 @@ func (in *Instance) Diameter() int {
 			depth[s] = 1
 		}
 	}
+	slot := make([]int32, len(in.Tasks))
 	best := 0
-	for _, si := range in.DrvTopo {
-		dep := depth[si]
-		if dep == 0 {
-			continue
-		}
-		best = max(best, dep)
-		for _, sj := range in.DrvSucc[in.DrvSuccPtr[si]:in.DrvSuccPtr[si+1]] {
-			depth[sj] = max(depth[sj], dep+1)
+	for d := range in.DrvID {
+		in.MapSlots(d, slot)
+		for _, si := range in.DrvTopo[in.DrvPtr[d]:in.DrvPtr[d+1]] {
+			dep := depth[si]
+			if dep == 0 {
+				continue
+			}
+			best = max(best, dep)
+			for _, k := range in.DrvSucc[in.DrvSuccPtr[si]:in.DrvSuccPtr[si+1]] {
+				sj := slot[in.ArcTo[k]]
+				depth[sj] = max(depth[sj], dep+1)
+			}
 		}
 	}
 	return best
 }
 
 // SharedArcs counts the task map's driver-independent arcs m→m': both
-// tasks' services fit their windows at the market speed and the
-// deadhead between them fits the gap to the pickup bar of m' (Eq. 3). Each
+// tasks fit their windows at the market speed and pass arcKm. Each
 // driver's own arcs are the ones among her kept tasks, re-checked at
 // her speed.
 func (in *Instance) SharedArcs() int {
+	fits := in.fitsMarket()
 	order := make([]int, 0, len(in.Tasks))
-	for m, t := range in.Tasks {
-		if in.Market.ServiceTime(t, 0) <= t.EndBy-t.StartBy+timeEps {
+	for m := range in.Tasks {
+		if fits[m] {
 			order = append(order, m)
 		}
 	}
 	sort.SliceStable(order, func(i, j int) bool { return in.Tasks[order[i]].StartBy < in.Tasks[order[j]].StartBy })
 	n := 0
 	for i, a := range order {
-		ta := in.Tasks[a]
 		for _, b := range order[i+1:] {
-			gap := in.PickupBar[b] - ta.EndBy
-			if gap >= -timeEps && in.Market.TravelTime(ta.Dest, in.Tasks[b].Source, 0) <= gap+timeEps {
+			if _, _, ok := in.arcKm(a, b); ok {
 				n++
 			}
 		}
