@@ -313,6 +313,10 @@ func appendRecord(b []byte, rec *walRecord) []byte {
 	b = appendU64(append(b, rec2Base+rec.Kind), rec.Digest)
 	switch rec.Kind {
 	case recInit:
+		// The fleet is most of it: room for it and the header up front,
+		// so a fresh buffer is allocated once instead of doubled into
+		// shape.
+		b = slices.Grow(b, 512+len(rec.Init.Market.Drivers)*(wireDriver+8))
 		b = appendU32(b, uint32(rec.Init.Version))
 		b = appendF64(appendF64(b, rec.Init.Market.SpeedKmh), rec.Init.Market.GasPerKm)
 		b = appendFingerprint(b, &rec.Init.Config)

@@ -194,7 +194,7 @@ type Service struct {
 	strict bool
 	closed bool
 
-	drivers   map[int]int  // public driver ID -> engine index
+	drivers   driverTable  // public driver ID -> engine index
 	driverIDs []int        // engine index -> public driver ID
 	retired   map[int]bool // driver IDs retired (possibly at a future time)
 	tasks     map[int]int  // public task ID -> engine index
@@ -288,7 +288,7 @@ func New(m Market, opts ...Option) (*Service, error) {
 
 	s := &Service{
 		strict:     cfg.strict,
-		drivers:    make(map[int]int, len(m.Drivers)),
+		drivers:    newDriverTable(len(m.Drivers)),
 		driverIDs:  make([]int, len(m.Drivers)),
 		retired:    make(map[int]bool),
 		tasks:      make(map[int]int),
@@ -302,7 +302,7 @@ func New(m Market, opts ...Option) (*Service, error) {
 	drivers := make([]model.Driver, len(m.Drivers))
 	var fleet []model.MarketEvent
 	for i, pd := range m.Drivers {
-		if _, dup := s.drivers[pd.ID]; dup {
+		if _, dup := s.drivers.get(pd.ID); dup {
 			return nil, fmt.Errorf("%w: %d", ErrDuplicateDriver, pd.ID)
 		}
 		md, err := toModelDriver(pd)
@@ -310,14 +310,14 @@ func New(m Market, opts ...Option) (*Service, error) {
 			return nil, err
 		}
 		drivers[i] = md
-		s.drivers[pd.ID] = i
+		s.drivers.put(pd.ID, i)
 		s.driverIDs[i] = pd.ID
 		if pd.JoinAt > 0 {
 			fleet = append(fleet, model.MarketEvent{At: pd.JoinAt, Kind: model.EventJoin, Driver: i})
 		}
 	}
 
-	eng, err := sim.New(mkt, drivers, cfg.seed)
+	eng, err := sim.NewOwned(mkt, drivers, cfg.seed)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidDriver, err)
 	}
@@ -347,6 +347,41 @@ func New(m Market, opts ...Option) (*Service, error) {
 		}
 	}
 	return s, nil
+}
+
+// driverTable maps public driver IDs to engine indices: a slice over the
+// ID range [0, n) of an opening fleet of n, where a fleet's IDs usually
+// all lie, and a map for any ID outside it — the pattern of
+// model.ValidateAll's ID set — so that opening a market hashes no ID of
+// a fleet numbered from zero.
+type driverTable struct {
+	dense []int32     // ID -> engine index + 1, 0 for an unknown ID
+	other map[int]int // every known ID outside [0, len(dense))
+}
+
+func newDriverTable(n int) driverTable { return driverTable{dense: make([]int32, n)} }
+
+// get returns id's engine index, and whether id is known.
+func (t *driverTable) get(id int) (int, bool) {
+	if uint(id) < uint(len(t.dense)) {
+		idx := int(t.dense[id]) - 1
+		return idx, idx >= 0
+	}
+	idx, ok := t.other[id]
+	return idx, ok
+}
+
+// put records id at engine index idx, which the engine's int32 id space
+// bounds.
+func (t *driverTable) put(id, idx int) {
+	if uint(id) < uint(len(t.dense)) {
+		t.dense[id] = int32(idx + 1)
+		return
+	}
+	if t.other == nil {
+		t.other = make(map[int]int)
+	}
+	t.other[id] = idx
 }
 
 // onWindowDecision records and publishes one deferred window-close
@@ -659,7 +694,7 @@ func (s *Service) AddDriver(ctx context.Context, d Driver) error {
 	if effAt := s.st.Now(); at < effAt {
 		at = effAt
 	}
-	if idx, known := s.drivers[d.ID]; known {
+	if idx, known := s.drivers.get(d.ID); known {
 		// Only a driver who has actually left the market may re-enter:
 		// a still-present driver (including one whose retirement is
 		// scheduled but has not fired — the queued retire event would
@@ -689,7 +724,7 @@ func (s *Service) AddDriver(ctx context.Context, d Driver) error {
 	if serr != nil {
 		return simErr(serr)
 	}
-	s.drivers[d.ID] = idx
+	s.drivers.put(d.ID, idx)
 	s.driverIDs = append(s.driverIDs, d.ID)
 	s.publish(Event{Type: EventDriverJoined, At: at, TaskID: -1, DriverID: d.ID})
 	return nil
@@ -709,7 +744,7 @@ func (s *Service) RetireDriver(ctx context.Context, driverID int, at float64) er
 	if s.closed {
 		return errClosed()
 	}
-	idx, ok := s.drivers[driverID]
+	idx, ok := s.drivers.get(driverID)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownDriver, driverID)
 	}

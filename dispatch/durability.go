@@ -578,13 +578,13 @@ func (svc *Service) loadSnapshot(snap *snapPayload) error {
 	svc.st = strm
 
 	svc.driverIDs = make([]int, len(snap.State.Drivers))
-	svc.drivers = make(map[int]int, len(snap.State.Drivers))
+	svc.drivers = newDriverTable(len(snap.State.Drivers))
 	for idx := range snap.State.Drivers {
 		id := snap.State.Drivers[idx].ID
-		if _, dup := svc.drivers[id]; dup {
+		if _, dup := svc.drivers.get(id); dup {
 			return fmt.Errorf("dispatch: snapshot registers driver %d twice", id)
 		}
-		svc.drivers[id] = idx
+		svc.drivers.put(id, idx)
 		svc.driverIDs[idx] = id
 	}
 	svc.retired = make(map[int]bool, len(snap.Retired))

@@ -249,13 +249,21 @@ type Engine struct {
 // loses feasible drivers. Bind a ScanSource through SetCandidateSource
 // for any other metric.
 func New(m model.Market, drivers []model.Driver, seed int64) (*Engine, error) {
+	return NewOwned(m, append([]model.Driver(nil), drivers...), seed)
+}
+
+// NewOwned is New for a caller that hands its fleet over: the engine
+// keeps drivers itself, where New keeps a copy, and the caller must
+// neither read nor write the slice again. A caller that shares one fleet
+// slice across engines, or keeps using it, calls New.
+func NewOwned(m model.Market, drivers []model.Driver, seed int64) (*Engine, error) {
 	if err := model.ValidateAll(m, drivers, nil); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	src := newCountingSource(seed)
 	return &Engine{
 		Market:  m,
-		Drivers: append([]model.Driver(nil), drivers...),
+		Drivers: drivers,
 		rng:     rand.New(src),
 		seed:    seed,
 		rngSrc:  src,

@@ -3,7 +3,6 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -118,8 +117,8 @@ func (s *Stream) CaptureState() (*StreamState, error) {
 		Queue:     emptyIfNil(r.q),
 		// Both come out of maps: order them by their keys, so the same
 		// run always captures the same state.
-		Inflight: slices.SortedFunc(maps.Values(r.inflight), func(a, b InflightSnap) int { return cmp.Compare(a.Task, b.Task) }),
-		Revert:   slices.SortedFunc(maps.Values(r.revert), func(a, b InflightSnap) int { return cmp.Compare(a.Driver, b.Driver) }),
+		Inflight: sortedValues(&s.inflight, r.inflight, func(a, b InflightSnap) int { return cmp.Compare(a.Task, b.Task) }),
+		Revert:   sortedValues(&s.revert, r.revert, func(a, b InflightSnap) int { return cmp.Compare(a.Driver, b.Driver) }),
 		Res: ResultSnap{
 			Served:      r.res.Served,
 			Rejected:    r.res.Rejected,
@@ -141,6 +140,19 @@ func (s *Stream) CaptureState() (*StreamState, error) {
 		st.Batch = bs
 	}
 	return st, nil
+}
+
+// sortedValues collects m's values into *buf, reused from one capture
+// to the next, and sorts them with by, which tells every two apart, so
+// the order is the one a sort of a fresh slice gives.
+func sortedValues(buf *[]InflightSnap, m map[int]InflightSnap, by func(a, b InflightSnap) int) []InflightSnap {
+	vs := slices.Grow((*buf)[:0], len(m))
+	for _, v := range m {
+		vs = append(vs, v)
+	}
+	slices.SortFunc(vs, by)
+	*buf = vs
+	return nilIfEmpty(vs)
 }
 
 // nilIfEmpty and emptyIfNil give a view the nil-ness its wire bytes have.

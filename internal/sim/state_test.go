@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -350,5 +351,46 @@ func TestRestoreStreamValidates(t *testing.T) {
 	batched.Batch = &BatchSnap{}
 	if _, err := fresh().RestoreStream(batched, nil, 0); err == nil {
 		t.Fatal("batched restore without window accepted")
+	}
+}
+
+// TestCaptureReusesScratch: CaptureState collects the revocable
+// assignments into the stream's own scratch, in the order a sort of the
+// map's values gives, and a capture of a stream it has captured before
+// allocates the state's header and nothing that grows with them.
+func TestCaptureReusesScratch(t *testing.T) {
+	cfg := trace.NewConfig(41, 120, 25, trace.Hitchhiking)
+	tr := trace.NewGenerator(cfg).Generate(nil)
+	feed, fleet := buildFeed(tr.Tasks, trace.WithChurn(tr, trace.DefaultChurn(3, 0.4, 0.3)))
+	e, err := New(cfg.Market, tr.Drivers, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.NewStream(diffRandom{}, fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byTask := func(a, b InflightSnap) int { return cmp.Compare(a.Task, b.Task) }
+	byDriver := func(a, b InflightSnap) int { return cmp.Compare(a.Driver, b.Driver) }
+	most := 0
+	for i := range feed {
+		applyItems(t, st, tr.Tasks, feed[i:i+1])
+		snap, err := st.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := slices.SortedFunc(maps.Values(st.r.inflight), byTask); !reflect.DeepEqual(snap.Inflight, want) {
+			t.Fatalf("op %d: inflight %v, sorted map values %v", i, snap.Inflight, want)
+		}
+		if want := slices.SortedFunc(maps.Values(st.r.revert), byDriver); !reflect.DeepEqual(snap.Revert, want) {
+			t.Fatalf("op %d: revert %v, sorted map values %v", i, snap.Revert, want)
+		}
+		most = max(most, len(snap.Inflight))
+		if allocs := testing.AllocsPerRun(3, func() { st.CaptureState() }); allocs > 1 {
+			t.Fatalf("op %d: a repeated capture allocated %v times, want the state alone", i, allocs)
+		}
+	}
+	if most < 3 {
+		t.Fatalf("at most %d revocable assignments at once: the day is meant to hold several", most)
 	}
 }

@@ -68,6 +68,10 @@ type Stream struct {
 	r      *eventRun
 	b      *batcher // non-nil when the stream dispatches in batched mode
 	closed bool
+
+	// inflight and revert are CaptureState's: the two maps' values,
+	// collected and sorted in place at every capture.
+	inflight, revert []InflightSnap
 }
 
 // openStream refuses pre-scheduled cancellations — their tasks do not

@@ -65,7 +65,6 @@ import (
 	"slices"
 
 	"repro/internal/geo"
-	"repro/internal/heap"
 )
 
 // Safety discounts every pruning bound: a cell ring or an individual
@@ -475,29 +474,70 @@ func (ix *Index) split(homes [][3]float64, layered bool) {
 	if !layered || len(homes) == 0 {
 		return
 	}
-	// h₀ is the least of the k longest ways home, on a min-heap rather
-	// than a sort of all: the far layer holds fewer than k of the points.
+	// h₀ is the least of the k longest ways home, selected in place
+	// rather than sorted: the far layer holds fewer than k of the points.
 	k := len(homes)/10 + 1
-	top := make([]float64, 0, k)
+	ways, longest := make([]float64, len(homes)), math.Inf(-1)
 	for id := range homes {
-		switch km := orInf(homes[id][2]); {
-		case len(top) < k:
-			heap.Push(&top, km, cmp.Less[float64])
-		case km > top[0]:
-			top[0] = km
-			heap.Fix(top, 0, cmp.Less[float64])
+		km := orInf(homes[id][2])
+		ways[id] = km
+		if km > longest {
+			longest = km
 		}
 	}
-	if slices.Max(top) == top[0] {
+	h0 := nth(ways, len(ways)-k, 2*bits.Len(uint(len(ways))))
+	if longest == h0 {
 		return // no point is beyond h₀
 	}
-	ix.nearKm = top[0]
+	ix.nearKm = h0
 	scale := math.Sqrt(float64(k) / float64(len(homes)))
 	ix.far = geo.NewGrid(ix.grid.Box, max(1, int(math.Ceil(scale*float64(ix.grid.Rows)))), max(1, int(math.Ceil(scale*float64(ix.grid.Cols)))))
 	h, w := ix.far.CellSpanKm()
 	ix.farSpanKm = min(h, w)
 	ix.cells = slices.Grow(ix.cells, ix.far.NumCells())[:len(ix.cells)+ix.far.NumCells()]
 	emptyCells(ix.cells[ix.grid.NumCells():])
+}
+
+// nth reorders a, which holds no NaN, so that a[r] is what an ascending
+// sort would put there, and returns it: Hoare's selection, partitioning
+// about the median of three until r's side is one value. Past the given
+// rounds (split allows 2 log₂ n, which only a pathological order uses up)
+// it sorts what is left.
+func nth(a []float64, r, rounds int) float64 {
+	lo, hi := 0, len(a)-1
+	for ; lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(a[lo : hi+1])
+			break
+		}
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		pivot := max(min(x, y), min(max(x, y), z))
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo:j+1] is at most the pivot, a[i:hi+1] at least, and
+		// whatever lies between them is the pivot.
+		switch {
+		case r <= j:
+			hi = j
+		case r >= i:
+			lo = i
+		default:
+			return a[r]
+		}
+	}
+	return a[r]
 }
 
 // byWake puts ids in descending free time: by insertion, with the
