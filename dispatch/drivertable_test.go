@@ -129,6 +129,11 @@ func TestDriverTableThroughService(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: Restore: %v", cut, err)
 		}
+		// Rebuilt from the genesis record or from a snapshot, the table is
+		// dense over the fleet the market reopened with.
+		if n := len(second.drivers.dense); n < len(fleet) {
+			t.Fatalf("cut %d: the restored table is dense over %d IDs, want at least the opening fleet's %d", cut, n, len(fleet))
+		}
 		got = append(got, run(second, cut, len(steps))...)
 		if _, err := second.Close(); err != nil {
 			t.Fatal(err)

@@ -477,16 +477,12 @@ func (ix *Index) split(homes [][3]float64, layered bool) {
 	// h₀ is the least of the k longest ways home, selected in place
 	// rather than sorted: the far layer holds fewer than k of the points.
 	k := len(homes)/10 + 1
-	ways, longest := make([]float64, len(homes)), math.Inf(-1)
+	ways := make([]float64, len(homes))
 	for id := range homes {
-		km := orInf(homes[id][2])
-		ways[id] = km
-		if km > longest {
-			longest = km
-		}
+		ways[id] = orInf(homes[id][2])
 	}
 	h0 := nth(ways, len(ways)-k, 2*bits.Len(uint(len(ways))))
-	if longest == h0 {
+	if slices.Max(ways[len(ways)-k:]) == h0 {
 		return // no point is beyond h₀
 	}
 	ix.nearKm = h0
@@ -499,7 +495,8 @@ func (ix *Index) split(homes [][3]float64, layered bool) {
 }
 
 // nth reorders a, which holds no NaN, so that a[r] is what an ascending
-// sort would put there, and returns it: Hoare's selection, partitioning
+// sort would put there, with nothing greater before it and nothing less
+// after it, and returns it: Hoare's selection, partitioning
 // about the median of three until r's side is one value. Past the given
 // rounds (split allows 2 log₂ n, which only a pathological order uses up)
 // it sorts what is left.

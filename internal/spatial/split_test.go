@@ -71,13 +71,15 @@ func TestSplitMatchesHeap(t *testing.T) {
 		}
 		return kms
 	}
-	check := func(kms []float64) {
+	// check reports whether split made a far layer.
+	check := func(kms []float64) bool {
 		t.Helper()
 		want, wantFar := heapNearKm(kms)
 		got, gotFar := splitOf(kms)
 		if math.Float64bits(got) != math.Float64bits(want) || gotFar != wantFar {
 			t.Fatalf("%d ways home: h₀ %g (far %v), the heap's %g (far %v)", len(kms), got, gotFar, want, wantFar)
 		}
+		return gotFar
 	}
 	var layered, single int
 	for trial := 0; trial < 3000; trial++ {
@@ -96,8 +98,7 @@ func TestSplitMatchesHeap(t *testing.T) {
 				slices.Reverse(kms)
 			}
 		}
-		check(kms)
-		if _, far := splitOf(kms); far {
+		if check(kms) {
 			layered++
 		} else {
 			single++
@@ -107,24 +108,23 @@ func TestSplitMatchesHeap(t *testing.T) {
 		t.Fatalf("%d fleets in two layers, %d in one: the draws are meant to give plenty of both", layered, single)
 	}
 	for n := 1; n <= 10; n++ {
-		kms := draw(n, nil)
-		check(kms)
-		if _, far := splitOf(kms); far && n < 10 {
+		if check(draw(n, nil)) && n < 10 {
 			t.Fatalf("%d ways home in two layers: k is 1, so none lies beyond h₀", n)
 		}
 	}
-	// Nine tenths and one more tie at the top: nothing is beyond h₀.
+	// 91 of 100 tie at the top, so the 11 longest are all h₀ and none
+	// lies beyond it.
 	tied := append(slices.Repeat([]float64{1}, 9), slices.Repeat([]float64{8}, 91)...)
 	rng.Shuffle(len(tied), func(i, j int) { tied[i], tied[j] = tied[j], tied[i] })
-	check(tied)
-	if _, far := splitOf(tied); far {
+	if check(tied) {
 		t.Fatal("the longest ways home all tie at h₀, yet split made a far layer")
 	}
 }
 
 // TestNthSelects holds nth to a sort, whatever its round budget: with
-// none left it sorts outright, and it always leaves a permutation of its
-// input.
+// none left it sorts outright. It always leaves a permutation of its
+// input, with nothing greater before the rank and nothing less after it
+// (split reads the longest way home off the values after it).
 func TestNthSelects(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 2000; trial++ {
@@ -140,6 +140,9 @@ func TestNthSelects(t *testing.T) {
 		}
 		if !slices.Equal(slices.Sorted(slices.Values(a)), sorted) {
 			t.Fatalf("nth changed the values it was given")
+		}
+		if (r > 0 && slices.Max(a[:r]) > a[r]) || (r+1 < len(a) && slices.Min(a[r+1:]) < a[r]) {
+			t.Fatalf("rank %d of %d with %d rounds: %v is not partitioned about it", r, len(a), rounds, a)
 		}
 	}
 }
