@@ -38,8 +38,9 @@ func TestDriverTable(t *testing.T) {
 	}
 }
 
-// sparseMarket is overloadMarket's fleet under IDs spread over both
-// halves of the table: 2 inside [0, 4), the rest outside it.
+// sparseMarket is overloadMarket's four drivers under the given IDs,
+// which the tests spread over both halves of the table: inside [0, 4)
+// and outside it.
 func sparseMarket(ids ...int) Market {
 	m := overloadMarket()
 	for i, id := range ids {
@@ -70,10 +71,10 @@ func TestNewDuplicateDriverEitherHalf(t *testing.T) {
 }
 
 // TestDriverTableThroughService drives a fleet with IDs in both halves
-// through joins, retirements and re-entries, halts it, restores it from
-// its last snapshot and carries on: at every step the restored market
-// answers as one that never stopped, and each refusal is the one the
-// map gave.
+// through joins, retirements and re-entries, halts it after each step in
+// turn, restores it from its log (the genesis record or its last
+// snapshot) and carries on: the restored market answers every step as
+// one that never stopped, and each refusal is the one the map gave.
 func TestDriverTableThroughService(t *testing.T) {
 	ctx := context.Background()
 	fleet := []int{1000, -4, 2, math.MaxInt}
