@@ -5,17 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/offline"
-	"repro/internal/taskmap"
 	"repro/internal/trace"
 )
 
-func buildGraph(t *testing.T, seed int64, tasks, drivers int, dm trace.DriverModel) *taskmap.Graph {
+func buildGraph(t *testing.T, seed int64, tasks, drivers int, dm trace.DriverModel) *Graph {
 	t.Helper()
 	cfg := trace.NewConfig(seed, tasks, drivers, dm)
 	tr := trace.NewGenerator(cfg).Generate(nil)
-	g, err := taskmap.New(cfg.Market, tr.Drivers, tr.Tasks)
+	g, err := newGraph(cfg.Market, tr.Drivers, tr.Tasks)
 	if err != nil {
-		t.Fatalf("taskmap.New: %v", err)
+		t.Fatalf("newGraph: %v", err)
 	}
 	return g
 }

@@ -1,4 +1,4 @@
-package taskmap
+package bound
 
 import (
 	"math"
@@ -38,7 +38,7 @@ func simpleTask(id int, km, startBy, endBy, p float64) model.Task {
 
 func mustNew(t *testing.T, m model.Market, drivers []model.Driver, tasks []model.Task) *Graph {
 	t.Helper()
-	g, err := New(m, drivers, tasks)
+	g, err := newGraph(m, drivers, tasks)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -368,9 +368,9 @@ func TestDiameterNoFeasibleTasks(t *testing.T) {
 func TestNewRejectsInvalidInstance(t *testing.T) {
 	bad := model.Task{ID: 0, Publish: 10, StartBy: 5, EndBy: 20,
 		Source: at(0), Dest: at(0), Price: 1, WTP: 1}
-	_, err := New(lineMkt(), nil, []model.Task{bad})
+	_, err := newGraph(lineMkt(), nil, []model.Task{bad})
 	if err == nil {
-		t.Fatal("New should reject publish-after-start task")
+		t.Fatal("newGraph should reject publish-after-start task")
 	}
 }
 
@@ -414,7 +414,7 @@ func randomGraph(t *testing.T, m, n int, seed int64) *Graph {
 			End:    start + minutes(120+rng.Float64()*240),
 		}
 	}
-	g, err := New(lineMkt(), drivers, tasks)
+	g, err := newGraph(lineMkt(), drivers, tasks)
 	if err != nil {
 		if t != nil {
 			t.Fatalf("randomGraph: %v", err)

@@ -1,15 +1,17 @@
-// Package taskmap builds the paper's task maps (§III-B) the dense way:
+package bound
+
+// This file builds the paper's task maps (§III-B) the dense way:
 // per-driver directed acyclic graphs whose nodes are tasks plus the
 // driver's source (label 0) and destination (label −1), and whose arcs
 // encode "driver n can take task m' in time after finishing task m"
 // (Eqs. 1–3), with the longest-path (maximum profit) dynamic program
 // over each of them.
 //
-// It is the differential oracle of the tests, and only tests import it:
-// every solver reads the compiled offline.Instance, and the parity
-// tests hold that instance — its pairs, arcs, path values, greedy and
-// exact optima — to this package's plain O(N·M) per-driver tables and
-// O(M²) shared arcs.
+// It is the differential oracle of the tests: every solver reads the
+// compiled offline.Instance, and the parity tests (parity_test.go, and
+// BruteForce in exact_test.go) hold that instance — its pairs, arcs,
+// path values, greedy and exact optima — to this file's plain O(N·M)
+// per-driver tables and O(M²) shared arcs.
 //
 // Arc structure is shared across drivers: the inter-task feasibility
 // condition l_{m,m'} ≤ t̄−_{m'} − t̄+_m depends only on the market speed,
@@ -18,7 +20,6 @@
 // A driver slower than the market re-checks each shared arc at her own
 // speed (arcUsable); a faster one keeps the shared arcs, which
 // under-approximates her map.
-package taskmap
 
 import (
 	"fmt"
@@ -76,13 +77,13 @@ type Graph struct {
 	arcCount int
 }
 
-// New constructs the merged task map for the given market instance.
+// newGraph constructs the merged task map for the given market instance.
 // Construction is O(N·M + M²), matching the paper's O(N·M²) bound with
 // the shared-arc optimization. It returns an error if the instance fails
 // validation.
-func New(m model.Market, drivers []model.Driver, tasks []model.Task) (*Graph, error) {
+func newGraph(m model.Market, drivers []model.Driver, tasks []model.Task) (*Graph, error) {
 	if err := model.ValidateAll(m, drivers, tasks); err != nil {
-		return nil, fmt.Errorf("taskmap: %w", err)
+		return nil, fmt.Errorf("dense map: %w", err)
 	}
 	g := &Graph{
 		Market:  m,
@@ -270,9 +271,6 @@ func (g *Graph) buildDriverTables() {
 	}
 }
 
-// Path is a driver's task list, the one path type of the solvers.
-type Path = offline.Path
-
 // BestPath computes the maximum-profit source→destination path for
 // driver n over the alive tasks (alive == nil means all tasks). It
 // returns an empty path with zero profit when no path has positive
@@ -282,15 +280,15 @@ type Path = offline.Path
 // The DP runs in O(V + E) over the topological order. adj, if non-nil,
 // supplies per-node dual adjustments subtracted from each task's value
 // (used by the LP pricing oracle); len(adj) must equal M.
-func (g *Graph) BestPath(n int, alive []bool, adj []float64) Path {
+func (g *Graph) BestPath(n int, alive []bool, adj []float64) offline.Path {
 	if n < 0 || n >= len(g.Drivers) {
-		panic(fmt.Sprintf("taskmap: driver index %d out of range [0,%d)", n, len(g.Drivers)))
+		panic(fmt.Sprintf("dense map: driver index %d out of range [0,%d)", n, len(g.Drivers)))
 	}
 	if alive != nil && len(alive) != len(g.Tasks) {
-		panic(fmt.Sprintf("taskmap: alive mask length %d, want %d", len(alive), len(g.Tasks)))
+		panic(fmt.Sprintf("dense map: alive mask length %d, want %d", len(alive), len(g.Tasks)))
 	}
 	if adj != nil && len(adj) != len(g.Tasks) {
-		panic(fmt.Sprintf("taskmap: adjustment length %d, want %d", len(adj), len(g.Tasks)))
+		panic(fmt.Sprintf("dense map: adjustment length %d, want %d", len(adj), len(g.Tasks)))
 	}
 
 	mCount := len(g.Tasks)
@@ -357,7 +355,7 @@ func (g *Graph) BestPath(n int, alive []bool, adj []float64) Path {
 		}
 	}
 	if bestEnd < 0 {
-		return Path{Driver: n}
+		return offline.Path{Driver: n}
 	}
 
 	var rev []int
@@ -367,7 +365,7 @@ func (g *Graph) BestPath(n int, alive []bool, adj []float64) Path {
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	return Path{Driver: n, Tasks: rev, Profit: bestProfit}
+	return offline.Path{Driver: n, Tasks: rev, Profit: bestProfit}
 }
 
 // PathProfit recomputes the profit of the given task sequence for driver
@@ -381,18 +379,18 @@ func (g *Graph) PathProfit(n int, tasks []int) (float64, error) {
 	d := g.Drivers[n]
 	first := tasks[0]
 	if first < 0 || first >= len(g.Tasks) {
-		return 0, fmt.Errorf("taskmap: task index %d out of range", first)
+		return 0, fmt.Errorf("dense map: task index %d out of range", first)
 	}
 	if !g.feasible[n][first] || !g.srcOK[n][first] {
-		return 0, fmt.Errorf("taskmap: task %d not reachable from driver %d's source", first, n)
+		return 0, fmt.Errorf("dense map: task %d not reachable from driver %d's source", first, n)
 	}
 	profit := -g.srcCost[n][first]
 	for i, m := range tasks {
 		if m < 0 || m >= len(g.Tasks) {
-			return 0, fmt.Errorf("taskmap: task index %d out of range", m)
+			return 0, fmt.Errorf("dense map: task index %d out of range", m)
 		}
 		if !g.feasible[n][m] {
-			return 0, fmt.Errorf("taskmap: task %d infeasible for driver %d", m, n)
+			return 0, fmt.Errorf("dense map: task %d infeasible for driver %d", m, n)
 		}
 		profit += g.Value[m]
 		if i > 0 {
@@ -405,10 +403,10 @@ func (g *Graph) PathProfit(n int, tasks []int) (float64, error) {
 				}
 			}
 			if arcK < 0 {
-				return 0, fmt.Errorf("taskmap: no arc %d→%d", p, m)
+				return 0, fmt.Errorf("dense map: no arc %d→%d", p, m)
 			}
 			if !g.arcUsable(m, arcK, d.SpeedKmh) {
-				return 0, fmt.Errorf("taskmap: arc %d→%d too tight for driver %d at %.1f km/h",
+				return 0, fmt.Errorf("dense map: arc %d→%d too tight for driver %d at %.1f km/h",
 					p, m, n, d.SpeedKmh)
 			}
 			profit -= g.PredCosts[m][arcK]

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/taskmap"
+	"repro/internal/offline"
 )
 
 // ErrPathLimit reports that a per-driver path enumeration blew its cap.
@@ -20,13 +20,13 @@ var ErrPathLimit = errors.New("path limit exceeded")
 // Exact is an integral optimum with its assignment.
 type Exact struct {
 	Objective float64
-	Paths     []taskmap.Path // one entry per driver with a non-empty list
+	Paths     []offline.Path // one entry per driver with a non-empty list
 }
 
 // EnumeratePaths lists every nonempty source→destination task sequence
 // for driver n, up to the cap. It is exponential.
-func EnumeratePaths(g *taskmap.Graph, n, cap int) ([]taskmap.Path, error) {
-	var out []taskmap.Path
+func EnumeratePaths(g *Graph, n, cap int) ([]offline.Path, error) {
+	var out []offline.Path
 	var cur []int
 	var dfs func(last int) error
 	dfs = func(last int) error {
@@ -37,7 +37,7 @@ func EnumeratePaths(g *taskmap.Graph, n, cap int) ([]taskmap.Path, error) {
 		if err != nil {
 			return err
 		}
-		out = append(out, taskmap.Path{Driver: n, Tasks: append([]int(nil), cur...), Profit: profit})
+		out = append(out, offline.Path{Driver: n, Tasks: append([]int(nil), cur...), Profit: profit})
 		for _, s := range g.Succs[last] {
 			if g.Feasible(n, int(s)) {
 				cur = append(cur, int(s))
@@ -65,12 +65,12 @@ func EnumeratePaths(g *taskmap.Graph, n, cap int) ([]taskmap.Path, error) {
 // node-disjoint combinations of per-driver paths. Only usable on tiny
 // instances; the per-driver path count is capped at pathCap (default
 // 5000 when ≤ 0).
-func BruteForce(g *taskmap.Graph, pathCap int) (Exact, error) {
+func BruteForce(g *Graph, pathCap int) (Exact, error) {
 	if pathCap <= 0 {
 		pathCap = 5000
 	}
 	n := g.N()
-	all := make([][]taskmap.Path, n)
+	all := make([][]offline.Path, n)
 	for i := 0; i < n; i++ {
 		ps, err := EnumeratePaths(g, i, pathCap)
 		if err != nil {
@@ -78,7 +78,7 @@ func BruteForce(g *taskmap.Graph, pathCap int) (Exact, error) {
 		}
 		// Keep only strictly profitable paths; empty is the implicit
 		// alternative.
-		var kept []taskmap.Path
+		var kept []offline.Path
 		for _, p := range ps {
 			if p.Profit > 0 {
 				kept = append(kept, p)
@@ -89,14 +89,14 @@ func BruteForce(g *taskmap.Graph, pathCap int) (Exact, error) {
 
 	used := make([]bool, g.M())
 	best := 0.0
-	var bestPaths []taskmap.Path
-	var chosen []taskmap.Path
+	var bestPaths []offline.Path
+	var chosen []offline.Path
 	var rec func(i int, total float64)
 	rec = func(i int, total float64) {
 		if i == n {
 			if total > best {
 				best = total
-				bestPaths = append([]taskmap.Path(nil), chosen...)
+				bestPaths = append([]offline.Path(nil), chosen...)
 			}
 			return
 		}

@@ -1,21 +1,18 @@
-package offline_test
+package bound
 
 import (
 	"math"
 	"reflect"
 	"testing"
 
-	"repro/internal/geo"
-	"repro/internal/heap"
 	"repro/internal/model"
 	"repro/internal/offline"
-	"repro/internal/taskmap"
 	"repro/internal/trace"
 )
 
-// The dense task map (internal/taskmap) is the oracle of this file: the
-// compiled instance's pairs, arcs and path values, and the greedy run on
-// it, are held to the dense map's bitwise.
+// The dense task map (dense_test.go) is the oracle of this file: the
+// compiled instance's pairs, arcs and path values, and offline.Greedy
+// run on it, are held to the dense map's bitwise.
 
 // speedDay generates an event-free day and gives every other driver the
 // speed override factor × the market speed (none when factor is 0). A
@@ -38,7 +35,7 @@ func speedDay(seed int64, tasks, drivers int, dm trace.DriverModel, factor float
 
 // TestCompileNoEventTaskmapParity holds the compiler to the dense
 // reference: on an event-free trace the compiled instance must be the
-// taskmap restricted to path-relevant pairs, bitwise — same srcOK set,
+// dense map restricted to path-relevant pairs, bitwise — same srcOK set,
 // same costs, same arcs, same path values. Drivers slower than the
 // market have the arcs they can drive (DriverArc), faster ones the
 // shared arcs.
@@ -55,7 +52,7 @@ func TestCompileNoEventTaskmapParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				g, err := taskmap.New(mkt, tr.Drivers, tr.Tasks)
+				g, err := newGraph(mkt, tr.Drivers, tr.Tasks)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -69,7 +66,7 @@ func TestCompileNoEventTaskmapParity(t *testing.T) {
 	}
 }
 
-func checkParity(t *testing.T, seed int64, mkt model.Market, tr model.Trace, in *offline.Instance, g *taskmap.Graph) {
+func checkParity(t *testing.T, seed int64, mkt model.Market, tr model.Trace, in *offline.Instance, g *Graph) {
 	t.Helper()
 	kept := make(map[[2]int]bool)
 	for d := 0; d < in.NDrv(); d++ {
@@ -81,13 +78,13 @@ func checkParity(t *testing.T, seed int64, mkt model.Market, tr model.Trace, in 
 			m := int(in.DrvTask[s])
 			kept[[2]int{orig, m}] = true
 			if !g.Feasible(orig, m) {
-				t.Fatalf("seed %d: kept pair (%d,%d) infeasible in taskmap", seed, orig, m)
+				t.Fatalf("seed %d: kept pair (%d,%d) infeasible in the dense map", seed, orig, m)
 			}
 			if in.DrvSrcOK[s] != g.SourceReachable(orig, m) {
-				t.Fatalf("seed %d: srcOK (%d,%d) = %v, taskmap %v", seed, orig, m, in.DrvSrcOK[s], g.SourceReachable(orig, m))
+				t.Fatalf("seed %d: srcOK (%d,%d) = %v, dense %v", seed, orig, m, in.DrvSrcOK[s], g.SourceReachable(orig, m))
 			}
 			if in.DrvSrcCost[s] != g.SourceCost(orig, m) || in.DrvSnkCost[s] != g.SinkCost(orig, m) {
-				t.Fatalf("seed %d: costs (%d,%d) = (%v,%v), taskmap (%v,%v)",
+				t.Fatalf("seed %d: costs (%d,%d) = (%v,%v), dense (%v,%v)",
 					seed, orig, m, in.DrvSrcCost[s], in.DrvSnkCost[s], g.SourceCost(orig, m), g.SinkCost(orig, m))
 			}
 		}
@@ -112,7 +109,7 @@ func checkParity(t *testing.T, seed int64, mkt model.Market, tr model.Trace, in 
 				}
 				k := in.SuccIndex(si, sj)
 				if want := g.DriverArc(in.DrvID[d], a, b); (k >= 0) != want {
-					t.Fatalf("seed %d: arc %d→%d driver %d: compiled %v, taskmap %v", seed, a, b, in.DrvID[d], k >= 0, want)
+					t.Fatalf("seed %d: arc %d→%d driver %d: compiled %v, dense %v", seed, a, b, in.DrvID[d], k >= 0, want)
 				}
 				if k >= 0 {
 					want := mkt.DeadheadCost(tr.Tasks[a], tr.Tasks[b])
@@ -129,8 +126,8 @@ func checkParity(t *testing.T, seed int64, mkt model.Market, tr model.Trace, in 
 }
 
 // checkPathValues DFS-enumerates up to cap paths per instance and
-// compares PathValue against taskmap.PathProfit bitwise.
-func checkPathValues(t *testing.T, in *offline.Instance, g *taskmap.Graph, cap int) {
+// compares PathValue against Graph.PathProfit bitwise.
+func checkPathValues(t *testing.T, in *offline.Instance, g *Graph, cap int) {
 	t.Helper()
 	count := 0
 	var slots []int32
@@ -181,60 +178,10 @@ func checkPathValues(t *testing.T, in *offline.Instance, g *taskmap.Graph, cap i
 	}
 }
 
-type denseItem struct {
-	path    offline.Path
-	version int
-}
-
-func denseFirst(a, b denseItem) bool { return a.path.Profit > b.path.Profit }
-
-// denseGreedy is Algorithm 1 with lazy re-evaluation, as offline.Greedy
-// runs it, on the dense task map.
-func denseGreedy(g *taskmap.Graph) offline.Solution {
-	alive := make([]bool, g.M())
-	for i := range alive {
-		alive[i] = true
-	}
-	var sol offline.Solution
-	h := make([]denseItem, 0, g.N())
-	version := 0
-	for n := 0; n < g.N(); n++ {
-		p := g.BestPath(n, alive, nil)
-		sol.Recomputes++
-		if p.Len() > 0 && p.Profit > 0 {
-			h = append(h, denseItem{path: p, version: version})
-		}
-	}
-	heap.Init(h, denseFirst)
-	for len(h) > 0 {
-		it := heap.Pop(&h, denseFirst)
-		stale := false
-		for _, t := range it.path.Tasks {
-			stale = stale || !alive[t]
-		}
-		if it.version != version && stale {
-			p := g.BestPath(it.path.Driver, alive, nil)
-			sol.Recomputes++
-			if p.Len() > 0 && p.Profit > 0 {
-				heap.Push(&h, denseItem{path: p, version: version}, denseFirst)
-			}
-			continue
-		}
-		sol.Paths = append(sol.Paths, it.path)
-		sol.TotalProfit += it.path.Profit
-		sol.Iterations++
-		for _, t := range it.path.Tasks {
-			alive[t] = false
-		}
-		version++
-	}
-	return sol
-}
-
 // denseGreedyNaive is the textbook O(N²M²) Algorithm 1: every iteration
 // recomputes the best path of every remaining driver and picks the
 // maximum, ties to the lower driver.
-func denseGreedyNaive(g *taskmap.Graph) offline.Solution {
+func denseGreedyNaive(g *Graph) offline.Solution {
 	alive := make([]bool, g.M())
 	for i := range alive {
 		alive[i] = true
@@ -272,9 +219,10 @@ func denseGreedyNaive(g *taskmap.Graph) offline.Solution {
 }
 
 // TestGreedyMatchesDenseOracle holds Greedy on the compiled instance to
-// the greedy on the dense map, lazy and naive, on random days with
-// drivers at the market speed, slower and faster: the same paths in
-// the same order, the same TotalProfit and Iterations, to the bit.
+// the textbook greedy on the dense map on random days with drivers at
+// the market speed, slower and faster: the same paths in the same
+// order, the same TotalProfit and Iterations, to the bit, in no more
+// DP runs.
 func TestGreedyMatchesDenseOracle(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, dm := range []trace.DriverModel{trace.Hitchhiking, trace.HomeWorkHome} {
@@ -284,19 +232,17 @@ func TestGreedyMatchesDenseOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				g, err := taskmap.New(mkt, tr.Drivers, tr.Tasks)
+				g, err := newGraph(mkt, tr.Drivers, tr.Tasks)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, lazy, naive := offline.Greedy(in), denseGreedy(g), denseGreedyNaive(g)
-				if !reflect.DeepEqual(got.Paths, lazy.Paths) {
-					t.Fatalf("seed %d %v ×%g: paths\n%v\nwant\n%v", seed, dm, factor, got.Paths, lazy.Paths)
+				got, naive := offline.Greedy(in), denseGreedyNaive(g)
+				if !reflect.DeepEqual(got.Paths, naive.Paths) {
+					t.Fatalf("seed %d %v ×%g: paths\n%v\nwant\n%v", seed, dm, factor, got.Paths, naive.Paths)
 				}
-				for _, want := range []offline.Solution{lazy, naive} {
-					if math.Float64bits(got.TotalProfit) != math.Float64bits(want.TotalProfit) || got.Iterations != want.Iterations {
-						t.Fatalf("seed %d %v ×%g: profit %v in %d selections, want %v in %d",
-							seed, dm, factor, got.TotalProfit, got.Iterations, want.TotalProfit, want.Iterations)
-					}
+				if math.Float64bits(got.TotalProfit) != math.Float64bits(naive.TotalProfit) || got.Iterations != naive.Iterations {
+					t.Fatalf("seed %d %v ×%g: profit %v in %d selections, want %v in %d",
+						seed, dm, factor, got.TotalProfit, got.Iterations, naive.TotalProfit, naive.Iterations)
 				}
 				if got.Recomputes > naive.Recomputes {
 					t.Fatalf("seed %d %v ×%g: lazy greedy ran %d DPs, naive %d", seed, dm, factor, got.Recomputes, naive.Recomputes)
@@ -306,12 +252,35 @@ func TestGreedyMatchesDenseOracle(t *testing.T) {
 	}
 }
 
-// lineDay is a market on a west-east line: 60 km/h, one unit a km, and
-// at(km) the point km east of the origin.
-func lineDay() (model.Market, func(km float64) geo.Point) {
-	origin := geo.Point{Lat: 41.15, Lon: -8.61}
-	return model.Market{Dist: geo.Equirectangular, SpeedKmh: 60, GasPerKm: 1},
-		func(km float64) geo.Point { return geo.Offset(origin, math.Pi/2, km) }
+// TestGreedyMatchesNaive holds the lazy-heap greedy to the naive GA's
+// total, selection count and DP work on generated days of both driver
+// models.
+func TestGreedyMatchesNaive(t *testing.T) {
+	for _, tc := range []struct {
+		seed           int64
+		tasks, drivers int
+		dm             trace.DriverModel
+	}{
+		{1, 30, 5, trace.Hitchhiking},
+		{2, 60, 10, trace.Hitchhiking},
+		{3, 60, 10, trace.HomeWorkHome},
+		{4, 100, 15, trace.Hitchhiking},
+		{5, 100, 25, trace.HomeWorkHome},
+	} {
+		in, g := compileFor(t, tc.seed, tc.tasks, tc.drivers, tc.dm)
+		lazy := offline.Greedy(in)
+		naive := denseGreedyNaive(g)
+		if math.Abs(lazy.TotalProfit-naive.TotalProfit) > 1e-6 {
+			t.Errorf("seed %d: lazy %.6f != naive %.6f", tc.seed, lazy.TotalProfit, naive.TotalProfit)
+		}
+		if lazy.Iterations != naive.Iterations {
+			t.Errorf("seed %d: lazy %d iterations, naive %d", tc.seed, lazy.Iterations, naive.Iterations)
+		}
+		if lazy.Recomputes > naive.Recomputes {
+			t.Errorf("seed %d: lazy evaluation did more DP work (%d) than naive (%d)",
+				tc.seed, lazy.Recomputes, naive.Recomputes)
+		}
+	}
 }
 
 // TestGreedyTieTakesEarlierEnd pins the DP's tie rule. One driver can
@@ -320,7 +289,6 @@ func lineDay() (model.Market, func(km float64) geo.Point) {
 // earlier in topological order — task 1, whose pickup deadline comes
 // first — where the dense map keeps the lower task index.
 func TestGreedyTieTakesEarlierEnd(t *testing.T) {
-	mkt, at := lineDay()
 	task := func(id int, startBy, endBy float64) model.Task {
 		return model.Task{ID: id, Source: at(2), Dest: at(2), StartBy: startBy, EndBy: endBy, Price: 5, WTP: 5}
 	}
@@ -328,15 +296,12 @@ func TestGreedyTieTakesEarlierEnd(t *testing.T) {
 		Drivers: []model.Driver{{ID: 0, Source: at(0), Dest: at(0), Start: 0, End: 10000}},
 		Tasks:   []model.Task{task(0, 3000, 3600), task(1, 2000, 3500)},
 	}
-	in, err := offline.Compile(mkt, tr, offline.Options{})
+	in, err := offline.Compile(lineMkt(), tr, offline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := taskmap.New(mkt, tr.Drivers, tr.Tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, dense := offline.Greedy(in), denseGreedy(g)
+	g := mustNew(t, lineMkt(), tr.Drivers, tr.Tasks)
+	got, dense := offline.Greedy(in), denseGreedyNaive(g)
 	if len(got.Paths) != 1 || !reflect.DeepEqual(got.Paths[0].Tasks, []int{1}) {
 		t.Fatalf("greedy paths %v, want task 1 alone", got.Paths)
 	}
@@ -348,33 +313,31 @@ func TestGreedyTieTakesEarlierEnd(t *testing.T) {
 	}
 }
 
-// TestDiameterSlowDriver: D counts the arcs each driver can drive. Two
-// tasks 4 km apart with a 5-minute gap chain at the 60 km/h market
-// speed (4 minutes), but not for a fleet of one 30 km/h driver
-// (8 minutes): her D is 1.
-func TestDiameterSlowDriver(t *testing.T) {
-	mkt, at := lineDay()
-	tr := model.Trace{
-		Drivers: []model.Driver{{ID: 0, Source: at(0), Dest: at(4), Start: 0, End: 14400, SpeedKmh: 30}},
-		Tasks: []model.Task{
-			{ID: 0, Source: at(0), Dest: at(0), StartBy: 600, EndBy: 900, Price: 5, WTP: 5},
-			{ID: 1, Source: at(4), Dest: at(4), StartBy: 1200, EndBy: 1500, Price: 5, WTP: 5},
-		},
+// TestGreedyTieTakesLowerDriver pins GA's tie rule across drivers. Three
+// identical drivers and two tasks at one spot in one window, worth 20
+// and 5: no driver can serve both. Every driver's best path ties with
+// the others', so the lower driver takes each: task 0 goes to driver 0,
+// task 1 to driver 1 — on the compiled map and in the textbook greedy.
+func TestGreedyTieTakesLowerDriver(t *testing.T) {
+	var tr model.Trace
+	for n := 0; n < 3; n++ {
+		tr.Drivers = append(tr.Drivers, model.Driver{ID: n, Source: at(0), Dest: at(0), Start: 0, End: 10000})
 	}
-	for _, c := range []struct {
-		speed float64
-		want  int
-	}{{30, 1}, {0, 2}} {
-		tr.Drivers[0].SpeedKmh = c.speed
-		in, err := offline.Compile(mkt, tr, offline.Options{})
-		if err != nil {
-			t.Fatal(err)
+	for m, price := range []float64{20, 5} {
+		tr.Tasks = append(tr.Tasks, model.Task{ID: m, Source: at(2), Dest: at(2), StartBy: 2000, EndBy: 3500, Price: price, WTP: price})
+	}
+	in, err := offline.Compile(lineMkt(), tr, offline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := offline.Greedy(in)
+	for i, want := range []offline.Path{{Driver: 0, Tasks: []int{0}}, {Driver: 1, Tasks: []int{1}}} {
+		if len(got.Paths) != 2 || got.Paths[i].Driver != want.Driver || !reflect.DeepEqual(got.Paths[i].Tasks, want.Tasks) {
+			t.Fatalf("greedy paths %v, want task 0 to driver 0, then task 1 to driver 1", got.Paths)
 		}
-		if got := in.Diameter(); got != c.want {
-			t.Errorf("driver at %g km/h: D = %d, want %d", c.speed, got, c.want)
-		}
-		if got := in.SharedArcs(); got != 1 {
-			t.Errorf("driver at %g km/h: %d shared arcs, want 1", c.speed, got)
-		}
+	}
+	naive := denseGreedyNaive(mustNew(t, lineMkt(), tr.Drivers, tr.Tasks))
+	if !reflect.DeepEqual(got.Paths, naive.Paths) {
+		t.Fatalf("greedy paths %v, textbook greedy %v", got.Paths, naive.Paths)
 	}
 }

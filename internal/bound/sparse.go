@@ -149,12 +149,9 @@ type sparseScratch struct {
 	// per-driver DP; its Dead mask keeps an all-false invariant
 	dp offline.PathDP
 
-	// greedy incumbent (per component)
-	gOff   []int32
-	gLen   []int32
-	gVal   []float64
-	gDone  []bool
-	gSlots []int32
+	// greedy incumbent: one run of Algorithm 1 per solve, whose picks
+	// each component reads
+	greedy offline.GreedyRun
 
 	// warm incumbent (per component)
 	wOff   []int32
@@ -207,6 +204,7 @@ func (s *SparseSolver) Solve(in *offline.Instance, opt SparseOptions) (SparseSol
 		sc.used[i] = false
 	}
 	sc.dp.Reset(in)
+	sc.greedy.Run(in)
 	sc.lambda = grow(sc.lambda, m)
 	sc.grad = grow(sc.grad, m)
 	sc.taskRow = grow(sc.taskRow, m)

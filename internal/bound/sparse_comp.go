@@ -24,7 +24,12 @@ func (s *SparseSolver) solveComp(in *offline.Instance, opt *SparseOptions, c int
 	}
 
 	warmVal := sc.warmComp(in, cols, opt.Warm, res)
-	greedyVal := sc.greedyComp(in, cols, rows)
+	greedyVal := 0.0
+	for i := range cols {
+		if _, v, ok := sc.incumbent(in, cols, i, false); ok {
+			greedyVal += v
+		}
+	}
 	// Incumbent: the better of the online warm assignment and the
 	// offline greedy; ties keep the warm one.
 	inc, incWarm := warmVal, true
@@ -123,76 +128,6 @@ func (sc *sparseScratch) enumerateComp(in *offline.Instance, cols []int, pathCap
 	return true
 }
 
-// greedyComp builds the offline greedy incumbent: repeatedly commit the
-// best remaining single-driver path (ties to the lower compact driver),
-// invalidating cached paths lazily. Returns the left-associated value
-// over the component's drivers ascending. Restores sc.dp.Dead to all
-// false.
-func (sc *sparseScratch) greedyComp(in *offline.Instance, cols, rows []int) float64 {
-	nd := len(cols)
-	sc.gOff = grow(sc.gOff, nd)
-	sc.gLen = grow(sc.gLen, nd)
-	sc.gVal = grow(sc.gVal, nd)
-	sc.gDone = grow(sc.gDone, nd)
-	sc.gSlots = sc.gSlots[:0]
-	for i := 0; i < nd; i++ {
-		sc.gDone[i] = false
-		sc.gLen[i] = -1 // no cached path yet
-	}
-	for {
-		bi := -1
-		for i := 0; i < nd; i++ {
-			if sc.gDone[i] {
-				continue
-			}
-			stale := sc.gLen[i] < 0
-			if !stale {
-				for _, slot := range sc.gSlots[sc.gOff[i] : sc.gOff[i]+sc.gLen[i]] {
-					if sc.dp.Dead[in.DrvTask[slot]] {
-						stale = true
-						break
-					}
-				}
-			}
-			if stale {
-				v, end := sc.dp.Best(in, cols[i], nil)
-				sc.gOff[i] = int32(len(sc.gSlots))
-				sc.gSlots = sc.dp.AppendSlots(sc.gSlots, end)
-				sc.gLen[i] = int32(len(sc.gSlots)) - sc.gOff[i]
-				sc.gVal[i] = v
-			}
-			if sc.gVal[i] > 0 && (bi < 0 || sc.gVal[i] > sc.gVal[bi]) {
-				bi = i
-			}
-		}
-		if bi < 0 {
-			break
-		}
-		sc.gDone[bi] = true
-		// Re-value the committed path canonically so incumbent values
-		// are comparable with enumerated path values.
-		slots := sc.gSlots[sc.gOff[bi] : sc.gOff[bi]+sc.gLen[bi]]
-		if v, err := in.PathValue(cols[bi], slots); err == nil {
-			sc.gVal[bi] = v
-		}
-		for _, slot := range slots {
-			sc.dp.Dead[in.DrvTask[slot]] = true
-		}
-	}
-	total := 0.0
-	for i := 0; i < nd; i++ {
-		if sc.gDone[i] {
-			total += sc.gVal[i]
-		} else {
-			sc.gLen[i] = -1 // not part of the incumbent
-		}
-	}
-	for _, m := range rows {
-		sc.dp.Dead[m] = false
-	}
-	return total
-}
-
 // warmComp validates the online assignment's paths for the component's
 // drivers against the compiled hindsight graph and stores the
 // survivors. Returns their left-associated value, drivers ascending.
@@ -253,27 +188,41 @@ func (sc *sparseScratch) warmComp(in *offline.Instance, cols []int, warm [][]int
 	return total
 }
 
+// incumbent returns the component's i-th driver's incumbent path: her
+// warm one (warm) or the greedy's pick, re-valued by PathValue so that
+// it compares with enumerated path values.
+func (sc *sparseScratch) incumbent(in *offline.Instance, cols []int, i int, warm bool) ([]int32, float64, bool) {
+	if warm {
+		if sc.wLen[i] < 0 {
+			return nil, 0, false
+		}
+		return sc.wSlots[sc.wOff[i] : sc.wOff[i]+sc.wLen[i]], sc.wVal[i], true
+	}
+	slots, v, ok := sc.greedy.Pick(cols[i])
+	if ok {
+		if pv, err := in.PathValue(cols[i], slots); err == nil {
+			v = pv
+		}
+	}
+	return slots, v, ok
+}
+
 // emitIncumbent copies the warm (incWarm) or greedy incumbent into the
 // worker's chosen arena and returns its left-associated value.
 func (sc *sparseScratch) emitIncumbent(in *offline.Instance, cols []int, incWarm bool, res *compResult) float64 {
-	offs, lens, vals := sc.wOff, sc.wLen, sc.wVal
-	arena := sc.wSlots
-	if !incWarm {
-		offs, lens, vals = sc.gOff, sc.gLen, sc.gVal
-		arena = sc.gSlots
-	}
 	total := 0.0
-	for i := range cols {
-		if lens[i] < 0 || lens[i] == 0 {
+	for i, d := range cols {
+		slots, v, ok := sc.incumbent(in, cols, i, incWarm)
+		if !ok {
 			continue
 		}
 		off := int32(len(sc.chosenSlots))
-		sc.chosenSlots = append(sc.chosenSlots, arena[offs[i]:offs[i]+lens[i]]...)
+		sc.chosenSlots = append(sc.chosenSlots, slots...)
 		sc.chosenRecs = append(sc.chosenRecs, chosenRec{
-			driver: int32(cols[i]), off: off, n: lens[i], value: vals[i],
+			driver: int32(d), off: off, n: int32(len(slots)), value: v,
 		})
 		res.nRecs++
-		total += vals[i]
+		total += v
 	}
 	return total
 }
@@ -305,17 +254,11 @@ func (sc *sparseScratch) lpFix(in *offline.Instance, cols, rows []int, inc float
 	// Crash basis: the incumbent's columns, located by slot-sequence
 	// match within each driver's enumeration block.
 	sc.warmCols = sc.warmCols[:0]
-	offs, lens := sc.wOff, sc.wLen
-	arena := sc.wSlots
-	if !incWarm {
-		offs, lens = sc.gOff, sc.gLen
-		arena = sc.gSlots
-	}
 	for i := 0; i < nd; i++ {
-		if lens[i] <= 0 {
+		want, _, ok := sc.incumbent(in, cols, i, incWarm)
+		if !ok {
 			continue
 		}
-		want := arena[offs[i] : offs[i]+lens[i]]
 		for pi := sc.drvPathPtr[i]; pi < sc.drvPathPtr[i+1]; pi++ {
 			p := sc.paths[pi]
 			if p.n != int32(len(want)) {

@@ -9,13 +9,12 @@ import (
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/offline"
-	"repro/internal/taskmap"
 	"repro/internal/trace"
 )
 
 // compileFor builds the exact (TopK=0) profit instance for a generated
-// event-free trace, alongside the dense taskmap it must agree with.
-func compileFor(t *testing.T, seed int64, tasks, drivers int, dm trace.DriverModel) (*offline.Instance, *taskmap.Graph) {
+// event-free trace, alongside the dense task map (dense_test.go) it must agree with.
+func compileFor(t *testing.T, seed int64, tasks, drivers int, dm trace.DriverModel) (*offline.Instance, *Graph) {
 	t.Helper()
 	cfg := trace.NewConfig(seed, tasks, drivers, dm)
 	tr := trace.NewGenerator(cfg).Generate(nil)
@@ -23,14 +22,14 @@ func compileFor(t *testing.T, seed int64, tasks, drivers int, dm trace.DriverMod
 	if err != nil {
 		t.Fatalf("offline.Compile: %v", err)
 	}
-	g, err := taskmap.New(cfg.Market, tr.Drivers, tr.Tasks)
+	g, err := newGraph(cfg.Market, tr.Drivers, tr.Tasks)
 	if err != nil {
-		t.Fatalf("taskmap.New: %v", err)
+		t.Fatalf("newGraph: %v", err)
 	}
 	return in, g
 }
 
-func samePaths(t *testing.T, ctx string, got, want []taskmap.Path) {
+func samePaths(t *testing.T, ctx string, got, want []offline.Path) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d paths, want %d", ctx, len(got), len(want))
@@ -162,7 +161,7 @@ func TestSparseTieDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := taskmap.New(market, drivers, tasks)
+	g, err := newGraph(market, drivers, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +263,7 @@ func TestSparseZeroAllocSteadyState(t *testing.T) {
 func TestEnumeratePathsErrPathLimit(t *testing.T) {
 	cfg := trace.NewConfig(2, 30, 2, trace.Hitchhiking)
 	tr := trace.NewGenerator(cfg).Generate(nil)
-	g, err := taskmap.New(cfg.Market, tr.Drivers, tr.Tasks)
+	g, err := newGraph(cfg.Market, tr.Drivers, tr.Tasks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,7 @@
 // nothing once the slice has grown. Each function makes exactly the
 // comparisons and swaps of its container/heap namesake, so the array
 // layout, and the order equal elements pop in, is the one container/heap
-// leaves: a captured event queue is written in array order, and the
-// offline greedy pops equal-profit paths in heap order.
+// leaves: a captured event queue is written in array order.
 package heap
 
 // Init establishes the heap invariant over h.

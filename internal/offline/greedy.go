@@ -5,13 +5,16 @@
 //
 // GA repeatedly selects the highest-profit source→destination path in the
 // current graph, assigns it to its driver, and removes the driver and the
-// path's task nodes. This implementation reproduces GA's exact choice
-// sequence with lazy re-evaluation: removing nodes can only lower any
-// driver's best-path profit, so a cached best path that survived all
-// removals and still tops a max-heap is provably the global argmax —
-// stale entries are recomputed on demand instead of recomputing every
-// driver every iteration (the paper's O(N²M²) worst case is preserved,
-// the common case is far cheaper).
+// path's task nodes; equal profits go to the lower driver. This
+// implementation reproduces GA's exact choice sequence with lazy
+// re-evaluation: removing nodes can only lower any driver's best-path
+// profit, so a cached best path that survived all removals and still
+// tops a max-heap is provably the global argmax — stale entries are
+// recomputed on demand instead of recomputing every driver every
+// iteration (the paper's O(N²M²) worst case is preserved, the common
+// case is far cheaper). It is the one Algorithm 1 of the repository:
+// the hindsight oracle's incumbent (bound.SparseSolver) reads its picks
+// from a GreedyRun.
 package offline
 
 import "repro/internal/heap"
@@ -30,17 +33,6 @@ type Solution struct {
 	Recomputes int
 }
 
-// Assignment returns task→driver in a map, for quick membership tests.
-func (s Solution) Assignment() map[int]int {
-	out := make(map[int]int)
-	for _, p := range s.Paths {
-		for _, t := range p.Tasks {
-			out[t] = p.Driver
-		}
-	}
-	return out
-}
-
 // ServedTasks returns the number of tasks assigned.
 func (s Solution) ServedTasks() int {
 	n := 0
@@ -50,78 +42,115 @@ func (s Solution) ServedTasks() int {
 	return n
 }
 
-type heapItem struct {
-	path    Path
-	driver  int // compact driver index
-	version int // graph version when the path was computed
+// GreedyRun is Algorithm 1 with its scratch: the DP, the heap, and the
+// slots of every path the run priced. The zero value is ready; a run
+// allocates only when its instance needs more room than every run
+// before it.
+type GreedyRun struct {
+	dp         PathDP
+	heap       []greedyItem
+	slots      []int32      // the priced paths, end to end
+	sel        []greedyItem // the selected paths, in selection order
+	pick       []int32      // per compact driver: her index in sel, or -1
+	recomputes int
 }
 
-// profitFirst orders the max-heap by profit alone, so equal-profit
-// paths pop in heap order.
-func profitFirst(a, b heapItem) bool { return a.path.Profit > b.path.Profit }
+// greedyItem is compact driver d's best path, slots[off:off+n] of its
+// run, worth profit.
+type greedyItem struct {
+	off, n int32
+	driver int32
+	profit float64
+}
 
-// Greedy runs Algorithm 1 on the compiled task map and returns the
-// selected paths. The choice sequence is exactly the paper's GA up to
-// arbitrary tie-breaking between equal-profit paths.
-func Greedy(in *Instance) Solution {
-	var dp PathDP
-	dp.Reset(in)
-	var slots []int32
-	var sol Solution
-	version := 0
-	// best prices compact driver d's best path around the removed tasks
-	// and reports whether it is worth a heap entry.
-	best := func(d int) (heapItem, bool) {
-		sol.Recomputes++
-		v, end := dp.Best(in, d, nil)
-		if end < 0 {
-			return heapItem{}, false
-		}
-		slots = dp.AppendSlots(slots[:0], end)
-		return heapItem{path: in.Path(d, slots, v), driver: d, version: version}, true
-	}
+// profitFirst is GA's order: the higher profit first, and of equal
+// profits the lower compact driver.
+func profitFirst(a, b greedyItem) bool {
+	return a.profit > b.profit || a.profit == b.profit && a.driver < b.driver
+}
 
-	h := make([]heapItem, 0, in.NDrv())
+// Run runs Algorithm 1 on the compiled task map.
+func (g *GreedyRun) Run(in *Instance) {
+	g.dp.Reset(in)
+	g.heap, g.slots, g.sel = g.heap[:0], g.slots[:0], g.sel[:0]
+	g.recomputes = 0
+	g.pick = g.pick[:0]
 	for d := 0; d < in.NDrv(); d++ {
-		if it, ok := best(d); ok {
-			h = append(h, it)
+		g.pick = append(g.pick, -1)
+		if it, ok := g.best(in, d); ok {
+			g.heap = append(g.heap, it)
 		}
 	}
-	heap.Init(h, profitFirst)
-
-	for len(h) > 0 {
-		it := heap.Pop(&h, profitFirst)
-		if it.version != version && !allAlive(it.path.Tasks, dp.Dead) {
+	heap.Init(g.heap, profitFirst)
+	for len(g.heap) > 0 {
+		it := heap.Pop(&g.heap, profitFirst)
+		if !g.alive(in, it) {
 			// Stale: some node on the cached path was removed.
 			// Recompute against the current graph; the recomputed
 			// profit can only be ≤ the cached one, so pushing it back
 			// keeps the heap's max property sound.
-			if fresh, ok := best(it.driver); ok {
-				heap.Push(&h, fresh, profitFirst)
+			if fresh, ok := g.best(in, int(it.driver)); ok {
+				heap.Push(&g.heap, fresh, profitFirst)
 			}
 			continue
 		}
-		// If the cached path survived every removal its profit is still
-		// attainable, and since removals only lower best-path profits it
-		// is still the driver's optimum — fresh by value, even if the
-		// version lagged.
-		// Fresh: this is the global maximum-profit path. Select it.
-		sol.Paths = append(sol.Paths, it.path)
-		sol.TotalProfit += it.path.Profit
-		sol.Iterations++
-		for _, t := range it.path.Tasks {
-			dp.Dead[t] = true
+		// A cached path that survived every removal is still its
+		// driver's optimum (removals only lower best-path profits), and
+		// the DP would find it again. Every other entry bounds its
+		// driver from above and comes later in GA's order, so this is
+		// the global maximum-profit path. Select it.
+		g.pick[it.driver] = int32(len(g.sel))
+		g.sel = append(g.sel, it)
+		for _, s := range g.slots[it.off : it.off+it.n] {
+			g.dp.Dead[in.DrvTask[s]] = true
 		}
-		version++
 	}
-	return sol
 }
 
-func allAlive(tasks []int, dead []bool) bool {
-	for _, t := range tasks {
-		if dead[t] {
+// best prices compact driver d's best path around the removed tasks and
+// reports whether it is worth a heap entry.
+func (g *GreedyRun) best(in *Instance, d int) (greedyItem, bool) {
+	g.recomputes++
+	v, end := g.dp.Best(in, d, nil)
+	if end < 0 {
+		return greedyItem{}, false
+	}
+	off := len(g.slots)
+	g.slots = g.dp.AppendSlots(g.slots, end)
+	return greedyItem{off: int32(off), n: int32(len(g.slots) - off), driver: int32(d), profit: v}, true
+}
+
+func (g *GreedyRun) alive(in *Instance, it greedyItem) bool {
+	for _, s := range g.slots[it.off : it.off+it.n] {
+		if g.dp.Dead[in.DrvTask[s]] {
 			return false
 		}
 	}
 	return true
+}
+
+// Pick returns the slots and DP value of the path the last Run selected
+// for compact driver d; ok is false if it selected none. The slots are
+// the run's: valid until the next Run.
+func (g *GreedyRun) Pick(d int) (slots []int32, profit float64, ok bool) {
+	i := g.pick[d]
+	if i < 0 {
+		return nil, 0, false
+	}
+	it := g.sel[i]
+	return g.slots[it.off : it.off+it.n], it.profit, true
+}
+
+// Greedy runs Algorithm 1 on the compiled task map and returns the
+// selected paths: the paper's GA, choice for choice, with equal-profit
+// paths taken by the lower driver.
+func Greedy(in *Instance) Solution {
+	var g GreedyRun
+	g.Run(in)
+	sol := Solution{Iterations: len(g.sel), Recomputes: g.recomputes}
+	for _, it := range g.sel {
+		sol.Paths = append(sol.Paths, in.Path(int(it.driver), g.slots[it.off:it.off+it.n], it.profit))
+		sol.TotalProfit += it.profit
+	}
+	return sol
 }

@@ -5,8 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/bound"
+	"repro/internal/geo"
+	"repro/internal/model"
 	"repro/internal/offline"
-	"repro/internal/taskmap"
 	"repro/internal/trace"
 )
 
@@ -19,48 +20,6 @@ func buildGraph(t *testing.T, seed int64, tasks, drivers int, dm trace.DriverMod
 		t.Fatalf("offline.Compile: %v", err)
 	}
 	return in
-}
-
-// denseGraph builds the dense oracle of the day buildGraph compiles.
-func denseGraph(t *testing.T, in *offline.Instance) *taskmap.Graph {
-	t.Helper()
-	g, err := taskmap.New(in.Market, in.Drivers, in.Tasks)
-	if err != nil {
-		t.Fatalf("taskmap.New: %v", err)
-	}
-	return g
-}
-
-func TestGreedyMatchesNaive(t *testing.T) {
-	// The lazy-heap greedy must earn exactly the naive GA's total on a
-	// spread of instances (the selection sequences coincide up to
-	// equal-profit ties, which cannot change the total). The naive GA
-	// runs on the dense oracle.
-	for _, tc := range []struct {
-		seed           int64
-		tasks, drivers int
-		dm             trace.DriverModel
-	}{
-		{1, 30, 5, trace.Hitchhiking},
-		{2, 60, 10, trace.Hitchhiking},
-		{3, 60, 10, trace.HomeWorkHome},
-		{4, 100, 15, trace.Hitchhiking},
-		{5, 100, 25, trace.HomeWorkHome},
-	} {
-		g := buildGraph(t, tc.seed, tc.tasks, tc.drivers, tc.dm)
-		lazy := offline.Greedy(g)
-		naive := denseGreedyNaive(denseGraph(t, g))
-		if math.Abs(lazy.TotalProfit-naive.TotalProfit) > 1e-6 {
-			t.Errorf("seed %d: lazy %.6f != naive %.6f", tc.seed, lazy.TotalProfit, naive.TotalProfit)
-		}
-		if lazy.Iterations != naive.Iterations {
-			t.Errorf("seed %d: lazy %d iterations, naive %d", tc.seed, lazy.Iterations, naive.Iterations)
-		}
-		if lazy.Recomputes > naive.Recomputes {
-			t.Errorf("seed %d: lazy evaluation did more DP work (%d) than naive (%d)",
-				tc.seed, lazy.Recomputes, naive.Recomputes)
-		}
-	}
 }
 
 func TestGreedySolutionFeasible(t *testing.T) {
@@ -143,16 +102,14 @@ func TestGreedyEmptyInstances(t *testing.T) {
 func TestGreedyAssignmentHelpers(t *testing.T) {
 	g := buildGraph(t, 5, 50, 8, trace.Hitchhiking)
 	sol := offline.Greedy(g)
-	asg := sol.Assignment()
-	if len(asg) != sol.ServedTasks() {
-		t.Fatalf("Assignment() has %d tasks, ServedTasks() = %d", len(asg), sol.ServedTasks())
-	}
+	served := make(map[int]bool)
 	for _, p := range sol.Paths {
 		for _, task := range p.Tasks {
-			if asg[task] != p.Driver {
-				t.Fatalf("task %d mapped to driver %d, want %d", task, asg[task], p.Driver)
-			}
+			served[task] = true
 		}
+	}
+	if len(served) == 0 || len(served) != sol.ServedTasks() {
+		t.Fatalf("paths serve %d distinct tasks, ServedTasks() = %d", len(served), sol.ServedTasks())
 	}
 }
 
@@ -166,6 +123,45 @@ func TestGreedyDominatesSingleBestPath(t *testing.T) {
 	for d := 0; d < g.NDrv(); d++ {
 		if v, _ := dp.Best(g, d, nil); v > sol.TotalProfit+1e-9 {
 			t.Fatalf("driver %d best path %.6f exceeds greedy total %.6f", g.DrvID[d], v, sol.TotalProfit)
+		}
+	}
+}
+
+// lineDay is a market on a west-east line: 60 km/h, one unit a km, and
+// at(km) the point km east of the origin.
+func lineDay() (model.Market, func(km float64) geo.Point) {
+	origin := geo.Point{Lat: 41.15, Lon: -8.61}
+	return model.Market{Dist: geo.Equirectangular, SpeedKmh: 60, GasPerKm: 1},
+		func(km float64) geo.Point { return geo.Offset(origin, math.Pi/2, km) }
+}
+
+// TestDiameterSlowDriver: D counts the arcs each driver can drive. Two
+// tasks 4 km apart with a 5-minute gap chain at the 60 km/h market
+// speed (4 minutes), but not for a fleet of one 30 km/h driver
+// (8 minutes): her D is 1.
+func TestDiameterSlowDriver(t *testing.T) {
+	mkt, at := lineDay()
+	tr := model.Trace{
+		Drivers: []model.Driver{{ID: 0, Source: at(0), Dest: at(4), Start: 0, End: 14400, SpeedKmh: 30}},
+		Tasks: []model.Task{
+			{ID: 0, Source: at(0), Dest: at(0), StartBy: 600, EndBy: 900, Price: 5, WTP: 5},
+			{ID: 1, Source: at(4), Dest: at(4), StartBy: 1200, EndBy: 1500, Price: 5, WTP: 5},
+		},
+	}
+	for _, c := range []struct {
+		speed float64
+		want  int
+	}{{30, 1}, {0, 2}} {
+		tr.Drivers[0].SpeedKmh = c.speed
+		in, err := offline.Compile(mkt, tr, offline.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := in.Diameter(); got != c.want {
+			t.Errorf("driver at %g km/h: D = %d, want %d", c.speed, got, c.want)
+		}
+		if got := in.SharedArcs(); got != 1 {
+			t.Errorf("driver at %g km/h: %d shared arcs, want 1", c.speed, got)
 		}
 	}
 }

@@ -20,13 +20,13 @@ import (
 // graph, keeping only the (task, driver) pairs that can appear on a
 // path, in compressed-row (CSR) form, with the arcs among kept tasks
 // stored once and each driver's own arcs as indices into them. The
-// dense taskmap.Graph, O(N·M) per-driver tables
+// dense task map (bound's dense_test.go), O(N·M) per-driver tables
 // plus O(M²) shared arcs, is kept only in tests, as the differential
 // oracle the parity tests hold this compiler and its solvers to.
 //
 // Hindsight semantics. The offline optimum must answer "what could a
 // clairvoyant dispatcher have earned on this day", so dynamic events
-// tighten the taskmap feasibility rules rather than disappear:
+// tighten the dense task map's feasibility rules rather than disappear:
 //
 //   - A cancellation at time c bars any pickup after c: the pickup
 //     deadline becomes PickupBar = min(StartBy, cancelAt), substituted
@@ -45,8 +45,8 @@ import (
 //
 // On an event-free trace every bar is vacuous (PickupBar = StartBy,
 // EffStart = Start, RetireAt = +Inf) and the compiled instance is
-// exactly the dense taskmap restricted to pairs that can appear on some
-// path — the parity tests in parity_test.go hold this bitwise.
+// exactly the dense task map restricted to pairs that can appear on some
+// path — the parity tests in bound's parity_test.go hold this bitwise.
 //
 // One conservative prefilter drops pairs with EffStart > PickupBar:
 // such a pair can never be on a feasible path (as a first task the
@@ -180,8 +180,8 @@ type Instance struct {
 	// Per-slot successor arcs: the shared arcs slot s's driver can take
 	// on from it are DrvSucc[DrvSuccPtr[s]:DrvSuccPtr[s+1]], indices
 	// into ArcTo/ArcCost in topological order of the target, mirroring
-	// taskmap.Graph.Succs on the kept subset. The target task's slot is
-	// the driver's own (MapSlots).
+	// the dense map's Graph.Succs on the kept subset. The target task's
+	// slot is the driver's own (MapSlots).
 	DrvSuccPtr []int
 	DrvSucc    []int32
 
@@ -242,10 +242,10 @@ func (in *Instance) MapSlots(d int, slot []int32) {
 }
 
 // PathValue computes the objective value of the slot sequence for
-// compact driver d, replicating taskmap.PathProfit's accumulation
-// order operation for operation so profit-mode values are bitwise
-// comparable with the dense oracle. It errors if the sequence is not a
-// path in the compiled graph.
+// compact driver d, replicating the dense map's Graph.PathProfit
+// accumulation order operation for operation so profit-mode values are
+// bitwise comparable with the dense oracle. It errors if the sequence is
+// not a path in the compiled graph.
 func (in *Instance) PathValue(d int, slots []int32) (float64, error) {
 	if len(slots) == 0 {
 		return 0, nil
@@ -661,7 +661,8 @@ func (in *Instance) assemble(rows [][]candidate, opt Options) []int32 {
 	}
 
 	// Topological slot order per driver, derived from the global
-	// (StartBy, index) order exactly as taskmap.buildOrder sorts it.
+	// (StartBy, index) order exactly as the dense map's Graph.buildOrder
+	// sorts it.
 	order := make([]int32, nTask)
 	for i := range order {
 		order[i] = int32(i)
@@ -693,8 +694,8 @@ func (in *Instance) assemble(rows [][]candidate, opt Options) []int32 {
 // arcKm, one distance for all the drivers who keep it, a's targets in
 // topological order. The per-slot one holds, for each slot of a, the
 // shared arcs its driver can take: to tasks she keeps, re-checked at
-// her own speed if she is slower than the market — taskmap's arcs and
-// their Succs order on the kept subset, in 4 bytes each. The global
+// her own speed if she is slower than the market — the dense map's arcs
+// and their Succs order on the kept subset, in 4 bytes each. The global
 // shared-arc loop would be O(M²) ≈ 70M arcs at 12k orders; the drivers'
 // Σ|T_d|² pairs over rail-pruned drivers are orders of magnitude fewer.
 func (in *Instance) buildArcs(fits []bool, order []int32, opt Options) {
@@ -796,7 +797,8 @@ func (in *Instance) buildArcs(fits []bool, order []int32, opt Options) {
 				for _, sb := range later(d, sa) {
 					k := int(arcTo[in.DrvTask[sb]]) - 1
 					// Slower speed overrides re-check the deadhead
-					// against the barred gap, mirroring taskmap.arcUsable.
+					// against the barred gap, mirroring the dense
+					// map's Graph.arcUsable.
 					if k < 0 || (slow && km[a][k-base]/speed*3600 > gap[a][k-base]+timeEps) {
 						continue
 					}

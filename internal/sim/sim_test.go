@@ -11,7 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-// lineMkt: 60 km/h, 1 unit/km on a flat line (see taskmap tests).
+// lineMkt: 60 km/h, 1 unit/km on a flat line (see lineMkt in internal/bound's dense_rules_test.go).
 func lineMkt() model.Market {
 	return model.Market{Dist: geo.Equirectangular, SpeedKmh: 60, GasPerKm: 1}
 }
