@@ -40,7 +40,7 @@ func mustNew(t *testing.T, m model.Market, drivers []model.Driver, tasks []model
 	t.Helper()
 	g, err := newGraph(m, drivers, tasks)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("newGraph: %v", err)
 	}
 	return g
 }
